@@ -51,6 +51,12 @@ raw cblas function pointers found at runtime (system
 ``scipy_cblas_*gemm``). NULL pointers fall back to the naive tiled C
 GEMM — so the cache key is independent of which BLAS (if any) the
 machine has.
+
+Finding the compiler's version and the BLAS candidates forks
+subprocesses (``cc --version``, ``ldconfig``, the compiler again for
+``find_library``). A launcher resolves them once with
+:func:`toolchain_record` and ships the record to its rank processes,
+which :func:`prime` their memos from it and fork nothing.
 """
 
 from __future__ import annotations
@@ -59,12 +65,13 @@ import ctypes
 import ctypes.util
 import glob
 import hashlib
+import importlib.util
 import os
 import shutil
 import subprocess
 import tempfile
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,6 +83,8 @@ from repro.observe.metrics import MetricsRegistry
 __all__ = [
     "available",
     "toolchain_report",
+    "toolchain_record",
+    "prime",
     "metrics",
     "load_kernels",
     "cold_compile_allowance",
@@ -145,32 +154,41 @@ class _Blas:
 
 _BLAS: "List[Optional[_Blas]]" = []  # lazy singleton ([] = unprobed)
 
+#: BLAS candidate paths adopted from a launching process by :func:`prime`
+_PRIMED_BLAS: List[str] = []
 
-def _blas_candidates() -> List[str]:
-    paths: List[str] = []
+#: :func:`toolchain_record` memo, keyed by the ``$CC``/``$REPRO_BLAS``
+#: settings it was resolved under
+_RECORDS: Dict[Tuple[Optional[str], Optional[str]], Dict[str, object]] = {}
+
+
+def _blas_candidates() -> Iterator[str]:
+    """BLAS library paths in probing order, each probed only when asked.
+
+    ``$REPRO_BLAS`` first, then the system ``cblas``/``openblas``/
+    ``blas`` (every ``find_library`` call forks ``ldconfig`` and the C
+    compiler), then scipy's bundled OpenBLAS, located without importing
+    scipy. The first loadable candidate wins, so the probes behind it
+    never run.
+    """
     env = os.environ.get("REPRO_BLAS")
     if env:
-        paths.append(env)
+        yield env
     for name in ("cblas", "openblas", "blas"):
         found = ctypes.util.find_library(name)
         if found:
-            paths.append(found)
-    try:  # scipy bundles an LP64 openblas with scipy_cblas_* symbols
-        import scipy
-
-        libs = os.path.join(os.path.dirname(scipy.__file__), "..",
+            yield found
+    # scipy bundles an LP64 openblas with scipy_cblas_* symbols
+    spec = importlib.util.find_spec("scipy")
+    if spec is not None and spec.origin:
+        libs = os.path.join(os.path.dirname(spec.origin), "..",
                             "scipy.libs", "*.so*")
-        paths.extend(sorted(glob.glob(libs)))
-    except ImportError:  # pragma: no cover - scipy is in the test env
-        pass
-    return paths
+        yield from sorted(glob.glob(libs))
 
 
-def _load_blas() -> Optional[_Blas]:
-    if _BLAS:
-        return _BLAS[0]
-    found = None
-    for path in _blas_candidates():
+def _first_blas(paths: Iterable[str]) -> Optional[_Blas]:
+    """The first of ``paths`` that loads and exports cblas GEMMs."""
+    for path in paths:
         try:
             lib = ctypes.CDLL(path)
         except OSError:
@@ -194,12 +212,55 @@ def _load_blas() -> Optional[_Blas]:
                     break
                 except AttributeError:
                     continue
-            found = _Blas(path, lib, sgemm, dgemm)
-            break
-        if found:
-            break
-    _BLAS.append(found)
-    return found
+            return _Blas(path, lib, sgemm, dgemm)
+    return None
+
+
+def _load_blas() -> Optional[_Blas]:
+    if not _BLAS:
+        found = _first_blas(_PRIMED_BLAS)
+        if found is None:  # not primed, or no primed library loads
+            found = _first_blas(_blas_candidates())
+        _BLAS.append(found)
+    return _BLAS[0]
+
+
+def toolchain_record() -> Dict[str, object]:
+    """The C compiler and BLAS candidates, resolved once per process.
+
+    A plain picklable dict — ``{"cc", "cc_version", "blas"}``, the last
+    being every BLAS candidate path in probing order — that a launcher
+    ships to its rank processes so each can :func:`prime` itself
+    instead of re-running the probes. Building it runs ``cc --version``
+    and the ``find_library`` probes, but loads no library: the
+    launching process never needs BLAS, and mapping it there would
+    only grow its resident set.
+    """
+    env = (os.environ.get("CC"), os.environ.get("REPRO_BLAS"))
+    record = _RECORDS.get(env)
+    if record is None:
+        cc = _find_cc()
+        record = _RECORDS[env] = {
+            "cc": cc,
+            "cc_version": _cc_version(cc) if cc else None,
+            "blas": list(_blas_candidates()),
+        }
+    return record
+
+
+def prime(record: Dict[str, object]) -> None:
+    """Adopt a launching process's :func:`toolchain_record`.
+
+    Seeds the ``cc --version`` memo and the BLAS candidates, so a rank
+    process resolves the same compiler identity (hence the same kernel
+    cache key) and the same library without forking a single probe. If
+    none of the recorded libraries loads, :func:`_load_blas` falls back
+    to probing.
+    """
+    cc, version = record.get("cc"), record.get("cc_version")
+    if cc and version:
+        _CC_VERSION.setdefault(cc, version)
+    _PRIMED_BLAS[:] = record.get("blas") or []
 
 
 def cache_dir() -> str:

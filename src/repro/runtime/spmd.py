@@ -58,6 +58,31 @@ accumulation while genuinely pipelining the reduce behind the wire
 (:meth:`SpmdCommunicator.begin_chunked` documents why the gather-based
 consumer releases chunks index-ordered rather than ring-rotated).
 
+Launch
+------
+
+A launch pays an interpreter start per rank, so ``launch`` keeps
+everything else off that path:
+
+1. Every rank process starts with small arguments only (layout,
+   segment names, deadlines, fault plan, trace path). Only then does
+   one sender thread per rank send it its module spec and input shard
+   over its own pipe. Shipping the shards as ``Process`` arguments
+   would make each ``start()`` wait until that rank had imported numpy
+   and repro, so the ranks would start one after another. Shards and
+   reports are pickled with their arrays out of band
+   (:func:`_send_message`), so neither side holds a pickled copy of an
+   array, and the parent drops each shard once it is sent.
+2. For the native target the module spec carries the parent's
+   :func:`repro.core.codegen.native.toolchain_record` (compiler path
+   and version, BLAS candidate paths). Each rank primes its toolchain
+   memos from it instead of forking ``cc --version`` and the
+   ``find_library`` probes; the record selects the same library and
+   kernel cache key that probing would.
+3. A rank that has sent its report and closed its segments flushes
+   stdio and leaves with ``os._exit(0)``, skipping interpreter
+   teardown.
+
 Failure handling
 ----------------
 
@@ -66,7 +91,8 @@ spin loop polls the marker, so peers blocked mid-collective abort
 promptly instead of deadlocking the rendezvous. The parent tears down
 in a ``finally``: joins (then terminates) every worker and closes and
 unlinks both shared-memory segments, so a failing kernel can never leak
-``/dev/shm`` segments.
+``/dev/shm`` segments. A rank that dies before it has read its inputs
+is reported dead like one that dies mid-run.
 
 Usage
 -----
@@ -93,6 +119,9 @@ underneath. Not a doctest — it spawns one real OS process per rank:
 from __future__ import annotations
 
 import os
+import pickle
+import sys
+import threading
 import time
 import traceback
 import uuid
@@ -1191,8 +1220,6 @@ class _Stream(object):
     """A worker thread standing in for one GPU stream."""
 
     def __init__(self, fn, comm: SpmdCommunicator) -> None:
-        import threading
-
         self._exc: Optional[BaseException] = None
         self._comm = comm
 
@@ -1231,16 +1258,19 @@ def _module_source(spec) -> str:
 
     ``spec`` is either raw generated source (a plain string — the
     historical path, still used when a caller hands ``launch`` an
-    explicit module) or ``("artifact", text, protocol[, target])``: a
-    serialized :mod:`repro.core.artifact` document from which this rank
-    derives its module by deserializing the portable IR and running the
-    code generator locally — the worker never needs the originating
-    Python objects, only the artifact text. The optional fourth element
-    selects the codegen target (``"spmd"`` when absent — specs shipped
-    by older callers stay valid); ``"native"`` workers rebuild the same
-    C source as the parent and resolve it through the shared
-    content-addressed kernel cache, so at most one rank per machine
-    actually compiles.
+    explicit module) or ``("artifact", text, protocol[, target[,
+    toolchain]])``: a serialized :mod:`repro.core.artifact` document
+    from which this rank derives its module by deserializing the
+    portable IR and running the code generator locally — the worker
+    never needs the originating Python objects, only the artifact text.
+    The optional fourth element selects the codegen target (``"spmd"``
+    when absent — specs shipped by older callers stay valid);
+    ``"native"`` workers rebuild the same C source as the parent and
+    resolve it through the shared content-addressed kernel cache, so at
+    most one rank per machine actually compiles. The optional fifth is
+    the launcher's :func:`repro.core.codegen.native.toolchain_record`,
+    which primes this rank's toolchain memos so loading the kernels
+    forks no ``cc --version`` or ``find_library`` probe.
     """
     if isinstance(spec, str):
         return spec
@@ -1249,6 +1279,10 @@ def _module_source(spec) -> str:
         from repro.core import artifact as artifact_mod
         from repro.core.codegen import CodeGenerator
 
+        if len(spec) > 4:
+            from repro.core.codegen import native
+
+            native.prime(spec[4])
         target = spec[3] if len(spec) > 3 else "spmd"
         art = artifact_mod.loads(spec[1])
         # hand the artifact itself to generate(): the native target
@@ -1258,13 +1292,38 @@ def _module_source(spec) -> str:
     raise ExecutionError(f"unknown SPMD module spec kind {kind!r}")
 
 
+def _send_message(conn, obj) -> None:
+    """Send ``obj`` over a pipe with its arrays pickled out of band.
+
+    Each array goes over the pipe straight from its own memory, so the
+    sender holds no pickled copy of a shard or an output while it
+    sends; the receiver reads it into the buffer its array then wraps.
+    """
+    buffers: List[pickle.PickleBuffer] = []
+    head = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
+    conn.send([b.raw().nbytes for b in buffers])
+    conn.send_bytes(head)
+    for b in buffers:
+        conn.send_bytes(b.raw())
+
+
+def _recv_message(conn):
+    """Receive one object sent by :func:`_send_message`."""
+    sizes = conn.recv()
+    head = conn.recv_bytes()
+    buffers = []
+    for nbytes in sizes:
+        buf = bytearray(nbytes)  # writable, so are the arrays over it
+        conn.recv_bytes_into(buf)
+        buffers.append(buf)
+    return pickle.loads(head, buffers=buffers)
+
+
 def _rank_main(
     rank: int,
-    source,
     layout: SpmdLayout,
     data_name: str,
     flags_name: str,
-    inputs: Dict[str, np.ndarray],
     wire_s_per_mb: float,
     timeout: float,
     soft_timeout: Optional[float],
@@ -1274,6 +1333,9 @@ def _rank_main(
 ) -> None:
     comm = None
     try:
+        # the module spec and this rank's input shard arrive over the
+        # pipe once every rank has started (see launch)
+        source, inputs = _recv_message(conn)
         comm = SpmdCommunicator.attach(
             layout, rank, data_name, flags_name, wire_s_per_mb, timeout,
             trace_path=trace_path, soft_timeout=soft_timeout,
@@ -1297,9 +1359,9 @@ def _rank_main(
         t0 = time.perf_counter()
         outputs, states = namespace["run_rank"](comm, inputs)
         elapsed = time.perf_counter() - t0
-        conn.send(("ok", outputs, states, elapsed))
+        _send_message(conn, ("ok", outputs, states, elapsed))
     except SpmdPeerAbort as exc:
-        conn.send(("aborted", str(exc)))
+        _send_message(conn, ("aborted", str(exc)))
     except BaseException as exc:  # noqa: BLE001 - reported to the parent
         if comm is not None:
             comm.signal_error(_ERR_FAILED)
@@ -1313,11 +1375,19 @@ def _rank_main(
                 f"site {context.get('site') or '?'!r}, "
                 f"seq {context.get('seq', 0)})"
             )
-        conn.send(("error", summary, traceback.format_exc(), context))
+        _send_message(
+            conn, ("error", summary, traceback.format_exc(), context)
+        )
     finally:
         if comm is not None:
             comm.close()
         conn.close()
+    # reported, segments and ring closed: exit without interpreter
+    # teardown (finalizing every imported module takes longer than the
+    # rank body of a small step), as multiprocessing's fork children do
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(0)
 
 
 # ---------------------------------------------------------------------------
@@ -1358,6 +1428,60 @@ def _assemble(e, per_rank: Dict[int, np.ndarray]) -> np.ndarray:
     return Executor._assemble(e, per_rank)
 
 
+def _send_payload(conn, payload, errors: List[Exception]) -> None:
+    try:
+        _send_message(conn, payload)
+    except OSError:
+        # the rank died before reading: the launch loop finds it dead
+        # from its process sentinel
+        pass
+    except Exception as exc:  # noqa: BLE001 - reported by launch
+        errors.append(exc)
+
+
+def _ship_inputs(
+    conns: Sequence, payloads: Sequence, errors: List[Exception]
+) -> List[threading.Thread]:
+    """Send every rank its ``(module spec, input shard)``; the senders.
+
+    One thread per rank: a send larger than the pipe buffer blocks
+    until its rank has imported enough to read it, so the ranks receive
+    side by side, and a rank that never reads cannot hold the launch
+    loop past its deadline. A failure other than a broken pipe lands in
+    ``errors`` for the launch loop to report.
+    """
+    senders = [
+        threading.Thread(
+            target=_send_payload, args=(conn, payload, errors), daemon=True
+        )
+        for conn, payload in zip(conns, payloads)
+    ]
+    for t in senders:
+        t.start()
+    return senders
+
+
+#: :func:`_rank_report`'s verdict on a rank that exited without reporting
+_DIED = ("died",)
+
+
+def _rank_report(conn, proc):
+    """One look at a running rank: its report, :data:`_DIED` or None.
+
+    Liveness is sampled *before* the pipe is polled. A rank that sends
+    its report and exits between the two checks then still has the
+    report waiting in the pipe; polling first would find the pipe empty
+    and the process gone, and misread a clean exit as a silent death.
+    """
+    alive = proc.is_alive()
+    if conn.poll(0):
+        try:
+            return _recv_message(conn)
+        except (EOFError, OSError):
+            return _DIED
+    return None if alive else _DIED
+
+
 def launch(
     source: Optional[str],
     program,
@@ -1385,6 +1509,15 @@ def launch(
     exception-safe: workers are joined (terminated on timeout) and both
     shared-memory segments are closed and unlinked in a ``finally`` even
     when a rank raises mid-collective.
+
+    Start-up order: every rank process is started first; then one
+    sender thread per rank ships it its module spec and input shard,
+    while this thread already watches for reports and deaths (a send
+    waits for its rank to finish importing, and must not hold up the
+    deadline). The native target's spec carries
+    :func:`repro.core.codegen.native.toolchain_record`, so ranks fork
+    no toolchain probe. A rank exits with ``os._exit(0)`` right after
+    reporting and closing its segments.
 
     ``timeout`` bounds every rendezvous wait (default:
     :func:`scaled_default_timeout`, so slow simulated wires stretch the
@@ -1469,6 +1602,8 @@ def launch(
     flags_arr: Optional[np.ndarray] = None
     procs: List = []
     conns: List = []
+    senders: List[threading.Thread] = []
+    ship_errors: List[Exception] = []
     dead_ranks: List[int] = []
     # root-cause classification: a dead process (4) outranks a raised
     # error (3) outranks a silent timeout (2) outranks a peer abort (1)
@@ -1508,16 +1643,21 @@ def launch(
             # payloads abort promptly instead of spinning to timeout
             flags_arr[err_off + r] = _ERR_DEAD
 
+        # start every rank before shipping any input: start() writes
+        # the Process args into the child's pipe, and args larger than
+        # the pipe buffer block it until that rank has imported numpy
+        # and repro, so the ranks would start one after another
         ctx_mp = get_context("spawn")
         for r in range(world_size):
             parent_conn, child_conn = ctx_mp.Pipe()
             p = ctx_mp.Process(
                 target=_rank_main,
                 args=(
-                    r, module_spec, layout, data_name, flags_name,
-                    shards[r], wire_s_per_mb, timeout, soft_timeout,
-                    fault_plan, trace_paths[r], child_conn,
+                    r, layout, data_name, flags_name, wire_s_per_mb,
+                    timeout, soft_timeout, fault_plan, trace_paths[r],
+                    child_conn,
                 ),
+                name=f"spmd-rank{r}",
                 daemon=True,
             )
             p.start()
@@ -1525,10 +1665,27 @@ def launch(
             procs.append(p)
             conns.append(parent_conn)
 
+        if codegen_target == "native" and not isinstance(module_spec, str):
+            from repro.core.codegen import native
+
+            module_spec += (native.toolchain_record(),)
+        senders = _ship_inputs(
+            conns, [(module_spec, s) for s in shards], ship_errors
+        )
+        # each sender drops its shard once sent: the copies need not
+        # stay resident while the ranks run
+        shards = None
+
         deadline = time.monotonic() + timeout + 60.0
         pending: Dict[int, object] = dict(enumerate(conns))
         while pending:
             remaining = deadline - time.monotonic()
+            if ship_errors:
+                exc = ship_errors[0]
+                _record_failure(
+                    3, f"could not ship inputs: {type(exc).__name__}: {exc}"
+                )
+                break
             if remaining <= 0.0:
                 for r in sorted(pending):
                     _record_failure(
@@ -1542,26 +1699,20 @@ def launch(
             ]
             _mp_connection.wait(waitables, timeout=min(remaining, 1.0))
             for r in sorted(pending):
-                conn = pending[r]
-                if conn.poll(0):
-                    del pending[r]
-                    try:
-                        msg = conn.recv()
-                    except (EOFError, OSError):
-                        _mark_dead(r)
-                        continue
-                    if msg[0] == "ok":
-                        results[r] = (msg[1], msg[2], msg[3])
-                    elif msg[0] == "error":
-                        _record_failure(
-                            3, msg[1], msg[2],
-                            msg[3] if len(msg) > 3 else None,
-                        )
-                    else:  # aborted by a peer's failure
-                        _record_failure(1, msg[1])
-                elif not procs[r].is_alive():
-                    del pending[r]
+                msg = _rank_report(pending[r], procs[r])
+                if msg is None:
+                    continue
+                del pending[r]
+                if msg is _DIED:
                     _mark_dead(r)
+                elif msg[0] == "ok":
+                    results[r] = (msg[1], msg[2], msg[3])
+                elif msg[0] == "error":
+                    _record_failure(
+                        3, msg[1], msg[2], msg[3] if len(msg) > 3 else None,
+                    )
+                else:  # aborted by a peer's failure
+                    _record_failure(1, msg[1])
     finally:
         flags_arr = None  # drop the view before closing the segment
         for p in procs:
@@ -1570,6 +1721,10 @@ def launch(
             if p.is_alive():  # pragma: no cover - hung worker
                 p.terminate()
                 p.join(timeout=5.0)
+        for t in senders:
+            # the ranks have exited or been terminated, so a send still
+            # blocked on one of them fails with a broken pipe
+            t.join(timeout=5.0)
         for conn in conns:
             try:
                 conn.close()

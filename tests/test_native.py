@@ -17,6 +17,7 @@ Three layers of coverage:
 """
 
 import ctypes
+import ctypes.util
 import hashlib
 import os
 
@@ -315,3 +316,61 @@ void gg(char** A, double* S) {
         k = native.load_kernels(src)
         assert hasattr(k._lib, "repro_bind_blas")
         assert isinstance(k._lib.repro_bind_blas, ctypes._CFuncPtr)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("toolchain probe ran")
+
+
+@pytest.fixture
+def fresh_toolchain(monkeypatch):
+    """Empty toolchain memos, as in a freshly started rank process."""
+    monkeypatch.setattr(native, "_CC_VERSION", {})
+    monkeypatch.setattr(native, "_BLAS", [])
+    monkeypatch.setattr(native, "_PRIMED_BLAS", [])
+
+
+class TestToolchainProbes:
+    def test_repro_blas_wins_without_probing_the_rest(
+        self, fresh_toolchain, monkeypatch
+    ):
+        blas = native._load_blas()
+        if blas is None:
+            pytest.skip("no BLAS on this machine")
+        monkeypatch.setattr(native, "_BLAS", [])
+        monkeypatch.setenv("REPRO_BLAS", blas.path)
+        monkeypatch.setattr(ctypes.util, "find_library", _refuse)
+        assert native._load_blas().path == blas.path
+
+    @needs_cc
+    def test_primed_rank_loads_warm_kernels_without_probes(
+        self, kernel_cache, fresh_toolchain, monkeypatch
+    ):
+        import subprocess
+
+        src = native.PRELUDE + "\nvoid noop_f(char** A, double* S) {}\n"
+        record = native.toolchain_record()
+        assert record["cc"] == native._find_cc()
+        unprimed = native.load_kernels(src)  # probes, compiles, caches
+        # a fresh rank: empty memos, primed from the launcher's record
+        native._MEMO.clear()
+        monkeypatch.setattr(native, "_CC_VERSION", {})
+        monkeypatch.setattr(native, "_BLAS", [])
+        native.prime(record)
+        monkeypatch.setattr(subprocess, "run", _refuse)
+        monkeypatch.setattr(ctypes.util, "find_library", _refuse)
+        before = native.metrics.snapshot()
+        primed = native.load_kernels(src)
+        after = native.metrics.snapshot()
+        assert after.get("native.cache.disk_hits", 0) == (
+            before.get("native.cache.disk_hits", 0) + 1
+        )
+        assert primed.key == unprimed.key
+        assert primed.blas == unprimed.blas
+
+    def test_unloadable_record_falls_back_to_probing(self, fresh_toolchain):
+        native.prime({"cc": None, "cc_version": None,
+                      "blas": ["/nonexistent/libcblas.so"]})
+        probed = native._first_blas(native._blas_candidates())
+        loaded = native._load_blas()
+        assert (loaded and loaded.path) == (probed and probed.path)

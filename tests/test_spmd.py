@@ -9,8 +9,12 @@ one rank must tear the whole run down without leaking shared-memory
 segments or deadlocking peers.
 """
 
+import multiprocessing
 import os
+import signal
 import sys
+import time
+from multiprocessing import connection as mp_connection
 
 import numpy as np
 import pytest
@@ -24,7 +28,8 @@ from repro.core.tensor import Tensor
 from repro.core.transforms import Schedule
 from repro.errors import CodegenError, ExecutionError
 from repro.runtime import Executor
-from repro.runtime.spmd import build_layout, launch
+from repro.runtime import spmd
+from repro.runtime.spmd import SpmdWorkerError, build_layout, launch
 from repro.workloads.adam import AdamWorkload
 from repro.workloads.attention import AttentionWorkload
 from repro.workloads.lamb import LambWorkload
@@ -259,3 +264,84 @@ class TestSpmdTeardown:
             wl.program, optimizer_inputs(rng), allow_downcast=True
         )
         assert set(_shm_spmd_segments()) == before
+
+    @pytest.mark.skipif(
+        sys.platform != "linux", reason="/dev/shm inspection is Linux-only"
+    )
+    def test_rank_killed_before_reading_its_shard(self, rng, monkeypatch):
+        # ranks start before any input ships; one killed in that window
+        # is a dead rank, found within the deadline, and leaks nothing
+        ship = spmd._ship_inputs
+
+        def kill_rank1_then_ship(conns, payloads, errors):
+            victim = next(
+                p for p in multiprocessing.active_children()
+                if p.name == "spmd-rank1"
+            )
+            os.kill(victim.pid, signal.SIGKILL)
+            mp_connection.wait([victim.sentinel], timeout=30.0)
+            return ship(conns, payloads, errors)
+
+        monkeypatch.setattr(spmd, "_ship_inputs", kill_rank1_then_ship)
+        wl = AdamWorkload.build(64, 2)
+        gen = CodeGenerator(target="spmd").generate(wl.program)
+        before = set(_shm_spmd_segments())
+        timeout = 20.0
+        t0 = time.monotonic()
+        with pytest.raises(SpmdWorkerError, match="rank 1 died") as err:
+            launch(
+                gen.source, gen.program, optimizer_inputs(rng, n=2),
+                allow_downcast=True, timeout=timeout,
+            )
+        assert time.monotonic() - t0 < timeout
+        assert err.value.dead_ranks == [1]
+        assert set(_shm_spmd_segments()) == before
+
+
+class _Proc:
+    """A rank process as the launch loop sees it: alive or not.
+
+    With ``report``, it sends that report over ``conn`` and exits at
+    the moment its liveness is sampled.
+    """
+
+    def __init__(self, alive: bool, conn=None, report=None) -> None:
+        self.alive, self.conn, self.report = alive, conn, report
+
+    def is_alive(self) -> bool:
+        if self.report is not None:
+            spmd._send_message(self.conn, self.report)
+            self.alive, self.report = False, None
+        return self.alive
+
+
+class TestLaunchLoop:
+    """How the launch loop reads one rank's state."""
+
+    OK = ("ok", {"out": np.arange(3.0)}, {}, 0.0)
+
+    def _check(self, got) -> None:
+        assert got[0] == "ok"
+        np.testing.assert_array_equal(got[1]["out"], self.OK[1]["out"])
+        assert got[1]["out"].flags.writeable
+
+    def test_report_then_exit_is_not_a_death(self):
+        # regression: polling the pipe before sampling liveness misread
+        # a rank that reported "ok" and exited in between as one that
+        # died without reporting
+        parent, child = multiprocessing.Pipe()
+        self._check(
+            spmd._rank_report(parent, _Proc(True, child, self.OK))
+        )
+
+    def test_running_reporting_and_dead_ranks(self):
+        parent, child = multiprocessing.Pipe()
+        assert spmd._rank_report(parent, _Proc(True)) is None
+        spmd._send_message(child, self.OK)
+        self._check(spmd._rank_report(parent, _Proc(True)))
+        spmd._send_message(child, self.OK)
+        self._check(spmd._rank_report(parent, _Proc(False)))
+        assert spmd._rank_report(parent, _Proc(False)) is spmd._DIED
+        # a closed pipe polls readable, then yields no message
+        child.close()
+        assert spmd._rank_report(parent, _Proc(False)) is spmd._DIED

@@ -6,10 +6,11 @@ overlapped model-parallel schedule is ~2k lines), and the autotuner
 explores each workload's schedule space in ~9-12 seconds.
 
 We measure the same three quantities for the reproduction: generated
-Python-kernel lines (the CUDA stand-in), DSL program+schedule lines,
-and autotuner wall-clock (our candidates are costed by the DES rather
-than executed on GPUs, so tuning takes milliseconds — both numbers are
-reported).
+lines of the per-rank Python module (the stand-in for the per-GPU CUDA
+program; every rank process runs this module), DSL program+schedule
+lines, and autotuner wall-clock (our candidates are costed by the DES
+rather than executed on GPUs, so tuning takes milliseconds — both
+numbers are reported).
 """
 
 from __future__ import annotations

@@ -5,27 +5,26 @@ communication operation, (ii) a CUDA kernel for fused computations,
 (iii) a CUDA kernel for fused-collective communications, or (iv) CUDA
 kernels for overlapping of communication and computation operations."
 
-The reproduction generates *Python* kernels against the simulated
-multi-rank runtime instead of CUDA against real GPUs:
+The reproduction generates one *Python* program per rank instead of
+one CUDA program per GPU. Every rank runs the same module in its own OS
+process, with its kernels bound to that rank's
+:class:`repro.runtime.spmd.SpmdCommunicator`
+(:class:`GeneratedSpmdProgram`):
 
-* plain collectives become generated calls into the reference
-  collective library (the analogue of calling NCCL);
-* fused computation becomes a generated per-rank kernel with the whole
-  expression chain inlined;
-* fused collectives become generated ring step loops (reduce-scatter
-  phase, fused computation applied to the scatter-complete slice,
-  all-gather phase) with per-protocol pack handling;
-* overlapped groups become a generated chunk orchestrator with
-  spin-lock flags, producing chunks in each rank's ring order.
+* plain collectives become rendezvous calls on the communicator over
+  shared memory (the analogue of calling NCCL);
+* fused computation becomes a generated kernel with the whole
+  expression chain inlined over this rank's shard;
+* fused collectives interleave their exchanges with the fused
+  computation in program order, cross-rank norms becoming scalar
+  exchanges, with per-protocol pack accounting;
+* overlapped groups become a generated chunk orchestrator whose
+  producer stream thread releases GEMM output chunks while the
+  consuming collective ingests them.
 
-Every generated module is executable, and its results are required (by
-the differential tests) to match the interpreting executor exactly.
-Generated line counts feed Table 3.
-
-``CodeGenerator(target="spmd")`` emits a second flavour of module: a
-per-rank program whose kernels bind to a
-:class:`repro.runtime.spmd.SpmdCommunicator` and execute as one real OS
-process per rank (:class:`GeneratedSpmdProgram`).
+Every generated module is required (by the SPMD differential tests) to
+be bit-identical to the lowered interpreter. Generated line counts feed
+Table 3.
 
 ``CodeGenerator(target="native")`` emits the same per-rank module with
 the compute segments rendered to C — elementwise chains fused into one
@@ -36,16 +35,11 @@ content-addressed kernel cache. Communication still runs over the
 early.
 """
 
-from repro.core.codegen.generator import (
-    CodeGenerator,
-    GeneratedProgram,
-    GeneratedSpmdProgram,
-)
+from repro.core.codegen.generator import CodeGenerator, GeneratedSpmdProgram
 from repro.core.codegen.loc import count_loc
 
 __all__ = [
     "CodeGenerator",
-    "GeneratedProgram",
     "GeneratedSpmdProgram",
     "count_loc",
 ]

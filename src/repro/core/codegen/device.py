@@ -1,14 +1,14 @@
 """Device-function library imported by generated kernels.
 
 Real CoCoNet kernels call CUDA device functions and NCCL primitives;
-our generated Python kernels call these helpers. Keeping them in a
+our generated Python kernels call these helpers for slicing, dropout
+masks and convolution, and the rank's communicator for collectives.
+Keeping them in a
 library (rather than inlining) mirrors how generated CUDA links against
 device-side headers.
 """
 
 from __future__ import annotations
-
-from typing import Dict, Sequence
 
 import numpy as np
 
@@ -50,94 +50,8 @@ def write_slice(
     array[tuple(sl)] = value
 
 
-def update_storage(
-    storage: Dict[int, np.ndarray],
-    rank: int,
-    value: np.ndarray,
-    sliced_dim: "int | None",
-    local_index: int,
-    parts: int,
-    context: str = "",
-) -> None:
-    """Write an Update's value into a tensor's per-rank storage.
-
-    A sliced value written to full-size (replicated) storage covers only
-    the rank's slice region — the rest becomes valid when an AllGather
-    writes back (Figure 6b's ``agP``).
-    """
-    dtype = storage[rank].dtype
-    if sliced_dim is None or storage[rank].shape == value.shape:
-        storage[rank] = value.astype(dtype)
-    else:
-        write_slice(
-            storage[rank], sliced_dim, local_index, parts,
-            value.astype(dtype), context=context,
-        )
-
-
 def conv2d(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
     """Library convolution call (cuDNN analogue)."""
     from repro.runtime.executor import _conv2d
 
     return _conv2d(x, w, stride, padding)
-
-
-def pack_stats(nbytes: int, pack_bytes: int):
-    """(full packs, tail bytes) of a buffer under a protocol pack size.
-
-    Mirrors §5.2: the number of elements loaded at once follows from the
-    protocol's pack type and the largest operand element type.
-    """
-    return nbytes // pack_bytes, nbytes % pack_bytes
-
-
-def ring_reduce_scatter(
-    values: Dict[int, np.ndarray], ranks: Sequence[int], dim: int
-) -> Dict[int, np.ndarray]:
-    """Step-wise ring reduce-scatter (float64 accumulation).
-
-    Returns each rank's fully reduced slice. Kept here as the device
-    library's "communication primitive"; generated fused kernels unroll
-    the same steps inline when they need to interleave computation.
-    """
-    n = len(ranks)
-    chunks = {
-        r: [
-            take_slice(values[r].astype(np.float64), dim, c, n)
-            for c in range(n)
-        ]
-        for r in ranks
-    }
-    # Step t: rank i sends chunk (i - 1 - t) mod n to its ring neighbour,
-    # which accumulates it; after n-1 steps rank i owns chunk i.
-    for step in range(n - 1):
-        moving = [
-            (i, (i - 1 - step) % n, chunks[r][(i - 1 - step) % n])
-            for i, r in enumerate(ranks)
-        ]
-        for i, c, data in moving:
-            dst = ranks[(i + 1) % n]
-            chunks[dst][c] = chunks[dst][c] + data
-    return {r: chunks[r][i] for i, r in enumerate(ranks)}
-
-
-def ring_all_gather(
-    slices: Dict[int, np.ndarray], ranks: Sequence[int], dim: int
-) -> Dict[int, np.ndarray]:
-    """Step-wise ring all-gather of per-rank slices."""
-    n = len(ranks)
-    have: Dict[int, Dict[int, np.ndarray]] = {
-        r: {i: slices[r]} for i, r in enumerate(ranks)
-    }
-    for step in range(n - 1):
-        moving = [
-            (i, (i - step) % n, have[r][(i - step) % n])
-            for i, r in enumerate(ranks)
-        ]
-        for i, c, data in moving:
-            dst = ranks[(i + 1) % n]
-            have[dst][c] = data
-    return {
-        r: np.concatenate([have[r][c] for c in range(n)], axis=dim)
-        for r in ranks
-    }

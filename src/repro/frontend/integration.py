@@ -9,9 +9,11 @@ clearing the spin-lock buffers for overlapping."
 
 The reproduction provides the same shape: a ``distributed`` module
 object on which compiled programs are registered as callable functions;
-registration compiles the schedule once, pre-computes bucket tables for
-scattered-tensor arguments, and resets spin-lock state before each
-invocation.
+registration generates the per-rank module once (kept for inspection
+and LoC accounting), pre-computes bucket tables for scattered-tensor
+arguments, and resets spin-lock state before each invocation. Calls run
+the lowered program in-process on the lowered interpreter, which is
+bit-identical to the generated module's rank processes and spawns none.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.codegen.generator import CodeGenerator, GeneratedProgram
+from repro.core.codegen.generator import CodeGenerator, GeneratedSpmdProgram
 from repro.core.program import Program
 from repro.core.transforms.schedule import Schedule
 from repro.errors import CoCoNetError
-from repro.runtime.executor import ProgramResult
+from repro.runtime.executor import Executor, ProgramResult
 from repro.scattered.bucketing import ScatteredTensorSet
 
 
@@ -39,9 +41,9 @@ class CoCoNetFunction:
     ) -> None:
         self.name = name
         self.schedule = schedule
-        self.compiled: GeneratedProgram = CodeGenerator(protocol).generate(
-            schedule
-        )
+        self.compiled: GeneratedSpmdProgram = CodeGenerator(
+            protocol
+        ).generate(schedule)
         self._spinlock_cleared = False
         self._bucket_tables: Dict[str, ScatteredTensorSet] = {}
         self.invocations = 0
@@ -79,7 +81,9 @@ class CoCoNetFunction:
                 flat_inputs[key] = self._bucket_tables[key].gather_flat()
             else:
                 flat_inputs[key] = np.asarray(value)
-        result = self.compiled.run(flat_inputs)
+        result = Executor().run_lowered(
+            self.compiled.lowered, flat_inputs, allow_downcast=True
+        )
         for key, table in self._bucket_tables.items():
             table.scatter_flat(
                 np.asarray(result.tensor_state(key)).reshape(-1)

@@ -19,8 +19,9 @@ Each collective exists in two forms sharing one public name:
 
 The public functions (``allreduce``, ``alltoall``, ...) dispatch on the
 input representation — a dict selects the reference backend, an ndarray
-the vectorized one — so the executor, the generated modules and the
-tests all call one API. The two backends are property-tested
+the vectorized one. The executor calls the two backends by name and
+generated modules call the rank's communicator, so tests are now the
+only callers of the dict dispatch. The two backends are property-tested
 bit-identical (``np.array_equal``); see ``tests/test_runtime_vectorized``.
 
 ``context`` parameters thread the originating tensor/op name into

@@ -1,13 +1,18 @@
-"""Additional code-generation coverage: library collectives, Conv2D,
-mixed precision, AR-form fused collectives, and emitted-source details."""
+"""Additional code-generation coverage: collectives, Conv2D, mixed
+precision, cross-rank norms, AR-form fused collectives, and emitted-source
+details.
 
-import numpy as np
-import pytest
+Each ``*_program`` function returns ``(program or schedule, input
+shapes)``. The tests here check the emitted per-rank source;
+``tests/test_spmd.py`` runs every one on real rank processes and
+holds it bit-identical to the lowered interpreter.
+"""
 
 from repro.core import (
     FP16,
     FP32,
     RANK,
+    AllGather,
     AllReduce,
     Binary,
     Broadcast,
@@ -17,9 +22,9 @@ from repro.core import (
     Local,
     Norm,
     Reduce,
+    ReduceScatter,
     ReduceTensor,
     Replicated,
-    Sliced,
     Tensor,
     world,
 )
@@ -29,120 +34,131 @@ from repro.core.transforms import (
     ComputationFuse,
     Schedule,
 )
-from repro.runtime import Executor
 
 
-@pytest.fixture
-def rng():
-    return np.random.RandomState(55)
+def reduce_broadcast_program():
+    W = world(4)
+    x = Tensor(FP32, (8,), Local, W, RANK, name="x")
+    red = Reduce("+", x, root=1, name="red")
+    bc = Broadcast(red, root=1, name="bc")
+    return Execute("p", [x], [bc]), {"x": (4, 8)}
 
 
-def roundtrip(prog_or_sched, inputs, protocol="Simple", rtol=1e-6):
-    sched = (
-        prog_or_sched
-        if isinstance(prog_or_sched, Schedule)
-        else Schedule(prog_or_sched)
+def reducescatter_allgather_program():
+    W = world(4)
+    x = Tensor(FP32, (8,), Local, W, RANK, name="x")
+    rs = ReduceScatter("+", x, name="rs")
+    ag = AllGather(rs, name="ag")
+    return Execute("p", [x], [ag]), {"x": (4, 8)}
+
+
+def max_allreduce_program():
+    W = world(4)
+    x = Tensor(FP32, (8,), Local, W, RANK, name="x")
+    ar = AllReduce("max", x, name="ar")
+    return Execute("p", [x], [ar]), {"x": (4, 8)}
+
+
+def conv2d_program():
+    W = world(2)
+    x = Tensor(FP32, (1, 2, 6, 6), Replicated, W, name="x")
+    k = Tensor(FP32, (3, 2, 3, 3), Replicated, W, name="k")
+    conv = Conv2D(x, k, padding=1, name="conv")
+    return (
+        Execute("p", [x, k], [conv]),
+        {"x": (1, 2, 6, 6), "k": (3, 2, 3, 3)},
     )
-    ref = Executor().run(sched.program, inputs)
-    gen = CodeGenerator(protocol).generate(sched)
-    got = gen.run(inputs)
-    for o in sched.program.outputs:
-        np.testing.assert_allclose(
-            got.output(o.name), ref.output(o.name), rtol=rtol, atol=1e-9
-        )
-    return gen
+
+
+def cast_chain_program():
+    W = world(2)
+    x = Tensor(FP32, (16,), Replicated, W, name="x")
+    half = Cast(FP16, x, name="half")
+    back = Cast(FP32, half, name="back")
+    y = Binary("*", back, 2.0, name="y")
+    return Execute("p", [x], [y]), {"x": (16,)}
+
+
+def norm_reducetensor_program():
+    W = world(2)
+    x = Tensor(FP32, (16,), Replicated, W, name="x")
+    n = Norm(x, name="n")
+    rt = ReduceTensor("max", x, name="rt")
+    return (
+        Execute("p", [x], [Binary("+", n, rt, name="out")]),
+        {"x": (16,)},
+    )
+
+
+def cross_rank_norm_program():
+    W = world(4)
+    x = Tensor(FP32, (8,), Local, W, RANK, name="x")
+    rs = ReduceScatter("+", x, name="rs")
+    n = Norm(rs, name="n")
+    scaled = Binary("*", rs, n, name="scaled")
+    ag = AllGather(scaled, name="ag")
+    sched = Schedule(Execute("p", [x], [ag]))
+    sched.fuse(n, scaled, policy=ComputationFuse)
+    return sched, {"x": (4, 8)}
+
+
+def allreduce_fuse_program():
+    """AllReduceFuse over a plain AR (no split)."""
+    W = world(4)
+    x = Tensor(FP32, (8,), Local, W, RANK, name="x")
+    ar = AllReduce("+", x, name="ar")
+    y = Binary("*", ar, 3.0, name="y")
+    z = Binary("+", y, 1.0, name="z")
+    sched = Schedule(Execute("p", [x], [z]))
+    sched.fuse(ar, y, z, policy=AllReduceFuse)
+    return sched, {"x": (4, 8)}
+
+
+def generated_source(make_program, protocol="Simple"):
+    return CodeGenerator(protocol).generate(make_program()[0]).source
 
 
 class TestLibraryCollectives:
-    def test_reduce_and_broadcast(self, rng):
-        W = world(4)
-        x = Tensor(FP32, (8,), Local, W, RANK, name="x")
-        red = Reduce("+", x, root=1, name="red")
-        bc = Broadcast(red, root=1, name="bc")
-        prog = Execute("p", [x], [bc])
-        roundtrip(prog, {"x": rng.randn(4, 8)})
+    def test_reduce_and_broadcast(self):
+        src = generated_source(reduce_broadcast_program)
+        assert "comm.reduce(V['x'], G0_4, '+', 1, np.float32)" in src
+        assert "comm.broadcast(V['red'], G0_4, 1)" in src
 
-    def test_reducescatter_standalone(self, rng):
-        from repro.core import ReduceScatter, AllGather
+    def test_reducescatter_standalone(self):
+        src = generated_source(reducescatter_allgather_program)
+        assert "comm.reducescatter" in src
+        assert "comm.allgather" in src
 
-        W = world(4)
-        x = Tensor(FP32, (8,), Local, W, RANK, name="x")
-        rs = ReduceScatter("+", x, name="rs")
-        ag = AllGather(rs, name="ag")
-        prog = Execute("p", [x], [ag])
-        gen = roundtrip(prog, {"x": rng.randn(4, 8)})
-        assert "lib.reducescatter" in gen.source
-        assert "lib.allgather" in gen.source
-
-    def test_max_allreduce(self, rng):
-        W = world(4)
-        x = Tensor(FP32, (8,), Local, W, RANK, name="x")
-        ar = AllReduce("max", x, name="ar")
-        prog = Execute("p", [x], [ar])
-        roundtrip(prog, {"x": rng.randn(4, 8)})
+    def test_max_allreduce(self):
+        src = generated_source(max_allreduce_program)
+        assert "comm.allreduce(V['x'], G0_4, 'max', np.float32)" in src
 
 
 class TestComputeCodegen:
-    def test_conv2d(self, rng):
-        W = world(2)
-        x = Tensor(FP32, (1, 2, 6, 6), Replicated, W, name="x")
-        k = Tensor(FP32, (3, 2, 3, 3), Replicated, W, name="k")
-        conv = Conv2D(x, k, padding=1, name="conv")
-        prog = Execute("p", [x, k], [conv])
-        gen = roundtrip(prog, {"x": rng.randn(1, 2, 6, 6),
-                               "k": rng.randn(3, 2, 3, 3)})
-        assert "dev.conv2d" in gen.source
+    def test_conv2d(self):
+        assert "dev.conv2d" in generated_source(conv2d_program)
 
-    def test_mixed_precision_cast_chain(self, rng):
-        W = world(2)
-        x = Tensor(FP32, (16,), Replicated, W, name="x")
-        half = Cast(FP16, x, name="half")
-        back = Cast(FP32, half, name="back")
-        y = Binary("*", back, 2.0, name="y")
-        prog = Execute("p", [x], [y])
-        gen = roundtrip(prog, {"x": rng.randn(16)}, rtol=1e-3)
-        assert "astype(np.float16)" in gen.source
+    def test_mixed_precision_cast_chain(self):
+        assert "astype(np.float16)" in generated_source(cast_chain_program)
 
-    def test_norm_and_reducetensor_non_cross(self, rng):
-        W = world(2)
-        x = Tensor(FP32, (16,), Replicated, W, name="x")
-        n = Norm(x, name="n")
-        rt = ReduceTensor("max", x, name="rt")
-        prog = Execute("p", [x], [Binary("+", n, rt, name="out")])
-        roundtrip(prog, {"x": rng.randn(16)})
+    def test_norm_and_reducetensor_non_cross(self):
+        # a replicated operand reduces locally: no scalar exchange
+        src = generated_source(norm_reducetensor_program)
+        assert "np.sqrt(np.sum(" in src
+        assert "np.max(" in src
+        assert "exchange_scalars" not in src
 
-    def test_cross_rank_norm_in_fused_block(self, rng):
-        W = world(4)
-        from repro.core import ReduceScatter
-
-        x = Tensor(FP32, (8,), Local, W, RANK, name="x")
-        rs = ReduceScatter("+", x, name="rs")
-        n = Norm(rs, name="n")
-        scaled = Binary("*", rs, n, name="scaled")
-        from repro.core import AllGather
-
-        ag = AllGather(scaled, name="ag")
-        prog = Execute("p", [x], [ag])
-        sched = Schedule(prog)
-        sched.fuse(n, scaled, policy=ComputationFuse)
-        gen = roundtrip(sched, {"x": rng.randn(4, 8)})
-        assert "AllReduce reusing the established connections" in gen.source
+    def test_cross_rank_norm_in_fused_block(self):
+        src = generated_source(cross_rank_norm_program)
+        assert "AllReduce reusing the established connections" in src
+        assert "comm.exchange_scalars(_part, G0_4)" in src
 
 
 class TestFusedARForm:
-    def test_allreduce_plus_compute_fusion(self, rng):
-        """AllReduceFuse over a plain AR (no split): the AR branch of
-        the fused-collective emitter."""
-        W = world(4)
-        x = Tensor(FP32, (8,), Local, W, RANK, name="x")
-        ar = AllReduce("+", x, name="ar")
-        y = Binary("*", ar, 3.0, name="y")
-        z = Binary("+", y, 1.0, name="z")
-        prog = Execute("p", [x], [z])
-        sched = Schedule(prog)
-        sched.fuse(ar, y, z, policy=AllReduceFuse)
-        gen = roundtrip(sched, {"x": rng.randn(4, 8)})
-        assert "lib.allreduce" in gen.source
+    def test_allreduce_plus_compute_fusion(self):
+        """AllReduceFuse over a plain AR (no split): the fused kernel
+        calls the AllReduce, then computes on the replicated result."""
+        assert "comm.allreduce" in generated_source(allreduce_fuse_program)
 
 
 class TestEmittedSource:
@@ -167,8 +183,7 @@ class TestEmittedSource:
         assert "G0_4 = ProcessGroup(0, 4, 8)" in gen.source
         assert "G4_4 = ProcessGroup(4, 4, 8)" in gen.source
 
-    def test_docstrings_name_fused_ops(self, rng):
-        prog_inputs = {"x": rng.randn(4, 8)}
+    def test_docstrings_name_fused_ops(self):
         W = world(4)
         x = Tensor(FP32, (8,), Local, W, RANK, name="x")
         ar = AllReduce("+", x, name="ar")

@@ -4,9 +4,10 @@ Differential harness: ``Executor.run_spmd`` — one OS process per rank,
 shared-memory collectives — must be *bit-identical* (``np.array_equal``
 on outputs and tensor states) to ``Executor.run_lowered`` across every
 workload's original / named / autotuned schedules at real rank counts
-(4 and 8). Plus the exception-safety regression: a kernel failing on
-one rank must tear the whole run down without leaking shared-memory
-segments or deadlocking peers.
+(4 and 8), and across op-level programs at 2–4 ranks. Plus the
+exception-safety regression: a kernel failing on one rank must tear the
+whole run down without leaking shared-memory segments or deadlocking
+peers.
 """
 
 import multiprocessing
@@ -35,6 +36,36 @@ from repro.workloads.attention import AttentionWorkload
 from repro.workloads.lamb import LambWorkload
 from repro.workloads.moe import MoEWorkload
 from repro.workloads.pipeline import PipelineWorkload
+from tests import test_codegen_extra as extra
+from tests.test_alltoall import exchange_schedules
+from tests.test_two_layer import fused_mlp_program
+
+#: op-level programs beyond the named workload schedules: functions
+#: returning (program or schedule, input shapes), plus launch kwargs —
+#: every collective kind, Conv2D, mixed precision, cross-rank norms,
+#: AR-form and AllToAll fusion, hierarchical exchange
+OP_LEVEL_PROGRAMS = [
+    pytest.param(extra.reduce_broadcast_program, {}, id="reduce_broadcast"),
+    pytest.param(extra.reducescatter_allgather_program, {}, id="rs_ag"),
+    pytest.param(extra.max_allreduce_program, {}, id="max_allreduce"),
+    pytest.param(extra.conv2d_program, {}, id="conv2d"),
+    pytest.param(extra.cast_chain_program, {}, id="cast_chain"),
+    pytest.param(extra.norm_reducetensor_program, {}, id="norm_reducetensor"),
+    pytest.param(
+        extra.cross_rank_norm_program, {}, id="cross_rank_norm_fused"
+    ),
+    pytest.param(extra.allreduce_fuse_program, {}, id="allreduce_fuse"),
+    pytest.param(
+        fused_mlp_program, {"protocol": "LL128"}, id="two_layer_mlp_ll128"
+    ),
+] + [
+    pytest.param(
+        lambda name=name: (exchange_schedules()[name], {"x": (4, 8, 3)}),
+        {},
+        id=f"alltoall_{name}",
+    )
+    for name in ("library", "fused", "hierarchical")
+]
 
 
 @pytest.fixture
@@ -149,6 +180,12 @@ class TestSpmdParity:
             wl.schedule_coconet(), attention_inputs(rng),
             wire_s_per_mb=0.5,
         )
+
+    @pytest.mark.parametrize("make_program, spmd_kwargs", OP_LEVEL_PROGRAMS)
+    def test_op_level_programs(self, rng, make_program, spmd_kwargs):
+        sched, shapes = make_program()
+        inputs = {name: rng.randn(*shape) for name, shape in shapes.items()}
+        assert_spmd_parity(sched, inputs, **spmd_kwargs)
 
     def test_ring_overlap_with_alltoall_consumer(self, rng):
         # regression: overlap(mm, a2a) lowers to a ring loop whose

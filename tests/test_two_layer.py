@@ -22,7 +22,6 @@ from repro.core import (
     world,
 )
 from repro.core.autotuner import Autotuner
-from repro.core.codegen import CodeGenerator
 from repro.core.transforms import (
     AllReduceFuse,
     ARSplitRSAG,
@@ -59,6 +58,21 @@ def build_mlp(n=4, B=2, S=8, H=16, seed=17):
     return prog, dict(
         h1=h1, act=act, h2=h2, total=total, sum_b=sum_b, drop=drop, out=out
     )
+
+
+def fused_mlp_program(seed=31):
+    """split(AR) -> reorder -> fuse(RS-C-AG) over the MLP block.
+
+    Returns ``(schedule, input shapes)``; ``tests/test_spmd.py`` runs it
+    at ``LL128`` on real rank processes against the lowered interpreter.
+    """
+    prog, h = build_mlp(seed=seed)
+    sched = Schedule(prog)
+    rs, ag = sched.split(h["total"], ARSplitRSAG)
+    results = sched.reorder(ag, h["sum_b"], h["drop"], h["out"])
+    sched.fuse(rs, *results, policy=AllReduceFuse)
+    shapes = {t.name: t.shape for t in prog.inputs}
+    return sched, shapes
 
 
 def reference_mlp(inputs, seed):
@@ -113,20 +127,6 @@ class TestTwoGemmMLP:
         np.testing.assert_allclose(
             got.output(sched.program.outputs[0].name), ref, rtol=1e-5,
             atol=1e-7,
-        )
-
-    def test_generated_code_matches(self, inputs):
-        prog, h = build_mlp(seed=31)
-        sched = Schedule(prog)
-        rs, ag = sched.split(h["total"], ARSplitRSAG)
-        results = sched.reorder(ag, h["sum_b"], h["drop"], h["out"])
-        sched.fuse(rs, *results, policy=AllReduceFuse)
-        ref = Executor().run(sched.program, inputs)
-        gen = CodeGenerator("LL128").generate(sched)
-        got = gen.run(inputs)
-        name = sched.program.outputs[0].name
-        np.testing.assert_allclose(
-            got.output(name), ref.output(name), rtol=1e-5, atol=1e-7
         )
 
     def test_autotuner_handles_two_gemms(self):

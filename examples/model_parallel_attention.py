@@ -58,7 +58,7 @@ def correctness_check():
     for name, builder in SCHEDULE_BUILDERS.items():
         wl = AttentionWorkload.build(B, S, H, 4, dtype=FP32, dropout_seed=9)
         sched = getattr(wl, builder)()
-        res = Executor().run(sched.program, inputs)
+        res = Executor().run_lowered(sched, inputs)
         outputs[name] = res.output(sched.program.outputs[0].name)
     ref = outputs["MegatronLM"]
     for name, out in outputs.items():

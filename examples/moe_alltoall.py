@@ -42,7 +42,7 @@ def main():
 
     # -- 2. Every schedule computes the same numbers ---------------------
     for name, sched in wl.schedules().items():
-        res = Executor().run(sched.program, inputs)
+        res = Executor().run_lowered(sched, inputs)
         # a Local output reassembles with the rank axis leading, the
         # same convention moe_reference uses
         got = res.output(sched.program.outputs[0].name)
@@ -52,7 +52,7 @@ def main():
     # -- 3. Hierarchical AllToAll split is exact -------------------------
     sched = Schedule(wl.program)
     sched.split(wl.dispatch, A2ASplitHierarchical, node_size=2)
-    res = Executor().run(sched.program, inputs)
+    res = Executor().run_lowered(sched, inputs)
     got = res.output(sched.program.outputs[0].name)
     assert np.allclose(ref, got, rtol=1e-5)
     print("\nhierarchical split (2 GPUs/node):")

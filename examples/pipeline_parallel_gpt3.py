@@ -80,7 +80,7 @@ def correctness():
             dropout_seed=11,
         )
         sched = getattr(wl, f"schedule_{name}")()
-        res = Executor().run(sched.program, inputs)
+        res = Executor().run_lowered(sched, inputs)
         outs[name] = res.output(sched.program.outputs[0].name)
     diff = float(np.abs(outs["megatron"] - outs["coconet"]).max())
     print(f"  max |megatron - coconet| = {diff:.2e}")

@@ -70,8 +70,8 @@ def main():
         "in": rng.randn(B, S, H),
         "r": rng.randn(B, S, H),
     }
-    ref = Executor().run(program, inputs).output("out")
-    opt = Executor().run(sched.program, inputs)
+    ref = Executor().run_lowered(program, inputs).output("out")
+    opt = Executor().run_lowered(sched, inputs)
     opt_out = opt.output(sched.program.outputs[0].name)
     assert np.allclose(ref, opt_out, rtol=1e-6)
     print("\nSemantics preserved: max |diff| =",

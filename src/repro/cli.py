@@ -109,8 +109,6 @@ def _cmd_run(args) -> int:
                 art, inputs, allow_downcast=True, timeout=args.timeout,
                 codegen_target="native",
             )
-        if args.backend == "dfg":
-            return ex.run(program, inputs, allow_downcast=True)
         # pragma: no cover - argparse choices guard this
         raise CoCoNetError(f"unknown backend {args.backend!r}")
 
@@ -190,11 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("artifact", help="path to a saved artifact")
     p.add_argument(
         "--backend",
-        choices=("lowered", "spmd", "native", "dfg"),
+        choices=("lowered", "spmd", "native"),
         default="lowered",
         help="lowered interpreter (default), one real OS process per "
-        "rank, per-rank processes with compiled C kernels, or the "
-        "raw-DFG oracle",
+        "rank, or per-rank processes with compiled C kernels",
     )
     p.add_argument(
         "--seed", type=int, default=0,

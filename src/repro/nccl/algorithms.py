@@ -95,8 +95,8 @@ def simulate_ring_allreduce(values: Sequence[np.ndarray]) -> List[np.ndarray]:
     """Execute ring AllReduce step by step on numpy arrays.
 
     Used by tests to show the ring algorithm computes the same result
-    as the reference :func:`repro.runtime.collectives.allreduce`.
-    Accumulates in float64 like the reference.
+    as the per-rank AllReduce oracle. Accumulates in float64 like the
+    oracle.
     """
     n = len(values)
     if n == 1:
@@ -129,8 +129,8 @@ def simulate_alltoall(
     """Execute the pairwise AllToAll step by step on numpy arrays.
 
     Replays exactly the sends of :func:`all_to_all_steps`; used by tests
-    to prove the step schedule computes the same result as the reference
-    :func:`repro.runtime.collectives.alltoall`.
+    to prove the step schedule computes the same result as the per-rank
+    AllToAll oracle.
     """
     n = len(values)
     if n == 1:

@@ -1,14 +1,9 @@
 """Recorder bridging the lowered-stream interpreter to trace events.
 
-``Executor.run_lowered`` historically appended bare tuples —
-``("launch", name, stream)``, ``("chunk", member, step, c)`` — into a
-caller-supplied list. :class:`LoweredRunRecorder` keeps that protocol
-alive verbatim (tests and tools that pattern-match the tuples keep
-working) while simultaneously emitting typed, *timed*
-:class:`~repro.observe.events.SpanEvent` objects into a
-:class:`~repro.observe.events.Tracer`. Either side may be absent: pass
-only ``legacy`` for the old behaviour at the old cost, only ``tracer``
-for structured tracing, or both during migration.
+:class:`LoweredRunRecorder` turns each step of ``Executor.run_lowered``
+(instruction launches, chunk-loop members, pack metadata) into typed,
+*timed* :class:`~repro.observe.events.SpanEvent` and instant objects in
+a :class:`~repro.observe.events.Tracer`.
 
 Chunk spans are named ``{member}#c{chunk}`` to match the task names the
 DES cost model emits (``ProgramCostModel._emit_chunk_tasks``), so the
@@ -16,8 +11,6 @@ predicted-vs-measured aligner joins them without a translation table.
 """
 
 from __future__ import annotations
-
-from typing import List, Optional
 
 from repro.observe.events import Tracer
 
@@ -27,91 +20,64 @@ __all__ = ["LoweredRunRecorder"]
 class LoweredRunRecorder:
     """Per-run recording facade handed down into ``_run_chunk_loop``."""
 
-    def __init__(
-        self,
-        tracer: Optional[Tracer] = None,
-        legacy: Optional[List[tuple]] = None,
-    ) -> None:
+    def __init__(self, tracer: Tracer) -> None:
         self.tracer = tracer
-        self.legacy = legacy
 
     def now(self) -> float:
-        return self.tracer.now() if self.tracer is not None else 0.0
+        return self.tracer.now()
 
     def pack(self, instr) -> None:
-        if self.legacy is not None:
-            self.legacy.append(
-                ("pack", instr.name, instr.num_buckets, instr.metadata_bytes)
-            )
-        if self.tracer is not None:
-            self.tracer.instant(
-                instr.name,
-                cat="pack",
-                tid=instr.stream,
-                args={
-                    "num_buckets": instr.num_buckets,
-                    "metadata_bytes": instr.metadata_bytes,
-                },
-            )
+        self.tracer.instant(
+            instr.name,
+            cat="pack",
+            tid=instr.stream,
+            args={
+                "num_buckets": instr.num_buckets,
+                "metadata_bytes": instr.metadata_bytes,
+            },
+        )
 
     def launch(self, instr, t0: float) -> None:
-        if self.legacy is not None:
-            self.legacy.append(("launch", instr.name, instr.stream))
-        if self.tracer is not None:
-            self.tracer.complete(
-                instr.name,
-                t0,
-                self.tracer.now() - t0,
-                cat="launch",
-                tid=instr.stream,
-                args={"deps": list(instr.deps)},
-            )
-
-    def chunkloop_begin(self, loop) -> float:
-        if self.legacy is not None:
-            self.legacy.append(
-                ("chunkloop", loop.name, loop.num_chunks, loop.ring)
-            )
-        return self.now()
+        self.tracer.complete(
+            instr.name,
+            t0,
+            self.tracer.now() - t0,
+            cat="launch",
+            tid=instr.stream,
+            args={"deps": list(instr.deps)},
+        )
 
     def chunkloop_end(self, loop, t0: float) -> None:
-        if self.tracer is not None:
-            self.tracer.complete(
-                loop.name,
-                t0,
-                self.tracer.now() - t0,
-                cat="chunkloop",
-                tid="overlap",
-                args={"num_chunks": loop.num_chunks, "ring": loop.ring},
-            )
+        self.tracer.complete(
+            loop.name,
+            t0,
+            self.tracer.now() - t0,
+            cat="chunkloop",
+            tid="overlap",
+            args={"num_chunks": loop.num_chunks, "ring": loop.ring},
+        )
 
     def whole(self, entry, step: int, t0: float) -> None:
-        if self.legacy is not None:
-            self.legacy.append(("whole", entry.name, step))
-        if self.tracer is not None:
-            self.tracer.complete(
-                entry.name,
-                t0,
-                self.tracer.now() - t0,
-                cat="whole",
-                tid=entry.instr.stream,
-                args={"step": step},
-            )
+        self.tracer.complete(
+            entry.name,
+            t0,
+            self.tracer.now() - t0,
+            cat="whole",
+            tid=entry.instr.stream,
+            args={"step": step},
+        )
 
     def chunk(self, entry, step: int, c: int, t0: float) -> None:
-        if self.legacy is not None:
-            self.legacy.append(("chunk", entry.name, step, c))
-        if self.tracer is not None:
-            self.tracer.complete(
-                f"{entry.name}#c{c}",
-                t0,
-                self.tracer.now() - t0,
-                cat="chunk",
-                tid=entry.instr.stream,
-                args={
-                    "step": step,
-                    "chunk": c,
-                    "member": entry.name,
-                    "upstream": entry.upstream,
-                },
-            )
+        self.tracer.complete(
+            f"{entry.name}#c{c}",
+            t0,
+            self.tracer.now() - t0,
+            cat="chunk",
+            tid=entry.instr.stream,
+            args={
+                "step": step,
+                "chunk": c,
+                "member": entry.name,
+                "upstream": entry.upstream,
+            },
+        )

@@ -5,17 +5,12 @@ arrays. Every transformed schedule must produce the same results as the
 original program here — this is the library's enforcement of the paper's
 "semantics preserving transformations".
 
-Two interchangeable backends: the default rank-major *vectorized* store
-(one stacked ``(num_ranks, *shape)`` array per tensor; collectives as
-single numpy expressions) and the original per-rank dict *reference*
-store (``Executor(reference=True)`` / ``SimWorld(n, reference=True)``),
-retained as the oracle the vectorized backend is property-tested
-bit-identical against.
-
-``Executor.run_lowered`` additionally interprets the shared lowered
-instruction stream (:mod:`repro.core.lower`) — fused blocks as units,
-overlap groups chunk-by-chunk — bit-identical to the DFG interpretation,
-so scheduled execution itself is numerically verified.
+``Executor.run_lowered`` is the in-process interpreter: it executes the
+shared lowered instruction stream (:mod:`repro.core.lower`) — fused
+blocks as units, overlap groups chunk-by-chunk — over a rank-major
+:class:`SimWorld` (one stacked ``(num_ranks, *shape)`` array per tensor;
+collectives as single numpy expressions). A bare program is lowered
+first, one kernel per expression.
 
 ``Executor.run_spmd`` leaves the single process altogether: it executes
 the generated SPMD module as one real OS process per rank over the

@@ -2,33 +2,26 @@
 
 This is the correctness oracle of the reproduction: every schedule —
 original, split, reordered, fused or overlapped — must produce the same
-numbers here. Two execution modes cover two levels of fidelity:
+numbers here. :meth:`Executor.run_lowered` is the one in-process
+interpreter. It executes the *lowered* instruction stream of a schedule
+(:mod:`repro.core.lower`): fused blocks execute as units and overlap
+groups execute chunk-by-chunk, so fusion and overlap — which do not
+change the DFG — are numerically exercised as scheduled (chunk
+boundaries, ring release order, bucket layouts). Given a bare
+:class:`~repro.core.program.Program`, it lowers it first, one kernel
+per expression, so split and reorder (which rewrite the DFG) are
+checked on the rewritten program directly.
 
-* :meth:`Executor.run` interprets the raw DFG in topological order.
-  Split and reorder rewrite the DFG, so their equivalence is verified
-  here directly.
-* :meth:`Executor.run_lowered` interprets the *lowered* instruction
-  stream of a schedule (:mod:`repro.core.lower`): fused blocks execute
-  as units and overlap groups execute chunk-by-chunk, so fusion and
-  overlap — which do not change the DFG — are numerically exercised as
-  scheduled (chunk boundaries, ring release order, bucket layouts)
-  instead of being covered only implicitly. It is property-tested
-  bit-identical to :meth:`run` on every schedule.
-
-Two backends share the DFG interpreter:
-
-* **Vectorized (default)** — rank-major evaluation: each expression's
-  value is one stacked ``(group.size, *per_rank_shape)`` array, every
-  collective is a single numpy expression over the stack, and
-  element-wise math runs once over all ranks (or once *total* when every
-  operand is provably rank-invariant — a stride-0 replicated view).
-* **Reference (``Executor(reference=True)``)** — the original per-rank
-  interpretation over dicts of arrays, kept as the oracle.
-
-The two backends are bit-identical (``np.array_equal`` on all outputs
-and tensor states): float64 accumulations happen in the same rank order
-over identically laid-out buffers, matmuls issue the same per-rank BLAS
-calls, and dropout draws the same counter-based masks.
+Evaluation is rank-major: each expression's value is one stacked
+``(group.size, *per_rank_shape)`` array, every collective is a single
+numpy expression over the stack, and element-wise math runs once over
+all ranks (or once *total* when every operand is provably
+rank-invariant — a stride-0 replicated view). :meth:`Executor.run_spmd`
+runs the same schedule as one OS process per rank and is bit-identical
+(``np.array_equal`` on all outputs and tensor states): float64
+accumulations happen in the same rank order over identically laid-out
+buffers, matmuls issue the same per-rank BLAS calls, and dropout draws
+the same counter-based masks.
 """
 
 from __future__ import annotations
@@ -39,23 +32,20 @@ import numpy as np
 
 from repro.core import ops
 from repro.core.layout import normalize_dim
-from repro.core.program import Program
 from repro.core.tensor import Const, Expr, Scalar, Tensor
 from repro.errors import ExecutionError
 from repro.runtime import collectives, rng
 from repro.runtime.world import (
     SimWorld,
-    assemble_slices,
     astype_stacked,
     copy_stacked,
+    place_inputs,
     rank_invariant,
     replicate,
     scatter_axis,
     slice_of,
     unstack_global,
 )
-
-RankValues = Dict[int, np.ndarray]
 
 
 class ProgramResult:
@@ -94,95 +84,15 @@ class ProgramResult:
 
 
 class Executor:
-    """Interprets programs over a :class:`SimWorld`.
+    """Runs programs in-process over a :class:`SimWorld` or as SPMD ranks."""
 
-    ``reference=True`` selects the original per-rank dict interpreter;
-    the default is the rank-major vectorized backend.
-    """
-
-    def __init__(self, reference: bool = False) -> None:
-        self.reference = reference
+    def __init__(self) -> None:
         # Elastic recovery memo: (structural hash of the original
         # schedule, world size) -> re-lowered Artifact, so repeated
         # recoveries of the same workload skip re-lowering entirely.
         self._elastic_cache: Dict[tuple, object] = {}
         self.elastic_cache_hits = 0
         self.elastic_cache_misses = 0
-
-    def _make_world(
-        self,
-        program: Program,
-        inputs: Mapping[str, np.ndarray],
-        allow_downcast: Optional[bool],
-    ) -> SimWorld:
-        world_size = program.inputs[0].group.world_size
-        world = SimWorld(world_size, reference=self.reference)
-        for t in program.inputs:
-            if t.name not in inputs:
-                raise ExecutionError(f"missing input {t.name!r}")
-            world.place_input(
-                t, np.asarray(inputs[t.name]), allow_downcast=allow_downcast
-            )
-        extra = set(inputs) - {t.name for t in program.inputs}
-        if extra:
-            raise ExecutionError(f"unknown inputs: {sorted(extra)}")
-        return world
-
-    def run(
-        self,
-        program: Program,
-        inputs: Mapping[str, np.ndarray],
-        allow_downcast: Optional[bool] = None,
-    ) -> ProgramResult:
-        world = self._make_world(program, inputs, allow_downcast)
-
-        from repro.core import dfg
-
-        exprs = dfg.topological(program.roots)
-        if self.reference:
-            values: Dict[Expr, RankValues] = {}
-            for e in exprs:
-                if isinstance(e, Const):
-                    values[e] = {
-                        r: np.asarray(e.value, dtype=e.dtype.to_numpy())
-                        for r in e.group
-                    }
-                elif isinstance(e, (Tensor, Scalar)):
-                    # Snapshot: DFG edges to a leaf reference its value at
-                    # program start, even if an Update later rewrites
-                    # storage.
-                    values[e] = {
-                        r: world.rank_value(e.name, r).copy() for r in e.group
-                    }
-                else:
-                    values[e] = self._eval(e, values, world)
-            outputs = {
-                o.name: self._assemble(o, values[o]) for o in program.outputs
-            }
-        else:
-            vvalues: Dict[Expr, np.ndarray] = {}
-            for e in exprs:
-                if isinstance(e, Const):
-                    vvalues[e] = replicate(
-                        np.asarray(e.value, dtype=e.dtype.to_numpy()),
-                        e.group.size,
-                    )
-                elif isinstance(e, (Tensor, Scalar)):
-                    # Storage arrays are replaced, never mutated in place,
-                    # so the snapshot can alias storage directly.
-                    vvalues[e] = world.state(e.name)
-                else:
-                    vvalues[e] = self._eval_vec(e, vvalues, world)
-            outputs = {
-                o.name: self._assemble_vec(o, vvalues[o])
-                for o in program.outputs
-            }
-        states = {
-            t.name: world.read_back(t)
-            for t in program.inputs
-            if isinstance(t, Tensor)
-        }
-        return ProgramResult(outputs, states)
 
     # -- real-process SPMD execution --------------------------------------
 
@@ -442,34 +352,25 @@ class Executor:
         scheduled,
         inputs: Mapping[str, np.ndarray],
         allow_downcast: Optional[bool] = None,
-        trace: Optional[list] = None,
         tracer=None,
     ) -> ProgramResult:
         """Interpret the lowered instruction stream of a schedule.
 
-        Unlike :meth:`run`, which walks the raw DFG and therefore never
-        sees fusion or overlap, this interprets the
-        :class:`~repro.core.lower.LoweredProgram`: fused blocks execute
-        as units, and overlap groups execute chunk-by-chunk — pure
-        element-wise members genuinely compute per chunk, single-call
-        kernels (GEMMs, library collectives) release their output chunks
-        in order (ring order for the Figure 9 GEMM→collective pair), and
-        side-effecting members run whole once their producers finish.
-        Every step is bit-identical to the DFG interpretation, so this
-        is the correctness oracle *of the scheduled execution*, chunk
-        boundaries included.
+        Interprets the :class:`~repro.core.lower.LoweredProgram`: fused
+        blocks execute as units, and overlap groups execute
+        chunk-by-chunk — pure element-wise members genuinely compute per
+        chunk, single-call kernels (GEMMs, library collectives) release
+        their output chunks in order (ring order for the Figure 9
+        GEMM→collective pair), and side-effecting members run whole once
+        their producers finish. Chunked execution is bit-identical to
+        whole-kernel execution, so this is the correctness oracle *of
+        the scheduled execution*, chunk boundaries included.
 
-        ``scheduled`` may be a Schedule, a Program, or an already
-        lowered program. ``trace``, when a list, receives one event per
-        instruction / chunk: ``("launch", name, stream)``,
-        ``("chunkloop", name, num_chunks, ring)``,
-        ``("chunk", member, step, chunk)``, ``("whole", member, step)``
-        and ``("pack", name, num_buckets, metadata_bytes)`` — the legacy
-        tuple protocol, kept as a compat shim. ``tracer``, when a
+        ``scheduled`` may be a Schedule, a Program, an Artifact or an
+        already lowered program. ``tracer``, when a
         :class:`repro.observe.Tracer`, receives typed *timed*
-        :class:`~repro.observe.SpanEvent` records for the same steps
-        (see :class:`repro.observe.LoweredRunRecorder`); both may be
-        passed together.
+        :class:`~repro.observe.SpanEvent` records for every instruction
+        and chunk (see :class:`repro.observe.LoweredRunRecorder`).
         """
         from repro.core.artifact import Artifact
         from repro.core.lower import (
@@ -480,12 +381,6 @@ class Executor:
         )
         from repro.core.transforms.schedule import Schedule
 
-        if self.reference:
-            raise ExecutionError(
-                "run_lowered interprets the instruction stream on the "
-                "vectorized rank-major backend; use Executor() "
-                "(reference=False)"
-            )
         if isinstance(scheduled, Artifact):
             lowered = scheduled.lowered()
         elif isinstance(scheduled, LoweredProgram):
@@ -495,7 +390,7 @@ class Executor:
         else:
             lowered = lower(scheduled)
         program = lowered.program
-        world = self._make_world(program, inputs, allow_downcast)
+        world = SimWorld(place_inputs(program, inputs, allow_downcast))
 
         from repro.core import dfg
 
@@ -510,10 +405,10 @@ class Executor:
                 values[e] = world.state(e.name)
 
         rec = None
-        if trace is not None or tracer is not None:
+        if tracer is not None:
             from repro.observe.record import LoweredRunRecorder
 
-            rec = LoweredRunRecorder(tracer=tracer, legacy=trace)
+            rec = LoweredRunRecorder(tracer)
 
         for instr in lowered.instructions:
             if isinstance(instr, PackScattered):
@@ -525,12 +420,12 @@ class Executor:
                 continue
             t0 = rec.now() if rec is not None else 0.0
             for e in instr.exprs:
-                values[e] = self._eval_vec(e, values, world)
+                values[e] = self._eval(e, values, world)
             if rec is not None:
                 rec.launch(instr, t0)
 
         outputs = {
-            o.name: self._assemble_vec(o, values[o])
+            o.name: unstack_global(values[o], o.layout, o.shape)
             for o in program.outputs
         }
         states = {
@@ -548,7 +443,7 @@ class Executor:
         schedule prescribes (chunk *c* of a consumer only ever reads
         chunk *c* of its producer after it was published).
         """
-        loop_t0 = rec.chunkloop_begin(loop) if rec is not None else 0.0
+        loop_t0 = rec.now() if rec is not None else 0.0
         states = {
             entry.name: {
                 "staging": None, "buffer": None, "buffers": {},
@@ -586,7 +481,7 @@ class Executor:
                         continue
                     t0 = rec.now() if rec is not None else 0.0
                     for e in entry.instr.exprs:
-                        values[e] = self._eval_vec(e, values, world)
+                        values[e] = self._eval(e, values, world)
                     st["done"] = True
                     progressed = True
                     if rec is not None:
@@ -600,7 +495,7 @@ class Executor:
                         # BLAS call per rank, one exchange); the chunk
                         # loop below releases its result chunk-by-chunk
                         e = entry.instr.exprs[0]
-                        staging = self._eval_vec(e, values, world)
+                        staging = self._eval(e, values, world)
                         st["staging"] = staging
                         st["buffer"] = np.empty(
                             staging.shape, staging.dtype
@@ -713,194 +608,9 @@ class Executor:
                 values[e] = buf
             buf[:, lo:hi] = chunk
 
-    # -- shared helpers --------------------------------------------------
-
-    @staticmethod
-    def _assemble(e: Expr, per_rank: RankValues) -> np.ndarray:
-        group = e.group
-        if e.layout.is_replicated:
-            return per_rank[group.start]
-        if e.layout.is_sliced:
-            dim = normalize_dim(e.layout.dim, len(e.shape))
-            return assemble_slices([per_rank[r] for r in group], dim)
-        return np.stack([per_rank[r] for r in group], axis=0)
-
-    @staticmethod
-    def _assemble_vec(e: Expr, stacked: np.ndarray) -> np.ndarray:
-        return unstack_global(stacked, e.layout, e.shape)
-
-    # -- reference backend -----------------------------------------------
+    # -- expression evaluation ------------------------------------------
 
     def _eval(
-        self, e: Expr, values: Dict[Expr, RankValues], world: SimWorld
-    ) -> RankValues:
-        o = ops
-        if isinstance(e, o.AllReduce):
-            return collectives.allreduce_reference(
-                values[e.inputs[0]], e.group, e.reduction, e.dtype.to_numpy()
-            )
-        if isinstance(e, o.ReduceScatter):
-            return collectives.reducescatter_reference(
-                values[e.inputs[0]],
-                e.group,
-                e.reduction,
-                normalize_dim(e.layout.dim, len(e.shape)),
-                e.dtype.to_numpy(),
-                context=e.name,
-            )
-        if isinstance(e, o.AllGather):
-            gathered = collectives.allgather_reference(
-                values[e.inputs[0]], e.group, e.dim
-            )
-            if e.writeback is not None:
-                wb = e.writeback
-                for r in e.group:
-                    world.storage[wb.name][r] = gathered[r].astype(
-                        wb.dtype.to_numpy()
-                    )
-            return gathered
-        if isinstance(e, o.AllToAllPhase):
-            fn = (
-                collectives.alltoall_intra_reference
-                if e.phase == "intra"
-                else collectives.alltoall_inter_reference
-            )
-            return fn(
-                values[e.inputs[0]], e.group, e.dim, e.node_size,
-                context=e.name,
-            )
-        if isinstance(e, o.AllToAll):
-            return collectives.alltoall_reference(
-                values[e.inputs[0]], e.group, e.dim, context=e.name
-            )
-        if isinstance(e, o.Reduce):
-            return collectives.reduce_reference(
-                values[e.inputs[0]], e.group, e.reduction, e.root,
-                e.dtype.to_numpy(),
-            )
-        if isinstance(e, o.Broadcast):
-            return collectives.broadcast_reference(
-                values[e.inputs[0]], e.group, e.root
-            )
-        if isinstance(e, o.Send):
-            return self._eval_send(e, values)
-        if isinstance(e, o.MatMul):
-            return self._per_rank(
-                e, values, lambda a, b: np.matmul(a, b)
-            )
-        if isinstance(e, o.Conv2D):
-            return self._per_rank(
-                e, values, lambda x, w: _conv2d(x, w, e.stride, e.padding)
-            )
-        if isinstance(e, o.Binary):
-            fn = _BINARY_FNS[e.op]
-            return self._per_rank(e, values, fn)
-        if isinstance(e, o.Unary):
-            fn = _UNARY_FNS[e.op]
-            return self._per_rank(e, values, fn)
-        if isinstance(e, o.Dropout):
-            return self._eval_dropout(e, values)
-        if isinstance(e, o.Cast):
-            return self._per_rank(e, values, lambda x: x)
-        if isinstance(e, o.Slice):
-            return self._eval_slice(e, values)
-        if isinstance(e, (o.Norm, o.ReduceTensor)):
-            return self._eval_reduction(e, values)
-        if isinstance(e, o.Update):
-            return self._eval_update(e, values, world)
-        raise ExecutionError(f"cannot execute {type(e).__name__}")
-
-    def _per_rank(self, e: Expr, values, fn) -> RankValues:
-        out: RankValues = {}
-        dtype = e.dtype.to_numpy()
-        for r in e.group:
-            args = [values[i][r] for i in e.inputs]
-            out[r] = np.asarray(fn(*args)).astype(dtype)
-        return out
-
-    def _eval_send(self, e: ops.Send, values) -> RankValues:
-        src_group = e.inputs[0].group
-        dst_group = e.group
-        out: RankValues = {}
-        src_values = values[e.inputs[0]]
-        for r in src_group:
-            local = src_group.local_rank(r)
-            out[dst_group.global_rank(local)] = src_values[r].copy()
-        return out
-
-    def _eval_dropout(self, e: ops.Dropout, values) -> RankValues:
-        out: RankValues = {}
-        dtype = e.dtype.to_numpy()
-        for r in e.group:
-            x = values[e.inputs[0]][r]
-            if e.layout.is_sliced:
-                dim = normalize_dim(e.layout.dim, len(e.shape))
-                mask = rng.dropout_mask(
-                    e.seed, e.prob, e.shape,
-                    slice_dim=dim,
-                    slice_index=e.group.local_rank(r),
-                    num_slices=e.group.size,
-                )
-            else:
-                mask = rng.dropout_mask(e.seed, e.prob, e.shape)
-            out[r] = (x.astype(np.float64) * mask).astype(dtype)
-        return out
-
-    def _eval_slice(self, e: ops.Slice, values) -> RankValues:
-        dim = normalize_dim(e.layout.dim, len(e.shape))
-        out: RankValues = {}
-        for r in e.group:
-            full = values[e.inputs[0]][r]
-            out[r] = slice_of(
-                full, dim, e.group.local_rank(r), e.group.size, context=e.name
-            ).copy()
-        return out
-
-    def _eval_reduction(self, e: Expr, values) -> RankValues:
-        x_values = values[e.inputs[0]]
-        is_norm = isinstance(e, ops.Norm)
-        op = "+" if is_norm else e.reduction
-        dtype = e.dtype.to_numpy()
-        local_reduce = _local_reduce_fn(is_norm, op)
-
-        if e.crosses_ranks:
-            partials = {r: local_reduce(x_values[r]) for r in e.group}
-            total = _combine_partials(list(partials.values()), is_norm, op)
-            return {r: np.asarray(total).astype(dtype) for r in e.group}
-        out: RankValues = {}
-        for r in e.group:
-            v = local_reduce(x_values[r])
-            if is_norm:
-                v = np.sqrt(v)
-            out[r] = np.asarray(v).astype(dtype)
-        return out
-
-    def _eval_update(self, e: ops.Update, values, world: SimWorld) -> RankValues:
-        target = e.target
-        value = values[e.inputs[0]]
-        dtype = target.dtype.to_numpy()
-        out: RankValues = {}
-        for r in e.group:
-            new = value[r].astype(dtype)
-            out[r] = new
-            store = world.storage[target.name]
-            if e.layout.is_sliced and target.layout.is_replicated:
-                # Write this rank's slice into its full-size storage; the
-                # rest becomes valid when an AllGather writes back.
-                dim = normalize_dim(e.layout.dim, len(e.shape))
-                full = store[r]
-                extent = full.shape[dim] // e.group.size
-                idx = [slice(None)] * full.ndim
-                local = e.group.local_rank(r)
-                idx[dim] = slice(local * extent, (local + 1) * extent)
-                full[tuple(idx)] = new
-            else:
-                store[r] = new.copy()
-        return out
-
-    # -- vectorized backend ----------------------------------------------
-
-    def _eval_vec(
         self, e: Expr, values: Dict[Expr, np.ndarray], world: SimWorld
     ) -> np.ndarray:
         o = ops
@@ -928,7 +638,6 @@ class Executor:
                     replicate(
                         gathered[0].astype(wb.dtype.to_numpy()), e.group.size
                     ),
-                    wb.group,
                 )
             return gathered
         if isinstance(e, o.AllToAllPhase):
@@ -959,26 +668,26 @@ class Executor:
             # over unchanged.
             return copy_stacked(values[e.inputs[0]])
         if isinstance(e, o.MatMul):
-            return self._matmul_vec(e, values)
+            return self._matmul(e, values)
         if isinstance(e, o.Conv2D):
-            return self._conv_vec(e, values)
+            return self._conv(e, values)
         if isinstance(e, o.Binary):
-            return self._elementwise_vec(e, values, _BINARY_FNS[e.op])
+            return self._elementwise(e, values, _BINARY_FNS[e.op])
         if isinstance(e, o.Unary):
-            return self._elementwise_vec(e, values, _UNARY_FNS[e.op])
+            return self._elementwise(e, values, _UNARY_FNS[e.op])
         if isinstance(e, o.Dropout):
-            return self._eval_dropout_vec(e, values)
+            return self._eval_dropout(e, values)
         if isinstance(e, o.Cast):
-            return self._elementwise_vec(e, values, lambda x: x)
+            return self._elementwise(e, values, lambda x: x)
         if isinstance(e, o.Slice):
-            return self._eval_slice_vec(e, values)
+            return self._eval_slice(e, values)
         if isinstance(e, (o.Norm, o.ReduceTensor)):
-            return self._eval_reduction_vec(e, values)
+            return self._eval_reduction(e, values)
         if isinstance(e, o.Update):
-            return self._eval_update_vec(e, values, world)
+            return self._eval_update(e, values, world)
         raise ExecutionError(f"cannot execute {type(e).__name__}")
 
-    def _elementwise_vec(self, e: Expr, values, fn) -> np.ndarray:
+    def _elementwise(self, e: Expr, values, fn) -> np.ndarray:
         args = [values[i] for i in e.inputs]
         n = e.group.size
         dtype = e.dtype.to_numpy()
@@ -998,7 +707,7 @@ class Executor:
             aligned.append(a)
         return np.asarray(fn(*aligned)).astype(dtype)
 
-    def _matmul_vec(self, e: ops.MatMul, values) -> np.ndarray:
+    def _matmul(self, e: ops.MatMul, values) -> np.ndarray:
         a, b = (values[i] for i in e.inputs)
         n = e.group.size
         dtype = e.dtype.to_numpy()
@@ -1006,7 +715,7 @@ class Executor:
             out = np.asarray(np.matmul(a[0], b[0])).astype(dtype)
             return replicate(out, n)
         # Per-rank BLAS calls (not one batched matmul) keep the result
-        # bit-identical to the reference backend's per-rank gemms.
+        # bit-identical to the SPMD ranks' per-rank gemms.
         rows = [
             np.asarray(
                 np.matmul(
@@ -1017,7 +726,7 @@ class Executor:
         ]
         return np.stack(rows, axis=0)
 
-    def _conv_vec(self, e: ops.Conv2D, values) -> np.ndarray:
+    def _conv(self, e: ops.Conv2D, values) -> np.ndarray:
         x, w = (values[i] for i in e.inputs)
         n = e.group.size
         dtype = e.dtype.to_numpy()
@@ -1030,7 +739,7 @@ class Executor:
         ]
         return np.stack(rows, axis=0)
 
-    def _eval_dropout_vec(self, e: ops.Dropout, values) -> np.ndarray:
+    def _eval_dropout(self, e: ops.Dropout, values) -> np.ndarray:
         x = values[e.inputs[0]]
         n = e.group.size
         dtype = e.dtype.to_numpy()
@@ -1048,7 +757,7 @@ class Executor:
             return replicate(out, n)
         return (x.astype(np.float64) * mask).astype(dtype)
 
-    def _eval_slice_vec(self, e: ops.Slice, values) -> np.ndarray:
+    def _eval_slice(self, e: ops.Slice, values) -> np.ndarray:
         dim = normalize_dim(e.layout.dim, len(e.shape))
         x = values[e.inputs[0]]
         n = e.group.size
@@ -1061,7 +770,7 @@ class Executor:
         ]
         return np.stack(rows, axis=0)
 
-    def _eval_reduction_vec(self, e: Expr, values) -> np.ndarray:
+    def _eval_reduction(self, e: Expr, values) -> np.ndarray:
         x = values[e.inputs[0]]
         n = e.group.size
         is_norm = isinstance(e, ops.Norm)
@@ -1071,7 +780,8 @@ class Executor:
 
         if e.crosses_ranks:
             # Row-wise partials in rank order, combined exactly as the
-            # reference does, keep the float64 accumulation bit-identical.
+            # SPMD ranks' scalar exchange does, keep the float64
+            # accumulation bit-identical.
             partials = [local_reduce(x[i]) for i in range(n)]
             total = _combine_partials(partials, is_norm, op)
             return replicate(np.asarray(total).astype(dtype), n)
@@ -1088,7 +798,7 @@ class Executor:
             rows.append(np.asarray(v).astype(dtype))
         return np.stack(rows, axis=0)
 
-    def _eval_update_vec(
+    def _eval_update(
         self, e: ops.Update, values, world: SimWorld
     ) -> np.ndarray:
         target = e.target
@@ -1110,7 +820,7 @@ class Executor:
             world.set_state(target.name, full)
         else:
             # Replace, never mutate: snapshots taken earlier stay valid.
-            world.set_state(target.name, out, e.group)
+            world.set_state(target.name, out)
         return out
 
 

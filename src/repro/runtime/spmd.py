@@ -1,8 +1,7 @@
 """Real SPMD execution: one OS process per rank over shared memory.
 
-Every other backend in this repository — the reference dict world, the
-rank-major vectorized world, the lowered-stream interpreter — executes
-all ranks inside one Python process, so "communication" is a library
+The in-process interpreter (``Executor.run_lowered``) executes all
+ranks inside one Python process, so "communication" is a library
 call over arrays it already owns. This module is the first tier where a
 generated program runs as *real concurrent processes*: ``launch`` spawns
 one process per rank (``multiprocessing`` spawn context), each process
@@ -148,7 +147,12 @@ from repro.observe.ring import (
 )
 from repro.runtime.collectives import _reduce_stack
 from repro.runtime.faults import FaultPlan
-from repro.runtime.world import SimWorld, slice_of
+from repro.runtime.world import (
+    assemble_rows,
+    place_inputs,
+    rank_invariant,
+    slice_of,
+)
 
 __all__ = [
     "SpmdCommunicator",
@@ -1398,34 +1402,26 @@ def _rank_main(
 def _place_per_rank(
     program, inputs: Mapping[str, np.ndarray], allow_downcast
 ) -> List[Dict[str, np.ndarray]]:
-    """Scatter global inputs into per-rank shards (reference placement)."""
-    world_size = program.inputs[0].group.world_size
-    world = SimWorld(world_size, reference=True)
+    """Cut the placed global inputs into one writable shard dict per rank.
+
+    A replicated tensor is copied once and every rank's shard is that
+    one writable array: a row of its stride-0 stack would pickle as a
+    read-only buffer and reach the rank read-only. A sliced or local
+    tensor's rows are copied one per rank.
+    """
+    placed = place_inputs(program, inputs, allow_downcast)
+    shards: List[Dict[str, np.ndarray]] = [
+        {} for _ in range(program.inputs[0].group.world_size)
+    ]
     for t in program.inputs:
-        if t.name not in inputs:
-            raise ExecutionError(f"missing input {t.name!r}")
-        world.place_input(
-            t, np.asarray(inputs[t.name]), allow_downcast=allow_downcast
-        )
-    extra = set(inputs) - {t.name for t in program.inputs}
-    if extra:
-        raise ExecutionError(f"unknown inputs: {sorted(extra)}")
-    shards: List[Dict[str, np.ndarray]] = []
-    for r in range(world_size):
-        shards.append(
-            {
-                name: per_rank[r]
-                for name, per_rank in world.storage.items()
-                if r in per_rank
-            }
-        )
+        stacked = placed[t.name]
+        if rank_invariant(stacked):
+            rows = [np.array(stacked[0])] * t.group.size
+        else:
+            rows = [row.copy() for row in stacked]
+        for r, row in zip(t.group, rows):
+            shards[r][t.name] = row
     return shards
-
-
-def _assemble(e, per_rank: Dict[int, np.ndarray]) -> np.ndarray:
-    from repro.runtime.executor import Executor
-
-    return Executor._assemble(e, per_rank)
 
 
 def _send_payload(conn, payload, errors: List[Exception]) -> None:
@@ -1748,16 +1744,19 @@ def launch(
             dead_ranks=dead_ranks,
         )
 
-    outputs = {}
-    for o in program.outputs:
-        per_rank = {r: results[r][0][o.name] for r in o.group}
-        outputs[o.name] = _assemble(o, per_rank)
-    states = {}
-    for t in program.inputs:
-        if not isinstance(t, Tensor):
-            continue
-        per_rank = {r: results[r][1][t.name] for r in t.group}
-        states[t.name] = _assemble(t, per_rank)
+    outputs = {
+        o.name: assemble_rows(
+            [results[r][0][o.name] for r in o.group], o.layout, o.shape
+        )
+        for o in program.outputs
+    }
+    states = {
+        t.name: assemble_rows(
+            [results[r][1][t.name] for r in t.group], t.layout, t.shape
+        )
+        for t in program.inputs
+        if isinstance(t, Tensor)
+    }
     result = ProgramResult(outputs, states)
     # per-rank wall-clock of the rank bodies (barrier-synchronized, so
     # process spawn time is excluded); the slowest rank is the step time

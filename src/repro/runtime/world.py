@@ -1,39 +1,36 @@
-"""The simulated world: tensor storage for N ranks.
+"""The simulated world: rank-major tensor storage for N ranks.
 
-Two storage backends share one API:
+Every tensor is stored as one stacked numpy array of shape
+``(group.size, *per_rank_shape)``, axis 0 indexing the local ranks of
+the tensor's group. Collectives and element-wise computation become
+single numpy expressions over the stack (see
+:mod:`repro.runtime.collectives`), and replicated values are stored as
+stride-0 broadcast views of a single per-rank array, so rank-invariant
+work is done once instead of once per rank.
 
-* **Vectorized (default)** — rank-major storage: one stacked numpy array
-  of shape ``(group.size, *per_rank_shape)`` per tensor, axis 0 indexing
-  the local ranks of the tensor's group. Collectives and element-wise
-  computation become single numpy expressions over the stack (see
-  :mod:`repro.runtime.collectives`), and replicated values are stored as
-  stride-0 broadcast views of a single per-rank array, so rank-invariant
-  work is done once instead of once per rank.
-* **Reference (``SimWorld(num_ranks, reference=True)``)** — the original
-  dict of per-rank arrays, one ``np.ndarray`` per (rank, tensor-name)
-  pair. Retained as the oracle the vectorized backend is property-tested
-  bit-identical against.
+Input placement (:func:`place_inputs`) distributes each *global* array
+according to the tensor's layout: replicated tensors are visible on
+every rank, sliced tensors are partitioned along their slice dimension,
+and local tensors take per-rank values stacked on a leading axis. The
+in-process interpreter stores the placed stacks in a :class:`SimWorld`;
+the SPMD launcher cuts them into per-rank shards. Results come back
+through :func:`unstack_global` (from a stack) or :func:`assemble_rows`
+(from per-rank rows).
 
-Input preparation distributes a *global* array according to the tensor's
-layout: replicated tensors are visible on every rank, sliced tensors are
-partitioned along their slice dimension, and local tensors take per-rank
-values stacked on a leading axis.
-
-Rank-major storage invariant: stacked arrays are never mutated in place.
-Updates *replace* a tensor's array (copying first when they must write
-per-rank slices), which is what lets leaf snapshots and replicated
-broadcast views alias storage safely.
+Storage invariant: stacked arrays are never mutated in place. Updates
+*replace* a tensor's array (copying first when they must write per-rank
+slices), which is what lets leaf snapshots and replicated broadcast
+views alias storage safely.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Dict, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.core.layout import normalize_dim
-from repro.core.process_group import ProcessGroup
 from repro.core.tensor import Expr
 from repro.errors import ExecutionError
 
@@ -67,14 +64,9 @@ def slice_of(
     return array[tuple(sl)]
 
 
-def assemble_slices(parts: Sequence[np.ndarray], dim: int) -> np.ndarray:
-    """Concatenate per-rank slices back into the global array."""
-    return np.concatenate(list(parts), axis=dim)
-
-
 # ---------------------------------------------------------------------------
-# Rank-major (stacked) helpers — shared by the vectorized collectives and
-# the vectorized executor.
+# Rank-major (stacked) helpers — shared by the collectives, the
+# interpreter and the SPMD launcher.
 # ---------------------------------------------------------------------------
 
 
@@ -134,11 +126,10 @@ def gather_axis(stacked: np.ndarray, dim: int) -> np.ndarray:
 def unstack_global(stacked: np.ndarray, layout, shape) -> np.ndarray:
     """Reassemble a stacked value into its global array, for callers.
 
-    The single result boundary of the vectorized backend (program
-    outputs and ``read_back`` tensor states). The returned array never
-    aliases the stack — matching the reference backend, whose assembled
-    results are always independent copies — and is always writable, so
-    internal stride-0 replicated views never leak.
+    The result boundary of the in-process interpreter (program outputs
+    and ``read_back`` tensor states). The returned array never aliases
+    the stack and is always writable, so internal stride-0 replicated
+    views never leak.
     """
     if layout.is_replicated:
         base = stacked[0]
@@ -149,6 +140,21 @@ def unstack_global(stacked: np.ndarray, layout, shape) -> np.ndarray:
     if np.may_share_memory(base, stacked):
         base = base.copy()
     return base
+
+
+def assemble_rows(rows: Sequence[np.ndarray], layout, shape) -> np.ndarray:
+    """Reassemble per-rank rows, in group order, into the global array.
+
+    The result boundary of the SPMD launcher, whose ranks each return
+    their own row; :func:`unstack_global` does the same for a stack.
+    """
+    if layout.is_replicated:
+        return rows[0]
+    if layout.is_sliced:
+        return np.concatenate(
+            list(rows), axis=normalize_dim(layout.dim, len(shape))
+        )
+    return np.stack(rows, axis=0)
 
 
 def copy_stacked(stacked: np.ndarray) -> np.ndarray:
@@ -166,7 +172,7 @@ def astype_stacked(stacked: np.ndarray, dtype: np.dtype) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Lossy-downcast detection for input placement.
+# Input placement.
 # ---------------------------------------------------------------------------
 
 
@@ -187,118 +193,103 @@ def _dtype_lossy(src: np.dtype, dst: np.dtype) -> bool:
     return True
 
 
-class SimWorld:
-    """Tensor storage for a simulated run.
+def _checked_cast(
+    tensor: Expr, value: np.ndarray, allow_downcast: Optional[bool]
+) -> np.ndarray:
+    """Cast an input to the tensor dtype, policing lossy downcasts.
 
-    ``reference=True`` selects the original per-rank dict storage (the
-    oracle); the default is the rank-major stacked representation.
+    ``allow_downcast=True`` casts silently, ``False`` raises on a
+    value-changing lossy downcast, and ``None`` (the default) warns.
+    """
+    value = np.asarray(value)
+    target = tensor.dtype.to_numpy()
+    if allow_downcast is not True and _dtype_lossy(value.dtype, target):
+        cast = value.astype(target)
+        if not np.array_equal(
+            cast.astype(value.dtype), value, equal_nan=True
+        ):
+            msg = (
+                f"placing input {tensor.name!r}: lossy downcast "
+                f"{value.dtype} -> {target} changes values; pass "
+                f"allow_downcast=True to accept"
+            )
+            if allow_downcast is False:
+                raise ExecutionError(msg)
+            warnings.warn(msg, RuntimeWarning, stacklevel=3)
+        return cast
+    return value.astype(target) if value.dtype != target else value
+
+
+def place_input(
+    tensor: Expr,
+    value: np.ndarray,
+    allow_downcast: Optional[bool] = None,
+) -> np.ndarray:
+    """One global input as its rank-major ``(group.size, *shard)`` stack.
+
+    Casts ``value`` to the tensor dtype and checks its shape. Nothing is
+    copied beyond the cast, so the stack may be a view of ``value``; a
+    replicated tensor's stack is a stride-0 :func:`replicate` view.
+    """
+    value = _checked_cast(tensor, value, allow_downcast)
+    group = tensor.group
+    if tensor.layout.is_replicated:
+        if tuple(value.shape) != tensor.shape:
+            raise ExecutionError(
+                f"{tensor.name}: expected shape {tensor.shape}, "
+                f"got {value.shape}"
+            )
+        return replicate(value, group.size)
+    if tensor.layout.is_sliced:
+        if tuple(value.shape) != tensor.shape:
+            raise ExecutionError(
+                f"{tensor.name}: expected global shape {tensor.shape}, "
+                f"got {value.shape}"
+            )
+        dim = normalize_dim(tensor.layout.dim, len(tensor.shape))
+        return scatter_axis(value, dim, group.size, context=tensor.name)
+    # local: leading axis indexes ranks of the group
+    expected = (group.size,) + tensor.shape
+    if tuple(value.shape) != expected:
+        raise ExecutionError(
+            f"{tensor.name} is local: expected shape {expected} "
+            f"(group size leading), got {value.shape}"
+        )
+    return value
+
+
+def place_inputs(
+    program,
+    inputs: Mapping[str, np.ndarray],
+    allow_downcast: Optional[bool] = None,
+) -> Dict[str, np.ndarray]:
+    """Every input of ``program``, by name, placed by :func:`place_input`.
+
+    Raises :class:`~repro.errors.ExecutionError` on a missing or an
+    unknown input name.
+    """
+    placed: Dict[str, np.ndarray] = {}
+    for t in program.inputs:
+        if t.name not in inputs:
+            raise ExecutionError(f"missing input {t.name!r}")
+        placed[t.name] = place_input(t, inputs[t.name], allow_downcast)
+    extra = set(inputs) - set(placed)
+    if extra:
+        raise ExecutionError(f"unknown inputs: {sorted(extra)}")
+    return placed
+
+
+class SimWorld:
+    """Rank-major tensor storage for one in-process run.
+
+    Built from :func:`place_inputs` stacks, which it copies, so storage
+    never aliases the caller's arrays.
     """
 
-    def __init__(self, num_ranks: int, reference: bool = False) -> None:
-        if num_ranks <= 0:
-            raise ExecutionError("world needs at least one rank")
-        self.num_ranks = num_ranks
-        self.reference = reference
-        #: reference backend: name -> {global rank -> ndarray}
-        self.storage: Dict[str, Dict[int, np.ndarray]] = {}
-        #: vectorized backend: name -> (group.size, *per_rank_shape)
-        self._state: Dict[str, np.ndarray] = {}
-        self._groups: Dict[str, ProcessGroup] = {}
-
-    # -- input placement ----------------------------------------------------
-
-    def _checked_cast(
-        self, tensor: Expr, value: np.ndarray, allow_downcast: Optional[bool]
-    ) -> np.ndarray:
-        """Cast an input to the tensor dtype, policing lossy downcasts.
-
-        ``allow_downcast=True`` casts silently, ``False`` raises on a
-        value-changing lossy downcast, and ``None`` (the default) warns.
-        """
-        value = np.asarray(value)
-        target = tensor.dtype.to_numpy()
-        if allow_downcast is not True and _dtype_lossy(value.dtype, target):
-            cast = value.astype(target)
-            if not np.array_equal(
-                cast.astype(value.dtype), value, equal_nan=True
-            ):
-                msg = (
-                    f"placing input {tensor.name!r}: lossy downcast "
-                    f"{value.dtype} -> {target} changes values; pass "
-                    f"allow_downcast=True to accept"
-                )
-                if allow_downcast is False:
-                    raise ExecutionError(msg)
-                warnings.warn(msg, RuntimeWarning, stacklevel=3)
-            return cast
-        return value.astype(target) if value.dtype != target else value
-
-    def place_input(
-        self,
-        tensor: Expr,
-        value: np.ndarray,
-        allow_downcast: Optional[bool] = None,
-    ) -> None:
-        """Distribute a global input array according to the tensor layout."""
-        value = self._checked_cast(tensor, value, allow_downcast)
-        group = tensor.group
-        if tensor.layout.is_replicated:
-            if tuple(value.shape) != tensor.shape:
-                raise ExecutionError(
-                    f"{tensor.name}: expected shape {tensor.shape}, "
-                    f"got {value.shape}"
-                )
-        elif tensor.layout.is_sliced:
-            if tuple(value.shape) != tensor.shape:
-                raise ExecutionError(
-                    f"{tensor.name}: expected global shape {tensor.shape}, "
-                    f"got {value.shape}"
-                )
-        else:  # local: leading axis indexes ranks of the group
-            expected = (group.size,) + tensor.shape
-            if tuple(value.shape) != expected:
-                raise ExecutionError(
-                    f"{tensor.name} is local: expected shape {expected} "
-                    f"(group size leading), got {value.shape}"
-                )
-        if self.reference:
-            self._place_reference(tensor, value)
-        else:
-            self._place_stacked(tensor, value)
-
-    def _place_reference(self, tensor: Expr, value: np.ndarray) -> None:
-        group = tensor.group
-        per_rank: Dict[int, np.ndarray] = {}
-        if tensor.layout.is_replicated:
-            for r in group:
-                per_rank[r] = value.copy()
-        elif tensor.layout.is_sliced:
-            dim = normalize_dim(tensor.layout.dim, len(tensor.shape))
-            for i, r in enumerate(group):
-                per_rank[r] = slice_of(
-                    value, dim, i, group.size, context=tensor.name
-                ).copy()
-        else:
-            for i, r in enumerate(group):
-                per_rank[r] = value[i].copy()
-        self.storage[tensor.name] = per_rank
-
-    def _place_stacked(self, tensor: Expr, value: np.ndarray) -> None:
-        group = tensor.group
-        if tensor.layout.is_replicated:
-            stacked = replicate(value.copy(), group.size)
-        elif tensor.layout.is_sliced:
-            dim = normalize_dim(tensor.layout.dim, len(tensor.shape))
-            # .copy() (not ascontiguousarray) so storage never aliases the
-            # caller's input array, matching the reference per-slice copies.
-            stacked = scatter_axis(
-                value, dim, group.size, context=tensor.name
-            ).copy()
-        else:
-            stacked = value.copy()
-        self.set_state(tensor.name, stacked, group)
-
-    # -- vectorized state accessors -----------------------------------------
+    def __init__(self, placed: Mapping[str, np.ndarray]) -> None:
+        self._state: Dict[str, np.ndarray] = {
+            name: copy_stacked(stacked) for name, stacked in placed.items()
+        }
 
     def state(self, name: str) -> np.ndarray:
         """The stacked ``(group.size, *per_rank_shape)`` array of a tensor."""
@@ -307,47 +298,12 @@ class SimWorld:
         except KeyError:
             raise ExecutionError(f"no value for tensor {name!r}") from None
 
-    def set_state(
-        self, name: str, stacked: np.ndarray, group: Optional[ProcessGroup] = None
-    ) -> None:
+    def set_state(self, name: str, stacked: np.ndarray) -> None:
         """Replace a tensor's stacked array (never mutate one in place)."""
-        if group is not None:
-            self._groups[name] = group
-        elif name not in self._groups:
-            raise ExecutionError(f"no group recorded for tensor {name!r}")
         self._state[name] = stacked
-
-    # -- shared accessors ----------------------------------------------------
 
     def read_back(self, tensor: Expr) -> np.ndarray:
         """Reassemble a tensor's global value from its storage."""
-        if self.reference:
-            per_rank = self.storage[tensor.name]
-            group = tensor.group
-            if tensor.layout.is_replicated:
-                return per_rank[group.start]
-            if tensor.layout.is_sliced:
-                dim = normalize_dim(tensor.layout.dim, len(tensor.shape))
-                return assemble_slices([per_rank[r] for r in group], dim)
-            return np.stack([per_rank[r] for r in group], axis=0)
         return unstack_global(
             self.state(tensor.name), tensor.layout, tensor.shape
         )
-
-    def rank_value(self, name: str, rank: int) -> np.ndarray:
-        """One rank's current value of a tensor (either backend)."""
-        if self.reference:
-            try:
-                return self.storage[name][rank]
-            except KeyError:
-                raise ExecutionError(
-                    f"no value for tensor {name!r} on rank {rank}"
-                ) from None
-        stacked = self.state(name)
-        try:
-            local = self._groups[name].local_rank(rank)
-        except Exception:
-            raise ExecutionError(
-                f"no value for tensor {name!r} on rank {rank}"
-            ) from None
-        return stacked[local]

@@ -52,7 +52,8 @@ from repro.nccl.cost_model import (
     PER_CHANNEL_BANDWIDTH,
     p2p_time,
 )
-from repro.runtime import Executor, collectives
+from repro.runtime import Executor
+from tests import collective_oracle as oracle
 
 
 @pytest.fixture
@@ -71,7 +72,7 @@ class TestReferenceCollective:
         vals = {
             r: np.arange(n * 2, dtype=np.float32) + 100 * r for r in range(n)
         }
-        out = collectives.alltoall(vals, world(n), 0)
+        out = oracle.alltoall_reference(vals, world(n), 0)
         for i in range(n):
             for j in range(n):
                 np.testing.assert_array_equal(
@@ -83,34 +84,34 @@ class TestReferenceCollective:
         # dispatch followed by combine restores token ownership
         n = 4
         vals = _values(rng, n, (n, 3))
-        once = collectives.alltoall(vals, world(n), 0)
-        twice = collectives.alltoall(once, world(n), 0)
+        once = oracle.alltoall_reference(vals, world(n), 0)
+        twice = oracle.alltoall_reference(once, world(n), 0)
         for r in range(n):
             np.testing.assert_array_equal(twice[r], vals[r])
 
     def test_single_rank_is_identity(self, rng):
         vals = _values(rng, 1, (4,))
-        out = collectives.alltoall(vals, world(1), 0)
+        out = oracle.alltoall_reference(vals, world(1), 0)
         np.testing.assert_array_equal(out[0], vals[0])
 
     def test_along_inner_dim(self, rng):
         n = 2
         vals = _values(rng, n, (3, 2 * n))
-        out = collectives.alltoall(vals, world(n), 1)
+        out = oracle.alltoall_reference(vals, world(n), 1)
         np.testing.assert_array_equal(out[0][:, :2], vals[0][:, :2])
         np.testing.assert_array_equal(out[0][:, 2:], vals[1][:, :2])
 
     def test_subgroup(self, rng):
         g = ProcessGroup(4, 4, 8)
         vals = {r: rng.randn(8).astype(np.float32) for r in g}
-        out = collectives.alltoall(vals, g, 0)
+        out = oracle.alltoall_reference(vals, g, 0)
         assert set(out) == set(g.ranks)
         np.testing.assert_array_equal(out[5][2:4], vals[5][2:4])
 
     def test_total_content_preserved(self, rng):
         n = 4
         vals = _values(rng, n, (n * 2, 3))
-        out = collectives.alltoall(vals, world(n), 0)
+        out = oracle.alltoall_reference(vals, world(n), 0)
         before = np.sort(np.concatenate([vals[r].ravel() for r in range(n)]))
         after = np.sort(np.concatenate([out[r].ravel() for r in range(n)]))
         np.testing.assert_array_equal(before, after)
@@ -133,7 +134,7 @@ class TestStepSimulatorEquivalence:
     def test_matches_reference(self, rng, n, shape_fn):
         shape = shape_fn(n)
         vals = _values(rng, n, shape)
-        ref = collectives.alltoall(vals, world(n), 0)
+        ref = oracle.alltoall_reference(vals, world(n), 0)
         sim = simulate_alltoall([vals[r] for r in range(n)], 0)
         for r in range(n):
             np.testing.assert_array_equal(ref[r], sim[r])
@@ -141,7 +142,7 @@ class TestStepSimulatorEquivalence:
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_matches_reference_inner_dim(self, rng, n):
         vals = _values(rng, n, (3, 2 * n))
-        ref = collectives.alltoall(vals, world(n), 1)
+        ref = oracle.alltoall_reference(vals, world(n), 1)
         sim = simulate_alltoall([vals[r] for r in range(n)], 1)
         for r in range(n):
             np.testing.assert_array_equal(ref[r], sim[r])
@@ -155,7 +156,7 @@ class TestStepSimulatorEquivalence:
     def test_equivalence_property(self, n, per, seed):
         r = np.random.RandomState(seed)
         vals = [r.randn(n * per).astype(np.float32) for _ in range(n)]
-        ref = collectives.alltoall(
+        ref = oracle.alltoall_reference(
             {i: v for i, v in enumerate(vals)}, world(n), 0
         )
         sim = simulate_alltoall(vals, 0)
@@ -194,9 +195,9 @@ class TestHierarchicalPhases:
     @pytest.mark.parametrize("n,m", [(4, 2), (8, 2), (8, 4), (8, 8), (4, 4)])
     def test_composition_equals_flat(self, rng, n, m):
         vals = _values(rng, n, (n * 2, 3))
-        flat = collectives.alltoall(vals, world(n), 0)
-        intra = collectives.alltoall_intra(vals, world(n), 0, m)
-        inter = collectives.alltoall_inter(intra, world(n), 0, m)
+        flat = oracle.alltoall_reference(vals, world(n), 0)
+        intra = oracle.alltoall_intra_reference(vals, world(n), 0, m)
+        inter = oracle.alltoall_inter_reference(intra, world(n), 0, m)
         for r in range(n):
             np.testing.assert_array_equal(flat[r], inter[r])
 
@@ -204,15 +205,15 @@ class TestHierarchicalPhases:
         # with one node the inter phase has nothing to exchange
         n = 4
         vals = _values(rng, n, (n,))
-        intra = collectives.alltoall_intra(vals, world(n), 0, n)
-        flat = collectives.alltoall(vals, world(n), 0)
+        intra = oracle.alltoall_intra_reference(vals, world(n), 0, n)
+        flat = oracle.alltoall_reference(vals, world(n), 0)
         for r in range(n):
             np.testing.assert_array_equal(intra[r], flat[r])
 
     def test_indivisible_node_size_raises(self, rng):
         vals = _values(rng, 4, (4,))
         with pytest.raises(ValueError):
-            collectives.alltoall_intra(vals, world(4), 0, 3)
+            oracle.alltoall_intra_reference(vals, world(4), 0, 3)
 
 
 class TestOpConstruction:
@@ -305,11 +306,11 @@ class TestTransforms:
     def test_split_equivalence(self, rng):
         prog, x, a2a, _, _ = _exchange_program()
         inputs = {"x": rng.randn(4, 8, 3)}
-        ref = Executor().run(prog, inputs).output("shifted")
+        ref = Executor().run_lowered(prog, inputs).output("shifted")
         sched = Schedule(prog)
         intra, inter = sched.split(a2a, A2ASplitHierarchical, node_size=2)
         assert intra.phase == "intra" and inter.phase == "inter"
-        got = Executor().run(sched.program, inputs).output("shifted")
+        got = Executor().run_lowered(sched.program, inputs).output("shifted")
         np.testing.assert_allclose(ref, got, rtol=1e-6)
 
     def test_split_records_step(self):
@@ -365,7 +366,7 @@ class TestTransforms:
     def test_reorder_equivalence(self, rng):
         prog, x, a2a, scaled, shifted = _exchange_program()
         inputs = {"x": rng.randn(4, 8, 3)}
-        ref = Executor().run(prog, inputs).output("shifted")
+        ref = Executor().run_lowered(prog, inputs).output("shifted")
         sched = Schedule(prog)
         results = sched.reorder(a2a, scaled, shifted)
         # computations moved before the exchange; one new AllToAll
@@ -373,7 +374,7 @@ class TestTransforms:
         kinds = [type(e).__name__ for e in new_ops]
         assert kinds.index("Binary") < kinds.index("AllToAll")
         out_name = sched.program.outputs[0].name
-        got = Executor().run(sched.program, inputs).output(out_name)
+        got = Executor().run_lowered(sched.program, inputs).output(out_name)
         np.testing.assert_allclose(ref, got, rtol=1e-6)
 
     def test_reorder_rejects_positioned_partner(self):
@@ -474,11 +475,11 @@ class TestTransforms:
         out = Binary("*", a2a, s, name="out")
         prog = Execute("p", [x, s], [out])
         inputs = {"x": rng.randn(n, n * 2, 3), "s": 0.5}
-        ref = Executor().run(prog, inputs).output("out")
+        ref = Executor().run_lowered(prog, inputs).output("out")
         sched = Schedule(prog)
         sched.reorder(a2a, out)
         out_name = sched.program.outputs[0].name
-        got = Executor().run(sched.program, inputs).output(out_name)
+        got = Executor().run_lowered(sched.program, inputs).output(out_name)
         np.testing.assert_allclose(ref, got, rtol=1e-6)
 
     def test_reorder_rejects_dropout(self):
@@ -502,11 +503,11 @@ class TestTransforms:
         out = Binary("+", a2a, b, name="out")
         prog = Execute("p", [x, b], [out])
         inputs = {"x": rng.randn(n, n * 2, 3), "b": rng.randn(3)}
-        ref = Executor().run(prog, inputs).output("out")
+        ref = Executor().run_lowered(prog, inputs).output("out")
         sched = Schedule(prog)
         sched.reorder(a2a, out)
         out_name = sched.program.outputs[0].name
-        got = Executor().run(sched.program, inputs).output(out_name)
+        got = Executor().run_lowered(sched.program, inputs).output(out_name)
         np.testing.assert_allclose(ref, got, rtol=1e-6)
 
     def test_fuse_policy(self):
@@ -567,12 +568,14 @@ class TestTransforms:
         assert any("a2areorder" in nm for nm in names), names
         # and the reordered candidate computes the same numbers
         inputs = {"x": rng.randn(n, n * 2, 3)}
-        ref = Executor().run(prog, inputs).output("b")
+        ref = Executor().run_lowered(prog, inputs).output("b")
         cand = next(
             c for c in result.candidates if "a2areorder" in c.name
         )
         out_name = cand.schedule.program.outputs[0].name
-        got = Executor().run(cand.schedule.program, inputs).output(out_name)
+        got = Executor().run_lowered(cand.schedule.program, inputs).output(
+            out_name
+        )
         np.testing.assert_allclose(ref, got, rtol=1e-6)
 
     def test_autotuner_reorders_partial_region(self, rng):
@@ -592,10 +595,12 @@ class TestTransforms:
         names = [c.name for c in result.candidates]
         assert any("a2areorder" in nm for nm in names), names
         inputs = {"x": rng.randn(n, n, 8), "w": rng.randn(n, 8, 8)}
-        ref = Executor().run(prog, inputs).output("mm")
+        ref = Executor().run_lowered(prog, inputs).output("mm")
         cand = next(c for c in result.candidates if "a2areorder" in c.name)
         out_name = cand.schedule.program.outputs[0].name
-        got = Executor().run(cand.schedule.program, inputs).output(out_name)
+        got = Executor().run_lowered(cand.schedule.program, inputs).output(
+            out_name
+        )
         np.testing.assert_allclose(ref, got, rtol=1e-6)
 
     def test_autotuner_can_fuse_both_exchanges(self, rng):
@@ -616,12 +621,14 @@ class TestTransforms:
             c.name.count("a2afuse") == 2 for c in result.candidates
         ), [c.name for c in result.candidates]
         inputs = {"x": rng.randn(n, n * 2, 3)}
-        ref = Executor().run(prog, inputs).output("comb")
+        ref = Executor().run_lowered(prog, inputs).output("comb")
         cand = next(
             c for c in result.candidates if c.name.count("a2afuse") == 2
         )
         out_name = cand.schedule.program.outputs[0].name
-        got = Executor().run(cand.schedule.program, inputs).output(out_name)
+        got = Executor().run_lowered(cand.schedule.program, inputs).output(
+            out_name
+        )
         np.testing.assert_allclose(ref, got, rtol=1e-6)
 
     def test_codegen_library_alltoall(self):

@@ -346,14 +346,14 @@ class TestGoldenFiles:
 
     def test_golden_run_matches_raw_dfg_oracle(self):
         # the artifact's lowered execution agrees with running the
-        # reconstructed program on the unscheduled DFG interpreter
+        # reconstructed program unscheduled, one kernel per expression
         from repro.cli import _seeded_inputs
 
         art = artifact.load(GOLDEN_ADAM)
         inputs = _seeded_inputs(art.program, seed=0)
         ex = Executor()
         low = ex.run_lowered(art, inputs, allow_downcast=True)
-        dfg = ex.run(art.program, inputs, allow_downcast=True)
+        dfg = ex.run_lowered(art.program, inputs, allow_downcast=True)
         for name in low.output_names:
             np.testing.assert_array_equal(
                 low.output(name), dfg.output(name), err_msg=name
@@ -500,3 +500,10 @@ class TestCli:
     def test_missing_file_is_a_clean_error(self, capsys):
         assert cli_main(["describe", "/no/such/artifact.json"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_backend_choices(self, capsys):
+        # lowered is the one in-process interpreter; there is no
+        # separate DFG backend to select
+        with pytest.raises(SystemExit):
+            cli_main(["run", GOLDEN_ADAM, "--backend", "dfg"])
+        assert "invalid choice" in capsys.readouterr().err

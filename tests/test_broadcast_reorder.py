@@ -54,13 +54,13 @@ class TestBroadcastReorder:
         n, N = 4, 16
         inputs = {"g": rng.randn(n, N), "r": rng.randn(N)}
         prog, ar, scaled, shifted = build_program()
-        ref = Executor().run(prog, inputs).output("shifted")
+        ref = Executor().run_lowered(prog, inputs).output("shifted")
 
         prog2, ar2, scaled2, shifted2 = build_program()
         sched = Schedule(prog2)
         red, bc = sched.split(ar2, ARSplitReduceBroadcast)
         sched.reorder(bc, scaled2, shifted2)
-        got = Executor().run(sched.program, inputs)
+        got = Executor().run_lowered(sched.program, inputs)
         out = got.output(sched.program.outputs[0].name)
         np.testing.assert_allclose(out, ref, rtol=1e-6)
 
@@ -73,7 +73,7 @@ class TestBroadcastReorder:
         d = Dropout(ar, 0.4, seed=99, name="d")
         prog = Execute("p", [g], [d])
         inputs = {"g": rng.randn(n, N)}
-        ref = Executor().run(prog, inputs).output("d")
+        ref = Executor().run_lowered(prog, inputs).output("d")
 
         g2 = Tensor(FP32, (N,), Local, W, RANK, name="g")
         ar2 = AllReduce("+", g2, name="ar")
@@ -82,7 +82,7 @@ class TestBroadcastReorder:
         sched = Schedule(prog2)
         red, bc = sched.split(ar2, ARSplitReduceBroadcast)
         sched.reorder(bc, d2)
-        got = Executor().run(sched.program, inputs)
+        got = Executor().run_lowered(sched.program, inputs)
         np.testing.assert_allclose(
             got.output(sched.program.outputs[0].name), ref, rtol=1e-6
         )

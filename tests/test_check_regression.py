@@ -246,9 +246,8 @@ class TestCommittedBaselines:
         names = [f for f in os.listdir(cr.BASELINE_DIR)
                  if f.endswith(".json")]
         assert {
-            "BENCH_runtime.json", "BENCH_lowering.json",
-            "BENCH_tuner.json", "BENCH_moe.json", "BENCH_spmd.json",
-            "BENCH_faults.json", "BENCH_artifact.json",
+            "BENCH_runtime.json", "BENCH_tuner.json", "BENCH_moe.json",
+            "BENCH_spmd.json", "BENCH_faults.json", "BENCH_artifact.json",
         } <= set(names)
         for name in names:
             with open(os.path.join(cr.BASELINE_DIR, name)) as f:

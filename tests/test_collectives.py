@@ -1,4 +1,4 @@
-"""Tests for the reference collectives, including hypothesis properties."""
+"""Tests for the per-rank collective oracle, incl. hypothesis properties."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.process_group import ProcessGroup, world
-from repro.runtime import collectives
+from tests import collective_oracle as oracle
 
 
 def _values(rng, n, shape):
@@ -21,39 +21,41 @@ def rng():
 class TestAllReduce:
     def test_sum(self, rng):
         vals = _values(rng, 4, (8,))
-        out = collectives.allreduce(vals, world(4), "+", np.float32)
+        out = oracle.allreduce_reference(vals, world(4), "+", np.float32)
         expected = sum(vals[r].astype(np.float64) for r in range(4))
         for r in range(4):
             np.testing.assert_allclose(out[r], expected.astype(np.float32))
 
     def test_max(self, rng):
         vals = _values(rng, 4, (8,))
-        out = collectives.allreduce(vals, world(4), "max", np.float32)
+        out = oracle.allreduce_reference(vals, world(4), "max", np.float32)
         expected = np.max(np.stack(list(vals.values())), axis=0)
         np.testing.assert_array_equal(out[0], expected)
 
     def test_all_ranks_identical(self, rng):
         vals = _values(rng, 4, (4, 4))
-        out = collectives.allreduce(vals, world(4), "+", np.float32)
+        out = oracle.allreduce_reference(vals, world(4), "+", np.float32)
         for r in range(1, 4):
             np.testing.assert_array_equal(out[0], out[r])
 
     def test_results_are_copies(self, rng):
         vals = _values(rng, 2, (4,))
-        out = collectives.allreduce(vals, world(2), "+", np.float32)
+        out = oracle.allreduce_reference(vals, world(2), "+", np.float32)
         out[0][0] = 999
         assert out[1][0] != 999
 
     def test_unknown_op(self, rng):
         vals = _values(rng, 2, (4,))
         with pytest.raises(ValueError):
-            collectives.allreduce(vals, world(2), "avg", np.float32)
+            oracle.allreduce_reference(vals, world(2), "avg", np.float32)
 
 
 class TestReduceScatterAllGather:
     def test_rs_slices(self, rng):
         vals = _values(rng, 4, (8,))
-        out = collectives.reducescatter(vals, world(4), "+", 0, np.float32)
+        out = oracle.reducescatter_reference(
+            vals, world(4), "+", 0, np.float32
+        )
         total = sum(vals[r].astype(np.float64) for r in range(4))
         for i in range(4):
             np.testing.assert_allclose(
@@ -63,20 +65,22 @@ class TestReduceScatterAllGather:
     def test_rs_then_ag_equals_allreduce(self, rng):
         # the foundation of the split transformation's validity (§3.1)
         vals = _values(rng, 4, (8, 4))
-        ar = collectives.allreduce(vals, world(4), "+", np.float32)
-        rs = collectives.reducescatter(vals, world(4), "+", 0, np.float32)
-        ag = collectives.allgather(rs, world(4), 0)
+        ar = oracle.allreduce_reference(vals, world(4), "+", np.float32)
+        rs = oracle.reducescatter_reference(vals, world(4), "+", 0, np.float32)
+        ag = oracle.allgather_reference(rs, world(4), 0)
         for r in range(4):
             np.testing.assert_array_equal(ar[r], ag[r])
 
     def test_rs_along_dim1(self, rng):
         vals = _values(rng, 2, (4, 8))
-        out = collectives.reducescatter(vals, world(2), "+", 1, np.float32)
+        out = oracle.reducescatter_reference(
+            vals, world(2), "+", 1, np.float32
+        )
         assert out[0].shape == (4, 4)
 
     def test_ag_concatenates_in_rank_order(self, rng):
         slices = {r: np.full((2,), r, dtype=np.float32) for r in range(4)}
-        out = collectives.allgather(slices, world(4), 0)
+        out = oracle.allgather_reference(slices, world(4), 0)
         np.testing.assert_array_equal(
             out[2], np.repeat(np.arange(4, dtype=np.float32), 2)
         )
@@ -84,14 +88,14 @@ class TestReduceScatterAllGather:
     def test_subgroup_collective(self, rng):
         g = ProcessGroup(4, 4, 8)
         vals = {r: rng.randn(4).astype(np.float32) for r in g}
-        out = collectives.allreduce(vals, g, "+", np.float32)
+        out = oracle.allreduce_reference(vals, g, "+", np.float32)
         assert set(out) == set(g.ranks)
 
 
 class TestReduceBroadcast:
     def test_reduce_root_only(self, rng):
         vals = _values(rng, 4, (4,))
-        out = collectives.reduce(vals, world(4), "+", 1, np.float32)
+        out = oracle.reduce_reference(vals, world(4), "+", 1, np.float32)
         total = sum(vals[r].astype(np.float64) for r in range(4))
         np.testing.assert_allclose(out[1], total.astype(np.float32))
 
@@ -100,22 +104,22 @@ class TestReduceBroadcast:
         # them could launder a schedule that wrongly reads a non-root
         # buffer into an all-zero "correct-looking" result.
         vals = _values(rng, 4, (4,))
-        out = collectives.reduce(vals, world(4), "+", 1, np.float32)
+        out = oracle.reduce_reference(vals, world(4), "+", 1, np.float32)
         for r in (0, 2, 3):
             np.testing.assert_array_equal(out[r], vals[r])
 
     def test_broadcast_from_root(self, rng):
         vals = _values(rng, 4, (4,))
-        out = collectives.broadcast(vals, world(4), 2)
+        out = oracle.broadcast_reference(vals, world(4), 2)
         for r in range(4):
             np.testing.assert_array_equal(out[r], vals[2])
 
     def test_reduce_then_broadcast_equals_allreduce(self, rng):
         # validity of the ARSplitReduceBroadcast policy
         vals = _values(rng, 4, (8,))
-        ar = collectives.allreduce(vals, world(4), "+", np.float32)
-        red = collectives.reduce(vals, world(4), "+", 0, np.float32)
-        bc = collectives.broadcast(red, world(4), 0)
+        ar = oracle.allreduce_reference(vals, world(4), "+", np.float32)
+        red = oracle.reduce_reference(vals, world(4), "+", 0, np.float32)
+        bc = oracle.broadcast_reference(red, world(4), 0)
         np.testing.assert_array_equal(ar[3], bc[3])
 
 
@@ -130,9 +134,9 @@ class TestProperties:
         rng = np.random.RandomState(seed)
         shape = (n * per,)
         vals = {r: rng.randn(*shape).astype(np.float32) for r in range(n)}
-        ar = collectives.allreduce(vals, world(n), "+", np.float32)
-        rs = collectives.reducescatter(vals, world(n), "+", 0, np.float32)
-        ag = collectives.allgather(rs, world(n), 0)
+        ar = oracle.allreduce_reference(vals, world(n), "+", np.float32)
+        rs = oracle.reducescatter_reference(vals, world(n), "+", 0, np.float32)
+        ag = oracle.allgather_reference(rs, world(n), 0)
         np.testing.assert_array_equal(ar[0], ag[0])
 
     @given(n=st.integers(1, 8), seed=st.integers(0, 1000))
@@ -140,9 +144,9 @@ class TestProperties:
     def test_allreduce_invariant_under_rank_permutation(self, n, seed):
         rng = np.random.RandomState(seed)
         vals = {r: rng.randn(6).astype(np.float32) for r in range(n)}
-        out1 = collectives.allreduce(vals, world(n), "+", np.float32)
+        out1 = oracle.allreduce_reference(vals, world(n), "+", np.float32)
         perm = {r: vals[(r + 1) % n] for r in range(n)}
-        out2 = collectives.allreduce(perm, world(n), "+", np.float32)
+        out2 = oracle.allreduce_reference(perm, world(n), "+", np.float32)
         np.testing.assert_allclose(out1[0], out2[0], rtol=1e-6)
 
     @given(
@@ -157,5 +161,5 @@ class TestProperties:
         slices = {
             r: full[r * rows : (r + 1) * rows] for r in range(n)
         }
-        out = collectives.allgather(slices, world(n), 0)
+        out = oracle.allgather_reference(slices, world(n), 0)
         np.testing.assert_array_equal(out[n - 1], full)

@@ -40,8 +40,8 @@ from repro.workloads.pipeline import PipelineWorkload
 
 
 def assert_same_outputs(prog_a, prog_b, inputs, rtol=1e-6):
-    ra = Executor().run(prog_a, inputs)
-    rb = Executor().run(prog_b, inputs)
+    ra = Executor().run_lowered(prog_a, inputs)
+    rb = Executor().run_lowered(prog_b, inputs)
     a_out = ra.output(prog_a.outputs[0].name)
     b_out = rb.output(prog_b.outputs[0].name)
     np.testing.assert_allclose(a_out, b_out, rtol=rtol, atol=1e-7)
@@ -92,12 +92,12 @@ class TestAttentionEquivalence:
         inputs = attention_inputs(rng)
         inputs["r"] = np.zeros_like(inputs["r"])  # isolate dropout output
         prog, h = build_attention_program(seed=1234)
-        ref = Executor().run(prog, inputs)
+        ref = Executor().run_lowered(prog, inputs)
         prog2, h2 = build_attention_program(seed=1234)
         sched = Schedule(prog2)
         _, ag = sched.split(h2["allreduce"])
         sched.reorder(ag, h2["sum_b"], h2["drop"], h2["out"])
-        got = Executor().run(sched.program, inputs)
+        got = Executor().run_lowered(sched.program, inputs)
         np.testing.assert_array_equal(
             ref.output("out"),
             got.output(sched.program.outputs[0].name),
@@ -128,7 +128,7 @@ class TestOptimizerEquivalence:
     def test_adam_schedules_match_reference(self, state, schedule):
         wl = AdamWorkload.build(state["N"], state["n"], grad_dtype=FP32)
         sched = getattr(wl, f"schedule_{schedule}")()
-        res = Executor().run(sched.program, state["inputs"])
+        res = Executor().run_lowered(sched.program, state["inputs"])
         p, m, v = adam_reference(
             state["inputs"]["g"], state["inputs"]["p"],
             state["inputs"]["m"], state["inputs"]["v"], 0.01, 2.0,
@@ -141,7 +141,7 @@ class TestOptimizerEquivalence:
     def test_lamb_schedules_match_reference(self, state, schedule):
         wl = LambWorkload.build(state["N"], state["n"], grad_dtype=FP32)
         sched = getattr(wl, f"schedule_{schedule}")()
-        res = Executor().run(sched.program, state["inputs"])
+        res = Executor().run_lowered(sched.program, state["inputs"])
         p, m, v = lamb_reference(
             state["inputs"]["g"], state["inputs"]["p"],
             state["inputs"]["m"], state["inputs"]["v"], 0.01, 2.0,
@@ -177,13 +177,13 @@ class TestPipelineEquivalence:
         base = PipelineWorkload.build(
             2, 8, 16, world_size=8, num_groups=2, dtype=FP32, dropout_seed=5
         )
-        ref = Executor().run(base.program, inputs)
+        ref = Executor().run_lowered(base.program, inputs)
         ref_out = ref.output(base.program.outputs[0].name)
         wl = PipelineWorkload.build(
             2, 8, 16, world_size=8, num_groups=2, dtype=FP32, dropout_seed=5
         )
         sched = getattr(wl, f"schedule_{schedule}")()
-        got = Executor().run(sched.program, inputs)
+        got = Executor().run_lowered(sched.program, inputs)
         got_out = got.output(sched.program.outputs[0].name)
         np.testing.assert_allclose(got_out, ref_out, rtol=1e-6)
 
@@ -241,13 +241,13 @@ class TestRandomizedPrograms:
             )
         prog = Execute("rand", [g, r], [cur])
         inputs = {"g": rng.randn(n, N), "r": rng.randn(N)}
-        ref = Executor().run(prog, inputs).output(cur.name)
+        ref = Executor().run_lowered(prog, inputs).output(cur.name)
 
         sched = Schedule(prog)
         region = [e for e in sched.program.operations if e is not ar]
         _, ag = sched.split(ar)
         sched.reorder(ag, *region)
-        got = Executor().run(sched.program, inputs)
+        got = Executor().run_lowered(sched.program, inputs)
         got_out = got.output(sched.program.outputs[0].name)
         np.testing.assert_allclose(got_out, ref, rtol=1e-5, atol=1e-7)
 
@@ -265,11 +265,11 @@ class TestRandomizedPrograms:
         upd = Update(p, new_p, name="upd")
         prog = Execute("sgd", [g, p], [upd])
         inputs = {"g": rng.randn(n, N), "p": rng.randn(N)}
-        ref = Executor().run(prog, inputs).tensor_state("p")
+        ref = Executor().run_lowered(prog, inputs).tensor_state("p")
 
         prog2 = Execute("sgd", [g, p], [upd])
         sched = Schedule(prog2)
         _, ag = sched.split(ar)
         sched.reorder(ag, delta, new_p, upd)
-        got = Executor().run(sched.program, inputs).tensor_state("p")
+        got = Executor().run_lowered(sched.program, inputs).tensor_state("p")
         np.testing.assert_allclose(got, ref, rtol=1e-6)

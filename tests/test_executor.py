@@ -47,7 +47,7 @@ def rng():
 def run_single(expr_builder, inputs, n=4):
     """Helper: build a one-output program and run it."""
     prog, out_name = expr_builder
-    return Executor().run(prog, inputs).output(out_name)
+    return Executor().run_lowered(prog, inputs).output(out_name)
 
 
 class TestLeafPlacement:
@@ -55,7 +55,7 @@ class TestLeafPlacement:
         W = world(4)
         a = Tensor(FP32, (8,), Replicated, W, name="a")
         prog = Execute("p", [a], [a + 0.0])
-        out = Executor().run(prog, {"a": np.arange(8.0)})
+        out = Executor().run_lowered(prog, {"a": np.arange(8.0)})
         np.testing.assert_array_equal(
             out.output(prog.outputs[0].name), np.arange(8.0)
         )
@@ -65,7 +65,7 @@ class TestLeafPlacement:
         a = Tensor(FP32, (8,), Sliced(0), W, RANK, name="a")
         ag = AllGather(a, name="ag")
         prog = Execute("p", [a], [ag])
-        out = Executor().run(prog, {"a": np.arange(8.0)})
+        out = Executor().run_lowered(prog, {"a": np.arange(8.0)})
         np.testing.assert_array_equal(out.output("ag"), np.arange(8.0))
 
     def test_local_input_needs_leading_rank_axis(self, rng):
@@ -73,28 +73,30 @@ class TestLeafPlacement:
         a = Tensor(FP32, (8,), Local, W, RANK, name="a")
         prog = Execute("p", [a], [AllReduce("+", a, name="ar")])
         with pytest.raises(ExecutionError, match="local"):
-            Executor().run(prog, {"a": np.arange(8.0)})
+            Executor().run_lowered(prog, {"a": np.arange(8.0)})
 
     def test_missing_input_raises(self):
         W = world(4)
         a = Tensor(FP32, (8,), Replicated, W, name="a")
         prog = Execute("p", [a], [a + 1.0])
         with pytest.raises(ExecutionError, match="missing input"):
-            Executor().run(prog, {})
+            Executor().run_lowered(prog, {})
 
     def test_unknown_input_raises(self):
         W = world(4)
         a = Tensor(FP32, (8,), Replicated, W, name="a")
         prog = Execute("p", [a], [a + 1.0])
         with pytest.raises(ExecutionError, match="unknown inputs"):
-            Executor().run(prog, {"a": np.zeros(8), "zzz": np.zeros(8)})
+            Executor().run_lowered(
+                prog, {"a": np.zeros(8), "zzz": np.zeros(8)}
+            )
 
     def test_wrong_shape_raises(self):
         W = world(4)
         a = Tensor(FP32, (8,), Replicated, W, name="a")
         prog = Execute("p", [a], [a + 1.0])
         with pytest.raises(ExecutionError, match="expected shape"):
-            Executor().run(prog, {"a": np.zeros(9)})
+            Executor().run_lowered(prog, {"a": np.zeros(9)})
 
 
 class TestComputeOps:
@@ -104,7 +106,7 @@ class TestComputeOps:
         b = Tensor(FP32, (6, 3), Replicated, W, name="b")
         prog = Execute("p", [a, b], [MatMul(a, b, name="mm")])
         av, bv = rng.randn(4, 6), rng.randn(6, 3)
-        out = Executor().run(prog, {"a": av, "b": bv}).output("mm")
+        out = Executor().run_lowered(prog, {"a": av, "b": bv}).output("mm")
         np.testing.assert_allclose(out, av @ bv, rtol=1e-6)
 
     def test_distributed_matmul_partial_sums(self, rng):
@@ -115,7 +117,7 @@ class TestComputeOps:
         mm = MatMul(a, b, name="mm")
         prog = Execute("p", [a, b], [AllReduce("+", mm, name="ar")])
         av, bv = rng.randn(4, 8), rng.randn(8, 3)
-        out = Executor().run(prog, {"a": av, "b": bv}).output("ar")
+        out = Executor().run_lowered(prog, {"a": av, "b": bv}).output("ar")
         np.testing.assert_allclose(out, av @ bv, rtol=1e-5)
 
     def test_binary_ops(self, rng):
@@ -129,7 +131,7 @@ class TestComputeOps:
         }
         for op, expected in cases.items():
             prog = Execute("p", [a, b], [Binary(op, a, b, name="o")])
-            got = Executor().run(prog, {"a": av, "b": bv}).output("o")
+            got = Executor().run_lowered(prog, {"a": av, "b": bv}).output("o")
             np.testing.assert_allclose(got, expected, rtol=1e-6)
 
     def test_unary_ops(self, rng):
@@ -137,12 +139,12 @@ class TestComputeOps:
         a = Tensor(FP32, (6,), Replicated, W, name="a")
         av = np.abs(rng.randn(6)) + 0.1
         prog = Execute("p", [a], [Sqrt(a)])
-        got = Executor().run(prog, {"a": av})
+        got = Executor().run_lowered(prog, {"a": av})
         np.testing.assert_allclose(
             got.output(prog.outputs[0].name), np.sqrt(av), rtol=1e-6
         )
         prog2 = Execute("p", [a], [Tanh(a)])
-        got2 = Executor().run(prog2, {"a": av})
+        got2 = Executor().run_lowered(prog2, {"a": av})
         np.testing.assert_allclose(
             got2.output(prog2.outputs[0].name), np.tanh(av), rtol=1e-6
         )
@@ -151,7 +153,7 @@ class TestComputeOps:
         W = world(2)
         a = Tensor(FP32, (6,), Replicated, W, name="a")
         prog = Execute("p", [a], [Cast(FP16, a, name="c")])
-        got = Executor().run(prog, {"a": rng.randn(6)}).output("c")
+        got = Executor().run_lowered(prog, {"a": rng.randn(6)}).output("c")
         assert got.dtype == np.float16
 
     def test_conv2d_matches_direct(self, rng):
@@ -160,7 +162,7 @@ class TestComputeOps:
         k = Tensor(FP32, (3, 2, 3, 3), Replicated, W, name="k")
         prog = Execute("p", [x, k], [Conv2D(x, k, padding=1, name="c")])
         xv, kv = rng.randn(1, 2, 5, 5), rng.randn(3, 2, 3, 3)
-        got = Executor().run(prog, {"x": xv, "k": kv}).output("c")
+        got = Executor().run_lowered(prog, {"x": xv, "k": kv}).output("c")
         assert got.shape == (1, 3, 5, 5)
         # centre value check against a manual window
         window = xv[0, :, 1:4, 1:4]
@@ -172,7 +174,7 @@ class TestComputeOps:
         a = Tensor(FP32, (8,), Sliced(0), W, RANK, name="a")
         prog = Execute("p", [a], [Norm(a, name="n")])
         av = rng.randn(8)
-        got = Executor().run(prog, {"a": av}).output("n")
+        got = Executor().run_lowered(prog, {"a": av}).output("n")
         np.testing.assert_allclose(got, np.linalg.norm(av), rtol=1e-6)
 
     def test_reducetensor_max_sliced(self, rng):
@@ -180,14 +182,14 @@ class TestComputeOps:
         a = Tensor(FP32, (8,), Sliced(0), W, RANK, name="a")
         prog = Execute("p", [a], [ReduceTensor("max", a, name="n")])
         av = rng.randn(8)
-        got = Executor().run(prog, {"a": av}).output("n")
+        got = Executor().run_lowered(prog, {"a": av}).output("n")
         np.testing.assert_allclose(got, av.max(), rtol=1e-6)
 
     def test_dropout_scaling(self, rng):
         W = world(2)
         a = Tensor(FP32, (1000,), Replicated, W, name="a")
         prog = Execute("p", [a], [Dropout(a, 0.5, seed=3, name="d")])
-        got = Executor().run(prog, {"a": np.ones(1000)}).output("d")
+        got = Executor().run_lowered(prog, {"a": np.ones(1000)}).output("d")
         kept = got[got != 0]
         np.testing.assert_allclose(kept, 2.0)
 
@@ -197,7 +199,7 @@ class TestComputeOps:
         sl = Slice(a, 0, name="sl")
         prog = Execute("p", [a], [AllGather(sl, name="ag")])
         av = rng.randn(8)
-        got = Executor().run(prog, {"a": av}).output("ag")
+        got = Executor().run_lowered(prog, {"a": av}).output("ag")
         np.testing.assert_array_equal(got, av.astype(np.float32))
 
 
@@ -206,7 +208,7 @@ class TestUpdateSemantics:
         W = world(2)
         p = Tensor(FP32, (4,), Replicated, W, name="p")
         u = Update(p, p * 2.0, name="u")
-        res = Executor().run(Execute("p", [p], [u]), {"p": np.ones(4)})
+        res = Executor().run_lowered(Execute("p", [p], [u]), {"p": np.ones(4)})
         np.testing.assert_array_equal(res.tensor_state("p"), 2 * np.ones(4))
 
     def test_leaf_reads_snapshot_not_updated_value(self, rng):
@@ -216,7 +218,7 @@ class TestUpdateSemantics:
         u = Update(p, p * 2.0, name="u")
         later = Binary("+", p, 0.0, name="later")  # reads original p
         prog = Execute("p", [p], [later], effects=[u])
-        res = Executor().run(prog, {"p": np.ones(4)})
+        res = Executor().run_lowered(prog, {"p": np.ones(4)})
         np.testing.assert_array_equal(res.output("later"), np.ones(4))
         np.testing.assert_array_equal(res.tensor_state("p"), 2 * np.ones(4))
 
@@ -225,7 +227,9 @@ class TestUpdateSemantics:
         p = Tensor(FP32, (4,), Replicated, W, name="p")
         u1 = Update(p, p + 1.0, name="u1")
         u2 = Update(p, u1 * 3.0, name="u2")
-        res = Executor().run(Execute("p", [p], [u2]), {"p": np.zeros(4)})
+        res = Executor().run_lowered(
+            Execute("p", [p], [u2]), {"p": np.zeros(4)}
+        )
         np.testing.assert_array_equal(res.tensor_state("p"), 3 * np.ones(4))
 
 
@@ -237,7 +241,7 @@ class TestCommOps:
         bc = Broadcast(red, root=2, name="bc")
         prog = Execute("p", [a], [bc])
         av = rng.randn(4, 4)
-        got = Executor().run(prog, {"a": av}).output("bc")
+        got = Executor().run_lowered(prog, {"a": av}).output("bc")
         np.testing.assert_allclose(got, av.sum(axis=0), rtol=1e-6)
 
     def test_send_moves_to_next_group(self, rng):
@@ -246,7 +250,7 @@ class TestCommOps:
         s = Send(a, GroupRank(GROUP + 1, RANK), name="s")
         prog = Execute("p", [a], [s])
         av = rng.randn(4)
-        res = Executor().run(prog, {"a": av})
+        res = Executor().run_lowered(prog, {"a": av})
         np.testing.assert_array_equal(res.output("s"), av.astype(np.float32))
         assert s.group is not g0 and s.group.start == 2
 
@@ -257,7 +261,7 @@ class TestCommOps:
         ag = AllGather(s, name="ag")
         prog = Execute("p", [a], [ag])
         av = rng.randn(4)
-        got = Executor().run(prog, {"a": av}).output("ag")
+        got = Executor().run_lowered(prog, {"a": av}).output("ag")
         np.testing.assert_array_equal(got, av.astype(np.float32))
 
     def test_scalar_input(self, rng):
@@ -265,7 +269,9 @@ class TestCommOps:
         a = Tensor(FP32, (4,), Replicated, W, name="a")
         s = Scalar(FP32, name="lr", group=W)
         prog = Execute("p", [a, s], [Binary("*", a, s, name="o")])
-        got = Executor().run(prog, {"a": np.ones(4), "lr": 0.5}).output("o")
+        got = Executor().run_lowered(
+            prog, {"a": np.ones(4), "lr": 0.5}
+        ).output("o")
         np.testing.assert_array_equal(got, 0.5 * np.ones(4))
 
     def test_local_output_stacks_ranks(self, rng):
@@ -274,7 +280,7 @@ class TestCommOps:
         o = Binary("*", a, 2.0, name="o")
         prog = Execute("p", [a], [o])
         av = rng.randn(3, 4)
-        got = Executor().run(prog, {"a": av}).output("o")
+        got = Executor().run_lowered(prog, {"a": av}).output("o")
         assert got.shape == (3, 4)
         np.testing.assert_allclose(got, 2 * av, rtol=1e-6)
 
@@ -282,13 +288,13 @@ class TestCommOps:
         W = world(2)
         a = Tensor(FP32, (4,), Replicated, W, name="a")
         prog = Execute("p", [a], [a + 1.0])
-        res = Executor().run(prog, {"a": np.zeros(4)})
+        res = Executor().run_lowered(prog, {"a": np.zeros(4)})
         with pytest.raises(ExecutionError, match="no output named"):
             res.output("nope")
 
 
-class TestReferenceBackend:
-    """`Executor(reference=True)` keeps the per-rank dict semantics."""
+class TestRankSemantics:
+    """Per-rank semantics the interpreter keeps, checked by hand."""
 
     def test_reduce_non_root_keeps_input(self, rng):
         # regression: reduce used to zero-fill non-root ranks; NCCL (and
@@ -299,33 +305,26 @@ class TestReferenceBackend:
         red = Reduce("+", a, root=1, name="red")
         prog = Execute("p", [a], [red])
         av = rng.randn(4, 4).astype(np.float32)
-        for reference in (True, False):
-            out = Executor(reference=reference).run(
-                prog, {"a": av}
-            ).output("red")
-            np.testing.assert_array_equal(out[0], av[0])
-            np.testing.assert_array_equal(out[3], av[3])
+        out = Executor().run_lowered(prog, {"a": av}).output("red")
+        np.testing.assert_array_equal(out[0], av[0])
+        np.testing.assert_array_equal(out[3], av[3])
 
-    def test_update_and_snapshot_semantics_match_default(self, rng):
+    def test_read_before_update_sees_the_old_value(self, rng):
         W = world(2)
         p = Tensor(FP32, (4,), Replicated, W, name="p")
         u = Update(p, p * 2.0, name="u")
         later = Binary("+", p, 0.0, name="later")
         prog = Execute("p", [p], [later], effects=[u])
-        pv = rng.randn(4)
-        ref = Executor(reference=True).run(prog, {"p": pv})
-        vec = Executor().run(prog, {"p": pv})
-        np.testing.assert_array_equal(ref.output("later"), vec.output("later"))
-        np.testing.assert_array_equal(
-            ref.tensor_state("p"), vec.tensor_state("p")
-        )
+        pv = rng.randn(4).astype(np.float32)
+        res = Executor().run_lowered(prog, {"p": pv})
+        np.testing.assert_array_equal(res.output("later"), pv)
+        np.testing.assert_array_equal(res.tensor_state("p"), pv * 2)
 
     def test_allow_downcast_threads_through_run(self, rng):
         W = world(2)
         p = Tensor(FP16, (4,), Replicated, W, name="p")
         prog = Execute("p", [p], [p + 0.0])
-        for reference in (True, False):
-            with pytest.raises(ExecutionError, match="lossy downcast"):
-                Executor(reference=reference).run(
-                    prog, {"p": rng.randn(4)}, allow_downcast=False
-                )
+        with pytest.raises(ExecutionError, match="lossy downcast"):
+            Executor().run_lowered(
+                prog, {"p": rng.randn(4)}, allow_downcast=False
+            )

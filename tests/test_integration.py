@@ -33,10 +33,10 @@ class TestAutotuneCompileExecute:
             "w": rng.randn(16, 16), "b": rng.randn(16),
             "in": rng.randn(4, 8, 16), "r": rng.randn(4, 8, 16),
         }
-        ref = Executor().run(wl.program, inputs)
+        ref = Executor().run_lowered(wl.program, inputs)
         ref_out = ref.output(wl.program.outputs[0].name)
         for cand in result.candidates:
-            res = Executor().run(cand.schedule.program, inputs)
+            res = Executor().run_lowered(cand.schedule.program, inputs)
             out = res.output(cand.schedule.program.outputs[0].name)
             np.testing.assert_allclose(out, ref_out, rtol=1e-6,
                                        err_msg=cand.name)
@@ -66,10 +66,10 @@ class TestAutotuneCompileExecute:
             "in": rng.randn(4, 2, 8, 16), "b": rng.randn(16),
             "r": rng.randn(2, 8, 16),
         }
-        ref = Executor().run(wl.program, inputs)
+        ref = Executor().run_lowered(wl.program, inputs)
         ref_out = ref.output(wl.program.outputs[0].name)
         best_prog = result.best.schedule.program
-        got = Executor().run(best_prog, inputs)
+        got = Executor().run_lowered(best_prog, inputs)
         np.testing.assert_allclose(
             got.output(best_prog.outputs[0].name), ref_out, rtol=1e-6
         )

@@ -1,11 +1,12 @@
-"""The shared lowering IR and the three backends that consume it.
+"""The shared lowering IR and the backends that consume it.
 
 Structural tests of :func:`repro.core.lower.lower`, differential
-property tests ``run_lowered`` ≡ DFG ``Executor.run`` ≡
-``Executor(reference=True)`` (bit-identical outputs *and* tensor states)
-across every workload's original / named / autotuned schedules, the
-chunk-by-chunk instruction trace, the cost model's consumption of the
-stream, and the §5.4 bucket metadata wiring.
+property tests that ``run_lowered`` of a schedule is bit-identical
+(outputs *and* tensor states) to ``run_lowered`` of its program lowered
+unscheduled, one kernel per expression, across every workload's
+original / named / autotuned schedules, the chunk-by-chunk instruction
+trace, the cost model's consumption of the stream, and the §5.4 bucket
+metadata wiring.
 """
 
 import numpy as np
@@ -25,7 +26,7 @@ from repro.core.lower import (
 )
 from repro.core.tensor import Tensor
 from repro.core.transforms import KernelKind, Schedule
-from repro.errors import CoCoNetError, ExecutionError
+from repro.errors import CoCoNetError
 from repro.perf import Engine, ProgramCostModel
 from repro.runtime import Executor
 from repro.scattered.bucketing import bucket_memory_overhead
@@ -52,29 +53,24 @@ def optimizer_inputs(rng, n=4, N=64):
     )
 
 
-def assert_triple_parity(sched, inputs):
-    """run_lowered ≡ DFG run ≡ reference run, bit-for-bit."""
+def assert_scheduled_parity(sched, inputs):
+    """run_lowered(schedule) ≡ run_lowered(its program), bit-for-bit.
+
+    The program alone lowers unscheduled, one kernel per expression, so
+    the schedule's fusion, overlap and chunking must not change a bit.
+    """
     program = sched.program if isinstance(sched, Schedule) else sched
     low = Executor().run_lowered(sched, inputs, allow_downcast=True)
-    dfg = Executor().run(program, inputs, allow_downcast=True)
-    ref = Executor(reference=True).run(program, inputs, allow_downcast=True)
+    plain = Executor().run_lowered(program, inputs, allow_downcast=True)
     for o in program.outputs:
         np.testing.assert_array_equal(
-            low.output(o.name), dfg.output(o.name), err_msg=o.name
-        )
-        np.testing.assert_array_equal(
-            low.output(o.name), ref.output(o.name), err_msg=o.name
+            low.output(o.name), plain.output(o.name), err_msg=o.name
         )
     for t in program.inputs:
         if isinstance(t, Tensor):
             np.testing.assert_array_equal(
                 low.tensor_state(t.name),
-                dfg.tensor_state(t.name),
-                err_msg=f"state {t.name}",
-            )
-            np.testing.assert_array_equal(
-                low.tensor_state(t.name),
-                ref.tensor_state(t.name),
+                plain.tensor_state(t.name),
                 err_msg=f"state {t.name}",
             )
 
@@ -206,7 +202,7 @@ class TestLoweringStructure:
             "w1": rng.randn(4, 6, 8),
             "w2": rng.randn(4, 8, 6),
         }
-        assert_triple_parity(sched, inputs)
+        assert_scheduled_parity(sched, inputs)
 
     def test_interposed_kernel_joins_the_loop(self, rng):
         # overlap(mm, ar); split(ar): the plan group holds {mm, ag} with
@@ -227,7 +223,7 @@ class TestLoweringStructure:
             "w": rng.randn(16, 16), "b": rng.randn(16),
             "in": rng.randn(4, 8, 16), "r": rng.randn(4, 8, 16),
         }
-        assert_triple_parity(sched, inputs)
+        assert_scheduled_parity(sched, inputs)
 
     def test_lower_accepts_program_and_is_idempotent(self):
         wl = AdamWorkload.build(32, 4, grad_dtype=FP32)
@@ -276,21 +272,21 @@ class TestPlanAnnotations:
 
 
 class TestRunLoweredParity:
-    """run_lowered ≡ DFG run ≡ reference run on every schedule family."""
+    """Scheduled ≡ unscheduled lowered runs on every schedule family."""
 
     def test_adam_all_schedules(self, rng):
         wl = AdamWorkload.build(64, 4)
         inputs = optimizer_inputs(rng)
-        assert_triple_parity(wl.program, inputs)
+        assert_scheduled_parity(wl.program, inputs)
         for sched in wl.schedules().values():
-            assert_triple_parity(sched, inputs)
+            assert_scheduled_parity(sched, inputs)
 
     def test_lamb_all_schedules(self, rng):
         wl = LambWorkload.build(64, 4)
         inputs = optimizer_inputs(rng)
-        assert_triple_parity(wl.program, inputs)
+        assert_scheduled_parity(wl.program, inputs)
         for sched in wl.schedules().values():
-            assert_triple_parity(sched, inputs)
+            assert_scheduled_parity(sched, inputs)
 
     def test_attention_all_schedules(self, rng):
         wl = AttentionWorkload.build(4, 8, 16, 4, dtype=FP32, dropout_seed=7)
@@ -298,9 +294,9 @@ class TestRunLoweredParity:
             "w": rng.randn(16, 16), "b": rng.randn(16),
             "in": rng.randn(4, 8, 16), "r": rng.randn(4, 8, 16),
         }
-        assert_triple_parity(wl.program, inputs)
+        assert_scheduled_parity(wl.program, inputs)
         for sched in wl.schedules().values():
-            assert_triple_parity(sched, inputs)
+            assert_scheduled_parity(sched, inputs)
 
     def test_moe_all_schedules(self, rng):
         wl = MoEWorkload.build(3, 6, 8, world_size=4, dtype=FP32)
@@ -309,10 +305,10 @@ class TestRunLoweredParity:
             "w1": rng.randn(4, 6, 8),
             "w2": rng.randn(4, 8, 6),
         }
-        assert_triple_parity(wl.program, inputs)
+        assert_scheduled_parity(wl.program, inputs)
         for sched in wl.schedules().values():
-            assert_triple_parity(sched, inputs)
-        assert_triple_parity(
+            assert_scheduled_parity(sched, inputs)
+        assert_scheduled_parity(
             wl.schedule_hierarchical(node_size=2), inputs
         )
 
@@ -325,9 +321,9 @@ class TestRunLoweredParity:
             "b": rng.randn(16),
             "r": rng.randn(2, 8, 16),
         }
-        assert_triple_parity(wl.program, inputs)
+        assert_scheduled_parity(wl.program, inputs)
         for sched in wl.schedules().values():
-            assert_triple_parity(sched, inputs)
+            assert_scheduled_parity(sched, inputs)
 
     def test_autotuned_schedules_parity(self, rng):
         # every candidate the autotuner enumerated, incl. the winner
@@ -338,7 +334,7 @@ class TestRunLoweredParity:
             "in": rng.randn(4, 8, 16), "r": rng.randn(4, 8, 16),
         }
         for cand in result.candidates:
-            assert_triple_parity(cand.schedule, inputs)
+            assert_scheduled_parity(cand.schedule, inputs)
 
 
 class TestChunkTrace:
@@ -375,40 +371,6 @@ class TestChunkTrace:
             "num_chunks": loop.num_chunks, "ring": True
         }
 
-    def test_legacy_trace_shim_matches_structured_events(self, rng):
-        """The pre-observe tuple protocol (``trace=[]``) still works,
-        alongside and identical in content to the structured events."""
-        from repro.observe import Tracer
-
-        wl = AttentionWorkload.build(4, 8, 16, 4, dtype=FP32)
-        sched = wl.schedule_coconet()
-        inputs = {
-            "w": rng.randn(16, 16), "b": rng.randn(16),
-            "in": rng.randn(4, 8, 16), "r": rng.randn(4, 8, 16),
-        }
-        trace = []
-        tracer = Tracer()
-        Executor().run_lowered(
-            sched, inputs, allow_downcast=True, trace=trace,
-            tracer=tracer,
-        )
-        (loop,) = sched.lowered().chunk_loops()
-        mm = loop.entries[0].name
-        chunk_events = [e for e in trace if e[0] == "chunk"]
-        assert [e[1:] for e in chunk_events] == [
-            (mm, c, c) for c in range(loop.num_chunks)
-        ]
-        whole_at = trace.index(
-            next(e for e in trace if e[0] == "whole")
-        )
-        assert all(trace.index(e) < whole_at for e in chunk_events)
-        assert ("chunkloop", loop.name, loop.num_chunks, True) in trace
-        # same stream of work, one record per structured span
-        assert len(chunk_events) == len(tracer.spans(cat="chunk"))
-        assert [e[1] for e in trace if e[0] == "launch"] == [
-            e.name for e in tracer.spans(cat="launch")
-        ]
-
     def test_moe_pipeline_interleaves_producer_and_consumer_chunks(
         self, rng
     ):
@@ -444,13 +406,6 @@ class TestChunkTrace:
         assert events.index((compute_entry.name, 0)) < events.index(
             (gemm, loop.num_chunks - 1)
         )
-
-    def test_reference_backend_rejects_run_lowered(self, rng):
-        wl = AdamWorkload.build(32, 4, grad_dtype=FP32)
-        with pytest.raises(ExecutionError, match="vectorized"):
-            Executor(reference=True).run_lowered(
-                wl.program, optimizer_inputs(rng, N=32)
-            )
 
 
 class TestCostFromLowering:

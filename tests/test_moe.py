@@ -55,7 +55,7 @@ class TestEquivalence:
         inputs = _inputs(rng, n, C, M, F)
         ref = moe_reference(inputs["x"], inputs["w1"], inputs["w2"])
         for name, sched in wl.schedules().items():
-            res = Executor().run(sched.program, inputs)
+            res = Executor().run_lowered(sched.program, inputs)
             got = res.output(sched.program.outputs[0].name)
             np.testing.assert_allclose(ref, got, rtol=1e-4, atol=1e-6, err_msg=name)
 
@@ -65,7 +65,7 @@ class TestEquivalence:
         inputs = _inputs(rng, n, C, M, F)
         ref = moe_reference(inputs["x"], inputs["w1"], inputs["w2"])
         sched = wl.schedule_hierarchical(node_size=2)
-        res = Executor().run(sched.program, inputs)
+        res = Executor().run_lowered(sched.program, inputs)
         got = res.output(sched.program.outputs[0].name)
         np.testing.assert_allclose(ref, got, rtol=1e-4, atol=1e-6)
 

@@ -23,7 +23,7 @@ from repro.nccl import (
 )
 from repro.nccl import algorithms, chunking
 from repro.nccl.cost_model import ring_bus_bandwidth
-from repro.runtime import collectives
+from tests import collective_oracle as oracle
 
 
 class TestProtocols:
@@ -137,7 +137,7 @@ class TestStepSchedules:
         n = 4
         values = [rng.randn(8).astype(np.float32) for _ in range(n)]
         ring_out = algorithms.simulate_ring_allreduce(values)
-        ref = collectives.allreduce(
+        ref = oracle.allreduce_reference(
             {r: values[r] for r in range(n)}, world(n), "+", np.float32
         )
         for r in range(n):

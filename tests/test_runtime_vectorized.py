@@ -1,10 +1,11 @@
-"""The rank-major vectorized runtime against the reference oracle.
+"""The rank-major runtime against the per-rank oracle.
 
-Property tests that every vectorized collective and the vectorized
-executor are *bit-identical* (``np.array_equal``) to the retained
-dict-of-ranks reference backend, plus the bugfix-sweep regressions:
+Property tests that every rank-major collective and the lowered
+interpreter are *bit-identical* (``np.array_equal``) to values composed
+rank by rank with the per-rank collective oracle
+(``tests/collective_oracle.py``), plus the bugfix-sweep regressions:
 NCCL-matching Reduce semantics, tensor/op context in divisibility
-errors, and the lossy-downcast policy of ``SimWorld.place_input``.
+errors, and the lossy-downcast policy of input placement.
 """
 
 import warnings
@@ -27,15 +28,31 @@ from repro.core import (
     world,
 )
 from repro.core.process_group import ProcessGroup
+from repro.core.transforms import AllReduceFuse, Schedule
 from repro.errors import ExecutionError
-from repro.runtime import Executor, SimWorld, collectives
+from repro.runtime import Executor
+from repro.runtime import collectives as C
+from repro.runtime.rng import dropout_mask
 from repro.runtime.world import (
     gather_axis,
+    place_input,
     rank_invariant,
     replicate,
     scatter_axis,
     slice_of,
 )
+from tests.collective_oracle import (
+    allgather_reference,
+    allreduce_reference,
+    alltoall_inter_reference,
+    alltoall_intra_reference,
+    alltoall_reference,
+    broadcast_reference,
+    reduce_reference,
+    reducescatter_reference,
+)
+
+F32, F64 = np.float32, np.float64
 
 
 def _pair(rng, group, shape, dtype=np.float32):
@@ -53,7 +70,7 @@ def assert_backends_equal(dict_out, stacked_out, group):
 
 
 class TestCollectiveParity:
-    """Every collective: dict backend == stacked backend, bitwise."""
+    """Every collective: per-rank oracle == rank-major stack, bitwise."""
 
     @given(
         n=st.integers(2, 8),
@@ -66,8 +83,8 @@ class TestCollectiveParity:
         rng = np.random.RandomState(seed)
         g = world(n)
         d, s = _pair(rng, g, (n * per,))
-        ref = collectives.allreduce(d, g, op, np.float32)
-        vec = collectives.allreduce(s, g, op, np.float32)
+        ref = allreduce_reference(d, g, op, np.float32)
+        vec = C.allreduce_vectorized(s, g, op, np.float32)
         assert_backends_equal(ref, vec, g)
 
     @given(
@@ -81,11 +98,11 @@ class TestCollectiveParity:
         rng = np.random.RandomState(seed)
         g = world(n)
         d, s = _pair(rng, g, (n * per, n * per))
-        ref_rs = collectives.reducescatter(d, g, "+", dim, np.float32)
-        vec_rs = collectives.reducescatter(s, g, "+", dim, np.float32)
+        ref_rs = reducescatter_reference(d, g, "+", dim, np.float32)
+        vec_rs = C.reducescatter_vectorized(s, g, "+", dim, np.float32)
         assert_backends_equal(ref_rs, vec_rs, g)
-        ref_ag = collectives.allgather(ref_rs, g, dim)
-        vec_ag = collectives.allgather(vec_rs, g, dim)
+        ref_ag = allgather_reference(ref_rs, g, dim)
+        vec_ag = C.allgather_vectorized(vec_rs, g, dim)
         assert_backends_equal(ref_ag, vec_ag, g)
 
     @given(
@@ -99,8 +116,8 @@ class TestCollectiveParity:
         rng = np.random.RandomState(seed)
         g = world(n)
         d, s = _pair(rng, g, (n * per, n * per))
-        ref = collectives.alltoall(d, g, dim)
-        vec = collectives.alltoall(s, g, dim)
+        ref = alltoall_reference(d, g, dim)
+        vec = C.alltoall_vectorized(s, g, dim)
         assert_backends_equal(ref, vec, g)
 
     @given(
@@ -115,34 +132,34 @@ class TestCollectiveParity:
         rng = np.random.RandomState(seed)
         g = world(n)
         d, s = _pair(rng, g, (6,))
-        ref = collectives.reduce(d, g, op, root, np.float32)
-        vec = collectives.reduce(s, g, op, root, np.float32)
+        ref = reduce_reference(d, g, op, root, np.float32)
+        vec = C.reduce_vectorized(s, g, op, root, np.float32)
         assert_backends_equal(ref, vec, g)
-        ref_bc = collectives.broadcast(ref, g, root)
-        vec_bc = collectives.broadcast(vec, g, root)
+        ref_bc = broadcast_reference(ref, g, root)
+        vec_bc = C.broadcast_vectorized(vec, g, root)
         assert_backends_equal(ref_bc, vec_bc, g)
 
     def test_subgroup_collectives(self):
         rng = np.random.RandomState(9)
         g = ProcessGroup(4, 4, 8)
         d, s = _pair(rng, g, (8,))
-        ref = collectives.allreduce(d, g, "+", np.float32)
-        vec = collectives.allreduce(s, g, "+", np.float32)
+        ref = allreduce_reference(d, g, "+", np.float32)
+        vec = C.allreduce_vectorized(s, g, "+", np.float32)
         assert_backends_equal(ref, vec, g)
-        ref = collectives.alltoall(d, g, 0)
-        vec = collectives.alltoall(s, g, 0)
+        ref = alltoall_reference(d, g, 0)
+        vec = C.alltoall_vectorized(s, g, 0)
         assert_backends_equal(ref, vec, g)
 
     def test_vectorized_allreduce_is_rank_invariant_view(self):
         rng = np.random.RandomState(3)
         g = world(4)
         _, s = _pair(rng, g, (8,))
-        out = collectives.allreduce(s, g, "+", np.float32)
+        out = C.allreduce_vectorized(s, g, "+", np.float32)
         assert rank_invariant(out)
 
 
 class TestHierarchicalAllToAll:
-    """intra ∘ inter == flat for every divisor node size, both backends.
+    """intra ∘ inter == flat for every divisor node size, oracle and stack.
 
     Group sizes 4–16 include non-power-of-two grids (6 = 2×3, 12 = 3×4,
     15 = 3×5) — the satellite's property over every divisor.
@@ -153,17 +170,17 @@ class TestHierarchicalAllToAll:
         rng = np.random.RandomState(100 + n)
         g = world(n)
         d, s = _pair(rng, g, (2 * n, 3))
-        flat_ref = collectives.alltoall(d, g, 0)
-        flat_vec = collectives.alltoall(s, g, 0)
+        flat_ref = alltoall_reference(d, g, 0)
+        flat_vec = C.alltoall_vectorized(s, g, 0)
         assert_backends_equal(flat_ref, flat_vec, g)
         for m in range(1, n + 1):
             if n % m != 0:
                 continue
-            intra_ref = collectives.alltoall_intra(d, g, 0, m)
-            inter_ref = collectives.alltoall_inter(intra_ref, g, 0, m)
+            intra_ref = alltoall_intra_reference(d, g, 0, m)
+            inter_ref = alltoall_inter_reference(intra_ref, g, 0, m)
             assert_backends_equal(flat_ref, inter_ref, g)
-            intra_vec = collectives.alltoall_intra(s, g, 0, m)
-            inter_vec = collectives.alltoall_inter(intra_vec, g, 0, m)
+            intra_vec = C.alltoall_intra_vectorized(s, g, 0, m)
+            inter_vec = C.alltoall_inter_vectorized(intra_vec, g, 0, m)
             assert_backends_equal(flat_ref, inter_vec, g)
             assert_backends_equal(intra_ref, intra_vec, g)
 
@@ -172,15 +189,15 @@ class TestHierarchicalAllToAll:
         rng = np.random.RandomState(61)
         g = world(n)
         d, s = _pair(rng, g, (2, 2 * n))
-        flat = collectives.alltoall(s, g, 1)
+        flat = C.alltoall_vectorized(s, g, 1)
         for m in (1, 2, 3, 6):
-            intra = collectives.alltoall_intra(s, g, 1, m)
-            inter = collectives.alltoall_inter(intra, g, 1, m)
+            intra = C.alltoall_intra_vectorized(s, g, 1, m)
+            inter = C.alltoall_inter_vectorized(intra, g, 1, m)
             np.testing.assert_array_equal(
                 np.asarray(flat), np.asarray(inter)
             )
-            ref = collectives.alltoall_inter(
-                collectives.alltoall_intra(d, g, 1, m), g, 1, m
+            ref = alltoall_inter_reference(
+                alltoall_intra_reference(d, g, 1, m), g, 1, m
             )
             assert_backends_equal(ref, inter, g)
 
@@ -220,7 +237,7 @@ class TestResultWritability:
         g = Tensor(FP32, (8,), Local, W, RANK, name="g")
         ar = AllReduce("+", g, name="ar")
         prog = Execute("p", [g], [ar])
-        res = Executor().run(prog, {"g": rng.randn(4, 8)})
+        res = Executor().run_lowered(prog, {"g": rng.randn(4, 8)})
         out = res.output("ar")
         assert out.flags.writeable
         out += 1.0  # the old always-writable contract
@@ -235,7 +252,7 @@ class TestResultWritability:
         a = Tensor(FP32, (8,), Local, W, RANK, name="a")
         prog = Execute("p", [a], [a])
         av = rng.randn(4, 8).astype(np.float32)
-        res = Executor().run(prog, {"a": av})
+        res = Executor().run_lowered(prog, {"a": av})
         out = res.output("a")
         out += 100.0
         np.testing.assert_array_equal(res.tensor_state("a"), av)
@@ -244,15 +261,18 @@ class TestResultWritability:
 class TestReduceSemantics:
     """Post-reduce reads on non-root ranks see the original data."""
 
-    @pytest.mark.parametrize("reference", [False, True])
-    def test_non_root_ranks_keep_input(self, reference):
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_non_root_ranks_keep_input(self, oracle):
         rng = np.random.RandomState(7)
         W = world(4)
-        a = Tensor(FP32, (4,), Local, W, RANK, name="a")
-        red = Reduce("+", a, root=2, name="red")
-        prog = Execute("p", [a], [red])
         av = rng.randn(4, 4).astype(np.float32)
-        out = Executor(reference=reference).run(prog, {"a": av}).output("red")
+        if oracle:
+            out = reduce_reference(dict(enumerate(av)), W, "+", 2, F32)
+        else:
+            a = Tensor(FP32, (4,), Local, W, RANK, name="a")
+            red = Reduce("+", a, root=2, name="red")
+            prog = Execute("p", [a], [red])
+            out = Executor().run_lowered(prog, {"a": av}).output("red")
         total = np.sum(av.astype(np.float64), axis=0).astype(np.float32)
         np.testing.assert_array_equal(out[2], total)
         for r in (0, 1, 3):
@@ -265,19 +285,22 @@ class TestReduceSemantics:
         rng = np.random.RandomState(5)
         g = world(4)
         d, s = _pair(rng, g, (4,))
-        for vals in (d, s):
-            with pytest.raises(GroupError):
-                collectives.reduce(vals, g, "+", root, np.float32)
-            with pytest.raises(GroupError):
-                collectives.broadcast(vals, g, root)
+        with pytest.raises(GroupError):
+            reduce_reference(d, g, "+", root, np.float32)
+        with pytest.raises(GroupError):
+            broadcast_reference(d, g, root)
+        with pytest.raises(GroupError):
+            C.reduce_vectorized(s, g, "+", root, np.float32)
+        with pytest.raises(GroupError):
+            C.broadcast_vectorized(s, g, root)
 
     def test_reduce_then_broadcast_still_equals_allreduce(self):
         rng = np.random.RandomState(8)
         g = world(4)
         d, s = _pair(rng, g, (8,))
-        ar = collectives.allreduce(s, g, "+", np.float32)
-        red = collectives.reduce(s, g, "+", 0, np.float32)
-        bc = collectives.broadcast(red, g, 0)
+        ar = C.allreduce_vectorized(s, g, "+", np.float32)
+        red = C.reduce_vectorized(s, g, "+", 0, np.float32)
+        bc = C.broadcast_vectorized(red, g, 0)
         np.testing.assert_array_equal(np.asarray(ar), np.asarray(bc))
 
 
@@ -295,24 +318,28 @@ class TestErrorContext:
     @pytest.mark.parametrize("as_dict", [True, False])
     def test_alltoall_context_both_backends(self, as_dict):
         g = world(4)
-        if as_dict:
-            vals = {r: np.zeros(6, np.float32) for r in g}
-        else:
-            vals = np.zeros((4, 6), np.float32)
         with pytest.raises(ExecutionError, match=r"in a2a_dispatch"):
-            collectives.alltoall(vals, g, 0, context="a2a_dispatch")
+            if as_dict:
+                vals = {r: np.zeros(6, np.float32) for r in g}
+                alltoall_reference(vals, g, 0, context="a2a_dispatch")
+            else:
+                vals = np.zeros((4, 6), np.float32)
+                C.alltoall_vectorized(vals, g, 0, context="a2a_dispatch")
 
     @pytest.mark.parametrize("as_dict", [True, False])
     def test_reducescatter_context_both_backends(self, as_dict):
         g = world(4)
-        if as_dict:
-            vals = {r: np.zeros(6, np.float32) for r in g}
-        else:
-            vals = np.zeros((4, 6), np.float32)
         with pytest.raises(ExecutionError, match=r"in rs_g"):
-            collectives.reducescatter(
-                vals, g, "+", 0, np.float32, context="rs_g"
-            )
+            if as_dict:
+                vals = {r: np.zeros(6, np.float32) for r in g}
+                reducescatter_reference(
+                    vals, g, "+", 0, np.float32, context="rs_g"
+                )
+            else:
+                vals = np.zeros((4, 6), np.float32)
+                C.reducescatter_vectorized(
+                    vals, g, "+", 0, np.float32, context="rs_g"
+                )
 
 
 class TestDowncastPolicy:
@@ -322,24 +349,21 @@ class TestDowncastPolicy:
         return Tensor(dtype, (8,), Replicated, world(2), name="p")
 
     def test_default_warns_on_lossy_fp16(self):
-        w = SimWorld(2)
         with pytest.warns(RuntimeWarning, match="lossy downcast"):
-            w.place_input(self._tensor(), np.random.RandomState(0).randn(8))
+            place_input(self._tensor(), np.random.RandomState(0).randn(8))
 
     def test_false_raises(self):
-        w = SimWorld(2)
         with pytest.raises(ExecutionError, match="lossy downcast"):
-            w.place_input(
+            place_input(
                 self._tensor(),
                 np.random.RandomState(0).randn(8),
                 allow_downcast=False,
             )
 
     def test_true_is_silent(self):
-        w = SimWorld(2, reference=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            w.place_input(
+            place_input(
                 self._tensor(),
                 np.random.RandomState(0).randn(8),
                 allow_downcast=True,
@@ -347,95 +371,103 @@ class TestDowncastPolicy:
 
     def test_fp32_placement_stays_silent(self):
         # fp64 -> fp32 is the simulator's standard working precision.
-        w = SimWorld(2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            w.place_input(
+            place_input(
                 self._tensor(FP32), np.random.RandomState(0).randn(8)
             )
 
     def test_exactly_representable_values_stay_silent(self):
-        w = SimWorld(2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            w.place_input(self._tensor(), np.arange(8, dtype=np.float64))
+            place_input(self._tensor(), np.arange(8, dtype=np.float64))
 
     def test_executor_threads_the_flag(self):
         W = world(2)
         p = Tensor(FP16, (8,), Replicated, W, name="p")
         prog = Execute("p", [p], [p + 0.0])
         with pytest.raises(ExecutionError, match="lossy downcast"):
-            Executor().run(
+            Executor().run_lowered(
                 prog,
                 {"p": np.random.RandomState(0).randn(8)},
                 allow_downcast=False,
             )
 
 
-def _assert_program_parity(program, inputs):
-    vec = Executor().run(program, inputs, allow_downcast=True)
-    ref = Executor(reference=True).run(program, inputs, allow_downcast=True)
-    for name in vec.output_names:
-        np.testing.assert_array_equal(
-            vec.output(name), ref.output(name), err_msg=name
+# Expected values composed rank by rank: each operation computes in
+# float64 and rounds to its FP32 result, as every tier does.
+
+
+def _attention_expected(inputs, n, seed, prob=0.1):
+    """Figure 3's ``dropout(AllReduce(in·w) + b) + r``, per rank."""
+    g = world(n)
+    x, w, b, r = (inputs[k].astype(F32) for k in ("in", "w", "b", "r"))
+    partial = {
+        rank: np.matmul(
+            np.ascontiguousarray(slice_of(x, 2, i, n)),
+            np.ascontiguousarray(slice_of(w, 0, i, n)),
         )
+        for i, rank in enumerate(g)
+    }
+    total = allreduce_reference(partial, g, "+", F32)[g.start]
+    biased = (total.astype(F64) + b.astype(F64)).astype(F32)
+    mask = dropout_mask(seed, prob, biased.shape)
+    dropped = (biased.astype(F64) * mask).astype(F32)
+    return (dropped.astype(F64) + r.astype(F64)).astype(F32)
+
+
+def _moe_expected(inputs, n):
+    """The MoE expert MLP between two AllToAlls, per rank."""
+    g = world(n)
+    x, w1, w2 = (inputs[k].astype(F32) for k in ("x", "w1", "w2"))
+    disp = alltoall_reference(dict(enumerate(x)), g, 0)
+    eo = {
+        r: np.matmul(np.maximum(np.matmul(disp[r], w1[r]), 0), w2[r])
+        for r in g
+    }
+    comb = alltoall_reference(eo, g, 0)
+    scale = np.asarray(1.0 / n, dtype=F32).astype(F64)
+    return np.stack([(comb[r].astype(F64) * scale).astype(F32) for r in g])
+
+
+def _assert_matches(sched, inputs, expected):
+    """run_lowered's output is ``expected``; input tensors are unchanged."""
+    program = sched.program if isinstance(sched, Schedule) else sched
+    res = Executor().run_lowered(sched, inputs, allow_downcast=True)
+    (out,) = program.outputs
+    np.testing.assert_array_equal(res.output(out.name), expected)
     for t in program.inputs:
         if isinstance(t, Tensor):
             np.testing.assert_array_equal(
-                vec.tensor_state(t.name),
-                ref.tensor_state(t.name),
+                res.tensor_state(t.name),
+                np.asarray(inputs[t.name]).astype(t.dtype.to_numpy()),
                 err_msg=f"state {t.name}",
             )
 
 
 class TestExecutorBackendParity:
-    """Both backends run every schedule unchanged, bit-identically."""
+    """Schedules with no SPMD twin against oracle-composed values."""
 
     @pytest.fixture
     def rng(self):
         return np.random.RandomState(0xBEEF)
 
-    def test_adam_all_schedules(self, rng):
-        from repro.workloads.adam import AdamWorkload
-
-        wl = AdamWorkload.build(64, 4)
-        inputs = dict(
-            g=rng.randn(4, 64) * 0.1, p=rng.randn(64),
-            m=rng.randn(64) * 0.01, v=np.abs(rng.randn(64)) * 0.01,
-            lr=0.01, t=3.0,
-        )
-        _assert_program_parity(wl.program, inputs)
-        for sched in wl.schedules().values():
-            _assert_program_parity(sched.program, inputs)
-
-    def test_lamb_all_schedules(self, rng):
-        from repro.workloads.lamb import LambWorkload
-
-        wl = LambWorkload.build(64, 4)
-        inputs = dict(
-            g=rng.randn(4, 64) * 0.1, p=rng.randn(64),
-            m=rng.randn(64) * 0.01, v=np.abs(rng.randn(64)) * 0.01,
-            lr=0.01, t=3.0,
-        )
-        _assert_program_parity(wl.program, inputs)
-        for sched in wl.schedules().values():
-            _assert_program_parity(sched.program, inputs)
-
     def test_attention_figure4_chain(self, rng):
-        from repro.core.transforms import AllReduceFuse, Schedule
         from tests.conftest import attention_inputs, build_attention_program
 
         inputs = attention_inputs(rng)
+        expected = _attention_expected(inputs, 4, seed=42)
         prog, h = build_attention_program()
-        _assert_program_parity(prog, inputs)
+        _assert_matches(prog, inputs, expected)
         prog2, h2 = build_attention_program()
         sched = Schedule(prog2)
         rs, ag = sched.split(h2["allreduce"])
         results = sched.reorder(ag, h2["sum_b"], h2["drop"], h2["out"])
         sched.fuse(rs, *results, policy=AllReduceFuse)
-        _assert_program_parity(sched.program, inputs)
+        _assert_matches(sched, inputs, expected)
 
     def test_moe_all_schedules(self, rng):
+        # TestSpmdParity runs the hierarchical split at node size 2 only
         from repro.workloads.moe import MoEWorkload
 
         wl = MoEWorkload.build(3, 6, 8, world_size=4, dtype=FP32)
@@ -444,31 +476,19 @@ class TestExecutorBackendParity:
             "w1": rng.randn(4, 6, 8),
             "w2": rng.randn(4, 8, 6),
         }
-        _assert_program_parity(wl.program, inputs)
-        for sched in wl.schedules().items():
-            _assert_program_parity(sched[1].program, inputs)
-        _assert_program_parity(
-            wl.schedule_hierarchical(node_size=2).program, inputs
-        )
-
-    def test_pipeline_all_schedules(self, rng):
-        from repro.workloads.pipeline import PipelineWorkload
-
-        wl = PipelineWorkload.build(
-            2, 8, 16, world_size=8, num_groups=2, dtype=FP32, dropout_seed=5
-        )
-        inputs = {
-            "in": rng.randn(4, 2, 8, 16),
-            "b": rng.randn(16),
-            "r": rng.randn(2, 8, 16),
-        }
-        _assert_program_parity(wl.program, inputs)
+        expected = _moe_expected(inputs, 4)
+        _assert_matches(wl.program, inputs, expected)
         for sched in wl.schedules().values():
-            _assert_program_parity(sched.program, inputs)
+            _assert_matches(sched, inputs, expected)
+        for node_size in (1, 2, 4):
+            _assert_matches(
+                wl.schedule_hierarchical(node_size=node_size), inputs,
+                expected,
+            )
 
     def test_tuned_schedules_parity(self, rng):
-        # The autotuner's winning schedule (and every candidate it
-        # enumerated) runs identically on both backends.
+        # every candidate the autotuner enumerated, not only the sample
+        # TestSpmdParity launches
         from repro.cluster import Cluster
         from repro.core.autotuner import Autotuner
         from repro.workloads.attention import AttentionWorkload
@@ -479,8 +499,9 @@ class TestExecutorBackendParity:
             "w": rng.randn(16, 16), "b": rng.randn(16),
             "in": rng.randn(4, 8, 16), "r": rng.randn(4, 8, 16),
         }
+        expected = _attention_expected(inputs, 4, seed=6)
         for cand in result.candidates:
-            _assert_program_parity(cand.schedule.program, inputs)
+            _assert_matches(cand.schedule, inputs, expected)
 
     @given(
         seed=st.integers(0, 10_000),
@@ -495,23 +516,35 @@ class TestExecutorBackendParity:
         rng = np.random.RandomState(seed)
         W = world(n)
         N = n * per
+        kinds = [
+            ["+", "*", "relu", "tanh", "drop", "sqrtabs"][rng.randint(6)]
+            for _ in range(rng.randint(1, 5))
+        ]
+        inputs = {"g": rng.randn(n, N), "r": rng.randn(N)}
+        r64 = inputs["r"].astype(F32).astype(F64)
         g = Tensor(FP32, (N,), Local, W, RANK, name="g")
         r = Tensor(FP32, (N,), Replicated, W, name="r")
         cur = AllReduce("+", g, name="ar")
-        for i in range(rng.randint(1, 5)):
-            kind = ["+", "*", "relu", "tanh", "drop", "sqrtabs"][
-                rng.randint(6)
-            ]
+        want = allreduce_reference(
+            dict(enumerate(inputs["g"].astype(F32))), W, "+", F32
+        )[0]
+        for i, kind in enumerate(kinds):
+            x = want.astype(F64)
             if kind in ("+", "*"):
                 cur = Binary(kind, cur, r, name=f"b{i}")
+                want = x + r64 if kind == "+" else x * r64
             elif kind == "relu":
                 cur = ReLU(cur)
+                want = np.maximum(want, 0)
             elif kind == "tanh":
                 cur = Tanh(cur)
+                want = np.tanh(x)
             elif kind == "drop":
                 cur = Dropout(cur, 0.3, seed=seed + i, name=f"d{i}")
+                want = x * dropout_mask(seed + i, 0.3, (N,))
             else:
                 cur = Sqrt(Binary("*", cur, cur, name=f"sq{i}"))
+                want = np.sqrt((x * x).astype(F32).astype(F64))
+            want = np.asarray(want).astype(F32)
         prog = Execute("rand", [g, r], [cur])
-        inputs = {"g": rng.randn(n, N), "r": rng.randn(N)}
-        _assert_program_parity(prog, inputs)
+        _assert_matches(prog, inputs, want)

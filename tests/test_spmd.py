@@ -258,6 +258,44 @@ class TestSpmdInterface:
         with pytest.raises(ExecutionError, match="unknown inputs"):
             Executor().run_spmd(wl.program, inputs, allow_downcast=True)
 
+    def test_place_per_rank_ships_writable_shards(self, rng):
+        # a replicated tensor ships one writable copy that every rank's
+        # shard shares; sliced and local tensors ship one copy per rank
+        from repro.core import RANK, Binary, Execute, Local, Sliced, world
+
+        W = world(4)
+        rep = Tensor(FP32, (8,), Replicated_, W, name="rep")
+        sl = Tensor(FP32, (8, 3), Sliced(0), W, RANK, name="sl")
+        loc = Tensor(FP32, (8,), Local, W, RANK, name="loc")
+        prog = Execute(
+            "p", [rep, sl, loc],
+            [
+                Binary("+", loc, rep, name="o1"),
+                Binary("*", sl, 2.0, name="o2"),
+            ],
+        )
+        inputs = {
+            "rep": rng.randn(8).astype(np.float32),
+            "sl": rng.randn(8, 3),
+            "loc": rng.randn(4, 8),
+        }
+        shards = spmd._place_per_rank(prog, inputs, allow_downcast=True)
+        assert len(shards) == 4
+        for r, shard in enumerate(shards):
+            assert all(a.flags.writeable for a in shard.values())
+            assert shard["sl"].flags.owndata and shard["loc"].flags.owndata
+            np.testing.assert_array_equal(shard["rep"], inputs["rep"])
+            np.testing.assert_array_equal(
+                shard["sl"], inputs["sl"][2 * r:2 * r + 2].astype(np.float32)
+            )
+            np.testing.assert_array_equal(
+                shard["loc"], inputs["loc"][r].astype(np.float32)
+            )
+        assert not np.shares_memory(shards[0]["rep"], inputs["rep"])
+        assert all(
+            np.shares_memory(shards[0]["rep"], s["rep"]) for s in shards[1:]
+        )
+
 
 def _shm_spmd_segments():
     if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux

@@ -110,20 +110,20 @@ class TestTwoGemmMLP:
 
     def test_forward_matches_reference(self, inputs):
         prog, h = build_mlp(seed=23)
-        got = Executor().run(prog, inputs).output("out")
+        got = Executor().run_lowered(prog, inputs).output("out")
         expected = reference_mlp(inputs, seed=23)
         np.testing.assert_allclose(got, expected, rtol=1e-4, atol=1e-6)
 
     def test_transformed_matches_original(self, inputs):
         prog, h = build_mlp(seed=29)
-        ref = Executor().run(prog, inputs).output("out")
+        ref = Executor().run_lowered(prog, inputs).output("out")
         prog2, h2 = build_mlp(seed=29)
         sched = Schedule(prog2)
         rs, ag = sched.split(h2["total"], ARSplitRSAG)
         results = sched.reorder(ag, h2["sum_b"], h2["drop"], h2["out"])
         fused = sched.fuse(rs, *results, policy=AllReduceFuse)
         sched.overlap(h2["h2"], fused)
-        got = Executor().run(sched.program, inputs)
+        got = Executor().run_lowered(sched.program, inputs)
         np.testing.assert_allclose(
             got.output(sched.program.outputs[0].name), ref, rtol=1e-5,
             atol=1e-7,

@@ -1,25 +1,23 @@
-"""Tuning-as-a-service: cold vs warm sustained request rate.
+"""Schedule cache: cold tunes vs warm cache hits, through the autotuner.
 
-Drives a Zipf-distributed (workload, shape) request mix through the
-:class:`~repro.serve.service.TuningService` — the traffic shape of a
-production tuning service, where a few popular shapes dominate and a
-long tail trickles — and measures what the persistent schedule cache
-(:mod:`repro.serve.cache`) buys:
+Tunes a universe of (workload, shape) pairs through
+``Autotuner(schedule_cache=ScheduleCache(...))`` — the path
+``repro-run tune`` and elastic recovery take — and measures what the
+persistent schedule cache (:mod:`repro.serve.cache`) buys:
 
-* **cold** — every unique shape submitted against an empty cache: each
-  one runs the full autotuner search on the worker pool. This is the
-  request rate *without* the serving layer.
-* **warm** — the Zipf replay over the now-tuned universe: every
-  request is a memory hit answered on the event loop. The acceptance
-  floor is **warm >= 100x the cold-tune request rate**.
-* **cross-process warm** — a *fresh* service over the same cache
-  directory: first touches hit disk records, the rest memory; zero
-  tuner invocations proves persistence across processes.
-* **coalescing** — a concurrent burst of identical misses on an empty
-  cache must collapse into one tuning task per unique shape (tuner
-  invocations == uniques << submitted requests).
-* **fidelity** — a served schedule's execution digest must equal a
-  freshly tuned schedule's digest (same seeded inputs, bit for bit).
+* **cold** — every shape tuned once against an empty cache: each tune
+  runs the full search and writes a record.
+* **warm** — the same shapes tuned again in the same process, over
+  ``WARM_PASSES`` passes: every tune must be a cache hit that
+  evaluates no candidate. A hit still builds the untransformed
+  program's lowering and structural hash and reads one JSON record.
+  ``warm_hit_speedup`` is the cold pass's wall time over the median
+  warm pass's.
+* **cross-process warm** — one warm pass in a fresh interpreter over
+  the same cache directory: zero searches proves persistence across
+  processes.
+* **fidelity** — the cached schedule, saved as an artifact, and a
+  freshly tuned schedule must give the same ``repro-run run`` digest.
 
 Emits ``BENCH_serve.json`` at the repo root, gated in CI by
 ``benchmarks/baselines/BENCH_serve.json``::
@@ -31,154 +29,133 @@ Emits ``BENCH_serve.json`` at the repo root, gated in CI by
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import os
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
-from typing import Dict, List
-
-import numpy as np
+from typing import Dict, List, Tuple
 
 sys.path.insert(0, os.path.dirname(__file__))
 from _common import save_report, table  # noqa: E402
 
-from repro.cli import _digest, _seeded_inputs  # noqa: E402
+from repro.cli import build_workload  # noqa: E402
+from repro.cluster import Cluster  # noqa: E402
+from repro.core.artifact import Artifact  # noqa: E402
 from repro.core.autotuner import Autotuner  # noqa: E402
-from repro.runtime.executor import Executor  # noqa: E402
-from repro.serve import (  # noqa: E402
-    ScheduleCache,
-    TuneRequest,
-    TuningService,
-)
+from repro.observe.metrics import MetricsRegistry  # noqa: E402
+from repro.serve import ScheduleCache  # noqa: E402
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 JSON_PATH = os.path.join(_ROOT, "BENCH_serve.json")
 
-ZIPF_S = 1.1
 MAX_DEPTH = 2
-MAX_WORKERS = 2
+WARM_PASSES = 5
+
+Shape = Tuple[str, Dict[str, int]]
 
 
-def request_universe(smoke: bool) -> List[TuneRequest]:
-    """The unique shapes behind the Zipf mix, most popular first."""
-    adam_sizes = [2 ** k for k in range(10, 16 if smoke else 20)]
-    reqs = [
-        TuneRequest.make("adam", num_elements=n, world_size=4)
-        for n in adam_sizes
+def universe(smoke: bool) -> List[Shape]:
+    """The (workload, parameters) pairs every pass tunes."""
+    shapes: List[Shape] = [
+        ("adam", {"num_elements": 2 ** k, "world_size": 4})
+        for k in range(10, 16 if smoke else 20)
     ]
-    reqs += [
-        TuneRequest.make("lamb", num_elements=2 ** k, world_size=4)
+    shapes += [
+        ("lamb", {"num_elements": 2 ** k, "world_size": 4})
         for k in (10, 12)
     ]
     if not smoke:
-        reqs += [
-            TuneRequest.make(
-                "moe", capacity=3, model_dim=6, ffn_dim=8, world_size=4
-            ),
-            TuneRequest.make(
-                "attention", batch=4, seq=8, hidden=16, world_size=4
-            ),
+        shapes += [
+            ("moe", {"capacity": 3, "model_dim": 6, "ffn_dim": 8,
+                     "world_size": 4}),
+            ("attention", {"batch": 4, "seq": 8, "hidden": 16,
+                           "world_size": 4}),
         ]
-    return reqs
+    return shapes
 
 
-def zipf_mix(
-    universe: List[TuneRequest], n: int, rng: np.random.RandomState
-) -> List[TuneRequest]:
-    """``n`` draws over the universe with P(rank i) ∝ 1/i^ZIPF_S."""
-    ranks = np.arange(1, len(universe) + 1, dtype=np.float64)
-    p = ranks ** -ZIPF_S
-    p /= p.sum()
-    return [universe[i] for i in rng.choice(len(universe), size=n, p=p)]
+def tune_pass(shapes: List[Shape], cache_dir: str) -> Dict:
+    """Tune every shape once through the cache; time only ``tune``.
 
-
-async def timed_submit(svc: TuningService, requests) -> Dict:
-    t0 = time.perf_counter()
-    results = await svc.submit_many(requests)
-    elapsed = time.perf_counter() - t0
-    by_source: Dict[str, int] = {}
-    for r in results:
-        by_source[r.source] = by_source.get(r.source, 0) + 1
+    A tune counts as a *search* unless it was a cache hit that
+    evaluated no candidate.
+    """
+    cache = ScheduleCache(cache_dir)
+    seconds = 0.0
+    searches = 0
+    for workload, params in shapes:
+        program = build_workload(workload, params, "FP16")
+        metrics = MetricsRegistry()
+        tuner = Autotuner(
+            Cluster(1), max_depth=MAX_DEPTH, metrics=metrics,
+            schedule_cache=cache,
+        )
+        t0 = time.perf_counter()
+        result = tuner.tune(program)
+        seconds += time.perf_counter() - t0
+        searches += (
+            not result.cached or metrics.get("tuner.candidates") > 0
+        )
     return {
-        "requests": len(results),
-        "elapsed_s": elapsed,
-        "requests_per_sec": len(results) / elapsed,
-        "by_source": by_source,
+        "tunes": len(shapes),
+        "seconds": seconds,
+        "mean_ms": seconds / len(shapes) * 1e3,
+        "searches": searches,
     }
 
 
-async def phase_cold_and_warm(universe, replay, cache_dir) -> Dict:
-    async with TuningService(
-        ScheduleCache(cache_dir),
-        max_workers=MAX_WORKERS, max_depth=MAX_DEPTH,
-    ) as svc:
-        cold = await timed_submit(svc, universe)
-        warm = await timed_submit(svc, replay)
-        cold["tunes"] = svc.metrics.get("serve.tunes")
-    # a fresh service over the same directory: the persistence check
-    async with TuningService(
-        ScheduleCache(cache_dir),
-        max_workers=MAX_WORKERS, max_depth=MAX_DEPTH,
-    ) as svc2:
-        cross = await timed_submit(svc2, replay[: min(len(replay), 500)])
-        cross["tunes"] = svc2.metrics.get("serve.tunes")
-    return {"cold": cold, "warm": warm, "cross_process": cross}
+def cross_process_pass(smoke: bool, cache_dir: str) -> Dict:
+    """One warm pass in a fresh interpreter over ``cache_dir``."""
+    argv = [sys.executable, os.path.abspath(__file__),
+            "--pass-only", cache_dir]
+    if smoke:
+        argv.append("--smoke")
+    proc = subprocess.run(argv, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
-async def phase_coalescing(universe, cache_dir) -> Dict:
-    """A burst of duplicate misses must fold into one tune per shape."""
-    uniques = universe[:3]
-    copies = 8
-    burst: List[TuneRequest] = [r for r in uniques for _ in range(copies)]
-    async with TuningService(
-        ScheduleCache(cache_dir),
-        max_workers=MAX_WORKERS, max_depth=MAX_DEPTH,
-    ) as svc:
-        stats = await timed_submit(svc, burst)
-        tunes = svc.metrics.get("serve.tunes")
-        coalesced = svc.metrics.get("serve.coalesced")
-        misses = svc.metrics.get("serve.misses")
-    return {
-        "unique_shapes": len(uniques),
-        "submitted": len(burst),
-        "miss_requests": misses,
-        "tuner_invocations": tunes,
-        "coalesced_requests": coalesced,
-        "by_source": stats["by_source"],
-        "ok": tunes == len(uniques) and tunes < misses,
-    }
-
-
-async def phase_digest(cache_dir) -> Dict:
-    """Served artifact ≡ freshly tuned artifact, execution digest."""
-    req = TuneRequest.make("adam", num_elements=1024, world_size=4)
-    async with TuningService(
-        ScheduleCache(cache_dir),
-        max_workers=MAX_WORKERS, max_depth=MAX_DEPTH,
-    ) as svc:
-        served = await svc.submit(req)      # tunes
-        again = await svc.submit(req)       # memory hit
-    fresh = Autotuner(req.cluster(), max_depth=MAX_DEPTH).tune(
-        req.build_program()
+def run_digest(path: str) -> str:
+    """The ``repro-run run`` digest line of a saved artifact."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "run", path, "--seed", "0"],
+        capture_output=True, text=True, check=True,
     )
-    ex = Executor()
+    return next(
+        ln.split()[-1] for ln in proc.stdout.splitlines()
+        if ln.startswith("digest:")
+    )
 
-    def digest_of(art_or_sched, program) -> str:
-        inputs = _seeded_inputs(program, seed=0)
-        return _digest(ex.run_lowered(art_or_sched, inputs,
-                                      allow_downcast=True))
 
-    served_digest = digest_of(again.artifact, again.artifact.program)
-    fresh_digest = digest_of(fresh.best.schedule, req.build_program())
+def digest_check(cache_dir: str, workdir: str) -> Dict:
+    """Cached schedule ≡ freshly tuned schedule, by ``repro-run run``."""
+    workload, params = "adam", {"num_elements": 1024, "world_size": 4}
+    cluster = Cluster(1)
+    served = Autotuner(
+        cluster, max_depth=MAX_DEPTH,
+        schedule_cache=ScheduleCache(cache_dir),
+    ).tune(build_workload(workload, params, "FP16"))
+    fresh = Autotuner(cluster, max_depth=MAX_DEPTH).tune(
+        build_workload(workload, params, "FP16")
+    )
+    served_path = os.path.join(workdir, "served.repro.json")
+    fresh_path = os.path.join(workdir, "fresh.repro.json")
+    served.best.schedule.save(served_path)  # a hit returns an Artifact
+    Artifact.from_lowered(
+        fresh.best.schedule.lowered(cluster=cluster)
+    ).save(fresh_path)
+    served_digest = run_digest(served_path)
+    fresh_digest = run_digest(fresh_path)
     return {
-        "request": req.describe(),
-        "served_schedule": again.schedule_name,
+        "workload": f"{workload}{params}",
+        "served_cached": served.cached,
+        "served_schedule": served.best.name,
         "fresh_schedule": fresh.best.name,
         "served_digest": served_digest,
         "fresh_digest": fresh_digest,
-        "match": served_digest == fresh_digest,
+        "match": served.cached and served_digest == fresh_digest,
     }
 
 
@@ -186,78 +163,70 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--smoke", action="store_true",
-        help="smaller universe and replay (CI); same acceptance floors",
+        help="smaller universe (CI); same acceptance gates",
     )
     parser.add_argument(
-        "--replay", type=int, default=None,
-        help="warm replay length (default 2000 smoke / 20000 full)",
+        "--pass-only", metavar="CACHE_DIR", default=None,
+        help="run one tune pass over CACHE_DIR, print it as JSON, exit",
     )
     args = parser.parse_args()
-    replay_n = args.replay or (2000 if args.smoke else 20000)
-    rng = np.random.RandomState(0x21BF)
-
-    universe = request_universe(args.smoke)
-    replay = zipf_mix(universe, replay_n, rng)
+    shapes = universe(args.smoke)
+    if args.pass_only:
+        print(json.dumps(tune_pass(shapes, args.pass_only)))
+        return
 
     with tempfile.TemporaryDirectory() as d:
-        rates = asyncio.run(
-            phase_cold_and_warm(universe, replay, os.path.join(d, "main"))
-        )
-        coalescing = asyncio.run(
-            phase_coalescing(universe, os.path.join(d, "burst"))
-        )
-        digest = asyncio.run(phase_digest(os.path.join(d, "digest")))
+        cache_dir = os.path.join(d, "cache")
+        cold = tune_pass(shapes, cache_dir)
+        passes = [tune_pass(shapes, cache_dir) for _ in range(WARM_PASSES)]
+        cross = cross_process_pass(args.smoke, cache_dir)
+        digest = digest_check(cache_dir, d)
 
-    cold_rate = rates["cold"]["requests_per_sec"]
-    warm_rate = rates["warm"]["requests_per_sec"]
-    speedup = warm_rate / cold_rate
+    warm_seconds = statistics.median(p["seconds"] for p in passes)
+    warm = {
+        "passes": len(passes),
+        "tunes": sum(p["tunes"] for p in passes),
+        "pass_seconds": [p["seconds"] for p in passes],
+        "seconds": warm_seconds,
+        "mean_ms": warm_seconds / len(shapes) * 1e3,
+        "searches": sum(p["searches"] for p in passes),
+    }
+    speedup = cold["seconds"] / warm_seconds
     report = {
         "benchmark": "serve",
         "mode": "smoke" if args.smoke else "full",
-        "zipf": {
-            "s": ZIPF_S,
-            "universe": len(universe),
-            "replay_requests": replay_n,
-        },
+        "universe": len(shapes),
         "max_depth": MAX_DEPTH,
-        "max_workers": MAX_WORKERS,
-        "cold": rates["cold"],
-        "warm": rates["warm"],
-        "cross_process": rates["cross_process"],
-        "coalescing": coalescing,
+        "cold": cold,
+        "warm": warm,
+        "cross_process": cross,
         "digest": digest,
         "acceptance": {
-            "warm_vs_cold_speedup": speedup,
-            "coalescing_ok": coalescing["ok"],
+            "warm_hit_speedup": speedup,
+            "warm_searches": warm["searches"] + cross["searches"],
+            "cross_process_tunes": cross["searches"],
             "digest_match": digest["match"],
-            "cross_process_tunes": rates["cross_process"]["tunes"],
         },
     }
 
     rows = [
-        ["cold (tune-all)", rates["cold"]["requests"],
-         f"{rates['cold']['elapsed_s']:.2f} s", f"{cold_rate:.1f}"],
-        ["warm (Zipf replay)", rates["warm"]["requests"],
-         f"{rates['warm']['elapsed_s']:.2f} s", f"{warm_rate:.0f}"],
-        ["warm (new process)", rates["cross_process"]["requests"],
-         f"{rates['cross_process']['elapsed_s']:.2f} s",
-         f"{rates['cross_process']['requests_per_sec']:.0f}"],
+        ["cold (empty cache)", cold["tunes"], f"{cold['mean_ms']:.2f} ms",
+         cold["searches"]],
+        [f"warm (median of {len(passes)} passes)", len(shapes),
+         f"{warm['mean_ms']:.2f} ms", warm["searches"]],
+        ["warm (new process)", cross["tunes"], f"{cross['mean_ms']:.2f} ms",
+         cross["searches"]],
     ]
     lines = [
-        "Tuning as a service: cold vs warm request rate "
-        f"(Zipf s={ZIPF_S}, {len(universe)} unique shapes, "
-        f"{replay_n}-request replay)",
+        "Schedule cache through Autotuner(schedule_cache=): cold tunes vs "
+        f"warm hits ({len(shapes)} shapes, max_depth={MAX_DEPTH})",
         "",
     ]
-    lines += table(["phase", "requests", "elapsed", "req/s"], rows)
+    lines += table(["pass", "tunes", "mean per tune", "searches"], rows)
     lines += [
         "",
-        f"warm vs cold speedup: {speedup:.0f}x (floor 100x)",
-        f"coalescing: {coalescing['submitted']} submitted, "
-        f"{coalescing['miss_requests']:.0f} misses -> "
-        f"{coalescing['tuner_invocations']:.0f} tuner invocations "
-        f"({coalescing['coalesced_requests']:.0f} coalesced)",
-        f"served ≡ fresh digest: {digest['match']}",
+        f"warm hit speedup: {speedup:.1f}x",
+        f"served ≡ fresh repro-run digest: {digest['match']}",
     ]
     save_report("serve", lines)
 
@@ -265,21 +234,15 @@ def main() -> None:
         json.dump(report, f, indent=2, sort_keys=True)
     print(f"\nwrote {JSON_PATH}")
 
-    assert speedup >= 100, (
-        f"warm replay must serve >= 100x the cold-tune rate, "
-        f"got {speedup:.1f}x"
-    )
-    assert coalescing["ok"], (
-        "identical in-flight requests were not coalesced: "
-        f"{coalescing['tuner_invocations']:.0f} tuner invocations for "
-        f"{coalescing['unique_shapes']} unique shapes"
-    )
     assert digest["match"], (
-        "served schedule's execution digest differs from the freshly "
+        "the cached schedule's repro-run digest differs from the freshly "
         "tuned schedule's"
     )
-    assert rates["cross_process"]["tunes"] == 0, (
-        "a fresh service over a warm cache directory re-tuned"
+    assert report["acceptance"]["warm_searches"] == 0, (
+        "a warm tune searched instead of answering from the cache"
+    )
+    assert cross["searches"] == 0, (
+        "a fresh process over a warm cache directory re-tuned"
     )
 
 

@@ -3,20 +3,19 @@
 The paper's autotuner "exhaustively explores the schedule space"
 (§3.5); in this reproduction every candidate is "executed" by the
 discrete-event cost model, so tuner wall-clock bounds how deep and wide
-the search can go. This benchmark measures the optimized stack —
-event-driven heap engine, forked schedule prefixes, plan-signature
-dedup, memoized kernel costs, best-so-far pruning — against
-``Autotuner(baseline=True)``, which replays every move script from the
-root through the unmemoized cost model and the O(n²) reference engine
-(the pre-optimization machinery). Both modes walk the identical
-signature-deduplicated candidate space, so they must return the *same
-best schedule with the same simulated time*; the benchmark asserts
-that per workload.
+the search can go. This benchmark times the tuner — event-driven heap
+engine, forked schedule prefixes, plan-signature dedup, memoized kernel
+costs, best-so-far pruning — per workload and reports candidates
+evaluated per second, which the regression gate floors. That the
+optimizations never change the result — every candidate's plan and
+simulated time equal a root replay timed on the O(n²) reference
+engine, so the best schedule is the same — is a property test:
+``tests/test_tuner_fast.py``.
 
-Emits ``BENCH_tuner.json`` at the repo root: per-workload baseline and
-optimized wall-clock, speedup, candidates/second, and the best
-schedule's identity, plus resource utilization of the winning schedule
-from the timeline's recorded task resources.
+Emits ``BENCH_tuner.json`` at the repo root: per-workload wall-clock
+(best of ``--repeats``), candidates/second, and the best schedule's
+identity, plus resource utilization of the winning schedule from the
+timeline's recorded task resources.
 
 Usage::
 
@@ -30,11 +29,11 @@ import argparse
 import json
 import os
 import time
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Tuple
 
 from benchmarks._common import RESULTS_DIR, save_report, table
 from repro.cluster import Cluster
-from repro.core.autotuner import Autotuner, TuneResult
+from repro.core.autotuner import Autotuner
 from repro.perf import ProgramCostModel
 from repro.workloads.adam import AdamWorkload
 from repro.workloads.attention import AttentionWorkload
@@ -42,15 +41,6 @@ from repro.workloads.lamb import LambWorkload
 from repro.workloads.moe import MoEWorkload
 
 MAX_DEPTH = 4
-
-#: the acceptance bar: optimized tuner wall-clock on the MoE program at
-#: max_depth=4 must be at least this factor below the baseline mode.
-#: Originally 5.0 over a 45-candidate MoE space; the lowered-IR dedup
-#: signature (schedules that lower to the same instruction stream are
-#: one candidate) shrank that space to 39 — the deduped deep candidates
-#: were exactly the ones the baseline replayed most slowly, so the
-#: machinery-speedup ratio over the smaller space settles around 4.3x.
-MOE_SPEEDUP_FLOOR = 4.0
 
 JSON_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -101,57 +91,28 @@ def workload_suite(smoke: bool = False) -> Dict[str, Tuple[Callable, Cluster]]:
     }
 
 
-def _best_of(
-    n: int, build: Callable, cluster: Cluster, **tuner_kwargs
-) -> Tuple[float, TuneResult]:
-    """Fastest of ``n`` tuner runs (wall-clock), with its result."""
-    best_wall = float("inf")
+def run_workload(build: Callable, cluster: Cluster, repeats: int) -> dict:
+    """One workload's row, from the fastest of ``repeats`` tuner runs."""
+    wall = float("inf")
     result = None
-    for _ in range(n):
+    for _ in range(repeats):
         program = build()
         t0 = time.perf_counter()
-        r = Autotuner(cluster, max_depth=MAX_DEPTH, **tuner_kwargs).tune(
-            program
-        )
-        wall = time.perf_counter() - t0
-        if wall < best_wall:
-            best_wall, result = wall, r
-    return best_wall, result
-
-
-def run_workload(
-    name: str, build: Callable, cluster: Cluster, repeats: int
-) -> dict:
-    base_wall, base = _best_of(repeats, build, cluster, baseline=True)
-    fast_wall, fast = _best_of(repeats, build, cluster)
-
-    if fast.best.name != base.best.name:
-        raise AssertionError(
-            f"{name}: optimized tuner picked {fast.best.name!r}, "
-            f"baseline picked {base.best.name!r}"
-        )
-    if fast.best.time != base.best.time:
-        raise AssertionError(
-            f"{name}: best simulated time drifted "
-            f"({fast.best.time} vs {base.best.time})"
-        )
-    base_names = [c.name for c in base.candidates]
-    fast_names = [c.name for c in fast.candidates]
-    if base_names != fast_names:
-        raise AssertionError(f"{name}: candidate sets differ between modes")
+        r = Autotuner(cluster, max_depth=MAX_DEPTH).tune(program)
+        elapsed = time.perf_counter() - t0
+        if elapsed < wall:
+            wall, result = elapsed, r
 
     # utilization of the winning schedule, from the timeline's recorded
     # resources (Timeline.utilization needs no task list)
-    tl, _ = ProgramCostModel(cluster).timeline(fast.best.schedule)
+    tl, _ = ProgramCostModel(cluster).timeline(result.best.schedule)
     return {
-        "baseline_seconds": base_wall,
-        "optimized_seconds": fast_wall,
-        "speedup": base_wall / fast_wall,
-        "candidates": len(fast.candidates),
-        "candidates_per_sec": len(fast.candidates) / fast_wall,
-        "pruned_candidates": sum(1 for c in fast.candidates if c.pruned),
-        "best": fast.best.name,
-        "best_time_seconds": fast.best.time,
+        "seconds": wall,
+        "candidates": len(result.candidates),
+        "candidates_per_sec": len(result.candidates) / wall,
+        "pruned_candidates": sum(1 for c in result.candidates if c.pruned),
+        "best": result.best.name,
+        "best_time_seconds": result.best.time,
         "best_gpu_utilization": tl.utilization("gpu:"),
         "best_fabric_utilization": tl.utilization("fabric:"),
     }
@@ -162,7 +123,7 @@ def run_suite(smoke: bool = False, repeats: int = None) -> dict:
         repeats = 1 if smoke else 3
     rows = {}
     for name, (build, cluster) in workload_suite(smoke).items():
-        rows[name] = run_workload(name, build, cluster, repeats)
+        rows[name] = run_workload(build, cluster, repeats)
     return {
         "benchmark": "tuner",
         "max_depth": MAX_DEPTH,
@@ -183,9 +144,7 @@ def report(payload: dict) -> str:
     body = [
         [
             name,
-            f"{r['baseline_seconds'] * 1e3:.1f} ms",
-            f"{r['optimized_seconds'] * 1e3:.1f} ms",
-            f"{r['speedup']:.2f}x",
+            f"{r['seconds'] * 1e3:.1f} ms",
             f"{r['candidates']}",
             f"{r['candidates_per_sec']:.0f}/s",
             f"{r['best_time_seconds'] * 1e6:.1f} us",
@@ -193,15 +152,12 @@ def report(payload: dict) -> str:
         for name, r in rows.items()
     ]
     lines = [
-        f"Autotuner wall-clock, baseline (replay + O(n^2) engine, no "
-        f"memoization) vs optimized, max_depth={payload['max_depth']}",
-        "both modes explore the identical candidate space; best "
-        "schedule and simulated time verified equal per workload",
+        f"Autotuner wall-clock, max_depth={payload['max_depth']}, best "
+        f"of {payload['repeats']}",
         "",
     ]
     lines += table(
-        ["workload", "baseline", "optimized", "speedup",
-         "cands", "cands/s", "best sim time"],
+        ["workload", "tune", "cands", "cands/s", "best sim time"],
         body,
     )
     for name, r in rows.items():
@@ -212,9 +168,7 @@ def report(payload: dict) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--smoke", action="store_true",
-        help="small sizes, one repeat; skips the 5x speedup gate "
-        "(CI machines have noisy clocks)",
+        "--smoke", action="store_true", help="small sizes, one repeat (CI)",
     )
     parser.add_argument("--repeats", type=int, default=None)
     args = parser.parse_args()
@@ -223,13 +177,6 @@ def main() -> None:
     report(payload)
     write_json(payload)
     print(f"\nwrote {JSON_PATH}")
-
-    moe_speedup = payload["workloads"]["moe"]["speedup"]
-    if not args.smoke and moe_speedup < MOE_SPEEDUP_FLOOR:
-        raise SystemExit(
-            f"MoE tuner speedup {moe_speedup:.2f}x is below the "
-            f"{MOE_SPEEDUP_FLOOR}x floor"
-        )
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""``repro-run``: execute, inspect, price or hash a saved artifact.
+"""``repro-run``: execute, inspect, price or hash a saved artifact, and
+tune workloads into the persistent schedule cache.
 
 Every tuned schedule in this reproduction serializes to one portable
 JSON file (:mod:`repro.core.artifact`); this CLI makes that file a
@@ -13,6 +14,18 @@ it anywhere without the originating Python objects:
    $ repro-run cost tests/golden/moe_overlapped.repro.json --nodes 1
    $ repro-run hash tests/golden/adam_fused.repro.json
 
+``tune`` runs the autotuner on a named workload through the schedule
+cache (:mod:`repro.serve`; ``$REPRO_SCHEDULE_CACHE`` picks the
+directory), so the second identical command is a cache hit that
+evaluates no candidate; ``cache`` inspects or empties that directory:
+
+.. code-block:: console
+
+   $ repro-run tune --workload adam --set num_elements=1048576 \\
+         --set world_size=16 --save adam.repro.json
+   $ repro-run cache stats
+   $ repro-run cache clear
+
 Installed via ``[project.scripts]``; in a source checkout (CI does not
 pip-install the package) use ``PYTHONPATH=src python -m repro.cli``.
 
@@ -26,9 +39,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import sys
-from typing import Dict
+from typing import Dict, Sequence
 
 from repro.errors import CoCoNetError
 
@@ -166,12 +180,128 @@ def _cmd_hash(args) -> int:
     return 0
 
 
+#: ``repro-run tune`` workloads: name -> (class in :mod:`repro.workloads`,
+#: shape parameters in ``build`` order, ``build``'s dtype keyword).
+TUNE_WORKLOADS = {
+    "adam": ("AdamWorkload", ("num_elements", "world_size"), "grad_dtype"),
+    "lamb": ("LambWorkload", ("num_elements", "world_size"), "grad_dtype"),
+    "moe": (
+        "MoEWorkload",
+        ("capacity", "model_dim", "ffn_dim", "world_size"),
+        "dtype",
+    ),
+    "attention": (
+        "AttentionWorkload", ("batch", "seq", "hidden", "world_size"), "dtype",
+    ),
+}
+
+
+def _parse_params(pairs: Sequence[str]) -> Dict[str, int]:
+    params = {}
+    for pair in pairs:
+        name, sep, value = pair.partition("=")
+        if not sep:
+            raise CoCoNetError(f"--set takes name=value pairs, got {pair!r}")
+        try:
+            params[name.strip()] = int(value)
+        except ValueError:
+            raise CoCoNetError(
+                f"--set values must be integers, got {pair!r}"
+            ) from None
+    return params
+
+
+def build_workload(workload: str, params: Dict[str, int], dtype: str):
+    """The DSL program of a :data:`TUNE_WORKLOADS` entry at a shape."""
+    import repro.workloads
+    from repro.core.dtypes import dtype_by_name
+
+    if workload not in TUNE_WORKLOADS:
+        raise CoCoNetError(
+            f"unknown workload {workload!r}; known: {sorted(TUNE_WORKLOADS)}"
+        )
+    cls_name, names, dtype_kw = TUNE_WORKLOADS[workload]
+    missing = [n for n in names if n not in params]
+    extra = [n for n in params if n not in names]
+    if missing or extra:
+        raise CoCoNetError(
+            f"workload {workload!r} takes parameters {names}; "
+            f"missing {missing}, unexpected {extra}"
+        )
+    cls = getattr(repro.workloads, cls_name)
+    return cls.build(
+        *(params[n] for n in names), **{dtype_kw: dtype_by_name(dtype)}
+    ).program
+
+
+def _cmd_tune(args) -> int:
+    import time
+
+    from repro.cluster.topology import Cluster
+    from repro.core.artifact import Artifact
+    from repro.core.autotuner import Autotuner
+    from repro.observe.metrics import MetricsRegistry
+    from repro.serve.cache import ScheduleCache
+
+    if args.nodes < 1:
+        raise CoCoNetError("--nodes must be >= 1")
+    params = _parse_params(args.set or ())
+    program = build_workload(args.workload, params, args.dtype)
+    cluster = Cluster(args.nodes)
+    metrics = MetricsRegistry()
+    t0 = time.perf_counter()
+    result = Autotuner(
+        cluster, metrics=metrics, schedule_cache=ScheduleCache()
+    ).tune(program)
+    elapsed = time.perf_counter() - t0
+    shape = ",".join(f"{k}={v}" for k, v in sorted(params.items()))
+    print(f"workload:   {args.workload}({shape}) {args.dtype} "
+          f"nodes={args.nodes}")
+    print(f"key:        {result.cache_key[0]} @ {result.cache_key[1]}")
+    print(f"cache:      {'hit' if result.cached else 'miss'}")
+    print(f"evaluated:  {metrics.get('tuner.candidates'):.0f} candidates")
+    print(f"schedule:   {result.best.name}")
+    print(f"predicted:  {result.best.time * 1e6:.1f} us")
+    print(f"elapsed:    {elapsed * 1e3:.2f} ms")
+    if args.save:
+        art = result.best.schedule
+        if not isinstance(art, Artifact):
+            art = Artifact.from_lowered(art.lowered(cluster=cluster))
+        art.save(args.save)
+        print(f"artifact:   saved to {args.save}")
+    return 0
+
+
+def _cmd_cache(args) -> int:
+    from repro.serve.cache import ScheduleCache
+
+    cache = ScheduleCache()
+    if args.action == "clear":
+        print(f"removed {cache.clear()} cached schedule(s)")
+        return 0
+    stats = cache.stats()
+    print(f"cache dir: {cache.path}")
+    print(f"entries:   {stats['serve.cache.entries']:.0f} "
+          f"({stats['serve.cache.bytes']:.0f} bytes)")
+    for path in cache.entries():
+        try:
+            with open(path) as f:
+                doc = json.load(f)
+            print(f"  {doc['structural_hash'][:23]}… @ {doc['topology']}: "
+                  f"{doc['schedule_name']} "
+                  f"({doc['predicted_time'] * 1e6:.1f} us predicted)")
+        except (OSError, ValueError, KeyError):
+            print(f"  {path}: unreadable record")
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-run",
         description=(
             "Execute, inspect, price or hash a saved CoCoNet lowered-"
-            "program artifact (*.repro.json)."
+            "program artifact (*.repro.json), or tune a workload into "
+            "the schedule cache."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -225,6 +355,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("artifact", help="path to a saved artifact")
     p.set_defaults(fn=_cmd_hash)
+
+    p = sub.add_parser(
+        "tune",
+        help="tune a workload through the schedule cache "
+        "($REPRO_SCHEDULE_CACHE); a repeat is a cache hit",
+    )
+    p.add_argument("--workload", required=True,
+                   help=" | ".join(TUNE_WORKLOADS))
+    p.add_argument(
+        "--set", action="append", metavar="NAME=VALUE",
+        help="workload shape parameter (repeatable), e.g. "
+        "--set num_elements=1048576 --set world_size=16",
+    )
+    p.add_argument("--dtype", default="FP16",
+                   help="tensor dtype (default FP16)")
+    p.add_argument("--nodes", type=int, default=1,
+                   help="cluster size in nodes (default 1)")
+    p.add_argument("--save", default=None,
+                   help="also save the tuned schedule as an artifact")
+    p.set_defaults(fn=_cmd_tune)
+
+    p = sub.add_parser(
+        "cache", help="list or empty the schedule cache"
+    )
+    p.add_argument("action", choices=("stats", "clear"))
+    p.set_defaults(fn=_cmd_cache)
     return parser
 
 

@@ -23,13 +23,10 @@ canonical execution-plan signature (kernel structure + overlap groups),
 which — unlike the historical order-insensitive sorted-script key —
 keeps order-dependent schedules apart; and candidates whose
 per-resource cost lower bound already reaches the best time seen are
-pruned before the discrete-event run. ``Autotuner(baseline=True)``
-restores the pre-optimization *machinery* — full replay from the root,
-unmemoized cost model, O(n²) reference engine, no pruning — over the
-same (signature-deduplicated) candidate space, as the reference mode
-``benchmarks/bench_tuner.py`` measures speedups against. The
-historical sorted-script dedup key is gone from both modes: it was a
-bug (order-dependent schedules were silently skipped), not a mode.
+pruned before the discrete-event run. ``tests/test_tuner_fast.py``
+replays every candidate's move script from the root through an
+unmemoized cost model on the O(n²) reference engine and checks that
+the incremental search returns the same plans and the same times.
 """
 
 from __future__ import annotations
@@ -54,7 +51,6 @@ from repro.core.transforms import (
 from repro.core.transforms.reorder import _check_alltoall_commutes
 from repro.core.transforms.plan import FusedBlock, KernelKind
 from repro.errors import AutotunerError, TransformError
-from repro.perf.engine import Engine
 from repro.perf.program_cost import ProgramCostModel
 
 #: Pointwise fusion threshold: maximal regions larger than this are not
@@ -131,13 +127,6 @@ class Autotuner:
     """Breadth-first schedule exploration with DES-based timing.
 
     ``prune`` enables the cost model's best-so-far lower-bound cutoff.
-    ``baseline`` switches the performance machinery back to its
-    pre-optimization form: move scripts replayed from the root, no
-    memoization, no pruning, and the O(n²) reference engine. Both modes
-    walk the identical signature-deduplicated candidate space (the old
-    order-insensitive sorted-script key was a bug, so it is not
-    preserved), which is what makes the benchmark's equivalence check —
-    same best schedule, same simulated time — exact.
     """
 
     def __init__(
@@ -148,29 +137,20 @@ class Autotuner:
         ] = None,
         max_depth: int = 4,
         prune: bool = True,
-        baseline: bool = False,
         metrics=None,
         schedule_cache=None,
     ) -> None:
         self.cluster = cluster
-        self.baseline = baseline
         #: optional repro.observe.MetricsRegistry (duck-typed: anything
         #: with inc/set) receiving search and cost-model counters
         self.metrics = metrics
         #: optional repro.serve.ScheduleCache (duck-typed: get/put with
         #: the (structural_hash, topology) pair) consulted before the
         #: search and written through after it — the persistence hook
-        #: that makes tuning a reusable, cross-process service
+        #: that makes a tune reusable across processes
         self.schedule_cache = schedule_cache
-        self.prune = prune and not baseline
-        if cost_model_factory is None:
-            if baseline:
-                cost_model_factory = lambda c: ProgramCostModel(  # noqa: E731
-                    c, memoize=False, engine=Engine(reference=True),
-                )
-            else:
-                cost_model_factory = ProgramCostModel
-        self._factory = cost_model_factory
+        self.prune = prune
+        self._factory = cost_model_factory or ProgramCostModel
         self.max_depth = max_depth
 
     # -- move application --------------------------------------------------
@@ -236,12 +216,6 @@ class Autotuner:
             sched.overlap(*chain)
         else:  # pragma: no cover - defensive
             raise AutotunerError(f"unknown move {kind}")
-
-    def _replay(self, program: Program, moves: Sequence[Move]) -> Schedule:
-        sched = self._fresh(program)
-        for m in moves:
-            self._apply(sched, m)
-        return sched
 
     def _next_moves(self, sched: Schedule, done: Sequence[Move]) -> List[Move]:
         prog = sched.program
@@ -407,12 +381,8 @@ class Autotuner:
     def _search(self, program: Program) -> List[Candidate]:
         """BFS over moves; candidates deduplicated by plan signature.
 
-        In the default (incremental) mode each child schedule is a
-        cheap fork of its parent with one extra move applied. In
-        baseline mode every child is replayed move-by-move from the
-        root, exactly as the search originally worked — both modes walk
-        the identical candidate space, so the benchmark's equivalence
-        check (same best schedule, same simulated time) is exact.
+        Each child schedule is a cheap fork of its parent with one
+        extra move applied.
         """
         cost = self._factory(self.cluster)
         candidates: List[Candidate] = []
@@ -449,11 +419,8 @@ class Autotuner:
                 for m in self._next_moves(sched, moves):
                     script = moves + (m,)
                     try:
-                        if self.baseline:
-                            child = self._replay(program, script)
-                        else:
-                            child = sched.fork()
-                            self._apply(child, m)
+                        child = sched.fork()
+                        self._apply(child, m)
                     except TransformError:
                         if metrics is not None:
                             metrics.inc("tuner.transform_errors")

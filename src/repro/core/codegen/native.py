@@ -33,10 +33,11 @@ Kernel cache
 ------------
 ``~/.cache/repro/kernels/<sha256>.so`` (override with
 ``$REPRO_KERNEL_CACHE``), keyed by SHA-256 over the C source plus the
-compiler identity and flags. Writes are concurrent-safe — every rank
-process of a cold-cache run compiles behind a ``flock`` and installs
-via atomic ``os.replace`` — and stale/corrupt entries (unloadable or
-missing the expected symbols) are deleted and recompiled once.
+compiler identity and flags. Writes are concurrent-safe through
+:mod:`repro.store` — every rank process of a cold-cache run compiles
+behind a ``flock`` and installs via atomic ``os.replace`` — and
+stale/corrupt entries (unloadable or missing the expected symbols) are
+deleted and recompiled once.
 Hit/miss/compile-time counters land in :data:`metrics` (a
 :class:`~repro.observe.metrics.MetricsRegistry`) and, when a
 communicator is passed as ``observer``, in the rank's trace ring as
@@ -75,6 +76,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import store
 from repro.core import ops
 from repro.core.tensor import Const, Expr
 from repro.errors import CodegenError
@@ -527,37 +529,34 @@ class CompiledKernels:
 
 
 def _compile(c_source: str, so_path: str) -> None:
+    """Compile ``c_source`` into a temp object, then install it.
+
+    Runs inside :func:`repro.store.lock`, so concurrent rank processes
+    compiling the same source wait for one compile instead of racing.
+    """
     cc = _find_cc()
     if cc is None:
         raise CodegenError(
             "native codegen target needs a C compiler (cc/gcc/clang) on "
             "PATH — none found"
         )
-    os.makedirs(os.path.dirname(so_path), exist_ok=True)
-    fd, c_path = tempfile.mkstemp(
-        suffix=".c", dir=os.path.dirname(so_path)
-    )
-    tmp_so = c_path[:-2] + ".so.tmp"
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(c_source)
-        proc = subprocess.run(
-            [cc, *_CFLAGS, "-o", tmp_so, c_path, "-lm"],
-            capture_output=True, text=True, timeout=300,
-        )
+
+    def build(tmp_so: str) -> None:
+        with tempfile.NamedTemporaryFile(
+            "w", suffix=".c", dir=os.path.dirname(so_path)
+        ) as c_file:
+            c_file.write(c_source)
+            c_file.flush()
+            proc = subprocess.run(
+                [cc, *_CFLAGS, "-o", tmp_so, c_file.name, "-lm"],
+                capture_output=True, text=True, timeout=300,
+            )
         if proc.returncode != 0:
             raise CodegenError(
                 f"kernel compilation failed ({cc}):\n{proc.stderr[-4000:]}"
             )
-        # atomic install: concurrent rank processes compiling the same
-        # source race benignly — last replace wins, all see a valid .so
-        os.replace(tmp_so, so_path)
-    finally:
-        for p in (c_path, tmp_so):
-            try:
-                os.remove(p)
-            except OSError:
-                pass
+
+    store.install(so_path, build)
 
 
 def _try_load(key: str, so_path: str) -> Optional[CompiledKernels]:
@@ -568,35 +567,6 @@ def _try_load(key: str, so_path: str) -> Optional[CompiledKernels]:
         return CompiledKernels(lib, key, so_path)
     except (OSError, AttributeError):
         return None
-
-
-class _FileLock:
-    """``flock`` guard so one process compiles while peers wait."""
-
-    def __init__(self, path: str) -> None:
-        self._path = path
-        self._fd: Optional[int] = None
-
-    def __enter__(self) -> "_FileLock":
-        try:
-            import fcntl
-
-            os.makedirs(os.path.dirname(self._path), exist_ok=True)
-            self._fd = os.open(self._path, os.O_CREAT | os.O_RDWR)
-            fcntl.flock(self._fd, fcntl.LOCK_EX)
-        except (ImportError, OSError):  # pragma: no cover - non-POSIX
-            self._fd = None
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._fd is not None:
-            try:
-                import fcntl
-
-                fcntl.flock(self._fd, fcntl.LOCK_UN)
-            except (ImportError, OSError):  # pragma: no cover
-                pass
-            os.close(self._fd)
 
 
 def load_kernels(c_source: str, observer=None) -> CompiledKernels:
@@ -615,7 +585,7 @@ def load_kernels(c_source: str, observer=None) -> CompiledKernels:
         return memo
     so_path = os.path.join(cache_dir(), f"{key}.so")
     t0 = time.perf_counter()
-    with _FileLock(so_path + ".lock"):
+    with store.lock(so_path):
         compiled = None
         status = "hit"
         if os.path.exists(so_path):
@@ -624,10 +594,7 @@ def load_kernels(c_source: str, observer=None) -> CompiledKernels:
                 # stale/corrupt entry: drop it and recompile below
                 metrics.inc("native.cache.recompiles")
                 status = "recompile"
-                try:
-                    os.remove(so_path)
-                except OSError:
-                    pass
+                store.discard(so_path)
         if compiled is None:
             if status == "hit":
                 status = "compile"

@@ -7,19 +7,15 @@ greedy list scheduling: among ready tasks, always start the one that
 can begin earliest — which models in-order streams and FIFO hardware
 queues well enough for kernel-granularity simulation.
 
-Two implementations share those semantics:
-
-* :meth:`Engine.run` — an event-driven heap scheduler. Tasks enter a
-  priority queue keyed by ``(earliest start, submission order)`` as
-  their dependency counts reach zero; stale keys (a task whose resource
-  got busier since it was pushed) are lazily re-pushed. O(n log n + E).
-* :meth:`Engine._reference_run` — the original O(n²) ready-scan list
-  scheduler, kept as the executable specification the heap scheduler is
-  property-tested against.
-
-Both produce bit-identical :class:`Timeline` spans: the heap key's
-second component reproduces the reference scheduler's first-in-input-
-order tie-breaking exactly.
+:meth:`Engine.run` is an event-driven heap scheduler. Tasks enter a
+priority queue keyed by ``(earliest start, submission order)`` as their
+dependency counts reach zero; stale keys (a task whose resource got
+busier since it was pushed) are lazily re-pushed. O(n log n + E). The
+original O(n²) ready-scan list scheduler lives on in
+``tests/des_oracle.py`` as the executable specification the heap
+scheduler is property-tested against: both produce bit-identical
+:class:`Timeline` spans, because the heap key's second component
+reproduces the ready scan's first-in-input-order tie-breaking exactly.
 """
 
 from __future__ import annotations
@@ -149,27 +145,18 @@ class Timeline:
 class Engine:
     """Greedy list scheduler over dependent tasks.
 
-    ``Engine(reference=True)`` routes :meth:`run` through the O(n²)
-    ready-scan implementation — the pre-optimization behavior, used by
-    the autotuner's baseline mode and the equivalence property tests.
-
     ``slowdown`` maps resource names to duration multipliers — the
     straggler/contention model. A key matches a resource exactly, or,
     when it ends with the ``":"`` separator, a whole family (``"gpu:"``
     stretches every GPU stream) — the same convention as
-    :meth:`Timeline.utilization`. Matching factors multiply, and both
-    scheduler implementations apply them identically, so the
-    bit-identity property holds under slowdowns too
+    :meth:`Timeline.utilization`. Matching factors multiply, and the
+    test oracle applies them through the same :meth:`_duration`, so
+    the bit-identity property holds under slowdowns too
     (:meth:`repro.runtime.faults.FaultPlan.resource_slowdowns` produces
     this mapping from injected straggler events).
     """
 
-    def __init__(
-        self,
-        reference: bool = False,
-        slowdown: Optional[Dict[str, float]] = None,
-    ) -> None:
-        self.reference = reference
+    def __init__(self, slowdown: Optional[Dict[str, float]] = None) -> None:
         self.slowdown = dict(slowdown) if slowdown else {}
         for key, factor in self.slowdown.items():
             if factor <= 0:
@@ -203,7 +190,7 @@ class Engine:
         return by_name
 
     def run(self, tasks: Sequence[Task]) -> Timeline:
-        """Event-driven heap scheduling; same semantics as the reference.
+        """Event-driven heap scheduling; same semantics as a ready scan.
 
         A task enters the ready heap once all dependencies are
         scheduled, keyed by its earliest start under the resource
@@ -213,8 +200,6 @@ class Engine:
         popped key is the global minimum, i.e. exactly the task the
         O(n²) ready-scan would have picked.
         """
-        if self.reference:
-            return self._reference_run(tasks)
         by_name = self._validate(tasks)
         timeline = Timeline()
         resource_free: Dict[str, float] = {}
@@ -262,36 +247,4 @@ class Engine:
             raise CoCoNetError(
                 f"dependency cycle among tasks: {names[:5]}..."
             )
-        return timeline
-
-    def _reference_run(self, tasks: Sequence[Task]) -> Timeline:
-        """The original O(n²) ready-scan list scheduler (specification)."""
-        self._validate(tasks)
-        timeline = Timeline()
-        resource_free: Dict[str, float] = {}
-        pending: List[Task] = list(tasks)
-        scheduled: set = set()
-        while pending:
-            best_idx = -1
-            best_start = float("inf")
-            for i, t in enumerate(pending):
-                if any(d not in scheduled for d in t.deps):
-                    continue
-                ready = max(
-                    (timeline.end(d) for d in t.deps), default=0.0
-                )
-                start = max(ready, resource_free.get(t.resource, 0.0))
-                if start < best_start:
-                    best_start, best_idx = start, i
-            if best_idx < 0:
-                names = [t.name for t in pending]
-                raise CoCoNetError(
-                    f"dependency cycle among tasks: {names[:5]}..."
-                )
-            t = pending.pop(best_idx)
-            end = best_start + self._duration(t)
-            timeline.spans[t.name] = (best_start, end)
-            timeline.resources[t.name] = t.resource
-            resource_free[t.resource] = end
-            scheduled.add(t.name)
         return timeline

@@ -1,19 +1,16 @@
-"""Tuning-as-a-service: persistent schedule cache + async serving layer.
+"""The persistent schedule cache.
 
-The paper's autotuner (§6) is a one-shot offline step; this package is
-the production front end the ROADMAP aims it at. Tuned schedules
-persist as content-addressed records keyed by
-``(structural_hash, topology_signature)`` —
-:class:`~repro.serve.cache.ScheduleCache` — and an ``asyncio`` service
-— :class:`~repro.serve.service.TuningService` — answers
-``(workload, shape, dtype, topology)`` requests from that cache at
-memory/disk-hit latency, coalesces identical in-flight misses into one
-tuning task, and runs actual tuning on a bounded pool of worker
-processes. The ``repro-serve`` CLI (:mod:`repro.serve.cli`) drives the
-same service from the shell.
+The paper's autotuner (§6) is a one-shot offline step; this package
+keeps its answers. Tuned schedules persist as content-addressed records
+keyed by ``(structural_hash, topology_signature)`` —
+:class:`~repro.serve.cache.ScheduleCache` — which
+:class:`~repro.core.autotuner.Autotuner` consults before a search and
+writes after one (``Autotuner(cluster, schedule_cache=...)``).
+``repro-run tune`` tunes through it from the shell and ``repro-run
+cache {stats,clear}`` maintains it.
 
 See ``docs/serving.md`` for the guide and
-``benchmarks/bench_serve.py`` for the cold-vs-warm replay numbers.
+``benchmarks/bench_serve.py`` for the cold-vs-warm numbers.
 """
 
 from repro.serve.cache import (
@@ -22,24 +19,10 @@ from repro.serve.cache import (
     ScheduleCacheError,
     default_cache_dir,
 )
-from repro.serve.service import (
-    WORKLOADS,
-    ServeError,
-    ServeResult,
-    TuneRequest,
-    TuningService,
-    request_key,
-)
 
 __all__ = [
     "CachedSchedule",
     "ScheduleCache",
     "ScheduleCacheError",
     "default_cache_dir",
-    "WORKLOADS",
-    "ServeError",
-    "ServeResult",
-    "TuneRequest",
-    "TuningService",
-    "request_key",
 ]

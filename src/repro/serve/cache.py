@@ -21,15 +21,20 @@ cluster it was timed on:
   .signature`; a DGX-2 pair and a single node tune to different
   schedules, so they occupy different records.
 
-Write discipline mirrors the PR 9 kernel cache
-(:mod:`repro.core.codegen.native`): concurrent writers serialize on an
-``flock``-guarded lock file, records install via temp-file +
-``os.replace`` so readers only ever see complete documents, and a
-corrupt or truncated record (a crashed writer predating the atomic
-install, disk trouble, hand editing) is **deleted and treated as a
-miss** — the tuner simply runs again — never an error. Hit / miss /
-corrupt / eviction counters land in a
-:class:`~repro.observe.metrics.MetricsRegistry`.
+The key does not include the tuner's search depth, so a record answers
+a tune at any depth. ``repro-run tune`` always tunes at the
+autotuner's default depth; ``repro-run cache stats`` and ``repro-run
+cache clear`` inspect and empty the directory
+(``$REPRO_SCHEDULE_CACHE``, default ``~/.cache/repro/schedules``).
+
+Records are written through :mod:`repro.store`, the store the kernel
+cache (:mod:`repro.core.codegen.native`) also uses: concurrent writers
+of one pair serialize on an ``flock``-guarded lock file, records
+install via temp file + ``os.replace`` so readers only ever see
+complete documents, and a corrupt or truncated record (disk trouble,
+hand editing) is **deleted and treated as a miss** — the tuner simply
+runs again — never an error. Hit / miss / corrupt / eviction counters
+land in a :class:`~repro.observe.metrics.MetricsRegistry`.
 
 >>> import tempfile
 >>> from repro.cluster.topology import Cluster
@@ -52,10 +57,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro import store
 from repro.core import artifact as artifact_mod
 from repro.core.artifact import Artifact, ArtifactError
 from repro.errors import CoCoNetError
@@ -84,41 +89,6 @@ def default_cache_dir() -> str:
         os.environ.get("REPRO_SCHEDULE_CACHE")
         or os.path.join("~", ".cache", "repro", "schedules")
     )
-
-
-class _FileLock:
-    """``flock`` guard so concurrent tuner processes serialize writes.
-
-    Same discipline as the kernel cache: lock around the
-    check-then-install window, atomic ``os.replace`` inside it, and a
-    silent no-op on platforms without ``fcntl`` (the atomic rename
-    alone keeps records complete there).
-    """
-
-    def __init__(self, path: str) -> None:
-        self._path = path
-        self._fd: Optional[int] = None
-
-    def __enter__(self) -> "_FileLock":
-        try:
-            import fcntl
-
-            os.makedirs(os.path.dirname(self._path), exist_ok=True)
-            self._fd = os.open(self._path, os.O_CREAT | os.O_RDWR)
-            fcntl.flock(self._fd, fcntl.LOCK_EX)
-        except (ImportError, OSError):  # pragma: no cover - non-POSIX
-            self._fd = None
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._fd is not None:
-            try:
-                import fcntl
-
-                fcntl.flock(self._fd, fcntl.LOCK_UN)
-            except (ImportError, OSError):  # pragma: no cover
-                pass
-            os.close(self._fd)
 
 
 @dataclass
@@ -250,10 +220,7 @@ class ScheduleCache:
         except (ValueError, KeyError, TypeError, ArtifactError):
             self.metrics.inc("serve.cache.corrupt")
             self.metrics.inc("serve.cache.misses")
-            try:
-                os.remove(path)
-            except OSError:
-                pass
+            store.discard(path)
             return None
         self.metrics.inc("serve.cache.hits")
         return rec
@@ -268,20 +235,15 @@ class ScheduleCache:
         records for the same deterministic search, so last-write-wins
         is benign.
         """
-        os.makedirs(self.path, exist_ok=True)
         path = self.record_path(record.structural_hash, record.topology)
         text = json.dumps(record.to_json(), sort_keys=True, indent=1) + "\n"
-        with _FileLock(path + ".lock"):
-            fd, tmp = tempfile.mkstemp(dir=self.path, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as f:
-                    f.write(text)
-                os.replace(tmp, path)
-            finally:
-                try:
-                    os.remove(tmp)
-                except OSError:
-                    pass
+
+        def write(tmp: str) -> None:
+            with open(tmp, "w") as f:
+                f.write(text)
+
+        with store.lock(path):
+            store.install(path, write)
         self.metrics.inc("serve.cache.puts")
         if self.max_entries is not None:
             self._evict(keep=path)
@@ -289,14 +251,9 @@ class ScheduleCache:
 
     def _evict(self, keep: str) -> None:
         """Drop oldest records past ``max_entries`` (never ``keep``)."""
-        entries = self.entries()
-        excess = len(entries) - self.max_entries
-        if excess <= 0:
-            return
-        oldest = sorted(
-            entries, key=lambda p: (os.path.getmtime(p), p)
-        )
-        for path in oldest:
+        live = self._live_entries()
+        excess = len(live) - self.max_entries
+        for _, path in sorted((st.st_mtime, p) for p, st in live):
             if excess <= 0:
                 break
             if os.path.abspath(path) == os.path.abspath(keep):
@@ -322,6 +279,20 @@ class ScheduleCache:
             if n.endswith(".json")
         ]
 
+    def _live_entries(self) -> List[Tuple[str, os.stat_result]]:
+        """``(path, stat)`` of every record still on disk.
+
+        Another process's :meth:`clear` or eviction may remove a record
+        between the listing and the ``stat``; such records are skipped.
+        """
+        live = []
+        for path in self.entries():
+            try:
+                live.append((path, os.stat(path)))
+            except OSError:
+                continue
+        return live
+
     def __len__(self) -> int:
         return len(self.entries())
 
@@ -344,9 +315,7 @@ class ScheduleCache:
     def stats(self) -> Dict[str, float]:
         """Counter snapshot plus the current entry count and byte size."""
         out = dict(self.metrics.snapshot())
-        entries = self.entries()
-        out["serve.cache.entries"] = float(len(entries))
-        out["serve.cache.bytes"] = float(
-            sum(os.path.getsize(p) for p in entries if os.path.exists(p))
-        )
+        live = self._live_entries()
+        out["serve.cache.entries"] = float(len(live))
+        out["serve.cache.bytes"] = float(sum(st.st_size for _, st in live))
         return out

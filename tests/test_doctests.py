@@ -1,7 +1,7 @@
 """The public-API docstring examples actually run.
 
 Every module whose docs carry ``>>>`` examples is executed here with
-:mod:`doctest`, so the examples in the serving/artifact/autotuner/
+:mod:`doctest`, so the examples in the schedule-cache/artifact/autotuner/
 metrics docs are code the suite guarantees, not prose that can rot.
 (CI's docs job additionally runs ``pytest --doctest-modules`` over the
 same list.)
@@ -16,7 +16,6 @@ import repro.core.artifact
 import repro.core.autotuner
 import repro.observe.metrics
 import repro.serve.cache
-import repro.serve.service
 
 MODULES = [
     repro.cluster.topology,
@@ -24,7 +23,6 @@ MODULES = [
     repro.core.autotuner,
     repro.observe.metrics,
     repro.serve.cache,
-    repro.serve.service,
 ]
 
 

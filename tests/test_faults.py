@@ -45,6 +45,7 @@ from repro.runtime.spmd import (
 )
 from repro.workloads.adam import AdamWorkload
 from repro.workloads.moe import MoEWorkload
+from tests.des_oracle import ReferenceEngine
 
 
 @pytest.fixture
@@ -518,7 +519,7 @@ class TestEngineSlowdown:
         for _ in range(5):
             tasks = self._tasks(rng)
             fast = Engine(slowdown=slow).run(tasks)
-            ref = Engine(reference=True, slowdown=slow).run(tasks)
+            ref = ReferenceEngine(slowdown=slow).run(tasks)
             assert fast.spans == ref.spans
             assert fast.resources == ref.resources
 

@@ -26,6 +26,7 @@ from repro.perf.kernel_cost import (
     pointwise_time,
 )
 from tests.conftest import build_attention_program
+from tests.des_oracle import ReferenceEngine
 
 
 class TestEngine:
@@ -161,20 +162,23 @@ def _random_task_graph(draw) -> list:
 
 
 class TestEngineEquivalence:
-    """The heap scheduler is a drop-in for the O(n²) reference."""
+    """The heap scheduler is a drop-in for the O(n²) ready-scan oracle."""
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_heap_matches_reference_on_random_graphs(self, data):
         tasks = _random_task_graph(data.draw)
         heap_tl = Engine().run(tasks)
-        ref_tl = Engine()._reference_run(tasks)
+        ref_tl = ReferenceEngine().run(tasks)
         assert heap_tl.spans == ref_tl.spans
         assert heap_tl.resources == ref_tl.resources
 
     def test_reference_flag_routes_run(self):
         tasks = [Task("a", "r", 1.0), Task("b", "r", 2.0, ("a",))]
-        assert Engine(reference=True).run(tasks).spans == (
+        assert ReferenceEngine().run(tasks).spans == {
+            "a": (0.0, 1.0), "b": (1.0, 3.0),
+        }
+        assert ReferenceEngine().run(tasks).spans == (
             Engine().run(tasks).spans
         )
 
@@ -183,7 +187,7 @@ class TestEngineEquivalence:
         with pytest.raises(CoCoNetError, match="cycle"):
             Engine().run(tasks)
         with pytest.raises(CoCoNetError, match="cycle"):
-            Engine()._reference_run(tasks)
+            ReferenceEngine().run(tasks)
 
     def test_equivalence_on_cost_model_task_graphs(self):
         # the graphs that matter: chunked overlap pipelines from the
@@ -196,7 +200,7 @@ class TestEngineEquivalence:
             lowered = sched.lowered(cluster=pcm.cluster)
             tasks = pcm._build_tasks(lowered)
             assert Engine().run(tasks).spans == (
-                Engine()._reference_run(tasks).spans
+                ReferenceEngine().run(tasks).spans
             )
 
 

@@ -1,49 +1,34 @@
-"""Tuning-as-a-service: schedule cache + async serving layer.
-
-Covers the PR 10 surface end to end:
+"""The persistent schedule cache and its front end, ``repro-run tune``.
 
 * ``ScheduleCache`` round trips, corrupt/truncated/tampered records
   (deleted + counted, never raised), key-field mismatches, eviction,
-  and concurrent cross-process writers of the same pair;
+  records removed by another process mid-listing, and concurrent
+  cross-process writers of the same pair;
 * the ``Autotuner(schedule_cache=...)`` hook: cold tune writes a
   record, warm tune is a cache hit with the same winner, and the
   artifact-backed cached candidate executes bit-identically to the
-  freshly searched schedule (also via the ``repro-run`` CLI digest);
-* ``TuningService``: memory/disk/tuned/coalesced sources, in-flight
-  coalescing under a concurrent burst, request validation, counters,
-  and the ``repro-serve`` CLI.
-
-Service tests inject a ``ThreadPoolExecutor`` pool so no worker
-processes spawn (the tuner is pure Python, so a thread pool exercises
-the identical code path); one integration test uses the real default
-spawn ``ProcessPoolExecutor``.
+  freshly searched schedule;
+* ``repro-run tune`` / ``repro-run cache``: a miss, then a hit in a
+  fresh process that evaluates no candidate, stats, clear, error exits,
+  every workload in the table, and the saved artifact's ``repro-run
+  run`` digest against a freshly tuned schedule's.
 """
 
-import asyncio
 import json
 import os
 import subprocess
 import sys
 
 import pytest
-from concurrent.futures import ThreadPoolExecutor
 
-from repro.cli import _digest, _seeded_inputs
+from repro.cli import TUNE_WORKLOADS, _digest, _seeded_inputs, build_workload
 from repro.cli import main as run_cli_main
 from repro.cluster import Cluster
+from repro.core.artifact import structural_hash
 from repro.core.autotuner import Autotuner
-from repro.observe.metrics import MetricsRegistry
+from repro.core.transforms import Schedule
 from repro.runtime.executor import Executor
-from repro.serve import (
-    CachedSchedule,
-    ScheduleCache,
-    ScheduleCacheError,
-    ServeError,
-    TuneRequest,
-    TuningService,
-    request_key,
-)
-from repro.serve.cli import main as serve_cli_main
+from repro.serve import CachedSchedule, ScheduleCache, ScheduleCacheError
 from repro.workloads.adam import AdamWorkload
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -77,10 +62,13 @@ def install(cache, text):
     return key, path
 
 
-def thread_service(cache, **kw):
-    """A TuningService whose misses tune on threads (no spawn cost)."""
-    kw.setdefault("max_depth", 2)
-    return TuningService(cache, pool=ThreadPoolExecutor(2), **kw)
+def cache_key(program, nodes=1):
+    """The (structural_hash, topology) pair the tuner files a program under."""
+    cluster = Cluster(nodes)
+    return (
+        structural_hash(Schedule(program).lowered(cluster=cluster)),
+        cluster.signature(),
+    )
 
 
 class TestScheduleCache:
@@ -185,6 +173,30 @@ class TestScheduleCache:
         assert len(cache) == 0
         assert cache.clear() == 0
 
+    def test_entries_removed_mid_listing_are_skipped(
+        self, tmp_path, record_text, monkeypatch
+    ):
+        # another process's clear() or eviction can remove a record
+        # between listdir and stat: eviction and stats must skip it, so
+        # a tune that already succeeded never fails in put()
+        cache = ScheduleCache(str(tmp_path), max_entries=1)
+        doc = json.loads(record_text)
+        first = cache.put(CachedSchedule.from_json(
+            dict(doc, structural_hash="%064x" % 1)
+        ))
+        os.utime(first, (1_000_000, 1_000_000))
+        listed = cache.entries
+        ghost = os.path.join(str(tmp_path), "gone.json")
+        monkeypatch.setattr(cache, "entries", lambda: listed() + [ghost])
+        cache.put(CachedSchedule.from_json(
+            dict(doc, structural_hash="%064x" % 2)
+        ))
+        assert not os.path.exists(first)
+        assert cache.metrics.get("serve.cache.evictions") == 1
+        stats = cache.stats()
+        assert stats["serve.cache.entries"] == 1
+        assert stats["serve.cache.bytes"] > 0
+
     def test_concurrent_cross_process_writers(self, tmp_path):
         # two fresh interpreters race to tune the same signature into
         # one directory: both must succeed, and the survivor must be a
@@ -217,9 +229,7 @@ class TestScheduleCache:
         assert outs[0][0] == outs[1][0]
         cache = ScheduleCache(str(tmp_path))
         assert len(cache) == 1
-        key = request_key(
-            TuneRequest.make("adam", num_elements=64, world_size=4)
-        )
+        key = cache_key(AdamWorkload.build(64, 4).program)
         assert cache.get(*key) is not None
 
 
@@ -264,230 +274,87 @@ class TestAutotunerCacheHook:
         assert _digest(a) == _digest(b)
 
 
-def run_service(coro):
-    return asyncio.run(coro)
+ADAM_TUNE = [
+    "tune", "--workload", "adam",
+    "--set", "num_elements=64", "--set", "world_size=4",
+]
 
 
-class TestTuningService:
-    def test_sources_tuned_then_memory_then_disk(self, tmp_path):
-        req = TuneRequest.make("adam", num_elements=64, world_size=4)
-
-        async def first_process():
-            async with thread_service(ScheduleCache(str(tmp_path))) as svc:
-                miss = await svc.submit(req)
-                hit = await svc.submit(req)
-                return miss, hit, svc.stats()
-
-        miss, hit, stats = run_service(first_process())
-        assert miss.source == "tuned" and not miss.hit
-        assert hit.source == "memory" and hit.hit
-        assert hit.schedule_name == miss.schedule_name
-        assert hit.artifact.content_hash == miss.artifact.content_hash
-        assert stats["serve.tunes"] == 1
-        assert stats["serve.hits.memory"] == 1
-
-        async def second_process():
-            async with thread_service(ScheduleCache(str(tmp_path))) as svc:
-                return await svc.submit(req), await svc.submit(req)
-
-        disk, mem = run_service(second_process())
-        assert disk.source == "disk"
-        assert mem.source == "memory"
-        assert disk.schedule_name == miss.schedule_name
-
-    def test_burst_coalesces_to_one_tune(self, tmp_path):
-        req = TuneRequest.make("adam", num_elements=64, world_size=4)
-
-        async def burst():
-            async with thread_service(ScheduleCache(str(tmp_path))) as svc:
-                results = await svc.submit_many([req] * 6)
-                return results, svc.metrics
-
-        results, metrics = run_service(burst())
-        sources = sorted(r.source for r in results)
-        assert sources.count("tuned") == 1
-        assert sources.count("coalesced") == 5
-        assert metrics.get("serve.tunes") == 1
-        assert metrics.get("serve.coalesced") == 5
-        assert metrics.get("serve.misses") == 6
-        # every rider got the same schedule
-        assert len({r.schedule_name for r in results}) == 1
-
-    def test_distinct_requests_do_not_coalesce(self, tmp_path):
-        reqs = [
-            TuneRequest.make("adam", num_elements=n, world_size=4)
-            for n in (64, 128)
-        ]
-
-        async def go():
-            async with thread_service(ScheduleCache(str(tmp_path))) as svc:
-                await svc.submit_many(reqs)
-                return svc.metrics
-
-        metrics = run_service(go())
-        assert metrics.get("serve.tunes") == 2
-        assert metrics.get("serve.coalesced") == 0
-
-    def test_shared_metrics_registry(self, tmp_path):
-        reg = MetricsRegistry()
-        cache = ScheduleCache(str(tmp_path))
-        svc = thread_service(cache, metrics=reg)
-        assert cache.metrics is reg  # cache counters join the service's
-        svc.close()
-
-    def test_closed_service_rejects(self, tmp_path):
-        svc = thread_service(ScheduleCache(str(tmp_path)))
-        svc.close()
-        req = TuneRequest.make("adam", num_elements=64, world_size=4)
-        with pytest.raises(ServeError):
-            run_service(svc.submit(req))
-        svc.close()  # idempotent
-
-    def test_default_process_pool_integration(self, tmp_path):
-        # the real spawn-context ProcessPoolExecutor path, once
-        req = TuneRequest.make("adam", num_elements=64, world_size=4)
-
-        async def go():
-            async with TuningService(
-                ScheduleCache(str(tmp_path)),
-                max_workers=1, max_depth=2,
-            ) as svc:
-                return await svc.submit(req)
-
-        res = run_service(go())
-        assert res.source == "tuned"
-        assert ScheduleCache(str(tmp_path)).get(
-            res.structural_hash, res.topology
-        ) is not None
-
-
-class TestTuneRequest:
-    def test_validation(self):
-        with pytest.raises(ServeError):
-            TuneRequest.make("nope", num_elements=64, world_size=4)
-        with pytest.raises(ServeError):
-            TuneRequest.make("adam", num_elements=64)  # missing param
-        with pytest.raises(ServeError):
-            TuneRequest.make(
-                "adam", num_elements=64, world_size=4, bogus=1
-            )
-        with pytest.raises(Exception):
-            TuneRequest.make(
-                "adam", num_elements=64, world_size=4, dtype="FP13"
-            )
-        with pytest.raises(ServeError):
-            TuneRequest.make(
-                "adam", num_elements=64, world_size=4, nodes=0
-            )
-
-    def test_spec_roundtrip_and_hashability(self):
-        req = TuneRequest.make(
-            "moe", capacity=3, model_dim=6, ffn_dim=8, world_size=4
-        )
-        assert TuneRequest.from_spec(req.spec()) == req
-        assert len({req, TuneRequest.from_spec(req.spec())}) == 1
-        assert "moe" in req.describe()
-
-    def test_every_workload_builds(self):
-        reqs = [
-            TuneRequest.make("adam", num_elements=64, world_size=4),
-            TuneRequest.make("lamb", num_elements=64, world_size=4),
-            TuneRequest.make(
-                "moe", capacity=3, model_dim=6, ffn_dim=8, world_size=4
-            ),
-            TuneRequest.make(
-                "attention", batch=2, seq=4, hidden=8, world_size=4
-            ),
-        ]
-        keys = {request_key(r) for r in reqs}
-        assert len(keys) == len(reqs)  # distinct programs, distinct keys
-
-    def test_request_key_stable_across_processes(self):
-        req = TuneRequest.make("adam", num_elements=64, world_size=4)
-        script = (
-            "from repro.serve import TuneRequest, request_key\n"
-            "req = TuneRequest.from_spec("
-            + json.dumps(req.spec())
-            + ")\n"
-            "print(*request_key(req))\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = SRC
-        out = subprocess.run(
-            [sys.executable, "-c", script], env=env,
-            capture_output=True, text=True, check=True,
-        ).stdout.split()
-        assert tuple(out) == request_key(req)
+@pytest.fixture
+def cache_env(tmp_path, monkeypatch):
+    """Point ``$REPRO_SCHEDULE_CACHE`` at a fresh directory."""
+    path = str(tmp_path / "cache")
+    monkeypatch.setenv("REPRO_SCHEDULE_CACHE", path)
+    return path
 
 
 class TestServeCLI:
-    def test_tune_then_hit_then_stats_clear(self, tmp_path, capsys):
-        cache_dir = str(tmp_path / "cache")
-        argv = [
-            "--cache", cache_dir, "tune",
-            "--workload", "adam",
-            "--set", "num_elements=64", "--set", "world_size=4",
-            "--max-depth", "2", "--workers", "1",
-            "--save", str(tmp_path / "served.json"),
-        ]
-        assert serve_cli_main(argv) == 0
+    def test_tune_then_hit_then_stats_clear(
+        self, tmp_path, cache_env, capsys
+    ):
+        saved = str(tmp_path / "tuned.json")
+        assert run_cli_main(ADAM_TUNE + ["--save", saved]) == 0
         out = capsys.readouterr().out
-        assert "source:     tuned" in out
-        assert os.path.exists(tmp_path / "served.json")
+        assert "cache:      miss" in out
+        assert os.path.exists(saved)
 
-        assert serve_cli_main(argv[:-2]) == 0  # same request, no --save
-        assert "source:     disk" in capsys.readouterr().out
+        # the same command in a fresh interpreter is a hit that
+        # evaluates no candidate
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli"] + ADAM_TUNE,
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "cache:      hit" in proc.stdout
+        assert "evaluated:  0 candidates" in proc.stdout
 
-        assert serve_cli_main(["--cache", cache_dir, "stats"]) == 0
+        assert run_cli_main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
+        assert cache_env in out
         assert "entries:   1" in out
 
-        assert serve_cli_main(["--cache", cache_dir, "clear"]) == 0
+        assert run_cli_main(["cache", "clear"]) == 0
         assert "removed 1" in capsys.readouterr().out
+        assert len(ScheduleCache(cache_env)) == 0
 
-    def test_replay(self, tmp_path, capsys):
-        cache_dir = str(tmp_path / "cache")
-        reqs = [
-            TuneRequest.make("adam", num_elements=64, world_size=4).spec()
-        ] * 3
-        path = tmp_path / "reqs.json"
-        path.write_text(json.dumps(reqs))
-        assert serve_cli_main(
-            ["--cache", cache_dir, "replay", str(path),
-             "--max-depth", "2", "--workers", "1"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "served 3 requests" in out
-        assert "tuner invocations: 1" in out
+    def test_errors_exit_1(self, cache_env, capsys):
+        for argv in (
+            ["tune", "--workload", "bogus", "--set", "x=1"],
+            ["tune", "--workload", "adam", "--set", "num_elements"],
+            ["tune", "--workload", "adam", "--set", "num_elements=x",
+             "--set", "world_size=4"],
+            ["tune", "--workload", "adam", "--set", "num_elements=64"],
+            ADAM_TUNE + ["--dtype", "FP13"],
+            ADAM_TUNE + ["--nodes", "0"],
+        ):
+            assert run_cli_main(argv) == 1, argv
+            assert "error:" in capsys.readouterr().err
+        assert len(ScheduleCache(cache_env)) == 0
 
-    def test_errors_exit_1(self, tmp_path, capsys):
-        assert serve_cli_main(
-            ["tune", "--workload", "bogus", "--set", "x=1"]
-        ) == 1
-        assert "error:" in capsys.readouterr().err
-        assert serve_cli_main(
-            ["tune", "--workload", "adam", "--set", "num_elements"]
-        ) == 1
-        assert serve_cli_main(
-            ["replay", str(tmp_path / "missing.json")]
-        ) == 1
+    def test_every_workload_builds(self):
+        small = {
+            "num_elements": 64, "world_size": 4, "capacity": 3,
+            "model_dim": 6, "ffn_dim": 8, "batch": 2, "seq": 4,
+            "hidden": 8,
+        }
+        keys = set()
+        for name, (_, params, _) in TUNE_WORKLOADS.items():
+            program = build_workload(
+                name, {p: small[p] for p in params}, "FP16"
+            )
+            keys.add(cache_key(program))
+        assert len(keys) == len(TUNE_WORKLOADS)  # distinct programs
 
-    def test_cli_digest_identity(self, tmp_path, capsys):
-        """The served artifact reproduces the freshly tuned digest
-        through the public ``repro-run`` CLI."""
-        cache_dir = str(tmp_path / "cache")
+    def test_cli_digest_identity(self, tmp_path, cache_env, capsys):
+        """The saved artifact reproduces the freshly tuned digest
+        through ``repro-run run``."""
         served_path = str(tmp_path / "served.json")
-        assert serve_cli_main(
-            ["--cache", cache_dir, "tune", "--workload", "adam",
-             "--set", "num_elements=64", "--set", "world_size=4",
-             "--max-depth", "2", "--workers", "1",
-             "--save", served_path]
-        ) == 0
-        capsys.readouterr()
+        assert run_cli_main(ADAM_TUNE + ["--save", served_path]) == 0
+        assert run_cli_main(ADAM_TUNE + ["--save", served_path]) == 0
+        assert "cache:      hit" in capsys.readouterr().out
 
-        fresh = Autotuner(Cluster(1), max_depth=2).tune(
-            AdamWorkload.build(64, 4).program
-        )
+        fresh = Autotuner(Cluster(1)).tune(AdamWorkload.build(64, 4).program)
         from repro.core.artifact import Artifact
 
         fresh_path = str(tmp_path / "fresh.json")

@@ -2,9 +2,10 @@
 signature dedup, memoized cost evaluation, and lower-bound pruning.
 
 The invariant everything here guards: the optimizations change how fast
-the search runs, never what it returns. ``Autotuner(baseline=True)``
-(root replay + unmemoized costs + O(n²) reference engine, same
-candidate space) is the executable specification.
+the search runs, never what it returns. The executable specification
+is the unoptimized search, rebuilt here: every candidate's move script
+replayed from a fresh root and timed by an unmemoized cost model on the
+O(n²) ready-scan engine (``tests/des_oracle.py``).
 """
 
 import pytest
@@ -17,6 +18,7 @@ from repro.workloads.adam import AdamWorkload
 from repro.workloads.attention import AttentionWorkload
 from repro.workloads.lamb import LambWorkload
 from repro.workloads.moe import MoEWorkload
+from tests.des_oracle import ReferenceEngine
 
 
 def _suite():
@@ -26,6 +28,14 @@ def _suite():
         (AttentionWorkload.build(4, 256, 1024, 16), Cluster(1)),
         (MoEWorkload.build(128, 512, 2048, 32), Cluster(2)),
     ]
+
+
+def _replay(tuner, program, moves):
+    """Rebuild a candidate from the root, one move at a time."""
+    sched = tuner._fresh(program)
+    for m in moves:
+        tuner._apply(sched, m)
+    return sched
 
 
 class TestMemoizedCostModel:
@@ -77,15 +87,25 @@ class TestIncrementalMatchesBaseline:
     @pytest.mark.parametrize("idx", range(4))
     def test_same_candidates_same_times(self, idx):
         wl, cluster = _suite()[idx]
-        base = Autotuner(cluster, baseline=True).tune(wl.program)
-        fast = Autotuner(cluster, prune=False).tune(wl.program)
-        assert [c.name for c in base.candidates] == [
-            c.name for c in fast.candidates
-        ]
-        for cb, cf in zip(base.candidates, fast.candidates):
-            assert cb.time == cf.time, cb.name
-        assert base.best.name == fast.best.name
-        assert base.best.time == fast.best.time
+        tuner = Autotuner(cluster, prune=False)
+        fast = tuner.tune(wl.program)
+        oracle = ProgramCostModel(
+            cluster, memoize=False, engine=ReferenceEngine()
+        )
+        times = []
+        for c in fast.candidates:
+            if c.name == "default":  # the program before the fusion pre-pass
+                replayed = Schedule(wl.program)
+            else:
+                replayed = _replay(tuner, wl.program, c.moves)
+            assert tuner._plan_signature(replayed) == (
+                tuner._plan_signature(c.schedule)
+            ), c.name
+            times.append(oracle.time(replayed))
+            assert times[-1] == c.time, c.name
+        best = fast.candidates[times.index(min(times))]
+        assert best.name == fast.best.name
+        assert min(times) == fast.best.time
 
     @pytest.mark.parametrize("idx", range(4))
     def test_pruning_preserves_the_best(self, idx):
@@ -124,8 +144,8 @@ class TestPlanSignatureDedup:
     def test_orderings_produce_different_plans(self):
         tuner = Autotuner(Cluster(1))
         prog = AdamWorkload.build(2**18, 16).program
-        sig_a = tuner._plan_signature(tuner._replay(prog, self.ORDER_A))
-        sig_b = tuner._plan_signature(tuner._replay(prog, self.ORDER_B))
+        sig_a = tuner._plan_signature(_replay(tuner, prog, self.ORDER_A))
+        sig_b = tuner._plan_signature(_replay(tuner, prog, self.ORDER_B))
         assert sig_a != sig_b
 
     def test_both_orderings_are_explored(self):
@@ -151,7 +171,7 @@ class TestPlanSignatureDedup:
         # see the difference
         tuner = Autotuner(Cluster(1))
         prog = AdamWorkload.build(2**18, 16).program
-        replayed = tuner._replay(prog, self.ORDER_A)
+        replayed = _replay(tuner, prog, self.ORDER_A)
         sched = tuner._fresh(prog)
         for m in self.ORDER_A:
             child = sched.fork()
@@ -193,15 +213,8 @@ class TestScheduleFork:
 
 
 class TestBaselineMode:
-    def test_baseline_uses_reference_engine_and_no_memo(self):
-        tuner = Autotuner(Cluster(1), baseline=True)
-        cost = tuner._factory(Cluster(1))
-        assert cost.engine.reference
-        assert not cost.memoize
-        assert not tuner.prune
-
     def test_default_uses_heap_engine_and_memo(self):
         tuner = Autotuner(Cluster(1))
         cost = tuner._factory(Cluster(1))
-        assert not cost.engine.reference
+        assert type(cost.engine) is Engine
         assert cost.memoize

@@ -8,6 +8,9 @@
   record, warm tune is a cache hit with the same winner, and the
   artifact-backed cached candidate executes bit-identically to the
   freshly searched schedule;
+* tune requests: bad workloads, shapes, ``--set`` pairs, dtypes and
+  node counts are rejected, and a request's cache key is the same in
+  a fresh interpreter;
 * ``repro-run tune`` / ``repro-run cache``: a miss, then a hit in a
   fresh process that evaluates no candidate, stats, clear, error exits,
   every workload in the table, and the saved artifact's ``repro-run
@@ -21,12 +24,19 @@ import sys
 
 import pytest
 
-from repro.cli import TUNE_WORKLOADS, _digest, _seeded_inputs, build_workload
+from repro.cli import (
+    TUNE_WORKLOADS,
+    _digest,
+    _parse_params,
+    _seeded_inputs,
+    build_workload,
+)
 from repro.cli import main as run_cli_main
 from repro.cluster import Cluster
 from repro.core.artifact import structural_hash
 from repro.core.autotuner import Autotuner
 from repro.core.transforms import Schedule
+from repro.errors import CoCoNetError
 from repro.runtime.executor import Executor
 from repro.serve import CachedSchedule, ScheduleCache, ScheduleCacheError
 from repro.workloads.adam import AdamWorkload
@@ -286,6 +296,61 @@ def cache_env(tmp_path, monkeypatch):
     path = str(tmp_path / "cache")
     monkeypatch.setenv("REPRO_SCHEDULE_CACHE", path)
     return path
+
+
+class TestTuneRequest:
+    """A tune request is a workload name, integer ``--set`` shape
+    parameters, a dtype and a node count; its cache key is the
+    ``(structural_hash, topology)`` pair of the program it builds."""
+
+    def test_validation(self):
+        with pytest.raises(CoCoNetError):
+            build_workload("nope", {"num_elements": 64}, "FP16")
+        with pytest.raises(CoCoNetError):  # missing param
+            build_workload("adam", {"num_elements": 64}, "FP16")
+        with pytest.raises(CoCoNetError):
+            build_workload(
+                "adam",
+                {"num_elements": 64, "world_size": 4, "bogus": 1},
+                "FP16",
+            )
+        with pytest.raises(CoCoNetError):
+            build_workload(
+                "adam", {"num_elements": 64, "world_size": 4}, "FP13"
+            )
+        with pytest.raises(CoCoNetError):
+            _parse_params(["num_elements"])
+        with pytest.raises(CoCoNetError):
+            _parse_params(["num_elements=x"])
+        assert _parse_params(["num_elements=64", " world_size =4"]) == {
+            "num_elements": 64, "world_size": 4,
+        }
+        with pytest.raises(CoCoNetError):
+            Cluster(0)
+
+    def test_request_key_stable_across_processes(self):
+        params = {"num_elements": 64, "world_size": 4}
+        script = (
+            "from repro.cli import build_workload\n"
+            "from repro.cluster import Cluster\n"
+            "from repro.core.artifact import structural_hash\n"
+            "from repro.core.transforms import Schedule\n"
+            "program = build_workload('adam', "
+            + json.dumps(params)
+            + ", 'FP16')\n"
+            "cluster = Cluster(1)\n"
+            "print(structural_hash("
+            "Schedule(program).lowered(cluster=cluster)), "
+            "cluster.signature())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env,
+            capture_output=True, text=True, check=True,
+        ).stdout.split()
+        assert tuple(out) == cache_key(
+            build_workload("adam", params, "FP16")
+        )
 
 
 class TestServeCLI:

@@ -97,8 +97,8 @@ class TuneResult:
 
     ``cached`` is True when the whole search was skipped because a
     persistent schedule cache already held the tuned schedule for this
-    ``(structural_hash, topology)`` pair; ``cache_key`` carries that
-    pair whenever a cache was consulted.
+    ``(structural_hash, topology)`` pair (see :meth:`Autotuner.cache_key`);
+    ``cache_key`` carries that pair whenever a cache was consulted.
     """
 
     best: Candidate
@@ -303,6 +303,18 @@ class Autotuner:
 
     # -- the search ---------------------------------------------------------
 
+    def cache_key(self, program: Program) -> Tuple[str, str]:
+        """The schedule-cache pair a tune of ``program`` is filed under.
+
+        The untransformed program's structural hash, and the topology
+        signature extended with the search depth: a record tuned at one
+        depth never answers a tune at another.
+        """
+        return (
+            self._plan_signature(Schedule(program)),
+            f"{self.cluster.signature()}/max_depth={self.max_depth}",
+        )
+
     def tune(self, program: Program) -> TuneResult:
         """Explore all schedules of ``program``; return the fastest.
 
@@ -327,10 +339,7 @@ class Autotuner:
         cache = self.schedule_cache
         cache_key: Optional[Tuple[str, str]] = None
         if cache is not None:
-            cache_key = (
-                self._plan_signature(Schedule(program)),
-                self.cluster.signature(),
-            )
+            cache_key = self.cache_key(program)
             rec = cache.get(*cache_key)
             if rec is not None:
                 if self.metrics is not None:

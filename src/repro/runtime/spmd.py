@@ -12,12 +12,19 @@ executes the same generated SPMD module (``CodeGenerator`` with
 Transport protocol
 ------------------
 
-The parent lays out one *slot* per (communication site, rank) in a
-single shared data segment, plus an ``int64`` flags segment. A site is
-a process group (key ``g<start>x<size>``) or a point-to-point pair
-(``p<src>><dst>``). Each slot holds a small self-describing header
-(shape + dtype) and the payload; each (site, rank) pair has a *ready*
-and a *done* sequence counter in the flags segment:
+One shared data segment carries everything a launch moves, plus an
+``int64`` flags segment; :class:`SpmdLayout` lays both out. The data
+segment holds:
+
+* one *slot* per (communication site, rank). A site is a process group
+  (key ``g<start>x<size>``) or a point-to-point pair (``p<src>><dst>``);
+* one *region* per (input, rank holding it) and per (output, rank
+  returning it): a rank's private array, so an in-place update on one
+  rank is never seen by another.
+
+Each slot holds a small self-describing header (shape + dtype) and the
+payload; each (site, rank) pair has a *ready* and a *done* sequence
+counter in the flags segment:
 
 * publish: write payload, then store ``ready = seq * 2^20 + progress``
   (``progress`` counts published chunks; whole payloads publish 1);
@@ -61,26 +68,34 @@ Launch
 ------
 
 A launch pays an interpreter start per rank, so ``launch`` keeps
-everything else off that path:
+everything else off that path, and no array crosses a pipe:
 
 1. Every rank process starts with small arguments only (layout,
-   segment names, deadlines, fault plan, trace path). Only then does
-   one sender thread per rank send it its module spec and input shard
-   over its own pipe. Shipping the shards as ``Process`` arguments
-   would make each ``start()`` wait until that rank had imported numpy
-   and repro, so the ranks would start one after another. Shards and
-   reports are pickled with their arrays out of band
-   (:func:`_send_message`), so neither side holds a pickled copy of an
-   array, and the parent drops each shard once it is sent.
-2. For the native target the module spec carries the parent's
+   segment names, deadlines, fault plan, trace path). Large
+   ``Process`` arguments would make each ``start()`` wait until that
+   rank had imported numpy and repro, so the ranks would start one
+   after another.
+2. While the ranks import, the parent casts every input straight into
+   the region of each rank that holds it (the checks and downcast
+   policy of :func:`repro.runtime.world.place_inputs`). It then unmaps
+   the segment, so its resident set does not count those pages a
+   second time, and sends each rank its module spec over its pipe: a
+   few kilobytes of artifact text, which fit the pipe buffer, so the
+   send does not wait for the rank.
+3. Each rank binds its tensors to writable views of its own regions
+   and runs in place. It copies the results the parent will read into
+   their regions (a replicated result from the group's first rank
+   only), closes its segments and reports ``("ok", seconds)``.
+4. The parent maps the segment again and copies each result out in one
+   pass, so no returned array aliases the segment teardown unlinks.
+5. For the native target the module spec carries the parent's
    :func:`repro.core.codegen.native.toolchain_record` (compiler path
    and version, BLAS candidate paths). Each rank primes its toolchain
    memos from it instead of forking ``cc --version`` and the
    ``find_library`` probes; the record selects the same library and
    kernel cache key that probing would.
-3. A rank that has sent its report and closed its segments flushes
-   stdio and leaves with ``os._exit(0)``, skipping interpreter
-   teardown.
+6. A rank that has closed its segments and reported flushes stdio and
+   leaves with ``os._exit(0)``, skipping interpreter teardown.
 
 Failure handling
 ----------------
@@ -90,7 +105,7 @@ spin loop polls the marker, so peers blocked mid-collective abort
 promptly instead of deadlocking the rendezvous. The parent tears down
 in a ``finally``: joins (then terminates) every worker and closes and
 unlinks both shared-memory segments, so a failing kernel can never leak
-``/dev/shm`` segments. A rank that dies before it has read its inputs
+``/dev/shm`` segments. A rank that dies before it has read its regions
 is reported dead like one that dies mid-run.
 
 Usage
@@ -118,7 +133,6 @@ underneath. Not a doctest — it spawns one real OS process per rank:
 from __future__ import annotations
 
 import os
-import pickle
 import sys
 import threading
 import time
@@ -147,12 +161,7 @@ from repro.observe.ring import (
 )
 from repro.runtime.collectives import _reduce_stack
 from repro.runtime.faults import FaultPlan
-from repro.runtime.world import (
-    assemble_rows,
-    place_inputs,
-    rank_invariant,
-    slice_of,
-)
+from repro.runtime.world import assemble_rows, place_inputs, slice_of
 
 __all__ = [
     "SpmdCommunicator",
@@ -162,7 +171,6 @@ __all__ = [
     "SpmdWorkerError",
     "launch",
     "scaled_default_timeout",
-    "CollectivePool",
 ]
 
 #: bytes reserved at the start of every slot for the payload header
@@ -232,20 +240,26 @@ def _round64(n: int) -> int:
 
 
 class SpmdLayout:
-    """Deterministic slot layout shared by the parent and every rank.
+    """Deterministic data-segment layout shared by the parent and every rank.
 
     ``sites`` maps a site key to ``(participants, slot_bytes, offset)``
     where ``offset`` is the byte offset of the site's rank-0 slot in the
     data segment; rank ``r``'s slot starts at ``offset + r *
-    slot_bytes``. Picklable by construction (plain ints/tuples) so the
-    spawn context can ship it to every worker.
+    slot_bytes``. ``regions`` maps ``("in" | "out", tensor name)`` to
+    ``(shape, dtype, {rank: offset}, writers)``: one private per-rank
+    array for every input a rank holds (its storage, written in place)
+    and for every output it returns; ``writers`` are the ranks whose
+    copies the parent reads back. Picklable by construction (plain
+    ints/tuples) so the spawn context can ship it to every worker.
     """
 
     def __init__(self, nranks: int) -> None:
         self.nranks = nranks
         self.sites: Dict[str, Tuple[Tuple[int, ...], int, int]] = {}
+        self.regions: Dict[Tuple[str, str], Tuple] = {}
         self.data_size = 64
         self._pending: Dict[str, Tuple[Tuple[int, ...], int]] = {}
+        self._regions_end = 0
 
     def add_site(
         self, key: str, participants: Sequence[int], payload_bytes: int
@@ -258,15 +272,41 @@ class SpmdLayout:
             slot = max(old[1], slot)
         self._pending[key] = (participants, slot)
 
+    def add_region(
+        self, key: Tuple[str, str], shape: Sequence[int], dtype,
+        ranks: Sequence[int], writers: Sequence[int],
+    ) -> None:
+        """Reserve one ``shape``/``dtype`` array per rank in ``ranks``.
+
+        Regions come first in the data segment, the slots after them.
+        """
+        dtype = np.dtype(dtype)
+        nbytes = _round64(max(1, int(np.prod(shape)) * dtype.itemsize))
+        offsets = {}
+        for r in ranks:
+            offsets[r] = self._regions_end
+            self._regions_end += nbytes
+        self.regions[key] = (tuple(shape), dtype.str, offsets, tuple(writers))
+
     def freeze(self) -> int:
-        """Assign offsets; returns the total data-segment size."""
-        offset = 0
+        """Assign slot offsets; returns the total data-segment size."""
+        offset = self._regions_end
         for key in sorted(self._pending):
             participants, slot = self._pending[key]
             self.sites[key] = (participants, slot, offset)
             offset += slot * self.nranks
         self.data_size = max(offset, 64)
         return self.data_size
+
+    def view(self, buf, key: Tuple[str, str], rank: int) -> np.ndarray:
+        """Rank ``rank``'s writable array of region ``key`` over ``buf``.
+
+        The view pins ``buf``: drop it before closing the segment.
+        """
+        shape, dtype, offsets, _ = self.regions[key]
+        return np.ndarray(
+            shape, dtype=dtype, buffer=buf, offset=offsets[rank]
+        )
 
     @property
     def num_sites(self) -> int:
@@ -278,13 +318,19 @@ class SpmdLayout:
 
 
 def build_layout(program) -> SpmdLayout:
-    """Enumerate the program's communication sites and size their slots.
+    """Enumerate the program's communication sites and data regions.
 
     One site per process group touched by a collective or cross-rank
     reduction, one per point-to-point (src, dst) pair of every Send, and
     one world-sized site for barriers. Slot sizes cover the largest
     per-rank payload published at that site (collective inputs, chunked
     staging buffers, gathered scalars).
+
+    Every rank of an input's group gets a private region for its shard,
+    because a rank may update its storage in place. An output gets one
+    region per rank of its group, a replicated one only on the group's
+    first rank: the parent reads every replicated result, output or
+    state, from that rank.
     """
     world_size = program.inputs[0].group.world_size
     layout = SpmdLayout(world_size)
@@ -311,6 +357,21 @@ def build_layout(program) -> SpmdLayout:
             isinstance(e, (ops.Norm, ops.ReduceTensor)) and e.crosses_ranks
         ):
             layout.add_site(_group_key(e.group), e.group.ranks, 64)
+
+    def readers(t) -> Tuple[int, ...]:
+        ranks = tuple(t.group.ranks)
+        return ranks[:1] if t.layout.is_replicated else ranks
+
+    for t in program.inputs:
+        layout.add_region(
+            ("in", t.name), t.per_rank_shape(), t.dtype.to_numpy(),
+            t.group.ranks, readers(t) if isinstance(t, Tensor) else (),
+        )
+    for o in program.outputs:
+        layout.add_region(
+            ("out", o.name), o.per_rank_shape(), o.dtype.to_numpy(),
+            readers(o), readers(o),
+        )
     layout.freeze()
     return layout
 
@@ -1296,31 +1357,24 @@ def _module_source(spec) -> str:
     raise ExecutionError(f"unknown SPMD module spec kind {kind!r}")
 
 
-def _send_message(conn, obj) -> None:
-    """Send ``obj`` over a pipe with its arrays pickled out of band.
+def _store_results(
+    layout: SpmdLayout, buf, rank: int, outputs: Dict, states: Dict
+) -> None:
+    """Copy this rank's results into the regions the parent reads.
 
-    Each array goes over the pipe straight from its own memory, so the
-    sender holds no pickled copy of a shard or an output while it
-    sends; the receiver reads it into the buffer its array then wraps.
+    A state the module updated in place already lives in its region.
+    Each result is dropped once copied, so a rank holds at most one
+    result beside its regions.
     """
-    buffers: List[pickle.PickleBuffer] = []
-    head = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
-    conn.send([b.raw().nbytes for b in buffers])
-    conn.send_bytes(head)
-    for b in buffers:
-        conn.send_bytes(b.raw())
-
-
-def _recv_message(conn):
-    """Receive one object sent by :func:`_send_message`."""
-    sizes = conn.recv()
-    head = conn.recv_bytes()
-    buffers = []
-    for nbytes in sizes:
-        buf = bytearray(nbytes)  # writable, so are the arrays over it
-        conn.recv_bytes_into(buf)
-        buffers.append(buf)
-    return pickle.loads(head, buffers=buffers)
+    for key, (_, _, _, writers) in layout.regions.items():
+        if rank not in writers:
+            continue
+        kind, name = key
+        value = (outputs if kind == "out" else states).pop(name)
+        view = layout.view(buf, key, rank)
+        if value is not view:
+            np.copyto(view, value)
+        del value, view
 
 
 def _rank_main(
@@ -1337,14 +1391,24 @@ def _rank_main(
 ) -> None:
     comm = None
     try:
-        # the module spec and this rank's input shard arrive over the
-        # pipe once every rank has started (see launch)
-        source, inputs = _recv_message(conn)
         comm = SpmdCommunicator.attach(
             layout, rank, data_name, flags_name, wire_s_per_mb, timeout,
             trace_path=trace_path, soft_timeout=soft_timeout,
             faults=fault_plan,
         )
+        # the module spec arrives once every input region is written
+        # (see launch)
+        source = conn.recv()
+        buf = comm._data.buf
+        inputs = {
+            key[1]: layout.view(buf, key, rank)
+            for key, (_, _, offsets, _) in layout.regions.items()
+            if key[0] == "in" and rank in offsets
+        }
+        # fault this rank's input pages in before the barrier, so the
+        # timed body does not pay for mapping them
+        for view in inputs.values():
+            view.reshape(-1).view(np.uint8)[::4096].max(initial=0)
         namespace: Dict[str, object] = {}
         exec(
             compile(_module_source(source), f"<spmd rank {rank}>", "exec"),
@@ -1363,9 +1427,13 @@ def _rank_main(
         t0 = time.perf_counter()
         outputs, states = namespace["run_rank"](comm, inputs)
         elapsed = time.perf_counter() - t0
-        _send_message(conn, ("ok", outputs, states, elapsed))
+        _store_results(layout, buf, rank, outputs, states)
+        # every view of the segment must go before close()
+        del inputs, outputs, states, buf
+        comm.close()
+        conn.send(("ok", elapsed))
     except SpmdPeerAbort as exc:
-        _send_message(conn, ("aborted", str(exc)))
+        conn.send(("aborted", str(exc)))
     except BaseException as exc:  # noqa: BLE001 - reported to the parent
         if comm is not None:
             comm.signal_error(_ERR_FAILED)
@@ -1379,9 +1447,7 @@ def _rank_main(
                 f"site {context.get('site') or '?'!r}, "
                 f"seq {context.get('seq', 0)})"
             )
-        _send_message(
-            conn, ("error", summary, traceback.format_exc(), context)
-        )
+        conn.send(("error", summary, traceback.format_exc(), context))
     finally:
         if comm is not None:
             comm.close()
@@ -1399,62 +1465,44 @@ def _rank_main(
 # ---------------------------------------------------------------------------
 
 
-def _place_per_rank(
-    program, inputs: Mapping[str, np.ndarray], allow_downcast
-) -> List[Dict[str, np.ndarray]]:
-    """Cut the placed global inputs into one writable shard dict per rank.
+def _place_regions(
+    layout: SpmdLayout, program, placed: Mapping[str, np.ndarray], buf
+) -> None:
+    """Cast each placed input into the region of every rank holding it.
 
-    A replicated tensor is copied once and every rank's shard is that
-    one writable array: a row of its stride-0 stack would pickle as a
-    read-only buffer and reach the rank read-only. A sliced or local
-    tensor's rows are copied one per rank.
+    ``placed`` holds :func:`repro.runtime.world.place_inputs` stacks,
+    checked but not yet cast: each row is cast straight into its rank's
+    region, with no intermediate copy. A replicated input is cast once,
+    into its first rank's region, and copied from there.
     """
-    placed = place_inputs(program, inputs, allow_downcast)
-    shards: List[Dict[str, np.ndarray]] = [
-        {} for _ in range(program.inputs[0].group.world_size)
-    ]
     for t in program.inputs:
-        stacked = placed[t.name]
-        if rank_invariant(stacked):
-            rows = [np.array(stacked[0])] * t.group.size
-        else:
-            rows = [row.copy() for row in stacked]
-        for r, row in zip(t.group, rows):
-            shards[r][t.name] = row
-    return shards
+        cast = None
+        for r, row in zip(t.group, placed[t.name]):
+            view = layout.view(buf, ("in", t.name), r)
+            np.copyto(view, row if cast is None else cast, casting="unsafe")
+            if t.layout.is_replicated:
+                cast = view
 
 
-def _send_payload(conn, payload, errors: List[Exception]) -> None:
-    try:
-        _send_message(conn, payload)
-    except OSError:
-        # the rank died before reading: the launch loop finds it dead
-        # from its process sentinel
-        pass
-    except Exception as exc:  # noqa: BLE001 - reported by launch
-        errors.append(exc)
+def _read_results(layout: SpmdLayout, program, buf):
+    """``(outputs, states)`` copied out of the result regions.
 
-
-def _ship_inputs(
-    conns: Sequence, payloads: Sequence, errors: List[Exception]
-) -> List[threading.Thread]:
-    """Send every rank its ``(module spec, input shard)``; the senders.
-
-    One thread per rank: a send larger than the pipe buffer blocks
-    until its rank has imported enough to read it, so the ranks receive
-    side by side, and a rank that never reads cannot hold the launch
-    loop past its deadline. A failure other than a broken pipe lands in
-    ``errors`` for the launch loop to report.
+    One pass per tensor; no returned array aliases ``buf``.
     """
-    senders = [
-        threading.Thread(
-            target=_send_payload, args=(conn, payload, errors), daemon=True
+
+    def read(key, t) -> np.ndarray:
+        writers = layout.regions[key][3]
+        return assemble_rows(
+            [layout.view(buf, key, r) for r in writers], t.layout, t.shape
         )
-        for conn, payload in zip(conns, payloads)
-    ]
-    for t in senders:
-        t.start()
-    return senders
+
+    outputs = {o.name: read(("out", o.name), o) for o in program.outputs}
+    states = {
+        t.name: read(("in", t.name), t)
+        for t in program.inputs
+        if isinstance(t, Tensor)
+    }
+    return outputs, states
 
 
 #: :func:`_rank_report`'s verdict on a rank that exited without reporting
@@ -1472,7 +1520,7 @@ def _rank_report(conn, proc):
     alive = proc.is_alive()
     if conn.poll(0):
         try:
-            return _recv_message(conn)
+            return conn.recv()
         except (EOFError, OSError):
             return _DIED
     return None if alive else _DIED
@@ -1498,22 +1546,26 @@ def launch(
 ):
     """Run a generated SPMD module as one process per rank.
 
-    Spawns ``world_size`` processes, scatters the placed inputs, executes
-    ``run_rank`` on every rank over a shared-memory communicator, gathers
-    per-rank outputs/states and reassembles them into a
-    :class:`~repro.runtime.executor.ProgramResult`. Teardown is
-    exception-safe: workers are joined (terminated on timeout) and both
-    shared-memory segments are closed and unlinked in a ``finally`` even
-    when a rank raises mid-collective.
+    Spawns ``world_size`` processes, places the inputs into their
+    shared-memory regions, executes ``run_rank`` on every rank over a
+    shared-memory communicator, and copies the per-rank outputs/states
+    back into a :class:`~repro.runtime.executor.ProgramResult` whose
+    arrays own their memory. Teardown is exception-safe: workers are
+    joined (terminated on timeout) and both shared-memory segments are
+    closed and unlinked in a ``finally`` even when a rank raises
+    mid-collective.
 
-    Start-up order: every rank process is started first; then one
-    sender thread per rank ships it its module spec and input shard,
-    while this thread already watches for reports and deaths (a send
-    waits for its rank to finish importing, and must not hold up the
-    deadline). The native target's spec carries
+    Start-up order: the inputs are checked, then every rank process
+    starts with small arguments. While the ranks import, the parent
+    casts every input into the region of each rank holding it, drops
+    its own mapping of the segment, and sends each rank its module spec
+    over its pipe. Each rank
+    runs on writable views of its own regions and writes its results
+    there; the parent reads them back once every rank has reported.
+    No array crosses a pipe. The native target's spec carries
     :func:`repro.core.codegen.native.toolchain_record`, so ranks fork
     no toolchain probe. A rank exits with ``os._exit(0)`` right after
-    reporting and closing its segments.
+    closing its segments and reporting.
 
     ``timeout`` bounds every rendezvous wait (default:
     :func:`scaled_default_timeout`, so slow simulated wires stretch the
@@ -1521,7 +1573,7 @@ def launch(
     escalation (soft-retry) deadline inside each wait. ``fault_plan``
     injects the given :class:`~repro.runtime.faults.FaultPlan` into
     every rank. The parent watches worker *process sentinels* alongside
-    their result pipes: a rank that dies without reporting (killed, an
+    their report pipes: a rank that dies without reporting (killed, an
     injected ``die``, OOM) is detected promptly, its error flag is
     broadcast on its behalf so surviving ranks abort their in-flight
     collectives with :class:`SpmdPeerAbort` rather than spinning to
@@ -1574,7 +1626,7 @@ def launch(
             f"{nranks} SPMD processes — rebuild the workload with "
             f"world_size={nranks}"
         )
-    shards = _place_per_rank(program, inputs, allow_downcast)
+    placed = place_inputs(program, inputs, allow_downcast, cast=False)
     layout = build_layout(program)
     timeout = (
         scaled_default_timeout(layout, wire_s_per_mb, compile_allowance_s)
@@ -1584,8 +1636,6 @@ def launch(
 
     trace_paths: List[Optional[str]] = [None] * world_size
     if trace_dir is not None:
-        import os
-
         for r in range(world_size):
             path = os.path.join(trace_dir, f"rank{r}.ring")
             TraceRing.create(path, trace_capacity).close()
@@ -1598,8 +1648,6 @@ def launch(
     flags_arr: Optional[np.ndarray] = None
     procs: List = []
     conns: List = []
-    senders: List[threading.Thread] = []
-    ship_errors: List[Exception] = []
     dead_ranks: List[int] = []
     # root-cause classification: a dead process (4) outranks a raised
     # error (3) outranks a silent timeout (2) outranks a peer abort (1)
@@ -1612,7 +1660,7 @@ def launch(
         if sev > fail["sev"]:
             fail.update(sev=sev, msg=msg, detail=det, context=ctx)
 
-    results: Dict[int, Tuple[Dict, Dict]] = {}
+    seconds: Dict[int, float] = {}
     err_off = layout.num_sites * world_size * 2
     try:
         data = SharedMemory(
@@ -1639,10 +1687,8 @@ def launch(
             # payloads abort promptly instead of spinning to timeout
             flags_arr[err_off + r] = _ERR_DEAD
 
-        # start every rank before shipping any input: start() writes
-        # the Process args into the child's pipe, and args larger than
-        # the pipe buffer block it until that rank has imported numpy
-        # and repro, so the ranks would start one after another
+        # start every rank first, then place the inputs while they
+        # import numpy and repro
         ctx_mp = get_context("spawn")
         for r in range(world_size):
             parent_conn, child_conn = ctx_mp.Pipe()
@@ -1661,27 +1707,26 @@ def launch(
             procs.append(p)
             conns.append(parent_conn)
 
-        if codegen_target == "native" and not isinstance(module_spec, str):
+        if codegen_target == "native" and artifact_text is not None:
             from repro.core.codegen import native
 
             module_spec += (native.toolchain_record(),)
-        senders = _ship_inputs(
-            conns, [(module_spec, s) for s in shards], ship_errors
-        )
-        # each sender drops its shard once sent: the copies need not
-        # stay resident while the ranks run
-        shards = None
+        _place_regions(layout, program, placed, data.buf)
+        placed = None
+        # the ranks map the segment themselves: unmap the pages written
+        # here, so the parent's resident set does not count them too
+        data.close()
+        for conn in conns:
+            try:
+                conn.send(module_spec)
+            except OSError:
+                # the rank already died: its sentinel reports it below
+                pass
 
         deadline = time.monotonic() + timeout + 60.0
         pending: Dict[int, object] = dict(enumerate(conns))
         while pending:
             remaining = deadline - time.monotonic()
-            if ship_errors:
-                exc = ship_errors[0]
-                _record_failure(
-                    3, f"could not ship inputs: {type(exc).__name__}: {exc}"
-                )
-                break
             if remaining <= 0.0:
                 for r in sorted(pending):
                     _record_failure(
@@ -1702,13 +1747,21 @@ def launch(
                 if msg is _DIED:
                     _mark_dead(r)
                 elif msg[0] == "ok":
-                    results[r] = (msg[1], msg[2], msg[3])
+                    seconds[r] = msg[1]
                 elif msg[0] == "error":
                     _record_failure(
                         3, msg[1], msg[2], msg[3] if len(msg) > 3 else None,
                     )
                 else:  # aborted by a peer's failure
                     _record_failure(1, msg[1])
+        if fail["msg"] is None:
+            # every rank has reported: let them exit first, so their
+            # memory and the results copied here are not resident at once
+            for p in procs:
+                p.join(timeout=5.0)
+            data = SharedMemory(name=data_name)
+            outputs, states = _read_results(layout, program, data.buf)
+            data.close()
     finally:
         flags_arr = None  # drop the view before closing the segment
         for p in procs:
@@ -1717,10 +1770,6 @@ def launch(
             if p.is_alive():  # pragma: no cover - hung worker
                 p.terminate()
                 p.join(timeout=5.0)
-        for t in senders:
-            # the ranks have exited or been terminated, so a send still
-            # blocked on one of them fails with a broken pipe
-            t.join(timeout=5.0)
         for conn in conns:
             try:
                 conn.close()
@@ -1744,166 +1793,9 @@ def launch(
             dead_ranks=dead_ranks,
         )
 
-    outputs = {
-        o.name: assemble_rows(
-            [results[r][0][o.name] for r in o.group], o.layout, o.shape
-        )
-        for o in program.outputs
-    }
-    states = {
-        t.name: assemble_rows(
-            [results[r][1][t.name] for r in t.group], t.layout, t.shape
-        )
-        for t in program.inputs
-        if isinstance(t, Tensor)
-    }
     result = ProgramResult(outputs, states)
     # per-rank wall-clock of the rank bodies (barrier-synchronized, so
     # process spawn time is excluded); the slowest rank is the step time
-    result.spmd_rank_seconds = {r: results[r][2] for r in results}
-    result.spmd_seconds = max(results[r][2] for r in results)
+    result.spmd_rank_seconds = seconds
+    result.spmd_seconds = max(seconds.values())
     return result
-
-
-# ---------------------------------------------------------------------------
-# Persistent worker pool: direct collective calls for the property tests.
-# ---------------------------------------------------------------------------
-
-
-def _pool_worker(
-    rank: int,
-    layout: SpmdLayout,
-    data_name: str,
-    flags_name: str,
-    timeout: float,
-    conn,
-) -> None:
-    comm = None
-    try:
-        comm = SpmdCommunicator.attach(
-            layout, rank, data_name, flags_name, 0.0, timeout
-        )
-        while True:
-            cmd = conn.recv()
-            if cmd[0] == "stop":
-                break
-            _, method, args, kwargs = cmd
-            try:
-                result = getattr(comm, method)(*args, **kwargs)
-                conn.send(("ok", result))
-            except SpmdPeerAbort:  # pragma: no cover - raced abort
-                conn.send(("error", "aborted by peer"))
-            except Exception as exc:
-                comm.signal_error(_ERR_FAILED)
-                conn.send(("error", f"{type(exc).__name__}: {exc}"))
-                # collective state is poisoned; peers saw the error flag
-                break
-    finally:
-        if comm is not None:
-            comm.close()
-        conn.close()
-
-
-class CollectivePool:
-    """``nranks`` persistent worker processes for direct collective calls.
-
-    Used by the property tests to drive thousands of communicator
-    collectives without paying a process spawn per example. ``call``
-    broadcasts one method invocation to every worker (each receives its
-    own row of the stacked input) and returns the per-rank results in
-    rank order.
-    """
-
-    def __init__(
-        self,
-        nranks: int,
-        slot_bytes: int = 1 << 20,
-        timeout: float = DEFAULT_TIMEOUT,
-    ) -> None:
-        self.nranks = nranks
-        self.timeout = float(timeout)
-        layout = SpmdLayout(nranks)
-        layout.add_site(
-            _group_key(ProcessGroup(0, nranks, nranks)),
-            range(nranks),
-            slot_bytes,
-        )
-        layout.freeze()
-        self.layout = layout
-        uid = uuid.uuid4().hex[:8]
-        self._data = SharedMemory(
-            create=True, size=layout.data_size,
-            name=f"spmdpool_{uid}_d",
-        )
-        self._flags = SharedMemory(
-            create=True, size=layout.flags_length() * 8,
-            name=f"spmdpool_{uid}_f",
-        )
-        np.ndarray(
-            (layout.flags_length(),), dtype=np.int64, buffer=self._flags.buf
-        ).fill(0)
-        ctx = get_context("spawn")
-        self._procs = []
-        self._conns = []
-        for r in range(nranks):
-            parent_conn, child_conn = ctx.Pipe()
-            p = ctx.Process(
-                target=_pool_worker,
-                args=(
-                    r, layout, self._data.name, self._flags.name,
-                    timeout, child_conn,
-                ),
-                daemon=True,
-            )
-            p.start()
-            child_conn.close()
-            self._procs.append(p)
-            self._conns.append(parent_conn)
-
-    def call(
-        self, method: str, per_rank_args: Sequence[tuple],
-        kwargs: Optional[dict] = None,
-    ) -> List[np.ndarray]:
-        """Invoke ``method`` on every worker; per-rank positional args."""
-        kwargs = kwargs or {}
-        for conn, args in zip(self._conns, per_rank_args):
-            conn.send(("call", method, args, kwargs))
-        out = []
-        errors = []
-        for r, conn in enumerate(self._conns):
-            if not conn.poll(self.timeout):
-                errors.append(f"rank {r}: no reply")
-                continue
-            status, payload = conn.recv()
-            if status == "ok":
-                out.append(payload)
-            else:
-                errors.append(f"rank {r}: {payload}")
-        if errors:
-            raise SpmdError("; ".join(errors))
-        return out
-
-    def close(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-        for p in self._procs:
-            p.join(timeout=5.0)
-            if p.is_alive():  # pragma: no cover
-                p.terminate()
-                p.join(timeout=5.0)
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-        for shm in (self._data, self._flags):
-            try:
-                shm.close()
-            finally:
-                try:
-                    shm.unlink()
-                except FileNotFoundError:  # pragma: no cover
-                    pass

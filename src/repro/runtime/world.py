@@ -143,13 +143,15 @@ def unstack_global(stacked: np.ndarray, layout, shape) -> np.ndarray:
 
 
 def assemble_rows(rows: Sequence[np.ndarray], layout, shape) -> np.ndarray:
-    """Reassemble per-rank rows, in group order, into the global array.
+    """Reassemble per-rank rows, in group order, into a new global array.
 
-    The result boundary of the SPMD launcher, whose ranks each return
-    their own row; :func:`unstack_global` does the same for a stack.
+    The result boundary of the SPMD launcher, whose rows are views of
+    shared memory that teardown unlinks: the result never aliases them.
+    A replicated value needs only the group's first row.
+    :func:`unstack_global` does the same for a stack.
     """
     if layout.is_replicated:
-        return rows[0]
+        return np.array(rows[0])
     if layout.is_sliced:
         return np.concatenate(
             list(rows), axis=normalize_dim(layout.dim, len(shape))
@@ -194,19 +196,22 @@ def _dtype_lossy(src: np.dtype, dst: np.dtype) -> bool:
 
 
 def _checked_cast(
-    tensor: Expr, value: np.ndarray, allow_downcast: Optional[bool]
+    tensor: Expr, value: np.ndarray, allow_downcast: Optional[bool],
+    cast: bool = True,
 ) -> np.ndarray:
     """Cast an input to the tensor dtype, policing lossy downcasts.
 
     ``allow_downcast=True`` casts silently, ``False`` raises on a
     value-changing lossy downcast, and ``None`` (the default) warns.
+    ``cast=False`` applies the policy but returns ``value`` uncast.
     """
     value = np.asarray(value)
     target = tensor.dtype.to_numpy()
+    out = value if value.dtype == target else None
     if allow_downcast is not True and _dtype_lossy(value.dtype, target):
-        cast = value.astype(target)
+        out = value.astype(target)
         if not np.array_equal(
-            cast.astype(value.dtype), value, equal_nan=True
+            out.astype(value.dtype), value, equal_nan=True
         ):
             msg = (
                 f"placing input {tensor.name!r}: lossy downcast "
@@ -216,22 +221,25 @@ def _checked_cast(
             if allow_downcast is False:
                 raise ExecutionError(msg)
             warnings.warn(msg, RuntimeWarning, stacklevel=3)
-        return cast
-    return value.astype(target) if value.dtype != target else value
+    if not cast:
+        return value
+    return value.astype(target) if out is None else out
 
 
 def place_input(
     tensor: Expr,
     value: np.ndarray,
     allow_downcast: Optional[bool] = None,
+    cast: bool = True,
 ) -> np.ndarray:
     """One global input as its rank-major ``(group.size, *shard)`` stack.
 
-    Casts ``value`` to the tensor dtype and checks its shape. Nothing is
+    Casts ``value`` to the tensor dtype (``cast=False``: only checks the
+    cast, leaving it to the caller) and checks its shape. Nothing is
     copied beyond the cast, so the stack may be a view of ``value``; a
     replicated tensor's stack is a stride-0 :func:`replicate` view.
     """
-    value = _checked_cast(tensor, value, allow_downcast)
+    value = _checked_cast(tensor, value, allow_downcast, cast)
     group = tensor.group
     if tensor.layout.is_replicated:
         if tuple(value.shape) != tensor.shape:
@@ -262,6 +270,7 @@ def place_inputs(
     program,
     inputs: Mapping[str, np.ndarray],
     allow_downcast: Optional[bool] = None,
+    cast: bool = True,
 ) -> Dict[str, np.ndarray]:
     """Every input of ``program``, by name, placed by :func:`place_input`.
 
@@ -272,7 +281,9 @@ def place_inputs(
     for t in program.inputs:
         if t.name not in inputs:
             raise ExecutionError(f"missing input {t.name!r}")
-        placed[t.name] = place_input(t, inputs[t.name], allow_downcast)
+        placed[t.name] = place_input(
+            t, inputs[t.name], allow_downcast, cast
+        )
     extra = set(inputs) - set(placed)
     if extra:
         raise ExecutionError(f"unknown inputs: {sorted(extra)}")

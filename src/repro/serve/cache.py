@@ -19,12 +19,12 @@ cluster it was timed on:
   hash even though their processes generate different value names.
 * ``topology_signature`` — :meth:`repro.cluster.topology.Cluster
   .signature`; a DGX-2 pair and a single node tune to different
-  schedules, so they occupy different records.
+  schedules, so they occupy different records. The autotuner appends
+  its search depth (:meth:`repro.core.autotuner.Autotuner.cache_key`),
+  so a record answers only a tune at the depth it was searched at.
 
-The key does not include the tuner's search depth, so a record answers
-a tune at any depth. ``repro-run tune`` always tunes at the
-autotuner's default depth; ``repro-run cache stats`` and ``repro-run
-cache clear`` inspect and empty the directory
+``repro-run cache stats`` and ``repro-run cache clear`` inspect and
+empty the directory
 (``$REPRO_SCHEDULE_CACHE``, default ``~/.cache/repro/schedules``).
 
 Records are written through :mod:`repro.store`, the store the kernel

@@ -37,6 +37,7 @@ from repro.core.artifact import structural_hash
 from repro.core.autotuner import Autotuner
 from repro.core.transforms import Schedule
 from repro.errors import CoCoNetError
+from repro.observe.metrics import MetricsRegistry
 from repro.runtime.executor import Executor
 from repro.serve import CachedSchedule, ScheduleCache, ScheduleCacheError
 from repro.workloads.adam import AdamWorkload
@@ -72,12 +73,12 @@ def install(cache, text):
     return key, path
 
 
-def cache_key(program, nodes=1):
+def cache_key(program, nodes=1, depth=2):
     """The (structural_hash, topology) pair the tuner files a program under."""
     cluster = Cluster(nodes)
     return (
         structural_hash(Schedule(program).lowered(cluster=cluster)),
-        cluster.signature(),
+        f"{cluster.signature()}/max_depth={depth}",
     )
 
 
@@ -259,6 +260,24 @@ class TestAutotunerCacheHook:
         # schedule's own structural hash, not the request key's)
         assert warm.best.schedule.structural_hash.startswith("sha256:")
 
+    def test_search_depth_splits_records(self, tmp_path):
+        # a record tuned at one depth answers the same depth only; a
+        # different depth misses and runs a full search
+        cache = ScheduleCache(str(tmp_path))
+        cold = tune_into(cache, depth=2)
+        warm = tune_into(cache, depth=2)
+        assert warm.cached and warm.cache_key == cold.cache_key
+        metrics = MetricsRegistry()
+        deeper = Autotuner(
+            Cluster(1), max_depth=3, metrics=metrics, schedule_cache=cache
+        ).tune(AdamWorkload.build(64, 4).program)
+        assert not deeper.cached
+        assert deeper.cache_key != cold.cache_key
+        assert deeper.cache_key[0] == cold.cache_key[0]
+        assert metrics.get("tuner.cache_misses") == 1
+        assert metrics.get("tuner.candidates") == len(deeper.candidates) > 1
+        assert len(cache) == 2
+
     def test_topology_splits_records(self, tmp_path):
         cache = ScheduleCache(str(tmp_path))
         one = tune_into(cache, nodes=1)
@@ -333,15 +352,12 @@ class TestTuneRequest:
         script = (
             "from repro.cli import build_workload\n"
             "from repro.cluster import Cluster\n"
-            "from repro.core.artifact import structural_hash\n"
-            "from repro.core.transforms import Schedule\n"
+            "from repro.core.autotuner import Autotuner\n"
             "program = build_workload('adam', "
             + json.dumps(params)
             + ", 'FP16')\n"
-            "cluster = Cluster(1)\n"
-            "print(structural_hash("
-            "Schedule(program).lowered(cluster=cluster)), "
-            "cluster.signature())\n"
+            "print(*Autotuner(Cluster(1), max_depth=2)"
+            ".cache_key(program))\n"
         )
         env = dict(os.environ, PYTHONPATH=SRC)
         out = subprocess.run(

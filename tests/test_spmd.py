@@ -258,10 +258,14 @@ class TestSpmdInterface:
         with pytest.raises(ExecutionError, match="unknown inputs"):
             Executor().run_spmd(wl.program, inputs, allow_downcast=True)
 
-    def test_place_per_rank_ships_writable_shards(self, rng):
-        # a replicated tensor ships one writable copy that every rank's
-        # shard shares; sliced and local tensors ship one copy per rank
+    def test_rank_input_views_are_writable(self, rng):
+        # every rank holding an input gets a private writable region:
+        # a replicated tensor one copy per rank, sliced and local
+        # tensors their own rows, each cast to the tensor dtype
+        from multiprocessing.shared_memory import SharedMemory
+
         from repro.core import RANK, Binary, Execute, Local, Sliced, world
+        from repro.runtime.world import place_inputs
 
         W = world(4)
         rep = Tensor(FP32, (8,), Replicated_, W, name="rep")
@@ -279,21 +283,52 @@ class TestSpmdInterface:
             "sl": rng.randn(8, 3),
             "loc": rng.randn(4, 8),
         }
-        shards = spmd._place_per_rank(prog, inputs, allow_downcast=True)
-        assert len(shards) == 4
-        for r, shard in enumerate(shards):
-            assert all(a.flags.writeable for a in shard.values())
-            assert shard["sl"].flags.owndata and shard["loc"].flags.owndata
-            np.testing.assert_array_equal(shard["rep"], inputs["rep"])
-            np.testing.assert_array_equal(
-                shard["sl"], inputs["sl"][2 * r:2 * r + 2].astype(np.float32)
+        layout = build_layout(prog)
+        shm = SharedMemory(create=True, size=layout.data_size)
+        try:
+            spmd._place_regions(
+                layout, prog,
+                place_inputs(prog, inputs, True, cast=False), shm.buf,
             )
-            np.testing.assert_array_equal(
-                shard["loc"], inputs["loc"][r].astype(np.float32)
+            views = [
+                {n: layout.view(shm.buf, ("in", n), r)
+                 for n in ("rep", "sl", "loc")}
+                for r in range(4)
+            ]
+            for r, shard in enumerate(views):
+                assert all(a.flags.writeable for a in shard.values())
+                assert all(a.dtype == np.float32 for a in shard.values())
+                np.testing.assert_array_equal(shard["rep"], inputs["rep"])
+                np.testing.assert_array_equal(
+                    shard["sl"],
+                    inputs["sl"][2 * r:2 * r + 2].astype(np.float32),
+                )
+                np.testing.assert_array_equal(
+                    shard["loc"], inputs["loc"][r].astype(np.float32)
+                )
+            assert not any(
+                np.shares_memory(views[0]["rep"], v["rep"])
+                for v in views[1:]
             )
-        assert not np.shares_memory(shards[0]["rep"], inputs["rep"])
-        assert all(
-            np.shares_memory(shards[0]["rep"], s["rep"]) for s in shards[1:]
+        finally:
+            views = shard = None  # a view left alive makes close() raise
+            try:
+                shm.close()
+            finally:
+                shm.unlink()
+
+        # and the ranks see them writable too
+        gen = CodeGenerator(target="spmd").generate(prog)
+        source = gen.source.replace(
+            "def run_rank(comm, inputs):\n",
+            "def run_rank(comm, inputs):\n"
+            "    assert all(a.flags.writeable for a in inputs.values())\n",
+            1,
+        )
+        assert source != gen.source
+        out = launch(source, prog, inputs, allow_downcast=True)
+        np.testing.assert_array_equal(
+            out.output("o2"), (inputs["sl"].astype(np.float32) * 2.0)
         )
 
 
@@ -344,20 +379,21 @@ class TestSpmdTeardown:
         sys.platform != "linux", reason="/dev/shm inspection is Linux-only"
     )
     def test_rank_killed_before_reading_its_shard(self, rng, monkeypatch):
-        # ranks start before any input ships; one killed in that window
-        # is a dead rank, found within the deadline, and leaks nothing
-        ship = spmd._ship_inputs
+        # ranks start before the inputs are placed; one killed in that
+        # window is a dead rank, found within the deadline, and leaks
+        # nothing
+        place = spmd._place_regions
 
-        def kill_rank1_then_ship(conns, payloads, errors):
+        def kill_rank1_then_place(*args):
             victim = next(
                 p for p in multiprocessing.active_children()
                 if p.name == "spmd-rank1"
             )
             os.kill(victim.pid, signal.SIGKILL)
             mp_connection.wait([victim.sentinel], timeout=30.0)
-            return ship(conns, payloads, errors)
+            return place(*args)
 
-        monkeypatch.setattr(spmd, "_ship_inputs", kill_rank1_then_ship)
+        monkeypatch.setattr(spmd, "_place_regions", kill_rank1_then_place)
         wl = AdamWorkload.build(64, 2)
         gen = CodeGenerator(target="spmd").generate(wl.program)
         before = set(_shm_spmd_segments())
@@ -373,6 +409,87 @@ class TestSpmdTeardown:
         assert set(_shm_spmd_segments()) == before
 
 
+class TestSpmdResults:
+    """Results through the shared-memory regions, not pipes."""
+
+    def test_sliced_update_of_replicated_target_at_4_ranks(self, rng):
+        # each rank writes its slice of a replicated tensor in place:
+        # ranks must not see one another's writes. Adam gathers the
+        # updated slices back into p; the op-level program keeps the
+        # sliced update as p's final state, so the state returned (rank
+        # 0's copy) shows any other rank's write into shared storage
+        from repro.core import RANK, Binary, Execute, Sliced, Update, world
+        from repro.core.ops import Slice
+
+        W = world(4)
+        p = Tensor(FP32, (8,), Replicated_, W, name="p")
+        g = Tensor(FP32, (8,), Sliced(0), W, RANK, name="g")
+        prog = Execute(
+            "upd", [p, g],
+            [Update(p, Binary("+", g, Slice(p, 0)), name="p_")],
+        )
+        wl = AdamWorkload.build(64, 4)
+        for sched, inputs in [
+            (prog, {"p": rng.randn(8), "g": rng.randn(8)}),
+            (wl.schedules()["RS-Adam-AG"], optimizer_inputs(rng)),
+            (wl.schedules()["fuse(RS-Adam-AG)"], optimizer_inputs(rng)),
+        ]:
+            source = CodeGenerator(target="spmd").generate(sched).source
+            assert "dev.write_slice(T['p']" in source
+            assert_spmd_parity(sched, inputs)
+
+    @staticmethod
+    def _check_owned(result, oracle, program) -> None:
+        """Every output and state is writable, right, and ours to keep:
+        mutating it after the launch unlinked its segment works."""
+        arrays = [
+            (result.output(o.name), oracle.output(o.name))
+            for o in program.outputs
+        ] + [
+            (result.tensor_state(t.name), oracle.tensor_state(t.name))
+            for t in program.inputs
+            if isinstance(t, Tensor)
+        ]
+        assert len(arrays) > len(program.outputs)
+        for arr, want in arrays:
+            assert arr.flags.writeable
+            np.testing.assert_array_equal(arr, want)
+            arr.fill(7)
+            assert (arr == 7).all()
+
+    def test_results_outlive_the_segment(self, rng):
+        sched = AdamWorkload.build(64, 2).schedule_fused()
+        inputs = optimizer_inputs(rng, n=2)
+        before = set(_shm_spmd_segments())
+        res = Executor().run_spmd(sched, inputs, allow_downcast=True)
+        assert set(_shm_spmd_segments()) == before
+        oracle = Executor().run_lowered(sched, inputs, allow_downcast=True)
+        self._check_owned(res, oracle, sched.program)
+
+    def test_elastic_results_outlive_the_segment(self):
+        from repro.runtime.faults import FaultPlan
+
+        def relower(ws):
+            return AdamWorkload.build(64, ws).program, optimizer_inputs(
+                np.random.RandomState(3), n=ws
+            )
+
+        program, inputs = relower(2)
+        before = set(_shm_spmd_segments())
+        res = Executor().run_spmd(
+            program, inputs, allow_downcast=True,
+            fault_plan=FaultPlan(seed=1).die(1, at_site="g"),
+            soft_timeout=0.5, timeout=20.0, elastic=True, relower=relower,
+        )
+        assert res.elastic["world_size"] == 1
+        assert set(_shm_spmd_segments()) == before
+        program1, inputs1 = relower(1)
+        oracle = Executor().run_lowered(
+            program1, inputs1, allow_downcast=True
+        )
+        self._check_owned(res, oracle, program1)
+
+
 class _Proc:
     """A rank process as the launch loop sees it: alive or not.
 
@@ -385,7 +502,7 @@ class _Proc:
 
     def is_alive(self) -> bool:
         if self.report is not None:
-            spmd._send_message(self.conn, self.report)
+            self.conn.send(self.report)
             self.alive, self.report = False, None
         return self.alive
 
@@ -393,12 +510,10 @@ class _Proc:
 class TestLaunchLoop:
     """How the launch loop reads one rank's state."""
 
-    OK = ("ok", {"out": np.arange(3.0)}, {}, 0.0)
+    OK = ("ok", 0.25)
 
     def _check(self, got) -> None:
-        assert got[0] == "ok"
-        np.testing.assert_array_equal(got[1]["out"], self.OK[1]["out"])
-        assert got[1]["out"].flags.writeable
+        assert got == self.OK
 
     def test_report_then_exit_is_not_a_death(self):
         # regression: polling the pipe before sampling liveness misread
@@ -412,9 +527,9 @@ class TestLaunchLoop:
     def test_running_reporting_and_dead_ranks(self):
         parent, child = multiprocessing.Pipe()
         assert spmd._rank_report(parent, _Proc(True)) is None
-        spmd._send_message(child, self.OK)
+        child.send(self.OK)
         self._check(spmd._rank_report(parent, _Proc(True)))
-        spmd._send_message(child, self.OK)
+        child.send(self.OK)
         self._check(spmd._rank_report(parent, _Proc(False)))
         assert spmd._rank_report(parent, _Proc(False)) is spmd._DIED
         # a closed pipe polls readable, then yields no message

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core import world
 from repro.runtime import collectives
-from repro.runtime.spmd import CollectivePool
+from tests.collective_pool import CollectivePool
 
 RANK_COUNTS = (2, 4, 8)
 DTYPES = (np.float32, np.float16)

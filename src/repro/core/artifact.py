@@ -212,6 +212,16 @@ def _expr_from_json(
         from repro.core.process_group import RANK
 
         e.dst = GroupRank(GroupShift(attrs["dst_group_offset"]), RANK)
+    return e
+
+
+def _link_expr(e: Expr, rec: Dict[str, Any], by_id: List[Expr]) -> None:
+    """Restore ``e``'s cross-links once every vertex is built.
+
+    A link may point forward: an input that nothing reads but its
+    ``Update`` is ordered after that Update.
+    """
+    attrs = rec.get("attrs", {})
     if isinstance(e, ops.AllGather):
         wb = attrs.get("writeback")
         e.writeback = by_id[wb] if wb is not None else None
@@ -219,7 +229,6 @@ def _expr_from_json(
         target = by_id[attrs["target"]]
         e.target = target
         target.updated_by = e
-    return e
 
 
 def _graph_order(program: Program, plan: ExecutionPlan) -> List[Expr]:
@@ -404,6 +413,8 @@ def _load_v1(payload: Dict[str, Any]) -> LoweredProgram:
     by_id: List[Expr] = []
     for rec in payload["exprs"]:
         by_id.append(_expr_from_json(rec, by_id))
+    for e, rec in zip(by_id, payload["exprs"]):
+        _link_expr(e, rec, by_id)
     prog = payload["program"]
     program = Program(
         prog["name"],

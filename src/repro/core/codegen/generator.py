@@ -34,7 +34,6 @@ from repro.core.tensor import Const, Expr, Tensor
 from repro.core.transforms.plan import Kernel, KernelKind
 from repro.core.transforms.schedule import Schedule
 from repro.errors import CodegenError
-from repro.runtime.executor import ProgramResult
 
 _MODULE_HEADER = '''\
 """Generated by the CoCoNet reproduction code generator (SPMD target).
@@ -75,18 +74,14 @@ class _Emitter:
 
 
 class GeneratedSpmdProgram:
-    """A generated per-rank module plus its launch interface.
+    """A generated per-rank module for :func:`repro.runtime.spmd.launch`.
 
-    The module is not executed in this process: :meth:`run` ships the
-    *serialized artifact* of the lowered program to one spawned process
-    per rank (see
-    :mod:`repro.runtime.spmd`), where each rank deserializes the
-    portable IR, derives its module with the code generator and binds it
-    to that rank's communicator. ``source`` remains available (and is
-    identical to what every worker derives, since the artifact
-    round-trips the lowered program losslessly) for inspection, LoC
-    accounting and callers that ship a hand-modified module through
-    :func:`repro.runtime.spmd.launch` directly.
+    The module is not executed in this process:
+    :func:`repro.runtime.spmd.launch` ships ``source`` to one spawned
+    process per rank, where each rank ``exec``s it and binds
+    ``run_rank`` to that rank's communicator. Every rank runs the text
+    generated here, so a copy whose ``source`` was edited (the
+    fault-injection tests do this) launches as edited.
     """
 
     def __init__(
@@ -95,8 +90,6 @@ class GeneratedSpmdProgram:
         source: str,
         kernel_sources: Dict[str, str],
         schedule_lines: int,
-        lowered=None,
-        protocol: str = "Simple",
         target: str = "spmd",
         c_source: "str | None" = None,
     ) -> None:
@@ -104,75 +97,11 @@ class GeneratedSpmdProgram:
         self.source = source
         self.kernel_sources = kernel_sources
         self.schedule_lines = schedule_lines
-        self.lowered = lowered
-        self.protocol = protocol
         self.target = target
         #: C source of the compiled segments (native target, else None)
         self.c_source = c_source
-        self._artifact_text: "str | None" = None
         # compile for early syntax validation; execution happens per rank
         compile(source, f"<generated-spmd:{program.name}>", "exec")
-
-    @property
-    def artifact_text(self) -> "str | None":
-        """Serialized artifact of the lowered program (lazy, cached)."""
-        if self._artifact_text is None and self.lowered is not None:
-            from repro.core import artifact as artifact_mod
-
-            self._artifact_text = artifact_mod.as_artifact(
-                self.lowered
-            ).dumps()
-        return self._artifact_text
-
-    def run(
-        self,
-        inputs: Dict[str, np.ndarray],
-        *,
-        nranks: "int | None" = None,
-        allow_downcast: "bool | None" = None,
-        wire_s_per_mb: float = 0.0,
-        timeout: "float | None" = None,
-        soft_timeout: "float | None" = None,
-        fault_plan=None,
-        trace_dir: "str | None" = None,
-    ) -> ProgramResult:
-        """Launch one process per rank; same interface as the Executor.
-
-        ``trace_dir``, when given, makes every rank record its
-        publish/wait/reduce/kernel spans into a per-rank ring file
-        there (see :mod:`repro.observe.ring`); ``fault_plan`` injects a
-        :class:`~repro.runtime.faults.FaultPlan` into every rank.
-
-        On the native target a cold kernel cache widens the rendezvous
-        deadline by a one-time compile allowance (zero once the shared
-        object is on disk) so the first run's C compilation cannot trip
-        ``SpmdTimeout``.
-        """
-        from repro.runtime import spmd
-
-        compile_allowance_s = 0.0
-        if self.c_source is not None:
-            from repro.core.codegen import native as native_mod
-
-            compile_allowance_s = native_mod.cold_compile_allowance(
-                self.c_source
-            )
-        return spmd.launch(
-            self.source,
-            self.program,
-            dict(inputs),
-            nranks=nranks,
-            allow_downcast=allow_downcast,
-            wire_s_per_mb=wire_s_per_mb,
-            timeout=timeout,
-            soft_timeout=soft_timeout,
-            fault_plan=fault_plan,
-            trace_dir=trace_dir,
-            artifact_text=self.artifact_text,
-            protocol=self.protocol,
-            codegen_target=self.target,
-            compile_allowance_s=compile_allowance_s,
-        )
 
     def loc(self) -> int:
         return count_loc(self.source)
@@ -248,7 +177,6 @@ class CodeGenerator:
         artifact generates the identical module a live lowering does."""
         from repro.core.artifact import Artifact
 
-        prebuilt_artifact: "str | None" = None
         memo_key: "tuple | None" = None
         if isinstance(scheduled, Artifact):
             if self._native:
@@ -262,7 +190,6 @@ class CodeGenerator:
                     return cached
             lowered = scheduled.lowered()
             schedule_lines = 0
-            prebuilt_artifact = scheduled.dumps()
         elif isinstance(scheduled, Schedule):
             lowered = scheduled.lowered()
             schedule_lines = len(scheduled.steps)
@@ -290,11 +217,8 @@ class CodeGenerator:
             em.lines[mark:mark] = _native_block(c_source)
         generated = GeneratedSpmdProgram(
             program, em.source(), kernel_sources, schedule_lines,
-            lowered=lowered, protocol=self.protocol,
             target=self.target, c_source=c_source,
         )
-        if prebuilt_artifact is not None:
-            generated._artifact_text = prebuilt_artifact
         if memo_key is not None:
             _NATIVE_MEMO[memo_key] = generated
         return generated

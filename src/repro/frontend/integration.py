@@ -41,6 +41,7 @@ class CoCoNetFunction:
     ) -> None:
         self.name = name
         self.schedule = schedule
+        self.lowered = schedule.lowered()
         self.compiled: GeneratedSpmdProgram = CodeGenerator(
             protocol
         ).generate(schedule)
@@ -82,7 +83,7 @@ class CoCoNetFunction:
             else:
                 flat_inputs[key] = np.asarray(value)
         result = Executor().run_lowered(
-            self.compiled.lowered, flat_inputs, allow_downcast=True
+            self.lowered, flat_inputs, allow_downcast=True
         )
         for key, table in self._bucket_tables.items():
             table.scatter_flat(

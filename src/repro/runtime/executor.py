@@ -192,31 +192,23 @@ class Executor:
         codegen_target: str = "spmd",
     ) -> ProgramResult:
         """One generate-and-launch attempt (no recovery)."""
+        import shutil
+        import tempfile
+
         from repro.core.codegen import CodeGenerator
+        from repro.observe.ring import merge_rank_traces
+        from repro.runtime import spmd
 
         generated = CodeGenerator(
             protocol, target=codegen_target
         ).generate(scheduled)
-        if tracer is None:
-            return generated.run(
-                inputs,
-                nranks=nranks,
-                allow_downcast=allow_downcast,
-                wire_s_per_mb=wire_s_per_mb,
-                timeout=timeout,
-                soft_timeout=soft_timeout,
-                fault_plan=fault_plan,
-            )
-
-        import shutil
-        import tempfile
-
-        from repro.observe.ring import merge_rank_traces
-
-        trace_dir = tempfile.mkdtemp(prefix="repro_trace_")
-        t_base = tracer.now()
+        trace_dir = None
+        if tracer is not None:
+            trace_dir = tempfile.mkdtemp(prefix="repro_trace_")
+            t_base = tracer.now()
         try:
-            return generated.run(
+            return spmd.launch(
+                generated,
                 inputs,
                 nranks=nranks,
                 allow_downcast=allow_downcast,
@@ -227,12 +219,13 @@ class Executor:
                 trace_dir=trace_dir,
             )
         finally:
-            tracer.extend(
-                merge_rank_traces(
-                    trace_dir, base=t_base, metrics=tracer.metrics
+            if trace_dir is not None:
+                tracer.extend(
+                    merge_rank_traces(
+                        trace_dir, base=t_base, metrics=tracer.metrics
+                    )
                 )
-            )
-            shutil.rmtree(trace_dir, ignore_errors=True)
+                shutil.rmtree(trace_dir, ignore_errors=True)
 
     def _recover_spmd(
         self,

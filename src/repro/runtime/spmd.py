@@ -79,16 +79,22 @@ everything else off that path, and no array crosses a pipe:
    the region of each rank that holds it (the checks and downcast
    policy of :func:`repro.runtime.world.place_inputs`). It then unmaps
    the segment, so its resident set does not count those pages a
-   second time, and sends each rank its module spec over its pipe: a
-   few kilobytes of artifact text, which fit the pipe buffer, so the
-   send does not wait for the rank.
+   second time, and sends each rank its module spec over its pipe:
+   the generated module's ``source``. At the shapes of
+   ``benchmarks/e2e`` that is 2.8–6.6 KB on the ``spmd`` target and
+   10.4–14.1 KB on ``native`` (the embedded C source). A duplex
+   ``multiprocessing`` pipe is a Unix socket pair whose send buffer is
+   ``net.core.wmem_default`` (212,992 bytes on common Linux
+   defaults), so the send does not wait for the rank.
 3. Each rank binds its tensors to writable views of its own regions
    and runs in place. It copies the results the parent will read into
    their regions (a replicated result from the group's first rank
    only), closes its segments and reports ``("ok", seconds)``.
 4. The parent maps the segment again and copies each result out in one
    pass, so no returned array aliases the segment teardown unlinks.
-5. For the native target the module spec carries the parent's
+5. Every rank ``exec``s the text the parent generated: no rank
+   loads an artifact or runs the code generator. For the native target
+   the module spec also carries the parent's
    :func:`repro.core.codegen.native.toolchain_record` (compiler path
    and version, BLAS candidate paths). Each rank primes its toolchain
    memos from it instead of forking ``cc --version`` and the
@@ -112,8 +118,9 @@ Usage
 -----
 
 The high-level entry point is ``Executor.run_spmd`` (backend selection,
-artifact shipping, elastic recovery); ``launch`` is the raw engine
-underneath. Not a doctest — it spawns one real OS process per rank:
+module generation, elastic recovery); ``launch`` is the raw engine
+underneath and takes the generated module. Not a doctest — it spawns
+one real OS process per rank:
 
 .. code-block:: python
 
@@ -1318,45 +1325,6 @@ class _Stream(object):
 # ---------------------------------------------------------------------------
 
 
-def _module_source(spec) -> str:
-    """Resolve a worker module spec to executable source.
-
-    ``spec`` is either raw generated source (a plain string — the
-    historical path, still used when a caller hands ``launch`` an
-    explicit module) or ``("artifact", text, protocol[, target[,
-    toolchain]])``: a serialized :mod:`repro.core.artifact` document
-    from which this rank derives its module by deserializing the
-    portable IR and running the code generator locally — the worker
-    never needs the originating Python objects, only the artifact text.
-    The optional fourth element selects the codegen target (``"spmd"``
-    when absent — specs shipped by older callers stay valid);
-    ``"native"`` workers rebuild the same C source as the parent and
-    resolve it through the shared content-addressed kernel cache, so at
-    most one rank per machine actually compiles. The optional fifth is
-    the launcher's :func:`repro.core.codegen.native.toolchain_record`,
-    which primes this rank's toolchain memos so loading the kernels
-    forks no ``cc --version`` or ``find_library`` probe.
-    """
-    if isinstance(spec, str):
-        return spec
-    kind = spec[0]
-    if kind == "artifact":
-        from repro.core import artifact as artifact_mod
-        from repro.core.codegen import CodeGenerator
-
-        if len(spec) > 4:
-            from repro.core.codegen import native
-
-            native.prime(spec[4])
-        target = spec[3] if len(spec) > 3 else "spmd"
-        art = artifact_mod.loads(spec[1])
-        # hand the artifact itself to generate(): the native target
-        # memoizes rendered modules by the artifact's content hash
-        gen = CodeGenerator(spec[2], target=target).generate(art)
-        return gen.source
-    raise ExecutionError(f"unknown SPMD module spec kind {kind!r}")
-
-
 def _store_results(
     layout: SpmdLayout, buf, rank: int, outputs: Dict, states: Dict
 ) -> None:
@@ -1398,7 +1366,11 @@ def _rank_main(
         )
         # the module spec arrives once every input region is written
         # (see launch)
-        source = conn.recv()
+        source, toolchain = conn.recv()
+        if toolchain is not None:
+            from repro.core.codegen import native
+
+            native.prime(toolchain)
         buf = comm._data.buf
         inputs = {
             key[1]: layout.view(buf, key, rank)
@@ -1410,10 +1382,7 @@ def _rank_main(
         for view in inputs.values():
             view.reshape(-1).view(np.uint8)[::4096].max(initial=0)
         namespace: Dict[str, object] = {}
-        exec(
-            compile(_module_source(source), f"<spmd rank {rank}>", "exec"),
-            namespace,
-        )
+        exec(compile(source, f"<spmd rank {rank}>", "exec"), namespace)
         ensure = namespace.get("_ensure_native")
         if ensure is not None:
             # compile/load native kernels before the timing barrier so
@@ -1527,8 +1496,7 @@ def _rank_report(conn, proc):
 
 
 def launch(
-    source: Optional[str],
-    program,
+    generated,
     inputs: Mapping[str, np.ndarray],
     *,
     nranks: Optional[int] = None,
@@ -1539,41 +1507,44 @@ def launch(
     fault_plan: Optional[FaultPlan] = None,
     trace_dir: Optional[str] = None,
     trace_capacity: int = 32768,
-    artifact_text: Optional[str] = None,
-    protocol: str = "Simple",
-    codegen_target: str = "spmd",
-    compile_allowance_s: float = 0.0,
 ):
     """Run a generated SPMD module as one process per rank.
 
-    Spawns ``world_size`` processes, places the inputs into their
-    shared-memory regions, executes ``run_rank`` on every rank over a
-    shared-memory communicator, and copies the per-rank outputs/states
-    back into a :class:`~repro.runtime.executor.ProgramResult` whose
-    arrays own their memory. Teardown is exception-safe: workers are
-    joined (terminated on timeout) and both shared-memory segments are
-    closed and unlinked in a ``finally`` even when a rank raises
+    ``generated`` is a
+    :class:`~repro.core.codegen.generator.GeneratedSpmdProgram`; every
+    rank ``exec``s its ``source`` as is. Spawns ``world_size`` processes,
+    places the inputs into their shared-memory regions, executes
+    ``run_rank`` on every rank over a shared-memory communicator, and
+    copies the per-rank outputs/states back into a
+    :class:`~repro.runtime.executor.ProgramResult` whose arrays own
+    their memory. Teardown is exception-safe: workers are joined
+    (terminated on timeout) and both shared-memory segments are closed
+    and unlinked in a ``finally`` even when a rank raises
     mid-collective.
 
     Start-up order: the inputs are checked, then every rank process
     starts with small arguments. While the ranks import, the parent
     casts every input into the region of each rank holding it, drops
     its own mapping of the segment, and sends each rank its module spec
-    over its pipe. Each rank
+    ``(source, toolchain)`` over its pipe. Each rank
     runs on writable views of its own regions and writes its results
     there; the parent reads them back once every rank has reported.
-    No array crosses a pipe. The native target's spec carries
-    :func:`repro.core.codegen.native.toolchain_record`, so ranks fork
-    no toolchain probe. A rank exits with ``os._exit(0)`` right after
-    closing its segments and reporting.
+    No array crosses a pipe. On the native target (``c_source`` set)
+    ``toolchain`` is :func:`repro.core.codegen.native.toolchain_record`,
+    so ranks fork no toolchain probe; otherwise it is ``None``. A rank
+    exits with ``os._exit(0)`` right after closing its segments and
+    reporting.
 
     ``timeout`` bounds every rendezvous wait (default:
     :func:`scaled_default_timeout`, so slow simulated wires stretch the
-    deadline instead of false-timing-out); ``soft_timeout`` is the
-    escalation (soft-retry) deadline inside each wait. ``fault_plan``
-    injects the given :class:`~repro.runtime.faults.FaultPlan` into
-    every rank. The parent watches worker *process sentinels* alongside
-    their report pipes: a rank that dies without reporting (killed, an
+    deadline instead of false-timing-out); on the native target it
+    also gains :func:`repro.core.codegen.native.cold_compile_allowance`
+    while the kernels are not yet in the on-disk cache.
+    ``soft_timeout`` is the escalation (soft-retry) deadline inside
+    each wait. ``fault_plan`` injects the given
+    :class:`~repro.runtime.faults.FaultPlan` into every rank. The
+    parent watches worker *process sentinels* alongside their report
+    pipes: a rank that dies without reporting (killed, an
     injected ``die``, OOM) is detected promptly, its error flag is
     broadcast on its behalf so surviving ranks abort their in-flight
     collectives with :class:`SpmdPeerAbort` rather than spinning to
@@ -1588,37 +1559,10 @@ def launch(
     mapped files owned by the caller — they survive faulty-rank
     teardown and are *not* removed here, so the caller can merge them
     whether or not the run succeeded.
-
-    ``artifact_text``, when given, is a serialized
-    :mod:`repro.core.artifact` document: it is what ships to the rank
-    processes (each worker deserializes the portable IR and derives its
-    module with the code generator at the given ``protocol``), and
-    ``source`` may then be ``None``. When ``program`` is also ``None``
-    it is reconstructed from the artifact, so a saved artifact file is
-    sufficient to launch a full SPMD run. Without ``artifact_text``,
-    ``source`` must be the generated module source (the historical
-    path).
-
-    ``codegen_target`` selects which module flavour artifact-carrying
-    workers derive (``"spmd"`` or ``"native"``);
-    ``compile_allowance_s`` widens the rendezvous deadline once for a
-    cold native kernel cache (see :func:`scaled_default_timeout`).
     """
     from repro.runtime.executor import ProgramResult
 
-    if artifact_text is not None:
-        module_spec = ("artifact", artifact_text, protocol, codegen_target)
-        if program is None:
-            from repro.core import artifact as artifact_mod
-
-            program = artifact_mod.loads(artifact_text).program
-    elif source is None:
-        raise ExecutionError(
-            "launch needs generated module source or artifact_text"
-        )
-    else:
-        module_spec = source
-
+    program = generated.program
     world_size = program.inputs[0].group.world_size
     if nranks is not None and nranks != world_size:
         raise ExecutionError(
@@ -1628,6 +1572,13 @@ def launch(
         )
     placed = place_inputs(program, inputs, allow_downcast, cast=False)
     layout = build_layout(program)
+    compile_allowance_s = 0.0
+    if generated.c_source:
+        from repro.core.codegen import native
+
+        compile_allowance_s = native.cold_compile_allowance(
+            generated.c_source
+        )
     timeout = (
         scaled_default_timeout(layout, wire_s_per_mb, compile_allowance_s)
         if timeout is None
@@ -1707,10 +1658,10 @@ def launch(
             procs.append(p)
             conns.append(parent_conn)
 
-        if codegen_target == "native" and artifact_text is not None:
-            from repro.core.codegen import native
-
-            module_spec += (native.toolchain_record(),)
+        module_spec = (
+            generated.source,
+            native.toolchain_record() if generated.c_source else None,
+        )
         _place_regions(layout, program, placed, data.buf)
         placed = None
         # the ranks map the segment themselves: unmap the pages written

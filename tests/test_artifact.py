@@ -9,8 +9,8 @@ schema-versioned JSON document. These tests pin the contract:
   ``run_lowered``, and that the DES cost model prices to the *same*
   makespan;
 * **real-process parity** — deserialized artifacts drive ``run_spmd``
-  (4 real ranks) bit-identically to the live schedule, and the
-  generated SPMD module ships its artifact to the rank workers;
+  (4 real ranks) bit-identically to the live schedule, and generate
+  the same module text as the live schedule;
 * **identity** — ``content_hash`` is invariant under dict reordering
   and across processes; ``structural_hash`` *is* the autotuner's dedup
   signature; elastic recovery memoizes re-lowered artifacts on it;
@@ -33,7 +33,9 @@ from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
 from repro.cluster import Cluster
-from repro.core import FP32, artifact
+from repro.core import (
+    FP32, Binary, Execute, Replicated, Update, artifact, world,
+)
 from repro.core.artifact import Artifact, ArtifactError
 from repro.core.autotuner import Autotuner
 from repro.core.codegen import CodeGenerator
@@ -216,28 +218,52 @@ class TestSpmdFromArtifact:
                 res.output(name), oracle.output(name), err_msg=name
             )
 
-    def test_generated_module_ships_its_artifact(self, monkeypatch):
-        # run() hands the serialized artifact to spmd.launch so rank
-        # workers rebuild their module from the portable IR, not from
-        # pickled live objects
-        from repro.runtime import spmd as spmd_mod
+    @pytest.mark.parametrize("target", ["spmd", "native"])
+    def test_loaded_artifact_generates_the_live_module(self, target):
+        # the parent generates every rank's module, from a live schedule
+        # or from a loaded artifact; both give the same text
+        for sched in (
+            AdamWorkload.build(64, 4).schedule_fused(),
+            AttentionWorkload.build(
+                4, 8, 16, 4, dtype=FP32, dropout_seed=6
+            ).schedule_coconet(),
+            MoEWorkload.build(
+                3, 6, 8, world_size=4, dtype=FP32
+            ).schedule_overlapped(),
+        ):
+            live = CodeGenerator(target=target).generate(sched)
+            loaded = CodeGenerator(target=target).generate(
+                artifact.loads(artifact.dumps(sched))
+            )
+            assert loaded.source == live.source, sched.program.name
+            assert loaded.c_source == live.c_source, sched.program.name
+            assert (live.c_source is not None) == (target == "native")
 
-        gen = CodeGenerator(target="spmd").generate(
-            AdamWorkload.build(64, 4).schedule_fused()
-        )
-        seen = {}
-
-        def fake_launch(source, program, inputs, **kwargs):
-            seen.update(kwargs, source=source)
-            return "launched"
-
-        monkeypatch.setattr(spmd_mod, "launch", fake_launch)
-        assert gen.run({}) == "launched"
-        text = seen["artifact_text"]
-        assert text is not None
-        shipped = artifact.loads(text)
-        assert shipped.program.name == "adam"
-        assert seen["protocol"] == "Simple"
+    def test_update_of_an_input_nothing_else_reads(self):
+        # the target is read by its Update only, so it is serialized
+        # after the Update that names it
+        ws = world(2)
+        p = Tensor(FP32, (8,), Replicated, ws, name="p")
+        g = Tensor(FP32, (8,), Replicated, ws, name="g")
+        prog = Execute("upd", [p, g], [Update(p, Binary("+", g, 1.0))])
+        text = artifact.dumps(prog)
+        art = artifact.loads(text)
+        assert artifact.dumps(art.lowered()) == text
+        rs = np.random.RandomState(3)
+        inputs = {"p": rs.randn(8), "g": rs.randn(8)}
+        ex = Executor()
+        live = ex.run_lowered(prog, inputs, allow_downcast=True)
+        for res in (
+            ex.run_lowered(art, inputs, allow_downcast=True),
+            ex.run_spmd(art, inputs, allow_downcast=True),
+        ):
+            for name in live.output_names:
+                np.testing.assert_array_equal(
+                    res.output(name), live.output(name), err_msg=name
+                )
+            np.testing.assert_array_equal(
+                res.tensor_state("p"), live.tensor_state("p")
+            )
 
 
 class TestHashes:

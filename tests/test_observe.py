@@ -351,12 +351,12 @@ class TestSpmdTracing:
             1,
         )
         assert "injected kernel fault" in source
+        gen.source = source
         before = set(_shm_spmd_segments())
         with pytest.raises(SpmdWorkerError, match="rank 1") as err:
             launch(
-                source, gen.program, optimizer_inputs(rng),
-                allow_downcast=True, timeout=30.0,
-                trace_dir=str(tmp_path),
+                gen, optimizer_inputs(rng), allow_downcast=True,
+                timeout=30.0, trace_dir=str(tmp_path),
             )
         assert err.value.context["rank"] == 1
         assert err.value.context["op"] == "avg"

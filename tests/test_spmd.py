@@ -237,6 +237,54 @@ class TestSpmdInterface:
         for name in gen.kernel_sources:
             assert gen.kernel_loc(name) > 0
 
+    @pytest.mark.parametrize("target", ["spmd", "native"])
+    def test_ranks_receive_the_parent_module(
+        self, rng, target, monkeypatch, tmp_path
+    ):
+        # every rank gets the module text generated here and runs it as
+        # is: no rank loads an artifact or runs the code generator
+        from multiprocessing.connection import Connection
+
+        from repro.core.codegen import native
+
+        if target == "native" and not native.available():
+            pytest.skip("no C compiler on PATH")
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+        sched = AdamWorkload.build(64, 2).schedule_fused()
+        gen = CodeGenerator(target=target).generate(sched)
+        source = gen.source.replace(
+            "def run_rank(comm, inputs):\n",
+            "def run_rank(comm, inputs):\n"
+            "    import sys\n"
+            "    assert 'repro.core.artifact' not in sys.modules\n",
+            1,
+        )
+        assert source != gen.source
+        gen.source = source
+        sent = []
+        send = Connection.send
+
+        def record(conn, obj):
+            sent.append(obj)
+            send(conn, obj)
+
+        monkeypatch.setattr(Connection, "send", record)
+        inputs = optimizer_inputs(rng, n=2)
+        out = launch(gen, inputs, allow_downcast=True)
+        monkeypatch.setattr(Connection, "send", send)
+        assert len(sent) == 2
+        for shipped, toolchain in sent:
+            assert shipped.encode() == source.encode()
+            if target == "native":
+                assert toolchain == native.toolchain_record()
+            else:
+                assert toolchain is None
+        oracle = Executor().run_lowered(sched, inputs, allow_downcast=True)
+        for name in oracle.output_names:
+            np.testing.assert_array_equal(
+                out.output(name), oracle.output(name), err_msg=name
+            )
+
     def test_layout_enumerates_groups_and_p2p_pairs(self):
         wl = PipelineWorkload.build(
             2, 8, 16, world_size=8, num_groups=2, dtype=FP32
@@ -326,7 +374,8 @@ class TestSpmdInterface:
             1,
         )
         assert source != gen.source
-        out = launch(source, prog, inputs, allow_downcast=True)
+        gen.source = source
+        out = launch(gen, inputs, allow_downcast=True)
         np.testing.assert_array_equal(
             out.output("o2"), (inputs["sl"].astype(np.float32) * 2.0)
         )
@@ -357,11 +406,12 @@ class TestSpmdTeardown:
             1,
         )
         assert "injected kernel fault" in source
+        gen.source = source
         before = set(_shm_spmd_segments())
         with pytest.raises(ExecutionError, match="rank 1") as err:
             launch(
-                source, gen.program, optimizer_inputs(rng),
-                allow_downcast=True, timeout=30.0,
+                gen, optimizer_inputs(rng), allow_downcast=True,
+                timeout=30.0,
             )
         assert "injected kernel fault" in str(err.value)
         # every shared-memory segment created by the run was unlinked
@@ -401,8 +451,8 @@ class TestSpmdTeardown:
         t0 = time.monotonic()
         with pytest.raises(SpmdWorkerError, match="rank 1 died") as err:
             launch(
-                gen.source, gen.program, optimizer_inputs(rng, n=2),
-                allow_downcast=True, timeout=timeout,
+                gen, optimizer_inputs(rng, n=2), allow_downcast=True,
+                timeout=timeout,
             )
         assert time.monotonic() - t0 < timeout
         assert err.value.dead_ranks == [1]

@@ -89,7 +89,7 @@ def show_generated_kernel():
     print("\n=== Generated FusedAllReduce kernel (excerpt) ===")
     wl = AttentionWorkload.build(4, 8, 16, 4, dtype=FP32)
     sched = wl.schedule_coconet()
-    gen = CodeGenerator("LL128").generate(sched)
+    gen = CodeGenerator().generate(sched)
     fused_name = next(
         k for k in gen.kernel_sources if k.startswith("allreducefuse")
     )

@@ -17,7 +17,7 @@ process, with its kernels bound to that rank's
   expression chain inlined over this rank's shard;
 * fused collectives interleave their exchanges with the fused
   computation in program order, cross-rank norms becoming scalar
-  exchanges, with per-protocol pack accounting;
+  exchanges;
 * overlapped groups become a generated chunk orchestrator whose
   producer stream thread releases GEMM output chunks while the
   consuming collective ingests them.

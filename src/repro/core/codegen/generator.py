@@ -18,7 +18,7 @@ become chunk orchestrators with a producer stream thread (Section 5.3).
 from __future__ import annotations
 
 import textwrap
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core import dfg, ops
 from repro.core.codegen.loc import count_loc
@@ -110,8 +110,8 @@ class GeneratedSpmdProgram:
         return count_loc(self.kernel_sources[name])
 
 
-#: rendered native modules memoized by (artifact content_hash, protocol)
-_NATIVE_MEMO: Dict[Tuple[str, str], GeneratedSpmdProgram] = {}
+#: rendered native modules memoized by artifact content_hash
+_NATIVE_MEMO: Dict[str, GeneratedSpmdProgram] = {}
 
 
 def _native_block(c_source: str) -> List[str]:
@@ -157,12 +157,9 @@ class CodeGenerator:
     to the interpreter.
     """
 
-    def __init__(self, protocol: str = "Simple", target: str = "spmd") -> None:
-        if protocol not in ("LL", "LL128", "Simple"):
-            raise CodegenError(f"unknown protocol {protocol!r}")
+    def __init__(self, target: str = "spmd") -> None:
         if target not in ("spmd", "native"):
             raise CodegenError(f"unknown codegen target {target!r}")
-        self.protocol = protocol
         self.target = target
         self._native = target == "native"
         self._nat = None  # NativeEmitter, created per generate() call
@@ -177,14 +174,14 @@ class CodeGenerator:
         artifact generates the identical module a live lowering does."""
         from repro.core.artifact import Artifact
 
-        memo_key: "tuple | None" = None
+        memo_key: Optional[str] = None
         if isinstance(scheduled, Artifact):
             if self._native:
                 # artifacts carry a content hash — reuse the rendered
                 # module (and its C source, hence the compiled kernel
                 # cache key) across repeat generations of the same
                 # payload, e.g. elastic recovery or --repeat loops
-                memo_key = (scheduled.content_hash, self.protocol)
+                memo_key = scheduled.content_hash
                 cached = _NATIVE_MEMO.get(memo_key)
                 if cached is not None:
                     return cached
@@ -236,9 +233,6 @@ class CodeGenerator:
         return f"G{group.start}_{group.size}"
 
     def _emit_constants(self, em: _Emitter, program: Program) -> None:
-        em.emit(f'PROTOCOL = "{self.protocol}"')
-        pack = {"LL": 8, "LL128": 16, "Simple": 16}[self.protocol]
-        em.emit(f"PACK_BYTES = {pack}")
         for g in self._groups(program):
             name = self._gname(g)
             em.emit(
@@ -547,10 +541,7 @@ class CodeGenerator:
         g = self._gname(e.group)
         x = e.inputs[0]
         xr = f"V[{x.name!r}]"
-        em.emit(
-            f"# NCCL {e.comm_kind} ({self.protocol} protocol) — "
-            f"shared-memory rendezvous"
-        )
+        em.emit(f"# NCCL {e.comm_kind} — shared-memory rendezvous")
         if isinstance(e, ops.AllReduce):
             call = f"comm.allreduce({xr}, {g}, {e.reduction!r}, {_np_dtype(e)})"
         elif isinstance(e, ops.ReduceScatter):
@@ -594,12 +585,10 @@ class CodeGenerator:
         rank-order oracle.)
         """
         group = k.output.group
-        itemsize = max(e.dtype.itemsize for e in k.exprs)
         em.emit(
-            f"# Fused collective over {group!r}, protocol "
-            f"{self.protocol}: compute rides the exchange (§5.2)"
+            f"# Fused collective over {group!r}: compute rides the "
+            f"exchange (§5.2)"
         )
-        em.emit(f"_elems_per_pack = max(1, PACK_BYTES // {itemsize})")
         pending: List[Expr] = []
         for e in k.exprs:
             if isinstance(e, ops.CommOp):
@@ -633,9 +622,11 @@ class CodeGenerator:
         em.indent -= 1
         em.emit(f"if comm.rank in RANKS_{dg}:")
         em.indent += 1
+        x = send.inputs[0]
         em.emit(
             f"V[{send.name!r}] = comm.recv("
-            f"RANKS_{sg}[{dg}.local_rank(comm.rank)])"
+            f"RANKS_{sg}[{dg}.local_rank(comm.rank)], "
+            f"{tuple(x.per_rank_shape())!r}, {_np_dtype(x)})"
         )
         em.indent -= 1
 

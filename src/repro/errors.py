@@ -52,12 +52,5 @@ class ExecutionError(CoCoNetError):
     """Raised by the simulated runtime when a program cannot be executed."""
 
 
-class OutOfMemoryError(ExecutionError):
-    """Raised by the simulated device allocator when a rank exceeds HBM.
-
-    Mirrors the "OOM" entries in Table 4 of the paper.
-    """
-
-
 class AutotunerError(CoCoNetError):
     """Raised when the autotuner cannot produce any valid schedule."""

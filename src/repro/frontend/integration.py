@@ -33,18 +33,13 @@ from repro.scattered.bucketing import ScatteredTensorSet
 class CoCoNetFunction:
     """A compiled CoCoNet program registered with the framework."""
 
-    def __init__(
-        self,
-        name: str,
-        schedule: Schedule,
-        protocol: str = "Simple",
-    ) -> None:
+    def __init__(self, name: str, schedule: Schedule) -> None:
         self.name = name
         self.schedule = schedule
         self.lowered = schedule.lowered()
-        self.compiled: GeneratedSpmdProgram = CodeGenerator(
-            protocol
-        ).generate(schedule)
+        self.compiled: GeneratedSpmdProgram = CodeGenerator().generate(
+            schedule
+        )
         self._spinlock_cleared = False
         self._bucket_tables: Dict[str, ScatteredTensorSet] = {}
         self.invocations = 0
@@ -107,7 +102,6 @@ class DistributedModule:
         self,
         schedule: "Schedule | Program",
         name: Optional[str] = None,
-        protocol: str = "Simple",
     ) -> CoCoNetFunction:
         """Compile and register a program; returns the callable."""
         if isinstance(schedule, Program):
@@ -115,7 +109,7 @@ class DistributedModule:
         fn_name = name or schedule.program.name
         if fn_name in self._functions:
             raise CoCoNetError(f"function {fn_name!r} already registered")
-        fn = CoCoNetFunction(fn_name, schedule, protocol)
+        fn = CoCoNetFunction(fn_name, schedule)
         self._functions[fn_name] = fn
         return fn
 

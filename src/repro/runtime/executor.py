@@ -102,7 +102,6 @@ class Executor:
         inputs: Mapping[str, np.ndarray],
         nranks: Optional[int] = None,
         allow_downcast: Optional[bool] = None,
-        protocol: str = "Simple",
         wire_s_per_mb: float = 0.0,
         timeout: Optional[float] = None,
         soft_timeout: Optional[float] = None,
@@ -160,7 +159,7 @@ class Executor:
         try:
             return self._run_spmd_once(
                 scheduled, inputs, nranks=nranks,
-                allow_downcast=allow_downcast, protocol=protocol,
+                allow_downcast=allow_downcast,
                 wire_s_per_mb=wire_s_per_mb, timeout=timeout,
                 soft_timeout=soft_timeout, fault_plan=fault_plan,
                 tracer=tracer, codegen_target=codegen_target,
@@ -170,7 +169,7 @@ class Executor:
                 raise
             return self._recover_spmd(
                 exc, scheduled, inputs, relower=relower,
-                allow_downcast=allow_downcast, protocol=protocol,
+                allow_downcast=allow_downcast,
                 wire_s_per_mb=wire_s_per_mb, timeout=timeout,
                 soft_timeout=soft_timeout, tracer=tracer,
                 codegen_target=codegen_target,
@@ -183,7 +182,6 @@ class Executor:
         *,
         nranks: Optional[int] = None,
         allow_downcast: Optional[bool] = None,
-        protocol: str = "Simple",
         wire_s_per_mb: float = 0.0,
         timeout: Optional[float] = None,
         soft_timeout: Optional[float] = None,
@@ -199,9 +197,7 @@ class Executor:
         from repro.observe.ring import merge_rank_traces
         from repro.runtime import spmd
 
-        generated = CodeGenerator(
-            protocol, target=codegen_target
-        ).generate(scheduled)
+        generated = CodeGenerator(target=codegen_target).generate(scheduled)
         trace_dir = None
         if tracer is not None:
             trace_dir = tempfile.mkdtemp(prefix="repro_trace_")
@@ -235,7 +231,6 @@ class Executor:
         *,
         relower,
         allow_downcast: Optional[bool],
-        protocol: str,
         wire_s_per_mb: float,
         timeout: Optional[float],
         soft_timeout: Optional[float],
@@ -318,7 +313,7 @@ class Executor:
             try:
                 result = self._run_spmd_once(
                     cached, inputs2,
-                    allow_downcast=allow_downcast, protocol=protocol,
+                    allow_downcast=allow_downcast,
                     wire_s_per_mb=wire_s_per_mb, timeout=timeout,
                     soft_timeout=soft_timeout, tracer=tracer,
                     codegen_target=codegen_target,

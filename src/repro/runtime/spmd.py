@@ -22,14 +22,20 @@ segment holds:
   returning it): a rank's private array, so an in-place update on one
   rank is never seen by another.
 
-Each slot holds a small self-describing header (shape + dtype) and the
-payload; each (site, rank) pair has a *ready* and a *done* sequence
-counter in the flags segment:
+A slot holds the payload only, with no header: every reader already
+knows the payload's shape and dtype from its own operand (``recv``,
+whose rank has no operand, gets both from the generated module, which
+reads them off the ``Send``). Each (site, rank) pair has a *ready* and a
+*done* sequence counter in the flags segment.
 
-* publish: write payload, then store ``ready = seq * 2^20 + progress``
-  (``progress`` counts published chunks; whole payloads publish 1);
-* collect: spin until a peer's ready counter covers the needed chunk,
-  then copy the payload out;
+Every operation on a site is one *publication*: a payload released as a
+list of chunks. A collective's own operand is one chunk, ``(...,)``; a
+§5.3 chunked publication has one chunk per lowering chunk. The same
+three steps serve both:
+
+* release: write chunk ``c``, then store ``ready = seq * 2^20 + c + 1``;
+* consume: spin until a peer's ready counter covers chunk ``c``, then
+  copy the chunk out or fold it into the reduction;
 * finish: store ``done = seq``. A publisher may only reuse its slot for
   ``seq`` once every participant's ``done`` reached ``seq - 1``.
 
@@ -148,7 +154,9 @@ import uuid
 from multiprocessing import connection as _mp_connection
 from multiprocessing import get_context
 from multiprocessing.shared_memory import SharedMemory
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -180,8 +188,6 @@ __all__ = [
     "scaled_default_timeout",
 ]
 
-#: bytes reserved at the start of every slot for the payload header
-HEADER_BYTES = 192
 #: ready counters encode ``seq * PROGRESS_BASE + chunks_published``
 PROGRESS_BASE = 1 << 20
 #: error-flag value stored by a failing rank
@@ -272,7 +278,7 @@ class SpmdLayout:
         self, key: str, participants: Sequence[int], payload_bytes: int
     ) -> None:
         participants = tuple(participants)
-        slot = HEADER_BYTES + _round64(max(64, int(payload_bytes))) + 64
+        slot = _round64(max(64, int(payload_bytes))) + 64
         old = self._pending.get(key)
         if old is not None:
             participants = old[0]
@@ -410,16 +416,30 @@ def scaled_default_timeout(
     return base + scale
 
 
-class _ChunkToken:
-    """A chunked publication in flight on a group site."""
+#: the chunk list of a whole-payload publication: one chunk, every element
+WHOLE = ((Ellipsis,),)
 
-    def __init__(self, key, group, seq, staging, chunk_dim, bounds) -> None:
-        self.key = key
-        self.group = group
-        self.seq = seq
-        self.staging = staging
-        self.chunk_dim = chunk_dim
-        self.bounds = tuple(bounds)
+
+class _Publication(NamedTuple):
+    """One operation on a site: a ``shape``/``dtype`` payload per rank.
+
+    ``chunks`` index the payload: :data:`WHOLE` for a collective's own
+    operand, one slice per lowering chunk for a §5.3 chunked
+    publication. ``payload`` is the array this rank releases (``None``
+    for a rank that only reads).
+    """
+
+    key: str
+    ranks: Tuple[int, ...]
+    seq: int
+    shape: Tuple[int, ...]
+    dtype: np.dtype
+    chunks: Tuple[tuple, ...]
+    payload: Optional[np.ndarray]
+
+    @property
+    def chunked(self) -> bool:
+        return self.chunks is not WHOLE
 
 
 class SpmdCommunicator:
@@ -433,7 +453,6 @@ class SpmdCommunicator:
         flags: SharedMemory,
         wire_s_per_mb: float = 0.0,
         timeout: float = DEFAULT_TIMEOUT,
-        owns_segments: bool = False,
         trace_path: Optional[str] = None,
         soft_timeout: Optional[float] = None,
         faults: Optional[FaultPlan] = None,
@@ -450,14 +469,13 @@ class SpmdCommunicator:
         )
         self._data = data
         self._flags_shm = flags
-        self._owns = owns_segments
         self._flags = np.ndarray(
             (layout.flags_length(),), dtype=np.int64, buffer=flags.buf
         )
         self._site_order = sorted(layout.sites)
         self._site_idx = {k: i for i, k in enumerate(self._site_order)}
         self._seq: Dict[str, int] = {}
-        self._tokens: Dict[str, _ChunkToken] = {}
+        self._pending: Dict[str, _Publication] = {}
         self._err_off = layout.num_sites * layout.nranks * 2
         self._closed = False
         # observability: the per-rank trace ring plus the current
@@ -656,53 +674,16 @@ class SpmdCommunicator:
         base = offset + rank * slot
         return base, slot
 
-    def _write_header(self, key: str, arr: np.ndarray) -> None:
-        base, slot = self._slot_bounds(key, self.rank)
-        if HEADER_BYTES + arr.nbytes > slot:
-            raise SpmdError(
-                f"rank {self.rank}: payload of {arr.nbytes} B exceeds the "
-                f"{slot} B slot of site {key!r}"
-            )
-        if arr.ndim > 8:
-            raise SpmdError(f"payloads are limited to 8 dims, got {arr.ndim}")
-        header = np.ndarray((10,), dtype=np.int64, buffer=self._data.buf,
-                            offset=base)
-        header[0] = arr.nbytes
-        header[1] = arr.ndim
-        for i in range(8):
-            header[2 + i] = arr.shape[i] if i < arr.ndim else 0
-        dt = arr.dtype.str.encode("ascii")
-        self._data.buf[base + 80 : base + 80 + len(dt)] = dt
-        self._data.buf[base + 80 + len(dt)] = 0
-        del header
-
-    def _payload_view(
-        self, key: str, rank: int, shape: Tuple[int, ...], dtype
-    ) -> np.ndarray:
-        """A writable ndarray view of a slot's payload region.
+    def _slot_view(self, pub: _Publication, rank: int) -> np.ndarray:
+        """A writable view of ``rank``'s slot holding ``pub``'s payload.
 
         Callers must drop the view before :meth:`close` (views pin the
         shared-memory buffer).
         """
-        base, _ = self._slot_bounds(key, rank)
+        base, _ = self._slot_bounds(pub.key, rank)
         return np.ndarray(
-            shape, dtype=dtype, buffer=self._data.buf,
-            offset=base + HEADER_BYTES,
+            pub.shape, dtype=pub.dtype, buffer=self._data.buf, offset=base
         )
-
-    def _read_payload(self, key: str, rank: int) -> np.ndarray:
-        base, _ = self._slot_bounds(key, rank)
-        header = np.ndarray((10,), dtype=np.int64, buffer=self._data.buf,
-                            offset=base)
-        ndim = int(header[1])
-        shape = tuple(int(header[2 + i]) for i in range(ndim))
-        del header
-        raw = bytes(self._data.buf[base + 80 : base + 112])
-        dtype = np.dtype(raw.split(b"\0", 1)[0].decode("ascii"))
-        view = self._payload_view(key, rank, shape, dtype)
-        out = view.copy()
-        del view
-        return out
 
     def _wire_sleep(self, nbytes: int) -> None:
         if self.wire_s_per_mb > 0.0 and nbytes > 0:
@@ -751,6 +732,11 @@ class SpmdCommunicator:
         os._exit(_DIE_EXIT_CODE)
 
     # -- rendezvous core --------------------------------------------------
+    #
+    # Every operation on a site is one publication: ``_open`` takes the
+    # site's next sequence number, ``_release`` writes and announces this
+    # rank's payload chunk by chunk, and ``_gather``/``_reduce`` wait for
+    # each chunk and copy it out or fold it in before ``_finish``.
 
     def _begin(self, key: str, participants: Sequence[int]) -> int:
         seq = self._seq.get(key, 0) + 1
@@ -767,95 +753,200 @@ class SpmdCommunicator:
             )
         return seq
 
-    def _publish(self, key: str, seq: int, arr: np.ndarray) -> None:
-        t0 = time.monotonic_ns() if self._ring is not None else 0
-        arr = np.asarray(arr)
-        if not arr.flags["C_CONTIGUOUS"]:
-            # (ascontiguousarray unconditionally would promote 0-d
-            # scalars to shape (1,) and break the payload round-trip)
-            arr = np.ascontiguousarray(arr)
-        self._write_header(key, arr)
-        view = self._payload_view(key, self.rank, arr.shape, arr.dtype)
-        view[...] = arr
-        del view
-        self._wire_sleep(arr.nbytes)
-        self._fault_publish(key, seq)
-        self._set_ready(key, self.rank, seq * PROGRESS_BASE + 1)
-        self._trace(
-            KIND_PUBLISH, t0, nbytes=arr.nbytes, seq=seq, site=key,
-            name=self._op or key,
+    def _open(
+        self, key: str, ranks: Sequence[int], shape, dtype,
+        chunks: Tuple[tuple, ...] = WHOLE, payload=None,
+    ) -> _Publication:
+        """Start the next operation on site ``key`` among ``ranks``."""
+        dtype = np.dtype(dtype)
+        nbytes = int(np.prod(shape)) * dtype.itemsize
+        _, slot = self._slot_bounds(key, self.rank)
+        if nbytes > slot:
+            raise SpmdError(
+                f"rank {self.rank}: payload of {nbytes} B exceeds the "
+                f"{slot} B slot of site {key!r}"
+            )
+        seq = self._begin(key, ranks)
+        return _Publication(
+            key, tuple(ranks), seq, tuple(shape), dtype, chunks, payload
         )
 
-    def _collect(
-        self, key: str, seq: int, ranks: Sequence[int]
-    ) -> List[np.ndarray]:
-        out = []
-        want = seq * PROGRESS_BASE + 1
-        for r in ranks:
-            self._spin(
-                lambda r=r: self._ready(key, r) >= want,
-                f"rank {r}'s payload at site {key}",
-                site=key,
-            )
-            out.append(self._read_payload(key, r))
-        return out
+    def _publish(
+        self, key: str, ranks: Sequence[int], x, release: bool = True
+    ) -> _Publication:
+        """Open the next operation on ``key`` with ``x`` as one chunk,
+        and release it unless ``release`` is false (a reader only)."""
+        x = np.asarray(x)
+        pub = self._open(key, ranks, x.shape, x.dtype, payload=x)
+        if release:
+            self._release(pub)
+        return pub
 
-    def _finish(self, key: str, seq: int) -> None:
-        self._set_done(key, self.rank, seq)
+    def _release(
+        self, pub: _Publication, out: Optional[np.ndarray] = None
+    ) -> None:
+        """Write this rank's payload into its slot, one wire transfer and
+        one ready bump per chunk.
 
-    def _exchange_group(
-        self, group: ProcessGroup, arr: np.ndarray
+        ``out``, when given, receives each chunk as it is published —
+        the consumer-visible buffer of the lowered ``publish`` mode.
+        Fault points count a whole publication by its site sequence and
+        a chunked one by chunk index; only a chunked publication can
+        drop a chunk.
+        """
+        key, payload = pub.key, pub.payload
+        view = self._slot_view(pub, self.rank)
+        # an injected drop_chunk withholds the ready bump: the payload
+        # is written, but visibility is redelivered later (with the next
+        # chunk's bump, or after the drop's redeliver delay for the last
+        # chunk) — consumers soft-retry through the gap
+        redeliver: Optional[float] = None
+        try:
+            for c, sl in enumerate(pub.chunks):
+                t0 = time.monotonic_ns() if self._ring is not None else 0
+                view[sl] = payload[sl]
+                if out is not None:
+                    out[sl] = payload[sl]
+                nbytes = payload[sl].nbytes
+                self._wire_sleep(nbytes)
+                seq = c if pub.chunked else pub.seq
+                self._fault_publish(key, seq)
+                if pub.chunked and self._faults is not None:
+                    drop = self._faults.drop(key, c)
+                    if drop is not None:
+                        self._trace(
+                            KIND_FAULT, time.monotonic_ns(), seq=c,
+                            site=key, name=f"drop_chunk {c}",
+                        )
+                        redeliver = drop.redeliver
+                        continue
+                if redeliver is not None:
+                    time.sleep(redeliver)
+                    self._trace(
+                        KIND_FAULT, time.monotonic_ns(), seq=c, site=key,
+                        name="redeliver",
+                    )
+                    redeliver = None
+                self._set_ready(
+                    key, self.rank, pub.seq * PROGRESS_BASE + c + 1
+                )
+                self._trace(
+                    KIND_PUBLISH, t0, nbytes=nbytes, seq=seq, site=key,
+                    name=f"chunk{c}" if pub.chunked else self._op or key,
+                )
+            if redeliver is not None:
+                # the dropped chunk was the last one: redeliver it
+                last = len(pub.chunks)
+                time.sleep(redeliver)
+                self._trace(
+                    KIND_FAULT, time.monotonic_ns(), seq=last - 1, site=key,
+                    name="redeliver",
+                )
+                self._set_ready(
+                    key, self.rank, pub.seq * PROGRESS_BASE + last
+                )
+        finally:
+            del view
+
+    def _wait(self, pub: _Publication, rank: int, c: int) -> None:
+        """Wait until global rank ``rank`` published chunk ``c`` of ``pub``."""
+        want = pub.seq * PROGRESS_BASE + c + 1
+        self._spin(
+            lambda: self._ready(pub.key, rank) >= want,
+            f"chunk {c} from rank {rank} at site {pub.key}",
+            site=pub.key,
+        )
+
+    def _gather(
+        self, pub: _Publication, ranks: Optional[Sequence[int]] = None
     ) -> List[np.ndarray]:
-        """All-to-all-gather one payload per rank, in rank order."""
-        key = _group_key(group)
-        parts = tuple(group.ranks)
-        seq = self._begin(key, parts)
-        self._publish(key, seq, np.asarray(arr))
-        rows = self._collect(key, seq, parts)
-        self._finish(key, seq)
+        """Copy out the payloads of ``ranks`` (default: every participant).
+
+        Each chunk is drained from the ranks in the order given, as soon
+        as that rank published it; then the operation is finished.
+        """
+        ranks = pub.ranks if ranks is None else ranks
+        rows = [np.empty(pub.shape, dtype=pub.dtype) for _ in ranks]
+        views = [self._slot_view(pub, r) for r in ranks]
+        try:
+            for c, sl in enumerate(pub.chunks):
+                for j, r in enumerate(ranks):
+                    self._wait(pub, r, c)
+                    rows[j][sl] = views[j][sl]
+        finally:
+            del views
+        self._finish(pub)
         return rows
+
+    def _reduce(self, pub: _Publication, op: str) -> np.ndarray:
+        """Rank-order float64 reduction of every participant's payload.
+
+        Reductions over the rank axis are element-wise in the data
+        dimensions, so accumulating chunk ``c`` as soon as every rank
+        published it is bit-identical to reducing the whole stack —
+        while genuinely overlapping the reduce with the remaining
+        chunks' wire time. A whole payload's one chunk is reduced
+        straight into the result, with no second float64 buffer.
+        """
+        t0 = time.monotonic_ns() if self._ring is not None else 0
+        total = np.empty(pub.shape, np.float64) if pub.chunked else None
+        views = [self._slot_view(pub, r) for r in pub.ranks]
+        try:
+            for c, sl in enumerate(pub.chunks):
+                for r in pub.ranks:
+                    self._wait(pub, r, c)
+                part = _reduce_stack(np.stack([v[sl] for v in views]), op)
+                if total is None:
+                    total = part
+                else:
+                    total[sl] = part
+        finally:
+            del views
+        self._finish(pub)
+        self._trace(
+            KIND_REDUCE, t0, seq=pub.seq, site=pub.key,
+            name=self._op or op,
+        )
+        return total
+
+    def _finish(self, pub: _Publication) -> None:
+        self._set_done(pub.key, self.rank, pub.seq)
+
+    def _publication(
+        self, x, group: ProcessGroup, release: bool = True
+    ) -> _Publication:
+        """The group's pending chunked publication, else ``x`` published
+        whole (see :meth:`_publish`)."""
+        key = _group_key(group)
+        pending = self._pending.pop(key, None)
+        if pending is not None:
+            return pending
+        return self._publish(key, group.ranks, x, release)
 
     # -- collectives ------------------------------------------------------
     #
     # Each method mirrors the corresponding ``*_vectorized`` formula of
     # :mod:`repro.runtime.collectives` on a contiguous rank-major stack,
-    # so results are bit-identical to the vectorized backend.
-
-    def _reduced_total(self, x, group: ProcessGroup, op: str) -> np.ndarray:
-        token = self._tokens.pop(_group_key(group), None)
-        if token is not None:
-            return self._token_reduce(token, op)
-        rows = self._exchange_group(group, x)
-        t0 = time.monotonic_ns() if self._ring is not None else 0
-        total = _reduce_stack(np.stack(rows, axis=0), op)
-        self._trace(
-            KIND_REDUCE, t0, seq=self._site_seq, site=_group_key(group),
-            name=self._op or op,
-        )
-        return total
+    # so results are bit-identical to the vectorized backend. Each one
+    # consumes the group's pending chunked publication or publishes
+    # ``x`` whole, then runs the same code either way.
 
     def allreduce(self, x, group: ProcessGroup, op: str, dtype) -> np.ndarray:
         """Every rank receives the reduction of all ranks' values."""
-        return self._reduced_total(x, group, op).astype(dtype)
+        return self._reduce(self._publication(x, group), op).astype(dtype)
 
     def reducescatter(
         self, x, group: ProcessGroup, op: str, dim: int, dtype,
         context: str = "",
     ) -> np.ndarray:
         """This rank receives its slice of the reduction."""
-        total = self._reduced_total(x, group, op).astype(dtype)
+        total = self._reduce(self._publication(x, group), op).astype(dtype)
         i = group.local_rank(self.rank)
         return slice_of(total, dim, i, group.size, context=context).copy()
 
-    def _gather_rows(self, x, group: ProcessGroup) -> List[np.ndarray]:
-        token = self._tokens.pop(_group_key(group), None)
-        if token is not None:
-            return self._token_rows(token)
-        return self._exchange_group(group, x)
-
     def allgather(self, x, group: ProcessGroup, dim: int) -> np.ndarray:
         """Concatenation of all ranks' slices, in rank order."""
-        rows = self._gather_rows(x, group)
+        rows = self._gather(self._publication(x, group))
         return np.concatenate(rows, axis=dim)
 
     def alltoall(
@@ -865,28 +956,18 @@ class SpmdCommunicator:
 
         Peers are drained in the pairwise step order of
         :func:`repro.nccl.algorithms.all_to_all_steps` (in step ``t``
-        rank ``r`` receives from ``(r - t - 1) mod n``); the result is
-        assembled in source-rank order, matching the reference. A
-        pending chunk token on the group is consumed chunk-by-chunk
-        like every other collective.
+        rank ``r`` receives from ``(r - t - 1) mod n``, after its own
+        payload); the result is assembled in source-rank order, matching
+        the reference.
         """
         n = group.size
         i = group.local_rank(self.rank)
-        token = self._tokens.pop(_group_key(group), None)
-        if token is not None:
-            rows = dict(enumerate(self._token_rows(token)))
-        else:
-            key = _group_key(group)
-            parts = tuple(group.ranks)
-            seq = self._begin(key, parts)
-            self._publish(key, seq, np.asarray(x))
-            rows = {}
-            order = [i] + [(i - t - 1) % n for t in range(n - 1)]
-            for j in order:
-                rows[j] = self._collect(
-                    key, seq, [group.global_rank(j)]
-                )[0]
-            self._finish(key, seq)
+        order = [(i - t) % n for t in range(n)]
+        gathered = self._gather(
+            self._publication(x, group),
+            [group.global_rank(j) for j in order],
+        )
+        rows = dict(zip(order, gathered))
         parts_out = [
             slice_of(rows[s], dim, i, n, context=context) for s in range(n)
         ]
@@ -899,7 +980,7 @@ class SpmdCommunicator:
         """Intra-node phase of the hierarchical AllToAll (this rank)."""
         k, m = self._node_grid(group, node_size)
         n = group.size
-        rows = self._gather_rows(x, group)
+        rows = self._gather(self._publication(x, group))
         local = group.local_rank(self.rank)
         a, q = divmod(local, m)
         parts = [
@@ -918,7 +999,7 @@ class SpmdCommunicator:
         """Inter-node phase of the hierarchical AllToAll (this rank)."""
         k, m = self._node_grid(group, node_size)
         n = group.size
-        rows = self._gather_rows(x, group)
+        rows = self._gather(self._publication(x, group))
         local = group.local_rank(self.rank)
         b, q = divmod(local, m)
         parts = [
@@ -950,24 +1031,11 @@ class SpmdCommunicator:
         rank still contributes one, and the sequence counters keep the
         rendezvous symmetric.
         """
-        root_rank = group.global_rank(root)
-        token = self._tokens.pop(_group_key(group), None)
-        if token is not None:
-            total = self._token_reduce(token, op)
-            if self.rank == root_rank:
-                return total.astype(dtype)
-            return np.asarray(x).astype(dtype)
-        key = _group_key(group)
-        parts = tuple(group.ranks)
-        seq = self._begin(key, parts)
-        self._publish(key, seq, np.asarray(x))
-        if self.rank == root_rank:
-            rows = self._collect(key, seq, parts)
-            out = _reduce_stack(np.stack(rows, axis=0), op).astype(dtype)
-        else:
-            out = np.asarray(x).astype(dtype)
-        self._finish(key, seq)
-        return out
+        pub = self._publication(x, group)
+        if self.rank == group.global_rank(root):
+            return self._reduce(pub, op).astype(dtype)
+        self._finish(pub)
+        return np.asarray(x).astype(dtype)
 
     def broadcast(self, x, group: ProcessGroup, root: int) -> np.ndarray:
         """Every rank receives the root rank's value.
@@ -977,50 +1045,42 @@ class SpmdCommunicator:
         whole group.
         """
         root_rank = group.global_rank(root)
-        token = self._tokens.pop(_group_key(group), None)
-        if token is not None:
-            rows = self._token_rows(token)
-            return rows[group.local_rank(root_rank)]
-        key = _group_key(group)
-        parts = tuple(group.ranks)
-        seq = self._begin(key, parts)
-        if self.rank == root_rank:
-            self._publish(key, seq, np.asarray(x))
-            out = np.array(x, copy=True)
-        else:
-            out = self._collect(key, seq, [root_rank])[0]
-        self._finish(key, seq)
-        return out
+        pub = self._publication(x, group, release=self.rank == root_rank)
+        return self._gather(pub, [root_rank])[0]
 
     def exchange_scalars(self, value, group: ProcessGroup) -> List[np.float64]:
         """Gather one float64 scalar per rank, in rank order (§5.2:
-        the AllReduce of partial reductions)."""
-        rows = self._exchange_group(
-            group, np.asarray(value, dtype=np.float64)
+        the AllReduce of partial reductions). Never consumes a pending
+        chunked publication."""
+        pub = self._publish(
+            _group_key(group), group.ranks,
+            np.asarray(value, dtype=np.float64),
         )
-        return [np.float64(r) for r in rows]
+        return [np.float64(r) for r in self._gather(pub)]
 
     def barrier(self, group: Optional[ProcessGroup] = None) -> None:
         if group is None:
             group = ProcessGroup(0, self.nranks, self.nranks)
-        self._exchange_group(group, np.zeros((1,), dtype=np.int64))
+        pub = self._publish(
+            _group_key(group), group.ranks, np.zeros((1,), dtype=np.int64)
+        )
+        self._gather(pub)
 
     # -- P2P --------------------------------------------------------------
 
     def send(self, x, dst: int) -> None:
         """Send this rank's value to global rank ``dst``."""
-        key = _p2p_key(self.rank, dst)
-        seq = self._begin(key, (self.rank, dst))
-        self._publish(key, seq, np.asarray(x))
-        self._finish(key, seq)
+        pub = self._publish(_p2p_key(self.rank, dst), (self.rank, dst), x)
+        self._finish(pub)
 
-    def recv(self, src: int) -> np.ndarray:
-        """Receive the value global rank ``src`` sent to this rank."""
-        key = _p2p_key(src, self.rank)
-        seq = self._begin(key, (src, self.rank))
-        out = self._collect(key, seq, [src])[0]
-        self._finish(key, seq)
-        return out
+    def recv(self, src: int, shape, dtype) -> np.ndarray:
+        """Receive the ``shape``/``dtype`` value global rank ``src`` sent
+        to this rank (the generated module knows both from the send's
+        operand)."""
+        pub = self._open(
+            _p2p_key(src, self.rank), (src, self.rank), shape, dtype
+        )
+        return self._gather(pub, [src])[0]
 
     # -- chunked ring publication (overlap, §5.3) -------------------------
 
@@ -1030,11 +1090,15 @@ class SpmdCommunicator:
         staging: np.ndarray,
         chunk_dim: int,
         bounds: Sequence[Tuple[int, int]],
-    ) -> _ChunkToken:
+    ) -> _Publication:
         """Open a chunked publication of ``staging`` on the group site.
 
-        The next collective this rank issues on ``group`` consumes the
-        token chunk-by-chunk instead of exchanging whole buffers.
+        One chunk per ``(lo, hi)`` of ``bounds`` along ``chunk_dim``;
+        :meth:`publish_chunks` releases them. The next collective this
+        rank issues on ``group`` consumes this publication instead of
+        publishing its own operand whole, and ingests it chunk by chunk
+        through the same wait and copy-out/reduce loop as a one-chunk
+        publication.
 
         Chunks are released in *index order* on every rank. The real
         backend's ring collective consumes rank-rotated chunks (rank
@@ -1047,156 +1111,25 @@ class SpmdCommunicator:
         order completes chunk ``c`` at step ``c`` and genuinely overlaps
         the consumer's reduction with the remaining chunks' wire time.
         """
-        key = _group_key(group)
-        parts = tuple(group.ranks)
-        seq = self._begin(key, parts)
         staging = np.asarray(staging)
-        if not staging.flags["C_CONTIGUOUS"]:
-            staging = np.ascontiguousarray(staging)
-        self._write_header(key, staging)
-        token = _ChunkToken(key, group, seq, staging, chunk_dim, bounds)
-        self._tokens[key] = token
-        return token
+        lead = (slice(None),) * (chunk_dim % staging.ndim)
+        chunks = tuple(lead + (slice(lo, hi),) for lo, hi in bounds)
+        pub = self._open(
+            _group_key(group), group.ranks, staging.shape, staging.dtype,
+            chunks, staging,
+        )
+        self._pending[pub.key] = pub
+        return pub
 
     def publish_chunks(
-        self, token: _ChunkToken, out: Optional[np.ndarray] = None
+        self, token: _Publication, out: Optional[np.ndarray] = None
     ) -> None:
         """Release the staged chunks, one wire transfer per chunk.
 
         ``out``, when given, receives each chunk as it is published —
         the consumer-visible buffer of the lowered ``publish`` mode.
         """
-        staging = token.staging
-        bounds = token.bounds
-        view = self._payload_view(
-            token.key, self.rank, staging.shape, staging.dtype
-        )
-        # an injected drop_chunk withholds the ready bump: the payload
-        # is written, but visibility is redelivered later (with the next
-        # chunk's bump, or after the drop's redeliver delay for the last
-        # chunk) — consumers soft-retry through the gap
-        redeliver: Optional[float] = None
-        try:
-            for c in range(len(bounds)):
-                t0 = time.monotonic_ns() if self._ring is not None else 0
-                lo, hi = bounds[c]
-                sl = [slice(None)] * staging.ndim
-                sl[token.chunk_dim] = slice(lo, hi)
-                sl = tuple(sl)
-                view[sl] = staging[sl]
-                if out is not None:
-                    out[sl] = staging[sl]
-                nbytes = staging[sl].nbytes
-                self._wire_sleep(nbytes)
-                self._fault_publish(token.key, c)
-                if self._faults is not None:
-                    drop = self._faults.drop(token.key, c)
-                    if drop is not None:
-                        self._trace(
-                            KIND_FAULT, time.monotonic_ns(), seq=c,
-                            site=token.key, name=f"drop_chunk {c}",
-                        )
-                        redeliver = drop.redeliver
-                        continue
-                if redeliver is not None:
-                    time.sleep(redeliver)
-                    self._trace(
-                        KIND_FAULT, time.monotonic_ns(), seq=c,
-                        site=token.key, name="redeliver",
-                    )
-                    redeliver = None
-                self._set_ready(
-                    token.key, self.rank,
-                    token.seq * PROGRESS_BASE + c + 1,
-                )
-                self._trace(
-                    KIND_PUBLISH, t0, nbytes=nbytes, seq=c, site=token.key,
-                    name=f"chunk{c}",
-                )
-            if redeliver is not None:
-                # the dropped chunk was the last one: redeliver it
-                time.sleep(redeliver)
-                self._trace(
-                    KIND_FAULT, time.monotonic_ns(),
-                    seq=len(bounds) - 1, site=token.key, name="redeliver",
-                )
-                self._set_ready(
-                    token.key, self.rank,
-                    token.seq * PROGRESS_BASE + len(bounds),
-                )
-        finally:
-            del view
-
-    def _chunk_wait(self, token: _ChunkToken, local: int, c: int) -> None:
-        """Wait until group-local rank ``local`` published chunk ``c``."""
-        want = token.seq * PROGRESS_BASE + c + 1
-        r = token.group.global_rank(local)
-        self._spin(
-            lambda: self._ready(token.key, r) >= want,
-            f"chunk {c} from rank {r} at site {token.key}",
-            site=token.key,
-        )
-
-    def _token_reduce(self, token: _ChunkToken, op: str) -> np.ndarray:
-        """Chunk-wise rank-order reduction of a chunked publication.
-
-        Reductions over the rank axis are element-wise in the data
-        dimensions, so accumulating chunk ``c`` as soon as every rank
-        published it is bit-identical to reducing the whole stack —
-        while genuinely overlapping the reduce with the remaining
-        chunks' wire time.
-        """
-        group = token.group
-        n = group.size
-        shape, dtype = token.staging.shape, token.staging.dtype
-        total = np.empty(shape, dtype=np.float64)
-        t_all = time.monotonic_ns() if self._ring is not None else 0
-        views = [
-            self._payload_view(token.key, r, shape, dtype)
-            for r in group.ranks
-        ]
-        try:
-            for c in range(len(token.bounds)):
-                lo, hi = token.bounds[c]
-                sl = [slice(None)] * len(shape)
-                sl[token.chunk_dim] = slice(lo, hi)
-                sl = tuple(sl)
-                rows = []
-                for j in range(n):
-                    self._chunk_wait(token, j, c)
-                    rows.append(np.ascontiguousarray(views[j][sl]))
-                total[sl] = _reduce_stack(np.stack(rows, axis=0), op)
-        finally:
-            del views
-        self._finish(token.key, token.seq)
-        self._trace(
-            KIND_REDUCE, t_all, seq=token.seq, site=token.key,
-            name=self._op or op,
-        )
-        return total
-
-    def _token_rows(self, token: _ChunkToken) -> List[np.ndarray]:
-        """Assemble every rank's full chunked publication."""
-        group = token.group
-        shape, dtype = token.staging.shape, token.staging.dtype
-        rows = [np.empty(shape, dtype=dtype) for _ in range(group.size)]
-        views = [
-            self._payload_view(token.key, r, shape, dtype)
-            for r in group.ranks
-        ]
-        try:
-            for c in range(len(token.bounds)):
-                lo, hi = token.bounds[c]
-                sl = [slice(None)] * len(shape)
-                sl[token.chunk_dim] = slice(lo, hi)
-                sl = tuple(sl)
-                for j in range(group.size):
-                    self._chunk_wait(token, j, c)
-                    rows[j][sl] = views[j][sl]
-        finally:
-            del views
-        self._finish(token.key, token.seq)
-        return rows
+        self._release(token, out)
 
     # -- streams ----------------------------------------------------------
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import uuid
 from multiprocessing import get_context
 from multiprocessing.shared_memory import SharedMemory
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from repro.runtime.spmd import (
     SpmdLayout,
     SpmdPeerAbort,
     _group_key,
+    _p2p_key,
 )
 
 
@@ -66,7 +67,8 @@ class CollectivePool:
 
     ``call`` broadcasts one method invocation to every worker (each
     receives its own row of the stacked input) and returns the per-rank
-    results in rank order.
+    results in rank order. ``pairs`` adds a point-to-point site per
+    ``(src, dst)``, so ``send``/``recv`` can run on the pool.
     """
 
     def __init__(
@@ -74,6 +76,7 @@ class CollectivePool:
         nranks: int,
         slot_bytes: int = 1 << 20,
         timeout: float = DEFAULT_TIMEOUT,
+        pairs: Sequence[Tuple[int, int]] = (),
     ) -> None:
         self.nranks = nranks
         self.timeout = float(timeout)
@@ -83,6 +86,8 @@ class CollectivePool:
             range(nranks),
             slot_bytes,
         )
+        for src, dst in pairs:
+            layout.add_site(_p2p_key(src, dst), (src, dst), slot_bytes)
         layout.freeze()
         self.layout = layout
         uid = uuid.uuid4().hex[:8]
@@ -116,13 +121,18 @@ class CollectivePool:
             self._conns.append(parent_conn)
 
     def call(
-        self, method: str, per_rank_args: Sequence[tuple],
-        kwargs: Optional[dict] = None,
+        self, method: Union[str, Sequence[str]],
+        per_rank_args: Sequence[tuple], kwargs: Optional[dict] = None,
     ) -> List[np.ndarray]:
-        """Invoke ``method`` on every worker; per-rank positional args."""
+        """Invoke ``method`` on every worker; per-rank positional args.
+
+        ``method`` is one name for every rank, or one name per rank.
+        """
         kwargs = kwargs or {}
-        for conn, args in zip(self._conns, per_rank_args):
-            conn.send(("call", method, args, kwargs))
+        if isinstance(method, str):
+            method = [method] * self.nranks
+        for conn, name, args in zip(self._conns, method, per_rank_args):
+            conn.send(("call", name, args, kwargs))
         out = []
         errors = []
         for r, conn in enumerate(self._conns):

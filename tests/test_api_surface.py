@@ -70,9 +70,6 @@ class TestErrorHierarchy:
             ):
                 assert issubclass(obj, errors.CoCoNetError), name
 
-    def test_oom_is_execution_error(self):
-        assert issubclass(errors.OutOfMemoryError, errors.ExecutionError)
-
     def test_catching_base_catches_all(self):
         from repro.core import FP16, Replicated, Tensor, world
 

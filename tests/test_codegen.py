@@ -24,7 +24,7 @@ class TestDifferentialExecution:
     def test_generated_overlap_runs_producer_in_chunk_order(self):
         wl = AttentionWorkload.build(4, 8, 16, 4, dtype=FP32)
         sched = wl.schedule_coconet()
-        gen = CodeGenerator("Simple").generate(sched)
+        gen = CodeGenerator().generate(sched)
         # the GEMM publishes its chunks from a producer stream while
         # the consuming collective ingests them
         assert "comm.begin_chunked(" in gen.source
@@ -72,10 +72,6 @@ class TestLoCAccounting:
 
 
 class TestValidation:
-    def test_unknown_protocol_rejected(self):
-        with pytest.raises(CodegenError):
-            CodeGenerator("LL256")
-
     def test_one_module_flavour(self):
         with pytest.raises(CodegenError, match="target"):
             CodeGenerator(target="sim")

@@ -114,8 +114,8 @@ def allreduce_fuse_program():
     return sched, {"x": (4, 8)}
 
 
-def generated_source(make_program, protocol="Simple"):
-    return CodeGenerator(protocol).generate(make_program()[0]).source
+def generated_source(make_program):
+    return CodeGenerator().generate(make_program()[0]).source
 
 
 class TestLibraryCollectives:
@@ -162,15 +162,6 @@ class TestFusedARForm:
 
 
 class TestEmittedSource:
-    def test_protocol_constant_embedded(self):
-        W = world(2)
-        x = Tensor(FP32, (8,), Local, W, RANK, name="x")
-        prog = Execute("p", [x], [AllReduce("+", x, name="ar")])
-        for proto, pack in (("LL", 8), ("LL128", 16), ("Simple", 16)):
-            gen = CodeGenerator(proto).generate(prog)
-            assert f'PROTOCOL = "{proto}"' in gen.source
-            assert f"PACK_BYTES = {pack}" in gen.source
-
     def test_groups_emitted_as_constants(self):
         from repro.core import split_world, Send
         from repro.core.ops import GROUP, GroupRank
@@ -182,6 +173,21 @@ class TestEmittedSource:
         gen = CodeGenerator().generate(prog)
         assert "G0_4 = ProcessGroup(0, 4, 8)" in gen.source
         assert "G4_4 = ProcessGroup(4, 4, 8)" in gen.source
+
+    def test_recv_carries_the_sent_shape_and_dtype(self):
+        # slots carry no header: the receiver learns the payload's
+        # shape and dtype from the module
+        from repro.core import split_world, Send
+        from repro.core.ops import GROUP, GroupRank
+
+        g0, _ = split_world(4, 2)
+        x = Tensor(FP16, (2, 3), Replicated, g0, name="x")
+        s = Send(x, GroupRank(GROUP + 1, RANK), name="s")
+        gen = CodeGenerator().generate(Execute("p", [x], [s]))
+        assert (
+            "comm.recv(RANKS_G0_2[G2_2.local_rank(comm.rank)], (2, 3), "
+            "np.float16)" in gen.source
+        )
 
     def test_docstrings_name_fused_ops(self):
         W = world(4)

@@ -109,9 +109,7 @@ class TestMultiStepTraining:
                 g=rng.randn(n, N) * 0.1, lr=0.01, t=float(step), **state
             )
             r_i = ex.run_lowered(sched, inputs, allow_downcast=True)
-            r_c = ex.run_spmd(
-                sched, inputs, protocol="LL", allow_downcast=True
-            )
+            r_c = ex.run_spmd(sched, inputs, allow_downcast=True)
             for k in state:
                 np.testing.assert_array_equal(
                     r_c.tensor_state(k), r_i.tensor_state(k),

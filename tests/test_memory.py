@@ -1,10 +1,7 @@
-"""Tests for device memory accounting and Table 4's batch limits."""
+"""Tests for training-memory plans and Table 4's batch limits."""
 
 import pytest
 
-from repro.cluster import Cluster, TESLA_V100
-from repro.errors import OutOfMemoryError
-from repro.runtime.memory import DeviceAllocator
 from repro.workloads.models import (
     BERT_1_2B,
     BERT_3_9B,
@@ -16,45 +13,6 @@ from repro.workloads.models import (
     ZERO_LAMB_PLAN,
     max_micro_batch,
 )
-
-GiB = 1024**3
-
-
-class TestAllocator:
-    def test_alloc_and_free(self):
-        a = DeviceAllocator()
-        a.alloc("x", 4 * GiB)
-        assert a.used_bytes == 4 * GiB
-        a.free("x")
-        assert a.used_bytes == 0
-
-    def test_oom_raises(self):
-        a = DeviceAllocator()
-        a.alloc("x", 30 * GiB)
-        with pytest.raises(OutOfMemoryError):
-            a.alloc("y", 3 * GiB)
-
-    def test_high_water(self):
-        a = DeviceAllocator()
-        a.alloc("x", 10 * GiB)
-        a.free("x")
-        a.alloc("y", 2 * GiB)
-        assert a.high_water == 10 * GiB
-
-    def test_duplicate_name_rejected(self):
-        a = DeviceAllocator()
-        a.alloc("x", 1)
-        with pytest.raises(ValueError):
-            a.alloc("x", 1)
-
-    def test_free_unknown_rejected(self):
-        with pytest.raises(ValueError):
-            DeviceAllocator().free("ghost")
-
-    def test_would_fit(self):
-        a = DeviceAllocator()
-        assert a.would_fit(TESLA_V100.memory_bytes)
-        assert not a.would_fit(TESLA_V100.memory_bytes + 1)
 
 
 class TestMemoryPlans:

@@ -218,9 +218,9 @@ class TestTargetDispatch:
         art = artifact.load(
             os.path.join(GOLDEN, "adam_fused.repro.json")
         )
-        gen = CodeGenerator("Simple", target="native")
+        gen = CodeGenerator(target="native")
         g1 = gen.generate(art)
-        g2 = CodeGenerator("Simple", target="native").generate(art)
+        g2 = CodeGenerator(target="native").generate(art)
         assert g1 is g2, "native modules memoize on artifact content_hash"
         assert g1.c_source is not None
         assert g1.target == "native"
@@ -230,7 +230,7 @@ class TestTargetDispatch:
         art = artifact.load(
             os.path.join(GOLDEN, "adam_fused.repro.json")
         )
-        gen = CodeGenerator("Simple", target="native").generate(art)
+        gen = CodeGenerator(target="native").generate(art)
         assert "_ensure_native(comm)" in gen.source
         assert "_K.call(" in gen.source
         assert "repro_bind_blas" in gen.c_source

@@ -55,9 +55,7 @@ OP_LEVEL_PROGRAMS = [
         extra.cross_rank_norm_program, {}, id="cross_rank_norm_fused"
     ),
     pytest.param(extra.allreduce_fuse_program, {}, id="allreduce_fuse"),
-    pytest.param(
-        fused_mlp_program, {"protocol": "LL128"}, id="two_layer_mlp_ll128"
-    ),
+    pytest.param(fused_mlp_program, {}, id="two_layer_mlp"),
 ] + [
     pytest.param(
         lambda name=name: (exchange_schedules()[name], {"x": (4, 8, 3)}),

@@ -4,7 +4,8 @@ Every collective of the shared-memory communicator must be bit-identical
 (``np.array_equal``) to its ``repro.runtime.collectives`` vectorized
 counterpart — across fp32/fp16 payloads and real rank counts {2, 4, 8},
 including every divisor node size of the hierarchical AllToAll (uneven
-grids like 8 = 2×4). A persistent :class:`CollectivePool` of worker
+grids like 8 = 2×4). Point-to-point ``send``/``recv`` must deliver the
+sent array exactly. A persistent :class:`CollectivePool` of worker
 processes executes thousands of real rendezvous without paying a
 process spawn per example.
 """
@@ -200,3 +201,36 @@ class TestScalarExchange:
         )
         for per_rank in rows:
             assert [float(p) for p in per_rank] == [float(v) for v in vals]
+
+
+class TestPointToPoint:
+    """send/recv between the two ranks of a pair-site pool."""
+
+    @staticmethod
+    def _pool() -> CollectivePool:
+        if "p2p" not in _pools:
+            _pools["p2p"] = CollectivePool(
+                2, slot_bytes=1 << 12, timeout=60.0, pairs=[(0, 1), (1, 0)]
+            )
+        return _pools["p2p"]
+
+    @given(
+        shape=st.sampled_from([(), (5,), (2, 3, 4)]),
+        dtype=st.sampled_from(DTYPES),
+        src=st.integers(0, 1),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_send_recv(self, shape, dtype, src, seed):
+        dst = 1 - src
+        methods = ["send", "recv"] if src == 0 else ["recv", "send"]
+        # two sends in a row on one pair site: the second reuses the
+        # slot at the next sequence number, and must not read the first
+        for step, x in enumerate(_stacked(seed, 2, shape, dtype)):
+            args = [None, None]
+            args[src] = (x, dst)
+            args[dst] = (src, shape, dtype)
+            rows = self._pool().call(methods, args)
+            assert rows[src] is None, step
+            assert rows[dst].shape == shape and rows[dst].dtype == dtype
+            np.testing.assert_array_equal(rows[dst], x, err_msg=str(step))

@@ -90,7 +90,7 @@ def promote(a: DType, b: DType) -> DType:
 def largest_itemsize(*dtypes: DType) -> int:
     """Return the largest item size among ``dtypes`` in bytes.
 
-    The width that decides how many elements fit in a protocol's pack
+    Used by codegen to compute how many elements fit in a protocol's pack
     (Section 5.2: "based on the pack type of the protocol calculates how
     many elements can be loaded at once").
     """

@@ -36,7 +36,8 @@ three steps serve both:
 * release: write chunk ``c``, then store ``ready = seq * 2^20 + c + 1``;
 * consume: spin until a peer's ready counter covers chunk ``c``, then
   copy the chunk out or fold it into the reduction;
-* finish: store ``done = seq``. A publisher may only reuse its slot for
+* finish: once this rank's own chunks are all released, store
+  ``done = seq``. A publisher may only reuse its slot for
   ``seq`` once every participant's ``done`` reached ``seq - 1``.
 
 Because the program is SPMD, every member of a group issues that
@@ -887,6 +888,11 @@ class SpmdCommunicator:
         while genuinely overlapping the reduce with the remaining
         chunks' wire time. A whole payload's one chunk is reduced
         straight into the result, with no second float64 buffer.
+
+        The reduce span of a chunked publication starts before the first
+        wait, since its reduction is interleaved with the waits; a whole
+        payload's span starts once every payload is in, so it covers the
+        reduction only.
         """
         t0 = time.monotonic_ns() if self._ring is not None else 0
         total = np.empty(pub.shape, np.float64) if pub.chunked else None
@@ -895,6 +901,8 @@ class SpmdCommunicator:
             for c, sl in enumerate(pub.chunks):
                 for r in pub.ranks:
                     self._wait(pub, r, c)
+                if not pub.chunked and self._ring is not None:
+                    t0 = time.monotonic_ns()
                 part = _reduce_stack(np.stack([v[sl] for v in views]), op)
                 if total is None:
                     total = part
@@ -910,6 +918,11 @@ class SpmdCommunicator:
         return total
 
     def _finish(self, pub: _Publication) -> None:
+        if pub.chunked:
+            # the consumer's operand is the producer stream's ``out``
+            # buffer (a non-root reduce returns it): it is only whole
+            # once this rank released its last chunk
+            self._wait(pub, self.rank, len(pub.chunks) - 1)
         self._set_done(pub.key, self.rank, pub.seq)
 
     def _publication(

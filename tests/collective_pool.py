@@ -8,6 +8,7 @@ per example (see ``tests/test_spmd_collectives.py``).
 
 from __future__ import annotations
 
+import time
 import uuid
 from multiprocessing import get_context
 from multiprocessing.shared_memory import SharedMemory
@@ -47,7 +48,10 @@ def _pool_worker(
                 break
             _, method, args, kwargs = cmd
             try:
-                result = getattr(comm, method)(*args, **kwargs)
+                if callable(method):
+                    result = method(comm, *args, **kwargs)
+                else:
+                    result = getattr(comm, method)(*args, **kwargs)
                 conn.send(("ok", result))
             except SpmdPeerAbort:  # pragma: no cover - raced abort
                 conn.send(("error", "aborted by peer"))
@@ -62,12 +66,37 @@ def _pool_worker(
         conn.close()
 
 
+def chunked_reduce(
+    comm: SpmdCommunicator, staging: np.ndarray, group: ProcessGroup,
+    op: str, root: int, dtype, bounds, delay: float,
+) -> np.ndarray:
+    """The generated GEMM→Reduce overlap on one rank (§5.3).
+
+    A producer stream releases ``staging`` chunk by chunk, ``delay``
+    seconds late, into a NaN-filled ``out`` buffer, and the Reduce
+    consumes the group's chunked publication with ``out`` as its operand.
+    """
+    out = np.full_like(staging, np.nan)
+    token = comm.begin_chunked(group, staging, 0, bounds)
+
+    def produce():
+        time.sleep(delay)
+        comm.publish_chunks(token, out=out)
+
+    producer = comm.start_stream(produce)
+    try:
+        return comm.reduce(out, group, op, root, dtype)
+    finally:
+        comm.join_streams(producer)
+
+
 class CollectivePool:
     """``nranks`` persistent worker processes for direct collective calls.
 
     ``call`` broadcasts one method invocation to every worker (each
     receives its own row of the stacked input) and returns the per-rank
-    results in rank order. ``pairs`` adds a point-to-point site per
+    results in rank order; a callable ``method`` is called as
+    ``method(comm, *args)``. ``pairs`` adds a point-to-point site per
     ``(src, dst)``, so ``send``/``recv`` can run on the pool.
     """
 
@@ -126,10 +155,11 @@ class CollectivePool:
     ) -> List[np.ndarray]:
         """Invoke ``method`` on every worker; per-rank positional args.
 
-        ``method`` is one name for every rank, or one name per rank.
+        ``method`` is one name (or module-level function) for every
+        rank, or one name per rank.
         """
         kwargs = kwargs or {}
-        if isinstance(method, str):
+        if isinstance(method, str) or callable(method):
             method = [method] * self.nranks
         for conn, name, args in zip(self._conns, method, per_rank_args):
             conn.send(("call", name, args, kwargs))

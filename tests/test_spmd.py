@@ -209,6 +209,28 @@ class TestSpmdParity:
         inputs = {"x": rng.randn(4, 8, 16), "w": rng.randn(16, 16)}
         assert_spmd_parity(sched, inputs, timeout=60.0)
 
+    def test_ring_overlap_with_reduce_consumer(self, rng):
+        # regression: a non-root rank of overlap(mm, reduce) returns its
+        # own chunked GEMM output, which the producer stream fills chunk
+        # by chunk; with a slow wire the rows must still come back whole
+        from repro.core import (
+            RANK, Execute, Local, MatMul, Reduce, world,
+        )
+        from repro.core.tensor import Tensor as T
+
+        W = world(4)
+        x = T(FP32, (32, 16), Local, W, RANK, name="x")
+        w = T(FP32, (16, 64), Replicated_, W, name="w")
+        mm = MatMul(x, w, name="mm")
+        red = Reduce("+", mm, root=1, name="red")
+        prog = Execute("mm_red", [x, w], [red])
+        sched = Schedule(prog)
+        sched.overlap(mm, red)
+        loops = sched.lowered().chunk_loops()
+        assert loops and loops[0].ring
+        inputs = {"x": rng.randn(4, 32, 16), "w": rng.randn(16, 64)}
+        assert_spmd_parity(sched, inputs, wire_s_per_mb=5.0, timeout=60.0)
+
 
 class TestSpmdInterface:
     def test_nranks_must_match_program_world(self, rng):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core import world
 from repro.runtime import collectives
-from tests.collective_pool import CollectivePool
+from tests.collective_pool import CollectivePool, chunked_reduce
 
 RANK_COUNTS = (2, 4, 8)
 DTYPES = (np.float32, np.float16)
@@ -102,6 +102,27 @@ class TestReductionCollectives:
         ref = collectives.reduce_vectorized(x, g, op, root, dtype)
         rows = pool(n).call(
             "reduce", [(x[i], g, op, root, dtype) for i in range(n)]
+        )
+        _assert_rows_equal(rows, ref)
+
+    @given(
+        n=st.sampled_from(RANK_COUNTS),
+        root=st.integers(0, 7),
+        dtype=st.sampled_from(DTYPES),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=4, deadline=None)
+    def test_reduce_of_a_chunked_publication(self, n, root, dtype, seed):
+        # a non-root rank returns its own operand, the producer's out
+        # buffer: it must hold every released chunk, not the NaN fill
+        root = root % n
+        g = world(n)
+        x = _stacked(seed, n, (4, 3), dtype)
+        ref = collectives.reduce_vectorized(x, g, "+", root, dtype)
+        bounds = ((0, 1), (1, 2), (2, 4))
+        rows = pool(n).call(
+            chunked_reduce,
+            [(x[i], g, "+", root, dtype, bounds, 0.05) for i in range(n)],
         )
         _assert_rows_equal(rows, ref)
 

@@ -514,19 +514,20 @@ class CodeGenerator:
 
         Shared by the interpreted emission and the native target (which
         computes ``out`` in C but keeps the T-storage write in Python).
+        The write lands in the storage array itself (the rank's region
+        under :func:`repro.runtime.spmd.launch`), cast the way
+        ``astype`` casts.
         """
-        tdt = _np_dtype(e.target)
         # this rank's storage is a single local array
         if e.layout.is_sliced and e.target.layout.is_replicated:
             dim = e.layout.dim
             em.emit(
                 f"dev.write_slice(T[{e.target.name!r}], {dim}, "
-                f"_i, {e.group.size}, {out}.astype({tdt}), "
-                f"context={e.target.name!r})"
+                f"_i, {e.group.size}, {out}, context={e.target.name!r})"
             )
         else:
             em.emit(
-                f"T[{e.target.name!r}] = {out}.astype({tdt})"
+                f"np.copyto(T[{e.target.name!r}], {out}, casting='unsafe')"
             )
 
     # -- communication ---------------------------------------------------------
@@ -569,9 +570,9 @@ class CodeGenerator:
             raise CodegenError(f"no communicator call for {type(e).__name__}")
         em.emit(f"V[{e.name!r}] = {call}")
         if isinstance(e, ops.AllGather) and e.writeback is not None:
-            wb = e.writeback
             em.emit(
-                f"T[{wb.name!r}] = V[{e.name!r}].astype({_np_dtype(wb)})"
+                f"np.copyto(T[{e.writeback.name!r}], V[{e.name!r}], "
+                f"casting='unsafe')"
             )
 
     def _emit_fused_collective(self, em: _Emitter, k: Kernel) -> None:
@@ -764,11 +765,20 @@ class CodeGenerator:
     ) -> None:
         """The per-rank harness: place this rank's shard, launch, return.
 
-        Inputs arrive already placed (the launcher cuts the stacks of
-        :func:`repro.runtime.world.place_inputs` into per-rank shards),
-        so placement here is a local copy; outputs and states are
-        returned per-rank and reassembled by the launcher.
+        Inputs arrive already placed: each is this rank's storage array
+        (its region under :func:`repro.runtime.spmd.launch`). Kernels
+        read an input's value on entry, so only an input that an
+        ``Update`` or an ``AllGather`` writeback mutates in place is
+        copied; every other input is read where it lies. Outputs and
+        states are returned per-rank and reassembled by the launcher.
         """
+        mutated = {
+            e.target.name for e in program.operations
+            if isinstance(e, ops.Update)
+        } | {
+            e.writeback.name for e in program.operations
+            if isinstance(e, ops.AllGather) and e.writeback is not None
+        }
         em.emit("def run_rank(comm, inputs):")
         em.indent += 1
         em.emit('"""Execute this rank\'s shard; returns local outputs/states."""')
@@ -785,7 +795,8 @@ class CodeGenerator:
             em.indent += 1
             if isinstance(t, Tensor):
                 em.emit(f"T[{t.name!r}] = np.asarray(inputs[{t.name!r}])")
-                em.emit(f"V[{t.name!r}] = T[{t.name!r}].copy()")
+                copy = ".copy()" if t.name in mutated else ""
+                em.emit(f"V[{t.name!r}] = T[{t.name!r}]{copy}")
             else:
                 em.emit(f"V[{t.name!r}] = np.asarray(inputs[{t.name!r}])")
             em.indent -= 1

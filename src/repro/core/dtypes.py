@@ -85,15 +85,3 @@ def promote(a: DType, b: DType) -> DType:
     if ra == rb:
         return a
     return a if ra > rb else b
-
-
-def largest_itemsize(*dtypes: DType) -> int:
-    """Return the largest item size among ``dtypes`` in bytes.
-
-    Used by codegen to compute how many elements fit in a protocol's pack
-    (Section 5.2: "based on the pack type of the protocol calculates how
-    many elements can be loaded at once").
-    """
-    if not dtypes:
-        raise DTypeError("largest_itemsize requires at least one dtype")
-    return max(d.itemsize for d in dtypes)

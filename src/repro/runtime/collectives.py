@@ -7,12 +7,12 @@ results — the determinism the transformation-equivalence tests rely on.
 
 Every collective works on one stacked ``(group.size, *per_rank_shape)``
 array whose axis 0 indexes the group's local ranks. AllReduce is one
-``np.sum(..., axis=0)`` broadcast back, ReduceScatter/AllGather are
-reshape+axis-move views, the AllToAlls (flat and hierarchical
-intra/inter phases) are reshape/transpose compositions, and
-Reduce/Broadcast are indexed assignments. The in-process interpreter
-calls these functions; the SPMD communicator applies the same reduction
-formula (:func:`_reduce_stack`) to the stack it gathers. Tests compare
+rank-order fold (:func:`fold_ranks`) broadcast back,
+ReduceScatter/AllGather are reshape+axis-move views, the AllToAlls
+(flat and hierarchical intra/inter phases) are reshape/transpose
+compositions, and Reduce/Broadcast are indexed assignments. The
+in-process interpreter calls these functions; the SPMD communicator
+folds its peers' slots with the same :func:`fold_ranks`. Tests compare
 both against a per-rank oracle (``tests/collective_oracle.py``).
 
 ``context`` parameters thread the originating tensor/op name into
@@ -35,23 +35,33 @@ from repro.runtime.world import (
 )
 
 
-def _accumulate_stacked(stacked: np.ndarray, op: str) -> np.ndarray:
-    # np.ascontiguousarray materializes broadcast views and matches the
-    # memory layout of the stack an SPMD rank gathers, so the float64
-    # rank-order accumulation is bit-identical between tiers.
-    return _reduce_stack(np.ascontiguousarray(stacked), op)
+#: the element-wise ufunc of each rank-axis reduction
+_FOLD = {"+": np.add, "*": np.multiply, "max": np.maximum, "min": np.minimum}
+
+
+def fold_ranks(out: np.ndarray, rows, op: str) -> np.ndarray:
+    """Reduce ``rows`` over the rank axis into the float64 array ``out``.
+
+    ``out = rows[0]``, then ``out = out op rows[r]`` for each later rank:
+    the one reduction formula of every tier. ``rows`` is a rank-major
+    stack or a list of per-rank arrays (an SPMD rank folds its peers'
+    slots in place, with no stack). The fold is element-wise, so folding
+    a chunk or a shard at a time gives the bits of the whole fold.
+    """
+    try:
+        ufunc = _FOLD[op]
+    except KeyError:
+        raise ValueError(f"unknown reduction {op!r}") from None
+    np.copyto(out, rows[0])
+    for row in rows[1:]:
+        ufunc(out, row, out=out)
+    return out
 
 
 def _reduce_stack(stack: np.ndarray, op: str) -> np.ndarray:
-    if op == "+":
-        return np.sum(stack.astype(np.float64), axis=0)
-    if op == "*":
-        return np.prod(stack.astype(np.float64), axis=0)
-    if op == "max":
-        return np.max(stack, axis=0).astype(np.float64)
-    if op == "min":
-        return np.min(stack, axis=0).astype(np.float64)
-    raise ValueError(f"unknown reduction {op!r}")
+    """Float64 rank-order reduction of a ``(n, *shape)`` stack."""
+    stack = np.asarray(stack)
+    return fold_ranks(np.empty(stack.shape[1:], np.float64), stack, op)
 
 
 def _node_grid(group: ProcessGroup, node_size: int) -> "Tuple[int, int]":
@@ -69,7 +79,7 @@ def allreduce_vectorized(
     stacked: np.ndarray, group: ProcessGroup, op: str, dtype: np.dtype
 ) -> np.ndarray:
     """AllReduce as one reduction over the rank axis, broadcast back."""
-    total = _accumulate_stacked(stacked, op).astype(dtype)
+    total = _reduce_stack(stacked, op).astype(dtype)
     return replicate(total, group.size)
 
 
@@ -82,7 +92,7 @@ def reducescatter_vectorized(
     context: str = "",
 ) -> np.ndarray:
     """ReduceScatter as a rank-axis reduction plus a scatter view."""
-    total = _accumulate_stacked(stacked, op).astype(dtype)
+    total = _reduce_stack(stacked, op).astype(dtype)
     return np.ascontiguousarray(
         scatter_axis(total, dim, group.size, context=context)
     )
@@ -179,7 +189,7 @@ def reduce_vectorized(
     unmodified).
     """
     group.global_rank(root)  # raises GroupError on a bad root
-    total = _accumulate_stacked(stacked, op).astype(dtype)
+    total = _reduce_stack(stacked, op).astype(dtype)
     out = np.asarray(stacked).astype(dtype)  # astype copies; rows writable
     out[root] = total
     return out

@@ -54,12 +54,15 @@ weakly-ordered ISAs; a port to ARM should add an explicit fence (or a
 Numerics
 --------
 
-Collectives gather peer payloads into a contiguous rank-major stack and
-apply the *same* reduction/slicing formulas as
-:mod:`repro.runtime.collectives` (float64 accumulation in rank order),
-so every collective is bit-identical to its vectorized counterpart —
-the property the ``run_spmd`` ≡ ``run_lowered`` acceptance tests rely
-on. The pairwise AllToAll drains peers in the step order of
+Reductions fold the participants' slots in rank order straight into
+one float64 buffer with the *same* formula as
+:mod:`repro.runtime.collectives`
+(:func:`~repro.runtime.collectives.fold_ranks`), so every collective
+is bit-identical to its vectorized counterpart — the property the
+``run_spmd`` ≡ ``run_lowered`` acceptance tests rely on. A
+ReduceScatter folds only this rank's shard, and an AllGather copies
+each slot once into its place in the result. The pairwise AllToAll
+drains peers in the step order of
 :func:`repro.nccl.algorithms.all_to_all_steps`; chunked publication
 (:meth:`SpmdCommunicator.begin_chunked` /
 :meth:`SpmdCommunicator.publish_chunks`) releases a producer's output
@@ -94,9 +97,11 @@ everything else off that path, and no array crosses a pipe:
    ``net.core.wmem_default`` (212,992 bytes on common Linux
    defaults), so the send does not wait for the rank.
 3. Each rank binds its tensors to writable views of its own regions
-   and runs in place. It copies the results the parent will read into
-   their regions (a replicated result from the group's first rank
-   only), closes its segments and reports ``("ok", seconds)``.
+   and runs in place: the generated module updates tensor states in
+   their regions and copies only the inputs it updates. The rank copies
+   every other result the parent will read into its region (a
+   replicated result from the group's first rank only), closes its
+   segments and reports ``("ok", seconds)``.
 4. The parent maps the segment again and copies each result out in one
    pass, so no returned array aliases the segment teardown unlinks.
 5. Every rank ``exec``s the text the parent generated: no rank
@@ -175,9 +180,11 @@ from repro.observe.ring import (
     KIND_WAIT,
     TraceRing,
 )
-from repro.runtime.collectives import _reduce_stack
+from repro.runtime.collectives import fold_ranks
 from repro.runtime.faults import FaultPlan
-from repro.runtime.world import assemble_rows, place_inputs, slice_of
+from repro.runtime.world import (
+    assemble_rows, check_divisible, place_inputs, slice_of,
+)
 
 __all__ = [
     "SpmdCommunicator",
@@ -421,6 +428,33 @@ def scaled_default_timeout(
 WHOLE = ((Ellipsis,),)
 
 
+def _clip(
+    chunk: tuple, shape: Tuple[int, ...],
+    shard: Optional[Tuple[int, int, int]],
+) -> Optional[Tuple[tuple, tuple]]:
+    """``(src, dst)``: where ``chunk`` meets ``shard``, indexed in the
+    payload and in the shard; ``None`` when they do not meet.
+
+    ``shard = (dim, lo, hi)`` keeps rows ``lo:hi`` of ``dim``; without
+    one, both indices are ``chunk``.
+    """
+    if shard is None:
+        return chunk, chunk
+    dim, lo, hi = shard
+    idx = [slice(None)] * len(shape)
+    for axis, sl in enumerate(chunk):
+        if sl is not Ellipsis:
+            idx[axis] = sl
+    start, stop, _ = idx[dim].indices(shape[dim])
+    start, stop = max(start, lo), min(stop, hi)
+    if start >= stop:
+        return None
+    src, dst = list(idx), idx
+    src[dim] = slice(start, stop)
+    dst[dim] = slice(start - lo, stop - lo)
+    return tuple(src), tuple(dst)
+
+
 class _Publication(NamedTuple):
     """One operation on a site: a ``shape``/``dtype`` payload per rank.
 
@@ -515,10 +549,12 @@ class SpmdCommunicator:
     ) -> "SpmdCommunicator":
         data = SharedMemory(name=data_name)
         flags = SharedMemory(name=flags_name)
-        # NOTE: attaching does not register with the resource tracker on
-        # supported Pythons (3.9+), and spawned workers share the
-        # parent's tracker — the parent's unlink() is the only
-        # deregistration, so no double-unlink warnings.
+        # NOTE: attaching registers the segment with the resource
+        # tracker too: on POSIX, SharedMemory.__init__ registers on every
+        # open. Spawned ranks share the parent's tracker, whose registry
+        # is a set, so a rank's registration adds nothing; the parent's
+        # unlink() is the only unregister, so nothing is unlinked twice
+        # or reported leaked.
         return cls(
             layout, rank, data, flags, wire_s_per_mb, timeout,
             trace_path=trace_path, soft_timeout=soft_timeout,
@@ -859,15 +895,18 @@ class SpmdCommunicator:
         )
 
     def _gather(
-        self, pub: _Publication, ranks: Optional[Sequence[int]] = None
+        self, pub: _Publication, ranks: Optional[Sequence[int]] = None,
+        rows: Optional[Sequence[np.ndarray]] = None,
     ) -> List[np.ndarray]:
-        """Copy out the payloads of ``ranks`` (default: every participant).
+        """Copy out the payloads of ``ranks`` (default: every participant)
+        into ``rows`` (default: new arrays), one row per rank.
 
         Each chunk is drained from the ranks in the order given, as soon
         as that rank published it; then the operation is finished.
         """
         ranks = pub.ranks if ranks is None else ranks
-        rows = [np.empty(pub.shape, dtype=pub.dtype) for _ in ranks]
+        if rows is None:
+            rows = [np.empty(pub.shape, dtype=pub.dtype) for _ in ranks]
         views = [self._slot_view(pub, r) for r in ranks]
         try:
             for c, sl in enumerate(pub.chunks):
@@ -879,15 +918,21 @@ class SpmdCommunicator:
         self._finish(pub)
         return rows
 
-    def _reduce(self, pub: _Publication, op: str) -> np.ndarray:
-        """Rank-order float64 reduction of every participant's payload.
+    def _reduce(
+        self, pub: _Publication, op: str,
+        shard: Optional[Tuple[int, int, int]] = None,
+    ) -> np.ndarray:
+        """Rank-order float64 reduction of every participant's payload,
+        or of its ``shard = (dim, lo, hi)`` only (see :func:`_clip`).
 
-        Reductions over the rank axis are element-wise in the data
-        dimensions, so accumulating chunk ``c`` as soon as every rank
-        published it is bit-identical to reducing the whole stack —
-        while genuinely overlapping the reduce with the remaining
-        chunks' wire time. A whole payload's one chunk is reduced
-        straight into the result, with no second float64 buffer.
+        Each chunk, once every rank published it, is folded
+        (:func:`~repro.runtime.collectives.fold_ranks`) straight from the
+        participants' slots into one float64 result, restricted to the
+        shard. Reductions over the rank axis are element-wise in the data
+        dimensions, so this is bit-identical to reducing the whole stack
+        and slicing — while a chunked publication genuinely overlaps the
+        reduce with the remaining chunks' wire time. Every chunk is still
+        awaited from every rank, shard or not.
 
         The reduce span of a chunked publication starts before the first
         wait, since its reduction is interleaved with the waits; a whole
@@ -895,19 +940,22 @@ class SpmdCommunicator:
         reduction only.
         """
         t0 = time.monotonic_ns() if self._ring is not None else 0
-        total = np.empty(pub.shape, np.float64) if pub.chunked else None
+        shape = list(pub.shape)
+        if shard is not None:
+            dim, lo, hi = shard
+            shape[dim] = hi - lo
+        total = np.empty(shape, np.float64)
         views = [self._slot_view(pub, r) for r in pub.ranks]
         try:
-            for c, sl in enumerate(pub.chunks):
+            for c, chunk in enumerate(pub.chunks):
                 for r in pub.ranks:
                     self._wait(pub, r, c)
                 if not pub.chunked and self._ring is not None:
                     t0 = time.monotonic_ns()
-                part = _reduce_stack(np.stack([v[sl] for v in views]), op)
-                if total is None:
-                    total = part
-                else:
-                    total[sl] = part
+                box = _clip(chunk, pub.shape, shard)
+                if box is not None:
+                    src, dst = box
+                    fold_ranks(total[dst], [v[src] for v in views], op)
         finally:
             del views
         self._finish(pub)
@@ -939,28 +987,39 @@ class SpmdCommunicator:
     # -- collectives ------------------------------------------------------
     #
     # Each method mirrors the corresponding ``*_vectorized`` formula of
-    # :mod:`repro.runtime.collectives` on a contiguous rank-major stack,
-    # so results are bit-identical to the vectorized backend. Each one
-    # consumes the group's pending chunked publication or publishes
-    # ``x`` whole, then runs the same code either way.
+    # :mod:`repro.runtime.collectives`, reading the peers' slots where
+    # they lie, so results are bit-identical to the vectorized backend.
+    # Each one consumes the group's pending chunked publication or
+    # publishes ``x`` whole, then runs the same code either way.
 
     def allreduce(self, x, group: ProcessGroup, op: str, dtype) -> np.ndarray:
         """Every rank receives the reduction of all ranks' values."""
-        return self._reduce(self._publication(x, group), op).astype(dtype)
+        total = self._reduce(self._publication(x, group), op)
+        return total.astype(dtype, copy=False)
 
     def reducescatter(
         self, x, group: ProcessGroup, op: str, dim: int, dtype,
         context: str = "",
     ) -> np.ndarray:
-        """This rank receives its slice of the reduction."""
-        total = self._reduce(self._publication(x, group), op).astype(dtype)
-        i = group.local_rank(self.rank)
-        return slice_of(total, dim, i, group.size, context=context).copy()
+        """This rank receives its slice of the reduction, and reduces
+        only that slice of every participant's payload."""
+        step = check_divisible(np.shape(x), dim, group.size, context)
+        lo = group.local_rank(self.rank) * step
+        total = self._reduce(
+            self._publication(x, group), op, (dim, lo, lo + step)
+        )
+        return total.astype(dtype, copy=False)
 
     def allgather(self, x, group: ProcessGroup, dim: int) -> np.ndarray:
-        """Concatenation of all ranks' slices, in rank order."""
-        rows = self._gather(self._publication(x, group))
-        return np.concatenate(rows, axis=dim)
+        """Concatenation of all ranks' slices, in rank order: each slot
+        is copied once, straight into its place in the result."""
+        pub = self._publication(x, group)
+        n = group.size
+        shape = list(pub.shape)
+        shape[dim] *= n
+        out = np.empty(shape, pub.dtype)
+        self._gather(pub, rows=[slice_of(out, dim, j, n) for j in range(n)])
+        return out
 
     def alltoall(
         self, x, group: ProcessGroup, dim: int, context: str = ""
@@ -1046,7 +1105,7 @@ class SpmdCommunicator:
         """
         pub = self._publication(x, group)
         if self.rank == group.global_rank(root):
-            return self._reduce(pub, op).astype(dtype)
+            return self._reduce(pub, op).astype(dtype, copy=False)
         self._finish(pub)
         return np.asarray(x).astype(dtype)
 
@@ -1276,19 +1335,30 @@ def _store_results(
 ) -> None:
     """Copy this rank's results into the regions the parent reads.
 
-    A state the module updated in place already lives in its region.
-    Each result is dropped once copied, so a rank holds at most one
-    result beside its regions.
+    A state the module updated in place, or never wrote, already is its
+    region: it is not copied. Each result is dropped once copied, so a
+    rank holds at most one result beside its regions.
     """
     for key, (_, _, _, writers) in layout.regions.items():
         if rank not in writers:
             continue
         kind, name = key
-        value = (outputs if kind == "out" else states).pop(name)
+        value = np.asarray((outputs if kind == "out" else states).pop(name))
         view = layout.view(buf, key, rank)
-        if value is not view:
+        if not _same_memory(value, view):
             np.copyto(view, value)
         del value, view
+
+
+def _same_memory(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when ``a`` and ``b`` are the same array over the same bytes
+    (``layout.view`` builds a new ndarray object on every call)."""
+    return (
+        a.ctypes.data == b.ctypes.data
+        and a.shape == b.shape
+        and a.strides == b.strides
+        and a.dtype == b.dtype
+    )
 
 
 def _rank_main(

@@ -66,18 +66,19 @@ def _pool_worker(
         conn.close()
 
 
-def chunked_reduce(
+def chunked(
     comm: SpmdCommunicator, staging: np.ndarray, group: ProcessGroup,
-    op: str, root: int, dtype, bounds, delay: float,
+    chunk_dim: int, bounds, delay: float, method: str, *args, **kwargs,
 ) -> np.ndarray:
-    """The generated GEMM→Reduce overlap on one rank (§5.3).
+    """The generated GEMM→collective overlap on one rank (§5.3).
 
-    A producer stream releases ``staging`` chunk by chunk, ``delay``
-    seconds late, into a NaN-filled ``out`` buffer, and the Reduce
-    consumes the group's chunked publication with ``out`` as its operand.
+    A producer stream releases ``staging`` chunk by chunk along
+    ``chunk_dim``, ``delay`` seconds late, into a NaN-filled ``out``
+    buffer, and ``comm.<method>(out, group, *args, **kwargs)`` consumes
+    the group's chunked publication with ``out`` as its operand.
     """
     out = np.full_like(staging, np.nan)
-    token = comm.begin_chunked(group, staging, 0, bounds)
+    token = comm.begin_chunked(group, staging, chunk_dim, bounds)
 
     def produce():
         time.sleep(delay)
@@ -85,7 +86,7 @@ def chunked_reduce(
 
     producer = comm.start_stream(produce)
     try:
-        return comm.reduce(out, group, op, root, dtype)
+        return getattr(comm, method)(out, group, *args, **kwargs)
     finally:
         comm.join_streams(producer)
 

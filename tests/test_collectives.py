@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.process_group import ProcessGroup, world
+from repro.runtime import collectives
 from tests import collective_oracle as oracle
 
 
@@ -48,6 +49,34 @@ class TestAllReduce:
         vals = _values(rng, 2, (4,))
         with pytest.raises(ValueError):
             oracle.allreduce_reference(vals, world(2), "avg", np.float32)
+
+    @given(
+        n=st.integers(2, 8),
+        shape=st.sampled_from([(2,), (7,), (3, 5), (2, 3, 4)]),
+        dtype=st.sampled_from([np.float16, np.float32, np.float64, np.int32]),
+        op=st.sampled_from(["+", "*", "max", "min"]),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rank_order_fold_is_numpys_axis_reduction(
+        self, n, shape, dtype, op, seed
+    ):
+        # once a rank's payload has two or more elements, numpy reduces
+        # a stack's axis 0 row by row, in rank order: the fold gives the
+        # bits of the whole-stack formula it replaced
+        rng = np.random.RandomState(seed)
+        stack = (rng.randn(n, *shape) * 10.0 ** rng.randint(-3, 6, shape))
+        stack = stack.astype(dtype)
+        stack64 = stack.astype(np.float64)
+        expected = {
+            "+": lambda: np.sum(stack64, axis=0),
+            "*": lambda: np.prod(stack64, axis=0),
+            "max": lambda: np.max(stack, axis=0).astype(np.float64),
+            "min": lambda: np.min(stack, axis=0).astype(np.float64),
+        }[op]()
+        got = collectives._reduce_stack(stack, op)
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestReduceScatterAllGather:

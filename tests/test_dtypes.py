@@ -12,7 +12,6 @@ from repro.core.dtypes import (
     INT32,
     INT64,
     dtype_by_name,
-    largest_itemsize,
     promote,
 )
 from repro.errors import DTypeError
@@ -82,15 +81,3 @@ class TestPromotion:
     def test_fp64_wins(self):
         for d in (FP16, FP32, INT32):
             assert promote(d, FP64) is FP64
-
-
-class TestLargestItemsize:
-    def test_mixed_precision_pack_rule(self):
-        # §5.2: codegen uses the largest element type for pack math
-        assert largest_itemsize(FP16, FP32) == 4
-        assert largest_itemsize(FP16, FP16) == 2
-        assert largest_itemsize(FP16, FP32, FP64) == 8
-
-    def test_empty_raises(self):
-        with pytest.raises(DTypeError):
-            largest_itemsize()

@@ -20,6 +20,8 @@ import ctypes
 import ctypes.util
 import hashlib
 import os
+import re
+import textwrap
 
 import numpy as np
 import pytest
@@ -234,6 +236,43 @@ class TestTargetDispatch:
         assert "_ensure_native(comm)" in gen.source
         assert "_K.call(" in gen.source
         assert "repro_bind_blas" in gen.c_source
+
+
+@needs_cc
+class TestRankDataPath:
+    def test_adam_copies_only_updated_inputs_and_states_stay_regions(
+        self, kernel_cache
+    ):
+        from repro.cli import _seeded_inputs
+        from repro.runtime.spmd import launch
+        from repro.workloads.adam import AdamWorkload
+
+        sched = AdamWorkload.build(1024, 2).schedules()["fuse(RS-Adam-AG)"]
+        gen = CodeGenerator(target="native").generate(sched)
+        copied = re.findall(r"V\['(\w+)'\] = T\['\1'\]\.copy\(\)", gen.source)
+        assert sorted(copied) == ["m", "p", "v"]
+        assert "V['g'] = T['g']\n" in gen.source
+        # every rank checks that each state it returns is its input
+        # region, updated in place or never written
+        gen.source += textwrap.dedent(
+            """
+            _run_rank = run_rank
+
+
+            def run_rank(comm, inputs):
+                from repro.runtime.spmd import _same_memory
+
+                outputs, states = _run_rank(comm, inputs)
+                assert sorted(states) == ["g", "m", "p", "v"]
+                for name, value in states.items():
+                    assert _same_memory(value, inputs[name]), name
+                return outputs, states
+            """
+        )
+        inputs = _seeded_inputs(sched.program, seed=0)
+        nat = launch(gen, inputs, allow_downcast=True, timeout=240.0)
+        low = Executor().run_lowered(sched, inputs, allow_downcast=True)
+        assert _digest(nat) == _digest(low)
 
 
 class TestTimeoutAllowance:

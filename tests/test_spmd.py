@@ -400,6 +400,39 @@ class TestSpmdInterface:
             out.output("o2"), (inputs["sl"].astype(np.float32) * 2.0)
         )
 
+    def test_results_already_in_their_regions_are_not_copied(
+        self, monkeypatch
+    ):
+        wl = AdamWorkload.build(64, 2)
+        layout = build_layout(wl.program)
+        buf = bytearray(layout.data_size)
+
+        def results():
+            held = {"in": {}, "out": {}}
+            for key, (_, _, _, writers) in layout.regions.items():
+                if 0 in writers:
+                    held[key[0]][key[1]] = layout.view(buf, key, 0)
+            return held["out"], held["in"]
+
+        copied = []
+        monkeypatch.setattr(
+            np, "copyto", lambda dst, src, **kw: copied.append(dst)
+        )
+        # ``p`` stands for a state updated in place, ``g`` for a Local
+        # input never written: each is its region, in a new ndarray
+        outputs, states = results()
+        assert {"g", "p"} <= set(states)
+        spmd._store_results(layout, buf, 0, outputs, states)
+        assert not outputs and not states
+        assert copied == []
+        # a result held anywhere else is copied
+        outputs, states = results()
+        states["g"] = states["g"].copy()
+        spmd._store_results(layout, buf, 0, outputs, states)
+        assert len(copied) == 1
+        region = layout.view(buf, ("in", "g"), 0)
+        assert copied[0].ctypes.data == region.ctypes.data
+
 
 def _shm_spmd_segments():
     if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux

@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 
 from repro.core import world
 from repro.runtime import collectives
-from tests.collective_pool import CollectivePool, chunked_reduce
+from tests.collective_pool import CollectivePool, chunked
 
 RANK_COUNTS = (2, 4, 8)
 DTYPES = (np.float32, np.float16)
+OPS = ("+", "*", "max", "min")
 
 _pools = {}
 
@@ -41,6 +42,15 @@ def _teardown_pools():
 def _stacked(seed: int, n: int, shape, dtype) -> np.ndarray:
     rng = np.random.RandomState(seed)
     return (rng.randn(n, *shape) * 4).astype(dtype)
+
+
+def _with_nans(x: np.ndarray, op: str, seed: int) -> np.ndarray:
+    """``x`` with about a tenth of its elements NaN for max/min, which
+    must propagate a NaN from any rank."""
+    if op in ("max", "min"):
+        x = x.copy()
+        x[np.random.RandomState(seed + 1).rand(*x.shape) < 0.1] = np.nan
+    return x
 
 
 def _assert_rows_equal(rows, stacked_ref):
@@ -71,19 +81,50 @@ class TestReductionCollectives:
         per=st.integers(1, 2),
         dim=st.integers(0, 1),
         dtype=st.sampled_from(DTYPES),
+        op=st.sampled_from(OPS),
         seed=st.integers(0, 10_000),
     )
-    @settings(max_examples=12, deadline=None)
-    def test_reducescatter(self, n, per, dim, dtype, seed):
+    @settings(max_examples=16, deadline=None)
+    def test_reducescatter(self, n, per, dim, dtype, op, seed):
+        # each rank folds only its own shard of every payload
         g = world(n)
-        x = _stacked(seed, n, (n * per, n * per), dtype)
+        x = _with_nans(_stacked(seed, n, (n * per, n * per), dtype), op, seed)
         ref = collectives.reducescatter_vectorized(
-            x, g, "+", dim, dtype, context="rs"
+            x, g, op, dim, dtype, context="rs"
         )
         rows = pool(n).call(
             "reducescatter",
-            [(x[i], g, "+", dim, dtype) for i in range(n)],
+            [(x[i], g, op, dim, dtype) for i in range(n)],
             kwargs={"context": "rs"},
+        )
+        _assert_rows_equal(rows, ref)
+
+    @pytest.mark.parametrize(
+        "dim,chunk_dim", [(0, 0), (1, 1), (0, 1), (1, 0)]
+    )
+    @given(
+        n=st.sampled_from(RANK_COUNTS),
+        dtype=st.sampled_from(DTYPES),
+        op=st.sampled_from(OPS),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=3, deadline=None)
+    def test_reducescatter_of_a_chunked_publication(
+        self, dim, chunk_dim, n, dtype, op, seed
+    ):
+        # the chunk edges cut across shards: a rank folds the part of
+        # each chunk inside its shard, and skips chunks outside it
+        g = world(n)
+        x = _with_nans(_stacked(seed, n, (2 * n, 2 * n), dtype), op, seed)
+        ref = collectives.reducescatter_vectorized(x, g, op, dim, dtype)
+        bounds = ((0, 1), (1, n + 1), (n + 1, 2 * n))
+        rows = pool(n).call(
+            chunked,
+            [
+                (x[i], g, chunk_dim, bounds, 0.02, "reducescatter",
+                 op, dim, dtype)
+                for i in range(n)
+            ],
         )
         _assert_rows_equal(rows, ref)
 
@@ -121,8 +162,11 @@ class TestReductionCollectives:
         ref = collectives.reduce_vectorized(x, g, "+", root, dtype)
         bounds = ((0, 1), (1, 2), (2, 4))
         rows = pool(n).call(
-            chunked_reduce,
-            [(x[i], g, "+", root, dtype, bounds, 0.05) for i in range(n)],
+            chunked,
+            [
+                (x[i], g, 0, bounds, 0.05, "reduce", "+", root, dtype)
+                for i in range(n)
+            ],
         )
         _assert_rows_equal(rows, ref)
 

@@ -19,3 +19,20 @@ Subpackages:
 """
 
 __version__ = "1.0.0"
+
+
+def lazy_exports(package: str, exports):
+    """A module ``__getattr__`` for ``package``: public name ``n`` is
+    ``package.<exports[n]>.n``, imported on first access, so importing
+    one submodule does not import its siblings."""
+    import importlib
+
+    def __getattr__(name: str):
+        if name not in exports:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            )
+        module = importlib.import_module(f"{package}.{exports[name]}")
+        return getattr(module, name)
+
+    return __getattr__

@@ -35,11 +35,14 @@ content-addressed kernel cache. Communication still runs over the
 early.
 """
 
-from repro.core.codegen.generator import CodeGenerator, GeneratedSpmdProgram
-from repro.core.codegen.loc import count_loc
+from repro import lazy_exports
 
-__all__ = [
-    "CodeGenerator",
-    "GeneratedSpmdProgram",
-    "count_loc",
-]
+#: public name -> its submodule; a rank process imports only ``device``
+#: (and ``native`` on the native target)
+_EXPORTS = {
+    "CodeGenerator": "generator",
+    "GeneratedSpmdProgram": "generator",
+    "count_loc": "loc",
+}
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

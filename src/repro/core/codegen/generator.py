@@ -77,8 +77,8 @@ class GeneratedSpmdProgram:
     """A generated per-rank module for :func:`repro.runtime.spmd.launch`.
 
     The module is not executed in this process:
-    :func:`repro.runtime.spmd.launch` ships ``source`` to one spawned
-    process per rank, where each rank ``exec``s it and binds
+    :func:`repro.runtime.spmd.launch` sends ``source`` in the spec of
+    every rank process it starts; each rank ``exec``s it and binds
     ``run_rank`` to that rank's communicator. Every rank runs the text
     generated here, so a copy whose ``source`` was edited (the
     fault-injection tests do this) launches as edited.

@@ -49,16 +49,6 @@ def all_gather_steps(n: int) -> List[Step]:
     return steps
 
 
-def all_reduce_steps(n: int) -> List[Step]:
-    """Ring AllReduce = ReduceScatter then AllGather: 2(n-1) phases."""
-    rs = reduce_scatter_steps(n)
-    ag = [
-        Step(s.index + n - 1, s.src, s.dst, s.chunk)
-        for s in all_gather_steps(n)
-    ]
-    return rs + ag
-
-
 def all_to_all_steps(n: int) -> List[Step]:
     """The ``n*(n-1)`` sends of a pairwise-exchange AllToAll.
 

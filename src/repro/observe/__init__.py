@@ -15,38 +15,26 @@ One event vocabulary across every layer of the stack:
   JSON export (open at https://ui.perfetto.dev).
 """
 
-from repro.observe.compare import (
-    OpComparison,
-    TimelineComparison,
-    compare_timelines,
-)
-from repro.observe.events import (
-    CounterEvent,
-    InstantEvent,
-    SpanEvent,
-    Tracer,
-    describe_events,
-)
-from repro.observe.metrics import MetricsRegistry
-from repro.observe.perfetto import export, to_trace_events, validate, write_trace
-from repro.observe.record import LoweredRunRecorder
-from repro.observe.ring import TraceRing, merge_rank_traces
+from repro import lazy_exports
 
-__all__ = [
-    "Tracer",
-    "SpanEvent",
-    "InstantEvent",
-    "CounterEvent",
-    "describe_events",
-    "MetricsRegistry",
-    "LoweredRunRecorder",
-    "TraceRing",
-    "merge_rank_traces",
-    "OpComparison",
-    "TimelineComparison",
-    "compare_timelines",
-    "to_trace_events",
-    "export",
-    "validate",
-    "write_trace",
-]
+#: public name -> its submodule; a rank process imports only ``ring``
+_EXPORTS = {
+    "Tracer": "events",
+    "SpanEvent": "events",
+    "InstantEvent": "events",
+    "CounterEvent": "events",
+    "describe_events": "events",
+    "MetricsRegistry": "metrics",
+    "LoweredRunRecorder": "record",
+    "TraceRing": "ring",
+    "merge_rank_traces": "ring",
+    "OpComparison": "compare",
+    "TimelineComparison": "compare",
+    "compare_timelines": "compare",
+    "to_trace_events": "perfetto",
+    "export": "perfetto",
+    "validate": "perfetto",
+    "write_trace": "perfetto",
+}
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

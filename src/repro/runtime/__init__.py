@@ -21,25 +21,19 @@ that backend, and ``Executor.run_spmd(elastic=True)`` recovers from
 dead ranks by re-lowering for the surviving world size.
 """
 
-from repro.runtime.executor import Executor, ProgramResult
-from repro.runtime.faults import FaultPlan
-from repro.runtime.spmd import (
-    SpmdCommunicator,
-    SpmdError,
-    SpmdPeerAbort,
-    SpmdTimeout,
-    SpmdWorkerError,
-)
-from repro.runtime.world import SimWorld
+from repro import lazy_exports
 
-__all__ = [
-    "Executor",
-    "FaultPlan",
-    "ProgramResult",
-    "SimWorld",
-    "SpmdCommunicator",
-    "SpmdError",
-    "SpmdPeerAbort",
-    "SpmdTimeout",
-    "SpmdWorkerError",
-]
+#: public name -> its submodule; a rank process imports only ``spmd``
+_EXPORTS = {
+    "Executor": "executor",
+    "ProgramResult": "executor",
+    "FaultPlan": "faults",
+    "SimWorld": "world",
+    "SpmdCommunicator": "spmd",
+    "SpmdError": "spmd",
+    "SpmdPeerAbort": "spmd",
+    "SpmdTimeout": "spmd",
+    "SpmdWorkerError": "spmd",
+}
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -21,8 +21,8 @@ experience:
 
 Because the plan is data (no callbacks, no clocks), the same plan plus
 the same program reproduces the same failure bit-for-bit: the plan is
-shipped to every spawned rank through the multiprocessing pickle
-channel and consulted at fixed injection points. ``FaultPlan.scenario``
+pickled into the spec :func:`repro.runtime.spmd.launch` sends every
+rank and consulted at fixed injection points. ``FaultPlan.scenario``
 derives a whole fault matrix entry from one integer seed so benchmarks
 can sweep reproducible scenarios.
 

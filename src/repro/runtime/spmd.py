@@ -3,11 +3,11 @@
 The in-process interpreter (``Executor.run_lowered``) executes all
 ranks inside one Python process, so "communication" is a library
 call over arrays it already owns. This module is the first tier where a
-generated program runs as *real concurrent processes*: ``launch`` spawns
-one process per rank (``multiprocessing`` spawn context), each process
-executes the same generated SPMD module (``CodeGenerator`` with
-``target="spmd"``), and ranks rendezvous through a
-:class:`SpmdCommunicator` built on ``multiprocessing.shared_memory``.
+generated program runs as *real concurrent processes*: ``launch`` starts
+one Python interpreter per rank, each process executes the same
+generated SPMD module (``CodeGenerator`` with ``target="spmd"``), and
+ranks rendezvous through a :class:`SpmdCommunicator` over two anonymous
+shared-memory files (``memfd_create``) that every rank maps.
 
 Transport protocol
 ------------------
@@ -48,8 +48,8 @@ The publish-then-flag ordering relies on total-store-order visibility
 between the payload write and the flag store (plus the fences CPython
 itself executes between the two numpy calls). That holds on x86-64 —
 every environment this repository's CI runs — but is not guaranteed by
-weakly-ordered ISAs; a port to ARM should add an explicit fence (or a
-``multiprocessing`` synchronization primitive) between the two stores.
+weakly-ordered ISAs; a port to ARM should add an explicit store fence
+between the two stores.
 
 Numerics
 --------
@@ -78,53 +78,55 @@ Launch
 ------
 
 A launch pays an interpreter start per rank, so ``launch`` keeps
-everything else off that path, and no array crosses a pipe:
+everything else off that path, and no array crosses a socket:
 
-1. Every rank process starts with small arguments only (layout,
-   segment names, deadlines, fault plan, trace path). Large
-   ``Process`` arguments would make each ``start()`` wait until that
-   rank had imported numpy and repro, so the ranks would start one
-   after another.
+1. The parent creates the data and flags segments with
+   ``os.memfd_create``: nothing is named in ``/dev/shm``, so nothing
+   outlives the last process holding them, even a killed parent. It
+   starts every rank as ``python -c`` (:data:`_RANK_ENTRY`), which
+   inherits both segments and its end of a ``socket.socketpair`` as
+   fds. A rank imports only this module and what it imports, never the
+   caller's ``__main__``.
 2. While the ranks import, the parent casts every input straight into
    the region of each rank that holds it (the checks and downcast
-   policy of :func:`repro.runtime.world.place_inputs`). It then unmaps
-   the segment, so its resident set does not count those pages a
-   second time, and sends each rank its module spec over its pipe:
-   the generated module's ``source``. At the shapes of
-   ``benchmarks/e2e`` that is 2.8–6.6 KB on the ``spmd`` target and
-   10.4–14.1 KB on ``native`` (the embedded C source). A duplex
-   ``multiprocessing`` pipe is a Unix socket pair whose send buffer is
-   ``net.core.wmem_default`` (212,992 bytes on common Linux
-   defaults), so the send does not wait for the rank.
-3. Each rank binds its tensors to writable views of its own regions
-   and runs in place: the generated module updates tensor states in
-   their regions and copies only the inputs it updates. The rank copies
-   every other result the parent will read into its region (a
-   replicated result from the group's first rank only), closes its
-   segments and reports ``("ok", seconds)``.
+   policy of :func:`repro.runtime.world.place_inputs`), unmaps the
+   segment, so its resident set does not count those pages a second
+   time, and sends each rank one pickled spec: layout, deadlines, fault
+   plan, trace path and the generated module's ``source``. A spec is a
+   few KB (10–15 KB with the native target's C source), well inside a
+   socket's send buffer, so the send does not wait for the rank.
+3. Each rank ``exec``s that source (no rank loads an artifact or runs
+   the code generator), binds its tensors to writable views of its own
+   regions and runs in place: the generated module updates tensor
+   states in their regions and copies only the inputs it updates. The
+   rank copies every other result the parent will read into its region
+   (a replicated result from the group's first rank only), closes its
+   segments, sends one pickled report, ``("ok", seconds)``, and leaves
+   with ``os._exit(0)``, skipping interpreter teardown.
 4. The parent maps the segment again and copies each result out in one
-   pass, so no returned array aliases the segment teardown unlinks.
-5. Every rank ``exec``s the text the parent generated: no rank
-   loads an artifact or runs the code generator. For the native target
-   the module spec also carries the parent's
-   :func:`repro.core.codegen.native.toolchain_record` (compiler path
-   and version, BLAS candidate paths). Each rank primes its toolchain
-   memos from it instead of forking ``cc --version`` and the
-   ``find_library`` probes; the record selects the same library and
-   kernel cache key that probing would.
-6. A rank that has closed its segments and reported flushes stdio and
-   leaves with ``os._exit(0)``, skipping interpreter teardown.
+   pass, so no returned array aliases the segment it closes.
+
+On the native target the spec also carries the parent's
+:func:`repro.core.codegen.native.toolchain_record` (compiler path and
+version, BLAS candidate paths). Each rank primes its toolchain memos
+from it instead of forking ``cc --version`` and the ``find_library``
+probes; the record selects the same library and kernel cache key that
+probing would.
 
 Failure handling
 ----------------
 
 A rank that raises stores a failure marker in the flags segment; every
 spin loop polls the marker, so peers blocked mid-collective abort
-promptly instead of deadlocking the rendezvous. The parent tears down
-in a ``finally``: joins (then terminates) every worker and closes and
-unlinks both shared-memory segments, so a failing kernel can never leak
-``/dev/shm`` segments. A rank that dies before it has read its regions
-is reported dead like one that dies mid-run.
+promptly instead of deadlocking the rendezvous. A rank is dead when its
+socket reaches EOF (or a reset, if it exited with its spec unread)
+before a whole report arrived: only the rank holds its end, so EOF
+means the process is gone, whether it was killed, died of an injected
+fault or never got as far as reading its spec. The
+parent then stores the failure marker on the rank's behalf, and takes
+its exit code from ``Popen.wait``. Teardown runs in a ``finally``: it
+reaps (after a grace period, kills) every rank and closes both
+segments.
 
 Usage
 -----
@@ -151,15 +153,16 @@ one real OS process per rank:
 
 from __future__ import annotations
 
+import mmap
 import os
+import pickle
+import select
+import socket
+import subprocess
 import sys
 import threading
 import time
 import traceback
-import uuid
-from multiprocessing import connection as _mp_connection
-from multiprocessing import get_context
-from multiprocessing.shared_memory import SharedMemory
 from typing import (
     Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
 )
@@ -270,8 +273,8 @@ class SpmdLayout:
     ``(shape, dtype, {rank: offset}, writers)``: one private per-rank
     array for every input a rank holds (its storage, written in place)
     and for every output it returns; ``writers`` are the ranks whose
-    copies the parent reads back. Picklable by construction (plain
-    ints/tuples) so the spawn context can ship it to every worker.
+    copies the parent reads back. Plain ints and tuples, so it travels
+    in every rank's pickled spec.
     """
 
     def __init__(self, nranks: int) -> None:
@@ -484,8 +487,8 @@ class SpmdCommunicator:
         self,
         layout: SpmdLayout,
         rank: int,
-        data: SharedMemory,
-        flags: SharedMemory,
+        data: mmap.mmap,
+        flags: mmap.mmap,
         wire_s_per_mb: float = 0.0,
         timeout: float = DEFAULT_TIMEOUT,
         trace_path: Optional[str] = None,
@@ -503,9 +506,9 @@ class SpmdCommunicator:
             else float(soft_timeout),
         )
         self._data = data
-        self._flags_shm = flags
+        self._flags_map = flags
         self._flags = np.ndarray(
-            (layout.flags_length(),), dtype=np.int64, buffer=flags.buf
+            (layout.flags_length(),), dtype=np.int64, buffer=flags
         )
         self._site_order = sorted(layout.sites)
         self._site_idx = {k: i for i, k in enumerate(self._site_order)}
@@ -539,26 +542,21 @@ class SpmdCommunicator:
         cls,
         layout: SpmdLayout,
         rank: int,
-        data_name: str,
-        flags_name: str,
+        data_fd: int,
+        flags_fd: int,
         wire_s_per_mb: float = 0.0,
         timeout: float = DEFAULT_TIMEOUT,
         trace_path: Optional[str] = None,
         soft_timeout: Optional[float] = None,
         faults: Optional[FaultPlan] = None,
     ) -> "SpmdCommunicator":
-        data = SharedMemory(name=data_name)
-        flags = SharedMemory(name=flags_name)
-        # NOTE: attaching registers the segment with the resource
-        # tracker too: on POSIX, SharedMemory.__init__ registers on every
-        # open. Spawned ranks share the parent's tracker, whose registry
-        # is a set, so a rank's registration adds nothing; the parent's
-        # unlink() is the only unregister, so nothing is unlinked twice
-        # or reported leaked.
+        """Map the segments behind ``data_fd`` and ``flags_fd`` (the
+        caller keeps the fds)."""
         return cls(
-            layout, rank, data, flags, wire_s_per_mb, timeout,
-            trace_path=trace_path, soft_timeout=soft_timeout,
-            faults=faults,
+            layout, rank, mmap.mmap(data_fd, layout.data_size),
+            mmap.mmap(flags_fd, layout.flags_length() * 8),
+            wire_s_per_mb, timeout, trace_path=trace_path,
+            soft_timeout=soft_timeout, faults=faults,
         )
 
     # -- flags ----------------------------------------------------------
@@ -719,7 +717,7 @@ class SpmdCommunicator:
         """
         base, _ = self._slot_bounds(pub.key, rank)
         return np.ndarray(
-            pub.shape, dtype=pub.dtype, buffer=self._data.buf, offset=base
+            pub.shape, dtype=pub.dtype, buffer=self._data, offset=base
         )
 
     def _wire_sleep(self, nbytes: int) -> None:
@@ -897,22 +895,28 @@ class SpmdCommunicator:
     def _gather(
         self, pub: _Publication, ranks: Optional[Sequence[int]] = None,
         rows: Optional[Sequence[np.ndarray]] = None,
+        shards: Optional[Sequence[Tuple[int, int, int]]] = None,
     ) -> List[np.ndarray]:
         """Copy out the payloads of ``ranks`` (default: every participant)
-        into ``rows`` (default: new arrays), one row per rank.
+        into ``rows`` (default: new arrays), one row per rank; with
+        ``shards``, only the ``shards[j] = (dim, lo, hi)`` of rank
+        ``ranks[j]``'s payload (see :func:`_clip`). A rank may repeat.
 
         Each chunk is drained from the ranks in the order given, as soon
         as that rank published it; then the operation is finished.
         """
         ranks = pub.ranks if ranks is None else ranks
+        shards = [None] * len(ranks) if shards is None else shards
         if rows is None:
             rows = [np.empty(pub.shape, dtype=pub.dtype) for _ in ranks]
         views = [self._slot_view(pub, r) for r in ranks]
         try:
-            for c, sl in enumerate(pub.chunks):
+            for c, chunk in enumerate(pub.chunks):
                 for j, r in enumerate(ranks):
                     self._wait(pub, r, c)
-                    rows[j][sl] = views[j][sl]
+                    box = _clip(chunk, pub.shape, shards[j])
+                    if box is not None:
+                        rows[j][box[1]] = views[j][box[0]]
         finally:
             del views
         self._finish(pub)
@@ -1035,15 +1039,9 @@ class SpmdCommunicator:
         n = group.size
         i = group.local_rank(self.rank)
         order = [(i - t) % n for t in range(n)]
-        gathered = self._gather(
-            self._publication(x, group),
-            [group.global_rank(j) for j in order],
+        return self._exchange(
+            x, group, dim, [(s, i, s) for s in order], context
         )
-        rows = dict(zip(order, gathered))
-        parts_out = [
-            slice_of(rows[s], dim, i, n, context=context) for s in range(n)
-        ]
-        return np.concatenate(parts_out, axis=dim)
 
     def alltoall_intra(
         self, x, group: ProcessGroup, dim: int, node_size: int,
@@ -1051,18 +1049,12 @@ class SpmdCommunicator:
     ) -> np.ndarray:
         """Intra-node phase of the hierarchical AllToAll (this rank)."""
         k, m = self._node_grid(group, node_size)
-        n = group.size
-        rows = self._gather(self._publication(x, group))
-        local = group.local_rank(self.rank)
-        a, q = divmod(local, m)
-        parts = [
-            slice_of(
-                rows[a * m + p], dim, b * m + q, n, context=context
-            )
-            for b in range(k)
-            for p in range(m)
+        a, q = divmod(group.local_rank(self.rank), m)
+        moves = [
+            (a * m + p, b * m + q, b * m + p)
+            for b in range(k) for p in range(m)
         ]
-        return np.concatenate(parts, axis=dim)
+        return self._exchange(x, group, dim, moves, context)
 
     def alltoall_inter(
         self, x, group: ProcessGroup, dim: int, node_size: int,
@@ -1070,18 +1062,30 @@ class SpmdCommunicator:
     ) -> np.ndarray:
         """Inter-node phase of the hierarchical AllToAll (this rank)."""
         k, m = self._node_grid(group, node_size)
-        n = group.size
-        rows = self._gather(self._publication(x, group))
-        local = group.local_rank(self.rank)
-        b, q = divmod(local, m)
-        parts = [
-            slice_of(
-                rows[a * m + q], dim, b * m + p, n, context=context
-            )
-            for a in range(k)
-            for p in range(m)
+        b, q = divmod(group.local_rank(self.rank), m)
+        moves = [
+            (a * m + q, b * m + p, a * m + p)
+            for a in range(k) for p in range(m)
         ]
-        return np.concatenate(parts, axis=dim)
+        return self._exchange(x, group, dim, moves, context)
+
+    def _exchange(
+        self, x, group: ProcessGroup, dim: int,
+        moves: Sequence[Tuple[int, int, int]], context: str,
+    ) -> np.ndarray:
+        """An AllToAll phase: for each ``(p, s, d)`` of ``moves``, slice
+        ``s`` of group rank ``p``'s payload (of ``n`` along ``dim``) is
+        copied once, straight into slice ``d`` of the result."""
+        pub = self._publication(x, group)
+        n = group.size
+        step = check_divisible(pub.shape, dim, n, context)
+        out = np.empty(pub.shape, pub.dtype)
+        self._gather(
+            pub, [group.global_rank(p) for p, _, _ in moves],
+            rows=[slice_of(out, dim, d, n) for _, _, d in moves],
+            shards=[(dim, s * step, (s + 1) * step) for _, s, _ in moves],
+        )
+        return out
 
     @staticmethod
     def _node_grid(group: ProcessGroup, node_size: int) -> Tuple[int, int]:
@@ -1239,9 +1243,9 @@ class SpmdCommunicator:
         if self._ring is not None:
             self._ring.close()
             self._ring = None
-        for shm in (self._data, self._flags_shm):
+        for segment in (self._data, self._flags_map):
             try:
-                shm.close()
+                segment.close()
             except BufferError:  # pragma: no cover - view still alive
                 pass
 
@@ -1326,8 +1330,24 @@ class _Stream(object):
 
 
 # ---------------------------------------------------------------------------
-# Worker entry point (must be importable for the spawn context).
+# Rank side: messages, results, the rank process entry point.
 # ---------------------------------------------------------------------------
+
+
+def _send(sock: socket.socket, obj) -> None:
+    """Send ``obj`` as one message: its pickle, which marks its own end."""
+    sock.sendall(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
+
+
+def _recv(stream):
+    """The next :func:`_send` message from ``stream``, a socket's
+    ``makefile("rb")``; ``None`` if the peer is gone before a whole one
+    (EOF, a message cut short, or a connection reset because the peer
+    exited with a message to it unread)."""
+    try:
+        return pickle.load(stream)
+    except (EOFError, pickle.UnpicklingError, OSError):
+        return None
 
 
 def _store_results(
@@ -1361,33 +1381,50 @@ def _same_memory(a: np.ndarray, b: np.ndarray) -> bool:
     )
 
 
-def _rank_main(
-    rank: int,
-    layout: SpmdLayout,
-    data_name: str,
-    flags_name: str,
-    wire_s_per_mb: float,
-    timeout: float,
-    soft_timeout: Optional[float],
-    fault_plan: Optional[FaultPlan],
-    trace_path: Optional[str],
-    conn,
-) -> None:
+#: what a rank process runs (``python -c``); ``sys.argv[1]`` is the fd
+#: of its end of the socket pair to the parent
+_RANK_ENTRY = "from repro.runtime.spmd import _rank_main; _rank_main()"
+#: the directory holding the ``repro`` package, put on a rank's
+#: ``PYTHONPATH`` (the caller may have found it through ``sys.path``)
+_PACKAGE_ROOT = os.path.dirname(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+)
+
+
+def _rank_main() -> None:
+    """A rank process: one spec in, one report out, then exit.
+
+    The spec arrives once every input region is written (see
+    :func:`launch`). The socket is never closed here: only the exit
+    closes it, so the parent reading EOF knows the process is gone.
+    """
+    sock = socket.socket(fileno=int(sys.argv[1]))
+    spec = _recv(sock.makefile("rb"))
+    if spec is not None:
+        _send(sock, _run_rank(**spec))
+    # reported, segments and ring closed: exit without interpreter
+    # teardown (finalizing every imported module takes longer than the
+    # rank body of a small step)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(0)
+
+
+def _run_rank(
+    rank: int, layout: SpmdLayout, data_fd: int, flags_fd: int,
+    source: str, toolchain: Optional[dict], **comm_kwargs,
+) -> tuple:
+    """Run the module ``source`` as rank ``rank``; returns its report."""
     comm = None
     try:
         comm = SpmdCommunicator.attach(
-            layout, rank, data_name, flags_name, wire_s_per_mb, timeout,
-            trace_path=trace_path, soft_timeout=soft_timeout,
-            faults=fault_plan,
+            layout, rank, data_fd, flags_fd, **comm_kwargs
         )
-        # the module spec arrives once every input region is written
-        # (see launch)
-        source, toolchain = conn.recv()
         if toolchain is not None:
             from repro.core.codegen import native
 
             native.prime(toolchain)
-        buf = comm._data.buf
+        buf = comm._data
         inputs = {
             key[1]: layout.view(buf, key, rank)
             for key, (_, _, offsets, _) in layout.regions.items()
@@ -1413,12 +1450,11 @@ def _rank_main(
         outputs, states = namespace["run_rank"](comm, inputs)
         elapsed = time.perf_counter() - t0
         _store_results(layout, buf, rank, outputs, states)
-        # every view of the segment must go before close()
+        # every view of the segment must go before close() below
         del inputs, outputs, states, buf
-        comm.close()
-        conn.send(("ok", elapsed))
+        return ("ok", elapsed)
     except SpmdPeerAbort as exc:
-        conn.send(("aborted", str(exc)))
+        return ("aborted", str(exc))
     except BaseException as exc:  # noqa: BLE001 - reported to the parent
         if comm is not None:
             comm.signal_error(_ERR_FAILED)
@@ -1432,17 +1468,10 @@ def _rank_main(
                 f"site {context.get('site') or '?'!r}, "
                 f"seq {context.get('seq', 0)})"
             )
-        conn.send(("error", summary, traceback.format_exc(), context))
+        return ("error", summary, traceback.format_exc(), context)
     finally:
         if comm is not None:
             comm.close()
-        conn.close()
-    # reported, segments and ring closed: exit without interpreter
-    # teardown (finalizing every imported module takes longer than the
-    # rank body of a small step), as multiprocessing's fork children do
-    sys.stdout.flush()
-    sys.stderr.flush()
-    os._exit(0)
 
 
 # ---------------------------------------------------------------------------
@@ -1490,25 +1519,42 @@ def _read_results(layout: SpmdLayout, program, buf):
     return outputs, states
 
 
-#: :func:`_rank_report`'s verdict on a rank that exited without reporting
-_DIED = ("died",)
+def _segment(name: str, size: int) -> int:
+    """A new ``size``-byte anonymous shared-memory file (zero-filled)."""
+    fd = os.memfd_create(name)
+    os.ftruncate(fd, size)
+    return fd
 
 
-def _rank_report(conn, proc):
-    """One look at a running rank: its report, :data:`_DIED` or None.
+def _start(
+    entry: str, fds: Sequence[int]
+) -> Tuple[subprocess.Popen, socket.socket]:
+    """Start ``python -c entry`` holding ``fds`` and its end of a new
+    socket pair (fd ``sys.argv[1]``); ``(process, the parent's end)``.
 
-    Liveness is sampled *before* the pipe is polled. A rank that sends
-    its report and exits between the two checks then still has the
-    report waiting in the pipe; polling first would find the pipe empty
-    and the process gone, and misread a clean exit as a silent death.
+    The ``repro`` root leads the process's ``PYTHONPATH``.
     """
-    alive = proc.is_alive()
-    if conn.poll(0):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (_PACKAGE_ROOT, env.get("PYTHONPATH")))
+    )
+    sock, child = socket.socketpair()
+    with child:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", entry, str(child.fileno())],
+            pass_fds=(child.fileno(), *fds), env=env,
+        )
+    return proc, sock
+
+
+def _reap(procs: Sequence[subprocess.Popen]) -> None:
+    """Wait for every rank to exit; kill one still running after 5 s."""
+    for p in procs:
         try:
-            return conn.recv()
-        except (EOFError, OSError):
-            return _DIED
-    return None if alive else _DIED
+            p.wait(timeout=5.0)
+        except subprocess.TimeoutExpired:  # pragma: no cover - hung rank
+            p.kill()
+            p.wait()
 
 
 def launch(
@@ -1528,28 +1574,16 @@ def launch(
 
     ``generated`` is a
     :class:`~repro.core.codegen.generator.GeneratedSpmdProgram`; every
-    rank ``exec``s its ``source`` as is. Spawns ``world_size`` processes,
-    places the inputs into their shared-memory regions, executes
-    ``run_rank`` on every rank over a shared-memory communicator, and
-    copies the per-rank outputs/states back into a
+    rank ``exec``s its ``source`` as is. Starts ``world_size`` rank
+    processes, places the inputs into their shared-memory regions,
+    executes ``run_rank`` on every rank over a shared-memory
+    communicator, and copies the per-rank outputs/states back into a
     :class:`~repro.runtime.executor.ProgramResult` whose arrays own
-    their memory. Teardown is exception-safe: workers are joined
-    (terminated on timeout) and both shared-memory segments are closed
-    and unlinked in a ``finally`` even when a rank raises
-    mid-collective.
+    their memory. Teardown is exception-safe: ranks are reaped (killed
+    after a grace period) and both segments closed in a ``finally``,
+    even when a rank raises mid-collective.
 
-    Start-up order: the inputs are checked, then every rank process
-    starts with small arguments. While the ranks import, the parent
-    casts every input into the region of each rank holding it, drops
-    its own mapping of the segment, and sends each rank its module spec
-    ``(source, toolchain)`` over its pipe. Each rank
-    runs on writable views of its own regions and writes its results
-    there; the parent reads them back once every rank has reported.
-    No array crosses a pipe. On the native target (``c_source`` set)
-    ``toolchain`` is :func:`repro.core.codegen.native.toolchain_record`,
-    so ranks fork no toolchain probe; otherwise it is ``None``. A rank
-    exits with ``os._exit(0)`` right after closing its segments and
-    reporting.
+    The module docstring's "Launch" section gives the start-up order.
 
     ``timeout`` bounds every rendezvous wait (default:
     :func:`scaled_default_timeout`, so slow simulated wires stretch the
@@ -1558,15 +1592,13 @@ def launch(
     while the kernels are not yet in the on-disk cache.
     ``soft_timeout`` is the escalation (soft-retry) deadline inside
     each wait. ``fault_plan`` injects the given
-    :class:`~repro.runtime.faults.FaultPlan` into every rank. The
-    parent watches worker *process sentinels* alongside their report
-    pipes: a rank that dies without reporting (killed, an
-    injected ``die``, OOM) is detected promptly, its error flag is
-    broadcast on its behalf so surviving ranks abort their in-flight
-    collectives with :class:`SpmdPeerAbort` rather than spinning to
-    their own timeouts, and the failure is raised as a
-    :class:`SpmdWorkerError` with ``dead_ranks`` populated — the
-    elastic-recovery trigger.
+    :class:`~repro.runtime.faults.FaultPlan` into every rank. A rank
+    whose socket reaches EOF before it reported died (killed, an
+    injected ``die``, OOM): its error flag is broadcast on its behalf,
+    so surviving ranks abort their in-flight collectives with
+    :class:`SpmdPeerAbort` rather than spinning to their own timeouts,
+    and the failure is raised as a :class:`SpmdWorkerError` with
+    ``dead_ranks`` populated — the elastic-recovery trigger.
 
     ``trace_dir``, when given, receives one pre-created
     ``rank<N>.ring`` trace file per rank (see
@@ -1608,13 +1640,9 @@ def launch(
             TraceRing.create(path, trace_capacity).close()
             trace_paths[r] = path
 
-    uid = uuid.uuid4().hex[:8]
-    data_name = f"spmd_{uid}_d"
-    flags_name = f"spmd_{uid}_f"
-    data = flags = None
-    flags_arr: Optional[np.ndarray] = None
-    procs: List = []
-    conns: List = []
+    fds: List[int] = []
+    procs: List[subprocess.Popen] = []
+    socks: List[socket.socket] = []
     dead_ranks: List[int] = []
     # root-cause classification: a dead process (4) outranks a raised
     # error (3) outranks a silent timeout (2) outranks a peer abort (1)
@@ -1628,129 +1656,91 @@ def launch(
             fail.update(sev=sev, msg=msg, detail=det, context=ctx)
 
     seconds: Dict[int, float] = {}
-    err_off = layout.num_sites * world_size * 2
+    # the first error flag's byte offset, and a dead rank's flag value
+    err_off = layout.num_sites * world_size * 2 * 8
+    dead_flag = np.int64(_ERR_DEAD).tobytes()
     try:
-        data = SharedMemory(
-            create=True, size=layout.data_size, name=data_name
-        )
-        flags = SharedMemory(
-            create=True, size=layout.flags_length() * 8, name=flags_name
-        )
-        flags_arr = np.ndarray(
-            (layout.flags_length(),), dtype=np.int64, buffer=flags.buf
-        )
-        flags_arr.fill(0)
-
-        def _mark_dead(r: int) -> None:
-            dead_ranks.append(r)
-            code = procs[r].exitcode
-            _record_failure(
-                4,
-                f"rank {r} died without reporting (exit code {code})",
-                ctx={"rank": r, "op": "", "site": "", "seq": 0,
-                     "dead": True},
-            )
-            # broadcast on the corpse's behalf: peers blocked on its
-            # payloads abort promptly instead of spinning to timeout
-            flags_arr[err_off + r] = _ERR_DEAD
+        fds.append(_segment("spmd-data", layout.data_size))
+        fds.append(_segment("spmd-flags", layout.flags_length() * 8))
+        data_fd, flags_fd = fds
 
         # start every rank first, then place the inputs while they
         # import numpy and repro
-        ctx_mp = get_context("spawn")
-        for r in range(world_size):
-            parent_conn, child_conn = ctx_mp.Pipe()
-            p = ctx_mp.Process(
-                target=_rank_main,
-                args=(
-                    r, layout, data_name, flags_name, wire_s_per_mb,
-                    timeout, soft_timeout, fault_plan, trace_paths[r],
-                    child_conn,
-                ),
-                name=f"spmd-rank{r}",
-                daemon=True,
-            )
-            p.start()
-            child_conn.close()
-            procs.append(p)
-            conns.append(parent_conn)
+        for _ in range(world_size):
+            proc, sock = _start(_RANK_ENTRY, fds)
+            procs.append(proc)
+            socks.append(sock)
 
-        module_spec = (
-            generated.source,
-            native.toolchain_record() if generated.c_source else None,
-        )
-        _place_regions(layout, program, placed, data.buf)
-        placed = None
         # the ranks map the segment themselves: unmap the pages written
         # here, so the parent's resident set does not count them too
-        data.close()
-        for conn in conns:
+        with mmap.mmap(data_fd, layout.data_size) as data:
+            _place_regions(layout, program, placed, data)
+        placed = None
+        spec = dict(
+            layout=layout, data_fd=data_fd, flags_fd=flags_fd,
+            wire_s_per_mb=wire_s_per_mb, timeout=timeout,
+            soft_timeout=soft_timeout, faults=fault_plan,
+            source=generated.source,
+            toolchain=(
+                native.toolchain_record() if generated.c_source else None
+            ),
+        )
+        for r, sock in enumerate(socks):
             try:
-                conn.send(module_spec)
+                _send(sock, dict(spec, rank=r, trace_path=trace_paths[r]))
             except OSError:
-                # the rank already died: its sentinel reports it below
+                # the rank already died: its EOF reports it below
                 pass
 
         deadline = time.monotonic() + timeout + 60.0
-        pending: Dict[int, object] = dict(enumerate(conns))
+        pending = dict(zip(socks, range(world_size)))
         while pending:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0.0:
-                for r in sorted(pending):
+            ready, _, _ = select.select(
+                list(pending), [], [], max(0.0, deadline - time.monotonic())
+            )
+            if not ready:
+                for r in sorted(pending.values()):
                     _record_failure(
                         2, f"rank {r} did not report within {timeout:.0f}s"
                     )
                 break
-            # wait on result pipes AND process sentinels: a report
-            # wakes us, and so does a silent death
-            waitables = list(pending.values()) + [
-                procs[r].sentinel for r in pending
-            ]
-            _mp_connection.wait(waitables, timeout=min(remaining, 1.0))
-            for r in sorted(pending):
-                msg = _rank_report(pending[r], procs[r])
+            for sock in ready:
+                r = pending.pop(sock)
+                with sock.makefile("rb") as stream:
+                    msg = _recv(stream)
                 if msg is None:
-                    continue
-                del pending[r]
-                if msg is _DIED:
-                    _mark_dead(r)
+                    # broadcast on the corpse's behalf: peers blocked on
+                    # its payloads abort instead of spinning to timeout
+                    os.pwrite(flags_fd, dead_flag, err_off + 8 * r)
+                    dead_ranks.append(r)
+                    # only the rank held its end of the socket: at EOF
+                    # it is exiting, so this wait returns promptly
+                    code = procs[r].wait()
+                    _record_failure(
+                        4, f"rank {r} died without reporting "
+                        f"(exit code {code})", ctx={
+                            "rank": r, "op": "", "site": "", "seq": 0,
+                            "dead": True,
+                        },
+                    )
                 elif msg[0] == "ok":
                     seconds[r] = msg[1]
                 elif msg[0] == "error":
-                    _record_failure(
-                        3, msg[1], msg[2], msg[3] if len(msg) > 3 else None,
-                    )
+                    _record_failure(3, *msg[1:])
                 else:  # aborted by a peer's failure
                     _record_failure(1, msg[1])
         if fail["msg"] is None:
             # every rank has reported: let them exit first, so their
             # memory and the results copied here are not resident at once
-            for p in procs:
-                p.join(timeout=5.0)
-            data = SharedMemory(name=data_name)
-            outputs, states = _read_results(layout, program, data.buf)
-            data.close()
+            _reap(procs)
+            with mmap.mmap(data_fd, layout.data_size) as data:
+                outputs, states = _read_results(layout, program, data)
     finally:
-        flags_arr = None  # drop the view before closing the segment
-        for p in procs:
-            p.join(timeout=5.0)
-        for p in procs:
-            if p.is_alive():  # pragma: no cover - hung worker
-                p.terminate()
-                p.join(timeout=5.0)
-        for conn in conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-        for shm in (data, flags):
-            if shm is not None:
-                try:
-                    shm.close()
-                finally:
-                    try:
-                        shm.unlink()
-                    except FileNotFoundError:  # pragma: no cover
-                        pass
+        _reap(procs)
+        for sock in socks:
+            sock.close()
+        for fd in fds:
+            os.close(fd)
     if fail["msg"] is not None:
         detail = fail["detail"]
         raise SpmdWorkerError(

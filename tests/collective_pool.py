@@ -2,16 +2,20 @@
 
 :class:`CollectivePool` starts ``nranks`` worker processes once, each
 attached to one shared-memory communicator, and drives thousands of
-direct collective calls through them without paying a process spawn
-per example (see ``tests/test_spmd_collectives.py``).
+direct collective calls through them without paying a process start
+per example (see ``tests/test_spmd_collectives.py``). Workers are
+started the way ``repro.runtime.spmd.launch`` starts ranks: a plain
+``python -c`` process that inherits both segments (memfds) and its end
+of a socket pair, over which every message is one pickle.
 """
 
 from __future__ import annotations
 
+import os
+import select
+import socket
+import sys
 import time
-import uuid
-from multiprocessing import get_context
-from multiprocessing.shared_memory import SharedMemory
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -26,25 +30,32 @@ from repro.runtime.spmd import (
     SpmdPeerAbort,
     _group_key,
     _p2p_key,
+    _reap,
+    _recv,
+    _segment,
+    _send,
+    _start,
 )
 
+#: the repository root, so workers can import ``tests.collective_pool``
+#: (the callables ``call`` ships are pickled by reference)
+_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-def _pool_worker(
-    rank: int,
-    layout: SpmdLayout,
-    data_name: str,
-    flags_name: str,
-    timeout: float,
-    conn,
-) -> None:
-    comm = None
+
+def _pool_worker() -> None:
+    """A worker process: ``sys.argv[1]`` is its socket's fd. The first
+    message is ``(rank, layout, data_fd, flags_fd, timeout)``; each one
+    after it is a call, answered with one reply, until ``("stop",)``."""
+    sock = socket.socket(fileno=int(sys.argv[1]))
+    stream = sock.makefile("rb")
+    rank, layout, data_fd, flags_fd, timeout = _recv(stream)
+    comm = SpmdCommunicator.attach(
+        layout, rank, data_fd, flags_fd, 0.0, timeout
+    )
     try:
-        comm = SpmdCommunicator.attach(
-            layout, rank, data_name, flags_name, 0.0, timeout
-        )
         while True:
-            cmd = conn.recv()
-            if cmd[0] == "stop":
+            cmd = _recv(stream)
+            if cmd is None or cmd[0] == "stop":
                 break
             _, method, args, kwargs = cmd
             try:
@@ -52,18 +63,18 @@ def _pool_worker(
                     result = method(comm, *args, **kwargs)
                 else:
                     result = getattr(comm, method)(*args, **kwargs)
-                conn.send(("ok", result))
+                _send(sock, ("ok", result))
             except SpmdPeerAbort:  # pragma: no cover - raced abort
-                conn.send(("error", "aborted by peer"))
+                _send(sock, ("error", "aborted by peer"))
             except Exception as exc:
                 comm.signal_error(_ERR_FAILED)
-                conn.send(("error", f"{type(exc).__name__}: {exc}"))
+                _send(sock, ("error", f"{type(exc).__name__}: {exc}"))
                 # collective state is poisoned; peers saw the error flag
                 break
     finally:
-        if comm is not None:
-            comm.close()
-        conn.close()
+        comm.close()
+        stream.close()
+        sock.close()
 
 
 def chunked(
@@ -120,35 +131,23 @@ class CollectivePool:
             layout.add_site(_p2p_key(src, dst), (src, dst), slot_bytes)
         layout.freeze()
         self.layout = layout
-        uid = uuid.uuid4().hex[:8]
-        self._data = SharedMemory(
-            create=True, size=layout.data_size,
-            name=f"spmdpool_{uid}_d",
+        self._fds = [
+            _segment("spmdpool-data", layout.data_size),
+            _segment("spmdpool-flags", layout.flags_length() * 8),
+        ]
+        entry = (
+            f"import sys; sys.path.insert(0, {_REPO_ROOT!r}); "
+            "from tests.collective_pool import _pool_worker; _pool_worker()"
         )
-        self._flags = SharedMemory(
-            create=True, size=layout.flags_length() * 8,
-            name=f"spmdpool_{uid}_f",
-        )
-        np.ndarray(
-            (layout.flags_length(),), dtype=np.int64, buffer=self._flags.buf
-        ).fill(0)
-        ctx = get_context("spawn")
         self._procs = []
-        self._conns = []
+        self._socks = []
+        self._streams = []
         for r in range(nranks):
-            parent_conn, child_conn = ctx.Pipe()
-            p = ctx.Process(
-                target=_pool_worker,
-                args=(
-                    r, layout, self._data.name, self._flags.name,
-                    timeout, child_conn,
-                ),
-                daemon=True,
-            )
-            p.start()
-            child_conn.close()
-            self._procs.append(p)
-            self._conns.append(parent_conn)
+            proc, sock = _start(entry, self._fds)
+            self._procs.append(proc)
+            self._socks.append(sock)
+            self._streams.append(sock.makefile("rb"))
+            _send(sock, (r, layout, *self._fds, timeout))
 
     def call(
         self, method: Union[str, Sequence[str]],
@@ -162,44 +161,34 @@ class CollectivePool:
         kwargs = kwargs or {}
         if isinstance(method, str) or callable(method):
             method = [method] * self.nranks
-        for conn, name, args in zip(self._conns, method, per_rank_args):
-            conn.send(("call", name, args, kwargs))
+        for sock, name, args in zip(self._socks, method, per_rank_args):
+            _send(sock, ("call", name, args, kwargs))
         out = []
         errors = []
-        for r, conn in enumerate(self._conns):
-            if not conn.poll(self.timeout):
+        for r, (sock, stream) in enumerate(zip(self._socks, self._streams)):
+            if not select.select([sock], [], [], self.timeout)[0]:
                 errors.append(f"rank {r}: no reply")
                 continue
-            status, payload = conn.recv()
-            if status == "ok":
-                out.append(payload)
+            reply = _recv(stream)
+            if reply is None:
+                errors.append(f"rank {r}: died")
+            elif reply[0] == "ok":
+                out.append(reply[1])
             else:
-                errors.append(f"rank {r}: {payload}")
+                errors.append(f"rank {r}: {reply[1]}")
         if errors:
             raise SpmdError("; ".join(errors))
         return out
 
     def close(self) -> None:
-        for conn in self._conns:
+        for sock in self._socks:
             try:
-                conn.send(("stop",))
-            except (BrokenPipeError, OSError):
+                _send(sock, ("stop",))
+            except OSError:
                 pass
-        for p in self._procs:
-            p.join(timeout=5.0)
-            if p.is_alive():  # pragma: no cover
-                p.terminate()
-                p.join(timeout=5.0)
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-        for shm in (self._data, self._flags):
-            try:
-                shm.close()
-            finally:
-                try:
-                    shm.unlink()
-                except FileNotFoundError:  # pragma: no cover
-                    pass
+        _reap(self._procs)
+        for stream, sock in zip(self._streams, self._socks):
+            stream.close()
+            sock.close()
+        for fd in self._fds:
+            os.close(fd)

@@ -10,12 +10,16 @@ whole run down without leaking shared-memory segments or deadlocking
 peers.
 """
 
-import multiprocessing
+import mmap
 import os
+import select
 import signal
+import socket
+import subprocess
 import sys
+import textwrap
+import threading
 import time
-from multiprocessing import connection as mp_connection
 
 import numpy as np
 import pytest
@@ -69,6 +73,21 @@ OP_LEVEL_PROGRAMS = [
 @pytest.fixture
 def rng():
     return np.random.RandomState(0x59D0)
+
+
+#: modules a rank process must not import: the launch machinery of
+#: ``multiprocessing`` (and its re-import of the caller's ``__main__``),
+#: the interpreter, the code generator, artifacts and offline tracing
+RANK_NEVER_IMPORTS = {
+    "multiprocessing",
+    "__mp_main__",
+    "repro.runtime.executor",
+    "repro.core.codegen.generator",
+    "repro.core.artifact",
+    "repro.observe.perfetto",
+    "repro.observe.compare",
+    "repro.observe.record",
+}
 
 
 def optimizer_inputs(rng, n=4, N=64):
@@ -262,9 +281,8 @@ class TestSpmdInterface:
         self, rng, target, monkeypatch, tmp_path
     ):
         # every rank gets the module text generated here and runs it as
-        # is: no rank loads an artifact or runs the code generator
-        from multiprocessing.connection import Connection
-
+        # is: no rank loads an artifact or runs the code generator, nor
+        # anything else beyond the communicator and the device helpers
         from repro.core.codegen import native
 
         if target == "native" and not native.available():
@@ -276,29 +294,29 @@ class TestSpmdInterface:
             "def run_rank(comm, inputs):\n",
             "def run_rank(comm, inputs):\n"
             "    import sys\n"
-            "    assert 'repro.core.artifact' not in sys.modules\n",
+            f"    assert not set(sys.modules) & {RANK_NEVER_IMPORTS!r}\n",
             1,
         )
         assert source != gen.source
         gen.source = source
         sent = []
-        send = Connection.send
+        send = spmd._send
 
-        def record(conn, obj):
+        def record(sock, obj):
             sent.append(obj)
-            send(conn, obj)
+            send(sock, obj)
 
-        monkeypatch.setattr(Connection, "send", record)
+        monkeypatch.setattr(spmd, "_send", record)
         inputs = optimizer_inputs(rng, n=2)
         out = launch(gen, inputs, allow_downcast=True)
-        monkeypatch.setattr(Connection, "send", send)
-        assert len(sent) == 2
-        for shipped, toolchain in sent:
-            assert shipped.encode() == source.encode()
+        monkeypatch.setattr(spmd, "_send", send)
+        assert [spec["rank"] for spec in sent] == [0, 1]
+        for spec in sent:
+            assert spec["source"].encode() == source.encode()
             if target == "native":
-                assert toolchain == native.toolchain_record()
+                assert spec["toolchain"] == native.toolchain_record()
             else:
-                assert toolchain is None
+                assert spec["toolchain"] is None
         oracle = Executor().run_lowered(sched, inputs, allow_downcast=True)
         for name in oracle.output_names:
             np.testing.assert_array_equal(
@@ -330,8 +348,6 @@ class TestSpmdInterface:
         # every rank holding an input gets a private writable region:
         # a replicated tensor one copy per rank, sliced and local
         # tensors their own rows, each cast to the tensor dtype
-        from multiprocessing.shared_memory import SharedMemory
-
         from repro.core import RANK, Binary, Execute, Local, Sliced, world
         from repro.runtime.world import place_inputs
 
@@ -352,14 +368,15 @@ class TestSpmdInterface:
             "loc": rng.randn(4, 8),
         }
         layout = build_layout(prog)
-        shm = SharedMemory(create=True, size=layout.data_size)
+        fd = spmd._segment("test-data", layout.data_size)
+        data = mmap.mmap(fd, layout.data_size)
         try:
             spmd._place_regions(
                 layout, prog,
-                place_inputs(prog, inputs, True, cast=False), shm.buf,
+                place_inputs(prog, inputs, True, cast=False), data,
             )
             views = [
-                {n: layout.view(shm.buf, ("in", n), r)
+                {n: layout.view(data, ("in", n), r)
                  for n in ("rep", "sl", "loc")}
                 for r in range(4)
             ]
@@ -380,10 +397,8 @@ class TestSpmdInterface:
             )
         finally:
             views = shard = None  # a view left alive makes close() raise
-            try:
-                shm.close()
-            finally:
-                shm.unlink()
+            data.close()
+            os.close(fd)
 
         # and the ranks see them writable too
         gen = CodeGenerator(target="spmd").generate(prog)
@@ -484,18 +499,21 @@ class TestSpmdTeardown:
     def test_rank_killed_before_reading_its_shard(self, rng, monkeypatch):
         # ranks start before the inputs are placed; one killed in that
         # window is a dead rank, found within the deadline, and leaks
-        # nothing
-        place = spmd._place_regions
+        # nothing: no segment, no process
+        place, start = spmd._place_regions, spmd._start
+        started = []
+
+        def record_start(*args):
+            proc, sock = start(*args)
+            started.append(proc)
+            return proc, sock
 
         def kill_rank1_then_place(*args):
-            victim = next(
-                p for p in multiprocessing.active_children()
-                if p.name == "spmd-rank1"
-            )
-            os.kill(victim.pid, signal.SIGKILL)
-            mp_connection.wait([victim.sentinel], timeout=30.0)
+            started[1].send_signal(signal.SIGKILL)
+            started[1].wait(timeout=30.0)
             return place(*args)
 
+        monkeypatch.setattr(spmd, "_start", record_start)
         monkeypatch.setattr(spmd, "_place_regions", kill_rank1_then_place)
         wl = AdamWorkload.build(64, 2)
         gen = CodeGenerator(target="spmd").generate(wl.program)
@@ -509,7 +527,10 @@ class TestSpmdTeardown:
             )
         assert time.monotonic() - t0 < timeout
         assert err.value.dead_ranks == [1]
+        assert f"exit code {-signal.SIGKILL}" in str(err.value)
         assert set(_shm_spmd_segments()) == before
+        assert [p.returncode for p in started][1] == -signal.SIGKILL
+        assert all(p.returncode is not None for p in started)
 
 
 class TestSpmdResults:
@@ -593,48 +614,198 @@ class TestSpmdResults:
         self._check_owned(res, oracle, program1)
 
 
-class _Proc:
-    """A rank process as the launch loop sees it: alive or not.
-
-    With ``report``, it sends that report over ``conn`` and exits at
-    the moment its liveness is sampled.
-    """
-
-    def __init__(self, alive: bool, conn=None, report=None) -> None:
-        self.alive, self.conn, self.report = alive, conn, report
-
-    def is_alive(self) -> bool:
-        if self.report is not None:
-            self.conn.send(self.report)
-            self.alive, self.report = False, None
-        return self.alive
+def _readable(sock) -> bool:
+    return bool(select.select([sock], [], [], 0)[0])
 
 
 class TestLaunchLoop:
-    """How the launch loop reads one rank's state."""
+    """How the launch loop reads one rank's socket: a whole report, or
+    EOF before one, which is a death."""
 
     OK = ("ok", 0.25)
 
-    def _check(self, got) -> None:
-        assert got == self.OK
-
     def test_report_then_exit_is_not_a_death(self):
-        # regression: polling the pipe before sampling liveness misread
-        # a rank that reported "ok" and exited in between as one that
-        # died without reporting
-        parent, child = multiprocessing.Pipe()
-        self._check(
-            spmd._rank_report(parent, _Proc(True, child, self.OK))
+        # a rank process that reports and exits before the parent looks:
+        # its report is still read whole, ahead of the EOF
+        proc, sock = spmd._start(
+            "import socket, sys; from repro.runtime.spmd import _send; "
+            f"_send(socket.socket(fileno=int(sys.argv[1])), {self.OK!r})",
+            (),
         )
+        with sock, sock.makefile("rb") as stream:
+            assert proc.wait(timeout=60.0) == 0
+            assert spmd._recv(stream) == self.OK
+            assert spmd._recv(stream) is None
 
     def test_running_reporting_and_dead_ranks(self):
-        parent, child = multiprocessing.Pipe()
-        assert spmd._rank_report(parent, _Proc(True)) is None
-        child.send(self.OK)
-        self._check(spmd._rank_report(parent, _Proc(True)))
-        child.send(self.OK)
-        self._check(spmd._rank_report(parent, _Proc(False)))
-        assert spmd._rank_report(parent, _Proc(False)) is spmd._DIED
-        # a closed pipe polls readable, then yields no message
-        child.close()
-        assert spmd._rank_report(parent, _Proc(False)) is spmd._DIED
+        parent, child = socket.socketpair()
+        with parent, child, parent.makefile("rb") as stream:
+            assert not _readable(parent)  # running: nothing to read
+            spmd._send(child, self.OK)
+            assert _readable(parent)
+            assert spmd._recv(stream) == self.OK
+            # a report cut short by the rank's death
+            spmd._send(child, self.OK)
+            whole = parent.recv(1 << 10)
+            child.sendall(whole[:-3])
+            child.close()
+            assert spmd._recv(stream) is None
+        # a bare EOF: the rank died before reporting anything
+        parent, child = socket.socketpair()
+        with parent, parent.makefile("rb") as stream:
+            child.close()
+            assert _readable(parent)
+            assert spmd._recv(stream) is None
+
+    def test_exit_with_its_spec_unread_is_a_death(self):
+        # a rank that dies before reading the spec sent to it resets the
+        # connection rather than closing it cleanly: still a death
+        parent, child = socket.socketpair()
+        with parent, parent.makefile("rb") as stream:
+            spmd._send(parent, {"rank": 0})
+            child.close()
+            assert _readable(parent)
+            assert spmd._recv(stream) is None
+
+    def test_rank_killed_with_its_spec_unread(self, rng, monkeypatch):
+        # rank 1 is killed right after its spec is sent, while it is
+        # most likely still importing: a dead rank, not a raw OSError
+        start, send = spmd._start, spmd._send
+        started = []
+
+        def record_start(*args):
+            proc, sock = start(*args)
+            started.append(proc)
+            return proc, sock
+
+        def send_then_kill_rank1(sock, obj):
+            send(sock, obj)
+            if obj["rank"] == 1:
+                started[1].send_signal(signal.SIGKILL)
+                started[1].wait(timeout=30.0)
+
+        monkeypatch.setattr(spmd, "_start", record_start)
+        monkeypatch.setattr(spmd, "_send", send_then_kill_rank1)
+        gen = CodeGenerator(target="spmd").generate(
+            AdamWorkload.build(64, 2).program
+        )
+        with pytest.raises(SpmdWorkerError, match="rank 1 died") as err:
+            launch(
+                gen, optimizer_inputs(rng, n=2), allow_downcast=True,
+                timeout=20.0,
+            )
+        assert err.value.dead_ranks == [1]
+        assert f"exit code {-signal.SIGKILL}" in str(err.value)
+        assert all(p.returncode is not None for p in started)
+
+
+#: a user's script calling ``run_spmd``: it checks the result against
+#: ``run_lowered`` and that no process it started outlives the call
+USER_SCRIPT = textwrap.dedent("""
+    import os, sys
+    sys.path.insert(0, {src!r})
+    import numpy as np
+    from repro.cli import _seeded_inputs
+    from repro.runtime import Executor
+    from repro.workloads.adam import AdamWorkload
+
+
+    def children():
+        # this process's children, zombies included, from /proc
+        kids = []
+        for entry in filter(str.isdigit, os.listdir("/proc")):
+            try:
+                with open(f"/proc/{{entry}}/stat") as f:
+                    stat = f.read()
+            except OSError:
+                continue
+            if int(stat.rpartition(")")[2].split()[1]) == os.getpid():
+                kids.append(int(entry))
+        return kids
+
+
+    sched = AdamWorkload.build(64, 2).schedule_fused()
+    inputs = _seeded_inputs(sched.program, seed=0)
+    out = Executor().run_spmd(
+        sched, inputs, allow_downcast=True, codegen_target={target!r}
+    )
+    assert children() == [], children()
+    ref = Executor().run_lowered(sched, inputs, allow_downcast=True)
+    for name in ref.output_names:
+        assert np.array_equal(out.output(name), ref.output(name)), name
+    assert "multiprocessing" not in sys.modules
+    print("user script ok")
+""")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="/proc is Linux-only")
+class TestRankProcesses:
+    """Ranks are plain interpreters the launch owns: they need no
+    importable ``__main__``, no ``PYTHONPATH`` from the caller, and
+    leave no process or ``/dev/shm`` entry behind."""
+
+    @pytest.fixture(scope="class")
+    def kernel_cache(self, tmp_path_factory):
+        return str(tmp_path_factory.mktemp("kernels"))
+
+    @pytest.mark.parametrize("target", ["spmd", "native"])
+    @pytest.mark.parametrize("how", ["stdin", "sys_path"])
+    def test_user_script(self, target, how, kernel_cache, tmp_path):
+        # "stdin": ``python - < script.py`` has no __main__ a rank could
+        # re-import; "sys_path": the script finds repro only through
+        # sys.path, with no PYTHONPATH at all
+        from repro.core.codegen import native
+
+        if target == "native" and not native.available():
+            pytest.skip("no C compiler on PATH")
+        script = USER_SCRIPT.format(src=spmd._PACKAGE_ROOT, target=target)
+        env = dict(os.environ, REPRO_KERNEL_CACHE=kernel_cache)
+        env.pop("PYTHONPATH", None)
+        if how == "stdin":
+            cmd = [sys.executable, "-"]
+        else:
+            path = tmp_path / "user_script.py"
+            path.write_text(script)
+            cmd, script = [sys.executable, str(path)], None
+        done = subprocess.run(
+            cmd, input=script, env=env, cwd=str(tmp_path),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "user script ok" in done.stdout
+
+    def test_stalled_run_creates_no_shm_entry(self, rng):
+        # the segments are memfds: nothing appears in /dev/shm even
+        # while a run is in flight
+        from repro.runtime.faults import FaultPlan
+
+        before = set(os.listdir("/dev/shm"))
+        seen = set()
+        stop = threading.Event()
+
+        def watch():
+            while not stop.is_set():
+                seen.update(os.listdir("/dev/shm"))
+                stop.wait(0.01)
+
+        watcher = threading.Thread(target=watch)
+        watcher.start()
+        try:
+            sched = AdamWorkload.build(64, 2).schedule_fused()
+            inputs = optimizer_inputs(rng, n=2)
+            plan = FaultPlan(seed=0).stall_publish("g", 0.5, rank=1, seq=2)
+            t0 = time.monotonic()
+            out = Executor().run_spmd(
+                sched, inputs, allow_downcast=True, fault_plan=plan,
+                soft_timeout=0.1,
+            )
+            assert time.monotonic() - t0 >= 0.5  # the stall happened
+        finally:
+            stop.set()
+            watcher.join()
+        assert seen <= before
+        oracle = Executor().run_lowered(sched, inputs, allow_downcast=True)
+        for name in oracle.output_names:
+            np.testing.assert_array_equal(
+                out.output(name), oracle.output(name), err_msg=name
+            )

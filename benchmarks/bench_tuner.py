@@ -15,7 +15,9 @@ engine, so the best schedule is the same — is a property test:
 Emits ``BENCH_tuner.json`` at the repo root: per-workload wall-clock
 (best of ``--repeats``), candidates/second, and the best schedule's
 identity, plus resource utilization of the winning schedule from the
-timeline's recorded task resources.
+timeline's recorded task resources. For Adam and LAMB it also reports
+``paper_schedule``: whether the pick lowers to the named
+fuse(RS-Opt-AG) schedule, sliced optimizer state included (gated).
 
 Usage::
 
@@ -29,10 +31,11 @@ import argparse
 import json
 import os
 import time
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from benchmarks._common import RESULTS_DIR, save_report, table
 from repro.cluster import Cluster
+from repro.core.artifact import structural_hash
 from repro.core.autotuner import Autotuner
 from repro.perf import ProgramCostModel
 from repro.workloads.adam import AdamWorkload
@@ -48,57 +51,73 @@ JSON_PATH = os.path.join(
 )
 
 
-def workload_suite(smoke: bool = False) -> Dict[str, Tuple[Callable, Cluster]]:
-    """Program builders + clusters per workload.
+def workload_suite(
+    smoke: bool = False,
+) -> Dict[str, Tuple[Callable, Cluster, Optional[str]]]:
+    """Workload builders, clusters and named paper schedules.
 
     The full suite uses multi-node clusters for the optimizers and the
     MoE exchange (more applicable moves, a deeper candidate tree); the
     smoke suite shrinks tensor sizes so a CI runner finishes in a few
-    seconds while exercising the identical code paths.
+    seconds while exercising the identical code paths. The third field
+    names the workload schedule the pick must lower to (the paper's
+    fuse(RS-Opt-AG) for the optimizers), or is None.
     """
     if smoke:
         return {
             "adam": (
-                lambda: AdamWorkload.build(2**18, 16).program, Cluster(1)
+                lambda: AdamWorkload.build(2**18, 16), Cluster(1),
+                "fuse(RS-Adam-AG)",
             ),
             "lamb": (
-                lambda: LambWorkload.build(2**18, 16).program, Cluster(1)
+                lambda: LambWorkload.build(2**18, 16), Cluster(1),
+                "fuse(RS-LAMB-AG)",
             ),
             "attention": (
-                lambda: AttentionWorkload.build(4, 256, 1024, 16).program,
-                Cluster(1),
+                lambda: AttentionWorkload.build(4, 256, 1024, 16),
+                Cluster(1), None,
             ),
             "moe": (
-                lambda: MoEWorkload.build(128, 512, 2048, 32).program,
-                Cluster(2),
+                lambda: MoEWorkload.build(128, 512, 2048, 32),
+                Cluster(2), None,
             ),
         }
     return {
         "adam": (
-            lambda: AdamWorkload.build(2**26, 64).program, Cluster(4)
+            lambda: AdamWorkload.build(2**26, 64), Cluster(4),
+            "fuse(RS-Adam-AG)",
         ),
         "lamb": (
-            lambda: LambWorkload.build(2**26, 64).program, Cluster(4)
+            lambda: LambWorkload.build(2**26, 64), Cluster(4),
+            "fuse(RS-LAMB-AG)",
         ),
         "attention": (
-            lambda: AttentionWorkload.build(8, 1024, 3072, 16).program,
-            Cluster(1),
+            lambda: AttentionWorkload.build(8, 1024, 3072, 16),
+            Cluster(1), None,
         ),
         "moe": (
-            lambda: MoEWorkload.build(512, 1024, 4096, 32).program,
-            Cluster(2),
+            lambda: MoEWorkload.build(512, 1024, 4096, 32),
+            Cluster(2), None,
         ),
     }
 
 
-def run_workload(build: Callable, cluster: Cluster, repeats: int) -> dict:
-    """One workload's row, from the fastest of ``repeats`` tuner runs."""
+def run_workload(
+    build: Callable, cluster: Cluster, repeats: int,
+    paper: Optional[str] = None,
+) -> dict:
+    """One workload's row, from the fastest of ``repeats`` tuner runs.
+
+    With ``paper``, the row's ``paper_schedule`` says whether the pick
+    lowers to that named schedule (equal structural hashes, the
+    tuner's own dedup key).
+    """
     wall = float("inf")
     result = None
     for _ in range(repeats):
-        program = build()
+        workload = build()
         t0 = time.perf_counter()
-        r = Autotuner(cluster, max_depth=MAX_DEPTH).tune(program)
+        r = Autotuner(cluster, max_depth=MAX_DEPTH).tune(workload.program)
         elapsed = time.perf_counter() - t0
         if elapsed < wall:
             wall, result = elapsed, r
@@ -106,7 +125,7 @@ def run_workload(build: Callable, cluster: Cluster, repeats: int) -> dict:
     # utilization of the winning schedule, from the timeline's recorded
     # resources (Timeline.utilization needs no task list)
     tl, _ = ProgramCostModel(cluster).timeline(result.best.schedule)
-    return {
+    row = {
         "seconds": wall,
         "candidates": len(result.candidates),
         "candidates_per_sec": len(result.candidates) / wall,
@@ -116,14 +135,20 @@ def run_workload(build: Callable, cluster: Cluster, repeats: int) -> dict:
         "best_gpu_utilization": tl.utilization("gpu:"),
         "best_fabric_utilization": tl.utilization("fabric:"),
     }
+    if paper is not None:
+        named = workload.schedules()[paper]
+        row["paper_schedule"] = structural_hash(
+            result.best.schedule.lowered(cluster=cluster)
+        ) == structural_hash(named.lowered(cluster=cluster))
+    return row
 
 
 def run_suite(smoke: bool = False, repeats: int = None) -> dict:
     if repeats is None:
         repeats = 1 if smoke else 3
     rows = {}
-    for name, (build, cluster) in workload_suite(smoke).items():
-        rows[name] = run_workload(build, cluster, repeats)
+    for name, (build, cluster, paper) in workload_suite(smoke).items():
+        rows[name] = run_workload(build, cluster, repeats, paper)
     return {
         "benchmark": "tuner",
         "max_depth": MAX_DEPTH,
@@ -162,6 +187,11 @@ def report(payload: dict) -> str:
     )
     for name, r in rows.items():
         lines.append(f"  {name}: best = {r['best']}")
+        if "paper_schedule" in r:
+            lines.append(
+                f"  {name}: lowers to the paper's fuse(RS-Opt-AG) = "
+                f"{r['paper_schedule']}"
+            )
     return save_report("tuner", lines)
 
 

@@ -51,7 +51,7 @@ from repro.core.transforms import (
 from repro.core.transforms.reorder import _check_alltoall_commutes
 from repro.core.transforms.plan import FusedBlock, KernelKind
 from repro.errors import AutotunerError, TransformError
-from repro.perf.program_cost import ProgramCostModel
+from repro.perf.program_cost import COST_MODEL_VERSION, ProgramCostModel
 
 #: Pointwise fusion threshold: maximal regions larger than this are not
 #: fused ("fuses all pointwise computations up to a pre-defined
@@ -307,12 +307,14 @@ class Autotuner:
         """The schedule-cache pair a tune of ``program`` is filed under.
 
         The untransformed program's structural hash, and the topology
-        signature extended with the search depth: a record tuned at one
-        depth never answers a tune at another.
+        signature extended with the search depth and the cost model's
+        version: a record tuned at one depth, or by an older pricing of
+        the same candidates, never answers a tune.
         """
         return (
             self._plan_signature(Schedule(program)),
-            f"{self.cluster.signature()}/max_depth={self.max_depth}",
+            f"{self.cluster.signature()}/max_depth={self.max_depth}"
+            f"/cost_model={COST_MODEL_VERSION}",
         )
 
     def tune(self, program: Program) -> TuneResult:

@@ -18,7 +18,7 @@ become chunk orchestrators with a producer stream thread (Section 5.3).
 from __future__ import annotations
 
 import textwrap
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core import dfg, ops
 from repro.core.codegen.loc import count_loc
@@ -766,19 +766,12 @@ class CodeGenerator:
         """The per-rank harness: place this rank's shard, launch, return.
 
         Inputs arrive already placed: each is this rank's storage array
-        (its region under :func:`repro.runtime.spmd.launch`). Kernels
-        read an input's value on entry, so only an input that an
-        ``Update`` or an ``AllGather`` writeback mutates in place is
-        copied; every other input is read where it lies. Outputs and
-        states are returned per-rank and reassembled by the launcher.
+        (its region under :func:`repro.runtime.spmd.launch`), read
+        where it lies unless :func:`_inputs_to_copy` finds a read that
+        can follow an in-place write. Outputs and states are returned
+        per-rank and reassembled by the launcher.
         """
-        mutated = {
-            e.target.name for e in program.operations
-            if isinstance(e, ops.Update)
-        } | {
-            e.writeback.name for e in program.operations
-            if isinstance(e, ops.AllGather) and e.writeback is not None
-        }
+        copied = _inputs_to_copy(program)
         em.emit("def run_rank(comm, inputs):")
         em.indent += 1
         em.emit('"""Execute this rank\'s shard; returns local outputs/states."""')
@@ -795,7 +788,7 @@ class CodeGenerator:
             em.indent += 1
             if isinstance(t, Tensor):
                 em.emit(f"T[{t.name!r}] = np.asarray(inputs[{t.name!r}])")
-                copy = ".copy()" if t.name in mutated else ""
+                copy = ".copy()" if t.name in copied else ""
                 em.emit(f"V[{t.name!r}] = T[{t.name!r}]{copy}")
             else:
                 em.emit(f"V[{t.name!r}] = np.asarray(inputs[{t.name!r}])")
@@ -836,6 +829,37 @@ class CodeGenerator:
         em.emit("return outputs, states")
         em.indent -= 1
         em.emit()
+
+
+def _inputs_to_copy(program: Program) -> Set[str]:
+    """Names of the inputs ``run_rank`` must copy before any kernel runs.
+
+    An input is written in place by its ``Update`` and by any
+    ``AllGather`` writeback, and every op reading it means its value at
+    program start. A reader that is a DFG ancestor of every writer runs
+    before them all, so it sees that value in the storage itself; only
+    an input with some other reader (or one that is itself an output)
+    needs a private copy.
+    """
+    writers: Dict[str, List[Expr]] = {}
+    readers: Dict[str, List[Expr]] = {}
+    for e in program.operations:
+        if isinstance(e, ops.Update):
+            writers.setdefault(e.target.name, []).append(e)
+        elif isinstance(e, ops.AllGather) and e.writeback is not None:
+            writers.setdefault(e.writeback.name, []).append(e)
+        for x in e.inputs:
+            if isinstance(x, Tensor):
+                readers.setdefault(x.name, []).append(e)
+    outputs = {o.name for o in program.outputs}
+    copy: Set[str] = set()
+    for name, ws in writers.items():
+        upstream = [dfg.reachable([w]) for w in ws]
+        if name in outputs or any(
+            r not in up for r in readers.get(name, ()) for up in upstream
+        ):
+            copy.add(name)
+    return copy
 
 
 def _sanitize(name: str) -> str:

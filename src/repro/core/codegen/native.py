@@ -301,66 +301,53 @@ PRELUDE = r"""
 #include <math.h>
 
 /* -- IEEE half <-> double, bit-exact with numpy's astype ------------- */
+/* Both conversions are branch-free (selects, no loops or early
+ * returns), so -O3 vectorizes the loops that call them. */
 
 static inline double repro_h2d(uint16_t h) {
-    uint32_t sign = (uint32_t)(h >> 15) << 31;
-    uint32_t exp = (h >> 10) & 0x1fu;
-    uint32_t man = h & 0x3ffu;
-    uint32_t f;
-    float out;
-    if (exp == 0) {
-        if (man == 0) {
-            f = sign;                       /* +-0 */
-        } else {                            /* subnormal: normalize */
-            exp = 113;                      /* 127 - 15 + 1 */
-            while (!(man & 0x400u)) { man <<= 1; exp--; }
-            f = sign | (exp << 23) | ((man & 0x3ffu) << 13);
-        }
-    } else if (exp == 31) {                 /* inf / nan, keep payload */
-        f = sign | 0x7f800000u | (man << 13);
-    } else {
-        f = sign | ((exp + 112u) << 23) | (man << 13);
-    }
-    memcpy(&out, &f, 4);
+    uint32_t w = (uint32_t)h << 16;
+    uint32_t two_w = w + w;                 /* exponent + mantissa, no sign */
+    /* normals, inf and nan: rebias the exponent by 2^-112 */
+    uint32_t nbits = (two_w >> 4) + (0xe0u << 23);
+    /* subnormals: 0.5 + man * 2^-24, minus 0.5 — exact */
+    uint32_t dbits = (two_w >> 17) | (126u << 23);
+    float normal, subnormal, out;
+    uint32_t bits;
+    memcpy(&normal, &nbits, 4);
+    memcpy(&subnormal, &dbits, 4);
+    normal *= 0x1.0p-112f;
+    subnormal -= 0.5f;
+    memcpy(&nbits, &normal, 4);
+    memcpy(&dbits, &subnormal, 4);
+    bits = (w & 0x80000000u) | (two_w < (1u << 27) ? dbits : nbits);
+    memcpy(&out, &bits, 4);
     return (double)out;
 }
 
-/* round-to-nearest-even double -> half, single-step (no double
- * rounding through float) — matches numpy's float64->float16 cast */
+/* round-to-nearest-even double -> half in one rounding (no double
+ * rounding through float) — matches numpy's float64->float16 cast.
+ * Adding 2^(E+42), E = max(exponent, -14), leaves the double ulp at
+ * exactly the half ulp of |d|'s binade, so the FPU's own RNE addition
+ * is the rounding; the sum's low 12 mantissa bits are then the half
+ * significand (implicit bit included, a carry bumps the exponent). */
 static inline uint16_t repro_d2h(double d) {
-    uint64_t bits;
+    uint64_t bits, mag, magic_bits, sum_bits, h;
+    int64_t e, be;
+    double magic, a, sum;
     memcpy(&bits, &d, 8);
-    uint16_t sign = (uint16_t)((bits >> 48) & 0x8000u);
-    uint64_t mag = bits & 0x7fffffffffffffffULL;
-    int e;
-    uint64_t m, keep, rem, half;
-    int shift;
-    if (mag >= 0x7ff0000000000000ULL) {     /* inf / nan */
-        return mag > 0x7ff0000000000000ULL ? (uint16_t)(sign | 0x7e00u)
-                                           : (uint16_t)(sign | 0x7c00u);
-    }
-    e = (int)(mag >> 52) - 1023;
-    if (e >= 16) return (uint16_t)(sign | 0x7c00u);   /* overflow */
-    /* 53-bit significand; double subnormals (biased exp 0) get a bogus
-     * implicit bit but land in the shift>63 underflow branch anyway */
-    m = (mag & 0xfffffffffffffULL) | 0x10000000000000ULL;
-    if (e >= -14) {                         /* normal half range */
-        shift = 42;
-        keep = m >> shift;
-        rem = m & ((1ULL << shift) - 1);
-        half = 1ULL << (shift - 1);
-        if (rem > half || (rem == half && (keep & 1))) keep++;
-        /* keep==0x800 bumps the exponent (and 30<<10 + 0x400 == inf) */
-        return (uint16_t)(sign | (((uint64_t)(e + 15) << 10)
-                                  + (keep - 0x400ULL)));
-    }
-    shift = 28 - e;                         /* half-subnormal domain */
-    if (shift > 63) return sign;            /* underflow to +-0 */
-    keep = m >> shift;
-    rem = m & ((1ULL << shift) - 1);
-    half = 1ULL << (shift - 1);
-    if (rem > half || (rem == half && (keep & 1))) keep++;
-    return (uint16_t)(sign | keep);         /* 0x400 = smallest normal */
+    mag = bits & 0x7fffffffffffffffULL;
+    e = (int64_t)(mag >> 52);               /* biased exponent */
+    be = e < 1009 ? 1009 : e;               /* 1009 = 2^-14, half min normal */
+    be = be > 1038 ? 1038 : be;             /* keep the magic finite */
+    magic_bits = (uint64_t)(be + 42) << 52;
+    memcpy(&magic, &magic_bits, 8);
+    memcpy(&a, &mag, 8);
+    sum = magic + a;
+    memcpy(&sum_bits, &sum, 8);
+    h = ((uint64_t)(be - 1009) << 10) + (sum_bits & 0xfffULL);
+    h = e >= 1039 ? 0x7c00u : h;            /* |d| >= 2^16: inf */
+    h = mag > 0x7ff0000000000000ULL ? 0x7e00u : h;   /* nan */
+    return (uint16_t)(((bits >> 48) & 0x8000u) | h);
 }
 
 /* numpy maximum/minimum: (in1 OP in2 || isnan(in1)) ? in1 : in2 */
@@ -685,21 +672,23 @@ def _load(cvar: str, dt: str, idx: str) -> str:
     return f"{cvar}[{idx}]"
 
 
-def _store(cvar: str, dt: str, idx: str, val: str) -> str:
-    if dt == "float16":
-        return f"{cvar}[{idx}] = repro_d2h({val});"
-    if dt == "float32":
-        return f"{cvar}[{idx}] = (float){val};"
-    return f"{cvar}[{idx}] = {val};"
+def _rounded(dt: str, var: str, expr: str) -> Tuple[List[str], str]:
+    """Bind ``var`` to ``expr`` rounded to ``dt``'s value domain.
 
-
-def _round(dt: str, expr: str) -> str:
-    """Round a double to the expression dtype's value domain."""
+    Returns the C lines and the value a store into a ``dt`` array
+    writes. An FP16 value keeps its half bits, so storing it is the one
+    ``repro_d2h`` that rounded it, not a second one of the widened
+    double (the compiler drops the ``repro_h2d`` when ``var`` is unread).
+    """
     if dt == "float16":
-        return f"repro_h2d(repro_d2h({expr}))"
+        bits = f"h{var}"
+        return [
+            f"uint16_t {bits} = repro_d2h({expr});",
+            f"double {var} = repro_h2d({bits});",
+        ], bits
     if dt == "float32":
-        return f"(double)(float)({expr})"
-    return expr
+        return [f"double {var} = (double)(float)({expr});"], f"(float){var}"
+    return [f"double {var} = {expr};"], var
 
 
 class _Array:
@@ -875,7 +864,8 @@ class NativeEmitter:
                 core = operand(e.inputs[0])
             var = f"e{j}"
             dt = _cdt(e.dtype)
-            body.append(f"double {var} = {_round(dt, core)};")
+            lines, stored = _rounded(dt, var, core)
+            body.extend(lines)
             var_of[id(e)] = var
             if self._escapes(e, run_ids):
                 out = _Array(
@@ -883,7 +873,7 @@ class NativeEmitter:
                 )
                 arrays.append(out)
                 stores.append((e, out))
-                body.append(_store(out.cvar, out.dt, "i", var))
+                body.append(f"{out.cvar}[i] = {stored};")
 
         fn = self._fresh_fn(f"s_{run[0].name}")
         lines = [f"void {fn}(char** A, double* S) {{"]

@@ -13,7 +13,8 @@ the numeric executor interprets and the code generator emits:
   *c* of the producer, each kernel is launched once, and a per-chunk
   spin-lock synchronization cost is charged;
 * fused collectives additionally pay the §5.4 scattered-tensor bucket
-  table (12 · ⌈N / 2^10⌉ bytes) as HBM traffic.
+  table (12 · ⌈N / 2^10⌉ bytes) as HBM traffic, and one ring allgather
+  for every AllGather beyond the one their RS..AG ring covers.
 
 This model is the autotuner's objective function and the basis of every
 benchmark figure.
@@ -51,6 +52,18 @@ from repro.perf.engine import Engine, Task, Timeline
 #: Cost of one fine-grained spin-lock wake between overlapped kernels
 #: ("an efficient fine-grained spin-lock on a memory buffer", §5.3).
 SPINLOCK_SYNC_OVERHEAD = 1.2e-6
+
+#: Version of the pricing rules. Bump it whenever a rule change can
+#: change which schedule wins: the autotuner files schedule-cache
+#: records under it, so a record tuned by an older model misses instead
+#: of serving a stale pick. Version 2 charges every AllGather of a
+#: fused collective beyond the first.
+COST_MODEL_VERSION = 2
+
+
+def _exchange_bytes(comm: Expr) -> int:
+    """Per-rank bytes a collective moves: the larger of its two sides."""
+    return max(comm.inputs[0].per_rank_bytes(), comm.per_rank_bytes())
 
 
 @dataclass
@@ -432,9 +445,7 @@ class ProgramCostModel:
     ) -> Tuple[float, float]:
         """(time, head) of a collective; head = latency + setup part."""
         kind = comm.comm_kind
-        nbytes = max(
-            comm.inputs[0].per_rank_bytes(), comm.per_rank_bytes()
-        )
+        nbytes = _exchange_bytes(comm)
         group = comm.group
         node_size = getattr(comm, "node_size", None)
         if group.size <= 1:
@@ -461,26 +472,42 @@ class ProgramCostModel:
         return t, head
 
     def _fused_collective_cost(self, kernel: Kernel) -> KernelCost:
+        """One fused collective kernel: ring exchange ∥ fused compute.
+
+        The communication is a ring AllReduce of the ReduceScatter's
+        bytes when the kernel holds RS..AG (its second half is the
+        first AllGather), a ring ReduceScatter when it holds no gather,
+        and the anchor collective's own ring otherwise. Every AllGather
+        beyond the first is one more ring allgather of its own bytes:
+        gathering ``p``, ``m`` and ``v`` costs more than gathering
+        ``p`` alone, which is what lets the tuner prefer sliced
+        optimizer state (Figure 6b, ``slice_state``). The compute
+        streams alongside; the kernel takes the longer of the two.
+        """
         comm_ops = [e for e in kernel.exprs if isinstance(e, ops.CommOp)]
         comp_ops = [e for e in kernel.exprs if not isinstance(e, ops.CommOp)]
-        # The communication structure is an AllReduce-equivalent ring
-        # (RS..AG) or a plain AR; fused collectives are ring-only.
         scatters = [e for e in comm_ops if isinstance(e, ops.ReduceScatter)]
+        extra_gathers: List[Expr] = []
         if scatters:
             anchor = scatters[0]
             kind = "allreduce"
             gathers = [e for e in comm_ops if isinstance(e, ops.AllGather)]
             if not gathers:
                 kind = "reducescatter"
+            extra_gathers = gathers[1:]
         else:
             anchor = comm_ops[0]
             kind = anchor.comm_kind
-        nbytes = max(
-            anchor.inputs[0].per_rank_bytes(), anchor.per_rank_bytes()
-        )
         group = anchor.group
         node_size = getattr(anchor, "node_size", None)
-        comm_time = self._ring_min_time(kind, nbytes, group, node_size)
+        comm_time = self._ring_min_time(
+            kind, _exchange_bytes(anchor), group, node_size
+        )
+        for ag in extra_gathers:
+            comm_time += self._ring_min_time(
+                "allgather", _exchange_bytes(ag), ag.group,
+                getattr(ag, "node_size", None),
+            )
         if kind.startswith("alltoall"):
             # A fused AllToAll applies the pointwise ops to each chunk
             # as the exchange stages it — "directly passing the output

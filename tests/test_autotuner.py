@@ -3,10 +3,14 @@
 import pytest
 
 from repro.cluster import Cluster
+from repro.core.artifact import structural_hash
 from repro.core.autotuner import Autotuner, _fuse_pointwise_regions
+from repro.core.dtypes import FP32
 from repro.core.transforms import Schedule
 from repro.workloads.adam import AdamWorkload
 from repro.workloads.attention import AttentionWorkload
+from repro.workloads.lamb import LambWorkload
+from repro.workloads.moe import MoEWorkload
 from repro.workloads.pipeline import PipelineWorkload
 from tests.conftest import build_attention_program
 
@@ -51,10 +55,9 @@ class TestSearch:
         assert result.best.name == "fused-compute"
 
     def test_adam_large_prefers_distributed(self):
-        # Figure 10a: "fuse(RS-A-AG) runs best after 2^17". The
-        # plan-signature dedup (which no longer skips order-dependent
-        # move scripts) surfaces exactly that schedule: split + reorder
-        # + arfuse = the fused FusedAllReduce update.
+        # Figure 10a: "fuse(RS-A-AG) runs best after 2^17": split +
+        # reorder + arfuse + slice_state is the fused FusedAllReduce
+        # update over sliced optimizer state (TestPaperOptimizerSchedule)
         wl = AdamWorkload.build(2**28, 256)
         result = Autotuner(Cluster(16)).tune(wl.program)
         assert "split" in result.best.name
@@ -101,3 +104,71 @@ class TestSearch:
         result = Autotuner(Cluster(1)).tune(wl.program)
         for c in result.candidates:
             assert c.schedule.program.operations  # validates the DFG
+
+
+class TestPaperOptimizerSchedule:
+    """The tuned Adam/LAMB is the paper's fuse(RS-Opt-AG) (Figure 6b):
+    the state is sliced and only p is gathered, because every extra
+    AllGather of a fused collective is priced."""
+
+    @pytest.mark.parametrize(
+        "workload, n, world_size, nodes",
+        [
+            (AdamWorkload, 2**22, 2, 1),
+            (AdamWorkload, 2**18, 16, 1),
+            (AdamWorkload, 2**16, 2, 1),
+            (AdamWorkload, 2**16, 1, 1),
+            (AdamWorkload, 2**12, 2, 1),
+            (AdamWorkload, 2**26, 64, 4),
+            (LambWorkload, 2**26, 64, 4),
+            (LambWorkload, 2**18, 16, 1),
+        ],
+    )
+    def test_tuned_optimizer_is_the_named_fused_schedule(
+        self, workload, n, world_size, nodes
+    ):
+        wl = workload.build(n, world_size)
+        cluster = Cluster(nodes)
+        best = Autotuner(cluster).tune(wl.program).best
+        assert best.name.endswith("slice_state")
+        assert structural_hash(
+            best.schedule.lowered(cluster=cluster)
+        ) == structural_hash(wl.schedule_fused().lowered(cluster=cluster))
+
+    @pytest.mark.parametrize(
+        "build, nodes, name, time",
+        [
+            (
+                lambda: AttentionWorkload.build(4, 64, 256, 2), 1,
+                "split(sum) ; reorder(ag_sum) ; arfuse(rs_sum)",
+                1.5987821176470587e-05,
+            ),
+            (
+                lambda: AttentionWorkload.build(4, 256, 1024, 16), 1,
+                "split(sum) ; reorder(ag_sum) ; arfuse(rs_sum)",
+                5.851794196078432e-05,
+            ),
+            (
+                lambda: MoEWorkload.build(
+                    capacity=512, model_dim=512, ffn_dim=2048,
+                    world_size=2, dtype=FP32,
+                ), 1,
+                "a2areorder(combine) ; a2afuse(a2a_out) ; overlap",
+                0.00044042994152782987,
+            ),
+            (
+                lambda: MoEWorkload.build(128, 512, 2048, 32), 2,
+                "a2areorder(combine) ; a2asplit(a2a_out) ; overlap ; "
+                "a2asplit(dispatch)",
+                0.0009185090509803922,
+            ),
+        ],
+    )
+    def test_attention_and_moe_picks_unchanged(
+        self, build, nodes, name, time
+    ):
+        # their fused kernels gather once (or not at all), so pricing
+        # extra gathers leaves the pick and its predicted time alone
+        best = Autotuner(Cluster(nodes)).tune(build().program).best
+        assert best.name == name
+        assert best.time == pytest.approx(time, rel=1e-12)

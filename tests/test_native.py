@@ -123,6 +123,36 @@ class TestHalfConversions:
             ref = vals.astype(np.float16).view(np.uint16)
         np.testing.assert_array_equal(out, ref)
 
+    def test_d2h_one_ulp_around_every_half_midpoint(self, kernel_cache):
+        # the rounding boundary of every binade, subnormals and the
+        # 65504 -> inf edge included: a midpoint ties to even, one
+        # double ulp either side must round away from the tie
+        k = native.load_kernels(_CONV_HARNESS)
+        halves = (
+            np.arange(0x7c00, dtype=np.uint16)
+            .view(np.float16).astype(np.float64)
+        )
+        upper = np.append(halves[1:], 65536.0)
+        mids = (halves + upper) / 2.0
+        vals = np.concatenate([
+            mids,
+            np.nextafter(mids, np.inf),
+            np.nextafter(mids, -np.inf),
+        ])
+        vals = np.concatenate([vals, -vals])
+        out = np.empty(len(vals), dtype=np.uint16)
+        k.call("conv_d2h", (vals, out), (float(len(vals)),))
+        with np.errstate(over="ignore"):
+            ref = vals.astype(np.float16).view(np.uint16)
+        np.testing.assert_array_equal(out, ref)
+
+    def test_d2h_nan_and_overflow(self, kernel_cache):
+        k = native.load_kernels(_CONV_HARNESS)
+        vals = np.array([np.nan, -np.nan, np.inf, -np.inf, 1e300])
+        out = np.empty(len(vals), dtype=np.uint16)
+        k.call("conv_d2h", (vals, out), (float(len(vals)),))
+        assert list(out) == [0x7e00, 0xfe00, 0x7c00, 0xfc00, 0x7c00]
+
 
 @needs_cc
 class TestKernelCache:
@@ -250,7 +280,9 @@ class TestRankDataPath:
         sched = AdamWorkload.build(1024, 2).schedules()["fuse(RS-Adam-AG)"]
         gen = CodeGenerator(target="native").generate(sched)
         copied = re.findall(r"V\['(\w+)'\] = T\['\1'\]\.copy\(\)", gen.source)
-        assert sorted(copied) == ["m", "p", "v"]
+        # every read of m, v and p is upstream of the write that
+        # updates it in place: no input needs a private copy
+        assert copied == []
         assert "V['g'] = T['g']\n" in gen.source
         # every rank checks that each state it returns is its input
         # region, updated in place or never written
@@ -273,6 +305,57 @@ class TestRankDataPath:
         nat = launch(gen, inputs, allow_downcast=True, timeout=240.0)
         low = Executor().run_lowered(sched, inputs, allow_downcast=True)
         assert _digest(nat) == _digest(low)
+
+    @staticmethod
+    def _read_after_update(overlapped):
+        """``out = Update(x, 0.5x) + (x @ w or 3x)``: the second operand
+        reads x after the Update wrote its storage, so x keeps its copy.
+        ``overlapped`` puts that read in an overlapped MatMul→AllReduce
+        ChunkLoop."""
+        from repro.core import (
+            FP32, RANK, AllReduce, Binary, Execute, Local, MatMul,
+            Replicated, Tensor, Update, world,
+        )
+        from repro.core.transforms import Schedule
+
+        W = world(2)
+        x = Tensor(FP32, (8, 16), Replicated, W, name="x")
+        u = Update(x, Binary("*", x, 0.5), name="x_")
+        if overlapped:
+            w = Tensor(FP32, (16, 16), Local, W, RANK, name="w")
+            mm = MatMul(x, w, name="mm")
+            late = AllReduce("+", mm, name="ar")
+            inputs = [x, w]
+        else:
+            late = Binary("*", x, 3.0, name="x3")
+            inputs = [x]
+        out = Binary("+", u, late, name="out")
+        sched = Schedule(Execute("read_after_update", inputs, [out]))
+        if overlapped:
+            sched.overlap(mm, late)
+            assert sched.lowered().chunk_loops()
+        rng = np.random.RandomState(5)
+        values = {"x": rng.randn(8, 16)}
+        if overlapped:
+            values["w"] = rng.randn(2, 16, 16)
+        return sched, values
+
+    @pytest.mark.parametrize("overlapped", [False, True])
+    @pytest.mark.parametrize("target", ["spmd", "native"])
+    def test_read_after_update_keeps_its_copy(
+        self, kernel_cache, target, overlapped
+    ):
+        sched, inputs = self._read_after_update(overlapped)
+        gen = CodeGenerator(target=target).generate(sched)
+        copied = re.findall(r"V\['(\w+)'\] = T\['\1'\]\.copy\(\)", gen.source)
+        assert copied == ["x"]
+        ex = Executor()
+        low = ex.run_lowered(sched, inputs, allow_downcast=True)
+        got = ex.run_spmd(
+            sched, inputs, allow_downcast=True, codegen_target=target,
+            timeout=120.0,
+        )
+        assert _digest(got) == _digest(low)
 
 
 class TestTimeoutAllowance:

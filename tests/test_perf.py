@@ -8,6 +8,7 @@ from repro.cluster import Cluster
 from repro.core import (
     FP16,
     RANK,
+    AllGather,
     AllReduce,
     Execute,
     MatMul,
@@ -323,3 +324,49 @@ class TestProgramCost:
         parts = ProgramCostModel(Cluster(1)).kernel_breakdown(sched)
         slice_costs = [v for k, v in parts.items() if k.startswith("slice")]
         assert slice_costs and all(v == 0.0 for v in slice_costs)
+
+
+def _fused_optimizer(wl, gathered):
+    """split ; reorder ; arfuse of ``wl``'s update, with the state not
+    in ``gathered`` sliced and its AllGather dead (Figure 6b)."""
+    sched = Schedule(wl.program)
+    comps = sched.fuse(*wl.compute_ops, policy=ComputationFuse)
+    rs, ag = sched.split(wl.avg)
+    block, *gathers = sched.reorder(ag, comps)
+    for state in (wl.momentum, wl.velocity):
+        if state.name not in gathered:
+            sched.asSlice(state, dim=0)
+    kept = []
+    for gather in map(sched.resolve, gathers):
+        if gather.writeback.name in gathered:
+            kept.append(gather)
+        else:
+            sched.dead(gather)
+    sched.fuse(rs, block, *kept, policy=AllReduceFuse)
+    return sched
+
+
+class TestFusedCollectiveGathers:
+    def test_each_extra_gather_is_priced(self):
+        from repro.workloads.adam import AdamWorkload
+
+        wl = AdamWorkload.build(2**22, 2)
+        pcm = ProgramCostModel(Cluster(1))
+        prices = []
+        for gathered in (["p"], ["p", "m"], ["p", "m", "v"]):
+            sched = _fused_optimizer(wl, gathered)
+            (fused,) = [
+                k for k in sched.plan().kernels
+                if k.kind.value == "fused_collective"
+            ]
+            assert sum(
+                isinstance(e, AllGather) for e in fused.exprs
+            ) == len(gathered)
+            prices.append(pcm.kernel_breakdown(sched)[fused.name])
+        assert prices[0] < prices[1] < prices[2]
+        # one gather rides the RS..AG ring: the price before extra
+        # gathers were charged, and the named schedule's
+        assert prices[0] == pytest.approx(7.819300392156862e-05, rel=1e-12)
+        assert pcm.time(wl.schedule_fused()) == pytest.approx(
+            prices[0], rel=1e-12
+        )

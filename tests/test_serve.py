@@ -38,6 +38,7 @@ from repro.core.autotuner import Autotuner
 from repro.core.transforms import Schedule
 from repro.errors import CoCoNetError
 from repro.observe.metrics import MetricsRegistry
+from repro.perf.program_cost import COST_MODEL_VERSION
 from repro.runtime.executor import Executor
 from repro.serve import CachedSchedule, ScheduleCache, ScheduleCacheError
 from repro.workloads.adam import AdamWorkload
@@ -78,7 +79,8 @@ def cache_key(program, nodes=1, depth=2):
     cluster = Cluster(nodes)
     return (
         structural_hash(Schedule(program).lowered(cluster=cluster)),
-        f"{cluster.signature()}/max_depth={depth}",
+        f"{cluster.signature()}/max_depth={depth}"
+        f"/cost_model={COST_MODEL_VERSION}",
     )
 
 
@@ -276,6 +278,27 @@ class TestAutotunerCacheHook:
         assert deeper.cache_key[0] == cold.cache_key[0]
         assert metrics.get("tuner.cache_misses") == 1
         assert metrics.get("tuner.candidates") == len(deeper.candidates) > 1
+        assert len(cache) == 2
+
+    def test_record_from_an_older_cost_model_misses(self, tmp_path):
+        # a record filed before the cost model's version joined the key
+        # (the unsliced Adam pick of the old pricing) never answers
+        import dataclasses
+
+        cache = ScheduleCache(str(tmp_path))
+        cold = tune_into(cache)
+        rec = cache.get(*cold.cache_key)
+        old_topology = cold.cache_key[1].rsplit("/cost_model=", 1)[0]
+        os.remove(cache.record_path(*cold.cache_key))
+        cache.put(dataclasses.replace(rec, topology=old_topology))
+        assert cache.get(cold.cache_key[0], old_topology) is not None
+        metrics = MetricsRegistry()
+        again = Autotuner(
+            Cluster(1), max_depth=2, metrics=metrics, schedule_cache=cache
+        ).tune(AdamWorkload.build(64, 4).program)
+        assert not again.cached
+        assert again.cache_key == cold.cache_key
+        assert metrics.get("tuner.cache_misses") == 1
         assert len(cache) == 2
 
     def test_topology_splits_records(self, tmp_path):

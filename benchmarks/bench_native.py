@@ -1,8 +1,9 @@
 """Native compiled kernels vs the Python SPMD interpreter.
 
 ``CodeGenerator(target="native")`` renders each lowered kernel's
-elementwise chain into one fused C loop (GEMMs dispatch to BLAS) and
-binds the compiled library into the same per-rank OS processes the
+elementwise chain into one fused C loop (GEMMs stay numpy's
+``np.matmul``, FP16 operands upcast to FP32) and binds the compiled
+library into the same per-rank OS processes the
 ``spmd`` target uses — same :mod:`repro.runtime.spmd` communicator,
 same ChunkLoop overlap orchestrator, only the per-rank compute swapped.
 This benchmark measures that swap on the paper's two flagship
@@ -15,9 +16,10 @@ workloads:
   Elementwise-only, so outputs must be **bit-identical** to
   ``Executor.run_lowered``.
 * **moe** — the overlapped GShard MoE schedule (Figure 10 family):
-  AllToAll + expert GEMMs under the ring chunk loop. GEMM-bearing, so
-  outputs are held to the documented BLAS tolerance (fp16: rtol 1e-2,
-  atol 1e-3) — BLAS reassociates the K-dim sum.
+  AllToAll + expert GEMMs under the ring chunk loop. Its GEMMs are
+  FP16, so outputs are held to the documented tolerance (rtol 1e-2,
+  atol 1e-3): the interpreter runs numpy's half matmul loop, native an
+  FP32 GEMM of the upcast operands rounded once to half.
 
 Timing uses ``result.spmd_seconds`` (rank-body seconds, barrier-synced,
 excluding process spawn). The native side is warmed first: the cold

@@ -27,12 +27,12 @@ be bit-identical to the lowered interpreter. Generated line counts feed
 Table 3.
 
 ``CodeGenerator(target="native")`` emits the same per-rank module with
-the compute segments rendered to C — elementwise chains fused into one
-compiled loop each, GEMMs dispatched to BLAS — built with ``cc`` and
-memoized in :mod:`repro.core.codegen.native`'s on-disk
-content-addressed kernel cache. Communication still runs over the
-``SpmdCommunicator``, so overlap chunk loops release real compute
-early.
+its elementwise chains rendered to C, fused into one compiled loop
+each, built with ``cc`` and memoized in
+:mod:`repro.core.codegen.native`'s on-disk content-addressed kernel
+cache. GEMMs stay numpy's ``np.matmul``, as on every tier.
+Communication still runs over the ``SpmdCommunicator``, so overlap
+chunk loops release real compute early.
 """
 
 from repro import lazy_exports

@@ -149,12 +149,12 @@ class CodeGenerator:
     instruction stream, executed by real communicating processes, and
     bit-identical to the lowered interpreter. ``target="spmd"``
     (default) keeps every kernel in Python. ``target="native"`` emits
-    the same module with the compute segments rendered to C (fused
-    elementwise loops, BLAS GEMMs) and dispatched through
-    :mod:`repro.core.codegen.native`'s content-addressed kernel cache;
-    communication, overlap orchestration and non-C-able operations are
-    unchanged Python, so elementwise-only programs stay bit-identical
-    to the interpreter.
+    the same module with its elementwise chains rendered to fused C
+    loops and dispatched through :mod:`repro.core.codegen.native`'s
+    content-addressed kernel cache; GEMMs (FP16 operands upcast to
+    FP32), communication, overlap orchestration and non-C-able
+    operations are unchanged Python, so programs without FP16 GEMMs
+    stay bit-identical to the interpreter.
     """
 
     def __init__(self, target: str = "spmd") -> None:
@@ -420,16 +420,29 @@ class CodeGenerator:
         # contributes float64(float32(0.1)), not the raw double literal.
         return f"{self._ref(e)}.astype(np.float64)"
 
+    def _matmul(self, e: Expr) -> str:
+        """The library GEMM call for MatMul ``e``, on numpy's BLAS.
+
+        The native target upcasts FP16 operands to FP32 first: numpy's
+        half loop has no BLAS path and is far slower than an FP32 GEMM.
+        """
+        refs = [self._ref(x) for x in e.inputs]
+        if self._native:
+            refs = [
+                f"{r}.astype(np.float32)"
+                if _np_dtype(x) == "np.float16" else r
+                for r, x in zip(refs, e.inputs)
+            ]
+        a, b = refs
+        return f"np.asarray(np.matmul({a}, {b})).astype({_np_dtype(e)})"
+
     def _emit_op(self, em: _Emitter, e: Expr) -> None:
         o = ops
         out = f"V[{e.name!r}]"
         dt = _np_dtype(e)
         if isinstance(e, o.MatMul):
-            if self._nat is not None and self._nat.emit_gemm(self, em, e):
-                return
-            a, b = (self._ref(i) for i in e.inputs)
             em.emit("# library GEMM call (cuBLAS analogue)")
-            em.emit(f"{out} = np.asarray(np.matmul({a}, {b})).astype({dt})")
+            em.emit(f"{out} = {self._matmul(e)}")
         elif isinstance(e, o.Conv2D):
             em.emit("# library convolution call (cuDNN analogue)")
             em.emit(
@@ -682,7 +695,6 @@ class CodeGenerator:
         mm = mm_kernel.exprs[0]
         group = mm.group
         g = self._gname(group)
-        a, w = mm.inputs
         em.emit(f"if comm.rank not in RANKS_{g}:")
         em.indent += 1
         em.emit("return")
@@ -690,14 +702,7 @@ class CodeGenerator:
         em.emit(f"_i = {g}.local_rank(comm.rank)")
         em.emit("_rank = comm.rank")
         em.emit("# one kernel launch (§5.3 publish mode)")
-        if not (
-            self._nat is not None
-            and self._nat.emit_gemm(self, em, mm, out_var="_staging")
-        ):
-            em.emit(
-                f"_staging = np.asarray(np.matmul({self._ref(a)}, "
-                f"{self._ref(w)})).astype({_np_dtype(mm)})"
-            )
+        em.emit(f"_staging = {self._matmul(mm)}")
         # The chunk-token pipeline is only sound when the consumer's
         # first communication op is a group collective that actually
         # consumes the GEMM output on the producer's group — every

@@ -1,15 +1,13 @@
 """Native compiled codegen target: C kernels + a content-hash cache.
 
-The SPMD backend executes generated *Python* per rank, so after PR 5
-the interpreter is the hot path: every elementwise op pays a float64
-temporary and a full memory pass, and fp16 GEMMs fall into numpy's
-generic (BLAS-less) inner loop. This module renders the compute parts
-of a :class:`~repro.core.lower.LoweredProgram` kernel to C — maximal
-runs of elementwise ops fused into a *single* loop per segment, GEMMs
-dispatched to BLAS — compiles them with ``cc`` into one shared object
-per module, and memoizes the objects in an on-disk content-addressed
-kernel cache (tinygrad's hash→compile→``lru_cache`` pipeline, DaCe's
-build-folder flow).
+The SPMD backend executes generated *Python* per rank, so the
+interpreter is the hot path: every elementwise op pays a float64
+temporary and a full memory pass. This module renders the elementwise
+parts of a :class:`~repro.core.lower.LoweredProgram` kernel to C —
+maximal runs fused into a *single* loop per segment — compiles them
+with ``cc`` into one shared object per module, and memoizes the
+objects in an on-disk content-addressed kernel cache (tinygrad's
+hash→compile→``lru_cache`` pipeline, DaCe's build-folder flow).
 
 Bit-identity contract
 ---------------------
@@ -25,9 +23,14 @@ for fp16), comparisons/abs are exact on the upconverted doubles, and
 fp16 conversions implement IEEE round-to-nearest-even from the double
 — the same single-step rounding numpy's ``astype(np.float16)`` does —
 so elementwise-only programs are **bit-identical** to ``run_lowered``.
-GEMMs go to BLAS (or a naive tiled fallback) whose accumulation order
-differs from ``np.matmul``; those carry the documented fp tolerance
-(see EXPERIMENTS.md, "Native codegen").
+
+GEMMs are not compiled: like the paper's generated code, which leaves
+them to the vendor library, a MatMul stays the interpreter's own
+``np.matmul`` call on numpy's BLAS, so FP32/FP64 GEMM programs are
+bit-identical too. The one native-specific step is that FP16 operands
+are upcast to FP32 first (numpy's half loop is 45-100x slower than an
+FP32 GEMM); those results carry the documented tolerance (see
+EXPERIMENTS.md, "Native codegen").
 
 Kernel cache
 ------------
@@ -36,43 +39,31 @@ Kernel cache
 compiler identity and flags. Writes are concurrent-safe through
 :mod:`repro.store` — every rank process of a cold-cache run compiles
 behind a ``flock`` and installs via atomic ``os.replace`` — and
-stale/corrupt entries (unloadable or missing the expected symbols) are
-deleted and recompiled once.
+stale/corrupt entries (unloadable, or missing one of the source's own
+functions) are deleted and recompiled once.
 Hit/miss/compile-time counters land in :data:`metrics` (a
 :class:`~repro.observe.metrics.MetricsRegistry`) and, when a
 communicator is passed as ``observer``, in the rank's trace ring as
 instant events so Perfetto timelines show compile stalls.
 
-BLAS binding
-------------
-The compiled object never links BLAS: it exports
-``repro_bind_blas(void* sgemm, void* dgemm)`` and the loader injects
-raw cblas function pointers found at runtime (system
-``cblas``/``openblas`` first, then scipy's bundled
-``scipy_cblas_*gemm``). NULL pointers fall back to the naive tiled C
-GEMM — so the cache key is independent of which BLAS (if any) the
-machine has.
-
-Finding the compiler's version and the BLAS candidates forks
-subprocesses (``cc --version``, ``ldconfig``, the compiler again for
-``find_library``). A launcher resolves them once with
-:func:`toolchain_record` and ships the record to its rank processes,
-which :func:`prime` their memos from it and fork nothing.
+Finding the compiler's version forks ``cc --version``. A launcher
+resolves it once with :func:`toolchain_record` and ships the record to
+its rank processes, which :func:`prime` their memo from it and fork
+nothing.
 """
 
 from __future__ import annotations
 
+import _ctypes
 import ctypes
-import ctypes.util
-import glob
 import hashlib
-import importlib.util
 import os
+import re
 import shutil
 import subprocess
 import tempfile
 import time
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -146,106 +137,25 @@ def available() -> bool:
     return _find_cc() is not None
 
 
-class _Blas:
-    def __init__(self, path: str, lib, sgemm, dgemm) -> None:
-        self.path = path
-        self.lib = lib  # keep the dlopen handle alive
-        self.sgemm = sgemm
-        self.dgemm = dgemm
-
-
-_BLAS: "List[Optional[_Blas]]" = []  # lazy singleton ([] = unprobed)
-
-#: BLAS candidate paths adopted from a launching process by :func:`prime`
-_PRIMED_BLAS: List[str] = []
-
-#: :func:`toolchain_record` memo, keyed by the ``$CC``/``$REPRO_BLAS``
-#: settings it was resolved under
-_RECORDS: Dict[Tuple[Optional[str], Optional[str]], Dict[str, object]] = {}
-
-
-def _blas_candidates() -> Iterator[str]:
-    """BLAS library paths in probing order, each probed only when asked.
-
-    ``$REPRO_BLAS`` first, then the system ``cblas``/``openblas``/
-    ``blas`` (every ``find_library`` call forks ``ldconfig`` and the C
-    compiler), then scipy's bundled OpenBLAS, located without importing
-    scipy. The first loadable candidate wins, so the probes behind it
-    never run.
-    """
-    env = os.environ.get("REPRO_BLAS")
-    if env:
-        yield env
-    for name in ("cblas", "openblas", "blas"):
-        found = ctypes.util.find_library(name)
-        if found:
-            yield found
-    # scipy bundles an LP64 openblas with scipy_cblas_* symbols
-    spec = importlib.util.find_spec("scipy")
-    if spec is not None and spec.origin:
-        libs = os.path.join(os.path.dirname(spec.origin), "..",
-                            "scipy.libs", "*.so*")
-        yield from sorted(glob.glob(libs))
-
-
-def _first_blas(paths: Iterable[str]) -> Optional[_Blas]:
-    """The first of ``paths`` that loads and exports cblas GEMMs."""
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix in ("cblas_", "scipy_cblas_"):
-            try:
-                sgemm = getattr(lib, prefix + "sgemm")
-                dgemm = getattr(lib, prefix + "dgemm")
-            except AttributeError:
-                continue
-            # single-threaded BLAS: one process per rank already uses
-            # every core, and a fixed thread count keeps gemm results
-            # deterministic across repeat runs
-            for setter in (
-                "openblas_set_num_threads",
-                "scipy_openblas_set_num_threads",
-                "goto_set_num_threads",
-            ):
-                try:
-                    getattr(lib, setter)(1)
-                    break
-                except AttributeError:
-                    continue
-            return _Blas(path, lib, sgemm, dgemm)
-    return None
-
-
-def _load_blas() -> Optional[_Blas]:
-    if not _BLAS:
-        found = _first_blas(_PRIMED_BLAS)
-        if found is None:  # not primed, or no primed library loads
-            found = _first_blas(_blas_candidates())
-        _BLAS.append(found)
-    return _BLAS[0]
+#: :func:`toolchain_record` memo, keyed by the ``$CC`` it was resolved
+#: under
+_RECORDS: Dict[Optional[str], Dict[str, object]] = {}
 
 
 def toolchain_record() -> Dict[str, object]:
-    """The C compiler and BLAS candidates, resolved once per process.
+    """The C compiler, resolved once per process.
 
-    A plain picklable dict — ``{"cc", "cc_version", "blas"}``, the last
-    being every BLAS candidate path in probing order — that a launcher
+    A plain picklable dict — ``{"cc", "cc_version"}`` — that a launcher
     ships to its rank processes so each can :func:`prime` itself
-    instead of re-running the probes. Building it runs ``cc --version``
-    and the ``find_library`` probes, but loads no library: the
-    launching process never needs BLAS, and mapping it there would
-    only grow its resident set.
+    instead of re-running ``cc --version``.
     """
-    env = (os.environ.get("CC"), os.environ.get("REPRO_BLAS"))
+    env = os.environ.get("CC")
     record = _RECORDS.get(env)
     if record is None:
         cc = _find_cc()
         record = _RECORDS[env] = {
             "cc": cc,
             "cc_version": _cc_version(cc) if cc else None,
-            "blas": list(_blas_candidates()),
         }
     return record
 
@@ -253,16 +163,13 @@ def toolchain_record() -> Dict[str, object]:
 def prime(record: Dict[str, object]) -> None:
     """Adopt a launching process's :func:`toolchain_record`.
 
-    Seeds the ``cc --version`` memo and the BLAS candidates, so a rank
-    process resolves the same compiler identity (hence the same kernel
-    cache key) and the same library without forking a single probe. If
-    none of the recorded libraries loads, :func:`_load_blas` falls back
-    to probing.
+    Seeds the ``cc --version`` memo, so a rank process resolves the
+    same compiler identity (hence the same kernel cache key) without
+    forking.
     """
     cc, version = record.get("cc"), record.get("cc_version")
     if cc and version:
         _CC_VERSION.setdefault(cc, version)
-    _PRIMED_BLAS[:] = record.get("blas") or []
 
 
 def cache_dir() -> str:
@@ -273,10 +180,27 @@ def cache_dir() -> str:
     )
 
 
+def _numpy_blas() -> Optional[str]:
+    """The BLAS numpy was built with, from its build config.
+
+    Reads ``numpy.show_config``'s record only; no library is loaded.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.25, or no record
+        return None
+    if not blas.get("found") or "name" not in blas:
+        return None
+    return f"{blas['name']} {blas.get('version', '')}".rstrip()
+
+
 def toolchain_report() -> Dict[str, object]:
-    """What the native target found on this machine (CI prints this)."""
+    """What the native target found on this machine (CI prints this).
+
+    ``"blas"`` names the library numpy's GEMMs — hence every tier's —
+    run on.
+    """
     cc = _find_cc()
-    blas = _load_blas()
     cdir = cache_dir()
     try:
         cached = len([f for f in os.listdir(cdir) if f.endswith(".so")])
@@ -285,14 +209,14 @@ def toolchain_report() -> Dict[str, object]:
     return {
         "cc": cc,
         "cc_version": _cc_version(cc) if cc else None,
-        "blas": blas.path if blas else None,
+        "blas": _numpy_blas(),
         "cache_dir": cdir,
         "cached_kernels": cached,
     }
 
 
 # ---------------------------------------------------------------------------
-# C prelude: half conversions, op helpers, GEMM dispatch.
+# C prelude: half conversions and op helpers.
 # ---------------------------------------------------------------------------
 
 PRELUDE = r"""
@@ -357,85 +281,6 @@ static inline double repro_max(double a, double b) {
 static inline double repro_min(double a, double b) {
     return (a < b || a != a) ? a : b;
 }
-
-/* -- GEMM: injected cblas pointers with a naive tiled fallback ------- */
-
-typedef void (*repro_sgemm_t)(int, int, int, int, int, int, float,
-                              const float*, int, const float*, int,
-                              float, float*, int);
-typedef void (*repro_dgemm_t)(int, int, int, int, int, int, double,
-                              const double*, int, const double*, int,
-                              double, double*, int);
-static repro_sgemm_t repro_sgemm = 0;
-static repro_dgemm_t repro_dgemm = 0;
-
-void repro_bind_blas(void* sgemm, void* dgemm) {
-    repro_sgemm = (repro_sgemm_t)sgemm;
-    repro_dgemm = (repro_dgemm_t)dgemm;
-}
-
-#define REPRO_GEMM_BK 64
-#define REPRO_GEMM_BJ 256
-
-static void repro_naive_sgemm(const float* a, const float* b, float* c,
-                              long long M, long long N, long long K) {
-    long long i, j, k, kk, jj, kmax, jmax;
-    for (i = 0; i < M * N; ++i) c[i] = 0.0f;
-    for (kk = 0; kk < K; kk += REPRO_GEMM_BK) {
-        kmax = kk + REPRO_GEMM_BK < K ? kk + REPRO_GEMM_BK : K;
-        for (jj = 0; jj < N; jj += REPRO_GEMM_BJ) {
-            jmax = jj + REPRO_GEMM_BJ < N ? jj + REPRO_GEMM_BJ : N;
-            for (i = 0; i < M; ++i) {
-                for (k = kk; k < kmax; ++k) {
-                    float av = a[i * K + k];
-                    for (j = jj; j < jmax; ++j)
-                        c[i * N + j] += av * b[k * N + j];
-                }
-            }
-        }
-    }
-}
-
-static void repro_naive_dgemm(const double* a, const double* b, double* c,
-                              long long M, long long N, long long K) {
-    long long i, j, k, kk, jj, kmax, jmax;
-    for (i = 0; i < M * N; ++i) c[i] = 0.0;
-    for (kk = 0; kk < K; kk += REPRO_GEMM_BK) {
-        kmax = kk + REPRO_GEMM_BK < K ? kk + REPRO_GEMM_BK : K;
-        for (jj = 0; jj < N; jj += REPRO_GEMM_BJ) {
-            jmax = jj + REPRO_GEMM_BJ < N ? jj + REPRO_GEMM_BJ : N;
-            for (i = 0; i < M; ++i) {
-                for (k = kk; k < kmax; ++k) {
-                    double av = a[i * K + k];
-                    for (j = jj; j < jmax; ++j)
-                        c[i * N + j] += av * b[k * N + j];
-                }
-            }
-        }
-    }
-}
-
-static inline void repro_gemm_f32(const float* a, const float* b, float* c,
-                                  long long M, long long N, long long K) {
-    if (repro_sgemm) {
-        /* 101 = CblasRowMajor, 111 = CblasNoTrans */
-        repro_sgemm(101, 111, 111, (int)M, (int)N, (int)K, 1.0f,
-                    a, (int)K, b, (int)N, 0.0f, c, (int)N);
-    } else {
-        repro_naive_sgemm(a, b, c, M, N, K);
-    }
-}
-
-static inline void repro_gemm_f64(const double* a, const double* b,
-                                  double* c, long long M, long long N,
-                                  long long K) {
-    if (repro_dgemm) {
-        repro_dgemm(101, 111, 111, (int)M, (int)N, (int)K, 1.0,
-                    a, (int)K, b, (int)N, 0.0, c, (int)N);
-    } else {
-        repro_naive_dgemm(a, b, c, M, N, K);
-    }
-}
 """
 
 
@@ -474,16 +319,6 @@ class CompiledKernels:
         self.key = key
         self.path = path
         self._fns: Dict[str, object] = {}
-        bind = lib.repro_bind_blas
-        bind.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
-        bind.restype = None
-        blas = _load_blas()
-        if blas is not None:
-            bind(
-                ctypes.cast(blas.sgemm, ctypes.c_void_p),
-                ctypes.cast(blas.dgemm, ctypes.c_void_p),
-            )
-        self.blas = blas.path if blas is not None else None
 
     def _fn(self, name: str):
         fn = self._fns.get(name)
@@ -546,14 +381,28 @@ def _compile(c_source: str, so_path: str) -> None:
     store.install(so_path, build)
 
 
-def _try_load(key: str, so_path: str) -> Optional[CompiledKernels]:
+#: the uniform ABI every generated C function is declared with
+_FUNCTION = re.compile(r"^void (\w+)\(char\*\* A, double\* S\)", re.M)
+
+
+def _try_load(
+    key: str, so_path: str, functions: Sequence[str]
+) -> Optional[CompiledKernels]:
+    """Load ``so_path`` if it exports every one of ``functions``.
+
+    An entry that loads but lacks one is not this source's kernel (a
+    stale or misplaced object): it is closed again, since ``dlopen``
+    would otherwise hand its handle back for the recompiled file at the
+    same path, and counts as unloadable.
+    """
     try:
         lib = ctypes.CDLL(so_path)
-        if not hasattr(lib, "repro_bind_blas"):
-            raise OSError("missing repro_bind_blas (stale cache entry)")
-        return CompiledKernels(lib, key, so_path)
-    except (OSError, AttributeError):
+    except OSError:
         return None
+    if all(hasattr(lib, name) for name in functions):
+        return CompiledKernels(lib, key, so_path)
+    _ctypes.dlclose(lib._handle)
+    return None
 
 
 def load_kernels(c_source: str, observer=None) -> CompiledKernels:
@@ -571,12 +420,13 @@ def load_kernels(c_source: str, observer=None) -> CompiledKernels:
         metrics.inc("native.cache.memo_hits")
         return memo
     so_path = os.path.join(cache_dir(), f"{key}.so")
+    functions = _FUNCTION.findall(c_source)
     t0 = time.perf_counter()
     with store.lock(so_path):
         compiled = None
         status = "hit"
         if os.path.exists(so_path):
-            compiled = _try_load(key, so_path)
+            compiled = _try_load(key, so_path, functions)
             if compiled is None:
                 # stale/corrupt entry: drop it and recompile below
                 metrics.inc("native.cache.recompiles")
@@ -586,7 +436,7 @@ def load_kernels(c_source: str, observer=None) -> CompiledKernels:
             if status == "hit":
                 status = "compile"
             _compile(c_source, so_path)
-            compiled = _try_load(key, so_path)
+            compiled = _try_load(key, so_path, functions)
             if compiled is None:  # pragma: no cover - defensive
                 raise CodegenError(
                     f"compiled kernel at {so_path} is unloadable"
@@ -704,8 +554,8 @@ class NativeEmitter:
 
     Owned by one :class:`~repro.core.codegen.generator.CodeGenerator`
     invocation; the generator calls :meth:`emit_segment` where it would
-    otherwise emit per-op numpy lines and :meth:`emit_gemm` for MatMul
-    expressions, then embeds :meth:`c_source` into the module.
+    otherwise emit per-op numpy lines, then embeds :meth:`c_source`
+    into the module.
     """
 
     def __init__(self, lowered) -> None:
@@ -907,66 +757,3 @@ class NativeEmitter:
         for e, _ in stores:
             if isinstance(e, ops.Update):
                 gen._emit_update_store(em, e, f"V[{e.name!r}]")
-
-    # -- GEMM ------------------------------------------------------------
-
-    def emit_gemm(self, gen, em, e: Expr, out_var: Optional[str] = None
-                  ) -> bool:
-        """BLAS-dispatch a MatMul; False when it must stay in Python.
-
-        ``(…, M, K) @ (K, N)`` flattens the leading dims into one
-        row-major GEMM. fp16 operands are upconverted to fp32 on the
-        Python side (the GEMM itself accumulates in fp32, like numpy's
-        half inner loop — the accumulation *order* differs, which is
-        exactly the documented BLAS tolerance), fp64 runs in dgemm.
-        """
-        if not isinstance(e, ops.MatMul):
-            return False
-        a, b = e.inputs
-        if isinstance(a, Const) or isinstance(b, Const):
-            return False
-        if _cdt(a.dtype) is None or _cdt(b.dtype) is None:
-            return False
-        if _cdt(e.dtype) is None:
-            return False
-        ashape = a.per_rank_shape()
-        bshape = b.per_rank_shape()
-        oshape = e.per_rank_shape()
-        if len(bshape) != 2 or len(ashape) < 2:
-            return False
-        if ashape[-1] != bshape[0] or oshape[-1] != bshape[1]:
-            return False
-        if oshape[:-1] != ashape[:-1]:
-            return False
-        M = _prod(ashape[:-1])
-        K = ashape[-1]
-        N = bshape[1]
-        edt = e.dtype.to_numpy().name
-        # compute dtype: f64 iff the result is f64, else f32
-        ct = "float64" if edt == "float64" else "float32"
-        fn = self._fresh_fn(f"g_{e.name}")
-        ctyp = _CTYPE[ct]
-        gemm = "repro_gemm_f64" if ct == "float64" else "repro_gemm_f32"
-        self.functions.append(
-            f"void {fn}(char** A, double* S) {{\n"
-            f"    (void)S;\n"
-            f"    {gemm}((const {ctyp}*)A[0], (const {ctyp}*)A[1], "
-            f"({ctyp}*)A[2], {M}LL, {N}LL, {K}LL);\n"
-            f"}}\n"
-        )
-        np_ct = f"np.{ct}"
-        em.emit(f"# native GEMM ({fn}): BLAS or tiled-C fallback")
-        for ref, src in (("_ga", gen._ref(a)), ("_gb", gen._ref(b))):
-            em.emit(f"{ref} = {src}")
-            em.emit(f"if {ref}.dtype != {np_ct}:")
-            em.indent += 1
-            em.emit(f"{ref} = {ref}.astype({np_ct})")
-            em.indent -= 1
-        em.emit(f"_go = np.empty({tuple(oshape)!r}, dtype={np_ct})")
-        em.emit(f"_K.call({fn!r}, (_ga, _gb, _go))")
-        out = out_var if out_var is not None else f"V[{e.name!r}]"
-        if ct == edt:
-            em.emit(f"{out} = _go")
-        else:
-            em.emit(f"{out} = _go.astype(np.{edt})")
-        return True

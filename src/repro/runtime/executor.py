@@ -147,12 +147,12 @@ class Executor:
         the timeline of a failed run is still harvested.
 
         ``codegen_target="native"`` executes the same schedule with the
-        compute segments compiled to C through the content-addressed
-        kernel cache (:mod:`repro.core.codegen.native`): elementwise
-        chains fuse into single compiled loops, GEMMs dispatch to BLAS.
-        Elementwise-only programs remain bit-identical to
-        :meth:`run_lowered`; GEMM-bearing programs carry the documented
-        fp tolerance (BLAS reassociates the accumulation).
+        elementwise chains compiled to C through the content-addressed
+        kernel cache (:mod:`repro.core.codegen.native`), each fused into
+        one loop. GEMMs stay numpy's ``np.matmul``, so results are
+        bit-identical to :meth:`run_lowered`, except that FP16 GEMMs
+        run on FP32 copies of their operands and carry the documented
+        fp tolerance.
         """
         from repro.runtime.spmd import SpmdWorkerError
 

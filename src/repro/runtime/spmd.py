@@ -108,10 +108,8 @@ everything else off that path, and no array crosses a socket:
 
 On the native target the spec also carries the parent's
 :func:`repro.core.codegen.native.toolchain_record` (compiler path and
-version, BLAS candidate paths). Each rank primes its toolchain memos
-from it instead of forking ``cc --version`` and the ``find_library``
-probes; the record selects the same library and kernel cache key that
-probing would.
+version). Each rank primes its compiler memo from it instead of
+forking ``cc --version``, and so resolves the same kernel cache key.
 
 Failure handling
 ----------------
@@ -1439,8 +1437,8 @@ def _run_rank(
         ensure = namespace.get("_ensure_native")
         if ensure is not None:
             # compile/load native kernels before the timing barrier so
-            # the one-time cc invocation and dlopen+BLAS bind count as
-            # startup (like spawn), not as execution time
+            # the one-time cc invocation and dlopen count as startup
+            # (like spawn), not as execution time
             ensure(comm)
         # synchronize before timing so spawn stagger (rank 0 idling in
         # its first collective until the last process is up) does not
@@ -1532,12 +1530,16 @@ def _start(
     """Start ``python -c entry`` holding ``fds`` and its end of a new
     socket pair (fd ``sys.argv[1]``); ``(process, the parent's end)``.
 
-    The ``repro`` root leads the process's ``PYTHONPATH``.
+    The ``repro`` root leads the process's ``PYTHONPATH``, and numpy's
+    BLAS runs one thread unless the caller's environment says
+    otherwise: the ranks already fill the cores, and threaded GEMMs in
+    every rank would oversubscribe them.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (_PACKAGE_ROOT, env.get("PYTHONPATH")))
     )
+    env.setdefault("OPENBLAS_NUM_THREADS", "1")
     sock, child = socket.socketpair()
     with child:
         proc = subprocess.Popen(

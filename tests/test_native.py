@@ -9,23 +9,30 @@ Three layers of coverage:
 * **Cache** — cold compile, in-process memo hit, disk hit with zero
   compiles, and a corrupt ``.so`` being deleted and recompiled once,
   all against an isolated ``REPRO_KERNEL_CACHE``.
-* **Golden artifacts** — the committed ``tests/golden/*.repro.json``
-  execute on the native backend: the elementwise-only fused-Adam
-  artifact must match the lowered interpreter's SHA-256 digest exactly;
-  the GEMM-bearing MoE artifact is held to the documented BLAS
-  tolerance (see EXPERIMENTS.md, "Native codegen").
+* **Golden artifacts and GEMMs** — the committed
+  ``tests/golden/*.repro.json`` execute on the native backend: the
+  elementwise-only fused-Adam artifact must match the lowered
+  interpreter's SHA-256 digest exactly, and so must every FP32/FP64
+  GEMM program (a native MatMul is numpy's ``np.matmul``); the FP16 MoE
+  artifact is held to the documented tolerance (see EXPERIMENTS.md,
+  "Native codegen").
 """
 
 import ctypes
 import ctypes.util
 import hashlib
+import json
 import os
 import re
+import shutil
+import subprocess
+import sys
 import textwrap
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core import artifact
 from repro.core.codegen import CodeGenerator, native
 from repro.errors import CodegenError
@@ -62,6 +69,38 @@ def _digest(result) -> str:
         h.update(name.encode())
         h.update(states[name].tobytes())
     return h.hexdigest()
+
+
+def _assert_bit_identical(got, low):
+    assert got.output_names == low.output_names
+    for name in low.output_names:
+        assert np.array_equal(got.output(name), low.output(name)), name
+    states = getattr(low, "_tensor_states", {})
+    assert sorted(getattr(got, "_tensor_states", {})) == sorted(states)
+    for name, value in states.items():
+        assert np.array_equal(got._tensor_states[name], value), name
+
+
+def _fp64_gemm_allreduce(overlapped, ranks=2):
+    """FP64 ``AllReduce(x @ w)`` on ``ranks`` ranks; ``overlapped`` runs
+    it as the §5.3 GEMM→AllReduce ring ChunkLoop."""
+    from repro.core import (
+        FP64, RANK, AllReduce, Execute, Local, MatMul, Tensor, world,
+    )
+    from repro.core.transforms import Schedule
+
+    W = world(ranks)
+    x = Tensor(FP64, (24, 96), Local, W, RANK, name="x")
+    w = Tensor(FP64, (96, 40), Local, W, RANK, name="w")
+    mm = MatMul(x, w, name="mm")
+    ar = AllReduce("+", mm, name="ar")
+    sched = Schedule(Execute("gemm_allreduce", [x, w], [ar]))
+    if overlapped:
+        sched.overlap(mm, ar)
+        assert sched.lowered().chunk_loops()
+    rng = np.random.RandomState(11)
+    values = {"x": rng.randn(ranks, 24, 96), "w": rng.randn(ranks, 96, 40)}
+    return sched, values
 
 
 _CONV_HARNESS = (
@@ -210,6 +249,27 @@ class TestKernelCache:
         )
         k2.call("noop_b", (np.zeros(1),))
 
+    def test_foreign_entry_recompiled(self, kernel_cache):
+        # a loadable object built from other source, planted under this
+        # source's key: it lacks this source's function, so it is
+        # deleted and recompiled once
+        other = native.PRELUDE + "\nvoid noop_g(char** A, double* S) {}\n"
+        src = native.PRELUDE + "\nvoid noop_h(char** A, double* S) {}\n"
+        native.load_kernels(other)
+        path = os.path.join(
+            native.cache_dir(), native.source_key(src) + ".so"
+        )
+        shutil.copy(
+            os.path.join(native.cache_dir(), native.source_key(other) + ".so"),
+            path,
+        )
+        before = native.metrics.snapshot()
+        k = native.load_kernels(src)
+        after = native.metrics.snapshot()
+        for counter in ("native.cache.recompiles", "native.cache.compiles"):
+            assert after.get(counter, 0) == before.get(counter, 0) + 1
+        k.call("noop_h", (np.zeros(1),))
+
     def test_cold_compile_allowance_nonzero_then_zero(self, kernel_cache):
         src = native.PRELUDE + "\nvoid noop_c(char** A, double* S) {}\n"
         assert native.cold_compile_allowance(src) > 0.0
@@ -265,7 +325,14 @@ class TestTargetDispatch:
         gen = CodeGenerator(target="native").generate(art)
         assert "_ensure_native(comm)" in gen.source
         assert "_K.call(" in gen.source
-        assert "repro_bind_blas" in gen.c_source
+
+    def test_matmul_emits_no_c_function(self):
+        # a GEMM is numpy's np.matmul on every tier: a MatMul-only
+        # program compiles nothing
+        sched, _ = _fp64_gemm_allreduce(overlapped=False)
+        gen = CodeGenerator(target="native").generate(sched)
+        assert gen.c_source is None
+        assert "np.matmul(" in gen.source
 
 
 @needs_cc
@@ -380,6 +447,44 @@ class TestTimeoutAllowance:
 
 
 @needs_cc
+class TestGemmsBitIdentical:
+    """FP32/FP64 GEMMs are numpy's on native too: bit for bit."""
+
+    @pytest.mark.parametrize("ranks", [2, 4])
+    def test_moe_fp32_schedules_and_tuned_pick(self, kernel_cache, ranks):
+        from repro.cli import _seeded_inputs
+        from repro.cluster import Cluster
+        from repro.core.autotuner import Autotuner
+        from repro.core.dtypes import FP32
+        from repro.workloads.moe import MoEWorkload
+
+        wl = MoEWorkload.build(32, 32, 64, world_size=ranks, dtype=FP32)
+        schedules = wl.schedules()
+        assert schedules["overlapped"].lowered().chunk_loops()
+        tuned = Autotuner(Cluster(1)).tune(wl.program).best
+        schedules["tuned"] = tuned.schedule
+        inputs = _seeded_inputs(wl.program, seed=0)
+        ex = Executor()
+        for name, sched in schedules.items():
+            low = ex.run_lowered(sched, inputs, allow_downcast=True)
+            nat = ex.run_spmd(
+                sched, inputs, allow_downcast=True,
+                codegen_target="native", timeout=120.0,
+            )
+            _assert_bit_identical(nat, low)
+
+    @pytest.mark.parametrize("ranks", [2, 4])
+    def test_fp64_gemm_overlap(self, kernel_cache, ranks):
+        sched, inputs = _fp64_gemm_allreduce(overlapped=True, ranks=ranks)
+        ex = Executor()
+        low = ex.run_lowered(sched, inputs)
+        nat = ex.run_spmd(
+            sched, inputs, codegen_target="native", timeout=120.0
+        )
+        _assert_bit_identical(nat, low)
+
+
+@needs_cc
 class TestGoldenArtifactsNative:
     """Committed goldens on the native backend vs the lowered oracle."""
 
@@ -403,8 +508,9 @@ class TestGoldenArtifactsNative:
         assert _digest(nat) == _digest(low)
 
     def test_moe_overlapped_within_blas_tolerance(self):
-        # GEMM-bearing: BLAS reassociates the K-dim accumulation, so
-        # the contract is the documented fp16 tolerance, not bitwise
+        # FP16 GEMMs: the interpreter runs numpy's half matmul loop,
+        # native an FP32 GEMM of the upcast operands rounded once to
+        # half, so the contract is the documented fp16 tolerance
         low, nat = self._run_both("moe_overlapped.repro.json")
         for name in low.output_names:
             a = low.output(name).astype(np.float64)
@@ -412,32 +518,6 @@ class TestGoldenArtifactsNative:
             np.testing.assert_allclose(
                 b, a, rtol=1e-2, atol=1e-3, err_msg=name
             )
-
-
-@needs_cc
-class TestBlasBinding:
-    def test_gemm_matches_numpy_f64(self, kernel_cache):
-        # a dgemm through the injected pointer (or the tiled fallback)
-        src = native.PRELUDE + r"""
-void gg(char** A, double* S) {
-    (void)S;
-    repro_gemm_f64((const double*)A[0], (const double*)A[1],
-                   (double*)A[2], 7LL, 5LL, 11LL);
-}
-"""
-        k = native.load_kernels(src)
-        rng = np.random.RandomState(3)
-        a = rng.standard_normal((7, 11))
-        b = rng.standard_normal((11, 5))
-        out = np.empty((7, 5))
-        k.call("gg", (a, b, out))
-        np.testing.assert_allclose(out, a @ b, rtol=1e-12, atol=1e-14)
-
-    def test_bind_blas_symbol_exported(self, kernel_cache):
-        src = native.PRELUDE + "\nvoid noop_e(char** A, double* S) {}\n"
-        k = native.load_kernels(src)
-        assert hasattr(k._lib, "repro_bind_blas")
-        assert isinstance(k._lib.repro_bind_blas, ctypes._CFuncPtr)
 
 
 def _refuse(*args, **kwargs):
@@ -448,36 +528,38 @@ def _refuse(*args, **kwargs):
 def fresh_toolchain(monkeypatch):
     """Empty toolchain memos, as in a freshly started rank process."""
     monkeypatch.setattr(native, "_CC_VERSION", {})
-    monkeypatch.setattr(native, "_BLAS", [])
-    monkeypatch.setattr(native, "_PRIMED_BLAS", [])
+    monkeypatch.setattr(native, "_RECORDS", {})
 
 
 class TestToolchainProbes:
-    def test_repro_blas_wins_without_probing_the_rest(
+    def test_record_runs_no_library_probe(
         self, fresh_toolchain, monkeypatch
     ):
-        blas = native._load_blas()
-        if blas is None:
-            pytest.skip("no BLAS on this machine")
-        monkeypatch.setattr(native, "_BLAS", [])
-        monkeypatch.setenv("REPRO_BLAS", blas.path)
         monkeypatch.setattr(ctypes.util, "find_library", _refuse)
-        assert native._load_blas().path == blas.path
+        record = native.toolchain_record()
+        assert set(record) == {"cc", "cc_version"}
+
+    def test_report_names_numpys_blas_without_loading_it(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(ctypes, "CDLL", _refuse)
+        blas = native.toolchain_report()["blas"]
+        assert blas is None or isinstance(blas, str)
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+        if deps["blas"].get("found"):
+            assert blas.startswith(deps["blas"]["name"])
 
     @needs_cc
     def test_primed_rank_loads_warm_kernels_without_probes(
         self, kernel_cache, fresh_toolchain, monkeypatch
     ):
-        import subprocess
-
         src = native.PRELUDE + "\nvoid noop_f(char** A, double* S) {}\n"
         record = native.toolchain_record()
         assert record["cc"] == native._find_cc()
-        unprimed = native.load_kernels(src)  # probes, compiles, caches
+        unprimed = native.load_kernels(src)  # compiles, caches
         # a fresh rank: empty memos, primed from the launcher's record
         native._MEMO.clear()
         monkeypatch.setattr(native, "_CC_VERSION", {})
-        monkeypatch.setattr(native, "_BLAS", [])
         native.prime(record)
         monkeypatch.setattr(subprocess, "run", _refuse)
         monkeypatch.setattr(ctypes.util, "find_library", _refuse)
@@ -488,11 +570,39 @@ class TestToolchainProbes:
             before.get("native.cache.disk_hits", 0) + 1
         )
         assert primed.key == unprimed.key
-        assert primed.blas == unprimed.blas
 
-    def test_unloadable_record_falls_back_to_probing(self, fresh_toolchain):
-        native.prime({"cc": None, "cc_version": None,
-                      "blas": ["/nonexistent/libcblas.so"]})
-        probed = native._first_blas(native._blas_candidates())
-        loaded = native._load_blas()
-        assert (loaded and loaded.path) == (probed and probed.path)
+    @needs_cc
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/maps"), reason="no /proc maps"
+    )
+    def test_rank_maps_only_the_kernel_object(self, kernel_cache):
+        # a rank has numpy loaded; loading its kernels must map the
+        # kernel .so and nothing else (no BLAS, no BLAS dependencies)
+        src = native.PRELUDE + "\nvoid noop_i(char** A, double* S) {}\n"
+        so_path = native.load_kernels(src).path  # warm the disk cache
+        child = textwrap.dedent(
+            f"""
+            import json
+            import numpy
+            from repro.core.codegen import native
+
+            def mapped():
+                with open("/proc/self/maps") as f:
+                    rows = (line.split(maxsplit=5) for line in f)
+                    return {{r[5].strip() for r in rows if len(r) == 6}}
+
+            native.prime({native.toolchain_record()!r})
+            before = mapped()
+            native.load_kernels({src!r})
+            print(json.dumps(sorted(mapped() - before)))
+            """
+        )
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)),
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", child], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        ).stdout
+        assert json.loads(out) == [so_path]

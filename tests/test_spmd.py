@@ -748,6 +748,24 @@ class TestRankProcesses:
     def kernel_cache(self, tmp_path_factory):
         return str(tmp_path_factory.mktemp("kernels"))
 
+    @pytest.mark.parametrize("given", [None, "2"])
+    def test_one_blas_thread_unless_the_caller_sets_it(
+        self, monkeypatch, given
+    ):
+        if given is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", given)
+        proc, sock = spmd._start(
+            "import os, socket, sys; from repro.runtime.spmd import _send; "
+            "_send(socket.socket(fileno=int(sys.argv[1])), "
+            "os.environ['OPENBLAS_NUM_THREADS'])",
+            (),
+        )
+        with sock, sock.makefile("rb") as stream:
+            assert spmd._recv(stream) == (given or "1")
+            assert proc.wait(timeout=60.0) == 0
+
     @pytest.mark.parametrize("target", ["spmd", "native"])
     @pytest.mark.parametrize("how", ["stdin", "sys_path"])
     def test_user_script(self, target, how, kernel_cache, tmp_path):

@@ -329,9 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--timeout", type=float, default=60.0,
-        help="spmd rendezvous timeout in seconds (default 60); the "
-        "native backend adds a one-time allowance on a cold kernel "
-        "cache",
+        help="spmd rendezvous timeout in seconds (default 60); a "
+        "native run compiles its kernels before the deadline starts",
     )
     p.add_argument(
         "--repeat", type=int, default=1,

@@ -19,79 +19,44 @@ This package is the paper's primary contribution. Quick tour::
     prog  = Execute("self_attention", [w, in_, b, r], [out])
 """
 
-from repro.core.dtypes import (
-    ALL_DTYPES,
-    BF16,
-    FP16,
-    FP32,
-    FP64,
-    INT32,
-    INT64,
-    DType,
-    dtype_by_name,
-    promote,
-)
-from repro.core.layout import Layout, Local, Replicated, Sliced
-from repro.core.ops import (
-    GROUP,
-    AllGather,
-    AllReduce,
-    AllToAll,
-    AllToAllPhase,
-    Binary,
-    Broadcast,
-    Cast,
-    CommOp,
-    ComputeOp,
-    Conv2D,
-    Dropout,
-    GroupRank,
-    MatMul,
-    Norm,
-    PointwiseOp,
-    Pow,
-    Reduce,
-    ReduceScatter,
-    ReduceTensor,
-    ReLU,
-    Rsqrt,
-    Send,
-    Slice,
-    Sqrt,
-    Tanh,
-    Unary,
-    Update,
-)
-from repro.core.process_group import RANK, ProcessGroup, split_world, world
-from repro.core.program import Execute, Program
-from repro.core.tensor import Const, Expr, Scalar, Tensor, reset_names
-from repro.core.lower import (  # noqa: E402  (needs ops/tensor above)
-    ChunkLoop,
-    CollectiveStep,
-    LocalCompute,
-    LoweredProgram,
-    PackScattered,
-    lower,
-)
+from repro import lazy_exports
 
-__all__ = [
+
+def _names(module: str, names: str):
+    return {name: module for name in names.split()}
+
+
+#: public name -> its submodule, imported on first access: a rank
+#: process needs a few of these modules, never the lowering or the
+#: transformations. ``repro.core.lower`` is the module; its function
+#: is ``from repro.core.lower import lower``.
+_EXPORTS = {
     # dtypes
-    "DType", "FP16", "BF16", "FP32", "FP64", "INT32", "INT64",
-    "ALL_DTYPES", "dtype_by_name", "promote",
+    **_names(
+        "dtypes",
+        "DType FP16 BF16 FP32 FP64 INT32 INT64 ALL_DTYPES dtype_by_name "
+        "promote",
+    ),
     # layouts & groups
-    "Layout", "Sliced", "Replicated", "Local",
-    "ProcessGroup", "world", "split_world", "RANK", "GROUP", "GroupRank",
+    **_names("layout", "Layout Sliced Replicated Local"),
+    **_names("process_group", "ProcessGroup world split_world RANK"),
     # leaves
-    "Expr", "Tensor", "Scalar", "Const", "reset_names",
+    **_names("tensor", "Expr Tensor Scalar Const reset_names"),
     # ops
-    "AllReduce", "AllGather", "AllToAll", "AllToAllPhase",
-    "ReduceScatter", "Reduce", "Broadcast", "Send",
-    "MatMul", "Conv2D", "Binary", "Unary", "Dropout", "Cast", "Slice",
-    "Norm", "ReduceTensor", "Update", "Sqrt", "Rsqrt", "ReLU", "Tanh", "Pow",
-    "CommOp", "ComputeOp", "PointwiseOp",
+    **_names(
+        "ops",
+        "GROUP GroupRank AllReduce AllGather AllToAll AllToAllPhase "
+        "ReduceScatter Reduce Broadcast Send MatMul Conv2D Binary Unary "
+        "Dropout Cast Slice Norm ReduceTensor Update Sqrt Rsqrt ReLU Tanh "
+        "Pow CommOp ComputeOp PointwiseOp",
+    ),
     # programs
-    "Execute", "Program",
+    **_names("program", "Execute Program"),
     # lowering (the shared instruction IR)
-    "lower", "LoweredProgram", "LocalCompute", "CollectiveStep",
-    "PackScattered", "ChunkLoop",
-]
+    **_names(
+        "lower",
+        "LoweredProgram LocalCompute CollectiveStep PackScattered ChunkLoop",
+    ),
+}
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -38,7 +38,6 @@ chunk loops release real compute early.
 from repro import lazy_exports
 
 #: public name -> its submodule; a rank process imports only ``device``
-#: (and ``native`` on the native target)
 _EXPORTS = {
     "CodeGenerator": "generator",
     "GeneratedSpmdProgram": "generator",

@@ -5,10 +5,16 @@ our generated Python kernels call these helpers for slicing, dropout
 masks and convolution, and the rank's communicator for collectives.
 Keeping them in a
 library (rather than inlining) mirrors how generated CUDA links against
-device-side headers.
+device-side headers. The native target's compiled kernels bind here too
+(:func:`open_kernels`): a rank opens the shared object its launcher
+resolved, and never compiles.
 """
 
 from __future__ import annotations
+
+import _ctypes
+import ctypes
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -55,3 +61,73 @@ def conv2d(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarra
     from repro.runtime.executor import _conv2d
 
     return _conv2d(x, w, stride, padding)
+
+
+class CompiledKernels:
+    """A loaded kernel shared object; ``call`` invokes one C function.
+
+    Every generated function has the uniform ABI
+    ``void f(char** bufs, double* scalars)`` with shapes, loop bounds
+    and broadcast strides baked into the source, so the Python side
+    only marshals base pointers (a ctypes foreign call releases the
+    GIL — the overlap producer stream keeps running during compute).
+    """
+
+    def __init__(
+        self, lib: ctypes.CDLL, key: str, path: str,
+        functions: Sequence[str],
+    ) -> None:
+        self._lib = lib
+        self.key = key
+        self.path = path
+        self.functions = tuple(functions)
+        self._fns: Dict[str, object] = {}
+
+    def _fn(self, name: str):
+        fn = self._fns.get(name)
+        if fn is None:
+            fn = getattr(self._lib, name)
+            fn.argtypes = [
+                ctypes.POINTER(ctypes.c_void_p),
+                ctypes.POINTER(ctypes.c_double),
+            ]
+            fn.restype = None
+            self._fns[name] = fn
+        return fn
+
+    def call(
+        self,
+        name: str,
+        arrays: Sequence[np.ndarray],
+        scalars: Sequence[float] = (),
+    ) -> None:
+        bufs = []
+        for a in arrays:
+            if not a.flags["C_CONTIGUOUS"]:
+                # inputs only — outputs are freshly np.empty'd and
+                # always contiguous, so the copy never detaches a result
+                a = np.ascontiguousarray(a)
+            bufs.append(a.ctypes.data)
+        ptrs = (ctypes.c_void_p * len(bufs))(*bufs)
+        sc = (ctypes.c_double * max(1, len(scalars)))(*scalars)
+        self._fn(name)(ptrs, sc)
+
+
+def open_kernels(
+    key: str, path: str, functions: Sequence[str]
+) -> Optional[CompiledKernels]:
+    """Load ``path`` if it exports every one of ``functions``.
+
+    An object that loads but lacks one is not this source's kernel (a
+    stale or misplaced object): it is closed again, since ``dlopen``
+    would otherwise hand its handle back for the recompiled file at the
+    same path, and counts as unloadable (``None``).
+    """
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return None
+    if all(hasattr(lib, name) for name in functions):
+        return CompiledKernels(lib, key, path, functions)
+    _ctypes.dlclose(lib._handle)
+    return None

@@ -114,30 +114,11 @@ class GeneratedSpmdProgram:
 _NATIVE_MEMO: Dict[str, GeneratedSpmdProgram] = {}
 
 
-def _native_block(c_source: str) -> List[str]:
-    """Module lines that embed and lazily compile the C source.
-
-    Compilation happens on first ``_ensure_native`` — inside each
-    rank's ``run_rank``, after the communicator barrier — and resolves
-    through the on-disk content-addressed kernel cache, so every rank
-    after the first (and every later run) loads the same shared object
-    without recompiling.
-    """
-    return [
-        "from repro.core.codegen import native as _native",
-        "",
-        "_C_SOURCE = " + repr(c_source),
-        "",
-        "_K = None",
-        "",
-        "",
-        "def _ensure_native(comm=None):",
-        "    global _K",
-        "    if _K is None:",
-        "        _K = _native.load_kernels(_C_SOURCE, observer=comm)",
-        "",
-        "",
-    ]
+#: the native target's module lines: ``_K`` is bound before ``run_rank``
+#: runs, to the :class:`~repro.core.codegen.device.CompiledKernels` the
+#: rank opened (:func:`repro.runtime.spmd.launch` compiles the C source,
+#: ``GeneratedSpmdProgram.c_source``, in the launching process)
+_NATIVE_BLOCK = ["_K = None", "", ""]
 
 
 class CodeGenerator:
@@ -211,7 +192,7 @@ class CodeGenerator:
         self._emit_run(em, program, call_order)
         c_source = self._nat.c_source() if self._nat is not None else None
         if c_source is not None:
-            em.lines[mark:mark] = _native_block(c_source)
+            em.lines[mark:mark] = _NATIVE_BLOCK
         generated = GeneratedSpmdProgram(
             program, em.source(), kernel_sources, schedule_lines,
             target=self.target, c_source=c_source,
@@ -780,10 +761,6 @@ class CodeGenerator:
         em.emit("def run_rank(comm, inputs):")
         em.indent += 1
         em.emit('"""Execute this rank\'s shard; returns local outputs/states."""')
-        if self._nat is not None and self._nat.used:
-            # lazy compile-or-cache-load; runs after the rendezvous
-            # barrier, covered by the launcher's compile allowance
-            em.emit("_ensure_native(comm)")
         em.emit("T = {}")
         em.emit("V = {}")
         em.emit("_rank = comm.rank")

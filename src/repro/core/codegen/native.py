@@ -37,25 +37,23 @@ Kernel cache
 ``~/.cache/repro/kernels/<sha256>.so`` (override with
 ``$REPRO_KERNEL_CACHE``), keyed by SHA-256 over the C source plus the
 compiler identity and flags. Writes are concurrent-safe through
-:mod:`repro.store` — every rank process of a cold-cache run compiles
-behind a ``flock`` and installs via atomic ``os.replace`` — and
-stale/corrupt entries (unloadable, or missing one of the source's own
-functions) are deleted and recompiled once.
+:mod:`repro.store` — processes compiling the same source wait behind
+one ``flock`` and the object is installed via atomic ``os.replace`` —
+and stale/corrupt entries (unloadable, or missing one of the source's
+own functions) are deleted and recompiled once.
 Hit/miss/compile-time counters land in :data:`metrics` (a
-:class:`~repro.observe.metrics.MetricsRegistry`) and, when a
-communicator is passed as ``observer``, in the rank's trace ring as
-instant events so Perfetto timelines show compile stalls.
+:class:`~repro.observe.metrics.MetricsRegistry`); an ``observer``
+hears of every compile, so a traced run shows the stall.
 
-Finding the compiler's version forks ``cc --version``. A launcher
-resolves it once with :func:`toolchain_record` and ships the record to
-its rank processes, which :func:`prime` their memo from it and fork
-nothing.
+Only a launching process resolves kernels (:func:`load_kernels`). It
+sends its rank processes the object's ``(key, path, functions)``, and
+each rank opens that object with
+:func:`repro.core.codegen.device.open_kernels`: a rank imports none of
+this module and never compiles.
 """
 
 from __future__ import annotations
 
-import _ctypes
-import ctypes
 import hashlib
 import os
 import re
@@ -69,6 +67,7 @@ import numpy as np
 
 from repro import store
 from repro.core import ops
+from repro.core.codegen.device import CompiledKernels, open_kernels
 from repro.core.tensor import Const, Expr
 from repro.errors import CodegenError
 from repro.observe.metrics import MetricsRegistry
@@ -76,25 +75,18 @@ from repro.observe.metrics import MetricsRegistry
 __all__ = [
     "available",
     "toolchain_report",
-    "toolchain_record",
-    "prime",
     "metrics",
     "load_kernels",
-    "cold_compile_allowance",
     "cache_dir",
     "CompiledKernels",
     "NativeEmitter",
     "PRELUDE",
-    "DEFAULT_COMPILE_ALLOWANCE",
 ]
 
 #: module-wide cache counters: ``native.cache.memo_hits`` (in-process),
 #: ``native.cache.disk_hits``, ``native.cache.compiles``,
 #: ``native.cache.compile_seconds``, ``native.cache.recompiles``
 metrics = MetricsRegistry()
-
-#: seconds added to the SPMD rendezvous deadline for a cold-cache run
-DEFAULT_COMPILE_ALLOWANCE = 45.0
 
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
 
@@ -135,41 +127,6 @@ def _cc_version(cc: str) -> str:
 def available() -> bool:
     """True when a C compiler is on PATH (the native target's only need)."""
     return _find_cc() is not None
-
-
-#: :func:`toolchain_record` memo, keyed by the ``$CC`` it was resolved
-#: under
-_RECORDS: Dict[Optional[str], Dict[str, object]] = {}
-
-
-def toolchain_record() -> Dict[str, object]:
-    """The C compiler, resolved once per process.
-
-    A plain picklable dict — ``{"cc", "cc_version"}`` — that a launcher
-    ships to its rank processes so each can :func:`prime` itself
-    instead of re-running ``cc --version``.
-    """
-    env = os.environ.get("CC")
-    record = _RECORDS.get(env)
-    if record is None:
-        cc = _find_cc()
-        record = _RECORDS[env] = {
-            "cc": cc,
-            "cc_version": _cc_version(cc) if cc else None,
-        }
-    return record
-
-
-def prime(record: Dict[str, object]) -> None:
-    """Adopt a launching process's :func:`toolchain_record`.
-
-    Seeds the ``cc --version`` memo, so a rank process resolves the
-    same compiler identity (hence the same kernel cache key) without
-    forking.
-    """
-    cc, version = record.get("cc"), record.get("cc_version")
-    if cc and version:
-        _CC_VERSION.setdefault(cc, version)
 
 
 def cache_dir() -> str:
@@ -285,11 +242,11 @@ static inline double repro_min(double a, double b) {
 
 
 # ---------------------------------------------------------------------------
-# Content-addressed kernel cache + compiled-module handle.
+# Content-addressed kernel cache.
 # ---------------------------------------------------------------------------
 
-#: in-process memo in front of the disk cache: sha -> CompiledKernels
-_MEMO: Dict[str, "CompiledKernels"] = {}
+#: in-process memo in front of the disk cache: path -> CompiledKernels
+_MEMO: Dict[str, CompiledKernels] = {}
 
 
 def source_key(c_source: str) -> str:
@@ -304,56 +261,10 @@ def source_key(c_source: str) -> str:
     return h.hexdigest()
 
 
-class CompiledKernels:
-    """A loaded kernel shared object; ``call`` invokes one C function.
-
-    Every generated function has the uniform ABI
-    ``void f(char** bufs, double* scalars)`` with shapes, loop bounds
-    and broadcast strides baked into the source, so the Python side
-    only marshals base pointers (a ctypes foreign call releases the
-    GIL — the overlap producer stream keeps running during compute).
-    """
-
-    def __init__(self, lib: ctypes.CDLL, key: str, path: str) -> None:
-        self._lib = lib
-        self.key = key
-        self.path = path
-        self._fns: Dict[str, object] = {}
-
-    def _fn(self, name: str):
-        fn = self._fns.get(name)
-        if fn is None:
-            fn = getattr(self._lib, name)
-            fn.argtypes = [
-                ctypes.POINTER(ctypes.c_void_p),
-                ctypes.POINTER(ctypes.c_double),
-            ]
-            fn.restype = None
-            self._fns[name] = fn
-        return fn
-
-    def call(
-        self,
-        name: str,
-        arrays: Sequence[np.ndarray],
-        scalars: Sequence[float] = (),
-    ) -> None:
-        bufs = []
-        for a in arrays:
-            if not a.flags["C_CONTIGUOUS"]:
-                # inputs only — outputs are freshly np.empty'd and
-                # always contiguous, so the copy never detaches a result
-                a = np.ascontiguousarray(a)
-            bufs.append(a.ctypes.data)
-        ptrs = (ctypes.c_void_p * len(bufs))(*bufs)
-        sc = (ctypes.c_double * max(1, len(scalars)))(*scalars)
-        self._fn(name)(ptrs, sc)
-
-
 def _compile(c_source: str, so_path: str) -> None:
     """Compile ``c_source`` into a temp object, then install it.
 
-    Runs inside :func:`repro.store.lock`, so concurrent rank processes
+    Runs inside :func:`repro.store.lock`, so concurrent processes
     compiling the same source wait for one compile instead of racing.
     """
     cc = _find_cc()
@@ -385,91 +296,50 @@ def _compile(c_source: str, so_path: str) -> None:
 _FUNCTION = re.compile(r"^void (\w+)\(char\*\* A, double\* S\)", re.M)
 
 
-def _try_load(
-    key: str, so_path: str, functions: Sequence[str]
-) -> Optional[CompiledKernels]:
-    """Load ``so_path`` if it exports every one of ``functions``.
-
-    An entry that loads but lacks one is not this source's kernel (a
-    stale or misplaced object): it is closed again, since ``dlopen``
-    would otherwise hand its handle back for the recompiled file at the
-    same path, and counts as unloadable.
-    """
-    try:
-        lib = ctypes.CDLL(so_path)
-    except OSError:
-        return None
-    if all(hasattr(lib, name) for name in functions):
-        return CompiledKernels(lib, key, so_path)
-    _ctypes.dlclose(lib._handle)
-    return None
-
-
 def load_kernels(c_source: str, observer=None) -> CompiledKernels:
     """Resolve C source to a loaded shared object via the kernel cache.
 
-    In-process memo first, then ``cache_dir()/<sha256>.so``, then a
-    locked compile with atomic install. ``observer``, when given, is a
-    :class:`~repro.runtime.spmd.SpmdCommunicator` (or anything with
-    ``record_compile(name, seconds, status)``) that receives one
-    instant event per cache outcome for the Perfetto timeline.
+    In-process memo first (while its file exists), then
+    ``cache_dir()/<sha256>.so``, then a locked compile with atomic
+    install. ``observer``, when given, is anything with
+    ``record_compile(name, seconds, status)`` (a
+    :class:`~repro.observe.events.Tracer`): it hears of a compile,
+    ``status`` ``"compile"`` or ``"recompile"``, and of no cache hit.
     """
     key = source_key(c_source)
-    memo = _MEMO.get(key)
-    if memo is not None:
+    so_path = os.path.join(cache_dir(), f"{key}.so")
+    memo = _MEMO.get(so_path)
+    if memo is not None and os.path.exists(so_path):
         metrics.inc("native.cache.memo_hits")
         return memo
-    so_path = os.path.join(cache_dir(), f"{key}.so")
     functions = _FUNCTION.findall(c_source)
     t0 = time.perf_counter()
     with store.lock(so_path):
         compiled = None
-        status = "hit"
+        status = "compile"
         if os.path.exists(so_path):
-            compiled = _try_load(key, so_path, functions)
+            compiled = open_kernels(key, so_path, functions)
             if compiled is None:
                 # stale/corrupt entry: drop it and recompile below
                 metrics.inc("native.cache.recompiles")
                 status = "recompile"
                 store.discard(so_path)
         if compiled is None:
-            if status == "hit":
-                status = "compile"
             _compile(c_source, so_path)
-            compiled = _try_load(key, so_path, functions)
+            compiled = open_kernels(key, so_path, functions)
             if compiled is None:  # pragma: no cover - defensive
                 raise CodegenError(
                     f"compiled kernel at {so_path} is unloadable"
                 )
+            seconds = time.perf_counter() - t0
             metrics.inc("native.cache.compiles")
-            metrics.inc(
-                "native.cache.compile_seconds", time.perf_counter() - t0
-            )
+            metrics.inc("native.cache.compile_seconds", seconds)
+            if observer is not None:
+                observer.record_compile(key[:12], seconds, status)
         else:
             metrics.inc("native.cache.disk_hits")
-    seconds = time.perf_counter() - t0
-    if observer is not None:
-        recorder = getattr(observer, "record_compile", None)
-        if recorder is not None:
-            recorder(key[:12], seconds, status)
-    _MEMO[key] = compiled
+    _MEMO[so_path] = compiled
     return compiled
-
-
-def cold_compile_allowance(c_source: str) -> float:
-    """Extra rendezvous headroom when this source is not yet cached.
-
-    Zero on a warm cache — the satellite fix for
-    :func:`repro.runtime.spmd.scaled_default_timeout`, which otherwise
-    ignores first-run compile latency and lets a cold-cache SPMD run
-    trip ``SpmdTimeout``.
-    """
-    key = source_key(c_source)
-    if key in _MEMO:
-        return 0.0
-    if os.path.exists(os.path.join(cache_dir(), f"{key}.so")):
-        return 0.0
-    return DEFAULT_COMPILE_ALLOWANCE
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,18 @@ class Tracer:
         self.events.append(ev)
         return ev
 
+    def record_compile(self, name: str, seconds: float, status: str) -> None:
+        """Record a native kernel compile (``status`` ``"compile"`` or
+        ``"recompile"``) as a ``compile`` instant named ``<status>:<key>``,
+        and count it as ``spmd.<pid>.kernel_compiles`` and
+        ``spmd.<pid>.compile_seconds``: the observer that
+        :func:`repro.core.codegen.native.load_kernels` reports to."""
+        self.instant(
+            f"{status}:{name}", "compile", "kernels", {"seconds": seconds}
+        )
+        self.metrics.inc(f"spmd.{self.pid}.kernel_compiles")
+        self.metrics.inc(f"spmd.{self.pid}.compile_seconds", seconds)
+
     def counter(
         self,
         name: str,

@@ -27,12 +27,12 @@ directly comparable; the merge rebases them onto the earliest record.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from repro.observe.events import CounterEvent, InstantEvent, SpanEvent
-from repro.observe.metrics import MetricsRegistry
+if TYPE_CHECKING:
+    from repro.observe.metrics import MetricsRegistry
 
 __all__ = [
     "TraceRing",
@@ -56,8 +56,8 @@ KIND_KERNEL = 4
 #: injected/observed fault (stall_publish, drop_chunk, die, stream-leak)
 KIND_STALL = 5
 KIND_FAULT = 6
-#: native kernel-cache outcome (``compile:<key>`` / ``hit:<key>`` /
-#: ``recompile:<key>``); ``dur`` carries the elapsed nanoseconds
+#: a rank opening the native kernel object its launcher resolved
+#: (``hit:<key>``); ``dur`` carries the elapsed nanoseconds
 KIND_COMPILE = 7
 
 KIND_NAMES = {
@@ -229,6 +229,8 @@ def merge_rank_traces(
     tail) from "rank never traced" (empty/corrupt from the start) while
     still harvesting every healthy rank.
     """
+    from repro.observe.events import CounterEvent, InstantEvent, SpanEvent
+
     per_rank: Dict[int, np.ndarray] = {}
     statuses: Dict[int, str] = {}
     dropped_total = 0
@@ -281,20 +283,14 @@ def merge_rank_traces(
                 args["bytes"] = nbytes
             if kind in _INSTANT_KINDS:
                 if kind == KIND_COMPILE:
-                    # cache outcome next to the kernels it delayed; the
-                    # record's dur carries the compile/load seconds
+                    # the rank's kernel-object open, next to the kernels
+                    # it delayed; the record's dur carries its seconds
                     args["seconds"] = dur
                     events.append(
                         InstantEvent(name, cat, ts, pid, "kernels", args)
                     )
                     if metrics is not None:
-                        if name.startswith(("compile:", "recompile:")):
-                            metrics.inc(f"spmd.{pid}.kernel_compiles")
-                            metrics.inc(
-                                f"spmd.{pid}.compile_seconds", dur
-                            )
-                        elif name.startswith("hit:"):
-                            metrics.inc(f"spmd.{pid}.kernel_cache_hits")
+                        metrics.inc(f"spmd.{pid}.kernel_cache_hits")
                     continue
                 events.append(
                     InstantEvent(name, cat, ts, pid, "faults", args)

@@ -213,6 +213,7 @@ class Executor:
                 soft_timeout=soft_timeout,
                 fault_plan=fault_plan,
                 trace_dir=trace_dir,
+                observer=tracer,
             )
         finally:
             if trace_dir is not None:

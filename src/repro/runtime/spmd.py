@@ -83,33 +83,39 @@ everything else off that path, and no array crosses a socket:
 1. The parent creates the data and flags segments with
    ``os.memfd_create``: nothing is named in ``/dev/shm``, so nothing
    outlives the last process holding them, even a killed parent. It
-   starts every rank as ``python -c`` (:data:`_RANK_ENTRY`), which
+   starts every rank as ``python -S -c`` (:data:`_RANK_ENTRY`), which
    inherits both segments and its end of a ``socket.socketpair`` as
-   fds. A rank imports only this module and what it imports, never the
-   caller's ``__main__``.
+   fds. The rank's ``PYTHONPATH`` is the parent's resolved
+   ``sys.path``, so it finds every module where the parent did, and
+   ``-S`` skips ``site``, ``.pth`` files and user site. A rank imports
+   only this module, what it imports and the generated module's own
+   imports: numpy and a few ``repro`` modules, never the caller's
+   ``__main__``, the lowering or the compiler side.
 2. While the ranks import, the parent casts every input straight into
    the region of each rank that holds it (the checks and downcast
-   policy of :func:`repro.runtime.world.place_inputs`), unmaps the
+   policy of :func:`repro.runtime.world.place_inputs`) and unmaps the
    segment, so its resident set does not count those pages a second
-   time, and sends each rank one pickled spec: layout, deadlines, fault
-   plan, trace path and the generated module's ``source``. A spec is a
-   few KB (10–15 KB with the native target's C source), well inside a
-   socket's send buffer, so the send does not wait for the rank.
-3. Each rank ``exec``s that source (no rank loads an artifact or runs
-   the code generator), binds its tensors to writable views of its own
-   regions and runs in place: the generated module updates tensor
-   states in their regions and copies only the inputs it updates. The
-   rank copies every other result the parent will read into its region
-   (a replicated result from the group's first rank only), closes its
-   segments, sends one pickled report, ``("ok", seconds)``, and leaves
-   with ``os._exit(0)``, skipping interpreter teardown.
-4. The parent maps the segment again and copies each result out in one
+   time. On the native target it then resolves the module's C kernels
+   (:func:`repro.core.codegen.native.load_kernels`): on a cold cache
+   that is the one compile, still overlapping the ranks' imports, and
+   made before any rendezvous deadline starts.
+3. The parent sends each rank one pickled spec: layout, deadlines,
+   fault plan, trace path, the generated module's ``source`` and, on
+   the native target, the kernel object's ``(key, path, functions)``.
+   A spec is a few KB, well inside a socket's send buffer, so the send
+   does not wait for the rank.
+4. Each rank ``exec``s that source (no rank loads an artifact, runs the
+   code generator or compiles), opens the kernel object
+   (:func:`repro.core.codegen.device.open_kernels`), binds its tensors
+   to writable views of its own regions and runs in place: the
+   generated module updates tensor states in their regions and copies
+   only the inputs it updates. The rank copies every other result the
+   parent will read into its region (a replicated result from the
+   group's first rank only), closes its segments, sends one pickled
+   report, ``("ok", seconds)``, and leaves with ``os._exit(0)``,
+   skipping interpreter teardown.
+5. The parent maps the segment again and copies each result out in one
    pass, so no returned array aliases the segment it closes.
-
-On the native target the spec also carries the parent's
-:func:`repro.core.codegen.native.toolchain_record` (compiler path and
-version). Each rank primes its compiler memo from it instead of
-forking ``cc --version``, and so resolves the same kernel cache key.
 
 Failure handling
 ----------------
@@ -123,8 +129,10 @@ means the process is gone, whether it was killed, died of an injected
 fault or never got as far as reading its spec. The
 parent then stores the failure marker on the rank's behalf, and takes
 its exit code from ``Popen.wait``. Teardown runs in a ``finally``: it
-reaps (after a grace period, kills) every rank and closes both
-segments.
+closes the parent's socket ends, so a rank still waiting for its spec
+(a launch that failed before sending, a kernel that did not compile)
+reads EOF and exits, reaps (after a grace period, kills) every rank and
+closes both segments.
 
 Usage
 -----
@@ -154,20 +162,15 @@ from __future__ import annotations
 import mmap
 import os
 import pickle
-import select
-import socket
-import subprocess
 import sys
-import threading
 import time
-import traceback
 from typing import (
-    Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Dict, List, Mapping, NamedTuple, Optional, Sequence,
+    Tuple,
 )
 
 import numpy as np
 
-from repro.core import ops
 from repro.core.process_group import ProcessGroup
 from repro.core.tensor import Tensor
 from repro.errors import ExecutionError
@@ -182,10 +185,15 @@ from repro.observe.ring import (
     TraceRing,
 )
 from repro.runtime.collectives import fold_ranks
-from repro.runtime.faults import FaultPlan
 from repro.runtime.world import (
     assemble_rows, check_divisible, place_inputs, slice_of,
 )
+
+if TYPE_CHECKING:  # parent-side only; a sent plan unpickles ``faults``
+    import socket
+    import subprocess
+
+    from repro.runtime.faults import FaultPlan
 
 __all__ = [
     "SpmdCommunicator",
@@ -354,6 +362,8 @@ def build_layout(program) -> SpmdLayout:
     first rank: the parent reads every replicated result, output or
     state, from that rank.
     """
+    from repro.core import ops  # parent-side: a rank never walks ops
+
     world_size = program.inputs[0].group.world_size
     layout = SpmdLayout(world_size)
     layout.add_site(
@@ -398,10 +408,7 @@ def build_layout(program) -> SpmdLayout:
     return layout
 
 
-def scaled_default_timeout(
-    layout: SpmdLayout, wire_s_per_mb: float,
-    compile_allowance_s: float = 0.0,
-) -> float:
+def scaled_default_timeout(layout: SpmdLayout, wire_s_per_mb: float) -> float:
     """The default per-wait deadline, scaled to the simulated wire.
 
     Publishing a slot of S MiB costs ``wire_s_per_mb * S`` seconds of
@@ -410,19 +417,12 @@ def scaled_default_timeout(
     the flat :data:`DEFAULT_TIMEOUT` gains ``4 x wire x largest-site x
     nranks`` of headroom — slow simulated wires must stretch waits, not
     fail them.
-
-    ``compile_allowance_s`` is the native target's one-time
-    cold-kernel-cache headroom: on the first run each rank compiles (or
-    waits behind a peer's ``flock`` for) the module's C kernels between
-    the barrier and its first rendezvous, which the flat deadline would
-    misread as a dead peer. Warm-cache runs pass 0.
     """
-    base = DEFAULT_TIMEOUT + max(0.0, compile_allowance_s)
     if wire_s_per_mb <= 0.0 or not layout.sites:
-        return base
+        return DEFAULT_TIMEOUT
     largest = max(slot for (_, slot, _) in layout.sites.values())
     scale = 4.0 * wire_s_per_mb * (largest / (1 << 20)) * layout.nranks
-    return base + scale
+    return DEFAULT_TIMEOUT + scale
 
 
 #: the chunk list of a whole-payload publication: one chunk, every element
@@ -664,24 +664,17 @@ class SpmdCommunicator:
         the call as a kernel span."""
         return _KernelSpan(self, name)
 
-    def record_compile(
-        self, name: str, seconds: float, status: str
-    ) -> None:
-        """Record a native kernel-cache outcome as an instant event.
-
-        Called by :func:`repro.core.codegen.native.load_kernels` when
-        the communicator is passed as its observer; Perfetto timelines
-        then show cold-cache compile stalls (``compile:<key>``) next to
-        the kernels they delayed. ``status`` is ``"compile"``, ``"hit"``
-        or ``"recompile"``; ``dur`` carries the elapsed time so the
-        merged metrics can aggregate per-rank compile seconds.
-        """
+    def record_kernel_open(self, key: str, seconds: float) -> None:
+        """Record opening the kernel object the launcher resolved as a
+        ``hit:<key>`` instant, so Perfetto timelines show the load next
+        to the kernels it preceded; ``dur`` carries the elapsed time,
+        which the merged metrics aggregate per rank."""
         if self._ring is not None:
             self._ring.append(
                 KIND_COMPILE,
                 time.monotonic_ns(),
                 int(seconds * 1e9),
-                name=f"{status}:{name}",
+                name=f"hit:{key}",
             )
 
     def error_context(self) -> Dict[str, object]:
@@ -1309,6 +1302,8 @@ class _Stream(object):
                 self._exc = exc
                 comm.signal_error(_ERR_FAILED)
 
+        import threading  # only overlap chunk loops run a stream
+
         self._thread = threading.Thread(target=run, daemon=True)
         self._thread.start()
 
@@ -1332,16 +1327,19 @@ class _Stream(object):
 # ---------------------------------------------------------------------------
 
 
-def _send(sock: socket.socket, obj) -> None:
-    """Send ``obj`` as one message: its pickle, which marks its own end."""
-    sock.sendall(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
+def _send(fd: int, obj) -> None:
+    """Send ``obj`` over the socket ``fd`` as one message: its pickle,
+    which marks its own end."""
+    data = memoryview(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
+    while data:
+        data = data[os.write(fd, data):]
 
 
 def _recv(stream):
-    """The next :func:`_send` message from ``stream``, a socket's
-    ``makefile("rb")``; ``None`` if the peer is gone before a whole one
-    (EOF, a message cut short, or a connection reset because the peer
-    exited with a message to it unread)."""
+    """The next :func:`_send` message from ``stream``, a binary stream
+    over a socket; ``None`` if the peer is gone before a whole one (EOF,
+    a message cut short, or a connection reset because the peer exited
+    with a message to it unread)."""
     try:
         return pickle.load(stream)
     except (EOFError, pickle.UnpicklingError, OSError):
@@ -1379,27 +1377,28 @@ def _same_memory(a: np.ndarray, b: np.ndarray) -> bool:
     )
 
 
-#: what a rank process runs (``python -c``); ``sys.argv[1]`` is the fd
-#: of its end of the socket pair to the parent
+#: what a rank process runs (``python -S -c``); ``sys.argv[1]`` is the
+#: fd of its end of the socket pair to the parent
 _RANK_ENTRY = "from repro.runtime.spmd import _rank_main; _rank_main()"
-#: the directory holding the ``repro`` package, put on a rank's
-#: ``PYTHONPATH`` (the caller may have found it through ``sys.path``)
-_PACKAGE_ROOT = os.path.dirname(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-)
 
 
 def _rank_main() -> None:
     """A rank process: one spec in, one report out, then exit.
 
     The spec arrives once every input region is written (see
-    :func:`launch`). The socket is never closed here: only the exit
-    closes it, so the parent reading EOF knows the process is gone.
+    :func:`launch`). The rank reads and writes its end of the socket
+    pair as a plain fd, and never closes it: only the exit closes it,
+    so the parent reading EOF knows the process is gone.
     """
-    sock = socket.socket(fileno=int(sys.argv[1]))
-    spec = _recv(sock.makefile("rb"))
+    fd = int(sys.argv[1])
+    with open(fd, "rb", closefd=False) as stream:
+        spec = _recv(stream)
     if spec is not None:
-        _send(sock, _run_rank(**spec))
+        report = _run_rank(**spec)
+        try:
+            _send(fd, report)
+        except OSError:  # the parent is gone (or gave up on this run)
+            pass
     # reported, segments and ring closed: exit without interpreter
     # teardown (finalizing every imported module takes longer than the
     # rank body of a small step)
@@ -1410,18 +1409,18 @@ def _rank_main() -> None:
 
 def _run_rank(
     rank: int, layout: SpmdLayout, data_fd: int, flags_fd: int,
-    source: str, toolchain: Optional[dict], **comm_kwargs,
+    source: str, kernels: Optional[tuple], **comm_kwargs,
 ) -> tuple:
-    """Run the module ``source`` as rank ``rank``; returns its report."""
+    """Run the module ``source`` as rank ``rank``; returns its report.
+
+    ``kernels`` is the native target's ``(key, path, functions)``: the
+    kernel object the parent resolved, bound as the module's ``_K``.
+    """
     comm = None
     try:
         comm = SpmdCommunicator.attach(
             layout, rank, data_fd, flags_fd, **comm_kwargs
         )
-        if toolchain is not None:
-            from repro.core.codegen import native
-
-            native.prime(toolchain)
         buf = comm._data
         inputs = {
             key[1]: layout.view(buf, key, rank)
@@ -1434,12 +1433,18 @@ def _run_rank(
             view.reshape(-1).view(np.uint8)[::4096].max(initial=0)
         namespace: Dict[str, object] = {}
         exec(compile(source, f"<spmd rank {rank}>", "exec"), namespace)
-        ensure = namespace.get("_ensure_native")
-        if ensure is not None:
-            # compile/load native kernels before the timing barrier so
-            # the one-time cc invocation and dlopen count as startup
-            # (like spawn), not as execution time
-            ensure(comm)
+        if kernels is not None:
+            # open before the timing barrier: the dlopen counts as
+            # start-up (like spawn), not as execution time
+            from repro.core.codegen.device import open_kernels
+
+            t0 = time.perf_counter()
+            namespace["_K"] = open_kernels(*kernels)
+            if namespace["_K"] is None:
+                raise SpmdError(f"kernel object {kernels[1]} is unloadable")
+            comm.record_kernel_open(
+                kernels[0][:12], time.perf_counter() - t0
+            )
         # synchronize before timing so spawn stagger (rank 0 idling in
         # its first collective until the last process is up) does not
         # count as execution time
@@ -1466,6 +1471,8 @@ def _run_rank(
                 f"site {context.get('site') or '?'!r}, "
                 f"seq {context.get('seq', 0)})"
             )
+        import traceback
+
         return ("error", summary, traceback.format_exc(), context)
     finally:
         if comm is not None:
@@ -1527,23 +1534,25 @@ def _segment(name: str, size: int) -> int:
 def _start(
     entry: str, fds: Sequence[int]
 ) -> Tuple[subprocess.Popen, socket.socket]:
-    """Start ``python -c entry`` holding ``fds`` and its end of a new
+    """Start ``python -S -c entry`` holding ``fds`` and its end of a new
     socket pair (fd ``sys.argv[1]``); ``(process, the parent's end)``.
 
-    The ``repro`` root leads the process's ``PYTHONPATH``, and numpy's
-    BLAS runs one thread unless the caller's environment says
+    The process's ``PYTHONPATH`` is this process's ``sys.path``, so it
+    resolves modules as the parent did without running ``site``, and
+    numpy's BLAS runs one thread unless the caller's environment says
     otherwise: the ranks already fill the cores, and threaded GEMMs in
     every rank would oversubscribe them.
     """
+    import socket
+    import subprocess
+
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (_PACKAGE_ROOT, env.get("PYTHONPATH")))
-    )
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, sys.path))
     env.setdefault("OPENBLAS_NUM_THREADS", "1")
     sock, child = socket.socketpair()
     with child:
         proc = subprocess.Popen(
-            [sys.executable, "-c", entry, str(child.fileno())],
+            [sys.executable, "-S", "-c", entry, str(child.fileno())],
             pass_fds=(child.fileno(), *fds), env=env,
         )
     return proc, sock
@@ -1551,6 +1560,8 @@ def _start(
 
 def _reap(procs: Sequence[subprocess.Popen]) -> None:
     """Wait for every rank to exit; kill one still running after 5 s."""
+    import subprocess
+
     for p in procs:
         try:
             p.wait(timeout=5.0)
@@ -1571,6 +1582,7 @@ def launch(
     fault_plan: Optional[FaultPlan] = None,
     trace_dir: Optional[str] = None,
     trace_capacity: int = 32768,
+    observer=None,
 ):
     """Run a generated SPMD module as one process per rank.
 
@@ -1589,9 +1601,10 @@ def launch(
 
     ``timeout`` bounds every rendezvous wait (default:
     :func:`scaled_default_timeout`, so slow simulated wires stretch the
-    deadline instead of false-timing-out); on the native target it
-    also gains :func:`repro.core.codegen.native.cold_compile_allowance`
-    while the kernels are not yet in the on-disk cache.
+    deadline instead of false-timing-out). On the native target the
+    parent compiles any kernels before the ranks get their specs, so a
+    cold kernel cache never counts against it; ``observer`` (a
+    :class:`~repro.observe.events.Tracer`) hears of that compile.
     ``soft_timeout`` is the escalation (soft-retry) deadline inside
     each wait. ``fault_plan`` injects the given
     :class:`~repro.runtime.faults.FaultPlan` into every rank. A rank
@@ -1622,17 +1635,9 @@ def launch(
         )
     placed = place_inputs(program, inputs, allow_downcast, cast=False)
     layout = build_layout(program)
-    compile_allowance_s = 0.0
-    if generated.c_source:
-        from repro.core.codegen import native
-
-        compile_allowance_s = native.cold_compile_allowance(
-            generated.c_source
-        )
     timeout = (
-        scaled_default_timeout(layout, wire_s_per_mb, compile_allowance_s)
-        if timeout is None
-        else float(timeout) + max(0.0, compile_allowance_s)
+        scaled_default_timeout(layout, wire_s_per_mb)
+        if timeout is None else float(timeout)
     )
 
     trace_paths: List[Optional[str]] = [None] * world_size
@@ -1678,21 +1683,29 @@ def launch(
         with mmap.mmap(data_fd, layout.data_size) as data:
             _place_regions(layout, program, placed, data)
         placed = None
+        kernels = None
+        if generated.c_source:
+            from repro.core.codegen import native
+
+            k = native.load_kernels(generated.c_source, observer=observer)
+            kernels = (k.key, k.path, k.functions)
         spec = dict(
             layout=layout, data_fd=data_fd, flags_fd=flags_fd,
             wire_s_per_mb=wire_s_per_mb, timeout=timeout,
             soft_timeout=soft_timeout, faults=fault_plan,
-            source=generated.source,
-            toolchain=(
-                native.toolchain_record() if generated.c_source else None
-            ),
+            source=generated.source, kernels=kernels,
         )
         for r, sock in enumerate(socks):
             try:
-                _send(sock, dict(spec, rank=r, trace_path=trace_paths[r]))
+                _send(
+                    sock.fileno(),
+                    dict(spec, rank=r, trace_path=trace_paths[r]),
+                )
             except OSError:
                 # the rank already died: its EOF reports it below
                 pass
+
+        import select
 
         deadline = time.monotonic() + timeout + 60.0
         pending = dict(zip(socks, range(world_size)))
@@ -1738,9 +1751,10 @@ def launch(
             with mmap.mmap(data_fd, layout.data_size) as data:
                 outputs, states = _read_results(layout, program, data)
     finally:
-        _reap(procs)
+        # EOF first: a rank still waiting for its spec exits at once
         for sock in socks:
             sock.close()
+        _reap(procs)
         for fd in fds:
             os.close(fd)
     if fail["msg"] is not None:

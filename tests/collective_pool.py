@@ -63,12 +63,12 @@ def _pool_worker() -> None:
                     result = method(comm, *args, **kwargs)
                 else:
                     result = getattr(comm, method)(*args, **kwargs)
-                _send(sock, ("ok", result))
+                _send(sock.fileno(), ("ok", result))
             except SpmdPeerAbort:  # pragma: no cover - raced abort
-                _send(sock, ("error", "aborted by peer"))
+                _send(sock.fileno(), ("error", "aborted by peer"))
             except Exception as exc:
                 comm.signal_error(_ERR_FAILED)
-                _send(sock, ("error", f"{type(exc).__name__}: {exc}"))
+                _send(sock.fileno(), ("error", f"{type(exc).__name__}: {exc}"))
                 # collective state is poisoned; peers saw the error flag
                 break
     finally:
@@ -147,7 +147,7 @@ class CollectivePool:
             self._procs.append(proc)
             self._socks.append(sock)
             self._streams.append(sock.makefile("rb"))
-            _send(sock, (r, layout, *self._fds, timeout))
+            _send(sock.fileno(), (r, layout, *self._fds, timeout))
 
     def call(
         self, method: Union[str, Sequence[str]],
@@ -162,7 +162,7 @@ class CollectivePool:
         if isinstance(method, str) or callable(method):
             method = [method] * self.nranks
         for sock, name, args in zip(self._socks, method, per_rank_args):
-            _send(sock, ("call", name, args, kwargs))
+            _send(sock.fileno(), ("call", name, args, kwargs))
         out = []
         errors = []
         for r, (sock, stream) in enumerate(zip(self._socks, self._streams)):
@@ -183,7 +183,7 @@ class CollectivePool:
     def close(self) -> None:
         for sock in self._socks:
             try:
-                _send(sock, ("stop",))
+                _send(sock.fileno(), ("stop",))
             except OSError:
                 pass
         _reap(self._procs)

@@ -2,6 +2,10 @@
 and the examples use must be exported where documented."""
 
 import importlib
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -49,6 +53,40 @@ class TestCoreExports:
             "Local", "RANK", "GROUP", "GroupRank",
         ):
             assert name in core.__all__, name
+
+    def test_paper_names_import_from_the_package(self):
+        from repro.core import AllReduce, ChunkLoop, Execute, FP16, Tensor
+
+        assert ChunkLoop.__module__ == "repro.core.lower"
+        assert AllReduce.__module__ == "repro.core.ops"
+        assert Execute.__module__ == "repro.core.program"
+        assert Tensor.__module__ == "repro.core.tensor"
+        assert FP16.name == "FP16"
+
+    def test_lower_is_the_module_before_and_after_its_import(self):
+        # the package resolves its exports lazily: ``lower`` is not one
+        # of them, so it always names the submodule, and importing the
+        # package imports neither the lowering nor the transformations
+        child = textwrap.dedent("""
+            import sys, types
+            import repro.core
+            assert "lower" not in repro.core.__all__
+            assert not {"repro.core.lower", "repro.core.transforms"} & set(
+                sys.modules
+            )
+            from repro.core import lower
+            assert isinstance(lower, types.ModuleType), lower
+            import repro.core.lower
+            from repro.core import lower as again
+            assert again is lower is sys.modules["repro.core.lower"]
+        """)
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)),
+        )
+        subprocess.run(
+            [sys.executable, "-c", child], env=env, check=True, timeout=120,
+        )
 
     def test_transform_policies_present(self):
         t = importlib.import_module("repro.core.transforms")

@@ -8,7 +8,8 @@ Three layers of coverage:
   bit-identity claim rests on them.
 * **Cache** — cold compile, in-process memo hit, disk hit with zero
   compiles, and a corrupt ``.so`` being deleted and recompiled once,
-  all against an isolated ``REPRO_KERNEL_CACHE``.
+  all against an isolated ``REPRO_KERNEL_CACHE``; a launch compiles in
+  its own process, and its ranks only open the object.
 * **Golden artifacts and GEMMs** — the committed
   ``tests/golden/*.repro.json`` execute on the native backend: the
   elementwise-only fused-Adam artifact must match the lowered
@@ -19,7 +20,6 @@ Three layers of coverage:
 """
 
 import ctypes
-import ctypes.util
 import hashlib
 import json
 import os
@@ -28,6 +28,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -205,7 +206,6 @@ class TestKernelCache:
             after1.get("native.cache.compiles", 0)
             == before.get("native.cache.compiles", 0) + 1
         )
-        assert native.cold_compile_allowance(src) == 0.0
 
         native.load_kernels(src)  # warm: in-process memo
         after2 = native.metrics.snapshot()
@@ -270,13 +270,9 @@ class TestKernelCache:
             assert after.get(counter, 0) == before.get(counter, 0) + 1
         k.call("noop_h", (np.zeros(1),))
 
-    def test_cold_compile_allowance_nonzero_then_zero(self, kernel_cache):
-        src = native.PRELUDE + "\nvoid noop_c(char** A, double* S) {}\n"
-        assert native.cold_compile_allowance(src) > 0.0
-        native.load_kernels(src)
-        assert native.cold_compile_allowance(src) == 0.0
-
     def test_observer_receives_cache_outcomes(self, kernel_cache):
+        # the observer hears of compiles only: a disk or memo hit is
+        # the ranks' to record (each opens the object itself)
         src = native.PRELUDE + "\nvoid noop_d(char** A, double* S) {}\n"
         seen = []
 
@@ -285,9 +281,19 @@ class TestKernelCache:
                 seen.append((name, status))
 
         native.load_kernels(src, observer=Obs())
+        native.load_kernels(src, observer=Obs())  # memo hit
         native._MEMO.clear()
-        native.load_kernels(src, observer=Obs())
-        assert [s for _, s in seen] == ["compile", "hit"]
+        native.load_kernels(src, observer=Obs())  # disk hit
+        assert [s for _, s in seen] == ["compile"]
+        # a corrupt entry planted before any load is recompiled
+        other = native.PRELUDE + "\nvoid noop_e(char** A, double* S) {}\n"
+        path = os.path.join(
+            native.cache_dir(), native.source_key(other) + ".so"
+        )
+        with open(path, "wb") as f:
+            f.write(b"not a shared object")
+        native.load_kernels(other, observer=Obs())
+        assert [s for _, s in seen] == ["compile", "recompile"]
 
     def test_source_key_covers_source_and_toolchain(self, kernel_cache):
         a = native.source_key(native.PRELUDE + "/* a */")
@@ -323,8 +329,12 @@ class TestTargetDispatch:
             os.path.join(GOLDEN, "adam_fused.repro.json")
         )
         gen = CodeGenerator(target="native").generate(art)
-        assert "_ensure_native(comm)" in gen.source
+        # the rank binds _K to the object its launcher compiled: the
+        # module neither embeds the C source nor compiles it
         assert "_K.call(" in gen.source
+        assert "\n_K = None\n" in gen.source
+        assert "load_kernels" not in gen.source
+        assert "repro_d2h" not in gen.source
 
     def test_matmul_emits_no_c_function(self):
         # a GEMM is numpy's np.matmul on every tier: a MatMul-only
@@ -425,27 +435,6 @@ class TestRankDataPath:
         assert _digest(got) == _digest(low)
 
 
-class TestTimeoutAllowance:
-    def test_scaled_default_timeout_gains_allowance(self):
-        from repro.runtime.spmd import (
-            DEFAULT_TIMEOUT,
-            SpmdLayout,
-            scaled_default_timeout,
-        )
-
-        layout = SpmdLayout(nranks=2)
-        assert scaled_default_timeout(layout, 0.0) == DEFAULT_TIMEOUT
-        assert (
-            scaled_default_timeout(layout, 0.0, compile_allowance_s=45.0)
-            == DEFAULT_TIMEOUT + 45.0
-        )
-        # negative allowances never shrink the deadline
-        assert (
-            scaled_default_timeout(layout, 0.0, compile_allowance_s=-5.0)
-            == DEFAULT_TIMEOUT
-        )
-
-
 @needs_cc
 class TestGemmsBitIdentical:
     """FP32/FP64 GEMMs are numpy's on native too: bit for bit."""
@@ -524,21 +513,7 @@ def _refuse(*args, **kwargs):
     raise AssertionError("toolchain probe ran")
 
 
-@pytest.fixture
-def fresh_toolchain(monkeypatch):
-    """Empty toolchain memos, as in a freshly started rank process."""
-    monkeypatch.setattr(native, "_CC_VERSION", {})
-    monkeypatch.setattr(native, "_RECORDS", {})
-
-
 class TestToolchainProbes:
-    def test_record_runs_no_library_probe(
-        self, fresh_toolchain, monkeypatch
-    ):
-        monkeypatch.setattr(ctypes.util, "find_library", _refuse)
-        record = native.toolchain_record()
-        assert set(record) == {"cc", "cc_version"}
-
     def test_report_names_numpys_blas_without_loading_it(
         self, monkeypatch
     ):
@@ -550,50 +525,30 @@ class TestToolchainProbes:
             assert blas.startswith(deps["blas"]["name"])
 
     @needs_cc
-    def test_primed_rank_loads_warm_kernels_without_probes(
-        self, kernel_cache, fresh_toolchain, monkeypatch
-    ):
-        src = native.PRELUDE + "\nvoid noop_f(char** A, double* S) {}\n"
-        record = native.toolchain_record()
-        assert record["cc"] == native._find_cc()
-        unprimed = native.load_kernels(src)  # compiles, caches
-        # a fresh rank: empty memos, primed from the launcher's record
-        native._MEMO.clear()
-        monkeypatch.setattr(native, "_CC_VERSION", {})
-        native.prime(record)
-        monkeypatch.setattr(subprocess, "run", _refuse)
-        monkeypatch.setattr(ctypes.util, "find_library", _refuse)
-        before = native.metrics.snapshot()
-        primed = native.load_kernels(src)
-        after = native.metrics.snapshot()
-        assert after.get("native.cache.disk_hits", 0) == (
-            before.get("native.cache.disk_hits", 0) + 1
-        )
-        assert primed.key == unprimed.key
-
-    @needs_cc
     @pytest.mark.skipif(
         not os.path.exists("/proc/self/maps"), reason="no /proc maps"
     )
     def test_rank_maps_only_the_kernel_object(self, kernel_cache):
-        # a rank has numpy loaded; loading its kernels must map the
-        # kernel .so and nothing else (no BLAS, no BLAS dependencies)
+        # a rank has numpy loaded; opening the kernels its launcher
+        # resolved must map the kernel .so and nothing else (no BLAS,
+        # no BLAS dependencies), and import none of the compile side
         src = native.PRELUDE + "\nvoid noop_i(char** A, double* S) {}\n"
-        so_path = native.load_kernels(src).path  # warm the disk cache
+        k = native.load_kernels(src)  # the launcher's compile
         child = textwrap.dedent(
             f"""
             import json
+            import sys
             import numpy
-            from repro.core.codegen import native
+            from repro.core.codegen.device import open_kernels
 
             def mapped():
                 with open("/proc/self/maps") as f:
                     rows = (line.split(maxsplit=5) for line in f)
                     return {{r[5].strip() for r in rows if len(r) == 6}}
 
-            native.prime({native.toolchain_record()!r})
             before = mapped()
-            native.load_kernels({src!r})
+            assert open_kernels(*{(k.key, k.path, k.functions)!r})
+            assert "repro.core.codegen.native" not in sys.modules
             print(json.dumps(sorted(mapped() - before)))
             """
         )
@@ -605,4 +560,116 @@ class TestToolchainProbes:
             [sys.executable, "-c", child], env=env, capture_output=True,
             text=True, timeout=120, check=True,
         ).stdout
-        assert json.loads(out) == [so_path]
+        assert json.loads(out) == [k.path]
+
+
+@needs_cc
+def _counted(tracer, suffix: str) -> float:
+    """The sum of ``tracer``'s metrics named ``*<suffix>``, as
+    ``benchmarks/bench_native.py`` adds them up."""
+    snap = tracer.metrics.snapshot()
+    return sum(v for k, v in snap.items() if k.endswith(suffix))
+
+
+class TestParentCompile:
+    """The launching process resolves kernels; its ranks only open them."""
+
+    def _adam(self):
+        from repro.cli import _seeded_inputs
+        from repro.workloads.adam import AdamWorkload
+
+        sched = AdamWorkload.build(64, 2).schedule_fused()
+        return sched, _seeded_inputs(sched.program, seed=0)
+
+    def _run(self, sched, inputs, **kwargs):
+        return Executor().run_spmd(
+            sched, inputs, allow_downcast=True, codegen_target="native",
+            **kwargs,
+        )
+
+    def test_cold_launch_compiles_once_in_the_parent(self, kernel_cache):
+        # traced cold run, then traced warm run: the parent's compile
+        # is one ``compile`` instant on the tracer's own track, and each
+        # rank records one ``hit:`` (its dlopen) every time
+        from repro.observe import InstantEvent, Tracer
+
+        sched, inputs = self._adam()
+        low = Executor().run_lowered(sched, inputs, allow_downcast=True)
+        for parent_instants in (["compile"], []):
+            tracer = Tracer()
+            before = native.metrics.get("native.cache.compiles")
+            out = self._run(sched, inputs, tracer=tracer)
+            assert _digest(out) == _digest(low)
+            assert native.metrics.get("native.cache.compiles") == (
+                before + len(parent_instants)
+            )
+            loads = [
+                e for e in tracer.events
+                if isinstance(e, InstantEvent) and e.cat == "compile"
+            ]
+            assert [
+                e.name.split(":")[0] for e in loads if e.pid == tracer.pid
+            ] == parent_instants
+            ranks = sorted(
+                (e.pid, e.name.split(":")[0])
+                for e in loads if e.pid != tracer.pid
+            )
+            assert ranks == [("rank0", "hit"), ("rank1", "hit")]
+            assert _counted(tracer, ".kernel_compiles") == len(
+                parent_instants
+            )
+            assert _counted(tracer, ".kernel_cache_hits") == 2
+
+    def test_warm_run_that_recompiles_counts_its_compile(self, kernel_cache):
+        # the metric bench_native gates warm runs on: a run after a warm
+        # one that has to compile again (its object evicted) counts it
+        from repro.observe import Tracer
+
+        sched, inputs = self._adam()
+        self._run(sched, inputs)
+        tracer = Tracer()
+        self._run(sched, inputs, tracer=tracer)
+        assert _counted(tracer, ".kernel_compiles") == 0
+        gen = CodeGenerator(target="native").generate(sched)
+        os.remove(os.path.join(
+            native.cache_dir(), native.source_key(gen.c_source) + ".so"
+        ))
+        tracer = Tracer()
+        self._run(sched, inputs, tracer=tracer)
+        assert _counted(tracer, ".kernel_compiles") == 1
+        assert _counted(tracer, ".compile_seconds") > 0
+
+    def test_slow_compile_is_not_charged_to_the_rendezvous(
+        self, kernel_cache, monkeypatch
+    ):
+        # the compile ends before any rank gets its spec, so a compile
+        # slower than every rendezvous deadline still succeeds
+        compile_ = native._compile
+
+        def slow(c_source, so_path):
+            time.sleep(2.0)
+            compile_(c_source, so_path)
+
+        monkeypatch.setattr(native, "_compile", slow)
+        sched, inputs = self._adam()
+        out = self._run(sched, inputs, timeout=1.0)
+        low = Executor().run_lowered(sched, inputs, allow_downcast=True)
+        assert _digest(out) == _digest(low)
+
+    def test_stale_object_recompiled_once(self, kernel_cache):
+        # a loadable object of other source, planted under this
+        # module's key: the parent rejects it and recompiles once
+        sched, inputs = self._adam()
+        gen = CodeGenerator(target="native").generate(sched)
+        other = native.PRELUDE + "\nvoid noop_j(char** A, double* S) {}\n"
+        stale = native.load_kernels(other).path
+        shutil.copy(stale, os.path.join(
+            native.cache_dir(), native.source_key(gen.c_source) + ".so"
+        ))
+        before = native.metrics.snapshot()
+        out = self._run(sched, inputs)
+        after = native.metrics.snapshot()
+        for counter in ("native.cache.recompiles", "native.cache.compiles"):
+            assert after.get(counter, 0) == before.get(counter, 0) + 1
+        low = Executor().run_lowered(sched, inputs, allow_downcast=True)
+        assert _digest(out) == _digest(low)

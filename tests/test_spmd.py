@@ -10,6 +10,7 @@ whole run down without leaking shared-memory segments or deadlocking
 peers.
 """
 
+import inspect
 import mmap
 import os
 import select
@@ -24,6 +25,7 @@ import time
 import numpy as np
 import pytest
 
+import repro
 from repro.cluster import Cluster
 from repro.core import FP32
 from repro.core import Replicated as Replicated_
@@ -77,16 +79,23 @@ def rng():
 
 #: modules a rank process must not import: the launch machinery of
 #: ``multiprocessing`` (and its re-import of the caller's ``__main__``),
-#: the interpreter, the code generator, artifacts and offline tracing
+#: the interpreter, the lowering and transformations, the code
+#: generator and the kernel compiler, artifacts and offline tracing
 RANK_NEVER_IMPORTS = {
     "multiprocessing",
     "__mp_main__",
     "repro.runtime.executor",
+    "repro.core.lower",
+    "repro.core.transforms",
+    "repro.scattered",
     "repro.core.codegen.generator",
+    "repro.core.codegen.native",
     "repro.core.artifact",
     "repro.observe.perfetto",
     "repro.observe.compare",
     "repro.observe.record",
+    "hashlib",
+    "subprocess",
 }
 
 
@@ -281,8 +290,11 @@ class TestSpmdInterface:
         self, rng, target, monkeypatch, tmp_path
     ):
         # every rank gets the module text generated here and runs it as
-        # is: no rank loads an artifact or runs the code generator, nor
-        # anything else beyond the communicator and the device helpers
+        # is: no rank loads an artifact, runs the code generator or
+        # compiles, nor imports anything else beyond the communicator
+        # and the device helpers (nor the fault injector, with no plan
+        # sent); it skipped ``site`` and resolves modules on the
+        # parent's path
         from repro.core.codegen import native
 
         if target == "native" and not native.available():
@@ -290,11 +302,15 @@ class TestSpmdInterface:
         monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
         sched = AdamWorkload.build(64, 2).schedule_fused()
         gen = CodeGenerator(target=target).generate(sched)
+        never = RANK_NEVER_IMPORTS | {"repro.runtime.faults"}
+        parent_path = [p for p in sys.path if p]
         source = gen.source.replace(
             "def run_rank(comm, inputs):\n",
             "def run_rank(comm, inputs):\n"
             "    import sys\n"
-            f"    assert not set(sys.modules) & {RANK_NEVER_IMPORTS!r}\n",
+            f"    assert not set(sys.modules) & {never!r}\n"
+            "    assert sys.flags.no_site\n"
+            f"    assert not set({parent_path!r}) - set(sys.path)\n",
             1,
         )
         assert source != gen.source
@@ -302,9 +318,9 @@ class TestSpmdInterface:
         sent = []
         send = spmd._send
 
-        def record(sock, obj):
+        def record(fd, obj):
             sent.append(obj)
-            send(sock, obj)
+            send(fd, obj)
 
         monkeypatch.setattr(spmd, "_send", record)
         inputs = optimizer_inputs(rng, n=2)
@@ -314,9 +330,10 @@ class TestSpmdInterface:
         for spec in sent:
             assert spec["source"].encode() == source.encode()
             if target == "native":
-                assert spec["toolchain"] == native.toolchain_record()
+                k = native.load_kernels(gen.c_source)
+                assert spec["kernels"] == (k.key, k.path, k.functions)
             else:
-                assert spec["toolchain"] is None
+                assert spec["kernels"] is None
         oracle = Executor().run_lowered(sched, inputs, allow_downcast=True)
         for name in oracle.output_names:
             np.testing.assert_array_equal(
@@ -628,8 +645,8 @@ class TestLaunchLoop:
         # a rank process that reports and exits before the parent looks:
         # its report is still read whole, ahead of the EOF
         proc, sock = spmd._start(
-            "import socket, sys; from repro.runtime.spmd import _send; "
-            f"_send(socket.socket(fileno=int(sys.argv[1])), {self.OK!r})",
+            "import sys; from repro.runtime.spmd import _send; "
+            f"_send(int(sys.argv[1]), {self.OK!r})",
             (),
         )
         with sock, sock.makefile("rb") as stream:
@@ -641,11 +658,11 @@ class TestLaunchLoop:
         parent, child = socket.socketpair()
         with parent, child, parent.makefile("rb") as stream:
             assert not _readable(parent)  # running: nothing to read
-            spmd._send(child, self.OK)
+            spmd._send(child.fileno(), self.OK)
             assert _readable(parent)
             assert spmd._recv(stream) == self.OK
             # a report cut short by the rank's death
-            spmd._send(child, self.OK)
+            spmd._send(child.fileno(), self.OK)
             whole = parent.recv(1 << 10)
             child.sendall(whole[:-3])
             child.close()
@@ -662,7 +679,7 @@ class TestLaunchLoop:
         # connection rather than closing it cleanly: still a death
         parent, child = socket.socketpair()
         with parent, parent.makefile("rb") as stream:
-            spmd._send(parent, {"rank": 0})
+            spmd._send(parent.fileno(), {"rank": 0})
             child.close()
             assert _readable(parent)
             assert spmd._recv(stream) is None
@@ -678,8 +695,8 @@ class TestLaunchLoop:
             started.append(proc)
             return proc, sock
 
-        def send_then_kill_rank1(sock, obj):
-            send(sock, obj)
+        def send_then_kill_rank1(fd, obj):
+            send(fd, obj)
             if obj["rank"] == 1:
                 started[1].send_signal(signal.SIGKILL)
                 started[1].wait(timeout=30.0)
@@ -699,6 +716,20 @@ class TestLaunchLoop:
         assert all(p.returncode is not None for p in started)
 
 
+def children():
+    """This process's children, zombies included, from ``/proc``."""
+    kids = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat") as f:
+                stat = f.read()
+        except OSError:
+            continue
+        if int(stat.rpartition(")")[2].split()[1]) == os.getpid():
+            kids.append(int(entry))
+    return kids
+
+
 #: a user's script calling ``run_spmd``: it checks the result against
 #: ``run_lowered`` and that no process it started outlives the call
 USER_SCRIPT = textwrap.dedent("""
@@ -710,19 +741,7 @@ USER_SCRIPT = textwrap.dedent("""
     from repro.workloads.adam import AdamWorkload
 
 
-    def children():
-        # this process's children, zombies included, from /proc
-        kids = []
-        for entry in filter(str.isdigit, os.listdir("/proc")):
-            try:
-                with open(f"/proc/{{entry}}/stat") as f:
-                    stat = f.read()
-            except OSError:
-                continue
-            if int(stat.rpartition(")")[2].split()[1]) == os.getpid():
-                kids.append(int(entry))
-        return kids
-
+    {children}
 
     sched = AdamWorkload.build(64, 2).schedule_fused()
     inputs = _seeded_inputs(sched.program, seed=0)
@@ -757,8 +776,8 @@ class TestRankProcesses:
         else:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", given)
         proc, sock = spmd._start(
-            "import os, socket, sys; from repro.runtime.spmd import _send; "
-            "_send(socket.socket(fileno=int(sys.argv[1])), "
+            "import os, sys; from repro.runtime.spmd import _send; "
+            "_send(int(sys.argv[1]), "
             "os.environ['OPENBLAS_NUM_THREADS'])",
             (),
         )
@@ -776,7 +795,10 @@ class TestRankProcesses:
 
         if target == "native" and not native.available():
             pytest.skip("no C compiler on PATH")
-        script = USER_SCRIPT.format(src=spmd._PACKAGE_ROOT, target=target)
+        script = USER_SCRIPT.format(
+            src=os.path.dirname(os.path.dirname(repro.__file__)),
+            target=target, children=inspect.getsource(children),
+        )
         env = dict(os.environ, REPRO_KERNEL_CACHE=kernel_cache)
         env.pop("PYTHONPATH", None)
         if how == "stdin":
@@ -791,6 +813,38 @@ class TestRankProcesses:
         )
         assert done.returncode == 0, done.stderr
         assert "user script ok" in done.stdout
+
+    @pytest.mark.parametrize("failure", ["place_regions", "compile"])
+    def test_launch_failing_before_the_specs_returns_at_once(
+        self, rng, monkeypatch, tmp_path, failure
+    ):
+        # ranks still waiting for their spec read EOF and exit: the
+        # launch raises within 2 s, not after the 5 s reap per rank
+        from repro.core.codegen import native
+
+        target = "spmd"
+        if failure == "place_regions":
+            def fail(*args):
+                raise ExecutionError("placement failed")
+
+            monkeypatch.setattr(spmd, "_place_regions", fail)
+            expected = ExecutionError
+        else:
+            if not native.available():
+                pytest.skip("no C compiler on PATH")
+            # a compiler that exits 1, and a cache it has never filled
+            monkeypatch.setenv("CC", "false")
+            monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+            target, expected = "native", CodegenError
+        gen = CodeGenerator(target=target).generate(
+            AdamWorkload.build(64, 2).schedule_fused()
+        )
+        inputs = optimizer_inputs(rng, n=2)
+        t0 = time.monotonic()
+        with pytest.raises(expected):
+            launch(gen, inputs, allow_downcast=True)
+        assert time.monotonic() - t0 < 2.0
+        assert children() == []
 
     def test_stalled_run_creates_no_shm_entry(self, rng):
         # the segments are memfds: nothing appears in /dev/shm even

@@ -16,9 +16,11 @@ Four measurements over :mod:`repro.runtime.faults`:
   chunked mm→AllReduce overlap pipeline: soft-retry escalation and
   redelivery must land bit-identical outputs.
 * **elastic recovery overhead** — ``die(1)`` at 4 ranks with
-  ``elastic=True``: wall-clock of the re-lowered recovery vs a direct
-  run at the recovered world size, plus a run-it-twice determinism
-  check on the whole failure path.
+  ``elastic=True``: wall-clock of the re-lowered recovery on the three
+  survivors vs a direct run at the recovered world size (medians and
+  quartiles of :data:`ELASTIC_REPEATS` each), which ranks were reused
+  and how many were started, plus a determinism check of every repeat
+  of the whole failure path against the first.
 
 Emits ``BENCH_faults.json`` at the repo root::
 
@@ -224,6 +226,15 @@ def transient_recovery(rng: np.random.RandomState) -> Dict:
     return out
 
 
+#: recoveries (and direct runs) timed by :func:`elastic_overhead`
+ELASTIC_REPEATS = 3
+
+
+def _quartiles(samples: List[float]) -> List[float]:
+    """``[q1, median, q3]`` of ``samples``."""
+    return [float(q) for q in np.percentile(samples, [25, 50, 75])]
+
+
 def elastic_overhead(rng: np.random.RandomState) -> Dict:
     """die(1) at 4 ranks: recovery wall-clock vs a direct 3-rank run."""
     N = 60  # divisible by 4 (launch) and by 3 (the recovered world)
@@ -250,31 +261,41 @@ def elastic_overhead(rng: np.random.RandomState) -> Dict:
             elastic=True, relower=relower,
         )
 
-    res = recover()
+    runs = [recover() for _ in range(ELASTIC_REPEATS)]
+    res = runs[0]
     ws = res.elastic["world_size"]
     sched_direct, inputs_direct = relower(ws)
-    t0 = time.perf_counter()
-    direct = Executor().run_spmd(
-        sched_direct, inputs_direct, allow_downcast=True, timeout=60.0
-    )
-    direct_seconds = time.perf_counter() - t0
+    direct_times = []
+    for _ in range(ELASTIC_REPEATS):
+        t0 = time.perf_counter()
+        direct = Executor().run_spmd(
+            sched_direct, inputs_direct, allow_downcast=True, timeout=60.0
+        )
+        direct_times.append(time.perf_counter() - t0)
 
     # the whole failure path must reproduce from the seed
-    res2 = recover()
-    deterministic = (
-        res.elastic["failed_ranks"] == res2.elastic["failed_ranks"]
-        and res.elastic["attempted"] == res2.elastic["attempted"]
-        and res.elastic["world_size"] == res2.elastic["world_size"]
-        and equal_outputs(res, res2)
+    keys = ("failed_ranks", "attempted", "world_size", "reused_ranks",
+            "spawned")
+    deterministic = all(
+        all(r.elastic[k] == res.elastic[k] for k in keys)
+        and equal_outputs(res, r)
+        for r in runs[1:]
     )
+    recovery = _quartiles([r.elastic["recovery_seconds"] for r in runs])
+    direct_q = _quartiles(direct_times)
     return {
         "plan": plan.describe(),
         "failed_ranks": res.elastic["failed_ranks"],
         "attempted": res.elastic["attempted"],
         "recovered_world": ws,
-        "recovery_seconds": res.elastic["recovery_seconds"],
-        "direct_seconds": direct_seconds,
-        "overhead_ratio": res.elastic["recovery_seconds"] / direct_seconds,
+        "reused_ranks": res.elastic["reused_ranks"],
+        "spawned": res.elastic["spawned"],
+        "repeats": ELASTIC_REPEATS,
+        "recovery_seconds": recovery[1],
+        "recovery_seconds_quartiles": recovery,
+        "direct_seconds": direct_q[1],
+        "direct_seconds_quartiles": direct_q,
+        "overhead_ratio": recovery[1] / direct_q[1],
         "equal_outputs": equal_outputs(res, direct),
         "deterministic": bool(deterministic),
     }
@@ -336,6 +357,14 @@ def main() -> None:
         ["stall soft retries", transient["stall"]["soft_retries_observed"]],
         ["drop equal outputs", transient["drop"]["equal_outputs"]],
         ["elastic recovered world", elastic["recovered_world"]],
+        ["elastic reused ranks / spawned",
+         f"{elastic['reused_ranks']} / {elastic['spawned']}"],
+        ["recovery s (q1 / median / q3)",
+         " / ".join(f"{q:.3f}" for q in
+                    elastic["recovery_seconds_quartiles"])],
+        ["direct run s (q1 / median / q3)",
+         " / ".join(f"{q:.3f}" for q in
+                    elastic["direct_seconds_quartiles"])],
         ["recovery / direct run",
          f"{elastic['overhead_ratio']:.2f}x"],
         ["failure path deterministic", elastic["deterministic"]],

@@ -133,12 +133,13 @@ class Executor:
         ``elastic=True`` arms recovery from dead ranks: when the run
         fails because one or more rank *processes* died (an injected
         ``die``, a kill, an OOM), the program is re-lowered for the
-        surviving world size via ``relower`` and re-executed — see
-        :meth:`_recover_spmd`. ``relower(world_size)`` must return
-        ``(scheduled, inputs)`` (or just ``scheduled`` to reuse
-        ``inputs``) built for that world size; world sizes descend from
-        the survivor count until one both lowers and runs. The returned
-        result carries the recovery record in ``result.elastic``.
+        surviving world size via ``relower`` and re-executed by the
+        surviving rank processes — see :meth:`_recover_spmd`.
+        ``relower(world_size)`` must return ``(scheduled, inputs)`` (or
+        just ``scheduled`` to reuse ``inputs``) built for that world
+        size; world sizes descend from the survivor count until one
+        both lowers and runs. The returned result carries the recovery
+        record in ``result.elastic``.
 
         ``tracer``, when given (a :class:`repro.observe.Tracer`), makes
         every rank record publish/wait/reduce/kernel spans into a
@@ -154,15 +155,18 @@ class Executor:
         run on FP32 copies of their operands and carry the documented
         fp tolerance.
         """
-        from repro.runtime.spmd import SpmdWorkerError
+        from repro.runtime.spmd import RankPool, SpmdWorkerError
 
+        # one owner of the rank processes and segments across the
+        # failed launch and every recovery attempt
+        pool = RankPool() if elastic else None
         try:
             return self._run_spmd_once(
                 scheduled, inputs, nranks=nranks,
                 allow_downcast=allow_downcast,
                 wire_s_per_mb=wire_s_per_mb, timeout=timeout,
                 soft_timeout=soft_timeout, fault_plan=fault_plan,
-                tracer=tracer, codegen_target=codegen_target,
+                tracer=tracer, codegen_target=codegen_target, pool=pool,
             )
         except SpmdWorkerError as exc:
             if not elastic or not exc.dead_ranks:
@@ -172,8 +176,11 @@ class Executor:
                 allow_downcast=allow_downcast,
                 wire_s_per_mb=wire_s_per_mb, timeout=timeout,
                 soft_timeout=soft_timeout, tracer=tracer,
-                codegen_target=codegen_target,
+                codegen_target=codegen_target, pool=pool,
             )
+        finally:
+            if pool is not None:
+                pool.close()
 
     def _run_spmd_once(
         self,
@@ -188,8 +195,10 @@ class Executor:
         fault_plan=None,
         tracer=None,
         codegen_target: str = "spmd",
+        pool=None,
     ) -> ProgramResult:
-        """One generate-and-launch attempt (no recovery)."""
+        """One generate-and-launch attempt (no recovery) on ``pool``'s
+        ranks (a :class:`~repro.runtime.spmd.RankPool`), if given."""
         import shutil
         import tempfile
 
@@ -214,6 +223,7 @@ class Executor:
                 fault_plan=fault_plan,
                 trace_dir=trace_dir,
                 observer=tracer,
+                pool=pool,
             )
         finally:
             if trace_dir is not None:
@@ -237,6 +247,7 @@ class Executor:
         soft_timeout: Optional[float],
         tracer,
         codegen_target: str = "spmd",
+        pool,
     ) -> ProgramResult:
         """Reform the group over the survivors and re-execute.
 
@@ -248,10 +259,21 @@ class Executor:
         program (and inputs) at each size, and the first size that both
         lowers and runs wins. The re-run injects no faults: the plan
         described the failed step, and the survivors' re-execution is
-        the recovery being measured. ``result.elastic`` records the
-        failed ranks, attempted sizes and recovery wall-clock; outputs
-        are bit-identical to a direct run at the recovered world size
-        (same relowered program, same deterministic backend).
+        the recovery being measured. Outputs are bit-identical to a
+        direct run at the recovered world size (same relowered program,
+        same deterministic backend).
+
+        Every attempt runs on ``pool``, the
+        :class:`~repro.runtime.spmd.RankPool` of the failed launch:
+        survivors that aborted cleanly are still running, with numpy and
+        ``repro`` imported, so an attempt adopts them, renumbered in rank
+        order, in the same two segments resized, and starts a fresh rank
+        only for a shortfall (a survivor that did not close cleanly, or
+        died while it waited). ``run_spmd`` closes the pool once the
+        descent ends. ``result.elastic`` records the failed ranks, the
+        attempted sizes, the recovery wall-clock, ``reused_ranks`` (the
+        original ranks of the adopted processes) and ``spawned`` (the
+        ranks started during the recovery).
 
         Re-lowered programs are memoized on the executor as serialized
         artifacts keyed by (structural hash of the original schedule,
@@ -281,6 +303,7 @@ class Executor:
                 dead_ranks=dead,
             ) from exc
         t0 = _time.perf_counter()
+        started = pool.started
         base_sig = artifact_mod.as_artifact(scheduled).structural_hash
         attempted = []
         last_error: Exception = exc
@@ -303,25 +326,33 @@ class Executor:
                 cache_state = "miss"
                 cached = artifact_mod.as_artifact(scheduled2)
                 self._elastic_cache[(base_sig, ws)] = cached
-            if tracer is not None:
-                tracer.instant(
-                    "elastic-relower", cat="fault",
-                    args={
-                        "world_size": ws, "dead_ranks": dead,
-                        "artifact_cache": cache_state,
-                    },
-                )
+            ts = tracer.now() if tracer is not None else 0.0
             try:
                 result = self._run_spmd_once(
                     cached, inputs2,
                     allow_downcast=allow_downcast,
                     wire_s_per_mb=wire_s_per_mb, timeout=timeout,
                     soft_timeout=soft_timeout, tracer=tracer,
-                    codegen_target=codegen_target,
+                    codegen_target=codegen_target, pool=pool,
                 )
             except CoCoNetError as err:
                 last_error = err
                 continue
+            finally:
+                # how the attempt's ranks were sourced is known once
+                # the launch adopted them; the instant marks its start
+                ranks = {
+                    "reused_ranks": [o for o in pool.origins if o is not None],
+                    "spawned": pool.started - started,
+                }
+                if tracer is not None:
+                    tracer.instant(
+                        "elastic-relower", cat="fault", ts=ts,
+                        args={
+                            "world_size": ws, "dead_ranks": dead,
+                            "artifact_cache": cache_state, **ranks,
+                        },
+                    )
             result.elastic = {
                 "failed_ranks": dead,
                 "original_world": world_size,
@@ -330,6 +361,7 @@ class Executor:
                 "recovery_seconds": _time.perf_counter() - t0,
                 "cause": str(exc).splitlines()[0],
                 "artifact_cache": cache_state,
+                **ranks,
             }
             return result
         raise last_error

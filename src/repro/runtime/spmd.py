@@ -90,7 +90,11 @@ everything else off that path, and no array crosses a socket:
    ``-S`` skips ``site``, ``.pth`` files and user site. A rank imports
    only this module, what it imports and the generated module's own
    imports: numpy and a few ``repro`` modules, never the caller's
-   ``__main__``, the lowering or the compiler side.
+   ``__main__``, the lowering or the compiler side. A launch given a
+   :class:`RankPool` (elastic recovery) instead resizes the pool's
+   segments in place and first adopts the pool's idle ranks, which
+   already hold both fds at the same numbers; it starts fresh ranks
+   only for the rest.
 2. While the ranks import, the parent casts every input straight into
    the region of each rank that holds it (the checks and downcast
    policy of :func:`repro.runtime.world.place_inputs`) and unmaps the
@@ -113,7 +117,8 @@ everything else off that path, and no array crosses a socket:
    parent will read into its region (a replicated result from the
    group's first rank only), closes its segments, sends one pickled
    report, ``("ok", seconds)``, and leaves with ``os._exit(0)``,
-   skipping interpreter teardown.
+   skipping interpreter teardown. Ranks are one-shot; the one
+   exception is a clean survivor (see "Failure handling").
 5. The parent maps the segment again and copies each result out in one
    pass, so no returned array aliases the segment it closes.
 
@@ -133,6 +138,27 @@ closes the parent's socket ends, so a rank still waiting for its spec
 (a launch that failed before sending, a kernel that did not compile)
 reads EOF and exits, reaps (after a grace period, kills) every rank and
 closes both segments.
+
+Elastic recovery runs on the survivors. A rank whose report is
+``("aborted", message, clean)`` with ``clean`` true (a peer failed, and
+:meth:`SpmdCommunicator.close` found no stream still running and no
+view pinning a segment) does not exit: it reads its socket again.
+``Executor.run_spmd(elastic=True)`` owns one :class:`RankPool` across
+the failed launch and every attempt of its descent. Each attempt
+adopts the clean survivors, renumbered in rank order, and sends them
+the re-lowered spec over the same sockets. Segments are resized in
+place: ``ftruncate(fd, 0)`` then the new size zeroes them, and no rank
+maps them any more, since every other rank of the failed launch has
+been reaped. No fd is passed again. A survivor that was not clean, or
+died while it waited, is replaced by a fresh rank; one beyond the new
+world size is released (its socket closed, so it reads EOF). Dead still
+means EOF, and a rank that timed out or raised is never reused. A
+launch without a pool closes every socket in its ``finally``, so a
+clean survivor there reads EOF and exits. Both sides keep one message
+invariant: the parent sends spec n+1 only after it has read report n,
+so the per-message buffered readers (``open(fd)`` in the rank,
+``sock.makefile`` in the parent) never read ahead into the next
+message.
 
 Usage
 -----
@@ -196,6 +222,7 @@ if TYPE_CHECKING:  # parent-side only; a sent plan unpickles ``faults``
     from repro.runtime.faults import FaultPlan
 
 __all__ = [
+    "RankPool",
     "SpmdCommunicator",
     "SpmdError",
     "SpmdPeerAbort",
@@ -514,6 +541,7 @@ class SpmdCommunicator:
         self._pending: Dict[str, _Publication] = {}
         self._err_off = layout.num_sites * layout.nranks * 2
         self._closed = False
+        self._clean = True
         # observability: the per-rank trace ring plus the current
         # operation context (kept even without a ring — it is the
         # structured context attached to propagated worker errors)
@@ -1213,9 +1241,15 @@ class SpmdCommunicator:
 
     # -- teardown ---------------------------------------------------------
 
-    def close(self) -> None:
+    def close(self) -> bool:
+        """Join the streams, close the ring and unmap both segments.
+
+        Returns whether it closed cleanly: no stream was left running
+        and no view pinned either segment, so this process maps nothing
+        of them any more (see :func:`_rank_main`).
+        """
         if self._closed:
-            return
+            return self._clean
         self._closed = True
         # every started stream must be joined by now (the generated
         # orchestrators join in a finally); any thread still alive gets
@@ -1224,11 +1258,13 @@ class SpmdCommunicator:
         for s in self._streams:
             if s.alive():
                 s.wait(1.0)
-                if s.alive() and self._ring is not None:
-                    self._ring.append(
-                        KIND_FAULT, time.monotonic_ns(), 0,
-                        name="stream-leak",
-                    )
+                if s.alive():
+                    self._clean = False
+                    if self._ring is not None:
+                        self._ring.append(
+                            KIND_FAULT, time.monotonic_ns(), 0,
+                            name="stream-leak",
+                        )
         self._streams = []
         self._flags = None
         if self._ring is not None:
@@ -1237,8 +1273,9 @@ class SpmdCommunicator:
         for segment in (self._data, self._flags_map):
             try:
                 segment.close()
-            except BufferError:  # pragma: no cover - view still alive
-                pass
+            except BufferError:  # a view still pins the segment
+                self._clean = False
+        return self._clean
 
 
 class _KernelSpan:
@@ -1383,22 +1420,32 @@ _RANK_ENTRY = "from repro.runtime.spmd import _rank_main; _rank_main()"
 
 
 def _rank_main() -> None:
-    """A rank process: one spec in, one report out, then exit.
+    """A rank process: a spec in, a report out, then exit.
 
     The spec arrives once every input region is written (see
     :func:`launch`). The rank reads and writes its end of the socket
     pair as a plain fd, and never closes it: only the exit closes it,
     so the parent reading EOF knows the process is gone.
+
+    A clean survivor (an ``aborted`` report whose ``clean`` is true)
+    reads its socket again instead of exiting, for the re-lowered step
+    of an elastic recovery or for EOF. The module docstring's "Failure
+    handling" gives the protocol, and why a new buffered reader per
+    spec never reads ahead into the next message.
     """
     fd = int(sys.argv[1])
-    with open(fd, "rb", closefd=False) as stream:
-        spec = _recv(stream)
-    if spec is not None:
+    while True:
+        with open(fd, "rb", closefd=False) as stream:
+            spec = _recv(stream)
+        if spec is None:
+            break
         report = _run_rank(**spec)
         try:
             _send(fd, report)
         except OSError:  # the parent is gone (or gave up on this run)
-            pass
+            break
+        if report[0] != "aborted" or not report[2]:
+            break
     # reported, segments and ring closed: exit without interpreter
     # teardown (finalizing every imported module takes longer than the
     # rank body of a small step)
@@ -1413,51 +1460,20 @@ def _run_rank(
 ) -> tuple:
     """Run the module ``source`` as rank ``rank``; returns its report.
 
-    ``kernels`` is the native target's ``(key, path, functions)``: the
-    kernel object the parent resolved, bound as the module's ``_K``.
+    ``("ok", seconds)``, ``("error", summary, traceback, context)`` or
+    ``("aborted", message, clean)``, where ``clean`` is what
+    :meth:`SpmdCommunicator.close` returned. The communicator closes
+    outside the exception handlers, once the traceback, and with it
+    every view its frames held, is gone.
     """
     comm = None
     try:
         comm = SpmdCommunicator.attach(
             layout, rank, data_fd, flags_fd, **comm_kwargs
         )
-        buf = comm._data
-        inputs = {
-            key[1]: layout.view(buf, key, rank)
-            for key, (_, _, offsets, _) in layout.regions.items()
-            if key[0] == "in" and rank in offsets
-        }
-        # fault this rank's input pages in before the barrier, so the
-        # timed body does not pay for mapping them
-        for view in inputs.values():
-            view.reshape(-1).view(np.uint8)[::4096].max(initial=0)
-        namespace: Dict[str, object] = {}
-        exec(compile(source, f"<spmd rank {rank}>", "exec"), namespace)
-        if kernels is not None:
-            # open before the timing barrier: the dlopen counts as
-            # start-up (like spawn), not as execution time
-            from repro.core.codegen.device import open_kernels
-
-            t0 = time.perf_counter()
-            namespace["_K"] = open_kernels(*kernels)
-            if namespace["_K"] is None:
-                raise SpmdError(f"kernel object {kernels[1]} is unloadable")
-            comm.record_kernel_open(
-                kernels[0][:12], time.perf_counter() - t0
-            )
-        # synchronize before timing so spawn stagger (rank 0 idling in
-        # its first collective until the last process is up) does not
-        # count as execution time
-        comm.barrier()
-        t0 = time.perf_counter()
-        outputs, states = namespace["run_rank"](comm, inputs)
-        elapsed = time.perf_counter() - t0
-        _store_results(layout, buf, rank, outputs, states)
-        # every view of the segment must go before close() below
-        del inputs, outputs, states, buf
-        return ("ok", elapsed)
+        report = ("ok", _run_body(comm, source, kernels))
     except SpmdPeerAbort as exc:
-        return ("aborted", str(exc))
+        report = ("aborted", str(exc))
     except BaseException as exc:  # noqa: BLE001 - reported to the parent
         if comm is not None:
             comm.signal_error(_ERR_FAILED)
@@ -1473,10 +1489,52 @@ def _run_rank(
             )
         import traceback
 
-        return ("error", summary, traceback.format_exc(), context)
-    finally:
-        if comm is not None:
-            comm.close()
+        report = ("error", summary, traceback.format_exc(), context)
+    clean = comm is not None and comm.close()
+    return report + (clean,) if report[0] == "aborted" else report
+
+
+def _run_body(
+    comm: SpmdCommunicator, source: str, kernels: Optional[tuple]
+) -> float:
+    """Bind this rank's regions, run ``run_rank`` and store its results;
+    returns the body's seconds.
+
+    ``kernels`` is the native target's ``(key, path, functions)``: the
+    kernel object the parent resolved, bound as the module's ``_K``.
+    Every view of the segment lives in this frame, so none outlives it.
+    """
+    layout, rank, buf = comm.layout, comm.rank, comm._data
+    inputs = {
+        key[1]: layout.view(buf, key, rank)
+        for key, (_, _, offsets, _) in layout.regions.items()
+        if key[0] == "in" and rank in offsets
+    }
+    # fault this rank's input pages in before the barrier, so the
+    # timed body does not pay for mapping them
+    for view in inputs.values():
+        view.reshape(-1).view(np.uint8)[::4096].max(initial=0)
+    namespace: Dict[str, object] = {}
+    exec(compile(source, f"<spmd rank {rank}>", "exec"), namespace)
+    if kernels is not None:
+        # open before the timing barrier: the dlopen counts as
+        # start-up (like spawn), not as execution time
+        from repro.core.codegen.device import open_kernels
+
+        t0 = time.perf_counter()
+        namespace["_K"] = open_kernels(*kernels)
+        if namespace["_K"] is None:
+            raise SpmdError(f"kernel object {kernels[1]} is unloadable")
+        comm.record_kernel_open(kernels[0][:12], time.perf_counter() - t0)
+    # synchronize before timing so spawn stagger (rank 0 idling in
+    # its first collective until the last process is up) does not
+    # count as execution time
+    comm.barrier()
+    t0 = time.perf_counter()
+    outputs, states = namespace["run_rank"](comm, inputs)
+    elapsed = time.perf_counter() - t0
+    _store_results(layout, buf, rank, outputs, states)
+    return elapsed
 
 
 # ---------------------------------------------------------------------------
@@ -1570,6 +1628,48 @@ def _reap(procs: Sequence[subprocess.Popen]) -> None:
             p.wait()
 
 
+def _release(ranks: Sequence[tuple]) -> None:
+    """Close the parent's end of each ``(origin, process, socket)``
+    first, so a rank waiting for a spec reads EOF and exits, then reap
+    them all."""
+    for _, _, sock in ranks:
+        sock.close()
+    _reap([proc for _, proc, _ in ranks])
+
+
+class RankPool:
+    """Rank processes and segments owned across launches.
+
+    Elastic recovery passes one pool to the launch that failed and to
+    every attempt after it, and closes it in one ``finally``. The pool
+    holds the two segments, which each launch after the first resizes
+    in place, and the *idle* ranks: clean survivors of the last launch
+    (see :func:`_rank_main`), waiting on their sockets for a spec. A
+    launch adopts idle ranks first, renumbered in rank order, starts
+    fresh ranks only for a shortfall and releases idle ranks beyond its
+    world size.
+    """
+
+    def __init__(self) -> None:
+        #: the data and flags segments' fds, once a launch created them
+        self.fds: List[int] = []
+        #: ``(origin, process, socket)`` of each idle rank, in rank order
+        self.idle: List[tuple] = []
+        #: per rank of the last launch, its rank in the pool's first
+        #: launch, or ``None`` if a later launch started it
+        self.origins: List[Optional[int]] = []
+        #: rank processes the pool's launches have started
+        self.started = 0
+
+    def close(self) -> None:
+        """Release every idle rank and close both segments."""
+        _release(self.idle)
+        self.idle = []
+        for fd in self.fds:
+            os.close(fd)
+        self.fds = []
+
+
 def launch(
     generated,
     inputs: Mapping[str, np.ndarray],
@@ -1583,6 +1683,7 @@ def launch(
     trace_dir: Optional[str] = None,
     trace_capacity: int = 32768,
     observer=None,
+    pool: Optional[RankPool] = None,
 ):
     """Run a generated SPMD module as one process per rank.
 
@@ -1622,6 +1723,11 @@ def launch(
     mapped files owned by the caller — they survive faulty-rank
     teardown and are *not* removed here, so the caller can merge them
     whether or not the run succeeded.
+
+    ``pool``, when given, owns the segments and the rank processes
+    beyond this launch (see :class:`RankPool`): the launch adopts its
+    idle ranks and leaves its own clean survivors idle in it. Without
+    one, the launch tears every rank and segment down itself.
     """
     from repro.runtime.executor import ProgramResult
 
@@ -1647,9 +1753,13 @@ def launch(
             TraceRing.create(path, trace_capacity).close()
             trace_paths[r] = path
 
-    fds: List[int] = []
+    own_pool = pool is None
+    if own_pool:
+        pool = RankPool()
     procs: List[subprocess.Popen] = []
     socks: List[socket.socket] = []
+    origins: List[Optional[int]] = []
+    idle: List[int] = []  # ranks that report a clean abort
     dead_ranks: List[int] = []
     # root-cause classification: a dead process (4) outranks a raised
     # error (3) outranks a silent timeout (2) outranks a peer abort (1)
@@ -1667,16 +1777,36 @@ def launch(
     err_off = layout.num_sites * world_size * 2 * 8
     dead_flag = np.int64(_ERR_DEAD).tobytes()
     try:
-        fds.append(_segment("spmd-data", layout.data_size))
-        fds.append(_segment("spmd-flags", layout.flags_length() * 8))
-        data_fd, flags_fd = fds
+        sizes = (layout.data_size, layout.flags_length() * 8)
+        if pool.fds:
+            # no process maps them any more: truncating to zero zeroes
+            # the flags and data, and every rank keeps the same fds
+            for fd, size in zip(pool.fds, sizes):
+                os.ftruncate(fd, 0)
+                os.ftruncate(fd, size)
+        else:
+            for name, size in zip(("spmd-data", "spmd-flags"), sizes):
+                pool.fds.append(_segment(name, size))
+        data_fd, flags_fd = pool.fds
 
-        # start every rank first, then place the inputs while they
-        # import numpy and repro
-        for _ in range(world_size):
-            proc, sock = _start(_RANK_ENTRY, fds)
+        # adopt the idle ranks that are still alive, then start the
+        # rest, and place the inputs while the new ones import
+        first = pool.started == 0
+        alive = [e for e in pool.idle if e[1].poll() is None]
+        adopted = alive[:world_size]
+        _release([e for e in pool.idle if e not in adopted])
+        pool.idle = []
+        for origin, proc, sock in adopted:
+            origins.append(origin)
             procs.append(proc)
             socks.append(sock)
+        while len(procs) < world_size:
+            origins.append(len(procs) if first else None)
+            proc, sock = _start(_RANK_ENTRY, pool.fds)
+            pool.started += 1
+            procs.append(proc)
+            socks.append(sock)
+        pool.origins = origins
 
         # the ranks map the segment themselves: unmap the pages written
         # here, so the parent's resident set does not count them too
@@ -1744,6 +1874,8 @@ def launch(
                     _record_failure(3, *msg[1:])
                 else:  # aborted by a peer's failure
                     _record_failure(1, msg[1])
+                    if msg[2]:
+                        idle.append(r)
         if fail["msg"] is None:
             # every rank has reported: let them exit first, so their
             # memory and the results copied here are not resident at once
@@ -1751,12 +1883,12 @@ def launch(
             with mmap.mmap(data_fd, layout.data_size) as data:
                 outputs, states = _read_results(layout, program, data)
     finally:
+        ranks = list(zip(origins, procs, socks))
         # EOF first: a rank still waiting for its spec exits at once
-        for sock in socks:
-            sock.close()
-        _reap(procs)
-        for fd in fds:
-            os.close(fd)
+        _release([e for r, e in enumerate(ranks) if r not in idle])
+        pool.idle = [ranks[r] for r in sorted(idle)]
+        if own_pool:
+            pool.close()
     if fail["msg"] is not None:
         detail = fail["detail"]
         raise SpmdWorkerError(

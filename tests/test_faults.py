@@ -7,8 +7,8 @@ Three layers of coverage over :mod:`repro.runtime.faults`:
   failure forever);
 * the degraded backend — stragglers and stalled publishes survive
   bit-identically via soft-retry escalation, dead ranks tear the run
-  down with a structured ``SpmdWorkerError`` (no leaked ``/dev/shm``
-  segments, producer threads joined, peers aborting rather than
+  down with a structured ``SpmdWorkerError`` (no segment fd left
+  open, producer threads joined, peers aborting rather than
   timing out);
 * elastic recovery — ``run_spmd(elastic=True)`` re-lowers for the
   surviving world size and its outputs are bit-identical to running
@@ -20,7 +20,9 @@ factors (heap ≡ reference under slowdowns) and degraded cluster links.
 
 import os
 import pickle
+import signal
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ from repro.errors import CoCoNetError
 from repro.observe import Tracer
 from repro.observe.events import InstantEvent
 from repro.perf.engine import Engine, Task
-from repro.runtime import Executor, FaultPlan, SpmdWorkerError
+from repro.runtime import Executor, FaultPlan, SpmdWorkerError, spmd
 from repro.runtime.faults import Die, DropChunk, SlowRank, StallPublish
 from repro.runtime.spmd import (
     DEFAULT_TIMEOUT,
@@ -46,6 +48,7 @@ from repro.runtime.spmd import (
 from repro.workloads.adam import AdamWorkload
 from repro.workloads.moe import MoEWorkload
 from tests.des_oracle import ReferenceEngine
+from tests.spmd_leaks import children, count_starts, spmd_segments
 
 
 @pytest.fixture
@@ -62,6 +65,16 @@ def adam_inputs(rng, n, N=56):
         lr=0.01,
         t=3.0,
     )
+
+
+def adam_relower(seed, N=56):
+    """``relower`` rebuilding the op-level Adam and its inputs at any
+    world size, the same inputs on every call."""
+    def relower(ws):
+        return AdamWorkload.build(N, ws).program, adam_inputs(
+            np.random.RandomState(seed), ws, N
+        )
+    return relower
 
 
 def moe_inputs(rng, ws, capacity=2, model_dim=4, ffn_dim=6):
@@ -93,12 +106,6 @@ def overlap_inputs(rng, batch=4, seq=8, hidden=64):
         "x": rng.randn(batch, seq, hidden),
         "b": rng.randn(hidden),
     }
-
-
-def _shm_spmd_segments():
-    if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
-        return []
-    return [f for f in os.listdir("/dev/shm") if f.startswith("spmd_")]
 
 
 def assert_outputs_equal(a, b):
@@ -290,11 +297,11 @@ class TestDeadRanks:
     """Graceful degradation: clean teardown, structured errors."""
 
     @pytest.mark.skipif(
-        sys.platform != "linux", reason="/dev/shm inspection is Linux-only"
+        sys.platform != "linux", reason="/proc/self/fd is Linux-only"
     )
     def test_die_on_first_publish(self, rng):
         wl = AdamWorkload.build(56, 4)
-        before = set(_shm_spmd_segments())
+        before = set(spmd_segments())
         with pytest.raises(SpmdWorkerError) as err:
             Executor().run_spmd(
                 wl.program, adam_inputs(rng, 4), allow_downcast=True,
@@ -305,17 +312,17 @@ class TestDeadRanks:
         assert "died" in str(err.value)
         # survivors abort on the peer flag, they do not time out
         assert "timed out" not in str(err.value)
-        assert set(_shm_spmd_segments()) == before
+        assert set(spmd_segments()) == before
 
     @pytest.mark.skipif(
-        sys.platform != "linux", reason="/dev/shm inspection is Linux-only"
+        sys.platform != "linux", reason="/proc/self/fd is Linux-only"
     )
     def test_die_mid_chunked_publish_on_producer_stream(self, rng):
         """A rank killed inside publish_chunks — mid-overlap, on the
         producer stream thread — must not wedge survivors' consumer
         loops or leak their producer threads."""
         sched = overlap_schedule(4)
-        before = set(_shm_spmd_segments())
+        before = set(spmd_segments())
         tracer = Tracer()
         with pytest.raises(SpmdWorkerError) as err:
             Executor().run_spmd(
@@ -325,7 +332,7 @@ class TestDeadRanks:
             )
         assert err.value.dead_ranks == [2]
         assert "timed out" not in str(err.value)
-        assert set(_shm_spmd_segments()) == before
+        assert set(spmd_segments()) == before
         instants = [
             e for e in tracer.events if isinstance(e, InstantEvent)
         ]
@@ -347,17 +354,9 @@ class TestDeadRanks:
 class TestElasticRecovery:
     """die → re-lower for the survivors → bit-identical re-execution."""
 
-    def _adam_relower(self, rng_seed, N=56):
-        def relower(ws):
-            wl = AdamWorkload.build(N, ws)
-            return wl.program, adam_inputs(
-                np.random.RandomState(rng_seed), ws, N
-            )
-        return relower
-
     def test_adam_original_8_ranks(self):
         plan = FaultPlan(seed=11).die(3, at_site="g")
-        relower = self._adam_relower(5)
+        relower = adam_relower(5)
         res = Executor().run_spmd(
             AdamWorkload.build(56, 8).program,
             adam_inputs(np.random.RandomState(5), 8),
@@ -470,6 +469,178 @@ class TestElasticRecovery:
         assert res.elastic["failed_ranks"] == [1, 2]
         assert res.elastic["attempted"] == [6, 5, 4]
         assert res.elastic["world_size"] == 4
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="/proc is Linux-only")
+class TestSurvivorReuse:
+    """Recovery runs on the ranks that outlived the failed launch: a
+    clean survivor takes the re-lowered spec, any other rank is
+    replaced by a fresh one, and nothing outlives ``run_spmd``."""
+
+    def test_adam_8_to_7_starts_no_process(self, monkeypatch):
+        started = count_starts(monkeypatch)
+        relower = adam_relower(15)
+        before = set(spmd_segments())
+        res = Executor().run_spmd(
+            AdamWorkload.build(56, 8).program,
+            adam_inputs(np.random.RandomState(15), 8),
+            allow_downcast=True,
+            fault_plan=FaultPlan(seed=11).die(3, at_site="g"),
+            soft_timeout=0.5, timeout=30.0, elastic=True, relower=relower,
+        )
+        assert len(started) == 8  # the failed launch's ranks only
+        assert res.elastic["world_size"] == 7
+        assert res.elastic["reused_ranks"] == [0, 1, 2, 4, 5, 6, 7]
+        assert res.elastic["spawned"] == 0
+        assert children() == []
+        assert set(spmd_segments()) == before
+        sched7, inputs7 = relower(7)
+        direct = Executor().run_spmd(
+            sched7, inputs7, allow_downcast=True, timeout=30.0
+        )
+        assert_outputs_equal(res, direct)
+
+    @pytest.mark.parametrize("leak_stream", [False, True])
+    def test_moe_overlapped_any_survivor_mix(self, monkeypatch, leak_stream):
+        """The MoE die scenario of ``test_moe_overlapped_8_ranks``:
+        bit-identical however many survivors closed cleanly. With
+        ``leak_stream``, rank 2 of the failed launch leaves a stream
+        running, so it cannot be reused and a fresh rank takes its
+        place."""
+        from repro.core.codegen import CodeGenerator
+
+        if leak_stream:
+            generate = CodeGenerator.generate
+
+            def leak_on_rank2(self, scheduled):
+                gen = generate(self, scheduled)
+                if gen.program.inputs[0].group.world_size == 8:
+                    head = "def run_rank(comm, inputs):\n"
+                    assert head in gen.source
+                    gen.source = gen.source.replace(
+                        head, head + "    if comm.rank == 2:\n"
+                        "        import time\n"
+                        "        comm.start_stream(lambda: time.sleep(5))\n",
+                        1,
+                    )
+                return gen
+
+            monkeypatch.setattr(CodeGenerator, "generate", leak_on_rank2)
+        started = count_starts(monkeypatch)
+
+        def relower(ws):
+            wl = MoEWorkload.build(2, 4, 6, world_size=ws, dtype=FP32)
+            return wl.schedule_overlapped(), moe_inputs(
+                np.random.RandomState(8), ws
+            )
+
+        tracer = Tracer()
+        res = Executor().run_spmd(
+            MoEWorkload.build(
+                2, 4, 6, world_size=8, dtype=FP32
+            ).schedule_overlapped(),
+            moe_inputs(np.random.RandomState(8), 8),
+            allow_downcast=True,
+            fault_plan=FaultPlan(seed=14).die(6, after=2),
+            soft_timeout=0.5, timeout=30.0, tracer=tracer,
+            elastic=True, relower=relower,
+        )
+        reused = res.elastic["reused_ranks"]
+        assert res.elastic["world_size"] == 7
+        assert 6 not in reused
+        assert res.elastic["spawned"] == 7 - len(reused)
+        assert len(started) == 8 + res.elastic["spawned"]
+        if leak_stream:
+            assert 2 not in reused and res.elastic["spawned"] >= 1
+            assert any(
+                e.name == "stream-leak" and e.pid == "rank2"
+                for e in tracer.events
+            )
+        (instant,) = [
+            e for e in tracer.events if e.name == "elastic-relower"
+        ]
+        assert instant.args["reused_ranks"] == reused
+        assert instant.args["spawned"] == res.elastic["spawned"]
+        assert children() == []
+        sched7, inputs7 = relower(7)
+        oracle = Executor().run_lowered(
+            sched7, inputs7, allow_downcast=True
+        )
+        assert_outputs_equal(res, oracle)
+
+    def test_non_elastic_dead_rank_leaves_no_process(self, rng):
+        before = set(spmd_segments())
+        with pytest.raises(SpmdWorkerError) as err:
+            Executor().run_spmd(
+                AdamWorkload.build(56, 4).program, adam_inputs(rng, 4),
+                allow_downcast=True,
+                fault_plan=FaultPlan().die(1, at_site="g"),
+                soft_timeout=0.5, timeout=20.0,
+            )
+        assert err.value.dead_ranks == [1]
+        assert children() == []
+        assert set(spmd_segments()) == before
+
+    @pytest.mark.parametrize("when", ["in_relower", "after_its_spec"])
+    def test_second_death_during_recovery(self, monkeypatch, when):
+        """A survivor SIGKILLed while it waits (``relower`` kills it
+        before returning), or right after its re-lowered spec went out:
+        the run recovers bit-identically at a smaller world size or
+        raises a classified error, within 10 s, leaving nothing."""
+        started = count_starts(monkeypatch)
+        relower_, killed = adam_relower(17), []
+
+        def relower(ws):
+            if when == "in_relower" and not killed:
+                killed.append(children()[0])
+                os.kill(killed[0], signal.SIGKILL)
+            return relower_(ws)
+
+        if when == "after_its_spec":
+            send = spmd._send
+
+            def send_then_kill(fd, obj):
+                send(fd, obj)
+                if (
+                    isinstance(obj, dict) and obj["layout"].nranks == 3
+                    and obj["rank"] == 1 and not killed
+                ):
+                    # recovery rank 1 is rank 2 of the failed launch
+                    killed.append(started[2].pid)
+                    started[2].send_signal(signal.SIGKILL)
+                    started[2].wait(timeout=10.0)
+
+            monkeypatch.setattr(spmd, "_send", send_then_kill)
+        before = set(spmd_segments())
+        t0 = time.monotonic()
+        try:
+            res = Executor().run_spmd(
+                AdamWorkload.build(56, 4).program,
+                adam_inputs(np.random.RandomState(17), 4),
+                allow_downcast=True,
+                fault_plan=FaultPlan(seed=2).die(1, at_site="g"),
+                soft_timeout=0.5, timeout=20.0,
+                elastic=True, relower=relower,
+            )
+        except SpmdWorkerError as exc:
+            assert when == "in_relower", exc
+            assert exc.dead_ranks and "died" in str(exc)
+        else:
+            ws = res.elastic["world_size"]
+            assert ws in (3, 2)
+            if when == "after_its_spec":
+                assert res.elastic["attempted"] == [3, 2]
+                assert res.elastic["reused_ranks"] == [0, 3]
+                assert res.elastic["spawned"] == 0
+            sched, inputs = relower_(ws)
+            oracle = Executor().run_lowered(
+                sched, inputs, allow_downcast=True
+            )
+            assert_outputs_equal(res, oracle)
+        assert time.monotonic() - t0 < 10.0
+        assert len(killed) == 1
+        assert children() == []
+        assert set(spmd_segments()) == before
 
 
 class TestEngineSlowdown:

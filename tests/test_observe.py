@@ -16,7 +16,6 @@ Four fronts:
 """
 
 import json
-import os
 import sys
 
 import numpy as np
@@ -48,6 +47,7 @@ from repro.runtime import Executor
 from repro.runtime.spmd import SpmdWorkerError, launch
 from repro.workloads.adam import AdamWorkload
 from repro.workloads.attention import AttentionWorkload
+from tests.spmd_leaks import spmd_segments
 
 
 @pytest.fixture
@@ -302,12 +302,6 @@ class TestTraceRing:
         assert metrics.get("spmd.rank1.bytes_published") == 0
 
 
-def _shm_spmd_segments():
-    if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
-        return []
-    return [f for f in os.listdir("/dev/shm") if f.startswith("spmd_")]
-
-
 class TestSpmdTracing:
     """Per-rank timelines from real processes, merged by the parent."""
 
@@ -336,7 +330,7 @@ class TestSpmdTracing:
         assert validate(export(tracer.events)) == []
 
     @pytest.mark.skipif(
-        sys.platform != "linux", reason="/dev/shm inspection is Linux-only"
+        sys.platform != "linux", reason="/proc/self/fd is Linux-only"
     )
     def test_faulty_rank_teardown_still_harvests_trace(self, tmp_path, rng):
         """A rank dying mid-collective leaves its ring mergeable, a
@@ -352,7 +346,7 @@ class TestSpmdTracing:
         )
         assert "injected kernel fault" in source
         gen.source = source
-        before = set(_shm_spmd_segments())
+        before = set(spmd_segments())
         with pytest.raises(SpmdWorkerError, match="rank 1") as err:
             launch(
                 gen, optimizer_inputs(rng), allow_downcast=True,
@@ -361,7 +355,7 @@ class TestSpmdTracing:
         assert err.value.context["rank"] == 1
         assert err.value.context["op"] == "avg"
         assert "op 'avg'" in str(err.value)
-        assert set(_shm_spmd_segments()) == before
+        assert set(spmd_segments()) == before
 
         events = merge_rank_traces(str(tmp_path))
         spans = [e for e in events if isinstance(e, SpanEvent)]

@@ -43,6 +43,7 @@ from repro.workloads.lamb import LambWorkload
 from repro.workloads.moe import MoEWorkload
 from repro.workloads.pipeline import PipelineWorkload
 from tests import test_codegen_extra as extra
+from tests.spmd_leaks import children, count_starts, spmd_segments
 from tests.test_alltoall import exchange_schedules
 from tests.test_two_layer import fused_mlp_program
 
@@ -466,17 +467,11 @@ class TestSpmdInterface:
         assert copied[0].ctypes.data == region.ctypes.data
 
 
-def _shm_spmd_segments():
-    if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
-        return []
-    return [f for f in os.listdir("/dev/shm") if f.startswith("spmd_")]
-
-
 class TestSpmdTeardown:
     """A rank failing mid-collective must not leak segments or hang."""
 
     @pytest.mark.skipif(
-        sys.platform != "linux", reason="/dev/shm inspection is Linux-only"
+        sys.platform != "linux", reason="/proc/self/fd is Linux-only"
     )
     def test_failing_kernel_on_rank_1_tears_down_cleanly(self, rng):
         wl = AdamWorkload.build(64, 4)
@@ -492,49 +487,43 @@ class TestSpmdTeardown:
         )
         assert "injected kernel fault" in source
         gen.source = source
-        before = set(_shm_spmd_segments())
+        before = set(spmd_segments())
         with pytest.raises(ExecutionError, match="rank 1") as err:
             launch(
                 gen, optimizer_inputs(rng), allow_downcast=True,
                 timeout=30.0,
             )
         assert "injected kernel fault" in str(err.value)
-        # every shared-memory segment created by the run was unlinked
-        assert set(_shm_spmd_segments()) == before
+        # every segment fd the run opened was closed
+        assert set(spmd_segments()) == before
 
     def test_successful_run_leaves_no_segments(self, rng):
         wl = AdamWorkload.build(64, 4)
-        before = set(_shm_spmd_segments())
+        before = set(spmd_segments())
         Executor().run_spmd(
             wl.program, optimizer_inputs(rng), allow_downcast=True
         )
-        assert set(_shm_spmd_segments()) == before
+        assert set(spmd_segments()) == before
 
     @pytest.mark.skipif(
-        sys.platform != "linux", reason="/dev/shm inspection is Linux-only"
+        sys.platform != "linux", reason="/proc/self/fd is Linux-only"
     )
     def test_rank_killed_before_reading_its_shard(self, rng, monkeypatch):
         # ranks start before the inputs are placed; one killed in that
         # window is a dead rank, found within the deadline, and leaks
         # nothing: no segment, no process
-        place, start = spmd._place_regions, spmd._start
-        started = []
-
-        def record_start(*args):
-            proc, sock = start(*args)
-            started.append(proc)
-            return proc, sock
+        place = spmd._place_regions
+        started = count_starts(monkeypatch)
 
         def kill_rank1_then_place(*args):
             started[1].send_signal(signal.SIGKILL)
             started[1].wait(timeout=30.0)
             return place(*args)
 
-        monkeypatch.setattr(spmd, "_start", record_start)
         monkeypatch.setattr(spmd, "_place_regions", kill_rank1_then_place)
         wl = AdamWorkload.build(64, 2)
         gen = CodeGenerator(target="spmd").generate(wl.program)
-        before = set(_shm_spmd_segments())
+        before = set(spmd_segments())
         timeout = 20.0
         t0 = time.monotonic()
         with pytest.raises(SpmdWorkerError, match="rank 1 died") as err:
@@ -545,7 +534,7 @@ class TestSpmdTeardown:
         assert time.monotonic() - t0 < timeout
         assert err.value.dead_ranks == [1]
         assert f"exit code {-signal.SIGKILL}" in str(err.value)
-        assert set(_shm_spmd_segments()) == before
+        assert set(spmd_segments()) == before
         assert [p.returncode for p in started][1] == -signal.SIGKILL
         assert all(p.returncode is not None for p in started)
 
@@ -601,9 +590,9 @@ class TestSpmdResults:
     def test_results_outlive_the_segment(self, rng):
         sched = AdamWorkload.build(64, 2).schedule_fused()
         inputs = optimizer_inputs(rng, n=2)
-        before = set(_shm_spmd_segments())
+        before = set(spmd_segments())
         res = Executor().run_spmd(sched, inputs, allow_downcast=True)
-        assert set(_shm_spmd_segments()) == before
+        assert set(spmd_segments()) == before
         oracle = Executor().run_lowered(sched, inputs, allow_downcast=True)
         self._check_owned(res, oracle, sched.program)
 
@@ -616,14 +605,14 @@ class TestSpmdResults:
             )
 
         program, inputs = relower(2)
-        before = set(_shm_spmd_segments())
+        before = set(spmd_segments())
         res = Executor().run_spmd(
             program, inputs, allow_downcast=True,
             fault_plan=FaultPlan(seed=1).die(1, at_site="g"),
             soft_timeout=0.5, timeout=20.0, elastic=True, relower=relower,
         )
         assert res.elastic["world_size"] == 1
-        assert set(_shm_spmd_segments()) == before
+        assert set(spmd_segments()) == before
         program1, inputs1 = relower(1)
         oracle = Executor().run_lowered(
             program1, inputs1, allow_downcast=True
@@ -687,13 +676,8 @@ class TestLaunchLoop:
     def test_rank_killed_with_its_spec_unread(self, rng, monkeypatch):
         # rank 1 is killed right after its spec is sent, while it is
         # most likely still importing: a dead rank, not a raw OSError
-        start, send = spmd._start, spmd._send
-        started = []
-
-        def record_start(*args):
-            proc, sock = start(*args)
-            started.append(proc)
-            return proc, sock
+        send = spmd._send
+        started = count_starts(monkeypatch)
 
         def send_then_kill_rank1(fd, obj):
             send(fd, obj)
@@ -701,7 +685,6 @@ class TestLaunchLoop:
                 started[1].send_signal(signal.SIGKILL)
                 started[1].wait(timeout=30.0)
 
-        monkeypatch.setattr(spmd, "_start", record_start)
         monkeypatch.setattr(spmd, "_send", send_then_kill_rank1)
         gen = CodeGenerator(target="spmd").generate(
             AdamWorkload.build(64, 2).program
@@ -714,20 +697,6 @@ class TestLaunchLoop:
         assert err.value.dead_ranks == [1]
         assert f"exit code {-signal.SIGKILL}" in str(err.value)
         assert all(p.returncode is not None for p in started)
-
-
-def children():
-    """This process's children, zombies included, from ``/proc``."""
-    kids = []
-    for entry in filter(str.isdigit, os.listdir("/proc")):
-        try:
-            with open(f"/proc/{entry}/stat") as f:
-                stat = f.read()
-        except OSError:
-            continue
-        if int(stat.rpartition(")")[2].split()[1]) == os.getpid():
-            kids.append(int(entry))
-    return kids
 
 
 #: a user's script calling ``run_spmd``: it checks the result against

@@ -2,9 +2,12 @@
 
 Four measurements over :mod:`repro.observe`:
 
-* **overhead** — ``Executor.run_lowered`` on the MoE overlapped chunk
-  pipeline with the tracer off vs on, interleaved repeats, min-of-N.
-  Recording a span costs two clock reads and one dataclass, so the
+* **overhead** — ``Executor.run_lowered`` on the MoE overlapped
+  schedule with the tracer off vs on, interleaved repeats, median of
+  per-pair ratios. The interpreter runs the chunk loop's members whole,
+  so a run records one ``launch`` span per kernel launch (the chunked
+  publication is traced only on SPMD ranks, below). Recording a span
+  costs two clock reads and one dataclass, so the
   ratio must stay within the ≤5% budget that makes leaving tracing
   enabled tenable (asserted here and gated by the CI baseline; the
   measurement always uses the large MoE shape so the cap is not a

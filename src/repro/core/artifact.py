@@ -71,6 +71,7 @@ from repro.core.lower import (
     LocalCompute,
     LoweredProgram,
     PackScattered,
+    _per_rank_extent,
 )
 from repro.core.process_group import ProcessGroup
 from repro.core.program import Program
@@ -344,6 +345,39 @@ def _instr_to_json(instr) -> Dict[str, Any]:
     return _launch_to_json(instr)
 
 
+def _check_bounds(loop: str, entry: ChunkEntry, num_chunks: int) -> None:
+    """A chunked member's bounds must cut its output's per-rank extent
+    on ``chunk_dim`` into ``num_chunks`` contiguous, non-empty slices.
+
+    The SPMD ranks publish exactly these slices into a buffer they do
+    not otherwise fill, so a bound that falls short would hand the
+    consumer uninitialized memory.
+    """
+    if entry.mode == "whole":
+        return
+    out, dim = entry.instr.kernel.output, entry.chunk_dim
+    bounds = entry.bounds or ()
+    extent = (
+        _per_rank_extent(out, dim)
+        if isinstance(dim, int) and 0 <= dim < len(out.shape) else None
+    )
+    cuts = [b for pair in bounds for b in pair]  # lo0, hi0, lo1, ...
+    if not (
+        extent is not None
+        and len(bounds) == num_chunks
+        and all(len(pair) == 2 and pair[0] < pair[1] for pair in bounds)
+        and cuts[:1] == [0]
+        and cuts[-1:] == [extent]
+        and cuts[1:-1:2] == cuts[2::2]
+    ):
+        raise ArtifactError(
+            f"chunk loop {loop}: member {entry.name} has bounds "
+            f"{[list(b) for b in bounds]}, which do not cut its per-rank "
+            f"extent {extent} on dim {dim} into {num_chunks} contiguous "
+            f"non-empty chunks"
+        )
+
+
 def _instr_from_json(rec: Dict[str, Any], kernels: Dict[str, Kernel]):
     kind = rec["kind"]
     if kind == "chunk_loop":
@@ -362,6 +396,8 @@ def _instr_from_json(rec: Dict[str, Any], kernels: Dict[str, Kernel]):
             )
             for er in rec["entries"]
         ]
+        for entry in entries:
+            _check_bounds(rec["name"], entry, rec["num_chunks"])
         return ChunkLoop(
             rec["name"], entries, rec["num_chunks"], rec["ring"]
         )

@@ -14,7 +14,10 @@ slice bounds, and scattered-tensor bucket metadata (§5.4) — and the
 three consumers interpret it:
 
 * the numeric runtime (``Executor.run_lowered``) executes the stream,
-  running overlap groups chunk-by-chunk and fused blocks as units;
+  running fused blocks as units and overlap members whole, in order
+  (chunked execution is bit-identical to whole execution; the SPMD
+  ranks' ``SpmdCommunicator.begin_chunked`` is where chunks are really
+  released);
 * the code generator emits one function per instruction and derives the
   overlap orchestrators from :class:`ChunkLoop` instead of re-walking
   the plan;
@@ -47,9 +50,10 @@ Overlap members execute in one of three modes, chosen statically here so
 every consumer agrees on the chunking:
 
 ``"compute"``
-    Genuinely chunked computation: pure element-wise kernels evaluate
-    chunk ``c`` from chunk ``c`` of their inputs. Element-wise math is
-    per-element, so this is bit-identical to whole-kernel evaluation.
+    Chunked computation: pure element-wise kernels, priced as chunk
+    ``c`` computed from chunk ``c`` of their inputs. Element-wise math
+    is per-element, so running them whole, as the generated module and
+    ``run_lowered`` do, is bit-identical.
 ``"publish"``
     The kernel is *launched once* (GEMMs issue a single BLAS call per
     rank — BLAS row-blocking is not bitwise invariant under partitioning

@@ -4,8 +4,10 @@ events, Perfetto export, and predicted-vs-measured validation.
 One event vocabulary across every layer of the stack:
 
 * :class:`Tracer` + typed events (:mod:`repro.observe.events`) — the
-  measured side, recorded by ``Executor.run_lowered`` and merged from
-  the SPMD backend's per-rank ring buffers.
+  measured side: one ``launch`` span per kernel launch recorded by
+  ``Executor.run_lowered`` (overlap members run whole there, so there
+  are no chunk spans), and the SPMD backend's per-rank ring buffers
+  merged in, where the real chunked publication shows up.
 * :class:`TraceRing` / :func:`merge_rank_traces`
   (:mod:`repro.observe.ring`) — file-backed per-rank buffers that
   survive process boundaries and faulty-rank teardown.
@@ -25,7 +27,6 @@ _EXPORTS = {
     "CounterEvent": "events",
     "describe_events": "events",
     "MetricsRegistry": "metrics",
-    "LoweredRunRecorder": "record",
     "TraceRing": "ring",
     "merge_rank_traces": "ring",
     "OpComparison": "compare",

@@ -3,9 +3,9 @@
 The autotuner ranks schedules purely by the alpha-beta cost model; this
 module is the empirical check on that trust. Both sides speak the same
 vocabulary — the DES emits task names like ``mm`` and ``mm#c3`` (chunk
-*c3* of kernel ``mm``), and the measured recorders name their spans
-identically — so alignment is a join on the base kernel name, with
-chunk spans folded into their kernel's total.
+*c3* of kernel ``mm``), and measured spans carry the kernel name — so
+alignment is a join on the base kernel name, with chunk tasks folded
+into their kernel's total.
 
 The result is a per-op table of predicted vs measured duration, the
 measured/predicted latency ratio, and the top-k mispredictions by
@@ -24,7 +24,7 @@ from repro.observe.events import SpanEvent
 __all__ = ["OpComparison", "TimelineComparison", "compare_timelines"]
 
 #: measured span categories that correspond to predicted kernel tasks
-MEASURED_CATS = ("launch", "whole", "chunk", "kernel")
+MEASURED_CATS = ("launch", "kernel")
 
 
 def _base_name(name: str) -> str:
@@ -114,8 +114,8 @@ def compare_timelines(
 
     ``timeline`` is a :class:`repro.perf.engine.Timeline` (anything with
     a ``spans`` mapping of name → (start, end) works). Measured spans
-    whose category is not in ``cats`` (chunk-loop envelopes, comm
-    phases) are ignored — they have no per-kernel prediction to join.
+    whose category is not in ``cats`` (comm phases, waits) are
+    ignored — they have no per-kernel prediction to join.
     """
     predicted: Dict[str, float] = {}
     for name, (start, end) in timeline.spans.items():

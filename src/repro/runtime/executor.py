@@ -4,10 +4,13 @@ This is the correctness oracle of the reproduction: every schedule —
 original, split, reordered, fused or overlapped — must produce the same
 numbers here. :meth:`Executor.run_lowered` is the one in-process
 interpreter. It executes the *lowered* instruction stream of a schedule
-(:mod:`repro.core.lower`): fused blocks execute as units and overlap
-groups execute chunk-by-chunk, so fusion and overlap — which do not
-change the DFG — are numerically exercised as scheduled (chunk
-boundaries, ring release order, bucket layouts). Given a bare
+(:mod:`repro.core.lower`): fused blocks execute as units, so fusion —
+which does not change the DFG — is numerically exercised as scheduled
+(bucket layouts included). Overlap groups run their members whole, in
+order, as the generated module does: chunked execution is element-wise
+or a rank-order fold, bit-identical to whole execution, and the only
+real chunking (a GEMM's output released to its collective chunk by
+chunk) lives in ``SpmdCommunicator.begin_chunked``. Given a bare
 :class:`~repro.core.program.Program`, it lowers it first, one kernel
 per expression, so split and reorder (which rewrite the DFG) are
 checked on the rewritten program directly.
@@ -378,20 +381,20 @@ class Executor:
         """Interpret the lowered instruction stream of a schedule.
 
         Interprets the :class:`~repro.core.lower.LoweredProgram`: fused
-        blocks execute as units, and overlap groups execute
-        chunk-by-chunk — pure element-wise members genuinely compute per
-        chunk, single-call kernels (GEMMs, library collectives) release
-        their output chunks in order (ring order for the Figure 9
-        GEMM→collective pair), and side-effecting members run whole once
-        their producers finish. Chunked execution is bit-identical to
-        whole-kernel execution, so this is the correctness oracle *of
-        the scheduled execution*, chunk boundaries included.
+        blocks execute as units, and each member of an overlap group's
+        :class:`~repro.core.lower.ChunkLoop` runs whole, in entry order,
+        as the generated module calls it. Chunked execution is
+        bit-identical to whole execution, so this is the correctness
+        oracle every tier is compared against; the chunk-by-chunk
+        release of a GEMM's output to its collective happens only in the
+        SPMD ranks (``SpmdCommunicator.begin_chunked``).
 
         ``scheduled`` may be a Schedule, a Program, an Artifact or an
         already lowered program. ``tracer``, when a
-        :class:`repro.observe.Tracer`, receives typed *timed*
-        :class:`~repro.observe.SpanEvent` records for every instruction
-        and chunk (see :class:`repro.observe.LoweredRunRecorder`).
+        :class:`repro.observe.Tracer`, receives one timed ``launch``
+        :class:`~repro.observe.SpanEvent` per kernel launch (overlap
+        members included) and one ``pack`` instant per
+        :class:`~repro.core.lower.PackScattered`.
         """
         from repro.core.artifact import Artifact
         from repro.core.lower import (
@@ -425,25 +428,32 @@ class Executor:
             elif isinstance(e, (Tensor, Scalar)):
                 values[e] = world.state(e.name)
 
-        rec = None
-        if tracer is not None:
-            from repro.observe.record import LoweredRunRecorder
-
-            rec = LoweredRunRecorder(tracer)
-
         for instr in lowered.instructions:
             if isinstance(instr, PackScattered):
-                if rec is not None:
-                    rec.pack(instr)
+                if tracer is not None:
+                    tracer.instant(
+                        instr.name, cat="pack", tid=instr.stream,
+                        args={
+                            "num_buckets": instr.num_buckets,
+                            "metadata_bytes": instr.metadata_bytes,
+                        },
+                    )
                 continue
-            if isinstance(instr, ChunkLoop):
-                self._run_chunk_loop(instr, values, world, rec)
-                continue
-            t0 = rec.now() if rec is not None else 0.0
-            for e in instr.exprs:
-                values[e] = self._eval(e, values, world)
-            if rec is not None:
-                rec.launch(instr, t0)
+            # an overlap group's members run whole, in entry order, as
+            # the generated module calls them
+            launches = (
+                [entry.instr for entry in instr.entries]
+                if isinstance(instr, ChunkLoop) else [instr]
+            )
+            for launch in launches:
+                t0 = tracer.now() if tracer is not None else 0.0
+                for e in launch.exprs:
+                    values[e] = self._eval(e, values, world)
+                if tracer is not None:
+                    tracer.complete(
+                        launch.name, t0, tracer.now() - t0, cat="launch",
+                        tid=launch.stream, args={"deps": list(launch.deps)},
+                    )
 
         outputs = {
             o.name: unstack_global(values[o], o.layout, o.shape)
@@ -455,179 +465,6 @@ class Executor:
             if isinstance(t, Tensor)
         }
         return ProgramResult(outputs, states)
-
-    def _run_chunk_loop(self, loop, values, world: SimWorld, rec) -> None:
-        """Execute one overlap group chunk-by-chunk.
-
-        A member advances at most one chunk per sweep, so producer and
-        consumer chunks interleave exactly as the chunk-synchronized
-        schedule prescribes (chunk *c* of a consumer only ever reads
-        chunk *c* of its producer after it was published).
-        """
-        loop_t0 = rec.now() if rec is not None else 0.0
-        states = {
-            entry.name: {
-                "staging": None, "buffer": None, "buffers": {},
-                "published": 0, "done": False,
-            }
-            for entry in loop.entries
-        }
-        by_name = {entry.name: entry for entry in loop.entries}
-
-        def producers_done(entry) -> bool:
-            return all(states[d]["done"] for d in entry.group_deps)
-
-        def chunk_available(entry, c: int) -> bool:
-            for d in entry.group_deps:
-                st = states[d]
-                if st["done"]:
-                    continue
-                p = by_name[d]
-                if p.mode == "whole" or p.chunk_dim != entry.chunk_dim:
-                    return False
-                if st["published"] <= c:
-                    return False
-            return True
-
-        step = 0
-        limit = (loop.num_chunks + 2) * (len(loop.entries) + 2)
-        while not all(st["done"] for st in states.values()):
-            progressed = False
-            for entry in loop.entries:
-                st = states[entry.name]
-                if st["done"]:
-                    continue
-                if entry.mode == "whole":
-                    if not producers_done(entry):
-                        continue
-                    t0 = rec.now() if rec is not None else 0.0
-                    for e in entry.instr.exprs:
-                        values[e] = self._eval(e, values, world)
-                    st["done"] = True
-                    progressed = True
-                    if rec is not None:
-                        rec.whole(entry, step, t0)
-                elif entry.mode == "publish":
-                    t0 = rec.now() if rec is not None else 0.0
-                    if st["staging"] is None:
-                        if not producers_done(entry):
-                            continue
-                        # one kernel launch: a single evaluation (one
-                        # BLAS call per rank, one exchange); the chunk
-                        # loop below releases its result chunk-by-chunk
-                        e = entry.instr.exprs[0]
-                        staging = self._eval(e, values, world)
-                        st["staging"] = staging
-                        st["buffer"] = np.empty(
-                            staging.shape, staging.dtype
-                        )
-                        values[e] = st["buffer"]
-                    c = st["published"]
-                    self._publish_chunk(entry, loop, st, c)
-                    st["published"] = c + 1
-                    progressed = True
-                    if rec is not None:
-                        rec.chunk(entry, step, c, t0)
-                    if st["published"] == loop.num_chunks:
-                        st["done"] = True
-                else:  # "compute": genuinely chunked element-wise math
-                    c = st["published"]
-                    if not chunk_available(entry, c):
-                        continue
-                    t0 = rec.now() if rec is not None else 0.0
-                    self._compute_chunk(entry, values, st["buffers"], c)
-                    st["published"] = c + 1
-                    progressed = True
-                    if rec is not None:
-                        rec.chunk(entry, step, c, t0)
-                    if st["published"] == loop.num_chunks:
-                        st["done"] = True
-            if not progressed or step > limit:
-                raise ExecutionError(
-                    f"chunk loop {loop.name} stalled at step {step}"
-                )
-            step += 1
-        if rec is not None:
-            rec.chunkloop_end(loop, loop_t0)
-
-    @staticmethod
-    def _publish_chunk(entry, loop, st, c: int) -> None:
-        """Release chunk ``c`` of a singly-launched kernel's output."""
-        staging, buf = st["staging"], st["buffer"]
-        axis = entry.chunk_dim + 1  # stacked coords: axis 0 is the rank
-        bounds = entry.bounds
-        if bounds[-1][1] != staging.shape[axis]:
-            raise ExecutionError(
-                f"{entry.name}: lowered chunk bounds cover "
-                f"{bounds[-1][1]} elements but the value has extent "
-                f"{staging.shape[axis]} on dim {entry.chunk_dim}"
-            )
-        if loop.ring:
-            # rank i releases chunk (i + step) % n — the order the ring
-            # collective consumes them (Figure 9)
-            for i in range(staging.shape[0]):
-                ci = (i + c) % loop.num_chunks
-                lo, hi = bounds[ci]
-                sl = [slice(None)] * buf.ndim
-                sl[0] = i
-                sl[axis] = slice(lo, hi)
-                buf[tuple(sl)] = staging[tuple(sl)]
-        else:
-            lo, hi = bounds[c]
-            sl = [slice(None)] * buf.ndim
-            sl[axis] = slice(lo, hi)
-            buf[tuple(sl)] = staging[tuple(sl)]
-
-    def _compute_chunk(self, entry, values, buffers, c: int) -> None:
-        """Evaluate chunk ``c`` of a pure element-wise kernel.
-
-        Element-wise operations are per-element, so computing on input
-        slices is bit-identical to slicing the whole-kernel result —
-        this member genuinely executes chunk-by-chunk.
-        """
-        o = ops
-        lo, hi = entry.bounds[c]
-        extent = entry.bounds[-1][1]
-        for e in entry.instr.exprs:
-            if isinstance(e, o.Binary):
-                fn = _BINARY_FNS[e.op]
-            elif isinstance(e, o.Unary):
-                fn = _UNARY_FNS[e.op]
-            elif isinstance(e, o.Cast):
-                fn = lambda x: x  # noqa: E731
-            else:  # pragma: no cover - excluded by the lowering
-                raise ExecutionError(
-                    f"cannot chunk-execute {type(e).__name__}"
-                )
-            args = [values[i] for i in e.inputs]
-            dtype = e.dtype.to_numpy()
-            target = max(a.ndim - 1 for a in args)
-            aligned = []
-            for a in args:
-                while a.ndim - 1 < target:
-                    a = a[:, None]
-                aligned.append(a)
-            sliced = []
-            for a in aligned:
-                if a.shape[1] == extent:
-                    sliced.append(a[:, lo:hi])
-                elif a.shape[1] == 1:
-                    sliced.append(a)
-                else:
-                    raise ExecutionError(
-                        f"{e.name}: operand extent {a.shape[1]} does not "
-                        f"match the chunked extent {extent}"
-                    )
-            chunk = np.asarray(fn(*sliced)).astype(dtype)
-            buf = buffers.get(e)
-            if buf is None:
-                full_shape = (
-                    chunk.shape[:1] + (extent,) + chunk.shape[2:]
-                )
-                buf = np.empty(full_shape, dtype)
-                buffers[e] = buf
-                values[e] = buf
-            buf[:, lo:hi] = chunk
 
     # -- expression evaluation ------------------------------------------
 

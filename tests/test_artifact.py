@@ -468,6 +468,30 @@ class TestErrors:
         with pytest.raises(ArtifactError, match="content hash mismatch"):
             artifact.loads(json.dumps(doc))
 
+    @pytest.mark.parametrize("bounds", [
+        [[0, 2], [2, 3]],  # one element short of the extent (4)
+        [[0, 1], [2, 4]],  # a gap
+        [[1, 2], [2, 4]],  # starts past 0
+        [[0, 4]],          # one chunk of two
+    ], ids=["short", "gap", "offset", "missing"])
+    def test_rejects_chunk_bounds_that_do_not_tile(self, bounds):
+        with open(GOLDEN_MOE) as f:
+            doc = json.load(f)
+        loop = next(
+            i for i in doc["payload"]["instructions"]
+            if i["kind"] == "chunk_loop"
+        )
+        member = next(e for e in loop["entries"] if e["bounds"])
+        assert member["bounds"] == [[0, 2], [2, 4]]
+        member["bounds"] = bounds
+        doc["content_hash"] = artifact.content_hash(doc["payload"])
+        art = artifact.loads(json.dumps(doc))
+        with pytest.raises(ArtifactError, match="do not cut"):
+            art.lowered()
+        # raised while generating the module, before any rank starts
+        with pytest.raises(ArtifactError, match="do not cut"):
+            Executor().run_spmd(art, {})
+
     def test_rejects_foreign_documents(self):
         with pytest.raises(ArtifactError, match="not a coconet"):
             artifact.loads(json.dumps({"format": "something-else"}))

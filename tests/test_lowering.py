@@ -4,9 +4,8 @@ Structural tests of :func:`repro.core.lower.lower`, differential
 property tests that ``run_lowered`` of a schedule is bit-identical
 (outputs *and* tensor states) to ``run_lowered`` of its program lowered
 unscheduled, one kernel per expression, across every workload's
-original / named / autotuned schedules, the chunk-by-chunk instruction
-trace, the cost model's consumption of the stream, and the §5.4 bucket
-metadata wiring.
+original / named / autotuned schedules, the cost model's consumption
+of the stream, and the §5.4 bucket metadata wiring.
 """
 
 import numpy as np
@@ -335,77 +334,6 @@ class TestRunLoweredParity:
         }
         for cand in result.candidates:
             assert_scheduled_parity(cand.schedule, inputs)
-
-
-class TestChunkTrace:
-    def test_attention_overlap_executes_chunk_by_chunk(self, rng):
-        from repro.observe import Tracer
-
-        wl = AttentionWorkload.build(4, 8, 16, 4, dtype=FP32)
-        sched = wl.schedule_coconet()
-        inputs = {
-            "w": rng.randn(16, 16), "b": rng.randn(16),
-            "in": rng.randn(4, 8, 16), "r": rng.randn(4, 8, 16),
-        }
-        tracer = Tracer()
-        Executor().run_lowered(
-            sched, inputs, allow_downcast=True, tracer=tracer
-        )
-        (loop,) = sched.lowered().chunk_loops()
-        mm = loop.entries[0].name
-        chunk_spans = tracer.spans(cat="chunk")
-        # the GEMM released each of its chunks individually, in order
-        assert [
-            (e.args["member"], e.args["step"], e.args["chunk"])
-            for e in chunk_spans
-        ] == [(mm, c, c) for c in range(loop.num_chunks)]
-        assert [e.name for e in chunk_spans] == [
-            f"{mm}#c{c}" for c in range(loop.num_chunks)
-        ]
-        # ... all before the fused collective consumed them
-        (whole,) = tracer.spans(cat="whole")
-        assert all(e.end <= whole.ts + 1e-9 for e in chunk_spans)
-        (envelope,) = tracer.spans(cat="chunkloop")
-        assert envelope.name == loop.name
-        assert envelope.args == {
-            "num_chunks": loop.num_chunks, "ring": True
-        }
-
-    def test_moe_pipeline_interleaves_producer_and_consumer_chunks(
-        self, rng
-    ):
-        from repro.observe import Tracer
-
-        wl = MoEWorkload.build(3, 6, 8, world_size=4, dtype=FP32)
-        sched = wl.schedule_overlapped()
-        inputs = {
-            "x": rng.randn(4, 4, 3, 6),
-            "w1": rng.randn(4, 6, 8),
-            "w2": rng.randn(4, 8, 6),
-        }
-        tracer = Tracer()
-        Executor().run_lowered(
-            sched, inputs, allow_downcast=True, tracer=tracer
-        )
-        (loop,) = sched.lowered().chunk_loops()
-        compute_entry = next(
-            e for e in loop.entries if e.mode == "compute"
-        )
-        gemm = compute_entry.group_deps[0]
-        events = [
-            (e.args["member"], e.args["chunk"])
-            for e in tracer.spans(cat="chunk")
-        ]
-        # chunk c of the ReLU runs after chunk c of its GEMM producer,
-        # and before the producer's *next* chunk completes the buffer —
-        # the chunk-synchronized pipeline, not whole-kernel execution
-        for c in range(loop.num_chunks):
-            assert events.index((compute_entry.name, c)) > events.index(
-                (gemm, c)
-            )
-        assert events.index((compute_entry.name, 0)) < events.index(
-            (gemm, loop.num_chunks - 1)
-        )
 
 
 class TestCostFromLowering:

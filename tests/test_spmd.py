@@ -94,7 +94,6 @@ RANK_NEVER_IMPORTS = {
     "repro.core.artifact",
     "repro.observe.perfetto",
     "repro.observe.compare",
-    "repro.observe.record",
     "hashlib",
     "subprocess",
 }

@@ -18,6 +18,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from repro.errors import CodegenError
 from repro.runtime.rng import dropout_mask  # noqa: F401  (re-export)
 from repro.runtime.world import check_divisible
 
@@ -100,14 +101,24 @@ class CompiledKernels:
         name: str,
         arrays: Sequence[np.ndarray],
         scalars: Sequence[float] = (),
+        outputs: Sequence[np.ndarray] = (),
     ) -> None:
-        bufs = []
-        for a in arrays:
+        """Run ``name`` over ``arrays`` then ``outputs`` (``A[k]`` in
+        that order) and ``scalars`` (``S``).
+
+        A non-contiguous input is read from a contiguous copy. An output
+        is written where it lies (often a tensor's own region), so a
+        non-contiguous one is an error: a copy would lose the write.
+        """
+        # the list keeps each input's copy alive until the call returns
+        inputs = [np.ascontiguousarray(a) for a in arrays]
+        for k, a in enumerate(outputs):
             if not a.flags["C_CONTIGUOUS"]:
-                # inputs only — outputs are freshly np.empty'd and
-                # always contiguous, so the copy never detaches a result
-                a = np.ascontiguousarray(a)
-            bufs.append(a.ctypes.data)
+                raise CodegenError(
+                    f"kernel {name}: output {k} is not C-contiguous "
+                    f"(shape {a.shape}, strides {a.strides})"
+                )
+        bufs = [a.ctypes.data for a in (*inputs, *outputs)]
         ptrs = (ctypes.c_void_p * len(bufs))(*bufs)
         sc = (ctypes.c_double * max(1, len(scalars)))(*scalars)
         self._fn(name)(ptrs, sc)

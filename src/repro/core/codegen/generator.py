@@ -17,11 +17,13 @@ become chunk orchestrators with a producer stream thread (Section 5.3).
 
 from __future__ import annotations
 
+import math
 import textwrap
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core import dfg, ops
 from repro.core.codegen.loc import count_loc
+from repro.core.layout import normalize_dim
 from repro.core.lower import (
     ChunkLoop,
     LoweredProgram,
@@ -144,6 +146,8 @@ class CodeGenerator:
         self.target = target
         self._native = target == "native"
         self._nat = None  # NativeEmitter, created per generate() call
+        #: input name -> the ops writing its storage, per generate() call
+        self._writers: Dict[str, List[Expr]] = {}
 
     # -- public -----------------------------------------------------------
 
@@ -178,6 +182,7 @@ class CodeGenerator:
             lowered = lower(scheduled)
             schedule_lines = 0
         program = lowered.program
+        self._writers = _storage_writers(program)
         self._nat = None
         if self._native:
             from repro.core.codegen.native import NativeEmitter
@@ -506,8 +511,9 @@ class CodeGenerator:
     def _emit_update_store(self, em: _Emitter, e: Expr, out: str) -> None:
         """Write an Update's computed value into its target storage.
 
-        Shared by the interpreted emission and the native target (which
-        computes ``out`` in C but keeps the T-storage write in Python).
+        Shared by the interpreted emission and the native target, whose
+        loop computes ``out`` into an array of its own when
+        :meth:`_update_region` finds no storage it can write directly.
         The write lands in the storage array itself (the rank's region
         under :func:`repro.runtime.spmd.launch`), cast the way
         ``astype`` casts.
@@ -524,6 +530,54 @@ class CodeGenerator:
                 f"np.copyto(T[{e.target.name!r}], {out}, casting='unsafe')"
             )
 
+    def _writes_after(self, e: Expr, name: str) -> List[Expr]:
+        """The writers of input ``name``'s storage that may run after
+        ``e``: every one that is not upstream of it."""
+        upstream = dfg.reachable([e])
+        return [w for w in self._writers.get(name, ()) if w not in upstream]
+
+    def _update_region(self, e: ops.Update) -> Optional[str]:
+        """The storage an Update's value can be computed straight into.
+
+        That is ``T[target]``, or this rank's dim-0 slice of a
+        replicated target: either has the value's dtype and element
+        count, and is C-contiguous when the target's storage is.
+        ``None`` when the value needs an array of its own: another slice
+        dimension, or a later write to the target other than an
+        AllGather of this very value (whose own row rewrites the same
+        bytes).
+        """
+        t = e.target
+        if any(
+            not (isinstance(w, ops.AllGather) and w.inputs[0] is e)
+            for w in self._writes_after(e, t.name)
+        ):
+            return None
+        if e.layout.is_sliced and t.layout.is_replicated:
+            if normalize_dim(e.layout.dim, len(e.shape)) != 0:
+                return None
+            return (
+                f"dev.take_slice(T[{t.name!r}], 0, _i, {e.group.size}, "
+                f"context={t.name!r})"
+            )
+        if math.prod(e.per_rank_shape()) != math.prod(t.per_rank_shape()):
+            return None
+        return f"T[{t.name!r}]"
+
+    def _gather_region(self, e: ops.AllGather) -> Optional[str]:
+        """The writeback storage an AllGather can gather straight into:
+        ``T[writeback]`` when it has the gather's dtype and shape and
+        no write to it follows; else ``None``."""
+        wb = e.writeback
+        if (
+            wb is None
+            or wb.dtype != e.dtype
+            or tuple(wb.per_rank_shape()) != tuple(e.per_rank_shape())
+            or self._writes_after(e, wb.name)
+        ):
+            return None
+        return f"T[{wb.name!r}]"
+
     # -- communication ---------------------------------------------------------
 
     def _emit_library_collective(self, em: _Emitter, e: Expr) -> None:
@@ -536,6 +590,12 @@ class CodeGenerator:
         g = self._gname(e.group)
         x = e.inputs[0]
         xr = f"V[{x.name!r}]"
+        # an AllGather with a writeback gathers into its storage when it
+        # can (the slot is published before any row is written, so an
+        # operand aliasing its own row is safe), else copies there after
+        region = (
+            self._gather_region(e) if isinstance(e, ops.AllGather) else None
+        )
         em.emit(f"# NCCL {e.comm_kind} — shared-memory rendezvous")
         if isinstance(e, ops.AllReduce):
             call = f"comm.allreduce({xr}, {g}, {e.reduction!r}, {_np_dtype(e)})"
@@ -545,7 +605,8 @@ class CodeGenerator:
                 f"{e.layout.dim}, {_np_dtype(e)}, context={e.name!r})"
             )
         elif isinstance(e, ops.AllGather):
-            call = f"comm.allgather({xr}, {g}, {e.dim})"
+            out = f", out={region}" if region is not None else ""
+            call = f"comm.allgather({xr}, {g}, {e.dim}{out})"
         elif isinstance(e, ops.AllToAllPhase):
             call = (
                 f"comm.alltoall_{e.phase}({xr}, {g}, {e.dim}, "
@@ -563,7 +624,11 @@ class CodeGenerator:
         else:  # pragma: no cover
             raise CodegenError(f"no communicator call for {type(e).__name__}")
         em.emit(f"V[{e.name!r}] = {call}")
-        if isinstance(e, ops.AllGather) and e.writeback is not None:
+        if (
+            isinstance(e, ops.AllGather)
+            and e.writeback is not None
+            and region is None
+        ):
             em.emit(
                 f"np.copyto(T[{e.writeback.name!r}], V[{e.name!r}], "
                 f"casting='unsafe')"
@@ -577,7 +642,9 @@ class CodeGenerator:
         block, so the generated module stays bit-identical to
         ``run_lowered``. (The real CUDA backend would unroll ring phases
         here; the ring's accumulation order is not bitwise-equal to the
-        rank-order oracle.)
+        rank-order oracle.) Rank-local element-wise work that nothing
+        before a collective needs waits until after it
+        (:func:`_sink_past`), so it joins the computation there.
         """
         group = k.output.group
         em.emit(
@@ -587,13 +654,14 @@ class CodeGenerator:
         pending: List[Expr] = []
         for e in k.exprs:
             if isinstance(e, ops.CommOp):
+                pending, later = _sink_past(pending, e)
                 if pending:
                     self._emit_compute_region(em, pending)
-                    pending = []
                 if isinstance(e, ops.Send):
                     self._emit_send(em, e)
                 else:
                     self._emit_library_collective(em, e)
+                pending = later
             else:
                 pending.append(e)
         if pending:
@@ -813,6 +881,51 @@ class CodeGenerator:
         em.emit()
 
 
+def _sink_past(
+    pending: List[Expr], comm: Expr
+) -> Tuple[List[Expr], List[Expr]]:
+    """Split ``pending`` into the work that runs before ``comm`` and the
+    element-wise work that can run after it, each in program order.
+
+    An element-wise op moves past ``comm`` when ``comm`` does not read
+    it (directly or through other ops), it reads no storage ``comm``
+    writes back into, and every consumer of it in ``pending`` moves
+    too. Cross-rank reductions and communication never move, so the
+    communication order (and every fault site) is unchanged.
+    """
+    read = dfg.reachable([comm])
+    wb = getattr(comm, "writeback", None)
+    consumers: Dict[int, List[Expr]] = {}
+    for e in pending:
+        for x in e.inputs:
+            consumers.setdefault(id(x), []).append(e)
+    later: Set[int] = set()
+    for e in reversed(pending):
+        if (
+            isinstance(e, (ops.Binary, ops.Unary, ops.Cast))
+            and e not in read
+            and all(x is not wb for x in e.inputs)
+            and all(id(c) in later for c in consumers.get(id(e), ()))
+        ):
+            later.add(id(e))
+    return (
+        [e for e in pending if id(e) not in later],
+        [e for e in pending if id(e) in later],
+    )
+
+
+def _storage_writers(program: Program) -> Dict[str, List[Expr]]:
+    """Input name -> the ops that write its storage in place: its
+    ``Update`` and any ``AllGather`` writing back into it."""
+    writers: Dict[str, List[Expr]] = {}
+    for e in program.operations:
+        if isinstance(e, ops.Update):
+            writers.setdefault(e.target.name, []).append(e)
+        elif isinstance(e, ops.AllGather) and e.writeback is not None:
+            writers.setdefault(e.writeback.name, []).append(e)
+    return writers
+
+
 def _inputs_to_copy(program: Program) -> Set[str]:
     """Names of the inputs ``run_rank`` must copy before any kernel runs.
 
@@ -823,19 +936,14 @@ def _inputs_to_copy(program: Program) -> Set[str]:
     an input with some other reader (or one that is itself an output)
     needs a private copy.
     """
-    writers: Dict[str, List[Expr]] = {}
     readers: Dict[str, List[Expr]] = {}
     for e in program.operations:
-        if isinstance(e, ops.Update):
-            writers.setdefault(e.target.name, []).append(e)
-        elif isinstance(e, ops.AllGather) and e.writeback is not None:
-            writers.setdefault(e.writeback.name, []).append(e)
         for x in e.inputs:
             if isinstance(x, Tensor):
                 readers.setdefault(x.name, []).append(e)
     outputs = {o.name for o in program.outputs}
     copy: Set[str] = set()
-    for name, ws in writers.items():
+    for name, ws in _storage_writers(program).items():
         upstream = [dfg.reachable([w]) for w in ws]
         if name in outputs or any(
             r not in up for r in readers.get(name, ()) for up in upstream

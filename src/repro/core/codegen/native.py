@@ -182,8 +182,10 @@ PRELUDE = r"""
 #include <math.h>
 
 /* -- IEEE half <-> double, bit-exact with numpy's astype ------------- */
-/* Both conversions are branch-free (selects, no loops or early
- * returns), so -O3 vectorizes the loops that call them. */
+/* Both conversions are written with selects, no loops or early
+ * returns. gcc 12.2 at -O3 still reports "not vectorized: control flow
+ * in loop" for every loop that calls one, so such loops run scalar;
+ * only loops free of FP16 operands vectorize. */
 
 static inline double repro_h2d(uint16_t h) {
     uint32_t w = (uint32_t)h << 16;
@@ -465,7 +467,8 @@ class NativeEmitter:
             if e.op not in _C_UNARY:
                 return False
         elif isinstance(e, ops.Update):
-            # the V-store runs in C; the T write stays in Python
+            # stored by the loop, into the target's storage when it can
+            # take the value (else a Python write copies it there)
             if e.per_rank_shape() != e.inputs[0].per_rank_shape():
                 return False
         elif not isinstance(e, ops.Cast):
@@ -498,11 +501,27 @@ class NativeEmitter:
     def emit_segment(self, gen, em, exprs: Sequence[Expr]) -> None:
         """Emit one compute segment: fused C runs + Python fallbacks.
 
-        Maximal runs of C-able elementwise expressions with the same
-        flat per-rank element count become one compiled loop each;
-        everything else goes through the generator's normal
-        ``_emit_op`` emission, reading and writing the same ``V``.
+        Rank-invariant scalars go first: a 0-d expression whose inputs
+        in the segment are such scalars themselves (``np.power(β, t)``
+        and the like) is computed before everything else, so it does
+        not split the loops around it. Then maximal runs of C-able
+        elementwise expressions with the same flat per-rank element
+        count become one compiled loop each; everything else goes
+        through the generator's normal ``_emit_op`` emission, reading
+        and writing the same ``V``.
         """
+        ids = {id(e) for e in exprs}
+        first = set()
+        for e in exprs:
+            if (
+                _prod(e.per_rank_shape()) < 2
+                and not isinstance(e, ops.Update)
+                and all(id(x) in first or id(x) not in ids for x in e.inputs)
+            ):
+                first.add(id(e))
+        exprs = [e for e in exprs if id(e) in first] + [
+            e for e in exprs if id(e) not in first
+        ]
         runs: List[Tuple[str, List[Expr], int]] = []
         for e in exprs:
             if self._c_able(e):
@@ -524,6 +543,14 @@ class NativeEmitter:
                 self._emit_c_run(gen, em, group, n)
 
     def _emit_c_run(self, gen, em, run: List[Expr], n: int) -> None:
+        """One compiled loop over ``run``.
+
+        The function reads its input arrays and then writes its output
+        arrays (``A`` in that order). An escaping value gets an
+        ``np.empty`` array of its own, except an ``Update`` whose target
+        storage can take it (:meth:`CodeGenerator._update_region`): the
+        loop stores that one straight into the region.
+        """
         run_ids = {id(e) for e in run}
         var_of: Dict[int, str] = {}
         arrays: List[_Array] = []
@@ -588,21 +615,18 @@ class NativeEmitter:
             body.extend(lines)
             var_of[id(e)] = var
             if self._escapes(e, run_ids):
-                out = _Array(
-                    f"o{len(arrays)}", dt, f"V[{e.name!r}]", n
-                )
-                arrays.append(out)
+                out = _Array(f"o{len(stores)}", dt, f"V[{e.name!r}]", n)
                 stores.append((e, out))
                 body.append(f"{out.cvar}[i] = {stored};")
 
         fn = self._fresh_fn(f"s_{run[0].name}")
         lines = [f"void {fn}(char** A, double* S) {{"]
         for k, a in enumerate(arrays):
-            const = "" if any(a is o for _, o in stores) else "const "
-            lines.append(
-                f"    {const}{_CTYPE[a.dt]}* {a.cvar} = "
-                f"({const}{_CTYPE[a.dt]}*)A[{k}];"
-            )
+            ct = _CTYPE[a.dt]
+            lines.append(f"    const {ct}* {a.cvar} = (const {ct}*)A[{k}];")
+        for k, (_, a) in enumerate(stores, len(arrays)):
+            ct = _CTYPE[a.dt]
+            lines.append(f"    {ct}* {a.cvar} = ({ct}*)A[{k}];")
         if not scalars:
             lines.append("    (void)S;")
         lines.append(f"    for (long long i = 0; i < {n}LL; ++i) {{")
@@ -613,17 +637,26 @@ class NativeEmitter:
 
         names = ", ".join(e.name for e in run)
         em.emit(f"# compiled native segment ({fn}): {names}")
-        for e, out in stores:
-            shape = e.per_rank_shape()
+        copied_back: List[Expr] = []
+        for e, _ in stores:
+            region = (
+                gen._update_region(e) if isinstance(e, ops.Update) else None
+            )
+            if region is not None:
+                em.emit(f"V[{e.name!r}] = {region}")
+                continue
             em.emit(
-                f"V[{e.name!r}] = np.empty({shape!r}, "
+                f"V[{e.name!r}] = np.empty({e.per_rank_shape()!r}, "
                 f"dtype=np.{e.dtype.to_numpy().name})"
             )
-        refs = ", ".join(a.py_ref for a in arrays)
-        sc = ", ".join(scalars)
-        em.emit(
-            f"_K.call({fn!r}, ({refs},), ({sc + ',' if sc else ''}))"
-        )
-        for e, _ in stores:
             if isinstance(e, ops.Update):
-                gen._emit_update_store(em, e, f"V[{e.name!r}]")
+                copied_back.append(e)
+        ins = "".join(f"{a.py_ref}, " for a in arrays)
+        outs = "".join(f"{a.py_ref}, " for _, a in stores)
+        sc = "".join(f"{v}, " for v in scalars)
+        em.emit(
+            f"_K.call({fn!r}, ({ins.rstrip()}), ({sc.rstrip()}), "
+            f"({outs.rstrip()}))"
+        )
+        for e in copied_back:
+            gen._emit_update_store(em, e, f"V[{e.name!r}]")

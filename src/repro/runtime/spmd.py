@@ -112,8 +112,10 @@ everything else off that path, and no array crosses a socket:
    code generator or compiles), opens the kernel object
    (:func:`repro.core.codegen.device.open_kernels`), binds its tensors
    to writable views of its own regions and runs in place: the
-   generated module updates tensor states in their regions and copies
-   only the inputs it updates. The rank copies every other result the
+   generated module stores updated tensor states and gathered
+   writebacks straight into their regions (on the native target, the
+   compiled loop writes an ``Update`` there itself), and copies only
+   the inputs it updates. The rank copies every other result the
    parent will read into its region (a replicated result from the
    group's first rank only), closes its segments, sends one pickled
    report, ``("ok", seconds)``, and leaves with ``os._exit(0)``,
@@ -1033,14 +1035,24 @@ class SpmdCommunicator:
         )
         return total.astype(dtype, copy=False)
 
-    def allgather(self, x, group: ProcessGroup, dim: int) -> np.ndarray:
+    def allgather(
+        self, x, group: ProcessGroup, dim: int,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Concatenation of all ranks' slices, in rank order: each slot
-        is copied once, straight into its place in the result."""
+        is copied once, straight into its place in the result.
+
+        ``out``, when given, receives the result and is returned; it
+        has the result's shape and dtype. ``x`` is published before any
+        row of ``out`` is written, so ``x`` may be a view of ``out``,
+        its own row included.
+        """
         pub = self._publication(x, group)
         n = group.size
-        shape = list(pub.shape)
-        shape[dim] *= n
-        out = np.empty(shape, pub.dtype)
+        if out is None:
+            shape = list(pub.shape)
+            shape[dim] *= n
+            out = np.empty(shape, pub.dtype)
         self._gather(pub, rows=[slice_of(out, dim, j, n) for j in range(n)])
         return out
 

@@ -146,7 +146,8 @@ def assemble_rows(rows: Sequence[np.ndarray], layout, shape) -> np.ndarray:
     """Reassemble per-rank rows, in group order, into a new global array.
 
     The result boundary of the SPMD launcher, whose rows are views of
-    shared memory that teardown unlinks: the result never aliases them.
+    a shared-memory segment (a memfd) that teardown closes: the result
+    never aliases them.
     A replicated value needs only the group's first row.
     :func:`unstack_global` does the same for a stack.
     """

@@ -36,6 +36,7 @@ from repro.runtime.spmd import (
     _send,
     _start,
 )
+from repro.runtime.world import slice_of
 
 #: the repository root, so workers can import ``tests.collective_pool``
 #: (the callables ``call`` ships are pickled by reference)
@@ -100,6 +101,22 @@ def chunked(
         return getattr(comm, method)(out, group, *args, **kwargs)
     finally:
         comm.join_streams(producer)
+
+
+def gather_into_own_row(
+    comm: SpmdCommunicator, x: np.ndarray, group: ProcessGroup, dim: int
+) -> np.ndarray:
+    """``comm.allgather`` into a NaN-filled ``out`` whose own row holds
+    ``x`` and is the operand itself, a view of ``out`` (as the native
+    Adam module gathers ``p_`` into ``p``)."""
+    n = group.size
+    shape = list(x.shape)
+    shape[dim] *= n
+    out = np.full(shape, np.nan, x.dtype)
+    own = slice_of(out, dim, group.local_rank(comm.rank), n)
+    own[...] = x
+    assert comm.allgather(own, group, dim, out=out) is out
+    return out
 
 
 class CollectivePool:

@@ -383,6 +383,31 @@ class TestRankDataPath:
         low = Executor().run_lowered(sched, inputs, allow_downcast=True)
         assert _digest(nat) == _digest(low)
 
+    def test_update_overwritten_later_keeps_its_own_array(
+        self, kernel_cache
+    ):
+        # ``x`` is written twice and the first value is read after the
+        # second write: only the last writer may store into ``x`` itself
+        from repro.core import (
+            FP32, Binary, Execute, Replicated, Tensor, Update, world,
+        )
+
+        x = Tensor(FP32, (8, 16), Replicated, world(2), name="x")
+        u1 = Update(x, Binary("*", x, 0.5), name="u1")
+        u2 = Update(x, Binary("+", u1, 1.0), name="u2")
+        prog = Execute("twice", [x], [Binary("+", u2, u1, name="out")])
+        gen = CodeGenerator(target="native").generate(prog)
+        assert "V['u1'] = np.empty(" in gen.source
+        assert "V['u2'] = T['x']\n" in gen.source
+        inputs = {"x": np.random.RandomState(2).randn(8, 16)}
+        ex = Executor()
+        low = ex.run_lowered(prog, inputs, allow_downcast=True)
+        got = ex.run_spmd(
+            prog, inputs, allow_downcast=True, codegen_target="native",
+            timeout=120.0,
+        )
+        assert _digest(got) == _digest(low)
+
     @staticmethod
     def _read_after_update(overlapped):
         """``out = Update(x, 0.5x) + (x @ w or 3x)``: the second operand
@@ -433,6 +458,111 @@ class TestRankDataPath:
             timeout=120.0,
         )
         assert _digest(got) == _digest(low)
+
+
+def _tuned(workload, num_elements=1024, ranks=2):
+    """The autotuner's pick for ``workload`` (as e2e tunes it)."""
+    from repro.cluster import Cluster
+    from repro.core.autotuner import Autotuner
+
+    wl = workload.build(num_elements, ranks)
+    return Autotuner(Cluster(1)).tune(wl.program).best.schedule
+
+
+@needs_cc
+class TestInPlaceFusedCollective:
+    """The tuned fuse(RS-Opt-AG) module on the native target: one loop
+    after the ReduceScatter, writing optimizer state where it lives."""
+
+    @staticmethod
+    def _fused_kernel(gen) -> str:
+        (src,) = [
+            text for text in gen.kernel_sources.values()
+            if "comm.reducescatter(" in text
+        ]
+        return src
+
+    @staticmethod
+    def _assert_in_place(source: str) -> None:
+        for name in ("m_", "v_", "p_"):
+            assert f"V['{name}'] = np.empty(" not in source, name
+        assert "np.copyto(T[" not in source
+        assert "write_slice" not in source
+        assert "V['m_'] = T['m']\n" in source
+        assert "V['v_'] = T['v']\n" in source
+        assert "V['p_'] = dev.take_slice(T['p'], 0, _i, 2" in source
+        assert "comm.allgather(V['p_'], G0_2, 0, out=T['p'])" in source
+
+    def test_adam_one_loop_after_the_reducescatter(self):
+        from repro.workloads.adam import AdamWorkload
+
+        gen = CodeGenerator(target="native").generate(_tuned(AdamWorkload))
+        kernel = self._fused_kernel(gen)
+        assert kernel.count("_K.call(") == 1
+        assert kernel.index("comm.reducescatter(") < kernel.index("_K.call(")
+        assert gen.c_source.count("\nvoid ") == 1
+        self._assert_in_place(gen.source)
+
+    def test_lamb_one_loop_each_side_of_the_update_norm(self):
+        from repro.workloads.lamb import LambWorkload
+
+        gen = CodeGenerator(target="native").generate(_tuned(LambWorkload))
+        kernel = self._fused_kernel(gen)
+        calls = [m.start() for m in re.finditer(r"_K\.call\(", kernel)]
+        exchanges = [
+            m.start() for m in re.finditer(r"comm\.exchange_scalars", kernel)
+        ]
+        # w_norm's exchange, the RS, one loop, u_norm's exchange, one loop
+        assert len(calls) == 2 and len(exchanges) == 2
+        assert kernel.index("comm.reducescatter(") < calls[0]
+        assert calls[0] < exchanges[1] < calls[1]
+        self._assert_in_place(gen.source)
+
+    @pytest.mark.parametrize("target", ["spmd", "native"])
+    def test_tuned_lamb_bit_identical(self, kernel_cache, target):
+        from repro.cli import _seeded_inputs
+        from repro.workloads.lamb import LambWorkload
+
+        sched = _tuned(LambWorkload)
+        inputs = _seeded_inputs(sched.program, seed=0)
+        ex = Executor()
+        low = ex.run_lowered(sched, inputs, allow_downcast=True)
+        got = ex.run_spmd(
+            sched, inputs, allow_downcast=True, codegen_target=target,
+            timeout=120.0,
+        )
+        assert _digest(got) == _digest(low)
+
+
+_IO_SOURCE = native.PRELUDE + r"""
+void diff(char** A, double* S) {
+    const double* a = (const double*)A[0];
+    const double* b = (const double*)A[1];
+    double* o = (double*)A[2];
+    (void)S;
+    for (long long i = 0; i < 4; ++i) o[i] = a[i] - b[i];
+}
+"""
+
+
+@needs_cc
+class TestCompiledKernelsCall:
+    def test_non_contiguous_inputs_are_read_from_copies(self, kernel_cache):
+        k = native.load_kernels(_IO_SOURCE)
+        x = np.arange(8.0)[::2]
+        y = np.arange(8.0)[::2] * 10.0
+        out = np.zeros(4)
+        k.call("diff", (x, y), (), (out,))
+        np.testing.assert_array_equal(out, x - y)
+
+    def test_non_contiguous_output_is_refused(self, kernel_cache):
+        # an output is often a tensor's own region: writing into a
+        # contiguous copy would silently lose the write
+        k = native.load_kernels(_IO_SOURCE)
+        base = np.zeros(8)
+        with pytest.raises(CodegenError, match="output 0 is not C-contig"):
+            k.call("diff", (np.ones(4), np.ones(4)), (), (base[::2],))
+        assert not base.any()
 
 
 @needs_cc

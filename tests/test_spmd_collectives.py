@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core import world
 from repro.runtime import collectives
-from tests.collective_pool import CollectivePool, chunked
+from tests.collective_pool import CollectivePool, chunked, gather_into_own_row
 
 RANK_COUNTS = (2, 4, 8)
 DTYPES = (np.float32, np.float16)
@@ -186,6 +186,20 @@ class TestDataMovementCollectives:
         ref = collectives.allgather_vectorized(x, g, dim)
         rows = pool(n).call(
             "allgather", [(x[i], g, dim) for i in range(n)]
+        )
+        _assert_rows_equal(rows, ref)
+
+    @pytest.mark.parametrize("n", RANK_COUNTS)
+    @pytest.mark.parametrize("dim", [0, 1])
+    def test_allgather_into_out_aliasing_own_row(self, n, dim):
+        # the operand is published before any row of ``out`` is
+        # written, so gathering into the storage the operand lives in
+        # is the plain gather
+        g = world(n)
+        x = _stacked(n + dim, n, (2, 3), np.float16)
+        ref = collectives.allgather_vectorized(x, g, dim)
+        rows = pool(n).call(
+            gather_into_own_row, [(x[i], g, dim) for i in range(n)]
         )
         _assert_rows_equal(rows, ref)
 

@@ -178,14 +178,22 @@ def toolchain_report() -> Dict[str, object]:
 
 PRELUDE = r"""
 #include <stdint.h>
-#include <string.h>
-#include <math.h>
+
+/* memcpy, sqrt and fabs are compiler builtins: no libc header to
+ * parse on every (cold) compile */
+#define memcpy __builtin_memcpy
+#define sqrt __builtin_sqrt
+#define fabs __builtin_fabs
 
 /* -- IEEE half <-> double, bit-exact with numpy's astype ------------- */
-/* Both conversions are written with selects, no loops or early
- * returns. gcc 12.2 at -O3 still reports "not vectorized: control flow
- * in loop" for every loop that calls one, so such loops run scalar;
- * only loops free of FP16 operands vectorize. */
+/* No branch and no `?:` select: every choice is integer mask arithmetic,
+ * `m = -(cond); x = (x & ~m) | (y & m)`. Under gcc's default
+ * -ftrapping-math, if-conversion will not make a select unconditional
+ * when an operand comes out of a floating-point operation (it might
+ * trap), so a `?:` here leaves "control flow in loop" and the loop that
+ * calls the helper runs scalar. Masks keep such loops vectorizable at
+ * the plain -O3 flags. Clamps and NaN/inf tests read the 32-bit high
+ * word: SSE2 has no 64-bit integer compare. */
 
 static inline double repro_h2d(uint16_t h) {
     uint32_t w = (uint32_t)h << 16;
@@ -194,15 +202,16 @@ static inline double repro_h2d(uint16_t h) {
     uint32_t nbits = (two_w >> 4) + (0xe0u << 23);
     /* subnormals: 0.5 + man * 2^-24, minus 0.5 — exact */
     uint32_t dbits = (two_w >> 17) | (126u << 23);
+    uint32_t sub, bits;
     float normal, subnormal, out;
-    uint32_t bits;
     memcpy(&normal, &nbits, 4);
     memcpy(&subnormal, &dbits, 4);
     normal *= 0x1.0p-112f;
     subnormal -= 0.5f;
     memcpy(&nbits, &normal, 4);
     memcpy(&dbits, &subnormal, 4);
-    bits = (w & 0x80000000u) | (two_w < (1u << 27) ? dbits : nbits);
+    sub = -(uint32_t)(two_w < (1u << 27));
+    bits = (w & 0x80000000u) | (dbits & sub) | (nbits & ~sub);
     memcpy(&out, &bits, 4);
     return (double)out;
 }
@@ -214,23 +223,30 @@ static inline double repro_h2d(uint16_t h) {
  * is the rounding; the sum's low 12 mantissa bits are then the half
  * significand (implicit bit included, a carry bumps the exponent). */
 static inline uint16_t repro_d2h(double d) {
-    uint64_t bits, mag, magic_bits, sum_bits, h;
-    int64_t e, be;
-    double magic, a, sum;
+    uint64_t bits, magic_bits, sum_bits;
+    uint32_t hs, hi, lo, h, m;
+    int32_t e, be;
+    double magic, sum;
     memcpy(&bits, &d, 8);
-    mag = bits & 0x7fffffffffffffffULL;
-    e = (int64_t)(mag >> 52);               /* biased exponent */
-    be = e < 1009 ? 1009 : e;               /* 1009 = 2^-14, half min normal */
-    be = be > 1038 ? 1038 : be;             /* keep the magic finite */
-    magic_bits = (uint64_t)(be + 42) << 52;
+    hs = (uint32_t)(bits >> 32);
+    hi = hs & 0x7fffffffu;                  /* high word of |d| */
+    lo = (uint32_t)bits;
+    e = (int32_t)(hi >> 20);                /* biased exponent */
+    m = -(uint32_t)(e < 1009);              /* 1009 = 2^-14, half min normal */
+    be = (int32_t)(((uint32_t)e & ~m) | (1009u & m));
+    m = -(uint32_t)(be > 1038);             /* keep the magic finite */
+    be = (int32_t)(((uint32_t)be & ~m) | (1038u & m));
+    magic_bits = (uint64_t)((uint32_t)(be + 42) << 20) << 32;
     memcpy(&magic, &magic_bits, 8);
-    memcpy(&a, &mag, 8);
-    sum = magic + a;
+    sum = magic + fabs(d);
     memcpy(&sum_bits, &sum, 8);
-    h = ((uint64_t)(be - 1009) << 10) + (sum_bits & 0xfffULL);
-    h = e >= 1039 ? 0x7c00u : h;            /* |d| >= 2^16: inf */
-    h = mag > 0x7ff0000000000000ULL ? 0x7e00u : h;   /* nan */
-    return (uint16_t)(((bits >> 48) & 0x8000u) | h);
+    h = ((uint32_t)(be - 1009) << 10) + ((uint32_t)sum_bits & 0xfffu);
+    m = -(uint32_t)(e >= 1039);             /* |d| >= 2^16 or nan: inf */
+    h = (h & ~m) | (0x7c00u & m);
+    /* nan: |d|'s bits above inf's, i.e. hi > 0x7ff00000 or hi equal
+     * and lo nonzero (folded into hi's low bit, which inf's lacks) */
+    h |= 0x0200u & -(uint32_t)((int32_t)(hi | (lo != 0u)) > 0x7ff00000);
+    return (uint16_t)(((hs >> 16) & 0x8000u) | h);
 }
 
 /* numpy maximum/minimum: (in1 OP in2 || isnan(in1)) ? in1 : in2 */

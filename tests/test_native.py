@@ -37,7 +37,7 @@ import repro
 from repro.core import artifact
 from repro.core.codegen import CodeGenerator, native
 from repro.errors import CodegenError
-from repro.runtime import Executor
+from repro.runtime import Executor, FaultPlan
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -534,6 +534,98 @@ class TestInPlaceFusedCollective:
         assert _digest(got) == _digest(low)
 
 
+@needs_cc
+class TestNativeFusedCollectiveFaults:
+    """Faults at the tuned fuse(RS-Adam-AG) kernel's collectives on the
+    native target: the compiled loop sits between the ReduceScatter and
+    the AllGather, and a fault on either side leaves no segment fd or
+    rank process behind."""
+
+    # rank 1's publishes on the world site: the timing barrier (1), the
+    # ReduceScatter before the loop (2) and the AllGather after it (3)
+    @pytest.mark.parametrize("after", [2, 3])
+    def test_die_recovers_elastic(self, kernel_cache, after):
+        from repro.cli import _seeded_inputs
+        from repro.observe import InstantEvent, Tracer
+        from repro.workloads.adam import AdamWorkload
+
+        from tests.spmd_leaks import children, spmd_segments
+
+        def relower(ws):
+            program = AdamWorkload.build(1024, ws).program
+            return program, _seeded_inputs(program, seed=ws)
+
+        sched = _tuned(AdamWorkload)
+        before = set(spmd_segments())
+        tracer = Tracer()
+        res = Executor().run_spmd(
+            sched, _seeded_inputs(sched.program, seed=0),
+            allow_downcast=True, codegen_target="native",
+            fault_plan=FaultPlan(seed=3).die(
+                1, at_site="g", after=after
+            ),
+            soft_timeout=0.5, timeout=30.0, elastic=True, relower=relower,
+            tracer=tracer,
+        )
+        (die,) = [
+            e for e in tracer.events
+            if isinstance(e, InstantEvent) and e.name == "die"
+        ]
+        assert (die.pid, die.args["seq"]) == ("rank1", after)
+        assert res.elastic["world_size"] == 1
+        # rank 0 closed cleanly (no view of a segment outlived its
+        # kernel), so it ran the recovery itself
+        assert res.elastic["reused_ranks"] == [0]
+        assert res.elastic["spawned"] == 0
+        program1, inputs1 = relower(1)
+        oracle = Executor().run_lowered(
+            program1, inputs1, allow_downcast=True
+        )
+        _assert_bit_identical(res, oracle)
+        assert children() == []
+        assert set(spmd_segments()) == before
+
+    def test_stall_completes_bit_identical(self, kernel_cache):
+        from repro.cli import _seeded_inputs
+        from repro.observe import InstantEvent, SpanEvent, Tracer
+        from repro.workloads.adam import AdamWorkload
+
+        from tests.spmd_leaks import children, spmd_segments
+
+        sched = _tuned(AdamWorkload)
+        inputs = _seeded_inputs(sched.program, seed=0)
+        before = set(spmd_segments())
+        tracer = Tracer()
+        res = Executor().run_spmd(
+            sched, inputs, allow_downcast=True, codegen_target="native",
+            fault_plan=FaultPlan(seed=3).stall_publish(
+                "g", 0.05, rank=1, seq=2
+            ),
+            soft_timeout=0.005, timeout=30.0, tracer=tracer,
+        )
+        low = Executor().run_lowered(sched, inputs, allow_downcast=True)
+        _assert_bit_identical(res, low)
+        stalls = [
+            e for e in tracer.events
+            if isinstance(e, InstantEvent) and e.cat == "stall"
+        ]
+        # rank 1 stalled its ReduceScatter publish, and rank 0
+        # soft-retried while waiting for that slot
+        assert any(
+            e.pid == "rank1" and e.name.startswith("stall_publish")
+            and e.args["seq"] == 2
+            for e in tracer.events if isinstance(e, InstantEvent)
+        )
+        assert any(e.pid == "rank0" for e in stalls)
+        reduces = [
+            e for e in tracer.events
+            if isinstance(e, SpanEvent) and e.cat == "reduce"
+        ]
+        assert sorted(e.pid for e in reduces) == ["rank0", "rank1"]
+        assert children() == []
+        assert set(spmd_segments()) == before
+
+
 _IO_SOURCE = native.PRELUDE + r"""
 void diff(char** A, double* S) {
     const double* a = (const double*)A[0];
@@ -637,6 +729,62 @@ class TestGoldenArtifactsNative:
             np.testing.assert_allclose(
                 b, a, rtol=1e-2, atol=1e-3, err_msg=name
             )
+
+
+def _gcc():
+    """The C compiler when it is gcc, whose ``-fopt-info`` reports the
+    vectorizer's decisions; else ``None``."""
+    cc = native._find_cc()
+    if cc is None:
+        return None
+    out = subprocess.run(
+        [cc, "--version"], capture_output=True, text=True, timeout=30
+    ).stdout
+    return cc if "Free Software Foundation" in out else None
+
+
+@pytest.mark.skipif(_gcc() is None, reason="needs gcc's -fopt-info")
+class TestLoopsVectorize:
+    """Every loop the native target emits vectorizes at ``_CFLAGS``.
+
+    One ``?:`` select on a floating-point result in the half
+    conversions makes gcc leave a loop scalar, at half its speed, while
+    every bit-identity test still passes.
+    """
+
+    @staticmethod
+    def _scalar_loops(c_source, tmp_path):
+        c_file = tmp_path / "kernels.c"
+        c_file.write_text(c_source)
+        proc = subprocess.run(
+            [_gcc(), *native._CFLAGS, "-fopt-info-vec-optimized",
+             "-o", str(tmp_path / "kernels.so"), str(c_file), "-lm"],
+            capture_output=True, text=True, timeout=300, check=True,
+        )
+        loops = {
+            n for n, line in enumerate(c_source.splitlines(), 1)
+            if line.lstrip().startswith("for (")
+        }
+        assert loops
+        vectorized = {
+            int(m.group(1)) for m in re.finditer(
+                r"kernels\.c:(\d+):\d+: optimized: loop vectorized",
+                proc.stderr,
+            )
+        }
+        return sorted(loops - vectorized)
+
+    def test_half_conversions(self, tmp_path):
+        assert self._scalar_loops(_CONV_HARNESS, tmp_path) == []
+
+    @pytest.mark.parametrize("workload", ["adam", "lamb"])
+    def test_tuned_optimizer_loops(self, tmp_path, workload):
+        from repro.workloads.adam import AdamWorkload
+        from repro.workloads.lamb import LambWorkload
+
+        wl = {"adam": AdamWorkload, "lamb": LambWorkload}[workload]
+        gen = CodeGenerator(target="native").generate(_tuned(wl))
+        assert self._scalar_loops(gen.c_source, tmp_path) == []
 
 
 def _refuse(*args, **kwargs):

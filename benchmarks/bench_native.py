@@ -1,8 +1,8 @@
 """Native compiled kernels vs the Python SPMD interpreter.
 
 ``CodeGenerator(target="native")`` renders each lowered kernel's
-elementwise chain into one fused C loop (GEMMs stay numpy's
-``np.matmul``, FP16 operands upcast to FP32) and binds the compiled
+elementwise chain into one fused C loop (GEMMs stay the device
+library's ``dev.gemm``, as on every tier) and binds the compiled
 library into the same per-rank OS processes the
 ``spmd`` target uses — same :mod:`repro.runtime.spmd` communicator,
 same ChunkLoop overlap orchestrator, only the per-rank compute swapped.
@@ -13,13 +13,12 @@ workloads:
   family) at GPT-3 layer scale: a long elementwise chain over many
   megabytes per rank, where the Python interpreter pays one float64
   numpy pass per expression and the C loop pays one fused pass total.
-  Elementwise-only, so outputs must be **bit-identical** to
-  ``Executor.run_lowered``.
 * **moe** — the overlapped GShard MoE schedule (Figure 10 family):
-  AllToAll + expert GEMMs under the ring chunk loop. Its GEMMs are
-  FP16, so outputs are held to the documented tolerance (rtol 1e-2,
-  atol 1e-3): the interpreter runs numpy's half matmul loop, native an
-  FP32 GEMM of the upcast operands rounded once to half.
+  AllToAll + FP16 expert GEMMs under the ring chunk loop. Both arms run
+  the same ``dev.gemm``, so only the elementwise epilogue differs.
+
+Outputs and tensor states of both configs must be **bit-identical** to
+``Executor.run_lowered``.
 
 Timing uses ``result.spmd_seconds`` (rank-body seconds, barrier-synced,
 excluding process spawn). The native side is warmed first: the cold
@@ -32,10 +31,11 @@ Emits ``BENCH_native.json`` at the repo root::
     PYTHONPATH=src:. python benchmarks/bench_native.py            # full
     PYTHONPATH=src:. python benchmarks/bench_native.py --smoke    # CI
 
-Full mode asserts the ``NATIVE_SPEEDUP_FLOOR`` on both workloads;
-smoke mode asserts correctness and the warm-cache property only — the
-regression gate (``benchmarks/check_regression.py``) compares the
-recorded numbers against ``benchmarks/baselines/BENCH_native.json``.
+Full mode asserts the ``NATIVE_SPEEDUP_FLOOR`` on Adam (MoE's ratio is
+recorded, not gated); smoke mode asserts correctness and the warm-cache
+property only — the regression gate (``benchmarks/check_regression.py``)
+compares the recorded numbers against
+``benchmarks/baselines/BENCH_native.json``.
 """
 
 from __future__ import annotations
@@ -64,33 +64,18 @@ _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 JSON_PATH = os.path.join(_ROOT, "BENCH_native.json")
 
 #: full-mode acceptance: compiled kernels must at least halve the
-#: rank-body time of the Python interpreter on both workloads
+#: rank-body time of the Python interpreter on the Adam config
 NATIVE_SPEEDUP_FLOOR = 2.0
 
 
-def _outputs_close(a, b, exact: bool) -> bool:
-    for name in a.output_names:
-        x = a.output(name)
-        y = b.output(name)
-        if exact:
-            if not np.array_equal(x, y):
-                return False
-        elif not np.allclose(
-            y.astype(np.float64), x.astype(np.float64),
-            rtol=1e-2, atol=1e-3,
-        ):
-            return False
-    for name, x in getattr(a, "_tensor_states", {}).items():
-        y = b._tensor_states[name]
-        if exact:
-            if not np.array_equal(x, y):
-                return False
-        elif not np.allclose(
-            y.astype(np.float64), x.astype(np.float64),
-            rtol=1e-2, atol=1e-3,
-        ):
-            return False
-    return True
+def _outputs_equal(a, b) -> bool:
+    """Every output and tensor state of ``b`` equals ``a``'s, bit for bit."""
+    pairs = [(a.output(n), b.output(n)) for n in a.output_names]
+    pairs += [
+        (x, b._tensor_states[n])
+        for n, x in getattr(a, "_tensor_states", {}).items()
+    ]
+    return all(np.array_equal(x, y) for x, y in pairs)
 
 
 def run_config(
@@ -98,13 +83,12 @@ def run_config(
     sched,
     inputs,
     repeats: int,
-    exact: bool,
     timeout: float,
 ) -> Dict:
     ex = Executor()
     oracle = ex.run_lowered(sched, inputs, allow_downcast=True)
 
-    entry: Dict = {"repeats": repeats, "bit_identical_contract": exact}
+    entry: Dict = {"repeats": repeats}
 
     # cold native run: includes the one-time kernel compile (cache is
     # content-addressed, so a warm machine may make this a disk hit)
@@ -114,7 +98,7 @@ def run_config(
         codegen_target="native",
     )
     entry["cold_compile_s"] = time.perf_counter() - t0
-    correct = _outputs_close(oracle, r, exact)
+    correct = _outputs_equal(oracle, r)
 
     # warm native runs: trace rings must show zero compiles
     tracer = Tracer()
@@ -125,7 +109,7 @@ def run_config(
             codegen_target="native", tracer=tracer,
         )
         native_times.append(r.spmd_seconds)
-        correct &= _outputs_close(oracle, r, exact)
+        correct &= _outputs_equal(oracle, r)
     snap = tracer.metrics.snapshot()
     warm_compiles = sum(
         v for k, v in snap.items() if k.endswith(".kernel_compiles")
@@ -140,7 +124,7 @@ def run_config(
             sched, inputs, allow_downcast=True, timeout=timeout,
         )
         python_times.append(r.spmd_seconds)
-        correct &= _outputs_close(oracle, r, True)
+        correct &= _outputs_equal(oracle, r)
 
     entry["python_spmd_s"] = statistics.median(python_times)
     entry["native_s"] = statistics.median(native_times)
@@ -192,12 +176,10 @@ def main() -> None:
         "adam_ar_opt": dict(
             sched=adam.schedule_ar_opt(),
             inputs=_seeded_inputs(adam.program, seed=0),
-            exact=True,
         ),
         "moe_overlapped": dict(
             sched=moe.schedule_overlapped(),
             inputs=_seeded_inputs(moe.program, seed=0),
-            exact=False,
         ),
     }
     shapes = {
@@ -234,17 +216,18 @@ def main() -> None:
     warm_compiles = sum(
         e["warm_compiles"] for e in report["configs"].values()
     )
-    min_speedup = min(e["speedup"] for e in report["configs"].values())
+    # MoE's ratio is recorded, ungated: both arms run the same GEMMs
+    speedup = report["configs"]["adam_ar_opt"]["speedup"]
     report["correct"] = correct_all
     report["warm_compiles"] = warm_compiles
     report["acceptance"] = {
-        "min_speedup": min_speedup,
+        "adam_speedup": speedup,
         "floor": NATIVE_SPEEDUP_FLOOR,
         "warm_cache_zero_compiles": warm_compiles == 0,
         "passed": bool(
             correct_all
             and warm_compiles == 0
-            and (args.smoke or min_speedup >= NATIVE_SPEEDUP_FLOOR)
+            and (args.smoke or speedup >= NATIVE_SPEEDUP_FLOOR)
         ),
     }
 
@@ -257,7 +240,7 @@ def main() -> None:
     lines.append("")
     lines.append(
         f"correct: {correct_all}; warm-cache compiles: {warm_compiles}; "
-        f"min speedup {min_speedup:.2f}x "
+        f"Adam speedup {speedup:.2f}x "
         f"(floor {NATIVE_SPEEDUP_FLOOR}x, full mode only)"
     )
     save_report("native", lines)
@@ -272,8 +255,8 @@ def main() -> None:
         "the content-addressed cache must make re-runs compile-free"
     )
     if not args.smoke:
-        assert min_speedup >= NATIVE_SPEEDUP_FLOOR, (
-            f"native speedup {min_speedup:.2f}x fell below the "
+        assert speedup >= NATIVE_SPEEDUP_FLOOR, (
+            f"native Adam speedup {speedup:.2f}x fell below the "
             f"{NATIVE_SPEEDUP_FLOOR}x floor"
         )
 

@@ -30,7 +30,7 @@ Table 3.
 its elementwise chains rendered to C, fused into one compiled loop
 each, built with ``cc`` and memoized in
 :mod:`repro.core.codegen.native`'s on-disk content-addressed kernel
-cache. GEMMs stay numpy's ``np.matmul``, as on every tier.
+cache. GEMMs stay the device library's ``dev.gemm``, as on every tier.
 Communication still runs over the ``SpmdCommunicator``, so overlap
 chunk loops release real compute early.
 """

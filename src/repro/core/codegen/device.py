@@ -2,12 +2,13 @@
 
 Real CoCoNet kernels call CUDA device functions and NCCL primitives;
 our generated Python kernels call these helpers for slicing, dropout
-masks and convolution, and the rank's communicator for collectives.
-Keeping them in a
-library (rather than inlining) mirrors how generated CUDA links against
-device-side headers. The native target's compiled kernels bind here too
-(:func:`open_kernels`): a rank opens the shared object its launcher
-resolved, and never compiles.
+masks, GEMMs and convolution, and the rank's communicator for
+collectives. Keeping them in a library (rather than inlining) mirrors
+how generated CUDA links against device-side headers and cuBLAS/cuDNN;
+the interpreter calls the same :func:`gemm` and :func:`conv2d`, so
+every tier shares one numerics. The native target's compiled kernels
+bind here too (:func:`open_kernels`): a rank opens the shared object
+its launcher resolved, and never compiles.
 """
 
 from __future__ import annotations
@@ -57,11 +58,41 @@ def write_slice(
     array[tuple(sl)] = value
 
 
-def conv2d(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
-    """Library convolution call (cuDNN analogue)."""
-    from repro.runtime.executor import _conv2d
+def gemm(a: np.ndarray, b: np.ndarray, dtype) -> np.ndarray:
+    """Library GEMM call (cuBLAS analogue), the one MatMul numerics.
 
-    return _conv2d(x, w, stride, padding)
+    FP16 operands are upcast to FP32, numpy's BLAS multiplies, and the
+    product is rounded once to ``dtype``: a V100 tensor-core GEMM's
+    FP16 inputs with FP32 accumulation. numpy's half loop has no BLAS
+    path. The interpreter and both generated targets call this.
+    """
+    a, b = (
+        x.astype(np.float32) if x.dtype == np.float16 else x for x in (a, b)
+    )
+    return np.asarray(np.matmul(a, b)).astype(dtype)
+
+
+def conv2d(
+    x: np.ndarray, w: np.ndarray, stride: int, padding: int, dtype
+) -> np.ndarray:
+    """Library convolution call (cuDNN analogue), the one Conv2D
+    numerics: a direct float64 convolution rounded once to ``dtype``
+    (small sizes only)."""
+    if padding:
+        x = np.pad(
+            x, ((0, 0), (0, 0), (padding, padding), (padding, padding))
+        )
+    r, s = w.shape[2:]
+    ho = (x.shape[2] - r) // stride + 1
+    wo = (x.shape[3] - s) // stride + 1
+    out = np.zeros((x.shape[0], w.shape[0], ho, wo), dtype=np.float64)
+    x64 = x.astype(np.float64)
+    w64 = w.astype(np.float64)
+    for i in range(r):
+        for j in range(s):
+            patch = x64[:, :, i : i + ho * stride : stride, j : j + wo * stride : stride]
+            out += np.einsum("nchw,kc->nkhw", patch, w64[:, :, i, j])
+    return out.astype(dtype)
 
 
 class CompiledKernels:

@@ -134,10 +134,10 @@ class CodeGenerator:
     (default) keeps every kernel in Python. ``target="native"`` emits
     the same module with its elementwise chains rendered to fused C
     loops and dispatched through :mod:`repro.core.codegen.native`'s
-    content-addressed kernel cache; GEMMs (FP16 operands upcast to
-    FP32), communication, overlap orchestration and non-C-able
-    operations are unchanged Python, so programs without FP16 GEMMs
-    stay bit-identical to the interpreter.
+    content-addressed kernel cache; GEMMs (``dev.gemm``, the
+    interpreter's own), communication, overlap orchestration and
+    non-C-able operations are unchanged Python, so every program stays
+    bit-identical to the interpreter.
     """
 
     def __init__(self, target: str = "spmd") -> None:
@@ -407,20 +407,9 @@ class CodeGenerator:
         return f"{self._ref(e)}.astype(np.float64)"
 
     def _matmul(self, e: Expr) -> str:
-        """The library GEMM call for MatMul ``e``, on numpy's BLAS.
-
-        The native target upcasts FP16 operands to FP32 first: numpy's
-        half loop has no BLAS path and is far slower than an FP32 GEMM.
-        """
-        refs = [self._ref(x) for x in e.inputs]
-        if self._native:
-            refs = [
-                f"{r}.astype(np.float32)"
-                if _np_dtype(x) == "np.float16" else r
-                for r, x in zip(refs, e.inputs)
-            ]
-        a, b = refs
-        return f"np.asarray(np.matmul({a}, {b})).astype({_np_dtype(e)})"
+        """The library GEMM call for MatMul ``e`` (:func:`dev.gemm`)."""
+        a, b = (self._ref(x) for x in e.inputs)
+        return f"dev.gemm({a}, {b}, {_np_dtype(e)})"
 
     def _emit_op(self, em: _Emitter, e: Expr) -> None:
         o = ops
@@ -433,8 +422,7 @@ class CodeGenerator:
             em.emit("# library convolution call (cuDNN analogue)")
             em.emit(
                 f"{out} = dev.conv2d({self._ref(e.inputs[0])}, "
-                f"{self._ref(e.inputs[1])}, {e.stride}, {e.padding})"
-                f".astype({dt})"
+                f"{self._ref(e.inputs[1])}, {e.stride}, {e.padding}, {dt})"
             )
         elif isinstance(e, o.Binary):
             a, b = e.inputs

@@ -26,11 +26,9 @@ so elementwise-only programs are **bit-identical** to ``run_lowered``.
 
 GEMMs are not compiled: like the paper's generated code, which leaves
 them to the vendor library, a MatMul stays the interpreter's own
-``np.matmul`` call on numpy's BLAS, so FP32/FP64 GEMM programs are
-bit-identical too. The one native-specific step is that FP16 operands
-are upcast to FP32 first (numpy's half loop is 45-100x slower than an
-FP32 GEMM); those results carry the documented tolerance (see
-EXPERIMENTS.md, "Native codegen").
+library call, :func:`repro.core.codegen.device.gemm` (FP16 operands
+upcast to FP32, one rounding of the product), so GEMM programs are
+bit-identical too.
 
 Kernel cache
 ------------

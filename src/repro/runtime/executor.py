@@ -23,8 +23,9 @@ rank-invariant — a stride-0 replicated view). :meth:`Executor.run_spmd`
 runs the same schedule as one OS process per rank and is bit-identical
 (``np.array_equal`` on all outputs and tensor states): float64
 accumulations happen in the same rank order over identically laid-out
-buffers, matmuls issue the same per-rank BLAS calls, and dropout draws
-the same counter-based masks.
+buffers, GEMMs and convolutions are the generated kernels' own library
+calls (:func:`repro.core.codegen.device.gemm`, ``conv2d``) issued per
+rank, and dropout draws the same counter-based masks.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from typing import Dict, Mapping, Optional
 import numpy as np
 
 from repro.core import ops
+from repro.core.codegen.device import conv2d, gemm
 from repro.core.layout import normalize_dim
 from repro.core.tensor import Const, Expr, Scalar, Tensor
 from repro.errors import ExecutionError
@@ -153,10 +155,8 @@ class Executor:
         ``codegen_target="native"`` executes the same schedule with the
         elementwise chains compiled to C through the content-addressed
         kernel cache (:mod:`repro.core.codegen.native`), each fused into
-        one loop. GEMMs stay numpy's ``np.matmul``, so results are
-        bit-identical to :meth:`run_lowered`, except that FP16 GEMMs
-        run on FP32 copies of their operands and carry the documented
-        fp tolerance.
+        one loop. GEMMs stay the device library's ``dev.gemm``, as on
+        every tier, so results are bit-identical to :meth:`run_lowered`.
         """
         from repro.runtime.spmd import RankPool, SpmdWorkerError
 
@@ -526,9 +526,11 @@ class Executor:
             # over unchanged.
             return copy_stacked(values[e.inputs[0]])
         if isinstance(e, o.MatMul):
-            return self._matmul(e, values)
+            return self._library_call(e, values, gemm, e.dtype.to_numpy())
         if isinstance(e, o.Conv2D):
-            return self._conv(e, values)
+            return self._library_call(
+                e, values, conv2d, e.stride, e.padding, e.dtype.to_numpy()
+            )
         if isinstance(e, o.Binary):
             return self._elementwise(e, values, _BINARY_FNS[e.op])
         if isinstance(e, o.Unary):
@@ -565,34 +567,18 @@ class Executor:
             aligned.append(a)
         return np.asarray(fn(*aligned)).astype(dtype)
 
-    def _matmul(self, e: ops.MatMul, values) -> np.ndarray:
+    @staticmethod
+    def _library_call(e: Expr, values, fn, *args) -> np.ndarray:
+        """``fn(a, b, *args)``, the generated kernels' own library call,
+        once when both operands are rank-invariant, else once per rank:
+        per-rank calls (not one batched matmul) keep a GEMM bit-identical
+        to the SPMD ranks' per-rank BLAS calls."""
         a, b = (values[i] for i in e.inputs)
         n = e.group.size
-        dtype = e.dtype.to_numpy()
         if rank_invariant(a) and rank_invariant(b):
-            out = np.asarray(np.matmul(a[0], b[0])).astype(dtype)
-            return replicate(out, n)
-        # Per-rank BLAS calls (not one batched matmul) keep the result
-        # bit-identical to the SPMD ranks' per-rank gemms.
+            return replicate(fn(a[0], b[0], *args), n)
         rows = [
-            np.asarray(
-                np.matmul(
-                    np.ascontiguousarray(a[i]), np.ascontiguousarray(b[i])
-                )
-            ).astype(dtype)
-            for i in range(n)
-        ]
-        return np.stack(rows, axis=0)
-
-    def _conv(self, e: ops.Conv2D, values) -> np.ndarray:
-        x, w = (values[i] for i in e.inputs)
-        n = e.group.size
-        dtype = e.dtype.to_numpy()
-        if rank_invariant(x) and rank_invariant(w):
-            out = _conv2d(x[0], w[0], e.stride, e.padding).astype(dtype)
-            return replicate(out, n)
-        rows = [
-            _conv2d(x[i], w[i], e.stride, e.padding).astype(dtype)
+            fn(np.ascontiguousarray(a[i]), np.ascontiguousarray(b[i]), *args)
             for i in range(n)
         ]
         return np.stack(rows, axis=0)
@@ -708,26 +694,6 @@ def _combine_partials(partials, is_norm: bool, op: str):
     if is_norm:
         total = np.sqrt(total)
     return total
-
-
-def _conv2d(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
-    """Direct 2-D convolution (correctness reference; small sizes only)."""
-    n, c, h, wd = x.shape
-    k, _, r, s = w.shape
-    if padding:
-        x = np.pad(
-            x, ((0, 0), (0, 0), (padding, padding), (padding, padding))
-        )
-    ho = (x.shape[2] - r) // stride + 1
-    wo = (x.shape[3] - s) // stride + 1
-    out = np.zeros((n, k, ho, wo), dtype=np.float64)
-    x64 = x.astype(np.float64)
-    w64 = w.astype(np.float64)
-    for i in range(r):
-        for j in range(s):
-            patch = x64[:, :, i : i + ho * stride : stride, j : j + wo * stride : stride]
-            out += np.einsum("nchw,kc->nkhw", patch, w64[:, :, i, j])
-    return out
 
 
 _BINARY_FNS = {

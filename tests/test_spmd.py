@@ -285,32 +285,42 @@ class TestSpmdInterface:
         for name in gen.kernel_sources:
             assert gen.kernel_loc(name) > 0
 
-    @pytest.mark.parametrize("target", ["spmd", "native"])
+    @pytest.mark.parametrize("target, program", [
+        pytest.param("spmd", "adam", id="spmd"),
+        pytest.param("native", "adam", id="native"),
+        pytest.param("spmd", "conv2d", id="conv2d"),
+    ])
     def test_ranks_receive_the_parent_module(
-        self, rng, target, monkeypatch, tmp_path
+        self, rng, target, program, monkeypatch, tmp_path
     ):
         # every rank gets the module text generated here and runs it as
-        # is: no rank loads an artifact, runs the code generator or
-        # compiles, nor imports anything else beyond the communicator
-        # and the device helpers (nor the fault injector, with no plan
-        # sent); it skipped ``site`` and resolves modules on the
+        # is: once its kernels have run, no rank has loaded an artifact,
+        # run the code generator or compiled, nor imported anything else
+        # beyond the communicator and the device helpers (nor the fault
+        # injector, with no plan sent; nor the executor, for a library
+        # convolution); it skipped ``site`` and resolves modules on the
         # parent's path
         from repro.core.codegen import native
 
         if target == "native" and not native.available():
             pytest.skip("no C compiler on PATH")
         monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
-        sched = AdamWorkload.build(64, 2).schedule_fused()
+        if program == "adam":
+            sched = AdamWorkload.build(64, 2).schedule_fused()
+            inputs = optimizer_inputs(rng, n=2)
+        else:
+            sched, shapes = extra.conv2d_program()
+            inputs = {n: rng.randn(*shape) for n, shape in shapes.items()}
         gen = CodeGenerator(target=target).generate(sched)
         never = RANK_NEVER_IMPORTS | {"repro.runtime.faults"}
         parent_path = [p for p in sys.path if p]
         source = gen.source.replace(
-            "def run_rank(comm, inputs):\n",
-            "def run_rank(comm, inputs):\n"
+            "    return outputs, states\n",
             "    import sys\n"
             f"    assert not set(sys.modules) & {never!r}\n"
             "    assert sys.flags.no_site\n"
-            f"    assert not set({parent_path!r}) - set(sys.path)\n",
+            f"    assert not set({parent_path!r}) - set(sys.path)\n"
+            "    return outputs, states\n",
             1,
         )
         assert source != gen.source
@@ -323,7 +333,6 @@ class TestSpmdInterface:
             send(fd, obj)
 
         monkeypatch.setattr(spmd, "_send", record)
-        inputs = optimizer_inputs(rng, n=2)
         out = launch(gen, inputs, allow_downcast=True)
         monkeypatch.setattr(spmd, "_send", send)
         assert [spec["rank"] for spec in sent] == [0, 1]

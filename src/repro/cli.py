@@ -108,10 +108,9 @@ def _cmd_run(args) -> int:
     art = artifact.load(args.artifact)
     program = art.program
     inputs = _seeded_inputs(program, args.seed)
-    ex = Executor()
     repeat = max(1, args.repeat)
 
-    def one_run():
+    def one_run(ex):
         if args.backend == "lowered":
             return ex.run_lowered(art, inputs, allow_downcast=True)
         if args.backend == "spmd":
@@ -130,15 +129,17 @@ def _cmd_run(args) -> int:
     print(f"backend:  {args.backend}")
     print(f"seed:     {args.seed}")
     result = None
-    for i in range(repeat):
-        t0 = time.perf_counter()
-        result = one_run()
-        wall = time.perf_counter() - t0
-        if repeat > 1:
-            # per-iteration wall-clock next to the digest: iteration 1
-            # of a native run includes the one-time kernel compile, so
-            # the cold-vs-warm gap is visible in one invocation
-            print(f"iter {i + 1}: {wall:.6f}s  {_digest(result)}")
+    with Executor() as ex:
+        for i in range(repeat):
+            t0 = time.perf_counter()
+            result = one_run(ex)
+            wall = time.perf_counter() - t0
+            if repeat > 1:
+                # per-iteration wall-clock next to the digest: iteration
+                # 1 of a native run includes the one-time kernel compile
+                # and the segments' creation, so the cold-vs-warm gap is
+                # visible in one invocation
+                print(f"iter {i + 1}: {wall:.6f}s  {_digest(result)}")
     for name in result.output_names:
         arr = result.output(name)
         print(f"output {name}: dtype={arr.dtype} shape={tuple(arr.shape)}")

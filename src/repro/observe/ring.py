@@ -218,7 +218,11 @@ def merge_rank_traces(
     ``comm`` track, generated-kernel spans on its ``kernels`` track; a
     per-rank bytes-moved counter series is emitted alongside, and
     ``metrics`` (when given) receives ``spmd.rank<N>.bytes_published``,
-    per-rank event counts, and any dropped-record count.
+    per-rank event counts, and any dropped-record count
+    (``spmd.events_dropped``). The launch itself adds
+    ``spmd.segment_reuses`` (launches that kept the data segment's
+    pages) and ``spmd.segment_bytes_allocated`` (bytes of data segment
+    created or grown): see :func:`repro.runtime.spmd.launch`.
 
     Every rank's ring health is *tagged*, never silently dropped: a
     rank whose ring file is unreadable gets a ``ring-corrupt`` instant

@@ -30,6 +30,7 @@ rank, and dropout draws the same counter-based masks.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Mapping, Optional
 
 import numpy as np
@@ -89,7 +90,13 @@ class ProgramResult:
 
 
 class Executor:
-    """Runs programs in-process over a :class:`SimWorld` or as SPMD ranks."""
+    """Runs programs in-process over a :class:`SimWorld` or as SPMD ranks.
+
+    The first :meth:`run_spmd` call creates the executor's
+    :class:`~repro.runtime.spmd.RankPool`, which keeps the shared-memory
+    segments between calls. :meth:`close` (also the end of a ``with``
+    block, or the executor's collection) releases them.
+    """
 
     def __init__(self) -> None:
         # Elastic recovery memo: (structural hash of the original
@@ -98,6 +105,29 @@ class Executor:
         self._elastic_cache: Dict[tuple, object] = {}
         self.elastic_cache_hits = 0
         self.elastic_cache_misses = 0
+        self._pool = None
+        self._finalizer = None
+
+    def close(self) -> None:
+        """Release the rank pool: its segments and idle ranks. A later
+        :meth:`run_spmd` starts a new one."""
+        if self._finalizer is not None:
+            self._finalizer()
+        self._pool = self._finalizer = None
+
+    def __enter__(self) -> "Executor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _rank_pool(self):
+        if self._pool is None:
+            from repro.runtime.spmd import RankPool
+
+            self._pool = RankPool()
+            self._finalizer = weakref.finalize(self, self._pool.close)
+        return self._pool
 
     # -- real-process SPMD execution --------------------------------------
 
@@ -157,33 +187,45 @@ class Executor:
         kernel cache (:mod:`repro.core.codegen.native`), each fused into
         one loop. GEMMs stay the device library's ``dev.gemm``, as on
         every tier, so results are bit-identical to :meth:`run_lowered`.
-        """
-        from repro.runtime.spmd import RankPool, SpmdWorkerError
 
-        # one owner of the rank processes and segments across the
-        # failed launch and every recovery attempt
-        pool = RankPool() if elastic else None
+        Every call launches on the executor's one
+        :class:`~repro.runtime.spmd.RankPool`: the parent places the
+        inputs into the data segment the last call left, and a recovery
+        adopts the failed launch's clean survivors. Every output and
+        tensor state is copied out before the call returns. A call that
+        raises closes the pool first, so a failed call leaves no
+        segment and no rank process behind; a successful one leaves the
+        two segments to :meth:`close`.
+        """
+        from repro.runtime.spmd import SpmdWorkerError
+
+        pool = self._rank_pool()
+        first = pool.started  # the origin of this call's first rank
         try:
-            return self._run_spmd_once(
-                scheduled, inputs, nranks=nranks,
-                allow_downcast=allow_downcast,
-                wire_s_per_mb=wire_s_per_mb, timeout=timeout,
-                soft_timeout=soft_timeout, fault_plan=fault_plan,
-                tracer=tracer, codegen_target=codegen_target, pool=pool,
-            )
-        except SpmdWorkerError as exc:
-            if not elastic or not exc.dead_ranks:
-                raise
-            return self._recover_spmd(
-                exc, scheduled, inputs, relower=relower,
-                allow_downcast=allow_downcast,
-                wire_s_per_mb=wire_s_per_mb, timeout=timeout,
-                soft_timeout=soft_timeout, tracer=tracer,
-                codegen_target=codegen_target, pool=pool,
-            )
-        finally:
-            if pool is not None:
-                pool.close()
+            try:
+                return self._run_spmd_once(
+                    scheduled, inputs, nranks=nranks,
+                    allow_downcast=allow_downcast,
+                    wire_s_per_mb=wire_s_per_mb, timeout=timeout,
+                    soft_timeout=soft_timeout, fault_plan=fault_plan,
+                    tracer=tracer, codegen_target=codegen_target,
+                    pool=pool,
+                )
+            except SpmdWorkerError as exc:
+                if not elastic or not exc.dead_ranks:
+                    raise
+                return self._recover_spmd(
+                    exc, scheduled, inputs, relower=relower,
+                    allow_downcast=allow_downcast,
+                    wire_s_per_mb=wire_s_per_mb, timeout=timeout,
+                    soft_timeout=soft_timeout, tracer=tracer,
+                    codegen_target=codegen_target, pool=pool, first=first,
+                )
+        except BaseException:
+            # the traceback keeps this executor alive: release the
+            # segments and idle ranks now, not when it is collected
+            pool.close()
+            raise
 
     def _run_spmd_once(
         self,
@@ -198,10 +240,10 @@ class Executor:
         fault_plan=None,
         tracer=None,
         codegen_target: str = "spmd",
-        pool=None,
+        pool,
     ) -> ProgramResult:
-        """One generate-and-launch attempt (no recovery) on ``pool``'s
-        ranks (a :class:`~repro.runtime.spmd.RankPool`), if given."""
+        """One generate-and-launch attempt (no recovery) on ``pool``, a
+        :class:`~repro.runtime.spmd.RankPool`."""
         import shutil
         import tempfile
 
@@ -251,6 +293,7 @@ class Executor:
         tracer,
         codegen_target: str = "spmd",
         pool,
+        first: int,
     ) -> ProgramResult:
         """Reform the group over the survivors and re-execute.
 
@@ -272,11 +315,12 @@ class Executor:
         ``repro`` imported, so an attempt adopts them, renumbered in rank
         order, in the same two segments resized, and starts a fresh rank
         only for a shortfall (a survivor that did not close cleanly, or
-        died while it waited). ``run_spmd`` closes the pool once the
-        descent ends. ``result.elastic`` records the failed ranks, the
-        attempted sizes, the recovery wall-clock, ``reused_ranks`` (the
-        original ranks of the adopted processes) and ``spawned`` (the
-        ranks started during the recovery).
+        died while it waited). ``result.elastic`` records the failed
+        ranks, the attempted sizes, the recovery wall-clock,
+        ``reused_ranks`` (the adopted processes' ranks in the failed
+        launch, whose first rank has origin ``first``) and ``spawned``
+        (the ranks started during the recovery), both counted within
+        this call however many steps the pool ran before.
 
         Re-lowered programs are memoized on the executor as serialized
         artifacts keyed by (structural hash of the original schedule,
@@ -345,7 +389,9 @@ class Executor:
                 # how the attempt's ranks were sourced is known once
                 # the launch adopted them; the instant marks its start
                 ranks = {
-                    "reused_ranks": [o for o in pool.origins if o is not None],
+                    "reused_ranks": [
+                        o - first for o in pool.origins if o < started
+                    ],
                     "spawned": pool.started - started,
                 }
                 if tracer is not None:
@@ -366,6 +412,9 @@ class Executor:
                 "artifact_cache": cache_state,
                 **ranks,
             }
+            # a failed attempt's traceback holds this frame: drop it, so
+            # the cycle does not keep this executor (and its pool) alive
+            last_error = None
             return result
         raise last_error
 

@@ -82,24 +82,34 @@ everything else off that path, and no array crosses a socket:
 
 1. The parent creates the data and flags segments with
    ``os.memfd_create``: nothing is named in ``/dev/shm``, so nothing
-   outlives the last process holding them, even a killed parent. It
-   starts every rank as ``python -S -c`` (:data:`_RANK_ENTRY`), which
-   inherits both segments and its end of a ``socket.socketpair`` as
-   fds. The rank's ``PYTHONPATH`` is the parent's resolved
-   ``sys.path``, so it finds every module where the parent did, and
-   ``-S`` skips ``site``, ``.pth`` files and user site. A rank imports
-   only this module, what it imports and the generated module's own
-   imports: numpy and a few ``repro`` modules, never the caller's
-   ``__main__``, the lowering or the compiler side. A launch given a
-   :class:`RankPool` (elastic recovery) instead resizes the pool's
-   segments in place and first adopts the pool's idle ranks, which
-   already hold both fds at the same numbers; it starts fresh ranks
-   only for the rest.
+   outlives the last process holding them, even a killed parent. A
+   :class:`RankPool` holds them across launches (an ``Executor`` owns
+   one for its lifetime): a later launch zeroes the flags segment and
+   keeps the data segment's pages, resizing it only when its layout's
+   size differs. It starts every rank as ``python -S -c``
+   (:data:`_RANK_ENTRY`), which inherits both segments and its end of
+   a ``socket.socketpair`` as fds. The rank's ``PYTHONPATH`` is the
+   parent's resolved ``sys.path``, so it finds every module where the
+   parent did, and ``-S`` skips ``site``, ``.pth`` files and user site.
+   A rank imports only this module, what it imports and the generated
+   module's own imports: numpy and a few ``repro`` modules, never the
+   caller's ``__main__``, the lowering or the compiler side. A launch
+   first adopts the pool's idle ranks (elastic recovery), which already
+   hold both fds at the same numbers; it starts fresh ranks only for
+   the rest.
 2. While the ranks import, the parent casts every input straight into
    the region of each rank that holds it (the checks and downcast
    policy of :func:`repro.runtime.world.place_inputs`) and unmaps the
    segment, so its resident set does not count those pages a second
-   time. On the native target it then resolves the module's C kernels
+   time. It first populates the mapping (``MADV_POPULATE_WRITE``) in
+   one call rather than a fault per page. On a kept segment those
+   pages already exist: the cast writes into them, and neither
+   allocates nor zeroes a page. Stale bytes from an earlier launch are
+   never read: every byte a launch reads was written by it first
+   (inputs are placed here, and a rank writes a slot or result before
+   its flag or report says so), and the parent reads only the regions
+   of the ranks that write them. On the native target it then resolves
+   the module's C kernels
    (:func:`repro.core.codegen.native.load_kernels`): on a cold cache
    that is the one compile, still overlapping the ranks' imports, and
    made before any rendezvous deadline starts.
@@ -122,7 +132,8 @@ everything else off that path, and no array crosses a socket:
    skipping interpreter teardown. Ranks are one-shot; the one
    exception is a clean survivor (see "Failure handling").
 5. The parent maps the segment again and copies each result out in one
-   pass, so no returned array aliases the segment it closes.
+   pass, so no returned array aliases the segment, which the next
+   launch overwrites.
 
 Failure handling
 ----------------
@@ -138,20 +149,26 @@ parent then stores the failure marker on the rank's behalf, and takes
 its exit code from ``Popen.wait``. Teardown runs in a ``finally``: it
 closes the parent's socket ends, so a rank still waiting for its spec
 (a launch that failed before sending, a kernel that did not compile)
-reads EOF and exits, reaps (after a grace period, kills) every rank and
-closes both segments.
+reads EOF and exits, and reaps (after a grace period, kills) every
+rank. A launch without a pool then closes both segments.
+``Executor.run_spmd`` closes its pool's segments, and releases its idle
+ranks, before any failure propagates: the traceback keeps the
+``Executor`` alive, and no segment or rank may outlive a failed call.
+A healthy ``Executor`` keeps its two segments until ``close()``, the
+end of its ``with`` block or its collection (``weakref.finalize``).
 
 Elastic recovery runs on the survivors. A rank whose report is
 ``("aborted", message, clean)`` with ``clean`` true (a peer failed, and
 :meth:`SpmdCommunicator.close` found no stream still running and no
 view pinning a segment) does not exit: it reads its socket again.
-``Executor.run_spmd(elastic=True)`` owns one :class:`RankPool` across
-the failed launch and every attempt of its descent. Each attempt
-adopts the clean survivors, renumbered in rank order, and sends them
-the re-lowered spec over the same sockets. Segments are resized in
-place: ``ftruncate(fd, 0)`` then the new size zeroes them, and no rank
+The ``Executor``'s :class:`RankPool` spans the failed launch and every
+attempt of its descent. Each attempt adopts the clean survivors,
+renumbered in rank order, and sends them the re-lowered spec over the
+same sockets. The segments are the pool's, as for any launch: no rank
 maps them any more, since every other rank of the failed launch has
-been reaped. No fd is passed again. A survivor that was not clean, or
+been reaped, so the flags are zeroed (``ftruncate(fd, 0)`` then the
+new size) and the data segment resized in place. No fd is passed
+again. A survivor that was not clean, or
 died while it waited, is replaced by a fresh rank; one beyond the new
 world size is released (its socket closed, so it reads EOF). Dead still
 means EOF, and a rank that timed out or raised is never reused. A
@@ -253,6 +270,9 @@ DEFAULT_TIMEOUT = 120.0
 DEFAULT_SOFT_TIMEOUT = 2.0
 #: exit code of a rank killed by an injected ``die`` fault
 _DIE_EXIT_CODE = 86
+#: ``madvise`` advice that faults a range in writable (Linux 5.14; not
+#: every Python's ``mmap`` module names it)
+_MADV_POPULATE_WRITE = 23
 
 
 class SpmdError(ExecutionError):
@@ -1652,14 +1672,16 @@ def _release(ranks: Sequence[tuple]) -> None:
 class RankPool:
     """Rank processes and segments owned across launches.
 
-    Elastic recovery passes one pool to the launch that failed and to
-    every attempt after it, and closes it in one ``finally``. The pool
-    holds the two segments, which each launch after the first resizes
-    in place, and the *idle* ranks: clean survivors of the last launch
-    (see :func:`_rank_main`), waiting on their sockets for a spec. A
-    launch adopts idle ranks first, renumbered in rank order, starts
-    fresh ranks only for a shortfall and releases idle ranks beyond its
-    world size.
+    An ``Executor`` owns one pool for its lifetime and passes it to
+    every launch, elastic recovery attempts included. The pool holds
+    the two segments and the *idle* ranks: clean survivors of the last
+    launch (see :func:`_rank_main`), waiting on their sockets for a
+    spec. A launch after the first zeroes the flags segment and keeps
+    the data segment's pages, resizing it only when the layout's size
+    differs. It adopts idle ranks first, renumbered in rank order,
+    starts fresh ranks only for a shortfall and releases idle ranks
+    beyond its world size. :meth:`close` releases both; the pool can
+    be launched on again afterwards.
     """
 
     def __init__(self) -> None:
@@ -1667,9 +1689,9 @@ class RankPool:
         self.fds: List[int] = []
         #: ``(origin, process, socket)`` of each idle rank, in rank order
         self.idle: List[tuple] = []
-        #: per rank of the last launch, its rank in the pool's first
-        #: launch, or ``None`` if a later launch started it
-        self.origins: List[Optional[int]] = []
+        #: per rank of the last launch, its origin: how many rank
+        #: processes the pool had started before its own
+        self.origins: List[int] = []
         #: rank processes the pool's launches have started
         self.started = 0
 
@@ -1707,8 +1729,9 @@ def launch(
     communicator, and copies the per-rank outputs/states back into a
     :class:`~repro.runtime.executor.ProgramResult` whose arrays own
     their memory. Teardown is exception-safe: ranks are reaped (killed
-    after a grace period) and both segments closed in a ``finally``,
-    even when a rank raises mid-collective.
+    after a grace period) in a ``finally``, even when a rank raises
+    mid-collective, and the segments closed there unless ``pool`` holds
+    them.
 
     The module docstring's "Launch" section gives the start-up order.
 
@@ -1737,9 +1760,14 @@ def launch(
     whether or not the run succeeded.
 
     ``pool``, when given, owns the segments and the rank processes
-    beyond this launch (see :class:`RankPool`): the launch adopts its
-    idle ranks and leaves its own clean survivors idle in it. Without
-    one, the launch tears every rank and segment down itself.
+    beyond this launch (see :class:`RankPool`): the launch places into
+    its data segment's existing pages, adopts its idle ranks and leaves
+    its own clean survivors idle in it. Without one, the launch tears
+    every rank and segment down itself. ``observer``'s ``metrics``
+    count ``spmd.segment_reuses``, the launches that kept the data
+    segment's pages, and ``spmd.segment_bytes_allocated``, the bytes of
+    data segment created or grown (0 on a launch whose layout has the
+    last one's size).
     """
     from repro.runtime.executor import ProgramResult
 
@@ -1770,7 +1798,7 @@ def launch(
         pool = RankPool()
     procs: List[subprocess.Popen] = []
     socks: List[socket.socket] = []
-    origins: List[Optional[int]] = []
+    origins: List[int] = []
     idle: List[int] = []  # ranks that report a clean abort
     dead_ranks: List[int] = []
     # root-cause classification: a dead process (4) outranks a raised
@@ -1789,21 +1817,31 @@ def launch(
     err_off = layout.num_sites * world_size * 2 * 8
     dead_flag = np.int64(_ERR_DEAD).tobytes()
     try:
-        sizes = (layout.data_size, layout.flags_length() * 8)
+        flags_size = layout.flags_length() * 8
+        held = 0  # bytes of data segment kept from the last launch
         if pool.fds:
+            data_fd, flags_fd = pool.fds
             # no process maps them any more: truncating to zero zeroes
-            # the flags and data, and every rank keeps the same fds
-            for fd, size in zip(pool.fds, sizes):
-                os.ftruncate(fd, 0)
-                os.ftruncate(fd, size)
+            # the flags, and every rank keeps the same fds. The data
+            # keeps its pages: this launch writes every byte it reads
+            os.ftruncate(flags_fd, 0)
+            os.ftruncate(flags_fd, flags_size)
+            held = os.fstat(data_fd).st_size
+            if held != layout.data_size:
+                os.ftruncate(data_fd, layout.data_size)
         else:
-            for name, size in zip(("spmd-data", "spmd-flags"), sizes):
-                pool.fds.append(_segment(name, size))
-        data_fd, flags_fd = pool.fds
+            pool.fds.append(_segment("spmd-data", layout.data_size))
+            pool.fds.append(_segment("spmd-flags", flags_size))
+            data_fd, flags_fd = pool.fds
+        if observer is not None:
+            observer.metrics.inc("spmd.segment_reuses", int(held > 0))
+            observer.metrics.inc(
+                "spmd.segment_bytes_allocated",
+                max(0, layout.data_size - held),
+            )
 
         # adopt the idle ranks that are still alive, then start the
         # rest, and place the inputs while the new ones import
-        first = pool.started == 0
         alive = [e for e in pool.idle if e[1].poll() is None]
         adopted = alive[:world_size]
         _release([e for e in pool.idle if e not in adopted])
@@ -1813,7 +1851,7 @@ def launch(
             procs.append(proc)
             socks.append(sock)
         while len(procs) < world_size:
-            origins.append(len(procs) if first else None)
+            origins.append(pool.started)
             proc, sock = _start(_RANK_ENTRY, pool.fds)
             pool.started += 1
             procs.append(proc)
@@ -1823,6 +1861,12 @@ def launch(
         # the ranks map the segment themselves: unmap the pages written
         # here, so the parent's resident set does not count them too
         with mmap.mmap(data_fd, layout.data_size) as data:
+            try:
+                # one call maps every page in, instead of a fault per
+                # page while casting
+                data.madvise(_MADV_POPULATE_WRITE)
+            except OSError:  # Linux before 5.14: fault them one by one
+                pass
             _place_regions(layout, program, placed, data)
         placed = None
         kernels = None

@@ -583,6 +583,41 @@ class TestNativeFusedCollectiveFaults:
         assert children() == []
         assert set(spmd_segments()) == before
 
+    def test_consecutive_elastic_steps_on_one_executor(self, kernel_cache):
+        # the second step's recovery record counts within its own call,
+        # not from the executor's first launch
+        from repro.cli import _seeded_inputs
+        from repro.workloads.adam import AdamWorkload
+
+        from tests.spmd_leaks import children, spmd_segments
+
+        def relower(ws):
+            program = AdamWorkload.build(1024, ws).program
+            return program, _seeded_inputs(program, seed=ws)
+
+        sched = _tuned(AdamWorkload)
+        inputs = _seeded_inputs(sched.program, seed=0)
+        program1, inputs1 = relower(1)
+        oracle = Executor().run_lowered(
+            program1, inputs1, allow_downcast=True
+        )
+        before = set(spmd_segments())
+        with Executor() as ex:
+            for _ in range(2):
+                res = ex.run_spmd(
+                    sched, inputs, allow_downcast=True,
+                    codegen_target="native",
+                    fault_plan=FaultPlan(seed=3).die(1, at_site="g"),
+                    soft_timeout=0.5, timeout=30.0, elastic=True,
+                    relower=relower,
+                )
+                assert res.elastic["world_size"] == 1
+                assert res.elastic["reused_ranks"] == [0]
+                assert res.elastic["spawned"] == 0
+                _assert_bit_identical(res, oracle)
+        assert children() == []
+        assert set(spmd_segments()) == before
+
     def test_stall_completes_bit_identical(self, kernel_cache):
         from repro.cli import _seeded_inputs
         from repro.observe import InstantEvent, SpanEvent, Tracer
@@ -745,6 +780,60 @@ class TestGoldenArtifactsNative:
         # FP16 GEMMs are one dev.gemm on every tier, digest included
         low, nat = self._run_both("moe_overlapped.repro.json")
         assert _digest(nat) == _digest(low)
+
+
+def _kept_program(name):
+    """A golden artifact, or the autotuner's pick for a small LAMB or
+    attention workload."""
+    from repro.cluster import Cluster
+    from repro.core.autotuner import Autotuner
+    from repro.workloads.attention import AttentionWorkload
+    from repro.workloads.lamb import LambWorkload
+
+    if name == "lamb":
+        return _tuned(LambWorkload)
+    if name == "attention":
+        wl = AttentionWorkload.build(2, 8, 64, 2)
+        return Autotuner(Cluster(1)).tune(wl.program).best.schedule
+    return artifact.load(os.path.join(GOLDEN, f"{name}.repro.json"))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="/proc is Linux-only")
+class TestKeptSegment:
+    """An ``Executor``'s second launch places into the data segment its
+    first one left: no launch reads a byte it did not write."""
+
+    @pytest.mark.parametrize("target", [
+        "spmd", pytest.param("native", marks=needs_cc),
+    ])
+    @pytest.mark.parametrize(
+        "name", ["adam_fused", "moe_overlapped", "lamb", "attention"]
+    )
+    def test_stale_bytes_are_never_read(self, kernel_cache, name, target):
+        from repro.cli import _seeded_inputs
+
+        from tests.spmd_leaks import spmd_segments
+
+        sched = _kept_program(name)
+        inputs = _seeded_inputs(sched.program, seed=0)
+        before = set(spmd_segments())
+        with Executor() as ex:
+            low = ex.run_lowered(sched, inputs, allow_downcast=True)
+            for launch in range(2):
+                if launch:
+                    # every byte of the kept data segment is stale
+                    (fd,) = [
+                        fd for fd, link in set(spmd_segments()) - before
+                        if link.startswith("/memfd:spmd-data")
+                    ]
+                    size = os.fstat(fd).st_size
+                    assert os.pwrite(fd, b"\xff" * size, 0) == size
+                got = ex.run_spmd(
+                    sched, inputs, allow_downcast=True,
+                    codegen_target=target, timeout=120.0,
+                )
+                _assert_bit_identical(got, low)
+        assert set(spmd_segments()) == before
 
 
 def _gcc():

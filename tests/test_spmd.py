@@ -547,6 +547,76 @@ class TestSpmdTeardown:
         assert all(p.returncode is not None for p in started)
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="/proc is Linux-only")
+class TestExecutorPool:
+    """An ``Executor`` keeps its two segments between ``run_spmd``
+    calls, and releases them on ``close()``, at the end of its ``with``
+    block and when it is collected."""
+
+    @staticmethod
+    def _step(ex, n=64, ranks=2, **kwargs):
+        from repro.cli import _seeded_inputs
+
+        program = AdamWorkload.build(n, ranks).program
+        return ex.run_spmd(
+            program, _seeded_inputs(program, seed=0), allow_downcast=True,
+            **kwargs,
+        )
+
+    def test_segments_are_kept_until_close(self):
+        before = set(spmd_segments())
+        with Executor() as ex:
+            self._step(ex)
+            kept = set(spmd_segments()) - before
+            assert sorted(link for _, link in kept) == [
+                "/memfd:spmd-data (deleted)", "/memfd:spmd-flags (deleted)",
+            ]
+            self._step(ex)
+            assert set(spmd_segments()) - before == kept
+            assert children() == []
+        assert set(spmd_segments()) == before
+        # a closed executor starts a new pool on its next call
+        self._step(ex)
+        assert len(set(spmd_segments()) - before) == 2
+        ex.close()
+        assert set(spmd_segments()) == before
+
+    def test_collected_executor_leaves_nothing(self):
+        import weakref
+
+        before = set(spmd_segments())
+        ex = Executor()
+        self._step(ex)
+        assert len(set(spmd_segments()) - before) == 2
+        collected = weakref.ref(ex)
+        del ex
+        # no reference cycle holds it: the last reference released it
+        assert collected() is None
+        assert set(spmd_segments()) == before
+        assert children() == []
+
+    def test_segment_counts_per_launch(self):
+        from repro.observe import Tracer
+
+        def counts(n):
+            tracer = Tracer()
+            self._step(ex, n, tracer=tracer)
+            return (
+                tracer.metrics.get("spmd.segment_reuses"),
+                tracer.metrics.get("spmd.segment_bytes_allocated"),
+            )
+
+        def data_size(n):
+            return build_layout(AdamWorkload.build(n, 2).program).data_size
+
+        small, large = data_size(64), data_size(4096)
+        with Executor() as ex:
+            assert counts(64) == (0, small)  # created
+            assert counts(64) == (1, 0)  # same size: pages kept
+            assert counts(4096) == (1, large - small)  # grown
+            assert counts(64) == (1, 0)  # shrunk
+
+
 class TestSpmdResults:
     """Results through the shared-memory regions, not pipes."""
 

@@ -76,14 +76,14 @@ class _Emitter:
 
 
 class GeneratedSpmdProgram:
-    """A generated per-rank module for :func:`repro.runtime.spmd.launch`.
+    """A generated per-rank module for
+    :meth:`repro.runtime.spmd.RankPool.launch`.
 
-    The module is not executed in this process:
-    :func:`repro.runtime.spmd.launch` sends ``source`` in the spec of
-    every rank process it starts; each rank ``exec``s it and binds
-    ``run_rank`` to that rank's communicator. Every rank runs the text
-    generated here, so a copy whose ``source`` was edited (the
-    fault-injection tests do this) launches as edited.
+    The module is not executed in this process: the launch sends
+    ``source`` in the spec of every rank process it starts; each rank
+    ``exec``s it and binds ``run_rank`` to that rank's communicator.
+    Every rank runs the text generated here, so a copy whose ``source``
+    was edited (the fault-injection tests do this) launches as edited.
     """
 
     def __init__(
@@ -118,8 +118,8 @@ _NATIVE_MEMO: Dict[str, GeneratedSpmdProgram] = {}
 
 #: the native target's module lines: ``_K`` is bound before ``run_rank``
 #: runs, to the :class:`~repro.core.codegen.device.CompiledKernels` the
-#: rank opened (:func:`repro.runtime.spmd.launch` compiles the C source,
-#: ``GeneratedSpmdProgram.c_source``, in the launching process)
+#: rank opened (:meth:`repro.runtime.spmd.RankPool.launch` compiles the
+#: C source, ``GeneratedSpmdProgram.c_source``, in the launching process)
 _NATIVE_BLOCK = ["_K = None", "", ""]
 
 
@@ -503,7 +503,7 @@ class CodeGenerator:
         loop computes ``out`` into an array of its own when
         :meth:`_update_region` finds no storage it can write directly.
         The write lands in the storage array itself (the rank's region
-        under :func:`repro.runtime.spmd.launch`), cast the way
+        under :meth:`repro.runtime.spmd.RankPool.launch`), cast the way
         ``astype`` casts.
         """
         # this rank's storage is a single local array
@@ -808,9 +808,9 @@ class CodeGenerator:
         """The per-rank harness: place this rank's shard, launch, return.
 
         Inputs arrive already placed: each is this rank's storage array
-        (its region under :func:`repro.runtime.spmd.launch`), read
-        where it lies unless :func:`_inputs_to_copy` finds a read that
-        can follow an in-place write. Outputs and states are returned
+        (its region under :meth:`repro.runtime.spmd.RankPool.launch`),
+        read where it lies unless :func:`_inputs_to_copy` finds a read
+        that can follow an in-place write. Outputs and states are returned
         per-rank and reassembled by the launcher.
         """
         copied = _inputs_to_copy(program)
@@ -941,7 +941,4 @@ def _inputs_to_copy(program: Program) -> Set[str]:
 
 
 def _sanitize(name: str) -> str:
-    out = []
-    for ch in name:
-        out.append(ch if ch.isalnum() or ch == "_" else "_")
-    return "".join(out)
+    return "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in name)

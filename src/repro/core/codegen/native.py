@@ -66,6 +66,7 @@ import numpy as np
 from repro import store
 from repro.core import ops
 from repro.core.codegen.device import CompiledKernels, open_kernels
+from repro.core.codegen.generator import _sanitize
 from repro.core.tensor import Const, Expr
 from repro.errors import CodegenError
 from repro.observe.metrics import MetricsRegistry
@@ -396,10 +397,6 @@ def _suffix_ok(si: Tuple[int, ...], so: Tuple[int, ...]) -> bool:
     return tuple(so[len(so) - len(s):]) == s if len(s) <= len(so) else False
 
 
-def _sanitize(name: str) -> str:
-    return "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in name)
-
-
 def _load(cvar: str, dt: str, idx: str) -> str:
     if dt == "float16":
         return f"repro_h2d({cvar}[{idx}])"
@@ -408,20 +405,22 @@ def _load(cvar: str, dt: str, idx: str) -> str:
     return f"{cvar}[{idx}]"
 
 
-def _rounded(dt: str, var: str, expr: str) -> Tuple[List[str], str]:
+def _rounded(
+    dt: str, var: str, expr: str, read: bool
+) -> Tuple[List[str], str]:
     """Bind ``var`` to ``expr`` rounded to ``dt``'s value domain.
 
     Returns the C lines and the value a store into a ``dt`` array
     writes. An FP16 value keeps its half bits, so storing it is the one
     ``repro_d2h`` that rounded it, not a second one of the widened
-    double (the compiler drops the ``repro_h2d`` when ``var`` is unread).
+    double; ``var`` itself is bound only when the loop ``read``s it.
     """
     if dt == "float16":
         bits = f"h{var}"
-        return [
-            f"uint16_t {bits} = repro_d2h({expr});",
-            f"double {var} = repro_h2d({bits});",
-        ], bits
+        lines = [f"uint16_t {bits} = repro_d2h({expr});"]
+        if read:
+            lines.append(f"double {var} = repro_h2d({bits});")
+        return lines, bits
     if dt == "float32":
         return [f"double {var} = (double)(float)({expr});"], f"(float){var}"
     return [f"double {var} = {expr};"], var
@@ -625,7 +624,10 @@ class NativeEmitter:
                 core = operand(e.inputs[0])
             var = f"e{j}"
             dt = _cdt(e.dtype)
-            lines, stored = _rounded(dt, var, core)
+            read = any(
+                id(c) in run_ids for c in self._consumers.get(id(e), ())
+            )
+            lines, stored = _rounded(dt, var, core, read)
             body.extend(lines)
             var_of[id(e)] = var
             if self._escapes(e, run_ids):

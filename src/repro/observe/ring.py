@@ -222,7 +222,7 @@ def merge_rank_traces(
     (``spmd.events_dropped``). The launch itself adds
     ``spmd.segment_reuses`` (launches that kept the data segment's
     pages) and ``spmd.segment_bytes_allocated`` (bytes of data segment
-    created or grown): see :func:`repro.runtime.spmd.launch`.
+    created or grown): see :meth:`repro.runtime.spmd.RankPool.launch`.
 
     Every rank's ring health is *tagged*, never silently dropped: a
     rank whose ring file is unreadable gets a ``ring-corrupt`` instant

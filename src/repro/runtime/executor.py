@@ -30,7 +30,6 @@ rank, and dropout draws the same counter-based masks.
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict, Mapping, Optional
 
 import numpy as np
@@ -92,42 +91,34 @@ class ProgramResult:
 class Executor:
     """Runs programs in-process over a :class:`SimWorld` or as SPMD ranks.
 
-    The first :meth:`run_spmd` call creates the executor's
+    Every :meth:`run_spmd` call launches on the executor's one
     :class:`~repro.runtime.spmd.RankPool`, which keeps the shared-memory
     segments between calls. :meth:`close` (also the end of a ``with``
-    block, or the executor's collection) releases them.
+    block) releases them, and so does collecting the executor, which
+    collects its pool.
     """
 
     def __init__(self) -> None:
+        from repro.runtime.spmd import RankPool
+
         # Elastic recovery memo: (structural hash of the original
         # schedule, world size) -> re-lowered Artifact, so repeated
         # recoveries of the same workload skip re-lowering entirely.
         self._elastic_cache: Dict[tuple, object] = {}
         self.elastic_cache_hits = 0
         self.elastic_cache_misses = 0
-        self._pool = None
-        self._finalizer = None
+        self._pool = RankPool()
 
     def close(self) -> None:
         """Release the rank pool: its segments and idle ranks. A later
-        :meth:`run_spmd` starts a new one."""
-        if self._finalizer is not None:
-            self._finalizer()
-        self._pool = self._finalizer = None
+        :meth:`run_spmd` launches on it again."""
+        self._pool.close()
 
     def __enter__(self) -> "Executor":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _rank_pool(self):
-        if self._pool is None:
-            from repro.runtime.spmd import RankPool
-
-            self._pool = RankPool()
-            self._finalizer = weakref.finalize(self, self._pool.close)
-        return self._pool
 
     # -- real-process SPMD execution --------------------------------------
 
@@ -197,102 +188,47 @@ class Executor:
         segment and no rank process behind; a successful one leaves the
         two segments to :meth:`close`.
         """
+        from repro.core.codegen import CodeGenerator
         from repro.runtime.spmd import SpmdWorkerError
 
-        pool = self._rank_pool()
-        first = pool.started  # the origin of this call's first rank
+        def attempt(scheduled, inputs, **kwargs) -> ProgramResult:
+            generated = CodeGenerator(target=codegen_target).generate(
+                scheduled
+            )
+            return self._pool.launch(
+                generated, inputs, allow_downcast=allow_downcast,
+                wire_s_per_mb=wire_s_per_mb, timeout=timeout,
+                soft_timeout=soft_timeout, observer=tracer, **kwargs,
+            )
+
+        first = self._pool.started  # the origin of this call's first rank
         try:
             try:
-                return self._run_spmd_once(
-                    scheduled, inputs, nranks=nranks,
-                    allow_downcast=allow_downcast,
-                    wire_s_per_mb=wire_s_per_mb, timeout=timeout,
-                    soft_timeout=soft_timeout, fault_plan=fault_plan,
-                    tracer=tracer, codegen_target=codegen_target,
-                    pool=pool,
+                return attempt(
+                    scheduled, inputs, nranks=nranks, fault_plan=fault_plan
                 )
             except SpmdWorkerError as exc:
                 if not elastic or not exc.dead_ranks:
                     raise
                 return self._recover_spmd(
-                    exc, scheduled, inputs, relower=relower,
-                    allow_downcast=allow_downcast,
-                    wire_s_per_mb=wire_s_per_mb, timeout=timeout,
-                    soft_timeout=soft_timeout, tracer=tracer,
-                    codegen_target=codegen_target, pool=pool, first=first,
+                    exc, scheduled, inputs, attempt, relower=relower,
+                    tracer=tracer, first=first,
                 )
         except BaseException:
             # the traceback keeps this executor alive: release the
             # segments and idle ranks now, not when it is collected
-            pool.close()
+            self._pool.close()
             raise
-
-    def _run_spmd_once(
-        self,
-        scheduled,
-        inputs: Mapping[str, np.ndarray],
-        *,
-        nranks: Optional[int] = None,
-        allow_downcast: Optional[bool] = None,
-        wire_s_per_mb: float = 0.0,
-        timeout: Optional[float] = None,
-        soft_timeout: Optional[float] = None,
-        fault_plan=None,
-        tracer=None,
-        codegen_target: str = "spmd",
-        pool,
-    ) -> ProgramResult:
-        """One generate-and-launch attempt (no recovery) on ``pool``, a
-        :class:`~repro.runtime.spmd.RankPool`."""
-        import shutil
-        import tempfile
-
-        from repro.core.codegen import CodeGenerator
-        from repro.observe.ring import merge_rank_traces
-        from repro.runtime import spmd
-
-        generated = CodeGenerator(target=codegen_target).generate(scheduled)
-        trace_dir = None
-        if tracer is not None:
-            trace_dir = tempfile.mkdtemp(prefix="repro_trace_")
-            t_base = tracer.now()
-        try:
-            return spmd.launch(
-                generated,
-                inputs,
-                nranks=nranks,
-                allow_downcast=allow_downcast,
-                wire_s_per_mb=wire_s_per_mb,
-                timeout=timeout,
-                soft_timeout=soft_timeout,
-                fault_plan=fault_plan,
-                trace_dir=trace_dir,
-                observer=tracer,
-                pool=pool,
-            )
-        finally:
-            if trace_dir is not None:
-                tracer.extend(
-                    merge_rank_traces(
-                        trace_dir, base=t_base, metrics=tracer.metrics
-                    )
-                )
-                shutil.rmtree(trace_dir, ignore_errors=True)
 
     def _recover_spmd(
         self,
         exc,
         scheduled,
         inputs: Mapping[str, np.ndarray],
+        attempt,
         *,
         relower,
-        allow_downcast: Optional[bool],
-        wire_s_per_mb: float,
-        timeout: Optional[float],
-        soft_timeout: Optional[float],
         tracer,
-        codegen_target: str = "spmd",
-        pool,
         first: int,
     ) -> ProgramResult:
         """Reform the group over the survivors and re-execute.
@@ -309,18 +245,19 @@ class Executor:
         direct run at the recovered world size (same relowered program,
         same deterministic backend).
 
-        Every attempt runs on ``pool``, the
-        :class:`~repro.runtime.spmd.RankPool` of the failed launch:
-        survivors that aborted cleanly are still running, with numpy and
-        ``repro`` imported, so an attempt adopts them, renumbered in rank
-        order, in the same two segments resized, and starts a fresh rank
-        only for a shortfall (a survivor that did not close cleanly, or
-        died while it waited). ``result.elastic`` records the failed
-        ranks, the attempted sizes, the recovery wall-clock,
-        ``reused_ranks`` (the adopted processes' ranks in the failed
-        launch, whose first rank has origin ``first``) and ``spawned``
-        (the ranks started during the recovery), both counted within
-        this call however many steps the pool ran before.
+        Every attempt is ``attempt(scheduled, inputs)``, the call's
+        generate-and-launch on the executor's
+        :class:`~repro.runtime.spmd.RankPool`, which the failed launch
+        ran on too: survivors that aborted cleanly are still running,
+        with numpy and ``repro`` imported, so an attempt adopts them,
+        renumbered in rank order, in the same two segments resized, and
+        starts a fresh rank only for a shortfall (a survivor that did
+        not close cleanly, or died while it waited). ``result.elastic``
+        records the failed ranks, the attempted sizes, the recovery
+        wall-clock, ``reused_ranks`` (the adopted processes' ranks in
+        the failed launch, whose first rank has origin ``first``) and
+        ``spawned`` (the ranks started during the recovery), both
+        counted within this call however many steps the pool ran before.
 
         Re-lowered programs are memoized on the executor as serialized
         artifacts keyed by (structural hash of the original schedule,
@@ -349,6 +286,7 @@ class Executor:
                 context=exc.context,
                 dead_ranks=dead,
             ) from exc
+        pool = self._pool
         t0 = _time.perf_counter()
         started = pool.started
         base_sig = artifact_mod.as_artifact(scheduled).structural_hash
@@ -375,13 +313,7 @@ class Executor:
                 self._elastic_cache[(base_sig, ws)] = cached
             ts = tracer.now() if tracer is not None else 0.0
             try:
-                result = self._run_spmd_once(
-                    cached, inputs2,
-                    allow_downcast=allow_downcast,
-                    wire_s_per_mb=wire_s_per_mb, timeout=timeout,
-                    soft_timeout=soft_timeout, tracer=tracer,
-                    codegen_target=codegen_target, pool=pool,
-                )
+                result = attempt(cached, inputs2)
             except CoCoNetError as err:
                 last_error = err
                 continue

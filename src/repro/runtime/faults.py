@@ -21,10 +21,10 @@ experience:
 
 Because the plan is data (no callbacks, no clocks), the same plan plus
 the same program reproduces the same failure bit-for-bit: the plan is
-pickled into the spec :func:`repro.runtime.spmd.launch` sends every
-rank and consulted at fixed injection points. ``FaultPlan.scenario``
-derives a whole fault matrix entry from one integer seed so benchmarks
-can sweep reproducible scenarios.
+pickled into the spec :meth:`repro.runtime.spmd.RankPool.launch` sends
+every rank and consulted at fixed injection points.
+``FaultPlan.scenario`` derives a whole fault matrix entry from one
+integer seed so benchmarks can sweep reproducible scenarios.
 
 The plan also feeds *prediction*: :meth:`FaultPlan.resource_slowdowns`
 translates straggler events into the per-resource slowdown mapping of

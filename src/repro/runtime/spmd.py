@@ -3,11 +3,12 @@
 The in-process interpreter (``Executor.run_lowered``) executes all
 ranks inside one Python process, so "communication" is a library
 call over arrays it already owns. This module is the first tier where a
-generated program runs as *real concurrent processes*: ``launch`` starts
-one Python interpreter per rank, each process executes the same
-generated SPMD module (``CodeGenerator`` with ``target="spmd"``), and
-ranks rendezvous through a :class:`SpmdCommunicator` over two anonymous
-shared-memory files (``memfd_create``) that every rank maps.
+generated program runs as *real concurrent processes*:
+:meth:`RankPool.launch` runs one Python interpreter per rank, each
+process executes the same generated SPMD module (``CodeGenerator`` with
+``target="spmd"``), and ranks rendezvous through a
+:class:`SpmdCommunicator` over two anonymous shared-memory files
+(``memfd_create``) that every rank maps.
 
 Transport protocol
 ------------------
@@ -77,16 +78,16 @@ consumer releases chunks index-ordered rather than ring-rotated).
 Launch
 ------
 
-A launch pays an interpreter start per rank, so ``launch`` keeps
-everything else off that path, and no array crosses a socket:
+Every launch runs on a :class:`RankPool` (an ``Executor`` owns one
+for its lifetime). A launch pays an interpreter start per new rank, so
+it keeps everything else off that path, and no array crosses a socket:
 
-1. The parent creates the data and flags segments with
+1. The pool's first launch creates the data and flags segments with
    ``os.memfd_create``: nothing is named in ``/dev/shm``, so nothing
-   outlives the last process holding them, even a killed parent. A
-   :class:`RankPool` holds them across launches (an ``Executor`` owns
-   one for its lifetime): a later launch zeroes the flags segment and
-   keeps the data segment's pages, resizing it only when its layout's
-   size differs. It starts every rank as ``python -S -c``
+   outlives the last process holding them, even a killed parent. The
+   pool holds them across launches: a later launch zeroes the flags
+   segment and keeps the data segment's pages, resizing it only when
+   its layout's size differs. It starts every rank as ``python -S -c``
    (:data:`_RANK_ENTRY`), which inherits both segments and its end of
    a ``socket.socketpair`` as fds. The rank's ``PYTHONPATH`` is the
    parent's resolved ``sys.path``, so it finds every module where the
@@ -96,7 +97,8 @@ everything else off that path, and no array crosses a socket:
    caller's ``__main__``, the lowering or the compiler side. A launch
    first adopts the pool's idle ranks (elastic recovery), which already
    hold both fds at the same numbers; it starts fresh ranks only for
-   the rest.
+   the rest. With an ``observer``, it creates one trace ring file per
+   rank in a temporary directory.
 2. While the ranks import, the parent casts every input straight into
    the region of each rank that holds it (the checks and downcast
    policy of :func:`repro.runtime.world.place_inputs`) and unmaps the
@@ -133,7 +135,8 @@ everything else off that path, and no array crosses a socket:
    exception is a clean survivor (see "Failure handling").
 5. The parent maps the segment again and copies each result out in one
    pass, so no returned array aliases the segment, which the next
-   launch overwrites.
+   launch overwrites. The teardown merges the trace rings into the
+   ``observer`` and removes them, after a failed launch too.
 
 Failure handling
 ----------------
@@ -150,12 +153,11 @@ its exit code from ``Popen.wait``. Teardown runs in a ``finally``: it
 closes the parent's socket ends, so a rank still waiting for its spec
 (a launch that failed before sending, a kernel that did not compile)
 reads EOF and exits, and reaps (after a grace period, kills) every
-rank. A launch without a pool then closes both segments.
-``Executor.run_spmd`` closes its pool's segments, and releases its idle
-ranks, before any failure propagates: the traceback keeps the
+rank but the clean survivors. The pool keeps its segments and those
+survivors until :meth:`RankPool.close`, the end of its ``with`` block
+or its collection (``weakref.finalize``). ``Executor.run_spmd`` closes
+its pool before any failure propagates: the traceback keeps the
 ``Executor`` alive, and no segment or rank may outlive a failed call.
-A healthy ``Executor`` keeps its two segments until ``close()``, the
-end of its ``with`` block or its collection (``weakref.finalize``).
 
 Elastic recovery runs on the survivors. A rank whose report is
 ``("aborted", message, clean)`` with ``clean`` true (a peer failed, and
@@ -168,12 +170,10 @@ same sockets. The segments are the pool's, as for any launch: no rank
 maps them any more, since every other rank of the failed launch has
 been reaped, so the flags are zeroed (``ftruncate(fd, 0)`` then the
 new size) and the data segment resized in place. No fd is passed
-again. A survivor that was not clean, or
-died while it waited, is replaced by a fresh rank; one beyond the new
-world size is released (its socket closed, so it reads EOF). Dead still
-means EOF, and a rank that timed out or raised is never reused. A
-launch without a pool closes every socket in its ``finally``, so a
-clean survivor there reads EOF and exits. Both sides keep one message
+again. A survivor that was not clean, or died while it waited, is
+replaced by a fresh rank; one beyond the new world size is released
+(its socket closed, so it reads EOF). Dead still means EOF, and a rank
+that timed out or raised is never reused. Both sides keep one message
 invariant: the parent sends spec n+1 only after it has read report n,
 so the per-message buffered readers (``open(fd)`` in the rank,
 ``sock.makefile`` in the parent) never read ahead into the next
@@ -183,9 +183,9 @@ Usage
 -----
 
 The high-level entry point is ``Executor.run_spmd`` (backend selection,
-module generation, elastic recovery); ``launch`` is the raw engine
-underneath and takes the generated module. Not a doctest — it spawns
-one real OS process per rank:
+module generation, elastic recovery); :meth:`RankPool.launch` is the
+raw engine underneath and takes the generated module. Not a doctest —
+it spawns one real OS process per rank:
 
 .. code-block:: python
 
@@ -209,6 +209,7 @@ import os
 import pickle
 import sys
 import time
+import weakref
 from typing import (
     TYPE_CHECKING, Dict, List, Mapping, NamedTuple, Optional, Sequence,
     Tuple,
@@ -228,8 +229,9 @@ from repro.observe.ring import (
     KIND_STALL,
     KIND_WAIT,
     TraceRing,
+    merge_rank_traces,
 )
-from repro.runtime.collectives import fold_ranks
+from repro.runtime.collectives import _node_grid, fold_ranks
 from repro.runtime.world import (
     assemble_rows, check_divisible, place_inputs, slice_of,
 )
@@ -247,7 +249,6 @@ __all__ = [
     "SpmdPeerAbort",
     "SpmdTimeout",
     "SpmdWorkerError",
-    "launch",
     "scaled_default_timeout",
 ]
 
@@ -587,24 +588,14 @@ class SpmdCommunicator:
 
     @classmethod
     def attach(
-        cls,
-        layout: SpmdLayout,
-        rank: int,
-        data_fd: int,
-        flags_fd: int,
-        wire_s_per_mb: float = 0.0,
-        timeout: float = DEFAULT_TIMEOUT,
-        trace_path: Optional[str] = None,
-        soft_timeout: Optional[float] = None,
-        faults: Optional[FaultPlan] = None,
+        cls, layout: SpmdLayout, rank: int, data_fd: int, flags_fd: int,
+        **kwargs,
     ) -> "SpmdCommunicator":
         """Map the segments behind ``data_fd`` and ``flags_fd`` (the
-        caller keeps the fds)."""
+        caller keeps the fds); ``kwargs`` are :meth:`__init__`'s."""
         return cls(
             layout, rank, mmap.mmap(data_fd, layout.data_size),
-            mmap.mmap(flags_fd, layout.flags_length() * 8),
-            wire_s_per_mb, timeout, trace_path=trace_path,
-            soft_timeout=soft_timeout, faults=faults,
+            mmap.mmap(flags_fd, layout.flags_length() * 8), **kwargs,
         )
 
     # -- flags ----------------------------------------------------------
@@ -1099,7 +1090,7 @@ class SpmdCommunicator:
         context: str = "",
     ) -> np.ndarray:
         """Intra-node phase of the hierarchical AllToAll (this rank)."""
-        k, m = self._node_grid(group, node_size)
+        k, m = _node_grid(group, node_size)
         a, q = divmod(group.local_rank(self.rank), m)
         moves = [
             (a * m + p, b * m + q, b * m + p)
@@ -1112,7 +1103,7 @@ class SpmdCommunicator:
         context: str = "",
     ) -> np.ndarray:
         """Inter-node phase of the hierarchical AllToAll (this rank)."""
-        k, m = self._node_grid(group, node_size)
+        k, m = _node_grid(group, node_size)
         b, q = divmod(group.local_rank(self.rank), m)
         moves = [
             (a * m + q, b * m + p, a * m + p)
@@ -1137,16 +1128,6 @@ class SpmdCommunicator:
             shards=[(dim, s * step, (s + 1) * step) for _, s, _ in moves],
         )
         return out
-
-    @staticmethod
-    def _node_grid(group: ProcessGroup, node_size: int) -> Tuple[int, int]:
-        n = group.size
-        m = min(max(1, int(node_size)), n)
-        if n % m != 0:
-            raise ExecutionError(
-                f"group size {n} is not divisible by node size {m}"
-            )
-        return n // m, m
 
     def reduce(
         self, x, group: ProcessGroup, op: str, root: int, dtype
@@ -1455,9 +1436,9 @@ def _rank_main() -> None:
     """A rank process: a spec in, a report out, then exit.
 
     The spec arrives once every input region is written (see
-    :func:`launch`). The rank reads and writes its end of the socket
-    pair as a plain fd, and never closes it: only the exit closes it,
-    so the parent reading EOF knows the process is gone.
+    :meth:`RankPool.launch`). The rank reads and writes its end of the
+    socket pair as a plain fd, and never closes it: only the exit closes
+    it, so the parent reading EOF knows the process is gone.
 
     A clean survivor (an ``aborted`` report whose ``clean`` is true)
     reads its socket again instead of exiting, for the re-lowered step
@@ -1669,19 +1650,32 @@ def _release(ranks: Sequence[tuple]) -> None:
     _reap([proc for _, proc, _ in ranks])
 
 
-class RankPool:
-    """Rank processes and segments owned across launches.
+def _free(fds: List[int], idle: List[tuple]) -> None:
+    """Release the ranks of ``idle`` and close ``fds``, emptying both
+    lists in place: the pool's finalizer holds the lists, not the pool."""
+    _release(idle)
+    idle.clear()
+    for fd in fds:
+        os.close(fd)
+    fds.clear()
 
-    An ``Executor`` owns one pool for its lifetime and passes it to
-    every launch, elastic recovery attempts included. The pool holds
-    the two segments and the *idle* ranks: clean survivors of the last
-    launch (see :func:`_rank_main`), waiting on their sockets for a
-    spec. A launch after the first zeroes the flags segment and keeps
-    the data segment's pages, resizing it only when the layout's size
-    differs. It adopts idle ranks first, renumbered in rank order,
-    starts fresh ranks only for a shortfall and releases idle ranks
-    beyond its world size. :meth:`close` releases both; the pool can
-    be launched on again afterwards.
+
+class RankPool:
+    """The launcher: rank processes and segments owned across launches.
+
+    An ``Executor`` owns one pool for its lifetime, and every
+    :meth:`launch`, elastic recovery attempts included, runs on it.
+    The pool holds the two segments and the *idle* ranks: clean
+    survivors of the last launch (see :func:`_rank_main`), waiting on
+    their sockets for a spec. A launch after the first zeroes the flags
+    segment and keeps the data segment's pages, resizing it only when
+    the layout's size differs. It adopts idle ranks first, renumbered in
+    rank order, starts fresh ranks only for a shortfall and releases
+    idle ranks beyond its world size.
+
+    :meth:`close`, the end of a ``with`` block and the pool's collection
+    (``weakref.finalize``) release the idle ranks and close both
+    segments; the pool can be launched on again after a ``close()``.
     """
 
     def __init__(self) -> None:
@@ -1694,269 +1688,279 @@ class RankPool:
         self.origins: List[int] = []
         #: rank processes the pool's launches have started
         self.started = 0
+        weakref.finalize(self, _free, self.fds, self.idle)
 
     def close(self) -> None:
         """Release every idle rank and close both segments."""
-        _release(self.idle)
-        self.idle = []
-        for fd in self.fds:
-            os.close(fd)
-        self.fds = []
+        _free(self.fds, self.idle)
 
+    def __enter__(self) -> "RankPool":
+        return self
 
-def launch(
-    generated,
-    inputs: Mapping[str, np.ndarray],
-    *,
-    nranks: Optional[int] = None,
-    allow_downcast: Optional[bool] = None,
-    wire_s_per_mb: float = 0.0,
-    timeout: Optional[float] = None,
-    soft_timeout: Optional[float] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    trace_dir: Optional[str] = None,
-    trace_capacity: int = 32768,
-    observer=None,
-    pool: Optional[RankPool] = None,
-):
-    """Run a generated SPMD module as one process per rank.
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
-    ``generated`` is a
-    :class:`~repro.core.codegen.generator.GeneratedSpmdProgram`; every
-    rank ``exec``s its ``source`` as is. Starts ``world_size`` rank
-    processes, places the inputs into their shared-memory regions,
-    executes ``run_rank`` on every rank over a shared-memory
-    communicator, and copies the per-rank outputs/states back into a
-    :class:`~repro.runtime.executor.ProgramResult` whose arrays own
-    their memory. Teardown is exception-safe: ranks are reaped (killed
-    after a grace period) in a ``finally``, even when a rank raises
-    mid-collective, and the segments closed there unless ``pool`` holds
-    them.
+    def launch(
+        self,
+        generated,
+        inputs: Mapping[str, np.ndarray],
+        *,
+        nranks: Optional[int] = None,
+        allow_downcast: Optional[bool] = None,
+        wire_s_per_mb: float = 0.0,
+        timeout: Optional[float] = None,
+        soft_timeout: Optional[float] = None,
+        fault_plan: Optional[FaultPlan] = None,
+        observer=None,
+    ):
+        """Run a generated SPMD module as one process per rank.
 
-    The module docstring's "Launch" section gives the start-up order.
+        ``generated`` is a
+        :class:`~repro.core.codegen.generator.GeneratedSpmdProgram`;
+        every rank ``exec``s its ``source`` as is. Adopts or starts
+        ``world_size`` rank processes, places the inputs into their
+        shared-memory regions, executes ``run_rank`` on every rank over
+        a shared-memory communicator, and copies the per-rank
+        outputs/states back into a
+        :class:`~repro.runtime.executor.ProgramResult` whose arrays own
+        their memory. Teardown is exception-safe: ranks are reaped
+        (killed after a grace period) in a ``finally``, even when a rank
+        raises mid-collective; only clean survivors stay idle in the
+        pool.
 
-    ``timeout`` bounds every rendezvous wait (default:
-    :func:`scaled_default_timeout`, so slow simulated wires stretch the
-    deadline instead of false-timing-out). On the native target the
-    parent compiles any kernels before the ranks get their specs, so a
-    cold kernel cache never counts against it; ``observer`` (a
-    :class:`~repro.observe.events.Tracer`) hears of that compile.
-    ``soft_timeout`` is the escalation (soft-retry) deadline inside
-    each wait. ``fault_plan`` injects the given
-    :class:`~repro.runtime.faults.FaultPlan` into every rank. A rank
-    whose socket reaches EOF before it reported died (killed, an
-    injected ``die``, OOM): its error flag is broadcast on its behalf,
-    so surviving ranks abort their in-flight collectives with
-    :class:`SpmdPeerAbort` rather than spinning to their own timeouts,
-    and the failure is raised as a :class:`SpmdWorkerError` with
-    ``dead_ranks`` populated — the elastic-recovery trigger.
+        The module docstring's "Launch" section gives the start-up order.
 
-    ``trace_dir``, when given, receives one pre-created
-    ``rank<N>.ring`` trace file per rank (see
-    :mod:`repro.observe.ring`); every rank records its
-    publish/wait/reduce/kernel spans there. The files are ordinary
-    mapped files owned by the caller — they survive faulty-rank
-    teardown and are *not* removed here, so the caller can merge them
-    whether or not the run succeeded.
+        ``timeout`` bounds every rendezvous wait (default:
+        :func:`scaled_default_timeout`, so slow simulated wires stretch
+        the deadline instead of false-timing-out). On the native target
+        the parent compiles any kernels before the ranks get their
+        specs, so a cold kernel cache never counts against it.
+        ``soft_timeout`` is the escalation (soft-retry) deadline inside
+        each wait. ``fault_plan`` injects the given
+        :class:`~repro.runtime.faults.FaultPlan` into every rank. A rank
+        whose socket reaches EOF before it reported died (killed, an
+        injected ``die``, OOM): its error flag is broadcast on its
+        behalf, so surviving ranks abort their in-flight collectives
+        with :class:`SpmdPeerAbort` rather than spinning to their own
+        timeouts, and the failure is raised as a
+        :class:`SpmdWorkerError` with ``dead_ranks`` populated — the
+        elastic-recovery trigger.
 
-    ``pool``, when given, owns the segments and the rank processes
-    beyond this launch (see :class:`RankPool`): the launch places into
-    its data segment's existing pages, adopts its idle ranks and leaves
-    its own clean survivors idle in it. Without one, the launch tears
-    every rank and segment down itself. ``observer``'s ``metrics``
-    count ``spmd.segment_reuses``, the launches that kept the data
-    segment's pages, and ``spmd.segment_bytes_allocated``, the bytes of
-    data segment created or grown (0 on a launch whose layout has the
-    last one's size).
-    """
-    from repro.runtime.executor import ProgramResult
+        ``observer`` (a :class:`~repro.observe.events.Tracer`) hears of
+        the native compile, and every rank records its
+        publish/wait/reduce/kernel spans into a ``rank<N>.ring`` file
+        (see :mod:`repro.observe.ring`) in a temporary directory. The
+        teardown merges the rings into ``observer``, failed launches
+        included, then removes them. Its ``metrics`` also count
+        ``spmd.segment_reuses``, the launches that kept the data
+        segment's pages, and ``spmd.segment_bytes_allocated``, the bytes
+        of data segment created or grown (0 on a launch whose layout has
+        the last one's size).
+        """
+        from repro.runtime.executor import ProgramResult
 
-    program = generated.program
-    world_size = program.inputs[0].group.world_size
-    if nranks is not None and nranks != world_size:
-        raise ExecutionError(
-            f"program was built for {world_size} ranks; cannot launch "
-            f"{nranks} SPMD processes — rebuild the workload with "
-            f"world_size={nranks}"
-        )
-    placed = place_inputs(program, inputs, allow_downcast, cast=False)
-    layout = build_layout(program)
-    timeout = (
-        scaled_default_timeout(layout, wire_s_per_mb)
-        if timeout is None else float(timeout)
-    )
-
-    trace_paths: List[Optional[str]] = [None] * world_size
-    if trace_dir is not None:
-        for r in range(world_size):
-            path = os.path.join(trace_dir, f"rank{r}.ring")
-            TraceRing.create(path, trace_capacity).close()
-            trace_paths[r] = path
-
-    own_pool = pool is None
-    if own_pool:
-        pool = RankPool()
-    procs: List[subprocess.Popen] = []
-    socks: List[socket.socket] = []
-    origins: List[int] = []
-    idle: List[int] = []  # ranks that report a clean abort
-    dead_ranks: List[int] = []
-    # root-cause classification: a dead process (4) outranks a raised
-    # error (3) outranks a silent timeout (2) outranks a peer abort (1)
-    # — survivors' aborts are symptoms, never the reported cause
-    fail = {"sev": 0, "msg": None, "detail": "", "context": None}
-
-    def _record_failure(
-        sev: int, msg: str, det: str = "", ctx: Optional[dict] = None
-    ) -> None:
-        if sev > fail["sev"]:
-            fail.update(sev=sev, msg=msg, detail=det, context=ctx)
-
-    seconds: Dict[int, float] = {}
-    # the first error flag's byte offset, and a dead rank's flag value
-    err_off = layout.num_sites * world_size * 2 * 8
-    dead_flag = np.int64(_ERR_DEAD).tobytes()
-    try:
-        flags_size = layout.flags_length() * 8
-        held = 0  # bytes of data segment kept from the last launch
-        if pool.fds:
-            data_fd, flags_fd = pool.fds
-            # no process maps them any more: truncating to zero zeroes
-            # the flags, and every rank keeps the same fds. The data
-            # keeps its pages: this launch writes every byte it reads
-            os.ftruncate(flags_fd, 0)
-            os.ftruncate(flags_fd, flags_size)
-            held = os.fstat(data_fd).st_size
-            if held != layout.data_size:
-                os.ftruncate(data_fd, layout.data_size)
-        else:
-            pool.fds.append(_segment("spmd-data", layout.data_size))
-            pool.fds.append(_segment("spmd-flags", flags_size))
-            data_fd, flags_fd = pool.fds
-        if observer is not None:
-            observer.metrics.inc("spmd.segment_reuses", int(held > 0))
-            observer.metrics.inc(
-                "spmd.segment_bytes_allocated",
-                max(0, layout.data_size - held),
+        program = generated.program
+        world_size = program.inputs[0].group.world_size
+        if nranks is not None and nranks != world_size:
+            raise ExecutionError(
+                f"program was built for {world_size} ranks; cannot launch "
+                f"{nranks} SPMD processes — rebuild the workload with "
+                f"world_size={nranks}"
             )
-
-        # adopt the idle ranks that are still alive, then start the
-        # rest, and place the inputs while the new ones import
-        alive = [e for e in pool.idle if e[1].poll() is None]
-        adopted = alive[:world_size]
-        _release([e for e in pool.idle if e not in adopted])
-        pool.idle = []
-        for origin, proc, sock in adopted:
-            origins.append(origin)
-            procs.append(proc)
-            socks.append(sock)
-        while len(procs) < world_size:
-            origins.append(pool.started)
-            proc, sock = _start(_RANK_ENTRY, pool.fds)
-            pool.started += 1
-            procs.append(proc)
-            socks.append(sock)
-        pool.origins = origins
-
-        # the ranks map the segment themselves: unmap the pages written
-        # here, so the parent's resident set does not count them too
-        with mmap.mmap(data_fd, layout.data_size) as data:
-            try:
-                # one call maps every page in, instead of a fault per
-                # page while casting
-                data.madvise(_MADV_POPULATE_WRITE)
-            except OSError:  # Linux before 5.14: fault them one by one
-                pass
-            _place_regions(layout, program, placed, data)
-        placed = None
-        kernels = None
-        if generated.c_source:
-            from repro.core.codegen import native
-
-            k = native.load_kernels(generated.c_source, observer=observer)
-            kernels = (k.key, k.path, k.functions)
-        spec = dict(
-            layout=layout, data_fd=data_fd, flags_fd=flags_fd,
-            wire_s_per_mb=wire_s_per_mb, timeout=timeout,
-            soft_timeout=soft_timeout, faults=fault_plan,
-            source=generated.source, kernels=kernels,
+        placed = place_inputs(program, inputs, allow_downcast, cast=False)
+        layout = build_layout(program)
+        timeout = (
+            scaled_default_timeout(layout, wire_s_per_mb)
+            if timeout is None else float(timeout)
         )
-        for r, sock in enumerate(socks):
-            try:
-                _send(
-                    sock.fileno(),
-                    dict(spec, rank=r, trace_path=trace_paths[r]),
+
+        procs: List[subprocess.Popen] = []
+        socks: List[socket.socket] = []
+        origins: List[int] = []
+        idle: List[int] = []  # ranks that report a clean abort
+        dead_ranks: List[int] = []
+        # root-cause classification: a dead process (4) outranks a raised
+        # error (3) outranks a silent timeout (2) outranks a peer abort
+        # (1) — survivors' aborts are symptoms, never the reported cause
+        fail = {"sev": 0, "msg": None, "detail": "", "context": None}
+
+        def _record_failure(
+            sev: int, msg: str, det: str = "", ctx: Optional[dict] = None
+        ) -> None:
+            if sev > fail["sev"]:
+                fail.update(sev=sev, msg=msg, detail=det, context=ctx)
+
+        seconds: Dict[int, float] = {}
+        # the first error flag's byte offset, and a dead rank's flag value
+        err_off = layout.num_sites * world_size * 2 * 8
+        dead_flag = np.int64(_ERR_DEAD).tobytes()
+        trace_dir = None
+        try:
+            trace_paths: List[Optional[str]] = [None] * world_size
+            if observer is not None:
+                import tempfile
+
+                t_base = observer.now()
+                trace_dir = tempfile.mkdtemp(prefix="repro_trace_")
+                for r in range(world_size):
+                    trace_paths[r] = os.path.join(trace_dir, f"rank{r}.ring")
+                    TraceRing.create(trace_paths[r]).close()
+
+            flags_size = layout.flags_length() * 8
+            held = 0  # bytes of data segment kept from the last launch
+            if self.fds:
+                data_fd, flags_fd = self.fds
+                # no process maps them any more: truncating to zero
+                # zeroes the flags, and every rank keeps the same fds.
+                # The data keeps its pages: this launch writes every
+                # byte it reads
+                os.ftruncate(flags_fd, 0)
+                os.ftruncate(flags_fd, flags_size)
+                held = os.fstat(data_fd).st_size
+                if held != layout.data_size:
+                    os.ftruncate(data_fd, layout.data_size)
+            else:
+                self.fds.append(_segment("spmd-data", layout.data_size))
+                self.fds.append(_segment("spmd-flags", flags_size))
+                data_fd, flags_fd = self.fds
+            if observer is not None:
+                observer.metrics.inc("spmd.segment_reuses", int(held > 0))
+                observer.metrics.inc(
+                    "spmd.segment_bytes_allocated",
+                    max(0, layout.data_size - held),
                 )
-            except OSError:
-                # the rank already died: its EOF reports it below
-                pass
 
-        import select
+            # adopt the idle ranks that are still alive, then start the
+            # rest, and place the inputs while the new ones import
+            alive = [e for e in self.idle if e[1].poll() is None]
+            adopted = alive[:world_size]
+            _release([e for e in self.idle if e not in adopted])
+            self.idle.clear()
+            for origin, proc, sock in adopted:
+                origins.append(origin)
+                procs.append(proc)
+                socks.append(sock)
+            while len(procs) < world_size:
+                origins.append(self.started)
+                proc, sock = _start(_RANK_ENTRY, self.fds)
+                self.started += 1
+                procs.append(proc)
+                socks.append(sock)
+            self.origins = origins
 
-        deadline = time.monotonic() + timeout + 60.0
-        pending = dict(zip(socks, range(world_size)))
-        while pending:
-            ready, _, _ = select.select(
-                list(pending), [], [], max(0.0, deadline - time.monotonic())
-            )
-            if not ready:
-                for r in sorted(pending.values()):
-                    _record_failure(
-                        2, f"rank {r} did not report within {timeout:.0f}s"
-                    )
-                break
-            for sock in ready:
-                r = pending.pop(sock)
-                with sock.makefile("rb") as stream:
-                    msg = _recv(stream)
-                if msg is None:
-                    # broadcast on the corpse's behalf: peers blocked on
-                    # its payloads abort instead of spinning to timeout
-                    os.pwrite(flags_fd, dead_flag, err_off + 8 * r)
-                    dead_ranks.append(r)
-                    # only the rank held its end of the socket: at EOF
-                    # it is exiting, so this wait returns promptly
-                    code = procs[r].wait()
-                    _record_failure(
-                        4, f"rank {r} died without reporting "
-                        f"(exit code {code})", ctx={
-                            "rank": r, "op": "", "site": "", "seq": 0,
-                            "dead": True,
-                        },
-                    )
-                elif msg[0] == "ok":
-                    seconds[r] = msg[1]
-                elif msg[0] == "error":
-                    _record_failure(3, *msg[1:])
-                else:  # aborted by a peer's failure
-                    _record_failure(1, msg[1])
-                    if msg[2]:
-                        idle.append(r)
-        if fail["msg"] is None:
-            # every rank has reported: let them exit first, so their
-            # memory and the results copied here are not resident at once
-            _reap(procs)
+            # the ranks map the segment themselves: unmap the pages
+            # written here, so the parent's resident set does not count
+            # them too
             with mmap.mmap(data_fd, layout.data_size) as data:
-                outputs, states = _read_results(layout, program, data)
-    finally:
-        ranks = list(zip(origins, procs, socks))
-        # EOF first: a rank still waiting for its spec exits at once
-        _release([e for r, e in enumerate(ranks) if r not in idle])
-        pool.idle = [ranks[r] for r in sorted(idle)]
-        if own_pool:
-            pool.close()
-    if fail["msg"] is not None:
-        detail = fail["detail"]
-        raise SpmdWorkerError(
-            f"SPMD run failed: {fail['msg']}"
-            + (f"\n{detail}" if detail else ""),
-            context=fail["context"],
-            dead_ranks=dead_ranks,
-        )
+                try:
+                    # one call maps every page in, instead of a fault
+                    # per page while casting
+                    data.madvise(_MADV_POPULATE_WRITE)
+                except OSError:  # Linux before 5.14: fault them one by one
+                    pass
+                _place_regions(layout, program, placed, data)
+            placed = None
+            kernels = None
+            if generated.c_source:
+                from repro.core.codegen import native
 
-    result = ProgramResult(outputs, states)
-    # per-rank wall-clock of the rank bodies (barrier-synchronized, so
-    # process spawn time is excluded); the slowest rank is the step time
-    result.spmd_rank_seconds = seconds
-    result.spmd_seconds = max(seconds.values())
-    return result
+                k = native.load_kernels(generated.c_source, observer=observer)
+                kernels = (k.key, k.path, k.functions)
+            spec = dict(
+                layout=layout, data_fd=data_fd, flags_fd=flags_fd,
+                wire_s_per_mb=wire_s_per_mb, timeout=timeout,
+                soft_timeout=soft_timeout, faults=fault_plan,
+                source=generated.source, kernels=kernels,
+            )
+            for r, sock in enumerate(socks):
+                try:
+                    _send(
+                        sock.fileno(),
+                        dict(spec, rank=r, trace_path=trace_paths[r]),
+                    )
+                except OSError:
+                    # the rank already died: its EOF reports it below
+                    pass
+
+            import select
+
+            deadline = time.monotonic() + timeout + 60.0
+            pending = dict(zip(socks, range(world_size)))
+            while pending:
+                ready, _, _ = select.select(
+                    list(pending), [], [],
+                    max(0.0, deadline - time.monotonic()),
+                )
+                if not ready:
+                    for r in sorted(pending.values()):
+                        _record_failure(
+                            2,
+                            f"rank {r} did not report within {timeout:.0f}s",
+                        )
+                    break
+                for sock in ready:
+                    r = pending.pop(sock)
+                    with sock.makefile("rb") as stream:
+                        msg = _recv(stream)
+                    if msg is None:
+                        # broadcast on the corpse's behalf: peers blocked
+                        # on its payloads abort instead of spinning to
+                        # timeout
+                        os.pwrite(flags_fd, dead_flag, err_off + 8 * r)
+                        dead_ranks.append(r)
+                        # only the rank held its end of the socket: at
+                        # EOF it is exiting, so this wait returns promptly
+                        code = procs[r].wait()
+                        _record_failure(
+                            4, f"rank {r} died without reporting "
+                            f"(exit code {code})", ctx={
+                                "rank": r, "op": "", "site": "", "seq": 0,
+                                "dead": True,
+                            },
+                        )
+                    elif msg[0] == "ok":
+                        seconds[r] = msg[1]
+                    elif msg[0] == "error":
+                        _record_failure(3, *msg[1:])
+                    else:  # aborted by a peer's failure
+                        _record_failure(1, msg[1])
+                        if msg[2]:
+                            idle.append(r)
+            if fail["msg"] is None:
+                # every rank has reported: let them exit first, so their
+                # memory and the results copied here are not resident at
+                # once
+                _reap(procs)
+                with mmap.mmap(data_fd, layout.data_size) as data:
+                    outputs, states = _read_results(layout, program, data)
+        finally:
+            ranks = list(zip(origins, procs, socks))
+            # EOF first: a rank still waiting for its spec exits at once
+            _release([e for r, e in enumerate(ranks) if r not in idle])
+            self.idle.extend(ranks[r] for r in sorted(idle))
+            if trace_dir is not None:
+                import shutil
+
+                # every rank has exited or closed its ring
+                observer.extend(
+                    merge_rank_traces(
+                        trace_dir, base=t_base, metrics=observer.metrics
+                    )
+                )
+                shutil.rmtree(trace_dir, ignore_errors=True)
+        if fail["msg"] is not None:
+            detail = fail["detail"]
+            raise SpmdWorkerError(
+                f"SPMD run failed: {fail['msg']}"
+                + (f"\n{detail}" if detail else ""),
+                context=fail["context"],
+                dead_ranks=dead_ranks,
+            )
+
+        result = ProgramResult(outputs, states)
+        # per-rank wall-clock of the rank bodies (barrier-synchronized,
+        # so process spawn time is excluded); the slowest rank is the
+        # step time
+        result.spmd_rank_seconds = seconds
+        result.spmd_seconds = max(seconds.values())
+        return result

@@ -4,9 +4,9 @@
 attached to one shared-memory communicator, and drives thousands of
 direct collective calls through them without paying a process start
 per example (see ``tests/test_spmd_collectives.py``). Workers are
-started the way ``repro.runtime.spmd.launch`` starts ranks: a plain
-``python -c`` process that inherits both segments (memfds) and its end
-of a socket pair, over which every message is one pickle.
+started the way ``repro.runtime.spmd.RankPool.launch`` starts ranks: a
+plain ``python -c`` process that inherits both segments (memfds) and its
+end of a socket pair, over which every message is one pickle.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def _pool_worker() -> None:
     stream = sock.makefile("rb")
     rank, layout, data_fd, flags_fd, timeout = _recv(stream)
     comm = SpmdCommunicator.attach(
-        layout, rank, data_fd, flags_fd, 0.0, timeout
+        layout, rank, data_fd, flags_fd, timeout=timeout
     )
     try:
         while True:

@@ -2,10 +2,10 @@
 that ran it: a child process, or an fd open on a segment.
 
 Segments are anonymous memfds (``os.memfd_create("spmd-data")`` and
-``"spmd-flags"``), never files in ``/dev/shm``. An ``Executor``'s
-``RankPool`` holds their fds between ``run_spmd`` calls, until
-``close()``, the end of its ``with`` block, its collection or a call
-that raises; a bare ``launch`` holds them until its own teardown.
+``"spmd-flags"``), never files in ``/dev/shm``. A ``RankPool`` holds
+their fds, and its idle ranks, across launches until its ``close()``,
+the end of its ``with`` block or its collection; an ``Executor``'s
+pool also closes when a ``run_spmd`` call raises.
 ``/proc/self/fd`` names each one ``/memfd:spmd-<name> (deleted)``.
 """
 

@@ -349,7 +349,7 @@ class TestRankDataPath:
         self, kernel_cache
     ):
         from repro.cli import _seeded_inputs
-        from repro.runtime.spmd import launch
+        from repro.runtime.spmd import RankPool
         from repro.workloads.adam import AdamWorkload
 
         sched = AdamWorkload.build(1024, 2).schedules()["fuse(RS-Adam-AG)"]
@@ -377,7 +377,8 @@ class TestRankDataPath:
             """
         )
         inputs = _seeded_inputs(sched.program, seed=0)
-        nat = launch(gen, inputs, allow_downcast=True, timeout=240.0)
+        with RankPool() as pool:
+            nat = pool.launch(gen, inputs, allow_downcast=True, timeout=240.0)
         low = Executor().run_lowered(sched, inputs, allow_downcast=True)
         assert _digest(nat) == _digest(low)
 

@@ -44,7 +44,7 @@ from repro.observe import (
 from repro.observe.ring import KIND_KERNEL, KIND_PUBLISH, TraceRing
 from repro.perf.engine import Task, Timeline
 from repro.runtime import Executor
-from repro.runtime.spmd import SpmdWorkerError, launch
+from repro.runtime.spmd import RankPool, SpmdWorkerError
 from repro.workloads.adam import AdamWorkload
 from repro.workloads.attention import AttentionWorkload
 from repro.workloads.moe import MoEWorkload
@@ -332,9 +332,14 @@ class TestSpmdTracing:
     @pytest.mark.skipif(
         sys.platform != "linux", reason="/proc/self/fd is Linux-only"
     )
-    def test_faulty_rank_teardown_still_harvests_trace(self, tmp_path, rng):
-        """A rank dying mid-collective leaves its ring mergeable, a
-        structured error context, and no shared-memory leak."""
+    def test_faulty_rank_teardown_still_harvests_trace(
+        self, tmp_path, rng, monkeypatch
+    ):
+        """A rank dying mid-collective leaves its ring merged into the
+        observer, a structured error context, and no shared-memory leak
+        or ring file."""
+        import tempfile
+
         wl = AdamWorkload.build(64, 4)
         gen = CodeGenerator(target="spmd").generate(wl.program)
         source = gen.source.replace(
@@ -346,19 +351,26 @@ class TestSpmdTracing:
         )
         assert "injected kernel fault" in source
         gen.source = source
+        # the launch's ring directory is made under tmp_path
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        tracer = Tracer()
         before = set(spmd_segments())
-        with pytest.raises(SpmdWorkerError, match="rank 1") as err:
-            launch(
-                gen, optimizer_inputs(rng), allow_downcast=True,
-                timeout=30.0, trace_dir=str(tmp_path),
-            )
+        with RankPool() as pool:
+            with pytest.raises(SpmdWorkerError, match="rank 1") as err:
+                pool.launch(
+                    gen, optimizer_inputs(rng), allow_downcast=True,
+                    timeout=30.0, observer=tracer,
+                )
         assert err.value.context["rank"] == 1
         assert err.value.context["op"] == "avg"
         assert "op 'avg'" in str(err.value)
         assert set(spmd_segments()) == before
+        # merged in the launch's teardown, then removed
+        assert list(tmp_path.iterdir()) == []
+        for r in range(4):
+            assert tracer.metrics.get(f"spmd.rank{r}.events") > 0
 
-        events = merge_rank_traces(str(tmp_path))
-        spans = [e for e in events if isinstance(e, SpanEvent)]
+        spans = [e for e in tracer.events if isinstance(e, SpanEvent)]
         assert {e.pid for e in spans} == {f"rank{r}" for r in range(4)}
         # the failing rank's kernel span was recorded on the way out
         rank1_kernels = [

@@ -36,7 +36,7 @@ from repro.core.transforms import Schedule
 from repro.errors import CodegenError, ExecutionError
 from repro.runtime import Executor
 from repro.runtime import spmd
-from repro.runtime.spmd import SpmdWorkerError, build_layout, launch
+from repro.runtime.spmd import SpmdWorkerError, build_layout
 from repro.workloads.adam import AdamWorkload
 from repro.workloads.attention import AttentionWorkload
 from repro.workloads.lamb import LambWorkload
@@ -333,7 +333,8 @@ class TestSpmdInterface:
             send(fd, obj)
 
         monkeypatch.setattr(spmd, "_send", record)
-        out = launch(gen, inputs, allow_downcast=True)
+        with spmd.RankPool() as pool:
+            out = pool.launch(gen, inputs, allow_downcast=True)
         monkeypatch.setattr(spmd, "_send", send)
         assert [spec["rank"] for spec in sent] == [0, 1]
         for spec in sent:
@@ -436,7 +437,8 @@ class TestSpmdInterface:
         )
         assert source != gen.source
         gen.source = source
-        out = launch(gen, inputs, allow_downcast=True)
+        with spmd.RankPool() as pool:
+            out = pool.launch(gen, inputs, allow_downcast=True)
         np.testing.assert_array_equal(
             out.output("o2"), (inputs["sl"].astype(np.float32) * 2.0)
         )
@@ -496,13 +498,14 @@ class TestSpmdTeardown:
         assert "injected kernel fault" in source
         gen.source = source
         before = set(spmd_segments())
-        with pytest.raises(ExecutionError, match="rank 1") as err:
-            launch(
-                gen, optimizer_inputs(rng), allow_downcast=True,
-                timeout=30.0,
-            )
+        with spmd.RankPool() as pool:
+            with pytest.raises(ExecutionError, match="rank 1") as err:
+                pool.launch(
+                    gen, optimizer_inputs(rng), allow_downcast=True,
+                    timeout=30.0,
+                )
         assert "injected kernel fault" in str(err.value)
-        # every segment fd the run opened was closed
+        # every segment fd the run opened was closed with its pool
         assert set(spmd_segments()) == before
 
     def test_successful_run_leaves_no_segments(self, rng):
@@ -534,17 +537,91 @@ class TestSpmdTeardown:
         before = set(spmd_segments())
         timeout = 20.0
         t0 = time.monotonic()
-        with pytest.raises(SpmdWorkerError, match="rank 1 died") as err:
-            launch(
-                gen, optimizer_inputs(rng, n=2), allow_downcast=True,
-                timeout=timeout,
-            )
-        assert time.monotonic() - t0 < timeout
+        with spmd.RankPool() as pool:
+            with pytest.raises(SpmdWorkerError, match="rank 1 died") as err:
+                pool.launch(
+                    gen, optimizer_inputs(rng, n=2), allow_downcast=True,
+                    timeout=timeout,
+                )
+            assert time.monotonic() - t0 < timeout
         assert err.value.dead_ranks == [1]
         assert f"exit code {-signal.SIGKILL}" in str(err.value)
+        # the pool held rank 0, a clean survivor, until it closed
         assert set(spmd_segments()) == before
         assert [p.returncode for p in started][1] == -signal.SIGKILL
         assert all(p.returncode is not None for p in started)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="/proc is Linux-only")
+class TestRankPool:
+    """A pool keeps its two segments across launches, and releases them
+    and its idle ranks on ``close()``, at the end of its ``with`` block
+    and when it is collected."""
+
+    @staticmethod
+    def _program():
+        from repro.cli import _seeded_inputs
+
+        program = AdamWorkload.build(64, 2).program
+        gen = CodeGenerator(target="spmd").generate(program)
+        return gen, _seeded_inputs(program, seed=0)
+
+    @classmethod
+    def _fail(cls, pool):
+        # rank 1 dies; rank 0 aborts cleanly and stays idle in the pool
+        from repro.runtime.faults import FaultPlan
+
+        gen, inputs = cls._program()
+        pool.launch(
+            gen, inputs, allow_downcast=True,
+            fault_plan=FaultPlan(seed=1).die(1, at_site="g"),
+            soft_timeout=0.5, timeout=20.0,
+        )
+
+    def test_two_launches_keep_two_segments(self):
+        gen, inputs = self._program()
+        before = set(spmd_segments())
+        with spmd.RankPool() as pool:
+            pool.launch(gen, inputs, allow_downcast=True)
+            kept = set(spmd_segments()) - before
+            assert sorted(link for _, link in kept) == [
+                "/memfd:spmd-data (deleted)", "/memfd:spmd-flags (deleted)",
+            ]
+            pool.launch(gen, inputs, allow_downcast=True)
+            assert set(spmd_segments()) - before == kept
+        assert set(spmd_segments()) == before
+        assert children() == []
+        # a closed pool launches again, on new segments
+        pool.launch(gen, inputs, allow_downcast=True)
+        assert len(set(spmd_segments()) - before) == 2
+        pool.close()
+        assert set(spmd_segments()) == before
+
+    def test_dropped_pool_leaves_nothing(self):
+        import weakref
+
+        before = set(spmd_segments())
+        pool = spmd.RankPool()
+        try:
+            self._fail(pool)
+        except SpmdWorkerError as exc:
+            assert exc.dead_ranks == [1]
+        assert len(pool.idle) == 1
+        assert len(set(spmd_segments()) - before) == 2
+        collected = weakref.ref(pool)
+        del pool
+        # no reference cycle holds it: the last reference released it
+        assert collected() is None
+        assert set(spmd_segments()) == before
+        assert children() == []
+
+    def test_launch_raising_in_with_leaves_nothing(self):
+        before = set(spmd_segments())
+        with pytest.raises(SpmdWorkerError, match="rank 1 died"):
+            with spmd.RankPool() as pool:
+                self._fail(pool)
+        assert set(spmd_segments()) == before
+        assert children() == []
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="/proc is Linux-only")
@@ -767,13 +844,15 @@ class TestLaunchLoop:
         gen = CodeGenerator(target="spmd").generate(
             AdamWorkload.build(64, 2).program
         )
-        with pytest.raises(SpmdWorkerError, match="rank 1 died") as err:
-            launch(
-                gen, optimizer_inputs(rng, n=2), allow_downcast=True,
-                timeout=20.0,
-            )
+        with spmd.RankPool() as pool:
+            with pytest.raises(SpmdWorkerError, match="rank 1 died") as err:
+                pool.launch(
+                    gen, optimizer_inputs(rng, n=2), allow_downcast=True,
+                    timeout=20.0,
+                )
         assert err.value.dead_ranks == [1]
         assert f"exit code {-signal.SIGKILL}" in str(err.value)
+        # the pool held rank 0, a clean survivor, until it closed
         assert all(p.returncode is not None for p in started)
 
 
@@ -888,10 +967,11 @@ class TestRankProcesses:
         )
         inputs = optimizer_inputs(rng, n=2)
         t0 = time.monotonic()
-        with pytest.raises(expected):
-            launch(gen, inputs, allow_downcast=True)
-        assert time.monotonic() - t0 < 2.0
-        assert children() == []
+        with spmd.RankPool() as pool:
+            with pytest.raises(expected):
+                pool.launch(gen, inputs, allow_downcast=True)
+            assert time.monotonic() - t0 < 2.0
+            assert children() == []
 
     def test_stalled_run_creates_no_shm_entry(self, rng):
         # the segments are memfds: nothing appears in /dev/shm even

@@ -21,10 +21,18 @@ Outputs and tensor states of both configs must be **bit-identical** to
 ``Executor.run_lowered``.
 
 Timing uses ``result.spmd_seconds`` (rank-body seconds, barrier-synced,
-excluding process spawn). The native side is warmed first: the cold
+excluding process spawn). The benchmark runs on a fresh temporary
+kernel cache (``$REPRO_KERNEL_CACHE``), so a machine that ran it before
+still pays the compile. The native side is warmed first: the cold
 iteration — which includes the one-time kernel compile — is recorded
-separately as ``cold_compile_s``, and the warm run is asserted to
-perform **zero** compiles via the per-rank trace-ring compile events.
+separately as ``cold_compile_s`` with its ``cold_compiles``, and the
+warm run is asserted to perform **zero** compiles via the per-rank
+trace-ring compile events.
+
+A kernel depends only on its program's fused structure, so the
+world-size pair — the smoke Adam tuned as the elastic workload tunes
+it, run at world size 2 and then at 1 — must compile once
+(``acceptance.shared_kernel_compiles``).
 
 Emits ``BENCH_native.json`` at the repo root::
 
@@ -32,8 +40,8 @@ Emits ``BENCH_native.json`` at the repo root::
     PYTHONPATH=src:. python benchmarks/bench_native.py --smoke    # CI
 
 Full mode asserts the ``NATIVE_SPEEDUP_FLOOR`` on Adam (MoE's ratio is
-recorded, not gated); smoke mode asserts correctness and the warm-cache
-property only — the regression gate (``benchmarks/check_regression.py``)
+recorded, not gated); smoke mode asserts correctness, the warm-cache
+property and the world-size pair's one compile only — the regression gate (``benchmarks/check_regression.py``)
 compares the recorded numbers against
 ``benchmarks/baselines/BENCH_native.json``.
 """
@@ -45,6 +53,7 @@ import json
 import os
 import statistics
 import sys
+import tempfile
 import time
 from typing import Dict
 
@@ -90,14 +99,17 @@ def run_config(
 
     entry: Dict = {"repeats": repeats}
 
-    # cold native run: includes the one-time kernel compile (cache is
-    # content-addressed, so a warm machine may make this a disk hit)
+    # cold native run: includes the one-time kernel compile
+    compiles = native.metrics.get("native.cache.compiles")
     t0 = time.perf_counter()
     r = ex.run_spmd(
         sched, inputs, allow_downcast=True, timeout=timeout,
         codegen_target="native",
     )
     entry["cold_compile_s"] = time.perf_counter() - t0
+    entry["cold_compiles"] = int(
+        native.metrics.get("native.cache.compiles") - compiles
+    )
     correct = _outputs_equal(oracle, r)
 
     # warm native runs: trace rings must show zero compiles
@@ -135,6 +147,37 @@ def run_config(
     return entry
 
 
+def world_size_pair(num_elements: int, timeout: float, cache: str) -> Dict:
+    """The tuned Adam at world size 2, then 1, on the fresh kernel cache
+    ``cache``: kernel compiles and correctness of both (the elastic
+    recovery's pair)."""
+    from repro.cluster import Cluster
+    from repro.core.autotuner import Autotuner
+
+    # its own cache: the AR-Adam config's loop has the same structure
+    os.environ["REPRO_KERNEL_CACHE"] = cache
+    before = native.metrics.get("native.cache.compiles")
+    correct = True
+    with Executor() as ex:
+        for ranks in (2, 1):
+            program = AdamWorkload.build(num_elements, ranks).program
+            sched = Autotuner(Cluster(1)).tune(program).best.schedule
+            inputs = _seeded_inputs(program, seed=0)
+            oracle = ex.run_lowered(sched, inputs, allow_downcast=True)
+            r = ex.run_spmd(
+                sched, inputs, allow_downcast=True, timeout=timeout,
+                codegen_target="native",
+            )
+            correct &= _outputs_equal(oracle, r)
+    compiles = native.metrics.get("native.cache.compiles") - before
+    return {
+        "num_elements": num_elements,
+        "world_sizes": [2, 1],
+        "compiles": int(compiles),
+        "correct": bool(correct),
+    }
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -148,6 +191,12 @@ def main() -> None:
     if not native.available():
         print("no C compiler on PATH; native benchmark skipped")
         sys.exit(0)
+    with tempfile.TemporaryDirectory(prefix="repro-kernels-") as cache:
+        run(args, repeats, cache)
+
+
+def run(args, repeats: int, cache: str) -> None:
+    os.environ["REPRO_KERNEL_CACHE"] = os.path.join(cache, "configs")
     print(f"toolchain: {native.toolchain_report()}")
 
     if args.smoke:
@@ -208,11 +257,18 @@ def main() -> None:
                 f"{entry['native_s'] * 1e3:.1f} ms",
                 f"{entry['speedup']:.2f}x",
                 entry["correct"],
+                entry["cold_compiles"],
                 entry["warm_compiles"],
             ]
         )
 
-    correct_all = all(e["correct"] for e in report["configs"].values())
+    pair = world_size_pair(
+        adam_elems, timeout, os.path.join(cache, "world_size_pair")
+    )
+    report["world_size_pair"] = pair
+    correct_all = pair["correct"] and all(
+        e["correct"] for e in report["configs"].values()
+    )
     warm_compiles = sum(
         e["warm_compiles"] for e in report["configs"].values()
     )
@@ -224,9 +280,11 @@ def main() -> None:
         "adam_speedup": speedup,
         "floor": NATIVE_SPEEDUP_FLOOR,
         "warm_cache_zero_compiles": warm_compiles == 0,
+        "shared_kernel_compiles": pair["compiles"],
         "passed": bool(
             correct_all
             and warm_compiles == 0
+            and pair["compiles"] == 1
             and (args.smoke or speedup >= NATIVE_SPEEDUP_FLOOR)
         ),
     }
@@ -234,7 +292,7 @@ def main() -> None:
     lines = ["Native compiled kernels vs Python SPMD interpreter", ""]
     lines += table(
         ["config", "shape", "python", "native", "speedup", "correct",
-         "warm compiles"],
+         "cold compiles", "warm compiles"],
         rows,
     )
     lines.append("")
@@ -242,6 +300,10 @@ def main() -> None:
         f"correct: {correct_all}; warm-cache compiles: {warm_compiles}; "
         f"Adam speedup {speedup:.2f}x "
         f"(floor {NATIVE_SPEEDUP_FLOOR}x, full mode only)"
+    )
+    lines.append(
+        f"tuned Adam ({adam_elems} elems) at world size 2 then 1: "
+        f"{pair['compiles']} compile(s), one kernel expected"
     )
     save_report("native", lines)
 
@@ -253,6 +315,10 @@ def main() -> None:
     assert warm_compiles == 0, (
         f"warm-cache runs performed {warm_compiles} compiles; "
         "the content-addressed cache must make re-runs compile-free"
+    )
+    assert pair["compiles"] == 1, (
+        f"the tuned Adam at world sizes 2 and 1 compiled "
+        f"{pair['compiles']} times; one fused structure is one kernel"
     )
     if not args.smoke:
         assert speedup >= NATIVE_SPEEDUP_FLOOR, (

@@ -99,10 +99,11 @@ class CompiledKernels:
     """A loaded kernel shared object; ``call`` invokes one C function.
 
     Every generated function has the uniform ABI
-    ``void f(char** bufs, double* scalars)`` with shapes, loop bounds
-    and broadcast strides baked into the source, so the Python side
-    only marshals base pointers (a ctypes foreign call releases the
-    GIL — the overlap producer stream keeps running during compute).
+    ``void f(char** bufs, double* scalars)``: the loop's trip count is
+    ``scalars[0]`` and only broadcast strides are baked into the
+    source, so the Python side marshals base pointers and scalars (a
+    ctypes foreign call releases the GIL — the overlap producer stream
+    keeps running during compute).
     """
 
     def __init__(

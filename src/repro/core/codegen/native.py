@@ -34,12 +34,17 @@ Kernel cache
 ------------
 ``~/.cache/repro/kernels/<sha256>.so`` (override with
 ``$REPRO_KERNEL_CACHE``), keyed by SHA-256 over the C source plus the
-compiler identity and flags. Writes are concurrent-safe through
-:mod:`repro.store` — processes compiling the same source wait behind
-one ``flock`` and the object is installed via atomic ``os.replace`` —
-and stale/corrupt entries (unloadable, or missing one of the source's
-own functions) are deleted and recompiled once.
-Hit/miss/compile-time counters land in :data:`metrics` (a
+compiler identity and flags. The source depends only on the program's
+fused structure: a loop's trip count travels as its first scalar,
+``S[0]``, and functions are named by position (``s0``, ``s1``, …), so
+there is one object per fused structure. A schedule at another size
+or world size (an elastic recovery's smaller world), or a tuner
+candidate that fuses alike, is a memo or disk hit. Writes are
+concurrent-safe through :mod:`repro.store` — processes compiling the
+same source wait behind one ``flock`` and the object is installed via
+atomic ``os.replace`` — and stale/corrupt entries (unloadable, or
+missing one of the source's own functions) are deleted and recompiled
+once. Hit/miss/compile-time counters land in :data:`metrics` (a
 :class:`~repro.observe.metrics.MetricsRegistry`); an ``observer``
 hears of every compile, so a traced run shows the stall.
 
@@ -66,7 +71,6 @@ import numpy as np
 from repro import store
 from repro.core import ops
 from repro.core.codegen.device import CompiledKernels, open_kernels
-from repro.core.codegen.generator import _sanitize
 from repro.core.tensor import Const, Expr
 from repro.errors import CodegenError
 from repro.observe.metrics import MetricsRegistry
@@ -369,6 +373,9 @@ _C_UNARY = ("sqrt", "rsqrt", "relu", "abs")
 
 _CTYPE = {"float16": "uint16_t", "float32": "float", "float64": "double"}
 
+#: a loop whose trip count is a multiple of this tells gcc so
+_VF = 64
+
 
 def _cdt(dtype) -> Optional[str]:
     name = dtype.to_numpy().name
@@ -445,7 +452,6 @@ class NativeEmitter:
 
     def __init__(self, lowered) -> None:
         self.functions: List[str] = []
-        self._fn_names: Dict[str, int] = {}
         self._consumers: Dict[int, List[Expr]] = {}
         for k in lowered.plan.kernels:
             for e in k.exprs:
@@ -461,14 +467,6 @@ class NativeEmitter:
         if not self.functions:
             return None
         return PRELUDE + "\n" + "\n".join(self.functions)
-
-    # -- naming ---------------------------------------------------------
-
-    def _fresh_fn(self, base: str) -> str:
-        base = _sanitize(base)
-        n = self._fn_names.get(base, 0)
-        self._fn_names[base] = n + 1
-        return base if n == 0 else f"{base}_{n}"
 
     # -- qualification --------------------------------------------------
 
@@ -558,17 +556,21 @@ class NativeEmitter:
     def _emit_c_run(self, gen, em, run: List[Expr], n: int) -> None:
         """One compiled loop over ``run``.
 
-        The function reads its input arrays and then writes its output
-        arrays (``A`` in that order). An escaping value gets an
-        ``np.empty`` array of its own, except an ``Update`` whose target
-        storage can take it (:meth:`CodeGenerator._update_region`): the
-        loop stores that one straight into the region.
+        The function, ``s<k>`` for the module's ``k``-th, reads its
+        input arrays and then writes its output arrays (``A`` in that
+        order). ``S[0]`` is the trip count ``n``, so the source is the
+        same at every size; a broadcast operand's modulus stays a
+        literal. An escaping value gets an ``np.empty`` array of its
+        own, except an ``Update`` whose target storage can take it
+        (:meth:`CodeGenerator._update_region`): the loop stores that
+        one straight into the region.
         """
         run_ids = {id(e) for e in run}
         var_of: Dict[int, str] = {}
         arrays: List[_Array] = []
         arr_index: Dict[str, int] = {}
-        scalars: List[str] = []
+        # S[0] is the trip count, so the source does not depend on it
+        scalars: List[str] = [str(n)]
         scalar_index: Dict[str, int] = {}
         body: List[str] = []
 
@@ -576,7 +578,7 @@ class NativeEmitter:
             if id(x) in var_of:
                 return var_of[id(x)]
             if isinstance(x, Const):
-                # bake the literal, rounded to the Const's declared
+                # pass the value in S, rounded to the Const's declared
                 # dtype first — the Python path materializes e.g. an
                 # FP32 0.1 as float64(float32(0.1)), not the raw double
                 val = float(np.asarray(x.value, dtype=x.dtype.to_numpy()))
@@ -635,7 +637,7 @@ class NativeEmitter:
                 stores.append((e, out))
                 body.append(f"{out.cvar}[i] = {stored};")
 
-        fn = self._fresh_fn(f"s_{run[0].name}")
+        fn = f"s{len(self.functions)}"
         lines = [f"void {fn}(char** A, double* S) {{"]
         for k, a in enumerate(arrays):
             ct = _CTYPE[a.dt]
@@ -643,9 +645,12 @@ class NativeEmitter:
         for k, (_, a) in enumerate(stores, len(arrays)):
             ct = _CTYPE[a.dt]
             lines.append(f"    {ct}* {a.cvar} = ({ct}*)A[{k}];")
-        if not scalars:
-            lines.append("    (void)S;")
-        lines.append(f"    for (long long i = 0; i < {n}LL; ++i) {{")
+        lines.append("    const long long n = (long long)S[0];")
+        if n % _VF == 0:
+            # a trip count the vectorizer knows is whole vectors: no
+            # epilogue loop, which a plain runtime bound would add
+            lines.append(f"    if (n % {_VF}) __builtin_unreachable();")
+        lines.append("    for (long long i = 0; i < n; ++i) {")
         lines.extend(f"        {ln}" for ln in body)
         lines.append("    }")
         lines.append("}")

@@ -660,6 +660,85 @@ class TestNativeFusedCollectiveFaults:
         assert set(spmd_segments()) == before
 
 
+@needs_cc
+class TestStructureKeyedKernels:
+    """A kernel depends only on its program's fused structure: the
+    loop's trip count travels in ``S[0]`` and functions are named by
+    position, so one size or world size of a schedule emits the C of
+    every other."""
+
+    def test_tuned_adam_at_any_size_and_world_one_source(self):
+        from repro.workloads.adam import AdamWorkload
+        from repro.workloads.lamb import LambWorkload
+
+        gen = CodeGenerator(target="native")
+        two = gen.generate(_tuned(AdamWorkload, 4096, 2)).c_source
+        one = gen.generate(_tuned(AdamWorkload, 8192, 1)).c_source
+        lamb = gen.generate(_tuned(LambWorkload, 4096, 2)).c_source
+        assert two == one
+        assert native.source_key(two) == native.source_key(one)
+        assert "void s0(char** A, double* S)" in two
+        assert "n % 64" in two
+        assert lamb != two
+        assert native.source_key(lamb) != native.source_key(two)
+
+    def test_ragged_trip_count_gets_no_hint(self, kernel_cache):
+        from repro.cli import _seeded_inputs
+        from repro.workloads.adam import AdamWorkload
+
+        sched = _tuned(AdamWorkload, 200, 2)  # 100 elements a rank
+        gen = CodeGenerator(target="native").generate(sched)
+        assert "const long long n = (long long)S[0];" in gen.c_source
+        assert "__builtin_unreachable" not in gen.c_source
+        inputs = _seeded_inputs(sched.program, seed=0)
+        ex = Executor()
+        low = ex.run_lowered(sched, inputs, allow_downcast=True)
+        got = ex.run_spmd(
+            sched, inputs, allow_downcast=True, codegen_target="native",
+            timeout=120.0,
+        )
+        _assert_bit_identical(got, low)
+
+    def test_elastic_step_compiles_once(self, kernel_cache):
+        # the 2-rank launch compiles; its 1-rank recovery emits the
+        # same source and finds it in the in-process memo
+        from repro.cli import _seeded_inputs
+        from repro.observe import InstantEvent, Tracer
+        from repro.workloads.adam import AdamWorkload
+
+        def relower(ws):
+            sched = _tuned(AdamWorkload, 1024, ws)
+            return sched, _seeded_inputs(sched.program, seed=ws)
+
+        sched = _tuned(AdamWorkload)
+        sched1, inputs1 = relower(1)
+        oracle = Executor().run_lowered(sched1, inputs1, allow_downcast=True)
+        before = native.metrics.snapshot()
+        tracer = Tracer()
+        res = Executor().run_spmd(
+            sched, _seeded_inputs(sched.program, seed=0),
+            allow_downcast=True, codegen_target="native",
+            fault_plan=FaultPlan(seed=0).die(1, at_site="g"),
+            soft_timeout=0.5, timeout=30.0, elastic=True, relower=relower,
+            tracer=tracer,
+        )
+        after = native.metrics.snapshot()
+        assert res.elastic["world_size"] == 1
+        assert after.get("native.cache.compiles", 0) == (
+            before.get("native.cache.compiles", 0) + 1
+        )
+        assert after.get("native.cache.memo_hits", 0) >= (
+            before.get("native.cache.memo_hits", 0) + 1
+        )
+        compiles = [
+            e.name.split(":")[0] for e in tracer.events
+            if isinstance(e, InstantEvent) and e.cat == "compile"
+            and e.pid == tracer.pid
+        ]
+        assert compiles == ["compile"]
+        _assert_bit_identical(res, oracle)
+
+
 _IO_SOURCE = native.PRELUDE + r"""
 void diff(char** A, double* S) {
     const double* a = (const double*)A[0];
@@ -883,13 +962,29 @@ class TestLoopsVectorize:
     def test_half_conversions(self, tmp_path):
         assert self._scalar_loops(_CONV_HARNESS, tmp_path) == []
 
-    @pytest.mark.parametrize("workload", ["adam", "lamb"])
+    @pytest.mark.parametrize(
+        "workload", ["adam", "lamb", "adam_world1", "moe_fp32"]
+    )
     def test_tuned_optimizer_loops(self, tmp_path, workload):
+        from repro.cluster import Cluster
+        from repro.core.autotuner import Autotuner
+        from repro.core.dtypes import FP32
         from repro.workloads.adam import AdamWorkload
         from repro.workloads.lamb import LambWorkload
+        from repro.workloads.moe import MoEWorkload
 
-        wl = {"adam": AdamWorkload, "lamb": LambWorkload}[workload]
-        gen = CodeGenerator(target="native").generate(_tuned(wl))
+        if workload == "moe_fp32":  # the moe_ep_overlap benchmark's kernel
+            program = MoEWorkload.build(
+                capacity=32, model_dim=32, ffn_dim=64, world_size=2,
+                dtype=FP32,
+            ).program
+            sched = Autotuner(Cluster(1)).tune(program).best.schedule
+        elif workload == "adam_world1":  # an elastic recovery's kernel
+            sched = _tuned(AdamWorkload, ranks=1)
+        else:
+            wl = {"adam": AdamWorkload, "lamb": LambWorkload}[workload]
+            sched = _tuned(wl)
+        gen = CodeGenerator(target="native").generate(sched)
         assert self._scalar_loops(gen.c_source, tmp_path) == []
 
 

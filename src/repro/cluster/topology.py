@@ -79,8 +79,3 @@ class Cluster:
             f"{n.gpu_fabric_bandwidth / 1e9:.0f} GB/s NVSwitch per GPU, "
             f"{n.node_network_bandwidth / 1e9:.0f} GB/s IB per node)"
         )
-
-
-#: The paper's testbed: 16 DGX-2 nodes = 256 V100s.
-def paper_testbed() -> Cluster:
-    return Cluster(num_nodes=16)

@@ -11,7 +11,7 @@ machinery every transformation is built on.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
 from repro.core import ops as _ops
 from repro.core.tensor import Const, Expr, Scalar, Tensor
@@ -48,11 +48,6 @@ def users_map(roots: Sequence[Expr]) -> Dict[Expr, List[Expr]]:
         for inp in e.inputs:
             users.setdefault(inp, []).append(e)
     return users
-
-
-def is_on_path(producer: Expr, consumer: Expr) -> bool:
-    """Whether ``consumer`` (transitively) depends on ``producer``."""
-    return producer in reachable([consumer])
 
 
 def clone_with_inputs(
@@ -199,16 +194,3 @@ def region_live_outs(
         if external or e in root_set or isinstance(e, _ops.Update):
             outs.append(e)
     return outs
-
-
-def external_inputs(region: Iterable[Expr]) -> List[Expr]:
-    """Expressions feeding the region from outside it, in first-use order."""
-    region_set = set(region)
-    seen: Set[int] = set()
-    result: List[Expr] = []
-    for e in region:
-        for inp in e.inputs:
-            if inp not in region_set and id(inp) not in seen:
-                seen.add(id(inp))
-                result.append(inp)
-    return result

@@ -127,14 +127,3 @@ def exchange_chunk_shape(
             f"group size {group_size}"
         )
     return shape[:dim] + (shape[dim] // group_size,) + shape[dim + 1 :]
-
-
-def unsliced_shape(
-    per_rank_shape: Sequence[int], layout: Layout, group_size: int
-) -> Tuple[int, ...]:
-    """Inverse of :func:`slice_shape`: recover the global shape."""
-    shape = tuple(int(s) for s in per_rank_shape)
-    if not layout.is_sliced:
-        return shape
-    dim = normalize_dim(layout.dim, len(shape))
-    return shape[:dim] + (shape[dim] * group_size,) + shape[dim + 1 :]

@@ -9,14 +9,12 @@ and the size of WORLD."
 This package reproduces those properties over the
 :mod:`repro.cluster` hardware model: ring/tree topologies, the LL /
 LL128 / Simple protocols with their latency-bandwidth trade-offs,
-channel configuration, three-level tiling (buffer tiles → chunks), the
-step schedules of ring collectives, and an analytic cost model used by
-both the autotuner and the benchmarks.
+channel configuration, the pairwise AllToAll's step schedule, and an
+analytic cost model used by both the autotuner and the benchmarks.
 """
 
 from repro.nccl.protocol import LL, LL128, SIMPLE, ALL_PROTOCOLS, Protocol
 from repro.nccl.ring import Ring, build_ring
-from repro.nccl.chunking import ChunkSchedule, chunk_order, tile_chunks
 from repro.nccl.config import CollectiveConfig, choose_config
 from repro.nccl.cost_model import (
     Algorithm,
@@ -37,9 +35,6 @@ __all__ = [
     "ALL_PROTOCOLS",
     "Ring",
     "build_ring",
-    "ChunkSchedule",
-    "chunk_order",
-    "tile_chunks",
     "CollectiveConfig",
     "choose_config",
     "Algorithm",

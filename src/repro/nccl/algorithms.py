@@ -1,22 +1,17 @@
-"""Step schedules of the ring collectives, plus a numeric step-by-step
-ring simulator used to prove the algorithms against the reference
-collectives.
+"""Step schedules of the collectives: the sends of the pairwise
+AllToAll, a numeric step-by-step AllToAll simulator used to prove that
+schedule against the reference collective, and the step counts and
+tree depth the cost model prices.
 
-Ring ReduceScatter: in step t (0-based), rank r sends chunk
-``(r - t) mod n`` to rank ``r+1`` and reduces the incoming chunk
-``(r - t - 1) mod n`` into its accumulator. After ``n-1`` steps, rank r
-holds the full reduction of chunk ``(r + 1) mod n``.
-
-Ring AllGather: in step t, rank r forwards the completed chunk it
-received in step t-1. After ``n-1`` steps everyone holds all chunks.
-
-Ring AllReduce is ReduceScatter followed by AllGather: ``2(n-1)`` steps.
+Ring ReduceScatter and AllGather take ``n-1`` steps on ``n`` ranks;
+ring AllReduce is ReduceScatter followed by AllGather: ``2(n-1)``
+steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -29,24 +24,6 @@ class Step:
     src: int
     dst: int
     chunk: int
-
-
-def reduce_scatter_steps(n: int) -> List[Step]:
-    """The ``n*(n-1)`` sends of a ring ReduceScatter on ``n`` ranks."""
-    steps: List[Step] = []
-    for t in range(n - 1):
-        for r in range(n):
-            steps.append(Step(t, r, (r + 1) % n, (r - t) % n))
-    return steps
-
-
-def all_gather_steps(n: int) -> List[Step]:
-    """The sends of a ring AllGather; rank r owns chunk (r+1) mod n."""
-    steps: List[Step] = []
-    for t in range(n - 1):
-        for r in range(n):
-            steps.append(Step(t, r, (r + 1) % n, (r + 1 - t) % n))
-    return steps
 
 
 def all_to_all_steps(n: int) -> List[Step]:
@@ -79,38 +56,6 @@ def num_steps(kind: str, n: int) -> int:
     ):
         return n - 1
     raise ValueError(f"unknown collective {kind!r}")
-
-
-def simulate_ring_allreduce(values: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """Execute ring AllReduce step by step on numpy arrays.
-
-    Used by tests to show the ring algorithm computes the same result
-    as the per-rank AllReduce oracle. Accumulates in float64 like the
-    oracle.
-    """
-    n = len(values)
-    if n == 1:
-        return [values[0].copy()]
-    chunks: List[List[np.ndarray]] = [
-        [c.astype(np.float64) for c in np.array_split(v, n)] for v in values
-    ]
-    # Reduce-scatter phase: after step t, rank r's chunk (r - t) mod n
-    # has accumulated t+1 contributions.
-    for t in range(n - 1):
-        moving = [(r, chunks[r][(r - t) % n]) for r in range(n)]
-        for r, data in moving:
-            dst = (r + 1) % n
-            chunks[dst][(r - t) % n] = chunks[dst][(r - t) % n] + data
-    # All-gather phase: rank r owns the fully reduced chunk (r + 1) mod n.
-    for t in range(n - 1):
-        moving = [(r, chunks[r][(r + 1 - t) % n]) for r in range(n)]
-        for r, data in moving:
-            dst = (r + 1) % n
-            chunks[dst][(r + 1 - t) % n] = data
-    return [
-        np.concatenate([c for c in chunks[r]]).astype(values[r].dtype)
-        for r in range(n)
-    ]
 
 
 def simulate_alltoall(

@@ -94,13 +94,14 @@ class Tracer:
         self.pid = pid
         self.events: List[object] = []
         self.metrics = MetricsRegistry()
-        self._epoch = time.perf_counter()
+        #: the ``time.perf_counter()`` reading that is this tracer's 0
+        self.epoch = time.perf_counter()
 
     # -- clock ----------------------------------------------------------
 
     def now(self) -> float:
         """Seconds since this tracer's epoch."""
-        return time.perf_counter() - self._epoch
+        return time.perf_counter() - self.epoch
 
     # -- recording ------------------------------------------------------
 

@@ -1,33 +1,36 @@
-"""File-backed per-rank trace ring buffers for the SPMD backend.
+"""Per-rank trace ring buffers for the SPMD backend, in shared memory.
 
-Each SPMD rank process appends fixed-size records into its own
-memory-mapped file; the parent merges every rank's file after the run.
-The design constraints come straight from the failure-handling story of
+A traced launch of :mod:`repro.runtime.spmd` sizes its flags segment
+(an anonymous ``memfd`` every rank inherits) with one ring per rank
+after the flags. Each rank appends fixed-size records into its own
+ring; the parent merges every rank's ring after the run. The design
+constraints come straight from the failure-handling story of
 :mod:`repro.runtime.spmd`:
 
-* **Survives faulty teardown.** Records live in a plain file mapped
-  ``MAP_SHARED`` — the page cache keeps every record written before a
-  worker dies (even on ``terminate()``), so the parent can still
-  harvest the timeline of a failing rank. A record only becomes
-  visible when the header count is bumped *after* the record write, so
-  a torn in-flight record is never read.
-* **No ``/dev/shm`` footprint.** Rings are ordinary files in a caller
-  owned directory (the executor uses a temp dir it removes), so the
-  backend's no-leaked-segments guarantee is untouched.
+* **Survives faulty teardown.** The parent holds the segment's fd
+  after a rank dies (even on ``SIGKILL``), so it still reads every
+  record written before the death. A record only becomes visible when
+  the header count is bumped *after* the record write, so a torn
+  in-flight record is never read.
+* **Nothing on disk.** No file or directory is created: the launch's
+  ``ftruncate`` of the flags segment zeroes every ring, and the rings
+  go when the segment does.
 * **Low overhead.** One record is a single structured-dtype row write
-  into the mmap (~112 B); no locks, since each rank owns its file.
-  Names and site keys are fixed-width bytes (truncated if longer) so
-  no string table needs to survive the process.
+  (112 B); no locks, since each rank owns its ring. Names and site
+  keys are fixed-width bytes (truncated if longer) so no string table
+  needs to survive the process.
 
-Timestamps are ``time.monotonic_ns()`` — ``CLOCK_MONOTONIC`` is
-system-wide on Linux, so spans from different rank processes are
-directly comparable; the merge rebases them onto the earliest record.
+Timestamps are ``time.perf_counter_ns()``: the clock of
+:class:`~repro.observe.events.Tracer` (``CLOCK_MONOTONIC``, system-wide
+on Linux), so spans from different rank processes are directly
+comparable, and the merge places them on the parent tracer's timeline
+by subtracting its epoch.
 """
 
 from __future__ import annotations
 
-import os
-from typing import TYPE_CHECKING, Dict, List, Optional
+import time
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -73,16 +76,13 @@ KIND_NAMES = {
 #: kinds merged as point markers rather than spans
 _INSTANT_KINDS = (KIND_STALL, KIND_FAULT, KIND_COMPILE)
 
-_MAGIC = 0x54524143  # "TRAC"
-
-HEADER_DTYPE = np.dtype(
-    [("magic", "i8"), ("capacity", "i8"), ("count", "i8"), ("_pad", "i8")]
-)
+#: the total number of appends
+HEADER_DTYPE = np.dtype([("count", "i8")])
 
 RECORD_DTYPE = np.dtype(
     [
         ("kind", "i8"),
-        ("ts", "i8"),      # monotonic_ns at span start
+        ("ts", "i8"),      # perf_counter_ns at span start
         ("dur", "i8"),     # span duration, ns
         ("nbytes", "i8"),  # payload bytes moved (publish records)
         ("seq", "i8"),     # site sequence number / chunk index
@@ -95,55 +95,34 @@ DEFAULT_CAPACITY = 32768
 
 
 class TraceRing:
-    """A fixed-capacity ring of trace records over one mapped file.
+    """A fixed-capacity ring of trace records over ``buf`` at ``offset``.
 
-    ``count`` in the header is the *total* number of appends; once it
-    exceeds the capacity the ring wraps and the oldest records are
-    overwritten (``dropped`` = ``count - capacity``). The writer bumps
-    the count only after the record row is fully written, so a reader
-    in another process never observes a half-written record.
+    ``buf`` is any writable buffer of at least :meth:`nbytes` bytes
+    past ``offset``; zeroed bytes are an empty ring. ``count`` in the
+    header is the *total* number of appends; once it exceeds the
+    capacity the ring wraps and the oldest records are overwritten
+    (``dropped`` = ``count - capacity``). The writer bumps the count only
+    after the record row is fully written, so a reader in another
+    process never observes a half-written record. The ring's arrays pin
+    ``buf`` until :meth:`close`.
     """
 
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._mm: Optional[np.memmap] = np.memmap(path, dtype=np.uint8,
-                                                  mode="r+")
-        if self._mm.size < HEADER_DTYPE.itemsize:
-            self.close()
-            raise ValueError(f"{path!r} is not a trace ring (truncated)")
+    def __init__(
+        self, buf, offset: int = 0, capacity: int = DEFAULT_CAPACITY
+    ) -> None:
+        self.capacity = capacity
         self._header = np.ndarray(
-            (), dtype=HEADER_DTYPE, buffer=self._mm
+            (), dtype=HEADER_DTYPE, buffer=buf, offset=offset
         )
-        if int(self._header["magic"]) != _MAGIC:
-            self.close()
-            raise ValueError(f"{path!r} is not a trace ring")
-        self.capacity = int(self._header["capacity"])
-        body = self._mm.size - HEADER_DTYPE.itemsize
-        if self.capacity < 1 or body < self.capacity * RECORD_DTYPE.itemsize:
-            self.close()
-            raise ValueError(
-                f"{path!r} is not a trace ring (corrupt capacity)"
-            )
         self._records = np.ndarray(
-            (self.capacity,), dtype=RECORD_DTYPE, buffer=self._mm,
-            offset=HEADER_DTYPE.itemsize,
+            (capacity,), dtype=RECORD_DTYPE, buffer=buf,
+            offset=offset + HEADER_DTYPE.itemsize,
         )
 
-    @classmethod
-    def create(cls, path: str, capacity: int = DEFAULT_CAPACITY) -> "TraceRing":
-        """Preallocate and zero-initialize a ring file."""
-        capacity = max(1, int(capacity))
-        size = HEADER_DTYPE.itemsize + capacity * RECORD_DTYPE.itemsize
-        with open(path, "wb") as f:
-            f.truncate(size)
-        mm = np.memmap(path, dtype=np.uint8, mode="r+")
-        header = np.ndarray((), dtype=HEADER_DTYPE, buffer=mm)
-        header["capacity"] = capacity
-        header["magic"] = _MAGIC
-        del header
-        mm.flush()
-        del mm
-        return cls(path)
+    @staticmethod
+    def nbytes(capacity: int = DEFAULT_CAPACITY) -> int:
+        """Bytes one ring of ``capacity`` records occupies."""
+        return HEADER_DTYPE.itemsize + capacity * RECORD_DTYPE.itemsize
 
     # -- writer side ----------------------------------------------------
 
@@ -190,86 +169,52 @@ class TraceRing:
         )
 
     def close(self) -> None:
+        """Drop the arrays over the buffer, so it can be unmapped."""
         self._records = None
         self._header = None
-        if self._mm is not None:
-            self._mm.flush()
-            del self._mm
-            self._mm = None
-
-
-def _rank_of(filename: str) -> Optional[int]:
-    stem = os.path.splitext(filename)[0]
-    if stem.startswith("rank") and stem[4:].isdigit():
-        return int(stem[4:])
-    return None
 
 
 def merge_rank_traces(
-    trace_dir: str,
-    base: float = 0.0,
+    rings: Sequence[TraceRing],
+    epoch: float = 0.0,
     metrics: Optional[MetricsRegistry] = None,
 ) -> List[object]:
-    """Merge every ``rank<N>.ring`` file of a run into one event list.
+    """Merge the rings of a run, ``rings[r]`` rank ``r``'s, into one
+    event list.
 
-    Timestamps are rebased so the earliest record across all ranks maps
-    to ``base`` seconds (typically the parent tracer's clock reading at
-    launch time). Publish/wait/reduce records land on each rank's
-    ``comm`` track, generated-kernel spans on its ``kernels`` track; a
-    per-rank bytes-moved counter series is emitted alongside, and
-    ``metrics`` (when given) receives ``spmd.rank<N>.bytes_published``,
-    per-rank event counts, and any dropped-record count
-    (``spmd.events_dropped``). The launch itself adds
-    ``spmd.segment_reuses`` (launches that kept the data segment's
+    Record timestamps are ``perf_counter`` readings; each event's is
+    the reading minus ``epoch`` seconds, the epoch of the
+    :class:`~repro.observe.events.Tracer` the events join, so rank
+    events land where they ran on its timeline. Publish/wait/reduce
+    records land on each rank's ``comm`` track, generated-kernel spans
+    on its ``kernels`` track; a per-rank bytes-moved counter series is
+    emitted alongside, and ``metrics`` (when given) receives
+    ``spmd.rank<N>.bytes_published``, per-rank event counts, and any
+    dropped-record count (``spmd.events_dropped``). The launch itself
+    adds ``spmd.segment_reuses`` (launches that kept the data segment's
     pages) and ``spmd.segment_bytes_allocated`` (bytes of data segment
     created or grown): see :meth:`repro.runtime.spmd.RankPool.launch`.
 
     Every rank's ring health is *tagged*, never silently dropped: a
-    rank whose ring file is unreadable gets a ``ring-corrupt`` instant
-    marker (and ``spmd.rank<N>.ring_corrupt`` metric), a wrapped ring
-    that lost its oldest records gets ``ring-truncated``, and a valid
-    ring with zero records gets ``ring-empty`` — so a post-mortem can
-    tell "rank died mid-run" (records up to the fault, or a truncated
-    tail) from "rank never traced" (empty/corrupt from the start) while
-    still harvesting every healthy rank.
+    wrapped ring that lost its oldest records gets a ``ring-truncated``
+    instant marker (and ``spmd.rank<N>.ring_truncated`` metric), and a
+    ring with zero records gets ``ring-empty``, both stamped at the
+    merge. A post-mortem can tell "rank died mid-run" (records up to
+    the fault, or a truncated tail) from "rank never traced" (empty
+    from the start) while still harvesting every healthy rank.
     """
     from repro.observe.events import CounterEvent, InstantEvent, SpanEvent
 
-    per_rank: Dict[int, np.ndarray] = {}
-    statuses: Dict[int, str] = {}
-    dropped_total = 0
-    try:
-        names = sorted(os.listdir(trace_dir))
-    except OSError:
-        names = []
-    for fn in names:
-        rank = _rank_of(fn)
-        if rank is None:
-            continue
-        try:
-            ring = TraceRing(os.path.join(trace_dir, fn))
-        except (OSError, ValueError):
-            per_rank[rank] = np.empty((0,), dtype=RECORD_DTYPE)
-            statuses[rank] = "corrupt"
-            continue
-        try:
-            per_rank[rank] = ring.records()
-            dropped_total += ring.dropped
-            if ring.dropped:
-                statuses[rank] = "truncated"
-            elif ring.count == 0:
-                statuses[rank] = "empty"
-            else:
-                statuses[rank] = "ok"
-        finally:
-            ring.close()
-
-    t0 = min(
-        (int(recs["ts"].min()) for recs in per_rank.values() if len(recs)),
-        default=0,
-    )
+    merged_at = time.perf_counter() - epoch
     events: List[object] = []
-    for rank, recs in sorted(per_rank.items()):
+    dropped_total = 0
+    for rank, ring in enumerate(rings):
+        recs = ring.records()
+        dropped_total += ring.dropped
+        status = (
+            "truncated" if ring.dropped else "empty" if not len(recs)
+            else "ok"
+        )
         pid = f"rank{rank}"
         bytes_published = 0
         for rec in recs:
@@ -277,7 +222,7 @@ def merge_rank_traces(
             cat = KIND_NAMES.get(kind, f"kind{kind}")
             name = rec["name"].decode("ascii", "replace") or cat
             site = rec["site"].decode("ascii", "replace")
-            ts = base + (int(rec["ts"]) - t0) / 1e9
+            ts = int(rec["ts"]) / 1e9 - epoch
             dur = int(rec["dur"]) / 1e9
             args: Dict[str, object] = {"seq": int(rec["seq"])}
             if site:
@@ -309,11 +254,10 @@ def merge_rank_traces(
                         "bytes_published", ts + dur, bytes_published, pid
                     )
                 )
-        status = statuses.get(rank, "ok")
         if status != "ok":
             events.append(
                 InstantEvent(
-                    f"ring-{status}", "fault", base, pid, "faults",
+                    f"ring-{status}", "fault", merged_at, pid, "faults",
                     {"rank": rank, "records": int(len(recs))},
                 )
             )

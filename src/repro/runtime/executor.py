@@ -101,12 +101,6 @@ class Executor:
     def __init__(self) -> None:
         from repro.runtime.spmd import RankPool
 
-        # Elastic recovery memo: (structural hash of the original
-        # schedule, world size) -> re-lowered Artifact, so repeated
-        # recoveries of the same workload skip re-lowering entirely.
-        self._elastic_cache: Dict[tuple, object] = {}
-        self.elastic_cache_hits = 0
-        self.elastic_cache_misses = 0
         self._pool = RankPool()
 
     def close(self) -> None:
@@ -126,7 +120,6 @@ class Executor:
         self,
         scheduled,
         inputs: Mapping[str, np.ndarray],
-        nranks: Optional[int] = None,
         allow_downcast: Optional[bool] = None,
         wire_s_per_mb: float = 0.0,
         timeout: Optional[float] = None,
@@ -147,13 +140,13 @@ class Executor:
         the communicator applies the same rank-order float64 reduction
         formulas as the vectorized collectives.
 
-        ``nranks``, when given, must equal the program's world size (a
-        program's placement is baked in at construction). ``wire_s_per_mb``
-        charges simulated wire time per published megabyte, letting
-        benchmarks measure real overlap; ``timeout`` bounds every
-        rendezvous wait so a failing rank cannot deadlock the run, and
-        ``soft_timeout`` sets the escalation (soft-retry) deadline
-        inside each wait. ``fault_plan`` injects a deterministic
+        The program's world size is the number of rank processes (a
+        program's placement is baked in at construction).
+        ``wire_s_per_mb`` charges simulated wire time per published
+        megabyte, letting benchmarks measure real overlap; ``timeout``
+        bounds every rendezvous wait so a failing rank cannot deadlock
+        the run, and ``soft_timeout`` sets the escalation (soft-retry)
+        deadline inside each wait. ``fault_plan`` injects a deterministic
         :class:`~repro.runtime.faults.FaultPlan` into every rank.
 
         ``elastic=True`` arms recovery from dead ranks: when the run
@@ -168,10 +161,11 @@ class Executor:
         record in ``result.elastic``.
 
         ``tracer``, when given (a :class:`repro.observe.Tracer`), makes
-        every rank record publish/wait/reduce/kernel spans into a
-        file-backed ring buffer; the rings are merged into the tracer's
-        event list after the run — *including* when a rank faults, so
-        the timeline of a failed run is still harvested.
+        every rank record publish/wait/reduce/kernel spans into a ring
+        buffer in the launch's shared memory; the rings are merged into
+        the tracer's event list, on its clock, after the run —
+        *including* when a rank faults, so the timeline of a failed run
+        is still harvested.
 
         ``codegen_target="native"`` executes the same schedule with the
         elementwise chains compiled to C through the content-addressed
@@ -204,9 +198,7 @@ class Executor:
         first = self._pool.started  # the origin of this call's first rank
         try:
             try:
-                return attempt(
-                    scheduled, inputs, nranks=nranks, fault_plan=fault_plan
-                )
+                return attempt(scheduled, inputs, fault_plan=fault_plan)
             except SpmdWorkerError as exc:
                 if not elastic or not exc.dead_ranks:
                     raise
@@ -259,19 +251,14 @@ class Executor:
         ``spawned`` (the ranks started during the recovery), both
         counted within this call however many steps the pool ran before.
 
-        Re-lowered programs are memoized on the executor as serialized
-        artifacts keyed by (structural hash of the original schedule,
-        recovered world size): a second recovery of the same workload at
-        the same world size skips the lower-and-serialize step entirely
-        and executes the cached artifact (``relower`` is still called —
-        it also rebuilds the inputs for the smaller world). The hit is
-        recorded in ``result.elastic["artifact_cache"]`` and in the
-        executor's ``elastic_cache_hits`` / ``elastic_cache_misses``
-        counters.
+        Every attempt runs what ``relower`` returned for it: a later
+        recovery that re-lowers differently runs its own schedule.
+        Native kernels are keyed by their fused structure, so an attempt
+        that fuses like an earlier launch loads them from the
+        in-process memo instead of compiling.
         """
         import time as _time
 
-        from repro.core import artifact as artifact_mod
         from repro.errors import CoCoNetError
 
         program = scheduled.program if hasattr(scheduled, "program") \
@@ -289,7 +276,6 @@ class Executor:
         pool = self._pool
         t0 = _time.perf_counter()
         started = pool.started
-        base_sig = artifact_mod.as_artifact(scheduled).structural_hash
         attempted = []
         last_error: Exception = exc
         for ws in range(world_size - len(dead), 0, -1):
@@ -302,18 +288,9 @@ class Executor:
                 scheduled2, inputs2 = relowered
             else:
                 scheduled2, inputs2 = relowered, inputs
-            cached = self._elastic_cache.get((base_sig, ws))
-            if cached is not None:
-                self.elastic_cache_hits += 1
-                cache_state = "hit"
-            else:
-                self.elastic_cache_misses += 1
-                cache_state = "miss"
-                cached = artifact_mod.as_artifact(scheduled2)
-                self._elastic_cache[(base_sig, ws)] = cached
             ts = tracer.now() if tracer is not None else 0.0
             try:
-                result = attempt(cached, inputs2)
+                result = attempt(scheduled2, inputs2)
             except CoCoNetError as err:
                 last_error = err
                 continue
@@ -330,8 +307,7 @@ class Executor:
                     tracer.instant(
                         "elastic-relower", cat="fault", ts=ts,
                         args={
-                            "world_size": ws, "dead_ranks": dead,
-                            "artifact_cache": cache_state, **ranks,
+                            "world_size": ws, "dead_ranks": dead, **ranks,
                         },
                     )
             result.elastic = {
@@ -341,7 +317,6 @@ class Executor:
                 "attempted": attempted,
                 "recovery_seconds": _time.perf_counter() - t0,
                 "cause": str(exc).splitlines()[0],
-                "artifact_cache": cache_state,
                 **ranks,
             }
             # a failed attempt's traceback holds this frame: drop it, so

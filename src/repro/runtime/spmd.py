@@ -97,8 +97,9 @@ it keeps everything else off that path, and no array crosses a socket:
    caller's ``__main__``, the lowering or the compiler side. A launch
    first adopts the pool's idle ranks (elastic recovery), which already
    hold both fds at the same numbers; it starts fresh ranks only for
-   the rest. With an ``observer``, it creates one trace ring file per
-   rank in a temporary directory.
+   the rest. With an ``observer``, the flags segment also holds one
+   trace ring per rank after the flags (:meth:`SpmdLayout.ring_offset`),
+   zeroed with them.
 2. While the ranks import, the parent casts every input straight into
    the region of each rank that holds it (the checks and downcast
    policy of :func:`repro.runtime.world.place_inputs`) and unmaps the
@@ -116,8 +117,9 @@ it keeps everything else off that path, and no array crosses a socket:
    that is the one compile, still overlapping the ranks' imports, and
    made before any rendezvous deadline starts.
 3. The parent sends each rank one pickled spec: layout, deadlines,
-   fault plan, trace path, the generated module's ``source`` and, on
-   the native target, the kernel object's ``(key, path, functions)``.
+   fault plan, whether to trace, the generated module's ``source``
+   and, on the native target, the kernel object's ``(key, path,
+   functions)``.
    A spec is a few KB, well inside a socket's send buffer, so the send
    does not wait for the rank.
 4. Each rank ``exec``s that source (no rank loads an artifact, runs the
@@ -136,7 +138,10 @@ it keeps everything else off that path, and no array crosses a socket:
 5. The parent maps the segment again and copies each result out in one
    pass, so no returned array aliases the segment, which the next
    launch overwrites. The teardown merges the trace rings into the
-   ``observer`` and removes them, after a failed launch too.
+   ``observer``, after a failed launch too: the parent still holds the
+   flags segment a dead rank wrote its ring into. Ranks stamp records
+   with ``time.perf_counter_ns()``, the tracer's clock, so each event
+   lands on the tracer's timeline where it ran.
 
 Failure handling
 ----------------
@@ -396,6 +401,15 @@ class SpmdLayout:
         # ready+done per (site, rank), then one error flag per rank
         return self.num_sites * self.nranks * 2 + self.nranks
 
+    def flags_bytes(self, traced: bool = False) -> int:
+        """Bytes of the flags segment: the flags, then on a traced
+        launch one trace ring per rank (see :meth:`ring_offset`)."""
+        return self.ring_offset(self.nranks if traced else 0)
+
+    def ring_offset(self, rank: int) -> int:
+        """Byte offset of ``rank``'s trace ring in the flags segment."""
+        return self.flags_length() * 8 + rank * TraceRing.nbytes()
+
 
 def build_layout(program) -> SpmdLayout:
     """Enumerate the program's communication sites and data regions.
@@ -539,7 +553,7 @@ class SpmdCommunicator:
         flags: mmap.mmap,
         wire_s_per_mb: float = 0.0,
         timeout: float = DEFAULT_TIMEOUT,
-        trace_path: Optional[str] = None,
+        traced: bool = False,
         soft_timeout: Optional[float] = None,
         faults: Optional[FaultPlan] = None,
     ) -> None:
@@ -565,11 +579,12 @@ class SpmdCommunicator:
         self._err_off = layout.num_sites * layout.nranks * 2
         self._closed = False
         self._clean = True
-        # observability: the per-rank trace ring plus the current
-        # operation context (kept even without a ring — it is the
-        # structured context attached to propagated worker errors)
+        # observability: the rank's trace ring in the flags segment
+        # plus the current operation context (kept even without a ring
+        # — it is the structured context attached to propagated worker
+        # errors)
         self._ring: Optional[TraceRing] = (
-            TraceRing(trace_path) if trace_path else None
+            TraceRing(flags, layout.ring_offset(rank)) if traced else None
         )
         self._op = ""
         self._site = ""
@@ -580,7 +595,7 @@ class SpmdCommunicator:
         # shows what was injected even if the rank never reaches it
         self._faults = faults.for_rank(rank) if faults is not None else None
         if self._faults is not None and self._ring is not None:
-            now = time.monotonic_ns()
+            now = time.perf_counter_ns()
             for desc in self._faults.armed():
                 self._ring.append(KIND_FAULT, now, 0, name=f"armed:{desc}")
 
@@ -589,13 +604,14 @@ class SpmdCommunicator:
     @classmethod
     def attach(
         cls, layout: SpmdLayout, rank: int, data_fd: int, flags_fd: int,
-        **kwargs,
+        traced: bool = False, **kwargs,
     ) -> "SpmdCommunicator":
         """Map the segments behind ``data_fd`` and ``flags_fd`` (the
         caller keeps the fds); ``kwargs`` are :meth:`__init__`'s."""
         return cls(
             layout, rank, mmap.mmap(data_fd, layout.data_size),
-            mmap.mmap(flags_fd, layout.flags_length() * 8), **kwargs,
+            mmap.mmap(flags_fd, layout.flags_bytes(traced)),
+            traced=traced, **kwargs,
         )
 
     # -- flags ----------------------------------------------------------
@@ -650,7 +666,7 @@ class SpmdCommunicator:
         """
         if cond():
             return
-        t0 = time.monotonic_ns() if self._ring is not None else 0
+        t0 = time.perf_counter_ns() if self._ring is not None else 0
         start = time.monotonic()
         deadline = start + self.timeout
         next_soft = start + self.soft_timeout
@@ -673,7 +689,7 @@ class SpmdCommunicator:
                     next_soft = now + self.soft_timeout
                     if self._ring is not None:
                         self._ring.append(
-                            KIND_STALL, time.monotonic_ns(), 0,
+                            KIND_STALL, time.perf_counter_ns(), 0,
                             seq=retries, site=site or self._site,
                             name=what,
                         )
@@ -683,7 +699,7 @@ class SpmdCommunicator:
             # the stall is exactly what the merged trace must show
             if self._ring is not None:
                 self._ring.append(
-                    KIND_WAIT, t0, time.monotonic_ns() - t0,
+                    KIND_WAIT, t0, time.perf_counter_ns() - t0,
                     seq=self._site_seq, site=site or self._site, name=what,
                 )
 
@@ -695,7 +711,7 @@ class SpmdCommunicator:
     ) -> None:
         if self._ring is not None:
             self._ring.append(
-                kind, t0, time.monotonic_ns() - t0,
+                kind, t0, time.perf_counter_ns() - t0,
                 nbytes=nbytes, seq=seq, site=site, name=name,
             )
 
@@ -713,7 +729,7 @@ class SpmdCommunicator:
         if self._ring is not None:
             self._ring.append(
                 KIND_COMPILE,
-                time.monotonic_ns(),
+                time.perf_counter_ns(),
                 int(seconds * 1e9),
                 name=f"hit:{key}",
             )
@@ -775,7 +791,7 @@ class SpmdCommunicator:
         delay = f.publish_delay(site, seq)
         if delay > 0.0:
             self._trace(
-                KIND_FAULT, time.monotonic_ns(), seq=seq, site=site,
+                KIND_FAULT, time.perf_counter_ns(), seq=seq, site=site,
                 name=f"stall_publish {delay:g}s",
             )
             time.sleep(delay)
@@ -785,17 +801,16 @@ class SpmdCommunicator:
     def _die(self, site: str, seq: int) -> None:
         """Injected hard death: no error flag, no parent message.
 
-        The fault marker is flushed to the ring first (the page cache
-        keeps it through process exit), then the process vanishes —
-        detection is entirely the parent's and the peers' problem,
-        which is the point.
+        The fault marker is written to the ring first (the parent holds
+        the segment, so it outlives the process), then the process
+        vanishes — detection is entirely the parent's and the peers'
+        problem, which is the point.
         """
         if self._ring is not None:
             self._ring.append(
-                KIND_FAULT, time.monotonic_ns(), 0, seq=seq, site=site,
+                KIND_FAULT, time.perf_counter_ns(), 0, seq=seq, site=site,
                 name="die",
             )
-            self._ring.close()
         os._exit(_DIE_EXIT_CODE)
 
     # -- rendezvous core --------------------------------------------------
@@ -870,7 +885,7 @@ class SpmdCommunicator:
         redeliver: Optional[float] = None
         try:
             for c, sl in enumerate(pub.chunks):
-                t0 = time.monotonic_ns() if self._ring is not None else 0
+                t0 = time.perf_counter_ns() if self._ring is not None else 0
                 view[sl] = payload[sl]
                 if out is not None:
                     out[sl] = payload[sl]
@@ -882,7 +897,7 @@ class SpmdCommunicator:
                     drop = self._faults.drop(key, c)
                     if drop is not None:
                         self._trace(
-                            KIND_FAULT, time.monotonic_ns(), seq=c,
+                            KIND_FAULT, time.perf_counter_ns(), seq=c,
                             site=key, name=f"drop_chunk {c}",
                         )
                         redeliver = drop.redeliver
@@ -890,7 +905,7 @@ class SpmdCommunicator:
                 if redeliver is not None:
                     time.sleep(redeliver)
                     self._trace(
-                        KIND_FAULT, time.monotonic_ns(), seq=c, site=key,
+                        KIND_FAULT, time.perf_counter_ns(), seq=c, site=key,
                         name="redeliver",
                     )
                     redeliver = None
@@ -906,7 +921,7 @@ class SpmdCommunicator:
                 last = len(pub.chunks)
                 time.sleep(redeliver)
                 self._trace(
-                    KIND_FAULT, time.monotonic_ns(), seq=last - 1, site=key,
+                    KIND_FAULT, time.perf_counter_ns(), seq=last - 1, site=key,
                     name="redeliver",
                 )
                 self._set_ready(
@@ -975,7 +990,7 @@ class SpmdCommunicator:
         payload's span starts once every payload is in, so it covers the
         reduction only.
         """
-        t0 = time.monotonic_ns() if self._ring is not None else 0
+        t0 = time.perf_counter_ns() if self._ring is not None else 0
         shape = list(pub.shape)
         if shard is not None:
             dim, lo, hi = shard
@@ -987,7 +1002,7 @@ class SpmdCommunicator:
                 for r in pub.ranks:
                     self._wait(pub, r, c)
                 if not pub.chunked and self._ring is not None:
-                    t0 = time.monotonic_ns()
+                    t0 = time.perf_counter_ns()
                 box = _clip(chunk, pub.shape, shard)
                 if box is not None:
                     src, dst = box
@@ -1275,7 +1290,7 @@ class SpmdCommunicator:
                     self._clean = False
                     if self._ring is not None:
                         self._ring.append(
-                            KIND_FAULT, time.monotonic_ns(), 0,
+                            KIND_FAULT, time.perf_counter_ns(), 0,
                             name="stream-leak",
                         )
         self._streams = []
@@ -1313,7 +1328,7 @@ class _KernelSpan:
         if comm._ring is not None or (
             faults is not None and faults.kernel_factor > 1.0
         ):
-            self._t0 = time.monotonic_ns()
+            self._t0 = time.perf_counter_ns()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -1326,7 +1341,7 @@ class _KernelSpan:
             and exc_type is None
         ):
             # straggler: stretch the kernel's elapsed time by the factor
-            elapsed = (time.monotonic_ns() - self._t0) / 1e9
+            elapsed = (time.perf_counter_ns() - self._t0) / 1e9
             time.sleep(elapsed * (faults.kernel_factor - 1.0))
         comm._trace(
             KIND_KERNEL, self._t0, seq=comm._site_seq, site=comm._site,
@@ -1595,6 +1610,23 @@ def _read_results(layout: SpmdLayout, program, buf):
     return outputs, states
 
 
+def _merge_rings(layout: SpmdLayout, flags_fd: int, observer) -> None:
+    """Merge the ranks' trace rings in the flags segment into
+    ``observer``, on its clock."""
+    with mmap.mmap(flags_fd, layout.flags_bytes(traced=True)) as flags:
+        rings = [
+            TraceRing(flags, layout.ring_offset(r))
+            for r in range(layout.nranks)
+        ]
+        try:
+            observer.extend(
+                merge_rank_traces(rings, observer.epoch, observer.metrics)
+            )
+        finally:
+            for ring in rings:
+                ring.close()
+
+
 def _segment(name: str, size: int) -> int:
     """A new ``size``-byte anonymous shared-memory file (zero-filled)."""
     fd = os.memfd_create(name)
@@ -1705,7 +1737,6 @@ class RankPool:
         generated,
         inputs: Mapping[str, np.ndarray],
         *,
-        nranks: Optional[int] = None,
         allow_downcast: Optional[bool] = None,
         wire_s_per_mb: float = 0.0,
         timeout: Optional[float] = None,
@@ -1748,10 +1779,12 @@ class RankPool:
 
         ``observer`` (a :class:`~repro.observe.events.Tracer`) hears of
         the native compile, and every rank records its
-        publish/wait/reduce/kernel spans into a ``rank<N>.ring`` file
-        (see :mod:`repro.observe.ring`) in a temporary directory. The
-        teardown merges the rings into ``observer``, failed launches
-        included, then removes them. Its ``metrics`` also count
+        publish/wait/reduce/kernel spans into its own trace ring (see
+        :mod:`repro.observe.ring`), placed after the flags in the flags
+        segment. The teardown merges the rings into ``observer``,
+        failed launches included, on the tracer's clock: every rank
+        event lies where it ran, after the specs were sent. No file is
+        written. Its ``metrics`` also count
         ``spmd.segment_reuses``, the launches that kept the data
         segment's pages, and ``spmd.segment_bytes_allocated``, the bytes
         of data segment created or grown (0 on a launch whose layout has
@@ -1761,12 +1794,6 @@ class RankPool:
 
         program = generated.program
         world_size = program.inputs[0].group.world_size
-        if nranks is not None and nranks != world_size:
-            raise ExecutionError(
-                f"program was built for {world_size} ranks; cannot launch "
-                f"{nranks} SPMD processes — rebuild the workload with "
-                f"world_size={nranks}"
-            )
         placed = place_inputs(program, inputs, allow_downcast, cast=False)
         layout = build_layout(program)
         timeout = (
@@ -1794,19 +1821,10 @@ class RankPool:
         # the first error flag's byte offset, and a dead rank's flag value
         err_off = layout.num_sites * world_size * 2 * 8
         dead_flag = np.int64(_ERR_DEAD).tobytes()
-        trace_dir = None
+        traced = observer is not None
+        flags_fd = None
         try:
-            trace_paths: List[Optional[str]] = [None] * world_size
-            if observer is not None:
-                import tempfile
-
-                t_base = observer.now()
-                trace_dir = tempfile.mkdtemp(prefix="repro_trace_")
-                for r in range(world_size):
-                    trace_paths[r] = os.path.join(trace_dir, f"rank{r}.ring")
-                    TraceRing.create(trace_paths[r]).close()
-
-            flags_size = layout.flags_length() * 8
+            flags_size = layout.flags_bytes(traced)
             held = 0  # bytes of data segment kept from the last launch
             if self.fds:
                 data_fd, flags_fd = self.fds
@@ -1870,14 +1888,11 @@ class RankPool:
                 layout=layout, data_fd=data_fd, flags_fd=flags_fd,
                 wire_s_per_mb=wire_s_per_mb, timeout=timeout,
                 soft_timeout=soft_timeout, faults=fault_plan,
-                source=generated.source, kernels=kernels,
+                source=generated.source, kernels=kernels, traced=traced,
             )
             for r, sock in enumerate(socks):
                 try:
-                    _send(
-                        sock.fileno(),
-                        dict(spec, rank=r, trace_path=trace_paths[r]),
-                    )
+                    _send(sock.fileno(), dict(spec, rank=r))
                 except OSError:
                     # the rank already died: its EOF reports it below
                     pass
@@ -1938,16 +1953,9 @@ class RankPool:
             # EOF first: a rank still waiting for its spec exits at once
             _release([e for r, e in enumerate(ranks) if r not in idle])
             self.idle.extend(ranks[r] for r in sorted(idle))
-            if trace_dir is not None:
-                import shutil
-
+            if traced and flags_fd is not None:
                 # every rank has exited or closed its ring
-                observer.extend(
-                    merge_rank_traces(
-                        trace_dir, base=t_base, metrics=observer.metrics
-                    )
-                )
-                shutil.rmtree(trace_dir, ignore_errors=True)
+                _merge_rings(layout, flags_fd, observer)
         if fail["msg"] is not None:
             detail = fail["detail"]
             raise SpmdWorkerError(

@@ -55,3 +55,15 @@ def count_starts(monkeypatch):
 
     monkeypatch.setattr(spmd, "_start", record_start)
     return started
+
+
+def watch_sends(monkeypatch, look):
+    """Call ``look()`` each time the parent sends a rank its spec, just
+    before the send."""
+    send = spmd._send
+
+    def watched(*args):
+        look()
+        return send(*args)
+
+    monkeypatch.setattr(spmd, "_send", watched)

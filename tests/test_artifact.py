@@ -386,14 +386,15 @@ class TestGoldenFiles:
             )
 
 
-class TestElasticArtifactCache:
-    """Recovery memoizes re-lowered artifacts on (structural hash, ws)."""
+class TestElasticRelower:
+    """Every recovery runs the schedule its ``relower`` returned."""
 
-    def _relower(self, rng_seed, N=56):
-        def relower(ws):
-            wl = AdamWorkload.build(N, ws)
-            rng = np.random.RandomState(rng_seed)
-            return wl.program, dict(
+    def test_second_recovery_runs_its_own_relower(self):
+        N = 56
+
+        def inputs(ws):
+            rng = np.random.RandomState(5)
+            return dict(
                 g=rng.randn(ws, N) * 0.1,
                 p=rng.randn(N),
                 m=rng.randn(N) * 0.01,
@@ -401,46 +402,40 @@ class TestElasticArtifactCache:
                 lr=0.01,
                 t=3.0,
             )
-        return relower
 
-    def test_second_recovery_hits_the_cache(self):
-        ex = Executor()
-        relower = self._relower(5)
-        kwargs = dict(
-            allow_downcast=True, soft_timeout=0.5, timeout=30.0,
-            elastic=True, relower=relower,
-        )
+        schedules = []
 
-        def recover():
-            rng = np.random.RandomState(5)
+        def relower(ws):
+            wl = AdamWorkload.build(N, ws)
+            schedules.append(
+                wl.schedule_fused() if schedules else wl.program
+            )
+            return schedules[-1], inputs(ws)
+
+        def recover(ex):
             return ex.run_spmd(
-                AdamWorkload.build(56, 8).program,
-                dict(
-                    g=rng.randn(8, 56) * 0.1,
-                    p=rng.randn(56),
-                    m=rng.randn(56) * 0.01,
-                    v=np.abs(rng.randn(56)) * 0.01,
-                    lr=0.01,
-                    t=3.0,
-                ),
+                AdamWorkload.build(N, 8).program, inputs(8),
                 fault_plan=FaultPlan(seed=11).die(3, at_site="g"),
-                **kwargs,
+                allow_downcast=True, soft_timeout=0.5, timeout=30.0,
+                elastic=True, relower=relower,
             )
 
-        first = recover()
-        assert first.elastic["world_size"] == 7
-        assert first.elastic["artifact_cache"] == "miss"
-        assert ex.elastic_cache_misses == 1
-        assert ex.elastic_cache_hits == 0
-
-        second = recover()
-        assert second.elastic["artifact_cache"] == "hit"
-        assert ex.elastic_cache_hits == 1
-        assert ex.elastic_cache_misses == 1
-        for name in first.output_names:
-            np.testing.assert_array_equal(
-                second.output(name), first.output(name), err_msg=name
+        with Executor() as ex:
+            first = recover(ex)
+            second = recover(ex)
+        assert first.elastic["world_size"] == second.elastic["world_size"] == 7
+        # the unfused program, then the fused schedule's gathered output
+        assert first.output_names == ["p_"]
+        assert second.output_names == ["ag_p_"]
+        for result, scheduled in zip((first, second), schedules):
+            expected = Executor().run_lowered(
+                scheduled, inputs(7), allow_downcast=True
             )
+            for name in expected.output_names:
+                np.testing.assert_array_equal(
+                    result.output(name), expected.output(name),
+                    err_msg=name,
+                )
 
 
 class TestErrors:

@@ -58,11 +58,6 @@ class TestUsersMap:
         assert users[b] == [c]
         assert users[c] == []
 
-    def test_is_on_path(self, W):
-        a, ar, b, c = chain(W)
-        assert dfg.is_on_path(ar, c)
-        assert not dfg.is_on_path(c, ar)
-
 
 class TestCloneAndRewrite:
     def test_clone_preserves_dropout_seed(self, W):
@@ -124,12 +119,6 @@ class TestRegionAnalysis:
         out = Binary("+", u, 1.0, name="out")
         live = dfg.region_live_outs([u, out], [out])
         assert u in live and out in live
-
-    def test_external_inputs(self, W):
-        a, ar, b, c = chain(W)
-        ext = dfg.external_inputs([b, c])
-        assert ar in ext
-        assert b not in ext
 
     def test_input_leaves_excludes_consts(self, W):
         a, ar, b, c = chain(W)

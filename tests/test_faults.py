@@ -48,7 +48,9 @@ from repro.runtime.spmd import (
 from repro.workloads.adam import AdamWorkload
 from repro.workloads.moe import MoEWorkload
 from tests.des_oracle import ReferenceEngine
-from tests.spmd_leaks import children, count_starts, spmd_segments
+from tests.spmd_leaks import (
+    children, count_starts, spmd_segments, watch_sends,
+)
 
 
 @pytest.fixture
@@ -733,54 +735,77 @@ class TestDegradedLinks:
 class TestRingTagging:
     """merge_rank_traces tags unhealthy rings instead of skipping them."""
 
-    def test_statuses_are_tagged_and_metered(self, tmp_path):
+    @staticmethod
+    def _ring(capacity=8):
+        from repro.observe.ring import TraceRing
+
+        return TraceRing(
+            bytearray(TraceRing.nbytes(capacity)), capacity=capacity
+        )
+
+    def test_statuses_are_tagged_and_metered(self):
         from repro.observe.metrics import MetricsRegistry
         from repro.observe.ring import (
-            KIND_FAULT, KIND_PUBLISH, TraceRing, merge_rank_traces,
+            KIND_FAULT, KIND_PUBLISH, merge_rank_traces,
         )
 
         # rank0: healthy ring with a publish span and a fault instant
-        ring = TraceRing.create(str(tmp_path / "rank0.ring"))
-        ring.append(KIND_PUBLISH, 1000, 500, nbytes=64, site="g0x4")
-        ring.append(KIND_FAULT, 1600, 0, site="g0x4", name="die")
-        ring.close()
-        # rank1: valid but never written
-        TraceRing.create(str(tmp_path / "rank1.ring")).close()
-        # rank2: garbage bytes
-        (tmp_path / "rank2.ring").write_bytes(b"not a ring at all")
-        # rank3: wrapped — capacity 4, six appends
-        ring = TraceRing.create(str(tmp_path / "rank3.ring"), capacity=4)
+        healthy = self._ring()
+        healthy.append(KIND_PUBLISH, 1000, 500, nbytes=64, site="g0x4")
+        healthy.append(KIND_FAULT, 1600, 0, site="g0x4", name="die")
+        # rank1: never written
+        empty = self._ring()
+        # rank2: wrapped — capacity 4, six appends
+        wrapped = self._ring(capacity=4)
         for i in range(6):
-            ring.append(KIND_PUBLISH, 1000 + i, 10, site="g0x4")
-        ring.close()
+            wrapped.append(KIND_PUBLISH, 1000 + i, 10, site="g0x4")
 
         metrics = MetricsRegistry()
-        events = merge_rank_traces(str(tmp_path), metrics=metrics)
+        events = merge_rank_traces(
+            [healthy, empty, wrapped], metrics=metrics
+        )
         instants = {
             (e.pid, e.name) for e in events if isinstance(e, InstantEvent)
         }
         assert ("rank0", "die") in instants
         assert ("rank1", "ring-empty") in instants
-        assert ("rank2", "ring-corrupt") in instants
-        assert ("rank3", "ring-truncated") in instants
+        assert ("rank2", "ring-truncated") in instants
         assert metrics.get("spmd.rank1.ring_empty") == 1
-        assert metrics.get("spmd.rank2.ring_corrupt") == 1
-        assert metrics.get("spmd.rank3.ring_truncated") == 1
+        assert metrics.get("spmd.rank2.ring_truncated") == 1
         assert metrics.get("spmd.events_dropped") == 2
         # the healthy and truncated ranks still contribute their spans
         assert metrics.get("spmd.rank0.bytes_published") == 64
-        assert metrics.get("spmd.rank3.events") == 4
+        assert metrics.get("spmd.rank2.events") == 4
 
-    def test_fault_instants_land_on_the_faults_track(self, tmp_path):
-        from repro.observe.ring import (
-            KIND_STALL, TraceRing, merge_rank_traces,
-        )
+    def test_dead_rank_marker_lies_where_it_died(self, monkeypatch):
+        """A dead rank's ``die`` record, harvested from the flags
+        segment, lies between the first spec send and the failure."""
+        tracer = Tracer()
+        sent = []
+        watch_sends(monkeypatch, lambda: sent.append(tracer.now()))
+        with pytest.raises(SpmdWorkerError) as err:
+            Executor().run_spmd(
+                AdamWorkload.build(56, 4).program,
+                adam_inputs(np.random.RandomState(3), 4),
+                allow_downcast=True, tracer=tracer, timeout=30.0,
+                fault_plan=FaultPlan(seed=11).die(2, at_site="g"),
+            )
+        raised = tracer.now()
+        assert err.value.dead_ranks == [2]
+        (die,) = [
+            e for e in tracer.events
+            if isinstance(e, InstantEvent) and e.name == "die"
+        ]
+        assert die.pid == "rank2"
+        assert sent[0] <= die.ts <= raised
 
-        ring = TraceRing.create(str(tmp_path / "rank0.ring"))
+    def test_fault_instants_land_on_the_faults_track(self):
+        from repro.observe.ring import KIND_STALL, merge_rank_traces
+
+        ring = self._ring()
         ring.append(KIND_STALL, 2000, 0, seq=3, site="g0x4",
                     name="soft-retry")
-        ring.close()
-        events = merge_rank_traces(str(tmp_path))
+        events = merge_rank_traces([ring])
         (ev,) = [e for e in events if isinstance(e, InstantEvent)]
         assert ev.tid == "faults"
         assert ev.cat == "stall"

@@ -12,7 +12,6 @@ from repro.core.layout import (
     Sliced,
     normalize_dim,
     slice_shape,
-    unsliced_shape,
 )
 from repro.errors import LayoutError
 
@@ -78,10 +77,6 @@ class TestSliceShape:
         with pytest.raises(LayoutError, match="not divisible"):
             slice_shape((10,), Sliced(0), 4)
 
-    def test_unsliced_roundtrip(self):
-        per_rank = slice_shape((8, 16), Sliced(1), 4)
-        assert unsliced_shape(per_rank, Sliced(1), 4) == (8, 16)
-
     @given(
         dims=st.lists(st.integers(1, 8), min_size=1, max_size=4),
         dim=st.integers(0, 3),
@@ -93,4 +88,3 @@ class TestSliceShape:
         layout = Sliced(dim)
         per_rank = slice_shape(shape, layout, parts)
         assert per_rank[dim] * parts == shape[dim]
-        assert unsliced_shape(per_rank, layout, parts) == shape

@@ -1,10 +1,7 @@
-"""Tests for the NCCL simulator: protocols, rings, chunking, step
-schedules, cost model and auto-configuration."""
+"""Tests for the NCCL simulator: protocols, rings, step counts, cost
+model and auto-configuration."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.core.process_group import ProcessGroup, world
@@ -16,14 +13,11 @@ from repro.nccl import (
     Algorithm,
     build_ring,
     choose_config,
-    chunk_order,
     collective_time,
     p2p_time,
-    tile_chunks,
 )
-from repro.nccl import algorithms, chunking
+from repro.nccl import algorithms
 from repro.nccl.cost_model import ring_bus_bandwidth
-from tests import collective_oracle as oracle
 
 
 class TestProtocols:
@@ -87,34 +81,6 @@ class TestRing:
         assert SIMPLE.hop_latency_intra < avg < SIMPLE.hop_latency_inter
 
 
-class TestChunking:
-    def test_chunk_order_starts_at_own_rank(self):
-        # Figure 9: "Rank 0 starts with chunk 0 ... Rank 1 starts chunk 1"
-        assert chunk_order(0, 8)[0] == 0
-        assert chunk_order(1, 8)[0] == 1
-        assert chunk_order(3, 8) == [3, 4, 5, 6, 7, 0, 1, 2]
-
-    def test_chunk_order_is_permutation(self):
-        for r in range(8):
-            assert sorted(chunk_order(r, 8)) == list(range(8))
-
-    def test_tile_chunks_counts(self):
-        tiles, per = tile_chunks(32 * 1024 * 1024, 8, channels=2)
-        assert per == 8
-        assert tiles == 4  # 32 MiB over 2x4 MiB buffer tiles
-
-    def test_chunk_schedule_covers_all_chunks(self):
-        sched = chunking.chunk_schedule(
-            rank=2, total_bytes=16 * 1024 * 1024, group_size=8, channels=1
-        )
-        assert sorted(sched.sequence) == list(range(sched.total_chunks))
-        assert sched.sequence[0] == 2  # starts at own chunk of tile 0
-
-    def test_matmul_chunk_grid(self):
-        rows, cols = chunking.matmul_chunk_grid(8192, 3072, 8)
-        assert rows == 1024 and cols == 3072
-
-
 class TestStepSchedules:
     def test_allreduce_step_count(self):
         # ring AllReduce takes 2(n-1) steps
@@ -124,34 +90,6 @@ class TestStepSchedules:
 
     def test_single_rank_no_steps(self):
         assert algorithms.num_steps("allreduce", 1) == 0
-
-    def test_reduce_scatter_schedule_shape(self):
-        steps = algorithms.reduce_scatter_steps(4)
-        assert len(steps) == 4 * 3
-        first_round = [s for s in steps if s.index == 0]
-        # rank r sends chunk r at step 0
-        assert all(s.chunk == s.src for s in first_round)
-
-    def test_ring_simulation_matches_reference(self):
-        rng = np.random.RandomState(3)
-        n = 4
-        values = [rng.randn(8).astype(np.float32) for _ in range(n)]
-        ring_out = algorithms.simulate_ring_allreduce(values)
-        ref = oracle.allreduce_reference(
-            {r: values[r] for r in range(n)}, world(n), "+", np.float32
-        )
-        for r in range(n):
-            np.testing.assert_allclose(ring_out[r], ref[r], rtol=1e-6)
-
-    @given(n=st.integers(2, 8), seed=st.integers(0, 200))
-    @settings(max_examples=25, deadline=None)
-    def test_ring_simulation_property(self, n, seed):
-        rng = np.random.RandomState(seed)
-        values = [rng.randn(n * 2).astype(np.float64) for _ in range(n)]
-        ring_out = algorithms.simulate_ring_allreduce(values)
-        expected = np.sum(values, axis=0)
-        for r in range(n):
-            np.testing.assert_allclose(ring_out[r], expected, rtol=1e-9)
 
     def test_tree_depth(self):
         assert algorithms.tree_depth(1) == 0

@@ -7,16 +7,21 @@ Four fronts:
   property (arbitrary typed events export to a schema-valid document
   that survives JSON serialization) and span-nesting checks against the
   lowering's dependency edges on a real measured run,
-* the per-rank file-backed trace rings: merge at 4 real SPMD ranks,
-  wrap-around/drop accounting, and the faulty-teardown harvest (a rank
-  dying mid-collective leaves a mergeable timeline and structured error
-  context, with no shared-memory leak),
+* the per-rank trace rings in the launch's shared memory: merge at 4
+  real SPMD ranks on the tracer's clock, wrap-around/drop accounting,
+  and the faulty-teardown harvest (a rank dying mid-collective leaves a
+  mergeable timeline and structured error context, with no
+  shared-memory leak and no file),
 * predicted-vs-measured alignment and the autotuner/cost-model metrics
   flowing through the same registry.
 """
 
 import json
+import mmap
+import os
 import sys
+import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -43,12 +48,12 @@ from repro.observe import (
 )
 from repro.observe.ring import KIND_KERNEL, KIND_PUBLISH, TraceRing
 from repro.perf.engine import Task, Timeline
-from repro.runtime import Executor
+from repro.runtime import Executor, FaultPlan
 from repro.runtime.spmd import RankPool, SpmdWorkerError
 from repro.workloads.adam import AdamWorkload
 from repro.workloads.attention import AttentionWorkload
 from repro.workloads.moe import MoEWorkload
-from tests.spmd_leaks import spmd_segments
+from tests.spmd_leaks import spmd_segments, watch_sends
 
 
 @pytest.fixture
@@ -64,6 +69,13 @@ def optimizer_inputs(rng, n=4, N=64):
         v=np.abs(rng.randn(N)) * 0.01,
         lr=0.01,
         t=3.0,
+    )
+
+
+def adam_relower(ws):
+    """An elastic recovery's ``relower``: Adam at ``ws`` ranks."""
+    return AdamWorkload.build(64, ws).program, optimizer_inputs(
+        np.random.RandomState(1), n=ws
     )
 
 
@@ -88,6 +100,13 @@ class TestTracer:
         )
         assert ev.dur >= 0 and ev.end == ev.ts + ev.dur
         assert ev.args == {"step": 3}
+
+    def test_now_is_perf_counter_less_the_epoch(self):
+        tracer = Tracer()
+        before = time.perf_counter() - tracer.epoch
+        now = tracer.now()
+        after = time.perf_counter() - tracer.epoch
+        assert 0.0 <= before <= now <= after
 
     def test_span_records_even_when_body_raises(self):
         tr = Tracer()
@@ -244,14 +263,20 @@ class TestPerfettoExport:
 
 # -- trace rings and SPMD merge ------------------------------------------
 
+def _ring(capacity=8):
+    """A ring over a fresh zeroed in-memory buffer."""
+    return TraceRing(bytearray(TraceRing.nbytes(capacity)), capacity=capacity)
+
+
 class TestTraceRing:
-    def test_append_records_roundtrip(self, tmp_path):
-        path = str(tmp_path / "rank0.ring")
-        ring = TraceRing.create(path, capacity=8)
+    def test_append_records_roundtrip(self):
+        buf = bytearray(TraceRing.nbytes(8))
+        ring = TraceRing(buf, capacity=8)
         ring.append(KIND_PUBLISH, ts=100, dur=5, nbytes=64, seq=2,
                     site="g0x4", name="avg")
         ring.close()
-        reader = TraceRing(path)
+        # a second ring over the same bytes reads what the first wrote
+        reader = TraceRing(buf, capacity=8)
         assert reader.count == 1 and reader.dropped == 0
         (rec,) = reader.records()
         assert int(rec["kind"]) == KIND_PUBLISH
@@ -260,8 +285,8 @@ class TestTraceRing:
         assert rec["site"] == b"g0x4" and rec["name"] == b"avg"
         reader.close()
 
-    def test_wraparound_keeps_newest_and_counts_drops(self, tmp_path):
-        ring = TraceRing.create(str(tmp_path / "rank0.ring"), capacity=4)
+    def test_wraparound_keeps_newest_and_counts_drops(self):
+        ring = _ring(capacity=4)
         for i in range(6):
             ring.append(KIND_KERNEL, ts=i, dur=1, seq=i)
         assert ring.count == 6 and ring.dropped == 2
@@ -269,37 +294,66 @@ class TestTraceRing:
         assert [int(r["seq"]) for r in recs] == [2, 3, 4, 5]
         ring.close()
 
-    def test_attach_rejects_non_ring_file(self, tmp_path):
-        path = tmp_path / "rank0.ring"
-        path.write_bytes(b"\0" * 4096)
-        with pytest.raises(ValueError, match="not a trace ring"):
-            TraceRing(str(path))
+    def test_rings_at_offsets_share_one_buffer(self):
+        size = TraceRing.nbytes(4)
+        buf = bytearray(3 * size)
+        rings = [TraceRing(buf, r * size, capacity=4) for r in range(3)]
+        for r, ring in enumerate(rings):
+            for i in range(r + 1):
+                ring.append(KIND_KERNEL, ts=i, dur=1, seq=r)
+        assert [ring.count for ring in rings] == [1, 2, 3]
+        assert [
+            {int(rec["seq"]) for rec in ring.records()} for ring in rings
+        ] == [{0}, {1}, {2}]
 
-    def test_merge_tags_unreadable_rings_and_rebases(self, tmp_path):
-        ring = TraceRing.create(str(tmp_path / "rank0.ring"), capacity=8)
-        ring.append(KIND_PUBLISH, ts=5_000_000_000, dur=1_000_000,
+    def test_merge_places_records_on_the_tracer_clock(self):
+        tracer = Tracer()
+        ring = _ring()
+        start = time.perf_counter_ns()
+        ring.append(KIND_PUBLISH, ts=start, dur=1_000_000,
                     nbytes=32, seq=0, site="g0x4", name="avg")
-        ring.close()
-        (tmp_path / "rank1.ring").write_bytes(b"garbage")
-        (tmp_path / "notes.txt").write_text("ignored")
-        metrics = MetricsRegistry()
-        events = merge_rank_traces(str(tmp_path), base=1.0, metrics=metrics)
+        events = merge_rank_traces(
+            [ring, _ring()], tracer.epoch, tracer.metrics
+        )
         spans = [e for e in events if isinstance(e, SpanEvent)]
         (ev,) = spans
-        # earliest record maps to the caller's base
-        assert ev.ts == pytest.approx(1.0)
+        # the record's perf_counter reading, less the tracer's epoch
+        assert ev.ts == pytest.approx(start / 1e9 - tracer.epoch, abs=1e-6)
+        assert 0.0 <= ev.ts <= tracer.now()
         assert ev.pid == "rank0" and ev.cat == "publish"
         assert ev.args["site"] == "g0x4" and ev.args["bytes"] == 32
         counters = [e for e in events if isinstance(e, CounterEvent)]
         assert counters and counters[0].name == "bytes_published"
-        assert metrics.get("spmd.rank0.bytes_published") == 32
-        # the unreadable ring is tagged, not silently skipped
+        assert tracer.metrics.get("spmd.rank0.bytes_published") == 32
+        # the empty ring is tagged, not silently skipped
         instants = [e for e in events if isinstance(e, InstantEvent)]
         assert any(
-            e.name == "ring-corrupt" and e.pid == "rank1" for e in instants
+            e.name == "ring-empty" and e.pid == "rank1" for e in instants
         )
-        assert metrics.get("spmd.rank1.ring_corrupt") == 1
-        assert metrics.get("spmd.rank1.bytes_published") == 0
+        assert tracer.metrics.get("spmd.rank1.ring_empty") == 1
+        assert tracer.metrics.get("spmd.rank1.bytes_published") == 0
+
+    def test_status_markers_are_stamped_at_the_merge(self):
+        tracer = Tracer()
+        wrapped = _ring(capacity=2)
+        for _ in range(3):
+            wrapped.append(KIND_KERNEL, ts=time.perf_counter_ns(), dur=1)
+        before = tracer.now()
+        events = merge_rank_traces([_ring(), wrapped], tracer.epoch)
+        after = tracer.now()
+        markers = {
+            e.name: e for e in events if isinstance(e, InstantEvent)
+        }
+        assert set(markers) == {"ring-empty", "ring-truncated"}
+        assert all(before <= e.ts <= after for e in markers.values())
+
+    def test_close_releases_the_mapping(self):
+        with mmap.mmap(-1, TraceRing.nbytes(4)) as buf:
+            ring = TraceRing(buf, capacity=4)
+            ring.append(KIND_KERNEL, ts=1, dur=1)
+            ring.close()
+        # the mapping closed: the ring's arrays no longer pin it
+        assert buf.closed
 
 
 class TestSpmdTracing:
@@ -337,9 +391,7 @@ class TestSpmdTracing:
     ):
         """A rank dying mid-collective leaves its ring merged into the
         observer, a structured error context, and no shared-memory leak
-        or ring file."""
-        import tempfile
-
+        or file."""
         wl = AdamWorkload.build(64, 4)
         gen = CodeGenerator(target="spmd").generate(wl.program)
         source = gen.source.replace(
@@ -351,7 +403,7 @@ class TestSpmdTracing:
         )
         assert "injected kernel fault" in source
         gen.source = source
-        # the launch's ring directory is made under tmp_path
+        # a launch that wrote a file would leave it under tmp_path
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         tracer = Tracer()
         before = set(spmd_segments())
@@ -365,7 +417,7 @@ class TestSpmdTracing:
         assert err.value.context["op"] == "avg"
         assert "op 'avg'" in str(err.value)
         assert set(spmd_segments()) == before
-        # merged in the launch's teardown, then removed
+        # merged in the launch's teardown, from shared memory
         assert list(tmp_path.iterdir()) == []
         for r in range(4):
             assert tracer.metrics.get(f"spmd.rank{r}.events") > 0
@@ -380,6 +432,138 @@ class TestSpmdTracing:
         # the survivors' blocked waits are visible too
         assert any(
             e.cat == "wait" and e.pid != "rank1" for e in spans
+        )
+
+    @pytest.mark.parametrize("target", ["spmd", "native"])
+    def test_rank_events_lie_between_spec_send_and_return(
+        self, target, rng, monkeypatch
+    ):
+        """Rank records are merged on the tracer's clock: none is drawn
+        before the parent sent the first spec, or after the launch."""
+        from repro.core.codegen import native
+
+        if target == "native" and not native.available():
+            pytest.skip("no C compiler on PATH")
+        tracer = Tracer()
+        sent = []
+        watch_sends(monkeypatch, lambda: sent.append(tracer.now()))
+        wl = AdamWorkload.build(64, 4)
+        with Executor() as ex:
+            for _ in range(2):
+                first = len(tracer.events)
+                sent.clear()
+                ex.run_spmd(
+                    wl.schedule_fused(), optimizer_inputs(rng),
+                    allow_downcast=True, tracer=tracer,
+                    codegen_target=target,
+                )
+                returned = tracer.now()
+                ranked = [
+                    e for e in tracer.events[first:]
+                    if str(e.pid).startswith("rank")
+                ]
+                assert {e.pid for e in ranked} == {
+                    f"rank{r}" for r in range(4)
+                }
+                assert min(e.ts for e in ranked) >= sent[0]
+                assert max(
+                    e.ts + getattr(e, "dur", 0.0) for e in ranked
+                ) <= returned
+
+    def test_recovery_rank_events_follow_its_spec_send(
+        self, rng, monkeypatch
+    ):
+        """An elastic recovery's rank tracks are merged on the tracer's
+        clock too: after the recovery's own first spec send."""
+        tracer = Tracer()
+        sends = []  # (tracer time, events merged so far) per spec
+        watch_sends(
+            monkeypatch,
+            lambda: sends.append((tracer.now(), len(tracer.events))),
+        )
+        with Executor() as ex:
+            res = ex.run_spmd(
+                AdamWorkload.build(64, 4).program, optimizer_inputs(rng),
+                allow_downcast=True, tracer=tracer, timeout=30.0,
+                soft_timeout=0.5, elastic=True, relower=adam_relower,
+                fault_plan=FaultPlan(seed=11).die(1, at_site="g"),
+            )
+        returned = tracer.now()
+        assert res.elastic["world_size"] == 3
+        # the failed launch sent 4 specs and merged its rings before
+        # the recovery sent its first
+        sent, merged = sends[4]
+        assert merged > sends[3][1]
+        recovery = [
+            e for e in tracer.events[merged:]
+            if str(e.pid).startswith("rank")
+        ]
+        assert {e.pid for e in recovery} == {"rank0", "rank1", "rank2"}
+        assert sent <= min(e.ts for e in recovery)
+        assert max(e.ts for e in recovery) <= returned
+
+    @pytest.mark.skipif(
+        sys.platform != "linux", reason="/proc/self/fd is Linux-only"
+    )
+    def test_traced_launch_opens_no_fd_but_sockets_and_segments(
+        self, rng, monkeypatch
+    ):
+        """While the ranks run, the parent holds its rank sockets and
+        the pool's two memfds: no trace file, directory or mapping."""
+
+        def links():
+            out = set()
+            for fd in os.listdir("/proc/self/fd"):
+                try:
+                    out.add(os.readlink(f"/proc/self/fd/{fd}"))
+                except OSError:
+                    continue
+            return out
+
+        before = links()
+        opened = set()
+        watch_sends(monkeypatch, lambda: opened.update(links() - before))
+        with Executor() as ex:
+            ex.run_spmd(
+                AdamWorkload.build(64, 4).program, optimizer_inputs(rng),
+                allow_downcast=True, tracer=Tracer(),
+            )
+        assert opened, "no spec was sent"
+        assert {
+            link for link in opened if not link.startswith("socket:")
+        } == {"/memfd:spmd-data (deleted)", "/memfd:spmd-flags (deleted)"}
+
+    def test_traced_launches_write_no_file(self, tmp_path, rng, monkeypatch):
+        """A traced launch, a failed traced launch and an elastic traced
+        recovery create nothing in the temporary directory, not even
+        while the ranks run."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        seen = []
+        watch_sends(monkeypatch, lambda: seen.extend(tmp_path.iterdir()))
+        die = FaultPlan(seed=11).die(1, at_site="g")
+        tracer = Tracer()
+        wl = AdamWorkload.build(64, 4)
+        with Executor() as ex:
+            ex.run_spmd(
+                wl.program, optimizer_inputs(rng), allow_downcast=True,
+                tracer=tracer,
+            )
+            with pytest.raises(SpmdWorkerError):
+                ex.run_spmd(
+                    wl.program, optimizer_inputs(rng), allow_downcast=True,
+                    tracer=tracer, fault_plan=die, timeout=30.0,
+                )
+            res = ex.run_spmd(
+                wl.program, optimizer_inputs(rng), allow_downcast=True,
+                tracer=tracer, fault_plan=die, timeout=30.0,
+                soft_timeout=0.5, elastic=True, relower=adam_relower,
+            )
+        assert res.elastic["world_size"] == 3
+        assert seen == [] and list(tmp_path.iterdir()) == []
+        # the dead rank's marker was harvested from shared memory
+        assert any(
+            isinstance(e, InstantEvent) and e.name == "die"
+            for e in tracer.events
         )
 
 

@@ -261,14 +261,6 @@ class TestSpmdParity:
 
 
 class TestSpmdInterface:
-    def test_nranks_must_match_program_world(self, rng):
-        wl = AdamWorkload.build(64, 4)
-        with pytest.raises(ExecutionError, match="built for 4 ranks"):
-            Executor().run_spmd(
-                wl.program, optimizer_inputs(rng), nranks=8,
-                allow_downcast=True,
-            )
-
     def test_generator_rejects_unknown_target(self):
         with pytest.raises(CodegenError, match="target"):
             CodeGenerator(target="cuda")
@@ -359,6 +351,55 @@ class TestSpmdInterface:
         assert any(k.startswith("g") for k in keys)
         # one p2p site per same-local-rank pair between the stage groups
         assert {f"p{r}>{r + 4}" for r in range(4)} <= keys
+
+    def test_trace_rings_follow_the_flags(self):
+        from repro.observe.ring import TraceRing
+
+        layout = build_layout(AdamWorkload.build(64, 4).program)
+        flags = layout.flags_length() * 8
+        assert layout.flags_bytes() == flags == layout.ring_offset(0)
+        assert [
+            layout.ring_offset(r + 1) - layout.ring_offset(r)
+            for r in range(4)
+        ] == [TraceRing.nbytes()] * 4
+        assert layout.flags_bytes(traced=True) == layout.ring_offset(4)
+        assert all(layout.ring_offset(r) % 8 == 0 for r in range(4))
+
+    def test_flags_segment_holds_rings_only_when_traced(self, rng):
+        from repro.observe import Tracer
+
+        program = AdamWorkload.build(64, 4).program
+        layout = build_layout(program)
+        gen = CodeGenerator(target="spmd").generate(program)
+        tracer = Tracer()
+        with spmd.RankPool() as pool:
+            sizes, starts = [], []
+            for observer in (tracer, None, tracer):
+                starts.append((tracer.now(), len(tracer.events)))
+                pool.launch(
+                    gen, optimizer_inputs(rng), allow_downcast=True,
+                    observer=observer,
+                )
+                sizes.append(os.fstat(pool.fds[1]).st_size)
+        assert sizes == [
+            layout.flags_bytes(True), layout.flags_bytes(),
+            layout.flags_bytes(True),
+        ]
+        # the untraced launch merged nothing, and the zeroing emptied
+        # the rings: the last launch merged no record of the first
+        assert starts[1][1] == starts[2][1]
+        started, first = starts[2]
+        assert all(e.ts >= started for e in tracer.events[first:])
+
+    def test_launch_starts_the_program_world(self, rng):
+        with Executor() as ex:
+            for n in (2, 3):
+                ex.run_spmd(
+                    AdamWorkload.build(48, n).program,
+                    optimizer_inputs(rng, n=n, N=48),
+                    allow_downcast=True,
+                )
+                assert len(ex._pool.origins) == n
 
     def test_missing_and_unknown_inputs_rejected(self, rng):
         wl = AdamWorkload.build(64, 4)

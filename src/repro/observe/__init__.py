@@ -9,9 +9,9 @@ One event vocabulary across every layer of the stack:
   are no chunk spans), and the SPMD backend's per-rank ring buffers
   merged in, where the real chunked publication shows up.
 * :class:`TraceRing` / :func:`merge_rank_traces`
-  (:mod:`repro.observe.ring`) — per-rank buffers in the SPMD launch's
-  shared memory that survive process boundaries and faulty-rank
-  teardown, merged onto the tracer's clock.
+  (:mod:`repro.observe.ring`) — per-rank buffers of 112-byte records
+  in the SPMD launch's shared memory, written without numpy, that
+  survive faulty-rank teardown and merge onto the tracer's clock.
 * :mod:`repro.observe.compare` — joins a DES-predicted ``Timeline``
   with measured spans into a per-op latency-ratio table.
 * :mod:`repro.observe.perfetto` — Chrome/Perfetto ``trace_event``

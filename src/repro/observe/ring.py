@@ -3,38 +3,36 @@
 A traced launch of :mod:`repro.runtime.spmd` sizes its flags segment
 (an anonymous ``memfd`` every rank inherits) with one ring per rank
 after the flags. Each rank appends fixed-size records into its own
-ring; the parent merges every rank's ring after the run. The design
-constraints come straight from the failure-handling story of
-:mod:`repro.runtime.spmd`:
+ring; the parent merges every rank's ring after the run:
 
 * **Survives faulty teardown.** The parent holds the segment's fd
-  after a rank dies (even on ``SIGKILL``), so it still reads every
-  record written before the death. A record only becomes visible when
-  the header count is bumped *after* the record write, so a torn
-  in-flight record is never read.
-* **Nothing on disk.** No file or directory is created: the launch's
-  ``ftruncate`` of the flags segment zeroes every ring, and the rings
-  go when the segment does.
-* **Low overhead.** One record is a single structured-dtype row write
-  (112 B); no locks, since each rank owns its ring. Names and site
-  keys are fixed-width bytes (truncated if longer) so no string table
-  needs to survive the process.
+  after a rank dies, even on ``SIGKILL``, so it still reads every
+  record written before the death. The header count is bumped *after*
+  the record write, so a torn in-flight record is never read.
+* **Nothing on disk.** The launch's ``ftruncate`` of the flags segment
+  zeroes every ring, and the rings go when the segment does.
+* **Low overhead, no numpy.** A record is one ``struct`` pack of 112 B
+  (:data:`RECORD`), its strings NUL-padded and truncated, so no string
+  table needs to survive the process. One lock orders the appends of a
+  rank's threads (an overlap schedule's producer stream publishes
+  while the main thread waits and reduces).
 
 Timestamps are ``time.perf_counter_ns()``: the clock of
 :class:`~repro.observe.events.Tracer` (``CLOCK_MONOTONIC``, system-wide
-on Linux), so spans from different rank processes are directly
-comparable, and the merge places them on the parent tracer's timeline
-by subtracting its epoch.
+on Linux), so the merge places every rank's spans on the parent
+tracer's timeline by subtracting its epoch.
 """
 
 from __future__ import annotations
 
+import _thread
+import struct
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-import numpy as np
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: a rank imports neither module
+    from typing import Dict, List, Optional, Sequence
 
-if TYPE_CHECKING:
     from repro.observe.metrics import MetricsRegistry
 
 __all__ = [
@@ -76,20 +74,14 @@ KIND_NAMES = {
 #: kinds merged as point markers rather than spans
 _INSTANT_KINDS = (KIND_STALL, KIND_FAULT, KIND_COMPILE)
 
-#: the total number of appends
-HEADER_DTYPE = np.dtype([("count", "i8")])
+#: the ring's header: the total number of appends
+HEADER = struct.Struct("<q")
 
-RECORD_DTYPE = np.dtype(
-    [
-        ("kind", "i8"),
-        ("ts", "i8"),      # perf_counter_ns at span start
-        ("dur", "i8"),     # span duration, ns
-        ("nbytes", "i8"),  # payload bytes moved (publish records)
-        ("seq", "i8"),     # site sequence number / chunk index
-        ("site", "S24"),   # communication-site key, truncated
-        ("name", "S48"),   # kernel / op name, truncated
-    ]
-)
+#: one record: kind, ts (``perf_counter_ns`` at span start), dur (ns),
+#: nbytes (payload bytes moved by a publish), seq (site sequence number
+#: or chunk index), then the site key and the kernel or op name
+RECORD = struct.Struct("<5q24s48s")
+_FIELDS = ("kind", "ts", "dur", "nbytes", "seq", "site", "name")
 
 DEFAULT_CAPACITY = 32768
 
@@ -102,27 +94,23 @@ class TraceRing:
     header is the *total* number of appends; once it exceeds the
     capacity the ring wraps and the oldest records are overwritten
     (``dropped`` = ``count - capacity``). The writer bumps the count only
-    after the record row is fully written, so a reader in another
-    process never observes a half-written record. The ring's arrays pin
-    ``buf`` until :meth:`close`.
+    after the record is fully written, so a reader in another process
+    never observes a half-written record. The ring holds no view of
+    ``buf`` between calls, so it never keeps a mapping from closing.
     """
 
     def __init__(
         self, buf, offset: int = 0, capacity: int = DEFAULT_CAPACITY
     ) -> None:
         self.capacity = capacity
-        self._header = np.ndarray(
-            (), dtype=HEADER_DTYPE, buffer=buf, offset=offset
-        )
-        self._records = np.ndarray(
-            (capacity,), dtype=RECORD_DTYPE, buffer=buf,
-            offset=offset + HEADER_DTYPE.itemsize,
-        )
+        self._buf = buf
+        self._offset = offset
+        self._lock = _thread.allocate_lock()
 
     @staticmethod
     def nbytes(capacity: int = DEFAULT_CAPACITY) -> int:
         """Bytes one ring of ``capacity`` records occupies."""
-        return HEADER_DTYPE.itemsize + capacity * RECORD_DTYPE.itemsize
+        return HEADER.size + capacity * RECORD.size
 
     # -- writer side ----------------------------------------------------
 
@@ -136,42 +124,51 @@ class TraceRing:
         site: str = "",
         name: str = "",
     ) -> None:
-        count = int(self._header["count"])
-        rec = self._records[count % self.capacity]
-        rec["kind"] = kind
-        rec["ts"] = ts
-        rec["dur"] = dur
-        rec["nbytes"] = nbytes
-        rec["seq"] = seq
-        rec["site"] = site.encode("ascii", "replace")[:24]
-        rec["name"] = name.encode("ascii", "replace")[:48]
-        # publish the record: the count bump makes it reader-visible
-        self._header["count"] = count + 1
+        with self._lock:
+            count = self.count
+            RECORD.pack_into(
+                self._buf,
+                self._offset + HEADER.size
+                + count % self.capacity * RECORD.size,
+                kind, ts, dur, nbytes, seq,
+                site.encode("ascii", "replace"),
+                name.encode("ascii", "replace"),
+            )
+            # publish the record: the count bump makes it reader-visible
+            HEADER.pack_into(self._buf, self._offset, count + 1)
 
     # -- reader side ----------------------------------------------------
 
     @property
     def count(self) -> int:
-        return int(self._header["count"])
+        return HEADER.unpack_from(self._buf, self._offset)[0]
 
     @property
     def dropped(self) -> int:
         return max(0, self.count - self.capacity)
 
-    def records(self) -> np.ndarray:
-        """A copy of the valid records, oldest first."""
+    def records(self) -> List[Dict[str, object]]:
+        """The valid records, oldest first: one dict per record, its
+        ``site`` and ``name`` bytes without their NUL padding."""
         count = self.count
-        if count <= self.capacity:
-            return self._records[:count].copy()
-        cut = count % self.capacity
-        return np.concatenate(
-            [self._records[cut:], self._records[:cut]]
+        start = self._offset + HEADER.size
+        rows = bytes(
+            self._buf[start : start + min(count, self.capacity) * RECORD.size]
         )
+        if count > self.capacity:
+            cut = count % self.capacity * RECORD.size
+            rows = rows[cut:] + rows[:cut]
+        return [
+            dict(
+                zip(_FIELDS, rec),
+                site=rec[5].rstrip(b"\0"), name=rec[6].rstrip(b"\0"),
+            )
+            for rec in RECORD.iter_unpack(rows)
+        ]
 
     def close(self) -> None:
-        """Drop the arrays over the buffer, so it can be unmapped."""
-        self._records = None
-        self._header = None
+        """Drop the reference to the buffer."""
+        self._buf = None
 
 
 def merge_rank_traces(
@@ -190,10 +187,7 @@ def merge_rank_traces(
     on its ``kernels`` track; a per-rank bytes-moved counter series is
     emitted alongside, and ``metrics`` (when given) receives
     ``spmd.rank<N>.bytes_published``, per-rank event counts, and any
-    dropped-record count (``spmd.events_dropped``). The launch itself
-    adds ``spmd.segment_reuses`` (launches that kept the data segment's
-    pages) and ``spmd.segment_bytes_allocated`` (bytes of data segment
-    created or grown): see :meth:`repro.runtime.spmd.RankPool.launch`.
+    dropped-record count (``spmd.events_dropped``).
 
     Every rank's ring health is *tagged*, never silently dropped: a
     wrapped ring that lost its oldest records gets a ``ring-truncated``
@@ -212,22 +206,21 @@ def merge_rank_traces(
         recs = ring.records()
         dropped_total += ring.dropped
         status = (
-            "truncated" if ring.dropped else "empty" if not len(recs)
-            else "ok"
+            "truncated" if ring.dropped else "empty" if not recs else "ok"
         )
         pid = f"rank{rank}"
         bytes_published = 0
         for rec in recs:
-            kind = int(rec["kind"])
+            kind = rec["kind"]
             cat = KIND_NAMES.get(kind, f"kind{kind}")
             name = rec["name"].decode("ascii", "replace") or cat
             site = rec["site"].decode("ascii", "replace")
-            ts = int(rec["ts"]) / 1e9 - epoch
-            dur = int(rec["dur"]) / 1e9
-            args: Dict[str, object] = {"seq": int(rec["seq"])}
+            ts = rec["ts"] / 1e9 - epoch
+            dur = rec["dur"] / 1e9
+            args: Dict[str, object] = {"seq": rec["seq"]}
             if site:
                 args["site"] = site
-            nbytes = int(rec["nbytes"])
+            nbytes = rec["nbytes"]
             if nbytes:
                 args["bytes"] = nbytes
             if kind in _INSTANT_KINDS:
@@ -258,14 +251,14 @@ def merge_rank_traces(
             events.append(
                 InstantEvent(
                     f"ring-{status}", "fault", merged_at, pid, "faults",
-                    {"rank": rank, "records": int(len(recs))},
+                    {"rank": rank, "records": len(recs)},
                 )
             )
             if metrics is not None:
                 metrics.set(f"spmd.{pid}.ring_{status}", 1)
         if metrics is not None:
             metrics.set(f"spmd.{pid}.bytes_published", bytes_published)
-            metrics.set(f"spmd.{pid}.events", int(len(recs)))
+            metrics.set(f"spmd.{pid}.events", len(recs))
     if metrics is not None and dropped_total:
         metrics.inc("spmd.events_dropped", dropped_total)
     events.sort(key=lambda e: e.ts)

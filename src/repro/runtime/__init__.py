@@ -26,17 +26,17 @@ re-lowering for the surviving world size.
 
 from repro import lazy_exports
 
-#: public name -> its submodule; a rank process imports only ``spmd``
+#: public name -> its submodule; a rank imports only ``rank`` and ``spmd``
 _EXPORTS = {
     "Executor": "executor",
     "ProgramResult": "executor",
     "FaultPlan": "faults",
     "SimWorld": "world",
     "SpmdCommunicator": "spmd",
-    "SpmdError": "spmd",
-    "SpmdPeerAbort": "spmd",
-    "SpmdTimeout": "spmd",
-    "SpmdWorkerError": "spmd",
+    "SpmdError": "rank",
+    "SpmdPeerAbort": "rank",
+    "SpmdTimeout": "rank",
+    "SpmdWorkerError": "rank",
 }
 __all__ = list(_EXPORTS)
 __getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -183,7 +183,7 @@ class Executor:
         two segments to :meth:`close`.
         """
         from repro.core.codegen import CodeGenerator
-        from repro.runtime.spmd import SpmdWorkerError
+        from repro.runtime.rank import SpmdWorkerError
 
         def attempt(scheduled, inputs, **kwargs) -> ProgramResult:
             generated = CodeGenerator(target=codegen_target).generate(

@@ -8,14 +8,18 @@ generated program runs as *real concurrent processes*:
 process executes the same generated SPMD module (``CodeGenerator`` with
 ``target="spmd"``), and ranks rendezvous through a
 :class:`SpmdCommunicator` over two anonymous shared-memory files
-(``memfd_create``) that every rank maps.
+(``memfd_create``) that every rank maps. The rank's control plane (the
+flags segment, the spin, faults, the trace ring, the spec and report)
+is :mod:`repro.runtime.rank`, which imports no numpy; this module is
+the data plane and the launcher.
 
 Transport protocol
 ------------------
 
-One shared data segment carries everything a launch moves, plus an
-``int64`` flags segment; :class:`SpmdLayout` lays both out. The data
-segment holds:
+One shared data segment carries everything a launch moves, plus the
+flags segment, whose format and publication protocol
+:mod:`repro.runtime.rank` gives; :class:`~repro.runtime.rank.SpmdLayout`
+lays both out. The data segment holds:
 
 * one *slot* per (communication site, rank). A site is a process group
   (key ``g<start>x<size>``) or a point-to-point pair (``p<src>><dst>``);
@@ -26,163 +30,107 @@ segment holds:
 A slot holds the payload only, with no header: every reader already
 knows the payload's shape and dtype from its own operand (``recv``,
 whose rank has no operand, gets both from the generated module, which
-reads them off the ``Send``). Each (site, rank) pair has a *ready* and a
-*done* sequence counter in the flags segment.
-
-Every operation on a site is one *publication*: a payload released as a
-list of chunks. A collective's own operand is one chunk, ``(...,)``; a
-§5.3 chunked publication has one chunk per lowering chunk. The same
-three steps serve both:
-
-* release: write chunk ``c``, then store ``ready = seq * 2^20 + c + 1``;
-* consume: spin until a peer's ready counter covers chunk ``c``, then
-  copy the chunk out or fold it into the reduction;
-* finish: once this rank's own chunks are all released, store
-  ``done = seq``. A publisher may only reuse its slot for
-  ``seq`` once every participant's ``done`` reached ``seq - 1``.
-
-Because the program is SPMD, every member of a group issues that
-group's operations in the same order, so the per-site sequence numbers
-advance in lockstep and the tiny protocol above is a full rendezvous.
-
-The publish-then-flag ordering relies on total-store-order visibility
-between the payload write and the flag store (plus the fences CPython
-itself executes between the two numpy calls). That holds on x86-64 —
-every environment this repository's CI runs — but is not guaranteed by
-weakly-ordered ISAs; a port to ARM should add an explicit store fence
-between the two stores.
+reads them off the ``Send``).
 
 Numerics
 --------
 
-Reductions fold the participants' slots in rank order straight into
-one float64 buffer with the *same* formula as
-:mod:`repro.runtime.collectives`
-(:func:`~repro.runtime.collectives.fold_ranks`), so every collective
-is bit-identical to its vectorized counterpart — the property the
-``run_spmd`` ≡ ``run_lowered`` acceptance tests rely on. A
-ReduceScatter folds only this rank's shard, and an AllGather copies
-each slot once into its place in the result. The pairwise AllToAll
-drains peers in the step order of
-:func:`repro.nccl.algorithms.all_to_all_steps`; chunked publication
-(:meth:`SpmdCommunicator.begin_chunked` /
-:meth:`SpmdCommunicator.publish_chunks`) releases a producer's output
-chunk-by-chunk at the lowering's chunk granularity, and a consuming
-reduction ingests each chunk as soon as all ranks have published it.
-Reductions over the rank axis are element-wise in the data dimensions,
-so chunk-wise accumulation is bit-identical to whole-buffer
-accumulation while genuinely pipelining the reduce behind the wire
-(:meth:`SpmdCommunicator.begin_chunked` documents why the gather-based
-consumer releases chunks index-ordered rather than ring-rotated).
+Reductions fold the participants' slots in rank order into one float64
+buffer with the formula of
+:func:`~repro.runtime.collectives.fold_ranks`, so every collective is
+bit-identical to its vectorized counterpart (``run_spmd`` ≡
+``run_lowered``). The pairwise AllToAll drains peers in the step order
+of :func:`repro.nccl.algorithms.all_to_all_steps`. Chunked publication
+(:meth:`SpmdCommunicator.begin_chunked`) releases a producer's output
+chunk by chunk, and a consuming reduction folds each chunk once every
+rank published it: bit-identical to a whole-buffer fold, while the
+reduce runs behind the wire.
 
 Launch
 ------
 
-Every launch runs on a :class:`RankPool` (an ``Executor`` owns one
-for its lifetime). A launch pays an interpreter start per new rank, so
-it keeps everything else off that path, and no array crosses a socket:
+Every launch runs on a :class:`RankPool` (an ``Executor`` owns one for
+its lifetime). A launch pays an interpreter start per new rank, so it
+keeps everything else off that path, and no array crosses a socket:
 
-1. The pool's first launch creates the data and flags segments with
+1. The pool's first launch creates both segments with
    ``os.memfd_create``: nothing is named in ``/dev/shm``, so nothing
-   outlives the last process holding them, even a killed parent. The
-   pool holds them across launches: a later launch zeroes the flags
-   segment and keeps the data segment's pages, resizing it only when
-   its layout's size differs. It starts every rank as ``python -S -c``
-   (:data:`_RANK_ENTRY`), which inherits both segments and its end of
-   a ``socket.socketpair`` as fds. The rank's ``PYTHONPATH`` is the
-   parent's resolved ``sys.path``, so it finds every module where the
-   parent did, and ``-S`` skips ``site``, ``.pth`` files and user site.
-   A rank imports only this module, what it imports and the generated
-   module's own imports: numpy and a few ``repro`` modules, never the
-   caller's ``__main__``, the lowering or the compiler side. A launch
-   first adopts the pool's idle ranks (elastic recovery), which already
-   hold both fds at the same numbers; it starts fresh ranks only for
-   the rest. With an ``observer``, the flags segment also holds one
-   trace ring per rank after the flags (:meth:`SpmdLayout.ring_offset`),
-   zeroed with them.
+   outlives the last process holding them, even a killed parent. A
+   later launch zeroes the flags segment and keeps the data segment's
+   pages, resizing it only when its layout's size differs. A launch
+   adopts the pool's idle ranks (elastic recovery), which hold both
+   fds at the same numbers, and starts the rest as ``python -S -c``
+   (:data:`~repro.runtime.rank._RANK_ENTRY`), inheriting both segments
+   and its end of a ``socket.socketpair`` as fds. A rank's
+   ``PYTHONPATH`` is the parent's resolved ``sys.path``, and ``-S``
+   skips ``site``. Before it reads its spec a rank imports
+   :mod:`repro.runtime.rank`, this module and what they import (numpy
+   and a few ``repro`` modules), never the caller's ``__main__``, the
+   lowering or the compiler side. With an ``observer``, the flags
+   segment also holds one trace ring per rank after the flags.
 2. While the ranks import, the parent casts every input straight into
    the region of each rank that holds it (the checks and downcast
-   policy of :func:`repro.runtime.world.place_inputs`) and unmaps the
-   segment, so its resident set does not count those pages a second
-   time. It first populates the mapping (``MADV_POPULATE_WRITE``) in
-   one call rather than a fault per page. On a kept segment those
-   pages already exist: the cast writes into them, and neither
-   allocates nor zeroes a page. Stale bytes from an earlier launch are
-   never read: every byte a launch reads was written by it first
-   (inputs are placed here, and a rank writes a slot or result before
-   its flag or report says so), and the parent reads only the regions
-   of the ranks that write them. On the native target it then resolves
-   the module's C kernels
-   (:func:`repro.core.codegen.native.load_kernels`): on a cold cache
-   that is the one compile, still overlapping the ranks' imports, and
-   made before any rendezvous deadline starts.
-3. The parent sends each rank one pickled spec: layout, deadlines,
-   fault plan, whether to trace, the generated module's ``source``
-   and, on the native target, the kernel object's ``(key, path,
-   functions)``.
-   A spec is a few KB, well inside a socket's send buffer, so the send
-   does not wait for the rank.
+   policy of :func:`repro.runtime.world.place_inputs`), populating the
+   mapping first (``MADV_POPULATE_WRITE``), and unmaps it, so its
+   resident set does not count those pages twice. On a kept segment
+   the cast writes into pages that already exist. No launch reads a
+   stale byte: inputs are placed here, a rank writes a slot or result
+   before its flag or report says so, and the parent reads only the
+   regions of the ranks that write them. On the native target it then
+   resolves the module's C kernels
+   (:func:`repro.core.codegen.native.load_kernels`): a cold compile
+   still overlaps the ranks' imports and precedes every deadline.
+3. The parent sends each rank one pickled spec of a few KB, which the
+   socket buffers: layout, deadlines, fault plan, whether to trace,
+   the generated module's ``source`` and, on the native target, the
+   kernel object's ``(key, path, functions)``.
 4. Each rank ``exec``s that source (no rank loads an artifact, runs the
    code generator or compiles), opens the kernel object
    (:func:`repro.core.codegen.device.open_kernels`), binds its tensors
-   to writable views of its own regions and runs in place: the
-   generated module stores updated tensor states and gathered
-   writebacks straight into their regions (on the native target, the
-   compiled loop writes an ``Update`` there itself), and copies only
-   the inputs it updates. The rank copies every other result the
-   parent will read into its region (a replicated result from the
-   group's first rank only), closes its segments, sends one pickled
-   report, ``("ok", seconds)``, and leaves with ``os._exit(0)``,
-   skipping interpreter teardown. Ranks are one-shot; the one
-   exception is a clean survivor (see "Failure handling").
-5. The parent maps the segment again and copies each result out in one
-   pass, so no returned array aliases the segment, which the next
-   launch overwrites. The teardown merges the trace rings into the
-   ``observer``, after a failed launch too: the parent still holds the
-   flags segment a dead rank wrote its ring into. Ranks stamp records
-   with ``time.perf_counter_ns()``, the tracer's clock, so each event
-   lands on the tracer's timeline where it ran.
+   to writable views of its own regions and runs in place: updated
+   states and gathered writebacks land straight in their regions. It
+   copies every other result the parent reads into its region (a
+   replicated one from the group's first rank only), closes its
+   segments, sends one report, ``("ok", seconds)``, and leaves with
+   ``os._exit(0)``. Only a clean survivor stays (see "Failure
+   handling").
+5. The parent copies each result out of the segment in one pass, so no
+   returned array aliases it. The teardown merges the trace rings into
+   the ``observer``, after a failed launch too: the parent still holds
+   the flags segment a dead rank wrote its ring into. Ranks stamp
+   records with ``time.perf_counter_ns()``, the tracer's clock.
 
 Failure handling
 ----------------
 
-A rank that raises stores a failure marker in the flags segment; every
-spin loop polls the marker, so peers blocked mid-collective abort
-promptly instead of deadlocking the rendezvous. A rank is dead when its
-socket reaches EOF (or a reset, if it exited with its spec unread)
-before a whole report arrived: only the rank holds its end, so EOF
-means the process is gone, whether it was killed, died of an injected
-fault or never got as far as reading its spec. The
-parent then stores the failure marker on the rank's behalf, and takes
-its exit code from ``Popen.wait``. Teardown runs in a ``finally``: it
-closes the parent's socket ends, so a rank still waiting for its spec
-(a launch that failed before sending, a kernel that did not compile)
-reads EOF and exits, and reaps (after a grace period, kills) every
-rank but the clean survivors. The pool keeps its segments and those
-survivors until :meth:`RankPool.close`, the end of its ``with`` block
-or its collection (``weakref.finalize``). ``Executor.run_spmd`` closes
-its pool before any failure propagates: the traceback keeps the
-``Executor`` alive, and no segment or rank may outlive a failed call.
+A rank that raises stores its error flag, and its peers abort (see
+"Failure handling" in :mod:`repro.runtime.rank`). A rank is dead when
+its socket reaches EOF (or a reset, if it exited with its spec unread)
+before a whole report arrived: only the rank holds its end, so the
+process is gone, killed, dead of an injected fault or never past its
+spec read. The parent then stores its dead-rank flag
+(:func:`~repro.runtime.rank.signal_dead`) and takes its exit code from
+``Popen.wait``. Teardown runs in a ``finally``: it closes the parent's
+socket ends, so a rank still waiting for its spec reads EOF and exits,
+and reaps (after a grace period, kills) every rank but the clean
+survivors, which the pool keeps with its segments until
+:meth:`RankPool.close`. ``Executor.run_spmd`` closes its pool before
+any failure propagates, so no segment or rank outlives a failed call.
 
 Elastic recovery runs on the survivors. A rank whose report is
 ``("aborted", message, clean)`` with ``clean`` true (a peer failed, and
-:meth:`SpmdCommunicator.close` found no stream still running and no
-view pinning a segment) does not exit: it reads its socket again.
-The ``Executor``'s :class:`RankPool` spans the failed launch and every
-attempt of its descent. Each attempt adopts the clean survivors,
-renumbered in rank order, and sends them the re-lowered spec over the
-same sockets. The segments are the pool's, as for any launch: no rank
-maps them any more, since every other rank of the failed launch has
-been reaped, so the flags are zeroed (``ftruncate(fd, 0)`` then the
-new size) and the data segment resized in place. No fd is passed
-again. A survivor that was not clean, or died while it waited, is
-replaced by a fresh rank; one beyond the new world size is released
-(its socket closed, so it reads EOF). Dead still means EOF, and a rank
-that timed out or raised is never reused. Both sides keep one message
-invariant: the parent sends spec n+1 only after it has read report n,
-so the per-message buffered readers (``open(fd)`` in the rank,
-``sock.makefile`` in the parent) never read ahead into the next
-message.
+:meth:`~repro.runtime.rank.RankCore.close` found no stream running and
+no view pinning a segment) reads its socket again. The ``Executor``'s
+pool spans the failed launch and every attempt of its descent. Each
+attempt adopts the clean survivors, renumbered in rank order, and sends
+them the re-lowered spec over the same sockets; the pool's segments,
+which no rank maps any more, are zeroed and resized in place, and no fd
+is passed again. A survivor that was not clean, or died while it
+waited, is replaced by a fresh rank; one beyond the new world size is
+released. A rank that timed out or raised is never reused. The parent
+sends spec n+1 only after it read report n, so the per-message buffered
+readers (``open(fd)`` in the rank, ``sock.makefile`` in the parent)
+never read ahead into the next message.
 
 Usage
 -----
@@ -201,17 +149,14 @@ it spawns one real OS process per rank:
     sched = AdamWorkload.build(1024, 4).schedules()['fuse(RS-Adam-AG)']
     inputs = _seeded_inputs(sched.program, seed=0)
     out = Executor().run_spmd(sched, inputs, allow_downcast=True)
-    # bit-identical to run_lowered(sched, inputs) — the acceptance
-    # property tests/test_spmd.py holds the backend to; pass
-    # codegen_target="native" for compiled C kernels, elastic=True
-    # plus a FaultPlan for recovery from dead ranks.
+    # bit-identical to run_lowered(sched, inputs); codegen_target=
+    # "native" runs C kernels, elastic=True recovers from dead ranks.
 """
 
 from __future__ import annotations
 
 import mmap
 import os
-import pickle
 import sys
 import time
 import weakref
@@ -224,93 +169,30 @@ import numpy as np
 
 from repro.core.process_group import ProcessGroup
 from repro.core.tensor import Tensor
-from repro.errors import ExecutionError
 from repro.observe.ring import (
-    KIND_COMPILE,
-    KIND_FAULT,
-    KIND_KERNEL,
-    KIND_PUBLISH,
-    KIND_REDUCE,
-    KIND_STALL,
-    KIND_WAIT,
-    TraceRing,
-    merge_rank_traces,
+    KIND_FAULT, KIND_PUBLISH, KIND_REDUCE, TraceRing, merge_rank_traces,
 )
 from repro.runtime.collectives import _node_grid, fold_ranks
+from repro.runtime.rank import (
+    _ERR_FAILED, _RANK_ENTRY, DEFAULT_TIMEOUT, PROGRESS_BASE, RankCore,
+    SpmdError, SpmdLayout, SpmdTimeout, SpmdWorkerError, _recv, _send,
+    signal_dead,
+)
 from repro.runtime.world import (
     assemble_rows, check_divisible, place_inputs, slice_of,
 )
 
-if TYPE_CHECKING:  # parent-side only; a sent plan unpickles ``faults``
+if TYPE_CHECKING:  # parent-side only
     import socket
     import subprocess
 
     from repro.runtime.faults import FaultPlan
 
-__all__ = [
-    "RankPool",
-    "SpmdCommunicator",
-    "SpmdError",
-    "SpmdPeerAbort",
-    "SpmdTimeout",
-    "SpmdWorkerError",
-    "scaled_default_timeout",
-]
+__all__ = ["RankPool", "SpmdCommunicator", "scaled_default_timeout"]
 
-#: ready counters encode ``seq * PROGRESS_BASE + chunks_published``
-PROGRESS_BASE = 1 << 20
-#: error-flag value stored by a failing rank
-_ERR_FAILED = 1
-#: error-flag value the *parent* stores for a rank whose process died
-#: without reporting — peers abort exactly like on a failure, but the
-#: message distinguishes "died" from "raised"
-_ERR_DEAD = 2
-#: spin-wait granularity (seconds) and its escalation ceiling
-_SPIN = 5e-5
-_SPIN_MAX = 5e-3
-#: default per-wait timeout (seconds)
-DEFAULT_TIMEOUT = 120.0
-#: default soft (escalation) deadline inside a wait: after this many
-#: seconds without progress the spin backs off and a stall marker is
-#: recorded; the hard ``timeout`` still bounds the wait
-DEFAULT_SOFT_TIMEOUT = 2.0
-#: exit code of a rank killed by an injected ``die`` fault
-_DIE_EXIT_CODE = 86
 #: ``madvise`` advice that faults a range in writable (Linux 5.14; not
 #: every Python's ``mmap`` module names it)
 _MADV_POPULATE_WRITE = 23
-
-
-class SpmdError(ExecutionError):
-    """Base error of the SPMD backend."""
-
-
-class SpmdTimeout(SpmdError):
-    """A rendezvous wait exceeded its deadline."""
-
-
-class SpmdPeerAbort(SpmdError):
-    """Another rank failed; this rank aborted its pending waits."""
-
-
-class SpmdWorkerError(SpmdError):
-    """A run failed; ``context`` carries the failing rank's structured
-    state — ``{"rank", "op", "site", "seq"}`` — captured at the point
-    of failure, so the error is diagnosable from the merged trace
-    without parsing the traceback string. ``dead_ranks`` lists ranks
-    whose *process* vanished without reporting (killed, ``os._exit``,
-    OOM) — the elastic-recovery trigger."""
-
-    def __init__(
-        self,
-        message: str,
-        context: Optional[dict] = None,
-        dead_ranks: Optional[Sequence[int]] = None,
-    ) -> None:
-        super().__init__(message)
-        self.context = context or {}
-        self.dead_ranks = sorted(dead_ranks or [])
-
 
 def _group_key(group: ProcessGroup) -> str:
     return f"g{group.start}x{group.size}"
@@ -318,97 +200,6 @@ def _group_key(group: ProcessGroup) -> str:
 
 def _p2p_key(src: int, dst: int) -> str:
     return f"p{src}>{dst}"
-
-
-def _round64(n: int) -> int:
-    return (n + 63) // 64 * 64
-
-
-class SpmdLayout:
-    """Deterministic data-segment layout shared by the parent and every rank.
-
-    ``sites`` maps a site key to ``(participants, slot_bytes, offset)``
-    where ``offset`` is the byte offset of the site's rank-0 slot in the
-    data segment; rank ``r``'s slot starts at ``offset + r *
-    slot_bytes``. ``regions`` maps ``("in" | "out", tensor name)`` to
-    ``(shape, dtype, {rank: offset}, writers)``: one private per-rank
-    array for every input a rank holds (its storage, written in place)
-    and for every output it returns; ``writers`` are the ranks whose
-    copies the parent reads back. Plain ints and tuples, so it travels
-    in every rank's pickled spec.
-    """
-
-    def __init__(self, nranks: int) -> None:
-        self.nranks = nranks
-        self.sites: Dict[str, Tuple[Tuple[int, ...], int, int]] = {}
-        self.regions: Dict[Tuple[str, str], Tuple] = {}
-        self.data_size = 64
-        self._pending: Dict[str, Tuple[Tuple[int, ...], int]] = {}
-        self._regions_end = 0
-
-    def add_site(
-        self, key: str, participants: Sequence[int], payload_bytes: int
-    ) -> None:
-        participants = tuple(participants)
-        slot = _round64(max(64, int(payload_bytes))) + 64
-        old = self._pending.get(key)
-        if old is not None:
-            participants = old[0]
-            slot = max(old[1], slot)
-        self._pending[key] = (participants, slot)
-
-    def add_region(
-        self, key: Tuple[str, str], shape: Sequence[int], dtype,
-        ranks: Sequence[int], writers: Sequence[int],
-    ) -> None:
-        """Reserve one ``shape``/``dtype`` array per rank in ``ranks``.
-
-        Regions come first in the data segment, the slots after them.
-        """
-        dtype = np.dtype(dtype)
-        nbytes = _round64(max(1, int(np.prod(shape)) * dtype.itemsize))
-        offsets = {}
-        for r in ranks:
-            offsets[r] = self._regions_end
-            self._regions_end += nbytes
-        self.regions[key] = (tuple(shape), dtype.str, offsets, tuple(writers))
-
-    def freeze(self) -> int:
-        """Assign slot offsets; returns the total data-segment size."""
-        offset = self._regions_end
-        for key in sorted(self._pending):
-            participants, slot = self._pending[key]
-            self.sites[key] = (participants, slot, offset)
-            offset += slot * self.nranks
-        self.data_size = max(offset, 64)
-        return self.data_size
-
-    def view(self, buf, key: Tuple[str, str], rank: int) -> np.ndarray:
-        """Rank ``rank``'s writable array of region ``key`` over ``buf``.
-
-        The view pins ``buf``: drop it before closing the segment.
-        """
-        shape, dtype, offsets, _ = self.regions[key]
-        return np.ndarray(
-            shape, dtype=dtype, buffer=buf, offset=offsets[rank]
-        )
-
-    @property
-    def num_sites(self) -> int:
-        return len(self.sites)
-
-    def flags_length(self) -> int:
-        # ready+done per (site, rank), then one error flag per rank
-        return self.num_sites * self.nranks * 2 + self.nranks
-
-    def flags_bytes(self, traced: bool = False) -> int:
-        """Bytes of the flags segment: the flags, then on a traced
-        launch one trace ring per rank (see :meth:`ring_offset`)."""
-        return self.ring_offset(self.nranks if traced else 0)
-
-    def ring_offset(self, rank: int) -> int:
-        """Byte offset of ``rank``'s trace ring in the flags segment."""
-        return self.flags_length() * 8 + rank * TraceRing.nbytes()
 
 
 def build_layout(program) -> SpmdLayout:
@@ -458,16 +249,20 @@ def build_layout(program) -> SpmdLayout:
         ranks = tuple(t.group.ranks)
         return ranks[:1] if t.layout.is_replicated else ranks
 
-    for t in program.inputs:
+    def region(kind: str, t, ranks, writers) -> None:
+        dtype = np.dtype(t.dtype.to_numpy())
         layout.add_region(
-            ("in", t.name), t.per_rank_shape(), t.dtype.to_numpy(),
-            t.group.ranks, readers(t) if isinstance(t, Tensor) else (),
+            (kind, t.name), t.per_rank_shape(), dtype.str, dtype.itemsize,
+            ranks, writers,
+        )
+
+    for t in program.inputs:
+        region(
+            "in", t, t.group.ranks,
+            readers(t) if isinstance(t, Tensor) else (),
         )
     for o in program.outputs:
-        layout.add_region(
-            ("out", o.name), o.per_rank_shape(), o.dtype.to_numpy(),
-            readers(o), readers(o),
-        )
+        region("out", o, readers(o), readers(o))
     layout.freeze()
     return layout
 
@@ -542,206 +337,14 @@ class _Publication(NamedTuple):
         return self.chunks is not WHOLE
 
 
-class SpmdCommunicator:
-    """One rank's endpoint of the shared-memory rendezvous."""
+class SpmdCommunicator(RankCore):
+    """One rank's endpoint of the shared-memory rendezvous: the data
+    plane (slots, folds, collectives, streams) over
+    :class:`~repro.runtime.rank.RankCore`'s control plane."""
 
-    def __init__(
-        self,
-        layout: SpmdLayout,
-        rank: int,
-        data: mmap.mmap,
-        flags: mmap.mmap,
-        wire_s_per_mb: float = 0.0,
-        timeout: float = DEFAULT_TIMEOUT,
-        traced: bool = False,
-        soft_timeout: Optional[float] = None,
-        faults: Optional[FaultPlan] = None,
-    ) -> None:
-        self.layout = layout
-        self.rank = rank
-        self.nranks = layout.nranks
-        self.wire_s_per_mb = float(wire_s_per_mb)
-        self.timeout = float(timeout)
-        self.soft_timeout = min(
-            self.timeout,
-            DEFAULT_SOFT_TIMEOUT if soft_timeout is None
-            else float(soft_timeout),
-        )
-        self._data = data
-        self._flags_map = flags
-        self._flags = np.ndarray(
-            (layout.flags_length(),), dtype=np.int64, buffer=flags
-        )
-        self._site_order = sorted(layout.sites)
-        self._site_idx = {k: i for i, k in enumerate(self._site_order)}
-        self._seq: Dict[str, int] = {}
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self._pending: Dict[str, _Publication] = {}
-        self._err_off = layout.num_sites * layout.nranks * 2
-        self._closed = False
-        self._clean = True
-        # observability: the rank's trace ring in the flags segment
-        # plus the current operation context (kept even without a ring
-        # — it is the structured context attached to propagated worker
-        # errors)
-        self._ring: Optional[TraceRing] = (
-            TraceRing(flags, layout.ring_offset(rank)) if traced else None
-        )
-        self._op = ""
-        self._site = ""
-        self._site_seq = 0
-        self._streams: List["_Stream"] = []
-        # fault injection: the plan's per-rank view (None when inert);
-        # armed events are recorded up front so a post-mortem trace
-        # shows what was injected even if the rank never reaches it
-        self._faults = faults.for_rank(rank) if faults is not None else None
-        if self._faults is not None and self._ring is not None:
-            now = time.perf_counter_ns()
-            for desc in self._faults.armed():
-                self._ring.append(KIND_FAULT, now, 0, name=f"armed:{desc}")
-
-    # -- attach (worker side) -------------------------------------------
-
-    @classmethod
-    def attach(
-        cls, layout: SpmdLayout, rank: int, data_fd: int, flags_fd: int,
-        traced: bool = False, **kwargs,
-    ) -> "SpmdCommunicator":
-        """Map the segments behind ``data_fd`` and ``flags_fd`` (the
-        caller keeps the fds); ``kwargs`` are :meth:`__init__`'s."""
-        return cls(
-            layout, rank, mmap.mmap(data_fd, layout.data_size),
-            mmap.mmap(flags_fd, layout.flags_bytes(traced)),
-            traced=traced, **kwargs,
-        )
-
-    # -- flags ----------------------------------------------------------
-
-    def _ready_idx(self, key: str, rank: int) -> int:
-        return (self._site_idx[key] * self.nranks + rank) * 2
-
-    def _ready(self, key: str, rank: int) -> int:
-        return int(self._flags[self._ready_idx(key, rank)])
-
-    def _set_ready(self, key: str, rank: int, value: int) -> None:
-        self._flags[self._ready_idx(key, rank)] = value
-
-    def _done(self, key: str, rank: int) -> int:
-        return int(self._flags[self._ready_idx(key, rank) + 1])
-
-    def _set_done(self, key: str, rank: int, value: int) -> None:
-        self._flags[self._ready_idx(key, rank) + 1] = value
-
-    def signal_error(self, kind: int = _ERR_FAILED) -> None:
-        """Mark this rank failed so peers abort their pending waits."""
-        if not self._closed:
-            self._flags[self._err_off + self.rank] = kind
-
-    def _check_peers(self) -> None:
-        errs = self._flags[self._err_off : self._err_off + self.nranks]
-        if errs.any():
-            failed = [
-                r for r in range(self.nranks)
-                if errs[r] and r != self.rank
-            ]
-            if failed:
-                dead = [r for r in failed if int(errs[r]) == _ERR_DEAD]
-                extra = f" (rank(s) {dead} died)" if dead else ""
-                raise SpmdPeerAbort(
-                    f"rank {self.rank}: aborting, peer rank(s) "
-                    f"{failed} failed{extra}"
-                )
-
-    def _spin(self, cond, what: str, site: str = "") -> None:
-        """Wait for ``cond`` with escalation instead of one flat wall.
-
-        Under :attr:`soft_timeout` the loop spins at fine granularity;
-        each soft deadline that passes without progress is a *soft
-        retry* — the spin interval backs off (doubling up to
-        ``_SPIN_MAX``) and a stall marker is recorded, so transient
-        hiccups (an injected ``stall_publish``, a delayed chunk
-        redelivery, a straggler) are ridden out visibly. Only the hard
-        :attr:`timeout` raises :class:`SpmdTimeout`, after signalling
-        the error flag so every peer aborts its own waits (the
-        peer-abort broadcast).
-        """
-        if cond():
-            return
-        t0 = time.perf_counter_ns() if self._ring is not None else 0
-        start = time.monotonic()
-        deadline = start + self.timeout
-        next_soft = start + self.soft_timeout
-        interval = _SPIN
-        retries = 0
-        try:
-            while not cond():
-                self._check_peers()
-                now = time.monotonic()
-                if now > deadline:
-                    self.signal_error(_ERR_FAILED)
-                    raise SpmdTimeout(
-                        f"rank {self.rank}: timed out after "
-                        f"{self.timeout:.0f}s ({retries} soft retries of "
-                        f"{self.soft_timeout:.2g}s) waiting for {what}"
-                    )
-                if now >= next_soft:
-                    retries += 1
-                    interval = min(interval * 2.0, _SPIN_MAX)
-                    next_soft = now + self.soft_timeout
-                    if self._ring is not None:
-                        self._ring.append(
-                            KIND_STALL, time.perf_counter_ns(), 0,
-                            seq=retries, site=site or self._site,
-                            name=what,
-                        )
-                time.sleep(interval)
-        finally:
-            # recorded even when the wait dies (timeout / peer abort):
-            # the stall is exactly what the merged trace must show
-            if self._ring is not None:
-                self._ring.append(
-                    KIND_WAIT, t0, time.perf_counter_ns() - t0,
-                    seq=self._site_seq, site=site or self._site, name=what,
-                )
-
-    # -- observability ----------------------------------------------------
-
-    def _trace(
-        self, kind: int, t0: int, *, nbytes: int = 0, seq: int = 0,
-        site: str = "", name: str = "",
-    ) -> None:
-        if self._ring is not None:
-            self._ring.append(
-                kind, t0, time.perf_counter_ns() - t0,
-                nbytes=nbytes, seq=seq, site=site, name=name,
-            )
-
-    def kernel_span(self, name: str):
-        """Scope one generated-kernel call: maintains the current-op
-        context (attached to worker errors) and, when tracing, records
-        the call as a kernel span."""
-        return _KernelSpan(self, name)
-
-    def record_kernel_open(self, key: str, seconds: float) -> None:
-        """Record opening the kernel object the launcher resolved as a
-        ``hit:<key>`` instant, so Perfetto timelines show the load next
-        to the kernels it preceded; ``dur`` carries the elapsed time,
-        which the merged metrics aggregate per rank."""
-        if self._ring is not None:
-            self._ring.append(
-                KIND_COMPILE,
-                time.perf_counter_ns(),
-                int(seconds * 1e9),
-                name=f"hit:{key}",
-            )
-
-    def error_context(self) -> Dict[str, object]:
-        """The structured where-was-I snapshot for failure reports."""
-        return {
-            "rank": self.rank,
-            "op": self._op,
-            "site": self._site,
-            "seq": self._site_seq,
-        }
 
     # -- slots -----------------------------------------------------------
 
@@ -754,8 +357,7 @@ class SpmdCommunicator:
                 f"launcher sized sites from the program — this op was "
                 f"not part of it"
             ) from None
-        base = offset + rank * slot
-        return base, slot
+        return offset + rank * slot, slot
 
     def _slot_view(self, pub: _Publication, rank: int) -> np.ndarray:
         """A writable view of ``rank``'s slot holding ``pub``'s payload.
@@ -768,72 +370,12 @@ class SpmdCommunicator:
             pub.shape, dtype=pub.dtype, buffer=self._data, offset=base
         )
 
-    def _wire_sleep(self, nbytes: int) -> None:
-        if self.wire_s_per_mb > 0.0 and nbytes > 0:
-            factor = (
-                self._faults.wire_factor if self._faults is not None else 1.0
-            )
-            time.sleep(self.wire_s_per_mb * factor * nbytes / (1 << 20))
-
-    # -- fault injection --------------------------------------------------
-
-    def _fault_publish(self, site: str, seq: int) -> None:
-        """One publish-side injection point: stall, then possibly die.
-
-        Called after the payload is written but before the ready flag —
-        a stall delays visibility (peers soft-retry through it), and a
-        kill leaves a written-but-unannounced payload behind, exactly
-        like a process dying mid-transfer.
-        """
-        f = self._faults
-        if f is None:
-            return
-        delay = f.publish_delay(site, seq)
-        if delay > 0.0:
-            self._trace(
-                KIND_FAULT, time.perf_counter_ns(), seq=seq, site=site,
-                name=f"stall_publish {delay:g}s",
-            )
-            time.sleep(delay)
-        if f.should_die(site):
-            self._die(site, seq)
-
-    def _die(self, site: str, seq: int) -> None:
-        """Injected hard death: no error flag, no parent message.
-
-        The fault marker is written to the ring first (the parent holds
-        the segment, so it outlives the process), then the process
-        vanishes — detection is entirely the parent's and the peers'
-        problem, which is the point.
-        """
-        if self._ring is not None:
-            self._ring.append(
-                KIND_FAULT, time.perf_counter_ns(), 0, seq=seq, site=site,
-                name="die",
-            )
-        os._exit(_DIE_EXIT_CODE)
-
     # -- rendezvous core --------------------------------------------------
     #
     # Every operation on a site is one publication: ``_open`` takes the
     # site's next sequence number, ``_release`` writes and announces this
     # rank's payload chunk by chunk, and ``_gather``/``_reduce`` wait for
     # each chunk and copy it out or fold it in before ``_finish``.
-
-    def _begin(self, key: str, participants: Sequence[int]) -> int:
-        seq = self._seq.get(key, 0) + 1
-        self._seq[key] = seq
-        self._site = key
-        self._site_seq = seq
-        if seq > 1:
-            # slot reuse: everyone must have finished the previous op
-            self._spin(
-                lambda: all(
-                    self._done(key, p) >= seq - 1 for p in participants
-                ),
-                f"site {key} seq {seq - 1} completion",
-            )
-        return seq
 
     def _open(
         self, key: str, ranks: Sequence[int], shape, dtype,
@@ -930,15 +472,6 @@ class SpmdCommunicator:
         finally:
             del view
 
-    def _wait(self, pub: _Publication, rank: int, c: int) -> None:
-        """Wait until global rank ``rank`` published chunk ``c`` of ``pub``."""
-        want = pub.seq * PROGRESS_BASE + c + 1
-        self._spin(
-            lambda: self._ready(pub.key, rank) >= want,
-            f"chunk {c} from rank {rank} at site {pub.key}",
-            site=pub.key,
-        )
-
     def _gather(
         self, pub: _Publication, ranks: Optional[Sequence[int]] = None,
         rows: Optional[Sequence[np.ndarray]] = None,
@@ -1015,14 +548,6 @@ class SpmdCommunicator:
             name=self._op or op,
         )
         return total
-
-    def _finish(self, pub: _Publication) -> None:
-        if pub.chunked:
-            # the consumer's operand is the producer stream's ``out``
-            # buffer (a non-root reduce returns it): it is only whole
-            # once this rank released its last chunk
-            self._wait(pub, self.rank, len(pub.chunks) - 1)
-        self._set_done(pub.key, self.rank, pub.seq)
 
     def _publication(
         self, x, group: ProcessGroup, release: bool = True
@@ -1269,90 +794,6 @@ class SpmdCommunicator:
 
     # -- teardown ---------------------------------------------------------
 
-    def close(self) -> bool:
-        """Join the streams, close the ring and unmap both segments.
-
-        Returns whether it closed cleanly: no stream was left running
-        and no view pinned either segment, so this process maps nothing
-        of them any more (see :func:`_rank_main`).
-        """
-        if self._closed:
-            return self._clean
-        self._closed = True
-        # every started stream must be joined by now (the generated
-        # orchestrators join in a finally); any thread still alive gets
-        # a short grace join and is tagged in the trace — a leaked
-        # producer is a teardown bug the post-mortem must show
-        for s in self._streams:
-            if s.alive():
-                s.wait(1.0)
-                if s.alive():
-                    self._clean = False
-                    if self._ring is not None:
-                        self._ring.append(
-                            KIND_FAULT, time.perf_counter_ns(), 0,
-                            name="stream-leak",
-                        )
-        self._streams = []
-        self._flags = None
-        if self._ring is not None:
-            self._ring.close()
-            self._ring = None
-        for segment in (self._data, self._flags_map):
-            try:
-                segment.close()
-            except BufferError:  # a view still pins the segment
-                self._clean = False
-        return self._clean
-
-
-class _KernelSpan:
-    """Context manager scoping one generated-kernel call.
-
-    Maintains the communicator's current-op name (nested in the
-    overlap case: a producer stream publishes while the consumer kernel
-    runs) and records the call as a kernel span when tracing.
-    """
-
-    def __init__(self, comm: SpmdCommunicator, name: str) -> None:
-        self._comm = comm
-        self._name = name
-        self._prev = ""
-        self._t0 = 0
-
-    def __enter__(self) -> "_KernelSpan":
-        comm = self._comm
-        self._prev = comm._op
-        comm._op = self._name
-        faults = comm._faults
-        if comm._ring is not None or (
-            faults is not None and faults.kernel_factor > 1.0
-        ):
-            self._t0 = time.perf_counter_ns()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        comm = self._comm
-        faults = comm._faults
-        if (
-            faults is not None
-            and faults.kernel_factor > 1.0
-            and self._t0
-            and exc_type is None
-        ):
-            # straggler: stretch the kernel's elapsed time by the factor
-            elapsed = (time.perf_counter_ns() - self._t0) / 1e9
-            time.sleep(elapsed * (faults.kernel_factor - 1.0))
-        comm._trace(
-            KIND_KERNEL, self._t0, seq=comm._site_seq, site=comm._site,
-            name=self._name,
-        )
-        if exc_type is None:
-            comm._op = self._prev
-        # on failure the op name is left in place so error_context()
-        # reports the kernel that raised
-
-
 class _Stream(object):
     """A worker thread standing in for one GPU stream."""
 
@@ -1388,28 +829,8 @@ class _Stream(object):
 
 
 # ---------------------------------------------------------------------------
-# Rank side: messages, results, the rank process entry point.
+# Rank side: the body and its results.
 # ---------------------------------------------------------------------------
-
-
-def _send(fd: int, obj) -> None:
-    """Send ``obj`` over the socket ``fd`` as one message: its pickle,
-    which marks its own end."""
-    data = memoryview(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
-    while data:
-        data = data[os.write(fd, data):]
-
-
-def _recv(stream):
-    """The next :func:`_send` message from ``stream``, a binary stream
-    over a socket; ``None`` if the peer is gone before a whole one (EOF,
-    a message cut short, or a connection reset because the peer exited
-    with a message to it unread)."""
-    try:
-        return pickle.load(stream)
-    except (EOFError, pickle.UnpicklingError, OSError):
-        return None
-
 
 def _store_results(
     layout: SpmdLayout, buf, rank: int, outputs: Dict, states: Dict
@@ -1440,86 +861,6 @@ def _same_memory(a: np.ndarray, b: np.ndarray) -> bool:
         and a.strides == b.strides
         and a.dtype == b.dtype
     )
-
-
-#: what a rank process runs (``python -S -c``); ``sys.argv[1]`` is the
-#: fd of its end of the socket pair to the parent
-_RANK_ENTRY = "from repro.runtime.spmd import _rank_main; _rank_main()"
-
-
-def _rank_main() -> None:
-    """A rank process: a spec in, a report out, then exit.
-
-    The spec arrives once every input region is written (see
-    :meth:`RankPool.launch`). The rank reads and writes its end of the
-    socket pair as a plain fd, and never closes it: only the exit closes
-    it, so the parent reading EOF knows the process is gone.
-
-    A clean survivor (an ``aborted`` report whose ``clean`` is true)
-    reads its socket again instead of exiting, for the re-lowered step
-    of an elastic recovery or for EOF. The module docstring's "Failure
-    handling" gives the protocol, and why a new buffered reader per
-    spec never reads ahead into the next message.
-    """
-    fd = int(sys.argv[1])
-    while True:
-        with open(fd, "rb", closefd=False) as stream:
-            spec = _recv(stream)
-        if spec is None:
-            break
-        report = _run_rank(**spec)
-        try:
-            _send(fd, report)
-        except OSError:  # the parent is gone (or gave up on this run)
-            break
-        if report[0] != "aborted" or not report[2]:
-            break
-    # reported, segments and ring closed: exit without interpreter
-    # teardown (finalizing every imported module takes longer than the
-    # rank body of a small step)
-    sys.stdout.flush()
-    sys.stderr.flush()
-    os._exit(0)
-
-
-def _run_rank(
-    rank: int, layout: SpmdLayout, data_fd: int, flags_fd: int,
-    source: str, kernels: Optional[tuple], **comm_kwargs,
-) -> tuple:
-    """Run the module ``source`` as rank ``rank``; returns its report.
-
-    ``("ok", seconds)``, ``("error", summary, traceback, context)`` or
-    ``("aborted", message, clean)``, where ``clean`` is what
-    :meth:`SpmdCommunicator.close` returned. The communicator closes
-    outside the exception handlers, once the traceback, and with it
-    every view its frames held, is gone.
-    """
-    comm = None
-    try:
-        comm = SpmdCommunicator.attach(
-            layout, rank, data_fd, flags_fd, **comm_kwargs
-        )
-        report = ("ok", _run_body(comm, source, kernels))
-    except SpmdPeerAbort as exc:
-        report = ("aborted", str(exc))
-    except BaseException as exc:  # noqa: BLE001 - reported to the parent
-        if comm is not None:
-            comm.signal_error(_ERR_FAILED)
-            context = comm.error_context()
-        else:
-            context = {"rank": rank, "op": "", "site": "", "seq": 0}
-        summary = f"rank {rank}: {type(exc).__name__}: {exc}"
-        if context.get("op") or context.get("site"):
-            summary += (
-                f" (op {context.get('op') or '?'!r}, "
-                f"site {context.get('site') or '?'!r}, "
-                f"seq {context.get('seq', 0)})"
-            )
-        import traceback
-
-        report = ("error", summary, traceback.format_exc(), context)
-    clean = comm is not None and comm.close()
-    return report + (clean,) if report[0] == "aborted" else report
 
 
 def _run_body(
@@ -1610,23 +951,6 @@ def _read_results(layout: SpmdLayout, program, buf):
     return outputs, states
 
 
-def _merge_rings(layout: SpmdLayout, flags_fd: int, observer) -> None:
-    """Merge the ranks' trace rings in the flags segment into
-    ``observer``, on its clock."""
-    with mmap.mmap(flags_fd, layout.flags_bytes(traced=True)) as flags:
-        rings = [
-            TraceRing(flags, layout.ring_offset(r))
-            for r in range(layout.nranks)
-        ]
-        try:
-            observer.extend(
-                merge_rank_traces(rings, observer.epoch, observer.metrics)
-            )
-        finally:
-            for ring in rings:
-                ring.close()
-
-
 def _segment(name: str, size: int) -> int:
     """A new ``size``-byte anonymous shared-memory file (zero-filled)."""
     fd = os.memfd_create(name)
@@ -1695,19 +1019,11 @@ def _free(fds: List[int], idle: List[tuple]) -> None:
 class RankPool:
     """The launcher: rank processes and segments owned across launches.
 
-    An ``Executor`` owns one pool for its lifetime, and every
-    :meth:`launch`, elastic recovery attempts included, runs on it.
-    The pool holds the two segments and the *idle* ranks: clean
-    survivors of the last launch (see :func:`_rank_main`), waiting on
-    their sockets for a spec. A launch after the first zeroes the flags
-    segment and keeps the data segment's pages, resizing it only when
-    the layout's size differs. It adopts idle ranks first, renumbered in
-    rank order, starts fresh ranks only for a shortfall and releases
-    idle ranks beyond its world size.
-
-    :meth:`close`, the end of a ``with`` block and the pool's collection
-    (``weakref.finalize``) release the idle ranks and close both
-    segments; the pool can be launched on again after a ``close()``.
+    The pool holds the two segments and the *idle* ranks, the clean
+    survivors of the last launch, waiting on their sockets for a spec
+    (the module docstring's "Launch" and "Failure handling"). Its
+    :meth:`close`, the end of a ``with`` block and its collection
+    (``weakref.finalize``) release both; it can launch again after.
     """
 
     def __init__(self) -> None:
@@ -1748,43 +1064,27 @@ class RankPool:
 
         ``generated`` is a
         :class:`~repro.core.codegen.generator.GeneratedSpmdProgram`;
-        every rank ``exec``s its ``source`` as is. Adopts or starts
-        ``world_size`` rank processes, places the inputs into their
-        shared-memory regions, executes ``run_rank`` on every rank over
-        a shared-memory communicator, and copies the per-rank
-        outputs/states back into a
+        every rank ``exec``s its ``source`` as is. Returns a
         :class:`~repro.runtime.executor.ProgramResult` whose arrays own
-        their memory. Teardown is exception-safe: ranks are reaped
-        (killed after a grace period) in a ``finally``, even when a rank
-        raises mid-collective; only clean survivors stay idle in the
-        pool.
-
-        The module docstring's "Launch" section gives the start-up order.
+        their memory; the module docstring's "Launch" section gives the
+        steps, and "Failure handling" the teardown.
 
         ``timeout`` bounds every rendezvous wait (default:
         :func:`scaled_default_timeout`, so slow simulated wires stretch
-        the deadline instead of false-timing-out). On the native target
-        the parent compiles any kernels before the ranks get their
-        specs, so a cold kernel cache never counts against it.
-        ``soft_timeout`` is the escalation (soft-retry) deadline inside
-        each wait. ``fault_plan`` injects the given
-        :class:`~repro.runtime.faults.FaultPlan` into every rank. A rank
-        whose socket reaches EOF before it reported died (killed, an
-        injected ``die``, OOM): its error flag is broadcast on its
-        behalf, so surviving ranks abort their in-flight collectives
-        with :class:`SpmdPeerAbort` rather than spinning to their own
-        timeouts, and the failure is raised as a
-        :class:`SpmdWorkerError` with ``dead_ranks`` populated — the
+        the deadline instead of false-timing-out); a native compile
+        happens before the ranks get their specs, so it never counts
+        against it. ``soft_timeout`` is the escalation (soft-retry)
+        deadline inside each wait. ``fault_plan`` injects the given
+        :class:`~repro.runtime.faults.FaultPlan` into every rank. A
+        failure raises :class:`~repro.runtime.rank.SpmdWorkerError`,
+        whose ``dead_ranks`` (ranks that died before reporting) are the
         elastic-recovery trigger.
 
         ``observer`` (a :class:`~repro.observe.events.Tracer`) hears of
         the native compile, and every rank records its
         publish/wait/reduce/kernel spans into its own trace ring (see
-        :mod:`repro.observe.ring`), placed after the flags in the flags
-        segment. The teardown merges the rings into ``observer``,
-        failed launches included, on the tracer's clock: every rank
-        event lies where it ran, after the specs were sent. No file is
-        written. Its ``metrics`` also count
+        :mod:`repro.observe.ring`); the teardown merges the rings into
+        ``observer``, failed launches included. Its ``metrics`` also count
         ``spmd.segment_reuses``, the launches that kept the data
         segment's pages, and ``spmd.segment_bytes_allocated``, the bytes
         of data segment created or grown (0 on a launch whose layout has
@@ -1796,10 +1096,14 @@ class RankPool:
         world_size = program.inputs[0].group.world_size
         placed = place_inputs(program, inputs, allow_downcast, cast=False)
         layout = build_layout(program)
-        timeout = (
+        # plain floats: a numpy scalar would take numpy into the spec
+        wire_s_per_mb = float(wire_s_per_mb)
+        timeout = float(
             scaled_default_timeout(layout, wire_s_per_mb)
-            if timeout is None else float(timeout)
+            if timeout is None else timeout
         )
+        if soft_timeout is not None:
+            soft_timeout = float(soft_timeout)
 
         procs: List[subprocess.Popen] = []
         socks: List[socket.socket] = []
@@ -1818,9 +1122,6 @@ class RankPool:
                 fail.update(sev=sev, msg=msg, detail=det, context=ctx)
 
         seconds: Dict[int, float] = {}
-        # the first error flag's byte offset, and a dead rank's flag value
-        err_off = layout.num_sites * world_size * 2 * 8
-        dead_flag = np.int64(_ERR_DEAD).tobytes()
         traced = observer is not None
         flags_fd = None
         try:
@@ -1918,10 +1219,7 @@ class RankPool:
                     with sock.makefile("rb") as stream:
                         msg = _recv(stream)
                     if msg is None:
-                        # broadcast on the corpse's behalf: peers blocked
-                        # on its payloads abort instead of spinning to
-                        # timeout
-                        os.pwrite(flags_fd, dead_flag, err_off + 8 * r)
+                        signal_dead(layout, flags_fd, r)
                         dead_ranks.append(r)
                         # only the rank held its end of the socket: at
                         # EOF it is exiting, so this wait returns promptly
@@ -1955,7 +1253,14 @@ class RankPool:
             self.idle.extend(ranks[r] for r in sorted(idle))
             if traced and flags_fd is not None:
                 # every rank has exited or closed its ring
-                _merge_rings(layout, flags_fd, observer)
+                with mmap.mmap(flags_fd, layout.flags_bytes(True)) as flags:
+                    rings = [
+                        TraceRing(flags, layout.ring_offset(r))
+                        for r in range(world_size)
+                    ]
+                    observer.extend(merge_rank_traces(
+                        rings, observer.epoch, observer.metrics
+                    ))
         if fail["msg"] is not None:
             detail = fail["detail"]
             raise SpmdWorkerError(

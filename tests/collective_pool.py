@@ -21,19 +21,21 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.process_group import ProcessGroup
-from repro.runtime.spmd import (
+from repro.runtime.rank import (
     _ERR_FAILED,
     DEFAULT_TIMEOUT,
-    SpmdCommunicator,
     SpmdError,
     SpmdLayout,
     SpmdPeerAbort,
+    _recv,
+    _send,
+)
+from repro.runtime.spmd import (
+    SpmdCommunicator,
     _group_key,
     _p2p_key,
     _reap,
-    _recv,
     _segment,
-    _send,
     _start,
 )
 from repro.runtime.world import slice_of
@@ -150,7 +152,7 @@ class CollectivePool:
         self.layout = layout
         self._fds = [
             _segment("spmdpool-data", layout.data_size),
-            _segment("spmdpool-flags", layout.flags_length() * 8),
+            _segment("spmdpool-flags", layout.flags_bytes()),
         ]
         entry = (
             f"import sys; sys.path.insert(0, {_REPO_ROOT!r}); "

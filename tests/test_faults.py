@@ -40,11 +40,8 @@ from repro.observe.events import InstantEvent
 from repro.perf.engine import Engine, Task
 from repro.runtime import Executor, FaultPlan, SpmdWorkerError, spmd
 from repro.runtime.faults import Die, DropChunk, SlowRank, StallPublish
-from repro.runtime.spmd import (
-    DEFAULT_TIMEOUT,
-    build_layout,
-    scaled_default_timeout,
-)
+from repro.runtime.rank import DEFAULT_TIMEOUT
+from repro.runtime.spmd import build_layout, scaled_default_timeout
 from repro.workloads.adam import AdamWorkload
 from repro.workloads.moe import MoEWorkload
 from tests.des_oracle import ReferenceEngine

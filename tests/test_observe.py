@@ -21,6 +21,7 @@ import mmap
 import os
 import sys
 import tempfile
+import threading
 import time
 
 import numpy as np
@@ -49,7 +50,8 @@ from repro.observe import (
 from repro.observe.ring import KIND_KERNEL, KIND_PUBLISH, TraceRing
 from repro.perf.engine import Task, Timeline
 from repro.runtime import Executor, FaultPlan
-from repro.runtime.spmd import RankPool, SpmdWorkerError
+from repro.runtime.rank import SpmdWorkerError
+from repro.runtime.spmd import RankPool
 from repro.workloads.adam import AdamWorkload
 from repro.workloads.attention import AttentionWorkload
 from repro.workloads.moe import MoEWorkload
@@ -346,6 +348,59 @@ class TestTraceRing:
         }
         assert set(markers) == {"ring-empty", "ring-truncated"}
         assert all(before <= e.ts <= after for e in markers.values())
+
+    def test_record_format_is_pinned(self):
+        # numpy's RECORD_DTYPE wrote these 112 bytes before the ring
+        # became a struct: five little-endian int64s, then the site key
+        # and the name NUL-padded to 24 and 48 bytes, truncated, with
+        # non-ASCII replaced. A C writer must keep this format.
+        buf = bytearray(TraceRing.nbytes(2))
+        ring = TraceRing(buf, capacity=2)
+        ring.append(
+            KIND_PUBLISH, ts=1_700_000_000_123_456_789, dur=250_000,
+            nbytes=4096, seq=3, site="g0x4:abcdefghijklmnopqrstuvw",
+            name="chunk3 of allreduce \u00b5 " + "z" * 40,
+        )
+        assert buf[:8] == (1).to_bytes(8, "little")
+        assert buf[8:120].hex() == (
+            "0100000000000000" "15cd853dfe9c9717" "90d0030000000000"
+            "0010000000000000" "0300000000000000"
+            "673078343a6162636465666768696a6b6c6d6e6f70717273"
+            "6368756e6b33206f6620616c6c726564756365203f207a7a"
+            "7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a7a"
+        )
+        (rec,) = ring.records()
+        assert rec["site"] == b"g0x4:abcdefghijklmnopqrs"
+        assert rec["name"] == b"chunk3 of allreduce ? " + b"z" * 26
+
+    def test_threads_sharing_a_ring_lose_no_record(self):
+        # an overlap schedule's producer stream appends publish records
+        # while the main thread appends waits and reduces
+        ring = TraceRing(bytearray(TraceRing.nbytes()))
+        per_thread = 10_000
+
+        def append(name):
+            for i in range(per_thread):
+                ring.append(KIND_KERNEL, ts=i, dur=1, seq=i, name=name)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=append, args=(name,))
+                for name in ("a", "b")
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert ring.count == 2 * per_thread
+        assert sorted(
+            (rec["name"], int(rec["seq"])) for rec in ring.records()
+        ) == [(n, i) for n in (b"a", b"b") for i in range(per_thread)]
 
     def test_close_releases_the_mapping(self):
         with mmap.mmap(-1, TraceRing.nbytes(4)) as buf:

@@ -36,7 +36,8 @@ from repro.core.transforms import Schedule
 from repro.errors import CodegenError, ExecutionError
 from repro.runtime import Executor
 from repro.runtime import spmd
-from repro.runtime.spmd import SpmdWorkerError, build_layout
+from repro.runtime.rank import SpmdWorkerError
+from repro.runtime.spmd import build_layout
 from repro.workloads.adam import AdamWorkload
 from repro.workloads.attention import AttentionWorkload
 from repro.workloads.lamb import LambWorkload
@@ -820,6 +821,82 @@ def _readable(sock) -> bool:
     return bool(select.select([sock], [], [], 0)[0])
 
 
+class TestRankCore:
+    """A rank's control plane, :mod:`repro.runtime.rank`, imports no
+    numpy: a rank can read its spec, its flags and its trace ring
+    without it."""
+
+    #: receives ``(spec, key)``, attaches as the spec says, reads rank
+    #: 1's ready flag at site ``key``, traces one record into its ring
+    #: (``repro.observe.ring``, which the core imports) and reports
+    #: ``(flag, clean close, numpy imported)``
+    ENTRY = textwrap.dedent(
+        """
+        import sys
+        from repro.runtime.rank import RankCore, _recv, _send
+        fd = int(sys.argv[1])
+        with open(fd, "rb", closefd=False) as stream:
+            spec, key = _recv(stream)
+        del spec["source"], spec["kernels"]
+        core = RankCore.attach(**spec)
+        flag = core._ready(key, 1)
+        core.record_kernel_open("no-numpy", 0.5)
+        _send(fd, (flag, core.close(), "numpy" in sys.modules))
+        """
+    )
+
+    def test_a_rank_core_never_imports_numpy(self, rng, monkeypatch):
+        from repro.observe import Tracer
+        from repro.observe.ring import TraceRing
+        from repro.runtime.rank import _send
+
+        gen = CodeGenerator(target="spmd").generate(
+            AdamWorkload.build(64, 4).program
+        )
+        sent = []
+
+        def record(fd, obj):
+            sent.append(obj)
+            _send(fd, obj)
+
+        monkeypatch.setattr(spmd, "_send", record)
+        with spmd.RankPool() as pool:
+            # numpy scalars from a caller must not reach the spec
+            pool.launch(
+                gen, optimizer_inputs(rng), allow_downcast=True,
+                observer=Tracer(), timeout=np.float64(60.0),
+                soft_timeout=np.float32(2.0), wire_s_per_mb=np.float64(0),
+            )
+        spec = sent[0]
+        layout = spec["layout"]
+        assert spec["traced"] and spec["rank"] == 0
+        key = sorted(layout.sites)[-1]
+        flags_size = layout.flags_bytes(traced=True)
+        fds = [
+            spmd._segment("test-data", layout.data_size),
+            spmd._segment("test-flags", flags_size),
+        ]
+        try:
+            os.pwrite(
+                fds[1], (7).to_bytes(8, sys.byteorder),
+                layout.ready_index(key, 1) * 8,
+            )
+            spec = dict(spec, data_fd=fds[0], flags_fd=fds[1])
+            proc, sock = spmd._start(self.ENTRY, fds)
+            with sock, sock.makefile("rb") as stream:
+                _send(sock.fileno(), (spec, key))
+                assert spmd._recv(stream) == (7, True, False)
+            assert proc.wait(timeout=60.0) == 0
+            with mmap.mmap(fds[1], flags_size) as flags:
+                ring = TraceRing(flags, layout.ring_offset(0))
+                assert [r["name"] for r in ring.records()] == [
+                    b"hit:no-numpy"
+                ]
+        finally:
+            for fd in fds:
+                os.close(fd)
+
+
 class TestLaunchLoop:
     """How the launch loop reads one rank's socket: a whole report, or
     EOF before one, which is a death."""
@@ -830,7 +907,7 @@ class TestLaunchLoop:
         # a rank process that reports and exits before the parent looks:
         # its report is still read whole, ahead of the EOF
         proc, sock = spmd._start(
-            "import sys; from repro.runtime.spmd import _send; "
+            "import sys; from repro.runtime.rank import _send; "
             f"_send(int(sys.argv[1]), {self.OK!r})",
             (),
         )
@@ -943,7 +1020,7 @@ class TestRankProcesses:
         else:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", given)
         proc, sock = spmd._start(
-            "import os, sys; from repro.runtime.spmd import _send; "
+            "import os, sys; from repro.runtime.rank import _send; "
             "_send(int(sys.argv[1]), "
             "os.environ['OPENBLAS_NUM_THREADS'])",
             (),

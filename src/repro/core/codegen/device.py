@@ -1,14 +1,19 @@
-"""Device-function library imported by generated kernels.
+"""Device-function library: the one numerics of every op.
 
-Real CoCoNet kernels call CUDA device functions and NCCL primitives;
-our generated Python kernels call these helpers for slicing, dropout
-masks, GEMMs and convolution, and the rank's communicator for
-collectives. Keeping them in a library (rather than inlining) mirrors
-how generated CUDA links against device-side headers and cuBLAS/cuDNN;
-the interpreter calls the same :func:`gemm` and :func:`conv2d`, so
-every tier shares one numerics. The native target's compiled kernels
-bind here too (:func:`open_kernels`): a rank opens the shared object
-its launcher resolved, and never compiles.
+Real CoCoNet kernels call CUDA device functions, cuBLAS and NCCL
+(§5). Here every op's formula is one function of this module, and both
+the lowered interpreter (:class:`repro.runtime.executor.Executor`) and
+the generated per-rank modules call it: :func:`binary`,
+:func:`unary`, :func:`dropout`, the reductions (:func:`partial`,
+:func:`reduce_local`, :func:`total`), :func:`gemm` and
+:func:`conv2d`, plus :func:`slice_of` and the counter-based
+:func:`dropout_mask`. Each computes in float64 where the op does
+arithmetic and rounds once to the expression dtype, so the tiers agree
+bit for bit by construction. The native target's C loop
+(:mod:`repro.core.codegen.native`) re-states :func:`binary` and
+:func:`unary` for the ops it compiles and is held to them bit for bit.
+Its compiled kernels bind here too (:func:`open_kernels`): a rank
+opens the shared object its launcher resolved, and never compiles.
 """
 
 from __future__ import annotations
@@ -21,41 +26,82 @@ import numpy as np
 
 from repro.errors import CodegenError
 from repro.runtime.rng import dropout_mask  # noqa: F401  (re-export)
-from repro.runtime.world import check_divisible
+from repro.runtime.world import slice_of  # noqa: F401  (re-export)
 
 
-def slice_bounds(extent: int, index: int, parts: int, context: str = ""):
-    """Half-open bounds of slice ``index`` of ``parts`` over ``extent``.
+def _rounded(x, dtype) -> np.ndarray:
+    """``x`` rounded once to ``dtype``, always an array."""
+    return np.asarray(x).astype(dtype)
 
-    Uneven extents raise instead of silently truncating the tail (which
-    would leave stale values in the untouched region); ``context`` names
-    the tensor/op for the error message.
+
+def _wide(x) -> np.ndarray:
+    return np.asarray(x).astype(np.float64)
+
+
+#: every Binary and Unary op's formula; all but the ``_AS_GIVEN`` ones
+#: run on float64 upcasts
+_OPS = {
+    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+    "pow": np.power, "max": np.maximum, "min": np.minimum,
+    "sqrt": np.sqrt, "rsqrt": lambda x: 1.0 / np.sqrt(x), "tanh": np.tanh,
+    "exp": np.exp, "relu": lambda x: np.maximum(x, 0), "abs": np.abs,
+}
+_AS_GIVEN = ("max", "min", "relu", "abs")
+
+
+def binary(op: str, a, b, dtype) -> np.ndarray:
+    """Binary op ``a op b`` rounded once to ``dtype``.
+
+    ``+ - * / pow`` compute on the float64 upcasts. ``max`` and ``min``
+    compare the operands as given, in numpy's loop for their result
+    type, which decides a signed-zero tie: the half loop keeps the
+    first operand (``>=``), the float and double loops the second.
+
+    >>> z, nz = 0.0, -0.0
+    >>> binary("max", np.float16(nz), np.float16(z), np.float16)
+    array(-0., dtype=float16)
+    >>> binary("max", np.float32(nz), np.float32(z), np.float32)
+    array(0., dtype=float32)
     """
-    step = check_divisible((extent,), 0, parts, context)
-    return index * step, (index + 1) * step
+    if op not in _AS_GIVEN:
+        a, b = _wide(a), _wide(b)
+    return _rounded(_OPS[op](a, b), dtype)
 
 
-def take_slice(
-    array: np.ndarray, dim: int, index: int, parts: int, context: str = ""
-) -> np.ndarray:
-    lo, hi = slice_bounds(array.shape[dim], index, parts, context)
-    sl = [slice(None)] * array.ndim
-    sl[dim] = slice(lo, hi)
-    return array[tuple(sl)]
+def unary(op: str, x, dtype) -> np.ndarray:
+    """Unary op on ``x`` rounded once to ``dtype``: ``relu`` and ``abs``
+    on the value as given, the rest on its float64 upcast."""
+    return _rounded(_OPS[op](x if op in _AS_GIVEN else _wide(x)), dtype)
 
 
-def write_slice(
-    array: np.ndarray,
-    dim: int,
-    index: int,
-    parts: int,
-    value: np.ndarray,
-    context: str = "",
-) -> None:
-    lo, hi = slice_bounds(array.shape[dim], index, parts, context)
-    sl = [slice(None)] * array.ndim
-    sl[dim] = slice(lo, hi)
-    array[tuple(sl)] = value
+def dropout(x, mask: np.ndarray, dtype) -> np.ndarray:
+    """``x`` times its (scaled) dropout mask, in float64, rounded once."""
+    return _rounded(_wide(x) * mask, dtype)
+
+
+_REDUCE = {"+": np.sum, "*": np.prod, "max": np.max, "min": np.min}
+
+
+def partial(x, op: str) -> np.float64:
+    """One rank's float64 partial of reduction ``op`` (``"norm"``: the
+    sum of squares)."""
+    x = _wide(x)
+    return np.sum(x * x) if op == "norm" else _REDUCE[op](x)
+
+
+def reduce_local(x, op: str, dtype) -> np.ndarray:
+    """A reduction that stays on one rank: its partial, finished (a
+    norm's square root) and rounded once. The partial is not re-reduced:
+    ``np.sum([-0.0])`` is ``+0.0``."""
+    v = partial(x, op)
+    return _rounded(np.sqrt(v) if op == "norm" else v, dtype)
+
+
+def total(parts: Sequence[float], op: str, dtype) -> np.ndarray:
+    """The cross-rank result of reduction ``op`` from every rank's
+    :func:`partial`, in rank order, rounded once."""
+    v = _REDUCE["+" if op == "norm" else op](parts)
+    return _rounded(np.sqrt(v) if op == "norm" else v, dtype)
 
 
 def gemm(a: np.ndarray, b: np.ndarray, dtype) -> np.ndarray:

@@ -57,6 +57,11 @@ def _np_dtype(e: Expr) -> str:
     return f"np.{e.dtype.to_numpy().name}"
 
 
+def _reduction(e: Expr) -> str:
+    """The device-library reduction of a Norm or ReduceTensor."""
+    return "norm" if isinstance(e, ops.Norm) else e.reduction
+
+
 class _Emitter:
     """Line buffer with indentation management."""
 
@@ -365,46 +370,22 @@ class CodeGenerator:
     def _emit_cross_rank_reduction(self, em: _Emitter, e: Expr) -> None:
         """Local reduction + AllReduce of partials (§5.2).
 
-        The local partial is exchanged in rank order and combined
-        exactly as the lowered interpreter does — float64 locals,
-        ``np.sum`` over the rank-ordered list — so the result is
-        bit-identical to ``run_lowered``.
+        This rank's float64 partial (``dev.partial``) is exchanged in
+        rank order and combined by ``dev.total``, the lowered
+        interpreter's own calls, so the result is bit-identical to
+        ``run_lowered``.
         """
-        x = self._ref(e.inputs[0])
-        is_norm = isinstance(e, ops.Norm)
+        op, g = _reduction(e), self._gname(e.group)
         em.emit("# tensor reduction over a sliced tensor: local reduce,")
         em.emit("# then an AllReduce reusing the established connections")
-        if is_norm:
-            em.emit(f"_x64 = {x}.astype(np.float64)")
-            em.emit("_part = np.sum(_x64 * _x64)")
-        else:
-            red = {"+": "np.sum", "*": "np.prod",
-                   "max": "np.max", "min": "np.min"}[e.reduction]
-            em.emit(f"_part = {red}({x}.astype(np.float64))")
-        g = self._gname(e.group)
+        em.emit(f"_part = dev.partial({self._ref(e.inputs[0])}, {op!r})")
         em.emit(f"_parts = comm.exchange_scalars(_part, {g})")
-        comb = {"+": "np.sum", "*": "np.prod",
-                "max": "np.max", "min": "np.min"}[
-            "+" if is_norm else e.reduction
-        ]
-        total = f"{comb}(_parts)"
-        if is_norm:
-            total = f"np.sqrt({total})"
-        em.emit(f"_total = {total}")
-        em.emit(
-            f"V[{e.name!r}] = np.asarray(_total).astype({_np_dtype(e)})"
-        )
+        em.emit(f"V[{e.name!r}] = dev.total(_parts, {op!r}, {_np_dtype(e)})")
 
     def _ref(self, e: Expr) -> str:
         if isinstance(e, Const):
             return f"np.asarray({e.value!r}, dtype={_np_dtype(e)})"
         return f"V[{e.name!r}]"
-
-    def _f64(self, e: Expr) -> str:
-        # Consts materialize at their declared dtype before the float64
-        # upcast — the executor does the same, so e.g. an FP32 ``0.1``
-        # contributes float64(float32(0.1)), not the raw double literal.
-        return f"{self._ref(e)}.astype(np.float64)"
 
     def _matmul(self, e: Expr) -> str:
         """The library GEMM call for MatMul ``e`` (:func:`dev.gemm`)."""
@@ -425,37 +406,12 @@ class CodeGenerator:
                 f"{self._ref(e.inputs[1])}, {e.stride}, {e.padding}, {dt})"
             )
         elif isinstance(e, o.Binary):
-            a, b = e.inputs
-            if e.op in ("max", "min"):
-                fn = "np.maximum" if e.op == "max" else "np.minimum"
-                em.emit(
-                    f"{out} = np.asarray({fn}({self._ref(a)}, "
-                    f"{self._ref(b)})).astype({dt})"
-                )
-            elif e.op == "pow":
-                em.emit(
-                    f"{out} = np.asarray(np.power({self._f64(a)}, "
-                    f"{self._f64(b)})).astype({dt})"
-                )
-            else:
-                pyop = e.op
-                em.emit(
-                    f"{out} = np.asarray({self._f64(a)} {pyop} "
-                    f"{self._f64(b)}).astype({dt})"
-                )
+            a, b = (self._ref(x) for x in e.inputs)
+            em.emit(f"{out} = dev.binary({e.op!r}, {a}, {b}, {dt})")
         elif isinstance(e, o.Unary):
-            x = e.inputs[0]
-            body = {
-                "sqrt": f"np.sqrt({self._f64(x)})",
-                "rsqrt": f"1.0 / np.sqrt({self._f64(x)})",
-                "relu": f"np.maximum({self._ref(x)}, 0)",
-                "tanh": f"np.tanh({self._f64(x)})",
-                "exp": f"np.exp({self._f64(x)})",
-                "abs": f"np.abs({self._ref(x)})",
-            }[e.op]
-            em.emit(f"{out} = np.asarray({body}).astype({dt})")
+            x = self._ref(e.inputs[0])
+            em.emit(f"{out} = dev.unary({e.op!r}, {x}, {dt})")
         elif isinstance(e, o.Dropout):
-            x = e.inputs[0]
             shape = tuple(e.shape)
             if e.layout.is_sliced:
                 dim = e.layout.dim
@@ -469,26 +425,22 @@ class CodeGenerator:
                     f"_mask = dev.dropout_mask({e.seed}, {e.prob}, {shape})"
                 )
             em.emit(
-                f"{out} = ({self._f64(x)} * _mask).astype({dt})"
+                f"{out} = dev.dropout({self._ref(e.inputs[0])}, _mask, {dt})"
             )
         elif isinstance(e, o.Cast):
             em.emit(f"{out} = {self._ref(e.inputs[0])}.astype({dt})")
         elif isinstance(e, o.Slice):
             dim = e.layout.dim
             em.emit(
-                f"{out} = dev.take_slice({self._ref(e.inputs[0])}, "
+                f"{out} = dev.slice_of({self._ref(e.inputs[0])}, "
                 f"{dim}, _i, {e.group.size}, context={e.name!r}).copy()"
             )
         elif isinstance(e, (o.Norm, o.ReduceTensor)):
             # non-cross-rank only (cross-rank handled by segmentation)
-            x = self._f64(e.inputs[0])
-            if isinstance(e, o.Norm):
-                body = f"np.sqrt(np.sum({x} ** 2))"
-            else:
-                red = {"+": "np.sum", "*": "np.prod",
-                       "max": "np.max", "min": "np.min"}[e.reduction]
-                body = f"{red}({x})"
-            em.emit(f"{out} = np.asarray({body}).astype({dt})")
+            em.emit(
+                f"{out} = dev.reduce_local({self._ref(e.inputs[0])}, "
+                f"{_reduction(e)!r}, {dt})"
+            )
         elif isinstance(e, o.Update):
             value = e.inputs[0]
             em.emit(f"{out} = {self._ref(value)}.astype({dt})")
@@ -510,8 +462,8 @@ class CodeGenerator:
         if e.layout.is_sliced and e.target.layout.is_replicated:
             dim = e.layout.dim
             em.emit(
-                f"dev.write_slice(T[{e.target.name!r}], {dim}, "
-                f"_i, {e.group.size}, {out}, context={e.target.name!r})"
+                f"dev.slice_of(T[{e.target.name!r}], {dim}, _i, "
+                f"{e.group.size}, context={e.target.name!r})[...] = {out}"
             )
         else:
             em.emit(
@@ -545,7 +497,7 @@ class CodeGenerator:
             if normalize_dim(e.layout.dim, len(e.shape)) != 0:
                 return None
             return (
-                f"dev.take_slice(T[{t.name!r}], 0, _i, {e.group.size}, "
+                f"dev.slice_of(T[{t.name!r}], 0, _i, {e.group.size}, "
                 f"context={t.name!r})"
             )
         if math.prod(e.per_rank_shape()) != math.prod(t.per_rank_shape()):

@@ -11,18 +11,22 @@ hash→compile→``lru_cache`` pipeline, DaCe's build-folder flow).
 
 Bit-identity contract
 ---------------------
-The Python emission computes ``+ - * / pow sqrt rsqrt tanh exp`` in
-float64 (operands upcast via ``astype(np.float64)``) and casts the
-result to the expression dtype; ``max/min/relu/abs`` and ``Cast``
-operate on the native-dtype values directly. The C loop mirrors this
-exactly: every value is carried as a ``double``, each expression's
-result is rounded to its declared dtype domain immediately
-(``(double)(float)x`` for fp32, a correctly-rounded half round-trip
-for fp16), comparisons/abs are exact on the upconverted doubles, and
-``max``/``min`` use numpy's ``(a > b || isnan(a)) ? a : b`` formula.
-fp16 conversions implement IEEE round-to-nearest-even from the double
-— the same single-step rounding numpy's ``astype(np.float16)`` does —
-so elementwise-only programs are **bit-identical** to ``run_lowered``.
+Every other tier computes an op by calling its device function
+(:func:`repro.core.codegen.device.binary`, ``unary``): ``+ - * /
+sqrt rsqrt`` in float64 on the upcast operands, ``max/min/relu/abs``
+on the values as given, each rounded once to the expression dtype;
+``Cast`` and ``Update`` are a plain ``astype``. The C loop restates
+those formulas exactly: every value is carried as a ``double``, each
+expression's result is rounded to its declared dtype domain
+immediately (``(double)(float)x`` for fp32, a correctly-rounded half
+round-trip for fp16), comparisons/abs are exact on the upconverted
+doubles, and ``max``/``min`` use numpy's ``(a OP b || isnan(a)) ? a :
+b`` formula for the operands' result type: a strict ``>``/``<`` in
+the float and double loops, ``>=``/``<=`` in the half loop, which
+keeps the first operand of a signed-zero tie. fp16 conversions
+implement IEEE round-to-nearest-even from the double — the same
+single-step rounding numpy's ``astype(np.float16)`` does — so
+elementwise-only programs are **bit-identical** to ``run_lowered``.
 
 GEMMs are not compiled: like the paper's generated code, which leaves
 them to the vendor library, a MatMul stays the interpreter's own
@@ -261,6 +265,18 @@ static inline double repro_min(double a, double b) {
 }
 """
 
+#: numpy's half loops compare with ``>=``/``<=``: a signed-zero tie
+#: keeps the first operand. Appended only to sources that call them, so
+#: no other program's source (hence kernel cache key) changes.
+HALF_MINMAX = r"""
+static inline double repro_hmax(double a, double b) {
+    return (a >= b || a != a) ? a : b;
+}
+static inline double repro_hmin(double a, double b) {
+    return (a <= b || a != a) ? a : b;
+}
+"""
+
 
 # ---------------------------------------------------------------------------
 # Content-addressed kernel cache.
@@ -452,6 +468,7 @@ class NativeEmitter:
 
     def __init__(self, lowered) -> None:
         self.functions: List[str] = []
+        self._half_minmax = False
         self._consumers: Dict[int, List[Expr]] = {}
         for k in lowered.plan.kernels:
             for e in k.exprs:
@@ -466,7 +483,8 @@ class NativeEmitter:
     def c_source(self) -> Optional[str]:
         if not self.functions:
             return None
-        return PRELUDE + "\n" + "\n".join(self.functions)
+        prelude = PRELUDE + (HALF_MINMAX if self._half_minmax else "")
+        return prelude + "\n" + "\n".join(self.functions)
 
     # -- qualification --------------------------------------------------
 
@@ -553,6 +571,16 @@ class NativeEmitter:
             else:
                 self._emit_c_run(gen, em, group, n)
 
+    def _minmax(self, e: Expr, op: str) -> str:
+        """The C helper for ``op`` (``max``/``min``) of ``e``'s operands:
+        numpy's loop for their result type decides a signed-zero tie
+        (``relu``'s ``0`` is a Python int and takes ``x``'s type)."""
+        dtypes = [x.dtype.to_numpy() for x in e.inputs]
+        if np.result_type(*dtypes) != np.float16:
+            return f"repro_{op}"
+        self._half_minmax = True
+        return f"repro_h{op}"
+
     def _emit_c_run(self, gen, em, run: List[Expr], n: int) -> None:
         """One compiled loop over ``run``.
 
@@ -608,20 +636,20 @@ class NativeEmitter:
         for j, e in enumerate(run):
             if isinstance(e, ops.Binary):
                 a, b = (operand(x) for x in e.inputs)
-                if e.op == "max":
-                    core = f"repro_max({a}, {b})"
-                elif e.op == "min":
-                    core = f"repro_min({a}, {b})"
+                if e.op in ("max", "min"):
+                    core = f"{self._minmax(e, e.op)}({a}, {b})"
                 else:
                     core = f"({a}) {e.op} ({b})"
             elif isinstance(e, ops.Unary):
                 x = operand(e.inputs[0])
-                core = {
-                    "sqrt": f"sqrt({x})",
-                    "rsqrt": f"1.0 / sqrt({x})",
-                    "relu": f"repro_max({x}, 0.0)",
-                    "abs": f"fabs({x})",
-                }[e.op]
+                if e.op == "relu":
+                    core = f"{self._minmax(e, 'max')}({x}, 0.0)"
+                else:
+                    core = {
+                        "sqrt": f"sqrt({x})",
+                        "rsqrt": f"1.0 / sqrt({x})",
+                        "abs": f"fabs({x})",
+                    }[e.op]
             else:  # Cast / Update: the value, rounded to the out dtype
                 core = operand(e.inputs[0])
             var = f"e{j}"

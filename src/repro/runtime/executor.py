@@ -23,9 +23,10 @@ rank-invariant — a stride-0 replicated view). :meth:`Executor.run_spmd`
 runs the same schedule as one OS process per rank and is bit-identical
 (``np.array_equal`` on all outputs and tensor states): float64
 accumulations happen in the same rank order over identically laid-out
-buffers, GEMMs and convolutions are the generated kernels' own library
-calls (:func:`repro.core.codegen.device.gemm`, ``conv2d``) issued per
-rank, and dropout draws the same counter-based masks.
+buffers, every op's numerics is the generated kernels' own device
+function (:mod:`repro.core.codegen.device`: ``binary``, ``unary``,
+``dropout``, the reductions, ``gemm`` and ``conv2d``, the last two
+issued per rank), and dropout draws the same counter-based masks.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Dict, Mapping, Optional
 import numpy as np
 
 from repro.core import ops
-from repro.core.codegen.device import conv2d, gemm
+from repro.core.codegen import device
 from repro.core.layout import normalize_dim
 from repro.core.tensor import Const, Expr, Scalar, Tensor
 from repro.errors import ExecutionError
@@ -482,19 +483,22 @@ class Executor:
             # over unchanged.
             return copy_stacked(values[e.inputs[0]])
         if isinstance(e, o.MatMul):
-            return self._library_call(e, values, gemm, e.dtype.to_numpy())
+            return self._library_call(
+                e, values, device.gemm, e.dtype.to_numpy()
+            )
         if isinstance(e, o.Conv2D):
             return self._library_call(
-                e, values, conv2d, e.stride, e.padding, e.dtype.to_numpy()
+                e, values, device.conv2d, e.stride, e.padding,
+                e.dtype.to_numpy(),
             )
         if isinstance(e, o.Binary):
-            return self._elementwise(e, values, _BINARY_FNS[e.op])
+            return self._elementwise(e, values, device.binary, e.op)
         if isinstance(e, o.Unary):
-            return self._elementwise(e, values, _UNARY_FNS[e.op])
+            return self._elementwise(e, values, device.unary, e.op)
         if isinstance(e, o.Dropout):
             return self._eval_dropout(e, values)
         if isinstance(e, o.Cast):
-            return self._elementwise(e, values, lambda x: x)
+            return self._elementwise(e, values, lambda x, dt: x.astype(dt))
         if isinstance(e, o.Slice):
             return self._eval_slice(e, values)
         if isinstance(e, (o.Norm, o.ReduceTensor)):
@@ -503,16 +507,16 @@ class Executor:
             return self._eval_update(e, values, world)
         raise ExecutionError(f"cannot execute {type(e).__name__}")
 
-    def _elementwise(self, e: Expr, values, fn) -> np.ndarray:
+    def _elementwise(self, e: Expr, values, fn, *op) -> np.ndarray:
+        """``fn(*op, *operands, dtype)``, which rounds to ``e``'s dtype."""
         args = [values[i] for i in e.inputs]
-        n = e.group.size
         dtype = e.dtype.to_numpy()
         if all(rank_invariant(a) for a in args):
             # Replicated math: compute one representative rank, O(1) fan
             # back out. Per-rank results on identical inputs are
             # identical, so this is bit-equal to the stacked evaluation.
-            out = np.asarray(fn(*[a[0] for a in args])).astype(dtype)
-            return replicate(out, n)
+            rows = [a[0] for a in args]
+            return replicate(fn(*op, *rows, dtype), e.group.size)
         target = max(a.ndim - 1 for a in args)
         aligned = []
         for a in args:
@@ -521,7 +525,7 @@ class Executor:
             while a.ndim - 1 < target:
                 a = a[:, None]
             aligned.append(a)
-        return np.asarray(fn(*aligned)).astype(dtype)
+        return fn(*op, *aligned, dtype)
 
     @staticmethod
     def _library_call(e: Expr, values, fn, *args) -> np.ndarray:
@@ -550,12 +554,11 @@ class Executor:
             dim = normalize_dim(e.layout.dim, len(e.shape))
             full_mask = rng.dropout_mask(e.seed, e.prob, e.shape)
             mask = scatter_axis(full_mask, dim, n, context=e.name)
-            return (x.astype(np.float64) * mask).astype(dtype)
+            return device.dropout(x, mask, dtype)
         mask = rng.dropout_mask(e.seed, e.prob, e.shape)
         if rank_invariant(x):
-            out = (x[0].astype(np.float64) * mask).astype(dtype)
-            return replicate(out, n)
-        return (x.astype(np.float64) * mask).astype(dtype)
+            return replicate(device.dropout(x[0], mask, dtype), n)
+        return device.dropout(x, mask, dtype)
 
     def _eval_slice(self, e: ops.Slice, values) -> np.ndarray:
         dim = normalize_dim(e.layout.dim, len(e.shape))
@@ -573,30 +576,19 @@ class Executor:
     def _eval_reduction(self, e: Expr, values) -> np.ndarray:
         x = values[e.inputs[0]]
         n = e.group.size
-        is_norm = isinstance(e, ops.Norm)
-        op = "+" if is_norm else e.reduction
+        op = "norm" if isinstance(e, ops.Norm) else e.reduction
         dtype = e.dtype.to_numpy()
-        local_reduce = _local_reduce_fn(is_norm, op)
-
         if e.crosses_ranks:
             # Row-wise partials in rank order, combined exactly as the
             # SPMD ranks' scalar exchange does, keep the float64
             # accumulation bit-identical.
-            partials = [local_reduce(x[i]) for i in range(n)]
-            total = _combine_partials(partials, is_norm, op)
-            return replicate(np.asarray(total).astype(dtype), n)
+            parts = [device.partial(x[i], op) for i in range(n)]
+            return replicate(device.total(parts, op, dtype), n)
         if rank_invariant(x):
-            v = local_reduce(x[0])
-            if is_norm:
-                v = np.sqrt(v)
-            return replicate(np.asarray(v).astype(dtype), n)
-        rows = []
-        for i in range(n):
-            v = local_reduce(x[i])
-            if is_norm:
-                v = np.sqrt(v)
-            rows.append(np.asarray(v).astype(dtype))
-        return np.stack(rows, axis=0)
+            return replicate(device.reduce_local(x[0], op, dtype), n)
+        return np.stack(
+            [device.reduce_local(x[i], op, dtype) for i in range(n)], axis=0
+        )
 
     def _eval_update(
         self, e: ops.Update, values, world: SimWorld
@@ -623,50 +615,3 @@ class Executor:
             world.set_state(target.name, out)
         return out
 
-
-def _local_reduce_fn(is_norm: bool, op: str):
-    def local_reduce(x: np.ndarray) -> np.ndarray:
-        x64 = x.astype(np.float64)
-        if is_norm:
-            return np.sum(x64 * x64)
-        if op == "+":
-            return np.sum(x64)
-        if op == "*":
-            return np.prod(x64)
-        if op == "max":
-            return np.max(x64)
-        return np.min(x64)
-
-    return local_reduce
-
-
-def _combine_partials(partials, is_norm: bool, op: str):
-    if op in ("+", "*"):
-        total = np.sum(partials) if op == "+" else np.prod(partials)
-    elif op == "max":
-        total = np.max(partials)
-    else:
-        total = np.min(partials)
-    if is_norm:
-        total = np.sqrt(total)
-    return total
-
-
-_BINARY_FNS = {
-    "+": lambda a, b: a.astype(np.float64) + b.astype(np.float64),
-    "-": lambda a, b: a.astype(np.float64) - b.astype(np.float64),
-    "*": lambda a, b: a.astype(np.float64) * b.astype(np.float64),
-    "/": lambda a, b: a.astype(np.float64) / b.astype(np.float64),
-    "pow": lambda a, b: np.power(a.astype(np.float64), b.astype(np.float64)),
-    "max": lambda a, b: np.maximum(a, b),
-    "min": lambda a, b: np.minimum(a, b),
-}
-
-_UNARY_FNS = {
-    "sqrt": lambda x: np.sqrt(x.astype(np.float64)),
-    "rsqrt": lambda x: 1.0 / np.sqrt(x.astype(np.float64)),
-    "relu": lambda x: np.maximum(x, 0),
-    "tanh": lambda x: np.tanh(x.astype(np.float64)),
-    "exp": lambda x: np.exp(x.astype(np.float64)),
-    "abs": lambda x: np.abs(x),
-}

@@ -16,13 +16,11 @@ See ``docs/serving.md`` for the guide and
 from repro.serve.cache import (
     CachedSchedule,
     ScheduleCache,
-    ScheduleCacheError,
     default_cache_dir,
 )
 
 __all__ = [
     "CachedSchedule",
     "ScheduleCache",
-    "ScheduleCacheError",
     "default_cache_dir",
 ]

@@ -33,7 +33,7 @@ of one pair serialize on an ``flock``-guarded lock file, records
 install via temp file + ``os.replace`` so readers only ever see
 complete documents, and a corrupt or truncated record (disk trouble,
 hand editing) is **deleted and treated as a miss** — the tuner simply
-runs again — never an error. Hit / miss / corrupt / eviction counters
+runs again — never an error. Hit / miss / corrupt / put counters
 land in a :class:`~repro.observe.metrics.MetricsRegistry`.
 
 >>> import tempfile
@@ -63,7 +63,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro import store
 from repro.core import artifact as artifact_mod
 from repro.core.artifact import Artifact, ArtifactError
-from repro.errors import CoCoNetError
 from repro.observe.metrics import MetricsRegistry
 
 FORMAT = "coconet-schedule-cache"
@@ -74,13 +73,8 @@ __all__ = [
     "SCHEMA_VERSION",
     "CachedSchedule",
     "ScheduleCache",
-    "ScheduleCacheError",
     "default_cache_dir",
 ]
-
-
-class ScheduleCacheError(CoCoNetError):
-    """A schedule-cache record that cannot be written."""
 
 
 def default_cache_dir() -> str:
@@ -156,23 +150,15 @@ class ScheduleCache:
     One JSON file per ``(structural_hash, topology)`` pair under
     ``path`` (default :func:`default_cache_dir`), named by the SHA-256
     of the pair so keys never touch the filesystem's name rules.
-    ``max_entries`` bounds the directory: inserting past the bound
-    evicts the oldest records by modification time (a tuned schedule is
-    cheap to regenerate — eviction costs one re-tune, never
-    correctness).
     """
 
     def __init__(
         self,
         path: Optional[str] = None,
         metrics: Optional[MetricsRegistry] = None,
-        max_entries: Optional[int] = None,
     ) -> None:
         self.path = path or default_cache_dir()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        if max_entries is not None and max_entries < 1:
-            raise ScheduleCacheError("max_entries must be >= 1")
-        self.max_entries = max_entries
 
     # -- keys ---------------------------------------------------------------
 
@@ -245,25 +231,7 @@ class ScheduleCache:
         with store.lock(path):
             store.install(path, write)
         self.metrics.inc("serve.cache.puts")
-        if self.max_entries is not None:
-            self._evict(keep=path)
         return path
-
-    def _evict(self, keep: str) -> None:
-        """Drop oldest records past ``max_entries`` (never ``keep``)."""
-        live = self._live_entries()
-        excess = len(live) - self.max_entries
-        for _, path in sorted((st.st_mtime, p) for p, st in live):
-            if excess <= 0:
-                break
-            if os.path.abspath(path) == os.path.abspath(keep):
-                continue
-            try:
-                os.remove(path)
-                self.metrics.inc("serve.cache.evictions")
-                excess -= 1
-            except OSError:
-                pass
 
     # -- maintenance --------------------------------------------------------
 
@@ -282,8 +250,8 @@ class ScheduleCache:
     def _live_entries(self) -> List[Tuple[str, os.stat_result]]:
         """``(path, stat)`` of every record still on disk.
 
-        Another process's :meth:`clear` or eviction may remove a record
-        between the listing and the ``stat``; such records are skipped.
+        Another process's :meth:`clear` may remove a record between the
+        listing and the ``stat``; such records are skipped.
         """
         live = []
         for path in self.entries():

@@ -6,15 +6,9 @@ import pytest
 
 from repro.core import FP32
 from repro.core.codegen import CodeGenerator, GeneratedSpmdProgram, count_loc
-from repro.core.codegen import device as dev
 from repro.errors import CodegenError
 from repro.workloads.adam import AdamWorkload
 from repro.workloads.attention import AttentionWorkload
-
-
-class TestDeviceLibrary:
-    def test_slice_bounds(self):
-        assert dev.slice_bounds(8, 1, 4) == (2, 4)
 
 
 class TestDifferentialExecution:

@@ -1,8 +1,9 @@
 """The public-API docstring examples actually run.
 
 Every module whose docs carry ``>>>`` examples is executed here with
-:mod:`doctest`, so the examples in the schedule-cache/artifact/autotuner/
-metrics docs are code the suite guarantees, not prose that can rot.
+:mod:`doctest`, so the examples in the schedule-cache/artifact/
+autotuner/device-library/metrics docs are code the suite guarantees,
+not prose that can rot.
 (CI's docs job additionally runs ``pytest --doctest-modules`` over the
 same list.)
 """
@@ -14,6 +15,7 @@ import pytest
 import repro.cluster.topology
 import repro.core.artifact
 import repro.core.autotuner
+import repro.core.codegen.device
 import repro.observe.metrics
 import repro.serve.cache
 
@@ -21,6 +23,7 @@ MODULES = [
     repro.cluster.topology,
     repro.core.artifact,
     repro.core.autotuner,
+    repro.core.codegen.device,
     repro.observe.metrics,
     repro.serve.cache,
 ]

@@ -762,7 +762,7 @@ class TestSpmdResults:
             (wl.schedules()["fuse(RS-Adam-AG)"], optimizer_inputs(rng)),
         ]:
             source = CodeGenerator(target="spmd").generate(sched).source
-            assert "dev.write_slice(T['p']" in source
+            assert "dev.slice_of(T['p'], 0, _i, 4, context='p')[...]" in source
             assert_spmd_parity(sched, inputs)
 
     @staticmethod

@@ -551,7 +551,7 @@ def structural_signature(lowered: LoweredProgram) -> Tuple:
         attrs: List[Tuple] = []
         for f in (
             "op", "reduction", "dim", "phase", "node_size",
-            "dst", "prob", "seed", "root",
+            "dst", "prob", "seed", "root", "stride", "padding",
         ):
             v = getattr(e, f, None)
             if v is not None:

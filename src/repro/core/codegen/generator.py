@@ -547,13 +547,15 @@ class CodeGenerator:
         elif isinstance(e, ops.AllGather):
             out = f", out={region}" if region is not None else ""
             call = f"comm.allgather({xr}, {g}, {e.dim}{out})"
-        elif isinstance(e, ops.AllToAllPhase):
-            call = (
-                f"comm.alltoall_{e.phase}({xr}, {g}, {e.dim}, "
-                f"{e.node_size}, context={e.name!r})"
+        elif isinstance(e, (ops.AllToAll, ops.AllToAllPhase)):
+            phase = (
+                f"phase={e.phase!r}, node_size={e.node_size}, "
+                if isinstance(e, ops.AllToAllPhase) else ""
             )
-        elif isinstance(e, ops.AllToAll):
-            call = f"comm.alltoall({xr}, {g}, {e.dim}, context={e.name!r})"
+            call = (
+                f"comm.alltoall({xr}, {g}, {e.dim}, {phase}"
+                f"context={e.name!r})"
+            )
         elif isinstance(e, ops.Reduce):
             call = (
                 f"comm.reduce({xr}, {g}, {e.reduction!r}, {e.root}, "

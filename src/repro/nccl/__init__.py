@@ -9,8 +9,9 @@ and the size of WORLD."
 This package reproduces those properties over the
 :mod:`repro.cluster` hardware model: ring/tree topologies, the LL /
 LL128 / Simple protocols with their latency-bandwidth trade-offs,
-channel configuration, the pairwise AllToAll's step schedule, and an
-analytic cost model used by both the autotuner and the benchmarks.
+channel configuration, the step counts each collective's algorithm
+takes, and an analytic cost model used by both the autotuner and the
+benchmarks. The data movement itself is :mod:`repro.runtime.collectives`.
 """
 
 from repro.nccl.protocol import LL, LL128, SIMPLE, ALL_PROTOCOLS, Protocol
@@ -22,11 +23,8 @@ from repro.nccl.cost_model import (
     hierarchical_alltoall_time,
     p2p_time,
 )
-from repro.nccl.algorithms import all_to_all_steps, simulate_alltoall
 
 __all__ = [
-    "all_to_all_steps",
-    "simulate_alltoall",
     "hierarchical_alltoall_time",
     "Protocol",
     "LL",

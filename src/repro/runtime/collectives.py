@@ -1,18 +1,19 @@
 """Numpy implementations of the collective operations.
 
-These define the *semantics* the NCCL simulator and generated kernels
-must match. Reductions accumulate in float64 in rank order, so an
+These define the *semantics* the SPMD communicator and generated
+kernels must match. Reductions accumulate in float64 in rank order, so an
 AllReduce and its ReduceScatter+AllGather split produce identical
 results — the determinism the transformation-equivalence tests rely on.
 
 Every collective works on one stacked ``(group.size, *per_rank_shape)``
 array whose axis 0 indexes the group's local ranks. AllReduce is one
 rank-order fold (:func:`fold_ranks`) broadcast back,
-ReduceScatter/AllGather are reshape+axis-move views, the AllToAlls
-(flat and hierarchical intra/inter phases) are reshape/transpose
-compositions, and Reduce/Broadcast are indexed assignments. The
-in-process interpreter calls these functions; the SPMD communicator
-folds its peers' slots with the same :func:`fold_ranks`. Tests compare
+ReduceScatter/AllGather are reshape+axis-move views, the AllToAll
+(flat and hierarchical intra/inter phases) is one gather of the chunk
+moves of :func:`alltoall_moves`, and Reduce/Broadcast are indexed
+assignments. The in-process interpreter calls these functions; the SPMD
+communicator folds its peers' slots with the same :func:`fold_ranks`
+and copies the same AllToAll moves out of its peers' slots. Tests compare
 both against a per-rank oracle (``tests/collective_oracle.py``).
 
 ``context`` parameters thread the originating tensor/op name into
@@ -22,7 +23,7 @@ message alone.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -106,73 +107,79 @@ def allgather_vectorized(
     return replicate(full, group.size)
 
 
-def alltoall_vectorized(
-    stacked: np.ndarray, group: ProcessGroup, dim: int, context: str = ""
-) -> np.ndarray:
-    """Flat AllToAll as one reshape/transpose composition.
+def alltoall_moves(
+    group: ProcessGroup,
+    i: int,
+    phase: Optional[str] = None,
+    node_size: Optional[int] = None,
+) -> List[Tuple[int, int, int]]:
+    """The chunk moves that fill local rank ``i``'s AllToAll output.
 
-    Splitting each rank's buffer into ``n`` chunks along ``dim`` exposes
-    a ``(src, ..., chunk, step, ...)`` view; swapping the source-rank
-    axis with the chunk axis performs the whole exchange, and the final
-    reshape restores source-rank chunk order on every destination.
+    Each ``(p, s, d)`` copies chunk ``s`` of local rank ``p``'s buffer
+    (one of ``group.size`` equal chunks along the exchange dim) into
+    chunk ``d`` of rank ``i``'s result; every tier's AllToAll is these
+    copies. With ranks viewed as ``(node, local)`` pairs on a grid of
+    ``node_size`` ranks per node:
+
+    * flat (``phase=None``): chunk ``i`` of every rank ``p`` into chunk
+      ``p``, drained pairwise: the rank's own chunk first, then rank
+      ``(i - t) mod n`` at step ``t``;
+    * ``"intra"``: rank ``(a, q)`` takes, from every rank ``(a, p)`` of
+      its node, the chunk for rank ``(b, q)`` into chunk ``b*m + p``;
+    * ``"inter"``: rank ``(b, q)`` takes block ``b`` of the intra output
+      from rank ``(a, q)`` of every node ``a``, into block ``a``, which
+      restores source order: ``inter`` after ``intra`` is the flat
+      exchange.
+    """
+    n = group.size
+    if phase is None:
+        return [(s, i, s) for s in ((i - t) % n for t in range(n))]
+    k, m = _node_grid(group, node_size)
+    if phase == "intra":
+        a, q = divmod(i, m)
+        return [
+            (a * m + p, b * m + q, b * m + p)
+            for b in range(k) for p in range(m)
+        ]
+    if phase == "inter":
+        b, q = divmod(i, m)
+        return [
+            (a * m + q, b * m + p, a * m + p)
+            for a in range(k) for p in range(m)
+        ]
+    raise ValueError(f"unknown AllToAll phase {phase!r}")
+
+
+def alltoall_vectorized(
+    stacked: np.ndarray,
+    group: ProcessGroup,
+    dim: int,
+    phase: Optional[str] = None,
+    node_size: Optional[int] = None,
+    context: str = "",
+) -> np.ndarray:
+    """AllToAll (flat, or one hierarchical phase) as one gather.
+
+    Viewing the stack as ``(rank, chunk, ...)`` along ``dim``, output
+    row ``i`` chunk ``d`` is input row ``p`` chunk ``s`` for every move
+    ``(p, s, d)`` of :func:`alltoall_moves`.
     """
     n = group.size
     per = stacked.shape[1:]
-    step = _chunk_extent(per, dim, n, context)
-    x = stacked.reshape((n,) + per[:dim] + (n, step) + per[dim + 1 :])
-    x = np.swapaxes(x, 0, dim + 1)
-    return np.ascontiguousarray(x.reshape((n,) + per))
+    step = check_divisible(per, dim, n, context)
+    rows = np.empty((n, n), np.intp)
+    chunks = np.empty((n, n), np.intp)
+    for i in range(n):
+        for p, s, d in alltoall_moves(group, i, phase, node_size):
+            rows[i, d], chunks[i, d] = p, s
 
+    def by_chunk(x: np.ndarray) -> np.ndarray:
+        split = x.reshape((n,) + per[:dim] + (n, step) + per[dim + 1 :])
+        return np.moveaxis(split, dim + 1, 1)
 
-def alltoall_intra_vectorized(
-    stacked: np.ndarray,
-    group: ProcessGroup,
-    dim: int,
-    node_size: int,
-    context: str = "",
-) -> np.ndarray:
-    """Intra-node hierarchical phase as a transpose over the node grid.
-
-    With ranks viewed as ``(node a, local p)`` and chunks as
-    ``(dest node b, dest local q)``, the intra phase is exactly the swap
-    of the source-local and dest-local axes.
-    """
-    k, m = _node_grid(group, node_size)
-    n = k * m
-    per = stacked.shape[1:]
-    step = _chunk_extent(per, dim, n, context)
-    x = stacked.reshape(
-        (k, m) + per[:dim] + (k, m, step) + per[dim + 1 :]
-    )
-    # axes: 0=a (node), 1=p (src local), then dim leading dims,
-    # dim+2=b (dest node), dim+3=q (dest local), dim+4=step
-    x = np.swapaxes(x, 1, dim + 3)
-    return np.ascontiguousarray(x.reshape((n,) + per))
-
-
-def alltoall_inter_vectorized(
-    stacked: np.ndarray,
-    group: ProcessGroup,
-    dim: int,
-    node_size: int,
-    context: str = "",
-) -> np.ndarray:
-    """Inter-node hierarchical phase: the swap of the node axes.
-
-    Applied to the intra-phase output, rank ``(b, q)`` receives block
-    ``b`` from the rank with local index ``q`` on every node — the swap
-    of the source-node axis with the dest-node chunk axis.
-    """
-    k, m = _node_grid(group, node_size)
-    n = k * m
-    per = stacked.shape[1:]
-    step = _chunk_extent(per, dim, n, context)
-    x = stacked.reshape(
-        (k, m) + per[:dim] + (k, m, step) + per[dim + 1 :]
-    )
-    # axes: 0=a (src node), 1=q (local), dim+2=b (dest node), dim+3=p
-    x = np.swapaxes(x, 0, dim + 2)
-    return np.ascontiguousarray(x.reshape((n,) + per))
+    out = np.empty(stacked.shape, stacked.dtype)
+    by_chunk(out)[...] = by_chunk(stacked)[rows, chunks]
+    return out
 
 
 def reduce_vectorized(
@@ -202,8 +209,3 @@ def broadcast_vectorized(
     group.global_rank(root)  # raises GroupError on a bad root
     return replicate(np.ascontiguousarray(stacked[root]), group.size)
 
-
-def _chunk_extent(
-    per_rank_shape: Tuple[int, ...], dim: int, parts: int, context: str
-) -> int:
-    return check_divisible(per_rank_shape, dim, parts, context)

@@ -455,19 +455,11 @@ class Executor:
                     ),
                 )
             return gathered
-        if isinstance(e, o.AllToAllPhase):
-            fn = (
-                collectives.alltoall_intra_vectorized
-                if e.phase == "intra"
-                else collectives.alltoall_inter_vectorized
-            )
-            return fn(
-                values[e.inputs[0]], e.group, e.dim, e.node_size,
-                context=e.name,
-            )
-        if isinstance(e, o.AllToAll):
+        if isinstance(e, (o.AllToAll, o.AllToAllPhase)):
             return collectives.alltoall_vectorized(
-                values[e.inputs[0]], e.group, e.dim, context=e.name
+                values[e.inputs[0]], e.group, e.dim,
+                getattr(e, "phase", None), getattr(e, "node_size", None),
+                context=e.name,
             )
         if isinstance(e, o.Reduce):
             return collectives.reduce_vectorized(

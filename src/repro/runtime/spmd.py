@@ -39,8 +39,9 @@ Reductions fold the participants' slots in rank order into one float64
 buffer with the formula of
 :func:`~repro.runtime.collectives.fold_ranks`, so every collective is
 bit-identical to its vectorized counterpart (``run_spmd`` ≡
-``run_lowered``). The pairwise AllToAll drains peers in the step order
-of :func:`repro.nccl.algorithms.all_to_all_steps`. Chunked publication
+``run_lowered``). The AllToAll copies its peers' chunks by the moves
+of :func:`~repro.runtime.collectives.alltoall_moves`, the list the
+vectorized AllToAll gathers by. Chunked publication
 (:meth:`SpmdCommunicator.begin_chunked`) releases a producer's output
 chunk by chunk, and a consuming reduction folds each chunk once every
 rank published it: bit-identical to a whole-buffer fold, while the
@@ -172,7 +173,7 @@ from repro.core.tensor import Tensor
 from repro.observe.ring import (
     KIND_FAULT, KIND_PUBLISH, KIND_REDUCE, TraceRing, merge_rank_traces,
 )
-from repro.runtime.collectives import _node_grid, fold_ranks
+from repro.runtime.collectives import alltoall_moves, fold_ranks
 from repro.runtime.rank import (
     _ERR_FAILED, _RANK_ENTRY, DEFAULT_TIMEOUT, PROGRESS_BASE, RankCore,
     SpmdError, SpmdLayout, SpmdTimeout, SpmdWorkerError, _recv, _send,
@@ -608,59 +609,22 @@ class SpmdCommunicator(RankCore):
         return out
 
     def alltoall(
-        self, x, group: ProcessGroup, dim: int, context: str = ""
-    ) -> np.ndarray:
-        """This rank receives chunk ``i`` of every rank, in source order.
-
-        Peers are drained in the pairwise step order of
-        :func:`repro.nccl.algorithms.all_to_all_steps` (in step ``t``
-        rank ``r`` receives from ``(r - t - 1) mod n``, after its own
-        payload); the result is assembled in source-rank order, matching
-        the reference.
-        """
-        n = group.size
-        i = group.local_rank(self.rank)
-        order = [(i - t) % n for t in range(n)]
-        return self._exchange(
-            x, group, dim, [(s, i, s) for s in order], context
-        )
-
-    def alltoall_intra(
-        self, x, group: ProcessGroup, dim: int, node_size: int,
-        context: str = "",
-    ) -> np.ndarray:
-        """Intra-node phase of the hierarchical AllToAll (this rank)."""
-        k, m = _node_grid(group, node_size)
-        a, q = divmod(group.local_rank(self.rank), m)
-        moves = [
-            (a * m + p, b * m + q, b * m + p)
-            for b in range(k) for p in range(m)
-        ]
-        return self._exchange(x, group, dim, moves, context)
-
-    def alltoall_inter(
-        self, x, group: ProcessGroup, dim: int, node_size: int,
-        context: str = "",
-    ) -> np.ndarray:
-        """Inter-node phase of the hierarchical AllToAll (this rank)."""
-        k, m = _node_grid(group, node_size)
-        b, q = divmod(group.local_rank(self.rank), m)
-        moves = [
-            (a * m + q, b * m + p, a * m + p)
-            for a in range(k) for p in range(m)
-        ]
-        return self._exchange(x, group, dim, moves, context)
-
-    def _exchange(
         self, x, group: ProcessGroup, dim: int,
-        moves: Sequence[Tuple[int, int, int]], context: str,
+        phase: Optional[str] = None, node_size: Optional[int] = None,
+        context: str = "",
     ) -> np.ndarray:
-        """An AllToAll phase: for each ``(p, s, d)`` of ``moves``, slice
-        ``s`` of group rank ``p``'s payload (of ``n`` along ``dim``) is
-        copied once, straight into slice ``d`` of the result."""
+        """This rank's AllToAll output (flat, or one hierarchical phase):
+        for each move ``(p, s, d)`` of
+        :func:`~repro.runtime.collectives.alltoall_moves`, chunk ``s`` of
+        group rank ``p``'s payload (of ``n`` along ``dim``) is copied
+        once, straight into chunk ``d`` of the result. Peers are drained
+        in the moves' order."""
         pub = self._publication(x, group)
         n = group.size
         step = check_divisible(pub.shape, dim, n, context)
+        moves = alltoall_moves(
+            group, group.local_rank(self.rank), phase, node_size
+        )
         out = np.empty(pub.shape, pub.dtype)
         self._gather(
             pub, [group.global_rank(p) for p, _, _ in moves],
@@ -792,7 +756,6 @@ class SpmdCommunicator(RankCore):
         for s in streams:
             s.join()
 
-    # -- teardown ---------------------------------------------------------
 
 class _Stream(object):
     """A worker thread standing in for one GPU stream."""

@@ -1,4 +1,4 @@
-"""AllToAll: reference collective, step simulator, cost model, and the
+"""AllToAll: reference collective, move lists, cost model, and the
 split / reorder / fuse / overlap transformations applied to it."""
 
 import numpy as np
@@ -39,11 +39,9 @@ from repro.nccl import (
     LL,
     LL128,
     SIMPLE,
-    all_to_all_steps,
     build_ring,
     choose_config,
     collective_time,
-    simulate_alltoall,
 )
 from repro.nccl.algorithms import num_steps
 from repro.nccl.cost_model import (
@@ -53,6 +51,8 @@ from repro.nccl.cost_model import (
     p2p_time,
 )
 from repro.runtime import Executor
+from repro.runtime.collectives import alltoall_moves
+from repro.runtime.world import slice_of
 from tests import collective_oracle as oracle
 
 
@@ -117,9 +117,22 @@ class TestReferenceCollective:
         np.testing.assert_array_equal(before, after)
 
 
+def _replay(values, n, dim, phase=None, node_size=None):
+    """Every rank's output, built one chunk copy at a time from its
+    moves alone."""
+    out = {}
+    for i in range(n):
+        chunks = {
+            d: slice_of(values[p], dim, s, n)
+            for p, s, d in alltoall_moves(world(n), i, phase, node_size)
+        }
+        out[i] = np.concatenate([chunks[d] for d in range(n)], axis=dim)
+    return out
+
+
 class TestStepSimulatorEquivalence:
-    """The step-by-step pairwise simulator matches the reference across
-    world sizes and uneven chunk shapes (satellite requirement)."""
+    """Replaying each rank's moves, one chunk copy at a time, matches
+    the per-rank reference across world sizes and uneven chunk shapes."""
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     @pytest.mark.parametrize(
@@ -135,7 +148,7 @@ class TestStepSimulatorEquivalence:
         shape = shape_fn(n)
         vals = _values(rng, n, shape)
         ref = oracle.alltoall_reference(vals, world(n), 0)
-        sim = simulate_alltoall([vals[r] for r in range(n)], 0)
+        sim = _replay(vals, n, 0)
         for r in range(n):
             np.testing.assert_array_equal(ref[r], sim[r])
 
@@ -143,52 +156,116 @@ class TestStepSimulatorEquivalence:
     def test_matches_reference_inner_dim(self, rng, n):
         vals = _values(rng, n, (3, 2 * n))
         ref = oracle.alltoall_reference(vals, world(n), 1)
-        sim = simulate_alltoall([vals[r] for r in range(n)], 1)
+        sim = _replay(vals, n, 1)
         for r in range(n):
             np.testing.assert_array_equal(ref[r], sim[r])
 
-    def test_indivisible_raises(self, rng):
+    def test_indivisible_raises(self):
         with pytest.raises(ValueError):
-            simulate_alltoall([rng.randn(5) for _ in range(2)], 0)
+            alltoall_moves(world(4), 0, "intra", 3)
+        with pytest.raises(ValueError):
+            alltoall_moves(world(4), 0, "diagonal", 2)
 
     @given(n=st.integers(2, 8), per=st.integers(1, 4), seed=st.integers(0, 500))
     @settings(max_examples=30, deadline=None)
     def test_equivalence_property(self, n, per, seed):
         r = np.random.RandomState(seed)
-        vals = [r.randn(n * per).astype(np.float32) for _ in range(n)]
-        ref = oracle.alltoall_reference(
-            {i: v for i, v in enumerate(vals)}, world(n), 0
-        )
-        sim = simulate_alltoall(vals, 0)
+        vals = {i: r.randn(n * per).astype(np.float32) for i in range(n)}
+        ref = oracle.alltoall_reference(vals, world(n), 0)
+        sim = _replay(vals, n, 0)
         for i in range(n):
             np.testing.assert_array_equal(ref[i], sim[i])
 
 
 class TestStepSchedule:
+    """The flat moves in drain order: step ``t`` of rank ``i`` copies
+    from rank ``(i - t) mod n``, step 0 being the rank's own chunk."""
+
     @pytest.mark.parametrize("n", [2, 3, 4, 8])
     def test_counts(self, n):
-        steps = all_to_all_steps(n)
-        assert len(steps) == n * (n - 1)
+        for i in range(n):
+            assert len(alltoall_moves(world(n), i)) == n
+        # every move but the own chunk is one wire step
         assert num_steps("alltoall", n) == n - 1
 
     def test_one_send_per_rank_per_step(self):
         n = 4
-        steps = all_to_all_steps(n)
-        for t in range(n - 1):
-            senders = [s.src for s in steps if s.index == t]
-            receivers = [s.dst for s in steps if s.index == t]
+        moves = [alltoall_moves(world(n), i) for i in range(n)]
+        for t in range(n):
+            senders = [moves[i][t][0] for i in range(n)]
             assert sorted(senders) == list(range(n))
-            assert sorted(receivers) == list(range(n))
 
     def test_every_chunk_delivered_once(self):
         n = 5
-        delivered = {(s.src, s.dst) for s in all_to_all_steps(n)}
-        expected = {(i, j) for i in range(n) for j in range(n) if i != j}
-        assert delivered == expected
+        delivered = [
+            (p, i) for i in range(n)
+            for p, _, _ in alltoall_moves(world(n), i)
+        ]
+        assert sorted(delivered) == [
+            (i, j) for i in range(n) for j in range(n)
+        ]
 
     def test_chunk_is_destination_index(self):
-        for s in all_to_all_steps(6):
-            assert s.chunk == s.dst
+        for i in range(6):
+            for p, s, d in alltoall_moves(world(6), i):
+                assert s == i and d == p
+
+
+#: (n, node size, phase) for n in {1, 2, 3, 4, 6, 8}: the flat exchange
+#: once, each hierarchical phase at every divisor node size
+MOVE_CASES = [
+    (n, m, phase)
+    for n in (1, 2, 3, 4, 6, 8)
+    for m, phase in [(None, None)] + [
+        (m, phase)
+        for m in range(1, n + 1) if n % m == 0
+        for phase in ("intra", "inter")
+    ]
+]
+
+
+class TestMoveLists:
+    """Properties of :func:`alltoall_moves` over every rank count, node
+    size and phase."""
+
+    @pytest.mark.parametrize("n,m,phase", MOVE_CASES)
+    def test_moves_are_a_bijection(self, n, m, phase):
+        # every (source rank, source chunk) lands in exactly one
+        # (destination rank, destination chunk)
+        route = {}
+        for i in range(n):
+            for p, s, d in alltoall_moves(world(n), i, phase, m):
+                assert (p, s) not in route
+                route[(p, s)] = (i, d)
+        grid = sorted((r, c) for r in range(n) for c in range(n))
+        assert sorted(route) == grid
+        assert sorted(route.values()) == grid
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
+    def test_flat_drains_own_chunk_then_descending_peers(self, n):
+        for i in range(n):
+            assert alltoall_moves(world(n), i) == [
+                ((i - t) % n, i, (i - t) % n) for t in range(n)
+            ]
+
+    @pytest.mark.parametrize(
+        "n,m", [(n, m) for n, m, phase in MOVE_CASES if phase == "inter"]
+    )
+    def test_inter_after_intra_is_flat(self, n, m):
+        def origin(phase, i):
+            # destination chunk -> (source rank, source chunk)
+            return {
+                d: (p, s)
+                for p, s, d in alltoall_moves(world(n), i, phase, m)
+            }
+
+        intra = [origin("intra", i) for i in range(n)]
+        flat = [origin(None, i) for i in range(n)]
+        for i in range(n):
+            composed = {
+                d: intra[p][s] for d, (p, s) in origin("inter", i).items()
+            }
+            assert composed == flat[i]
 
 
 class TestHierarchicalPhases:
@@ -643,8 +720,8 @@ class TestTransforms:
         assert "compute rides the exchange" in fused
         assert "comm.alltoall(" in fused
         hier = CodeGenerator().generate(schedules["hierarchical"]).source
-        assert "comm.alltoall_intra(" in hier
-        assert "comm.alltoall_inter(" in hier
+        assert "phase='intra', node_size=" in hier
+        assert "phase='inter', node_size=" in hier
 
 
 class TestCostModel:

@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 from repro.cli import main as cli_main
 from repro.cluster import Cluster
 from repro.core import (
-    FP32, Binary, Execute, Replicated, Update, artifact, world,
+    FP32, Binary, Conv2D, Execute, Replicated, Update, artifact, world,
 )
 from repro.core.artifact import Artifact, ArtifactError
 from repro.core.autotuner import Autotuner
@@ -44,6 +44,7 @@ from repro.core.transforms import Schedule
 from repro.errors import CoCoNetError
 from repro.perf.program_cost import ProgramCostModel
 from repro.runtime import Executor, FaultPlan
+from repro.serve import ScheduleCache
 from repro.workloads.adam import AdamWorkload
 from repro.workloads.attention import AttentionWorkload
 from repro.workloads.lamb import LambWorkload
@@ -293,6 +294,35 @@ class TestHashes:
         assert (
             artifact.structural_hash(sched.lowered())
             == GOLDEN_HASHES[GOLDEN_MOE][1]
+        )
+
+    def test_conv2d_stride_and_padding_enter_the_structural_hash(
+        self, rng, tmp_path
+    ):
+        # both convolutions map (1,2,6,6) * (3,2,3,3) to (1,3,4,4), so
+        # only stride and padding tell them apart
+        def conv(stride, padding):
+            W = world(2)
+            x = Tensor(FP32, (1, 2, 6, 6), Replicated, W, name="x")
+            k = Tensor(FP32, (3, 2, 3, 3), Replicated, W, name="k")
+            c = Conv2D(x, k, stride=stride, padding=padding, name="c")
+            return Execute("p", [x, k], [c])
+
+        plain, strided = conv(1, 0), conv(2, 2)
+        assert artifact.structural_hash(
+            Schedule(plain).lowered()
+        ) != artifact.structural_hash(Schedule(strided).lowered())
+        tuner = Autotuner(
+            Cluster(1), schedule_cache=ScheduleCache(str(tmp_path))
+        )
+        assert not tuner.tune(plain).cached
+        result = tuner.tune(strided)
+        assert not result.cached
+        inputs = {"x": rng.randn(1, 2, 6, 6), "k": rng.randn(3, 2, 3, 3)}
+        ex = Executor()
+        np.testing.assert_array_equal(
+            ex.run_lowered(result.best.schedule, inputs).output("c"),
+            ex.run_lowered(strided, inputs).output("c"),
         )
 
     def test_hashes_stable_across_processes(self):

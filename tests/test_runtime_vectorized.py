@@ -179,8 +179,8 @@ class TestHierarchicalAllToAll:
             intra_ref = alltoall_intra_reference(d, g, 0, m)
             inter_ref = alltoall_inter_reference(intra_ref, g, 0, m)
             assert_backends_equal(flat_ref, inter_ref, g)
-            intra_vec = C.alltoall_intra_vectorized(s, g, 0, m)
-            inter_vec = C.alltoall_inter_vectorized(intra_vec, g, 0, m)
+            intra_vec = C.alltoall_vectorized(s, g, 0, "intra", m)
+            inter_vec = C.alltoall_vectorized(intra_vec, g, 0, "inter", m)
             assert_backends_equal(flat_ref, inter_vec, g)
             assert_backends_equal(intra_ref, intra_vec, g)
 
@@ -191,8 +191,8 @@ class TestHierarchicalAllToAll:
         d, s = _pair(rng, g, (2, 2 * n))
         flat = C.alltoall_vectorized(s, g, 1)
         for m in (1, 2, 3, 6):
-            intra = C.alltoall_intra_vectorized(s, g, 1, m)
-            inter = C.alltoall_inter_vectorized(intra, g, 1, m)
+            intra = C.alltoall_vectorized(s, g, 1, "intra", m)
+            inter = C.alltoall_vectorized(intra, g, 1, "inter", m)
             np.testing.assert_array_equal(
                 np.asarray(flat), np.asarray(inter)
             )

@@ -175,7 +175,13 @@ class TestSpmdParity:
         assert_spmd_parity(wl.program, inputs)
         for sched in wl.schedules().values():
             assert_spmd_parity(sched, inputs)
-        assert_spmd_parity(wl.schedule_hierarchical(node_size=2), inputs)
+        # the hierarchical exchange on real ranks, on both targets
+        from repro.core.codegen import native
+
+        hier = wl.schedule_hierarchical(node_size=2)
+        targets = ["spmd", "native"] if native.available() else ["spmd"]
+        for target in targets:
+            assert_spmd_parity(hier, inputs, codegen_target=target)
 
     def test_pipeline_all_schedules_at_8_ranks(self, rng):
         # 8 real processes, two stage groups, P2P sends between them

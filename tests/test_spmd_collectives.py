@@ -2,12 +2,14 @@
 
 Every collective of the shared-memory communicator must be bit-identical
 (``np.array_equal``) to its ``repro.runtime.collectives`` vectorized
-counterpart — across fp32/fp16 payloads and real rank counts {2, 4, 8},
-including every divisor node size of the hierarchical AllToAll (uneven
-grids like 8 = 2×4). Point-to-point ``send``/``recv`` must deliver the
-sent array exactly. A persistent :class:`CollectivePool` of worker
-processes executes thousands of real rendezvous without paying a
-process spawn per example.
+counterpart — across fp32/fp16 payloads and real rank counts {2, 4, 8}.
+The AllToAll, whose communicator and vectorized forms both read
+``collectives.alltoall_moves``, is checked against the independent
+per-rank oracle instead, at every divisor node size of the hierarchical
+phases (uneven grids like 8 = 2×4). Point-to-point ``send``/``recv``
+must deliver the sent array exactly. A persistent
+:class:`CollectivePool` of worker processes executes thousands of real
+rendezvous without paying a process spawn per example.
 """
 
 import numpy as np
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core import world
 from repro.runtime import collectives
+from tests import collective_oracle as oracle
 from tests.collective_pool import CollectivePool, chunked, gather_into_own_row
 
 RANK_COUNTS = (2, 4, 8)
@@ -214,7 +217,7 @@ class TestDataMovementCollectives:
     def test_alltoall(self, n, per, dim, dtype, seed):
         g = world(n)
         x = _stacked(seed, n, (n * per, n * per), dtype)
-        ref = collectives.alltoall_vectorized(x, g, dim, context="a2a")
+        ref = oracle.alltoall_reference(dict(enumerate(x)), g, dim)
         rows = pool(n).call(
             "alltoall",
             [(x[i], g, dim) for i in range(n)],
@@ -249,18 +252,20 @@ class TestHierarchicalAllToAll:
     def test_every_divisor(self, n, dtype):
         g = world(n)
         x = _stacked(1234 + n, n, (2 * n, 3), dtype)
-        flat = collectives.alltoall_vectorized(x, g, 0)
+        vals = dict(enumerate(x))
+        flat = oracle.alltoall_reference(vals, g, 0)
         for m in range(1, n + 1):
             if n % m != 0:
                 continue
-            intra_ref = collectives.alltoall_intra_vectorized(x, g, 0, m)
+            intra_ref = oracle.alltoall_intra_reference(vals, g, 0, m)
             intra = pool(n).call(
-                "alltoall_intra", [(x[i], g, 0, m) for i in range(n)]
+                "alltoall", [(x[i], g, 0) for i in range(n)],
+                kwargs={"phase": "intra", "node_size": m},
             )
             _assert_rows_equal(intra, intra_ref)
             inter = pool(n).call(
-                "alltoall_inter",
-                [(np.asarray(intra_ref[i]), g, 0, m) for i in range(n)],
+                "alltoall", [(intra_ref[i], g, 0) for i in range(n)],
+                kwargs={"phase": "inter", "node_size": m},
             )
             _assert_rows_equal(inter, flat)
 

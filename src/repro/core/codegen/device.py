@@ -11,20 +11,17 @@ the generated per-rank modules call it: :func:`binary`,
 arithmetic and rounds once to the expression dtype, so the tiers agree
 bit for bit by construction. The native target's C loop
 (:mod:`repro.core.codegen.native`) re-states :func:`binary` and
-:func:`unary` for the ops it compiles and is held to them bit for bit.
-Its compiled kernels bind here too (:func:`open_kernels`): a rank
-opens the shared object its launcher resolved, and never compiles.
+:func:`unary` for the ops it compiles and is held to them bit for bit;
+its kernels bind through
+:func:`repro.runtime.rank.open_kernels`, which imports no numpy.
 """
 
 from __future__ import annotations
 
-import _ctypes
-import ctypes
-from typing import Dict, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.errors import CodegenError
 from repro.runtime.rng import dropout_mask  # noqa: F401  (re-export)
 from repro.runtime.world import slice_of  # noqa: F401  (re-export)
 
@@ -139,84 +136,3 @@ def conv2d(
             patch = x64[:, :, i : i + ho * stride : stride, j : j + wo * stride : stride]
             out += np.einsum("nchw,kc->nkhw", patch, w64[:, :, i, j])
     return out.astype(dtype)
-
-
-class CompiledKernels:
-    """A loaded kernel shared object; ``call`` invokes one C function.
-
-    Every generated function has the uniform ABI
-    ``void f(char** bufs, double* scalars)``: the loop's trip count is
-    ``scalars[0]`` and only broadcast strides are baked into the
-    source, so the Python side marshals base pointers and scalars (a
-    ctypes foreign call releases the GIL — the overlap producer stream
-    keeps running during compute).
-    """
-
-    def __init__(
-        self, lib: ctypes.CDLL, key: str, path: str,
-        functions: Sequence[str],
-    ) -> None:
-        self._lib = lib
-        self.key = key
-        self.path = path
-        self.functions = tuple(functions)
-        self._fns: Dict[str, object] = {}
-
-    def _fn(self, name: str):
-        fn = self._fns.get(name)
-        if fn is None:
-            fn = getattr(self._lib, name)
-            fn.argtypes = [
-                ctypes.POINTER(ctypes.c_void_p),
-                ctypes.POINTER(ctypes.c_double),
-            ]
-            fn.restype = None
-            self._fns[name] = fn
-        return fn
-
-    def call(
-        self,
-        name: str,
-        arrays: Sequence[np.ndarray],
-        scalars: Sequence[float] = (),
-        outputs: Sequence[np.ndarray] = (),
-    ) -> None:
-        """Run ``name`` over ``arrays`` then ``outputs`` (``A[k]`` in
-        that order) and ``scalars`` (``S``).
-
-        A non-contiguous input is read from a contiguous copy. An output
-        is written where it lies (often a tensor's own region), so a
-        non-contiguous one is an error: a copy would lose the write.
-        """
-        # the list keeps each input's copy alive until the call returns
-        inputs = [np.ascontiguousarray(a) for a in arrays]
-        for k, a in enumerate(outputs):
-            if not a.flags["C_CONTIGUOUS"]:
-                raise CodegenError(
-                    f"kernel {name}: output {k} is not C-contiguous "
-                    f"(shape {a.shape}, strides {a.strides})"
-                )
-        bufs = [a.ctypes.data for a in (*inputs, *outputs)]
-        ptrs = (ctypes.c_void_p * len(bufs))(*bufs)
-        sc = (ctypes.c_double * max(1, len(scalars)))(*scalars)
-        self._fn(name)(ptrs, sc)
-
-
-def open_kernels(
-    key: str, path: str, functions: Sequence[str]
-) -> Optional[CompiledKernels]:
-    """Load ``path`` if it exports every one of ``functions``.
-
-    An object that loads but lacks one is not this source's kernel (a
-    stale or misplaced object): it is closed again, since ``dlopen``
-    would otherwise hand its handle back for the recompiled file at the
-    same path, and counts as unloadable (``None``).
-    """
-    try:
-        lib = ctypes.CDLL(path)
-    except OSError:
-        return None
-    if all(hasattr(lib, name) for name in functions):
-        return CompiledKernels(lib, key, path, functions)
-    _ctypes.dlclose(lib._handle)
-    return None

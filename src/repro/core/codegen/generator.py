@@ -13,6 +13,10 @@ are rendezvous calls on the rank's
 fused collectives evaluate their operations in program order on this
 rank's slice; lowered :class:`~repro.core.lower.ChunkLoop` instructions
 become chunk orchestrators with a producer stream thread (Section 5.3).
+A native module whose kernels are all C or whole collectives is a
+*pointer* module instead: it binds addresses, not arrays, and its
+ranks run :class:`~repro.runtime.rank.PointerCommunicator` without
+numpy, as CoCoNet's kernels run on device pointers.
 """
 
 from __future__ import annotations
@@ -50,6 +54,20 @@ import numpy as np
 
 from repro.core.codegen import device as dev
 from repro.core.process_group import ProcessGroup
+'''
+
+_POINTER_HEADER = '''\
+"""Generated by the CoCoNet reproduction code generator (native target,
+pointer data plane).
+
+This module is executed by *every rank in its own OS process*, which
+imports no numpy: a value in ``V``/``T`` is the address of this rank's
+copy of it, and ``comm`` is the rank's
+:class:`repro.runtime.rank.PointerCommunicator`. Computation is the C
+functions of ``_K``; collectives are rendezvous over shared memory that
+copy with ``memmove`` and fold in ``_K``'s C. Kernels whose process
+group does not include this rank return immediately.
+"""
 '''
 
 
@@ -99,6 +117,7 @@ class GeneratedSpmdProgram:
         schedule_lines: int,
         target: str = "spmd",
         c_source: "str | None" = None,
+        plane: str = "numpy",
     ) -> None:
         self.program = program
         self.source = source
@@ -107,6 +126,9 @@ class GeneratedSpmdProgram:
         self.target = target
         #: C source of the compiled segments (native target, else None)
         self.c_source = c_source
+        #: the rank data plane the module runs on: ``"pointer"`` (no
+        #: numpy in the rank) or ``"numpy"``
+        self.plane = plane
         # compile for early syntax validation; execution happens per rank
         compile(source, f"<generated-spmd:{program.name}>", "exec")
 
@@ -122,8 +144,8 @@ _NATIVE_MEMO: Dict[str, GeneratedSpmdProgram] = {}
 
 
 #: the native target's module lines: ``_K`` is bound before ``run_rank``
-#: runs, to the :class:`~repro.core.codegen.device.CompiledKernels` the
-#: rank opened (:meth:`repro.runtime.spmd.RankPool.launch` compiles the
+#: runs, to the :class:`~repro.runtime.rank.CompiledKernels` the rank
+#: opened (:meth:`repro.runtime.spmd.RankPool.launch` compiles the
 #: C source, ``GeneratedSpmdProgram.c_source``, in the launching process)
 _NATIVE_BLOCK = ["_K = None", "", ""]
 
@@ -143,6 +165,13 @@ class CodeGenerator:
     interpreter's own), communication, overlap orchestration and
     non-C-able operations are unchanged Python, so every program stays
     bit-identical to the interpreter.
+
+    A native program whose every kernel is C loops, dim-0 slice copies
+    and whole ReduceScatters, AllGathers and AllReduces
+    (:meth:`_pointer_ready`; the tuned Adam at any world size) gets a
+    *pointer* module instead: values are addresses, its 0-d prologue
+    and its folds are C too, and its ranks never import numpy
+    (``GeneratedSpmdProgram.plane``).
     """
 
     def __init__(self, target: str = "spmd") -> None:
@@ -151,6 +180,8 @@ class CodeGenerator:
         self.target = target
         self._native = target == "native"
         self._nat = None  # NativeEmitter, created per generate() call
+        #: whether this generate() call emits a pointer module
+        self._pointer = False
         #: input name -> the ops writing its storage, per generate() call
         self._writers: Dict[str, List[Expr]] = {}
 
@@ -189,12 +220,15 @@ class CodeGenerator:
         program = lowered.program
         self._writers = _storage_writers(program)
         self._nat = None
+        self._pointer = False
         if self._native:
             from repro.core.codegen.native import NativeEmitter
 
             self._nat = NativeEmitter(lowered)
+            self._nat.pointer = True  # qualify by the pointer rules
+            self._pointer = self._nat.pointer = self._pointer_ready(lowered)
         em = _Emitter()
-        em.block(_MODULE_HEADER)
+        em.block(_POINTER_HEADER if self._pointer else _MODULE_HEADER)
         self._emit_constants(em, program)
         mark = len(em.lines)
         kernel_sources: Dict[str, str] = {}
@@ -206,6 +240,7 @@ class CodeGenerator:
         generated = GeneratedSpmdProgram(
             program, em.source(), kernel_sources, schedule_lines,
             target=self.target, c_source=c_source,
+            plane="pointer" if self._pointer else "numpy",
         )
         if memo_key is not None:
             _NATIVE_MEMO[memo_key] = generated
@@ -226,11 +261,66 @@ class CodeGenerator:
     def _emit_constants(self, em: _Emitter, program: Program) -> None:
         for g in self._groups(program):
             name = self._gname(g)
+            if self._pointer:
+                em.emit(f"RANKS_{name} = {tuple(g.ranks)!r}")
+                continue
             em.emit(
                 f"{name} = ProcessGroup({g.start}, {g.size}, {g.world_size})"
             )
             em.emit(f"RANKS_{name} = tuple({name}.ranks)")
         em.emit()
+
+    def _local_rank(self, group: ProcessGroup) -> str:
+        """This rank's local rank in ``group``, as module text."""
+        if self._pointer:
+            return f"_rank - {group.start}"
+        return f"{self._gname(group)}.local_rank(_rank)"
+
+    def _pointer_ready(self, lowered: LoweredProgram) -> bool:
+        """Whether the native module can run on the pointer data plane.
+
+        Every kernel must be C loops (0-d ones included), dim-0 slice
+        copies, or whole dim-0 ReduceScatters, AllGathers and
+        AllReduces that fold by a C helper; no GEMM, Dropout, AllToAll,
+        P2P, chunk loop or cross-rank norm. Every Update and gathered
+        writeback must be stored where its target lives, and a constant
+        may only feed a C loop.
+        """
+        from repro.core.codegen.native import FOLDS
+
+        nat = self._nat
+        if any(isinstance(i, ChunkLoop) for i in lowered.instructions):
+            return False
+        for k in lowered.plan.kernels:
+            if k.kind not in (
+                KernelKind.ELEMENTWISE, KernelKind.FUSED_ELEMENTWISE,
+                KernelKind.COLLECTIVE, KernelKind.FUSED_COLLECTIVE,
+            ):
+                return False
+            for e in k.exprs:
+                if isinstance(e, (ops.CommOp, ops.Slice)) and not all(
+                    _float(x) and not isinstance(x, Const)
+                    for x in (e, e.inputs[0])
+                ):
+                    return False
+                if isinstance(e, ops.ReduceScatter):
+                    ok = e.reduction in FOLDS and _dim0(e.layout.dim, e)
+                elif isinstance(e, ops.AllReduce):
+                    ok = e.reduction in FOLDS
+                elif isinstance(e, ops.AllGather):
+                    ok = e.dim == 0 and (
+                        e.writeback is None
+                        or self._gather_region(e) is not None
+                    )
+                elif isinstance(e, ops.Slice):
+                    ok = _dim0(e.layout.dim, e)
+                elif isinstance(e, ops.Update):
+                    ok = nat._c_able(e) and self._update_region(e) is not None
+                else:
+                    ok = nat._c_able(e)
+                if not ok:
+                    return False
+        return all(_float(t) for t in lowered.program.inputs)
 
     # -- kernel emission ------------------------------------------------------
 
@@ -354,7 +444,7 @@ class CodeGenerator:
             else:
                 segments[-1].append(e)
         em.emit("_rank = comm.rank")
-        em.emit(f"_i = {self._gname(group)}.local_rank(_rank)")
+        em.emit(f"_i = {self._local_rank(group)}")
         for si, segment in enumerate(segments):
             if segment:
                 if self._nat is not None:
@@ -429,6 +519,11 @@ class CodeGenerator:
             )
         elif isinstance(e, o.Cast):
             em.emit(f"{out} = {self._ref(e.inputs[0])}.astype({dt})")
+        elif isinstance(e, o.Slice) and self._pointer:
+            em.emit(
+                f"{out} = comm.copy({self._rows(self._ref(e.inputs[0]), e)}, "
+                f"{e.per_rank_bytes()})"
+            )
         elif isinstance(e, o.Slice):
             dim = e.layout.dim
             em.emit(
@@ -494,8 +589,10 @@ class CodeGenerator:
         ):
             return None
         if e.layout.is_sliced and t.layout.is_replicated:
-            if normalize_dim(e.layout.dim, len(e.shape)) != 0:
+            if not _dim0(e.layout.dim, e):
                 return None
+            if self._pointer:
+                return self._rows(f"T[{t.name!r}]", e)
             return (
                 f"dev.slice_of(T[{t.name!r}], 0, _i, {e.group.size}, "
                 f"context={t.name!r})"
@@ -503,6 +600,12 @@ class CodeGenerator:
         if math.prod(e.per_rank_shape()) != math.prod(t.per_rank_shape()):
             return None
         return f"T[{t.name!r}]"
+
+    @staticmethod
+    def _rows(ref: str, e: Expr) -> str:
+        """The address of this rank's dim-0 slice ``e`` of the value at
+        ``ref`` (a pointer module's ``dev.slice_of``)."""
+        return f"{ref} + _i * {e.per_rank_bytes()}"
 
     def _gather_region(self, e: ops.AllGather) -> Optional[str]:
         """The writeback storage an AllGather can gather straight into:
@@ -537,6 +640,9 @@ class CodeGenerator:
             self._gather_region(e) if isinstance(e, ops.AllGather) else None
         )
         em.emit(f"# NCCL {e.comm_kind} — shared-memory rendezvous")
+        if self._pointer:
+            em.emit(f"V[{e.name!r}] = {self._pointer_collective(e, region)}")
+            return
         if isinstance(e, ops.AllReduce):
             call = f"comm.allreduce({xr}, {g}, {e.reduction!r}, {_np_dtype(e)})"
         elif isinstance(e, ops.ReduceScatter):
@@ -575,6 +681,28 @@ class CodeGenerator:
                 f"np.copyto(T[{e.writeback.name!r}], V[{e.name!r}], "
                 f"casting='unsafe')"
             )
+
+    def _pointer_collective(
+        self, e: Expr, region: Optional[str]
+    ) -> str:
+        """A pointer module's call for collective ``e``: its operand's
+        address and per-rank bytes, and for a fold, the C helper, the
+        result's element count and bytes."""
+        g = f"RANKS_{self._gname(e.group)}"
+        x = e.inputs[0]
+        head = f"V[{x.name!r}], {g}, {x.per_rank_bytes()}"
+        if isinstance(e, ops.AllGather):
+            out = f", out={region}" if region is not None else ""
+            return f"comm.allgather({head}{out})"
+        fold = self._nat.fold(e.reduction, x.dtype, e.dtype)
+        call = (
+            "reducescatter" if isinstance(e, ops.ReduceScatter)
+            else "allreduce"
+        )
+        return (
+            f"comm.{call}({head}, {fold!r}, {e.per_rank_elements()}, "
+            f"{e.per_rank_bytes()})"
+        )
 
     def _emit_fused_collective(self, em: _Emitter, k: Kernel) -> None:
         """A fused collective, evaluated in program order.
@@ -778,15 +906,27 @@ class CodeGenerator:
             g = self._gname(t.group)
             em.emit(f"if _rank in RANKS_{g}:")
             em.indent += 1
+            value = (
+                f"inputs[{t.name!r}]" if self._pointer
+                else f"np.asarray(inputs[{t.name!r}])"
+            )
             if isinstance(t, Tensor):
-                em.emit(f"T[{t.name!r}] = np.asarray(inputs[{t.name!r}])")
-                copy = ".copy()" if t.name in copied else ""
-                em.emit(f"V[{t.name!r}] = T[{t.name!r}]{copy}")
+                em.emit(f"T[{t.name!r}] = {value}")
+                if t.name not in copied:
+                    em.emit(f"V[{t.name!r}] = T[{t.name!r}]")
+                elif self._pointer:
+                    em.emit(
+                        f"V[{t.name!r}] = comm.copy(T[{t.name!r}], "
+                        f"{t.per_rank_bytes()})"
+                    )
+                else:
+                    em.emit(f"V[{t.name!r}] = T[{t.name!r}].copy()")
             else:
-                em.emit(f"V[{t.name!r}] = np.asarray(inputs[{t.name!r}])")
+                em.emit(f"V[{t.name!r}] = {value}")
             em.indent -= 1
         for e in dfg.topological(program.roots):
-            if isinstance(e, Const):
+            # a pointer module's constants are its C loops' scalars
+            if isinstance(e, Const) and not self._pointer:
                 g = self._gname(e.group)
                 em.emit(f"if _rank in RANKS_{g}:")
                 em.indent += 1
@@ -821,6 +961,18 @@ class CodeGenerator:
         em.emit("return outputs, states")
         em.indent -= 1
         em.emit()
+
+
+def _dim0(dim: int, e: Expr) -> bool:
+    """Whether ``dim`` of ``e``'s shape is its first dimension."""
+    return normalize_dim(dim, len(e.shape)) == 0
+
+
+def _float(e: Expr) -> bool:
+    """Whether ``e``'s dtype is one the C loops compute in."""
+    from repro.core.codegen.native import _cdt
+
+    return _cdt(e.dtype) is not None
 
 
 def _sink_past(

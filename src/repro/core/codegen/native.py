@@ -28,6 +28,28 @@ implement IEEE round-to-nearest-even from the double — the same
 single-step rounding numpy's ``astype(np.float16)`` does — so
 elementwise-only programs are **bit-identical** to ``run_lowered``.
 
+A pointer module (:class:`NativeEmitter` with ``pointer`` set, whose
+ranks run without numpy) adds two kinds of C, held to the same
+contract:
+
+* **The 0-d prologue.** Rank-invariant scalars such as Adam's
+  ``1 - β^t`` are one loop-less function of the same rounding rules.
+  Its ``pow`` is libm's, which may differ from numpy's float64 power in
+  the last bit (numpy runs SIMD loops of its own on AVX-512 hosts), so
+  only an FP32 or FP16 ``pow`` is compiled: its rounding drops that
+  bit. ``tests/test_native.py`` checks libm against numpy, to the bit,
+  on the optimizers' betas and step counts.
+* **The fold helpers** (``fold_<op>_<in>_<out>``, one per reduction
+  and dtype pair, appended once). A ReduceScatter or AllReduce calls
+  one per participant in rank order with the rank count as a scalar,
+  so the source is the same at every world size: the first call sets a
+  float64 accumulator to the reduction's identity (``-0.0 + x`` is
+  ``x``, bit for bit), each folds its rank's row in, and the last
+  rounds once. That is :func:`~repro.runtime.collectives.fold_ranks`
+  then ``astype``; with two NaN operands the fold keeps the first one's
+  bits, as x86 and numpy's operand order do
+  (``repro_nan_first``).
+
 GEMMs are not compiled: like the paper's generated code, which leaves
 them to the vendor library, a MatMul stays the interpreter's own
 library call, :func:`repro.core.codegen.device.gemm` (FP16 operands
@@ -54,9 +76,9 @@ hears of every compile, so a traced run shows the stall.
 
 Only a launching process resolves kernels (:func:`load_kernels`). It
 sends its rank processes the object's ``(key, path, functions)``, and
-each rank opens that object with
-:func:`repro.core.codegen.device.open_kernels`: a rank imports none of
-this module and never compiles.
+each rank opens that object with :func:`repro.runtime.rank.open_kernels`,
+which imports no numpy: a rank imports none of this module and never
+compiles.
 """
 
 from __future__ import annotations
@@ -74,10 +96,10 @@ import numpy as np
 
 from repro import store
 from repro.core import ops
-from repro.core.codegen.device import CompiledKernels, open_kernels
 from repro.core.tensor import Const, Expr
 from repro.errors import CodegenError
 from repro.observe.metrics import MetricsRegistry
+from repro.runtime.rank import CompiledKernels, open_kernels
 
 __all__ = [
     "available",
@@ -277,6 +299,31 @@ static inline double repro_hmin(double a, double b) {
 }
 """
 
+#: libm's ``pow``, appended only to sources that call it (a pointer
+#: module's 0-d prologue)
+POW = "\n#define pow __builtin_pow\n"
+
+#: appended to sources with fold helpers. With two NaN operands, x86
+#: returns the first, quieted; numpy's fold keeps its operands' order,
+#: but the compiler may swap those of a commutative ``+`` or ``*``, so
+#: the fold states the rule itself. ``r`` is ``a`` op something; the
+#: NaN test reads ``a``'s high word, as ``repro_d2h``'s does, so the
+#: loop stays vectorized
+FOLD_NAN = r"""
+static inline double repro_nan_first(double a, double r) {
+    uint64_t ab, rb, m;
+    uint32_t hi, lo;
+    memcpy(&ab, &a, 8);
+    memcpy(&rb, &r, 8);
+    hi = (uint32_t)(ab >> 32) & 0x7fffffffu;
+    lo = (uint32_t)ab;
+    m = -(uint64_t)((int32_t)(hi | (lo != 0u)) > 0x7ff00000);
+    rb = (rb & ~m) | ((ab | 0x0008000000000000ull) & m);
+    memcpy(&r, &rb, 8);
+    return r;
+}
+"""
+
 
 # ---------------------------------------------------------------------------
 # Content-addressed kernel cache.
@@ -388,6 +435,18 @@ _C_BINARY = ("+", "-", "*", "/", "max", "min")
 _C_UNARY = ("sqrt", "rsqrt", "relu", "abs")
 
 _CTYPE = {"float16": "uint16_t", "float32": "float", "float64": "double"}
+#: each C dtype's ``struct`` format and its short name in helper names
+_FORMAT = {"float16": "e", "float32": "f", "float64": "d"}
+_SHORT = {"float16": "f16", "float32": "f32", "float64": "f64"}
+
+#: per ``fold_ranks`` reduction, its fold helpers' name, identity and
+#: the C that folds value ``v`` into ``acc[i]``
+FOLDS = {
+    "+": ("sum", "-0.0", "repro_nan_first(acc[i], acc[i] + {v})"),
+    "*": ("prod", "1.0", "repro_nan_first(acc[i], acc[i] * {v})"),
+    "max": ("max", "-__builtin_inf()", "repro_max(acc[i], {v})"),
+    "min": ("min", "__builtin_inf()", "repro_min(acc[i], {v})"),
+}
 
 #: a loop whose trip count is a multiple of this tells gcc so
 _VF = 64
@@ -449,6 +508,40 @@ def _rounded(
     return [f"double {var} = {expr};"], var
 
 
+def _fold_source(name: str, op: str, src: str, dst: str) -> str:
+    """The C of fold helper ``name``, called once per participant ``r``
+    of ``k`` in rank order: ``A[0]`` is rank ``r``'s ``src`` row of
+    ``n`` elements, ``A[1]`` a float64 accumulator, ``A[2]`` the
+    ``dst`` result and ``S`` is ``(n, r, k)``.
+
+    The first call sets the accumulator to the reduction's identity
+    (``-0.0`` for a sum: ``-0.0 + x`` is ``x`` bit for bit, signed
+    zeros and NaNs included), every call folds its row in, and the last
+    rounds once into the result: the bits of
+    :func:`~repro.runtime.collectives.fold_ranks` then ``astype``.
+    """
+    cin, cout = _CTYPE[src], _CTYPE[dst]
+    identity, combine = FOLDS[op][1:]
+    lines, stored = _rounded(dst, "v", "acc[i]", False)
+    rounded = " ".join(lines + [f"o[i] = {stored};"])
+    return f"""
+void {name}(char** A, double* S) {{
+    const long long n = (long long)S[0];
+    const long long r = (long long)S[1];
+    const long long k = (long long)S[2];
+    const {cin}* x = (const {cin}*)A[0];
+    double* acc = (double*)A[1];
+    {cout}* o = ({cout}*)A[2];
+    if (r == 0)
+        for (long long i = 0; i < n; ++i) acc[i] = {identity};
+    for (long long i = 0; i < n; ++i)
+        acc[i] = {combine.format(v=_load("x", src, "i"))};
+    if (r + 1 == k)
+        for (long long i = 0; i < n; ++i) {{ {rounded} }}
+}}
+"""
+
+
 class _Array:
     def __init__(self, cvar: str, dt: str, py_ref: str, n: int) -> None:
         self.cvar = cvar
@@ -463,12 +556,20 @@ class NativeEmitter:
     Owned by one :class:`~repro.core.codegen.generator.CodeGenerator`
     invocation; the generator calls :meth:`emit_segment` where it would
     otherwise emit per-op numpy lines, then embeds :meth:`c_source`
-    into the module.
+    into the module. With :attr:`pointer` set, values are addresses,
+    0-d expressions are compiled too, and collectives fold through
+    :meth:`fold`'s helpers.
     """
 
     def __init__(self, lowered) -> None:
         self.functions: List[str] = []
+        #: fold helpers by name (:meth:`fold`)
+        self.helpers: Dict[str, str] = {}
+        #: whether the module runs on the pointer data plane: values are
+        #: addresses, 0-d work is C too (set before any emission)
+        self.pointer = False
         self._half_minmax = False
+        self._pow = False
         self._consumers: Dict[int, List[Expr]] = {}
         for k in lowered.plan.kernels:
             for e in k.exprs:
@@ -476,21 +577,40 @@ class NativeEmitter:
                     self._consumers.setdefault(id(x), []).append(e)
         self._output_ids = {id(o) for o in lowered.program.outputs}
 
-    @property
-    def used(self) -> bool:
-        return bool(self.functions)
-
     def c_source(self) -> Optional[str]:
-        if not self.functions:
+        if not self.functions and not self.helpers:
             return None
-        prelude = PRELUDE + (HALF_MINMAX if self._half_minmax else "")
+        prelude = (
+            PRELUDE + (HALF_MINMAX if self._half_minmax else "")
+            + (POW if self._pow else "")
+            + (FOLD_NAN if self.helpers else "")
+            + "".join(self.helpers[k] for k in sorted(self.helpers))
+        )
         return prelude + "\n" + "\n".join(self.functions)
+
+    def fold(self, op: str, src, dst) -> str:
+        """The name of the C helper folding ``src``-dtype rank rows into
+        a ``dst``-dtype result by reduction ``op`` (a pointer module's
+        ReduceScatter or AllReduce), added to the source once."""
+        src, dst = _cdt(src), _cdt(dst)
+        name = f"fold_{FOLDS[op][0]}_{_SHORT[src]}_{_SHORT[dst]}"
+        if name not in self.helpers:
+            self.helpers[name] = _fold_source(name, op, src, dst)
+        return name
 
     # -- qualification --------------------------------------------------
 
     def _c_able(self, e: Expr) -> bool:
         if isinstance(e, ops.Binary):
-            if e.op not in _C_BINARY:
+            if e.op == "pow":
+                # libm's pow may differ from numpy's float64 power in
+                # the last bit (numpy's SIMD loops on AVX-512 hosts): a
+                # 0-d FP32/FP16 result rounds that bit away
+                if not self.pointer or _cdt(e.dtype) == "float64":
+                    return False
+                if _prod(e.per_rank_shape()) != 1:
+                    return False
+            elif e.op not in _C_BINARY:
                 return False
         elif isinstance(e, ops.Unary):
             if e.op not in _C_UNARY:
@@ -505,7 +625,7 @@ class NativeEmitter:
         if _cdt(e.dtype) is None:
             return False
         oshape = e.per_rank_shape()
-        if _prod(oshape) < 2:
+        if _prod(oshape) < 2 and not self.pointer:
             return False  # scalars stay in Python (they cost nothing)
         for x in e.inputs:
             if _cdt(x.dtype) is None:
@@ -617,10 +737,14 @@ class NativeEmitter:
                 return f"S[{scalar_index[key]}]"
             nx = _prod(x.per_rank_shape())
             if nx == 1:
-                # 0-d value read from V; float() is the exact f64 upcast
+                # 0-d value read from V, as its exact f64 upcast
                 if x.name not in scalar_index:
                     scalar_index[x.name] = len(scalars)
-                    scalars.append(f"float(V[{x.name!r}])")
+                    scalars.append(
+                        f"comm.scalar(V[{x.name!r}], "
+                        f"{_FORMAT[_cdt(x.dtype)]!r})"
+                        if self.pointer else f"float(V[{x.name!r}])"
+                    )
                 return f"S[{scalar_index[x.name]}]"
             if x.name not in arr_index:
                 arr_index[x.name] = len(arrays)
@@ -638,6 +762,9 @@ class NativeEmitter:
                 a, b = (operand(x) for x in e.inputs)
                 if e.op in ("max", "min"):
                     core = f"{self._minmax(e, e.op)}({a}, {b})"
+                elif e.op == "pow":
+                    self._pow = True
+                    core = f"pow({a}, {b})"
                 else:
                     core = f"({a}) {e.op} ({b})"
             elif isinstance(e, ops.Unary):
@@ -673,14 +800,19 @@ class NativeEmitter:
         for k, (_, a) in enumerate(stores, len(arrays)):
             ct = _CTYPE[a.dt]
             lines.append(f"    {ct}* {a.cvar} = ({ct}*)A[{k}];")
-        lines.append("    const long long n = (long long)S[0];")
-        if n % _VF == 0:
-            # a trip count the vectorizer knows is whole vectors: no
-            # epilogue loop, which a plain runtime bound would add
-            lines.append(f"    if (n % {_VF}) __builtin_unreachable();")
-        lines.append("    for (long long i = 0; i < n; ++i) {")
-        lines.extend(f"        {ln}" for ln in body)
-        lines.append("    }")
+        if n == 1:
+            # 0-d values (a pointer module's prologue): no loop
+            lines.append("    const long long i = 0;")
+            lines.extend(f"    {ln}" for ln in body)
+        else:
+            lines.append("    const long long n = (long long)S[0];")
+            if n % _VF == 0:
+                # a trip count the vectorizer knows is whole vectors: no
+                # epilogue loop, which a plain runtime bound would add
+                lines.append(f"    if (n % {_VF}) __builtin_unreachable();")
+            lines.append("    for (long long i = 0; i < n; ++i) {")
+            lines.extend(f"        {ln}" for ln in body)
+            lines.append("    }")
         lines.append("}")
         self.functions.append("\n".join(lines) + "\n")
 
@@ -693,6 +825,9 @@ class NativeEmitter:
             )
             if region is not None:
                 em.emit(f"V[{e.name!r}] = {region}")
+                continue
+            if self.pointer:
+                em.emit(f"V[{e.name!r}] = comm.alloc({e.per_rank_bytes()})")
                 continue
             em.emit(
                 f"V[{e.name!r}] = np.empty({e.per_rank_shape()!r}, "

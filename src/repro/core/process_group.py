@@ -14,9 +14,12 @@ to concrete values by the runtime.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 from repro.errors import GroupError
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only: a rank does not import typing
+    from typing import Iterator, Sequence
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,12 @@ experience:
   like a retransmit.
 
 Because the plan is data (no callbacks, no clocks), the same plan plus
-the same program reproduces the same failure bit-for-bit: the plan is
-pickled into the spec :meth:`repro.runtime.spmd.RankPool.launch` sends
-every rank and consulted at fixed injection points.
+the same program reproduces the same failure bit-for-bit: each rank's
+view of it (:meth:`FaultPlan.for_rank`, a
+:class:`~repro.runtime.rank.RankFaults` of plain numbers and strings,
+so a rank never imports this module) is pickled into the spec
+:meth:`repro.runtime.spmd.RankPool.launch` sends that rank and
+consulted at fixed injection points.
 ``FaultPlan.scenario`` derives a whole fault matrix entry from one
 integer seed so benchmarks can sweep reproducible scenarios.
 
@@ -35,7 +38,14 @@ against the measured timeline under the same injected faults.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple, Union
+
+from repro.runtime.rank import RankFaults
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotations only
+    from typing import Dict, List, Optional, Tuple, Union
+
+    FaultEvent = Union["SlowRank", "Die", "StallPublish", "DropChunk"]
 
 __all__ = [
     "SlowRank",
@@ -114,13 +124,6 @@ class DropChunk:
     def describe(self) -> str:
         who = "*" if self.rank is None else str(self.rank)
         return f"drop_chunk(site={self.site or '*'}, chunk={self.chunk}, rank={who})"
-
-
-FaultEvent = Union[SlowRank, Die, StallPublish, DropChunk]
-
-
-def _site_matches(pattern: str, site: str) -> bool:
-    return site.startswith(pattern)
 
 
 @dataclass(frozen=True)
@@ -216,9 +219,27 @@ class FaultPlan:
             out["ib:"] = worst
         return out
 
-    def for_rank(self, rank: int) -> Optional["RankFaults"]:
-        """The mutable per-rank runtime view (``None`` when inert)."""
-        view = RankFaults(self, rank)
+    def for_rank(self, rank: int) -> Optional[RankFaults]:
+        """The mutable per-rank runtime view (``None`` when inert), in
+        plain data: the launcher pickles it into ``rank``'s spec."""
+        factor = 1.0
+        stalls, dies, drops = [], [], []
+        for e in self.events:
+            if isinstance(e, SlowRank) and e.rank == rank:
+                factor *= e.factor
+            elif isinstance(e, StallPublish) and e.rank in (None, rank):
+                stalls.append(e)
+            elif isinstance(e, Die) and e.rank == rank:
+                dies.append(e)
+            elif isinstance(e, DropChunk) and e.rank in (None, rank):
+                drops.append(e)
+        armed = [f"slow x{factor:g}"] if factor > 1.0 else []
+        armed += [e.describe() for e in stalls + dies + drops]
+        view = RankFaults(
+            factor, [(e.site, e.delay, e.seq) for e in stalls],
+            [(e.at_site, e.after) for e in dies],
+            [(e.site, e.chunk, e.redeliver) for e in drops], armed,
+        )
         return view if view.active else None
 
     def describe(self) -> str:
@@ -253,82 +274,3 @@ class FaultPlan:
         if kind == 2:
             return plan.drop_chunk("g", int(rng.randint(0, 2)), rank=rank)
         return plan.die(rank, at_site="g", after=int(rng.randint(1, 3)))
-
-
-class RankFaults:
-    """One rank's runtime view of a plan: counters live here, not in
-    the (immutable) plan, so repeated runs of the same plan are
-    independent. Created inside the worker process via
-    :meth:`FaultPlan.for_rank`."""
-
-    def __init__(self, plan: FaultPlan, rank: int) -> None:
-        self.rank = rank
-        self.seed = plan.seed
-        self.wire_factor = 1.0
-        self.kernel_factor = 1.0
-        self._stalls: List[StallPublish] = []
-        self._dies: List[Die] = []
-        self._die_counts: List[int] = []
-        self._drops: List[DropChunk] = []
-        self._drops_armed: List[bool] = []
-        for e in plan.events:
-            if isinstance(e, SlowRank) and e.rank == rank:
-                self.wire_factor *= e.factor
-                self.kernel_factor *= e.factor
-            elif isinstance(e, StallPublish) and e.rank in (None, rank):
-                self._stalls.append(e)
-            elif isinstance(e, Die) and e.rank == rank:
-                self._dies.append(e)
-                self._die_counts.append(0)
-            elif isinstance(e, DropChunk) and e.rank in (None, rank):
-                self._drops.append(e)
-                self._drops_armed.append(True)
-
-    @property
-    def active(self) -> bool:
-        return bool(
-            self.wire_factor > 1.0
-            or self._stalls
-            or self._dies
-            or self._drops
-        )
-
-    def armed(self) -> List[str]:
-        """Human-readable descriptions of this rank's armed events."""
-        out = []
-        if self.wire_factor > 1.0:
-            out.append(f"slow x{self.wire_factor:g}")
-        out.extend(e.describe() for e in self._stalls)
-        out.extend(e.describe() for e in self._dies)
-        out.extend(e.describe() for e in self._drops)
-        return out
-
-    def publish_delay(self, site: str, seq: int) -> float:
-        """Total injected stall before this publish's ready bump."""
-        return sum(
-            e.delay
-            for e in self._stalls
-            if _site_matches(e.site, site)
-            and (e.seq is None or e.seq == seq)
-        )
-
-    def should_die(self, site: str) -> bool:
-        """Count this publish against armed kills; True when one lands."""
-        for i, e in enumerate(self._dies):
-            if _site_matches(e.at_site, site):
-                self._die_counts[i] += 1
-                if self._die_counts[i] == e.after:
-                    return True
-        return False
-
-    def drop(self, site: str, chunk: int) -> Optional[DropChunk]:
-        """The armed drop event covering this chunk, consumed once."""
-        for i, e in enumerate(self._drops):
-            if (
-                self._drops_armed[i]
-                and _site_matches(e.site, site)
-                and e.chunk == chunk
-            ):
-                self._drops_armed[i] = False
-                return e
-        return None

@@ -1,15 +1,34 @@
-"""A rank's control plane: everything an SPMD rank needs but arrays.
+"""A rank's control plane, and its numpy-free data plane.
 
 :mod:`repro.runtime.spmd` runs one process per rank over a data and a
 flags segment. This module, which imports no numpy, holds what ranks
 and parent agree on besides the payload bytes: :class:`SpmdLayout`
 (both segments' layout, carried in every rank's spec, dtypes as
 strings), the flags segment's format, :class:`RankCore` (a rank's
-counters, spin, deadlines, peer abort, fault hooks and trace ring), the
-spec and report messages and the rank's entry point,
-:func:`_rank_main`. :class:`~repro.runtime.spmd.SpmdCommunicator`
-subclasses :class:`RankCore` with the data plane: slot views, folds,
-the collectives and the streams.
+counters, spin, deadlines, peer abort, fault hooks, trace ring and the
+publication protocol), :class:`RankFaults` (a fault plan's view for one
+rank), the kernel objects (:class:`CompiledKernels`,
+:func:`open_kernels`), the spec and report messages and the rank's
+entry point, :func:`_rank_main`.
+
+Two data planes subclass :class:`RankCore`; the generated module says
+which one it needs (``GeneratedSpmdProgram.plane``):
+
+* :class:`PointerCommunicator` (``"pointer"``) runs a native module
+  whose every kernel is C loops, dim-0 slice copies and whole
+  ReduceScatters, AllGathers and AllReduces, such as the tuned Adam at
+  any world size. Values are addresses; collectives copy with
+  ``ctypes.memmove`` and fold with the program's own C. Such a rank
+  never imports numpy.
+* :class:`~repro.runtime.spmd.SpmdCommunicator` (``"numpy"``) runs
+  every other module (GEMMs, Dropout, AllToAll, P2P, chunk loops,
+  cross-rank norms, and the ``spmd`` target) over array views.
+
+A rank imports numpy only for the second: before its first spec, when
+the launcher started it for a numpy module (``sys.argv[2]``), else once
+a numpy module's spec arrives, as when a pointer rank that survived a
+failed launch is adopted by a numpy one. Its report says which plane
+ran and whether numpy was imported.
 
 Flags segment
 -------------
@@ -64,27 +83,31 @@ injected stall, a delayed chunk, a straggler) is ridden out visibly.
 
 from __future__ import annotations
 
+import _ctypes
 import _pickle
+import collections
+import ctypes
 import math
 import mmap
 import os
+import struct
 import sys
 import time
 
-from repro.errors import ExecutionError
+from repro.errors import CodegenError, ExecutionError
 from repro.observe.ring import (
-    KIND_COMPILE, KIND_FAULT, KIND_KERNEL, KIND_STALL, KIND_WAIT, TraceRing,
+    KIND_COMPILE, KIND_FAULT, KIND_KERNEL, KIND_PUBLISH, KIND_REDUCE,
+    KIND_STALL, KIND_WAIT, TraceRing,
 )
 
 TYPE_CHECKING = False
-if TYPE_CHECKING:  # annotations only: a rank imports neither module
-    from typing import Dict, List, Optional, Sequence, Tuple
-
-    from repro.runtime.faults import FaultPlan
+if TYPE_CHECKING:  # annotations only: a rank does not import typing
+    from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "RankCore", "SpmdError", "SpmdLayout", "SpmdPeerAbort", "SpmdTimeout",
-    "SpmdWorkerError",
+    "CompiledKernels", "PointerCommunicator", "RankCore", "RankFaults",
+    "SpmdError", "SpmdLayout", "SpmdPeerAbort", "SpmdTimeout",
+    "SpmdWorkerError", "open_kernels",
 ]
 
 #: ready counters encode ``seq * PROGRESS_BASE + chunks_published``
@@ -106,6 +129,9 @@ DEFAULT_TIMEOUT = 120.0
 DEFAULT_SOFT_TIMEOUT = 2.0
 #: exit code of a rank killed by an injected ``die`` fault
 _DIE_EXIT_CODE = 86
+#: ``madvise`` advice that faults a range in writable (Linux 5.14; not
+#: every Python's ``mmap`` module names it)
+_MADV_POPULATE_WRITE = 23
 
 
 class SpmdError(ExecutionError):
@@ -244,6 +270,98 @@ class SpmdLayout:
         return self.flags_length() * 8 + rank * TraceRing.nbytes()
 
 
+class RankFaults:
+    """One rank's runtime view of a :class:`~repro.runtime.faults.FaultPlan`.
+
+    :meth:`FaultPlan.for_rank` builds it in the launcher, and the rank
+    gets it in its spec: plain numbers, strings and lists, so it
+    unpickles without :mod:`repro.runtime.faults`. The counters live
+    here, not in the (immutable) plan, so repeated runs of the same
+    plan are independent. ``factor`` stretches the rank's wire and
+    kernels; ``stalls`` are ``(site, delay, seq)``, ``dies``
+    ``(at_site, after)`` and ``drops`` ``(site, chunk, redeliver)``;
+    ``armed`` describes them all.
+    """
+
+    def __init__(
+        self, factor: float, stalls: list, dies: list, drops: list,
+        armed: List[str],
+    ) -> None:
+        self.wire_factor = factor
+        self.kernel_factor = factor
+        self._stalls = stalls
+        self._dies = dies
+        self._die_counts = [0] * len(dies)
+        self._drops = drops
+        self._drops_armed = [True] * len(drops)
+        self._armed = armed
+
+    @property
+    def active(self) -> bool:
+        return bool(
+            self.wire_factor > 1.0
+            or self._stalls
+            or self._dies
+            or self._drops
+        )
+
+    def armed(self) -> List[str]:
+        """Human-readable descriptions of this rank's armed events."""
+        return list(self._armed)
+
+    def publish_delay(self, site: str, seq: int) -> float:
+        """Total injected stall before this publish's ready bump."""
+        return sum(
+            delay
+            for pattern, delay, at in self._stalls
+            if site.startswith(pattern) and (at is None or at == seq)
+        )
+
+    def should_die(self, site: str) -> bool:
+        """Count this publish against armed kills; True when one lands."""
+        for i, (pattern, after) in enumerate(self._dies):
+            if site.startswith(pattern):
+                self._die_counts[i] += 1
+                if self._die_counts[i] == after:
+                    return True
+        return False
+
+    def drop(self, site: str, chunk: int) -> Optional[float]:
+        """The redeliver delay of the armed drop covering this chunk,
+        consumed once; ``None`` when no drop covers it."""
+        for i, (pattern, at, redeliver) in enumerate(self._drops):
+            if (
+                self._drops_armed[i] and site.startswith(pattern)
+                and at == chunk
+            ):
+                self._drops_armed[i] = False
+                return redeliver
+        return None
+
+
+#: the chunk list of a whole-payload publication: one chunk, every element
+WHOLE = ((Ellipsis,),)
+
+
+class _Publication(collections.namedtuple(
+    "_Publication", "key ranks seq shape dtype chunks payload"
+)):
+    """One operation on a site: a ``shape``/``dtype`` payload per rank.
+
+    ``chunks`` index the payload: :data:`WHOLE` for a collective's own
+    operand, one slice per lowering chunk for a §5.3 chunked
+    publication. ``payload`` is what this rank releases (``None`` for a
+    rank that only reads): an array on the numpy data plane, an address
+    on the pointer plane, whose ``shape`` is ``(nbytes,)``.
+    """
+
+    __slots__ = ()
+
+    @property
+    def chunked(self) -> bool:
+        return self.chunks is not WHOLE
+
+
 def signal_dead(layout: SpmdLayout, flags_fd: int, rank: int) -> None:
     """The parent's store of ``rank``'s dead-rank flag through
     ``flags_fd``: peers blocked on its payloads abort instead of
@@ -265,7 +383,7 @@ class RankCore:
         flags: mmap.mmap, wire_s_per_mb: float = 0.0,
         timeout: float = DEFAULT_TIMEOUT, traced: bool = False,
         soft_timeout: Optional[float] = None,
-        faults: Optional[FaultPlan] = None,
+        faults: Optional[RankFaults] = None,
     ) -> None:
         self.layout = layout
         self.rank = rank
@@ -292,9 +410,9 @@ class RankCore:
         self._site = ""
         self._site_seq = 0
         self._streams: List = []
-        # the fault plan's per-rank view (None when inert); armed events
-        # are traced up front, reached or not
-        self._faults = faults.for_rank(rank) if faults is not None else None
+        # the fault plan's view for this rank (None when inert); armed
+        # events are traced up front, reached or not
+        self._faults = faults
         if self._faults is not None and self._ring is not None:
             now = time.perf_counter_ns()
             for desc in self._faults.armed():
@@ -398,9 +516,145 @@ class RankCore:
 
     # -- the publication protocol -----------------------------------------
     #
-    # ``pub`` is the data plane's publication: its site ``key``, its
-    # ``seq`` and its ``chunks`` (``chunked`` when there are lowering
-    # chunks).
+    # Every operation on a site is one :class:`_Publication`: ``_open``
+    # takes the site's next sequence number, ``_release`` announces this
+    # rank's payload chunk by chunk, and ``_drain``/``_fold`` wait for
+    # each chunk and hand it to the data plane before ``_finish``. Both
+    # data planes run these methods; they differ only in how a chunk's
+    # bytes move (the ``copy``/``take``/``fold`` callables).
+
+    def _slot_bounds(self, key: str, rank: int) -> Tuple[int, int]:
+        """``(offset, size)`` of ``rank``'s slot at site ``key`` in the
+        data segment."""
+        try:
+            _, slot, offset = self.layout.sites[key]
+        except KeyError:
+            raise SpmdError(
+                f"rank {self.rank}: no communication site {key!r}; the "
+                f"launcher sized sites from the program — this op was "
+                f"not part of it"
+            ) from None
+        return offset + rank * slot, slot
+
+    def _open(
+        self, key: str, ranks: Sequence[int], nbytes: int, shape, dtype,
+        chunks: Tuple[tuple, ...] = WHOLE, payload=None,
+    ) -> _Publication:
+        """Start the next operation on site ``key`` among ``ranks``: an
+        ``nbytes`` payload per rank."""
+        _, slot = self._slot_bounds(key, self.rank)
+        if nbytes > slot:
+            raise SpmdError(
+                f"rank {self.rank}: payload of {nbytes} B exceeds the "
+                f"{slot} B slot of site {key!r}"
+            )
+        seq = self._begin(key, ranks)
+        return _Publication(
+            key, tuple(ranks), seq, tuple(shape), dtype, chunks, payload
+        )
+
+    def _release(self, pub: _Publication, copy: Callable[[int], int]) -> None:
+        """Announce this rank's payload, one wire transfer and one ready
+        bump per chunk: ``copy(c)`` writes chunk ``c`` into this rank's
+        slot and returns its bytes.
+
+        Fault points count a whole publication by its site sequence and
+        a chunked one by chunk index; only a chunked publication can
+        drop a chunk. An injected drop_chunk withholds the ready bump:
+        the payload is written, but visibility is redelivered later
+        (with the next chunk's bump, or after the drop's redeliver delay
+        for the last chunk), and consumers soft-retry through the gap.
+        """
+        key = pub.key
+        redeliver: Optional[float] = None
+        for c in range(len(pub.chunks)):
+            t0 = time.perf_counter_ns() if self._ring is not None else 0
+            nbytes = copy(c)
+            self._wire_sleep(nbytes)
+            seq = c if pub.chunked else pub.seq
+            self._fault_publish(key, seq)
+            if pub.chunked and self._faults is not None:
+                delay = self._faults.drop(key, c)
+                if delay is not None:
+                    self._trace(
+                        KIND_FAULT, time.perf_counter_ns(), seq=c,
+                        site=key, name=f"drop_chunk {c}",
+                    )
+                    redeliver = delay
+                    continue
+            if redeliver is not None:
+                time.sleep(redeliver)
+                self._trace(
+                    KIND_FAULT, time.perf_counter_ns(), seq=c, site=key,
+                    name="redeliver",
+                )
+                redeliver = None
+            self._set_ready(key, self.rank, pub.seq * PROGRESS_BASE + c + 1)
+            self._trace(
+                KIND_PUBLISH, t0, nbytes=nbytes, seq=seq, site=key,
+                name=f"chunk{c}" if pub.chunked else self._op or key,
+            )
+        if redeliver is not None:
+            # the dropped chunk was the last one: redeliver it
+            last = len(pub.chunks)
+            time.sleep(redeliver)
+            self._trace(
+                KIND_FAULT, time.perf_counter_ns(), seq=last - 1, site=key,
+                name="redeliver",
+            )
+            self._set_ready(key, self.rank, pub.seq * PROGRESS_BASE + last)
+
+    def _drain(
+        self, pub: _Publication, ranks: Sequence[int],
+        take: Callable[[int, int], None],
+    ) -> None:
+        """For each chunk ``c`` of ``pub`` and each ``ranks[j]``, in
+        that order: wait until the rank published the chunk, then
+        ``take(c, j)``. Then finish the operation."""
+        for c in range(len(pub.chunks)):
+            for j, r in enumerate(ranks):
+                self._wait(pub, r, c)
+                take(c, j)
+        self._finish(pub)
+
+    def _fold(
+        self, pub: _Publication, fold: Callable[[int], None], name: str
+    ) -> None:
+        """Wait for each chunk ``c`` of ``pub`` from every participant,
+        then ``fold(c)``; finish the operation and record its reduce
+        span (``name`` when no kernel is running).
+
+        The reduce span of a chunked publication starts before the first
+        wait, since its reduction is interleaved with the waits; a whole
+        payload's span starts once every payload is in, so it covers the
+        reduction only.
+        """
+        t0 = time.perf_counter_ns() if self._ring is not None else 0
+        for c in range(len(pub.chunks)):
+            for r in pub.ranks:
+                self._wait(pub, r, c)
+            if not pub.chunked and self._ring is not None:
+                t0 = time.perf_counter_ns()
+            fold(c)
+        self._finish(pub)
+        self._trace(
+            KIND_REDUCE, t0, seq=pub.seq, site=pub.key,
+            name=self._op or name,
+        )
+
+    def _populate(self) -> None:
+        """Fault this rank's input regions in, so the timed body does
+        not pay for mapping them."""
+        for key, (shape, dtype, offsets, _) in self.layout.regions.items():
+            if key[0] != "in" or self.rank not in offsets:
+                continue
+            start = offsets[self.rank] // mmap.PAGESIZE * mmap.PAGESIZE
+            end = offsets[self.rank] + math.prod(shape) * int(dtype[2:])
+            try:
+                self._data.madvise(_MADV_POPULATE_WRITE, start, end - start)
+            except (OSError, ValueError):  # before Linux 5.14: touch
+                for off in range(start, end, mmap.PAGESIZE):
+                    self._data[off]
 
     def _begin(self, key: str, participants: Sequence[int]) -> int:
         """Take site ``key``'s next sequence number, once every
@@ -596,6 +850,291 @@ class _KernelSpan:
         # reports the kernel that raised
 
 
+def _group_site(ranks: Sequence[int]) -> str:
+    """The site key of the process group of consecutive ``ranks``."""
+    return f"g{ranks[0]}x{len(ranks)}"
+
+
+# ---------------------------------------------------------------------------
+# Compiled kernels and the pointer data plane.
+# ---------------------------------------------------------------------------
+
+
+class CompiledKernels:
+    """A loaded kernel shared object; ``call`` invokes one C function.
+
+    Every generated function has the uniform ABI
+    ``void f(char** bufs, double* scalars)``: a loop's trip count is
+    ``scalars[0]`` and only broadcast strides are baked into the
+    source, so the Python side marshals base pointers and scalars (a
+    ctypes foreign call releases the GIL — the overlap producer stream
+    keeps running during compute).
+    """
+
+    def __init__(
+        self, lib: ctypes.CDLL, key: str, path: str,
+        functions: Sequence[str],
+    ) -> None:
+        self._lib = lib
+        self.key = key
+        self.path = path
+        self.functions = tuple(functions)
+        self._fns: Dict[str, object] = {}
+
+    def _fn(self, name: str):
+        fn = self._fns.get(name)
+        if fn is None:
+            fn = getattr(self._lib, name)
+            fn.argtypes = [
+                ctypes.POINTER(ctypes.c_void_p),
+                ctypes.POINTER(ctypes.c_double),
+            ]
+            fn.restype = None
+            self._fns[name] = fn
+        return fn
+
+    def call(
+        self, name: str, arrays: Sequence, scalars: Sequence[float] = (),
+        outputs: Sequence = (),
+    ) -> None:
+        """Run ``name`` over ``arrays`` then ``outputs`` (``A[k]`` in
+        that order) and ``scalars`` (``S``).
+
+        Each buffer is a numpy array or, on the pointer data plane, an
+        address (an ``int``). A non-contiguous input array is read from
+        a contiguous copy. An output is written where it lies (often a
+        tensor's own region), so a non-contiguous one is an error: a
+        copy would lose the write.
+        """
+        # the list keeps each input's copy alive until the call returns
+        inputs = [
+            a if isinstance(a, int) or a.flags.c_contiguous else a.copy()
+            for a in arrays
+        ]
+        for k, a in enumerate(outputs):
+            if not isinstance(a, int) and not a.flags.c_contiguous:
+                raise CodegenError(
+                    f"kernel {name}: output {k} is not C-contiguous "
+                    f"(shape {a.shape}, strides {a.strides})"
+                )
+        bufs = [
+            a if isinstance(a, int) else a.ctypes.data
+            for a in (*inputs, *outputs)
+        ]
+        ptrs = (ctypes.c_void_p * len(bufs))(*bufs)
+        sc = (ctypes.c_double * max(1, len(scalars)))(*scalars)
+        self._fn(name)(ptrs, sc)
+
+
+def open_kernels(
+    key: str, path: str, functions: Sequence[str]
+) -> Optional[CompiledKernels]:
+    """Load ``path`` if it exports every one of ``functions``.
+
+    An object that loads but lacks one is not this source's kernel (a
+    stale or misplaced object): it is closed again, since ``dlopen``
+    would otherwise hand its handle back for the recompiled file at the
+    same path, and counts as unloadable (``None``).
+    """
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return None
+    if all(hasattr(lib, name) for name in functions):
+        return CompiledKernels(lib, key, path, functions)
+    _ctypes.dlclose(lib._handle)
+    return None
+
+
+class PointerCommunicator(RankCore):
+    """One rank's data plane over raw addresses: the numpy-free rank.
+
+    A pointer module (``GeneratedSpmdProgram.plane == "pointer"``) holds
+    every value as the address of this rank's copy of it: an input
+    region in the data segment, or a buffer from :meth:`alloc`. A
+    collective publishes its whole operand with ``ctypes.memmove``. A
+    ReduceScatter or AllReduce folds the participants' slots with the
+    program's own C helper, ``fold_<op>_<in>_<out>``, a rank-order
+    float64 fold rounded once: exactly
+    :func:`~repro.runtime.collectives.fold_ranks` then ``astype``. An
+    AllGather copies each peer's slot into its row. The protocol,
+    waits, faults and trace records are :class:`RankCore`'s, the ones
+    the numpy data plane runs.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # pins the data segment until close(); addresses are plain ints
+        self._pin = ctypes.c_char.from_buffer(self._data)
+        self.base = ctypes.addressof(self._pin)
+        self._buffers: List = []
+        self._zero = self.alloc(8)
+        #: the program's kernel object, bound before the body runs
+        self.kernels: Optional[CompiledKernels] = None
+
+    def alloc(self, nbytes: int) -> int:
+        """The address of a new zeroed ``nbytes`` buffer, kept until
+        :meth:`close`."""
+        buf = (ctypes.c_char * max(1, nbytes))()
+        self._buffers.append(buf)
+        return ctypes.addressof(buf)
+
+    def copy(self, x: int, nbytes: int) -> int:
+        """A private copy of the ``nbytes`` at ``x``."""
+        out = self.alloc(nbytes)
+        ctypes.memmove(out, x, nbytes)
+        return out
+
+    def scalar(self, x: int, fmt: str) -> float:
+        """The 0-d value at ``x``, one ``struct`` element of format
+        ``fmt`` (``e``, ``f`` or ``d``), as an exact Python float."""
+        return struct.unpack(fmt, ctypes.string_at(x, struct.calcsize(fmt)))[0]
+
+    def _slot(self, key: str, rank: int) -> int:
+        return self.base + self._slot_bounds(key, rank)[0]
+
+    def _publish(
+        self, ranks: Sequence[int], x: int, nbytes: int
+    ) -> _Publication:
+        """Open the group's next operation and release the ``nbytes`` at
+        ``x`` whole."""
+        key = _group_site(ranks)
+        pub = self._open(key, ranks, nbytes, (nbytes,), None, payload=x)
+        slot = self._slot(key, self.rank)
+
+        def copy(c: int) -> int:
+            ctypes.memmove(slot, x, nbytes)
+            return nbytes
+
+        self._release(pub, copy)
+        return pub
+
+    def _reduce(
+        self, x: int, ranks: Sequence[int], nbytes: int, fold: str,
+        count: int, out_nbytes: int, offset: int,
+    ) -> int:
+        pub = self._publish(ranks, x, nbytes)
+        out = self.alloc(out_nbytes)
+        acc = self.alloc(8 * count)
+
+        def fold_rows(c: int) -> None:
+            for j, r in enumerate(ranks):
+                row = self._slot(pub.key, r) + offset
+                scalars = (count, j, len(ranks))
+                self.kernels.call(fold, (row, acc), scalars, (out,))
+
+        self._fold(pub, fold_rows, fold)
+        return out
+
+    def allreduce(
+        self, x: int, ranks: Sequence[int], nbytes: int, fold: str,
+        count: int, out_nbytes: int,
+    ) -> int:
+        """Every rank receives the reduction of each rank's ``nbytes``
+        at ``x``: ``count`` elements (``out_nbytes``) that C helper
+        ``fold`` folds."""
+        return self._reduce(x, ranks, nbytes, fold, count, out_nbytes, 0)
+
+    def reducescatter(
+        self, x: int, ranks: Sequence[int], nbytes: int, fold: str,
+        count: int, out_nbytes: int,
+    ) -> int:
+        """This rank receives its dim-0 shard of the reduction (as
+        :meth:`allreduce`), and folds only that shard of every slot."""
+        shard = nbytes // len(ranks) * ranks.index(self.rank)
+        return self._reduce(x, ranks, nbytes, fold, count, out_nbytes, shard)
+
+    def allgather(
+        self, x: int, ranks: Sequence[int], nbytes: int,
+        out: Optional[int] = None,
+    ) -> int:
+        """The ranks' ``nbytes`` at ``x`` concatenated along dim 0, in
+        rank order, into ``out`` (default: a new buffer). ``x`` is
+        published before any row of ``out`` is written, so it may be
+        this rank's own row."""
+        pub = self._publish(ranks, x, nbytes)
+        if out is None:
+            out = self.alloc(nbytes * len(ranks))
+        slots = [self._slot(pub.key, r) for r in ranks]
+        self._drain(
+            pub, ranks,
+            lambda c, j: ctypes.memmove(out + j * nbytes, slots[j], nbytes),
+        )
+        return out
+
+    def barrier(self) -> None:
+        ranks = range(self.nranks)
+        self._drain(self._publish(ranks, self._zero, 8), ranks, _skip)
+
+    # -- the body's inputs and results -----------------------------------
+
+    def _bind_inputs(self) -> Dict[str, int]:
+        """This rank's input regions' addresses, by tensor name."""
+        return {
+            key[1]: self.base + offsets[self.rank]
+            for key, (_, _, offsets, _) in self.layout.regions.items()
+            if key[0] == "in" and self.rank in offsets
+        }
+
+    def _store_results(self, outputs: Dict, states: Dict) -> None:
+        """Copy this rank's results into the regions the parent reads;
+        a result already at its region's address is not copied."""
+        for key, region in self.layout.regions.items():
+            shape, dtype, offsets, writers = region
+            if self.rank not in writers:
+                continue
+            kind, name = key
+            x = (outputs if kind == "out" else states).pop(name)
+            at = self.base + offsets[self.rank]
+            if x != at:
+                ctypes.memmove(at, x, math.prod(shape) * int(dtype[2:]))
+
+    def close(self) -> bool:
+        self._pin = None
+        self._buffers = []
+        return super().close()
+
+
+def _skip(c: int, j: int) -> None:
+    """A drain that only waits (a barrier reads no payload)."""
+
+
+def _run_body(
+    comm: RankCore, source: str, kernels: Optional[tuple]
+) -> float:
+    """Bind this rank's regions, run ``run_rank`` and store its results;
+    returns the body's seconds.
+
+    ``comm`` is either data plane: a
+    :class:`~repro.runtime.spmd.SpmdCommunicator` binds array views,
+    a :class:`PointerCommunicator` addresses. ``kernels`` is the native
+    target's ``(key, path, functions)``: the kernel object the parent
+    resolved, bound as the module's ``_K``. Every view of the segment
+    lives in this frame, so none outlives it.
+    """
+    inputs = comm._bind_inputs()
+    comm._populate()
+    namespace: Dict[str, object] = {}
+    exec(compile(source, f"<spmd rank {comm.rank}>", "exec"), namespace)
+    if kernels is not None:
+        # open before the timing barrier: the dlopen counts as
+        # start-up (like spawn), not as execution time
+        t0 = time.perf_counter()
+        namespace["_K"] = comm.kernels = open_kernels(*kernels)
+        if comm.kernels is None:
+            raise SpmdError(f"kernel object {kernels[1]} is unloadable")
+        comm.record_kernel_open(kernels[0][:12], time.perf_counter() - t0)
+    # synchronize before timing so spawn stagger (rank 0 idling in
+    # its first collective until the last process is up) does not
+    # count as execution time
+    comm.barrier()
+    t0 = time.perf_counter()
+    outputs, states = namespace["run_rank"](comm, inputs)
+    elapsed = time.perf_counter() - t0
+    comm._store_results(outputs, states)
+    return elapsed
+
+
 # ---------------------------------------------------------------------------
 # Messages and the rank process entry point.
 # ---------------------------------------------------------------------------
@@ -621,7 +1160,9 @@ def _recv(stream):
 
 
 #: what a rank process runs (``python -S -c``); ``sys.argv[1]`` is the
-#: fd of its end of the socket pair to the parent
+#: fd of its end of the socket pair to the parent, ``sys.argv[2]`` the
+#: data plane of the module the parent will send (``"numpy"`` or
+#: ``"pointer"``)
 _RANK_ENTRY = "from repro.runtime.rank import _rank_main; _rank_main()"
 
 
@@ -634,9 +1175,10 @@ def _rank_main() -> None:
     whose ``clean`` is true) reads its socket again instead of exiting
     (:mod:`repro.runtime.spmd`, "Failure handling").
     """
-    # the data plane, and numpy with it, imports while the parent
-    # places the inputs: before the spec read, not after it
-    import repro.runtime.spmd  # noqa: F401
+    if sys.argv[2:3] != ["pointer"]:
+        # the numpy data plane, and numpy with it, imports while the
+        # parent places the inputs: before the spec read, not after it
+        import repro.runtime.spmd  # noqa: F401
 
     fd = int(sys.argv[1])
     while True:
@@ -661,24 +1203,30 @@ def _rank_main() -> None:
 
 def _run_rank(
     rank: int, layout: SpmdLayout, data_fd: int, flags_fd: int,
-    source: str, kernels: Optional[tuple], **comm_kwargs,
+    source: str, kernels: Optional[tuple], plane: str = "numpy",
+    **comm_kwargs,
 ) -> tuple:
     """Run the module ``source`` as rank ``rank``; returns its report.
 
-    ``("ok", seconds)``, ``("error", summary, traceback, context)`` or
+    ``plane`` names the module's data plane: ``"pointer"`` attaches a
+    :class:`PointerCommunicator`, anything else a
+    :class:`~repro.runtime.spmd.SpmdCommunicator`, importing numpy if
+    this process has not yet. The report is ``("ok", seconds, plane,
+    numpy imported)``, ``("error", summary, traceback, context)`` or
     ``("aborted", message, clean)``, where ``clean`` is what
     :meth:`RankCore.close` returned. The communicator closes outside
     the exception handlers, once the traceback, and with it every view
     its frames held, is gone.
     """
-    from repro.runtime.spmd import SpmdCommunicator, _run_body
-
     comm = None
     try:
-        comm = SpmdCommunicator.attach(
-            layout, rank, data_fd, flags_fd, **comm_kwargs
-        )
-        report = ("ok", _run_body(comm, source, kernels))
+        if plane == "pointer":
+            cls = PointerCommunicator
+        else:
+            from repro.runtime.spmd import SpmdCommunicator as cls
+        comm = cls.attach(layout, rank, data_fd, flags_fd, **comm_kwargs)
+        seconds = _run_body(comm, source, kernels)
+        report = ("ok", seconds, plane, "numpy" in sys.modules)
     except SpmdPeerAbort as exc:
         report = ("aborted", str(exc))
     except BaseException as exc:  # noqa: BLE001 - reported to the parent

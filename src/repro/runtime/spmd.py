@@ -9,9 +9,13 @@ process executes the same generated SPMD module (``CodeGenerator`` with
 ``target="spmd"``), and ranks rendezvous through a
 :class:`SpmdCommunicator` over two anonymous shared-memory files
 (``memfd_create``) that every rank maps. The rank's control plane (the
-flags segment, the spin, faults, the trace ring, the spec and report)
-is :mod:`repro.runtime.rank`, which imports no numpy; this module is
-the data plane and the launcher.
+flags segment, the spin, the publication protocol, faults, the trace
+ring, the spec and report) is :mod:`repro.runtime.rank`, which imports
+no numpy, and so is the pointer data plane, which a native module runs
+on when every kernel is C or a whole collective
+(:class:`~repro.runtime.rank.PointerCommunicator`: its ranks never
+import numpy). This module is the numpy data plane, which runs every
+other module, and the launcher.
 
 Transport protocol
 ------------------
@@ -37,7 +41,8 @@ Numerics
 
 Reductions fold the participants' slots in rank order into one float64
 buffer with the formula of
-:func:`~repro.runtime.collectives.fold_ranks`, so every collective is
+:func:`~repro.runtime.collectives.fold_ranks` (on the pointer plane,
+the program's C fold helper, which restates it), so every collective is
 bit-identical to its vectorized counterpart (``run_spmd`` ≡
 ``run_lowered``). The AllToAll copies its peers' chunks by the moves
 of :func:`~repro.runtime.collectives.alltoall_moves`, the list the
@@ -62,13 +67,14 @@ keeps everything else off that path, and no array crosses a socket:
    adopts the pool's idle ranks (elastic recovery), which hold both
    fds at the same numbers, and starts the rest as ``python -S -c``
    (:data:`~repro.runtime.rank._RANK_ENTRY`), inheriting both segments
-   and its end of a ``socket.socketpair`` as fds. A rank's
-   ``PYTHONPATH`` is the parent's resolved ``sys.path``, and ``-S``
-   skips ``site``. Before it reads its spec a rank imports
-   :mod:`repro.runtime.rank`, this module and what they import (numpy
-   and a few ``repro`` modules), never the caller's ``__main__``, the
-   lowering or the compiler side. With an ``observer``, the flags
-   segment also holds one trace ring per rank after the flags.
+   and its end of a ``socket.socketpair`` as fds, with the module's data
+   plane in its ``argv``. A rank's ``PYTHONPATH`` is the parent's
+   resolved ``sys.path``, and ``-S`` skips ``site``. Before it reads
+   its spec a rank imports :mod:`repro.runtime.rank` and what it
+   imports (a few ``repro`` modules) and, for a numpy module, this
+   module and numpy; never the caller's ``__main__``, the lowering or
+   the compiler side. With an ``observer``, the flags segment also
+   holds one trace ring per rank after the flags.
 2. While the ranks import, the parent casts every input straight into
    the region of each rank that holds it (the checks and downcast
    policy of :func:`repro.runtime.world.place_inputs`), populating the
@@ -80,21 +86,22 @@ keeps everything else off that path, and no array crosses a socket:
    regions of the ranks that write them. On the native target it then
    resolves the module's C kernels
    (:func:`repro.core.codegen.native.load_kernels`): a cold compile
-   still overlaps the ranks' imports and precedes every deadline.
+   overlaps the ranks' imports and precedes every deadline.
 3. The parent sends each rank one pickled spec of a few KB, which the
-   socket buffers: layout, deadlines, fault plan, whether to trace,
-   the generated module's ``source`` and, on the native target, the
-   kernel object's ``(key, path, functions)``.
+   socket buffers: layout, deadlines, the rank's view of the fault plan
+   (:class:`~repro.runtime.rank.RankFaults`), whether to trace, the
+   generated module's ``source`` and data plane and, on the native
+   target, the kernel object's ``(key, path, functions)``.
 4. Each rank ``exec``s that source (no rank loads an artifact, runs the
    code generator or compiles), opens the kernel object
-   (:func:`repro.core.codegen.device.open_kernels`), binds its tensors
-   to writable views of its own regions and runs in place: updated
-   states and gathered writebacks land straight in their regions. It
-   copies every other result the parent reads into its region (a
-   replicated one from the group's first rank only), closes its
-   segments, sends one report, ``("ok", seconds)``, and leaves with
-   ``os._exit(0)``. Only a clean survivor stays (see "Failure
-   handling").
+   (:func:`repro.runtime.rank.open_kernels`), binds its tensors to its
+   own regions (array views, or addresses on the pointer plane) and
+   runs in place: updated states and gathered writebacks land straight
+   in their regions. It copies every other result the parent reads
+   into its region (a replicated one from the group's first rank only),
+   closes its segments, sends one report, ``("ok", seconds, plane,
+   numpy imported)``, and leaves with ``os._exit(0)``. Only a clean
+   survivor stays (see "Failure handling").
 5. The parent copies each result out of the segment in one pass, so no
    returned array aliases it. The teardown merges the trace rings into
    the ``observer``, after a failed launch too: the parent still holds
@@ -162,22 +169,19 @@ import sys
 import time
 import weakref
 from typing import (
-    TYPE_CHECKING, Dict, List, Mapping, NamedTuple, Optional, Sequence,
-    Tuple,
+    TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple,
 )
 
 import numpy as np
 
 from repro.core.process_group import ProcessGroup
 from repro.core.tensor import Tensor
-from repro.observe.ring import (
-    KIND_FAULT, KIND_PUBLISH, KIND_REDUCE, TraceRing, merge_rank_traces,
-)
+from repro.observe.ring import TraceRing, merge_rank_traces
 from repro.runtime.collectives import alltoall_moves, fold_ranks
 from repro.runtime.rank import (
-    _ERR_FAILED, _RANK_ENTRY, DEFAULT_TIMEOUT, PROGRESS_BASE, RankCore,
-    SpmdError, SpmdLayout, SpmdTimeout, SpmdWorkerError, _recv, _send,
-    signal_dead,
+    _ERR_FAILED, _MADV_POPULATE_WRITE, _RANK_ENTRY, DEFAULT_TIMEOUT, WHOLE,
+    RankCore, SpmdLayout, SpmdTimeout, SpmdWorkerError,
+    _group_site, _Publication, _recv, _send, signal_dead,
 )
 from repro.runtime.world import (
     assemble_rows, check_divisible, place_inputs, slice_of,
@@ -191,12 +195,9 @@ if TYPE_CHECKING:  # parent-side only
 
 __all__ = ["RankPool", "SpmdCommunicator", "scaled_default_timeout"]
 
-#: ``madvise`` advice that faults a range in writable (Linux 5.14; not
-#: every Python's ``mmap`` module names it)
-_MADV_POPULATE_WRITE = 23
 
 def _group_key(group: ProcessGroup) -> str:
-    return f"g{group.start}x{group.size}"
+    return _group_site(group.ranks)
 
 
 def _p2p_key(src: int, dst: int) -> str:
@@ -285,10 +286,6 @@ def scaled_default_timeout(layout: SpmdLayout, wire_s_per_mb: float) -> float:
     return DEFAULT_TIMEOUT + scale
 
 
-#: the chunk list of a whole-payload publication: one chunk, every element
-WHOLE = ((Ellipsis,),)
-
-
 def _clip(
     chunk: tuple, shape: Tuple[int, ...],
     shard: Optional[Tuple[int, int, int]],
@@ -316,28 +313,6 @@ def _clip(
     return tuple(src), tuple(dst)
 
 
-class _Publication(NamedTuple):
-    """One operation on a site: a ``shape``/``dtype`` payload per rank.
-
-    ``chunks`` index the payload: :data:`WHOLE` for a collective's own
-    operand, one slice per lowering chunk for a §5.3 chunked
-    publication. ``payload`` is the array this rank releases (``None``
-    for a rank that only reads).
-    """
-
-    key: str
-    ranks: Tuple[int, ...]
-    seq: int
-    shape: Tuple[int, ...]
-    dtype: np.dtype
-    chunks: Tuple[tuple, ...]
-    payload: Optional[np.ndarray]
-
-    @property
-    def chunked(self) -> bool:
-        return self.chunks is not WHOLE
-
-
 class SpmdCommunicator(RankCore):
     """One rank's endpoint of the shared-memory rendezvous: the data
     plane (slots, folds, collectives, streams) over
@@ -348,17 +323,6 @@ class SpmdCommunicator(RankCore):
         self._pending: Dict[str, _Publication] = {}
 
     # -- slots -----------------------------------------------------------
-
-    def _slot_bounds(self, key: str, rank: int) -> Tuple[int, int]:
-        try:
-            _, slot, offset = self.layout.sites[key]
-        except KeyError:
-            raise SpmdError(
-                f"rank {self.rank}: no communication site {key!r}; the "
-                f"launcher sized sites from the program — this op was "
-                f"not part of it"
-            ) from None
-        return offset + rank * slot, slot
 
     def _slot_view(self, pub: _Publication, rank: int) -> np.ndarray:
         """A writable view of ``rank``'s slot holding ``pub``'s payload.
@@ -373,28 +337,18 @@ class SpmdCommunicator(RankCore):
 
     # -- rendezvous core --------------------------------------------------
     #
-    # Every operation on a site is one publication: ``_open`` takes the
-    # site's next sequence number, ``_release`` writes and announces this
-    # rank's payload chunk by chunk, and ``_gather``/``_reduce`` wait for
-    # each chunk and copy it out or fold it in before ``_finish``.
+    # The protocol is :class:`RankCore`'s (``_open``, ``_release``,
+    # ``_drain``, ``_fold``); these methods move the bytes of each chunk
+    # between array views of the slots and the operands.
 
-    def _open(
+    def _open_array(
         self, key: str, ranks: Sequence[int], shape, dtype,
         chunks: Tuple[tuple, ...] = WHOLE, payload=None,
     ) -> _Publication:
         """Start the next operation on site ``key`` among ``ranks``."""
         dtype = np.dtype(dtype)
         nbytes = int(np.prod(shape)) * dtype.itemsize
-        _, slot = self._slot_bounds(key, self.rank)
-        if nbytes > slot:
-            raise SpmdError(
-                f"rank {self.rank}: payload of {nbytes} B exceeds the "
-                f"{slot} B slot of site {key!r}"
-            )
-        seq = self._begin(key, ranks)
-        return _Publication(
-            key, tuple(ranks), seq, tuple(shape), dtype, chunks, payload
-        )
+        return self._open(key, ranks, nbytes, shape, dtype, chunks, payload)
 
     def _publish(
         self, key: str, ranks: Sequence[int], x, release: bool = True
@@ -402,74 +356,30 @@ class SpmdCommunicator(RankCore):
         """Open the next operation on ``key`` with ``x`` as one chunk,
         and release it unless ``release`` is false (a reader only)."""
         x = np.asarray(x)
-        pub = self._open(key, ranks, x.shape, x.dtype, payload=x)
+        pub = self._open_array(key, ranks, x.shape, x.dtype, payload=x)
         if release:
-            self._release(pub)
+            self._release_array(pub)
         return pub
 
-    def _release(
+    def _release_array(
         self, pub: _Publication, out: Optional[np.ndarray] = None
     ) -> None:
-        """Write this rank's payload into its slot, one wire transfer and
-        one ready bump per chunk.
-
-        ``out``, when given, receives each chunk as it is published —
-        the consumer-visible buffer of the lowered ``publish`` mode.
-        Fault points count a whole publication by its site sequence and
-        a chunked one by chunk index; only a chunked publication can
-        drop a chunk.
-        """
-        key, payload = pub.key, pub.payload
+        """Write this rank's payload into its slot chunk by chunk (see
+        :meth:`RankCore._release`). ``out``, when given, receives each
+        chunk as it is published — the consumer-visible buffer of the
+        lowered ``publish`` mode."""
+        payload = pub.payload
         view = self._slot_view(pub, self.rank)
-        # an injected drop_chunk withholds the ready bump: the payload
-        # is written, but visibility is redelivered later (with the next
-        # chunk's bump, or after the drop's redeliver delay for the last
-        # chunk) — consumers soft-retry through the gap
-        redeliver: Optional[float] = None
+
+        def copy(c: int) -> int:
+            sl = pub.chunks[c]
+            view[sl] = payload[sl]
+            if out is not None:
+                out[sl] = payload[sl]
+            return payload[sl].nbytes
+
         try:
-            for c, sl in enumerate(pub.chunks):
-                t0 = time.perf_counter_ns() if self._ring is not None else 0
-                view[sl] = payload[sl]
-                if out is not None:
-                    out[sl] = payload[sl]
-                nbytes = payload[sl].nbytes
-                self._wire_sleep(nbytes)
-                seq = c if pub.chunked else pub.seq
-                self._fault_publish(key, seq)
-                if pub.chunked and self._faults is not None:
-                    drop = self._faults.drop(key, c)
-                    if drop is not None:
-                        self._trace(
-                            KIND_FAULT, time.perf_counter_ns(), seq=c,
-                            site=key, name=f"drop_chunk {c}",
-                        )
-                        redeliver = drop.redeliver
-                        continue
-                if redeliver is not None:
-                    time.sleep(redeliver)
-                    self._trace(
-                        KIND_FAULT, time.perf_counter_ns(), seq=c, site=key,
-                        name="redeliver",
-                    )
-                    redeliver = None
-                self._set_ready(
-                    key, self.rank, pub.seq * PROGRESS_BASE + c + 1
-                )
-                self._trace(
-                    KIND_PUBLISH, t0, nbytes=nbytes, seq=seq, site=key,
-                    name=f"chunk{c}" if pub.chunked else self._op or key,
-                )
-            if redeliver is not None:
-                # the dropped chunk was the last one: redeliver it
-                last = len(pub.chunks)
-                time.sleep(redeliver)
-                self._trace(
-                    KIND_FAULT, time.perf_counter_ns(), seq=last - 1, site=key,
-                    name="redeliver",
-                )
-                self._set_ready(
-                    key, self.rank, pub.seq * PROGRESS_BASE + last
-                )
+            self._release(pub, copy)
         finally:
             del view
 
@@ -491,16 +401,16 @@ class SpmdCommunicator(RankCore):
         if rows is None:
             rows = [np.empty(pub.shape, dtype=pub.dtype) for _ in ranks]
         views = [self._slot_view(pub, r) for r in ranks]
+
+        def take(c: int, j: int) -> None:
+            box = _clip(pub.chunks[c], pub.shape, shards[j])
+            if box is not None:
+                rows[j][box[1]] = views[j][box[0]]
+
         try:
-            for c, chunk in enumerate(pub.chunks):
-                for j, r in enumerate(ranks):
-                    self._wait(pub, r, c)
-                    box = _clip(chunk, pub.shape, shards[j])
-                    if box is not None:
-                        rows[j][box[1]] = views[j][box[0]]
+            self._drain(pub, ranks, take)
         finally:
             del views
-        self._finish(pub)
         return rows
 
     def _reduce(
@@ -518,36 +428,24 @@ class SpmdCommunicator(RankCore):
         and slicing — while a chunked publication genuinely overlaps the
         reduce with the remaining chunks' wire time. Every chunk is still
         awaited from every rank, shard or not.
-
-        The reduce span of a chunked publication starts before the first
-        wait, since its reduction is interleaved with the waits; a whole
-        payload's span starts once every payload is in, so it covers the
-        reduction only.
         """
-        t0 = time.perf_counter_ns() if self._ring is not None else 0
         shape = list(pub.shape)
         if shard is not None:
             dim, lo, hi = shard
             shape[dim] = hi - lo
         total = np.empty(shape, np.float64)
         views = [self._slot_view(pub, r) for r in pub.ranks]
+
+        def fold(c: int) -> None:
+            box = _clip(pub.chunks[c], pub.shape, shard)
+            if box is not None:
+                src, dst = box
+                fold_ranks(total[dst], [v[src] for v in views], op)
+
         try:
-            for c, chunk in enumerate(pub.chunks):
-                for r in pub.ranks:
-                    self._wait(pub, r, c)
-                if not pub.chunked and self._ring is not None:
-                    t0 = time.perf_counter_ns()
-                box = _clip(chunk, pub.shape, shard)
-                if box is not None:
-                    src, dst = box
-                    fold_ranks(total[dst], [v[src] for v in views], op)
+            self._fold(pub, fold, op)
         finally:
             del views
-        self._finish(pub)
-        self._trace(
-            KIND_REDUCE, t0, seq=pub.seq, site=pub.key,
-            name=self._op or op,
-        )
         return total
 
     def _publication(
@@ -689,7 +587,7 @@ class SpmdCommunicator(RankCore):
         """Receive the ``shape``/``dtype`` value global rank ``src`` sent
         to this rank (the generated module knows both from the send's
         operand)."""
-        pub = self._open(
+        pub = self._open_array(
             _p2p_key(src, self.rank), (src, self.rank), shape, dtype
         )
         return self._gather(pub, [src])[0]
@@ -726,7 +624,7 @@ class SpmdCommunicator(RankCore):
         staging = np.asarray(staging)
         lead = (slice(None),) * (chunk_dim % staging.ndim)
         chunks = tuple(lead + (slice(lo, hi),) for lo, hi in bounds)
-        pub = self._open(
+        pub = self._open_array(
             _group_key(group), group.ranks, staging.shape, staging.dtype,
             chunks, staging,
         )
@@ -741,7 +639,7 @@ class SpmdCommunicator(RankCore):
         ``out``, when given, receives each chunk as it is published —
         the consumer-visible buffer of the lowered ``publish`` mode.
         """
-        self._release(token, out)
+        self._release_array(token, out)
 
     # -- streams ----------------------------------------------------------
 
@@ -755,6 +653,19 @@ class SpmdCommunicator(RankCore):
     def join_streams(self, *streams: "_Stream") -> None:
         for s in streams:
             s.join()
+
+    # -- the body's inputs and results -----------------------------------
+
+    def _bind_inputs(self) -> Dict[str, np.ndarray]:
+        """Writable views of this rank's input regions, by tensor name."""
+        return {
+            key[1]: self.layout.view(self._data, key, self.rank)
+            for key, (_, _, offsets, _) in self.layout.regions.items()
+            if key[0] == "in" and self.rank in offsets
+        }
+
+    def _store_results(self, outputs: Dict, states: Dict) -> None:
+        _store_results(self.layout, self._data, self.rank, outputs, states)
 
 
 class _Stream(object):
@@ -826,49 +737,6 @@ def _same_memory(a: np.ndarray, b: np.ndarray) -> bool:
     )
 
 
-def _run_body(
-    comm: SpmdCommunicator, source: str, kernels: Optional[tuple]
-) -> float:
-    """Bind this rank's regions, run ``run_rank`` and store its results;
-    returns the body's seconds.
-
-    ``kernels`` is the native target's ``(key, path, functions)``: the
-    kernel object the parent resolved, bound as the module's ``_K``.
-    Every view of the segment lives in this frame, so none outlives it.
-    """
-    layout, rank, buf = comm.layout, comm.rank, comm._data
-    inputs = {
-        key[1]: layout.view(buf, key, rank)
-        for key, (_, _, offsets, _) in layout.regions.items()
-        if key[0] == "in" and rank in offsets
-    }
-    # fault this rank's input pages in before the barrier, so the
-    # timed body does not pay for mapping them
-    for view in inputs.values():
-        view.reshape(-1).view(np.uint8)[::4096].max(initial=0)
-    namespace: Dict[str, object] = {}
-    exec(compile(source, f"<spmd rank {rank}>", "exec"), namespace)
-    if kernels is not None:
-        # open before the timing barrier: the dlopen counts as
-        # start-up (like spawn), not as execution time
-        from repro.core.codegen.device import open_kernels
-
-        t0 = time.perf_counter()
-        namespace["_K"] = open_kernels(*kernels)
-        if namespace["_K"] is None:
-            raise SpmdError(f"kernel object {kernels[1]} is unloadable")
-        comm.record_kernel_open(kernels[0][:12], time.perf_counter() - t0)
-    # synchronize before timing so spawn stagger (rank 0 idling in
-    # its first collective until the last process is up) does not
-    # count as execution time
-    comm.barrier()
-    t0 = time.perf_counter()
-    outputs, states = namespace["run_rank"](comm, inputs)
-    elapsed = time.perf_counter() - t0
-    _store_results(layout, buf, rank, outputs, states)
-    return elapsed
-
-
 # ---------------------------------------------------------------------------
 # Parent-side launcher.
 # ---------------------------------------------------------------------------
@@ -922,10 +790,12 @@ def _segment(name: str, size: int) -> int:
 
 
 def _start(
-    entry: str, fds: Sequence[int]
+    entry: str, fds: Sequence[int], plane: str = "numpy"
 ) -> Tuple[subprocess.Popen, socket.socket]:
     """Start ``python -S -c entry`` holding ``fds`` and its end of a new
     socket pair (fd ``sys.argv[1]``); ``(process, the parent's end)``.
+    ``sys.argv[2]`` is ``plane``, the data plane of the module the
+    process will run first (``"pointer"``: it need not import numpy).
 
     The process's ``PYTHONPATH`` is this process's ``sys.path``, so it
     resolves modules as the parent did without running ``site``, and
@@ -942,7 +812,7 @@ def _start(
     sock, child = socket.socketpair()
     with child:
         proc = subprocess.Popen(
-            [sys.executable, "-S", "-c", entry, str(child.fileno())],
+            [sys.executable, "-S", "-c", entry, str(child.fileno()), plane],
             pass_fds=(child.fileno(), *fds), env=env,
         )
     return proc, sock
@@ -1027,10 +897,13 @@ class RankPool:
 
         ``generated`` is a
         :class:`~repro.core.codegen.generator.GeneratedSpmdProgram`;
-        every rank ``exec``s its ``source`` as is. Returns a
+        every rank ``exec``s its ``source`` as is, on its data plane
+        (``generated.plane``). Returns a
         :class:`~repro.runtime.executor.ProgramResult` whose arrays own
-        their memory; the module docstring's "Launch" section gives the
-        steps, and "Failure handling" the teardown.
+        their memory, and whose ``spmd_rank_kinds`` maps each rank to
+        the ``(plane, numpy imported)`` it reported; the module
+        docstring's "Launch" section gives the steps, and "Failure
+        handling" the teardown.
 
         ``timeout`` bounds every rendezvous wait (default:
         :func:`scaled_default_timeout`, so slow simulated wires stretch
@@ -1085,6 +958,7 @@ class RankPool:
                 fail.update(sev=sev, msg=msg, detail=det, context=ctx)
 
         seconds: Dict[int, float] = {}
+        kinds: Dict[int, Tuple[str, bool]] = {}
         traced = observer is not None
         flags_fd = None
         try:
@@ -1124,7 +998,7 @@ class RankPool:
                 socks.append(sock)
             while len(procs) < world_size:
                 origins.append(self.started)
-                proc, sock = _start(_RANK_ENTRY, self.fds)
+                proc, sock = _start(_RANK_ENTRY, self.fds, generated.plane)
                 self.started += 1
                 procs.append(proc)
                 socks.append(sock)
@@ -1151,12 +1025,18 @@ class RankPool:
             spec = dict(
                 layout=layout, data_fd=data_fd, flags_fd=flags_fd,
                 wire_s_per_mb=wire_s_per_mb, timeout=timeout,
-                soft_timeout=soft_timeout, faults=fault_plan,
-                source=generated.source, kernels=kernels, traced=traced,
+                soft_timeout=soft_timeout, source=generated.source,
+                kernels=kernels, plane=generated.plane, traced=traced,
             )
             for r, sock in enumerate(socks):
+                # the rank's own view of the plan: it unpickles without
+                # the fault module
+                faults = (
+                    fault_plan.for_rank(r) if fault_plan is not None
+                    else None
+                )
                 try:
-                    _send(sock.fileno(), dict(spec, rank=r))
+                    _send(sock.fileno(), dict(spec, rank=r, faults=faults))
                 except OSError:
                     # the rank already died: its EOF reports it below
                     pass
@@ -1196,6 +1076,7 @@ class RankPool:
                         )
                     elif msg[0] == "ok":
                         seconds[r] = msg[1]
+                        kinds[r] = tuple(msg[2:])
                     elif msg[0] == "error":
                         _record_failure(3, *msg[1:])
                     else:  # aborted by a peer's failure
@@ -1239,4 +1120,6 @@ class RankPool:
         # step time
         result.spmd_rank_seconds = seconds
         result.spmd_seconds = max(seconds.values())
+        # per rank, its data plane and whether it imported numpy
+        result.spmd_rank_kinds = kinds
         return result

@@ -344,6 +344,12 @@ class TestTargetDispatch:
         assert "dev.gemm(" in gen.source
 
 
+#: an input copied before any kernel runs, on either data plane
+_COPIED = re.compile(
+    r"V\['(\w+)'\] = (?:T\['\1'\]\.copy\(\)|comm\.copy\(T\['\1'\], \d+\))"
+)
+
+
 @needs_cc
 class TestRankDataPath:
     def test_adam_copies_only_updated_inputs_and_states_stay_regions(
@@ -355,25 +361,23 @@ class TestRankDataPath:
 
         sched = AdamWorkload.build(1024, 2).schedules()["fuse(RS-Adam-AG)"]
         gen = CodeGenerator(target="native").generate(sched)
-        copied = re.findall(r"V\['(\w+)'\] = T\['\1'\]\.copy\(\)", gen.source)
+        assert gen.plane == "pointer"
         # every read of m, v and p is upstream of the write that
         # updates it in place: no input needs a private copy
-        assert copied == []
+        assert _COPIED.findall(gen.source) == []
         assert "V['g'] = T['g']\n" in gen.source
         # every rank checks that each state it returns is its input
-        # region, updated in place or never written
+        # region (the same address), updated in place or never written
         gen.source += textwrap.dedent(
             """
             _run_rank = run_rank
 
 
             def run_rank(comm, inputs):
-                from repro.runtime.spmd import _same_memory
-
                 outputs, states = _run_rank(comm, inputs)
                 assert sorted(states) == ["g", "m", "p", "v"]
                 for name, value in states.items():
-                    assert _same_memory(value, inputs[name]), name
+                    assert value == inputs[name], name
                 return outputs, states
             """
         )
@@ -449,8 +453,7 @@ class TestRankDataPath:
     ):
         sched, inputs = self._read_after_update(overlapped)
         gen = CodeGenerator(target=target).generate(sched)
-        copied = re.findall(r"V\['(\w+)'\] = T\['\1'\]\.copy\(\)", gen.source)
-        assert copied == ["x"]
+        assert _COPIED.findall(gen.source) == ["x"]
         ex = Executor()
         low = ex.run_lowered(sched, inputs, allow_downcast=True)
         got = ex.run_spmd(
@@ -483,25 +486,42 @@ class TestInPlaceFusedCollective:
         return src
 
     @staticmethod
-    def _assert_in_place(source: str) -> None:
+    def _assert_in_place(source: str, pointer: bool = False) -> None:
         for name in ("m_", "v_", "p_"):
             assert f"V['{name}'] = np.empty(" not in source, name
+            assert f"V['{name}'] = comm.alloc(" not in source, name
         assert "np.copyto(T[" not in source
         assert ")[...] = " not in source
         assert "V['m_'] = T['m']\n" in source
         assert "V['v_'] = T['v']\n" in source
-        assert "V['p_'] = dev.slice_of(T['p'], 0, _i, 2" in source
-        assert "comm.allgather(V['p_'], G0_2, 0, out=T['p'])" in source
+        if pointer:
+            # this rank's dim-0 rows of p, and the gather into p itself
+            assert "V['p_'] = T['p'] + _i * 1024\n" in source
+            assert (
+                "comm.allgather(V['p_'], RANKS_G0_2, 1024, out=T['p'])"
+            ) in source
+        else:
+            assert "V['p_'] = dev.slice_of(T['p'], 0, _i, 2" in source
+            assert "comm.allgather(V['p_'], G0_2, 0, out=T['p'])" in source
 
     def test_adam_one_loop_after_the_reducescatter(self):
+        # the 0-d prologue (s0) and the one loop (s1) run after the RS,
+        # which folds by the source's own helper
         from repro.workloads.adam import AdamWorkload
 
         gen = CodeGenerator(target="native").generate(_tuned(AdamWorkload))
+        assert gen.plane == "pointer"
         kernel = self._fused_kernel(gen)
-        assert kernel.count("_K.call(") == 1
-        assert kernel.index("comm.reducescatter(") < kernel.index("_K.call(")
-        assert gen.c_source.count("\nvoid ") == 1
-        self._assert_in_place(gen.source)
+        calls = [m.start() for m in re.finditer(r"_K\.call\(", kernel)]
+        assert len(calls) == 2
+        assert kernel.index("comm.reducescatter(") < calls[0]
+        assert "'fold_sum_f16_f16'" in kernel
+        assert re.findall(r"^void (\w+)\(", gen.c_source, re.M) == [
+            "fold_sum_f16_f16", "s0", "s1",
+        ]
+        s0 = gen.c_source[gen.c_source.index("void s0"):]
+        assert s0.count("for (") == 1  # s1's loop; s0 has none
+        self._assert_in_place(gen.source, pointer=True)
 
     def test_lamb_one_loop_each_side_of_the_update_norm(self):
         from repro.workloads.lamb import LambWorkload
@@ -537,9 +557,9 @@ class TestInPlaceFusedCollective:
 @needs_cc
 class TestNativeFusedCollectiveFaults:
     """Faults at the tuned fuse(RS-Adam-AG) kernel's collectives on the
-    native target: the compiled loop sits between the ReduceScatter and
-    the AllGather, and a fault on either side leaves no segment fd or
-    rank process behind."""
+    native target, whose ranks run the pointer data plane: the compiled
+    loop sits between the ReduceScatter and the AllGather, and a fault
+    on either side leaves no segment fd or rank process behind."""
 
     # rank 1's publishes on the world site: the timing barrier (1), the
     # ReduceScatter before the loop (2) and the AllGather after it (3)
@@ -574,9 +594,10 @@ class TestNativeFusedCollectiveFaults:
         assert (die.pid, die.args["seq"]) == ("rank1", after)
         assert res.elastic["world_size"] == 1
         # rank 0 closed cleanly (no view of a segment outlived its
-        # kernel), so it ran the recovery itself
+        # kernel), so it ran the recovery itself, without numpy
         assert res.elastic["reused_ranks"] == [0]
         assert res.elastic["spawned"] == 0
+        assert res.spmd_rank_kinds == {0: ("pointer", False)}
         program1, inputs1 = relower(1)
         oracle = Executor().run_lowered(
             program1, inputs1, allow_downcast=True
@@ -616,6 +637,7 @@ class TestNativeFusedCollectiveFaults:
                 assert res.elastic["world_size"] == 1
                 assert res.elastic["reused_ranks"] == [0]
                 assert res.elastic["spawned"] == 0
+                assert res.spmd_rank_kinds == {0: ("pointer", False)}
                 _assert_bit_identical(res, oracle)
         assert children() == []
         assert set(spmd_segments()) == before
@@ -640,6 +662,7 @@ class TestNativeFusedCollectiveFaults:
         )
         low = Executor().run_lowered(sched, inputs, allow_downcast=True)
         _assert_bit_identical(res, low)
+        assert _kinds(res) == {("pointer", False)}
         stalls = [
             e for e in tracer.events
             if isinstance(e, InstantEvent) and e.cat == "stall"
@@ -659,6 +682,141 @@ class TestNativeFusedCollectiveFaults:
         assert sorted(e.pid for e in reduces) == ["rank0", "rank1"]
         assert children() == []
         assert set(spmd_segments()) == before
+
+
+#: the fold checks' operands: signed zeros, infinities,
+#: NaN, FP16's largest finite value and values whose sum overflows it,
+#: FP16 subnormals and its smallest normal, and plain numbers
+_SPECIAL = np.array([
+    0.0, -0.0, np.inf, -np.inf, np.nan, 65504.0, -65504.0, 60000.0,
+    2.0 ** -24, -(2.0 ** -24), 3 * 2.0 ** -24, 2.0 ** -14, 1.0, -1.0,
+    0.5, 3.0,
+])
+
+
+def _fold_rows(dtype, k):
+    """``k`` rank rows of ``dtype``: every combination of three
+    :data:`_SPECIAL` values across the first three ranks (a fourth rank
+    repeats the first, shifted), then random values large enough that
+    FP16 sums overflow."""
+    n = len(_SPECIAL)
+    combos = np.array(np.meshgrid(*[np.arange(n)] * 3, indexing="ij"))
+    combos = combos.reshape(3, -1)
+    rng = np.random.default_rng(k)
+    rows = []
+    for r in range(k):
+        pick = _SPECIAL[combos[r % 3]]
+        if r == 3:
+            pick = np.roll(pick, 1)
+        rand = rng.normal(0.0, 3e4, 1024)
+        with np.errstate(over="ignore"):
+            rows.append(np.concatenate([pick, rand]).astype(dtype))
+    return rows
+
+
+@needs_cc
+class TestPointerPlaneNumerics:
+    """The C a pointer module adds to its source, against the numerics
+    every other tier runs: the fold helpers against ``fold_ranks`` then
+    ``astype``, and the 0-d prologue against ``device.binary`` and
+    ``device.unary``."""
+
+    @pytest.mark.parametrize("dtype", ["float16", "float32", "float64"])
+    def test_fold_helpers_are_fold_ranks(self, kernel_cache, dtype):
+        from repro.runtime.collectives import fold_ranks
+
+        uint = {2: np.uint16, 4: np.uint32, 8: np.uint64}
+        for op, (kind, _, _) in native.FOLDS.items():
+            short = native._SHORT[dtype]
+            name = f"fold_{kind}_{short}_{short}"
+            k = native.load_kernels(
+                native.PRELUDE + native.FOLD_NAN
+                + native._fold_source(name, op, dtype, dtype)
+            )
+            for ranks in (1, 2, 3, 4):
+                rows = _fold_rows(dtype, ranks)
+                n = rows[0].size
+                acc = np.empty(n, np.float64)
+                out = np.empty(n, dtype)
+                for r, row in enumerate(rows):
+                    k.call(name, (row, acc), (n, r, ranks), (out,))
+                with np.errstate(all="ignore"):
+                    want = fold_ranks(
+                        np.empty(n, np.float64), rows, op
+                    ).astype(dtype)
+                bits = uint[out.itemsize]
+                np.testing.assert_array_equal(
+                    out.view(bits), want.view(bits),
+                    err_msg=f"{op} over {ranks} ranks",
+                )
+
+    #: the optimizers' betas (FP32 constants) and the step counts
+    BETAS = (0.9, 0.999)
+    STEPS = (0.0, 1.0, 2.0, 1000.0, 2.0 ** 24)
+
+    def test_c_pow_is_numpys_float64_power(self, kernel_cache):
+        # the prologue's pow is libm's; numpy's float64 power may be a
+        # SIMD loop of its own. Both must agree on every beta and step
+        # count the optimizers use, to the last bit
+        src = native.PRELUDE + native.POW + textwrap.dedent(
+            """
+            void p(char** A, double* S) {
+                double* out = (double*)A[0];
+                out[0] = pow(S[0], S[1]);
+            }
+            """
+        )
+        k = native.load_kernels(src)
+        out = np.empty(1)
+        for beta in self.BETAS:
+            for b in (beta, float(np.float32(beta))):
+                for t in self.STEPS:
+                    k.call("p", (), (b, t), (out,))
+                    want = np.power(np.float64(b), np.float64(t))
+                    assert out.view(np.uint64)[0] == np.float64(
+                        want
+                    ).view(np.uint64), (b, t)
+
+    @pytest.mark.parametrize("dtype", ["FP16", "FP32"])
+    def test_prologue_ops_bit_identical(self, kernel_cache, dtype):
+        # a program of 0-d ops only: pow with each beta, then the
+        # bias correction's '-', a '/' and a sqrt, run as a pointer
+        # module's prologue and by run_lowered, for every step count
+        from repro.core import (
+            Binary, Const, Execute, Pow, Scalar, Sqrt, dtypes, world,
+        )
+
+        dt = getattr(dtypes, dtype)
+        W = world(2)
+        t = Scalar(dt, name="t", group=W)
+        x = Scalar(dt, name="x", group=W)
+        outs = []
+        for beta in self.BETAS:
+            powed = Pow(Const(beta, W, dt), t)
+            corr = Binary("-", Const(1.0, W, dt), powed)
+            outs += [powed, corr, Binary("/", x, corr), Sqrt(corr / x)]
+        assert {o.dtype for o in outs} == {dt}
+        program = Execute("prologue", [t, x], outs)
+        gen = CodeGenerator(target="native").generate(program)
+        assert gen.plane == "pointer"
+        assert "pow(" in gen.c_source and "for (" not in gen.c_source
+        with Executor() as ex:
+            for step in self.STEPS:
+                for value in (0.0, -0.0, np.inf, np.nan, 2.0 ** -24, 3.0):
+                    inputs = {"t": step, "x": value}
+                    # 2^24 overflows an FP16 step to inf, on both sides
+                    with np.errstate(all="ignore"):
+                        low = ex.run_lowered(
+                            program, inputs, allow_downcast=True
+                        )
+                        got = ex.run_spmd(
+                            program, inputs, allow_downcast=True,
+                            codegen_target="native", timeout=60.0,
+                        )
+                    assert set(got.spmd_rank_kinds.values()) == {
+                        ("pointer", False)
+                    }
+                    assert _digest(got) == _digest(low), (step, value)
 
 
 @needs_cc
@@ -928,6 +1086,149 @@ def _kept_program(name):
     return artifact.load(os.path.join(GOLDEN, f"{name}.repro.json"))
 
 
+def _kinds(result):
+    """The set of ``(data plane, numpy imported)`` its ranks reported."""
+    return set(result.spmd_rank_kinds.values())
+
+
+@needs_cc
+class TestRankKinds:
+    """Each rank reports which data plane ran and whether numpy was
+    imported: a pointer module's ranks never import it, every other
+    module's ranks do."""
+
+    @pytest.mark.parametrize("ranks", [2, 4])
+    def test_tuned_adam_ranks_never_import_numpy(self, kernel_cache, ranks):
+        from repro.cli import _seeded_inputs
+        from repro.workloads.adam import AdamWorkload
+
+        sched = _tuned(AdamWorkload, 1024, ranks)
+        inputs = _seeded_inputs(sched.program, seed=0)
+        got = Executor().run_spmd(
+            sched, inputs, allow_downcast=True, codegen_target="native",
+            timeout=60.0,
+        )
+        assert sorted(got.spmd_rank_kinds) == list(range(ranks))
+        assert _kinds(got) == {("pointer", False)}
+        low = Executor().run_lowered(sched, inputs, allow_downcast=True)
+        assert _digest(got) == _digest(low)
+
+    def test_elastic_recovery_on_the_adopted_rank(self, kernel_cache):
+        # rank 1 dies at the timing barrier; rank 0, which never
+        # imported numpy, runs the world-size-1 recovery without it
+        from repro.cli import _seeded_inputs
+        from repro.workloads.adam import AdamWorkload
+
+        def relower(ws):
+            program = _tuned(AdamWorkload, 1024, ws)
+            return program, _seeded_inputs(program.program, seed=ws)
+
+        sched = _tuned(AdamWorkload)
+        got = Executor().run_spmd(
+            sched, _seeded_inputs(sched.program, seed=0),
+            allow_downcast=True, codegen_target="native",
+            fault_plan=FaultPlan(seed=1).die(1, at_site="g"),
+            soft_timeout=0.5, timeout=30.0, elastic=True, relower=relower,
+        )
+        assert got.elastic["world_size"] == 1
+        assert got.elastic["reused_ranks"] == [0]
+        assert got.spmd_rank_kinds == {0: ("pointer", False)}
+        sched1, inputs1 = relower(1)
+        low = Executor().run_lowered(sched1, inputs1, allow_downcast=True)
+        assert _digest(got) == _digest(low)
+
+    def test_pointer_rank_imports_no_dataclasses(self, kernel_cache):
+        # a fault plan reaches the rank as its plain-data view, and the
+        # module builds no ProcessGroup: neither module, nor typing or
+        # dataclasses, is imported
+        from repro.cli import _seeded_inputs
+        from repro.runtime.spmd import RankPool
+        from repro.workloads.adam import AdamWorkload
+
+        sched = _tuned(AdamWorkload)
+        gen = CodeGenerator(target="native").generate(sched)
+        never = {
+            "numpy", "typing", "dataclasses", "repro.runtime.faults",
+            "repro.core.process_group",
+        }
+        source = gen.source.replace(
+            "    return outputs, states\n",
+            "    import sys\n"
+            f"    assert not set(sys.modules) & {never!r}\n"
+            "    return outputs, states\n",
+            1,
+        )
+        assert source != gen.source
+        gen.source = source
+        with RankPool() as pool:
+            got = pool.launch(
+                gen, _seeded_inputs(sched.program, seed=0),
+                allow_downcast=True, timeout=60.0,
+                fault_plan=FaultPlan(seed=1).stall_publish("g", 0.0),
+            )
+        assert _kinds(got) == {("pointer", False)}
+
+    @pytest.mark.parametrize("name", [
+        "attention", "moe_overlapped", "lamb", "adam_spmd",
+    ])
+    def test_other_modules_import_numpy(self, kernel_cache, name):
+        from repro.cli import _seeded_inputs
+
+        target = "native"
+        if name == "adam_spmd":
+            name, target = "adam_fused", "spmd"
+        sched = _kept_program(name)
+        gen = CodeGenerator(target=target).generate(sched)
+        assert gen.plane == "numpy"
+        program = getattr(sched, "program", sched)
+        got = Executor().run_spmd(
+            sched, _seeded_inputs(program, seed=0), allow_downcast=True,
+            codegen_target=target, timeout=120.0,
+        )
+        assert _kinds(got) == {("numpy", True)}
+
+    @pytest.mark.parametrize("first", ["adam", "lamb"])
+    def test_an_idle_rank_runs_the_other_plane(self, kernel_cache, first):
+        # the clean survivor of a failed launch on one data plane runs a
+        # module of the other one, bit-identical to run_lowered: a
+        # pointer rank imports numpy once a numpy module's spec arrives
+        from repro.cli import _seeded_inputs
+        from repro.runtime.rank import SpmdWorkerError
+        from repro.runtime.spmd import RankPool
+        from repro.workloads.adam import AdamWorkload
+        from repro.workloads.lamb import LambWorkload
+
+        from tests.spmd_leaks import children, spmd_segments
+
+        workloads = {"adam": AdamWorkload, "lamb": LambWorkload}
+        second = "lamb" if first == "adam" else "adam"
+        gen = CodeGenerator(target="native")
+        failing = gen.generate(_tuned(workloads[first]))
+        sched = _tuned(workloads[second], 1024, 1)
+        recovery = gen.generate(sched)
+        assert {failing.plane, recovery.plane} == {"pointer", "numpy"}
+        inputs = _seeded_inputs(sched.program, seed=1)
+        before = set(spmd_segments())
+        with RankPool() as pool:
+            with pytest.raises(SpmdWorkerError, match="rank 1 died"):
+                pool.launch(
+                    failing, _seeded_inputs(failing.program, seed=0),
+                    allow_downcast=True, soft_timeout=0.5, timeout=30.0,
+                    fault_plan=FaultPlan(seed=1).die(1, at_site="g"),
+                )
+            assert len(pool.idle) == 1
+            got = pool.launch(
+                recovery, inputs, allow_downcast=True, timeout=60.0
+            )
+            assert pool.started == 2  # rank 0 ran both
+        assert children() == []
+        assert set(spmd_segments()) == before
+        # numpy came in with the numpy module, before it or after
+        assert got.spmd_rank_kinds == {0: (recovery.plane, True)}
+        low = Executor().run_lowered(sched, inputs, allow_downcast=True)
+        assert _digest(got) == _digest(low)
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="/proc is Linux-only")
 class TestKeptSegment:
     """An ``Executor``'s second launch places into the data segment its
@@ -1068,7 +1369,7 @@ class TestToolchainProbes:
             import json
             import sys
             import numpy
-            from repro.core.codegen.device import open_kernels
+            from repro.runtime.rank import open_kernels
 
             def mapped():
                 with open("/proc/self/maps") as f:

@@ -843,7 +843,7 @@ class TestRankCore:
         fd = int(sys.argv[1])
         with open(fd, "rb", closefd=False) as stream:
             spec, key = _recv(stream)
-        del spec["source"], spec["kernels"]
+        del spec["source"], spec["kernels"], spec["plane"]
         core = RankCore.attach(**spec)
         flag = core._ready(key, 1)
         core.record_kernel_open("no-numpy", 0.5)

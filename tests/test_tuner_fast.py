@@ -6,7 +6,17 @@ the search runs, never what it returns. The executable specification
 is the unoptimized search, rebuilt here: every candidate's move script
 replayed from a fresh root and timed by an unmemoized cost model on the
 O(n²) ready-scan engine (``tests/des_oracle.py``).
+
+``tests/golden/tuner_times.json`` pins the exact ``repr`` of every
+candidate's predicted time over the ``_suite()`` workloads, so a
+refactor of the cost model cannot move a number unnoticed. A pricing
+change that is meant to move them bumps ``COST_MODEL_VERSION`` and
+re-records the file with ``PYTHONPATH=src:. python -m
+tests.test_tuner_fast``.
 """
+
+import json
+import os
 
 import pytest
 
@@ -14,6 +24,7 @@ from repro.cluster import Cluster
 from repro.core.autotuner import Autotuner
 from repro.core.transforms import Schedule
 from repro.perf import Engine, ProgramCostModel
+from repro.perf.program_cost import COST_MODEL_VERSION
 from repro.workloads.adam import AdamWorkload
 from repro.workloads.attention import AttentionWorkload
 from repro.workloads.lamb import LambWorkload
@@ -30,12 +41,41 @@ def _suite():
     ]
 
 
+GOLDEN_TIMES = os.path.join(
+    os.path.dirname(__file__), "golden", "tuner_times.json"
+)
+
+
+def _tuned_times():
+    """{program name: {candidate name: repr(predicted time)}}."""
+    return {
+        wl.program.name: {
+            c.name: repr(c.time)
+            for c in Autotuner(cluster, prune=False).tune(
+                wl.program
+            ).candidates
+        }
+        for wl, cluster in _suite()
+    }
+
+
 def _replay(tuner, program, moves):
     """Rebuild a candidate from the root, one move at a time."""
     sched = tuner._fresh(program)
     for m in moves:
         tuner._apply(sched, m)
     return sched
+
+
+class TestPinnedTimes:
+    def test_candidate_times_match_the_golden(self):
+        with open(GOLDEN_TIMES) as f:
+            golden = json.load(f)
+        if golden["cost_model_version"] != COST_MODEL_VERSION:
+            pytest.skip(
+                "COST_MODEL_VERSION changed: re-record the pinned times"
+            )
+        assert _tuned_times() == golden["times"]
 
 
 class TestMemoizedCostModel:
@@ -218,3 +258,13 @@ class TestBaselineMode:
         cost = tuner._factory(Cluster(1))
         assert type(cost.engine) is Engine
         assert cost.memoize
+
+
+if __name__ == "__main__":
+    with open(GOLDEN_TIMES, "w") as f:
+        json.dump(
+            {"cost_model_version": COST_MODEL_VERSION,
+             "times": _tuned_times()},
+            f, indent=1, sort_keys=True,
+        )
+        f.write("\n")

@@ -32,13 +32,13 @@ the incremental search returns the same plans and the same times.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.topology import Cluster
-from repro.core import dfg, ops
+from repro.core import ops
 from repro.core.program import Program
-from repro.core.tensor import Const, Expr
+from repro.core.tensor import Expr
 from repro.core.transforms import (
     A2ASplitHierarchical,
     AllReduceFuse,
@@ -132,9 +132,6 @@ class Autotuner:
     def __init__(
         self,
         cluster: Cluster,
-        cost_model_factory: Optional[
-            Callable[[Cluster], ProgramCostModel]
-        ] = None,
         max_depth: int = 4,
         prune: bool = True,
         metrics=None,
@@ -150,7 +147,6 @@ class Autotuner:
         #: that makes a tune reusable across processes
         self.schedule_cache = schedule_cache
         self.prune = prune
-        self._factory = cost_model_factory or ProgramCostModel
         self.max_depth = max_depth
 
     # -- move application --------------------------------------------------
@@ -294,8 +290,7 @@ class Autotuner:
         plan, so are their whole subtrees. Sharing the digest with the
         artifact layer means an on-disk artifact's ``structural_hash``
         *is* the tuner's dedup key for that schedule, which is what lets
-        a persistent schedule cache (ROADMAP item 2) be keyed by
-        artifact hash.
+        a persistent schedule cache be keyed by artifact hash.
         """
         from repro.core import artifact
 
@@ -395,7 +390,7 @@ class Autotuner:
         Each child schedule is a cheap fork of its parent with one
         extra move applied.
         """
-        cost = self._factory(self.cluster)
+        cost = ProgramCostModel(self.cluster)
         candidates: List[Candidate] = []
         best_time = float("inf")
 
@@ -446,7 +441,7 @@ class Autotuner:
                     if len(script) < self.max_depth:
                         next_level.append((child, script))
             level = next_level
-        if metrics is not None and hasattr(cost, "memo_stats"):
+        if metrics is not None:
             for name, value in cost.memo_stats().items():
                 metrics.set(f"cost_model.{name}", value)
         return candidates

@@ -11,13 +11,13 @@ protocols and all channels from 2 to 64", §6.1.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.cluster.topology import Cluster
 from repro.core.process_group import ProcessGroup
 from repro.nccl.cost_model import Algorithm, collective_time
 from repro.nccl.protocol import ALL_PROTOCOLS, Protocol
-from repro.nccl.ring import Ring, build_ring
+from repro.nccl.ring import build_ring
 
 #: Channel counts NCCL (and the autotuner) considers.
 CHANNEL_CHOICES = (2, 4, 8, 16, 24, 32, 48, 64)
@@ -38,11 +38,7 @@ class CollectiveConfig:
         )
 
 
-def candidate_configs(
-    kind: str,
-    protocols: Sequence[Protocol] = ALL_PROTOCOLS,
-    channels: Sequence[int] = CHANNEL_CHOICES,
-) -> Tuple[CollectiveConfig, ...]:
+def candidate_configs(kind: str) -> Tuple[CollectiveConfig, ...]:
     """All configurations valid for a collective kind."""
     algos = [Algorithm.RING]
     if kind in ("allreduce", "broadcast", "reduce"):
@@ -50,8 +46,8 @@ def candidate_configs(
     return tuple(
         CollectiveConfig(a, p, c)
         for a in algos
-        for p in protocols
-        for c in channels
+        for p in ALL_PROTOCOLS
+        for c in CHANNEL_CHOICES
     )
 
 
@@ -60,15 +56,13 @@ def choose_config(
     nbytes: int,
     cluster: Cluster,
     group: ProcessGroup,
-    protocols: Sequence[Protocol] = ALL_PROTOCOLS,
-    channels: Sequence[int] = CHANNEL_CHOICES,
     node_size: "int | None" = None,
 ) -> Tuple[CollectiveConfig, float]:
     """Best (config, time) for one collective call, NCCL-style."""
     ring = build_ring(cluster, group)
     best: Optional[CollectiveConfig] = None
     best_time = float("inf")
-    for cfg in candidate_configs(kind, protocols, channels):
+    for cfg in candidate_configs(kind):
         t = collective_time(
             kind, nbytes, cluster, ring, cfg.protocol, cfg.channels,
             cfg.algorithm, node_size=node_size,

@@ -17,15 +17,17 @@ the numeric executor interprets and the code generator emits:
   for every AllGather beyond the one their RS..AG ring covers.
 
 This model is the autotuner's objective function and the basis of every
-benchmark figure.
+benchmark figure. Its prices depend only on the cluster and on module
+constants (the NCCL protocol × channel sweep, the ``kernel_cost``
+parameter sets), so one model instance prices each distinct kernel,
+collective sweep and ring once, in one memo table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.cluster.gpu import GPU, TESLA_V100
 from repro.cluster.topology import Cluster
 from repro.core import ops
 from repro.core.lower import (
@@ -44,7 +46,7 @@ from repro.core.transforms.schedule import Schedule
 from repro.errors import CoCoNetError
 from repro.nccl.config import CHANNEL_CHOICES, choose_config
 from repro.nccl.cost_model import Algorithm, collective_time, p2p_time
-from repro.nccl.protocol import ALL_PROTOCOLS, Protocol
+from repro.nccl.protocol import ALL_PROTOCOLS
 from repro.nccl.ring import build_ring
 from repro.perf import kernel_cost
 from repro.perf.engine import Engine, Task, Timeline
@@ -95,50 +97,30 @@ class CostEvaluation:
 class ProgramCostModel:
     """Estimate execution time of scheduled programs on a cluster.
 
-    With ``memoize`` on (the default), the protocol × channel × algorithm
-    sweep behind every collective is cached per
-    ``(collective kind, bytes, group, node_size)`` — the protocols and
-    channel sets are fixed per model instance, so the key pins the whole
-    search space of the sweep. The autotuner constructs one model per
-    tune, paying each distinct collective configuration once instead of
-    once per candidate schedule.
+    Prices come from the cluster's GPU, every NCCL protocol in
+    ``ALL_PROTOCOLS`` × every channel count in ``CHANNEL_CHOICES``, and
+    the ``kernel_cost`` parameter sets. All of them are fixed, so every
+    price is a pure function of its key, and the model keeps one memo
+    table (:meth:`_memo`) over kernels, collective sweeps, latencies and
+    rings. The autotuner constructs one model per tune, paying each
+    distinct kernel and collective configuration once instead of once
+    per candidate schedule. ``engine`` substitutes the discrete-event
+    engine (the tests pass their O(n²) reference engine).
     """
 
     def __init__(
         self,
         cluster: Cluster,
-        gpu: Optional[GPU] = None,
-        protocols: Sequence[Protocol] = ALL_PROTOCOLS,
-        channels: Sequence[int] = CHANNEL_CHOICES,
-        elementwise_params: kernel_cost.CostParams = kernel_cost.DEFAULT,
-        fused_compute_params: kernel_cost.CostParams = (
-            kernel_cost.FUSED_REGISTER_PRESSURE
-        ),
         gemm_efficiency: float = 0.72,
         overlap_chunks: Optional[int] = None,
-        memoize: bool = True,
         engine: Optional[Engine] = None,
-        scattered_metadata: bool = True,
     ) -> None:
         self.cluster = cluster
-        self.gpu = gpu or cluster.node.gpu
-        self.protocols = tuple(protocols)
-        self.channels = tuple(channels)
-        self.elementwise_params = elementwise_params
-        self.fused_compute_params = fused_compute_params
+        self.gpu = cluster.node.gpu
         self.gemm_efficiency = gemm_efficiency
         self.overlap_chunks = overlap_chunks
-        self.memoize = memoize
-        #: charge the §5.4 bucket-table metadata of fused collectives
-        self.scattered_metadata = scattered_metadata
         self.engine = engine or Engine()
-        self._collective_memo: Dict[tuple, Tuple[float, float]] = {}
-        self._ring_sweep_memo: Dict[tuple, float] = {}
-        self._latency_memo: Dict[tuple, float] = {}
-        self._ring_memo: Dict[tuple, object] = {}
-        # keyed by member-expression identity; the value keeps the
-        # expression tuple alive so ids cannot be recycled under the key
-        self._kernel_memo: Dict[tuple, Tuple[KernelCost, tuple]] = {}
+        self._table: Dict[tuple, object] = {}
         self._memo_hits = 0
         self._memo_misses = 0
 
@@ -196,7 +178,7 @@ class ProgramCostModel:
         }
 
     def memo_stats(self) -> Dict[str, float]:
-        """Aggregate memo hit/miss counters across every cache."""
+        """Hit/miss counters of the memo table."""
         total = self._memo_hits + self._memo_misses
         return {
             "memo_hits": float(self._memo_hits),
@@ -205,6 +187,15 @@ class ProgramCostModel:
         }
 
     # -- internals ------------------------------------------------------
+
+    def _memo(self, key: tuple, compute: Callable[[], object]):
+        """The value under ``key``, computed once per model instance."""
+        if key in self._table:
+            self._memo_hits += 1
+            return self._table[key]
+        self._memo_misses += 1
+        value = self._table[key] = compute()
+        return value
 
     def _lowered_of(
         self, scheduled: Union[Schedule, Program, LoweredProgram]
@@ -233,32 +224,22 @@ class ProgramCostModel:
             overlap_chunks=self.overlap_chunks,
         )
 
-    def _stream_of(self, kernel: Kernel) -> str:
-        return stream_of(kernel)
-
     def _kernel_cost_cached(self, kernel: Kernel) -> KernelCost:
         """Kernel cost memoized by member-expression identity.
 
         Expressions are immutable and shared across forked schedules,
         so a kernel over the same member objects always costs the same;
         the same collective or GEMM reappearing in many candidate plans
-        is priced once per tune.
+        is priced once per tune. The stored value keeps the expression
+        tuple alive, so no id in the key can be recycled.
         """
-        if not self.memoize:
-            return self._kernel_cost(kernel)
-        key = (kernel.kind, tuple(id(e) for e in kernel.exprs))
-        hit = self._kernel_memo.get(key)
-        if hit is not None:
-            self._memo_hits += 1
-            return hit[0]
-        self._memo_misses += 1
-        cost = self._kernel_cost(kernel)
-        self._kernel_memo[key] = (cost, kernel.exprs)
-        return cost
+        key = ("kernel", kernel.kind, tuple(id(e) for e in kernel.exprs))
+        return self._memo(
+            key, lambda: (self._kernel_cost(kernel), kernel.exprs)
+        )[0]
 
     def _kernel_cost(self, kernel: Kernel) -> KernelCost:
         kind = kernel.kind
-        out = kernel.output
         launch = self.gpu.kernel_launch_overhead
         if kind is KernelKind.GEMM:
             mm = kernel.exprs[0]
@@ -272,7 +253,7 @@ class ProgramCostModel:
                 itemsize=mm.dtype.itemsize,
                 efficiency=self.gemm_efficiency,
             )
-            return KernelCost(d, self._stream_of(kernel), launch)
+            return KernelCost(d, stream_of(kernel), launch)
         if kind is KernelKind.CONV:
             conv = kernel.exprs[0]
             n, k, ho, wo = conv.shape
@@ -286,29 +267,31 @@ class ProgramCostModel:
                 itemsize=conv.dtype.itemsize,
                 efficiency=self.gemm_efficiency,
             )
-            return KernelCost(d, self._stream_of(kernel), launch)
+            return KernelCost(d, stream_of(kernel), launch)
         if kind is KernelKind.ELEMENTWISE:
             e = kernel.exprs[0]
             if isinstance(e, ops.Slice):
-                return KernelCost(0.0, self._stream_of(kernel), 0.0)
+                return KernelCost(0.0, stream_of(kernel), 0.0)
             traffic = self._compute_traffic([e])
             d = kernel_cost.pointwise_time(
-                traffic, self.gpu, self.elementwise_params
+                traffic, self.gpu, kernel_cost.DEFAULT
             )
             d += self._cross_rank_reduction_cost([e])
-            return KernelCost(d, self._stream_of(kernel), launch)
+            return KernelCost(d, stream_of(kernel), launch)
         if kind is KernelKind.FUSED_ELEMENTWISE:
             traffic = self._compute_traffic(kernel.exprs)
             d = kernel_cost.pointwise_time(
-                traffic, self.gpu, self.fused_compute_params
+                traffic, self.gpu, kernel_cost.FUSED_REGISTER_PRESSURE
             )
             d += self._cross_rank_reduction_cost(kernel.exprs)
-            return KernelCost(d, self._stream_of(kernel), launch)
+            return KernelCost(d, stream_of(kernel), launch)
         if kind is KernelKind.COLLECTIVE:
             comm = kernel.exprs[0]
             t, head = self._collective_cost(comm)
             return KernelCost(
-                t + launch, self._fabric_of(comm), head + launch
+                t + launch,
+                fabric_of(comm, self.cluster.node.gpus_per_node),
+                head + launch,
             )
         if kind is KernelKind.FUSED_COLLECTIVE:
             return self._fused_collective_cost(kernel)
@@ -361,88 +344,67 @@ class ProgramCostModel:
         extra = 0.0
         for e in exprs:
             if isinstance(e, (ops.Norm, ops.ReduceTensor)) and e.crosses_ranks:
-                key = ("xrank", e.group.start, e.group.size)
-                cached = self._latency_memo.get(key)
-                if cached is None:
-                    cached = collective_time(
-                        "allreduce", 8, self.cluster, self._ring(e.group),
-                        self.protocols[0], 2, Algorithm.TREE,
+                group = e.group
+                extra += self._memo(
+                    ("xrank", group.start, group.size),
+                    lambda: collective_time(
+                        "allreduce", 8, self.cluster, self._ring(group),
+                        ALL_PROTOCOLS[0], 2, Algorithm.TREE,
                         include_setup=False,
-                    )
-                    if self.memoize:
-                        self._latency_memo[key] = cached
-                extra += cached
+                    ),
+                )
             elif isinstance(e, (ops.Norm, ops.ReduceTensor)):
                 # a full reduction is an extra pass over the data
                 extra += e.inputs[0].per_rank_bytes() / self.gpu.hbm_bandwidth
         return extra
 
-    def _fabric_of(self, comm: Expr) -> str:
-        # single-sourced with the lowering's resource assignment
-        return fabric_of(comm, self.cluster.node.gpus_per_node)
-
     # -- memoized collective sweeps -------------------------------------
 
     def _ring(self, group):
         """Per-group ring topology, built once per model instance."""
-        key = (group.start, group.size)
-        ring = self._ring_memo.get(key)
-        if ring is None:
-            self._memo_misses += 1
-            ring = build_ring(self.cluster, group)
-            if self.memoize:
-                self._ring_memo[key] = ring
-        else:
-            self._memo_hits += 1
-        return ring
+        return self._memo(
+            ("ring", group.start, group.size),
+            lambda: build_ring(self.cluster, group),
+        )
 
     def _ring_min_time(
         self, kind: str, nbytes: int, group, node_size
     ) -> float:
         """Cheapest ring-algorithm time over all protocols × channels."""
-        key = (kind, nbytes, group.start, group.size, node_size)
-        cached = self._ring_sweep_memo.get(key)
-        if cached is not None:
-            self._memo_hits += 1
-            return cached
-        self._memo_misses += 1
-        ring = self._ring(group)
-        best = min(
-            collective_time(
-                kind, nbytes, self.cluster, ring, p, c, Algorithm.RING,
-                node_size=node_size,
+        def sweep() -> float:
+            ring = self._ring(group)
+            return min(
+                collective_time(
+                    kind, nbytes, self.cluster, ring, p, c,
+                    Algorithm.RING, node_size=node_size,
+                )
+                for p in ALL_PROTOCOLS
+                for c in CHANNEL_CHOICES
             )
-            for p in self.protocols
-            for c in self.channels
+
+        return self._memo(
+            ("ring_sweep", kind, nbytes, group.start, group.size, node_size),
+            sweep,
         )
-        if self.memoize:
-            self._ring_sweep_memo[key] = best
-        return best
 
     def _collective_latency(self, kind: str, group, node_size) -> float:
         """Latency + setup of the cheapest same-kind near-zero-size call."""
-        key = (kind, group.start, group.size, node_size)
-        cached = self._latency_memo.get(key)
-        if cached is not None:
-            self._memo_hits += 1
-            return cached
-        self._memo_misses += 1
-        ring = self._ring(group)
-        lat = min(
-            collective_time(
-                kind, 1, self.cluster, ring, p, c, Algorithm.RING,
-                include_setup=True, node_size=node_size,
+        def sweep() -> float:
+            ring = self._ring(group)
+            return min(
+                collective_time(
+                    kind, 1, self.cluster, ring, p, c, Algorithm.RING,
+                    include_setup=True, node_size=node_size,
+                )
+                for p in ALL_PROTOCOLS
+                for c in CHANNEL_CHOICES
             )
-            for p in self.protocols
-            for c in self.channels
-        )
-        if self.memoize:
-            self._latency_memo[key] = lat
-        return lat
 
-    def _collective_cost(
-        self, comm: Expr, ring_only: bool = False
-    ) -> Tuple[float, float]:
+        return self._memo(
+            ("latency", kind, group.start, group.size, node_size), sweep
+        )
+
+    def _collective_cost(self, comm: Expr) -> Tuple[float, float]:
         """(time, head) of a collective; head = latency + setup part."""
         kind = comm.comm_kind
         nbytes = _exchange_bytes(comm)
@@ -450,26 +412,20 @@ class ProgramCostModel:
         node_size = getattr(comm, "node_size", None)
         if group.size <= 1:
             return 0.0, 0.0
-        key = (kind, nbytes, group.start, group.size, node_size, ring_only)
-        cached = self._collective_memo.get(key)
-        if cached is not None:
-            self._memo_hits += 1
-            return cached
-        self._memo_misses += 1
-        cfg, t = choose_config(
-            kind, nbytes, self.cluster, group,
-            protocols=self.protocols, channels=self.channels,
-            node_size=node_size,
+
+        def price() -> Tuple[float, float]:
+            _, t = choose_config(
+                kind, nbytes, self.cluster, group, node_size=node_size
+            )
+            # The head (non-chunkable part) is the latency + setup of
+            # the cheapest same-kind call at near-zero size.
+            lat = self._collective_latency(kind, group, node_size)
+            return t, max(0.0, min(lat, t))
+
+        return self._memo(
+            ("collective", kind, nbytes, group.start, group.size, node_size),
+            price,
         )
-        if ring_only and cfg.algorithm is not Algorithm.RING:
-            t = self._ring_min_time(kind, nbytes, group, node_size)
-        # The head (non-chunkable part) is the latency + setup of the
-        # cheapest same-kind call at near-zero size.
-        lat = self._collective_latency(kind, group, node_size)
-        head = max(0.0, min(lat, t))
-        if self.memoize:
-            self._collective_memo[key] = (t, head)
-        return t, head
 
     def _fused_collective_cost(self, kernel: Kernel) -> KernelCost:
         """One fused collective kernel: ring exchange ∥ fused compute.
@@ -518,15 +474,14 @@ class ProgramCostModel:
             traffic = self._extra_operand_traffic(comp_ops, anchor)
         else:
             traffic = self._compute_traffic(comp_ops) if comp_ops else 0.0
-        if self.scattered_metadata:
-            # §5.4: the fused kernel addresses scattered tensors through
-            # a bucket table of 12 · ⌈N / 2^10⌉ bytes, read during the
-            # exchange — extra HBM traffic on the compute side
-            pack = fused_pack_info(kernel)
-            if pack is not None:
-                traffic += pack.metadata_bytes
+        # §5.4: the fused kernel addresses scattered tensors through a
+        # bucket table of 12 · ⌈N / 2^10⌉ bytes, read during the
+        # exchange — extra HBM traffic on the compute side
+        pack = fused_pack_info(kernel)
+        if pack is not None:
+            traffic += pack.metadata_bytes
         compute_time = kernel_cost.pointwise_time(
-            traffic, self.gpu, self.fused_compute_params,
+            traffic, self.gpu, kernel_cost.FUSED_REGISTER_PRESSURE,
             include_launch=False,
         ) if traffic else 0.0
         compute_time += self._cross_rank_reduction_cost(comp_ops)
@@ -534,7 +489,11 @@ class ProgramCostModel:
         duration = max(comm_time, compute_time) + launch
         lat = self._collective_latency(kind, group, node_size)
         head = min(duration, lat + launch)
-        return KernelCost(duration, self._fabric_of(anchor), head)
+        return KernelCost(
+            duration,
+            fabric_of(anchor, self.cluster.node.gpus_per_node),
+            head,
+        )
 
     def _p2p_cost(self, kernel: Kernel) -> KernelCost:
         send = next(e for e in kernel.exprs if isinstance(e, ops.Send))
@@ -555,7 +514,7 @@ class ProgramCostModel:
         if comp_ops:
             traffic = self._compute_traffic(comp_ops)
             ct = kernel_cost.pointwise_time(
-                traffic, self.gpu, self.fused_compute_params,
+                traffic, self.gpu, kernel_cost.FUSED_REGISTER_PRESSURE,
                 include_launch=False,
             )
             t = max(t, ct)

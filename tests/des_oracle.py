@@ -1,4 +1,4 @@
-"""Ready-scan DES oracle for the property tests.
+"""Ready-scan DES oracle and unmemoized cost model for the property tests.
 
 :class:`ReferenceEngine` is the original O(n²) list scheduler: on every
 step it scans all pending tasks and starts the one that can begin
@@ -6,14 +6,20 @@ earliest, first in input order on ties. :class:`repro.perf.engine.Engine`
 replaces the scan with a heap; the tests check that both produce
 bit-identical timelines. The oracle reuses ``Engine._validate`` and
 ``Engine._duration``, so ``slowdown=`` stretches tasks the same way.
+
+:class:`UnmemoizedCostModel` is :class:`ProgramCostModel` with its one
+memo table switched off: every kernel, sweep and ring is priced afresh
+on every lookup. The tuner tests check that the memoized model returns
+the very same floats.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from repro.errors import CoCoNetError
 from repro.perf.engine import Engine, Task, Timeline
+from repro.perf.program_cost import ProgramCostModel
 
 
 class ReferenceEngine(Engine):
@@ -49,3 +55,10 @@ class ReferenceEngine(Engine):
             resource_free[t.resource] = end
             scheduled.add(t.name)
         return timeline
+
+
+class UnmemoizedCostModel(ProgramCostModel):
+    """A :class:`ProgramCostModel` that recomputes every memo lookup."""
+
+    def _memo(self, key: tuple, compute: Callable[[], object]):
+        return compute()

@@ -2,6 +2,7 @@
 and the examples use must be exported where documented."""
 
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -133,3 +134,33 @@ class TestWorkloadsSurface:
             "PyTorchDDPStrategy", "ZeROStrategy", "CoCoNetStrategy",
         ):
             assert hasattr(b, name), name
+
+
+class TestCostModelKnobs:
+    """The cost model, the tuner and the NCCL config search take only
+    the options some caller sets; protocols, channels, GPU and kernel
+    parameters are module constants, not knobs."""
+
+    @staticmethod
+    def _params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    def test_program_cost_model_parameters(self):
+        from repro.perf import ProgramCostModel
+
+        assert self._params(ProgramCostModel) == [
+            "cluster", "gemm_efficiency", "overlap_chunks", "engine",
+        ]
+
+    def test_autotuner_takes_no_cost_model_factory(self):
+        from repro.core.autotuner import Autotuner
+
+        assert "cost_model_factory" not in self._params(Autotuner)
+
+    def test_nccl_config_search_takes_no_protocols_or_channels(self):
+        from repro.nccl.config import candidate_configs, choose_config
+
+        for fn in (choose_config, candidate_configs):
+            params = self._params(fn)
+            assert "protocols" not in params, fn.__name__
+            assert "channels" not in params, fn.__name__

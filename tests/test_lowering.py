@@ -381,13 +381,16 @@ class TestCostFromLowering:
         assert pack.num_buckets == 4
         assert pack.metadata_bytes == 48
 
-    def test_scattered_metadata_is_costed(self):
+    def test_scattered_metadata_is_costed(self, monkeypatch):
         # the bucket table is read by the fused kernel: with the §5.4
         # metadata charged, the fused collective can only get slower —
         # and strictly slower once the kernel is compute-bound (a slow
         # fused-compute parameterization makes the extra HBM traffic
         # observable rather than hidden under the exchange time)
-        from repro.perf.kernel_cost import CostParams
+        from repro.perf import kernel_cost, program_cost
+
+        def no_metadata(m):
+            m.setattr(program_cost, "fused_pack_info", lambda kernel: None)
 
         wl = AdamWorkload.build(2**22, 64, grad_dtype=FP32)
         sched = wl.schedule_fused()
@@ -395,20 +398,20 @@ class TestCostFromLowering:
             k for k in sched.plan().kernels
             if k.kind is KernelKind.FUSED_COLLECTIVE
         )
-        slow = CostParams(peak_fraction=0.0005)
-        with_meta = ProgramCostModel(
-            Cluster(4), fused_compute_params=slow
-        )._kernel_cost(kernel)
-        without = ProgramCostModel(
-            Cluster(4), fused_compute_params=slow,
-            scattered_metadata=False,
-        )._kernel_cost(kernel)
+        with monkeypatch.context() as m:
+            m.setattr(
+                kernel_cost, "FUSED_REGISTER_PRESSURE",
+                kernel_cost.CostParams(peak_fraction=0.0005),
+            )
+            with_meta = ProgramCostModel(Cluster(4))._kernel_cost(kernel)
+            no_metadata(m)
+            without = ProgramCostModel(Cluster(4))._kernel_cost(kernel)
         assert with_meta.duration > without.duration
         # default parameters: never cheaper with the metadata charged
         t_on = ProgramCostModel(Cluster(4)).time(sched)
-        t_off = ProgramCostModel(
-            Cluster(4), scattered_metadata=False
-        ).time(sched)
+        with monkeypatch.context() as m:
+            no_metadata(m)
+            t_off = ProgramCostModel(Cluster(4)).time(sched)
         assert t_on >= t_off
 
 

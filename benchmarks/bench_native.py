@@ -1,8 +1,9 @@
 """Native compiled kernels vs the Python SPMD interpreter.
 
 ``CodeGenerator(target="native")`` renders each lowered kernel's
-elementwise chain into one fused C loop (GEMMs stay the device
-library's ``dev.gemm``, as on every tier) and binds the compiled
+elementwise chain into one fused C loop (the GEMMs of a numpy-plane
+module, such as MoE's, stay the device library's ``dev.gemm``; a
+pointer module's call numpy's own ``sgemm`` from C) and binds the compiled
 library into the same per-rank OS processes the
 ``spmd`` target uses — same :mod:`repro.runtime.spmd` communicator,
 same ChunkLoop overlap orchestrator, only the per-rank compute swapped.

@@ -9,9 +9,10 @@ the generated per-rank modules call it: :func:`binary`,
 :func:`conv2d`, plus :func:`slice_of` and the counter-based
 :func:`dropout_mask`. Each computes in float64 where the op does
 arithmetic and rounds once to the expression dtype, so the tiers agree
-bit for bit by construction. The native target's C loop
+bit for bit by construction. The native target's C
 (:mod:`repro.core.codegen.native`) re-states :func:`binary` and
-:func:`unary` for the ops it compiles and is held to them bit for bit;
+:func:`unary` for the ops it compiles, and on the pointer data plane
+:func:`dropout` and :func:`gemm` too, and is held to them bit for bit;
 its kernels bind through
 :func:`repro.runtime.rank.open_kernels`, which imports no numpy.
 """
@@ -107,7 +108,10 @@ def gemm(a: np.ndarray, b: np.ndarray, dtype) -> np.ndarray:
     FP16 operands are upcast to FP32, numpy's BLAS multiplies, and the
     product is rounded once to ``dtype``: a V100 tensor-core GEMM's
     FP16 inputs with FP32 accumulation. numpy's half loop has no BLAS
-    path. The interpreter and both generated targets call this.
+    path. The interpreter and both generated targets call this, except
+    a pointer module (native target, no numpy in the rank): its C
+    makes the same ``sgemm`` calls on the same library
+    (``NativeEmitter._emit_gemm``).
     """
     a, b = (
         x.astype(np.float32) if x.dtype == np.float16 else x for x in (a, b)

@@ -13,10 +13,11 @@ are rendezvous calls on the rank's
 fused collectives evaluate their operations in program order on this
 rank's slice; lowered :class:`~repro.core.lower.ChunkLoop` instructions
 become chunk orchestrators with a producer stream thread (Section 5.3).
-A native module whose kernels are all C or whole collectives is a
-*pointer* module instead: it binds addresses, not arrays, and its
-ranks run :class:`~repro.runtime.rank.PointerCommunicator` without
-numpy, as CoCoNet's kernels run on device pointers.
+A native module whose kernels are all C (GEMMs calling numpy's own
+``sgemm`` included) or whole collectives is a *pointer* module instead:
+it binds addresses, not arrays, and its ranks run
+:class:`~repro.runtime.rank.PointerCommunicator` without numpy, as
+CoCoNet's kernels and library calls run on device pointers.
 """
 
 from __future__ import annotations
@@ -166,12 +167,13 @@ class CodeGenerator:
     non-C-able operations are unchanged Python, so every program stays
     bit-identical to the interpreter.
 
-    A native program whose every kernel is C loops, dim-0 slice copies
-    and whole ReduceScatters, AllGathers and AllReduces
-    (:meth:`_pointer_ready`; the tuned Adam at any world size) gets a
-    *pointer* module instead: values are addresses, its 0-d prologue
-    and its folds are C too, and its ranks never import numpy
-    (``GeneratedSpmdProgram.plane``).
+    A native program whose every kernel is C loops, plain GEMMs, dim-0
+    slice copies and whole ReduceScatters, AllGathers and AllReduces
+    (:meth:`_pointer_ready`; the tuned Adam at any world size, the
+    tuned attention) gets a *pointer* module instead: values are
+    addresses, its 0-d prologue, Dropouts, folds and GEMMs are C too
+    (the GEMMs call numpy's own ``sgemm``), and its ranks never import
+    numpy (``GeneratedSpmdProgram.plane``).
     """
 
     def __init__(self, target: str = "spmd") -> None:
@@ -279,12 +281,16 @@ class CodeGenerator:
     def _pointer_ready(self, lowered: LoweredProgram) -> bool:
         """Whether the native module can run on the pointer data plane.
 
-        Every kernel must be C loops (0-d ones included), dim-0 slice
-        copies, or whole dim-0 ReduceScatters, AllGathers and
-        AllReduces that fold by a C helper; no GEMM, Dropout, AllToAll,
-        P2P, chunk loop or cross-rank norm. Every Update and gathered
-        writeback must be stored where its target lives, and a constant
-        may only feed a C loop.
+        Every kernel must be C loops (0-d ones included, and a Dropout
+        that is whole or sliced on dim 0), GEMMs that numpy runs as
+        plain ``sgemm`` calls (``NativeEmitter._gemm_able``: FP16 or
+        FP32 operands, A of rank 2 or 3, B of rank 2, no vector or
+        ``syrk`` case, a BLAS found), dim-0 slice copies, or whole dim-0
+        ReduceScatters, AllGathers and AllReduces that fold by a C
+        helper; no other GEMM, no convolution, AllToAll, P2P, chunk loop
+        or cross-rank norm. Every Update and gathered writeback must be
+        stored where its target lives, and a constant may only feed a C
+        loop. Everything else runs on the numpy plane.
         """
         from repro.core.codegen.native import FOLDS
 
@@ -295,6 +301,7 @@ class CodeGenerator:
             if k.kind not in (
                 KernelKind.ELEMENTWISE, KernelKind.FUSED_ELEMENTWISE,
                 KernelKind.COLLECTIVE, KernelKind.FUSED_COLLECTIVE,
+                KernelKind.GEMM,
             ):
                 return False
             for e in k.exprs:
@@ -316,6 +323,8 @@ class CodeGenerator:
                     ok = _dim0(e.layout.dim, e)
                 elif isinstance(e, ops.Update):
                     ok = nat._c_able(e) and self._update_region(e) is not None
+                elif isinstance(e, ops.MatMul):
+                    ok = nat._gemm_able(e)
                 else:
                     ok = nat._c_able(e)
                 if not ok:

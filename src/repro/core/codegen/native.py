@@ -3,7 +3,8 @@
 The SPMD backend executes generated *Python* per rank, so the
 interpreter is the hot path: every elementwise op pays a float64
 temporary and a full memory pass. This module renders the elementwise
-parts of a :class:`~repro.core.lower.LoweredProgram` kernel to C —
+parts of a :class:`~repro.core.lower.LoweredProgram` kernel (and, in a
+pointer module, its GEMMs) to C —
 maximal runs fused into a *single* loop per segment — compiles them
 with ``cc`` into one shared object per module, and memoizes the
 objects in an on-disk content-addressed kernel cache (tinygrad's
@@ -29,7 +30,7 @@ single-step rounding numpy's ``astype(np.float16)`` does — so
 elementwise-only programs are **bit-identical** to ``run_lowered``.
 
 A pointer module (:class:`NativeEmitter` with ``pointer`` set, whose
-ranks run without numpy) adds two kinds of C, held to the same
+ranks run without numpy) adds four kinds of C, held to the same
 contract:
 
 * **The 0-d prologue.** Rank-invariant scalars such as Adam's
@@ -49,23 +50,44 @@ contract:
   then ``astype``; with two NaN operands the fold keeps the first one's
   bits, as x86 and numpy's operand order do
   (``repro_nan_first``).
+* **Dropout**, one more loop op (``repro_dropout``): SplitMix64 of the
+  element's global index (the rank's dim-0 offset, a scalar, plus the
+  loop's) xor the seed's key, kept where ``(double)u64 * 2^-64 >= p``,
+  then ``x * (keep ? 1/(1-p) : 0.0)`` rounded once: the operations of
+  :func:`repro.runtime.rng.uniform` and
+  :func:`repro.core.codegen.device.dropout`.
+* **The GEMM** (:meth:`NativeEmitter._emit_gemm`), restating
+  :func:`repro.core.codegen.device.gemm`: FP16 operands upcast to float
+  exactly (``repro_h2d``, NaN payloads kept), then numpy's own
+  ``sgemm`` from the library numpy loaded (:func:`blas`), called as
+  numpy calls it: RowMajor, NoTrans, once per leading batch, with
+  numpy's leading dimensions. The float product is rounded once
+  (``repro_d2h((double)f)``: widening is exact). Like the paper's
+  generated code, which leaves GEMMs to the vendor library, no second
+  BLAS is bound. Every other GEMM (a numpy module's) stays the
+  interpreter's own call, ``device.gemm``.
 
-GEMMs are not compiled: like the paper's generated code, which leaves
-them to the vendor library, a MatMul stays the interpreter's own
-library call, :func:`repro.core.codegen.device.gemm` (FP16 operands
-upcast to FP32, one rounding of the product), so GEMM programs are
-bit-identical too.
+NaN payloads: numpy's casts to float16 keep a NaN's top ten payload
+bits, forced nonzero, and so does ``repro_d2h``. With two NaN operands
+of different payloads, numpy itself keeps the first operand's in whole
+SIMD vectors and the second one's in a long array's tail (so its own
+tiers may disagree): such a result is one operand's NaN, quieted, and
+no tier promises which.
 
 Kernel cache
 ------------
 ``~/.cache/repro/kernels/<sha256>.so`` (override with
 ``$REPRO_KERNEL_CACHE``), keyed by SHA-256 over the C source plus the
-compiler identity and flags. The source depends only on the program's
-fused structure: a loop's trip count travels as its first scalar,
-``S[0]``, and functions are named by position (``s0``, ``s1``, …), so
-there is one object per fused structure. A schedule at another size
+compiler identity and flags (and the BLAS a GEMM calls). The source
+depends only on the program's fused structure: a loop's trip count
+travels as its first scalar, ``S[0]``, a GEMM's shape and a Dropout's
+offset, seed and probability as scalars too, and functions are named
+by position (``s0``, ``s1``, …), so there is one object per fused
+structure. A schedule at another size
 or world size (an elastic recovery's smaller world), or a tuner
-candidate that fuses alike, is a memo or disk hit. Writes are
+candidate that fuses alike, is a memo or disk hit. A compile splits
+the functions into up to one translation unit per CPU, compiled in
+parallel and linked into the one object. Writes are
 concurrent-safe through :mod:`repro.store` — processes compiling the
 same source wait behind one ``flock`` and the object is installed via
 atomic ``os.replace`` — and stale/corrupt entries (unloadable, or
@@ -76,13 +98,19 @@ hears of every compile, so a traced run shows the stall.
 
 Only a launching process resolves kernels (:func:`load_kernels`). It
 sends its rank processes the object's ``(key, path, functions)``, and
-each rank opens that object with :func:`repro.runtime.rank.open_kernels`,
-which imports no numpy: a rank imports none of this module and never
-compiles.
+each rank opens that object with
+:func:`repro.runtime.rank.open_kernels`, which imports no numpy: a rank
+imports none of this module and never compiles. A source with a GEMM
+adds the ``(path, sgemm symbol)`` of the BLAS the launcher resolved,
+which also joins the cache key. numpy loads its BLAS ``RTLD_LOCAL``,
+so the kernel object does not link it: the rank opens it by path and
+passes the symbol's address to the GEMM in ``A``.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import os
 import re
@@ -96,10 +124,12 @@ import numpy as np
 
 from repro import store
 from repro.core import ops
+from repro.core.layout import normalize_dim
 from repro.core.tensor import Const, Expr
 from repro.errors import CodegenError
 from repro.observe.metrics import MetricsRegistry
 from repro.runtime.rank import CompiledKernels, open_kernels
+from repro.runtime.rng import seed_key
 
 __all__ = [
     "available",
@@ -201,6 +231,45 @@ def toolchain_report() -> Dict[str, object]:
     }
 
 
+#: the cblas ``sgemm`` symbols numpy's BLAS may export, with the bits of
+#: their integer arguments: scipy-openblas (numpy's wheels), then a
+#: system OpenBLAS in its ILP64 and LP64 builds
+_SGEMM_SYMBOLS = (
+    ("scipy_cblas_sgemm64_", 64), ("cblas_sgemm64_", 64),
+    ("scipy_cblas_sgemm", 32), ("cblas_sgemm", 32),
+)
+
+
+@functools.lru_cache(maxsize=1)
+def blas() -> Optional[Tuple[str, str, int]]:
+    """The BLAS numpy loaded, as ``(path, sgemm symbol, int bits)``.
+
+    The library is the one this process mapped when numpy imported
+    (``/proc/self/maps``), probed for the cblas ``sgemm`` symbols numpy
+    calls; resolved once per process. ``None`` where no mapped library
+    exports one, or there is no ``/proc``: GEMM programs then stay on
+    the numpy data plane.
+    """
+    try:
+        with open("/proc/self/maps") as f:
+            rows = [line.split(maxsplit=5) for line in f]
+    except OSError:
+        return None
+    paths = dict.fromkeys(
+        r[5].strip() for r in rows
+        if len(r) == 6 and "blas" in os.path.basename(r[5]).lower()
+    )
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)  # numpy's handle: no second load
+        except OSError:
+            continue
+        for symbol, bits in _SGEMM_SYMBOLS:
+            if hasattr(lib, symbol):
+                return path, symbol, bits
+    return None
+
+
 # ---------------------------------------------------------------------------
 # C prelude: half conversions and op helpers.
 # ---------------------------------------------------------------------------
@@ -253,7 +322,7 @@ static inline double repro_h2d(uint16_t h) {
  * significand (implicit bit included, a carry bumps the exponent). */
 static inline uint16_t repro_d2h(double d) {
     uint64_t bits, magic_bits, sum_bits;
-    uint32_t hs, hi, lo, h, m;
+    uint32_t hs, hi, lo, h, m, p;
     int32_t e, be;
     double magic, sum;
     memcpy(&bits, &d, 8);
@@ -273,8 +342,11 @@ static inline uint16_t repro_d2h(double d) {
     m = -(uint32_t)(e >= 1039);             /* |d| >= 2^16 or nan: inf */
     h = (h & ~m) | (0x7c00u & m);
     /* nan: |d|'s bits above inf's, i.e. hi > 0x7ff00000 or hi equal
-     * and lo nonzero (folded into hi's low bit, which inf's lacks) */
-    h |= 0x0200u & -(uint32_t)((int32_t)(hi | (lo != 0u)) > 0x7ff00000);
+     * and lo nonzero (folded into hi's low bit, which inf's lacks).
+     * numpy keeps the payload's top ten bits, forced nonzero */
+    m = -(uint32_t)((int32_t)(hi | (lo != 0u)) > 0x7ff00000);
+    p = (hi >> 10) & 0x3ffu;
+    h |= (p | (uint32_t)(p == 0u)) & m;
     return (uint16_t)(((hs >> 16) & 0x8000u) | h);
 }
 
@@ -302,6 +374,44 @@ static inline double repro_hmin(double a, double b) {
 #: libm's ``pow``, appended only to sources that call it (a pointer
 #: module's 0-d prologue)
 POW = "\n#define pow __builtin_pow\n"
+
+#: appended to sources with a Dropout: :func:`repro.runtime.rng.uniform`
+#: then :func:`repro.core.codegen.device.dropout` on one element
+DROPOUT = r"""
+/* SplitMix64 of the element's global index xor the seed's key;
+ * (double)u64 * 2^-64 >= p keeps x * 1/(1-p), else x * 0.0. The select
+ * is a mask, not a `?:` */
+static inline double repro_dropout(
+        double x, uint64_t index, uint64_t key, double p, double scale) {
+    uint64_t z = (index ^ key) + 0x9e3779b97f4a7c15ull, keep, bits;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    z ^= z >> 31;
+    keep = -(uint64_t)((double)z * 0x1p-64 >= p);
+    memcpy(&bits, &scale, 8);
+    bits &= keep;
+    memcpy(&scale, &bits, 8);
+    return x * scale;
+}
+"""
+
+#: appended to sources with a GEMM, ``{bits}`` the BLAS's integer width:
+#: the type of numpy's cblas ``sgemm``, whose address the module passes
+#: in ``A`` (:attr:`~repro.runtime.rank.CompiledKernels.sgemm`)
+BLAS = r"""
+/* the GEMM's conversion loops are a sliver of its run time, and worth
+ * less than the vectorizer's share of a cold compile */
+#if defined(__GNUC__) && !defined(__clang__)
+#define REPRO_SCALAR __attribute__((optimize("no-tree-vectorize")))
+#else
+#define REPRO_SCALAR
+#endif
+
+typedef int{bits}_t repro_blasint;
+typedef void (*repro_sgemm_t)(int, int, int, repro_blasint, repro_blasint,
+    repro_blasint, float, const float*, repro_blasint, const float*,
+    repro_blasint, float, float*, repro_blasint);
+"""
 
 #: appended to sources with fold helpers. With two NaN operands, x86
 #: returns the first, quieted; numpy's fold keeps its operands' order,
@@ -333,8 +443,20 @@ static inline double repro_nan_first(double a, double r) {
 _MEMO: Dict[str, CompiledKernels] = {}
 
 
+def _blas_of(c_source: str) -> Optional[Tuple[str, str]]:
+    """The ``(path, sgemm symbol)`` of the BLAS ``c_source`` calls, or
+    ``None`` when it calls none."""
+    if "repro_sgemm_t" not in c_source:
+        return None
+    found = blas()
+    if found is None:
+        raise CodegenError("kernel source calls a BLAS, and none was found")
+    return found[:2]
+
+
 def source_key(c_source: str) -> str:
-    """SHA-256 over the C source plus the compiler identity and flags."""
+    """SHA-256 over the C source plus the compiler identity and flags,
+    and the identity of the BLAS it calls, if any."""
     cc = _find_cc() or ""
     h = hashlib.sha256()
     h.update(c_source.encode())
@@ -342,14 +464,51 @@ def source_key(c_source: str) -> str:
     h.update(cc.encode())
     h.update(_cc_version(cc).encode() if cc else b"")
     h.update(" ".join(_CFLAGS).encode())
+    linked = _blas_of(c_source)
+    if linked is not None:
+        h.update(repr(linked).encode())
     return h.hexdigest()
+
+
+#: where a source's next function definition starts (its attribute
+#: line included)
+_DEFINITION = re.compile(
+    r"^(?:REPRO_SCALAR\n)?void \w+\(char\*\* A, double\* S\)", re.M
+)
+
+
+def _units(c_source: str, jobs: int) -> List[str]:
+    """``c_source`` as at most ``jobs`` translation units of about equal
+    work: each is the shared prelude (types and ``static inline``
+    helpers) and some of the functions, balanced by the loops the
+    vectorizer sees, which dominate a compile."""
+    starts = [m.start() for m in _DEFINITION.finditer(c_source)]
+    if jobs < 2 or len(starts) < 2:
+        return [c_source]
+    head = c_source[: starts[0]]
+    functions = [
+        c_source[a:b] for a, b in zip(starts, starts[1:] + [len(c_source)])
+    ]
+
+    def work(fn: str) -> int:
+        return 1 + (0 if fn.startswith("REPRO_SCALAR") else fn.count("for ("))
+
+    units: List[List[str]] = [[] for _ in range(min(jobs, len(functions)))]
+    load = [0] * len(units)
+    for fn in sorted(functions, key=work, reverse=True):
+        k = load.index(min(load))
+        units[k].append(fn)
+        load[k] += work(fn)
+    return [head + "".join(unit) for unit in units]
 
 
 def _compile(c_source: str, so_path: str) -> None:
     """Compile ``c_source`` into a temp object, then install it.
 
-    Runs inside :func:`repro.store.lock`, so concurrent processes
-    compiling the same source wait for one compile instead of racing.
+    The functions compile as up to one translation unit per CPU, in
+    parallel, then link into one object. Runs inside
+    :func:`repro.store.lock`, so concurrent processes compiling the same
+    source wait for one compile instead of racing.
     """
     cc = _find_cc()
     if cc is None:
@@ -357,20 +516,38 @@ def _compile(c_source: str, so_path: str) -> None:
             "native codegen target needs a C compiler (cc/gcc/clang) on "
             "PATH — none found"
         )
+    flags = [f for f in _CFLAGS if f != "-shared"]
 
     def build(tmp_so: str) -> None:
-        with tempfile.NamedTemporaryFile(
-            "w", suffix=".c", dir=os.path.dirname(so_path)
-        ) as c_file:
-            c_file.write(c_source)
-            c_file.flush()
-            proc = subprocess.run(
-                [cc, *_CFLAGS, "-o", tmp_so, c_file.name, "-lm"],
-                capture_output=True, text=True, timeout=300,
-            )
-        if proc.returncode != 0:
+        with tempfile.TemporaryDirectory(dir=os.path.dirname(so_path)) as tmp:
+            objects, procs = [], []
+            for k, unit in enumerate(_units(c_source, os.cpu_count() or 1)):
+                c_file = os.path.join(tmp, f"u{k}.c")
+                with open(c_file, "w") as f:
+                    f.write(unit)
+                objects.append(os.path.join(tmp, f"u{k}.o"))
+                procs.append(subprocess.Popen(
+                    [cc, *flags, "-c", "-o", objects[-1], c_file],
+                    stderr=subprocess.PIPE, text=True,
+                ))
+            try:
+                stderr = [p.communicate(timeout=300)[1] for p in procs]
+                failed = [e for p, e in zip(procs, stderr) if p.returncode]
+            finally:
+                for p in procs:
+                    if p.poll() is None:
+                        p.kill()
+                        p.wait()
+            if not failed:
+                link = subprocess.run(
+                    [cc, "-shared", "-o", tmp_so, *objects, "-lm"],
+                    capture_output=True, text=True, timeout=300,
+                )
+                failed = [link.stderr] if link.returncode else []
+        if failed:
             raise CodegenError(
-                f"kernel compilation failed ({cc}):\n{proc.stderr[-4000:]}"
+                f"kernel compilation failed ({cc}):\n"
+                + "".join(failed)[-4000:]
             )
 
     store.install(so_path, build)
@@ -397,12 +574,13 @@ def load_kernels(c_source: str, observer=None) -> CompiledKernels:
         metrics.inc("native.cache.memo_hits")
         return memo
     functions = _FUNCTION.findall(c_source)
+    linked = _blas_of(c_source)
     t0 = time.perf_counter()
     with store.lock(so_path):
         compiled = None
         status = "compile"
         if os.path.exists(so_path):
-            compiled = open_kernels(key, so_path, functions)
+            compiled = open_kernels(key, so_path, functions, linked)
             if compiled is None:
                 # stale/corrupt entry: drop it and recompile below
                 metrics.inc("native.cache.recompiles")
@@ -410,7 +588,7 @@ def load_kernels(c_source: str, observer=None) -> CompiledKernels:
                 store.discard(so_path)
         if compiled is None:
             _compile(c_source, so_path)
-            compiled = open_kernels(key, so_path, functions)
+            compiled = open_kernels(key, so_path, functions, linked)
             if compiled is None:  # pragma: no cover - defensive
                 raise CodegenError(
                     f"compiled kernel at {so_path} is unloadable"
@@ -570,6 +748,9 @@ class NativeEmitter:
         self.pointer = False
         self._half_minmax = False
         self._pow = False
+        self._dropout = False
+        #: the BLAS integer width, once a GEMM is emitted
+        self._blas_bits: Optional[int] = None
         self._consumers: Dict[int, List[Expr]] = {}
         for k in lowered.plan.kernels:
             for e in k.exprs:
@@ -583,6 +764,11 @@ class NativeEmitter:
         prelude = (
             PRELUDE + (HALF_MINMAX if self._half_minmax else "")
             + (POW if self._pow else "")
+            + (DROPOUT if self._dropout else "")
+            + (
+                BLAS.replace("{bits}", str(self._blas_bits))
+                if self._blas_bits else ""
+            )
             + (FOLD_NAN if self.helpers else "")
             + "".join(self.helpers[k] for k in sorted(self.helpers))
         )
@@ -620,6 +806,14 @@ class NativeEmitter:
             # take the value (else a Python write copies it there)
             if e.per_rank_shape() != e.inputs[0].per_rank_shape():
                 return False
+        elif isinstance(e, ops.Dropout):
+            # a mask element's key is its global index: this rank's
+            # offset plus the loop's, so the slice must be whole rows
+            if not self.pointer or (
+                e.layout.is_sliced
+                and normalize_dim(e.layout.dim, len(e.shape)) != 0
+            ):
+                return False
         elif not isinstance(e, ops.Cast):
             return False
         if _cdt(e.dtype) is None:
@@ -636,6 +830,33 @@ class NativeEmitter:
             if not _suffix_ok(xs, oshape):
                 return False
         return True
+
+    def _gemm_able(self, e: Expr) -> bool:
+        """Whether MatMul ``e`` is one that numpy runs as plain ``sgemm``
+        calls, one per leading batch, so a pointer module's C can make
+        the same calls (:meth:`_emit_gemm`).
+
+        Its operands are FP16 or FP32 (numpy multiplies float32 upcasts)
+        and distinct buffers (numpy calls ``syrk`` on one buffer times
+        its transpose); A has rank 2 or 3 and B rank 2, both contiguous
+        on the pointer plane; no dimension is 1, where numpy calls
+        ``gemv`` or a dot instead; and a BLAS was found (:func:`blas`).
+        """
+        a, b = e.inputs
+        found = blas()
+        if (
+            not self.pointer or found is None
+            or isinstance(a, Const) or isinstance(b, Const) or a is b
+            or _cdt(e.dtype) is None
+            or any(_cdt(x.dtype) not in ("float16", "float32") for x in (a, b))
+        ):
+            return False
+        ashape = a.per_rank_shape()
+        dims = (*ashape, b.per_rank_shape()[1])
+        return (
+            len(ashape) in (2, 3) and min(dims) > 1
+            and max(dims) < 2 ** (found[2] - 1)
+        )
 
     def _escapes(self, e: Expr, run_ids: set) -> bool:
         if id(e) in self._output_ids or isinstance(e, ops.Update):
@@ -673,7 +894,9 @@ class NativeEmitter:
         ]
         runs: List[Tuple[str, List[Expr], int]] = []
         for e in exprs:
-            if self._c_able(e):
+            if isinstance(e, ops.MatMul) and self._gemm_able(e):
+                runs.append(("gemm", [e], 0))
+            elif self._c_able(e):
                 n = _prod(e.per_rank_shape())
                 if runs and runs[-1][0] == "c" and runs[-1][2] == n:
                     runs[-1][1].append(e)
@@ -688,6 +911,8 @@ class NativeEmitter:
             if kind == "py":
                 for e in group:
                     gen._emit_op(em, e)
+            elif kind == "gemm":
+                self._emit_gemm(em, group[0])
             else:
                 self._emit_c_run(gen, em, group, n)
 
@@ -700,6 +925,80 @@ class NativeEmitter:
             return f"repro_{op}"
         self._half_minmax = True
         return f"repro_h{op}"
+
+    def _emit_gemm(self, em, e: Expr) -> None:
+        """MatMul ``e`` as C function ``s<k>``, restating
+        :func:`repro.core.codegen.device.gemm` on numpy's own BLAS.
+
+        FP16 operands are upcast to float (``repro_h2d``, exact) into
+        scratch from ``comm.alloc``; an sNaN comes out quiet, as the
+        product's first arithmetic would make it. Then come numpy's
+        own calls: one RowMajor, NoTrans ``sgemm`` per leading batch,
+        with its leading dimensions (one call over the flattened batches
+        may block the sums differently). The float product is rounded
+        once to the output dtype. ``S`` is ``(batches, m, n, k)``; ``A``
+        is A, B, the ``sgemm`` address, the scratch, then the output.
+        """
+        self._blas_bits = blas()[2]
+        a, b = e.inputs
+        ashape = a.per_rank_shape()
+        m, k = ashape[-2:]
+        n = b.per_rank_shape()[1]
+        batches = _prod(ashape[:-2])
+        dt = _cdt(e.dtype)
+        fn = f"s{len(self.functions)}"
+        lines = [
+            "REPRO_SCALAR",
+            f"void {fn}(char** A, double* S) {{",
+            "    const long long batches = (long long)S[0];",
+            "    const long long m = (long long)S[1];",
+            "    const long long n = (long long)S[2];",
+            "    const long long k = (long long)S[3];",
+            "    const repro_sgemm_t sgemm = (repro_sgemm_t)(void*)A[2];",
+        ]
+        scratch: List[int] = []  # bytes of A[3], A[4], ...
+        operands = ((a, "batches * m * k"), (b, "k * n"))
+        for j, (x, count) in enumerate(operands):
+            v = "ab"[j]
+            if _cdt(x.dtype) == "float32":
+                lines.append(f"    const float* f{v} = (const float*)A[{j}];")
+                continue
+            lines += [
+                f"    const uint16_t* {v} = (const uint16_t*)A[{j}];",
+                f"    float* f{v} = (float*)A[{3 + len(scratch)}];",
+                f"    for (long long i = 0; i < {count}; ++i) "
+                f"f{v}[i] = (float)repro_h2d({v}[i]);",
+            ]
+            scratch.append(4 * _prod(x.per_rank_shape()))
+        lines.append(f"    float* fc = (float*)A[{3 + len(scratch)}];")
+        if dt != "float32":  # the product in scratch, then rounded
+            scratch.append(4 * _prod(e.per_rank_shape()))
+            ct = _CTYPE[dt]
+            lines.append(f"    {ct}* o = ({ct}*)A[{3 + len(scratch)}];")
+        lines += [
+            "    for (long long j = 0; j < batches; ++j)",
+            "        sgemm(101, 111, 111, m, n, k, 1.0f, fa + j * m * k, k,",
+            "              fb, n, 0.0f, fc + j * m * n, n);",
+        ]
+        if dt != "float32":
+            rounded, stored = _rounded(dt, "v", "(double)fc[i]", False)
+            lines += [
+                "    for (long long i = 0; i < batches * m * n; ++i) {",
+                *(f"        {ln}" for ln in rounded),
+                f"        o[i] = {stored};",
+                "    }",
+            ]
+        lines.append("}")
+        self.functions.append("\n".join(lines) + "\n")
+
+        out = f"V[{e.name!r}]"
+        em.emit(f"# library GEMM call (cuBLAS analogue) from C, {fn}")
+        em.emit(f"{out} = comm.alloc({e.per_rank_bytes()})")
+        bufs = "".join(f"comm.alloc({nbytes}), " for nbytes in scratch)
+        em.emit(
+            f"_K.call({fn!r}, (V[{a.name!r}], V[{b.name!r}], _K.sgemm), "
+            f"({batches}, {m}, {n}, {k}), ({bufs}{out},))"
+        )
 
     def _emit_c_run(self, gen, em, run: List[Expr], n: int) -> None:
         """One compiled loop over ``run``.
@@ -722,6 +1021,12 @@ class NativeEmitter:
         scalar_index: Dict[str, int] = {}
         body: List[str] = []
 
+        def scalar(key: str, value: str) -> str:
+            if key not in scalar_index:
+                scalar_index[key] = len(scalars)
+                scalars.append(value)
+            return f"S[{scalar_index[key]}]"
+
         def operand(x: Expr) -> str:
             if id(x) in var_of:
                 return var_of[id(x)]
@@ -730,22 +1035,15 @@ class NativeEmitter:
                 # dtype first — the Python path materializes e.g. an
                 # FP32 0.1 as float64(float32(0.1)), not the raw double
                 val = float(np.asarray(x.value, dtype=x.dtype.to_numpy()))
-                key = f"c:{x.name}"
-                if key not in scalar_index:
-                    scalar_index[key] = len(scalars)
-                    scalars.append(repr(val))
-                return f"S[{scalar_index[key]}]"
+                return scalar(f"c:{x.name}", repr(val))
             nx = _prod(x.per_rank_shape())
             if nx == 1:
                 # 0-d value read from V, as its exact f64 upcast
-                if x.name not in scalar_index:
-                    scalar_index[x.name] = len(scalars)
-                    scalars.append(
-                        f"comm.scalar(V[{x.name!r}], "
-                        f"{_FORMAT[_cdt(x.dtype)]!r})"
-                        if self.pointer else f"float(V[{x.name!r}])"
-                    )
-                return f"S[{scalar_index[x.name]}]"
+                return scalar(x.name, (
+                    f"comm.scalar(V[{x.name!r}], "
+                    f"{_FORMAT[_cdt(x.dtype)]!r})"
+                    if self.pointer else f"float(V[{x.name!r}])"
+                ))
             if x.name not in arr_index:
                 arr_index[x.name] = len(arrays)
                 arrays.append(_Array(
@@ -767,6 +1065,26 @@ class NativeEmitter:
                     core = f"pow({a}, {b})"
                 else:
                     core = f"({a}) {e.op} ({b})"
+            elif isinstance(e, ops.Dropout):
+                self._dropout = True
+                x = operand(e.inputs[0])
+                # this rank's first global index (a dim-0 slice's rows
+                # are consecutive), then the seed's 64-bit key as two
+                # exact halves: the source does not depend on either
+                key = seed_key(e.seed)
+                first = scalar(
+                    f"first:{e.name}",
+                    f"_i * {n}" if e.layout.is_sliced else "0",
+                )
+                hi = scalar(f"hi:{e.name}", str(key >> 32))
+                lo = scalar(f"lo:{e.name}", str(key & 0xFFFFFFFF))
+                prob = scalar(f"p:{e.name}", repr(e.prob))
+                scale = scalar(f"scale:{e.name}", repr(1.0 / (1.0 - e.prob)))
+                core = (
+                    f"repro_dropout({x}, (uint64_t)(i + (long long){first}), "
+                    f"((uint64_t){hi} << 32) | (uint64_t){lo}, {prob}, "
+                    f"{scale})"
+                )
             elif isinstance(e, ops.Unary):
                 x = operand(e.inputs[0])
                 if e.op == "relu":

@@ -15,13 +15,14 @@ Two data planes subclass :class:`RankCore`; the generated module says
 which one it needs (``GeneratedSpmdProgram.plane``):
 
 * :class:`PointerCommunicator` (``"pointer"``) runs a native module
-  whose every kernel is C loops, dim-0 slice copies and whole
-  ReduceScatters, AllGathers and AllReduces, such as the tuned Adam at
-  any world size. Values are addresses; collectives copy with
+  whose every kernel is C (loops, Dropouts, GEMMs calling numpy's own
+  ``sgemm``), dim-0 slice copies and whole ReduceScatters, AllGathers
+  and AllReduces, such as the tuned Adam at any world size and the
+  tuned attention. Values are addresses; collectives copy with
   ``ctypes.memmove`` and fold with the program's own C. Such a rank
   never imports numpy.
 * :class:`~repro.runtime.spmd.SpmdCommunicator` (``"numpy"``) runs
-  every other module (GEMMs, Dropout, AllToAll, P2P, chunk loops,
+  every other module (other GEMMs, AllToAll, P2P, chunk loops,
   cross-rank norms, and the ``spmd`` target) over array views.
 
 A rank imports numpy only for the second: before its first spec, when
@@ -873,12 +874,17 @@ class CompiledKernels:
 
     def __init__(
         self, lib: ctypes.CDLL, key: str, path: str,
-        functions: Sequence[str],
+        functions: Sequence[str], blas: Optional[Tuple[str, str]] = None,
+        sgemm: int = 0,
     ) -> None:
         self._lib = lib
         self.key = key
         self.path = path
         self.functions = tuple(functions)
+        #: the ``(path, sgemm symbol)`` of the BLAS the C calls, or None
+        self.blas = blas
+        #: that ``sgemm``'s address, which a GEMM function takes in ``A``
+        self.sgemm = sgemm
         self._fns: Dict[str, object] = {}
 
     def _fn(self, name: str):
@@ -927,21 +933,30 @@ class CompiledKernels:
 
 
 def open_kernels(
-    key: str, path: str, functions: Sequence[str]
+    key: str, path: str, functions: Sequence[str],
+    blas: Optional[Tuple[str, str]] = None,
 ) -> Optional[CompiledKernels]:
     """Load ``path`` if it exports every one of ``functions``.
 
     An object that loads but lacks one is not this source's kernel (a
     stale or misplaced object): it is closed again, since ``dlopen``
     would otherwise hand its handle back for the recompiled file at the
-    same path, and counts as unloadable (``None``).
+    same path, and counts as unloadable (``None``). ``blas`` is the
+    ``(path, sgemm symbol)`` of the library its GEMMs call, numpy's own
+    (:func:`repro.core.codegen.native.blas`): it is opened too, without
+    numpy, and the symbol's address becomes
+    :attr:`CompiledKernels.sgemm`.
     """
+    sgemm = 0
     try:
+        if blas is not None:
+            fn = getattr(ctypes.CDLL(blas[0]), blas[1])
+            sgemm = ctypes.cast(fn, ctypes.c_void_p).value
         lib = ctypes.CDLL(path)
-    except OSError:
+    except (OSError, AttributeError):
         return None
     if all(hasattr(lib, name) for name in functions):
-        return CompiledKernels(lib, key, path, functions)
+        return CompiledKernels(lib, key, path, functions, blas, sgemm)
     _ctypes.dlclose(lib._handle)
     return None
 
@@ -1108,9 +1123,10 @@ def _run_body(
     ``comm`` is either data plane: a
     :class:`~repro.runtime.spmd.SpmdCommunicator` binds array views,
     a :class:`PointerCommunicator` addresses. ``kernels`` is the native
-    target's ``(key, path, functions)``: the kernel object the parent
-    resolved, bound as the module's ``_K``. Every view of the segment
-    lives in this frame, so none outlives it.
+    target's ``(key, path, functions)``, plus the BLAS its GEMMs call
+    if any: :func:`open_kernels`'s arguments for the kernel object the
+    parent resolved, bound as the module's ``_K``. Every view of
+    the segment lives in this frame, so none outlives it.
     """
     inputs = comm._bind_inputs()
     comm._populate()

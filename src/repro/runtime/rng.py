@@ -30,10 +30,14 @@ def splitmix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
+def seed_key(seed: int) -> int:
+    """The 64-bit key a seed's indices are xored with."""
+    return (seed * 0x9E3779B97F4A7C15) & (2**64 - 1)
+
+
 def uniform(seed: int, indices: np.ndarray) -> np.ndarray:
     """Uniform [0, 1) values keyed by ``(seed, index)``."""
-    seed_key = np.uint64((seed * 0x9E3779B97F4A7C15) & (2**64 - 1))
-    keyed = indices.astype(np.uint64) ^ seed_key
+    keyed = indices.astype(np.uint64) ^ np.uint64(seed_key(seed))
     return splitmix64(keyed).astype(np.float64) / _U64_MAX
 
 

@@ -91,7 +91,9 @@ keeps everything else off that path, and no array crosses a socket:
    socket buffers: layout, deadlines, the rank's view of the fault plan
    (:class:`~repro.runtime.rank.RankFaults`), whether to trace, the
    generated module's ``source`` and data plane and, on the native
-   target, the kernel object's ``(key, path, functions)``.
+   target, the kernel object's ``(key, path, functions)``, plus the
+   ``(path, sgemm symbol)`` of numpy's BLAS when a pointer module's
+   GEMM calls it (:func:`repro.core.codegen.native.blas`).
 4. Each rank ``exec``s that source (no rank loads an artifact, runs the
    code generator or compiles), opens the kernel object
    (:func:`repro.runtime.rank.open_kernels`), binds its tensors to its
@@ -1022,6 +1024,8 @@ class RankPool:
 
                 k = native.load_kernels(generated.c_source, observer=observer)
                 kernels = (k.key, k.path, k.functions)
+                if k.blas is not None:  # its GEMMs call numpy's BLAS
+                    kernels += (k.blas,)
             spec = dict(
                 layout=layout, data_fd=data_fd, flags_fd=flags_fd,
                 wire_s_per_mb=wire_s_per_mb, timeout=timeout,

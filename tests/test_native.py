@@ -15,9 +15,11 @@ Three layers of coverage:
   ``tests/golden/*.repro.json`` execute on the native backend and must
   match the lowered interpreter's SHA-256 digest exactly, and so must
   every GEMM program, FP16 included: every tier's MatMul is the device
-  library's ``dev.gemm``.
+  library's ``dev.gemm``, or on the pointer plane the C that makes
+  ``dev.gemm``'s ``sgemm`` calls, checked against it by bytes.
 """
 
+import contextlib
 import ctypes
 import hashlib
 import json
@@ -336,8 +338,8 @@ class TestTargetDispatch:
         assert "repro_d2h" not in gen.source
 
     def test_matmul_emits_no_c_function(self):
-        # a GEMM is the device library's dev.gemm on every tier: a
-        # MatMul-only program compiles nothing
+        # an FP64 GEMM is the device library's dev.gemm on every tier
+        # (the C GEMM calls sgemm): this program compiles nothing
         sched, _ = _fp64_gemm_allreduce(overlapped=False)
         gen = CodeGenerator(target="native").generate(sched)
         assert gen.c_source is None
@@ -819,6 +821,257 @@ class TestPointerPlaneNumerics:
                     assert _digest(got) == _digest(low), (step, value)
 
 
+class _InProcessRank:
+    """Just enough of :class:`~repro.runtime.rank.PointerCommunicator`
+    to run a one-rank pointer module without collectives in this
+    process: every buffer is a numpy array, kept by its address."""
+
+    rank = 0
+
+    def __init__(self) -> None:
+        self.buffers = {}
+
+    def alloc(self, nbytes):
+        buf = np.zeros(max(1, nbytes), np.uint8)
+        self.buffers[buf.ctypes.data] = buf
+        return buf.ctypes.data
+
+    def kernel_span(self, name):
+        return contextlib.nullcontext()
+
+
+def _run_pointer_module(program, inputs):
+    """The outputs of ``program``'s one-rank pointer module, run in this
+    process on the arrays ``inputs``: its C, no rank process."""
+    gen = CodeGenerator(target="native").generate(program)
+    assert gen.plane == "pointer"
+    namespace = {}
+    exec(gen.source, namespace)
+    namespace["_K"] = native.load_kernels(gen.c_source)
+    comm = _InProcessRank()
+    arrays = {k: np.ascontiguousarray(v) for k, v in inputs.items()}
+    outputs, _ = namespace["run_rank"](
+        comm, {k: a.ctypes.data for k, a in arrays.items()}
+    )
+    return {
+        o.name: comm.buffers[outputs[o.name]][: o.per_rank_bytes()]
+        .view(o.dtype.to_numpy()).reshape(o.per_rank_shape())
+        for o in program.outputs
+    }
+
+
+def _replicated(arrays):
+    """One-rank tensors named and shaped like the numpy ``arrays``."""
+    from repro.core import Replicated, Tensor, dtypes, world
+
+    dtype = {"float16": dtypes.FP16, "float32": dtypes.FP32}
+    return [
+        Tensor(dtype[a.dtype.name], a.shape, Replicated, world(1), name=n)
+        for n, a in arrays.items()
+    ]
+
+
+@needs_cc
+class TestHalfNanPayloads:
+    """numpy's float64 -> float16 cast keeps a NaN's top ten payload
+    bits (forced nonzero): so do ``repro_d2h`` and every FP16 result of
+    a C loop."""
+
+    def test_d2h_keeps_every_half_nan_payload(self, kernel_cache):
+        k = native.load_kernels(_CONV_HARNESS)
+        halves = np.arange(65536, dtype=np.uint16)
+        nans = halves[np.isnan(halves.view(np.float16))]
+        assert len(nans) == 2046
+        # and doubles whose payload lies below a half's ten bits
+        low = np.arange(1, 1 << 12, dtype=np.uint64) | np.uint64(
+            0x7FF0000000000000
+        )
+        vals = np.concatenate([
+            nans.view(np.float16).astype(np.float64),
+            low.view(np.float64),
+            (low | np.uint64(1 << 63)).view(np.float64),
+        ])
+        out = np.empty(len(vals), dtype=np.uint16)
+        k.call("conv_d2h", (vals, out), (float(len(vals)),))
+        np.testing.assert_array_equal(
+            out, vals.astype(np.float16).view(np.uint16)
+        )
+        np.testing.assert_array_equal(out[: len(nans)], nans)
+
+    def test_payload_nan_sums_and_products_are_device_binary(
+        self, kernel_cache
+    ):
+        # every FP16 NaN + and * a number, in both operand orders, is
+        # device.binary's to the byte (the loop of attention's `+ r`)
+        from repro.core import Binary, Execute
+        from repro.core.codegen import device
+
+        halves = np.arange(65536, dtype=np.uint16)
+        nans = halves[np.isnan(halves.view(np.float16))].view(np.float16)
+        one, two = (np.full(len(nans), v, np.float16) for v in (1.0, 2.0))
+        x = np.concatenate([nans, nans])
+        y = np.concatenate([one, two])
+        tx, ty = _replicated({"x": x, "y": y})
+        outs = [
+            Binary(op, *pair) for op in ("+", "*")
+            for pair in ((tx, ty), (ty, tx))
+        ]
+        got = _run_pointer_module(
+            Execute("payloads", [tx, ty], outs), {"x": x, "y": y}
+        )
+        with np.errstate(invalid="ignore"):
+            for e in outs:
+                a, b = (x, y) if e.inputs[0] is tx else (y, x)
+                want = device.binary(e.op, a, b, np.float16)
+                assert got[e.name].tobytes() == want.tobytes(), e
+
+    def test_two_payload_nans_keep_one_of_them(self, kernel_cache):
+        # with two NaN operands numpy's own choice depends on where the
+        # element falls in its SIMD loop (the first operand in whole
+        # vectors, the second in a long array's tail on AVX-512), so
+        # no tier can promise either one: each result is one operand's
+        # NaN, quieted, its ten payload bits kept
+        from repro.core import Binary, Execute
+
+        halves = np.arange(65536, dtype=np.uint16)
+        nans = halves[np.isnan(halves.view(np.float16))]
+        x, y = nans.view(np.float16), np.roll(nans, 1).view(np.float16)
+        tx, ty = _replicated({"x": x, "y": y})
+        outs = [
+            Binary(op, *pair) for op in ("+", "*")
+            for pair in ((tx, ty), (ty, tx))
+        ]
+        got = _run_pointer_module(
+            Execute("nan_pairs", [tx, ty], outs), {"x": x, "y": y}
+        )
+        quiet = [v.view(np.uint16) | np.uint16(0x0200) for v in (x, y)]
+        for e in outs:
+            bits = got[e.name].view(np.uint16)
+            assert ((bits == quiet[0]) | (bits == quiet[1])).all(), e
+
+
+def _gemm_operand(shape, dtype, seed):
+    """Random operand values: halves of a few magnitudes, or floats."""
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal(shape) * 4.0).astype(dtype)
+
+
+#: every FP16 bit pattern once, in order: the rows hold subnormals,
+#: normals up to 65504, infinities and NaN payloads (sNaNs included)
+_ALL_HALVES = np.arange(65536, dtype=np.uint16).view(np.float16)
+
+
+@needs_cc
+@pytest.mark.skipif(
+    native.blas() is None, reason="no BLAS with a known sgemm mapped"
+)
+class TestCGemm:
+    """A pointer module's GEMM, C calling numpy's own ``sgemm`` per
+    leading batch, against :func:`repro.core.codegen.device.gemm`, by
+    bytes."""
+
+    @staticmethod
+    def _check(a, b):
+        from repro.core import Execute, MatMul
+        from repro.core.codegen import device
+
+        ta, tb = _replicated({"a": a, "b": b})
+        mm = MatMul(ta, tb, name="mm")
+        got = _run_pointer_module(
+            Execute("gemm", [ta, tb], [mm]), {"a": a, "b": b}
+        )["mm"]
+        with np.errstate(all="ignore"):
+            want = device.gemm(a, b, mm.dtype.to_numpy())
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtypes", [
+        ("float16", "float16"), ("float32", "float32"),
+        ("float16", "float32"),
+    ])
+    @pytest.mark.parametrize("ashape, n", [
+        ((64, 128), 256),
+        ((4, 64, 128), 256),
+        ((3, 7, 129), 33),   # one flattened sgemm would block apart
+        ((2, 5, 1000), 7),   # K beyond OpenBLAS's blocking
+        ((17, 2000), 3),
+    ])
+    def test_shapes(self, kernel_cache, dtypes, ashape, n):
+        a = _gemm_operand(ashape, dtypes[0], 0)
+        b = _gemm_operand((ashape[-1], n), dtypes[1], 1)
+        self._check(a, b)
+
+    def test_every_half_pattern_in_a(self, kernel_cache):
+        b = _gemm_operand((128, 16), np.float16, 2)
+        self._check(_ALL_HALVES.reshape(4, 128, 128), b)
+
+    def test_every_half_pattern_in_b(self, kernel_cache):
+        a = _gemm_operand((2, 8, 256), np.float16, 3)
+        self._check(a, _ALL_HALVES.reshape(256, 256))
+
+    def test_fp32_special_values(self, kernel_cache):
+        special = np.array(
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 3.4e38, -3.4e38, 1e-45,
+             -1e-45, 1.0, -1.0, 0.5], dtype=np.float32,
+        )
+        nan = np.array([0x7F800001, 0xFFC00123], np.uint32).view(np.float32)
+        a = _gemm_operand((3, 6, 14), np.float32, 4)
+        a.reshape(-1)[: 14 * 14] = np.resize(
+            np.concatenate([special, nan]), 14 * 14
+        )
+        b = _gemm_operand((14, 14), np.float32, 5)
+        b[3] = np.resize(np.concatenate([nan, special]), 14)
+        self._check(a, b)
+
+
+def _plane(program) -> str:
+    return CodeGenerator(target="native").generate(program).plane
+
+
+class TestPointerReady:
+    """What keeps a native module on the numpy data plane: a GEMM that
+    numpy would not run as plain ``sgemm`` calls, and a Dropout sliced
+    on another dimension than 0. Each case has a control that differs
+    in that one respect and runs on the pointer plane."""
+
+    needs_blas = pytest.mark.skipif(
+        native.blas() is None, reason="no BLAS with a known sgemm mapped"
+    )
+
+    @staticmethod
+    def _matmul(ashape, bshape=None):
+        """``a @ b``, or ``a @ a`` without ``bshape``."""
+        from repro.core import (
+            FP16, Execute, MatMul, Replicated, Tensor, world,
+        )
+
+        a = b = Tensor(FP16, ashape, Replicated, world(1), name="a")
+        if bshape is not None:
+            b = Tensor(FP16, bshape, Replicated, world(1), name="b")
+        return Execute("mm", [a] if b is a else [a, b], [MatMul(a, b)])
+
+    @needs_blas
+    def test_vector_operand_keeps_numpy(self):
+        assert _plane(self._matmul((8, 16), (16, 1))) == "numpy"
+        assert _plane(self._matmul((1, 16), (16, 4))) == "numpy"
+        assert _plane(self._matmul((8, 16), (16, 4))) == "pointer"
+
+    @needs_blas
+    def test_syrk_shaped_pair_keeps_numpy(self):
+        assert _plane(self._matmul((16, 16))) == "numpy"
+        assert _plane(self._matmul((16, 16), (16, 16))) == "pointer"
+
+    @pytest.mark.parametrize("dim, plane", [(2, "numpy"), (0, "pointer")])
+    def test_dropout_sliced_on_dim(self, dim, plane):
+        from repro.core import (
+            FP16, RANK, Dropout, Execute, Sliced, Tensor, world,
+        )
+
+        x = Tensor(FP16, (4, 4, 8), Sliced(dim), world(2), RANK, name="x")
+        program = Execute("drop", [x], [Dropout(x, 0.1, seed=5)])
+        assert _plane(program) == plane
+
+
 @needs_cc
 class TestStructureKeyedKernels:
     """A kernel depends only on its program's fused structure: the
@@ -1086,6 +1339,17 @@ def _kept_program(name):
     return artifact.load(os.path.join(GOLDEN, f"{name}.repro.json"))
 
 
+def _tuned_attention(ranks):
+    """The autotuner's pick for a small attention whose batch splits
+    over ``ranks`` (dim-0 slices)."""
+    from repro.cluster import Cluster
+    from repro.core.autotuner import Autotuner
+    from repro.workloads.attention import AttentionWorkload
+
+    wl = AttentionWorkload.build(4, 8, 64, ranks)
+    return Autotuner(Cluster(1)).tune(wl.program).best.schedule
+
+
 def _kinds(result):
     """The set of ``(data plane, numpy imported)`` its ranks reported."""
     return set(result.spmd_rank_kinds.values())
@@ -1111,6 +1375,27 @@ class TestRankKinds:
         assert sorted(got.spmd_rank_kinds) == list(range(ranks))
         assert _kinds(got) == {("pointer", False)}
         low = Executor().run_lowered(sched, inputs, allow_downcast=True)
+        assert _digest(got) == _digest(low)
+
+    @pytest.mark.parametrize("ranks", [2, 4])
+    def test_tuned_attention_ranks_never_import_numpy(
+        self, kernel_cache, ranks
+    ):
+        # the GEMM calls numpy's own sgemm from C and the Dropout is a
+        # C loop: the tuned attention runs on the pointer plane
+        from repro.cli import _seeded_inputs
+
+        sched = _tuned_attention(ranks)
+        assert not sched.lowered().chunk_loops()
+        inputs = _seeded_inputs(sched.program, seed=0)
+        with Executor() as ex:
+            got = ex.run_spmd(
+                sched, inputs, allow_downcast=True,
+                codegen_target="native", timeout=60.0,
+            )
+            low = ex.run_lowered(sched, inputs, allow_downcast=True)
+        assert sorted(got.spmd_rank_kinds) == list(range(ranks))
+        assert _kinds(got) == {("pointer", False)}
         assert _digest(got) == _digest(low)
 
     def test_elastic_recovery_on_the_adopted_rank(self, kernel_cache):
@@ -1140,36 +1425,36 @@ class TestRankKinds:
     def test_pointer_rank_imports_no_dataclasses(self, kernel_cache):
         # a fault plan reaches the rank as its plain-data view, and the
         # module builds no ProcessGroup: neither module, nor typing or
-        # dataclasses, is imported
+        # dataclasses, is imported; by the Adam and the attention ranks
         from repro.cli import _seeded_inputs
         from repro.runtime.spmd import RankPool
         from repro.workloads.adam import AdamWorkload
 
-        sched = _tuned(AdamWorkload)
-        gen = CodeGenerator(target="native").generate(sched)
         never = {
             "numpy", "typing", "dataclasses", "repro.runtime.faults",
             "repro.core.process_group",
         }
-        source = gen.source.replace(
-            "    return outputs, states\n",
-            "    import sys\n"
-            f"    assert not set(sys.modules) & {never!r}\n"
-            "    return outputs, states\n",
-            1,
-        )
-        assert source != gen.source
-        gen.source = source
         with RankPool() as pool:
-            got = pool.launch(
-                gen, _seeded_inputs(sched.program, seed=0),
-                allow_downcast=True, timeout=60.0,
-                fault_plan=FaultPlan(seed=1).stall_publish("g", 0.0),
-            )
-        assert _kinds(got) == {("pointer", False)}
+            for sched in (_tuned(AdamWorkload), _tuned_attention(2)):
+                gen = CodeGenerator(target="native").generate(sched)
+                source = gen.source.replace(
+                    "    return outputs, states\n",
+                    "    import sys\n"
+                    f"    assert not set(sys.modules) & {never!r}\n"
+                    "    return outputs, states\n",
+                    1,
+                )
+                assert source != gen.source
+                gen.source = source
+                got = pool.launch(
+                    gen, _seeded_inputs(sched.program, seed=0),
+                    allow_downcast=True, timeout=60.0,
+                    fault_plan=FaultPlan(seed=1).stall_publish("g", 0.0),
+                )
+                assert _kinds(got) == {("pointer", False)}
 
     @pytest.mark.parametrize("name", [
-        "attention", "moe_overlapped", "lamb", "adam_spmd",
+        "moe_overlapped", "lamb", "adam_spmd",
     ])
     def test_other_modules_import_numpy(self, kernel_cache, name):
         from repro.cli import _seeded_inputs
@@ -1281,7 +1566,9 @@ def _gcc():
 
 @pytest.mark.skipif(_gcc() is None, reason="needs gcc's -fopt-info")
 class TestLoopsVectorize:
-    """Every loop the native target emits vectorizes at ``_CFLAGS``.
+    """Every loop of the optimizers' and MoE's kernels vectorizes at
+    ``_CFLAGS``. (A GEMM's conversion loops are scalar by choice, and a
+    Dropout's 64-bit multiplies have no SSE2 vector form.)
 
     One ``?:`` select on a floating-point result in the half
     conversions makes gcc leave a loop scalar, at half its speed, while

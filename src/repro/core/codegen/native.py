@@ -85,9 +85,10 @@ offset, seed and probability as scalars too, and functions are named
 by position (``s0``, ``s1``, …), so there is one object per fused
 structure. A schedule at another size
 or world size (an elastic recovery's smaller world), or a tuner
-candidate that fuses alike, is a memo or disk hit. A compile splits
-the functions into up to one translation unit per CPU, compiled in
-parallel and linked into the one object. Writes are
+candidate that fuses alike, is a memo or disk hit. A launch that
+waits on the compile (a pointer module's) splits the functions into up
+to one translation unit per CPU, compiled in parallel and linked into
+the one object. Writes are
 concurrent-safe through :mod:`repro.store` — processes compiling the
 same source wait behind one ``flock`` and the object is installed via
 atomic ``os.replace`` — and stale/corrupt entries (unloadable, or
@@ -502,10 +503,10 @@ def _units(c_source: str, jobs: int) -> List[str]:
     return [head + "".join(unit) for unit in units]
 
 
-def _compile(c_source: str, so_path: str) -> None:
+def _compile(c_source: str, so_path: str, jobs: int) -> None:
     """Compile ``c_source`` into a temp object, then install it.
 
-    The functions compile as up to one translation unit per CPU, in
+    The functions compile as up to ``jobs`` translation units, in
     parallel, then link into one object. Runs inside
     :func:`repro.store.lock`, so concurrent processes compiling the same
     source wait for one compile instead of racing.
@@ -521,7 +522,7 @@ def _compile(c_source: str, so_path: str) -> None:
     def build(tmp_so: str) -> None:
         with tempfile.TemporaryDirectory(dir=os.path.dirname(so_path)) as tmp:
             objects, procs = [], []
-            for k, unit in enumerate(_units(c_source, os.cpu_count() or 1)):
+            for k, unit in enumerate(_units(c_source, jobs)):
                 c_file = os.path.join(tmp, f"u{k}.c")
                 with open(c_file, "w") as f:
                     f.write(unit)
@@ -557,7 +558,9 @@ def _compile(c_source: str, so_path: str) -> None:
 _FUNCTION = re.compile(r"^void (\w+)\(char\*\* A, double\* S\)", re.M)
 
 
-def load_kernels(c_source: str, observer=None) -> CompiledKernels:
+def load_kernels(
+    c_source: str, observer=None, parallel: bool = False
+) -> CompiledKernels:
     """Resolve C source to a loaded shared object via the kernel cache.
 
     In-process memo first (while its file exists), then
@@ -566,6 +569,10 @@ def load_kernels(c_source: str, observer=None) -> CompiledKernels:
     ``record_compile(name, seconds, status)`` (a
     :class:`~repro.observe.events.Tracer`): it hears of a compile,
     ``status`` ``"compile"`` or ``"recompile"``, and of no cache hit.
+    ``parallel`` compiles up to one translation unit per CPU: for a
+    launch that waits on the compile, as a pointer module's does (its
+    ranks start in tens of milliseconds), where a numpy rank's import
+    would hide one unit's compile and extra units only contend with it.
     """
     key = source_key(c_source)
     so_path = os.path.join(cache_dir(), f"{key}.so")
@@ -587,7 +594,9 @@ def load_kernels(c_source: str, observer=None) -> CompiledKernels:
                 status = "recompile"
                 store.discard(so_path)
         if compiled is None:
-            _compile(c_source, so_path)
+            _compile(
+                c_source, so_path, (os.cpu_count() or 1) if parallel else 1
+            )
             compiled = open_kernels(key, so_path, functions, linked)
             if compiled is None:  # pragma: no cover - defensive
                 raise CodegenError(

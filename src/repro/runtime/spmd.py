@@ -1022,7 +1022,10 @@ class RankPool:
             if generated.c_source:
                 from repro.core.codegen import native
 
-                k = native.load_kernels(generated.c_source, observer=observer)
+                k = native.load_kernels(
+                    generated.c_source, observer=observer,
+                    parallel=generated.plane == "pointer",
+                )
                 kernels = (k.key, k.path, k.functions)
                 if k.blas is not None:  # its GEMMs call numpy's BLAS
                     kernels += (k.blas,)

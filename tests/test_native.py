@@ -1763,9 +1763,9 @@ class TestParentCompile:
         # slower than every rendezvous deadline still succeeds
         compile_ = native._compile
 
-        def slow(c_source, so_path):
+        def slow(*args):
             time.sleep(2.0)
-            compile_(c_source, so_path)
+            compile_(*args)
 
         monkeypatch.setattr(native, "_compile", slow)
         sched, inputs = self._adam()

@@ -951,7 +951,7 @@ class TestHalfNanPayloads:
 
 
 def _gemm_operand(shape, dtype, seed):
-    """Random operand values: halves of a few magnitudes, or floats."""
+    """Normal random values of scale 4, of ``dtype``."""
     rng = np.random.default_rng(seed)
     return (rng.standard_normal(shape) * 4.0).astype(dtype)
 

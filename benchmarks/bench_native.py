@@ -2,8 +2,8 @@
 
 ``CodeGenerator(target="native")`` renders each lowered kernel's
 elementwise chain into one fused C loop (the GEMMs of a numpy-plane
-module, such as MoE's, stay the device library's ``dev.gemm``; a
-pointer module's call numpy's own ``sgemm`` from C) and binds the compiled
+module stay the device library's ``dev.gemm``; a pointer module's,
+such as MoE's, call numpy's own ``sgemm`` from C) and binds the compiled
 library into the same per-rank OS processes the
 ``spmd`` target uses — same :mod:`repro.runtime.spmd` communicator,
 same ChunkLoop overlap orchestrator, only the per-rank compute swapped.
@@ -15,8 +15,10 @@ workloads:
   megabytes per rank, where the Python interpreter pays one float64
   numpy pass per expression and the C loop pays one fused pass total.
 * **moe** — the overlapped GShard MoE schedule (Figure 10 family):
-  AllToAll + FP16 expert GEMMs under the ring chunk loop. Both arms run
-  the same ``dev.gemm``, so only the elementwise epilogue differs.
+  AllToAll + FP16 expert GEMMs in a tiled chunk loop. Both arms' GEMMs
+  are one ``sgemm`` per batch of numpy's BLAS (``dev.gemm``, or the
+  pointer module's C calling it), so mostly the elementwise epilogue
+  and the AllToAll copies differ.
 
 Outputs and tensor states of both configs must be **bit-identical** to
 ``Executor.run_lowered``.
@@ -273,7 +275,8 @@ def run(args, repeats: int, cache: str) -> None:
     warm_compiles = sum(
         e["warm_compiles"] for e in report["configs"].values()
     )
-    # MoE's ratio is recorded, ungated: both arms run the same GEMMs
+    # MoE's ratio is recorded, ungated: both arms' GEMMs are numpy's
+    # sgemm
     speedup = report["configs"]["adam_ar_opt"]["speedup"]
     report["correct"] = correct_all
     report["warm_compiles"] = warm_compiles

@@ -12,10 +12,12 @@ are rendezvous calls on the rank's
 :class:`~repro.runtime.spmd.SpmdCommunicator` (the NCCL analogue);
 fused collectives evaluate their operations in program order on this
 rank's slice; lowered :class:`~repro.core.lower.ChunkLoop` instructions
-become chunk orchestrators with a producer stream thread (Section 5.3).
+become chunk orchestrators: a ring GEMM overlap with a producer stream
+thread (Section 5.3), a tiled one calling its members in order.
 A native module whose kernels are all C (GEMMs calling numpy's own
-``sgemm`` included) or whole collectives is a *pointer* module instead:
-it binds addresses, not arrays, and its ranks run
+``sgemm`` included), whole collectives or dim-0 AllToAlls, in tiled
+chunk loops or none, is a *pointer* module instead: it binds addresses,
+not arrays, and its ranks run
 :class:`~repro.runtime.rank.PointerCommunicator` without numpy, as
 CoCoNet's kernels and library calls run on device pointers.
 """
@@ -168,12 +170,14 @@ class CodeGenerator:
     bit-identical to the interpreter.
 
     A native program whose every kernel is C loops, plain GEMMs, dim-0
-    slice copies and whole ReduceScatters, AllGathers and AllReduces
-    (:meth:`_pointer_ready`; the tuned Adam at any world size, the
-    tuned attention) gets a *pointer* module instead: values are
-    addresses, its 0-d prologue, Dropouts, folds and GEMMs are C too
-    (the GEMMs call numpy's own ``sgemm``), and its ranks never import
-    numpy (``GeneratedSpmdProgram.plane``).
+    slice copies, whole ReduceScatters, AllGathers and AllReduces and
+    dim-0 AllToAlls, with no ring GEMM overlap (:meth:`_pointer_ready`;
+    the tuned Adam at any world size, the tuned attention, every MoE
+    schedule) gets a *pointer* module instead: values are addresses, its
+    0-d prologue, Dropouts, folds and GEMMs are C too (the GEMMs call
+    numpy's own ``sgemm``), an AllToAll copies by a move table built
+    here, and its ranks never import numpy
+    (``GeneratedSpmdProgram.plane``).
     """
 
     def __init__(self, target: str = "spmd") -> None:
@@ -285,17 +289,20 @@ class CodeGenerator:
         that is whole or sliced on dim 0), GEMMs that numpy runs as
         plain ``sgemm`` calls (``NativeEmitter._gemm_able``: FP16 or
         FP32 operands, A of rank 2 or 3, B of rank 2, no vector or
-        ``syrk`` case, a BLAS found), dim-0 slice copies, or whole dim-0
+        ``syrk`` case, a BLAS found), dim-0 slice copies, whole dim-0
         ReduceScatters, AllGathers and AllReduces that fold by a C
-        helper; no other GEMM, no convolution, AllToAll, P2P, chunk loop
-        or cross-rank norm. Every Update and gathered writeback must be
-        stored where its target lives, and a constant may only feed a C
-        loop. Everything else runs on the numpy plane.
+        helper, or AllToAlls (flat or one hierarchical phase) exchanging
+        dim 0; no other GEMM, no convolution, P2P, cross-rank norm or
+        ring GEMM overlap (:func:`_ring_overlap`, whose producer stream
+        publishes chunks); a tiled chunk loop only calls its members.
+        Every Update and gathered writeback must be stored where its
+        target lives, and a constant may only feed a C loop. Everything
+        else runs on the numpy plane.
         """
         from repro.core.codegen.native import FOLDS
 
         nat = self._nat
-        if any(isinstance(i, ChunkLoop) for i in lowered.instructions):
+        if any(map(_ring_overlap, lowered.chunk_loops())):
             return False
         for k in lowered.plan.kernels:
             if k.kind not in (
@@ -314,6 +321,8 @@ class CodeGenerator:
                     ok = e.reduction in FOLDS and _dim0(e.layout.dim, e)
                 elif isinstance(e, ops.AllReduce):
                     ok = e.reduction in FOLDS
+                elif isinstance(e, (ops.AllToAll, ops.AllToAllPhase)):
+                    ok = e.dim == 0
                 elif isinstance(e, ops.AllGather):
                     ok = e.dim == 0 and (
                         e.writeback is None
@@ -696,13 +705,30 @@ class CodeGenerator:
     ) -> str:
         """A pointer module's call for collective ``e``: its operand's
         address and per-rank bytes, and for a fold, the C helper, the
-        result's element count and bytes."""
+        result's element count and bytes; for an AllToAll, this rank's
+        row of the move table
+        (:func:`~repro.runtime.collectives.alltoall_moves`)."""
         g = f"RANKS_{self._gname(e.group)}"
         x = e.inputs[0]
         head = f"V[{x.name!r}], {g}, {x.per_rank_bytes()}"
         if isinstance(e, ops.AllGather):
             out = f", out={region}" if region is not None else ""
             return f"comm.allgather({head}{out})"
+        if isinstance(e, (ops.AllToAll, ops.AllToAllPhase)):
+            from repro.runtime.collectives import alltoall_moves
+
+            # one row of (source rank, source chunk, destination chunk)
+            # per local rank, in global ranks
+            g0 = e.group.start
+            phase = (getattr(e, "phase", None), getattr(e, "node_size", None))
+            moves = tuple(
+                tuple(
+                    (g0 + p, s, d)
+                    for p, s, d in alltoall_moves(e.group, i, *phase)
+                )
+                for i in range(e.group.size)
+            )
+            return f"comm.alltoall({head}, {moves!r}[comm.rank - {g0}])"
         fold = self._nat.fold(e.reduction, x.dtype, e.dtype)
         call = (
             "reducescatter" if isinstance(e, ops.ReduceScatter)
@@ -797,7 +823,7 @@ class CodeGenerator:
         em.indent += 1
         names = ", ".join(k.name for k in kernels)
         em.emit(f'"""Fine-grained overlap of: {names} (§5.3)."""')
-        if loop.ring and loop.entries[0].bounds is not None:
+        if _ring_overlap(loop):
             self._emit_gemm_overlap(em, loop)
         else:
             self._emit_tiled_overlap(em, loop)
@@ -970,6 +996,12 @@ class CodeGenerator:
         em.emit("return outputs, states")
         em.indent -= 1
         em.emit()
+
+
+def _ring_overlap(loop: ChunkLoop) -> bool:
+    """Whether ``loop`` is the GEMM→collective ring overlap, whose
+    producer stream the pointer plane cannot run."""
+    return loop.ring and loop.entries[0].bounds is not None
 
 
 def _dim0(dim: int, e: Expr) -> bool:

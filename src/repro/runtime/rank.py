@@ -16,14 +16,15 @@ which one it needs (``GeneratedSpmdProgram.plane``):
 
 * :class:`PointerCommunicator` (``"pointer"``) runs a native module
   whose every kernel is C (loops, Dropouts, GEMMs calling numpy's own
-  ``sgemm``), dim-0 slice copies and whole ReduceScatters, AllGathers
-  and AllReduces, such as the tuned Adam at any world size and the
-  tuned attention. Values are addresses; collectives copy with
-  ``ctypes.memmove`` and fold with the program's own C. Such a rank
-  never imports numpy.
+  ``sgemm``), dim-0 slice copies, whole ReduceScatters, AllGathers and
+  AllReduces and dim-0 AllToAlls, in tiled chunk loops or none, such as
+  the tuned Adam at any world size, the tuned attention and the MoE.
+  Values are addresses; collectives copy with ``ctypes.memmove`` and
+  fold with the program's own C. Such a rank never imports numpy.
 * :class:`~repro.runtime.spmd.SpmdCommunicator` (``"numpy"``) runs
-  every other module (other GEMMs, AllToAll, P2P, chunk loops,
-  cross-rank norms, and the ``spmd`` target) over array views.
+  every other module (other GEMMs, convolutions, P2P, the ring GEMM
+  overlap, cross-rank norms, collectives on other dims, and the
+  ``spmd`` target) over array views.
 
 A rank imports numpy only for the second: before its first spec, when
 the launcher started it for a numpy module (``sys.argv[2]``), else once
@@ -133,6 +134,9 @@ _DIE_EXIT_CODE = 86
 #: ``madvise`` advice that faults a range in writable (Linux 5.14; not
 #: every Python's ``mmap`` module names it)
 _MADV_POPULATE_WRITE = 23
+#: buffers of a huge page or more ask for transparent huge pages, as
+#: numpy's arrays do from 4 MiB: one fault then maps 2 MiB, not 4 KiB
+_HUGE_BYTES = 1 << 21
 
 
 class SpmdError(ExecutionError):
@@ -972,7 +976,8 @@ class PointerCommunicator(RankCore):
     program's own C helper, ``fold_<op>_<in>_<out>``, a rank-order
     float64 fold rounded once: exactly
     :func:`~repro.runtime.collectives.fold_ranks` then ``astype``. An
-    AllGather copies each peer's slot into its row. The protocol,
+    AllGather copies each peer's slot into its row, an AllToAll one
+    dim-0 chunk per move of the table the module passes. The protocol,
     waits, faults and trace records are :class:`RankCore`'s, the ones
     the numpy data plane runs.
     """
@@ -989,8 +994,19 @@ class PointerCommunicator(RankCore):
 
     def alloc(self, nbytes: int) -> int:
         """The address of a new zeroed ``nbytes`` buffer, kept until
-        :meth:`close`."""
-        buf = (ctypes.c_char * max(1, nbytes))()
+        :meth:`close`; from :data:`_HUGE_BYTES` up, a private mapping
+        advised to use huge pages."""
+        if nbytes < _HUGE_BYTES:
+            buf = (ctypes.c_char * max(1, nbytes))()
+        else:
+            m = mmap.mmap(
+                -1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+            )
+            try:
+                m.madvise(mmap.MADV_HUGEPAGE)
+            except (AttributeError, OSError):  # no THP: plain pages
+                pass
+            buf = ctypes.c_char.from_buffer(m)
         self._buffers.append(buf)
         return ctypes.addressof(buf)
 
@@ -1074,6 +1090,25 @@ class PointerCommunicator(RankCore):
         self._drain(
             pub, ranks,
             lambda c, j: ctypes.memmove(out + j * nbytes, slots[j], nbytes),
+        )
+        return out
+
+    def alltoall(
+        self, x: int, ranks: Sequence[int], nbytes: int,
+        moves: Sequence[Tuple[int, int, int]],
+    ) -> int:
+        """The numpy plane's ``alltoall`` on dim 0 of the ranks'
+        ``nbytes`` at ``x``: for each move ``(p, s, d)``, in order,
+        chunk ``s`` (of ``len(ranks)``) of global rank ``p``'s slot is
+        copied into chunk ``d`` of this rank's result."""
+        pub = self._publish(ranks, x, nbytes)
+        out = self.alloc(nbytes)
+        step = nbytes // len(ranks)
+        srcs = [self._slot(pub.key, p) + s * step for p, s, _ in moves]
+        dsts = [out + d * step for _, _, d in moves]
+        self._drain(
+            pub, [p for p, _, _ in moves],
+            lambda c, j: ctypes.memmove(dsts[j], srcs[j], step),
         )
         return out
 

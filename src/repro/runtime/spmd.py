@@ -12,7 +12,7 @@ process executes the same generated SPMD module (``CodeGenerator`` with
 flags segment, the spin, the publication protocol, faults, the trace
 ring, the spec and report) is :mod:`repro.runtime.rank`, which imports
 no numpy, and so is the pointer data plane, which a native module runs
-on when every kernel is C or a whole collective
+on when every kernel is C, a whole collective or a dim-0 AllToAll
 (:class:`~repro.runtime.rank.PointerCommunicator`: its ranks never
 import numpy). This module is the numpy data plane, which runs every
 other module, and the launcher.

@@ -6,11 +6,15 @@ direct collective calls through them without paying a process start
 per example (see ``tests/test_spmd_collectives.py``). Workers are
 started the way ``repro.runtime.spmd.RankPool.launch`` starts ranks: a
 plain ``python -c`` process that inherits both segments (memfds) and its
-end of a socket pair, over which every message is one pickle.
+end of a socket pair, over which every message is one pickle. A pool
+of ``plane="pointer"`` attaches each worker to a
+:class:`~repro.runtime.rank.PointerCommunicator` instead, whose
+collectives take addresses (see :func:`pointer_alltoall`).
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import select
 import socket
@@ -21,9 +25,11 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.process_group import ProcessGroup
+from repro.runtime.collectives import alltoall_moves
 from repro.runtime.rank import (
     _ERR_FAILED,
     DEFAULT_TIMEOUT,
+    PointerCommunicator,
     SpmdError,
     SpmdLayout,
     SpmdPeerAbort,
@@ -47,14 +53,14 @@ _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def _pool_worker() -> None:
     """A worker process: ``sys.argv[1]`` is its socket's fd. The first
-    message is ``(rank, layout, data_fd, flags_fd, timeout)``; each one
-    after it is a call, answered with one reply, until ``("stop",)``."""
+    message is ``(rank, layout, data_fd, flags_fd, timeout, plane)``;
+    each one after it is a call, answered with one reply, until
+    ``("stop",)``."""
     sock = socket.socket(fileno=int(sys.argv[1]))
     stream = sock.makefile("rb")
-    rank, layout, data_fd, flags_fd, timeout = _recv(stream)
-    comm = SpmdCommunicator.attach(
-        layout, rank, data_fd, flags_fd, timeout=timeout
-    )
+    rank, layout, data_fd, flags_fd, timeout, plane = _recv(stream)
+    cls = PointerCommunicator if plane == "pointer" else SpmdCommunicator
+    comm = cls.attach(layout, rank, data_fd, flags_fd, timeout=timeout)
     try:
         while True:
             cmd = _recv(stream)
@@ -121,6 +127,27 @@ def gather_into_own_row(
     return out
 
 
+def pointer_alltoall(
+    comm: PointerCommunicator, x: np.ndarray, group: ProcessGroup,
+    phase: Optional[str] = None, node_size: Optional[int] = None,
+) -> np.ndarray:
+    """``comm.alltoall`` of ``x`` along dim 0 on the pointer plane, as a
+    pointer module calls it: the operand at an address of its own and
+    this rank's row of the move table, in global ranks."""
+    x = np.ascontiguousarray(x)
+    moves = [
+        (group.global_rank(p), s, d) for p, s, d in alltoall_moves(
+            group, group.local_rank(comm.rank), phase, node_size
+        )
+    ]
+    out = comm.alltoall(
+        comm.copy(x.ctypes.data, x.nbytes), group.ranks, x.nbytes, moves
+    )
+    return np.frombuffer(
+        ctypes.string_at(out, x.nbytes), x.dtype
+    ).reshape(x.shape)
+
+
 class CollectivePool:
     """``nranks`` persistent worker processes for direct collective calls.
 
@@ -128,7 +155,8 @@ class CollectivePool:
     receives its own row of the stacked input) and returns the per-rank
     results in rank order; a callable ``method`` is called as
     ``method(comm, *args)``. ``pairs`` adds a point-to-point site per
-    ``(src, dst)``, so ``send``/``recv`` can run on the pool.
+    ``(src, dst)``, so ``send``/``recv`` can run on the pool. ``plane``
+    is the workers' data plane, ``"numpy"`` or ``"pointer"``.
     """
 
     def __init__(
@@ -137,6 +165,7 @@ class CollectivePool:
         slot_bytes: int = 1 << 20,
         timeout: float = DEFAULT_TIMEOUT,
         pairs: Sequence[Tuple[int, int]] = (),
+        plane: str = "numpy",
     ) -> None:
         self.nranks = nranks
         self.timeout = float(timeout)
@@ -166,7 +195,7 @@ class CollectivePool:
             self._procs.append(proc)
             self._socks.append(sock)
             self._streams.append(sock.makefile("rb"))
-            _send(sock.fileno(), (r, layout, *self._fds, timeout))
+            _send(sock.fileno(), (r, layout, *self._fds, timeout, plane))
 
     def call(
         self, method: Union[str, Sequence[str]],

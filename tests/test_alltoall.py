@@ -25,7 +25,7 @@ from repro.core import (
     Unary,
     world,
 )
-from repro.core.codegen import CodeGenerator
+from repro.core.codegen import CodeGenerator, native
 from repro.core.layout import exchange_chunk_shape
 from repro.core.process_group import ProcessGroup
 from repro.core.transforms import (
@@ -54,6 +54,7 @@ from repro.runtime import Executor
 from repro.runtime.collectives import alltoall_moves
 from repro.runtime.world import slice_of
 from tests import collective_oracle as oracle
+from tests.collective_pool import CollectivePool, pointer_alltoall
 
 
 @pytest.fixture
@@ -353,27 +354,32 @@ class TestOpConstruction:
         assert "AllToAll(x, dim=0)" in prog.pretty()
 
 
-def _exchange_program(n=4, dtype=FP32):
+def _exchange_program(n=4, dtype=FP32, c_able=False):
+    """``tanh(AllToAll(x) * 0.5)``; ``c_able`` replaces the ``tanh``,
+    which has no C loop, by ``+`` with itself."""
     W = world(n)
     x = Tensor(dtype, (n * 2, 3), Local, W, RANK, name="x")
     a2a = AllToAll(x, 0, name="exchange")
     scaled = Binary("*", a2a, Const(0.5, W, dtype), name="scaled")
-    shifted = Unary("tanh", scaled, name="shifted")
+    if c_able:
+        shifted = Binary("+", scaled, scaled, name="shifted")
+    else:
+        shifted = Unary("tanh", scaled, name="shifted")
     prog = Execute("ex", [x], [shifted])
     return prog, x, a2a, scaled, shifted
 
 
-def exchange_schedules():
+def exchange_schedules(n=4, dtype=FP32, c_able=False):
     """The exchange program as library, fused and hierarchical schedules.
 
     ``tests/test_spmd.py`` runs each on real rank processes against the
     lowered interpreter.
     """
-    library = Schedule(_exchange_program()[0])
-    prog, _, a2a, scaled, shifted = _exchange_program()
+    library = Schedule(_exchange_program(n, dtype, c_able)[0])
+    prog, _, a2a, scaled, shifted = _exchange_program(n, dtype, c_able)
     fused = Schedule(prog)
     fused.fuse(*fused.reorder(a2a, scaled, shifted), policy=AllToAllFuse)
-    prog, _, a2a, _, _ = _exchange_program()
+    prog, _, a2a, _, _ = _exchange_program(n, dtype, c_able)
     hierarchical = Schedule(prog)
     hierarchical.split(a2a, A2ASplitHierarchical, node_size=2)
     return {"library": library, "fused": fused, "hierarchical": hierarchical}
@@ -722,6 +728,98 @@ class TestTransforms:
         hier = CodeGenerator().generate(schedules["hierarchical"]).source
         assert "phase='intra', node_size=" in hier
         assert "phase='inter', node_size=" in hier
+
+
+_pointer_pools = {}
+
+
+def _pointer_pool(n):
+    if n not in _pointer_pools:
+        _pointer_pools[n] = CollectivePool(
+            n, slot_bytes=1 << 21, timeout=60.0, plane="pointer"
+        )
+    return _pointer_pools[n]
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _teardown_pointer_pools():
+    yield
+    while _pointer_pools:
+        _pointer_pools.popitem()[1].close()
+
+
+def _assert_same_bytes(rows, ref):
+    for i, row in enumerate(rows):
+        assert row.dtype == ref[i].dtype
+        assert row.tobytes() == ref[i].tobytes(), i
+
+
+class TestPointerAllToAll:
+    """The pointer plane's AllToAll, ``PointerCommunicator.alltoall``:
+    dim-0 chunks copied between addresses by a move table, byte for
+    byte the per-rank oracle's, and in a pointer module the lowered
+    interpreter's."""
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32])
+    def test_flat_and_phases_match_the_oracle(self, n, dtype):
+        g = world(n)
+        x = (np.random.RandomState(n).randn(n, 2 * n, 3) * 4).astype(dtype)
+        vals = dict(enumerate(x))
+        pool = _pointer_pool(n)
+        flat = pool.call(pointer_alltoall, [(x[i], g) for i in range(n)])
+        _assert_same_bytes(flat, oracle.alltoall_reference(vals, g, 0))
+        if n == 2:
+            return
+        intra_ref = oracle.alltoall_intra_reference(vals, g, 0, 2)
+        intra = pool.call(
+            pointer_alltoall, [(x[i], g, "intra", 2) for i in range(n)]
+        )
+        _assert_same_bytes(intra, intra_ref)
+        inter = pool.call(
+            pointer_alltoall,
+            [(intra_ref[i], g, "inter", 2) for i in range(n)],
+        )
+        _assert_same_bytes(
+            inter, oracle.alltoall_inter_reference(intra_ref, g, 0, 2)
+        )
+        _assert_same_bytes(inter, flat)
+
+    def test_huge_page_buffers(self):
+        # the 2 MiB operand copy and result take alloc's huge-page path
+        g = world(2)
+        x = np.random.RandomState(0).randn(2, 4, 1 << 17).astype(np.float32)
+        rows = _pointer_pool(2).call(
+            pointer_alltoall, [(x[i], g) for i in range(2)]
+        )
+        ref = oracle.alltoall_reference(dict(enumerate(x)), g, 0)
+        _assert_same_bytes(rows, ref)
+
+    @pytest.mark.skipif(not native.available(), reason="no C compiler")
+    @pytest.mark.parametrize(
+        "name, n", [("library", 2), ("fused", 4), ("hierarchical", 4)]
+    )
+    @pytest.mark.parametrize("dtype", [FP16, FP32])
+    def test_pointer_module_matches_run_lowered(
+        self, name, n, dtype, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+        sched = exchange_schedules(n, dtype, c_able=True)[name]
+        gen = CodeGenerator(target="native").generate(sched)
+        assert gen.plane == "pointer"
+        # a hierarchical exchange is two calls, one move table each
+        calls = gen.source.count("comm.alltoall(")
+        assert calls == (2 if name == "hierarchical" else 1)
+        inputs = {"x": np.random.RandomState(n).randn(n, 2 * n, 3) * 4}
+        got = Executor().run_spmd(
+            sched, inputs, allow_downcast=True, codegen_target="native",
+            timeout=60.0,
+        )
+        low = Executor().run_lowered(sched, inputs, allow_downcast=True)
+        assert set(got.spmd_rank_kinds.values()) == {("pointer", False)}
+        assert got.output_names == low.output_names
+        for out in low.output_names:
+            assert got.output(out).tobytes() == low.output(out).tobytes()
 
 
 class TestCostModel:

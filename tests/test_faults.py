@@ -32,6 +32,7 @@ from repro.core import (
     FP32, RANK, AllReduce, Binary, Execute, MatMul, Replicated, Sliced,
     world,
 )
+from repro.core.codegen import CodeGenerator, native
 from repro.core.tensor import Tensor
 from repro.core.transforms import Schedule
 from repro.errors import CoCoNetError
@@ -339,6 +340,43 @@ class TestDeadRanks:
         assert any(e.name == "die" and e.pid == "rank2" for e in instants)
         # ... and no survivor left its producer thread unjoined
         assert not any(e.name == "stream-leak" for e in instants)
+
+    @pytest.mark.skipif(
+        sys.platform != "linux" or not native.available(),
+        reason="/proc/self/fd is Linux-only; needs a C compiler",
+    )
+    def test_die_at_the_pointer_plane_alltoall(self, tmp_path, monkeypatch):
+        """Rank 1 of the native MoE, whose ranks run the pointer plane,
+        dies publishing its dispatch AllToAll (the second operation on
+        its group's site, after the timing barrier): the survivor
+        aborts, and no segment or rank process is left."""
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+        wl = MoEWorkload.build(32, 32, 64, 2, dtype=FP32)
+        sched = wl.schedule_overlapped()
+        assert CodeGenerator(target="native").generate(sched).plane == (
+            "pointer"
+        )
+        inputs = moe_inputs(np.random.RandomState(0), 2, 32, 32, 64)
+        before = set(spmd_segments())
+        tracer = Tracer()
+        t0 = time.monotonic()
+        with pytest.raises(SpmdWorkerError) as err:
+            Executor().run_spmd(
+                sched, inputs, allow_downcast=True,
+                codegen_target="native",
+                fault_plan=FaultPlan(seed=1).die(1, at_site="g0x2", after=2),
+                soft_timeout=0.5, timeout=20.0, tracer=tracer,
+            )
+        assert time.monotonic() - t0 < 20.0
+        assert err.value.dead_ranks == [1]
+        assert "timed out" not in str(err.value)
+        (die,) = [
+            e for e in tracer.events
+            if isinstance(e, InstantEvent) and e.name == "die"
+        ]
+        assert (die.pid, die.args) == ("rank1", {"seq": 2, "site": "g0x2"})
+        assert children() == []
+        assert set(spmd_segments()) == before
 
     def test_without_elastic_the_error_propagates(self, rng):
         wl = AdamWorkload.build(56, 4)

@@ -37,6 +37,7 @@ import pytest
 import repro
 from repro.core import artifact
 from repro.core.codegen import CodeGenerator, native
+from repro.core.codegen.generator import _ring_overlap
 from repro.errors import CodegenError
 from repro.runtime import Executor, FaultPlan
 
@@ -1030,9 +1031,10 @@ def _plane(program) -> str:
 
 class TestPointerReady:
     """What keeps a native module on the numpy data plane: a GEMM that
-    numpy would not run as plain ``sgemm`` calls, and a Dropout sliced
-    on another dimension than 0. Each case has a control that differs
-    in that one respect and runs on the pointer plane."""
+    numpy would not run as plain ``sgemm`` calls, a Dropout sliced or an
+    AllToAll exchanging on another dimension than 0, and the ring GEMM
+    overlap. Each case has a control that differs in that one respect
+    and runs on the pointer plane."""
 
     needs_blas = pytest.mark.skipif(
         native.blas() is None, reason="no BLAS with a known sgemm mapped"
@@ -1070,6 +1072,32 @@ class TestPointerReady:
         x = Tensor(FP16, (4, 4, 8), Sliced(dim), world(2), RANK, name="x")
         program = Execute("drop", [x], [Dropout(x, 0.1, seed=5)])
         assert _plane(program) == plane
+
+    @pytest.mark.parametrize("dim, plane", [(1, "numpy"), (0, "pointer")])
+    def test_alltoall_on_dim(self, dim, plane):
+        from repro.core import (
+            FP32, RANK, AllToAll, Binary, Execute, Local, Tensor, world,
+        )
+
+        shape = (4, 3) if dim == 0 else (3, 4)
+        x = Tensor(FP32, shape, Local, world(2), RANK, name="x")
+        a2a = AllToAll(x, dim)
+        program = Execute("a2a", [x], [Binary("+", a2a, a2a)])
+        assert _plane(program) == plane
+
+    @needs_blas
+    def test_ring_chunk_loop_keeps_numpy(self):
+        # the ring GEMM overlap's producer stream publishes chunks; a
+        # tiled chunk loop only calls its members in order
+        from repro.workloads.attention import AttentionWorkload
+        from repro.workloads.moe import MoEWorkload
+
+        ring = AttentionWorkload.build(2, 8, 64, 2).schedule_coconet()
+        tiled = MoEWorkload.build(3, 6, 8, 2).schedule_overlapped()
+        for sched, plane in ((ring, "numpy"), (tiled, "pointer")):
+            (loop,) = sched.lowered().chunk_loops()
+            assert _ring_overlap(loop) == (plane == "numpy")
+            assert _plane(sched) == plane
 
 
 @needs_cc
@@ -1350,6 +1378,23 @@ def _tuned_attention(ranks):
     return Autotuner(Cluster(1)).tune(wl.program).best.schedule
 
 
+def _moe_schedule(name):
+    """A MoE schedule with a tiled chunk loop: the golden overlapped one
+    (4 ranks, FP16), the same schedule at 2 ranks, or the autotuner's
+    pick for the e2e MoE at smoke size (FP32, 2 ranks)."""
+    from repro.cluster import Cluster
+    from repro.core.autotuner import Autotuner
+    from repro.core.dtypes import FP32
+    from repro.workloads.moe import MoEWorkload
+
+    if name == "moe_overlapped":
+        return _kept_program(name)
+    if name == "overlapped2":
+        return MoEWorkload.build(3, 6, 8, 2).schedule_overlapped()
+    wl = MoEWorkload.build(32, 32, 64, 2, dtype=FP32)
+    return Autotuner(Cluster(1)).tune(wl.program).best.schedule
+
+
 def _kinds(result):
     """The set of ``(data plane, numpy imported)`` its ranks reported."""
     return set(result.spmd_rank_kinds.values())
@@ -1398,6 +1443,33 @@ class TestRankKinds:
         assert _kinds(got) == {("pointer", False)}
         assert _digest(got) == _digest(low)
 
+    @pytest.mark.parametrize(
+        "name", ["overlapped2", "moe_overlapped", "tuned_e2e"]
+    )
+    def test_moe_ranks_never_import_numpy(self, kernel_cache, name):
+        # the AllToAll moves dim-0 chunks between addresses and a tiled
+        # chunk loop calls its members in order: MoE runs on the
+        # pointer plane, at 2 and 4 ranks
+        from repro.cli import _seeded_inputs
+
+        sched = _moe_schedule(name)
+        if name != "tuned_e2e":
+            (loop,) = sched.lowered().chunk_loops()
+            assert not loop.ring
+        program = getattr(sched, "program", sched)
+        inputs = _seeded_inputs(program, seed=0)
+        with Executor() as ex:
+            got = ex.run_spmd(
+                sched, inputs, allow_downcast=True,
+                codegen_target="native", timeout=60.0,
+            )
+            low = ex.run_lowered(sched, inputs, allow_downcast=True)
+        assert sorted(got.spmd_rank_kinds) == list(
+            range(program.inputs[0].group.size)
+        )
+        assert _kinds(got) == {("pointer", False)}
+        assert _digest(got) == _digest(low)
+
     def test_elastic_recovery_on_the_adopted_rank(self, kernel_cache):
         # rank 1 dies at the timing barrier; rank 0, which never
         # imported numpy, runs the world-size-1 recovery without it
@@ -1425,7 +1497,7 @@ class TestRankKinds:
     def test_pointer_rank_imports_no_dataclasses(self, kernel_cache):
         # a fault plan reaches the rank as its plain-data view, and the
         # module builds no ProcessGroup: neither module, nor typing or
-        # dataclasses, is imported; by the Adam and the attention ranks
+        # dataclasses, is imported; by the Adam, attention and MoE ranks
         from repro.cli import _seeded_inputs
         from repro.runtime.spmd import RankPool
         from repro.workloads.adam import AdamWorkload
@@ -1435,7 +1507,10 @@ class TestRankKinds:
             "repro.core.process_group",
         }
         with RankPool() as pool:
-            for sched in (_tuned(AdamWorkload), _tuned_attention(2)):
+            for sched in (
+                _tuned(AdamWorkload), _tuned_attention(2),
+                _moe_schedule("tuned_e2e"),
+            ):
                 gen = CodeGenerator(target="native").generate(sched)
                 source = gen.source.replace(
                     "    return outputs, states\n",
@@ -1454,15 +1529,23 @@ class TestRankKinds:
                 assert _kinds(got) == {("pointer", False)}
 
     @pytest.mark.parametrize("name", [
-        "moe_overlapped", "lamb", "adam_spmd",
+        "attention_coconet", "lamb", "adam_spmd",
     ])
     def test_other_modules_import_numpy(self, kernel_cache, name):
+        # LAMB's cross-rank norms, the ring GEMM overlap (its producer
+        # stream publishes chunks) and the spmd target
         from repro.cli import _seeded_inputs
+        from repro.workloads.attention import AttentionWorkload
 
         target = "native"
         if name == "adam_spmd":
             name, target = "adam_fused", "spmd"
-        sched = _kept_program(name)
+        if name == "attention_coconet":
+            sched = AttentionWorkload.build(2, 8, 64, 2).schedule_coconet()
+            (loop,) = sched.lowered().chunk_loops()
+            assert loop.ring
+        else:
+            sched = _kept_program(name)
         gen = CodeGenerator(target=target).generate(sched)
         assert gen.plane == "numpy"
         program = getattr(sched, "program", sched)
@@ -1567,7 +1650,8 @@ def _gcc():
 @pytest.mark.skipif(_gcc() is None, reason="needs gcc's -fopt-info")
 class TestLoopsVectorize:
     """Every loop of the optimizers' and MoE's kernels vectorizes at
-    ``_CFLAGS``. (A GEMM's conversion loops are scalar by choice, and a
+    ``_CFLAGS``. (A GEMM function's loops, its per-batch ``sgemm`` calls
+    and conversions, are scalar by choice, marked ``REPRO_SCALAR``; a
     Dropout's 64-bit multiplies have no SSE2 vector form.)
 
     One ``?:`` select on a floating-point result in the half
@@ -1597,6 +1681,21 @@ class TestLoopsVectorize:
         }
         return sorted(loops - vectorized)
 
+    @staticmethod
+    def _marked_scalar(c_source):
+        """The functions marked ``REPRO_SCALAR``, and the function each
+        source line belongs to."""
+        lines = c_source.splitlines()
+        marked, owner, fn = set(), {}, None
+        for n, line in enumerate(lines, 1):
+            m = re.match(r"void (\w+)\(char\*\* A, double\* S\)", line)
+            if m:
+                fn = m.group(1)
+                if lines[n - 2] == "REPRO_SCALAR":
+                    marked.add(fn)
+            owner[n] = fn
+        return marked, owner
+
     def test_half_conversions(self, tmp_path):
         assert self._scalar_loops(_CONV_HARNESS, tmp_path) == []
 
@@ -1623,7 +1722,17 @@ class TestLoopsVectorize:
             wl = {"adam": AdamWorkload, "lamb": LambWorkload}[workload]
             sched = _tuned(wl)
         gen = CodeGenerator(target="native").generate(sched)
-        assert self._scalar_loops(gen.c_source, tmp_path) == []
+        # only the GEMM functions, those the module hands numpy's sgemm,
+        # may keep their loops scalar
+        marked, owner = self._marked_scalar(gen.c_source)
+        gemms = set(re.findall(r"_K\.call\('(\w+)', \([^)]*_K\.sgemm\)",
+                               gen.source))
+        assert marked == gemms
+        scalar = self._scalar_loops(gen.c_source, tmp_path)
+        assert [n for n in scalar if owner[n] not in marked] == []
+        if workload == "moe_fp32":  # its ReLU and scale loops vectorize
+            assert len(gemms) == 2
+            assert {owner[n] for n in scalar} == gemms
 
 
 def _refuse(*args, **kwargs):

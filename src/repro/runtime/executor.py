@@ -55,7 +55,14 @@ from repro.runtime.world import (
 
 
 class ProgramResult:
-    """Outputs and final tensor states of one simulated run."""
+    """Outputs and final tensor states of one simulated run.
+
+    Every array is the result's own: none aliases an input or a buffer
+    of the run. After ``run_spmd``, an output that is an input's final
+    state (an ``AllGather`` written back into it, like ``ag_p_`` into
+    ``p`` of the fused Adam) is one array for both :meth:`output` and
+    :meth:`tensor_state`; no other two arrays share memory.
+    """
 
     def __init__(
         self,

@@ -250,6 +250,24 @@ class SpmdLayout:
             shape, dtype=dtype, buffer=buf, offset=offsets[rank]
         )
 
+    def populate(self, buf: mmap.mmap, ranks: Sequence[int]) -> None:
+        """Fault the input regions of ``ranks`` into ``buf``, one call
+        per region instead of a fault per page: a rank's before its
+        timed body, the parent's before it places the inputs."""
+        for key, (shape, dtype, offsets, _) in self.regions.items():
+            if key[0] != "in":
+                continue
+            for r in ranks:
+                if r not in offsets:
+                    continue
+                start = offsets[r] // mmap.PAGESIZE * mmap.PAGESIZE
+                end = offsets[r] + math.prod(shape) * int(dtype[2:])
+                try:
+                    buf.madvise(_MADV_POPULATE_WRITE, start, end - start)
+                except (OSError, ValueError):  # before Linux 5.14: touch
+                    for off in range(start, end, mmap.PAGESIZE):
+                        buf[off]
+
     # -- the flags segment's format --------------------------------------
 
     def ready_index(self, key: str, rank: int) -> int:
@@ -646,20 +664,6 @@ class RankCore:
             KIND_REDUCE, t0, seq=pub.seq, site=pub.key,
             name=self._op or name,
         )
-
-    def _populate(self) -> None:
-        """Fault this rank's input regions in, so the timed body does
-        not pay for mapping them."""
-        for key, (shape, dtype, offsets, _) in self.layout.regions.items():
-            if key[0] != "in" or self.rank not in offsets:
-                continue
-            start = offsets[self.rank] // mmap.PAGESIZE * mmap.PAGESIZE
-            end = offsets[self.rank] + math.prod(shape) * int(dtype[2:])
-            try:
-                self._data.madvise(_MADV_POPULATE_WRITE, start, end - start)
-            except (OSError, ValueError):  # before Linux 5.14: touch
-                for off in range(start, end, mmap.PAGESIZE):
-                    self._data[off]
 
     def _begin(self, key: str, participants: Sequence[int]) -> int:
         """Take site ``key``'s next sequence number, once every
@@ -1164,7 +1168,7 @@ def _run_body(
     the segment lives in this frame, so none outlives it.
     """
     inputs = comm._bind_inputs()
-    comm._populate()
+    comm.layout.populate(comm._data, (comm.rank,))
     namespace: Dict[str, object] = {}
     exec(compile(source, f"<spmd rank {comm.rank}>", "exec"), namespace)
     if kernels is not None:

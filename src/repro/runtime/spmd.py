@@ -28,8 +28,9 @@ lays both out. The data segment holds:
 * one *slot* per (communication site, rank). A site is a process group
   (key ``g<start>x<size>``) or a point-to-point pair (``p<src>><dst>``);
 * one *region* per (input, rank holding it) and per (output, rank
-  returning it): a rank's private array, so an in-place update on one
-  rank is never seen by another.
+  returning it, unless the output is an input's final state): a rank's
+  private array, so an in-place update on one rank is never seen by
+  another.
 
 A slot holds the payload only, with no header: every reader already
 knows the payload's shape and dtype from its own operand (``recv``,
@@ -75,18 +76,23 @@ keeps everything else off that path, and no array crosses a socket:
    module and numpy; never the caller's ``__main__``, the lowering or
    the compiler side. With an ``observer``, the flags segment also
    holds one trace ring per rank after the flags.
-2. While the ranks import, the parent casts every input straight into
-   the region of each rank that holds it (the checks and downcast
-   policy of :func:`repro.runtime.world.place_inputs`), populating the
-   mapping first (``MADV_POPULATE_WRITE``), and unmaps it, so its
-   resident set does not count those pages twice. On a kept segment
-   the cast writes into pages that already exist. No launch reads a
-   stale byte: inputs are placed here, a rank writes a slot or result
-   before its flag or report says so, and the parent reads only the
-   regions of the ranks that write them. On the native target it then
-   resolves the module's C kernels
-   (:func:`repro.core.codegen.native.load_kernels`): a cold compile
-   overlaps the ranks' imports and precedes every deadline.
+2. While the ranks import, the parent places every input in the
+   region of each rank that holds it (the checks and downcast policy of
+   :func:`repro.runtime.world.place_inputs`), populating the input
+   regions first (``MADV_POPULATE_WRITE``), and unmaps the segment, so
+   its resident set does not count those pages twice. An input that an
+   ``Update`` or ``AllGather`` writeback writes is cast straight into
+   the regions; any other input is cast once into a private array, its
+   final state, and copied from there. Placement uses every CPU: each
+   cast and copy is cut along its leading axis into one part per CPU,
+   run by threads that live only for the placement
+   (:func:`_place_regions`). On a kept segment the cast writes into
+   pages that already exist. No launch reads a stale byte: inputs are
+   placed here, a rank writes a slot or result before its flag or
+   report says so, and the parent reads only the regions of the ranks
+   that write them. On the native target it then resolves the module's
+   C kernels (:func:`repro.core.codegen.native.load_kernels`): a cold
+   compile overlaps the ranks' imports and precedes every deadline.
 3. The parent sends each rank one pickled spec of a few KB, which the
    socket buffers: layout, deadlines, the rank's view of the fault plan
    (:class:`~repro.runtime.rank.RankFaults`), whether to trace, the
@@ -100,15 +106,24 @@ keeps everything else off that path, and no array crosses a socket:
    own regions (array views, or addresses on the pointer plane) and
    runs in place: updated states and gathered writebacks land straight
    in their regions. It copies every other result the parent reads
-   into its region (a replicated one from the group's first rank only),
-   closes its segments, sends one report, ``("ok", seconds, plane,
-   numpy imported)``, and leaves with ``os._exit(0)``. Only a clean
-   survivor stays (see "Failure handling").
-5. The parent copies each result out of the segment in one pass, so no
-   returned array aliases it. The teardown merges the trace rings into
-   the ``observer``, after a failed launch too: the parent still holds
-   the flags segment a dead rank wrote its ring into. Ranks stamp
-   records with ``time.perf_counter_ns()``, the tracer's clock.
+   into its region (a replicated one from the group's first rank
+   only); an output that is an input's final state, like the
+   ``AllGather`` into ``p`` of the tuned Adam, has no region and is not
+   copied. It closes
+   its segments, sends one report, ``("ok", seconds, plane, numpy
+   imported)``, and leaves with ``os._exit(0)``. Only a clean survivor
+   stays (see "Failure handling").
+5. The parent copies out only what the ranks wrote: the outputs and
+   the written inputs, each in one pass, so no returned array aliases
+   the segment (:func:`_read_results`). An unwritten input's state is
+   the array placement cast it into, and an output that is an input's
+   final state is that state's array: one array for both. With an
+   ``observer``, placement and copy-out are the parent's ``place`` and
+   ``copy_out`` spans, each with the ``bytes`` it wrote. The teardown
+   merges the trace rings into the ``observer``, after a failed launch
+   too: the parent still holds the flags segment a dead rank wrote its
+   ring into. Ranks stamp records with ``time.perf_counter_ns()``, the
+   tracer's clock.
 
 Failure handling
 ----------------
@@ -165,6 +180,7 @@ it spawns one real OS process per rank:
 
 from __future__ import annotations
 
+import math
 import mmap
 import os
 import sys
@@ -181,12 +197,12 @@ from repro.core.tensor import Tensor
 from repro.observe.ring import TraceRing, merge_rank_traces
 from repro.runtime.collectives import alltoall_moves, fold_ranks
 from repro.runtime.rank import (
-    _ERR_FAILED, _MADV_POPULATE_WRITE, _RANK_ENTRY, DEFAULT_TIMEOUT, WHOLE,
+    _ERR_FAILED, _RANK_ENTRY, DEFAULT_TIMEOUT, WHOLE,
     RankCore, SpmdLayout, SpmdTimeout, SpmdWorkerError,
     _group_site, _Publication, _recv, _send, signal_dead,
 )
 from repro.runtime.world import (
-    assemble_rows, check_divisible, place_inputs, slice_of,
+    assemble_rows, check_divisible, place_input, place_inputs, slice_of,
 )
 
 if TYPE_CHECKING:  # parent-side only
@@ -216,12 +232,17 @@ def build_layout(program) -> SpmdLayout:
     staging buffers, gathered scalars).
 
     Every rank of an input's group gets a private region for its shard,
-    because a rank may update its storage in place. An output gets one
-    region per rank of its group, a replicated one only on the group's
-    first rank: the parent reads every replicated result, output or
-    state, from that rank.
+    because a rank may update its storage in place. Only an input that
+    an ``Update`` or an ``AllGather`` writeback writes has writers, the
+    ranks the parent reads it back from: every other input's final
+    state is its placed value. An output gets one region per rank of
+    its group, a replicated one only on the group's first rank (the
+    parent reads every replicated result, output or state, from that
+    rank), and none when it is an input's final state
+    (:func:`_aliased_outputs`).
     """
     from repro.core import ops  # parent-side: a rank never walks ops
+    from repro.core.codegen.generator import _storage_writers
 
     world_size = program.inputs[0].group.world_size
     layout = SpmdLayout(world_size)
@@ -260,15 +281,41 @@ def build_layout(program) -> SpmdLayout:
             ranks, writers,
         )
 
+    written = _storage_writers(program)
     for t in program.inputs:
-        region(
-            "in", t, t.group.ranks,
-            readers(t) if isinstance(t, Tensor) else (),
-        )
+        region("in", t, t.group.ranks, readers(t) if t.name in written else ())
+    aliased = _aliased_outputs(program)
     for o in program.outputs:
-        region("out", o, readers(o), readers(o))
+        if o.name not in aliased:
+            region("out", o, readers(o), readers(o))
     layout.freeze()
     return layout
+
+
+def _aliased_outputs(program) -> Dict[str, str]:
+    """Output name -> the input whose final state it is.
+
+    An ``AllGather`` that writes back into a replicated input of its own
+    shape, dtype and group, after every other op that writes that input
+    (each is its DFG ancestor), leaves the gathered value as the input's
+    final state (``ag_p_`` of the tuned Adam is ``p``): the parent reads
+    it once, as the state.
+    """
+    from repro.core import dfg, ops
+    from repro.core.codegen.generator import _storage_writers
+
+    written = _storage_writers(program)
+    aliased = {}
+    for o in program.outputs:
+        t = o.writeback if isinstance(o, ops.AllGather) else None
+        if (
+            t is not None and t.layout.is_replicated
+            and (t.shape, t.dtype, t.group) == (o.shape, o.dtype, o.group)
+        ):
+            upstream = dfg.reachable([o])
+            if all(w is o or w in upstream for w in written[t.name]):
+                aliased[o.name] = t.name
+    return aliased
 
 
 def scaled_default_timeout(layout: SpmdLayout, wire_s_per_mb: float) -> float:
@@ -713,9 +760,9 @@ def _store_results(
 ) -> None:
     """Copy this rank's results into the regions the parent reads.
 
-    A state the module updated in place, or never wrote, already is its
-    region: it is not copied. Each result is dropped once copied, so a
-    rank holds at most one result beside its regions.
+    A state the module updated in place already is its region: it is
+    not copied. Each result is dropped once copied, so a rank holds at
+    most one result beside its regions.
     """
     for key, (_, _, _, writers) in layout.regions.items():
         if rank not in writers:
@@ -744,29 +791,111 @@ def _same_memory(a: np.ndarray, b: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 
 
+#: the smallest share of a cast, in bytes, that placement gives a thread
+#: of its own: below it, a thread costs more than it saves
+_MIN_PART_BYTES = 1 << 20
+
+
 def _place_regions(
     layout: SpmdLayout, program, placed: Mapping[str, np.ndarray], buf
-) -> None:
-    """Cast each placed input into the region of every rank holding it.
+) -> Dict[str, np.ndarray]:
+    """Cast each placed input into the region of every rank holding it;
+    returns the final states of the inputs no rank writes.
 
     ``placed`` holds :func:`repro.runtime.world.place_inputs` stacks,
-    checked but not yet cast: each row is cast straight into its rank's
-    region, with no intermediate copy. A replicated input is cast once,
-    into its first rank's region, and copied from there.
+    checked but not necessarily cast. An input with writers is cast
+    straight into each rank's region, a replicated one into its first
+    rank's region and copied from there. An input without is cast once
+    into a private array of its global shape, its final state, and
+    copied from it into each rank's region. Every cast and copy is cut
+    along its leading axis into one part per CPU (parts of at least
+    :data:`_MIN_PART_BYTES`); ``np.copyto`` releases the GIL, so the
+    parts run at once, one thread per CPU, each taking the same part of
+    every copy, in order: a part is copied on by the thread that cast it.
     """
+    import threading  # parent-side
+
+    states: Dict[str, np.ndarray] = {}
+    jobs: List[Tuple[int, list]] = []  # (parts, [(dst, src), ...])
+    cpus = len(os.sched_getaffinity(0))
     for t in program.inputs:
-        cast = None
-        for r, row in zip(t.group, placed[t.name]):
-            view = layout.view(buf, ("in", t.name), r)
-            np.copyto(view, row if cast is None else cast, casting="unsafe")
-            if t.layout.is_replicated:
-                cast = view
+        key = ("in", t.name)
+        rows = placed[t.name]
+        dsts = [layout.view(buf, key, r) for r in t.group]
+        if isinstance(t, Tensor) and not layout.regions[key][3]:
+            shape = (
+                (t.group.size,) + t.shape if t.layout.is_local else t.shape
+            )
+            state = states[t.name] = np.empty(shape, dsts[0].dtype)
+            stage = (
+                [state] if t.layout.is_replicated
+                else place_input(t, state, True)
+            )
+        else:
+            stage = dsts
+        pairs = []
+        for r, (dst, row) in enumerate(zip(dsts, rows)):
+            if t.layout.is_replicated and r > 0:
+                pairs.append((dst, stage[0]))
+                continue
+            pairs.append((stage[r], row))
+            if stage is not dsts:
+                pairs.append((dst, stage[r]))
+        lead = dsts[0].shape[0] if dsts[0].ndim else 1
+        parts = max(1, min(cpus, lead, dsts[0].nbytes // _MIN_PART_BYTES))
+        jobs.append((parts, pairs))
+
+    errors: List[BaseException] = []
+
+    def run(part: int) -> None:
+        try:
+            for parts, pairs in jobs:
+                if part >= parts:
+                    continue
+                for dst, src in pairs:
+                    if parts > 1:
+                        n = dst.shape[0]
+                        cut = slice(n * part // parts, n * (part + 1) // parts)
+                        dst, src = dst[cut], src[cut]
+                    np.copyto(dst, src, casting="unsafe")
+        except BaseException as exc:  # noqa: BLE001 - reraised below
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=run, args=(part,))
+        for part in range(1, max(parts for parts, _ in jobs))
+    ]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return states
 
 
-def _read_results(layout: SpmdLayout, program, buf):
-    """``(outputs, states)`` copied out of the result regions.
+def _region_bytes(layout: SpmdLayout, kind: Optional[str] = None) -> int:
+    """Bytes of the ``kind`` regions of every rank holding them, or,
+    without ``kind``, of every region the parent reads back."""
+    return sum(
+        math.prod(shape) * int(dtype[2:])
+        * len(writers if kind is None else offsets)
+        for (k, _), (shape, dtype, offsets, writers) in layout.regions.items()
+        if kind in (None, k)
+    )
 
-    One pass per tensor; no returned array aliases ``buf``.
+
+def _read_results(
+    layout: SpmdLayout, program, buf, states: Mapping[str, np.ndarray]
+):
+    """``(outputs, states)``: ``states`` (the placed final states of the
+    inputs no rank writes), plus every result copied out of the regions
+    of the ranks that write it.
+
+    One pass per region read; no returned array aliases ``buf``. An
+    output that is an input's final state (:func:`_aliased_outputs`) is
+    that state's array.
     """
 
     def read(key, t) -> np.ndarray:
@@ -775,11 +904,17 @@ def _read_results(layout: SpmdLayout, program, buf):
             [layout.view(buf, key, r) for r in writers], t.layout, t.shape
         )
 
-    outputs = {o.name: read(("out", o.name), o) for o in program.outputs}
-    states = {
-        t.name: read(("in", t.name), t)
-        for t in program.inputs
-        if isinstance(t, Tensor)
+    states = dict(states)
+    for t in program.inputs:
+        if isinstance(t, Tensor) and t.name not in states:
+            states[t.name] = read(("in", t.name), t)
+    aliased = _aliased_outputs(program)
+    outputs = {
+        o.name: (
+            states[aliased[o.name]] if o.name in aliased
+            else read(("out", o.name), o)
+        )
+        for o in program.outputs
     }
     return outputs, states
 
@@ -1009,15 +1144,20 @@ class RankPool:
             # the ranks map the segment themselves: unmap the pages
             # written here, so the parent's resident set does not count
             # them too
+            if traced:
+                t0 = observer.now()
             with mmap.mmap(data_fd, layout.data_size) as data:
-                try:
-                    # one call maps every page in, instead of a fault
-                    # per page while casting
-                    data.madvise(_MADV_POPULATE_WRITE)
-                except OSError:  # Linux before 5.14: fault them one by one
-                    pass
-                _place_regions(layout, program, placed, data)
+                layout.populate(data, range(world_size))
+                states = _place_regions(layout, program, placed, data)
             placed = None
+            if traced:
+                observer.complete(
+                    "place", t0, observer.now() - t0,
+                    cat="repro.runtime.spmd",
+                    args={"bytes": _region_bytes(layout, "in") + sum(
+                        a.nbytes for a in states.values()
+                    )},
+                )
             kernels = None
             if generated.c_source:
                 from repro.core.codegen import native
@@ -1095,8 +1235,18 @@ class RankPool:
                 # memory and the results copied here are not resident at
                 # once
                 _reap(procs)
+                if traced:
+                    t0 = observer.now()
                 with mmap.mmap(data_fd, layout.data_size) as data:
-                    outputs, states = _read_results(layout, program, data)
+                    outputs, states = _read_results(
+                        layout, program, data, states
+                    )
+                if traced:
+                    observer.complete(
+                        "copy_out", t0, observer.now() - t0,
+                        cat="repro.runtime.spmd",
+                        args={"bytes": _region_bytes(layout)},
+                    )
         finally:
             ranks = list(zip(origins, procs, socks))
             # EOF first: a rank still waiting for its spec exits at once

@@ -204,7 +204,9 @@ def _checked_cast(
 
     ``allow_downcast=True`` casts silently, ``False`` raises on a
     value-changing lossy downcast, and ``None`` (the default) warns.
-    ``cast=False`` applies the policy but returns ``value`` uncast.
+    ``cast=False`` applies the policy but leaves the cast to the caller:
+    it returns ``value`` uncast, unless checking a lossy downcast
+    already cast it, which it then returns.
     """
     value = np.asarray(value)
     target = tensor.dtype.to_numpy()
@@ -222,9 +224,9 @@ def _checked_cast(
             if allow_downcast is False:
                 raise ExecutionError(msg)
             warnings.warn(msg, RuntimeWarning, stacklevel=3)
-    if not cast:
-        return value
-    return value.astype(target) if out is None else out
+    if out is None:
+        out = value.astype(target) if cast else value
+    return out
 
 
 def place_input(
@@ -236,9 +238,10 @@ def place_input(
     """One global input as its rank-major ``(group.size, *shard)`` stack.
 
     Casts ``value`` to the tensor dtype (``cast=False``: only checks the
-    cast, leaving it to the caller) and checks its shape. Nothing is
-    copied beyond the cast, so the stack may be a view of ``value``; a
-    replicated tensor's stack is a stride-0 :func:`replicate` view.
+    cast, leaving it to the caller, see :func:`_checked_cast`) and
+    checks its shape. Nothing is copied beyond the cast, so the stack
+    may be a view of ``value``; a replicated tensor's stack is a
+    stride-0 :func:`replicate` view.
     """
     value = _checked_cast(tensor, value, allow_downcast, cast)
     group = tensor.group

@@ -478,7 +478,11 @@ class TestSpmdTracing:
             assert tracer.metrics.get(f"spmd.rank{r}.events") > 0
 
         spans = [e for e in tracer.events if isinstance(e, SpanEvent)]
-        assert {e.pid for e in spans} == {f"rank{r}" for r in range(4)}
+        # every rank's, and the parent's placement before the failure
+        assert {e.pid for e in spans} == {f"rank{r}" for r in range(4)} | {
+            tracer.pid
+        }
+        assert [e.name for e in spans if e.pid == tracer.pid] == ["place"]
         # the failing rank's kernel span was recorded on the way out
         rank1_kernels = [
             e.name for e in spans if e.pid == "rank1" and e.cat == "kernel"

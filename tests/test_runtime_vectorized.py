@@ -382,6 +382,31 @@ class TestDowncastPolicy:
             warnings.simplefilter("error")
             place_input(self._tensor(), np.arange(8, dtype=np.float64))
 
+    def test_checked_cast_is_not_cast_again(self):
+        # the lossiness check casts a lossy input already: with
+        # cast=False the placed stack is that cast, for the caller to
+        # copy, not the float64 value to cast a second time
+        from repro.runtime.world import place_inputs
+
+        W = world(2)
+        p = Tensor(FP16, (8,), Replicated, W, name="p")
+        value = np.random.RandomState(0).randn(8)
+        with pytest.warns(RuntimeWarning, match="lossy downcast"):
+            placed = place_inputs(
+                Execute("p", [p], [p + 0.0]), {"p": value},
+                allow_downcast=None, cast=False,
+            )
+        assert placed["p"].dtype == np.float16
+        assert placed["p"].shape == (2, 8)
+        np.testing.assert_array_equal(placed["p"][1], value.astype(np.float16))
+        # a cast no check computed (float64 -> FP32 is not lossy) stays
+        # the caller's to make
+        q = Tensor(FP32, (8,), Replicated, W, name="q")
+        placed = place_inputs(
+            Execute("q", [q], [q + 0.0]), {"q": value}, cast=False
+        )
+        assert placed["q"].dtype == np.float64
+
     def test_executor_threads_the_flag(self):
         W = world(2)
         p = Tensor(FP16, (8,), Replicated, W, name="p")

@@ -509,19 +509,20 @@ class TestSpmdInterface:
         monkeypatch.setattr(
             np, "copyto", lambda dst, src, **kw: copied.append(dst)
         )
-        # ``p`` stands for a state updated in place, ``g`` for a Local
-        # input never written: each is its region, in a new ndarray
+        # ``p`` and ``m`` stand for states updated in place: each is its
+        # region, in a new ndarray. No rank writes ``g``, a Local input,
+        # so no rank stores it
         outputs, states = results()
-        assert {"g", "p"} <= set(states)
+        assert {"m", "p"} <= set(states) and "g" not in states
         spmd._store_results(layout, buf, 0, outputs, states)
         assert not outputs and not states
         assert copied == []
         # a result held anywhere else is copied
         outputs, states = results()
-        states["g"] = states["g"].copy()
+        states["m"] = states["m"].copy()
         spmd._store_results(layout, buf, 0, outputs, states)
         assert len(copied) == 1
-        region = layout.view(buf, ("in", "g"), 0)
+        region = layout.view(buf, ("in", "m"), 0)
         assert copied[0].ctypes.data == region.ctypes.data
 
 
@@ -774,7 +775,9 @@ class TestSpmdResults:
     @staticmethod
     def _check_owned(result, oracle, program) -> None:
         """Every output and state is writable, right, and ours to keep:
-        mutating it after the launch unlinked its segment works."""
+        mutating it after the launch unlinked its segment works. (An
+        output that is a state's final value is that state's array, so
+        every value is checked before any is mutated.)"""
         arrays = [
             (result.output(o.name), oracle.output(o.name))
             for o in program.outputs
@@ -787,6 +790,7 @@ class TestSpmdResults:
         for arr, want in arrays:
             assert arr.flags.writeable
             np.testing.assert_array_equal(arr, want)
+        for arr, _ in arrays:
             arr.fill(7)
             assert (arr == 7).all()
 
@@ -1131,4 +1135,185 @@ class TestRankProcesses:
         for name in oracle.output_names:
             np.testing.assert_array_equal(
                 out.output(name), oracle.output(name), err_msg=name
+            )
+
+
+def _half_specials(n: int) -> np.ndarray:
+    """``n`` float16 values cycling through NaNs with payloads, ±0,
+    subnormals, ±65504, ±inf and ordinary numbers."""
+    bits = np.array(
+        [0x7E01, 0xFE55, 0x7FFF, 0x0000, 0x8000, 0x0001, 0x83FF,
+         0x7BFF, 0xFBFF, 0x7C00, 0xFC00, 0x3C00, 0xB555],
+        dtype=np.uint16,
+    )
+    return np.resize(bits, n).view(np.float16)
+
+
+def _double_specials(n: int) -> np.ndarray:
+    """``n`` float64 values whose FP16 casts hit the edges: payload
+    NaNs, ±0, FP16 subnormals, ±65504, the values just below and at
+    the overflow threshold (65520 rounds to inf), and ordinary numbers."""
+    nans = np.array(
+        [0x7FFAB00000000000, 0xFFF5500000000000], dtype=np.uint64
+    ).view(np.float64)
+    values = np.concatenate([nans, [
+        0.0, -0.0, 2.0 ** -24, -3 * 2.0 ** -24, 65504.0, -65504.0,
+        65519.99, 65520.0, -65520.0, 1e6, 1.0 / 3.0, -2.5,
+    ]])
+    return np.resize(values, n)
+
+
+class TestLaunchDataPath:
+    """The parent's copy-in and copy-out: placement cut into one part
+    per CPU, inputs no rank writes returned as placed, and an output
+    that is a state's final value read once."""
+
+    @staticmethod
+    def _program():
+        from repro.core import (
+            FP16, RANK, AllReduce, Binary, Execute, Local, Sliced, world,
+        )
+
+        W = world(2)
+        loc = Tensor(FP16, (7, 5), Local, W, RANK, name="loc")
+        rep = Tensor(FP16, (7, 5), Replicated_, W, name="rep")
+        col = Tensor(FP32, (9, 6), Sliced(1), W, RANK, name="col")
+        tr = Tensor(FP32, (10, 3), Sliced(0), W, RANK, name="tr")
+        prog = Execute(
+            "data_path", [loc, rep, col, tr],
+            [
+                Binary("+", loc, rep, name="lr"),
+                AllReduce("+", Binary("*", rep, 2.0), name="ar"),
+                Binary("*", col, 3.0, name="col3"),
+                Binary("-", tr, 1.0, name="tr1"),
+            ],
+        )
+        inputs = {
+            # FP16 bit patterns, placed as they are
+            "loc": _half_specials(2 * 7 * 5).reshape(2, 7, 5),
+            # float64 cast to FP16 at placement: no NaN meets loc's
+            "rep": np.where(
+                np.isnan(_double_specials(35)), 0.5, _double_specials(35)
+            ).reshape(7, 5),
+            "col": _double_specials(54).reshape(9, 6),
+            # a non-contiguous float64 input: a transposed view
+            "tr": np.arange(30, dtype=np.float64).reshape(3, 10).T * 0.1,
+        }
+        assert not inputs["tr"].flags.c_contiguous
+        return prog, inputs
+
+    @staticmethod
+    def _check(result, oracle, program, aliased=()):
+        """Bit-identical results that share no memory, but for the
+        ``aliased`` (output, state) pairs, which are one array."""
+        arrays = {
+            ("out", o.name): result.output(o.name) for o in program.outputs
+        }
+        arrays.update(
+            (("state", t.name), result.tensor_state(t.name))
+            for t in program.inputs if isinstance(t, Tensor)
+        )
+        for (kind, name), have in arrays.items():
+            want = (
+                oracle.output(name) if kind == "out"
+                else oracle.tensor_state(name)
+            )
+            assert have.dtype == want.dtype and have.shape == want.shape
+            assert have.tobytes() == want.tobytes(), (kind, name)
+        keys = list(arrays)
+        shared = {
+            (a[1], b[1]) for i, a in enumerate(keys) for b in keys[i + 1:]
+            if np.shares_memory(arrays[a], arrays[b])
+        }
+        assert shared == set(aliased)
+        for o, t in aliased:
+            assert result.output(o) is result.tensor_state(t)
+
+    @pytest.mark.parametrize("target", ["spmd", "native"])
+    def test_bit_identical_with_uneven_parts(self, target, monkeypatch):
+        # three parts of odd extents, however many CPUs this machine has
+        monkeypatch.setattr(spmd, "_MIN_PART_BYTES", 1)
+        monkeypatch.setattr(
+            spmd.os, "sched_getaffinity", lambda pid: {0, 1, 2}
+        )
+        program, inputs = self._program()
+        layout = build_layout(program)
+        assert all(not w for _, _, _, w in (
+            layout.regions[("in", t.name)] for t in program.inputs
+        ))
+        threads = threading.active_count()
+        with Executor() as ex:
+            with pytest.warns(RuntimeWarning, match="lossy downcast"):
+                oracle = ex.run_lowered(program, inputs)
+            with pytest.warns(RuntimeWarning, match="lossy downcast"):
+                result = ex.run_spmd(program, inputs, codegen_target=target)
+            assert threading.active_count() == threads
+        assert result.spmd_rank_kinds[0][0] == (
+            "pointer" if target == "native" else "numpy"
+        )
+        self._check(result, oracle, program)
+        # the states are the parent's own: the caller's arrays stay theirs
+        states = {
+            t.name: result.tensor_state(t.name).copy()
+            for t in program.inputs
+        }
+        for value in inputs.values():
+            value[...] = 0
+        for name, state in states.items():
+            assert result.tensor_state(name).tobytes() == state.tobytes()
+
+    @pytest.mark.parametrize("target", ["spmd", "native"])
+    def test_adam_output_is_its_state(self, target, rng, monkeypatch):
+        monkeypatch.setattr(spmd, "_MIN_PART_BYTES", 1)
+        monkeypatch.setattr(
+            spmd.os, "sched_getaffinity", lambda pid: {0, 1, 2}
+        )
+        sched = AdamWorkload.build(1030, 2).schedules()["fuse(RS-Adam-AG)"]
+        inputs = optimizer_inputs(rng, n=2, N=1030)
+        inputs["p"][:6] = [0.0, -0.0, 2.0 ** -24, 65504.0, 65520.0, -65519.0]
+        assert spmd._aliased_outputs(sched.program) == {"ag_p_": "p"}
+        with Executor() as ex:
+            oracle = ex.run_lowered(sched, inputs, allow_downcast=True)
+            result = ex.run_spmd(
+                sched, inputs, allow_downcast=True, codegen_target=target
+            )
+        assert result.spmd_rank_kinds[0][0] == (
+            "pointer" if target == "native" else "numpy"
+        )
+        self._check(result, oracle, sched.program, aliased={("ag_p_", "p")})
+
+    def test_adam_copies_out_neither_g_nor_a_second_p(self, rng):
+        from repro.observe import Tracer
+
+        n = 1 << 12
+        sched = AdamWorkload.build(n, 2).schedules()["fuse(RS-Adam-AG)"]
+        layout = build_layout(sched.program)
+        assert layout.regions[("in", "g")][3] == ()
+        assert not any(kind == "out" for kind, _ in layout.regions)
+        tracer = Tracer()
+        with Executor() as ex:
+            ex.run_spmd(
+                sched, optimizer_inputs(rng, n=2, N=n), allow_downcast=True,
+                codegen_target="native", tracer=tracer,
+            )
+        spans = {
+            e.name: e for e in tracer.spans("repro.runtime.spmd")
+            if e.pid == tracer.pid
+        }
+        # p (FP16) once, m and v (FP32) from both ranks
+        assert spans["copy_out"].args["bytes"] == 2 * n + 2 * 4 * n
+        # every rank's inputs, and g once more as the parent's own state
+        assert spans["place"].args["bytes"] == (
+            2 * 2 * n + 2 * 2 * n + 2 * 4 * n + 2 * 2 * 4 + 2 * 2 * n
+        )
+        assert spans["place"].end <= spans["copy_out"].ts
+
+    def test_an_untraced_launch_records_nothing(self, rng, monkeypatch):
+        monkeypatch.setattr(
+            spmd, "_region_bytes", lambda *a: pytest.fail("counted bytes")
+        )
+        sched = AdamWorkload.build(64, 2).schedules()["fuse(RS-Adam-AG)"]
+        with Executor() as ex:
+            ex.run_spmd(
+                sched, optimizer_inputs(rng, n=2), allow_downcast=True
             )

@@ -29,6 +29,18 @@ implement IEEE round-to-nearest-even from the double — the same
 single-step rounding numpy's ``astype(np.float16)`` does — so
 elementwise-only programs are **bit-identical** to ``run_lowered``.
 
+The kernels are built for the host's instruction set
+(``-march=native``, :func:`compile_flags`), and that keeps the bits:
+IEEE ``+ - * / sqrt`` and every conversion round the same in a scalar
+SSE2 instruction as in any lane of an AVX-512 one, so a loop's vector
+width changes its speed only. Two flags are load-bearing.
+``-ffp-contract=off`` forbids fusing ``a * b + c`` into an FMA, which
+would round once where every other tier rounds twice, and which any
+target with FMA (AVX2 on) would otherwise emit. No ``-ffast-math``:
+it would reassociate, flush subnormals and swap ``1/sqrt`` for an
+approximation. ``tests/test_native.py`` builds the helpers and the
+every-op programs at both flag sets and compares them by bytes.
+
 A pointer module (:class:`NativeEmitter` with ``pointer`` set, whose
 ranks run without numpy) adds four kinds of C, held to the same
 contract:
@@ -78,7 +90,15 @@ Kernel cache
 ------------
 ``~/.cache/repro/kernels/<sha256>.so`` (override with
 ``$REPRO_KERNEL_CACHE``), keyed by SHA-256 over the C source plus the
-compiler identity and flags (and the BLAS a GEMM calls). The source
+compiler identity and flags, the target ``-march=native`` resolved to
+(and the BLAS a GEMM calls). The target is the compiler's own
+expansion, the ``-march=<cpu>`` and ``-m<feature>`` options of its
+``cc1`` line, read in the one ``--version`` probe a process runs; a
+cache shared between hosts is therefore safe: a host of another CPU,
+or of the same CPU with a feature masked, computes another key and
+never opens an object with instructions it lacks. A compiler that
+rejects ``-march=native``, or shows no expansion, keeps the baseline
+flags and the key they always had. The source
 depends only on the program's fused structure: a loop's trip count
 travels as its first scalar, ``S[0]``, a GEMM's shape and a Dropout's
 offset, seed and probability as scalars too, and functions are named
@@ -119,7 +139,7 @@ import shutil
 import subprocess
 import tempfile
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -135,6 +155,7 @@ from repro.runtime.rng import seed_key
 __all__ = [
     "available",
     "toolchain_report",
+    "compile_flags",
     "metrics",
     "load_kernels",
     "cache_dir",
@@ -148,6 +169,9 @@ __all__ = [
 #: ``native.cache.compile_seconds``, ``native.cache.recompiles``
 metrics = MetricsRegistry()
 
+#: the baseline flags; :func:`compile_flags` adds ``-march=native`` where
+#: the compiler resolves it. ``-ffp-contract=off`` is load-bearing: an
+#: FMA would round ``a * b + c`` once instead of twice
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
 
 
@@ -169,19 +193,84 @@ def _find_cc() -> Optional[str]:
     return None
 
 
-_CC_VERSION: Dict[str, str] = {}
+class _Toolchain(NamedTuple):
+    """What one probe of a compiler found."""
+
+    #: the first line of ``cc --version``
+    version: str
+    #: the ``-m`` options ``-march=native`` resolved to, from the
+    #: driver's ``cc1`` line (``-march=cooperlake -mavx512f …``); empty
+    #: where the compiler rejects ``-march=native`` or shows no
+    #: expansion (clang stops at ``--version``): the baseline flags
+    target: Tuple[str, ...]
+
+    @property
+    def cpu(self) -> str:
+        """The CPU ``-march=native`` named, or ``"default"``: the
+        compiler's own baseline."""
+        for option in self.target:
+            if option.startswith("-march="):
+                return option[len("-march="):]
+        return "default"
 
 
-def _cc_version(cc: str) -> str:
-    if cc not in _CC_VERSION:
+#: one probe per compiler path and process
+_TOOLCHAINS: Dict[str, _Toolchain] = {}
+
+
+def _cc1_target(stderr: str) -> Tuple[str, ...]:
+    """The ``-m`` options of the ``cc1`` line ``cc -###`` printed, if
+    ``-march=native`` was resolved to a named CPU there (gcc quotes
+    some of them; none holds a space)."""
+    for line in stderr.splitlines():
+        words = [w.strip('"') for w in line.split()]
+        if not words or os.path.basename(words[0]) != "cc1":
+            continue
+        target = tuple(w for w in words if w.startswith("-m"))
+        march = [w for w in target if w.startswith("-march=")]
+        if march and march[-1] != "-march=native":
+            return target
+    return ()
+
+
+def _toolchain(cc: str) -> _Toolchain:
+    """``cc``'s identity and native target, probed once per process.
+
+    One process answers both: ``--version`` prints the identity, and
+    ``-###`` the ``cc1`` command ``-march=native`` expands to, running
+    nothing. Where the compiler refuses that, ``--version`` runs alone:
+    the identity, and no target.
+    """
+    if cc not in _TOOLCHAINS:
+        version, target = None, ()
         try:
-            out = subprocess.run(
-                [cc, "--version"], capture_output=True, text=True, timeout=30
-            ).stdout
-            _CC_VERSION[cc] = out.splitlines()[0] if out else cc
+            probe = subprocess.run(
+                [cc, "--version", "-###", "-march=native", "-E",
+                 "-x", "c", os.devnull],
+                capture_output=True, text=True, timeout=30,
+            )
+            if probe.returncode == 0 and probe.stdout:
+                version = probe.stdout.splitlines()[0]
+                target = _cc1_target(probe.stderr)
+            if version is None:
+                out = subprocess.run(
+                    [cc, "--version"], capture_output=True, text=True,
+                    timeout=30,
+                ).stdout
+                version = out.splitlines()[0] if out else cc
         except (OSError, subprocess.SubprocessError):
-            _CC_VERSION[cc] = cc
-    return _CC_VERSION[cc]
+            version = version or cc
+        _TOOLCHAINS[cc] = _Toolchain(version, target)
+    return _TOOLCHAINS[cc]
+
+
+def compile_flags() -> Tuple[str, ...]:
+    """The flags every kernel object is compiled with: ``_CFLAGS``, plus
+    ``-march=native`` where the compiler resolves it."""
+    cc = _find_cc()
+    if cc is not None and _toolchain(cc).target:
+        return _CFLAGS + ("-march=native",)
+    return _CFLAGS
 
 
 def available() -> bool:
@@ -215,9 +304,12 @@ def toolchain_report() -> Dict[str, object]:
     """What the native target found on this machine (CI prints this).
 
     ``"blas"`` names the library numpy's GEMMs — hence every tier's —
-    run on.
+    run on; ``"target"`` the CPU the kernels are built for (what
+    ``-march=native`` resolved to, e.g. ``"cooperlake"``, or
+    ``"default"``).
     """
     cc = _find_cc()
+    found = _toolchain(cc) if cc else None
     cdir = cache_dir()
     try:
         cached = len([f for f in os.listdir(cdir) if f.endswith(".so")])
@@ -225,7 +317,8 @@ def toolchain_report() -> Dict[str, object]:
         cached = 0
     return {
         "cc": cc,
-        "cc_version": _cc_version(cc) if cc else None,
+        "cc_version": found.version if found else None,
+        "target": found.cpu if found else None,
         "blas": _numpy_blas(),
         "cache_dir": cdir,
         "cached_kernels": cached,
@@ -457,14 +550,20 @@ def _blas_of(c_source: str) -> Optional[Tuple[str, str]]:
 
 def source_key(c_source: str) -> str:
     """SHA-256 over the C source plus the compiler identity and flags,
-    and the identity of the BLAS it calls, if any."""
+    the target ``-march=native`` resolved to (so no host opens an object
+    built for another CPU's instructions), and the identity of the BLAS
+    it calls, if any. At the baseline flags the key is the target-less
+    one."""
     cc = _find_cc() or ""
     h = hashlib.sha256()
     h.update(c_source.encode())
     h.update(b"\x00")
     h.update(cc.encode())
-    h.update(_cc_version(cc).encode() if cc else b"")
-    h.update(" ".join(_CFLAGS).encode())
+    found = _toolchain(cc) if cc else None
+    h.update(found.version.encode() if found else b"")
+    h.update(" ".join(compile_flags()).encode())
+    if found and found.target:
+        h.update(" ".join(found.target).encode())
     linked = _blas_of(c_source)
     if linked is not None:
         h.update(repr(linked).encode())
@@ -517,7 +616,7 @@ def _compile(c_source: str, so_path: str, jobs: int) -> None:
             "native codegen target needs a C compiler (cc/gcc/clang) on "
             "PATH — none found"
         )
-    flags = [f for f in _CFLAGS if f != "-shared"]
+    flags = [f for f in compile_flags() if f != "-shared"]
 
     def build(tmp_so: str) -> None:
         with tempfile.TemporaryDirectory(dir=os.path.dirname(so_path)) as tmp:

@@ -304,6 +304,116 @@ class TestKernelCache:
         assert a == native.source_key(native.PRELUDE + "/* a */")
 
 
+#: a ``$CC`` that refuses ``-march=native`` and is ``cc`` otherwise
+_NO_NATIVE_CC = """#!/bin/sh
+for a in "$@"; do
+    if [ "$a" = "-march=native" ]; then
+        echo "error: bad value 'native' for '-march='" >&2
+        exit 1
+    fi
+done
+exec {cc} "$@"
+"""
+
+
+@needs_cc
+class TestHostTarget:
+    """Kernels are built for the CPU ``-march=native`` resolves to, and
+    the cache key names that CPU: an object built for one CPU's
+    instructions is never another host's hit."""
+
+    @pytest.fixture
+    def fresh_probe(self, monkeypatch):
+        monkeypatch.setattr(native, "_TOOLCHAINS", {})
+
+    def test_resolved_targets_key_apart(self, kernel_cache, monkeypatch):
+        cc = native._find_cc()
+        found = native._toolchain(cc)
+        src = native.PRELUDE + "/* isa */"
+        keys = {}
+        for name in ("cooperlake", "znver3"):
+            target = (f"-march={name}", "-mavx2", "-mno-avx512f")
+            monkeypatch.setitem(
+                native._TOOLCHAINS, cc, found._replace(target=target)
+            )
+            keys[name] = native.source_key(src)
+            assert native.source_key(src) == keys[name]
+            assert native.compile_flags()[-1] == "-march=native"
+            assert native.toolchain_report()["target"] == name
+        assert keys["cooperlake"] != keys["znver3"]
+        # the same CPU name with one feature fewer (a VM masking it) is
+        # another target too
+        monkeypatch.setitem(native._TOOLCHAINS, cc, found._replace(
+            target=("-march=cooperlake", "-mno-avx2", "-mno-avx512f")
+        ))
+        assert native.source_key(src) not in keys.values()
+
+    def test_compiler_rejecting_native_keeps_the_baseline(
+        self, kernel_cache, fresh_probe, monkeypatch, tmp_path
+    ):
+        wrapper = tmp_path / "no-native-cc"
+        wrapper.write_text(_NO_NATIVE_CC.format(cc=native._find_cc()))
+        wrapper.chmod(0o755)
+        monkeypatch.setenv("CC", str(wrapper))
+        assert native.compile_flags() == native._CFLAGS
+        assert native.toolchain_report()["target"] == "default"
+        src = native.PRELUDE + "\nvoid noop_n(char** A, double* S) {}\n"
+        # the key without a target: compiler path, identity and flags
+        version = subprocess.run(
+            [str(wrapper), "--version"], capture_output=True, text=True,
+            check=True,
+        ).stdout.splitlines()[0]
+        want = hashlib.sha256(
+            src.encode() + b"\x00" + str(wrapper).encode()
+            + version.encode() + " ".join(native._CFLAGS).encode()
+        ).hexdigest()
+        assert native.source_key(src) == want
+        # the wrapper fails any compile given -march=native
+        k = native.load_kernels(src)
+        assert os.path.basename(k.path) == want + ".so"
+        k.call("noop_n", (np.zeros(1),))
+
+    def test_probe_runs_once_per_process(
+        self, kernel_cache, fresh_probe, monkeypatch
+    ):
+        probes = []
+        run = subprocess.run
+
+        def counted(args, *rest, **kwargs):
+            if "--version" in args:
+                probes.append(args)
+            return run(args, *rest, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counted)
+        src = native.PRELUDE + "\nvoid noop_p(char** A, double* S) {}\n"
+        native.source_key(src)
+        first = len(probes)
+        # one process where the compiler shows its target, and a plain
+        # --version after it only where it does not
+        if native.compile_flags() != native._CFLAGS:
+            assert first == 1
+        assert 1 <= first <= 2
+        native.source_key(src)
+        native.toolchain_report()
+        native.compile_flags()
+        native.load_kernels(src, parallel=True)
+        native._MEMO.clear()
+        native.load_kernels(src)
+        assert len(probes) == first
+
+    def test_cc1_line_parsing(self):
+        line = (' /usr/lib/gcc/x86_64-linux-gnu/12/cc1 -E -quiet /dev/null'
+                ' "-march=cooperlake" -mavx2 -mno-sse4a --param'
+                ' l1-cache-size=48 -mtune=generic -dumpbase null')
+        assert native._cc1_target("Target: x86_64\n" + line + "\n") == (
+            "-march=cooperlake", "-mavx2", "-mno-sse4a", "-mtune=generic"
+        )
+        # unresolved, or no cc1 line at all (clang stops at --version)
+        unresolved = line.replace('"-march=cooperlake"', "-march=native")
+        assert native._cc1_target(unresolved) == ()
+        assert native._cc1_target("clang version 17.0.6\n") == ()
+
+
 class TestTargetDispatch:
     def test_unknown_target_rejected(self):
         with pytest.raises(CodegenError):
@@ -1649,10 +1759,10 @@ def _gcc():
 
 @pytest.mark.skipif(_gcc() is None, reason="needs gcc's -fopt-info")
 class TestLoopsVectorize:
-    """Every loop of the optimizers' and MoE's kernels vectorizes at
-    ``_CFLAGS``. (A GEMM function's loops, its per-batch ``sgemm`` calls
-    and conversions, are scalar by choice, marked ``REPRO_SCALAR``; a
-    Dropout's 64-bit multiplies have no SSE2 vector form.)
+    """Every loop of the optimizers' and MoE's kernels vectorizes at the
+    flags kernels ship with, ``native.compile_flags()``. (A GEMM
+    function's loops, its per-batch ``sgemm`` calls and conversions, are
+    scalar by choice, marked ``REPRO_SCALAR``.)
 
     One ``?:`` select on a floating-point result in the half
     conversions makes gcc leave a loop scalar, at half its speed, while
@@ -1664,7 +1774,7 @@ class TestLoopsVectorize:
         c_file = tmp_path / "kernels.c"
         c_file.write_text(c_source)
         proc = subprocess.run(
-            [_gcc(), *native._CFLAGS, "-fopt-info-vec-optimized",
+            [_gcc(), *native.compile_flags(), "-fopt-info-vec-optimized",
              "-o", str(tmp_path / "kernels.so"), str(c_file), "-lm"],
             capture_output=True, text=True, timeout=300, check=True,
         )
@@ -1733,6 +1843,204 @@ class TestLoopsVectorize:
         if workload == "moe_fp32":  # its ReLU and scale loops vectorize
             assert len(gemms) == 2
             assert {owner[n] for n in scalar} == gemms
+
+
+#: the prelude's ISA-sensitive helpers, each over arrays: the max/min
+#: selects, the fold's NaN rule, the u64 -> double conversion and Dropout
+_ISA_HARNESS = (
+    _CONV_HARNESS + native.HALF_MINMAX + native.DROPOUT + native.FOLD_NAN
+    + native._fold_source("fold_sum_f16_f16", "+", "float16", "float16")
+    + native._fold_source("fold_sum_f64_f64", "+", "float64", "float64")
+    + r"""
+void select(char** A, double* S) {
+    const double* a = (const double*)A[0];
+    const double* b = (const double*)A[1];
+    double* mx = (double*)A[2];
+    double* mn = (double*)A[3];
+    double* hmx = (double*)A[4];
+    double* hmn = (double*)A[5];
+    const long long n = (long long)S[0];
+    for (long long i = 0; i < n; ++i) mx[i] = repro_max(a[i], b[i]);
+    for (long long i = 0; i < n; ++i) mn[i] = repro_min(a[i], b[i]);
+    for (long long i = 0; i < n; ++i) hmx[i] = repro_hmax(a[i], b[i]);
+    for (long long i = 0; i < n; ++i) hmn[i] = repro_hmin(a[i], b[i]);
+}
+void u2d(char** A, double* S) {
+    const uint64_t* in = (const uint64_t*)A[0];
+    double* out = (double*)A[1];
+    const long long n = (long long)S[0];
+    for (long long i = 0; i < n; ++i) out[i] = (double)in[i];
+}
+void dropout(char** A, double* S) {
+    const double* x = (const double*)A[0];
+    const uint64_t* index = (const uint64_t*)A[1];
+    double* out = (double*)A[2];
+    const long long n = (long long)S[0];
+    const uint64_t key = ((uint64_t)S[1] << 32) | (uint64_t)S[2];
+    for (long long i = 0; i < n; ++i)
+        out[i] = repro_dropout(x[i], index[i], key, S[3], S[4]);
+}
+"""
+)
+
+
+def _payload_nans(dtype, seed):
+    """NaNs of ``dtype`` with random payloads and signs, some quiet and
+    some signalling, then ordinary values."""
+    bits = {np.float16: np.uint16, np.float64: np.uint64}[dtype]
+    width = np.dtype(bits).itemsize * 8
+    mant = {16: 10, 64: 52}[width]
+    rng = np.random.default_rng(seed)
+    payload = rng.integers(1, 1 << min(mant, 62), 4096, dtype=np.uint64)
+    payload = payload & np.uint64((1 << mant) - 1)
+    payload[payload == 0] = 1
+    exp = np.uint64(((1 << (width - 1 - mant)) - 1) << mant)
+    sign = rng.integers(0, 2, 4096, dtype=np.uint64) << np.uint64(width - 1)
+    nans = (sign | exp | payload).astype(bits).view(dtype)
+    return np.concatenate([nans, rng.normal(0.0, 4.0, 4096).astype(dtype)])
+
+
+@needs_cc
+@pytest.mark.skipif(
+    native.available()
+    and not native._toolchain(native._find_cc()).target,
+    reason="-march=native is not resolved here: one flag set only",
+)
+class TestHostIsaBitIdentical:
+    """The host's instruction set keeps every bit: each check builds
+    its C twice, at the baseline flags and at the host's, and compares
+    the results by bytes (``+ - * / sqrt`` and conversions round alike
+    at every vector width, and ``-ffp-contract=off`` forbids FMAs)."""
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _baseline():
+        """The compiler as if it refused ``-march=native``."""
+        cc = native._find_cc()
+        host = native._toolchain(cc)
+        native._TOOLCHAINS[cc] = host._replace(target=())
+        try:
+            yield
+        finally:
+            native._TOOLCHAINS[cc] = host
+
+    def _both(self, source):
+        """``source`` built at the baseline flags, then the host's."""
+        with self._baseline():
+            baseline = native.load_kernels(source)
+        host = native.load_kernels(source)
+        assert baseline.path != host.path
+        return baseline, host
+
+    def _same(self, kernels, name, inputs, outputs, scalars=()):
+        got = []
+        for k in kernels:
+            outs = [np.empty_like(o) for o in outputs]
+            k.call(name, inputs, scalars, outs)
+            got.append([o.tobytes() for o in outs])
+        assert got[0] == got[1], name
+
+    def test_half_conversions(self, kernel_cache):
+        kernels = self._both(_ISA_HARNESS)
+        halves = np.arange(65536, dtype=np.uint16)
+        self._same(kernels, "conv_h2d", (halves,), (np.empty(65536),))
+        exact = halves.view(np.float16).astype(np.float64)
+        finite = exact[np.isfinite(exact)]
+        mids = (finite[:-1] + finite[1:]) / 2.0
+        doubles = np.concatenate([
+            exact, mids, np.nextafter(mids, np.inf),
+            np.nextafter(mids, -np.inf), _payload_nans(np.float64, 1),
+            np.random.default_rng(2).normal(0.0, 1e4, 65536),
+        ])
+        self._same(
+            kernels, "conv_d2h", (doubles,),
+            (np.empty(len(doubles), np.uint16),), (len(doubles),),
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float64])
+    def test_fold_keeps_the_first_nan(self, kernel_cache, dtype):
+        kernels = self._both(_ISA_HARNESS)
+        short = native._SHORT[np.dtype(dtype).name]
+        name = f"fold_sum_{short}_{short}"
+        rows = [_payload_nans(dtype, 3), _payload_nans(dtype, 4)]
+        rows.append(np.roll(rows[0], 7))
+        n = rows[0].size
+        got = []
+        for k in kernels:
+            acc, out = np.empty(n), np.empty(n, dtype)
+            for r, row in enumerate(rows):
+                k.call(name, (row, acc), (n, r, len(rows)), (out,))
+            got.append(out.tobytes())
+        assert got[0] == got[1]
+
+    def test_signed_zero_ties_in_max_and_min(self, kernel_cache):
+        kernels = self._both(_ISA_HARNESS)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0])
+        a = np.repeat(special, len(special))
+        b = np.tile(special, len(special))
+        a, b = np.tile(a, 9), np.tile(b, 9)  # past a vector's width
+        self._same(
+            kernels, "select", (a, b), [np.empty(len(a))] * 4, (len(a),)
+        )
+
+    def test_dropout_on_indices_past_2_63(self, kernel_cache):
+        kernels = self._both(_ISA_HARNESS)
+        rng = np.random.default_rng(5)
+        top = np.uint64(1 << 63)
+        index = np.concatenate([
+            np.arange(4096, dtype=np.uint64) + top - np.uint64(2048),
+            np.arange(2048, dtype=np.uint64) + np.uint64(2 ** 64 - 2048),
+            rng.integers(0, 2 ** 63, 4096, dtype=np.uint64) | top,
+        ])
+        self._same(
+            kernels, "u2d", (index,), (np.empty(len(index)),),
+            (len(index),),
+        )
+        x = rng.normal(0.0, 4.0, len(index))
+        for p in (0.1, 0.5, 0.9):
+            self._same(
+                kernels, "dropout", (x, index), (np.empty(len(index)),),
+                (len(index), 0x9E3779B9, 0x7F4A7C15, p, 1.0 / (1.0 - p)),
+            )
+
+    def _run_both(self, program, inputs):
+        """``_digest`` of a native run at the baseline flags, then at
+        the host's, each on its own compile."""
+        digests = []
+        compiles = native.metrics.snapshot().get("native.cache.compiles", 0)
+        with Executor() as ex:
+            for flags in (self._baseline, contextlib.nullcontext):
+                with flags(), np.errstate(all="ignore"):
+                    digests.append(_digest(ex.run_spmd(
+                        program, inputs, allow_downcast=True,
+                        codegen_target="native", timeout=120.0,
+                    )))
+        snap = native.metrics.snapshot()
+        assert snap["native.cache.compiles"] == compiles + 2
+        return digests
+
+    @pytest.mark.parametrize("dtype", ["FP16", "FP32", "FP64"])
+    def test_every_op(self, kernel_cache, dtype):
+        from repro.core import dtypes
+
+        program, inputs = _every_op_program(getattr(dtypes, dtype))
+        baseline, host = self._run_both(program, inputs)
+        assert baseline == host
+
+    @pytest.mark.parametrize("workload", ["adam", "attention"])
+    def test_tuned_pointer_modules(self, kernel_cache, workload):
+        # op chains, where an FMA would round once instead of twice: the
+        # tuned Adam's loop and attention's GEMM, Dropout and fold
+        from repro.cli import _seeded_inputs
+        from repro.workloads.adam import AdamWorkload
+
+        sched = (
+            _tuned(AdamWorkload, num_elements=4096) if workload == "adam"
+            else _tuned_attention(2)
+        )
+        inputs = _seeded_inputs(sched.program, seed=3)
+        baseline, host = self._run_both(sched, inputs)
+        assert baseline == host
 
 
 def _refuse(*args, **kwargs):

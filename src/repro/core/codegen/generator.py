@@ -8,8 +8,8 @@ tensor states. Launch order, overlap orchestration and bucket metadata
 all come from the shared lowering (:mod:`repro.core.lower`) — the same
 instruction stream the numeric executor interprets and the cost model
 prices — so nothing about the schedule is re-derived here. Collectives
-are rendezvous calls on the rank's
-:class:`~repro.runtime.spmd.SpmdCommunicator` (the NCCL analogue);
+are rendezvous calls on the rank's communicator (the NCCL analogue,
+:class:`~repro.runtime.rank.RankCore`'s collectives over addresses);
 fused collectives evaluate their operations in program order on this
 rank's slice; lowered :class:`~repro.core.lower.ChunkLoop` instructions
 become chunk orchestrators: a ring GEMM overlap with a producer stream
@@ -158,9 +158,11 @@ class CodeGenerator:
 
     Every rank runs the same module in its own process; kernels take
     ``(V, T, comm)`` and bind to that rank's
-    :class:`~repro.runtime.spmd.SpmdCommunicator` — the lowered
-    instruction stream, executed by real communicating processes, and
-    bit-identical to the lowered interpreter. ``target="spmd"``
+    :class:`~repro.runtime.spmd.SpmdCommunicator`, the array binding of
+    :class:`~repro.runtime.rank.RankCore`'s collectives, each one call
+    (:meth:`_emit_library_collective`) — the lowered instruction stream,
+    executed by real communicating processes, and bit-identical to the
+    lowered interpreter. ``target="spmd"``
     (default) keeps every kernel in Python. ``target="native"`` emits
     the same module with its elementwise chains rendered to fused C
     loops and dispatched through :mod:`repro.core.codegen.native`'s
@@ -175,8 +177,9 @@ class CodeGenerator:
     the tuned Adam at any world size, the tuned attention, every MoE
     schedule) gets a *pointer* module instead: values are addresses, its
     0-d prologue, Dropouts, folds and GEMMs are C too (the GEMMs call
-    numpy's own ``sgemm``), an AllToAll copies by a move table built
-    here, and its ranks never import numpy
+    numpy's own ``sgemm``), its collectives are the same calls on
+    :class:`~repro.runtime.rank.PointerCommunicator`, an AllToAll by a
+    move table built here, and its ranks never import numpy
     (``GeneratedSpmdProgram.plane``).
     """
 
@@ -267,20 +270,11 @@ class CodeGenerator:
     def _emit_constants(self, em: _Emitter, program: Program) -> None:
         for g in self._groups(program):
             name = self._gname(g)
-            if self._pointer:
-                em.emit(f"RANKS_{name} = {tuple(g.ranks)!r}")
-                continue
-            em.emit(
-                f"{name} = ProcessGroup({g.start}, {g.size}, {g.world_size})"
-            )
-            em.emit(f"RANKS_{name} = tuple({name}.ranks)")
+            group = f"ProcessGroup({g.start}, {g.size}, {g.world_size})"
+            if not self._pointer:
+                em.emit(f"{name} = {group}")
+            em.emit(f"RANKS_{name} = {tuple(g.ranks)!r}")
         em.emit()
-
-    def _local_rank(self, group: ProcessGroup) -> str:
-        """This rank's local rank in ``group``, as module text."""
-        if self._pointer:
-            return f"_rank - {group.start}"
-        return f"{self._gname(group)}.local_rank(_rank)"
 
     def _pointer_ready(self, lowered: LoweredProgram) -> bool:
         """Whether the native module can run on the pointer data plane.
@@ -462,7 +456,7 @@ class CodeGenerator:
             else:
                 segments[-1].append(e)
         em.emit("_rank = comm.rank")
-        em.emit(f"_i = {self._local_rank(group)}")
+        em.emit(f"_i = _rank - {group.start}")
         for si, segment in enumerate(segments):
             if segment:
                 if self._nat is not None:
@@ -642,79 +636,27 @@ class CodeGenerator:
     # -- communication ---------------------------------------------------------
 
     def _emit_library_collective(self, em: _Emitter, e: Expr) -> None:
-        """One rendezvous call on this rank's communicator.
-
-        The communicator applies the same float64 rank-order reduction
-        formulas as the vectorized library, so the result is
-        bit-identical to the lowered interpreter's.
+        """One rendezvous call on this rank's communicator: the operand
+        and its ``ProcessGroup`` or, in a pointer module, its address,
+        the group's ranks and its per-rank bytes; a pointer fold names
+        its C helper, and a pointer AllToAll takes this rank's row of the
+        move table (:func:`~repro.runtime.collectives.alltoall_moves`).
+        The result is bit-identical to the lowered interpreter's.
         """
-        g = self._gname(e.group)
-        x = e.inputs[0]
-        xr = f"V[{x.name!r}]"
+        x, g = e.inputs[0], self._gname(e.group)
+        pointer = self._pointer
+        args = [f"V[{x.name!r}]"]
+        args += [f"RANKS_{g}", str(x.per_rank_bytes())] if pointer else [g]
         # an AllGather with a writeback gathers into its storage when it
         # can (the slot is published before any row is written, so an
         # operand aliasing its own row is safe), else copies there after
         region = (
             self._gather_region(e) if isinstance(e, ops.AllGather) else None
         )
-        em.emit(f"# NCCL {e.comm_kind} — shared-memory rendezvous")
-        if self._pointer:
-            em.emit(f"V[{e.name!r}] = {self._pointer_collective(e, region)}")
-            return
-        if isinstance(e, ops.AllReduce):
-            call = f"comm.allreduce({xr}, {g}, {e.reduction!r}, {_np_dtype(e)})"
-        elif isinstance(e, ops.ReduceScatter):
-            call = (
-                f"comm.reducescatter({xr}, {g}, {e.reduction!r}, "
-                f"{e.layout.dim}, {_np_dtype(e)}, context={e.name!r})"
-            )
-        elif isinstance(e, ops.AllGather):
-            out = f", out={region}" if region is not None else ""
-            call = f"comm.allgather({xr}, {g}, {e.dim}{out})"
-        elif isinstance(e, (ops.AllToAll, ops.AllToAllPhase)):
-            phase = (
-                f"phase={e.phase!r}, node_size={e.node_size}, "
-                if isinstance(e, ops.AllToAllPhase) else ""
-            )
-            call = (
-                f"comm.alltoall({xr}, {g}, {e.dim}, {phase}"
-                f"context={e.name!r})"
-            )
-        elif isinstance(e, ops.Reduce):
-            call = (
-                f"comm.reduce({xr}, {g}, {e.reduction!r}, {e.root}, "
-                f"{_np_dtype(e)})"
-            )
-        elif isinstance(e, ops.Broadcast):
-            call = f"comm.broadcast({xr}, {g}, {e.root})"
-        else:  # pragma: no cover
-            raise CodegenError(f"no communicator call for {type(e).__name__}")
-        em.emit(f"V[{e.name!r}] = {call}")
-        if (
-            isinstance(e, ops.AllGather)
-            and e.writeback is not None
-            and region is None
-        ):
-            em.emit(
-                f"np.copyto(T[{e.writeback.name!r}], V[{e.name!r}], "
-                f"casting='unsafe')"
-            )
-
-    def _pointer_collective(
-        self, e: Expr, region: Optional[str]
-    ) -> str:
-        """A pointer module's call for collective ``e``: its operand's
-        address and per-rank bytes, and for a fold, the C helper, the
-        result's element count and bytes; for an AllToAll, this rank's
-        row of the move table
-        (:func:`~repro.runtime.collectives.alltoall_moves`)."""
-        g = f"RANKS_{self._gname(e.group)}"
-        x = e.inputs[0]
-        head = f"V[{x.name!r}], {g}, {x.per_rank_bytes()}"
         if isinstance(e, ops.AllGather):
-            out = f", out={region}" if region is not None else ""
-            return f"comm.allgather({head}{out})"
-        if isinstance(e, (ops.AllToAll, ops.AllToAllPhase)):
+            args += [] if pointer else [str(e.dim)]
+            args += [] if region is None else [f"out={region}"]
+        elif isinstance(e, (ops.AllToAll, ops.AllToAllPhase)) and pointer:
             from repro.runtime.collectives import alltoall_moves
 
             # one row of (source rank, source chunk, destination chunk)
@@ -728,16 +670,35 @@ class CodeGenerator:
                 )
                 for i in range(e.group.size)
             )
-            return f"comm.alltoall({head}, {moves!r}[comm.rank - {g0}])"
-        fold = self._nat.fold(e.reduction, x.dtype, e.dtype)
-        call = (
-            "reducescatter" if isinstance(e, ops.ReduceScatter)
-            else "allreduce"
-        )
-        return (
-            f"comm.{call}({head}, {fold!r}, {e.per_rank_elements()}, "
-            f"{e.per_rank_bytes()})"
-        )
+            args.append(f"{moves!r}[comm.rank - {g0}]")
+        elif isinstance(e, (ops.AllToAll, ops.AllToAllPhase)):
+            args.append(str(e.dim))
+            if isinstance(e, ops.AllToAllPhase):
+                args += [f"phase={e.phase!r}", f"node_size={e.node_size}"]
+            args.append(f"context={e.name!r}")
+        elif pointer:  # a fold: AllReduce or dim-0 ReduceScatter
+            fold = self._nat.fold(e.reduction, x.dtype, e.dtype)
+            args += [repr(fold), str(e.per_rank_elements())]
+            args.append(str(e.per_rank_bytes()))
+        elif isinstance(e, ops.Broadcast):
+            args.append(str(e.root))
+        else:  # AllReduce, ReduceScatter or Reduce
+            args.append(repr(e.reduction))
+            if isinstance(e, ops.ReduceScatter):
+                args.append(str(e.layout.dim))
+            if isinstance(e, ops.Reduce):
+                args.append(str(e.root))
+            args.append(_np_dtype(e))
+            if isinstance(e, ops.ReduceScatter):
+                args.append(f"context={e.name!r}")
+        method = e.comm_kind.partition("_")[0]
+        em.emit(f"# NCCL {e.comm_kind} — shared-memory rendezvous")
+        em.emit(f"V[{e.name!r}] = comm.{method}({', '.join(args)})")
+        if region is None and getattr(e, "writeback", None) is not None:
+            em.emit(
+                f"np.copyto(T[{e.writeback.name!r}], V[{e.name!r}], "
+                f"casting='unsafe')"
+            )
 
     def _emit_fused_collective(self, em: _Emitter, k: Kernel) -> None:
         """A fused collective, evaluated in program order.
@@ -853,8 +814,6 @@ class CodeGenerator:
         em.indent += 1
         em.emit("return")
         em.indent -= 1
-        em.emit(f"_i = {g}.local_rank(comm.rank)")
-        em.emit("_rank = comm.rank")
         em.emit("# one kernel launch (§5.3 publish mode)")
         em.emit(f"_staging = {self._matmul(mm)}")
         # The chunk-token pipeline is only sound when the consumer's
@@ -941,12 +900,8 @@ class CodeGenerator:
             g = self._gname(t.group)
             em.emit(f"if _rank in RANKS_{g}:")
             em.indent += 1
-            value = (
-                f"inputs[{t.name!r}]" if self._pointer
-                else f"np.asarray(inputs[{t.name!r}])"
-            )
             if isinstance(t, Tensor):
-                em.emit(f"T[{t.name!r}] = {value}")
+                em.emit(f"T[{t.name!r}] = inputs[{t.name!r}]")
                 if t.name not in copied:
                     em.emit(f"V[{t.name!r}] = T[{t.name!r}]")
                 elif self._pointer:
@@ -957,7 +912,7 @@ class CodeGenerator:
                 else:
                     em.emit(f"V[{t.name!r}] = T[{t.name!r}].copy()")
             else:
-                em.emit(f"V[{t.name!r}] = {value}")
+                em.emit(f"V[{t.name!r}] = inputs[{t.name!r}]")
             em.indent -= 1
         for e in dfg.topological(program.roots):
             # a pointer module's constants are its C loops' scalars

@@ -1,30 +1,34 @@
-"""A rank's control plane, and its numpy-free data plane.
+"""A rank's control plane, and the one implementation of its collectives.
 
 :mod:`repro.runtime.spmd` runs one process per rank over a data and a
 flags segment. This module, which imports no numpy, holds what ranks
 and parent agree on besides the payload bytes: :class:`SpmdLayout`
 (both segments' layout, carried in every rank's spec, dtypes as
 strings), the flags segment's format, :class:`RankCore` (a rank's
-counters, spin, deadlines, peer abort, fault hooks, trace ring and the
-publication protocol), :class:`RankFaults` (a fault plan's view for one
-rank), the kernel objects (:class:`CompiledKernels`,
-:func:`open_kernels`), the spec and report messages and the rank's
-entry point, :func:`_rank_main`.
+counters, spin, deadlines, peer abort, fault hooks, trace ring, the
+publication protocol and every collective, over addresses),
+:class:`RankFaults` (a fault plan's view for one rank), the kernel
+objects (:class:`CompiledKernels`, :func:`open_kernels`), the spec and
+report messages and the rank's entry point, :func:`_rank_main`.
 
-Two data planes subclass :class:`RankCore`; the generated module says
-which one it needs (``GeneratedSpmdProgram.plane``):
+A collective copies between slot and buffer addresses by the
+``(offset, nbytes)`` runs of its box (:func:`box_runs`: one run for a
+dim-0 box), drains its peers in one order and folds through a callable.
+Two data planes bind these collectives; the generated module says which
+one it needs (``GeneratedSpmdProgram.plane``):
 
 * :class:`PointerCommunicator` (``"pointer"``) runs a native module
   whose every kernel is C (loops, Dropouts, GEMMs calling numpy's own
   ``sgemm``), dim-0 slice copies, whole ReduceScatters, AllGathers and
   AllReduces and dim-0 AllToAlls, in tiled chunk loops or none, such as
   the tuned Adam at any world size, the tuned attention and the MoE.
-  Values are addresses; collectives copy with ``ctypes.memmove`` and
-  fold with the program's own C. Such a rank never imports numpy.
+  Values are addresses, and folds call the program's own C. Such a
+  rank never imports numpy.
 * :class:`~repro.runtime.spmd.SpmdCommunicator` (``"numpy"``) runs
   every other module (other GEMMs, convolutions, P2P, the ring GEMM
   overlap, cross-rank norms, collectives on other dims, and the
-  ``spmd`` target) over array views.
+  ``spmd`` target). It binds arrays to the same collectives by their
+  addresses, and folds with :func:`~repro.runtime.collectives.fold_ranks`.
 
 A rank imports numpy only for the second: before its first spec, when
 the launcher started it for a numpy module (``sys.argv[2]``), else once
@@ -362,27 +366,19 @@ class RankFaults:
         return None
 
 
-#: the chunk list of a whole-payload publication: one chunk, every element
-WHOLE = ((Ellipsis,),)
-
-
 class _Publication(collections.namedtuple(
-    "_Publication", "key ranks seq shape dtype chunks payload"
+    "_Publication", "key ranks seq chunks payload chunked"
 )):
-    """One operation on a site: a ``shape``/``dtype`` payload per rank.
+    """One operation on a site: a payload of the same bytes per rank.
 
-    ``chunks`` index the payload: :data:`WHOLE` for a collective's own
-    operand, one slice per lowering chunk for a §5.3 chunked
-    publication. ``payload`` is what this rank releases (``None`` for a
-    rank that only reads): an array on the numpy data plane, an address
-    on the pointer plane, whose ``shape`` is ``(nbytes,)``.
+    ``chunks`` split the payload into the parts a publisher releases one
+    at a time, each a tuple of ``(offset, nbytes)`` runs: one chunk of
+    one run for a collective's own operand, one per lowering chunk for a
+    §5.3 ``chunked`` publication. ``payload`` is the address of what
+    this rank releases (unused by a rank that only reads).
     """
 
     __slots__ = ()
-
-    @property
-    def chunked(self) -> bool:
-        return self.chunks is not WHOLE
 
 
 def signal_dead(layout: SpmdLayout, flags_fd: int, rank: int) -> None:
@@ -396,10 +392,12 @@ def signal_dead(layout: SpmdLayout, flags_fd: int, rank: int) -> None:
 
 
 class RankCore:
-    """One rank's control plane over the flags segment: its sequence
-    counters, deadlines, fault plan and, when traced, its trace ring.
-    ``_streams`` are the data plane's stream threads, which
-    :meth:`close` joins."""
+    """One rank's control plane over the flags segment (its sequence
+    counters, deadlines, fault plan and, when traced, its trace ring),
+    and the one implementation of the collectives over addresses in the
+    data segment that both data planes bind: slot copies, drain orders,
+    fold drivers and the barrier. ``_streams`` are the data plane's
+    stream threads, which :meth:`close` joins."""
 
     def __init__(
         self, layout: SpmdLayout, rank: int, data: mmap.mmap,
@@ -421,6 +419,14 @@ class RankCore:
         self._data = data
         self._flags_map = flags
         self._flags = memoryview(flags).cast("q")
+        # pins the data segment until close(); addresses are plain ints
+        self._pin = ctypes.c_char.from_buffer(data)
+        self.base = ctypes.addressof(self._pin)
+        self._zero = ctypes.c_int64()  # a barrier's payload
+        #: per site, the chunked publication its next collective takes
+        self._pending: Dict[str, _Publication] = {}
+        #: the buffers the data plane allocated, kept until close()
+        self._buffers: List = []
         self._seq: Dict[str, int] = {}
         self._closed = False
         self._clean = True
@@ -540,15 +546,16 @@ class RankCore:
     # -- the publication protocol -----------------------------------------
     #
     # Every operation on a site is one :class:`_Publication`: ``_open``
-    # takes the site's next sequence number, ``_release`` announces this
-    # rank's payload chunk by chunk, and ``_drain``/``_fold`` wait for
-    # each chunk and hand it to the data plane before ``_finish``. Both
-    # data planes run these methods; they differ only in how a chunk's
-    # bytes move (the ``copy``/``take``/``fold`` callables).
+    # takes the site's next sequence number, ``_release`` copies this
+    # rank's payload into its slot chunk by chunk, and ``_drain`` and
+    # ``_fold`` wait for each chunk and copy it out, or fold it, before
+    # ``_finish``. Every collective of both data planes is these calls on
+    # addresses: a drain copies ``(slot offset, destination offset,
+    # nbytes)`` moves (:func:`box_moves`) out of its peers' slots, and a
+    # fold hands the participants' runs to its plane's fold callable.
 
-    def _slot_bounds(self, key: str, rank: int) -> Tuple[int, int]:
-        """``(offset, size)`` of ``rank``'s slot at site ``key`` in the
-        data segment."""
+    def _slot(self, key: str, rank: int) -> Tuple[int, int]:
+        """The address and size of ``rank``'s slot at site ``key``."""
         try:
             _, slot, offset = self.layout.sites[key]
         except KeyError:
@@ -557,29 +564,44 @@ class RankCore:
                 f"launcher sized sites from the program — this op was "
                 f"not part of it"
             ) from None
-        return offset + rank * slot, slot
+        return self.base + offset + rank * slot, slot
 
     def _open(
-        self, key: str, ranks: Sequence[int], nbytes: int, shape, dtype,
-        chunks: Tuple[tuple, ...] = WHOLE, payload=None,
+        self, key: str, ranks: Sequence[int], nbytes: int,
+        chunks: Optional[Sequence[Sequence[Tuple[int, int]]]] = None,
+        payload: int = 0,
     ) -> _Publication:
         """Start the next operation on site ``key`` among ``ranks``: an
-        ``nbytes`` payload per rank."""
-        _, slot = self._slot_bounds(key, self.rank)
+        ``nbytes`` payload per rank at ``payload``, released whole or,
+        given ``chunks``, chunk by chunk."""
+        _, slot = self._slot(key, self.rank)
         if nbytes > slot:
             raise SpmdError(
                 f"rank {self.rank}: payload of {nbytes} B exceeds the "
                 f"{slot} B slot of site {key!r}"
             )
         seq = self._begin(key, ranks)
+        whole = chunks is None
         return _Publication(
-            key, tuple(ranks), seq, tuple(shape), dtype, chunks, payload
+            key, tuple(ranks), seq,
+            (((0, nbytes),),) if whole else tuple(map(tuple, chunks)),
+            payload, not whole,
         )
 
-    def _release(self, pub: _Publication, copy: Callable[[int], int]) -> None:
+    def _publish(
+        self, key: str, ranks: Sequence[int], x: int, nbytes: int
+    ) -> _Publication:
+        """Open the next operation on ``key`` and release the ``nbytes``
+        at ``x`` whole."""
+        pub = self._open(key, ranks, nbytes, payload=x)
+        self._release(pub)
+        return pub
+
+    def _release(self, pub: _Publication, out: int = 0) -> None:
         """Announce this rank's payload, one wire transfer and one ready
-        bump per chunk: ``copy(c)`` writes chunk ``c`` into this rank's
-        slot and returns its bytes.
+        bump per chunk: the chunk's runs are copied into this rank's
+        slot and, given ``out``, into that buffer too (the
+        consumer-visible buffer of the lowered ``publish`` mode).
 
         Fault points count a whole publication by its site sequence and
         a chunked one by chunk index; only a chunked publication can
@@ -589,10 +611,16 @@ class RankCore:
         for the last chunk), and consumers soft-retry through the gap.
         """
         key = pub.key
+        slot = self._slot(key, self.rank)[0]
         redeliver: Optional[float] = None
-        for c in range(len(pub.chunks)):
+        for c, runs in enumerate(pub.chunks):
             t0 = time.perf_counter_ns() if self._ring is not None else 0
-            nbytes = copy(c)
+            nbytes = 0
+            for off, n in runs:
+                ctypes.memmove(slot + off, pub.payload + off, n)
+                if out:
+                    ctypes.memmove(out + off, pub.payload + off, n)
+                nbytes += n
             self._wire_sleep(nbytes)
             seq = c if pub.chunked else pub.seq
             self._fault_publish(key, seq)
@@ -629,41 +657,57 @@ class RankCore:
 
     def _drain(
         self, pub: _Publication, ranks: Sequence[int],
-        take: Callable[[int, int], None],
+        moves: Sequence[Sequence[Tuple[int, int, int]]], out: int,
     ) -> None:
-        """For each chunk ``c`` of ``pub`` and each ``ranks[j]``, in
-        that order: wait until the rank published the chunk, then
-        ``take(c, j)``. Then finish the operation."""
-        for c in range(len(pub.chunks)):
+        """For each chunk of ``pub`` and each ``ranks[j]``, in that
+        order (a rank may repeat): wait until the rank published the
+        chunk, then copy the part of ``moves[j]`` inside it from the
+        rank's slot into ``out``. Then finish the operation."""
+        slots = [self._slot(pub.key, r)[0] for r in ranks]
+        for c, runs in enumerate(pub.chunks):
             for j, r in enumerate(ranks):
                 self._wait(pub, r, c)
-                take(c, j)
+                for s, d, n in _within(moves[j], runs):
+                    ctypes.memmove(out + d, slots[j] + s, n)
         self._finish(pub)
 
     def _fold(
-        self, pub: _Publication, fold: Callable[[int], None], name: str
+        self, pub: _Publication, moves: Sequence[Tuple[int, int, int]],
+        fold: Callable[[List[int], int, int], None], name: str,
     ) -> None:
-        """Wait for each chunk ``c`` of ``pub`` from every participant,
-        then ``fold(c)``; finish the operation and record its reduce
-        span (``name`` when no kernel is running).
+        """Wait for each chunk of ``pub`` from every participant, then
+        ``fold(sources, d, n)`` each part ``(s, d, n)`` of ``moves``
+        inside it, ``sources`` being the participants' slots at ``s`` in
+        rank order; finish the operation and record its reduce span
+        (``name`` when no kernel is running).
 
         The reduce span of a chunked publication starts before the first
         wait, since its reduction is interleaved with the waits; a whole
         payload's span starts once every payload is in, so it covers the
         reduction only.
         """
+        slots = [self._slot(pub.key, r)[0] for r in pub.ranks]
         t0 = time.perf_counter_ns() if self._ring is not None else 0
-        for c in range(len(pub.chunks)):
+        for c, runs in enumerate(pub.chunks):
             for r in pub.ranks:
                 self._wait(pub, r, c)
             if not pub.chunked and self._ring is not None:
                 t0 = time.perf_counter_ns()
-            fold(c)
+            for s, d, n in _within(moves, runs):
+                fold([slot + s for slot in slots], d, n)
         self._finish(pub)
         self._trace(
             KIND_REDUCE, t0, seq=pub.seq, site=pub.key,
             name=self._op or name,
         )
+
+    def barrier(self) -> None:
+        """Wait until every rank reached its barrier."""
+        ranks = range(self.nranks)
+        pub = self._publish(
+            _group_site(ranks), ranks, ctypes.addressof(self._zero), 8
+        )
+        self._drain(pub, ranks, [()] * self.nranks, 0)
 
     def _begin(self, key: str, participants: Sequence[int]) -> int:
         """Take site ``key``'s next sequence number, once every
@@ -797,9 +841,9 @@ class RankCore:
         # a short grace join and is tagged in the trace — a leaked
         # producer is a teardown bug the post-mortem must show
         for s in self._streams:
-            if s.alive():
-                s.wait(1.0)
-                if s.alive():
+            if s.is_alive():
+                s.join(1.0)
+                if s.is_alive():
                     self._clean = False
                     if self._ring is not None:
                         self._ring.append(
@@ -807,6 +851,8 @@ class RankCore:
                             name="stream-leak",
                         )
         self._streams = []
+        self._pin = None
+        self._buffers = []
         self._flags.release()
         self._ring = None
         for segment in (self._data, self._flags_map):
@@ -857,6 +903,52 @@ class _KernelSpan:
             comm._op = self._prev
         # on failure the op name is left in place so error_context()
         # reports the kernel that raised
+
+
+def box_runs(
+    shape: Sequence[int], itemsize: int, dim: int, lo: int, hi: int
+) -> List[Tuple[int, int]]:
+    """The ``(offset, nbytes)`` runs, in order, of rows ``lo:hi`` along
+    ``dim`` (negative counts from the end) of a C-contiguous ``shape``
+    array of ``itemsize``-byte elements: one run per index of the
+    dimensions before ``dim``, so a dim-0 box is one run."""
+    dim %= len(shape)
+    inner = itemsize * math.prod(shape[dim + 1:])
+    step = shape[dim] * inner
+    return [
+        (o * step + lo * inner, (hi - lo) * inner)
+        for o in range(math.prod(shape[:dim]))
+    ]
+
+
+def box_moves(
+    shape: Sequence[int], itemsize: int, dim: int, lo: int, at: int,
+    rows: int, dst: Optional[Sequence[int]] = None,
+) -> List[Tuple[int, int, int]]:
+    """The ``(source offset, destination offset, nbytes)`` moves that
+    copy rows ``lo:lo + rows`` along ``dim`` of a C-contiguous ``shape``
+    array into rows ``at:at + rows`` of a ``dst``-shaped one (default:
+    ``shape``), equal to it in every other dimension."""
+    return [
+        (s, d, n) for (s, n), (d, _) in zip(
+            box_runs(shape, itemsize, dim, lo, lo + rows),
+            box_runs(dst or shape, itemsize, dim, at, at + rows),
+        )
+    ]
+
+
+def _within(
+    moves: Sequence[Tuple[int, int, int]], runs: Sequence[Tuple[int, int]]
+) -> List[Tuple[int, int, int]]:
+    """The parts of ``moves`` whose source bytes lie in ``runs`` (one
+    chunk of a publication), in order."""
+    return [
+        (lo, d + lo - s, hi - lo)
+        for s, d, n in moves
+        for a, m in runs
+        for lo, hi in ((max(s, a), min(s + n, a + m)),)
+        if lo < hi
+    ]
 
 
 def _group_site(ranks: Sequence[int]) -> str:
@@ -974,27 +1066,18 @@ class PointerCommunicator(RankCore):
 
     A pointer module (``GeneratedSpmdProgram.plane == "pointer"``) holds
     every value as the address of this rank's copy of it: an input
-    region in the data segment, or a buffer from :meth:`alloc`. A
-    collective publishes its whole operand with ``ctypes.memmove``. A
-    ReduceScatter or AllReduce folds the participants' slots with the
-    program's own C helper, ``fold_<op>_<in>_<out>``, a rank-order
-    float64 fold rounded once: exactly
-    :func:`~repro.runtime.collectives.fold_ranks` then ``astype``. An
-    AllGather copies each peer's slot into its row, an AllToAll one
-    dim-0 chunk per move of the table the module passes. The protocol,
-    waits, faults and trace records are :class:`RankCore`'s, the ones
-    the numpy data plane runs.
+    region in the data segment, or a buffer from :meth:`alloc`. Its
+    collectives are :class:`RankCore`'s on those addresses, each
+    publishing its whole operand. A ReduceScatter or AllReduce folds the
+    participants' slots with the program's own C helper,
+    ``fold_<op>_<in>_<out>``, a rank-order float64 fold rounded once:
+    exactly :func:`~repro.runtime.collectives.fold_ranks` then
+    ``astype``. An AllGather copies each peer's slot into its row, an
+    AllToAll one dim-0 chunk per move of the table the module passes.
     """
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        # pins the data segment until close(); addresses are plain ints
-        self._pin = ctypes.c_char.from_buffer(self._data)
-        self.base = ctypes.addressof(self._pin)
-        self._buffers: List = []
-        self._zero = self.alloc(8)
-        #: the program's kernel object, bound before the body runs
-        self.kernels: Optional[CompiledKernels] = None
+    #: the program's kernel object, bound before the body runs
+    kernels: Optional[CompiledKernels] = None
 
     def alloc(self, nbytes: int) -> int:
         """The address of a new zeroed ``nbytes`` buffer, kept until
@@ -1025,40 +1108,24 @@ class PointerCommunicator(RankCore):
         ``fmt`` (``e``, ``f`` or ``d``), as an exact Python float."""
         return struct.unpack(fmt, ctypes.string_at(x, struct.calcsize(fmt)))[0]
 
-    def _slot(self, key: str, rank: int) -> int:
-        return self.base + self._slot_bounds(key, rank)[0]
-
-    def _publish(
-        self, ranks: Sequence[int], x: int, nbytes: int
-    ) -> _Publication:
-        """Open the group's next operation and release the ``nbytes`` at
-        ``x`` whole."""
-        key = _group_site(ranks)
-        pub = self._open(key, ranks, nbytes, (nbytes,), None, payload=x)
-        slot = self._slot(key, self.rank)
-
-        def copy(c: int) -> int:
-            ctypes.memmove(slot, x, nbytes)
-            return nbytes
-
-        self._release(pub, copy)
-        return pub
-
     def _reduce(
         self, x: int, ranks: Sequence[int], nbytes: int, fold: str,
-        count: int, out_nbytes: int, offset: int,
+        count: int, out_nbytes: int, part: int = 0, parts: int = 1,
     ) -> int:
-        pub = self._publish(ranks, x, nbytes)
-        out = self.alloc(out_nbytes)
-        acc = self.alloc(8 * count)
+        """Fold dim-0 part ``part`` of ``parts`` of every rank's
+        ``nbytes`` at ``x`` into ``count`` elements (``out_nbytes``) by
+        C helper ``fold``."""
+        pub = self._publish(_group_site(ranks), ranks, x, nbytes)
+        out, acc = self.alloc(out_nbytes), self.alloc(8 * count)
+        size = nbytes // parts
 
-        def fold_rows(c: int) -> None:
-            for j, r in enumerate(ranks):
-                row = self._slot(pub.key, r) + offset
-                scalars = (count, j, len(ranks))
-                self.kernels.call(fold, (row, acc), scalars, (out,))
+        def fold_run(sources: List[int], d: int, n: int) -> None:
+            # a whole publication: the one run is the part, ``n == size``
+            for j, src in enumerate(sources):
+                scalars = (count, j, len(sources))
+                self.kernels.call(fold, (src, acc), scalars, (out,))
 
-        self._fold(pub, fold_rows, fold)
+        self._fold(pub, ((part * size, 0, size),), fold_run, fold)
         return out
 
     def allreduce(
@@ -1068,7 +1135,7 @@ class PointerCommunicator(RankCore):
         """Every rank receives the reduction of each rank's ``nbytes``
         at ``x``: ``count`` elements (``out_nbytes``) that C helper
         ``fold`` folds."""
-        return self._reduce(x, ranks, nbytes, fold, count, out_nbytes, 0)
+        return self._reduce(x, ranks, nbytes, fold, count, out_nbytes)
 
     def reducescatter(
         self, x: int, ranks: Sequence[int], nbytes: int, fold: str,
@@ -1076,8 +1143,10 @@ class PointerCommunicator(RankCore):
     ) -> int:
         """This rank receives its dim-0 shard of the reduction (as
         :meth:`allreduce`), and folds only that shard of every slot."""
-        shard = nbytes // len(ranks) * ranks.index(self.rank)
-        return self._reduce(x, ranks, nbytes, fold, count, out_nbytes, shard)
+        return self._reduce(
+            x, ranks, nbytes, fold, count, out_nbytes,
+            ranks.index(self.rank), len(ranks),
+        )
 
     def allgather(
         self, x: int, ranks: Sequence[int], nbytes: int,
@@ -1087,14 +1156,11 @@ class PointerCommunicator(RankCore):
         rank order, into ``out`` (default: a new buffer). ``x`` is
         published before any row of ``out`` is written, so it may be
         this rank's own row."""
-        pub = self._publish(ranks, x, nbytes)
+        pub = self._publish(_group_site(ranks), ranks, x, nbytes)
         if out is None:
             out = self.alloc(nbytes * len(ranks))
-        slots = [self._slot(pub.key, r) for r in ranks]
-        self._drain(
-            pub, ranks,
-            lambda c, j: ctypes.memmove(out + j * nbytes, slots[j], nbytes),
-        )
+        rows = [((0, j * nbytes, nbytes),) for j in range(len(ranks))]
+        self._drain(pub, ranks, rows, out)
         return out
 
     def alltoall(
@@ -1105,20 +1171,14 @@ class PointerCommunicator(RankCore):
         ``nbytes`` at ``x``: for each move ``(p, s, d)``, in order,
         chunk ``s`` (of ``len(ranks)``) of global rank ``p``'s slot is
         copied into chunk ``d`` of this rank's result."""
-        pub = self._publish(ranks, x, nbytes)
+        pub = self._publish(_group_site(ranks), ranks, x, nbytes)
         out = self.alloc(nbytes)
         step = nbytes // len(ranks)
-        srcs = [self._slot(pub.key, p) + s * step for p, s, _ in moves]
-        dsts = [out + d * step for _, _, d in moves]
         self._drain(
             pub, [p for p, _, _ in moves],
-            lambda c, j: ctypes.memmove(dsts[j], srcs[j], step),
+            [((s * step, d * step, step),) for _, s, d in moves], out,
         )
         return out
-
-    def barrier(self) -> None:
-        ranks = range(self.nranks)
-        self._drain(self._publish(ranks, self._zero, 8), ranks, _skip)
 
     # -- the body's inputs and results -----------------------------------
 
@@ -1142,15 +1202,6 @@ class PointerCommunicator(RankCore):
             at = self.base + offsets[self.rank]
             if x != at:
                 ctypes.memmove(at, x, math.prod(shape) * int(dtype[2:]))
-
-    def close(self) -> bool:
-        self._pin = None
-        self._buffers = []
-        return super().close()
-
-
-def _skip(c: int, j: int) -> None:
-    """A drain that only waits (a barrier reads no payload)."""
 
 
 def _run_body(

@@ -10,12 +10,14 @@ process executes the same generated SPMD module (``CodeGenerator`` with
 :class:`SpmdCommunicator` over two anonymous shared-memory files
 (``memfd_create``) that every rank maps. The rank's control plane (the
 flags segment, the spin, the publication protocol, faults, the trace
-ring, the spec and report) is :mod:`repro.runtime.rank`, which imports
-no numpy, and so is the pointer data plane, which a native module runs
-on when every kernel is C, a whole collective or a dim-0 AllToAll
+ring, the spec and report) and every collective, over addresses, are
+:mod:`repro.runtime.rank`, which imports no numpy. A native module runs
+them on the pointer data plane when every kernel is C, a whole
+collective or a dim-0 AllToAll
 (:class:`~repro.runtime.rank.PointerCommunicator`: its ranks never
-import numpy). This module is the numpy data plane, which runs every
-other module, and the launcher.
+import numpy). This module is the launcher and the numpy data plane,
+:class:`SpmdCommunicator`, which binds arrays to the same collectives
+for every other module.
 
 Transport protocol
 ------------------
@@ -40,18 +42,18 @@ reads them off the ``Send``).
 Numerics
 --------
 
-Reductions fold the participants' slots in rank order into one float64
-buffer with the formula of
-:func:`~repro.runtime.collectives.fold_ranks` (on the pointer plane,
-the program's C fold helper, which restates it), so every collective is
+Reductions fold the participants' slots in rank order into float64
+with the formula of :func:`~repro.runtime.collectives.fold_ranks`
+(over array views here; on the pointer plane, through the program's C
+fold helper, which restates it), rounded once, so every collective is
 bit-identical to its vectorized counterpart (``run_spmd`` ≡
 ``run_lowered``). The AllToAll copies its peers' chunks by the moves
 of :func:`~repro.runtime.collectives.alltoall_moves`, the list the
 vectorized AllToAll gathers by. Chunked publication
 (:meth:`SpmdCommunicator.begin_chunked`) releases a producer's output
-chunk by chunk, and a consuming reduction folds each chunk once every
-rank published it: bit-identical to a whole-buffer fold, while the
-reduce runs behind the wire.
+chunk by chunk, and a consuming collective takes each chunk's runs
+once every rank published it: bit-identical to a whole-buffer
+collective, while the reduce runs behind the wire.
 
 Launch
 ------
@@ -180,6 +182,7 @@ it spawns one real OS process per rank:
 
 from __future__ import annotations
 
+import ctypes
 import math
 import mmap
 import os
@@ -197,25 +200,23 @@ from repro.core.tensor import Tensor
 from repro.observe.ring import TraceRing, merge_rank_traces
 from repro.runtime.collectives import alltoall_moves, fold_ranks
 from repro.runtime.rank import (
-    _ERR_FAILED, _RANK_ENTRY, DEFAULT_TIMEOUT, WHOLE,
-    RankCore, SpmdLayout, SpmdTimeout, SpmdWorkerError,
-    _group_site, _Publication, _recv, _send, signal_dead,
+    _ERR_FAILED, _RANK_ENTRY, DEFAULT_TIMEOUT,
+    RankCore, SpmdError, SpmdLayout, SpmdTimeout, SpmdWorkerError,
+    _group_site, _Publication, _recv, _send, box_moves, box_runs,
+    signal_dead,
 )
 from repro.runtime.world import (
-    assemble_rows, check_divisible, place_input, place_inputs, slice_of,
+    assemble_rows, check_divisible, place_input, place_inputs,
 )
 
 if TYPE_CHECKING:  # parent-side only
     import socket
     import subprocess
+    import threading
 
     from repro.runtime.faults import FaultPlan
 
 __all__ = ["RankPool", "SpmdCommunicator", "scaled_default_timeout"]
-
-
-def _group_key(group: ProcessGroup) -> str:
-    return _group_site(group.ranks)
 
 
 def _p2p_key(src: int, dst: int) -> str:
@@ -246,11 +247,7 @@ def build_layout(program) -> SpmdLayout:
 
     world_size = program.inputs[0].group.world_size
     layout = SpmdLayout(world_size)
-    layout.add_site(
-        _group_key(ProcessGroup(0, world_size, world_size)),
-        range(world_size),
-        64,
-    )
+    layout.add_site(_group_site(range(world_size)), range(world_size), 64)
     for e in program.operations:
         if isinstance(e, ops.Send):
             src_group = e.inputs[0].group
@@ -264,11 +261,11 @@ def build_layout(program) -> SpmdLayout:
             nbytes = max(
                 e.inputs[0].per_rank_bytes(), e.per_rank_bytes()
             )
-            layout.add_site(_group_key(e.group), e.group.ranks, nbytes)
+            layout.add_site(_group_site(e.group.ranks), e.group.ranks, nbytes)
         elif (
             isinstance(e, (ops.Norm, ops.ReduceTensor)) and e.crosses_ranks
         ):
-            layout.add_site(_group_key(e.group), e.group.ranks, 64)
+            layout.add_site(_group_site(e.group.ranks), e.group.ranks, 64)
 
     def readers(t) -> Tuple[int, ...]:
         ranks = tuple(t.group.ranks)
@@ -335,191 +332,98 @@ def scaled_default_timeout(layout: SpmdLayout, wire_s_per_mb: float) -> float:
     return DEFAULT_TIMEOUT + scale
 
 
-def _clip(
-    chunk: tuple, shape: Tuple[int, ...],
-    shard: Optional[Tuple[int, int, int]],
-) -> Optional[Tuple[tuple, tuple]]:
-    """``(src, dst)``: where ``chunk`` meets ``shard``, indexed in the
-    payload and in the shard; ``None`` when they do not meet.
-
-    ``shard = (dim, lo, hi)`` keeps rows ``lo:hi`` of ``dim``; without
-    one, both indices are ``chunk``.
-    """
-    if shard is None:
-        return chunk, chunk
-    dim, lo, hi = shard
-    idx = [slice(None)] * len(shape)
-    for axis, sl in enumerate(chunk):
-        if sl is not Ellipsis:
-            idx[axis] = sl
-    start, stop, _ = idx[dim].indices(shape[dim])
-    start, stop = max(start, lo), min(stop, hi)
-    if start >= stop:
-        return None
-    src, dst = list(idx), idx
-    src[dim] = slice(start, stop)
-    dst[dim] = slice(start - lo, stop - lo)
-    return tuple(src), tuple(dst)
+def _address(out: np.ndarray, shape, dtype) -> int:
+    """The address of ``out``, an array a collective writes in place,
+    once it is a C-contiguous ``shape`` array of ``dtype``."""
+    if out.shape != tuple(shape) or out.dtype != dtype or not (
+        out.flags.c_contiguous
+    ):
+        raise SpmdError(
+            f"output {out.dtype}{list(out.shape)} (strides {out.strides}) "
+            f"is not a C-contiguous {np.dtype(dtype)}{list(shape)}"
+        )
+    return out.ctypes.data
 
 
 class SpmdCommunicator(RankCore):
-    """One rank's endpoint of the shared-memory rendezvous: the data
-    plane (slots, folds, collectives, streams) over
-    :class:`~repro.runtime.rank.RankCore`'s control plane."""
+    """One rank's array binding of :class:`~repro.runtime.rank.RankCore`'s
+    collectives, the ones the pointer plane runs.
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._pending: Dict[str, _Publication] = {}
-
-    # -- slots -----------------------------------------------------------
-
-    def _slot_view(self, pub: _Publication, rank: int) -> np.ndarray:
-        """A writable view of ``rank``'s slot holding ``pub``'s payload.
-
-        Callers must drop the view before :meth:`close` (views pin the
-        shared-memory buffer).
-        """
-        base, _ = self._slot_bounds(pub.key, rank)
-        return np.ndarray(
-            pub.shape, dtype=pub.dtype, buffer=self._data, offset=base
-        )
-
-    # -- rendezvous core --------------------------------------------------
-    #
-    # The protocol is :class:`RankCore`'s (``_open``, ``_release``,
-    # ``_drain``, ``_fold``); these methods move the bytes of each chunk
-    # between array views of the slots and the operands.
-
-    def _open_array(
-        self, key: str, ranks: Sequence[int], shape, dtype,
-        chunks: Tuple[tuple, ...] = WHOLE, payload=None,
-    ) -> _Publication:
-        """Start the next operation on site ``key`` among ``ranks``."""
-        dtype = np.dtype(dtype)
-        nbytes = int(np.prod(shape)) * dtype.itemsize
-        return self._open(key, ranks, nbytes, shape, dtype, chunks, payload)
-
-    def _publish(
-        self, key: str, ranks: Sequence[int], x, release: bool = True
-    ) -> _Publication:
-        """Open the next operation on ``key`` with ``x`` as one chunk,
-        and release it unless ``release`` is false (a reader only)."""
-        x = np.asarray(x)
-        pub = self._open_array(key, ranks, x.shape, x.dtype, payload=x)
-        if release:
-            self._release_array(pub)
-        return pub
-
-    def _release_array(
-        self, pub: _Publication, out: Optional[np.ndarray] = None
-    ) -> None:
-        """Write this rank's payload into its slot chunk by chunk (see
-        :meth:`RankCore._release`). ``out``, when given, receives each
-        chunk as it is published — the consumer-visible buffer of the
-        lowered ``publish`` mode."""
-        payload = pub.payload
-        view = self._slot_view(pub, self.rank)
-
-        def copy(c: int) -> int:
-            sl = pub.chunks[c]
-            view[sl] = payload[sl]
-            if out is not None:
-                out[sl] = payload[sl]
-            return payload[sl].nbytes
-
-        try:
-            self._release(pub, copy)
-        finally:
-            del view
-
-    def _gather(
-        self, pub: _Publication, ranks: Optional[Sequence[int]] = None,
-        rows: Optional[Sequence[np.ndarray]] = None,
-        shards: Optional[Sequence[Tuple[int, int, int]]] = None,
-    ) -> List[np.ndarray]:
-        """Copy out the payloads of ``ranks`` (default: every participant)
-        into ``rows`` (default: new arrays), one row per rank; with
-        ``shards``, only the ``shards[j] = (dim, lo, hi)`` of rank
-        ``ranks[j]``'s payload (see :func:`_clip`). A rank may repeat.
-
-        Each chunk is drained from the ranks in the order given, as soon
-        as that rank published it; then the operation is finished.
-        """
-        ranks = pub.ranks if ranks is None else ranks
-        shards = [None] * len(ranks) if shards is None else shards
-        if rows is None:
-            rows = [np.empty(pub.shape, dtype=pub.dtype) for _ in ranks]
-        views = [self._slot_view(pub, r) for r in ranks]
-
-        def take(c: int, j: int) -> None:
-            box = _clip(pub.chunks[c], pub.shape, shards[j])
-            if box is not None:
-                rows[j][box[1]] = views[j][box[0]]
-
-        try:
-            self._drain(pub, ranks, take)
-        finally:
-            del views
-        return rows
-
-    def _reduce(
-        self, pub: _Publication, op: str,
-        shard: Optional[Tuple[int, int, int]] = None,
-    ) -> np.ndarray:
-        """Rank-order float64 reduction of every participant's payload,
-        or of its ``shard = (dim, lo, hi)`` only (see :func:`_clip`).
-
-        Each chunk, once every rank published it, is folded
-        (:func:`~repro.runtime.collectives.fold_ranks`) straight from the
-        participants' slots into one float64 result, restricted to the
-        shard. Reductions over the rank axis are element-wise in the data
-        dimensions, so this is bit-identical to reducing the whole stack
-        and slicing — while a chunked publication genuinely overlaps the
-        reduce with the remaining chunks' wire time. Every chunk is still
-        awaited from every rank, shard or not.
-        """
-        shape = list(pub.shape)
-        if shard is not None:
-            dim, lo, hi = shard
-            shape[dim] = hi - lo
-        total = np.empty(shape, np.float64)
-        views = [self._slot_view(pub, r) for r in pub.ranks]
-
-        def fold(c: int) -> None:
-            box = _clip(pub.chunks[c], pub.shape, shard)
-            if box is not None:
-                src, dst = box
-                fold_ranks(total[dst], [v[src] for v in views], op)
-
-        try:
-            self._fold(pub, fold, op)
-        finally:
-            del views
-        return total
+    An operand goes in by its address (through a contiguous copy when
+    it is not contiguous), a result comes out as an array allocated
+    here, and a reduction folds by
+    :func:`~repro.runtime.collectives.fold_ranks` over views of the
+    participants' runs (the ``spmd`` target has no compiler).
+    """
 
     def _publication(
         self, x, group: ProcessGroup, release: bool = True
-    ) -> _Publication:
-        """The group's pending chunked publication, else ``x`` published
-        whole (see :meth:`_publish`)."""
-        key = _group_key(group)
+    ) -> Tuple[_Publication, np.ndarray]:
+        """``(publication, operand)``: the group's pending chunked
+        publication and ``x``, else ``x`` published whole, unless
+        ``release`` is false (a reader only)."""
+        key = _group_site(group.ranks)
         pending = self._pending.pop(key, None)
         if pending is not None:
-            return pending
-        return self._publish(key, group.ranks, x, release)
+            return pending, np.asarray(x)
+        x = np.require(x, requirements="C")
+        pub = self._open(key, group.ranks, x.nbytes, payload=x.ctypes.data)
+        if release:
+            self._release(pub)
+        return pub, x
+
+    def _fold_into(
+        self, pub: _Publication, x: np.ndarray, op: str, dtype,
+        shape=None, moves=None,
+    ) -> np.ndarray:
+        """A new ``shape`` (default: ``x``'s) array of ``dtype``: the
+        ``moves`` (default: all) of every participant's payload of
+        ``x``'s dtype folded in rank order in float64, rounded once.
+
+        The fold is element-wise along the rank axis, so folding a shard,
+        and a chunk of it at a time, gives the bits of the whole fold.
+        """
+        out = np.empty(x.shape if shape is None else shape, dtype)
+        moves = ((0, 0, x.nbytes),) if moves is None else moves
+        flat = out.reshape(-1)
+        acc = np.empty(flat.size, np.float64)
+
+        def fold(sources: List[int], d: int, n: int) -> None:
+            # the participants' runs, viewed where they lie
+            rows = [
+                np.frombuffer((ctypes.c_char * n).from_address(a), x.dtype)
+                for a in sources
+            ]
+            k, at = n // x.itemsize, d // x.itemsize
+            fold_ranks(acc[:k], rows, op)
+            flat[at : at + k] = acc[:k]
+
+        self._fold(pub, moves, fold, op)
+        return out
+
+    def _rows(
+        self, pub: _Publication, ranks: Sequence[int], shape, dtype
+    ) -> np.ndarray:
+        """A new array of one row per rank of ``ranks``: its whole
+        ``shape``/``dtype`` payload of ``pub``."""
+        out = np.empty((len(ranks), *shape), dtype)
+        size = out.nbytes // len(ranks)
+        moves = [((0, j * size, size),) for j in range(len(ranks))]
+        self._drain(pub, ranks, moves, out.ctypes.data)
+        return out
 
     # -- collectives ------------------------------------------------------
     #
     # Each method mirrors the corresponding ``*_vectorized`` formula of
-    # :mod:`repro.runtime.collectives`, reading the peers' slots where
-    # they lie, so results are bit-identical to the vectorized backend.
-    # Each one consumes the group's pending chunked publication or
-    # publishes ``x`` whole, then runs the same code either way.
+    # :mod:`repro.runtime.collectives`, so results are bit-identical to
+    # the vectorized backend. Each one consumes the group's pending
+    # chunked publication or publishes ``x`` whole, then runs the same
+    # code either way.
 
     def allreduce(self, x, group: ProcessGroup, op: str, dtype) -> np.ndarray:
         """Every rank receives the reduction of all ranks' values."""
-        total = self._reduce(self._publication(x, group), op)
-        return total.astype(dtype, copy=False)
+        pub, x = self._publication(x, group)
+        return self._fold_into(pub, x, op, dtype)
 
     def reducescatter(
         self, x, group: ProcessGroup, op: str, dim: int, dtype,
@@ -528,11 +432,12 @@ class SpmdCommunicator(RankCore):
         """This rank receives its slice of the reduction, and reduces
         only that slice of every participant's payload."""
         step = check_divisible(np.shape(x), dim, group.size, context)
+        pub, x = self._publication(x, group)
         lo = group.local_rank(self.rank) * step
-        total = self._reduce(
-            self._publication(x, group), op, (dim, lo, lo + step)
-        )
-        return total.astype(dtype, copy=False)
+        shape = list(x.shape)
+        shape[dim] = step
+        moves = box_moves(x.shape, x.itemsize, dim, lo, 0, step, shape)
+        return self._fold_into(pub, x, op, dtype, shape, moves)
 
     def allgather(
         self, x, group: ProcessGroup, dim: int,
@@ -546,13 +451,17 @@ class SpmdCommunicator(RankCore):
         row of ``out`` is written, so ``x`` may be a view of ``out``,
         its own row included.
         """
-        pub = self._publication(x, group)
-        n = group.size
-        if out is None:
-            shape = list(pub.shape)
-            shape[dim] *= n
-            out = np.empty(shape, pub.dtype)
-        self._gather(pub, rows=[slice_of(out, dim, j, n) for j in range(n)])
+        x = np.asarray(x)
+        rows, shape = x.shape[dim], list(x.shape)
+        shape[dim] *= group.size
+        out = np.empty(shape, x.dtype) if out is None else out
+        at = _address(out, shape, x.dtype)  # before anything is published
+        pub, x = self._publication(x, group)
+        moves = [
+            box_moves(x.shape, x.itemsize, dim, 0, j * rows, rows, shape)
+            for j in range(group.size)
+        ]
+        self._drain(pub, pub.ranks, moves, at)
         return out
 
     def alltoall(
@@ -566,18 +475,18 @@ class SpmdCommunicator(RankCore):
         group rank ``p``'s payload (of ``n`` along ``dim``) is copied
         once, straight into chunk ``d`` of the result. Peers are drained
         in the moves' order."""
-        pub = self._publication(x, group)
-        n = group.size
-        step = check_divisible(pub.shape, dim, n, context)
+        step = check_divisible(np.shape(x), dim, group.size, context)
+        pub, x = self._publication(x, group)
         moves = alltoall_moves(
             group, group.local_rank(self.rank), phase, node_size
         )
-        out = np.empty(pub.shape, pub.dtype)
-        self._gather(
-            pub, [group.global_rank(p) for p, _, _ in moves],
-            rows=[slice_of(out, dim, d, n) for _, _, d in moves],
-            shards=[(dim, s * step, (s + 1) * step) for _, s, _ in moves],
-        )
+        chunks = [
+            box_moves(x.shape, x.itemsize, dim, s * step, d * step, step)
+            for _, s, d in moves
+        ]
+        out = np.empty(x.shape, x.dtype)
+        sources = [group.global_rank(p) for p, _, _ in moves]
+        self._drain(pub, sources, chunks, out.ctypes.data)
         return out
 
     def reduce(
@@ -590,11 +499,11 @@ class SpmdCommunicator(RankCore):
         rank still contributes one, and the sequence counters keep the
         rendezvous symmetric.
         """
-        pub = self._publication(x, group)
+        pub, x = self._publication(x, group)
         if self.rank == group.global_rank(root):
-            return self._reduce(pub, op).astype(dtype, copy=False)
+            return self._fold_into(pub, x, op, dtype)
         self._finish(pub)
-        return np.asarray(x).astype(dtype)
+        return x.astype(dtype)
 
     def broadcast(self, x, group: ProcessGroup, root: int) -> np.ndarray:
         """Every rank receives the root rank's value.
@@ -604,42 +513,35 @@ class SpmdCommunicator(RankCore):
         whole group.
         """
         root_rank = group.global_rank(root)
-        pub = self._publication(x, group, release=self.rank == root_rank)
-        return self._gather(pub, [root_rank])[0]
+        pub, x = self._publication(x, group, release=self.rank == root_rank)
+        return self._rows(pub, [root_rank], x.shape, x.dtype)[0]
 
     def exchange_scalars(self, value, group: ProcessGroup) -> List[np.float64]:
         """Gather one float64 scalar per rank, in rank order (§5.2:
         the AllReduce of partial reductions). Never consumes a pending
         chunked publication."""
-        pub = self._publish(
-            _group_key(group), group.ranks,
-            np.asarray(value, dtype=np.float64),
-        )
-        return [np.float64(r) for r in self._gather(pub)]
-
-    def barrier(self, group: Optional[ProcessGroup] = None) -> None:
-        if group is None:
-            group = ProcessGroup(0, self.nranks, self.nranks)
-        pub = self._publish(
-            _group_key(group), group.ranks, np.zeros((1,), dtype=np.int64)
-        )
-        self._gather(pub)
+        x = np.asarray(value, dtype=np.float64)
+        key = _group_site(group.ranks)
+        pub = self._publish(key, group.ranks, x.ctypes.data, 8)
+        return list(self._rows(pub, pub.ranks, (), np.float64))
 
     # -- P2P --------------------------------------------------------------
 
     def send(self, x, dst: int) -> None:
         """Send this rank's value to global rank ``dst``."""
-        pub = self._publish(_p2p_key(self.rank, dst), (self.rank, dst), x)
-        self._finish(pub)
+        x = np.require(x, requirements="C")
+        key = _p2p_key(self.rank, dst)
+        self._finish(
+            self._publish(key, (self.rank, dst), x.ctypes.data, x.nbytes)
+        )
 
     def recv(self, src: int, shape, dtype) -> np.ndarray:
         """Receive the ``shape``/``dtype`` value global rank ``src`` sent
         to this rank (the generated module knows both from the send's
         operand)."""
-        pub = self._open_array(
-            _p2p_key(src, self.rank), (src, self.rank), shape, dtype
-        )
-        return self._gather(pub, [src])[0]
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        pub = self._open(_p2p_key(src, self.rank), (src, self.rank), nbytes)
+        return self._rows(pub, [src], shape, dtype)[0]
 
     # -- chunked ring publication (overlap, §5.3) -------------------------
 
@@ -649,7 +551,7 @@ class SpmdCommunicator(RankCore):
         staging: np.ndarray,
         chunk_dim: int,
         bounds: Sequence[Tuple[int, int]],
-    ) -> _Publication:
+    ) -> Tuple[_Publication, np.ndarray]:
         """Open a chunked publication of ``staging`` on the group site.
 
         One chunk per ``(lo, hi)`` of ``bounds`` along ``chunk_dim``;
@@ -657,7 +559,7 @@ class SpmdCommunicator(RankCore):
         rank issues on ``group`` consumes this publication instead of
         publishing its own operand whole, and ingests it chunk by chunk
         through the same wait and copy-out/reduce loop as a one-chunk
-        publication.
+        publication. The token returned keeps ``staging`` alive.
 
         Chunks are released in *index order* on every rank. The real
         backend's ring collective consumes rank-rotated chunks (rank
@@ -670,38 +572,60 @@ class SpmdCommunicator(RankCore):
         order completes chunk ``c`` at step ``c`` and genuinely overlaps
         the consumer's reduction with the remaining chunks' wire time.
         """
-        staging = np.asarray(staging)
-        lead = (slice(None),) * (chunk_dim % staging.ndim)
-        chunks = tuple(lead + (slice(lo, hi),) for lo, hi in bounds)
-        pub = self._open_array(
-            _group_key(group), group.ranks, staging.shape, staging.dtype,
-            chunks, staging,
+        staging = np.require(staging, requirements="C")
+        chunks = [
+            box_runs(staging.shape, staging.itemsize, chunk_dim, lo, hi)
+            for lo, hi in bounds
+        ]
+        pub = self._open(
+            _group_site(group.ranks), group.ranks, staging.nbytes, chunks,
+            staging.ctypes.data,
         )
         self._pending[pub.key] = pub
-        return pub
+        return pub, staging
 
     def publish_chunks(
-        self, token: _Publication, out: Optional[np.ndarray] = None
+        self, token: Tuple[_Publication, np.ndarray],
+        out: Optional[np.ndarray] = None,
     ) -> None:
         """Release the staged chunks, one wire transfer per chunk.
 
         ``out``, when given, receives each chunk as it is published —
         the consumer-visible buffer of the lowered ``publish`` mode.
         """
-        self._release_array(token, out)
+        pub, staging = token
+        at = 0 if out is None else _address(out, staging.shape, staging.dtype)
+        self._release(pub, at)
 
     # -- streams ----------------------------------------------------------
 
-    def start_stream(self, fn) -> "_Stream":
+    def start_stream(self, fn) -> threading.Thread:
         """Run ``fn`` on a worker thread — one per GPU stream, giving
-        overlap groups actual intra-rank concurrency."""
-        s = _Stream(fn, self)
-        self._streams.append(s)
-        return s
+        overlap groups actual intra-rank concurrency. What ``fn`` raises
+        sets this rank's error flag, and :meth:`join_streams` raises it
+        again."""
+        import threading  # only overlap chunk loops run a stream
 
-    def join_streams(self, *streams: "_Stream") -> None:
+        def run():
+            try:
+                fn()
+            except BaseException as exc:  # noqa: BLE001 - reraised at join
+                stream.error = exc
+                self.signal_error(_ERR_FAILED)
+
+        stream = threading.Thread(target=run, daemon=True)
+        stream.error = None
+        stream.start()
+        self._streams.append(stream)
+        return stream
+
+    def join_streams(self, *streams: threading.Thread) -> None:
         for s in streams:
-            s.join()
+            s.join(self.timeout)
+            if s.is_alive():  # pragma: no cover - defensive
+                raise SpmdTimeout("stream thread did not finish")
+            if s.error is not None:
+                raise s.error
 
     # -- the body's inputs and results -----------------------------------
 
@@ -715,40 +639,6 @@ class SpmdCommunicator(RankCore):
 
     def _store_results(self, outputs: Dict, states: Dict) -> None:
         _store_results(self.layout, self._data, self.rank, outputs, states)
-
-
-class _Stream(object):
-    """A worker thread standing in for one GPU stream."""
-
-    def __init__(self, fn, comm: SpmdCommunicator) -> None:
-        self._exc: Optional[BaseException] = None
-        self._comm = comm
-
-        def run():
-            try:
-                fn()
-            except BaseException as exc:  # noqa: BLE001 - reraised at join
-                self._exc = exc
-                comm.signal_error(_ERR_FAILED)
-
-        import threading  # only overlap chunk loops run a stream
-
-        self._thread = threading.Thread(target=run, daemon=True)
-        self._thread.start()
-
-    def alive(self) -> bool:
-        return self._thread.is_alive()
-
-    def wait(self, timeout: float) -> None:
-        """Join without re-raising (teardown-side best effort)."""
-        self._thread.join(timeout)
-
-    def join(self) -> None:
-        self._thread.join(self._comm.timeout)
-        if self._thread.is_alive():  # pragma: no cover - defensive
-            raise SpmdTimeout("stream thread did not finish")
-        if self._exc is not None:
-            raise self._exc
 
 
 # ---------------------------------------------------------------------------

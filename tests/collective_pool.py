@@ -9,7 +9,8 @@ plain ``python -c`` process that inherits both segments (memfds) and its
 end of a socket pair, over which every message is one pickle. A pool
 of ``plane="pointer"`` attaches each worker to a
 :class:`~repro.runtime.rank.PointerCommunicator` instead, whose
-collectives take addresses (see :func:`pointer_alltoall`).
+collectives take addresses (see :func:`pointer_alltoall`,
+:func:`pointer_fold` and :func:`pointer_allgather`).
 """
 
 from __future__ import annotations
@@ -33,12 +34,13 @@ from repro.runtime.rank import (
     SpmdError,
     SpmdLayout,
     SpmdPeerAbort,
+    _group_site,
     _recv,
     _send,
+    open_kernels,
 )
 from repro.runtime.spmd import (
     SpmdCommunicator,
-    _group_key,
     _p2p_key,
     _reap,
     _segment,
@@ -148,6 +150,66 @@ def pointer_alltoall(
     ).reshape(x.shape)
 
 
+def _read(address: int, dtype, shape) -> np.ndarray:
+    """A copy of the ``dtype`` array of ``shape`` at ``address``."""
+    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    return np.frombuffer(
+        ctypes.string_at(address, nbytes), dtype
+    ).reshape(shape)
+
+
+def bind_kernels(
+    comm: PointerCommunicator, key: str, path: str, functions
+) -> None:
+    """Open the kernel object at ``path`` as ``comm``'s kernels, as a
+    rank does before its body runs, so its folds can call the helpers."""
+    comm.kernels = open_kernels(key, path, functions)
+    assert comm.kernels is not None, path
+
+
+def pointer_fold(
+    comm: PointerCommunicator, x: np.ndarray, group: ProcessGroup,
+    method: str, fold: str, dtype,
+) -> np.ndarray:
+    """``comm.allreduce`` or ``comm.reducescatter`` (``method``) of
+    ``x`` on the pointer plane, as a pointer module calls it: the
+    operand at an address of its own, folded by C helper ``fold`` into
+    a ``dtype`` result (this rank's dim-0 shard, for a ReduceScatter)."""
+    x = np.ascontiguousarray(x)
+    shape = x.shape
+    if method == "reducescatter":
+        shape = (shape[0] // group.size,) + shape[1:]
+    count = int(np.prod(shape))
+    out = getattr(comm, method)(
+        comm.copy(x.ctypes.data, x.nbytes), group.ranks, x.nbytes, fold,
+        count, count * np.dtype(dtype).itemsize,
+    )
+    return _read(out, dtype, shape)
+
+
+def pointer_allgather(
+    comm: PointerCommunicator, x: np.ndarray, group: ProcessGroup,
+    own_row: bool = False,
+) -> np.ndarray:
+    """``comm.allgather`` of ``x`` along dim 0 on the pointer plane:
+    into a new buffer, or with ``own_row`` into a NaN-filled one whose
+    own row holds ``x`` and is the operand itself (as
+    :func:`gather_into_own_row`, and the pointer Adam, gather)."""
+    x = np.ascontiguousarray(x)
+    n, i = group.size, group.local_rank(comm.rank)
+    shape = (x.shape[0] * n,) + x.shape[1:]
+    if own_row:
+        full = np.full(shape, np.nan, x.dtype)
+        out = comm.copy(full.ctypes.data, full.nbytes)
+        operand = out + i * x.nbytes
+        ctypes.memmove(operand, x.ctypes.data, x.nbytes)
+        assert comm.allgather(operand, group.ranks, x.nbytes, out=out) == out
+    else:
+        operand = comm.copy(x.ctypes.data, x.nbytes)
+        out = comm.allgather(operand, group.ranks, x.nbytes)
+    return _read(out, x.dtype, shape)
+
+
 class CollectivePool:
     """``nranks`` persistent worker processes for direct collective calls.
 
@@ -171,9 +233,7 @@ class CollectivePool:
         self.timeout = float(timeout)
         layout = SpmdLayout(nranks)
         layout.add_site(
-            _group_key(ProcessGroup(0, nranks, nranks)),
-            range(nranks),
-            slot_bytes,
+            _group_site(range(nranks)), range(nranks), slot_bytes,
         )
         for src, dst in pairs:
             layout.add_site(_p2p_key(src, dst), (src, dst), slot_bytes)

@@ -1317,3 +1317,45 @@ class TestLaunchDataPath:
             ex.run_spmd(
                 sched, optimizer_inputs(rng, n=2), allow_downcast=True
             )
+
+
+class TestArrayBinding:
+    """``SpmdCommunicator`` on one rank, in this process: it writes only
+    into outputs that fit, and copies runs of any box."""
+
+    @staticmethod
+    def _comm():
+        from repro.runtime.rank import _group_site
+
+        layout = spmd.SpmdLayout(1)
+        layout.add_site(_group_site(range(1)), range(1), 1024)
+        layout.freeze()
+        data = mmap.mmap(-1, layout.data_size)
+        return spmd.SpmdCommunicator(
+            layout, 0, data, mmap.mmap(-1, layout.flags_bytes()),
+            timeout=5.0,
+        )
+
+    @pytest.mark.parametrize(
+        "out", [np.empty((4,), np.float32), np.empty((2, 3), np.float16),
+                np.empty((2, 6), np.float32)[:, ::2]],
+    )
+    def test_a_gather_into_an_output_that_does_not_fit_raises(self, out):
+        from repro.core import world
+
+        comm = self._comm()
+        x = np.arange(6, dtype=np.float32).reshape(2, 3)
+        with pytest.raises(spmd.SpmdError, match="not a C-contiguous"):
+            comm.allgather(x, world(1), 0, out=out)
+        # nothing was published: the site's next gather runs as usual
+        np.testing.assert_array_equal(comm.allgather(x, world(1), 1), x)
+        assert comm.close()
+
+    def test_a_non_contiguous_operand_is_published_by_a_copy(self):
+        from repro.core import world
+
+        comm = self._comm()
+        x = np.arange(24, dtype=np.float16).reshape(4, 6)[:, 1::2]
+        got = comm.reducescatter(x, world(1), "+", -1, np.float32)
+        np.testing.assert_array_equal(got, x.astype(np.float32))
+        assert comm.close()

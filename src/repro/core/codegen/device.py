@@ -10,10 +10,11 @@ the generated per-rank modules call it: :func:`binary`,
 :func:`dropout_mask`. Each computes in float64 where the op does
 arithmetic and rounds once to the expression dtype, so the tiers agree
 bit for bit by construction. The native target's C
-(:mod:`repro.core.codegen.native`) re-states :func:`binary` and
-:func:`unary` for the ops it compiles, and on the pointer data plane
-:func:`dropout` and :func:`gemm` too, and is held to them bit for bit;
-its kernels bind through
+(:mod:`repro.core.codegen.native`), which a pointer module's ranks run
+instead, restates :func:`binary` and :func:`unary` for the ops it
+compiles, :func:`dropout`, :func:`gemm`, and the sums of :func:`partial`,
+:func:`reduce_local` and :func:`total` for a norm and ``+``, and is held
+to them bit for bit; its kernels bind through
 :func:`repro.runtime.rank.open_kernels`, which imports no numpy.
 """
 
@@ -82,7 +83,8 @@ _REDUCE = {"+": np.sum, "*": np.prod, "max": np.max, "min": np.min}
 
 def partial(x, op: str) -> np.float64:
     """One rank's float64 partial of reduction ``op`` (``"norm"``: the
-    sum of squares)."""
+    sum of squares). A sum is ``np.sum``'s: ``0.0`` plus numpy's pairwise
+    sum of the values, which the native C restates."""
     x = _wide(x)
     return np.sum(x * x) if op == "norm" else _REDUCE[op](x)
 
@@ -108,9 +110,9 @@ def gemm(a: np.ndarray, b: np.ndarray, dtype) -> np.ndarray:
     FP16 operands are upcast to FP32, numpy's BLAS multiplies, and the
     product is rounded once to ``dtype``: a V100 tensor-core GEMM's
     FP16 inputs with FP32 accumulation. numpy's half loop has no BLAS
-    path. The interpreter and both generated targets call this, except
-    a pointer module (native target, no numpy in the rank): its C
-    makes the same ``sgemm`` calls on the same library
+    path. The interpreter and the ``spmd`` target call this; a pointer
+    module (native target, no numpy in the rank) makes the same
+    ``sgemm`` calls on the same library from C
     (``NativeEmitter._emit_gemm``).
     """
     a, b = (

@@ -14,12 +14,14 @@ fused collectives evaluate their operations in program order on this
 rank's slice; lowered :class:`~repro.core.lower.ChunkLoop` instructions
 become chunk orchestrators: a ring GEMM overlap with a producer stream
 thread (Section 5.3), a tiled one calling its members in order.
-A native module whose kernels are all C (GEMMs calling numpy's own
-``sgemm`` included), whole collectives or dim-0 AllToAlls, in tiled
-chunk loops or none, is a *pointer* module instead: it binds addresses,
-not arrays, and its ranks run
+
+The native target has one form of module: a *pointer* module, whose
+kernels are C (loops, GEMMs calling numpy's own ``sgemm``, norms and
+sums) and whose collectives, P2P sends and chunked publications take
+addresses, not arrays; its ranks run
 :class:`~repro.runtime.rank.PointerCommunicator` without numpy, as
-CoCoNet's kernels and library calls run on device pointers.
+CoCoNet's kernels and library calls run on device pointers. A program
+the C does not restate gets exactly the ``spmd`` target's module.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from repro.core.tensor import Const, Expr, Tensor
 from repro.core.transforms.plan import Kernel, KernelKind
 from repro.core.transforms.schedule import Schedule
 from repro.errors import CodegenError
+from repro.runtime.rank import box_runs
 
 _MODULE_HEADER = '''\
 """Generated by the CoCoNet reproduction code generator (SPMD target).
@@ -71,6 +74,10 @@ functions of ``_K``; collectives are rendezvous over shared memory that
 copy with ``memmove`` and fold in ``_K``'s C. Kernels whose process
 group does not include this rank return immediately.
 """
+# bound, before run_rank runs, to the kernel object the launcher
+# compiled (GeneratedSpmdProgram.c_source), as the rank opened it
+_K = None
+
 '''
 
 
@@ -146,41 +153,24 @@ class GeneratedSpmdProgram:
 _NATIVE_MEMO: Dict[str, GeneratedSpmdProgram] = {}
 
 
-#: the native target's module lines: ``_K`` is bound before ``run_rank``
-#: runs, to the :class:`~repro.runtime.rank.CompiledKernels` the rank
-#: opened (:meth:`repro.runtime.spmd.RankPool.launch` compiles the
-#: C source, ``GeneratedSpmdProgram.c_source``, in the launching process)
-_NATIVE_BLOCK = ["_K = None", "", ""]
-
-
 class CodeGenerator:
     """Emit the per-rank module for a scheduled program.
 
     Every rank runs the same module in its own process; kernels take
-    ``(V, T, comm)`` and bind to that rank's
-    :class:`~repro.runtime.spmd.SpmdCommunicator`, the array binding of
-    :class:`~repro.runtime.rank.RankCore`'s collectives, each one call
-    (:meth:`_emit_library_collective`) — the lowered instruction stream,
-    executed by real communicating processes, and bit-identical to the
-    lowered interpreter. ``target="spmd"``
-    (default) keeps every kernel in Python. ``target="native"`` emits
-    the same module with its elementwise chains rendered to fused C
-    loops and dispatched through :mod:`repro.core.codegen.native`'s
-    content-addressed kernel cache; GEMMs (``dev.gemm``, the
-    interpreter's own), communication, overlap orchestration and
-    non-C-able operations are unchanged Python, so every program stays
-    bit-identical to the interpreter.
+    ``(V, T, comm)``, and each collective is one call on the rank's
+    communicator (:meth:`_emit_library_collective`) — the lowered
+    instruction stream, executed by real communicating processes, and
+    bit-identical to the lowered interpreter. ``target="spmd"``
+    (default) keeps every kernel in Python: device-library calls on the
+    arrays of :class:`~repro.runtime.spmd.SpmdCommunicator`.
 
-    A native program whose every kernel is C loops, plain GEMMs, dim-0
-    slice copies, whole ReduceScatters, AllGathers and AllReduces and
-    dim-0 AllToAlls, with no ring GEMM overlap (:meth:`_pointer_ready`;
-    the tuned Adam at any world size, the tuned attention, every MoE
-    schedule) gets a *pointer* module instead: values are addresses, its
-    0-d prologue, Dropouts, folds and GEMMs are C too (the GEMMs call
-    numpy's own ``sgemm``), its collectives are the same calls on
-    :class:`~repro.runtime.rank.PointerCommunicator`, an AllToAll by a
-    move table built here, and its ranks never import numpy
-    (``GeneratedSpmdProgram.plane``).
+    ``target="native"`` emits a *pointer* module when
+    :meth:`_pointer_ready` finds every kernel restated in C
+    (:class:`~repro.core.codegen.native.NativeEmitter`): values are
+    addresses, collectives the same calls on
+    :class:`~repro.runtime.rank.PointerCommunicator` (an AllToAll's move
+    table and a ring overlap's chunk runs built here), and its ranks
+    never import numpy. Any other program gets the ``spmd`` module.
     """
 
     def __init__(self, target: str = "spmd") -> None:
@@ -188,11 +178,15 @@ class CodeGenerator:
             raise CodegenError(f"unknown codegen target {target!r}")
         self.target = target
         self._native = target == "native"
-        self._nat = None  # NativeEmitter, created per generate() call
-        #: whether this generate() call emits a pointer module
-        self._pointer = False
+        #: the NativeEmitter of a pointer module, per generate() call
+        self._nat = None
         #: input name -> the ops writing its storage, per generate() call
         self._writers: Dict[str, List[Expr]] = {}
+
+    @property
+    def _pointer(self) -> bool:
+        """Whether this generate() call emits a pointer module."""
+        return self._nat is not None
 
     # -- public -----------------------------------------------------------
 
@@ -229,23 +223,19 @@ class CodeGenerator:
         program = lowered.program
         self._writers = _storage_writers(program)
         self._nat = None
-        self._pointer = False
         if self._native:
             from repro.core.codegen.native import NativeEmitter
 
-            self._nat = NativeEmitter(lowered)
-            self._nat.pointer = True  # qualify by the pointer rules
-            self._pointer = self._nat.pointer = self._pointer_ready(lowered)
+            nat = NativeEmitter(lowered)
+            if self._pointer_ready(lowered, nat):
+                self._nat = nat
         em = _Emitter()
         em.block(_POINTER_HEADER if self._pointer else _MODULE_HEADER)
         self._emit_constants(em, program)
-        mark = len(em.lines)
         kernel_sources: Dict[str, str] = {}
         call_order = self._emit_kernels(em, lowered, kernel_sources)
         self._emit_run(em, program, call_order)
-        c_source = self._nat.c_source() if self._nat is not None else None
-        if c_source is not None:
-            em.lines[mark:mark] = _NATIVE_BLOCK
+        c_source = self._nat.c_source() if self._pointer else None
         generated = GeneratedSpmdProgram(
             program, em.source(), kernel_sources, schedule_lines,
             target=self.target, c_source=c_source,
@@ -276,37 +266,24 @@ class CodeGenerator:
             em.emit(f"RANKS_{name} = {tuple(g.ranks)!r}")
         em.emit()
 
-    def _pointer_ready(self, lowered: LoweredProgram) -> bool:
-        """Whether the native module can run on the pointer data plane.
+    def _pointer_ready(self, lowered: LoweredProgram, nat) -> bool:
+        """Whether ``nat`` can render the program as a pointer module.
 
-        Every kernel must be C loops (0-d ones included, and a Dropout
-        that is whole or sliced on dim 0), GEMMs that numpy runs as
-        plain ``sgemm`` calls (``NativeEmitter._gemm_able``: FP16 or
-        FP32 operands, A of rank 2 or 3, B of rank 2, no vector or
-        ``syrk`` case, a BLAS found), dim-0 slice copies, whole dim-0
-        ReduceScatters, AllGathers and AllReduces that fold by a C
-        helper, or AllToAlls (flat or one hierarchical phase) exchanging
-        dim 0; no other GEMM, no convolution, P2P, cross-rank norm or
-        ring GEMM overlap (:func:`_ring_overlap`, whose producer stream
-        publishes chunks); a tiled chunk loop only calls its members.
-        Every Update and gathered writeback must be stored where its
-        target lives, and a constant may only feed a C loop. Everything
-        else runs on the numpy plane.
+        Every op must be a C loop op (``NativeEmitter._c_able``: a
+        Dropout whole or sliced on dim 0), a GEMM numpy runs as plain
+        ``sgemm`` calls (``_gemm_able``), a norm or sum, a dim-0 slice
+        copy, a whole dim-0 ReduceScatter, AllGather or AllReduce that
+        folds by a C helper, a dim-0 AllToAll or a P2P send, on float
+        values. Every Update and gathered writeback must be stored where
+        its target lives, and a constant may only feed a C loop.
         """
         from repro.core.codegen.native import FOLDS
 
-        nat = self._nat
-        if any(map(_ring_overlap, lowered.chunk_loops())):
-            return False
         for k in lowered.plan.kernels:
-            if k.kind not in (
-                KernelKind.ELEMENTWISE, KernelKind.FUSED_ELEMENTWISE,
-                KernelKind.COLLECTIVE, KernelKind.FUSED_COLLECTIVE,
-                KernelKind.GEMM,
-            ):
-                return False
             for e in k.exprs:
-                if isinstance(e, (ops.CommOp, ops.Slice)) and not all(
+                if isinstance(e, (
+                    ops.CommOp, ops.Slice, ops.Norm, ops.ReduceTensor
+                )) and not all(
                     _float(x) and not isinstance(x, Const)
                     for x in (e, e.inputs[0])
                 ):
@@ -328,8 +305,10 @@ class CodeGenerator:
                     ok = nat._c_able(e) and self._update_region(e) is not None
                 elif isinstance(e, ops.MatMul):
                     ok = nat._gemm_able(e)
+                elif isinstance(e, (ops.Norm, ops.ReduceTensor)):
+                    ok = _reduction(e) in ("norm", "+")
                 else:
-                    ok = nat._c_able(e)
+                    ok = isinstance(e, ops.Send) or nat._c_able(e)
                 if not ok:
                     return False
         return all(_float(t) for t in lowered.program.inputs)
@@ -474,12 +453,16 @@ class CodeGenerator:
 
         This rank's float64 partial (``dev.partial``) is exchanged in
         rank order and combined by ``dev.total``, the lowered
-        interpreter's own calls, so the result is bit-identical to
-        ``run_lowered``.
+        interpreter's own calls (in a pointer module, the C helpers that
+        restate them, :meth:`NativeEmitter.emit_reduction`), so the
+        result is bit-identical to ``run_lowered``.
         """
         op, g = _reduction(e), self._gname(e.group)
         em.emit("# tensor reduction over a sliced tensor: local reduce,")
         em.emit("# then an AllReduce reusing the established connections")
+        if self._pointer:
+            self._nat.emit_reduction(em, e, f"RANKS_{g}", e.group.size)
+            return
         em.emit(f"_part = dev.partial({self._ref(e.inputs[0])}, {op!r})")
         em.emit(f"_parts = comm.exchange_scalars(_part, {g})")
         em.emit(f"V[{e.name!r}] = dev.total(_parts, {op!r}, {_np_dtype(e)})")
@@ -489,18 +472,14 @@ class CodeGenerator:
             return f"np.asarray({e.value!r}, dtype={_np_dtype(e)})"
         return f"V[{e.name!r}]"
 
-    def _matmul(self, e: Expr) -> str:
-        """The library GEMM call for MatMul ``e`` (:func:`dev.gemm`)."""
-        a, b = (self._ref(x) for x in e.inputs)
-        return f"dev.gemm({a}, {b}, {_np_dtype(e)})"
-
     def _emit_op(self, em: _Emitter, e: Expr) -> None:
         o = ops
         out = f"V[{e.name!r}]"
         dt = _np_dtype(e)
         if isinstance(e, o.MatMul):
             em.emit("# library GEMM call (cuBLAS analogue)")
-            em.emit(f"{out} = {self._matmul(e)}")
+            a, b = (self._ref(x) for x in e.inputs)
+            em.emit(f"{out} = dev.gemm({a}, {b}, {dt})")
         elif isinstance(e, o.Conv2D):
             em.emit("# library convolution call (cuDNN analogue)")
             em.emit(
@@ -542,6 +521,8 @@ class CodeGenerator:
                 f"{out} = dev.slice_of({self._ref(e.inputs[0])}, "
                 f"{dim}, _i, {e.group.size}, context={e.name!r}).copy()"
             )
+        elif isinstance(e, (o.Norm, o.ReduceTensor)) and self._pointer:
+            self._nat.emit_reduction(em, e)
         elif isinstance(e, (o.Norm, o.ReduceTensor)):
             # non-cross-rank only (cross-rank handled by segmentation)
             em.emit(
@@ -549,33 +530,20 @@ class CodeGenerator:
                 f"{_reduction(e)!r}, {dt})"
             )
         elif isinstance(e, o.Update):
-            value = e.inputs[0]
-            em.emit(f"{out} = {self._ref(value)}.astype({dt})")
-            self._emit_update_store(em, e, out)
+            # the value, then its write into the target's storage array
+            # itself (the rank's region under RankPool.launch), cast the
+            # way astype casts
+            t = e.target
+            em.emit(f"{out} = {self._ref(e.inputs[0])}.astype({dt})")
+            if e.layout.is_sliced and t.layout.is_replicated:
+                em.emit(
+                    f"dev.slice_of(T[{t.name!r}], {e.layout.dim}, _i, "
+                    f"{e.group.size}, context={t.name!r})[...] = {out}"
+                )
+            else:
+                em.emit(f"np.copyto(T[{t.name!r}], {out}, casting='unsafe')")
         else:  # pragma: no cover - defensive
             raise CodegenError(f"cannot emit {type(e).__name__}")
-
-    def _emit_update_store(self, em: _Emitter, e: Expr, out: str) -> None:
-        """Write an Update's computed value into its target storage.
-
-        Shared by the interpreted emission and the native target, whose
-        loop computes ``out`` into an array of its own when
-        :meth:`_update_region` finds no storage it can write directly.
-        The write lands in the storage array itself (the rank's region
-        under :meth:`repro.runtime.spmd.RankPool.launch`), cast the way
-        ``astype`` casts.
-        """
-        # this rank's storage is a single local array
-        if e.layout.is_sliced and e.target.layout.is_replicated:
-            dim = e.layout.dim
-            em.emit(
-                f"dev.slice_of(T[{e.target.name!r}], {dim}, _i, "
-                f"{e.group.size}, context={e.target.name!r})[...] = {out}"
-            )
-        else:
-            em.emit(
-                f"np.copyto(T[{e.target.name!r}], {out}, casting='unsafe')"
-            )
 
     def _writes_after(self, e: Expr, name: str) -> List[Expr]:
         """The writers of input ``name``'s storage that may run after
@@ -584,12 +552,10 @@ class CodeGenerator:
         return [w for w in self._writers.get(name, ()) if w not in upstream]
 
     def _update_region(self, e: ops.Update) -> Optional[str]:
-        """The storage an Update's value can be computed straight into.
-
-        That is ``T[target]``, or this rank's dim-0 slice of a
-        replicated target: either has the value's dtype and element
-        count, and is C-contiguous when the target's storage is.
-        ``None`` when the value needs an array of its own: another slice
+        """The address a pointer module's loop stores an Update's value
+        at: ``T[target]``, or this rank's dim-0 rows of a replicated
+        target, of the value's dtype and element count. ``None`` when
+        the value would need a buffer of its own: another slice
         dimension, or a later write to the target other than an
         AllGather of this very value (whose own row rewrites the same
         bytes).
@@ -603,12 +569,7 @@ class CodeGenerator:
         if e.layout.is_sliced and t.layout.is_replicated:
             if not _dim0(e.layout.dim, e):
                 return None
-            if self._pointer:
-                return self._rows(f"T[{t.name!r}]", e)
-            return (
-                f"dev.slice_of(T[{t.name!r}], 0, _i, {e.group.size}, "
-                f"context={t.name!r})"
-            )
+            return self._rows(f"T[{t.name!r}]", e)
         if math.prod(e.per_rank_shape()) != math.prod(t.per_rank_shape()):
             return None
         return f"T[{t.name!r}]"
@@ -734,29 +695,30 @@ class CodeGenerator:
             self._emit_compute_region(em, pending)
 
     def _emit_send(self, em: _Emitter, send: ops.Send) -> None:
-        """Source ranks send to the same local rank of the peer group."""
-        src_group = send.inputs[0].group
-        dst_group = send.group
-        sg, dg = self._gname(src_group), self._gname(dst_group)
+        """Source ranks send to the same local rank of the peer group:
+        one call on each side, the peer by index into its group's ranks;
+        a pointer module passes the payload's bytes, a numpy one the
+        received value's shape and dtype."""
+        x = send.inputs[0]
+        src, dst = x.group, send.group
+        sg, dg = self._gname(src), self._gname(dst)
         em.emit(
-            f"# P2P send {src_group!r} -> {dst_group!r} "
-            f"(same local rank, {send.dst!r})"
+            f"# P2P send {src!r} -> {dst!r} (same local rank, {send.dst!r})"
         )
         em.emit(f"if comm.rank in RANKS_{sg}:")
         em.indent += 1
-        em.emit(
-            f"comm.send(V[{send.inputs[0].name!r}], "
-            f"RANKS_{dg}[{sg}.local_rank(comm.rank)])"
-        )
+        size = [str(x.per_rank_bytes())] if self._pointer else []
+        em.emit("comm.send(" + ", ".join([
+            f"V[{x.name!r}]", f"RANKS_{dg}[comm.rank - {src.start}]", *size
+        ]) + ")")
         em.indent -= 1
         em.emit(f"if comm.rank in RANKS_{dg}:")
         em.indent += 1
-        x = send.inputs[0]
-        em.emit(
-            f"V[{send.name!r}] = comm.recv("
-            f"RANKS_{sg}[{dg}.local_rank(comm.rank)], "
-            f"{tuple(x.per_rank_shape())!r}, {_np_dtype(x)})"
-        )
+        if not self._pointer:
+            size = [repr(tuple(x.per_rank_shape())), _np_dtype(x)]
+        em.emit(f"V[{send.name!r}] = comm.recv(" + ", ".join([
+            f"RANKS_{sg}[comm.rank - {dst.start}]", *size
+        ]) + ")")
         em.indent -= 1
 
     def _emit_p2p(self, em: _Emitter, k: Kernel) -> None:
@@ -794,15 +756,16 @@ class CodeGenerator:
     def _emit_gemm_overlap(self, em: _Emitter, loop: ChunkLoop) -> None:
         """GEMM→collective overlap with real intra-rank concurrency.
 
-        The MatMul is launched once (§5.3 publish mode — row-chunked
-        BLAS is not bitwise stable), then a producer *stream thread*
-        releases its output chunks over the wire while the consuming
-        collective, called on the main thread, ingests and reduces every
-        chunk as soon as all ranks published it. The reduction is
-        element-wise along the rank axis, so the chunked pipeline is
-        bit-identical to whole-buffer execution (see
-        ``SpmdCommunicator.begin_chunked`` for why the gather-based
-        consumer wants index-ordered, not ring-rotated, release).
+        The GEMM kernel is launched once (§5.3 publish mode — row-chunked
+        BLAS is not bitwise stable), its output the staging buffer, then a
+        producer *stream thread* releases its output chunks over the
+        wire while the consuming collective, called on the main thread,
+        ingests and reduces every chunk as soon as all ranks published
+        it. The reduction is element-wise along the rank axis, so the
+        chunked pipeline is bit-identical to whole-buffer execution (see
+        ``RankCore.begin_chunked`` for why the consumer wants
+        index-ordered, not ring-rotated, release). A pointer module
+        passes each chunk as its ``(offset, nbytes)`` runs.
         """
         entry = loop.entries[0]
         mm_kernel = entry.instr.kernel
@@ -815,21 +778,24 @@ class CodeGenerator:
         em.emit("return")
         em.indent -= 1
         em.emit("# one kernel launch (§5.3 publish mode)")
-        em.emit(f"_staging = {self._matmul(mm)}")
+        em.emit(f"kernel_{_sanitize(mm_kernel.name)}(V, T, comm)")
+        em.emit(f"_staging = V[{mm.name!r}]")
         # The chunk-token pipeline is only sound when the consumer's
-        # first communication op is a group collective that actually
-        # consumes the GEMM output on the producer's group — every
-        # collective pops the token (allreduce/RS/AG/alltoall/...), but
-        # a P2P send rendezvouses on pair sites and would leave the
-        # token dangling (deadlocking the site's next sequence), and a
-        # collective whose input is not the GEMM must exchange its own
-        # data, not the staging buffer.
-        comm_ops = [
-            e for e in cons_kernel.exprs if isinstance(e, ops.CommOp)
+        # first exchange is a collective of the GEMM output on the
+        # producer's group, which takes the token: a P2P send would
+        # leave it dangling (deadlocking the site's next sequence), and
+        # another collective or a cross-rank reduction's partials must
+        # exchange their own data, not the staging buffer.
+        exchanges = [
+            e for e in cons_kernel.exprs
+            if isinstance(e, ops.CommOp) or (
+                isinstance(e, (ops.Norm, ops.ReduceTensor))
+                and e.crosses_ranks
+            )
         ]
-        first = comm_ops[0] if comm_ops else None
+        first = exchanges[0] if exchanges else None
         chunkable = (
-            first is not None
+            isinstance(first, ops.CommOp)
             and not isinstance(first, ops.Send)
             and first.group == group
             and first.inputs[0] is mm
@@ -839,11 +805,23 @@ class CodeGenerator:
             em.emit(f"V[{mm.name!r}] = _staging")
             em.emit(f"kernel_{_sanitize(cons_kernel.name)}(V, T, comm)")
             return
-        em.emit(f"V[{mm.name!r}] = np.empty_like(_staging)")
-        em.emit(
-            f"_token = comm.begin_chunked({g}, _staging, "
-            f"chunk_dim={entry.chunk_dim}, bounds={entry.bounds!r})"
-        )
+        if self._pointer:
+            shape, nbytes = mm.per_rank_shape(), mm.per_rank_bytes()
+            chunks = [
+                box_runs(shape, mm.dtype.itemsize, entry.chunk_dim, lo, hi)
+                for lo, hi in entry.bounds
+            ]
+            em.emit(f"V[{mm.name!r}] = comm.alloc({nbytes})")
+            em.emit(
+                f"_token = comm.begin_chunked(RANKS_{g}, _staging, "
+                f"{nbytes}, {chunks!r})"
+            )
+        else:
+            em.emit(f"V[{mm.name!r}] = np.empty_like(_staging)")
+            em.emit(
+                f"_token = comm.begin_chunked({g}, _staging, "
+                f"chunk_dim={entry.chunk_dim}, bounds={entry.bounds!r})"
+            )
         em.emit("# producer stream: chunk-by-chunk release over the wire")
         em.emit("_producer = comm.start_stream(")
         em.indent += 1
@@ -955,7 +933,7 @@ class CodeGenerator:
 
 def _ring_overlap(loop: ChunkLoop) -> bool:
     """Whether ``loop`` is the GEMM→collective ring overlap, whose
-    producer stream the pointer plane cannot run."""
+    producer stream publishes the GEMM's chunks."""
     return loop.ring and loop.entries[0].bounds is not None
 
 

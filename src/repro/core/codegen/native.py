@@ -2,11 +2,11 @@
 
 The SPMD backend executes generated *Python* per rank, so the
 interpreter is the hot path: every elementwise op pays a float64
-temporary and a full memory pass. This module renders the elementwise
-parts of a :class:`~repro.core.lower.LoweredProgram` kernel (and, in a
-pointer module, its GEMMs) to C —
-maximal runs fused into a *single* loop per segment — compiles them
-with ``cc`` into one shared object per module, and memoizes the
+temporary and a full memory pass. This module renders the computation
+of a pointer module (``CodeGenerator(target="native")``, whose ranks run
+without numpy) to C — elementwise ops fused into a *single* loop per
+maximal run, the GEMMs, the collectives' folds and the norms — compiles
+it with ``cc`` into one shared object per module, and memoizes the
 objects in an on-disk content-addressed kernel cache (tinygrad's
 hash→compile→``lru_cache`` pipeline, DaCe's build-folder flow).
 
@@ -38,12 +38,12 @@ width changes its speed only. Two flags are load-bearing.
 would round once where every other tier rounds twice, and which any
 target with FMA (AVX2 on) would otherwise emit. No ``-ffast-math``:
 it would reassociate, flush subnormals and swap ``1/sqrt`` for an
-approximation. ``tests/test_native.py`` builds the helpers and the
-every-op programs at both flag sets and compares them by bytes.
+approximation. ``tests/test_native.py`` builds the helpers and a
+program of every op the C restates at both flag sets and compares them
+by bytes.
 
-A pointer module (:class:`NativeEmitter` with ``pointer`` set, whose
-ranks run without numpy) adds four kinds of C, held to the same
-contract:
+Beside the loops, a pointer module (:class:`NativeEmitter`) has five
+kinds of C, held to the same contract:
 
 * **The 0-d prologue.** Rank-invariant scalars such as Adam's
   ``1 - β^t`` are one loop-less function of the same rounding rules.
@@ -76,8 +76,12 @@ contract:
   numpy's leading dimensions. The float product is rounded once
   (``repro_d2h((double)f)``: widening is exact). Like the paper's
   generated code, which leaves GEMMs to the vendor library, no second
-  BLAS is bound. Every other GEMM (a numpy module's) stays the
-  interpreter's own call, ``device.gemm``.
+  BLAS is bound.
+* **The sums** of a Norm or ``+`` ReduceTensor (:data:`SUM`,
+  :data:`PARTIAL`, :data:`TOTAL`): ``np.sum``'s float64 pairwise sum of
+  the loads or their squares, then of the ranks' partials, gathered as
+  8-byte rows, with a norm's square root and one rounding
+  (:func:`repro.core.codegen.device.partial` and ``total``).
 
 NaN payloads: numpy's casts to float16 keep a NaN's top ten payload
 bits, forced nonzero, and so does ``repro_d2h``. With two NaN operands
@@ -105,10 +109,10 @@ offset, seed and probability as scalars too, and functions are named
 by position (``s0``, ``s1``, …), so there is one object per fused
 structure. A schedule at another size
 or world size (an elastic recovery's smaller world), or a tuner
-candidate that fuses alike, is a memo or disk hit. A launch that
-waits on the compile (a pointer module's) splits the functions into up
-to one translation unit per CPU, compiled in parallel and linked into
-the one object. Writes are
+candidate that fuses alike, is a memo or disk hit. The launch waits on
+the compile, so it splits the functions into up to one translation
+unit per CPU, compiled in parallel and linked into the one object.
+Writes are
 concurrent-safe through :mod:`repro.store` — processes compiling the
 same source wait behind one ``flock`` and the object is installed via
 atomic ``os.replace`` — and stale/corrupt entries (unloadable, or
@@ -529,6 +533,53 @@ static inline double repro_nan_first(double a, double r) {
 """
 
 
+#: appended to sources with a Norm or ``+`` ReduceTensor, once per load
+#: ``{x}`` (``{seeds}``, ``{lanes}``: rows 0-7 and ``i + 0``-``i + 7``):
+#: ``np.sum``'s float64 ``pairwise_sum`` in numpy's form and order
+SUM = r"""
+/* numpy's pairwise float64 sum of n loads: beyond 128, the sums of the
+ * halves split at n/2 rounded down to a multiple of 8; from 8, 8 lanes
+ * seeded by the first 8 and stepping by 8, combined
+ * ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)); then the fewer than 8 loads
+ * left, one after another */
+static inline double repro_pw_{name}(const {ctype}* x, long long n) {
+    double r[8], s = 0.0;
+    long long i = 0, h;
+    if (n > 128) {
+        h = n / 2;
+        h -= h % 8;
+        return repro_pw_{name}(x, h) + repro_pw_{name}(x + h, n - h);
+    }
+    if (n >= 8) {
+{seeds}
+        for (i = 8; i < n - n % 8; i += 8) {
+{lanes}
+        }
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    }
+    for (; i < n; ++i) s += {x};
+    return s;
+}
+"""
+
+#: ``partial_<op>_<in>``: ``np.sum``'s ``0.0 + pairwise`` of ``S[0]``
+#: loads (``dev.partial``); ``total_<op>_<out>``: the same over ``S[0]``
+#: partials, a norm's root, one rounding (``dev.total``; over one
+#: partial, never ``-0.0``, ``dev.reduce_local``)
+PARTIAL = r"""
+void {name}(char** A, double* S) {
+    *(double*)A[1] = 0.0 + repro_pw_{pw}((const void*)A[0], (long long)S[0]);
+}
+"""
+TOTAL = r"""
+void {name}(char** A, double* S) {
+    const double s = 0.0 + repro_pw_f64((const double*)A[0], (long long)S[0]);
+    {ctype}* o = ({ctype}*)A[1];
+    {store}
+}
+"""
+
+
 # ---------------------------------------------------------------------------
 # Content-addressed kernel cache.
 # ---------------------------------------------------------------------------
@@ -577,13 +628,19 @@ _DEFINITION = re.compile(
 )
 
 
+#: a line every unit would need: a declaration, a static helper or a
+#: directive
+_SHARED = re.compile(r"^(?:static|typedef|#)", re.M)
+
+
 def _units(c_source: str, jobs: int) -> List[str]:
     """``c_source`` as at most ``jobs`` translation units of about equal
     work: each is the shared prelude (types and ``static inline``
     helpers) and some of the functions, balanced by the loops the
-    vectorizer sees, which dominate a compile."""
+    vectorizer sees, which dominate a compile. A source that declares
+    something shared after its first function is one unit."""
     starts = [m.start() for m in _DEFINITION.finditer(c_source)]
-    if jobs < 2 or len(starts) < 2:
+    if jobs < 2 or len(starts) < 2 or _SHARED.search(c_source, starts[0]):
         return [c_source]
     head = c_source[: starts[0]]
     functions = [
@@ -657,21 +714,17 @@ def _compile(c_source: str, so_path: str, jobs: int) -> None:
 _FUNCTION = re.compile(r"^void (\w+)\(char\*\* A, double\* S\)", re.M)
 
 
-def load_kernels(
-    c_source: str, observer=None, parallel: bool = False
-) -> CompiledKernels:
+def load_kernels(c_source: str, observer=None) -> CompiledKernels:
     """Resolve C source to a loaded shared object via the kernel cache.
 
     In-process memo first (while its file exists), then
     ``cache_dir()/<sha256>.so``, then a locked compile with atomic
-    install. ``observer``, when given, is anything with
+    install, of up to one translation unit per CPU: the launch waits on
+    it, since a pointer module's ranks start in tens of milliseconds.
+    ``observer``, when given, is anything with
     ``record_compile(name, seconds, status)`` (a
     :class:`~repro.observe.events.Tracer`): it hears of a compile,
     ``status`` ``"compile"`` or ``"recompile"``, and of no cache hit.
-    ``parallel`` compiles up to one translation unit per CPU: for a
-    launch that waits on the compile, as a pointer module's does (its
-    ranks start in tens of milliseconds), where a numpy rank's import
-    would hide one unit's compile and extra units only contend with it.
     """
     key = source_key(c_source)
     so_path = os.path.join(cache_dir(), f"{key}.so")
@@ -693,9 +746,7 @@ def load_kernels(
                 status = "recompile"
                 store.discard(so_path)
         if compiled is None:
-            _compile(
-                c_source, so_path, (os.cpu_count() or 1) if parallel else 1
-            )
+            _compile(c_source, so_path, os.cpu_count() or 1)
             compiled = open_kernels(key, so_path, functions, linked)
             if compiled is None:  # pragma: no cover - defensive
                 raise CodegenError(
@@ -828,6 +879,23 @@ void {name}(char** A, double* S) {{
 """
 
 
+def _sum_source(name: str, dt: str, square: bool) -> str:
+    """``repro_pw_<name>``: :data:`SUM` of ``dt`` loads, or squares."""
+
+    def load(i: str) -> str:
+        v = _load("x", dt, i)
+        return f"{v} * {v}" if square else v
+
+    return (
+        SUM.replace("{name}", name).replace("{ctype}", _CTYPE[dt])
+        .replace("{seeds}", "\n".join(
+            f"        r[{j}] = {load(str(j))};" for j in range(8)
+        )).replace("{lanes}", "\n".join(
+            f"            r[{j}] += {load(f'i + {j}')};" for j in range(8)
+        )).replace("{x}", load("i"))
+    )
+
+
 class _Array:
     def __init__(self, cvar: str, dt: str, py_ref: str, n: int) -> None:
         self.cvar = cvar
@@ -837,23 +905,22 @@ class _Array:
 
 
 class NativeEmitter:
-    """Renders C functions for a lowered program's compute segments.
+    """Renders the C of a pointer module: one function per compute run,
+    plus the fold and reduction helpers its collectives and norms call.
 
     Owned by one :class:`~repro.core.codegen.generator.CodeGenerator`
-    invocation; the generator calls :meth:`emit_segment` where it would
-    otherwise emit per-op numpy lines, then embeds :meth:`c_source`
-    into the module. With :attr:`pointer` set, values are addresses,
-    0-d expressions are compiled too, and collectives fold through
-    :meth:`fold`'s helpers.
+    invocation; the generator calls :meth:`emit_segment` for each
+    compute segment, :meth:`fold` for a collective's fold and
+    :meth:`emit_reduction` for a Norm or ReduceTensor, then hands
+    :meth:`c_source` to the launcher. Values are addresses.
     """
 
     def __init__(self, lowered) -> None:
         self.functions: List[str] = []
-        #: fold helpers by name (:meth:`fold`)
+        #: fold and reduction helpers by name
         self.helpers: Dict[str, str] = {}
-        #: whether the module runs on the pointer data plane: values are
-        #: addresses, 0-d work is C too (set before any emission)
-        self.pointer = False
+        #: the pairwise sums the reduction helpers call, by name
+        self._sums: Dict[str, str] = {}
         self._half_minmax = False
         self._pow = False
         self._dropout = False
@@ -869,6 +936,7 @@ class NativeEmitter:
     def c_source(self) -> Optional[str]:
         if not self.functions and not self.helpers:
             return None
+        folds = any(h.startswith("fold_") for h in self.helpers)
         prelude = (
             PRELUDE + (HALF_MINMAX if self._half_minmax else "")
             + (POW if self._pow else "")
@@ -877,30 +945,68 @@ class NativeEmitter:
                 BLAS.replace("{bits}", str(self._blas_bits))
                 if self._blas_bits else ""
             )
-            + (FOLD_NAN if self.helpers else "")
+            + (FOLD_NAN if folds else "")
+            + "".join(self._sums[k] for k in sorted(self._sums))
             + "".join(self.helpers[k] for k in sorted(self.helpers))
         )
         return prelude + "\n" + "\n".join(self.functions)
 
     def fold(self, op: str, src, dst) -> str:
         """The name of the C helper folding ``src``-dtype rank rows into
-        a ``dst``-dtype result by reduction ``op`` (a pointer module's
-        ReduceScatter or AllReduce), added to the source once."""
+        a ``dst``-dtype result by reduction ``op`` (a ReduceScatter or
+        AllReduce), added to the source once."""
         src, dst = _cdt(src), _cdt(dst)
         name = f"fold_{FOLDS[op][0]}_{_SHORT[src]}_{_SHORT[dst]}"
         if name not in self.helpers:
             self.helpers[name] = _fold_source(name, op, src, dst)
         return name
 
+    def emit_reduction(
+        self, em, e: Expr, ranks: Optional[str] = None, count: int = 1
+    ) -> None:
+        """Norm or ``+`` ReduceTensor ``e``: this rank's partial, the
+        partials of the ``count`` ranks of tuple ``ranks`` gathered as
+        8-byte rows in rank order (none for a local reduction), then
+        their total (:data:`PARTIAL`, :data:`TOTAL`)."""
+        x = e.inputs[0]
+        op = "norm" if isinstance(e, ops.Norm) else "sum"
+        src, dst = _cdt(x.dtype), _cdt(e.dtype)
+        pw = _SHORT[src] + ("_sq" if op == "norm" else "")
+        self._sums[pw] = _sum_source(pw, src, op == "norm")
+        self._sums["f64"] = _sum_source("f64", "float64", False)
+        partial = f"partial_{op}_{_SHORT[src]}"
+        self.helpers[partial] = PARTIAL.replace("{name}", partial).replace(
+            "{pw}", pw
+        )
+        total = f"total_{op}_{_SHORT[dst]}"
+        lines, stored = _rounded(
+            dst, "v", "sqrt(s)" if op == "norm" else "s", False
+        )
+        self.helpers[total] = (
+            TOTAL.replace("{name}", total).replace("{ctype}", _CTYPE[dst])
+            .replace("{store}", "\n    ".join(lines + [f"o[0] = {stored};"]))
+        )
+        out = f"V[{e.name!r}]"
+        em.emit("_part = comm.alloc(8)")
+        em.emit(
+            f"_K.call({partial!r}, (V[{x.name!r}],), "
+            f"({_prod(x.per_rank_shape())},), (_part,))"
+        )
+        if ranks is not None:
+            em.emit(f"_part = comm.allgather(_part, {ranks}, 8)")
+        em.emit(f"{out} = comm.alloc({e.per_rank_bytes()})")
+        em.emit(f"_K.call({total!r}, (_part,), ({count},), ({out},))")
+
     # -- qualification --------------------------------------------------
 
     def _c_able(self, e: Expr) -> bool:
+        """Whether ``e`` is a loop op: one the C loop restates."""
         if isinstance(e, ops.Binary):
             if e.op == "pow":
                 # libm's pow may differ from numpy's float64 power in
                 # the last bit (numpy's SIMD loops on AVX-512 hosts): a
                 # 0-d FP32/FP16 result rounds that bit away
-                if not self.pointer or _cdt(e.dtype) == "float64":
+                if _cdt(e.dtype) == "float64":
                     return False
                 if _prod(e.per_rank_shape()) != 1:
                     return False
@@ -910,25 +1016,21 @@ class NativeEmitter:
             if e.op not in _C_UNARY:
                 return False
         elif isinstance(e, ops.Update):
-            # stored by the loop, into the target's storage when it can
-            # take the value (else a Python write copies it there)
+            # stored by the loop, into the target's storage
             if e.per_rank_shape() != e.inputs[0].per_rank_shape():
                 return False
         elif isinstance(e, ops.Dropout):
             # a mask element's key is its global index: this rank's
             # offset plus the loop's, so the slice must be whole rows
-            if not self.pointer or (
-                e.layout.is_sliced
-                and normalize_dim(e.layout.dim, len(e.shape)) != 0
-            ):
+            if e.layout.is_sliced and normalize_dim(
+                e.layout.dim, len(e.shape)
+            ) != 0:
                 return False
         elif not isinstance(e, ops.Cast):
             return False
         if _cdt(e.dtype) is None:
             return False
         oshape = e.per_rank_shape()
-        if _prod(oshape) < 2 and not self.pointer:
-            return False  # scalars stay in Python (they cost nothing)
         for x in e.inputs:
             if _cdt(x.dtype) is None:
                 return False
@@ -941,19 +1043,19 @@ class NativeEmitter:
 
     def _gemm_able(self, e: Expr) -> bool:
         """Whether MatMul ``e`` is one that numpy runs as plain ``sgemm``
-        calls, one per leading batch, so a pointer module's C can make
-        the same calls (:meth:`_emit_gemm`).
+        calls, one per leading batch, so the C can make the same calls
+        (:meth:`_emit_gemm`).
 
         Its operands are FP16 or FP32 (numpy multiplies float32 upcasts)
         and distinct buffers (numpy calls ``syrk`` on one buffer times
-        its transpose); A has rank 2 or 3 and B rank 2, both contiguous
-        on the pointer plane; no dimension is 1, where numpy calls
-        ``gemv`` or a dot instead; and a BLAS was found (:func:`blas`).
+        its transpose); A has rank 2 or 3 and B rank 2, both contiguous;
+        no dimension is 1, where numpy calls ``gemv`` or a dot instead;
+        and a BLAS was found (:func:`blas`).
         """
         a, b = e.inputs
         found = blas()
         if (
-            not self.pointer or found is None
+            found is None
             or isinstance(a, Const) or isinstance(b, Const) or a is b
             or _cdt(e.dtype) is None
             or any(_cdt(x.dtype) not in ("float16", "float32") for x in (a, b))
@@ -977,16 +1079,16 @@ class NativeEmitter:
     # -- segment emission -----------------------------------------------
 
     def emit_segment(self, gen, em, exprs: Sequence[Expr]) -> None:
-        """Emit one compute segment: fused C runs + Python fallbacks.
+        """Emit one compute segment as C calls.
 
         Rank-invariant scalars go first: a 0-d expression whose inputs
         in the segment are such scalars themselves (``np.power(β, t)``
         and the like) is computed before everything else, so it does
-        not split the loops around it. Then maximal runs of C-able
-        elementwise expressions with the same flat per-rank element
-        count become one compiled loop each; everything else goes
-        through the generator's normal ``_emit_op`` emission, reading
-        and writing the same ``V``.
+        not split the loops around it. Then maximal runs of loop ops
+        with the same flat per-rank element count become one compiled
+        loop each, and a GEMM one function; a slice copy or a local
+        reduction goes through the generator's ``_emit_op``, reading and
+        writing the same ``V``.
         """
         ids = {id(e) for e in exprs}
         first = set()
@@ -1002,7 +1104,7 @@ class NativeEmitter:
         ]
         runs: List[Tuple[str, List[Expr], int]] = []
         for e in exprs:
-            if isinstance(e, ops.MatMul) and self._gemm_able(e):
+            if isinstance(e, ops.MatMul):
                 runs.append(("gemm", [e], 0))
             elif self._c_able(e):
                 n = _prod(e.per_rank_shape())
@@ -1011,14 +1113,10 @@ class NativeEmitter:
                 else:
                     runs.append(("c", [e], n))
             else:
-                if runs and runs[-1][0] == "py":
-                    runs[-1][1].append(e)
-                else:
-                    runs.append(("py", [e], 0))
+                runs.append(("op", [e], 0))
         for kind, group, n in runs:
-            if kind == "py":
-                for e in group:
-                    gen._emit_op(em, e)
+            if kind == "op":
+                gen._emit_op(em, group[0])
             elif kind == "gemm":
                 self._emit_gemm(em, group[0])
             else:
@@ -1115,10 +1213,9 @@ class NativeEmitter:
         input arrays and then writes its output arrays (``A`` in that
         order). ``S[0]`` is the trip count ``n``, so the source is the
         same at every size; a broadcast operand's modulus stays a
-        literal. An escaping value gets an ``np.empty`` array of its
-        own, except an ``Update`` whose target storage can take it
-        (:meth:`CodeGenerator._update_region`): the loop stores that
-        one straight into the region.
+        literal. An escaping value gets a ``comm.alloc`` buffer of its
+        own, and an ``Update`` is stored straight into its target's
+        storage (:meth:`CodeGenerator._update_region`).
         """
         run_ids = {id(e) for e in run}
         var_of: Dict[int, str] = {}
@@ -1147,11 +1244,10 @@ class NativeEmitter:
             nx = _prod(x.per_rank_shape())
             if nx == 1:
                 # 0-d value read from V, as its exact f64 upcast
-                return scalar(x.name, (
-                    f"comm.scalar(V[{x.name!r}], "
-                    f"{_FORMAT[_cdt(x.dtype)]!r})"
-                    if self.pointer else f"float(V[{x.name!r}])"
-                ))
+                return scalar(
+                    x.name,
+                    f"comm.scalar(V[{x.name!r}], {_FORMAT[_cdt(x.dtype)]!r})",
+                )
             if x.name not in arr_index:
                 arr_index[x.name] = len(arrays)
                 arrays.append(_Array(
@@ -1244,23 +1340,14 @@ class NativeEmitter:
 
         names = ", ".join(e.name for e in run)
         em.emit(f"# compiled native segment ({fn}): {names}")
-        copied_back: List[Expr] = []
         for e, _ in stores:
             region = (
                 gen._update_region(e) if isinstance(e, ops.Update) else None
             )
-            if region is not None:
-                em.emit(f"V[{e.name!r}] = {region}")
-                continue
-            if self.pointer:
-                em.emit(f"V[{e.name!r}] = comm.alloc({e.per_rank_bytes()})")
-                continue
             em.emit(
-                f"V[{e.name!r}] = np.empty({e.per_rank_shape()!r}, "
-                f"dtype=np.{e.dtype.to_numpy().name})"
+                f"V[{e.name!r}] = "
+                + (region or f"comm.alloc({e.per_rank_bytes()})")
             )
-            if isinstance(e, ops.Update):
-                copied_back.append(e)
         ins = "".join(f"{a.py_ref}, " for a in arrays)
         outs = "".join(f"{a.py_ref}, " for _, a in stores)
         sc = "".join(f"{v}, " for v in scalars)
@@ -1268,5 +1355,3 @@ class NativeEmitter:
             f"_K.call({fn!r}, ({ins.rstrip()}), ({sc.rstrip()}), "
             f"({outs.rstrip()}))"
         )
-        for e in copied_back:
-            gen._emit_update_store(em, e, f"V[{e.name!r}]")

@@ -16,7 +16,7 @@ three consumers interpret it:
 * the numeric runtime (``Executor.run_lowered``) executes the stream,
   running fused blocks as units and overlap members whole, in order
   (chunked execution is bit-identical to whole execution; the SPMD
-  ranks' ``SpmdCommunicator.begin_chunked`` is where chunks are really
+  ranks' ``RankCore.begin_chunked`` is where chunks are really
   released);
 * the code generator emits one function per instruction and derives the
   overlap orchestrators from :class:`ChunkLoop` instead of re-walking

@@ -17,7 +17,7 @@ expression.
 the generated SPMD module as one real OS process per rank over the
 shared-memory communicator of :mod:`repro.runtime.spmd`, bit-identical
 to ``run_lowered``. That is where a GEMM's output really reaches its
-collective chunk by chunk (``SpmdCommunicator.begin_chunked``).
+collective chunk by chunk (``RankCore.begin_chunked``).
 :mod:`repro.runtime.faults` injects deterministic, seeded failures
 (stragglers, stalls, dropped chunks, dead ranks) into that backend, and
 ``Executor.run_spmd(elastic=True)`` recovers from dead ranks by

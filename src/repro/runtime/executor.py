@@ -10,7 +10,7 @@ which does not change the DFG — is numerically exercised as scheduled
 order, as the generated module does: chunked execution is element-wise
 or a rank-order fold, bit-identical to whole execution, and the only
 real chunking (a GEMM's output released to its collective chunk by
-chunk) lives in ``SpmdCommunicator.begin_chunked``. Given a bare
+chunk) lives in ``RankCore.begin_chunked``. Given a bare
 :class:`~repro.core.program.Program`, it lowers it first, one kernel
 per expression, so split and reorder (which rewrite the DFG) are
 checked on the rewritten program directly.
@@ -175,11 +175,12 @@ class Executor:
         *including* when a rank faults, so the timeline of a failed run
         is still harvested.
 
-        ``codegen_target="native"`` executes the same schedule with the
-        elementwise chains compiled to C through the content-addressed
-        kernel cache (:mod:`repro.core.codegen.native`), each fused into
-        one loop. GEMMs stay the device library's ``dev.gemm``, as on
-        every tier, so results are bit-identical to :meth:`run_lowered`.
+        ``codegen_target="native"`` executes the same schedule as a
+        pointer module, its computation compiled to C through the
+        content-addressed kernel cache (:mod:`repro.core.codegen.native`)
+        and its ranks without numpy, when the C restates every kernel
+        (else as the ``spmd`` module); results are bit-identical to
+        :meth:`run_lowered`.
 
         Every call launches on the executor's one
         :class:`~repro.runtime.spmd.RankPool`: the parent places the
@@ -351,7 +352,7 @@ class Executor:
         bit-identical to whole execution, so this is the correctness
         oracle every tier is compared against; the chunk-by-chunk
         release of a GEMM's output to its collective happens only in the
-        SPMD ranks (``SpmdCommunicator.begin_chunked``).
+        SPMD ranks (``RankCore.begin_chunked``).
 
         ``scheduled`` may be a Schedule, a Program, an Artifact or an
         already lowered program. ``tracer``, when a

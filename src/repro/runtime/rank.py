@@ -14,21 +14,18 @@ report messages and the rank's entry point, :func:`_rank_main`.
 A collective copies between slot and buffer addresses by the
 ``(offset, nbytes)`` runs of its box (:func:`box_runs`: one run for a
 dim-0 box), drains its peers in one order and folds through a callable.
-Two data planes bind these collectives; the generated module says which
-one it needs (``GeneratedSpmdProgram.plane``):
+So are P2P, §5.3 chunked publications and producer streams. Two data
+planes bind them; the generated module says which
+(``GeneratedSpmdProgram.plane``):
 
-* :class:`PointerCommunicator` (``"pointer"``) runs a native module
-  whose every kernel is C (loops, Dropouts, GEMMs calling numpy's own
-  ``sgemm``), dim-0 slice copies, whole ReduceScatters, AllGathers and
-  AllReduces and dim-0 AllToAlls, in tiled chunk loops or none, such as
-  the tuned Adam at any world size, the tuned attention and the MoE.
-  Values are addresses, and folds call the program's own C. Such a
-  rank never imports numpy.
-* :class:`~repro.runtime.spmd.SpmdCommunicator` (``"numpy"``) runs
-  every other module (other GEMMs, convolutions, P2P, the ring GEMM
-  overlap, cross-rank norms, collectives on other dims, and the
-  ``spmd`` target). It binds arrays to the same collectives by their
-  addresses, and folds with :func:`~repro.runtime.collectives.fold_ranks`.
+* :class:`PointerCommunicator` (``"pointer"``) runs the native target's
+  module (LAMB, the pipeline, attention, MoE, the tuned Adam): values
+  are addresses, computation and folds the program's own C. Such a rank
+  never imports numpy.
+* :class:`~repro.runtime.spmd.SpmdCommunicator` (``"numpy"``) runs the
+  ``spmd`` target's module, which a native program the C does not
+  restate gets too. It binds arrays by their addresses, and folds with
+  :func:`~repro.runtime.collectives.fold_ranks`.
 
 A rank imports numpy only for the second: before its first spec, when
 the launcher started it for a numpy module (``sys.argv[2]``), else once
@@ -396,8 +393,8 @@ class RankCore:
     counters, deadlines, fault plan and, when traced, its trace ring),
     and the one implementation of the collectives over addresses in the
     data segment that both data planes bind: slot copies, drain orders,
-    fold drivers and the barrier. ``_streams`` are the data plane's
-    stream threads, which :meth:`close` joins."""
+    fold drivers, the barrier, P2P, chunked publications and stream
+    threads (which :meth:`close` joins)."""
 
     def __init__(
         self, layout: SpmdLayout, rank: int, data: mmap.mmap,
@@ -701,6 +698,22 @@ class RankCore:
             name=self._op or name,
         )
 
+    def _take(
+        self, ranks: Sequence[int], x: int, nbytes: int,
+        release: bool = True,
+    ) -> _Publication:
+        """What a collective of the group of ``ranks`` publishes: the
+        site's pending chunked publication, else the ``nbytes`` at ``x``
+        whole, released unless this rank only reads."""
+        key = _group_site(ranks)
+        pending = self._pending.pop(key, None)
+        if pending is not None:
+            return pending
+        pub = self._open(key, ranks, nbytes, payload=x)
+        if release:
+            self._release(pub)
+        return pub
+
     def barrier(self) -> None:
         """Wait until every rank reached its barrier."""
         ranks = range(self.nranks)
@@ -708,6 +721,74 @@ class RankCore:
             _group_site(ranks), ranks, ctypes.addressof(self._zero), 8
         )
         self._drain(pub, ranks, [()] * self.nranks, 0)
+
+    # -- P2P --------------------------------------------------------------
+
+    def send(self, x: int, dst: int, nbytes: int) -> None:
+        """Send the ``nbytes`` at ``x`` to global rank ``dst``."""
+        key = _p2p_site(self.rank, dst)
+        self._finish(self._publish(key, (self.rank, dst), x, nbytes))
+
+    def recv(self, src: int, nbytes: int, out: int) -> int:
+        """``out``, holding the ``nbytes`` global rank ``src`` sent."""
+        key = _p2p_site(src, self.rank)
+        pub = self._open(key, (src, self.rank), nbytes)
+        self._drain(pub, [src], [((0, 0, nbytes),)], out)
+        return out
+
+    # -- chunked ring publication (overlap, §5.3) -------------------------
+
+    def begin_chunked(
+        self, ranks: Sequence[int], staging: int, nbytes: int,
+        chunks: Sequence[Sequence[Tuple[int, int]]],
+    ) -> _Publication:
+        """Open a publication of the ``nbytes`` at ``staging`` on the
+        group's site, one chunk per run list of ``chunks``, for
+        :meth:`publish_chunks` to release. The group's next collective
+        takes it (:meth:`_take`) and ingests it chunk by chunk.
+
+        Chunks go out in *index order* on every rank, not ring-rotated
+        (Figure 9): the collectives reduce in rank order, so chunk ``c``
+        is complete at step ``c``, while under rotation every chunk
+        would complete only at the last step, serializing the pipeline.
+        """
+        pub = self._open(_group_site(ranks), ranks, nbytes, chunks, staging)
+        self._pending[pub.key] = pub
+        return pub
+
+    def publish_chunks(self, token: _Publication, out: int = 0) -> None:
+        """Release ``token``'s chunks, copying each into ``out`` too when
+        given (the lowered ``publish`` mode's consumer-visible buffer)."""
+        self._release(token, out)
+
+    # -- streams ----------------------------------------------------------
+
+    def start_stream(self, fn):
+        """Run ``fn`` on a worker thread, one per GPU stream. What it
+        raises sets the error flag; :meth:`join_streams` reraises it."""
+        import threading  # only ring overlap chunk loops run a stream
+
+        def run():
+            try:
+                fn()
+            except BaseException as exc:  # noqa: BLE001 - reraised at join
+                stream.error = exc
+                self.signal_error(_ERR_FAILED)
+
+        stream = threading.Thread(target=run, daemon=True)
+        stream.error = None
+        stream.start()
+        self._streams.append(stream)
+        return stream
+
+    def join_streams(self, *streams) -> None:
+        """Join ``streams``; raise what one of them raised."""
+        for s in streams:
+            s.join(self.timeout)
+            if s.is_alive():  # pragma: no cover - defensive
+                raise SpmdTimeout("stream thread did not finish")
+            if s.error is not None:
+                raise s.error
 
     def _begin(self, key: str, participants: Sequence[int]) -> int:
         """Take site ``key``'s next sequence number, once every
@@ -956,6 +1037,11 @@ def _group_site(ranks: Sequence[int]) -> str:
     return f"g{ranks[0]}x{len(ranks)}"
 
 
+def _p2p_site(src: int, dst: int) -> str:
+    """The site key of the point-to-point pair from ``src`` to ``dst``."""
+    return f"p{src}>{dst}"
+
+
 # ---------------------------------------------------------------------------
 # Compiled kernels and the pointer data plane.
 # ---------------------------------------------------------------------------
@@ -1067,8 +1153,8 @@ class PointerCommunicator(RankCore):
     A pointer module (``GeneratedSpmdProgram.plane == "pointer"``) holds
     every value as the address of this rank's copy of it: an input
     region in the data segment, or a buffer from :meth:`alloc`. Its
-    collectives are :class:`RankCore`'s on those addresses, each
-    publishing its whole operand. A ReduceScatter or AllReduce folds the
+    collectives are :class:`RankCore`'s on those addresses. A
+    ReduceScatter or AllReduce folds the
     participants' slots with the program's own C helper,
     ``fold_<op>_<in>_<out>``, a rank-order float64 fold rounded once:
     exactly :func:`~repro.runtime.collectives.fold_ranks` then
@@ -1114,16 +1200,19 @@ class PointerCommunicator(RankCore):
     ) -> int:
         """Fold dim-0 part ``part`` of ``parts`` of every rank's
         ``nbytes`` at ``x`` into ``count`` elements (``out_nbytes``) by
-        C helper ``fold``."""
-        pub = self._publish(_group_site(ranks), ranks, x, nbytes)
+        C helper ``fold``, one run (of a chunk) at a time."""
+        pub = self._take(ranks, x, nbytes)
         out, acc = self.alloc(out_nbytes), self.alloc(8 * count)
         size = nbytes // parts
+        isize, osize = size // count, out_nbytes // count
 
         def fold_run(sources: List[int], d: int, n: int) -> None:
-            # a whole publication: the one run is the part, ``n == size``
+            at = d // isize  # the run's first element
             for j, src in enumerate(sources):
-                scalars = (count, j, len(sources))
-                self.kernels.call(fold, (src, acc), scalars, (out,))
+                self.kernels.call(
+                    fold, (src, acc + 8 * at), (n // isize, j, len(sources)),
+                    (out + osize * at,),
+                )
 
         self._fold(pub, ((part * size, 0, size),), fold_run, fold)
         return out
@@ -1156,7 +1245,7 @@ class PointerCommunicator(RankCore):
         rank order, into ``out`` (default: a new buffer). ``x`` is
         published before any row of ``out`` is written, so it may be
         this rank's own row."""
-        pub = self._publish(_group_site(ranks), ranks, x, nbytes)
+        pub = self._take(ranks, x, nbytes)
         if out is None:
             out = self.alloc(nbytes * len(ranks))
         rows = [((0, j * nbytes, nbytes),) for j in range(len(ranks))]
@@ -1171,7 +1260,7 @@ class PointerCommunicator(RankCore):
         ``nbytes`` at ``x``: for each move ``(p, s, d)``, in order,
         chunk ``s`` (of ``len(ranks)``) of global rank ``p``'s slot is
         copied into chunk ``d`` of this rank's result."""
-        pub = self._publish(_group_site(ranks), ranks, x, nbytes)
+        pub = self._take(ranks, x, nbytes)
         out = self.alloc(nbytes)
         step = nbytes // len(ranks)
         self._drain(
@@ -1179,6 +1268,10 @@ class PointerCommunicator(RankCore):
             [((s * step, d * step, step),) for _, s, d in moves], out,
         )
         return out
+
+    def recv(self, src: int, nbytes: int) -> int:
+        """A new buffer of the ``nbytes`` global rank ``src`` sent."""
+        return super().recv(src, nbytes, self.alloc(nbytes))
 
     # -- the body's inputs and results -----------------------------------
 
@@ -1212,11 +1305,11 @@ def _run_body(
 
     ``comm`` is either data plane: a
     :class:`~repro.runtime.spmd.SpmdCommunicator` binds array views,
-    a :class:`PointerCommunicator` addresses. ``kernels`` is the native
-    target's ``(key, path, functions)``, plus the BLAS its GEMMs call
+    a :class:`PointerCommunicator` addresses. ``kernels`` is a pointer
+    module's ``(key, path, functions)``, plus the BLAS its GEMMs call
     if any: :func:`open_kernels`'s arguments for the kernel object the
-    parent resolved, bound as the module's ``_K``. Every view of
-    the segment lives in this frame, so none outlives it.
+    parent resolved, bound as the module's ``_K``. Every view of the
+    segment lives in this frame, so none outlives it.
     """
     inputs = comm._bind_inputs()
     comm.layout.populate(comm._data, (comm.rank,))

@@ -11,13 +11,13 @@ process executes the same generated SPMD module (``CodeGenerator`` with
 (``memfd_create``) that every rank maps. The rank's control plane (the
 flags segment, the spin, the publication protocol, faults, the trace
 ring, the spec and report) and every collective, over addresses, are
-:mod:`repro.runtime.rank`, which imports no numpy. A native module runs
-them on the pointer data plane when every kernel is C, a whole
-collective or a dim-0 AllToAll
+:mod:`repro.runtime.rank`, which imports no numpy, and so are P2P and
+chunked publications. The native target's pointer module runs them on
+the pointer data plane
 (:class:`~repro.runtime.rank.PointerCommunicator`: its ranks never
 import numpy). This module is the launcher and the numpy data plane,
-:class:`SpmdCommunicator`, which binds arrays to the same collectives
-for every other module.
+:class:`SpmdCommunicator`, which binds arrays to the same calls for the
+``spmd`` target's module.
 
 Transport protocol
 ------------------
@@ -50,7 +50,7 @@ bit-identical to its vectorized counterpart (``run_spmd`` ≡
 ``run_lowered``). The AllToAll copies its peers' chunks by the moves
 of :func:`~repro.runtime.collectives.alltoall_moves`, the list the
 vectorized AllToAll gathers by. Chunked publication
-(:meth:`SpmdCommunicator.begin_chunked`) releases a producer's output
+(:meth:`~repro.runtime.rank.RankCore.begin_chunked`) releases a producer's output
 chunk by chunk, and a consuming collective takes each chunk's runs
 once every rank published it: bit-identical to a whole-buffer
 collective, while the reduce runs behind the wire.
@@ -92,16 +92,16 @@ keeps everything else off that path, and no array crosses a socket:
    pages that already exist. No launch reads a stale byte: inputs are
    placed here, a rank writes a slot or result before its flag or
    report says so, and the parent reads only the regions of the ranks
-   that write them. On the native target it then resolves the module's
+   that write them. For a pointer module it then resolves the module's
    C kernels (:func:`repro.core.codegen.native.load_kernels`): a cold
    compile overlaps the ranks' imports and precedes every deadline.
 3. The parent sends each rank one pickled spec of a few KB, which the
    socket buffers: layout, deadlines, the rank's view of the fault plan
    (:class:`~repro.runtime.rank.RankFaults`), whether to trace, the
-   generated module's ``source`` and data plane and, on the native
-   target, the kernel object's ``(key, path, functions)``, plus the
-   ``(path, sgemm symbol)`` of numpy's BLAS when a pointer module's
-   GEMM calls it (:func:`repro.core.codegen.native.blas`).
+   generated module's ``source`` and data plane and, for a pointer
+   module, the kernel object's ``(key, path, functions)``, plus the
+   ``(path, sgemm symbol)`` of numpy's BLAS when its GEMM calls it
+   (:func:`repro.core.codegen.native.blas`).
 4. Each rank ``exec``s that source (no rank loads an artifact, runs the
    code generator or compiles), opens the kernel object
    (:func:`repro.runtime.rank.open_kernels`), binds its tensors to its
@@ -200,10 +200,10 @@ from repro.core.tensor import Tensor
 from repro.observe.ring import TraceRing, merge_rank_traces
 from repro.runtime.collectives import alltoall_moves, fold_ranks
 from repro.runtime.rank import (
-    _ERR_FAILED, _RANK_ENTRY, DEFAULT_TIMEOUT,
-    RankCore, SpmdError, SpmdLayout, SpmdTimeout, SpmdWorkerError,
-    _group_site, _Publication, _recv, _send, box_moves, box_runs,
-    signal_dead,
+    _RANK_ENTRY, DEFAULT_TIMEOUT, RankCore, SpmdError, SpmdLayout,
+    SpmdWorkerError,
+    _group_site, _p2p_site, _Publication, _recv, _send, box_moves,
+    box_runs, signal_dead,
 )
 from repro.runtime.world import (
     assemble_rows, check_divisible, place_input, place_inputs,
@@ -212,15 +212,10 @@ from repro.runtime.world import (
 if TYPE_CHECKING:  # parent-side only
     import socket
     import subprocess
-    import threading
 
     from repro.runtime.faults import FaultPlan
 
 __all__ = ["RankPool", "SpmdCommunicator", "scaled_default_timeout"]
-
-
-def _p2p_key(src: int, dst: int) -> str:
-    return f"p{src}>{dst}"
 
 
 def build_layout(program) -> SpmdLayout:
@@ -256,7 +251,7 @@ def build_layout(program) -> SpmdLayout:
             for local in range(src_group.size):
                 src = src_group.global_rank(local)
                 dst = dst_group.global_rank(local)
-                layout.add_site(_p2p_key(src, dst), (src, dst), nbytes)
+                layout.add_site(_p2p_site(src, dst), (src, dst), nbytes)
         elif isinstance(e, ops.CommOp):
             nbytes = max(
                 e.inputs[0].per_rank_bytes(), e.per_rank_bytes()
@@ -347,7 +342,8 @@ def _address(out: np.ndarray, shape, dtype) -> int:
 
 class SpmdCommunicator(RankCore):
     """One rank's array binding of :class:`~repro.runtime.rank.RankCore`'s
-    collectives, the ones the pointer plane runs.
+    collectives, P2P and chunked publications, the ones the pointer
+    plane runs.
 
     An operand goes in by its address (through a contiguous copy when
     it is not contiguous), a result comes out as an array allocated
@@ -359,18 +355,11 @@ class SpmdCommunicator(RankCore):
     def _publication(
         self, x, group: ProcessGroup, release: bool = True
     ) -> Tuple[_Publication, np.ndarray]:
-        """``(publication, operand)``: the group's pending chunked
-        publication and ``x``, else ``x`` published whole, unless
-        ``release`` is false (a reader only)."""
-        key = _group_site(group.ranks)
-        pending = self._pending.pop(key, None)
-        if pending is not None:
-            return pending, np.asarray(x)
+        """``(publication, operand)``: what the group's collective takes
+        (:meth:`~repro.runtime.rank.RankCore._take`), ``x`` as a
+        C-contiguous array."""
         x = np.require(x, requirements="C")
-        pub = self._open(key, group.ranks, x.nbytes, payload=x.ctypes.data)
-        if release:
-            self._release(pub)
-        return pub, x
+        return self._take(group.ranks, x.ctypes.data, x.nbytes, release), x
 
     def _fold_into(
         self, pub: _Publication, x: np.ndarray, op: str, dtype,
@@ -525,107 +514,43 @@ class SpmdCommunicator(RankCore):
         pub = self._publish(key, group.ranks, x.ctypes.data, 8)
         return list(self._rows(pub, pub.ranks, (), np.float64))
 
-    # -- P2P --------------------------------------------------------------
+    # -- P2P, chunked publication: arrays to RankCore's addresses --------
 
     def send(self, x, dst: int) -> None:
         """Send this rank's value to global rank ``dst``."""
         x = np.require(x, requirements="C")
-        key = _p2p_key(self.rank, dst)
-        self._finish(
-            self._publish(key, (self.rank, dst), x.ctypes.data, x.nbytes)
-        )
+        super().send(x.ctypes.data, dst, x.nbytes)
 
     def recv(self, src: int, shape, dtype) -> np.ndarray:
-        """Receive the ``shape``/``dtype`` value global rank ``src`` sent
-        to this rank (the generated module knows both from the send's
-        operand)."""
-        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-        pub = self._open(_p2p_key(src, self.rank), (src, self.rank), nbytes)
-        return self._rows(pub, [src], shape, dtype)[0]
-
-    # -- chunked ring publication (overlap, §5.3) -------------------------
+        """The ``shape``/``dtype`` value global rank ``src`` sent."""
+        out = np.empty(shape, dtype)
+        super().recv(src, out.nbytes, out.ctypes.data)
+        return out
 
     def begin_chunked(
-        self,
-        group: ProcessGroup,
-        staging: np.ndarray,
-        chunk_dim: int,
+        self, group: ProcessGroup, staging: np.ndarray, chunk_dim: int,
         bounds: Sequence[Tuple[int, int]],
     ) -> Tuple[_Publication, np.ndarray]:
-        """Open a chunked publication of ``staging`` on the group site.
-
-        One chunk per ``(lo, hi)`` of ``bounds`` along ``chunk_dim``;
-        :meth:`publish_chunks` releases them. The next collective this
-        rank issues on ``group`` consumes this publication instead of
-        publishing its own operand whole, and ingests it chunk by chunk
-        through the same wait and copy-out/reduce loop as a one-chunk
-        publication. The token returned keeps ``staging`` alive.
-
-        Chunks are released in *index order* on every rank. The real
-        backend's ring collective consumes rank-rotated chunks (rank
-        ``i`` starts at chunk ``i``, Figure 9) because the reduction
-        travels around the ring; this communicator's collectives reduce
-        in rank order (the bitwise contract with the lowered oracle), so
-        chunk ``c`` is complete once every rank published its ``c``-th
-        release — under rotation that only happens at the final step for
-        *every* chunk, which would serialize the pipeline, while index
-        order completes chunk ``c`` at step ``c`` and genuinely overlaps
-        the consumer's reduction with the remaining chunks' wire time.
-        """
+        """``staging`` chunked by ``bounds`` along ``chunk_dim``; the
+        token keeps it alive."""
         staging = np.require(staging, requirements="C")
         chunks = [
             box_runs(staging.shape, staging.itemsize, chunk_dim, lo, hi)
             for lo, hi in bounds
         ]
-        pub = self._open(
-            _group_site(group.ranks), group.ranks, staging.nbytes, chunks,
-            staging.ctypes.data,
+        pub = super().begin_chunked(
+            group.ranks, staging.ctypes.data, staging.nbytes, chunks
         )
-        self._pending[pub.key] = pub
         return pub, staging
 
     def publish_chunks(
         self, token: Tuple[_Publication, np.ndarray],
         out: Optional[np.ndarray] = None,
     ) -> None:
-        """Release the staged chunks, one wire transfer per chunk.
-
-        ``out``, when given, receives each chunk as it is published —
-        the consumer-visible buffer of the lowered ``publish`` mode.
-        """
+        """Release the chunks, into ``out`` too when given."""
         pub, staging = token
         at = 0 if out is None else _address(out, staging.shape, staging.dtype)
-        self._release(pub, at)
-
-    # -- streams ----------------------------------------------------------
-
-    def start_stream(self, fn) -> threading.Thread:
-        """Run ``fn`` on a worker thread — one per GPU stream, giving
-        overlap groups actual intra-rank concurrency. What ``fn`` raises
-        sets this rank's error flag, and :meth:`join_streams` raises it
-        again."""
-        import threading  # only overlap chunk loops run a stream
-
-        def run():
-            try:
-                fn()
-            except BaseException as exc:  # noqa: BLE001 - reraised at join
-                stream.error = exc
-                self.signal_error(_ERR_FAILED)
-
-        stream = threading.Thread(target=run, daemon=True)
-        stream.error = None
-        stream.start()
-        self._streams.append(stream)
-        return stream
-
-    def join_streams(self, *streams: threading.Thread) -> None:
-        for s in streams:
-            s.join(self.timeout)
-            if s.is_alive():  # pragma: no cover - defensive
-                raise SpmdTimeout("stream thread did not finish")
-            if s.error is not None:
-                raise s.error
+        super().publish_chunks(pub, at)
 
     # -- the body's inputs and results -----------------------------------
 
@@ -1052,10 +977,7 @@ class RankPool:
             if generated.c_source:
                 from repro.core.codegen import native
 
-                k = native.load_kernels(
-                    generated.c_source, observer=observer,
-                    parallel=generated.plane == "pointer",
-                )
+                k = native.load_kernels(generated.c_source, observer)
                 kernels = (k.key, k.path, k.functions)
                 if k.blas is not None:  # its GEMMs call numpy's BLAS
                     kernels += (k.blas,)

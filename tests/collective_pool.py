@@ -35,13 +35,13 @@ from repro.runtime.rank import (
     SpmdLayout,
     SpmdPeerAbort,
     _group_site,
+    _p2p_site,
     _recv,
     _send,
     open_kernels,
 )
 from repro.runtime.spmd import (
     SpmdCommunicator,
-    _p2p_key,
     _reap,
     _segment,
     _start,
@@ -236,7 +236,7 @@ class CollectivePool:
             _group_site(range(nranks)), range(nranks), slot_bytes,
         )
         for src, dst in pairs:
-            layout.add_site(_p2p_key(src, dst), (src, dst), slot_bytes)
+            layout.add_site(_p2p_site(src, dst), (src, dst), slot_bytes)
         layout.freeze()
         self.layout = layout
         self._fds = [

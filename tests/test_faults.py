@@ -378,6 +378,83 @@ class TestDeadRanks:
         assert children() == []
         assert set(spmd_segments()) == before
 
+    @staticmethod
+    def _die_on_the_pointer_plane(sched, inputs, at_site, after):
+        """Run ``sched``'s native module, a pointer module, with rank 1
+        dying at its ``after``-th publish on ``at_site``; returns the
+        injected death's trace instant. The survivors abort without
+        timing out, join their producer streams, and leave no segment
+        or rank process behind."""
+        assert CodeGenerator(target="native").generate(sched).plane == (
+            "pointer"
+        )
+        before, kids = set(spmd_segments()), set(children())
+        tracer = Tracer()
+        t0 = time.monotonic()
+        with pytest.raises(SpmdWorkerError) as err:
+            Executor().run_spmd(
+                sched, inputs, allow_downcast=True, codegen_target="native",
+                fault_plan=FaultPlan(seed=1).die(
+                    1, at_site=at_site, after=after
+                ),
+                soft_timeout=0.5, timeout=20.0, tracer=tracer,
+            )
+        assert time.monotonic() - t0 < 20.0
+        assert err.value.dead_ranks == [1]
+        assert "timed out" not in str(err.value)
+        instants = [
+            e for e in tracer.events if isinstance(e, InstantEvent)
+        ]
+        assert not any(e.name == "stream-leak" for e in instants)
+        assert set(children()) == kids
+        assert set(spmd_segments()) == before
+        (die,) = [e for e in instants if e.name == "die"]
+        assert die.pid == "rank1"
+        return die
+
+    @pytest.mark.skipif(
+        sys.platform != "linux" or not native.available(),
+        reason="/proc/self/fd is Linux-only; needs a C compiler",
+    )
+    def test_die_at_the_pointer_plane_send(self, tmp_path, monkeypatch):
+        """Rank 1 of the native pipeline (two groups of two ranks)
+        dies publishing its P2P send to rank 3, which is waiting to
+        receive it."""
+        from repro.cli import _seeded_inputs
+        from repro.workloads.pipeline import PipelineWorkload
+
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+        sched = PipelineWorkload.build(2, 4, 16, 4).schedule_megatron()
+        die = self._die_on_the_pointer_plane(
+            sched, _seeded_inputs(sched.program, seed=0), "p1>3", 1
+        )
+        assert die.args == {"seq": 1, "site": "p1>3"}
+
+    @pytest.mark.skipif(
+        sys.platform != "linux" or not native.available(),
+        reason="/proc/self/fd is Linux-only; needs a C compiler",
+    )
+    def test_die_in_the_pointer_plane_ring_overlap(
+        self, tmp_path, monkeypatch
+    ):
+        """Rank 1 of attention's CoCoNet schedule dies on its producer
+        stream, publishing the second chunk of the GEMM's output to the
+        ring ReduceScatter (its third publish on the group's site, after
+        the timing barrier and the first chunk); rank 0's consumer is
+        folding the chunks as they arrive."""
+        from repro.cli import _seeded_inputs
+        from repro.workloads.attention import AttentionWorkload
+
+        monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+        sched = AttentionWorkload.build(2, 8, 64, 2).schedule_coconet()
+        (loop,) = sched.lowered().chunk_loops()
+        assert loop.ring
+        die = self._die_on_the_pointer_plane(
+            sched, _seeded_inputs(sched.program, seed=0), "g0x2", 3
+        )
+        # a chunked publication counts its chunks
+        assert die.args == {"seq": 1, "site": "g0x2"}
+
     def test_without_elastic_the_error_propagates(self, rng):
         wl = AdamWorkload.build(56, 4)
         with pytest.raises(SpmdWorkerError):

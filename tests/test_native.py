@@ -396,7 +396,7 @@ class TestHostTarget:
         native.source_key(src)
         native.toolchain_report()
         native.compile_flags()
-        native.load_kernels(src, parallel=True)
+        native.load_kernels(src)
         native._MEMO.clear()
         native.load_kernels(src)
         assert len(probes) == first
@@ -447,6 +447,42 @@ class TestTargetDispatch:
         assert "\n_K = None\n" in gen.source
         assert "load_kernels" not in gen.source
         assert "repro_d2h" not in gen.source
+
+    def test_one_form_of_native_module(self):
+        # a native module is a pointer module, or exactly the module the
+        # spmd target emits, with no C
+        from repro.core import dtypes
+        from repro.workloads.adam import AdamWorkload
+        from repro.workloads.attention import AttentionWorkload
+        from repro.workloads.lamb import LambWorkload
+        from repro.workloads.moe import MoEWorkload
+        from repro.workloads.pipeline import PipelineWorkload
+
+        from tests import test_codegen_extra as extra
+
+        programs = []
+        for wl in (
+            AdamWorkload.build(64, 2), LambWorkload.build(64, 4),
+            PipelineWorkload.build(2, 4, 16, 4),
+            AttentionWorkload.build(2, 8, 64, 2),
+            MoEWorkload.build(3, 6, 8, 2),
+        ):
+            programs += list(wl.schedules().values())
+        programs += [
+            make()[0] for name, make in vars(extra).items()
+            if name.endswith("_program")
+        ]
+        for dt in (dtypes.FP16, dtypes.FP32, dtypes.FP64):
+            programs += [_every_op_program(dt)[0], _c_op_program(dt)[0]]
+        programs += [_fp64_gemm_allreduce(ov)[0] for ov in (False, True)]
+        planes = set()
+        for sched in programs:
+            gen = CodeGenerator(target="native").generate(sched)
+            planes.add(gen.plane)
+            if gen.plane != "pointer":
+                assert gen.c_source is None
+                assert gen.source == CodeGenerator().generate(sched).source
+        assert planes == {"pointer", "numpy"}
 
     def test_matmul_emits_no_c_function(self):
         # an FP64 GEMM is the device library's dev.gemm on every tier
@@ -513,9 +549,12 @@ class TestRankDataPath:
         u1 = Update(x, Binary("*", x, 0.5), name="u1")
         u2 = Update(x, Binary("+", u1, 1.0), name="u2")
         prog = Execute("twice", [x], [Binary("+", u2, u1, name="out")])
+        # u1 cannot be stored where x lives: the native module is the
+        # spmd target's, whose u1 is an array of its own
         gen = CodeGenerator(target="native").generate(prog)
-        assert "V['u1'] = np.empty(" in gen.source
-        assert "V['u2'] = T['x']\n" in gen.source
+        assert gen.c_source is None
+        assert gen.source == CodeGenerator().generate(prog).source
+        assert "V['u1'] = V[" in gen.source
         inputs = {"x": np.random.RandomState(2).randn(8, 16)}
         ex = Executor()
         low = ex.run_lowered(prog, inputs, allow_downcast=True)
@@ -640,16 +679,24 @@ class TestInPlaceFusedCollective:
         from repro.workloads.lamb import LambWorkload
 
         gen = CodeGenerator(target="native").generate(_tuned(LambWorkload))
+        assert gen.plane == "pointer"
         kernel = self._fused_kernel(gen)
-        calls = [m.start() for m in re.finditer(r"_K\.call\(", kernel)]
+        # the functions with a loop of their own: not the 0-d ones
+        looped = [
+            m.group(1) for m in re.finditer(
+                r"^void (s\d+)\(.*?\n}\n", gen.c_source, re.M | re.S
+            ) if "for (" in m.group(0)
+        ]
+        calls = [kernel.index(f"_K.call('{fn}'") for fn in looped]
         exchanges = [
-            m.start() for m in re.finditer(r"comm\.exchange_scalars", kernel)
+            m.start()
+            for m in re.finditer(r"comm\.allgather\(_part, ", kernel)
         ]
         # w_norm's exchange, the RS, one loop, u_norm's exchange, one loop
         assert len(calls) == 2 and len(exchanges) == 2
-        assert kernel.index("comm.reducescatter(") < calls[0]
+        assert exchanges[0] < kernel.index("comm.reducescatter(") < calls[0]
         assert calls[0] < exchanges[1] < calls[1]
-        self._assert_in_place(gen.source)
+        self._assert_in_place(gen.source, pointer=True)
 
     @pytest.mark.parametrize("target", ["spmd", "native"])
     def test_tuned_lamb_bit_identical(self, kernel_cache, target):
@@ -1140,11 +1187,12 @@ def _plane(program) -> str:
 
 
 class TestPointerReady:
-    """What keeps a native module on the numpy data plane: a GEMM that
-    numpy would not run as plain ``sgemm`` calls, a Dropout sliced or an
-    AllToAll exchanging on another dimension than 0, and the ring GEMM
-    overlap. Each case has a control that differs in that one respect
-    and runs on the pointer plane."""
+    """What gives a native program the ``spmd`` target's module, on the
+    numpy data plane: a GEMM that numpy would not run as plain ``sgemm``
+    calls, a Dropout sliced or an AllToAll exchanging on another
+    dimension than 0, an op or reduction the C does not restate. Each
+    case has a control that differs in that one respect and runs on the
+    pointer plane. The ring GEMM overlap, P2P and norms run there too."""
 
     needs_blas = pytest.mark.skipif(
         native.blas() is None, reason="no BLAS with a known sgemm mapped"
@@ -1196,18 +1244,54 @@ class TestPointerReady:
         assert _plane(program) == plane
 
     @needs_blas
-    def test_ring_chunk_loop_keeps_numpy(self):
-        # the ring GEMM overlap's producer stream publishes chunks; a
-        # tiled chunk loop only calls its members in order
+    def test_ring_chunk_loop_runs_on_the_pointer_plane(self):
+        # the ring GEMM overlap's producer stream publishes chunks of
+        # runs; a tiled chunk loop only calls its members in order
         from repro.workloads.attention import AttentionWorkload
         from repro.workloads.moe import MoEWorkload
 
         ring = AttentionWorkload.build(2, 8, 64, 2).schedule_coconet()
         tiled = MoEWorkload.build(3, 6, 8, 2).schedule_overlapped()
-        for sched, plane in ((ring, "numpy"), (tiled, "pointer")):
+        for sched, ringed in ((ring, True), (tiled, False)):
             (loop,) = sched.lowered().chunk_loops()
-            assert _ring_overlap(loop) == (plane == "numpy")
-            assert _plane(sched) == plane
+            assert _ring_overlap(loop) == ringed
+            assert _plane(sched) == "pointer"
+        assert "comm.begin_chunked(RANKS_G0_2, _staging, " in (
+            CodeGenerator(target="native").generate(ring).source
+        )
+
+    @pytest.mark.parametrize("op, plane", [
+        ("+", "pointer"), ("max", "numpy"), ("min", "numpy"), ("*", "numpy"),
+    ])
+    def test_reduce_tensor_by_op(self, op, plane):
+        from repro.core import (
+            FP32, RANK, Execute, ReduceTensor, Sliced, Tensor, world,
+        )
+
+        x = Tensor(FP32, (8, 4), Sliced(0), world(2), RANK, name="x")
+        program = Execute("reduce", [x], [ReduceTensor(op, x)])
+        assert _plane(program) == plane
+
+    @pytest.mark.parametrize("op, plane", [
+        ("sqrt", "pointer"), ("tanh", "numpy"), ("exp", "numpy"),
+    ])
+    def test_unary_by_op(self, op, plane):
+        from repro.core import FP32, Execute, Replicated, Tensor, world
+        from repro.core.ops import Unary
+
+        x = Tensor(FP32, (16,), Replicated, world(2), name="x")
+        assert _plane(Execute("unary", [x], [Unary(op, x)])) == plane
+
+    @pytest.mark.parametrize("name, plane", [
+        ("MegatronLM", "pointer"), ("GShard-Eq", "pointer"),
+        ("CoCoNet", "pointer"), ("AR-C-P2P-AG", "numpy"),
+    ])
+    def test_pipeline_p2p(self, name, plane):
+        # AR-C-P2P-AG slices and gathers on dim 1
+        from repro.workloads.pipeline import PipelineWorkload
+
+        sched = PipelineWorkload.build(2, 4, 16, 4).schedules()[name]
+        assert _plane(sched) == plane
 
 
 @needs_cc
@@ -1408,6 +1492,22 @@ def _every_op_program(dtype):
     return Execute("every_op", [x, y], outs), inputs
 
 
+def _c_op_program(dtype):
+    """:func:`_every_op_program` with only the ops the C loop restates,
+    plus a Cast to every float dtype."""
+    from repro.core import RANK, Execute, Sliced, Tensor, dtypes, world
+    from repro.core.ops import Binary, Cast, Unary
+
+    _, inputs = _every_op_program(dtype)
+    w = world(2)
+    x = Tensor(dtype, (256,), Sliced(0), w, RANK, name="x")
+    y = Tensor(dtype, (256,), Sliced(0), w, RANK, name="y")
+    outs = [Binary(op, x, y) for op in native._C_BINARY]
+    outs += [Unary(op, x) for op in native._C_UNARY]
+    outs += [Cast(to, x) for to in (dtypes.FP16, dtypes.FP32, dtypes.FP64)]
+    return Execute("c_ops", [x, y], outs), inputs
+
+
 @needs_cc
 class TestEveryOpBitIdentical:
     """Every Binary and Unary op at every float dtype, on every tier:
@@ -1419,6 +1519,29 @@ class TestEveryOpBitIdentical:
         from repro.core import dtypes
 
         program, inputs = _every_op_program(getattr(dtypes, dtype))
+        ex = Executor()
+        with np.errstate(all="ignore"):
+            low = ex.run_lowered(program, inputs)
+        for target in ("spmd", "native"):
+            got = ex.run_spmd(
+                program, inputs, codegen_target=target, timeout=120.0
+            )
+            for name in low.output_names:
+                assert (
+                    got.output(name).tobytes() == low.output(name).tobytes()
+                ), (target, name)
+
+
+    @pytest.mark.parametrize("dtype", ["FP16", "FP32", "FP64"])
+    def test_c_ops_on_the_pointer_plane(self, kernel_cache, dtype):
+        # only the ops the C loop restates, and every cast: the native
+        # module is a pointer module, and its C keeps every bit
+        from repro.core import dtypes
+
+        program, inputs = _c_op_program(getattr(dtypes, dtype))
+        assert CodeGenerator(target="native").generate(program).plane == (
+            "pointer"
+        )
         ex = Executor()
         with np.errstate(all="ignore"):
             low = ex.run_lowered(program, inputs)
@@ -1580,6 +1703,38 @@ class TestRankKinds:
         assert _kinds(got) == {("pointer", False)}
         assert _digest(got) == _digest(low)
 
+    @pytest.mark.parametrize("name", [
+        "lamb:AR-LAMB", "lamb:RS-LAMB-AG", "lamb:fuse(RS-LAMB-AG)",
+        "pipeline:MegatronLM", "pipeline:GShard-Eq", "pipeline:CoCoNet",
+        "attention:CoCoNet",
+    ])
+    def test_norms_p2p_and_ring_ranks_never_import_numpy(
+        self, kernel_cache, name
+    ):
+        # LAMB's norms, the pipeline's P2P and attention's ring GEMM
+        # overlap run on the pointer plane
+        from repro.cli import _seeded_inputs
+        from repro.workloads.attention import AttentionWorkload
+        from repro.workloads.lamb import LambWorkload
+        from repro.workloads.pipeline import PipelineWorkload
+
+        workload, schedule = name.split(":")
+        wl = {
+            "lamb": lambda: LambWorkload.build(1024, 2),
+            "pipeline": lambda: PipelineWorkload.build(2, 4, 16, 4),
+            "attention": lambda: AttentionWorkload.build(2, 8, 64, 2),
+        }[workload]()
+        sched = wl.schedules()[schedule]
+        inputs = _seeded_inputs(sched.program, seed=0)
+        with Executor() as ex:
+            got = ex.run_spmd(
+                sched, inputs, allow_downcast=True,
+                codegen_target="native", timeout=60.0,
+            )
+            low = ex.run_lowered(sched, inputs, allow_downcast=True)
+        assert _kinds(got) == {("pointer", False)}
+        assert _digest(got) == _digest(low)
+
     def test_elastic_recovery_on_the_adopted_rank(self, kernel_cache):
         # rank 1 dies at the timing barrier; rank 0, which never
         # imported numpy, runs the world-size-1 recovery without it
@@ -1639,30 +1794,32 @@ class TestRankKinds:
                 assert _kinds(got) == {("pointer", False)}
 
     @pytest.mark.parametrize("name", [
-        "attention_coconet", "lamb", "adam_spmd",
+        "pipeline_ar_c_p2p_ag", "every_op", "adam_spmd",
     ])
     def test_other_modules_import_numpy(self, kernel_cache, name):
-        # LAMB's cross-rank norms, the ring GEMM overlap (its producer
-        # stream publishes chunks) and the spmd target
+        # native programs the C does not restate (the pipeline's slices
+        # and gathers on dim 1, tanh, exp and array pow) get the spmd
+        # target's module, and so does the spmd target
         from repro.cli import _seeded_inputs
-        from repro.workloads.attention import AttentionWorkload
+        from repro.core.dtypes import FP32
+        from repro.workloads.pipeline import PipelineWorkload
 
         target = "native"
         if name == "adam_spmd":
-            name, target = "adam_fused", "spmd"
-        if name == "attention_coconet":
-            sched = AttentionWorkload.build(2, 8, 64, 2).schedule_coconet()
-            (loop,) = sched.lowered().chunk_loops()
-            assert loop.ring
+            sched, target = _kept_program("adam_fused"), "spmd"
+        elif name == "every_op":
+            sched = _every_op_program(FP32)[0]
         else:
-            sched = _kept_program(name)
+            wl = PipelineWorkload.build(2, 4, 16, 4)
+            sched = wl.schedules()["AR-C-P2P-AG"]
         gen = CodeGenerator(target=target).generate(sched)
         assert gen.plane == "numpy"
         program = getattr(sched, "program", sched)
-        got = Executor().run_spmd(
-            sched, _seeded_inputs(program, seed=0), allow_downcast=True,
-            codegen_target=target, timeout=120.0,
-        )
+        with np.errstate(all="ignore"):
+            got = Executor().run_spmd(
+                sched, _seeded_inputs(program, seed=0), allow_downcast=True,
+                codegen_target=target, timeout=120.0,
+            )
         assert _kinds(got) == {("numpy", True)}
 
     @pytest.mark.parametrize("first", ["adam", "lamb"])
@@ -1678,12 +1835,15 @@ class TestRankKinds:
 
         from tests.spmd_leaks import children, spmd_segments
 
+        # the native Adam is a pointer module, the spmd LAMB a numpy one
         workloads = {"adam": AdamWorkload, "lamb": LambWorkload}
+        targets = {"adam": "native", "lamb": "spmd"}
         second = "lamb" if first == "adam" else "adam"
-        gen = CodeGenerator(target="native")
-        failing = gen.generate(_tuned(workloads[first]))
+        failing = CodeGenerator(target=targets[first]).generate(
+            _tuned(workloads[first])
+        )
         sched = _tuned(workloads[second], 1024, 1)
-        recovery = gen.generate(sched)
+        recovery = CodeGenerator(target=targets[second]).generate(sched)
         assert {failing.plane, recovery.plane} == {"pointer", "numpy"}
         inputs = _seeded_inputs(sched.program, seed=1)
         before = set(spmd_segments())
@@ -1762,7 +1922,9 @@ class TestLoopsVectorize:
     """Every loop of the optimizers' and MoE's kernels vectorizes at the
     flags kernels ship with, ``native.compile_flags()``. (A GEMM
     function's loops, its per-batch ``sgemm`` calls and conversions, are
-    scalar by choice, marked ``REPRO_SCALAR``.)
+    scalar by choice, marked ``REPRO_SCALAR``; and numpy's pairwise sum,
+    which LAMB's norms restate, adds its last fewer than 8 loads one
+    after another, an in-order float sum the compiler may leave scalar.)
 
     One ``?:`` select on a floating-point result in the half
     conversions makes gcc leave a loop scalar, at half its speed, while
@@ -1839,7 +2001,13 @@ class TestLoopsVectorize:
                                gen.source))
         assert marked == gemms
         scalar = self._scalar_loops(gen.c_source, tmp_path)
-        assert [n for n in scalar if owner[n] not in marked] == []
+        in_turn = {
+            n for n, line in enumerate(gen.c_source.splitlines(), 1)
+            if line.strip().startswith("for (; i < n; ++i) s += ")
+        }
+        assert [
+            n for n in scalar if owner[n] not in marked and n not in in_turn
+        ] == []
         if workload == "moe_fp32":  # its ReLU and scale loops vectorize
             assert len(gemms) == 2
             assert {owner[n] for n in scalar} == gemms
@@ -2021,9 +2189,11 @@ class TestHostIsaBitIdentical:
 
     @pytest.mark.parametrize("dtype", ["FP16", "FP32", "FP64"])
     def test_every_op(self, kernel_cache, dtype):
+        # every op the C restates: the every-op program's tanh, exp and
+        # array pow give it the spmd target's module, which compiles none
         from repro.core import dtypes
 
-        program, inputs = _every_op_program(getattr(dtypes, dtype))
+        program, inputs = _c_op_program(getattr(dtypes, dtype))
         baseline, host = self._run_both(program, inputs)
         assert baseline == host
 
@@ -2041,6 +2211,101 @@ class TestHostIsaBitIdentical:
         inputs = _seeded_inputs(sched.program, seed=3)
         baseline, host = self._run_both(sched, inputs)
         assert baseline == host
+
+
+def _sum_harness() -> str:
+    """The C of a native program's norm and sum of an FP16 and an FP32
+    value: every partial and total helper those dtypes call."""
+    from repro.core import (
+        FP16, FP32, Execute, Norm, ReduceTensor, Replicated, Tensor, world,
+    )
+
+    xs = [
+        Tensor(dt, (16,), Replicated, world(1), name=f"x{dt.name}")
+        for dt in (FP16, FP32)
+    ]
+    outs = [Norm(x) for x in xs] + [ReduceTensor("+", x) for x in xs]
+    gen = CodeGenerator(target="native").generate(Execute("sums", xs, outs))
+    assert gen.plane == "pointer"
+    return gen.c_source
+
+
+def _sum_cases(dtype, shape, seed):
+    """``shape`` arrays of ``dtype`` for the sums: normals with ±0,
+    subnormals and ±65504 scattered in, then the same with ±inf, with
+    one payload NaN (no tier promises which of two NaNs a sum keeps),
+    and all signed zeros of either sign."""
+    rng = np.random.default_rng(seed)
+    size = int(np.prod(shape))
+    special = np.array([
+        0.0, -0.0, 65504.0, -65504.0, 2.0 ** -24, -(2.0 ** -24),
+        3 * 2.0 ** -24, 2.0 ** -149, -(2.0 ** -149),
+    ])
+    base = rng.normal(0.0, 4.0, size)
+    at = rng.choice(size, min(size, 3 * len(special)), replace=False)
+    base[at] = np.resize(special, len(at))
+    base = base.astype(dtype)
+    infs = base.copy()
+    infs[rng.choice(size, min(size, 2), replace=False)] = [np.inf, -np.inf][
+        : min(size, 2)
+    ]
+    nan = base.copy()
+    bits, quiet = {
+        np.float16: (np.uint16, 0x7E00), np.float32: (np.uint32, 0x7FC00000),
+    }[dtype]
+    payload = quiet | 0x8000 << (np.dtype(bits).itemsize * 8 - 16) | 0x155
+    nan[rng.integers(size)] = np.array(payload).astype(bits).view(dtype)
+    return [
+        a.reshape(shape) for a in (
+            base, infs, nan, np.full(size, -0.0, dtype),
+            np.zeros(size, dtype),
+        )
+    ]
+
+
+@needs_cc
+class TestCSums:
+    """The C that restates numpy's float64 sum: each partial and total
+    helper against ``dev.partial``, ``dev.reduce_local`` and
+    ``dev.total``, by bytes, built at the baseline and the host flags."""
+
+    SHAPES = ((2 ** 20,), (512, 512), (3, 1000, 7), (7,), (8,), (129,),
+              (4097,))
+
+    @pytest.mark.parametrize("flags", ["baseline", "host"])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32])
+    def test_partial_local_and_total(self, kernel_cache, flags, dtype):
+        from repro.core.codegen import device as dev
+
+        with (
+            TestHostIsaBitIdentical._baseline() if flags == "baseline"
+            else contextlib.nullcontext()
+        ):
+            k = native.load_kernels(_sum_harness())
+        short = native._SHORT[np.dtype(dtype).name]
+        part, out = np.empty(1), np.empty(1, dtype)
+        for i, shape in enumerate(self.SHAPES):
+            for x in _sum_cases(dtype, shape, i):
+                for op, name in (("norm", "norm"), ("+", "sum")):
+                    with np.errstate(all="ignore"):
+                        want = dev.partial(x, op)
+                        local = dev.reduce_local(x, op, dtype)
+                    k.call(f"partial_{name}_{short}", (x,), (x.size,), (part,))
+                    assert part.tobytes() == np.float64(want).tobytes(), (
+                        shape, op, x.flat[:4],
+                    )
+                    k.call(f"total_{name}_{short}", (part,), (1,), (out,))
+                    assert out.tobytes() == local.tobytes(), (shape, op)
+                    # the partials of rank rows, totalled in rank order
+                    rows = np.array_split(x.reshape(-1), 4)
+                    with np.errstate(all="ignore"):
+                        parts = [dev.partial(r, op) for r in rows]
+                        total = dev.total(parts, op, dtype)
+                    k.call(
+                        f"total_{name}_{short}", (np.array(parts),),
+                        (len(parts),), (out,),
+                    )
+                    assert out.tobytes() == total.tobytes(), (shape, op)
 
 
 def _refuse(*args, **kwargs):

@@ -7,7 +7,9 @@ processes start fresh per launch but the segments are kept. The LAMB
 cases cover its cross-rank and local norms (at 2 and 4 ranks, and with
 a parameter of signed zeros only), the pipeline cases its P2P sends
 between two groups, and attention's ``CoCoNet`` schedule the ring GEMM
-overlap, whose producer stream publishes the GEMM's chunks.
+overlap, whose producer stream publishes the GEMM's chunks. Two more
+run on the pointer plane only: a ring overlap whose consumer is an
+AllReduce, and sums and norms of sliced and replicated values.
 """
 
 import numpy as np
@@ -38,11 +40,13 @@ def pool(tmp_path_factory):
 
 
 def _assert_native_is_lowered(pool, sched, inputs):
+    """Launch ``sched``'s native module; returns the ranks' kinds."""
     gen = CodeGenerator(target="native").generate(sched)
     got = pool.launch(gen, inputs, allow_downcast=True, timeout=60.0)
     with np.errstate(all="ignore"):
         low = Executor().run_lowered(sched, inputs, allow_downcast=True)
     assert _digest(got) == _digest(low)
+    return set(got.spmd_rank_kinds.values())
 
 
 @pytest.mark.parametrize("ranks", [2, 4])
@@ -78,3 +82,48 @@ def test_attention_ring_overlap(pool):
     _assert_native_is_lowered(
         pool, sched, _seeded_inputs(sched.program, seed=2)
     )
+
+
+def test_gemm_allreduce_ring_overlap(pool):
+    # the ring's consumer is an AllReduce folding every chunk's runs
+    from repro.core import (
+        FP32, RANK, AllReduce, Binary, Execute, MatMul, Replicated, Sliced,
+        Tensor, world,
+    )
+    from repro.core.transforms import Schedule
+
+    W = world(2)
+    w = Tensor(FP32, (64, 64), Sliced(0), W, RANK, name="w")
+    x = Tensor(FP32, (4, 8, 64), Sliced(2), W, RANK, name="x")
+    b = Tensor(FP32, (64,), Replicated, W, name="b")
+    mm = MatMul(x, w, name="mm")
+    ar = AllReduce("+", mm, name="ar")
+    sched = Schedule(Execute("ring", [w, x, b], [Binary("+", ar, b)]))
+    sched.overlap(mm, ar)
+    (loop,) = sched.lowered().chunk_loops()
+    assert loop.ring
+    assert _assert_native_is_lowered(
+        pool, sched, _seeded_inputs(sched.program, seed=3)
+    ) == {("pointer", False)}
+
+
+@pytest.mark.parametrize("dtype", ["FP16", "FP32"])
+def test_sums_local_and_across_ranks(pool, dtype):
+    # a ReduceTensor("+") and a Norm of a sliced value (partials
+    # gathered across ranks) and of a replicated one (local)
+    from repro.core import (
+        RANK, Execute, Norm, ReduceTensor, Replicated, Sliced, Tensor,
+        dtypes, world,
+    )
+
+    dt = getattr(dtypes, dtype)
+    W = world(4)
+    s = Tensor(dt, (1000, 3), Sliced(0), W, RANK, name="s")
+    r = Tensor(dt, (129,), Replicated, W, name="r")
+    outs = [Norm(s), ReduceTensor("+", s), Norm(r), ReduceTensor("+", r)]
+    program = Execute("sums", [s, r], outs)
+    inputs = _seeded_inputs(program, seed=4)
+    inputs["s"] = inputs["s"] - 0.06  # signs of both kinds
+    assert _assert_native_is_lowered(pool, program, inputs) == {
+        ("pointer", False)
+    }

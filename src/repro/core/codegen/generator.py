@@ -541,7 +541,9 @@ class CodeGenerator:
                     f"{e.group.size}, context={t.name!r})[...] = {out}"
                 )
             else:
-                em.emit(f"np.copyto(T[{t.name!r}], {out}, casting='unsafe')")
+                em.emit(
+                    f"np.copyto(T[{t.name!r}], {out}, casting='unsafe')"
+                )
         else:  # pragma: no cover - defensive
             raise CodegenError(f"cannot emit {type(e).__name__}")
 

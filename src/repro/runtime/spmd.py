@@ -50,10 +50,10 @@ bit-identical to its vectorized counterpart (``run_spmd`` ≡
 ``run_lowered``). The AllToAll copies its peers' chunks by the moves
 of :func:`~repro.runtime.collectives.alltoall_moves`, the list the
 vectorized AllToAll gathers by. Chunked publication
-(:meth:`~repro.runtime.rank.RankCore.begin_chunked`) releases a producer's output
-chunk by chunk, and a consuming collective takes each chunk's runs
-once every rank published it: bit-identical to a whole-buffer
-collective, while the reduce runs behind the wire.
+(:meth:`~repro.runtime.rank.RankCore.begin_chunked`) releases a
+producer's output chunk by chunk, and a consuming collective takes each
+chunk's runs once every rank published it: bit-identical to a
+whole-buffer collective, while the reduce runs behind the wire.
 
 Launch
 ------
@@ -201,9 +201,8 @@ from repro.observe.ring import TraceRing, merge_rank_traces
 from repro.runtime.collectives import alltoall_moves, fold_ranks
 from repro.runtime.rank import (
     _RANK_ENTRY, DEFAULT_TIMEOUT, RankCore, SpmdError, SpmdLayout,
-    SpmdWorkerError,
-    _group_site, _p2p_site, _Publication, _recv, _send, box_moves,
-    box_runs, signal_dead,
+    SpmdWorkerError, _group_site, _p2p_site, _Publication, _recv, _send,
+    box_moves, box_runs, signal_dead,
 )
 from repro.runtime.world import (
     assemble_rows, check_divisible, place_input, place_inputs,

@@ -42,7 +42,7 @@ approximation. ``tests/test_native.py`` builds the helpers and a
 program of every op the C restates at both flag sets and compares them
 by bytes.
 
-Beside the loops, a pointer module (:class:`NativeEmitter`) has five
+Beside the loops, a pointer module (:class:`NativeEmitter`) has six
 kinds of C, held to the same contract:
 
 * **The 0-d prologue.** Rank-invariant scalars such as Adam's
@@ -82,6 +82,17 @@ kinds of C, held to the same contract:
   the loads or their squares, then of the ranks' partials, gathered as
   8-byte rows, with a norm's square root and one rounding
   (:func:`repro.core.codegen.device.partial` and ``total``).
+* **The placement cast** (:data:`PLACE_F16`, appended to a source with
+  an FP16 input). The launcher, not a rank, calls it: it casts each
+  C-contiguous float64 input of an FP16 tensor into the segment
+  (:func:`repro.runtime.spmd._place_regions`). ``repro_d2h`` is
+  numpy's ``astype(np.float16)``, one round-to-nearest-even from the
+  double with its NaN payload rule, so each byte is the one
+  ``np.copyto`` writes on the ``spmd`` target; the function reads a
+  load once and stores it into two places (one passed twice is one
+  place). It lives in the program's own source because the launch
+  already waits on that compile: a cold process would build a separate
+  object too, a second ``cc`` to wait for.
 
 NaN payloads: numpy's casts to float16 keep a NaN's top ten payload
 bits, forced nonzero, and so does ``repro_d2h``. With two NaN operands
@@ -579,6 +590,27 @@ void {name}(char** A, double* S) {
 }
 """
 
+#: appended to sources with an FP16 input: the launcher's placement cast
+#: (:func:`repro.runtime.spmd._place_regions`), numpy's ``astype``
+#: restated by ``repro_d2h``, into two destinations at once or, passed
+#: twice, one. One loop: a second one (a loop per destination count)
+#: would double the vectorizer's share of the cold compile
+PLACE_F16 = r"""
+/* S[0] float64 loads of A[0] rounded to half, each stored into A[1]
+ * and A[2]: one read of each load */
+void place_f16(char** A, double* S) {
+    const double* x = (const double*)A[0];
+    uint16_t* a = (uint16_t*)A[1];
+    uint16_t* b = (uint16_t*)A[2];
+    const long long n = (long long)S[0];
+    for (long long i = 0; i < n; ++i) {
+        const uint16_t h = repro_d2h(x[i]);
+        a[i] = h;
+        b[i] = h;
+    }
+}
+"""
+
 
 # ---------------------------------------------------------------------------
 # Content-addressed kernel cache.
@@ -932,6 +964,10 @@ class NativeEmitter:
                 for x in e.inputs:
                     self._consumers.setdefault(id(x), []).append(e)
         self._output_ids = {id(o) for o in lowered.program.outputs}
+        #: whether the launcher casts an input to FP16 (:data:`PLACE_F16`)
+        self._place_f16 = any(
+            _cdt(t.dtype) == "float16" for t in lowered.program.inputs
+        )
 
     def c_source(self) -> Optional[str]:
         if not self.functions and not self.helpers:
@@ -948,6 +984,7 @@ class NativeEmitter:
             + (FOLD_NAN if folds else "")
             + "".join(self._sums[k] for k in sorted(self._sums))
             + "".join(self.helpers[k] for k in sorted(self.helpers))
+            + (PLACE_F16 if self._place_f16 else "")
         )
         return prelude + "\n" + "\n".join(self.functions)
 

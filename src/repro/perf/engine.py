@@ -62,22 +62,6 @@ class Timeline:
     def end(self, name: str) -> float:
         return self.spans[name][1]
 
-    def busy_time(self, resource_prefix: str, tasks: Sequence[Task]) -> float:
-        """Total occupied time of resources whose name has the prefix.
-
-        Tasks absent from ``spans`` (e.g. from a different run, or not
-        yet scheduled) are skipped before any subscripting.
-        """
-        total = 0.0
-        for t in tasks:
-            if t.name not in self.spans:
-                continue
-            if not t.resource.startswith(resource_prefix):
-                continue
-            start, end = self.spans[t.name]
-            total += end - start
-        return total
-
     def utilization(self, resource: str) -> float:
         """Busy fraction of the makespan for one resource (or family).
 

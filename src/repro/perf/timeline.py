@@ -73,46 +73,3 @@ def resource_utilization(
             start, end = timeline.spans[t.name]
             busy[t.resource] = busy.get(t.resource, 0.0) + (end - start)
     return {r: b / makespan for r, b in busy.items()}
-
-
-def critical_path(
-    timeline: Timeline, tasks: Sequence[Task]
-) -> List[str]:
-    """One chain of tasks whose spans cover the makespan end to end.
-
-    Walks back from the task finishing last through the dependency (or
-    same-resource predecessor) that determined its start time.
-    """
-    if not timeline.spans:
-        return []
-    by_name = {t.name: t for t in tasks}
-    current = max(timeline.spans, key=lambda n: timeline.spans[n][1])
-    path = [current]
-    while True:
-        task = by_name[current]
-        start = timeline.start(current)
-        if start <= 0.0:
-            break
-        blocker: Optional[str] = None
-        # a dependency that finishes exactly when we start
-        for d in task.deps:
-            if abs(timeline.end(d) - start) < 1e-12:
-                blocker = d
-                break
-        if blocker is None:
-            # otherwise the previous occupant of our resource
-            candidates = [
-                t.name
-                for t in tasks
-                if t.resource == task.resource
-                and t.name in timeline.spans
-                and abs(timeline.end(t.name) - start) < 1e-12
-                and t.name != current
-            ]
-            blocker = candidates[0] if candidates else None
-        if blocker is None:
-            break
-        path.append(blocker)
-        current = blocker
-    path.reverse()
-    return path

@@ -190,15 +190,6 @@ class FaultPlan:
                 seen.append(e.rank)
         return tuple(seen)
 
-    def without_deaths(self) -> "FaultPlan":
-        """The same environment minus the kill events (recovery runs)."""
-        return replace(
-            self,
-            events=tuple(
-                e for e in self.events if not isinstance(e, Die)
-            ),
-        )
-
     def resource_slowdowns(self) -> Dict[str, float]:
         """Straggler events as the DES engine's slowdown mapping.
 

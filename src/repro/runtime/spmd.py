@@ -78,23 +78,28 @@ keeps everything else off that path, and no array crosses a socket:
    module and numpy; never the caller's ``__main__``, the lowering or
    the compiler side. With an ``observer``, the flags segment also
    holds one trace ring per rank after the flags.
-2. While the ranks import, the parent places every input in the
-   region of each rank that holds it (the checks and downcast policy of
+2. While the ranks import, the parent resolves a pointer module's C
+   kernels (:func:`repro.core.codegen.native.load_kernels`): a cold
+   compile overlaps the ranks' imports and precedes every deadline.
+   Then it places every input in the region of each rank that holds it
+   (the checks and downcast policy of
    :func:`repro.runtime.world.place_inputs`), populating the input
    regions first (``MADV_POPULATE_WRITE``), and unmaps the segment, so
    its resident set does not count those pages twice. An input that an
    ``Update`` or ``AllGather`` writeback writes is cast straight into
    the regions; any other input is cast once into a private array, its
-   final state, and copied from there. Placement uses every CPU: each
-   cast and copy is cut along its leading axis into one part per CPU,
-   run by threads that live only for the placement
-   (:func:`_place_regions`). On a kept segment the cast writes into
-   pages that already exist. No launch reads a stale byte: inputs are
-   placed here, a rank writes a slot or result before its flag or
-   report says so, and the parent reads only the regions of the ranks
-   that write them. For a pointer module it then resolves the module's
-   C kernels (:func:`repro.core.codegen.native.load_kernels`): a cold
-   compile overlaps the ranks' imports and precedes every deadline.
+   final state, and copied from there. A C-contiguous float64 input of
+   an FP16 tensor is cast by the kernels' ``place_f16`` (numpy's
+   ``astype``, bit for bit), which reads the source once and writes
+   both places the value goes, the state and the region or a
+   replicated input's first two regions; every other cast is
+   ``np.copyto``. Placement uses every CPU: each cast and copy is cut
+   along its leading axis into one part per CPU, run by threads that
+   live only for the placement (:func:`_place_regions`). On a kept
+   segment the cast writes into pages that already exist. No launch
+   reads a stale byte: inputs are placed here, a rank writes a slot or
+   result before its flag or report says so, and the parent reads only
+   the regions of the ranks that write them.
 3. The parent sends each rank one pickled spec of a few KB, which the
    socket buffers: layout, deadlines, the rank's view of the fault plan
    (:class:`~repro.runtime.rank.RankFaults`), whether to trace, the
@@ -121,7 +126,8 @@ keeps everything else off that path, and no array crosses a socket:
    the array placement cast it into, and an output that is an input's
    final state is that state's array: one array for both. With an
    ``observer``, placement and copy-out are the parent's ``place`` and
-   ``copy_out`` spans, each with the ``bytes`` it wrote. The teardown
+   ``copy_out`` spans, each with the ``bytes`` it wrote (``place`` also
+   with ``cast_bytes``, those ``place_f16`` wrote). The teardown
    merges the trace rings into the ``observer``, after a failed launch
    too: the parent still holds the flags segment a dead rank wrote its
    ring into. Ranks stamp records with ``time.perf_counter_ns()``, the
@@ -611,26 +617,38 @@ _MIN_PART_BYTES = 1 << 20
 
 
 def _place_regions(
-    layout: SpmdLayout, program, placed: Mapping[str, np.ndarray], buf
-) -> Dict[str, np.ndarray]:
+    layout: SpmdLayout, program, placed: Mapping[str, np.ndarray], buf,
+    kernels=None,
+) -> Tuple[Dict[str, np.ndarray], int]:
     """Cast each placed input into the region of every rank holding it;
-    returns the final states of the inputs no rank writes.
+    returns the final states of the inputs no rank writes, and the FP16
+    bytes ``place_f16`` wrote.
 
     ``placed`` holds :func:`repro.runtime.world.place_inputs` stacks,
     checked but not necessarily cast. An input with writers is cast
     straight into each rank's region, a replicated one into its first
     rank's region and copied from there. An input without is cast once
     into a private array of its global shape, its final state, and
-    copied from it into each rank's region. Every cast and copy is cut
-    along its leading axis into one part per CPU (parts of at least
-    :data:`_MIN_PART_BYTES`); ``np.copyto`` releases the GIL, so the
-    parts run at once, one thread per CPU, each taking the same part of
-    every copy, in order: a part is copied on by the thread that cast it.
+    copied from it into each rank's region. Each cast is one step of a
+    source and one or two destinations: ``np.copyto`` casts the source
+    into the first, and the second copies it. A C-contiguous float64
+    source of an FP16 input, when ``kernels`` (the program's kernel
+    object) has ``place_f16``, is read once instead, rounded by
+    ``repro_d2h`` straight into both (the state and the region, or a
+    replicated input's first two places). Every cast and copy is
+    cut along its leading axis into one part per CPU (parts of at least
+    :data:`_MIN_PART_BYTES`); ``np.copyto`` and a ctypes call release
+    the GIL, so the parts run at once, one thread per CPU, each taking
+    the same part of every step, in order: a part is copied on by the
+    thread that cast it.
     """
     import threading  # parent-side
 
+    cast = kernels is not None and "place_f16" in kernels.functions
+    cast_bytes = 0
     states: Dict[str, np.ndarray] = {}
-    jobs: List[Tuple[int, list]] = []  # (parts, [(dst, src), ...])
+    # (parts, [(source, destinations, by place_f16), ...])
+    jobs: List[Tuple[int, list]] = []
     cpus = len(os.sched_getaffinity(0))
     for t in program.inputs:
         key = ("in", t.name)
@@ -647,31 +665,49 @@ def _place_regions(
             )
         else:
             stage = dsts
-        pairs = []
-        for r, (dst, row) in enumerate(zip(dsts, rows)):
-            if t.layout.is_replicated and r > 0:
-                pairs.append((dst, stage[0]))
-                continue
-            pairs.append((stage[r], row))
-            if stage is not dsts:
-                pairs.append((dst, stage[r]))
+        if t.layout.is_replicated:
+            # one cast into the first two places, the rest copy the first
+            places = dsts if stage is dsts else stage + dsts
+            pairs = [(rows[0], places[:2])]
+            pairs += [(places[0], [dst]) for dst in places[2:]]
+        else:
+            pairs = [
+                (row, [stage[r]] + ([dst] if stage is not dsts else []))
+                for r, (dst, row) in enumerate(zip(dsts, rows))
+            ]
+        steps = []
+        for src, out in pairs:
+            src = np.asarray(src)  # a 0-d input's rows are numpy scalars
+            c = cast and src.dtype == np.float64 and src.flags.c_contiguous
+            c = c and out[0].dtype == np.float16 and all(
+                o.flags.c_contiguous for o in out
+            )
+            cast_bytes += c * out[0].nbytes * len(out)
+            steps.append((src, out, c))
         lead = dsts[0].shape[0] if dsts[0].ndim else 1
         parts = max(1, min(cpus, lead, dsts[0].nbytes // _MIN_PART_BYTES))
-        jobs.append((parts, pairs))
+        jobs.append((parts, steps))
 
     errors: List[BaseException] = []
 
     def run(part: int) -> None:
         try:
-            for parts, pairs in jobs:
+            for parts, steps in jobs:
                 if part >= parts:
                     continue
-                for dst, src in pairs:
+                for src, out, c in steps:
                     if parts > 1:
-                        n = dst.shape[0]
+                        n = src.shape[0]
                         cut = slice(n * part // parts, n * (part + 1) // parts)
-                        dst, src = dst[cut], src[cut]
-                    np.copyto(dst, src, casting="unsafe")
+                        src, out = src[cut], [o[cut] for o in out]
+                    if c:  # one place is passed as both
+                        kernels.call(
+                            "place_f16", (src,), (src.size,), (out * 2)[:2]
+                        )
+                        continue
+                    np.copyto(out[0], src, casting="unsafe")
+                    for dst in out[1:]:
+                        np.copyto(dst, out[0])
         except BaseException as exc:  # noqa: BLE001 - reraised below
             errors.append(exc)
 
@@ -686,7 +722,7 @@ def _place_regions(
         thread.join()
     if errors:
         raise errors[0]
-    return states
+    return states, cast_bytes
 
 
 def _region_bytes(layout: SpmdLayout, kind: Optional[str] = None) -> int:
@@ -955,6 +991,16 @@ class RankPool:
                 socks.append(sock)
             self.origins = origins
 
+            # while the ranks import: the kernels, then the inputs, cast
+            # by the kernels' place_f16 where the program has one
+            compiled = kernels = None
+            if generated.c_source:
+                from repro.core.codegen import native
+
+                compiled = native.load_kernels(generated.c_source, observer)
+                kernels = (compiled.key, compiled.path, compiled.functions)
+                if compiled.blas is not None:  # its GEMMs call numpy's BLAS
+                    kernels += (compiled.blas,)
             # the ranks map the segment themselves: unmap the pages
             # written here, so the parent's resident set does not count
             # them too
@@ -962,7 +1008,9 @@ class RankPool:
                 t0 = observer.now()
             with mmap.mmap(data_fd, layout.data_size) as data:
                 layout.populate(data, range(world_size))
-                states = _place_regions(layout, program, placed, data)
+                states, cast_bytes = _place_regions(
+                    layout, program, placed, data, compiled
+                )
             placed = None
             if traced:
                 observer.complete(
@@ -970,16 +1018,8 @@ class RankPool:
                     cat="repro.runtime.spmd",
                     args={"bytes": _region_bytes(layout, "in") + sum(
                         a.nbytes for a in states.values()
-                    )},
+                    ), "cast_bytes": cast_bytes},
                 )
-            kernels = None
-            if generated.c_source:
-                from repro.core.codegen import native
-
-                k = native.load_kernels(generated.c_source, observer)
-                kernels = (k.key, k.path, k.functions)
-                if k.blas is not None:  # its GEMMs call numpy's BLAS
-                    kernels += (k.blas,)
             spec = dict(
                 layout=layout, data_fd=data_fd, flags_fd=flags_fd,
                 wire_s_per_mb=wire_s_per_mb, timeout=timeout,

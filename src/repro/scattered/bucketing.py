@@ -126,10 +126,6 @@ class ScatteredTensorSet:
             flat = self.tensors[b.tensor_index].reshape(-1)
             yield b, flat[b.offset : b.offset + b.length]
 
-    def element_view(self) -> np.ndarray:
-        """Read all elements through the bucket table (for testing)."""
-        return np.concatenate([v for _, v in self.iter_bucket_views()])
-
     def apply_elementwise(self, fn) -> None:
         """Apply ``fn`` in place through bucket views (single 'kernel')."""
         for _, view in self.iter_bucket_views():

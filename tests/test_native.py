@@ -658,7 +658,8 @@ class TestInPlaceFusedCollective:
 
     def test_adam_one_loop_after_the_reducescatter(self):
         # the 0-d prologue (s0) and the one loop (s1) run after the RS,
-        # which folds by the source's own helper
+        # which folds by the source's own helper; the launcher casts the
+        # FP16 inputs with place_f16
         from repro.workloads.adam import AdamWorkload
 
         gen = CodeGenerator(target="native").generate(_tuned(AdamWorkload))
@@ -669,7 +670,7 @@ class TestInPlaceFusedCollective:
         assert kernel.index("comm.reducescatter(") < calls[0]
         assert "'fold_sum_f16_f16'" in kernel
         assert re.findall(r"^void (\w+)\(", gen.c_source, re.M) == [
-            "fold_sum_f16_f16", "s0", "s1",
+            "fold_sum_f16_f16", "place_f16", "s0", "s1",
         ]
         s0 = gen.c_source[gen.c_source.index("void s0"):]
         assert s0.count("for (") == 1  # s1's loop; s0 has none
@@ -959,7 +960,10 @@ class TestPointerPlaneNumerics:
         program = Execute("prologue", [t, x], outs)
         gen = CodeGenerator(target="native").generate(program)
         assert gen.plane == "pointer"
-        assert "pow(" in gen.c_source and "for (" not in gen.c_source
+        # loop-less but for the launcher's cast of FP16 inputs
+        assert (native.PLACE_F16 in gen.c_source) == (dtype == "FP16")
+        body = gen.c_source.replace(native.PLACE_F16, "")
+        assert "pow(" in body and "for (" not in body
         with Executor() as ex:
             for step in self.STEPS:
                 for value in (0.0, -0.0, np.inf, np.nan, 2.0 ** -24, 3.0):
@@ -2012,11 +2016,30 @@ class TestLoopsVectorize:
             assert len(gemms) == 2
             assert {owner[n] for n in scalar} == gemms
 
+    def test_placement_cast(self, tmp_path):
+        # the tuned Adam's FP16 inputs are cast by its own place_f16,
+        # whose one loop vectorizes
+        from repro.workloads.adam import AdamWorkload
+
+        source = CodeGenerator(target="native").generate(
+            _tuned(AdamWorkload)
+        ).c_source
+        assert native.PLACE_F16 in source
+        _, owner = self._marked_scalar(source)
+        loops = [
+            n for n, line in enumerate(source.splitlines(), 1)
+            if owner[n] == "place_f16" and line.lstrip().startswith("for (")
+        ]
+        assert len(loops) == 1
+        assert set(loops).isdisjoint(self._scalar_loops(source, tmp_path))
+
 
 #: the prelude's ISA-sensitive helpers, each over arrays: the max/min
-#: selects, the fold's NaN rule, the u64 -> double conversion and Dropout
+#: selects, the fold's NaN rule, the u64 -> double conversion, Dropout
+#: and the placement cast
 _ISA_HARNESS = (
     _CONV_HARNESS + native.HALF_MINMAX + native.DROPOUT + native.FOLD_NAN
+    + native.PLACE_F16
     + native._fold_source("fold_sum_f16_f16", "+", "float16", "float16")
     + native._fold_source("fold_sum_f64_f64", "+", "float64", "float64")
     + r"""
@@ -2140,6 +2163,24 @@ class TestHostIsaBitIdentical:
                 k.call(name, (row, acc), (n, r, len(rows)), (out,))
             got.append(out.tobytes())
         assert got[0] == got[1]
+
+    def test_placement_cast(self, kernel_cache):
+        from tests.test_spmd import _f16_sweep
+
+        kernels = self._both(_ISA_HARNESS)
+        doubles = _f16_sweep()
+        n = len(doubles)
+        self._same(
+            kernels, "place_f16", (doubles,), [np.empty(n, np.uint16)] * 2,
+            (n,),
+        )
+        # one place, passed as both: numpy's astype at both flag sets
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = doubles.astype(np.float16).tobytes()
+        for k in kernels:
+            out = np.empty(n, np.uint16)
+            k.call("place_f16", (doubles,), (n,), (out, out))
+            assert out.tobytes() == want
 
     def test_signed_zero_ties_in_max_and_min(self, kernel_cache):
         kernels = self._both(_ISA_HARNESS)

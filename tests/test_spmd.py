@@ -1163,6 +1163,32 @@ def _double_specials(n: int) -> np.ndarray:
     return np.resize(values, n)
 
 
+def _f16_sweep() -> np.ndarray:
+    """float64 values at every edge of the FP16 cast: each finite half,
+    every rounding boundary (the midpoint of two neighbouring halves)
+    and the doubles one ulp either side of it, quiet and signalling NaNs
+    with payloads of both signs, ±0, subnormals, 2^-25, ±65504, the
+    largest double below 65520, 65520 (which rounds to inf) and ±inf."""
+    halves = np.arange(1 << 16, dtype=np.uint16).view(np.float16)
+    exact = np.sort(halves[np.isfinite(halves)].astype(np.float64))
+    mids = (exact[:-1] + exact[1:]) / 2.0
+    edges = np.array([
+        0.0, -0.0, 2.0 ** -24, -(2.0 ** -24), 2.0 ** -25, -(2.0 ** -25),
+        65504.0, -65504.0, 65520.0, -65520.0, np.inf, -np.inf,
+    ])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0)])
+    rng = np.random.default_rng(16)
+    payload = rng.integers(1, 1 << 51, 512, dtype=np.uint64)
+    payload[:4] = [1, 1 << 41, (1 << 42) - 1, (1 << 51) - 1]
+    quiet = np.uint64(1 << 51) * rng.integers(0, 2, 512, dtype=np.uint64)
+    sign = rng.integers(0, 2, 512, dtype=np.uint64) << np.uint64(63)
+    nans = (sign | np.uint64(0x7FF0 << 48) | quiet | payload).view(np.float64)
+    return np.concatenate([
+        exact, mids, np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf),
+        edges, nans, [np.nan, -np.nan],
+    ])
+
+
 class TestLaunchDataPath:
     """The parent's copy-in and copy-out: placement cut into one part
     per CPU, inputs no rank writes returned as placed, and an output
@@ -1317,6 +1343,148 @@ class TestLaunchDataPath:
             ex.run_spmd(
                 sched, optimizer_inputs(rng, n=2), allow_downcast=True
             )
+
+    @staticmethod
+    def _cast_program():
+        """Three ranks and float64 inputs of FP16 tensors placed every
+        way: a local one and a replicated one that no rank writes (state
+        and regions), a replicated and a sliced one that an ``Update``
+        writes (regions only), and a transposed one, whose source is not
+        contiguous; the sweep fills each."""
+        from repro.core import (
+            FP16, RANK, Binary, Execute, Local, Sliced, Update, world,
+        )
+
+        sweep = _f16_sweep()
+        n = 3 * 8 * (-(-sweep.size // 24))
+        values = np.resize(sweep, n)
+        W = world(3)
+        loc = Tensor(FP16, (n // 3,), Local, W, RANK, name="loc")
+        rep = Tensor(FP16, (n // 3,), Replicated_, W, name="rep")
+        upd = Tensor(FP16, (n // 24, 8), Replicated_, W, name="upd")
+        sl = Tensor(FP16, (n // 8, 8), Sliced(0), W, RANK, name="sl")
+        tr = Tensor(FP16, (n // 24, 8), Replicated_, W, name="tr")
+        prog = Execute(
+            "cast_path", [loc, rep, upd, sl, tr],
+            [
+                Binary("+", loc, rep, name="lr"),
+                Update(upd, Binary("*", upd, 2.0), name="u2"),
+                Update(sl, Binary("-", sl, 1.0), name="s1"),
+                Binary("*", tr, 3.0, name="tr3"),
+            ],
+        )
+        inputs = {
+            "loc": values.reshape(3, n // 3),
+            "rep": np.roll(values, 1)[: n // 3],
+            "upd": np.roll(values, 2)[: n // 3].reshape(n // 24, 8),
+            "sl": np.roll(values, 3).reshape(n // 8, 8),
+            "tr": np.roll(values, 4)[: n // 3].reshape(8, n // 24).T,
+        }
+        assert not inputs["tr"].flags.c_contiguous
+        return prog, inputs
+
+    @staticmethod
+    def _no_copyto_cast(monkeypatch):
+        """Patch ``np.copyto`` to record, in the list returned, every
+        float64 -> FP16 cast it makes."""
+        copyto, casts = np.copyto, []
+
+        def spy(dst, src, *args, **kwargs):
+            if (np.asarray(src).dtype == np.float64
+                    and dst.dtype == np.float16):
+                casts.append(dst.shape)
+            return copyto(dst, src, *args, **kwargs)
+
+        monkeypatch.setattr(np, "copyto", spy)
+        return casts
+
+    @pytest.mark.parametrize("with_c", [False, True])
+    def test_place_f16_is_astype_at_uneven_parts(self, with_c, monkeypatch):
+        from repro.core.codegen import native
+        from repro.runtime.world import place_inputs, unstack_global
+
+        if with_c and not native.available():
+            pytest.skip("no C compiler on PATH")
+        monkeypatch.setattr(spmd, "_MIN_PART_BYTES", 1)
+        monkeypatch.setattr(
+            spmd.os, "sched_getaffinity", lambda pid: {0, 1, 2}
+        )
+        program, inputs = self._cast_program()
+        gen = CodeGenerator(target="native").generate(program)
+        assert gen.plane == "pointer"
+        assert "void place_f16(char** A, double* S)" in gen.c_source
+        kernels = native.load_kernels(gen.c_source) if with_c else None
+        layout = build_layout(program)
+        data = mmap.mmap(-1, layout.data_size)
+        placed = place_inputs(program, inputs, True, cast=False)
+        casts = self._no_copyto_cast(monkeypatch)
+        states, cast_bytes = spmd._place_regions(
+            layout, program, placed, data, kernels
+        )
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = {k: v.astype(np.float16) for k, v in inputs.items()}
+        for t in program.inputs:
+            for r in t.group:
+                have = layout.view(data, ("in", t.name), r)
+                shard = place_inputs(program, want, True)[t.name][r]
+                assert have.tobytes() == shard.tobytes(), (t.name, r)
+        assert sorted(states) == ["loc", "rep", "tr"]
+        for name, state in states.items():
+            t = next(t for t in program.inputs if t.name == name)
+            assert state.tobytes() == want[name].tobytes(), name
+            assert unstack_global(
+                np.stack([layout.view(data, ("in", name), r) for r in t.group]),
+                t.layout, t.shape,
+            ).tobytes() == want[name].tobytes()
+        n = inputs["rep"].size
+        if with_c:
+            # each C-contiguous float64 source once, into two places:
+            # loc's states and regions, rep's state and first region,
+            # upd's first two regions and sl's regions once each
+            assert cast_bytes == 2 * (2 * 3 * n + 2 * n + 2 * n + 3 * n)
+            # the transposed source alone took numpy's cast, in 3 parts
+            rows = inputs["tr"].shape[0]
+            assert sorted(casts) == sorted(
+                (rows * (p + 1) // 3 - rows * p // 3, 8) for p in range(3)
+            )
+        else:  # 3 parts of each rank's loc and sl, of upd, rep and tr
+            assert cast_bytes == 0 and len(casts) == 3 * (3 + 1 + 1 + 3 + 1)
+
+    @pytest.mark.parametrize("target", ["spmd", "native"])
+    def test_a_native_launch_casts_fp16_inputs_in_c(
+        self, target, monkeypatch
+    ):
+        from repro.observe import Tracer
+
+        monkeypatch.setattr(spmd, "_MIN_PART_BYTES", 1)
+        monkeypatch.setattr(
+            spmd.os, "sched_getaffinity", lambda pid: {0, 1, 2}
+        )
+        program, inputs = self._cast_program()
+        inputs["tr"] = np.ascontiguousarray(inputs["tr"])
+        tracer = Tracer()
+        with Executor() as ex, np.errstate(invalid="ignore", over="ignore"):
+            oracle = ex.run_lowered(program, inputs, allow_downcast=True)
+            casts = self._no_copyto_cast(monkeypatch)
+            result = ex.run_spmd(
+                program, inputs, allow_downcast=True, codegen_target=target,
+                tracer=tracer,
+            )
+        self._check(result, oracle, program)
+        (place,) = [
+            e for e in tracer.spans("repro.runtime.spmd")
+            if e.pid == tracer.pid and e.name == "place"
+        ]
+        if target == "native":
+            assert result.spmd_rank_kinds[0][0] == "pointer"
+            assert casts == []
+            n = inputs["rep"].size
+            # loc's states and regions, sl's regions, and two places
+            # each of rep, upd and the contiguous tr: the third rank's
+            # replicated region is a copy
+            assert place.args["cast_bytes"] == 2 * (6 * n + 3 * n + 3 * 2 * n)
+        else:
+            assert casts and place.args["cast_bytes"] == 0
 
 
 class TestArrayBinding:

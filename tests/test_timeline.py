@@ -6,7 +6,48 @@ from repro.cluster import Cluster
 from repro.core import FP16, RANK, AllReduce, Execute, MatMul, Sliced, Tensor, world
 from repro.core.transforms import Schedule
 from repro.perf import Engine, ProgramCostModel, Task
-from repro.perf.timeline import critical_path, render_gantt, resource_utilization
+from repro.perf.timeline import render_gantt, resource_utilization
+
+
+def critical_path(timeline, tasks):
+    """One chain of tasks whose spans cover the makespan end to end.
+
+    Walks back from the task finishing last through the dependency (or
+    same-resource predecessor) that determined its start time.
+    """
+    if not timeline.spans:
+        return []
+    by_name = {t.name: t for t in tasks}
+    current = max(timeline.spans, key=lambda n: timeline.spans[n][1])
+    path = [current]
+    while True:
+        task = by_name[current]
+        start = timeline.start(current)
+        if start <= 0.0:
+            break
+        blocker = None
+        # a dependency that finishes exactly when we start
+        for d in task.deps:
+            if abs(timeline.end(d) - start) < 1e-12:
+                blocker = d
+                break
+        if blocker is None:
+            # otherwise the previous occupant of our resource
+            candidates = [
+                t.name
+                for t in tasks
+                if t.resource == task.resource
+                and t.name in timeline.spans
+                and abs(timeline.end(t.name) - start) < 1e-12
+                and t.name != current
+            ]
+            blocker = candidates[0] if candidates else None
+        if blocker is None:
+            break
+        path.append(blocker)
+        current = blocker
+    path.reverse()
+    return path
 
 
 @pytest.fixture

@@ -1401,7 +1401,7 @@ class TestLaunchDataPath:
     @pytest.mark.parametrize("with_c", [False, True])
     def test_place_f16_is_astype_at_uneven_parts(self, with_c, monkeypatch):
         from repro.core.codegen import native
-        from repro.runtime.world import place_inputs, unstack_global
+        from repro.runtime.world import place_inputs
 
         if with_c and not native.available():
             pytest.skip("no C compiler on PATH")
@@ -1423,19 +1423,14 @@ class TestLaunchDataPath:
         )
         with np.errstate(invalid="ignore", over="ignore"):
             want = {k: v.astype(np.float16) for k, v in inputs.items()}
+        shards = place_inputs(program, want, True)
         for t in program.inputs:
             for r in t.group:
                 have = layout.view(data, ("in", t.name), r)
-                shard = place_inputs(program, want, True)[t.name][r]
-                assert have.tobytes() == shard.tobytes(), (t.name, r)
+                assert have.tobytes() == shards[t.name][r].tobytes(), t.name
         assert sorted(states) == ["loc", "rep", "tr"]
         for name, state in states.items():
-            t = next(t for t in program.inputs if t.name == name)
             assert state.tobytes() == want[name].tobytes(), name
-            assert unstack_global(
-                np.stack([layout.view(data, ("in", name), r) for r in t.group]),
-                t.layout, t.shape,
-            ).tobytes() == want[name].tobytes()
         n = inputs["rep"].size
         if with_c:
             # each C-contiguous float64 source once, into two places:

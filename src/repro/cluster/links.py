@@ -33,10 +33,6 @@ class Link:
         """Deliverable bandwidth under the current slowdown."""
         return self.bandwidth / self.slowdown
 
-    def transfer_time(self, nbytes: int) -> float:
-        """Latency plus serialization time at the effective bandwidth."""
-        return self.latency + nbytes / self.effective_bandwidth
-
     def degraded(self, factor: float) -> "Link":
         """This link running ``factor`` times slower (factors compose)."""
         if factor < 1.0:

@@ -38,21 +38,6 @@ class Cluster:
     def same_node(self, a: int, b: int) -> bool:
         return self.node_of(a) == self.node_of(b)
 
-    def edge_latency(self, a: int, b: int) -> float:
-        """Per-hop latency between two ranks."""
-        if self.same_node(a, b):
-            return self.node.nvlink.latency
-        return self.node.nic.latency
-
-    def edge_bandwidth(self, a: int, b: int) -> float:
-        """Single-stream bandwidth of the direct edge between two ranks.
-
-        Intra-node traffic can use the full per-GPU NVSwitch injection
-        bandwidth; a single inter-node stream is limited to one NIC.
-        """
-        if self.same_node(a, b):
-            return self.node.gpu_fabric_bandwidth
-        return self.node.nic.bandwidth
 
     def spans_nodes(self) -> bool:
         return self.num_nodes > 1

@@ -20,9 +20,21 @@ Two hashes identify an artifact:
   artifacts with equal content hashes reconstruct identical programs.
 * ``structural_hash`` — SHA-256 of the *name-free* canonical execution
   structure (kernel kinds + member ops + dataflow + chunk-loop shape).
-  This is the autotuner's dedup key: generated value names carry a
-  global counter, so the same plan reached via fork-per-move vs.
-  replay differs by name but not by structure.
+  This is the autotuner's dedup key and the schedule cache's key:
+  generated value names carry a global counter, so the same plan
+  reached via fork-per-move vs. replay differs by name but not by
+  structure.
+
+One function, :func:`_fields`, reads an op for both: it walks
+``vars(e)``, so every field of every op (dtype, shape, layout, group,
+inputs, links such as an AllGather's ``writeback``, and every plain
+attribute) enters the payload and the key alike. A field stays out
+only through :data:`_EXCLUDED`, which gives each reason: ``name``
+(the payload writes it beside the fields; the key keeps only program
+inputs' declared names) and ``updated_by`` (a back-link restored from
+``Update.target``). The two differ only in how a reference is written:
+a topological index in the payload, a plan-position token or a
+declared leaf in the key.
 
 Format::
 
@@ -37,7 +49,10 @@ Format::
 
 Forward compatibility: each schema version registers a loader in
 ``_LOADERS``; old artifacts keep loading as the schema evolves (the
-golden files under ``tests/golden/`` pin that promise).
+golden files under ``tests/golden/`` pin that promise). A document
+keeps the structural hash it recorded: one written before every op
+field entered the key loads with its older hash, and ``repro-run hash``
+exits 1 naming the hash its payload gives today.
 
 Round trip in four lines — serialize a tuned schedule, reconstruct it
 in (conceptually) another process, and the identity hashes agree:
@@ -73,7 +88,7 @@ from repro.core.lower import (
     PackScattered,
     _per_rank_extent,
 )
-from repro.core.process_group import ProcessGroup
+from repro.core.process_group import RANK, ProcessGroup
 from repro.core.program import Program
 from repro.core.tensor import Const, Expr, Scalar, Tensor
 from repro.core.transforms.plan import ExecutionPlan, Kernel, KernelKind
@@ -94,9 +109,7 @@ class ArtifactError(CoCoNetError):
 # ---------------------------------------------------------------------------
 
 #: Expr subclasses a payload may reference, by type tag. Leaves first,
-#: then every DSL operation; reconstruction bypasses the op
-#: constructors (which re-run inference and could not reproduce
-#: transform-mutated state) and restores the recorded facts verbatim.
+#: then every DSL operation.
 _EXPR_TYPES: Dict[str, type] = {
     "Tensor": Tensor,
     "Scalar": Scalar,
@@ -121,115 +134,124 @@ _EXPR_TYPES: Dict[str, type] = {
     "Update": ops.Update,
 }
 
-#: plain-value attributes serialized per op type (cross-link attributes
-#: — AllGather.writeback, Update.target — are handled separately since
-#: they reference other graph vertices)
-_OP_ATTRS: Dict[type, Tuple[str, ...]] = {
-    ops.AllReduce: ("reduction",),
-    ops.ReduceScatter: ("reduction",),
-    ops.AllGather: ("dim",),
-    ops.Reduce: ("reduction", "root"),
-    ops.Broadcast: ("root",),
-    ops.AllToAll: ("dim",),
-    ops.AllToAllPhase: ("dim", "phase", "node_size"),
-    ops.Conv2D: ("stride", "padding"),
-    ops.Binary: ("op",),
-    ops.Unary: ("op",),
-    ops.Dropout: ("prob", "seed"),
-    ops.Norm: ("crosses_ranks",),
-    ops.ReduceTensor: ("reduction", "crosses_ranks"),
+#: Fields of ``vars(e)`` the field codec reads no value from, each with
+#: its reason. Every other field of every vertex enters the payload and
+#: the structural key alike.
+_EXCLUDED: Dict[str, str] = {
+    "name": (
+        "generated names carry a global counter, so one plan reached two "
+        "ways differs by name. The payload writes each vertex's name "
+        "beside its fields; the key writes a program input's declared "
+        "name in the references to it, and no other name"
+    ),
+    "updated_by": (
+        "a back-link: the loader restores it from the Update whose "
+        "target the tensor is"
+    ),
+}
+
+#: Expr-valued fields besides ``inputs``. Each is written as a
+#: reference, which the loader resolves once every vertex exists; a
+#: ``None`` link is omitted and reads as the class's ``None`` default.
+_LINKS = ("target", "writeback")
+
+#: The base fields every vertex has, as (JSON writer, reader) pairs.
+_BASE: Dict[str, Tuple[Callable[[Any], Any], Callable[[Any], Any]]] = {
+    "dtype": (lambda d: d.name, dtype_by_name),
+    "shape": (list, tuple),
+    "layout": (
+        lambda lay: {"kind": lay.kind.value, "dim": lay.dim},
+        lambda rec: Layout(LayoutKind(rec["kind"]), rec.get("dim")),
+    ),
+    "group": (
+        lambda g: [g.start, g.size, g.world_size],
+        lambda rec: ProcessGroup(*rec),
+    ),
 }
 
 
-def _layout_to_json(layout: Layout) -> Dict[str, Any]:
-    return {"kind": layout.kind.value, "dim": layout.dim}
+def _fields(e: Expr, ref: Callable[[Expr], Any]) -> Dict[str, Any]:
+    """``e``'s fields as JSON values, each link written by ``ref``.
 
-
-def _layout_from_json(data: Dict[str, Any]) -> Layout:
-    return Layout(LayoutKind(data["kind"]), data.get("dim"))
-
-
-def _expr_to_json(e: Expr, idx: Dict[int, int]) -> Dict[str, Any]:
+    The one reading of a vertex (see the module docstring): every entry
+    of ``vars(e)`` but :data:`_EXCLUDED`'s, and a Send's ``dst`` as its
+    group offset, under ``dst_group_offset``.
+    """
     tag = type(e).__name__
-    if tag not in _EXPR_TYPES:
+    if _EXPR_TYPES.get(tag) is not type(e):
         raise ArtifactError(
             f"cannot serialize expression type {tag!r} ({e.signature()})"
         )
-    rec: Dict[str, Any] = {
-        "type": tag,
-        "name": e.name,
-        "dtype": e.dtype.name,
-        "shape": list(e.shape),
-        "layout": _layout_to_json(e.layout),
-        "group": [e.group.start, e.group.size, e.group.world_size],
-        "inputs": [idx[id(i)] for i in e.inputs],
-    }
+    rec: Dict[str, Any] = {"type": tag}
     attrs: Dict[str, Any] = {}
-    for f in _OP_ATTRS.get(type(e), ()):
-        attrs[f] = getattr(e, f)
-    if isinstance(e, Const):
-        attrs["value"] = e.value
-    if isinstance(e, ops.Send):
-        attrs["dst_group_offset"] = e.dst.group_offset
-    if isinstance(e, ops.AllGather) and e.writeback is not None:
-        attrs["writeback"] = idx[id(e.writeback)]
-    if isinstance(e, ops.Update):
-        attrs["target"] = idx[id(e.target)]
+    for f, v in vars(e).items():
+        if f in _EXCLUDED:
+            continue
+        if f in _BASE:
+            rec[f] = _BASE[f][0](v)
+        elif f == "inputs":
+            rec[f] = [ref(i) for i in v]
+        elif f in _LINKS:
+            if v is not None:
+                attrs[f] = ref(v)
+        elif f == "dst":  # a Send's GroupRank; its rank is always RANK
+            attrs["dst_group_offset"] = v.group_offset
+        elif isinstance(v, (bool, int, float, str)):
+            attrs[f] = v
+        else:
+            raise ArtifactError(
+                f"{tag}.{f}: no codec for a {type(v).__name__} field"
+            )
     if attrs:
         rec["attrs"] = attrs
+    return rec
+
+
+def _expr_to_json(e: Expr, idx: Dict[int, int]) -> Dict[str, Any]:
+    rec = _fields(e, lambda x: idx[id(x)])
+    rec["name"] = e.name
     return rec
 
 
 def _expr_from_json(
     rec: Dict[str, Any], by_id: List[Expr]
 ) -> Expr:
+    """The vertex :func:`_fields` wrote, links left to :func:`_link_expr`.
+
+    Reconstruction bypasses the op constructors, which re-run inference
+    and could not reproduce transform-mutated state.
+    """
     tag = rec["type"]
     cls = _EXPR_TYPES.get(tag)
     if cls is None:
         raise ArtifactError(f"unknown expression type {tag!r} in artifact")
-    group = ProcessGroup(*rec["group"])
-    inputs = tuple(by_id[i] for i in rec["inputs"])
     e = object.__new__(cls)
     Expr.__init__(
         e,
         rec["name"],
-        dtype_by_name(rec["dtype"]),
-        tuple(rec["shape"]),
-        _layout_from_json(rec["layout"]),
-        group,
-        inputs,
+        inputs=tuple(by_id[i] for i in rec["inputs"]),
+        **{f: read(rec[f]) for f, (_, read) in _BASE.items()},
     )
-    attrs = rec.get("attrs", {})
-    for f in _OP_ATTRS.get(cls, ()):
-        setattr(e, f, attrs[f])
-    if isinstance(e, Tensor):
-        e.updated_by = None  # restored by the Update that targets it
-    if isinstance(e, Const):
-        e.value = float(attrs["value"])
-    if isinstance(e, ops.AllToAllPhase):
-        e.comm_kind = f"alltoall_{e.phase}"
-    if isinstance(e, ops.Send):
-        from repro.core.ops import GroupRank, GroupShift
-        from repro.core.process_group import RANK
-
-        e.dst = GroupRank(GroupShift(attrs["dst_group_offset"]), RANK)
+    for f, v in rec.get("attrs", {}).items():
+        if f == "dst_group_offset":
+            e.dst = ops.GroupRank(ops.GroupShift(v), RANK)
+        elif f not in _LINKS:
+            setattr(e, f, v)
     return e
 
 
 def _link_expr(e: Expr, rec: Dict[str, Any], by_id: List[Expr]) -> None:
-    """Restore ``e``'s cross-links once every vertex is built.
+    """Restore ``e``'s links once every vertex is built.
 
     A link may point forward: an input that nothing reads but its
     ``Update`` is ordered after that Update.
     """
     attrs = rec.get("attrs", {})
-    if isinstance(e, ops.AllGather):
-        wb = attrs.get("writeback")
-        e.writeback = by_id[wb] if wb is not None else None
+    for f in _LINKS:
+        if f in attrs:
+            setattr(e, f, by_id[attrs[f]])
     if isinstance(e, ops.Update):
-        target = by_id[attrs["target"]]
-        e.target = target
-        target.updated_by = e
+        e.target.updated_by = e
 
 
 def _graph_order(program: Program, plan: ExecutionPlan) -> List[Expr]:
@@ -511,21 +533,20 @@ def content_hash(payload: Dict[str, Any]) -> str:
     return _sha256(_canonical(payload))
 
 
-def structural_signature(lowered: LoweredProgram) -> Tuple:
+def structural_signature(lowered: LoweredProgram) -> List[Any]:
     """Canonical *name-free* execution structure of a lowered program.
 
     What actually runs, not how it was reached: two schedules that
     lower to the same launches (kernel kind + member ops + dataflow) in
     the same order with the same chunk-loop structure (members, chunk
-    count, ring/tiled shape, chunk modes) are the same candidate. The
-    key is deliberately name-free for operations — generated names
-    (``slice_p_32``, fused-block names) carry a global counter, so the
-    same plan reached via fork-per-move vs. replay would hash
-    differently by name. Operations are identified structurally (type,
-    salient attributes, output size, dataflow references by plan
-    position; program inputs by their stable declared names), and
-    instructions reference kernels by plan position. The key contains
-    no resource names, so it is also cluster-independent.
+    count, ring/tiled shape, chunk modes) are the same candidate.
+
+    Each member op is its :func:`_fields` record, every field but its
+    name (see :data:`_EXCLUDED`), with a reference written as a
+    plan-position token (``["op", i]``) or as a declared leaf
+    (``["leaf", name, fields]``; the name only for a program input).
+    Instructions reference kernels by plan position. The key holds no
+    resource names, so it is cluster-independent.
 
     This is the autotuner's dedup key; :func:`structural_hash` digests
     it so artifacts can carry it.
@@ -535,74 +556,40 @@ def structural_signature(lowered: LoweredProgram) -> Tuple:
     for k in plan.kernels:
         for e in k.exprs:
             token[id(e)] = len(token)
+    declared = {id(t) for t in lowered.program.inputs}
 
-    def ref(x) -> Tuple:
+    def ref(x: Expr) -> List[Any]:
         t = token.get(id(x))
         if t is not None:
-            return ("op", t)
-        if isinstance(x, Const):
-            return ("const", x.value, x.dtype.name)
-        return (
-            "leaf", x.name, type(x.layout).__name__,
-            getattr(x.layout, "dim", None), x.per_rank_bytes(),
-        )
-
-    def entry(e) -> Tuple:
-        attrs: List[Tuple] = []
-        for f in (
-            "op", "reduction", "dim", "phase", "node_size",
-            "dst", "prob", "seed", "root", "stride", "padding",
-        ):
-            v = getattr(e, f, None)
-            if v is not None:
-                attrs.append((f, str(v)))
-        if isinstance(e, ops.Cast):
-            attrs.append(("dtype", e.dtype.name))
-        if isinstance(e, ops.Update):
-            attrs.append(("target", ref(e.target)))
-        return (
-            type(e).__name__,
-            tuple(attrs),
-            type(e.layout).__name__,
-            getattr(e.layout, "dim", None),
-            e.per_rank_bytes(),
-            (e.group.start, e.group.size),
-            tuple(ref(i) for i in e.inputs),
-        )
+            return ["op", t]
+        name = x.name if id(x) in declared else None
+        return ["leaf", name, _fields(x, ref)]
 
     index = {k.name: i for i, k in enumerate(plan.kernels)}
-    kernels = tuple(
-        (k.kind.value, tuple(entry(e) for e in k.exprs))
+    kernels = [
+        [k.kind.value, [_fields(e, ref) for e in k.exprs]]
         for k in plan.kernels
-    )
-    layout: List[Tuple] = []
+    ]
+    layout: List[Any] = []
     for instr in lowered.instructions:
         if isinstance(instr, PackScattered):
             continue  # derived from its fused kernel, no new info
         if isinstance(instr, ChunkLoop):
-            layout.append(
-                (
-                    "chunkloop", instr.num_chunks, instr.ring,
-                    tuple(
-                        (index[e.name], e.mode)
-                        for e in instr.entries
-                    ),
-                )
-            )
+            layout.append([
+                "chunkloop", instr.num_chunks, instr.ring,
+                [[index[e.name], e.mode] for e in instr.entries],
+            ])
         else:
-            layout.append(("launch", index[instr.name]))
-    return (kernels, tuple(layout))
-
-
-def _jsonable(x: Any) -> Any:
-    if isinstance(x, tuple):
-        return [_jsonable(v) for v in x]
-    return x
+            layout.append(["launch", index[instr.name]])
+    return [kernels, layout]
 
 
 def structural_hash(lowered: LoweredProgram) -> str:
-    """SHA-256 of the canonical structural signature."""
-    return _sha256(_canonical(_jsonable(structural_signature(lowered))))
+    """SHA-256 of the canonical structural signature: every field of
+    every op but those :data:`_EXCLUDED` names, so an equal-byte shape or
+    dtype, a layout or an AllGather writeback tells two programs apart.
+    """
+    return _sha256(_canonical(structural_signature(lowered)))
 
 
 # ---------------------------------------------------------------------------
@@ -789,6 +776,5 @@ __all__ = [
     "loads",
     "save",
     "structural_hash",
-    "structural_signature",
     "to_payload",
 ]

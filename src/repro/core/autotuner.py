@@ -287,10 +287,14 @@ class Autotuner:
         launches (kernel kind + member ops + dataflow) in the same order
         with the same chunk-loop structure are the same candidate — and,
         since all further moves depend only on the current program and
-        plan, so are their whole subtrees. Sharing the digest with the
-        artifact layer means an on-disk artifact's ``structural_hash``
-        *is* the tuner's dedup key for that schedule, which is what lets
-        a persistent schedule cache be keyed by artifact hash.
+        plan, so are their whole subtrees. A member op is every field
+        the artifact codec reads from it (its dtype, shape, layout,
+        group, links and attributes; not its generated name), so two
+        candidates whose ops differ in any of them are never merged.
+        Sharing the digest with the artifact layer means an on-disk
+        artifact's ``structural_hash`` *is* the tuner's dedup key for
+        that schedule, which is what lets a persistent schedule cache
+        be keyed by artifact hash.
         """
         from repro.core import artifact
 

@@ -46,7 +46,7 @@ def _check_reduction(op: str) -> str:
 class CommOp(Expr):
     """Base class for cross-rank communication operations."""
 
-    #: bytes moved on the wire per rank, filled by the cost model
+    #: the collective's kind, which the cost model prices
     comm_kind: str = "comm"
 
 
@@ -110,12 +110,12 @@ class AllGather(CommOp):
     """
 
     comm_kind = "allgather"
+    writeback: Optional[Tensor] = None
 
     def __init__(self, x: Expr, name: Optional[str] = None):
         if not x.layout.is_sliced:
             raise LayoutError(f"AllGather input must be sliced, got {x.signature()}")
         self.dim = normalize_dim(x.layout.dim, len(x.shape))
-        self.writeback: Optional[Tensor] = None
         super().__init__(
             name or _fresh_name(f"ag_{x.name}"), x.dtype, x.shape, Replicated, x.group, (x,)
         )
@@ -218,11 +218,14 @@ class AllToAllPhase(CommOp):
             )
         self.phase = phase
         self.node_size = m
-        self.comm_kind = f"alltoall_{phase}"
         super().__init__(
             name or _fresh_name(f"a2a_{phase}_{x.name}"),
             x.dtype, x.shape, layout, x.group, (x,),
         )
+
+    @property
+    def comm_kind(self) -> str:
+        return f"alltoall_{self.phase}"
 
 
 class _SymbolicGroup:

@@ -79,14 +79,6 @@ class Program:
     def compute_ops(self) -> List[Expr]:
         return [e for e in self.operations if isinstance(e, ops.ComputeOp)]
 
-    def updated_tensors(self) -> List[Tensor]:
-        """Input tensors written in place by Update ops, in program order."""
-        result = []
-        for e in self.operations:
-            if isinstance(e, ops.Update) and e.target not in result:
-                result.append(e.target)
-        return result
-
     def find(self, name: str) -> Expr:
         """Look up a vertex (input or operation) by name."""
         for e in self._topological():

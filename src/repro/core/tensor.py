@@ -178,6 +178,8 @@ class Tensor(Expr):
     disallowed for replicated ones ("it does not have a rank identifier").
     """
 
+    updated_by: Optional[Expr] = None  # set by Update ops
+
     def __init__(
         self,
         dtype: DType,
@@ -196,7 +198,6 @@ class Tensor(Expr):
                 f"a {layout!r} tensor requires the RANK identifier"
             )
         super().__init__(name or _fresh_name("t"), dtype, shape, layout, group)
-        self.updated_by: Optional[Expr] = None  # set by Update ops
 
 
 class Scalar(Expr):

@@ -121,14 +121,6 @@ class Kernel:
     def output(self) -> Expr:
         return self.exprs[-1]
 
-    def comm_bytes(self) -> int:
-        """Per-rank bytes of the communication ops in this kernel."""
-        return sum(
-            e.inputs[0].per_rank_bytes()
-            for e in self.exprs
-            if isinstance(e, ops.CommOp)
-        )
-
     def __repr__(self) -> str:
         member = (
             f", in {self.overlap_group}" if self.overlap_group else ""
@@ -145,22 +137,6 @@ class ExecutionPlan:
 
     kernels: List[Kernel] = field(default_factory=list)
     overlap_groups: List[List[str]] = field(default_factory=list)
-
-    def kernel_of(self, expr: Expr) -> Optional[Kernel]:
-        for k in self.kernels:
-            if any(e is expr for e in k.exprs):
-                return k
-        return None
-
-    @property
-    def num_launches(self) -> int:
-        """Kernel launches per program invocation.
-
-        Overlapped kernels still launch once each ("we need to invoke
-        only one MatMul kernel and AllReduce kernel", Section 1) so this
-        is simply the kernel count.
-        """
-        return len(self.kernels)
 
     def describe(self, lowered=None) -> str:
         """Render the plan; with a lowered program, annotate each kernel

@@ -33,15 +33,6 @@ class Protocol:
     hop_latency_inter: float  # seconds per step over InfiniBand
     shared_memory_staging: bool  # LL128 stages through shared memory
 
-    def elements_per_pack(self, itemsize: int) -> int:
-        """How many elements of the largest operand type fit one pack.
-
-        Mirrors §5.2 mixed-precision handling: "CoCoNet finds the
-        largest element type and based on the pack type of the protocol
-        calculates how many elements can be loaded at once."
-        """
-        return max(1, self.pack_bytes // itemsize)
-
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"Protocol({self.name})"
 

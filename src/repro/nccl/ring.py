@@ -30,14 +30,6 @@ class Ring:
     def size(self) -> int:
         return len(self.order)
 
-    def next_rank(self, rank: int) -> int:
-        i = self.order.index(rank)
-        return self.order[(i + 1) % self.size]
-
-    def prev_rank(self, rank: int) -> int:
-        i = self.order.index(rank)
-        return self.order[(i - 1) % self.size]
-
     def spans_nodes(self) -> bool:
         return self.inter_edges > 0
 

@@ -91,17 +91,6 @@ class ScatteredTensorSet:
         data_bytes = sum(t.nbytes for t in self.tensors)
         return self.metadata_bytes / data_bytes
 
-    def warp_of_bucket(self, bucket_index: int, num_warps: int) -> int:
-        """Round-robin warp assignment (§5.4)."""
-        return bucket_index % num_warps
-
-    def buckets_of_warp(self, warp: int, num_warps: int) -> List[Bucket]:
-        return [
-            b
-            for i, b in enumerate(self.buckets)
-            if i % num_warps == warp
-        ]
-
     # -- flat <-> scattered movement ------------------------------------
 
     def gather_flat(self) -> np.ndarray:

@@ -51,10 +51,6 @@ class ModelConfig:
         """Forward+backward FLOPs per training sample (~6 · P · tokens)."""
         return 6.0 * self.num_params * self.seq_length
 
-    def inference_flops_per_sample(self) -> float:
-        """Forward-only FLOPs per sample (~2 · P · tokens)."""
-        return 2.0 * self.num_params * self.seq_length
-
 
 #: BERT-Large scaled configurations from NVIDIA's BERT scripts /
 #: Megatron-LM, as used in §6.1.2.

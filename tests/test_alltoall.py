@@ -600,7 +600,7 @@ class TestTransforms:
         new_a2a = results[-1]
         block = sched.fuse(*results, policy=AllToAllFuse)
         plan = sched.plan()
-        assert plan.num_launches == 1
+        assert len(plan.kernels) == 1
         assert plan.kernels[0].kind.value == "fused_collective"
 
     def test_fuse_rejects_two_exchanges(self):

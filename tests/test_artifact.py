@@ -14,10 +14,15 @@ schema-versioned JSON document. These tests pin the contract:
 * **identity** — ``content_hash`` is invariant under dict reordering
   and across processes; ``structural_hash`` *is* the autotuner's dedup
   signature; elastic recovery memoizes re-lowered artifacts on it;
+  two programs that differ in any field of any op but a generated
+  name differ in both hashes (or generate the same modules);
 * **the golden files** — committed schema-v1 artifacts under
   ``tests/golden/`` must keep loading, executing and hashing the same
   forever: they are the forward-compatibility promise newer schema
-  versions must not break.
+  versions must not break. Payloads and content hashes are pinned
+  forever. Structural hashes were re-pinned once, when every op field
+  entered the structural key; a document that recorded the older hash
+  still loads with it.
 """
 
 import json
@@ -34,12 +39,17 @@ from hypothesis import strategies as st
 from repro.cli import main as cli_main
 from repro.cluster import Cluster
 from repro.core import (
-    FP32, Binary, Conv2D, Execute, Replicated, Update, artifact, world,
+    BF16, FP16, FP32, FP64, GROUP, INT32, INT64, RANK, AllGather, AllReduce,
+    AllToAll, Binary, Broadcast, Cast, Conv2D, Dropout, Execute, GroupRank,
+    Local, MatMul, Norm, Reduce, ReduceScatter, ReduceTensor, Replicated,
+    Scalar, Send, Slice, Sliced, Unary, Update, artifact, ops, world,
 )
 from repro.core.artifact import Artifact, ArtifactError
 from repro.core.autotuner import Autotuner
 from repro.core.codegen import CodeGenerator
-from repro.core.tensor import Tensor
+from repro.core.ops import BINARY_OPS, REDUCTION_OPS, UNARY_OPS, AllToAllPhase
+from repro.core.process_group import ProcessGroup, split_world
+from repro.core.tensor import Expr, Tensor
 from repro.core.transforms import Schedule
 from repro.errors import CoCoNetError
 from repro.perf.program_cost import ProgramCostModel
@@ -62,14 +72,14 @@ GOLDEN_HASHES = {
     GOLDEN_ADAM: (
         "sha256:66a18ac91e350cae3a32a8b04ee460d251602a3fcbb"
         "3e2b8f178eea453b643cb",
-        "sha256:2a3b679e498ac5bf285ae122f2429dbde3f95895eb9"
-        "3e3cdb110d5efd5202c63",
+        "sha256:1f8fba2b584b32881616a670567d027875e4fc3e2b0"
+        "99c6506e37cf1f3353da5",
     ),
     GOLDEN_MOE: (
         "sha256:0b859f8b6ddce8a62813beb3a3b108ff4317c9e4bde"
         "a31213b5ffe355722400a",
-        "sha256:78a77a4f80dd26cd636ab6ef6c52c78762be10f8876"
-        "254e0b46f960a2da320bc",
+        "sha256:78f5fb809f41a672f4a433c28c81f599ac8593e7044"
+        "9872a6909e28c73e853f0",
     ),
 }
 
@@ -297,33 +307,67 @@ class TestHashes:
         )
 
     def test_conv2d_stride_and_padding_enter_the_structural_hash(
-        self, rng, tmp_path
+        self, tmp_path
     ):
-        # both convolutions map (1,2,6,6) * (3,2,3,3) to (1,3,4,4), so
-        # only stride and padding tell them apart
+        # each pair differs in one field its byte counts cannot see: both
+        # convolutions map (1,2,6,6) * (3,2,3,3) to (1,3,4,4), so only
+        # stride and padding tell them apart; then an equal-byte shape,
+        # an equal-byte dtype, Replicated against Local, and an
+        # AllGather without and with a writeback
+        from repro.cli import _seeded_inputs
+
         def conv(stride, padding):
-            W = world(2)
-            x = Tensor(FP32, (1, 2, 6, 6), Replicated, W, name="x")
-            k = Tensor(FP32, (3, 2, 3, 3), Replicated, W, name="k")
+            x = _leaf("x", (1, 2, 6, 6))
+            k = _leaf("k", (3, 2, 3, 3))
             c = Conv2D(x, k, stride=stride, padding=padding, name="c")
             return Execute("p", [x, k], [c])
 
-        plain, strided = conv(1, 0), conv(2, 2)
-        assert artifact.structural_hash(
-            Schedule(plain).lowered()
-        ) != artifact.structural_hash(Schedule(strided).lowered())
-        tuner = Autotuner(
-            Cluster(1), schedule_cache=ScheduleCache(str(tmp_path))
-        )
-        assert not tuner.tune(plain).cached
-        result = tuner.tune(strided)
-        assert not result.cached
-        inputs = {"x": rng.randn(1, 2, 6, 6), "k": rng.randn(3, 2, 3, 3)}
+        def relu(shape=(8, 4), dtype=FP32, layout=Replicated):
+            x = _leaf("x", shape, layout, dtype)
+            return Execute("p", [x], [Unary("relu", x, name="c")])
+
+        def gather(writeback):
+            x, p = _leaf("x", layout=Sliced(0)), _leaf("p")
+            ag = AllGather(x, name="c")
+            if writeback:
+                ag.writeback = p
+            return Execute("p", [x, p], [ag])
+
+        pairs = {
+            "conv2d stride and padding": (conv(1, 0), conv(2, 2)),
+            "equal-byte shape": (relu((8, 4)), relu((4, 8))),
+            "equal-byte dtype": (relu((8,)), relu((16,), FP16)),
+            "Replicated and Local": (relu(), relu(layout=Local)),
+            "AllGather writeback": (gather(False), gather(True)),
+        }
+        collided = []
         ex = Executor()
-        np.testing.assert_array_equal(
-            ex.run_lowered(result.best.schedule, inputs).output("c"),
-            ex.run_lowered(strided, inputs).output("c"),
-        )
+        for i, (case, (first, second)) in enumerate(pairs.items()):
+            tuner = Autotuner(
+                Cluster(1),
+                schedule_cache=ScheduleCache(str(tmp_path / str(i))),
+            )
+            assert not tuner.tune(first).cached
+            result = tuner.tune(second)
+            if result.cached or artifact.structural_hash(
+                Schedule(first).lowered()
+            ) == artifact.structural_hash(Schedule(second).lowered()):
+                collided.append(case)
+                continue
+            inputs = _seeded_inputs(second, seed=0)
+            tuned = ex.run_lowered(
+                result.best.schedule, inputs, allow_downcast=True
+            )
+            plain = ex.run_lowered(second, inputs, allow_downcast=True)
+            np.testing.assert_array_equal(
+                tuned.output("c"), plain.output("c"), err_msg=case
+            )
+            for t in second.inputs:
+                np.testing.assert_array_equal(
+                    tuned.tensor_state(t.name), plain.tensor_state(t.name),
+                    err_msg=case,
+                )
+        assert collided == []
 
     def test_hashes_stable_across_processes(self):
         # two fresh interpreters serialize the same workload to the
@@ -382,6 +426,230 @@ class TestHashes:
         assert again.structural_hash == art.structural_hash
 
 
+
+# ---------------------------------------------------------------------------
+# Every field of every op enters the identity (field mutations).
+# ---------------------------------------------------------------------------
+
+_W2 = world(2)
+
+
+def _leaf(name, shape=(4, 8), layout=Replicated, dtype=FP32, group=_W2):
+    rank = None if layout.is_replicated else RANK
+    return Tensor(dtype, shape, layout, group, rank, name=name)
+
+
+def _build_allgather():
+    x = _leaf("x", layout=Sliced(0))
+    p = _leaf("p")
+    ag = AllGather(x, name="ag")
+    ag.writeback = p
+    return Execute("prog", [x, p], [], [ag]), ag
+
+
+def _build_send():
+    g0, _ = split_world(4, 2)
+    x = _leaf("x", group=g0)
+    send = Send(x, GroupRank(GROUP + 1, RANK), name="send")
+    return Execute("prog", [x], [send]), send
+
+
+def _build_update():
+    p, g = _leaf("p"), _leaf("g")
+    upd = Update(p, Binary("+", g, 1.0, name="b"), name="upd")
+    return Execute("prog", [p, g], [upd]), upd
+
+
+def _unary_program(make, layout=Replicated, shape=(4, 8)):
+    def build():
+        x = _leaf("x", shape=shape, layout=layout)
+        op = make(x)
+        return Execute("prog", [x], [op]), op
+    return build
+
+
+def _build_tensor():
+    x = _leaf("x")
+    return Execute("prog", [x], [Unary("relu", x, name="u")]), x
+
+
+def _build_const():
+    x = _leaf("x")
+    b = Binary("+", x, 2.0, name="b")
+    c = b.inputs[1]
+    c.name = "c"
+    return Execute("prog", [x], [b]), c
+
+
+def _build_scalar():
+    x, s = _leaf("x"), Scalar(FP32, name="s", group=_W2)
+    return Execute("prog", [x, s], [Binary("*", x, s, name="b")]), s
+
+
+def _build_two_operand(make, a_shape, b_shape):
+    def build():
+        a, b = _leaf("a", shape=a_shape), _leaf("b", shape=b_shape)
+        op = make(a, b)
+        return Execute("prog", [a, b], [op]), op
+    return build
+
+
+#: one built instance of every concrete Expr class, in a program of its
+#: own; every name is explicit, so two builds serialize alike
+_BUILDERS = {
+    "Tensor": _build_tensor,
+    "Scalar": _build_scalar,
+    "Const": _build_const,
+    "AllReduce": _unary_program(
+        lambda x: AllReduce("+", x, name="op"), layout=Local),
+    "ReduceScatter": _unary_program(
+        lambda x: ReduceScatter("+", x, name="op"), layout=Local),
+    "AllGather": _build_allgather,
+    "Reduce": _unary_program(
+        lambda x: Reduce("+", x, root=0, name="op"), layout=Local),
+    "Broadcast": _unary_program(lambda x: Broadcast(x, name="op")),
+    "AllToAll": _unary_program(
+        lambda x: AllToAll(x, name="op"), layout=Local),
+    "AllToAllPhase": _unary_program(
+        lambda x: AllToAllPhase(x, 0, "intra", 2, name="op"),
+        layout=Local),
+    "Send": _build_send,
+    "MatMul": _build_two_operand(
+        lambda a, b: MatMul(a, b, name="op"), (4, 8), (8, 8)),
+    "Conv2D": _build_two_operand(
+        lambda x, k: Conv2D(x, k, stride=1, padding=0, name="op"),
+        (1, 2, 6, 6), (3, 2, 3, 3)),
+    "Binary": _build_two_operand(
+        lambda a, b: Binary("+", a, b, name="op"), (4, 8), (4, 8)),
+    "Unary": _unary_program(lambda x: Unary("relu", x, name="op")),
+    "Dropout": _unary_program(lambda x: Dropout(x, 0.1, seed=7, name="op")),
+    "Cast": _unary_program(lambda x: Cast(FP16, x, name="op")),
+    "Slice": _unary_program(lambda x: Slice(x, 0, name="op")),
+    "Norm": _unary_program(lambda x: Norm(x, name="op")),
+    "ReduceTensor": _unary_program(
+        lambda x: ReduceTensor("+", x, name="op")),
+    "Update": _build_update,
+}
+
+#: equal-byte stand-ins for a dtype
+_SAME_WIDTH = {FP16: BF16, BF16: FP16, FP32: INT32, INT32: FP32,
+               FP64: INT64, INT64: FP64}
+
+#: the other legal values of a string field
+_CHOICES = {"reduction": REDUCTION_OPS, "phase": ("intra", "inter")}
+
+
+def _mutated(e, f):
+    """Another value for field ``f`` of ``e``: the same bytes wherever a
+    change can keep them."""
+    v = getattr(e, f)
+    if f == "dtype":
+        return _SAME_WIDTH[v]
+    if f == "shape":
+        # the same element count
+        return tuple(reversed(v)) if len(set(v)) > 1 else v + (1,)
+    if f == "layout":
+        if v.is_sliced:
+            return Sliced(v.dim + 1) if v.dim + 1 < len(e.shape) \
+                else Replicated
+        return Local if v.is_replicated else Replicated
+    if f == "group":
+        return ProcessGroup(v.start, v.size, 2 * v.world_size)
+    if f == "inputs":
+        if len(v) > 1:
+            return tuple(reversed(v))
+        other = v[0] if v else e
+        return (_leaf("spare", other.shape, other.layout, other.dtype,
+                      other.group),)
+    if isinstance(v, Expr):  # a link
+        return _leaf("spare", v.shape, v.layout, v.dtype, v.group)
+    if isinstance(v, GroupRank):
+        return GroupRank(GROUP + (v.group_offset + 1), RANK)
+    if isinstance(v, bool):
+        return not v
+    if isinstance(v, str):
+        choices = _CHOICES.get(f) or next(
+            c for c in (BINARY_OPS, UNARY_OPS) if v in c
+        )
+        return next(c for c in choices if c != v)
+    if isinstance(v, (int, float)):
+        return v + 1 if isinstance(v, int) else v / 2
+    raise AssertionError(
+        f"{type(e).__name__}.{f}: no mutation for a {type(v).__name__}; "
+        f"classify the new field in artifact._fields"
+    )
+
+
+def _mutation_cases():
+    for tag, build in _BUILDERS.items():
+        _, e = build()
+        for f in vars(e):
+            if f not in artifact._EXCLUDED:
+                yield pytest.param(tag, f, id=f"{tag}.{f}")
+
+
+def _identity(prog):
+    """(content hash, structural hash, schedule-cache key) of ``prog``."""
+    art = artifact.as_artifact(Schedule(prog))
+    return (
+        art.content_hash, art.structural_hash,
+        Autotuner(Cluster(1)).cache_key(prog),
+    )
+
+
+def _modules(prog):
+    return [
+        (gen.source, gen.c_source)
+        for gen in (
+            CodeGenerator(target=t).generate(Schedule(prog))
+            for t in ("spmd", "native")
+        )
+    ]
+
+
+class TestEveryFieldEntersTheKey:
+    """Two programs that differ in one field of one op differ in their
+    content hash, and in their structural hash and schedule-cache key
+    unless they generate byte-identical modules."""
+
+    def test_every_op_class_is_registered(self):
+        concrete = {
+            name for name, cls in vars(ops).items()
+            if isinstance(cls, type) and issubclass(cls, Expr)
+            and cls.__module__ == ops.__name__ and "__init__" in vars(cls)
+        }
+        assert concrete <= set(artifact._EXPR_TYPES)
+        assert set(_BUILDERS) == set(artifact._EXPR_TYPES)
+
+    @pytest.mark.parametrize("tag,field", list(_mutation_cases()))
+    def test_field_mutation_changes_the_identity(self, tag, field):
+        prog, _ = _BUILDERS[tag]()
+        mutated_prog, e = _BUILDERS[tag]()
+        assert type(e).__name__ == tag
+        value = _mutated(e, field)
+        setattr(e, field, value)
+        # a new leaf the mutation links is declared by both programs
+        spares = tuple(
+            x for x in (value if isinstance(value, tuple) else (value,))
+            if isinstance(x, Tensor) and x.name == "spare"
+        )
+        prog = Execute(
+            "prog", prog.inputs + tuple(
+                _leaf("spare", x.shape, x.layout, x.dtype, x.group)
+                for x in spares
+            ), prog.outputs, prog.effects,
+        )
+        mutated_prog = Execute(
+            "prog", mutated_prog.inputs + spares, mutated_prog.outputs,
+            mutated_prog.effects,
+        )
+        before, after = _identity(prog), _identity(mutated_prog)
+        assert after[0] != before[0], "content hash"
+        if after[1] == before[1] or after[2] == before[2]:
+            assert _modules(mutated_prog) == _modules(prog), (
+                "equal keys, different modules"
+            )
+
 class TestGoldenFiles:
     """Committed v1 artifacts: the forward-compatibility promise."""
 
@@ -399,6 +667,44 @@ class TestGoldenFiles:
         inputs = _seeded_inputs(art.program, seed=0)
         res = Executor().run_lowered(art, inputs, allow_downcast=True)
         assert res.output_names
+
+    def test_a_document_with_an_older_structural_hash_loads(
+        self, tmp_path, capsys
+    ):
+        # the Adam golden as written before every op field entered the
+        # structural key: it loads with the hash it recorded and runs as
+        # the golden does, and ``repro-run hash`` names today's hash
+        from repro.cli import _seeded_inputs
+
+        recorded = (
+            "sha256:2a3b679e498ac5bf285ae122f2429dbde3f95895eb9"
+            "3e3cdb110d5efd5202c63"
+        )
+        with open(GOLDEN_ADAM) as f:
+            doc = json.load(f)
+        doc["structural_hash"] = recorded
+        path = str(tmp_path / "adam_fused.repro.json")
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        old, golden = artifact.load(path), artifact.load(GOLDEN_ADAM)
+        assert old.structural_hash == recorded
+        assert old.content_hash == GOLDEN_HASHES[GOLDEN_ADAM][0]
+        inputs = _seeded_inputs(old.program, seed=0)
+        ex = Executor()
+        ran = ex.run_lowered(old, inputs, allow_downcast=True)
+        want = ex.run_lowered(golden, inputs, allow_downcast=True)
+        for name in want.output_names:
+            np.testing.assert_array_equal(
+                ran.output(name), want.output(name), err_msg=name
+            )
+        for t in golden.program.inputs:
+            if isinstance(t, Tensor):
+                np.testing.assert_array_equal(
+                    ran.tensor_state(t.name), want.tensor_state(t.name),
+                    err_msg=t.name,
+                )
+        assert cli_main(["hash", path]) == 1
+        assert GOLDEN_HASHES[GOLDEN_ADAM][1] in capsys.readouterr().err
 
     def test_golden_run_matches_raw_dfg_oracle(self):
         # the artifact's lowered execution agrees with running the

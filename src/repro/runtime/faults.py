@@ -23,7 +23,8 @@ Because the plan is data (no callbacks, no clocks), the same plan plus
 the same program reproduces the same failure bit-for-bit: each rank's
 view of it (:meth:`FaultPlan.for_rank`, a
 :class:`~repro.runtime.rank.RankFaults` of plain numbers and strings,
-so a rank never imports this module) is pickled into the spec
+so a rank never imports this module) travels as its constructor
+tuple in the ``marshal`` spec
 :meth:`repro.runtime.spmd.RankPool.launch` sends that rank and
 consulted at fixed injection points.
 ``FaultPlan.scenario`` derives a whole fault matrix entry from one
@@ -212,7 +213,9 @@ class FaultPlan:
 
     def for_rank(self, rank: int) -> Optional[RankFaults]:
         """The mutable per-rank runtime view (``None`` when inert), in
-        plain data: the launcher pickles it into ``rank``'s spec."""
+        plain data: the launcher marshals its constructor tuple
+        (:meth:`~repro.runtime.rank.RankFaults.to_wire`) into ``rank``'s
+        spec."""
         factor = 1.0
         stalls, dies, drops = [], [], []
         for e in self.events:

@@ -77,7 +77,10 @@ keeps everything else off that path, and no array crosses a socket:
    imports (a few ``repro`` modules) and, for a numpy module, this
    module and numpy; never the caller's ``__main__``, the lowering or
    the compiler side. With an ``observer``, the flags segment also
-   holds one trace ring per rank after the flags.
+   holds one trace ring per rank after the flags, and a new rank's
+   ``argv`` says the launch is traced: it records its start-up
+   (entry, imports done, spec received, module ready) as instants on
+   its ``start`` track.
 2. While the ranks import, the parent resolves a pointer module's C
    kernels (:func:`repro.core.codegen.native.load_kernels`): a cold
    compile overlaps the ranks' imports and precedes every deadline.
@@ -100,15 +103,20 @@ keeps everything else off that path, and no array crosses a socket:
    reads a stale byte: inputs are placed here, a rank writes a slot or
    result before its flag or report says so, and the parent reads only
    the regions of the ranks that write them.
-3. The parent sends each rank one pickled spec of a few KB, which the
-   socket buffers: layout, deadlines, the rank's view of the fault plan
-   (:class:`~repro.runtime.rank.RankFaults`), whether to trace, the
-   generated module's ``source`` and data plane and, for a pointer
-   module, the kernel object's ``(key, path, functions)``, plus the
-   ``(path, sgemm symbol)`` of numpy's BLAS when its GEMM calls it
-   (:func:`repro.core.codegen.native.blas`).
-4. Each rank ``exec``s that source (no rank loads an artifact, runs the
-   code generator or compiles), opens the kernel object
+3. The parent sends each rank one spec, a ``marshal`` of plain data
+   (:func:`~repro.runtime.rank._send`): the wire forms of the layout
+   and of the rank's view of the fault plan
+   (:meth:`~repro.runtime.rank.SpmdLayout.to_wire`,
+   :meth:`~repro.runtime.rank.RankFaults.to_wire`), deadlines, whether
+   to trace, the generated module's data plane and code object, which
+   the parent compiled once (``GeneratedSpmdProgram.code``) and, for a
+   pointer module, the kernel object's ``(key, path, functions)``, plus
+   the ``(path, sgemm symbol)`` of numpy's BLAS when its GEMM calls it
+   (:func:`repro.core.codegen.native.blas`). The parent and every rank
+   run the same ``sys.executable``, so they share ``marshal``'s
+   format; a rank imports no ``pickle`` and calls no ``compile()``.
+4. Each rank ``exec``s that code object (no rank loads an artifact,
+   runs the code generator or compiles), opens the kernel object
    (:func:`repro.runtime.rank.open_kernels`), binds its tensors to its
    own regions (array views, or addresses on the pointer plane) and
    runs in place: updated states and gathered writebacks land straight
@@ -777,12 +785,14 @@ def _segment(name: str, size: int) -> int:
 
 
 def _start(
-    entry: str, fds: Sequence[int], plane: str = "numpy"
+    entry: str, fds: Sequence[int], plane: str = "numpy",
+    traced: bool = False,
 ) -> Tuple[subprocess.Popen, socket.socket]:
     """Start ``python -S -c entry`` holding ``fds`` and its end of a new
     socket pair (fd ``sys.argv[1]``); ``(process, the parent's end)``.
     ``sys.argv[2]`` is ``plane``, the data plane of the module the
-    process will run first (``"pointer"``: it need not import numpy).
+    process will run first (``"pointer"``: it need not import numpy),
+    and ``sys.argv[3:]`` is ``["traced"]`` when that launch is traced.
 
     The process's ``PYTHONPATH`` is this process's ``sys.path``, so it
     resolves modules as the parent did without running ``site``, and
@@ -799,7 +809,8 @@ def _start(
     sock, child = socket.socketpair()
     with child:
         proc = subprocess.Popen(
-            [sys.executable, "-S", "-c", entry, str(child.fileno()), plane],
+            [sys.executable, "-S", "-c", entry, str(child.fileno()), plane]
+            + ["traced"] * traced,
             pass_fds=(child.fileno(), *fds), env=env,
         )
     return proc, sock
@@ -884,7 +895,8 @@ class RankPool:
 
         ``generated`` is a
         :class:`~repro.core.codegen.generator.GeneratedSpmdProgram`;
-        every rank ``exec``s its ``source`` as is, on its data plane
+        every rank ``exec``s its ``code``, the code object of its
+        ``source`` as is, on its data plane
         (``generated.plane``). Returns a
         :class:`~repro.runtime.executor.ProgramResult` whose arrays own
         their memory, and whose ``spmd_rank_kinds`` maps each rank to
@@ -985,7 +997,9 @@ class RankPool:
                 socks.append(sock)
             while len(procs) < world_size:
                 origins.append(self.started)
-                proc, sock = _start(_RANK_ENTRY, self.fds, generated.plane)
+                proc, sock = _start(
+                    _RANK_ENTRY, self.fds, generated.plane, traced
+                )
                 self.started += 1
                 procs.append(proc)
                 socks.append(sock)
@@ -1021,18 +1035,18 @@ class RankPool:
                     ), "cast_bytes": cast_bytes},
                 )
             spec = dict(
-                layout=layout, data_fd=data_fd, flags_fd=flags_fd,
-                wire_s_per_mb=wire_s_per_mb, timeout=timeout,
-                soft_timeout=soft_timeout, source=generated.source,
-                kernels=kernels, plane=generated.plane, traced=traced,
+                layout=layout.to_wire(), data_fd=data_fd,
+                flags_fd=flags_fd, wire_s_per_mb=wire_s_per_mb,
+                timeout=timeout, soft_timeout=soft_timeout,
+                code=generated.code, kernels=kernels,
+                plane=generated.plane, traced=traced,
             )
             for r, sock in enumerate(socks):
-                # the rank's own view of the plan: it unpickles without
-                # the fault module
-                faults = (
-                    fault_plan.for_rank(r) if fault_plan is not None
-                    else None
-                )
+                # the rank's own view of the plan, as plain data: it
+                # needs no fault module
+                faults = fault_plan.for_rank(r) if fault_plan else None
+                if faults is not None:
+                    faults = faults.to_wire()
                 try:
                     _send(sock.fileno(), dict(spec, rank=r, faults=faults))
                 except OSError:

@@ -6,7 +6,10 @@ direct collective calls through them without paying a process start
 per example (see ``tests/test_spmd_collectives.py``). Workers are
 started the way ``repro.runtime.spmd.RankPool.launch`` starts ranks: a
 plain ``python -c`` process that inherits both segments (memfds) and its
-end of a socket pair, over which every message is one pickle. A pool
+end of a socket pair, over which every message is one pickle: the
+pool's own channel (:func:`_send`, :func:`_recv`), since it ships
+callables and layouts, which a rank's ``marshal`` messages do not
+carry. A pool
 of ``plane="pointer"`` attaches each worker to a
 :class:`~repro.runtime.rank.PointerCommunicator` instead, whose
 collectives take addresses (see :func:`pointer_alltoall`,
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import pickle
 import select
 import socket
 import sys
@@ -36,8 +40,6 @@ from repro.runtime.rank import (
     SpmdPeerAbort,
     _group_site,
     _p2p_site,
-    _recv,
-    _send,
     open_kernels,
 )
 from repro.runtime.spmd import (
@@ -51,6 +53,23 @@ from repro.runtime.world import slice_of
 #: the repository root, so workers can import ``tests.collective_pool``
 #: (the callables ``call`` ships are pickled by reference)
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _send(fd: int, obj) -> None:
+    """Send ``obj`` over the socket ``fd`` as one message: its pickle,
+    which marks its own end."""
+    data = memoryview(pickle.dumps(obj, -1))
+    while data:
+        data = data[os.write(fd, data):]
+
+
+def _recv(stream):
+    """The next :func:`_send` message from ``stream``; ``None`` once the
+    peer is gone before a whole one."""
+    try:
+        return pickle.load(stream)
+    except (EOFError, pickle.UnpicklingError, OSError):
+        return None
 
 
 def _pool_worker() -> None:

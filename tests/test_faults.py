@@ -42,7 +42,7 @@ from repro.observe.events import InstantEvent
 from repro.perf.engine import Engine, Task
 from repro.runtime import Executor, FaultPlan, SpmdWorkerError, spmd
 from repro.runtime.faults import Die, DropChunk, SlowRank, StallPublish
-from repro.runtime.rank import DEFAULT_TIMEOUT
+from repro.runtime.rank import DEFAULT_TIMEOUT, SpmdLayout
 from repro.runtime.spmd import build_layout, scaled_default_timeout
 from repro.workloads.adam import AdamWorkload
 from repro.workloads.moe import MoEWorkload
@@ -720,7 +720,8 @@ class TestSurvivorReuse:
             def send_then_kill(fd, obj):
                 send(fd, obj)
                 if (
-                    isinstance(obj, dict) and obj["layout"].nranks == 3
+                    isinstance(obj, dict)
+                    and SpmdLayout.from_wire(obj["layout"]).nranks == 3
                     and obj["rank"] == 1 and not killed
                 ):
                     # recovery rank 1 is rank 2 of the failed launch

@@ -498,7 +498,10 @@ class TestSpmdTracing:
         self, target, rng, monkeypatch
     ):
         """Rank records are merged on the tracer's clock: none is drawn
-        before the parent sent the first spec, or after the launch."""
+        before the parent sent the first spec, or after the launch, but
+        a new rank process's first two start-up instants, which lie
+        inside the launch. Each rank records its four start-up instants
+        in order."""
         from repro.core.codegen import native
 
         if target == "native" and not native.available():
@@ -507,10 +510,12 @@ class TestSpmdTracing:
         sent = []
         watch_sends(monkeypatch, lambda: sent.append(tracer.now()))
         wl = AdamWorkload.build(64, 4)
+        before_spec = ("entry", "imports done")
         with Executor() as ex:
             for _ in range(2):
                 first = len(tracer.events)
                 sent.clear()
+                called = tracer.now()
                 ex.run_spmd(
                     wl.schedule_fused(), optimizer_inputs(rng),
                     allow_downcast=True, tracer=tracer,
@@ -524,7 +529,19 @@ class TestSpmdTracing:
                 assert {e.pid for e in ranked} == {
                     f"rank{r}" for r in range(4)
                 }
-                assert min(e.ts for e in ranked) >= sent[0]
+                for r in range(4):
+                    # merged in time order
+                    start = [
+                        e for e in ranked
+                        if e.pid == f"rank{r}" and e.tid == "start"
+                    ]
+                    assert [e.name for e in start] == [
+                        *before_spec, "spec received", "module ready"
+                    ]
+                    assert called <= start[0].ts
+                assert min(
+                    e.ts for e in ranked if e.name not in before_spec
+                ) >= sent[0]
                 assert max(
                     e.ts + getattr(e, "dur", 0.0) for e in ranked
                 ) <= returned

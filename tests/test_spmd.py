@@ -11,6 +11,7 @@ peers.
 """
 
 import inspect
+import marshal
 import mmap
 import os
 import select
@@ -36,7 +37,10 @@ from repro.core.transforms import Schedule
 from repro.errors import CodegenError, ExecutionError
 from repro.runtime import Executor
 from repro.runtime import spmd
-from repro.runtime.rank import SpmdWorkerError
+from repro.runtime.faults import FaultPlan
+from repro.runtime.rank import (
+    RankFaults, SpmdError, SpmdLayout, SpmdWorkerError,
+)
 from repro.runtime.spmd import build_layout
 from repro.workloads.adam import AdamWorkload
 from repro.workloads.attention import AttentionWorkload
@@ -97,6 +101,15 @@ RANK_NEVER_IMPORTS = {
     "repro.observe.compare",
     "hashlib",
     "subprocess",
+}
+
+#: modules the rank entry, :func:`repro.runtime.rank._rank_main`, must
+#: not import: a rank's messages are ``marshal``, built in, and its
+#: code object comes compiled; a new import of one of these fails the
+#: rank core test (CI's "Rank imports" step gates the same set)
+RANK_CORE_NEVER_IMPORTS = {
+    "_pickle", "pickle", "collections", "functools", "importlib",
+    "typing", "numpy",
 }
 
 
@@ -292,8 +305,9 @@ class TestSpmdInterface:
     def test_ranks_receive_the_parent_module(
         self, rng, target, program, monkeypatch, tmp_path
     ):
-        # every rank gets the module text generated here and runs it as
-        # is: once its kernels have run, no rank has loaded an artifact,
+        # every rank gets the code object of the module text generated
+        # (and edited) here, compiled by the parent, and runs it as is:
+        # once its kernels have run, no rank has loaded an artifact,
         # run the code generator or compiled, nor imported anything else
         # beyond the communicator and the device helpers (nor the fault
         # injector, with no plan sent; nor the executor, for a library
@@ -336,8 +350,12 @@ class TestSpmdInterface:
             out = pool.launch(gen, inputs, allow_downcast=True)
         monkeypatch.setattr(spmd, "_send", send)
         assert [spec["rank"] for spec in sent] == [0, 1]
+        code = compile(source, f"<generated-spmd:{gen.program.name}>", "exec")
         for spec in sent:
-            assert spec["source"].encode() == source.encode()
+            # the code object of the edited text, and no source at all
+            assert spec["code"] == code
+            assert not [v for v in spec.values() if isinstance(v, str)
+                        and "run_rank" in v]
             if target == "native":
                 k = native.load_kernels(gen.c_source)
                 assert spec["kernels"] == (k.key, k.path, k.functions)
@@ -832,26 +850,34 @@ def _readable(sock) -> bool:
 
 
 class TestRankCore:
-    """A rank's control plane, :mod:`repro.runtime.rank`, imports no
-    numpy: a rank can read its spec, its flags and its trace ring
-    without it."""
+    """A rank's control plane, :mod:`repro.runtime.rank`, imports none
+    of :data:`RANK_CORE_NEVER_IMPORTS`: a rank can read its spec, its
+    flags and its trace ring without numpy, ``pickle`` or the
+    ``collections`` and ``functools`` that ``pickle`` brings."""
 
-    #: receives ``(spec, key)``, attaches as the spec says, reads rank
-    #: 1's ready flag at site ``key``, traces one record into its ring
+    #: imports the rank entry and records which of
+    #: :data:`RANK_CORE_NEVER_IMPORTS` are loaded, receives ``(spec,
+    #: key)``, attaches as the spec says, reads rank 1's ready flag at
+    #: site ``key``, traces one record into its ring
     #: (``repro.observe.ring``, which the core imports) and reports
-    #: ``(flag, clean close, numpy imported)``
+    #: ``(flag, clean close, those modules, numpy imported)``
     ENTRY = textwrap.dedent(
-        """
+        f"""
         import sys
-        from repro.runtime.rank import RankCore, _recv, _send
+        from repro.runtime.rank import _rank_main
+        banned = sorted(set(sys.modules) & {RANK_CORE_NEVER_IMPORTS!r})
+        from repro.runtime.rank import RankCore, SpmdLayout, _recv, _send
         fd = int(sys.argv[1])
         with open(fd, "rb", closefd=False) as stream:
             spec, key = _recv(stream)
-        del spec["source"], spec["kernels"], spec["plane"]
-        core = RankCore.attach(**spec)
+        core = RankCore.attach(
+            SpmdLayout.from_wire(spec["layout"]), spec["rank"],
+            spec["data_fd"], spec["flags_fd"], traced=spec["traced"],
+            timeout=spec["timeout"], soft_timeout=spec["soft_timeout"],
+        )
         flag = core._ready(key, 1)
         core.record_kernel_open("no-numpy", 0.5)
-        _send(fd, (flag, core.close(), "numpy" in sys.modules))
+        _send(fd, (flag, core.close(), banned, "numpy" in sys.modules))
         """
     )
 
@@ -878,7 +904,7 @@ class TestRankCore:
                 soft_timeout=np.float32(2.0), wire_s_per_mb=np.float64(0),
             )
         spec = sent[0]
-        layout = spec["layout"]
+        layout = SpmdLayout.from_wire(spec["layout"])
         assert spec["traced"] and spec["rank"] == 0
         key = sorted(layout.sites)[-1]
         flags_size = layout.flags_bytes(traced=True)
@@ -895,7 +921,7 @@ class TestRankCore:
             proc, sock = spmd._start(self.ENTRY, fds)
             with sock, sock.makefile("rb") as stream:
                 _send(sock.fileno(), (spec, key))
-                assert spmd._recv(stream) == (7, True, False)
+                assert spmd._recv(stream) == (7, True, [], False)
             assert proc.wait(timeout=60.0) == 0
             with mmap.mmap(fds[1], flags_size) as flags:
                 ring = TraceRing(flags, layout.ring_offset(0))
@@ -982,6 +1008,127 @@ class TestLaunchLoop:
         assert f"exit code {-signal.SIGKILL}" in str(err.value)
         # the pool held rank 0, a clean survivor, until it closed
         assert all(p.returncode is not None for p in started)
+
+    @pytest.mark.parametrize("body", [
+        pytest.param(b"\xde\xad\xbe\xef" * 4, id="a_garbage_length"),
+        pytest.param(
+            (8).to_bytes(8, "little") + b"\xff" * 8, id="garbage_marshal"
+        ),
+    ])
+    def test_garbage_is_no_message(self, body):
+        parent, child = socket.socketpair()
+        with parent, parent.makefile("rb") as stream:
+            child.sendall(body)
+            child.close()
+            assert spmd._recv(stream) is None
+
+    def test_a_rank_that_sends_garbage_is_dead(self, rng, monkeypatch):
+        # rank processes that write bytes that are no message and exit
+        monkeypatch.setattr(
+            spmd, "_RANK_ENTRY",
+            "import os, sys; os.write(int(sys.argv[1]), b'\\xff' * 64)",
+        )
+        gen = CodeGenerator(target="spmd").generate(
+            AdamWorkload.build(64, 2).program
+        )
+        with spmd.RankPool() as pool:
+            with pytest.raises(SpmdWorkerError, match="died") as err:
+                pool.launch(
+                    gen, optimizer_inputs(rng, n=2), allow_downcast=True,
+                    timeout=20.0,
+                )
+        assert err.value.dead_ranks == [0, 1]
+        assert children() == []
+
+
+class TestWireFormat:
+    """A rank's spec is plain data: ``marshal``, with the layout and the
+    fault plan's view in their wire forms."""
+
+    @pytest.mark.parametrize("program", [
+        pytest.param(lambda: AdamWorkload.build(64, 4).program, id="adam"),
+        pytest.param(
+            lambda: PipelineWorkload.build(
+                2, 8, 16, world_size=8, num_groups=2, dtype=FP32
+            ).program,
+            id="pipeline_p2p",
+        ),
+    ])
+    def test_layout_round_trips(self, program):
+        layout = build_layout(program())
+        wire = marshal.loads(marshal.dumps(layout.to_wire()))
+        back = SpmdLayout.from_wire(wire)
+        # every field but the builder's, which a frozen layout no
+        # longer uses
+        builder = {"_pending", "_regions_end"}
+        fields = set(vars(layout)) - builder
+        assert fields == set(vars(back)) - builder
+        for field in fields:
+            assert getattr(back, field) == getattr(layout, field), field
+        assert list(back.sites) == list(layout.sites)
+        assert back.flags_bytes(True) == layout.flags_bytes(True)
+
+    def test_rank_faults_round_trip(self):
+        plan = (
+            FaultPlan(seed=3).slow_rank(0, 1.5).stall_publish("g", 0.25, seq=2)
+            .die(0, at_site="g0x2", after=2).drop_chunk("g", 1, rank=0)
+        )
+        faults = plan.for_rank(0)
+        wire = marshal.loads(marshal.dumps(faults.to_wire()))
+        assert vars(RankFaults(*wire)) == vars(faults)
+        assert faults.should_die("g0x2") is False
+        # a copy starts with its counters unspent
+        assert vars(RankFaults(*faults.to_wire())) != vars(faults)
+
+    @pytest.mark.parametrize("value, name", [
+        pytest.param(np.float64(60.0), "numpy.float64", id="numpy_scalar"),
+        pytest.param(
+            FaultPlan(seed=1), "repro.runtime.faults.FaultPlan",
+            id="fault_plan",
+        ),
+    ])
+    def test_a_non_plain_spec_fails_at_send(
+        self, rng, monkeypatch, value, name
+    ):
+        send = spmd._send
+        monkeypatch.setattr(
+            spmd, "_send", lambda fd, obj: send(fd, dict(obj, faults=value))
+        )
+        before = set(spmd_segments())
+        with pytest.raises(SpmdError, match=(
+            rf"message\['faults'\] is a {name}, which a rank message "
+            "cannot carry"
+        )):
+            Executor().run_spmd(
+                AdamWorkload.build(64, 2).program,
+                optimizer_inputs(rng, n=2), allow_downcast=True,
+            )
+        assert children() == []
+        assert set(spmd_segments()) == before
+
+    def test_send_names_the_value(self):
+        parent, child = socket.socketpair()
+        with parent, child:
+            with pytest.raises(SpmdError, match=(
+                r"message\['a'\]\[1\] is a numpy.int32"
+            )):
+                spmd._send(child.fileno(), {"a": [1, np.int32(2)]})
+            assert not _readable(parent)  # nothing was sent
+
+    def test_code_is_compiled_once_and_again_when_edited(self):
+        gen = CodeGenerator(target="spmd").generate(
+            AdamWorkload.build(64, 2).program
+        )
+        code = gen.code
+        assert gen.code is code
+        gen.source += "EDITED = 1\n"
+        assert gen.code is not code
+        assert gen.code == compile(
+            gen.source, code.co_filename, "exec"
+        )
+        namespace = {}
+        exec(gen.code, namespace)
+        assert namespace["EDITED"] == 1
 
 
 #: a user's script calling ``run_spmd``: it checks the result against

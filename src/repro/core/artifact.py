@@ -29,12 +29,11 @@ One function, :func:`_fields`, reads an op for both: it walks
 ``vars(e)``, so every field of every op (dtype, shape, layout, group,
 inputs, links such as an AllGather's ``writeback``, and every plain
 attribute) enters the payload and the key alike. A field stays out
-only through :data:`_EXCLUDED`, which gives each reason: ``name``
-(the payload writes it beside the fields; the key keeps only program
-inputs' declared names) and ``updated_by`` (a back-link restored from
-``Update.target``). The two differ only in how a reference is written:
-a topological index in the payload, a plan-position token or a
-declared leaf in the key.
+only through :data:`_EXCLUDED`, which gives the reason: ``name`` (the
+payload writes it beside the fields; the key keeps only program
+inputs' declared names). The two differ only in how a reference is
+written: a topological index in the payload, a plan-position token or
+a declared leaf in the key.
 
 Format::
 
@@ -144,10 +143,6 @@ _EXCLUDED: Dict[str, str] = {
         "beside its fields; the key writes a program input's declared "
         "name in the references to it, and no other name"
     ),
-    "updated_by": (
-        "a back-link: the loader restores it from the Update whose "
-        "target the tensor is"
-    ),
 }
 
 #: Expr-valued fields besides ``inputs``. Each is written as a
@@ -250,8 +245,6 @@ def _link_expr(e: Expr, rec: Dict[str, Any], by_id: List[Expr]) -> None:
     for f in _LINKS:
         if f in attrs:
             setattr(e, f, by_id[attrs[f]])
-    if isinstance(e, ops.Update):
-        e.target.updated_by = e
 
 
 def _graph_order(program: Program, plan: ExecutionPlan) -> List[Expr]:

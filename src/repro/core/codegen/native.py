@@ -53,15 +53,14 @@ kinds of C, held to the same contract:
   bit. ``tests/test_native.py`` checks libm against numpy, to the bit,
   on the optimizers' betas and step counts.
 * **The fold helpers** (``fold_<op>_<in>_<out>``, one per reduction
-  and dtype pair, appended once). A ReduceScatter or AllReduce calls
-  one per participant in rank order with the rank count as a scalar,
-  so the source is the same at every world size: the first call sets a
-  float64 accumulator to the reduction's identity (``-0.0 + x`` is
-  ``x``, bit for bit), each folds its rank's row in, and the last
-  rounds once. That is :func:`~repro.runtime.collectives.fold_ranks`
+  and dtype pair, appended once). A ReduceScatter or AllReduce makes
+  one call per run, passing every participant's row in rank order and
+  the rank count as a scalar, so the source is the same at every world
+  size. For each block of elements a float64 accumulator on the stack
+  starts as the first row, folds in each later row in rank order and
+  is rounded once. That is :func:`~repro.runtime.collectives.fold_ranks`
   then ``astype``; with two NaN operands the fold keeps the first one's
-  bits, as x86 and numpy's operand order do
-  (``repro_nan_first``).
+  bits, as x86 and numpy's operand order do (``repro_nan_first``).
 * **Dropout**, one more loop op (``repro_dropout``): SplitMix64 of the
   element's global index (the rank's dim-0 offset, a scalar, plus the
   loop's) xor the seed's key, kept where ``(double)u64 * 2^-64 >= p``,
@@ -527,8 +526,16 @@ typedef void (*repro_sgemm_t)(int, int, int, repro_blasint, repro_blasint,
 #: but the compiler may swap those of a commutative ``+`` or ``*``, so
 #: the fold states the rule itself. ``r`` is ``a`` op something; the
 #: NaN test reads ``a``'s high word, as ``repro_d2h``'s does, so the
-#: loop stays vectorized
+#: loop stays vectorized. ``REPRO_NO_JAM`` marks a fold helper: gcc's
+#: unroll-and-jam would fold two ranks per pass and leave the ranks past
+#: the pairs to a scalar copy of the loop, several times slower
 FOLD_NAN = r"""
+#if defined(__GNUC__) && !defined(__clang__)
+#define REPRO_NO_JAM __attribute__((optimize("no-loop-unroll-and-jam")))
+#else
+#define REPRO_NO_JAM
+#endif
+
 static inline double repro_nan_first(double a, double r) {
     uint64_t ab, rb, m;
     uint32_t hi, lo;
@@ -656,7 +663,7 @@ def source_key(c_source: str) -> str:
 #: where a source's next function definition starts (its attribute
 #: line included)
 _DEFINITION = re.compile(
-    r"^(?:REPRO_SCALAR\n)?void \w+\(char\*\* A, double\* S\)", re.M
+    r"^(?:REPRO_\w+\n)?void \w+\(char\*\* A, double\* S\)", re.M
 )
 
 
@@ -808,14 +815,18 @@ _CTYPE = {"float16": "uint16_t", "float32": "float", "float64": "double"}
 _FORMAT = {"float16": "e", "float32": "f", "float64": "d"}
 _SHORT = {"float16": "f16", "float32": "f32", "float64": "f64"}
 
-#: per ``fold_ranks`` reduction, its fold helpers' name, identity and
-#: the C that folds value ``v`` into ``acc[i]``
+#: per ``fold_ranks`` reduction, its fold helpers' name and the C that
+#: folds value ``{v}`` into the accumulator ``{a}``
 FOLDS = {
-    "+": ("sum", "-0.0", "repro_nan_first(acc[i], acc[i] + {v})"),
-    "*": ("prod", "1.0", "repro_nan_first(acc[i], acc[i] * {v})"),
-    "max": ("max", "-__builtin_inf()", "repro_max(acc[i], {v})"),
-    "min": ("min", "__builtin_inf()", "repro_min(acc[i], {v})"),
+    "+": ("sum", "repro_nan_first({a}, {a} + {v})"),
+    "*": ("prod", "repro_nan_first({a}, {a} * {v})"),
+    "max": ("max", "repro_max({a}, {v})"),
+    "min": ("min", "repro_min({a}, {v})"),
 }
+
+#: a fold helper's block: the elements one stack accumulator holds, and
+#: the constant trip count of the helper's loops
+_FOLD_BLOCK = 512
 
 #: a loop whose trip count is a multiple of this tells gcc so
 _VF = 64
@@ -878,35 +889,72 @@ def _rounded(
 
 
 def _fold_source(name: str, op: str, src: str, dst: str) -> str:
-    """The C of fold helper ``name``, called once per participant ``r``
-    of ``k`` in rank order: ``A[0]`` is rank ``r``'s ``src`` row of
-    ``n`` elements, ``A[1]`` a float64 accumulator, ``A[2]`` the
-    ``dst`` result and ``S`` is ``(n, r, k)``.
+    """The C of fold helper ``name``, called once per run: ``A`` holds
+    the ``k`` participants' ``src`` rows of ``n`` elements in rank
+    order, then the ``dst`` result, and ``S`` is ``(n, k)``.
 
-    The first call sets the accumulator to the reduction's identity
-    (``-0.0`` for a sum: ``-0.0 + x`` is ``x`` bit for bit, signed
-    zeros and NaNs included), every call folds its row in, and the last
-    rounds once into the result: the bits of
-    :func:`~repro.runtime.collectives.fold_ranks` then ``astype``.
+    For each block of :data:`_FOLD_BLOCK` elements, a float64
+    accumulator on the stack starts as the first row, folds in each
+    later row in rank order and is rounded once into the result: the
+    bits of :func:`~repro.runtime.collectives.fold_ranks` (which copies
+    its first row) then ``astype``.
+
+    The element loops have a constant trip count, so the vectorizer
+    builds no remainder loops for them, which a cold compile would pay
+    for. The last block is shifted back to end at ``n``: it stores some
+    elements a second time, with the same values, since the result
+    never aliases a row. A run shorter than one block is folded one
+    element at a time. The rank and block steps are ``while`` loops:
+    each ``for`` loop is an element loop, and vectorizes, for every rank
+    (``REPRO_NO_JAM``, :data:`FOLD_NAN`).
     """
     cin, cout = _CTYPE[src], _CTYPE[dst]
-    identity, combine = FOLDS[op][1:]
-    lines, stored = _rounded(dst, "v", "acc[i]", False)
-    rounded = " ".join(lines + [f"o[i] = {stored};"])
+    combine = FOLDS[op][1]
+    block = _FOLD_BLOCK
+
+    def store(acc: str, at: str) -> str:
+        lines, stored = _rounded(dst, "v", acc, False)
+        return " ".join(lines + [f"o[{at}] = {stored};"])
+
+    first = _load(f"((const {cin}*)A[0])", src, "at")
+    one = combine.format(a="a", v=_load("x", src, "at"))
+    row = _load("x", src, "i")
+    fold = combine.format(a="acc[i]", v=row)
+    rounded = store("acc[i]", "at + i")
     return f"""
+REPRO_NO_JAM
 void {name}(char** A, double* S) {{
     const long long n = (long long)S[0];
-    const long long r = (long long)S[1];
-    const long long k = (long long)S[2];
-    const {cin}* x = (const {cin}*)A[0];
-    double* acc = (double*)A[1];
-    {cout}* o = ({cout}*)A[2];
-    if (r == 0)
-        for (long long i = 0; i < n; ++i) acc[i] = {identity};
-    for (long long i = 0; i < n; ++i)
-        acc[i] = {combine.format(v=_load("x", src, "i"))};
-    if (r + 1 == k)
-        for (long long i = 0; i < n; ++i) {{ {rounded} }}
+    const long long k = (long long)S[1];
+    {cout}* o = ({cout}*)A[k];
+    const {cin}* x;
+    double acc[{block}];
+    long long at = 0, r;
+    if (n < {block}) {{
+        while (at < n) {{
+            double a = {first};
+            r = 1;
+            while (r < k) {{
+                x = (const {cin}*)A[r++];
+                a = {one};
+            }}
+            {store("a", "at++")}
+        }}
+        return;
+    }}
+    while (at < n) {{
+        if (at > n - {block}) at = n - {block};
+        x = (const {cin}*)A[0] + at;
+        for (long long i = 0; i < {block}; ++i) acc[i] = {row};
+        r = 1;
+        while (r < k) {{
+            x = (const {cin}*)A[r++] + at;
+            for (long long i = 0; i < {block}; ++i)
+                acc[i] = {fold};
+        }}
+        for (long long i = 0; i < {block}; ++i) {{ {rounded} }}
+        at += {block};
+    }}
 }}
 """
 

@@ -506,7 +506,6 @@ class Update(PointwiseOp):
             target.group,
             (value,),
         )
-        target.updated_by = self
 
 
 # ---------------------------------------------------------------------------

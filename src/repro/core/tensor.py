@@ -178,8 +178,6 @@ class Tensor(Expr):
     disallowed for replicated ones ("it does not have a rank identifier").
     """
 
-    updated_by: Optional[Expr] = None  # set by Update ops
-
     def __init__(
         self,
         dtype: DType,

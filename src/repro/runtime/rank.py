@@ -392,7 +392,8 @@ class _Publication:
     at a time, each a tuple of ``(offset, nbytes)`` runs: one chunk of
     one run for a collective's own operand, one per lowering chunk for a
     §5.3 ``chunked`` publication. ``payload`` is the address of what
-    this rank releases (unused by a rank that only reads).
+    this rank releases (unused by a rank that only reads), where a fold
+    of a whole payload reads this rank's row.
     """
 
     __slots__ = ("key", "ranks", "seq", "chunks", "payload", "chunked")
@@ -621,11 +622,16 @@ class RankCore:
         self._release(pub)
         return pub
 
-    def _release(self, pub: _Publication, out: int = 0) -> None:
+    def _release(
+        self, pub: _Publication, out: int = 0,
+        keep: Tuple[int, int] = (0, 0),
+    ) -> None:
         """Announce this rank's payload, one wire transfer and one ready
         bump per chunk: the chunk's runs are copied into this rank's
         slot and, given ``out``, into that buffer too (the
-        consumer-visible buffer of the lowered ``publish`` mode).
+        consumer-visible buffer of the lowered ``publish`` mode). The
+        ``(offset, nbytes)`` run ``keep``, which no peer reads, stays
+        out of both.
 
         Fault points count a whole publication by its site sequence and
         a chunked one by chunk index; only a chunked publication can
@@ -640,7 +646,7 @@ class RankCore:
         for c, runs in enumerate(pub.chunks):
             t0 = time.perf_counter_ns() if self._ring is not None else 0
             nbytes = 0
-            for off, n in runs:
+            for off, n in _outside(runs, *keep):
                 ctypes.memmove(slot + off, pub.payload + off, n)
                 if out:
                     ctypes.memmove(out + off, pub.payload + off, n)
@@ -703,14 +709,20 @@ class RankCore:
         ``fold(sources, d, n)`` each part ``(s, d, n)`` of ``moves``
         inside it, ``sources`` being the participants' slots at ``s`` in
         rank order; finish the operation and record its reduce span
-        (``name`` when no kernel is running).
+        (``name`` when no kernel is running). A whole payload's own
+        source is this rank's payload, where it lies: its slot may lack
+        the part this rank folds (:meth:`_release`'s ``keep``).
 
         The reduce span of a chunked publication starts before the first
         wait, since its reduction is interleaved with the waits; a whole
         payload's span starts once every payload is in, so it covers the
         reduction only.
         """
-        slots = [self._slot(pub.key, r)[0] for r in pub.ranks]
+        slots = [
+            pub.payload if r == self.rank and not pub.chunked
+            else self._slot(pub.key, r)[0]
+            for r in pub.ranks
+        ]
         t0 = time.perf_counter_ns() if self._ring is not None else 0
         for c, runs in enumerate(pub.chunks):
             for r in pub.ranks:
@@ -727,18 +739,19 @@ class RankCore:
 
     def _take(
         self, ranks: Sequence[int], x: int, nbytes: int,
-        release: bool = True,
+        release: bool = True, keep: Tuple[int, int] = (0, 0),
     ) -> _Publication:
         """What a collective of the group of ``ranks`` publishes: the
         site's pending chunked publication, else the ``nbytes`` at ``x``
-        whole, released unless this rank only reads."""
+        whole, released but for the run ``keep`` unless this rank only
+        reads."""
         key = _group_site(ranks)
         pending = self._pending.pop(key, None)
         if pending is not None:
             return pending
         pub = self._open(key, ranks, nbytes, payload=x)
         if release:
-            self._release(pub)
+            self._release(pub, keep=keep)
         return pub
 
     def barrier(self) -> None:
@@ -1067,6 +1080,19 @@ def _within(
     ]
 
 
+def _outside(
+    runs: Sequence[Tuple[int, int]], lo: int, n: int
+) -> List[Tuple[int, int]]:
+    """The parts of ``runs`` outside the ``n`` bytes from ``lo``, in
+    order."""
+    return [
+        (a, b - a)
+        for s, m in runs
+        for a, b in ((s, min(s + m, lo)), (max(s, lo + n), s + m))
+        if a < b
+    ]
+
+
 def _group_site(ranks: Sequence[int]) -> str:
     """The site key of the process group of consecutive ``ranks``."""
     return f"g{ranks[0]}x{len(ranks)}"
@@ -1189,12 +1215,15 @@ class PointerCommunicator(RankCore):
     every value as the address of this rank's copy of it: an input
     region in the data segment, or a buffer from :meth:`alloc`. Its
     collectives are :class:`RankCore`'s on those addresses. A
-    ReduceScatter or AllReduce folds the
-    participants' slots with the program's own C helper,
-    ``fold_<op>_<in>_<out>``, a rank-order float64 fold rounded once:
-    exactly :func:`~repro.runtime.collectives.fold_ranks` then
-    ``astype``. An AllGather copies each peer's slot into its row, an
-    AllToAll one dim-0 chunk per move of the table the module passes.
+    ReduceScatter or AllReduce folds the participants' rows with the
+    program's own C helper, ``fold_<op>_<in>_<out>``, one call per run
+    over every row: a rank-order float64 fold rounded once, exactly
+    :func:`~repro.runtime.collectives.fold_ranks` then ``astype``, into
+    the one buffer it allocates, its result. A ReduceScatter publishing
+    whole releases only the shards its peers fold, and folds its own
+    from its payload. An AllGather copies each peer's slot into its
+    row, an AllToAll one dim-0 chunk per move of the table the module
+    passes.
     """
 
     #: the program's kernel object, bound before the body runs
@@ -1231,25 +1260,26 @@ class PointerCommunicator(RankCore):
 
     def _reduce(
         self, x: int, ranks: Sequence[int], nbytes: int, fold: str,
-        count: int, out_nbytes: int, part: int = 0, parts: int = 1,
+        count: int, out_nbytes: int,
+        shard: Optional[Tuple[int, int]] = None,
     ) -> int:
-        """Fold dim-0 part ``part`` of ``parts`` of every rank's
-        ``nbytes`` at ``x`` into ``count`` elements (``out_nbytes``) by
-        C helper ``fold``, one run (of a chunk) at a time."""
-        pub = self._take(ranks, x, nbytes)
-        out, acc = self.alloc(out_nbytes), self.alloc(8 * count)
-        size = nbytes // parts
+        """Fold the ``(offset, nbytes)`` run ``shard`` (default: all) of
+        every rank's ``nbytes`` at ``x`` into ``count`` elements
+        (``out_nbytes``) by C helper ``fold``, one call per run (of a
+        chunk) over every rank's. A shard stays out of this rank's
+        slot."""
+        pub = self._take(ranks, x, nbytes, keep=shard or (0, 0))
+        start, size = shard or (0, nbytes)
+        out = self.alloc(out_nbytes)
         isize, osize = size // count, out_nbytes // count
 
         def fold_run(sources: List[int], d: int, n: int) -> None:
-            at = d // isize  # the run's first element
-            for j, src in enumerate(sources):
-                self.kernels.call(
-                    fold, (src, acc + 8 * at), (n // isize, j, len(sources)),
-                    (out + osize * at,),
-                )
+            self.kernels.call(
+                fold, sources, (n // isize, len(sources)),
+                (out + osize * (d // isize),),
+            )
 
-        self._fold(pub, ((part * size, 0, size),), fold_run, fold)
+        self._fold(pub, ((start, 0, size),), fold_run, fold)
         return out
 
     def allreduce(
@@ -1266,10 +1296,12 @@ class PointerCommunicator(RankCore):
         count: int, out_nbytes: int,
     ) -> int:
         """This rank receives its dim-0 shard of the reduction (as
-        :meth:`allreduce`), and folds only that shard of every slot."""
+        :meth:`allreduce`), and folds only that shard of every rank's
+        payload."""
+        size = nbytes // len(ranks)
         return self._reduce(
             x, ranks, nbytes, fold, count, out_nbytes,
-            ranks.index(self.rank), len(ranks),
+            (ranks.index(self.rank) * size, size),
         )
 
     def allgather(

@@ -13,7 +13,8 @@ carry. A pool
 of ``plane="pointer"`` attaches each worker to a
 :class:`~repro.runtime.rank.PointerCommunicator` instead, whose
 collectives take addresses (see :func:`pointer_alltoall`,
-:func:`pointer_fold` and :func:`pointer_allgather`).
+:func:`pointer_fold`, :func:`pointer_fold_publication` and
+:func:`pointer_allgather`).
 """
 
 from __future__ import annotations
@@ -194,16 +195,52 @@ def pointer_fold(
     ``x`` on the pointer plane, as a pointer module calls it: the
     operand at an address of its own, folded by C helper ``fold`` into
     a ``dtype`` result (this rank's dim-0 shard, for a ReduceScatter)."""
+    return pointer_fold_publication(comm, x, group, method, fold, dtype)[0]
+
+
+#: the byte a fold's own slot is filled with before it runs
+SENTINEL = 0xA5
+
+
+def pointer_fold_publication(
+    comm: PointerCommunicator, x: np.ndarray, group: ProcessGroup,
+    method: str, fold: str, dtype, chunks: int = 0,
+) -> Tuple[np.ndarray, List[int], bytes]:
+    """:func:`pointer_fold` with this rank's slot first filled with
+    :data:`SENTINEL` bytes and, given ``chunks``, ``x`` released first as
+    a pending chunked publication of that many dim-0 chunks (§5.3).
+    Returns the result, the sizes of the buffers the collective
+    allocated and the slot's first ``x.nbytes`` bytes after it."""
     x = np.ascontiguousarray(x)
     shape = x.shape
     if method == "reducescatter":
         shape = (shape[0] // group.size,) + shape[1:]
     count = int(np.prod(shape))
-    out = getattr(comm, method)(
-        comm.copy(x.ctypes.data, x.nbytes), group.ranks, x.nbytes, fold,
-        count, count * np.dtype(dtype).itemsize,
-    )
-    return _read(out, dtype, shape)
+    slot, size = comm._slot(_group_site(group.ranks), comm.rank)
+    ctypes.memset(slot, SENTINEL, size)
+    operand = comm.copy(x.ctypes.data, x.nbytes)
+    if chunks:
+        step = x.nbytes // chunks
+        comm.publish_chunks(comm.begin_chunked(
+            group.ranks, operand, x.nbytes,
+            [((c * step, step),) for c in range(chunks)],
+        ))
+    sizes = []
+    alloc = comm.alloc
+
+    def counted(nbytes: int) -> int:
+        sizes.append(nbytes)
+        return alloc(nbytes)
+
+    comm.alloc = counted
+    try:
+        out = getattr(comm, method)(
+            operand, group.ranks, x.nbytes, fold, count,
+            count * np.dtype(dtype).itemsize,
+        )
+    finally:
+        del comm.alloc
+    return _read(out, dtype, shape), sizes, ctypes.string_at(slot, x.nbytes)
 
 
 def pointer_allgather(

@@ -875,6 +875,34 @@ def _fold_rows(dtype, k):
     return rows
 
 
+#: the fold helpers' block, and run lengths at its edges
+_BLOCK = native._FOLD_BLOCK
+_FOLD_LENGTHS = (1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5)
+_FLOATS = (np.float16, np.float32, np.float64)
+
+
+def _block_rows(dtype, k, n):
+    """``k`` rank rows of ``n`` ``dtype`` elements: :data:`_SPECIAL`
+    values and normals large enough that FP16 sums overflow, drawn per
+    rank, and at element ``i`` with ``i % 5 == r`` rank ``r``'s quiet NaN
+    of a random payload, where no other rank holds a NaN (with two NaN
+    operands, no tier promises which one survives)."""
+    rng = np.random.default_rng(100 * k + n)
+    pool = np.concatenate([_SPECIAL, rng.normal(0.0, 3e4, len(_SPECIAL))])
+    width = np.dtype(dtype).itemsize
+    quiet = np.array(1 << (np.finfo(dtype).nmant - 1), f"u{width}")
+    owner = np.arange(n) % 5
+    rows = []
+    for r in range(k):
+        with np.errstate(over="ignore"):
+            row = pool[rng.integers(0, len(pool), n)].astype(dtype)
+        row[(owner < k) & np.isnan(row)] = 1.0
+        nans = _payload_nans(dtype, 10 * k + r)[: (owner == r).sum()]
+        row[owner == r] = (nans.view(quiet.dtype) | quiet).view(dtype)
+        rows.append(row)
+    return rows
+
+
 @needs_cc
 class TestPointerPlaneNumerics:
     """The C a pointer module adds to its source, against the numerics
@@ -887,7 +915,7 @@ class TestPointerPlaneNumerics:
         from repro.runtime.collectives import fold_ranks
 
         uint = {2: np.uint16, 4: np.uint32, 8: np.uint64}
-        for op, (kind, _, _) in native.FOLDS.items():
+        for op, (kind, _) in native.FOLDS.items():
             short = native._SHORT[dtype]
             name = f"fold_{kind}_{short}_{short}"
             k = native.load_kernels(
@@ -897,10 +925,8 @@ class TestPointerPlaneNumerics:
             for ranks in (1, 2, 3, 4):
                 rows = _fold_rows(dtype, ranks)
                 n = rows[0].size
-                acc = np.empty(n, np.float64)
                 out = np.empty(n, dtype)
-                for r, row in enumerate(rows):
-                    k.call(name, (row, acc), (n, r, ranks), (out,))
+                k.call(name, rows, (n, ranks), (out,))
                 with np.errstate(all="ignore"):
                     want = fold_ranks(
                         np.empty(n, np.float64), rows, op
@@ -910,6 +936,39 @@ class TestPointerPlaneNumerics:
                     out.view(bits), want.view(bits),
                     err_msg=f"{op} over {ranks} ranks",
                 )
+
+    @pytest.mark.parametrize("flags", ["baseline", "host"])
+    def test_fold_block_edges_are_fold_ranks(self, kernel_cache, flags):
+        # every reduction and dtype pair, 1-4 ranks, runs at the edges
+        # of the helpers' block, built at the baseline flags and the
+        # host's
+        from repro.runtime.collectives import fold_ranks
+
+        if flags == "host" and not native._toolchain(native._find_cc()).target:
+            pytest.skip("-march=native is not resolved here")
+        names, helpers = {}, []
+        for op, (kind, _) in native.FOLDS.items():
+            for src in _FLOATS:
+                for dst in _FLOATS:
+                    s, d = np.dtype(src).name, np.dtype(dst).name
+                    name = f"fold_{kind}_{native._SHORT[s]}_{native._SHORT[d]}"
+                    names[op, src, dst] = name
+                    helpers.append(native._fold_source(name, op, s, d))
+        source = native.PRELUDE + native.FOLD_NAN + "".join(helpers)
+        with (
+            TestHostIsaBitIdentical._baseline() if flags == "baseline"
+            else contextlib.nullcontext()
+        ):
+            kernels = native.load_kernels(source)
+        for (op, src, dst), name in names.items():
+            for k in (1, 2, 3, 4):
+                for n in _FOLD_LENGTHS:
+                    rows = _block_rows(src, k, n)
+                    out = np.empty(n, dst)
+                    kernels.call(name, rows, (n, k), (out,))
+                    with np.errstate(all="ignore"):
+                        want = fold_ranks(np.empty(n), rows, op).astype(dst)
+                    assert out.tobytes() == want.tobytes(), (name, k, n)
 
     #: the optimizers' betas (FP32 constants) and the step counts
     BETAS = (0.9, 0.999)
@@ -2034,6 +2093,37 @@ class TestLoopsVectorize:
         assert set(loops).isdisjoint(self._scalar_loops(source, tmp_path))
 
 
+@pytest.mark.skipif(_gcc() is None, reason="needs gcc's -fopt-info")
+def test_fold_helpers_keep_no_scalar_copy(tmp_path):
+    # every copy gcc makes of a fold's element loops vectorizes:
+    # its unroll-and-jam would pair the rank steps and fold the
+    # ranks past the pairs in a scalar copy (REPRO_NO_JAM)
+    source = native.PRELUDE + native.FOLD_NAN + "".join(
+        native._fold_source(f"fold_{kind}_f16_f16", op, *["float16"] * 2)
+        for op, (kind, _) in native.FOLDS.items()
+    )
+    c_file = tmp_path / "kernels.c"
+    c_file.write_text(source)
+    proc = subprocess.run(
+        [_gcc(), *native.compile_flags(), "-fopt-info-vec-all",
+         "-o", str(tmp_path / "kernels.so"), str(c_file), "-lm"],
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    missed = {
+        int(m.group(1)) for m in re.finditer(
+            r"kernels\.c:(\d+):\d+: missed: couldn't vectorize loop",
+            proc.stderr,
+        )
+    }
+    loops = {
+        n for n, line in enumerate(source.splitlines(), 1)
+        if line.lstrip().startswith("for (")
+    }
+    assert len(loops) == 3 * len(native.FOLDS)
+    assert loops.isdisjoint(missed)
+    assert TestLoopsVectorize._scalar_loops(source, tmp_path) == []
+
+
 #: the prelude's ISA-sensitive helpers, each over arrays: the max/min
 #: selects, the fold's NaN rule, the u64 -> double conversion, Dropout
 #: and the placement cast
@@ -2078,9 +2168,11 @@ void dropout(char** A, double* S) {
 def _payload_nans(dtype, seed):
     """NaNs of ``dtype`` with random payloads and signs, some quiet and
     some signalling, then ordinary values."""
-    bits = {np.float16: np.uint16, np.float64: np.uint64}[dtype]
+    bits = {
+        np.float16: np.uint16, np.float32: np.uint32, np.float64: np.uint64
+    }[dtype]
     width = np.dtype(bits).itemsize * 8
-    mant = {16: 10, 64: 52}[width]
+    mant = {16: 10, 32: 23, 64: 52}[width]
     rng = np.random.default_rng(seed)
     payload = rng.integers(1, 1 << min(mant, 62), 4096, dtype=np.uint64)
     payload = payload & np.uint64((1 << mant) - 1)
@@ -2158,9 +2250,8 @@ class TestHostIsaBitIdentical:
         n = rows[0].size
         got = []
         for k in kernels:
-            acc, out = np.empty(n), np.empty(n, dtype)
-            for r, row in enumerate(rows):
-                k.call(name, (row, acc), (n, r, len(rows)), (out,))
+            out = np.empty(n, dtype)
+            k.call(name, rows, (n, len(rows)), (out,))
             got.append(out.tobytes())
         assert got[0] == got[1]
 

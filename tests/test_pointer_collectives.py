@@ -30,10 +30,12 @@ from repro.runtime.rank import box_runs
 from repro.workloads.adam import AdamWorkload
 from tests import collective_oracle as oracle
 from tests.collective_pool import (
+    SENTINEL,
     CollectivePool,
     bind_kernels,
     pointer_allgather,
     pointer_fold,
+    pointer_fold_publication,
 )
 from tests.spmd_leaks import children, spmd_segments
 
@@ -100,7 +102,7 @@ def kernels(tmp_path_factory):
     if not native.available():
         pytest.skip("no C compiler")
     names, helpers = {}, []
-    for op, (kind, _, _) in native.FOLDS.items():
+    for op, (kind, _) in native.FOLDS.items():
         for dtype in DTYPES:
             dt = np.dtype(dtype).name
             short = native._SHORT[dt]
@@ -165,6 +167,47 @@ class TestPointerFolds:
             [(x[i], g, "reducescatter", fold, dtype) for i in range(n)],
         )
         _assert_same_bytes(rows, ref)
+
+
+@needs_cc
+class TestPointerFoldPublication:
+    """What a fold releases and allocates. A ReduceScatter publishing
+    whole leaves its own shard of its own slot unwritten, since no peer
+    folds it, and folds it from its payload; an AllReduce, and a
+    ReduceScatter taking a pending chunked publication, publish whole.
+    Every fold allocates its result and nothing else."""
+
+    @pytest.mark.parametrize("n", RANK_COUNTS)
+    @pytest.mark.parametrize(
+        "method, chunks",
+        [("reducescatter", 0), ("allreduce", 0), ("reducescatter", 2)],
+    )
+    def test_slot_and_buffers(self, pools, kernels, n, method, chunks):
+        g = world(n)
+        dtype = np.float16
+        x = _rows(n, dtype, 17 * n, (8 * n, 5))
+        with np.errstate(all="ignore"):
+            ref = (
+                oracle.reducescatter_reference(
+                    dict(enumerate(x)), g, "+", 0, dtype
+                ) if method == "reducescatter"
+                else oracle.allreduce_reference(
+                    dict(enumerate(x)), g, "+", dtype
+                )
+            )
+        fold = kernels[1]["+", dtype]
+        got = pools[n].call(
+            pointer_fold_publication,
+            [(x[i], g, method, fold, dtype, chunks) for i in range(n)],
+        )
+        _assert_same_bytes([rows for rows, _, _ in got], ref)
+        shard = x[0].nbytes // n
+        for i, (rows, sizes, slot) in enumerate(got):
+            assert sum(sizes) == rows.nbytes == ref[i].nbytes
+            want = bytearray(x[i].tobytes())
+            if method == "reducescatter" and not chunks:
+                want[i * shard : (i + 1) * shard] = bytes([SENTINEL]) * shard
+            assert slot == bytes(want), i
 
 
 @needs_cc
